@@ -6,8 +6,8 @@ regimes ``bench_planner_auto.py`` grids over) are driven with identical
 update streams under three trigger execution paths:
 
 * **interpret** — the AST executor (the PR 3 default baseline);
-* **codegen** — generic generated Python, backend-dispatched kernels,
-  copy-on-write applies (the PR 3 ``mode="codegen"`` path);
+* **codegen** — generic generated Python, backend-dispatched
+  allocating kernels, in-place applies (``fused=False``);
 * **fused** — the specialized in-place path (``mode="codegen"`` default
   since this PR): preallocated workspace buffers, ``out=`` kernels,
   views repaired in place.
@@ -22,7 +22,8 @@ Two metrics per path:
 
 Acceptance (checked by the script exit code and the pytest entry):
 
-* fused >= 2x faster than the interpreter on the dense-small scenario;
+* fused >= ``MIN_DENSE_SPEEDUP`` faster than the interpreter on the
+  dense-small scenario;
 * zero steady-state workspace allocations and ~zero net traced bytes
   for dense fused sessions;
 * parity: all three paths end bit-identical (dense) / close (sparse).
@@ -48,7 +49,12 @@ import numpy as np
 from conftest import add_json_flag, write_bench_json
 
 #: Script acceptance: fused speedup over the interpreter, dense-small.
-MIN_DENSE_SPEEDUP = 2.0
+#: Re-anchored by PR 12, which removed the per-apply view copy from the
+#: interpreter (the denominator): 397-410 -> 209-215 us/update at n=192
+#: with fused unchanged at 133-138, so the ratio reads 1.56x at full
+#: size (1.9-2.0x at --smoke size) where it read 2.9-3.1x.  The floor
+#: is the smaller figure less the trend gate's 25% budget.
+MIN_DENSE_SPEEDUP = 1.2
 
 #: Net traced bytes per update above which "zero-allocation" fails
 #: (tracemalloc's own bookkeeping shows up as a few dozen bytes).

@@ -394,17 +394,21 @@ def _clamp(value: float, bounds: tuple[float, float]) -> float:
 
 def _fit_inplace_discount(be: Backend, rng, gap_n: int, repeats: int,
                           samples: list) -> float:
-    """In-place vs out-of-place gap, measured where it actually lives.
+    """In-place vs out-of-place gap of one ``A += u v'`` apply.
 
-    The generic trigger path copies the view (copy-on-write) before
-    accumulating ``A += u v'``; the fused path accumulates straight
-    into it.  Their ratio is the fraction of per-call cost the
-    in-place path still pays — the discount the planner applies to
-    codegen-mode cells.  (A bare ``matmul`` vs ``matmul(out=)``
-    comparison measures ~1.0 on warmed allocators; the copy
-    elimination is the real, recurring saving.)  Shared by the dense
-    and sparse fits: the sparse backend's allocation-free wins live on
-    its dense legs, so the protocol is identical.
+    Times copy-the-view-then-accumulate against accumulate-in-place;
+    their ratio is the fraction of per-call cost the in-place path
+    still pays — the discount the planner applies to codegen-mode
+    cells.  Since views became store-owned (every mode accumulates in
+    place, :mod:`repro.runtime.views`) no execution path performs the
+    copying variant any more: the discount now stands in for the
+    per-call overhead gap between allocating and ``*_into`` kernels
+    only, and this protocol over-states it.  Constants and fit are
+    deliberately unchanged here (plan decisions must not move with the
+    storage change); re-fitting on the per-call gap is a ROADMAP
+    follow-up.  Shared by the dense and sparse fits: the sparse
+    backend's allocation-free wins live on its dense legs, so the
+    protocol is identical.
     """
     gap_state = rng.standard_normal((gap_n, gap_n))
     gap_u = rng.standard_normal((gap_n, 1))

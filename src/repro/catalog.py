@@ -179,8 +179,10 @@ class ViewCatalog:
         self._by_key: dict[str, CatalogNode] = {}
         self._order: list[str] = []
         self._input_syms: dict[str, MatrixSymbol] = {}
-        self._input_state: dict[str, np.ndarray] = {}
-        self._dims: dict[str, int] = {}
+        #: Base inputs and admitted node state, for the catalog's whole
+        #: life: every inner session is built around this one store, so
+        #: re-planning the session never copies or moves a view.
+        self._store = ViewStore(backend=self.backend)
         self._session = None
         self._next_id = 0
         self._touched_cache: dict[str, int] = {}
@@ -247,13 +249,14 @@ class ViewCatalog:
 
     def _absorb_inputs(self, program, inputs, dims) -> bool:
         if dims:
+            bound = self._store.dims
             for name, size in dims.items():
-                known = self._dims.get(name)
+                known = bound.get(name)
                 if known is not None and known != int(size):
                     raise CatalogInputMismatchError(
                         f"dimension {name!r} is {known} in the catalog, "
                         f"tenant binds {size}")
-                self._dims[name] = int(size)
+                bound[name] = int(size)
         dirty = False
         for sym in program.inputs:
             known = self._input_syms.get(sym.name)
@@ -276,9 +279,8 @@ class ViewCatalog:
             if sym.name not in inputs:
                 raise CatalogError(
                     f"missing initial value for new input {sym.name!r}")
+            self._store.set(sym.name, inputs[sym.name])
             self._input_syms[sym.name] = sym
-            self._input_state[sym.name] = np.array(
-                inputs[sym.name], dtype=np.float64, order="C")
             dirty = True
         return dirty
 
@@ -328,8 +330,8 @@ class ViewCatalog:
                 raise KeyError(f"no catalog input named {update.target!r}")
             if self._session is None:
                 update.validate_finite()
-                arr = self._input_state[update.target]
-                arr += update.u_block @ update.v_block.T
+                self._store.add_outer(
+                    update.target, update.u_block, update.v_block)
             else:
                 self._session.apply_update(update)
             self.stats.updates += 1
@@ -365,38 +367,33 @@ class ViewCatalog:
         Admitted nodes serve from maintained state (flushed first);
         evicted nodes re-evaluate on demand against the admitted state,
         are charged for it, and re-admit themselves once the accumulated
-        charges out-price staying evicted.  Do not mutate the result.
+        charges out-price staying evicted.  Maintained state is returned
+        live — valid until the next update, never to be mutated; copy
+        what must outlast it.
         """
         with self._lock:
             if self._session is not None:
                 self._session.flush()
             if name in self._input_syms:
-                if self._session is not None:
-                    return self._session.views.get_dense(name)
-                return self._input_state[name]
+                return self._store.get_dense(name)
             node = self.nodes.get(name)
             if node is None:
                 raise KeyError(f"no catalog view named {name!r}")
             if node.admitted:
-                return self._session.views.get_dense(name)
+                return self._store.get_dense(name)
             value = self._demand_value(node, {})
             self._maybe_readmit(node, value)
             return value
 
-    def _env(self) -> dict[str, np.ndarray]:
-        if self._session is not None:
-            return self._session.views.as_env()
-        return dict(self._input_state)
-
     def _demand_value(self, node: CatalogNode, cache: dict) -> np.ndarray:
         if node.name in cache:
             return cache[node.name]
-        env = self._env()
+        env = self._store.as_env()
         for dep in node.deps:
             dep_node = self.nodes[dep]
             if dep not in env:
                 env[dep] = self._demand_value(dep_node, cache)
-        value = evaluate(node.expr, env, dims=self._dims,
+        value = evaluate(node.expr, env, dims=self._store.dims,
                          counter=self.counter, backend=self.backend)
         dense = np.asarray(self.backend.materialize(value), dtype=np.float64)
         rows, cols = dense.shape
@@ -419,17 +416,15 @@ class ViewCatalog:
         self._rebuild()
         # Pin the on-demand value: re-admission resumes incremental
         # maintenance from exactly the REEVAL state the caller just saw.
-        self._session.views.set(node.name, value)
+        self._store.set(node.name, value)
         self._enforce_budget(protect=frozenset({node.name}))
 
     # -- admission / eviction --------------------------------------------
     def memory_bytes(self) -> int:
         """Bytes of admitted node state (the budgeted footprint)."""
         with self._lock:
-            if self._session is None:
-                return 0
             admitted = [n for n in self._order if self.nodes[n].admitted]
-            return int(self._session.views.total_bytes(admitted))
+            return int(self._store.total_bytes(admitted))
 
     def _enforce_budget(self, protect: frozenset = frozenset()) -> None:
         if self.memory_budget is None or self._session is None:
@@ -439,7 +434,7 @@ class ViewCatalog:
         self._session.flush()
         admitted = [self.nodes[n] for n in self._order if self.nodes[n].admitted]
         footprint = {
-            node.name: int(self._session.views.total_bytes([node.name]))
+            node.name: int(self._store.total_bytes([node.name]))
             for node in admitted
         }
         total = sum(footprint.values())
@@ -467,43 +462,38 @@ class ViewCatalog:
             self._rebuild()
 
     def _retention_score(self, node: CatalogNode, nbytes: int) -> float:
-        arr = self._session.views.get(node.name)
+        arr = self._store.get(node.name)
         rows, cols = self.backend.shape(arr)
         saved = catalog_demand_cost(rows, cols, rows)
         return (node.tenants + node.demand_reads) * saved / max(nbytes, 1)
 
     # -- the merged inner session ----------------------------------------
     def _rebuild(self) -> None:
+        """Build the inner session for the current admitted set.
+
+        The store stays: maintained nodes keep their arrays (and with
+        them their bitwise trajectory), demoted nodes are dropped, and
+        only genuinely new nodes materialize fresh.
+        """
+        if self._session is not None:
+            self._session.flush()
+        store = self._store
         admitted = [name for name in self._order if self.nodes[name].admitted]
-        old = self._session
-        preserved: dict[str, np.ndarray] = {}
-        if old is not None:
-            old.flush()
-            for name in old.views.names():
-                preserved[name] = np.array(
-                    old.views.get_dense(name), dtype=np.float64, order="C")
-            for name in self._input_syms:
-                if name in preserved:
-                    self._input_state[name] = preserved[name]
-        if not admitted:
-            self._session = None
-            self._touched_cache = {}
-            return
-        store = ViewStore(dict(self._dims), backend=self.backend)
-        for name in self._input_syms:
-            store.set(name, self._input_state[name])
+        for name in store.names():
+            if name in self.nodes and not self.nodes[name].admitted:
+                store.drop(name)
         statements = []
         for name in admitted:
             node = self.nodes[name]
             statements.append(Statement(node.symbol, node.expr))
-            if name in preserved:
-                # An already-maintained node carries its trajectory over
-                # bitwise; only genuinely new nodes materialize fresh.
-                store.set(name, preserved[name])
-            else:
-                store.set(name, evaluate(
-                    node.expr, store.as_env(), dims=self._dims,
+            if name not in store:
+                store.adopt(name, evaluate(
+                    node.expr, store.as_env(), dims=store.dims,
                     counter=self.counter, backend=self.backend))
+        self._touched_cache = {}
+        if not admitted:
+            self._session = None
+            return
         program = Program(tuple(self._input_syms.values()), tuple(statements),
                           outputs=tuple(admitted))
         if self.strategy == "REEVAL":
@@ -513,7 +503,6 @@ class ViewCatalog:
             self._session = IVMSession(
                 program, store, rank=self.rank, optimize=self.optimize,
                 mode=self.mode, counter=self.counter, backend=self.backend)
-        self._touched_cache = {}
 
     # -- introspection ---------------------------------------------------
     def lineage(self) -> list[dict]:

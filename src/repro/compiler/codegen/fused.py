@@ -22,10 +22,10 @@ temporaries are **preallocated buffers** leased once from a
 * identity/zero leaves are materialized once at compile time;
 * update statements apply through :meth:`add_outer_inplace
   <repro.backends.base.Backend.add_outer_inplace>` — views mutate in
-  place (dense) instead of being copied per firing.  All delta
-  expressions are still evaluated before any view is touched, so the
-  trigger contract (deltas read only old values) survives the loss of
-  copy-on-write.
+  place, like every other execution path
+  (:mod:`repro.runtime.views`).  All delta expressions are evaluated
+  before any view is touched: evaluate-all-then-apply-all is what
+  upholds the trigger contract (deltas read only old values).
 
 After one warm-up firing the function performs **zero heap
 allocation** on the dense backend (``tracemalloc``-verified in
@@ -272,8 +272,8 @@ def generate_fused_trigger(
         em.emit(f"{assign.target.name} = {frag}")
 
     # Phase 2: evaluate every non-factored update delta before any view
-    # mutates (in-place application breaks copy-on-write, so the
-    # evaluate-all-then-apply-all order now carries the contract alone).
+    # mutates (views are written in place, so the
+    # evaluate-all-then-apply-all order carries the contract alone).
     applies: list[str] = []
     for update in trigger.updates:
         target = update.view.name

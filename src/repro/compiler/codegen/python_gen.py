@@ -2,20 +2,25 @@
 
 :func:`generate_python_trigger` renders a trigger as the source of a
 plain Python function; :func:`compile_trigger_function` ``exec``-utes it
-and hands back the callable.  The generated function mutates a ``views``
-dict in place, binding every referenced view to a local *before* any
-update is applied, so all delta expressions see old values — the same
-contract the interpreter upholds.
+and hands back the callable.  The generated function updates a ``views``
+dict, evaluating every delta *before* any update is applied, so all
+delta expressions see old values — the same contract the interpreter
+upholds.
 
 Two emission styles share the renderer:
 
 * the classic NumPy style (``A @ B + C``, the default for standalone
   ``generate_python_trigger`` calls) — idiomatic source for humans and
-  the ``repro compile`` CLI;
+  the ``repro compile`` CLI; it rebinds ``views[name]`` to new arrays
+  and never writes into the ones it was given;
 * the backend-dispatched style (``be.add(be.matmul(A, B), C)``), used
   whenever a :class:`~repro.backends.base.Backend` is supplied, so
   codegen-mode sessions execute through pluggable kernels (sparse CSR,
-  and eventually GPU) instead of hard-coded ``np.`` ops.
+  and eventually GPU) instead of hard-coded ``np.`` ops.  Its update
+  statements accumulate **into** the arrays in ``views``
+  (``add_outer_inplace`` / ``add_into``): the dict must hold storage
+  the caller owns, which a session's
+  :class:`~repro.runtime.views.ViewStore` guarantees.
 
 Generated signature::
 
@@ -230,26 +235,35 @@ def generate_python_trigger(
         lines.append(f"    {view} = views[{view!r}]")
     for assign in trigger.assigns:
         lines.append(f"    {assign.target.name} = {emit(assign.expr)}")
-    for update in trigger.updates:
-        target = update.view.name
-        operands = outer_operands(update.expr) if dispatch else None
-        if operands is not None:
-            # Factored application: no dense delta is ever materialized
-            # (copy-on-write keeps handed-out view references stable).
-            u_name, v_name = operands
-            lines.append(
-                f"    views[{target!r}] = "
-                f"be.add_outer({target}.copy(), {u_name}, {v_name})"
-            )
-        elif dispatch:
-            lines.append(
-                f"    views[{target!r}] = be.add({target}, {emit(update.expr)})"
-            )
-        else:
+    if not dispatch:
+        for update in trigger.updates:
+            target = update.view.name
             lines.append(
                 f"    views[{target!r}] = {target} + {emit(update.expr)}"
             )
-    return "\n".join(lines) + "\n"
+        return "\n".join(lines) + "\n"
+    # Backend-dispatched updates accumulate into the stored arrays in
+    # place, so every delta that is not already a pair of factor locals
+    # is evaluated before the first view is written
+    # (evaluate-all-then-apply-all: deltas read only old values).
+    applies = []
+    for index, update in enumerate(trigger.updates):
+        target = update.view.name
+        operands = outer_operands(update.expr)
+        if operands is not None:
+            # Factored application: no dense delta is ever materialized.
+            u_name, v_name = operands
+            applies.append(
+                f"    views[{target!r}] = "
+                f"be.add_outer_inplace({target}, {u_name}, {v_name})"
+            )
+        else:
+            lines.append(f"    _d{index} = {emit(update.expr)}")
+            applies.append(
+                f"    views[{target!r}] = "
+                f"be.add_into({target}, _d{index}, {target})"
+            )
+    return "\n".join(lines + applies) + "\n"
 
 
 def compile_trigger_function(

@@ -26,9 +26,12 @@ class ProgramError(ValueError):
 
 
 class Statement:
-    """One assignment ``target := expr`` materializing a view."""
+    """One assignment ``target := expr`` materializing a view.
 
-    __slots__ = ("target", "expr")
+    ``sources`` is the set of matrix names the expression reads.
+    """
+
+    __slots__ = ("target", "expr", "sources")
 
     def __init__(self, target: MatrixSymbol, expr: Expr):
         if target.shape != expr.shape:
@@ -38,6 +41,7 @@ class Statement:
             )
         self.target = target
         self.expr = expr
+        self.sources = frozenset(s.name for s in matrix_symbols(expr))
 
     def __repr__(self) -> str:
         return f"{self.target.name} := {to_string(self.expr)};"

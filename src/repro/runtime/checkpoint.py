@@ -325,9 +325,11 @@ def rebuild_session(program, header: dict, arrays: dict[str, np.ndarray],
                     counter: counters.Counter = counters.NULL_COUNTER):
     """Rebuild a session from captured state (the restore path).
 
-    Views are adopted by value — nothing is re-evaluated — and every
-    deferral knob is restored so subsequent updates fold exactly as
-    they would have on the checkpointed session.  Sharded snapshots
+    Views are adopted by value — nothing is re-evaluated, and the
+    freshly decoded ``arrays`` are handed over to the session's store
+    rather than copied again — and every deferral knob is restored so
+    subsequent updates fold exactly as they would have on the
+    checkpointed session.  Sharded snapshots
     restore single-process (``INCR``/interpret with the same kernels);
     re-sharding is a fresh ``open_session(nodes=N)`` call.
     """
@@ -338,7 +340,7 @@ def rebuild_session(program, header: dict, arrays: dict[str, np.ndarray],
     backend = get_backend(header["backend"])
     store = ViewStore(header.get("dims"), backend=backend)
     for name, arr in arrays.items():
-        store.set(name, arr)
+        store.adopt(name, arr)
     if header["strategy"] == "REEVAL":
         session = ReevalSession(program, store, counter=counter,
                                 backend=backend)

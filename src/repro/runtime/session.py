@@ -33,9 +33,14 @@ Two execution modes are supported for triggers:
   compiled width, and triggers containing nodes without an in-place
   lowering, transparently fall back to the generic generated code;
   ``fused=False`` (or ``mode="interpret"``) disables specialization
-  outright.  Because views mutate in place on this path, treat matrices
-  returned by ``session[...]``/``session.output()`` as *live* state —
-  copy them if you need a snapshot that survives further updates.
+  outright.
+
+View storage is store-owned and updated **in place in every mode**
+(:mod:`repro.runtime.views`): treat matrices returned by
+``session[...]``/``session.output()`` as *live* state, valid until the
+next update — copy them if you need a snapshot that survives further
+updates.  Arrays passed in as ``inputs`` are copied once and never
+written through.
 
 Sessions also honor the plan's **batch recommendation** (Table 4):
 when ``plan.batch_size > 1``, :func:`open_session` routes
@@ -82,12 +87,15 @@ class Session:
     program:
         The linear algebra program to maintain.
     inputs:
-        Initial values for every declared input matrix — or a live
-        :class:`~repro.runtime.views.ViewStore` to *adopt*: the store's
-        state (inputs **and** materialized views) is carried over by
-        value, converted to this session's backend, and nothing is
-        re-evaluated.  Adoption is the online re-planning hand-off; see
-        :meth:`with_plan`.
+        Initial values for every declared input matrix (copied; the
+        caller's arrays are never written through) — or a live
+        :class:`~repro.runtime.views.ViewStore` to *adopt*: the store
+        (inputs **and** materialized views) becomes this session's own
+        storage, converted first when it was built for another backend,
+        and nothing is re-evaluated.  The caller hands the store over
+        and must not write to it afterwards.  Adoption is the hand-off
+        used by online re-planning (:meth:`with_plan`), checkpoint
+        restore and the catalog.
     dims:
         Bindings for symbolic dimension names used in the program.
     counter:
@@ -121,8 +129,10 @@ class Session:
         self._auto_partition = False
         self._checkpointer = None
         if isinstance(inputs, ViewStore):
-            # Adopt live state: one conversion pass, no re-evaluation.
-            self.views = inputs.converted(self.backend)
+            # Adopt live state: no re-evaluation, and no copy unless
+            # the representation has to change.
+            self.views = (inputs if inputs.backend is self.backend
+                          else inputs.converted(self.backend))
             return
         self.views = ViewStore(dims, backend=self.backend)
         missing = set(program.input_names) - set(inputs)
@@ -403,7 +413,9 @@ class Session:
                 counter=self.counter,
                 backend=self.backend,
             )
-            self.views.set(stmt.target.name, value)
+            # ``value`` is fresh unless the statement is a bare or
+            # transposed reference; adopt() copies exactly those.
+            self.views.adopt(stmt.target.name, value, stmt.sources)
 
     def rebuild(self) -> None:
         """Recompute every view from the current inputs, in place.
@@ -427,8 +439,11 @@ class Session:
         re-enters the target representation policy), INCR plans
         (re)compile their triggers, and **no view is re-evaluated**.
         The update counter carries over and ``plan`` is attached as
-        ``.plan``.  The old session must be discarded: converted arrays
-        may share memory with it.
+        ``.plan``.  The superseded session is never written through:
+        on a backend change the new session gets an independent copy of
+        the state, and on a same-backend switch the store itself changes
+        hands — this session is detached (``views`` becomes ``None``)
+        and must not be used again.
 
         Batched pending updates **flush before the switch** (the
         flush-before-switch convention): deltas must land in the state
@@ -443,15 +458,18 @@ class Session:
                 "open a new session with open_session(..., nodes=N)"
             )
         backend = get_backend(plan.backend)
+        # A session built around a ViewStore takes it over as-is under
+        # the same backend and converts (copies) it under another.
         if plan.strategy == "REEVAL":
             session: Session = ReevalSession(
-                self.program, self.views, counter=self.counter,
-                backend=backend,
+                self.program, self.views,
+                counter=self.counter, backend=backend,
             )
         elif plan.strategy == "INCR":
             session = IVMSession(
-                self.program, self.views, rank=rank, optimize=optimize,
-                mode=plan.mode, counter=self.counter, backend=backend,
+                self.program, self.views, rank=rank,
+                optimize=optimize, mode=plan.mode, counter=self.counter,
+                backend=backend,
             )
         else:
             raise ValueError(
@@ -505,6 +523,8 @@ class Session:
             checkpointer.optimize = optimize
             session._checkpointer = checkpointer
             self._checkpointer = None
+        if session.views is self.views:
+            self.views = None
         return session
 
     def _partition_staleness(self) -> int | None:
@@ -607,7 +627,6 @@ class IVMSession(Session):
         """
         dims = self._bound_dims()
         self.workspace = Workspace()
-        mutated: set[str] = set()
         for name, trigger in self.triggers.items():
             try:
                 fn = compile_fused_trigger(
@@ -617,20 +636,6 @@ class IVMSession(Session):
             except FusedUnsupported:
                 continue
             self._fused[name] = fn
-            mutated.update(trigger.updated_views)
-        # The fused path mutates views in place, so every view it will
-        # touch must be session-owned (callers may have handed us their
-        # arrays — including CSR objects ViewStore stores by
-        # reference): one defensive copy per view, once, at compile
-        # time.
-        for name in mutated:
-            arr = self.views.get(name)
-            if isinstance(arr, np.ndarray):
-                self.views._arrays[name] = np.array(
-                    arr, dtype=np.float64, order="C"
-                )
-            else:
-                self.views._arrays[name] = arr.copy()
 
     def _bound_dims(self) -> dict[str, int]:
         """User-supplied dims completed from the stored inputs' shapes."""
@@ -680,8 +685,9 @@ class IVMSession(Session):
         # through the backend's add_outer kernel — no dense delta is
         # materialized, and sparse view state stays sparse.  Anything
         # else (e.g. optimizer-rewritten exprs) evaluates generically.
-        # Either way all factors were derived above from old values, so
-        # application order cannot leak new state into deltas.
+        # Views are written in place, so every factor and delta is
+        # derived from old values *before* the first application below
+        # (evaluate-all-then-apply-all, as on the fused path).
         outers: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         deltas: dict[str, np.ndarray] = {}
         for upd in trigger.updates:

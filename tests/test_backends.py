@@ -345,7 +345,10 @@ class TestSessionBackendParity:
         legacy = generate_python_trigger(trigger)
         dispatched = generate_python_trigger(trigger, dispatch=True)
         assert "@" in legacy and "be." not in legacy
-        assert "be.matmul(" in dispatched and "be.add_outer(" in dispatched
+        assert "be.matmul(" in dispatched
+        # Updates accumulate into store-owned arrays: no copy-on-write.
+        assert "be.add_outer_inplace(" in dispatched
+        assert ".copy()" not in dispatched
         assert "@" not in dispatched
 
 

@@ -112,12 +112,44 @@ class TestErrors:
     def test_runtime_shape_mismatch(self, env):
         bad = dict(env)
         bad["B"] = np.ones((4, 4))
-        with pytest.raises(EvaluationError):
+        with pytest.raises(
+                EvaluationError,
+                match=r"runtime shape mismatch in product: \(6, 6\) @ \(4, 4\)"):
             evaluate(matmul(A, B), bad)
 
     def test_singular_inverse(self):
-        with pytest.raises(EvaluationError, match="singular"):
+        with pytest.raises(EvaluationError, match="singular matrix in inverse"):
             evaluate(inverse(A), {"A": np.zeros((3, 3))})
+
+    def test_unknown_node_type(self, env):
+        from repro.expr.ast import Expr
+
+        class Mystery(Expr):
+            __slots__ = ()
+
+            def __init__(self, child):
+                self._init(child.shape, (child,), ("mystery",))
+
+        with pytest.raises(EvaluationError,
+                           match="cannot evaluate node type Mystery"):
+            evaluate(Mystery(A), env)
+        # ... also when it sits below a node the table does know.
+        with pytest.raises(EvaluationError, match="Mystery"):
+            evaluate(matmul(A, transpose(Mystery(A))), env)
+
+    def test_node_subclass_evaluates_like_its_base(self, env):
+        from repro.expr.ast import MatrixSymbol, Transpose
+
+        class Tagged(MatrixSymbol):
+            __slots__ = ()
+
+        class Flipped(Transpose):
+            __slots__ = ()
+
+        tagged = Tagged("A", A.shape.rows, A.shape.cols)
+        assert evaluate(tagged, env) is env["A"]
+        np.testing.assert_array_equal(evaluate(Flipped(tagged), env),
+                                      env["A"].T)
 
 
 class TestCounting:
@@ -187,6 +219,23 @@ class TestNativeLeafPassThrough:
     def test_dense_ndarray_returned_as_is(self, rng):
         arr = rng.normal(size=(6, 6))
         assert evaluate(A, {"A": arr}) is arr
+
+    def test_leaves_reach_the_kernels_by_identity(self, rng, monkeypatch):
+        """The dispatch-table executor hands native leaves to kernels
+        uncopied, wherever they sit in the tree."""
+        from repro.backends import DenseBackend
+
+        arr = rng.normal(size=(6, 6))
+        seen = []
+        original = DenseBackend.matmul
+
+        def recording_matmul(self, a, b):
+            seen.extend([a, b])
+            return original(self, a, b)
+
+        monkeypatch.setattr(DenseBackend, "matmul", recording_matmul)
+        evaluate(add(matmul(A, A), scalar_mul(2.0, A)), {"A": arr})
+        assert seen[0] is arr and seen[1] is arr
 
     def test_sparse_backend_skips_renormalizing_ndarray(self, rng, monkeypatch):
         scipy = pytest.importorskip("scipy")  # noqa: F841
