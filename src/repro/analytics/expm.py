@@ -30,7 +30,6 @@ from typing import Sequence
 import numpy as np
 
 from ..cost import counters
-from ..delta.batch import BatchedRefresher
 from ..iterative.models import Model
 from ..iterative.powers import IncrementalPowers
 
@@ -55,18 +54,6 @@ def reference_weighted_powers(a: np.ndarray, coeffs: Sequence[float]) -> np.ndar
         power = power @ a
         acc = acc + c * power
     return acc
-
-
-class _RefreshTarget:
-    """Adapter exposing a maintainer's raw apply step to BatchedRefresher."""
-
-    __slots__ = ("_owner",)
-
-    def __init__(self, owner: "WeightedPowerSum"):
-        self._owner = owner
-
-    def refresh(self, u: np.ndarray, v: np.ndarray) -> None:
-        self._owner._refresh_now(u, v)
 
 
 class WeightedPowerSum:
@@ -106,14 +93,16 @@ class WeightedPowerSum:
             reference_weighted_powers(a, self.coeffs)
         )
         self.batch = batch if batch is not None and batch > 1 else None
-        # The shared batching front end over this object's own apply
-        # step — same collector/width/flush machinery as the other
+        # The shared deferral front end over this object's own apply
+        # step — same policy/width/flush machinery as the other
         # analytics drivers, not a private reimplementation.
-        self._refresher = (
-            BatchedRefresher(_RefreshTarget(self), self.batch,
-                             backend=self.backend)
-            if self.batch else None
-        )
+        self._refresher = None
+        if self.batch:
+            from ..runtime.batching import deferred
+
+            self._refresher = deferred(self, batch=self.batch,
+                                       backend=self.backend,
+                                       apply=self._refresh_now)
 
     @property
     def a(self) -> np.ndarray:

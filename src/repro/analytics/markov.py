@@ -22,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..cost import counters
-from ..delta.batch import BatchedRefresher
 from ..iterative.models import Model
 from ..iterative.strategies import make_general, make_powers
 
@@ -156,8 +155,10 @@ class KStepTransitionMatrix(_ColumnPerturbMixin):
         self._maintainer = make_powers(strategy, self.p, k, model, counter,
                                        backend=backend)
         if batch is not None and batch > 1:
-            self._maintainer = BatchedRefresher(self._maintainer, batch,
-                                                backend=backend)
+            from ..runtime.batching import deferred
+
+            self._maintainer = deferred(self._maintainer, batch=batch,
+                                        backend=backend)
         self.model = self._maintainer.model
 
     def _refresh(self, u: np.ndarray, v: np.ndarray) -> None:
@@ -218,8 +219,10 @@ class KStepDistribution(_ColumnPerturbMixin):
             strategy, self.p, None, pi0, k, model, counter, backend=backend
         )
         if batch is not None and batch > 1:
-            self._maintainer = BatchedRefresher(self._maintainer, batch,
-                                                backend=backend)
+            from ..runtime.batching import deferred
+
+            self._maintainer = deferred(self._maintainer, batch=batch,
+                                        backend=backend)
         self.model = self._maintainer.model
 
     def _refresh(self, u: np.ndarray, v: np.ndarray) -> None:

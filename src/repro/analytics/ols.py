@@ -25,7 +25,6 @@ import numpy as np
 
 from ..cost import counters
 from ..cost.ops import Ops
-from ..delta.batch import BatchedRefresher
 from ..delta.inverse import SingularUpdateError, sherman_morrison_delta
 
 
@@ -233,12 +232,12 @@ def make_ols(
     ``method=``) are forwarded to :class:`IncrementalOLS`.
 
     ``batch`` wraps the maintainer in a
-    :class:`~repro.delta.batch.BatchedRefresher`: design-row updates
-    queue and flush per ``batch`` as QR+SVD-compacted refreshes.  The
-    OLS deltas (Sherman–Morrison) are strictly rank-1, so the compacted
-    factors replay column by column — a skewed batch of ``m`` updates
-    still collapses to ``r <= m`` refreshes.  Reads (``.beta`` etc.)
-    flush first.
+    :class:`~repro.runtime.batching.DeferredRefresher`: design-row
+    updates queue and flush per ``batch`` as QR+SVD-compacted
+    refreshes.  The OLS deltas (Sherman–Morrison) are strictly rank-1,
+    so the OLS sink replays the compacted factors column by column — a
+    skewed batch of ``m`` updates still collapses to ``r <= m``
+    refreshes.  Reads (``.beta`` etc.) flush first.
     """
     x = np.asarray(x, dtype=np.float64)
     m, n = x.shape
@@ -258,8 +257,14 @@ def make_ols(
         raise ValueError(f"OLS has no {name!r} strategy")
     maintainer.plan = None if isinstance(strategy, str) else strategy
     if batch is not None and batch > 1:
-        return BatchedRefresher(maintainer, batch, backend=backend,
-                                columnwise=True)
+        from ..runtime.batching import deferred
+
+        def replay_rank1(u: np.ndarray, v: np.ndarray) -> None:
+            for col in range(u.shape[1]):
+                maintainer.refresh(u[:, col:col + 1], v[:, col:col + 1])
+
+        return deferred(maintainer, batch=batch, backend=backend,
+                        apply=replay_rank1)
     return maintainer
 
 

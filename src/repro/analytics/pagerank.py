@@ -21,7 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..cost import counters
-from ..delta.batch import BatchedRefresher
 from ..iterative.models import Model
 from ..iterative.strategies import make_general
 
@@ -82,7 +81,7 @@ class IncrementalPageRank:
     :meth:`revalidate`) flush first, so results never lag the edits.
 
     ``partition="heavy-light"`` routes edge changes through a
-    :class:`~repro.runtime.heavylight.HeavyLightRefresher` instead
+    :class:`~repro.runtime.heavylight.HeavyLightMaintainer` instead
     (mutually exclusive with ``batch``): changes to the same hot source
     node merge eagerly into one accumulated transition-delta column —
     zero marginal refresh rank, however bursty the crawl — while
@@ -124,20 +123,21 @@ class IncrementalPageRank:
                                      backend=backend)
         if partition not in (None, "uniform", "heavy-light"):
             raise ValueError(f"unknown partition {partition!r}")
-        if partition == "heavy-light":
-            if batch is not None and batch > 1:
-                raise ValueError(
-                    "batch and partition='heavy-light' are mutually "
-                    "exclusive: the heavy-light refresher already defers "
-                    "and compacts the light tail")
-            from ..runtime.heavylight import HeavyLightRefresher
+        batched = batch is not None and batch > 1
+        if partition == "heavy-light" and batched:
+            raise ValueError(
+                "batch and partition='heavy-light' are mutually "
+                "exclusive: the heavy-light policy already defers "
+                "and compacts the light tail")
+        if partition == "heavy-light" or batched:
+            from ..runtime.batching import deferred
 
-            options = {} if heavy_budget is None else {"budget": heavy_budget}
-            self._general = HeavyLightRefresher(self._general, backend=backend,
-                                                transpose=True, **options)
-        elif batch is not None and batch > 1:
-            self._general = BatchedRefresher(self._general, batch,
-                                             backend=backend)
+            # The split is keyed on the source column: the indicator
+            # is the right factor, so the policy sees the transpose.
+            self._general = deferred(
+                self._general, batch=batch, partition=partition,
+                heavy_budget=heavy_budget, backend=backend,
+                transpose=partition == "heavy-light")
         self.strategy = strategy if isinstance(strategy, str) else strategy.strategy
 
     @property

@@ -649,6 +649,7 @@ def _run_run(args, program) -> int:
 
     try:
         dims = _parse_dims(args.dims)
+        batch = _parse_batch(args.batch)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -671,13 +672,6 @@ def _run_run(args, program) -> int:
         print(f"error: --rank must be between 1 and {n_rows} "
               f"(rows of {target!r})", file=sys.stderr)
         return 2
-    batch = args.batch
-    if batch not in ("auto", "off"):
-        if not str(batch).lstrip("-").isdigit() or int(batch) < 1:
-            print(f"error: --batch must be auto, off or a width >= 1, "
-                  f"got {batch!r}", file=sys.stderr)
-            return 2
-        batch = int(batch)
     checkpoint = None
     if args.checkpoint_dir is not None:
         every = args.checkpoint_every
@@ -830,9 +824,7 @@ def _run_run(args, program) -> int:
         print(f"  batch    : "
               f"{'off' if batch_width <= 1 else batch_width}")
     if partition_stats is not None:
-        partitioner = getattr(session, "_partitioner", None)
-        budget = partitioner.budget if partitioner is not None else "?"
-        print(f"  partition: heavy-light (budget {budget}, "
+        print(f"  partition: heavy-light (budget {session.deferral.budget}, "
               f"{partition_stats.heavy_hits} heavy / "
               f"{partition_stats.light_hits} light hits, "
               f"amortization {partition_stats.amortization:.1f} cols/rank "
@@ -1012,6 +1004,7 @@ def _run_serve(args, program) -> int:
 
     try:
         dims = _parse_dims(args.dims)
+        batch = _parse_batch(args.batch)
         inputs = _generate_inputs(program, dims, args.density,
                                   np.random.default_rng(args.seed))
     except ValueError as exc:
@@ -1026,13 +1019,6 @@ def _run_serve(args, program) -> int:
         print(f"error: --staleness must be a count >= 1 or 'none', "
               f"got {args.staleness!r}", file=sys.stderr)
         return 2
-    batch = args.batch
-    if batch not in ("auto", "off"):
-        if not str(batch).lstrip("-").isdigit() or int(batch) < 1:
-            print(f"error: --batch must be auto, off or a width >= 1, "
-                  f"got {batch!r}", file=sys.stderr)
-            return 2
-        batch = int(batch)
 
     target = program.input_names[0]
     n_rows, n_cols = inputs[target].shape
@@ -1097,6 +1083,16 @@ def _run_serve(args, program) -> int:
         print(f"staleness  : max {results['max_staleness_observed']} "
               f"observed (bound {bound}), {results['epochs']} epochs")
     return 0
+
+
+def _parse_batch(value: str) -> int | str:
+    """``--batch``: ``auto``, ``off`` or a width ``>= 1``."""
+    if value in ("auto", "off"):
+        return value
+    if not value.lstrip("-").isdigit() or int(value) < 1:
+        raise ValueError(
+            f"--batch must be auto, off or a width >= 1, got {value!r}")
+    return int(value)
 
 
 def _parse_dims(pairs: list[str]) -> dict[str, int]:

@@ -13,7 +13,6 @@ This package implements Section 4 of the paper:
 
 from .batch import (
     BatchCollector,
-    BatchedRefresher,
     compact_factors,
     compact_updates,
     stack_updates,
@@ -41,7 +40,6 @@ from .rules import (
 
 __all__ = [
     "BatchCollector",
-    "BatchedRefresher",
     "FactoredDelta",
     "QRView",
     "SVDView",

@@ -18,10 +18,9 @@ at ``O(n m^2 + m^3)`` for an ``m``-update batch — cheap relative to the
 (rank-1 pairs or wider blocks), ``flush()`` one compacted rank-``r``
 refresh into any maintainer whose ``refresh(u, v)`` accepts ``(n x k)``
 factors (all the iterative and distributed maintainers do).
-:class:`BatchedRefresher` layers the flush policy on top for drivers
-that hold such a maintainer: refreshes enqueue, reads flush, and a
-width/staleness bound keeps the lag bounded (the session counterpart is
-:meth:`repro.runtime.session.Session.set_batching`).
+The flush *policy* — width and staleness bounds, flush-on-read, for
+sessions and ``refresh(u, v)`` drivers alike — lives one layer up in
+:mod:`repro.runtime.batching`.
 """
 
 from __future__ import annotations
@@ -177,84 +176,8 @@ class BatchCollector:
         return size, left.shape[1], dropped
 
 
-class BatchedRefresher:
-    """Batch-compacting front end for any ``refresh(u, v)`` maintainer.
-
-    Queues incoming factored updates in a :class:`BatchCollector` and
-    flushes one compacted refresh when ``width`` updates are pending (or
-    ``max_staleness``, whichever is smaller).  Reads stay fresh: any
-    attribute access that falls through to the wrapped maintainer
-    (``result()``, ``beta``, ``revalidate()``, ...) flushes first, so a
-    caller can never observe state that lags the updates it already
-    issued.
-
-    ``columnwise=True`` replays the compacted factors one column at a
-    time — for maintainers whose ``refresh`` only accepts rank-1 updates
-    (the Sherman–Morrison OLS path); compaction still pays because a
-    skewed batch of ``m`` updates collapses to ``r <= m`` columns.
-    """
-
-    def __init__(
-        self,
-        maintainer,
-        width: int,
-        max_staleness: int | None = None,
-        rtol: float = DEFAULT_RTOL,
-        backend=None,
-        columnwise: bool = False,
-    ):
-        if width < 1:
-            raise ValueError("batch width must be positive")
-        if max_staleness is not None and max_staleness < 1:
-            raise ValueError("max_staleness must be positive (or None)")
-        self.maintainer = maintainer
-        self.width = int(width)
-        self.max_staleness = max_staleness
-        self.columnwise = columnwise
-        self.collector = BatchCollector(rtol=rtol, backend=backend)
-        #: Flush log: (batch_size, compacted_rank, dropped) per flush.
-        self.flushes: list[tuple[int, int, float]] = []
-
-    @property
-    def _trigger(self) -> int:
-        if self.max_staleness is None:
-            return self.width
-        return min(self.width, self.max_staleness)
-
-    def refresh(self, u: np.ndarray, v: np.ndarray) -> None:
-        """Queue one factored update; flush when the batch is full."""
-        self.collector.add(u, v)
-        if len(self.collector) >= self._trigger:
-            self.flush()
-
-    def flush(self) -> tuple[int, int, float]:
-        """Apply all queued updates as one compacted refresh now."""
-        if self.columnwise and len(self.collector):
-            size = len(self.collector)
-            left, right, dropped = self.collector.compacted()
-            for col in range(left.shape[1]):
-                self.maintainer.refresh(left[:, col:col + 1],
-                                        right[:, col:col + 1])
-            self.collector.clear()
-            report = (size, left.shape[1], dropped)
-        else:
-            report = self.collector.flush(self.maintainer)
-        if report[0]:
-            self.flushes.append(report)
-        return report
-
-    def __getattr__(self, name: str):
-        if name == "maintainer":
-            # __init__ hasn't run (copy/pickle): avoid infinite recursion.
-            raise AttributeError(name)
-        # Reads must never observe pending lag: flush before delegating.
-        self.flush()
-        return getattr(self.maintainer, name)
-
-
 __all__ = [
     "BatchCollector",
-    "BatchedRefresher",
     "DEFAULT_RTOL",
     "compact_factors",
     "compact_updates",

@@ -361,6 +361,22 @@ class StreamSketch:
         expected += (self.overflow / light_total) * m
         return float(min(1.0, max(expected / m, 1.0 / m)))
 
+    def capture(self) -> dict:
+        """The sketch's counters, JSON-ready (what a checkpoint stores)."""
+        return {
+            "capacity": self.capacity,
+            "total": self.total,
+            "overflow": self.overflow,
+            "counts": [[int(k), int(v)] for k, v in self._counts.items()],
+        }
+
+    def restore(self, state: dict) -> None:
+        """Re-enter the counters :meth:`capture` recorded."""
+        self.capacity = int(state["capacity"])
+        self.total = int(state["total"])
+        self.overflow = int(state["overflow"])
+        self._counts = {int(k): int(v) for k, v in state["counts"]}
+
     def __repr__(self) -> str:
         return (
             f"StreamSketch(total={self.total}, "

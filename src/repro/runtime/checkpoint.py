@@ -10,8 +10,9 @@ for maintenance sessions:
 
 * :func:`write_checkpoint` / :func:`load_checkpoint` — the on-disk
   format: a ``LVCK`` magic + version header, a JSON manifest (array
-  names/shapes, plan, strategy/mode/backend, batching and heavy-light
-  deferral state), the raw float64 view payload, and a SHA-256 trailer
+  names/shapes, plan, strategy/mode/backend, and one ``deferral``
+  entry: spec, resolved cell, policy state), the raw float64 view
+  payload, and a SHA-256 trailer
   over everything before it.  Files land via temp-file +
   :func:`os.replace`, so a crash mid-write leaves the previous
   checkpoint untouched; a torn file fails its checksum and loads raise
@@ -29,14 +30,15 @@ for maintenance sessions:
   latest valid snapshot and replays the logged tail through
   ``apply_update`` — landing on state **bitwise identical** to the
   live session it shadows, because snapshots are cut at flush
-  boundaries and replay routes through identically-restored
-  batcher/heavy-light state (same fold boundaries, same summation
-  order).
+  boundaries and replay routes through an identically-restored
+  deferral policy (same fold boundaries, same summation order).
 
 Checkpoints capture everything value-affecting: view arrays, plan,
 ``rank``/``optimize``/``fused`` trigger-compilation knobs (the fused
-``__rank__`` routing changes summation order), batch policy, and the
-heavy-light maintainer's surviving cross-flush state (occupancy sketch,
+``__rank__`` routing changes summation order), and the deferral slot
+through its public surface only — the session's
+:class:`~repro.runtime.batching.DeferralSpec`, the cell it resolved to
+and the policy's own ``capture()`` (for heavy-light: occupancy sketch,
 heavy-set membership, retune phase).  They deliberately do *not*
 capture the program — programs are code; :func:`restore_session` takes
 the same :class:`~repro.compiler.program.Program` the original session
@@ -47,23 +49,26 @@ recovery is the supervisor's job (:mod:`repro.distributed.workers`).
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
 import struct
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from ..cost import counters
 from ..testing import faults
+from .batching import DeferralSpec
 from .updates import FactoredUpdate
 from .views import ViewStore
 
 #: File magic of the checkpoint format ("LinView ChecKpoint").
 MAGIC = b"LVCK"
 #: Current format version (bumped on any incompatible layout change).
-VERSION = 1
+VERSION = 2
 #: Default number of snapshots a :class:`CheckpointManager` retains.
 DEFAULT_KEEP = 3
 #: Default bound on the in-memory delta log: reaching it forces a
@@ -267,6 +272,7 @@ def capture_session(session, rank: int = 1, optimize: bool = False) -> tuple[
     """
     views = session.views
     arrays = {name: views.get_dense(name) for name in views.names()}
+    policy = session.deferral
     fused = True
     if getattr(session, "mode", "interpret") == "codegen":
         fused = getattr(session, "workspace", None) is not None
@@ -279,16 +285,11 @@ def capture_session(session, rank: int = 1, optimize: bool = False) -> tuple[
         "fused": bool(fused),
         "update_count": int(session.update_count),
         "dims": dict(views.dims),
-        "batch": {
-            "width": session._batcher.width
-            if session._batcher is not None else None,
-            "max_staleness": session._batch_staleness,
-            "rtol": session._batcher.rtol
-            if session._batcher is not None else None,
-            "auto": bool(session._auto_batch),
+        "deferral": {
+            "spec": dataclasses.asdict(session.deferral_spec),
+            "cell": vars(session.deferral_cell),
+            "policy": policy.capture() if policy is not None else None,
         },
-        "partition": _capture_partition(session),
-        "partition_auto": bool(session._auto_partition),
     }
     plan = getattr(session, "plan", None)
     if plan is not None:
@@ -298,43 +299,21 @@ def capture_session(session, rank: int = 1, optimize: bool = False) -> tuple[
     return header, arrays
 
 
-def _capture_partition(session) -> dict | None:
-    maintainer = session._partitioner
-    if maintainer is None:
-        return None
-    sketch = maintainer.sketch
-    return {
-        "budget": maintainer.budget,
-        "rank_bound": maintainer.rank_bound,
-        "retune_every": maintainer.retune_every,
-        "max_staleness": maintainer.max_staleness,
-        "rtol": maintainer.rtol,
-        "observe": bool(maintainer.observe_stream),
-        "slot_rows": list(maintainer._slot_rows),
-        "since_retune": int(maintainer._since_retune),
-        "sketch": {
-            "capacity": sketch.capacity,
-            "total": sketch.total,
-            "overflow": sketch.overflow,
-            "counts": [[int(k), int(v)] for k, v in sketch._counts.items()],
-        },
-    }
-
-
 def rebuild_session(program, header: dict, arrays: dict[str, np.ndarray],
                     counter: counters.Counter = counters.NULL_COUNTER):
     """Rebuild a session from captured state (the restore path).
 
     Views are adopted by value — nothing is re-evaluated, and the
     freshly decoded ``arrays`` are handed over to the session's store
-    rather than copied again — and every deferral knob is restored so
-    subsequent updates fold exactly as they would have on the
+    rather than copied again — and the deferral slot is re-resolved
+    from the stored spec and cell, then handed the stored policy state,
+    so subsequent updates fold exactly as they would have on the
     checkpointed session.  Sharded snapshots
     restore single-process (``INCR``/interpret with the same kernels);
     re-sharding is a fresh ``open_session(nodes=N)`` call.
     """
     from ..backends import get_backend
-    from ..planner.plan import MaintenancePlan, StreamSketch
+    from ..planner.plan import MaintenancePlan
     from .session import IVMSession, ReevalSession
 
     backend = get_backend(header["backend"])
@@ -358,41 +337,15 @@ def rebuild_session(program, header: dict, arrays: dict[str, np.ndarray],
     plan_dict = header.get("plan")
     if plan_dict is not None:
         session.plan = MaintenancePlan(**plan_dict)
-    batch = header.get("batch") or {}
-    width = batch.get("width")
-    if width is not None or batch.get("auto"):
-        kwargs = {"auto": bool(batch.get("auto", False)),
-                  "max_staleness": batch.get("max_staleness")}
-        if batch.get("rtol") is not None:
-            kwargs["rtol"] = batch["rtol"]
-        session.set_batching(width, **kwargs)
-    partition = header.get("partition")
-    if partition is not None:
-        sketch_state = partition["sketch"]
-        sketch = StreamSketch(capacity=int(sketch_state["capacity"]))
-        sketch._counts = {int(k): int(v) for k, v in sketch_state["counts"]}
-        sketch.total = int(sketch_state["total"])
-        sketch.overflow = int(sketch_state["overflow"])
-        session.set_partition(
-            "heavy-light",
-            heavy_budget=partition["budget"],
-            rank_bound=partition["rank_bound"],
-            retune_every=partition["retune_every"],
-            max_staleness=partition["max_staleness"],
-            rtol=partition["rtol"],
-            auto=bool(header.get("partition_auto", False)),
-            sketch=sketch,
-            observe=bool(partition["observe"]),
-        )
+    deferral = header["deferral"]
+    session.install_deferral(SimpleNamespace(**deferral["cell"]),
+                             DeferralSpec(**deferral["spec"]))
+    if deferral["policy"] is not None:
         # Heavy-set membership and retune phase survive flushes on the
         # live session, so they must survive restore too: membership
         # changes move accumulator rows between tiers, which changes
         # summation order — a value-affecting knob, not a statistic.
-        maintainer = session._partitioner
-        maintainer._seed_heavy(partition["slot_rows"])
-        maintainer._since_retune = int(partition["since_retune"])
-    elif header.get("partition_auto"):
-        session.set_partition("uniform", auto=True)
+        session.deferral.restore(deferral["policy"])
     return session
 
 

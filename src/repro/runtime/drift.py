@@ -22,6 +22,7 @@ for memory.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass
 from typing import Callable, Protocol
@@ -272,16 +273,17 @@ class ReplanMonitor(SessionDriftMonitor):
     :class:`ReplanEvent` (``seconds_per_update``), so drifting cost is
     visible alongside the model's predictions.
 
-    Batching interaction: the monitor keeps a
+    Deferral interaction: the monitor keeps a
     :class:`~repro.planner.plan.StreamSketch` of the stream it
     supervises and hands it to the planner as
     ``WorkloadStats.distinct_fraction``, so every re-planning pass
-    re-prices each candidate batch width from the observed target skew
-    (Table 4's knob).  Plan-derived widths
-    (``open_session(batch="auto")``) are re-tuned in place between
-    switches; user-forced widths are never overridden.  Pending batched
-    updates always flush before a re-planning decision or switch (the
-    flush-before-switch convention).
+    re-prices each candidate batch width and the heavy-light split from
+    the observed target skew (Table 4's knob).  Between switches the
+    session's deferral spec is re-resolved against the freshly ranked
+    cell (:meth:`_retune`): ``"auto"`` values follow it, values the
+    caller forced never move.  Pending deferred updates always flush
+    before a re-planning decision or switch (the flush-before-switch
+    convention).
     """
 
     def __init__(
@@ -405,7 +407,7 @@ class ReplanMonitor(SessionDriftMonitor):
         stats = WorkloadStats(n=1, update_rank=self._observed_rank,
                               refresh_count=remaining,
                               distinct_fraction=self.stream_sketch,
-                              batch_hint=session._batch_staleness)
+                              batch_hint=session.deferral_spec.max_staleness)
         # Cells are ranked on the unbatched per-refresh cost even though
         # sessions batch: rank_program(price_batching=True) exists, but
         # the batched REEVAL estimate (one recompute amortized over the
@@ -435,8 +437,7 @@ class ReplanMonitor(SessionDriftMonitor):
              and c.nodes == cur_nodes),
             None,
         )
-        self._retune_batch(current)
-        self._retune_partition(current)
+        self._retune(current)
         best = ranked[0]
         if current is None or (best.strategy, best.backend, best.nodes) == (
                 current.strategy, current.backend, cur_nodes):
@@ -456,65 +457,32 @@ class ReplanMonitor(SessionDriftMonitor):
                 self._rebuild = self.session.rebuild
         return event
 
-    def _retune_batch(self, cell) -> None:
-        """Re-price the session's batch width from live stream stats.
+    def _retune(self, cell) -> None:
+        """Re-resolve the session's deferral spec from live stream stats.
 
-        Only plan-derived widths (``open_session(batch="auto")``) move;
-        a user-forced width is a latency contract and stays put.  The
-        freshly ranked ``cell`` for the *running* configuration carries
-        the width the Zipf-aware estimator now recommends.
+        The freshly ranked ``cell`` for the *running* configuration
+        carries the width, partition mode and heavy budget the
+        skew-aware estimators (fed by :attr:`stream_sketch`) now
+        recommend.  :meth:`Session.install_deferral
+        <repro.runtime.session.Session.install_deferral>` flushes and
+        resolves: only ``"auto"`` spec values move, and a heavy-light
+        policy reads this monitor's warm sketch (``observe=False``: the
+        monitor feeds it).
 
-        Re-tuning moves *between* widths; it never switches an active
-        batcher off.  The width-1 signal comes from the flop-linear
-        refresh model, which cannot see the locality advantage of one
-        rank-``r`` BLAS-3 pass over ``r`` rank-1 passes — measured,
-        block propagation keeps winning at parity flops — so dropping
-        a running pipeline would forfeit a real win for a modeled tie,
-        and reads bound staleness either way.
+        One rule stays here because it is hysteresis, not resolution: a
+        width re-tune never switches running batching off.  The width-1
+        signal comes from the flop-linear refresh model, which cannot
+        see the locality advantage of one rank-``r`` BLAS-3 pass over
+        ``r`` rank-1 passes — measured, block propagation keeps winning
+        at parity flops — and reads bound staleness either way.
         """
+        if cell is None:
+            return
         session = self.session
-        if cell is None or not getattr(session, "_auto_batch", False):
-            return
-        desired = cell.batch_size or 1
-        if desired <= 1 or desired == session.batch_size:
-            return
-        session.set_batching(desired, max_staleness=session._batch_staleness,
-                             auto=True)
-
-    def _retune_partition(self, cell) -> None:
-        """Re-tune heavy-light partitioning from live stream stats.
-
-        Only plan-derived modes (``open_session(partition="auto")``)
-        move; a user-forced mode stays put.  The freshly ranked
-        ``cell`` for the running configuration carries the partition
-        mode and heavy budget the skew-aware estimator
-        (:func:`~repro.cost.estimate.heavy_light_unit_cost`, fed by
-        this monitor's :attr:`stream_sketch`) now recommends: the
-        split switches on when the observed stream turned skewed
-        enough to pay, the budget follows the measured heavy mass, and
-        the split switches back off when the skew evaporates.  Every
-        re-configuration goes through :meth:`Session.set_partition
-        <repro.runtime.session.Session.set_partition>`, which flushes
-        pending state first (flush-before-switch); heavy-set
-        *membership* re-tunes continuously inside the maintainer
-        itself, seeded from this monitor's warm sketch.
-        """
-        session = self.session
-        if cell is None or not getattr(session, "_auto_partition", False):
-            return
-        if cell.partition == "heavy-light":
-            partitioner = session._partitioner
-            budget = cell.heavy_budget
-            if partitioner is None:
-                session.set_partition(
-                    "heavy-light", heavy_budget=budget,
-                    max_staleness=session._batch_staleness, auto=True,
-                    sketch=self.stream_sketch, observe=False,
-                )
-            elif budget is not None and budget != partitioner.budget:
-                partitioner.retune(session, budget=budget)
-        elif session._partitioner is not None:
-            session.set_partition("uniform", auto=True)
+        if (cell.batch_size or 1) <= 1:
+            cell = dataclasses.replace(cell, batch_size=session.batch_size)
+        session.install_deferral(cell, sketch=self.stream_sketch,
+                                 observe=False)
 
     @property
     def switch_count(self) -> int:

@@ -33,11 +33,11 @@ input commute, and merging ``a e_i v1' + b e_i v2'`` into
 ``e_i (a v1 + b v2)'`` is algebra, not approximation — so splitting a
 stream into heavy and light blocks and folding them in any order yields
 the state of unit-at-a-time application up to float summation order
-(verified by the differential harness in ``tests/test_heavylight.py``).
-All the :mod:`~repro.runtime.batching` flush policies are preserved:
-reads fold everything first, a target change folds, ``max_staleness``
-bounds the pending update count, and :meth:`Session.with_plan
-<repro.runtime.session.Session.with_plan>` folds before any switch.
+(verified by the differential harness in ``tests/test_deferral.py``).
+The maintainer is one of the two deferral policies behind the protocol
+of :mod:`repro.runtime.batching`, with the same flush contract: reads
+fold everything first, a target change folds, ``max_staleness`` bounds
+the pending update count, and every policy switch folds first.
 
 The split is priced, not hard-coded:
 :func:`repro.cost.estimate.heavy_light_unit_cost` charges eager cost on
@@ -121,11 +121,12 @@ class HeavyLightStats:
 
 
 class HeavyLightMaintainer:
-    """The heavy-light state a session routes ``apply_update`` through.
+    """The heavy-light deferral policy (row split by update target).
 
-    Presents the same surface as
-    :class:`~repro.runtime.batching.SessionBatcher` (``absorb`` /
-    ``flush`` / ``stats`` / ``target``) so sessions treat either
+    Implements the policy protocol of :mod:`repro.runtime.batching`
+    (``absorb`` / ``flush`` / ``pending`` / ``stats`` / ``capture`` /
+    ``restore``) over any sink, so sessions and ``refresh(u, v)``
+    drivers treat it and :class:`~repro.runtime.batching.SessionBatcher`
     interchangeably.  ``budget`` caps the heavy set, ``rank_bound`` the
     light tail's pending rank, ``retune_every`` the membership
     re-check cadence, ``max_staleness`` the total pending update count
@@ -176,7 +177,13 @@ class HeavyLightMaintainer:
         self.collector = BatchCollector(rtol=rtol, backend=backend)
         self.target: str | None = None
         self.stats = HeavyLightStats()
-        self.pending_updates = 0
+        #: Update events absorbed but not yet folded.
+        self.pending = 0
+        #: Updates absorbed since the last membership re-check.
+        self.since_retune = 0
+        #: The uniform-batch policy this split displaced, riding along
+        #: idle (set by :func:`~repro.runtime.batching.resolve_deferral`).
+        self.shadowed = None
         self._rows_n: int | None = None
         self._cols: int | None = None
         self._slot_rows: list[int] = []
@@ -185,7 +192,6 @@ class HeavyLightMaintainer:
         self._heavy_touched = np.zeros(0, dtype=bool)
         #: Light indicator merges: row -> accumulated ``v`` row.
         self._light_acc: dict[int, np.ndarray] = {}
-        self._since_retune = 0
 
     @property
     def heavy_rows(self) -> tuple[int, ...]:
@@ -202,13 +208,12 @@ class HeavyLightMaintainer:
         """Stacked dense width at which an in-place compaction fires."""
         return max(2 * self.rank_bound, 8)
 
-    def absorb(self, session, update) -> None:
-        """Split one update for ``session``, folding per policy."""
-        session._check_update_target(update)
+    def absorb(self, sink, update) -> None:
+        """Split one update, folding into ``sink`` per policy."""
         if self.target is not None and update.target != self.target:
             # Cross-input ordering is preserved by construction: one
             # pending generation never spans two targets.
-            self.flush(session)
+            self.flush(sink)
         self.target = update.target
         u = np.asarray(update.u_block)
         v = np.asarray(update.v_block)
@@ -243,35 +248,30 @@ class HeavyLightMaintainer:
             self.collector.add(u[:, dense_cols], v[:, dense_cols])
             self.stats.light_hits += len(dense_cols)
         self.stats.updates += 1
-        self.pending_updates += 1
+        self.pending += 1
         if self.collector.pending_width >= self._compact_trigger:
             self._compact_dense()
         if self.light_rank >= self.rank_bound:
-            self._fold_light(session)
+            self._fold_light(sink)
         if (self.max_staleness is not None
-                and self.pending_updates >= self.max_staleness):
-            self.flush(session)
-        self._since_retune += 1
-        if self._since_retune >= self.retune_every:
+                and self.pending >= self.max_staleness):
+            self.flush(sink)
+        self.since_retune += 1
+        if self.since_retune >= self.retune_every:
             self.retune()
 
-    def retune(self, session=None, budget: int | None = None) -> bool:
+    def retune(self) -> bool:
         """Re-derive heavy-set membership from the sketch.
 
-        Called on cadence from :meth:`absorb` and by
-        :class:`~repro.runtime.drift.ReplanMonitor` (which may also
-        move ``budget``).  A membership change *transfers* accumulated
+        Called on cadence from :meth:`absorb`, and by
+        :func:`~repro.runtime.batching.resolve_deferral` when re-planning
+        moved the budget.  A membership change *transfers* accumulated
         rows between tiers — a demoted heavy row moves into the light
         merge dict, a promoted light row moves into its new accumulator
-        slot — so no session refresh happens and nothing is lost.
-        ``session`` is accepted for interface symmetry but not needed.
-        Returns whether membership changed.
+        slot — so no refresh happens and nothing is lost.  Returns
+        whether membership changed.
         """
-        if budget is not None:
-            if budget < 1:
-                raise ValueError("heavy budget must be >= 1")
-            self.budget = int(budget)
-        self._since_retune = 0
+        self.since_retune = 0
         desired = self.sketch.heavy_keys(self.budget)
         if set(desired) == set(self._heavy_slots):
             return False
@@ -281,7 +281,7 @@ class HeavyLightMaintainer:
             for row, slot in self._heavy_slots.items():
                 if self._heavy_touched[slot]:
                     demoted[row] = self._heavy_block[slot].copy()
-        self._seed_heavy(desired)
+        self.seed(desired)
         for row, vec in demoted.items():
             slot = self._heavy_slots.get(row)
             if slot is not None:
@@ -303,10 +303,10 @@ class HeavyLightMaintainer:
         self.stats.retunes += 1
         return True
 
-    def flush(self, session) -> tuple[int, int, float]:
-        """Fold everything pending into ``session`` as one refresh.
+    def flush(self, sink) -> tuple[int, int, float]:
+        """Fold everything pending through ``sink`` as one refresh.
 
-        Returns ``(pending_updates, folded_rank, dropped)`` mirroring
+        Returns ``(pending, folded_rank, dropped)`` mirroring
         :meth:`SessionBatcher.flush
         <repro.runtime.batching.SessionBatcher.flush>`; an idle
         maintainer is a no-op.  Heavy and light blocks hstack into a
@@ -315,7 +315,7 @@ class HeavyLightMaintainer:
         """
         heavy = self._take_heavy()
         light = self._take_light()
-        pending, self.pending_updates = self.pending_updates, 0
+        pending, self.pending = self.pending, 0
         target, self.target = self.target, None
         # The next generation may address a differently-shaped target:
         # drop the (drained) accumulator so it reallocates lazily.
@@ -328,10 +328,40 @@ class HeavyLightMaintainer:
         left = np.hstack([u for u, _, _ in blocks])
         right = np.hstack([v for _, v, _ in blocks])
         dropped = sum(d for _, _, d in blocks)
-        session._apply_now(FactoredUpdate(target, left, right))
+        sink(FactoredUpdate(target, left, right))
         self.stats.folds += 1
         self.stats.dropped_mass += dropped
         return pending, left.shape[1], dropped
+
+    def seed(self, heavy_rows, since_retune: int = 0) -> None:
+        """Adopt heavy-set membership (emptying the slots) and re-tune phase.
+
+        Both are value-affecting — membership decides which accumulator
+        a hit merges into, i.e. the summation order — so they carry
+        across policy switches and checkpoints.
+        """
+        self._slot_rows = [int(row) for row in heavy_rows]
+        self._heavy_slots = {row: i for i, row in enumerate(self._slot_rows)}
+        self._heavy_block = None
+        self._heavy_touched = np.zeros(len(self._slot_rows), dtype=bool)
+        if self._cols is not None and self._slot_rows:
+            self._alloc_heavy()
+        self.since_retune = int(since_retune)
+
+    def capture(self) -> dict:
+        """The state that survives a flush, JSON-ready (call flushed)."""
+        return {
+            "heavy_rows": list(self._slot_rows),
+            "since_retune": self.since_retune,
+            "observe": self.observe_stream,
+            "sketch": self.sketch.capture(),
+        }
+
+    def restore(self, state: dict) -> None:
+        """Re-enter the state :meth:`capture` recorded."""
+        self.sketch.restore(state["sketch"])
+        self.observe_stream = bool(state["observe"])
+        self.seed(state["heavy_rows"], state["since_retune"])
 
     # -- internals ----------------------------------------------------
 
@@ -348,14 +378,6 @@ class HeavyLightMaintainer:
     def _alloc_heavy(self) -> None:
         self._heavy_block = np.zeros((len(self._slot_rows), self._cols))
         self._heavy_touched = np.zeros(len(self._slot_rows), dtype=bool)
-
-    def _seed_heavy(self, rows) -> None:
-        self._slot_rows = [int(row) for row in rows]
-        self._heavy_slots = {row: i for i, row in enumerate(self._slot_rows)}
-        self._heavy_block = None
-        self._heavy_touched = np.zeros(len(self._slot_rows), dtype=bool)
-        if self._cols is not None and self._slot_rows:
-            self._alloc_heavy()
 
     def _take_heavy(self):
         """Drain the heavy accumulator as ``(u, v, dropped)`` factors."""
@@ -403,104 +425,14 @@ class HeavyLightMaintainer:
         self.stats.compactions += 1
         self.stats.dropped_mass += dropped
 
-    def _fold_light(self, session) -> None:
+    def _fold_light(self, sink) -> None:
         light = self._take_light()
         if light is None:
             return
         left, right, dropped = light
-        session._apply_now(FactoredUpdate(self.target, left, right))
+        sink(FactoredUpdate(self.target, left, right))
         self.stats.folds += 1
         self.stats.dropped_mass += dropped
-
-
-class _RefresherAdapter:
-    """Session-shaped shim over a plain ``refresh(u, v)`` maintainer.
-
-    With ``transpose`` the pending state was accumulated in transposed
-    orientation (see :class:`HeavyLightRefresher`), so the folded
-    factors swap back on the way out: ``P = L R'`` pending means the
-    real delta is ``P' = R L'``.
-    """
-
-    __slots__ = ("maintainer", "transpose")
-
-    def __init__(self, maintainer, transpose: bool = False):
-        self.maintainer = maintainer
-        self.transpose = transpose
-
-    def _check_update_target(self, update) -> None:
-        pass
-
-    def _apply_now(self, update) -> None:
-        if self.transpose:
-            self.maintainer.refresh(update.v_block, update.u_block)
-        else:
-            self.maintainer.refresh(update.u_block, update.v_block)
-
-
-class HeavyLightRefresher:
-    """Heavy-light front end for any ``refresh(u, v)`` maintainer.
-
-    The driver-level analog of
-    :class:`~repro.delta.batch.BatchedRefresher`: analytics maintainers
-    (pagerank, markov, OLS, ...) expose ``refresh(u, v)``, and this
-    wrapper routes those updates through a
-    :class:`HeavyLightMaintainer` — heavy rows merge eagerly, the tail
-    defers and compacts.  Reads stay fresh: any attribute access that
-    falls through to the wrapped maintainer (``result()``, ``ranks``,
-    ``revalidate()``, ...) folds everything first, so a caller can
-    never observe state that lags the updates it already issued.
-
-    ``transpose=True`` keys the split on the **right** factor instead:
-    drivers like :class:`~repro.analytics.pagerank.IncrementalPageRank`
-    issue ``refresh(delta, e_s)`` — a dense left factor times a source
-    *column* indicator — so the repeated hot targets live in ``v``, not
-    ``u``.  The wrapper then accumulates the transposed pending block
-    (``sum of e_s delta'``, merged by source) and swaps the factors
-    back when folding, which is exact: ``(L R')' = R L'``.
-    """
-
-    def __init__(
-        self,
-        maintainer,
-        budget: int = DEFAULT_HEAVY_BUDGET,
-        rank_bound: int = DEFAULT_RANK_BOUND,
-        retune_every: int = DEFAULT_RETUNE_EVERY,
-        max_staleness: int | None = None,
-        rtol: float = DEFAULT_RTOL,
-        backend=None,
-        transpose: bool = False,
-    ):
-        self.maintainer = maintainer
-        self.transpose = bool(transpose)
-        self._adapter = _RefresherAdapter(maintainer, transpose=self.transpose)
-        self.splitter = HeavyLightMaintainer(
-            budget=budget, rank_bound=rank_bound, retune_every=retune_every,
-            max_staleness=max_staleness, rtol=rtol, backend=backend,
-        )
-
-    @property
-    def stats(self) -> HeavyLightStats:
-        """The wrapped maintainer's hit/fold counters."""
-        return self.splitter.stats
-
-    def refresh(self, u: np.ndarray, v: np.ndarray) -> None:
-        """Split one factored update; folds fire per policy."""
-        if self.transpose:
-            u, v = v, u
-        self.splitter.absorb(self._adapter, FactoredUpdate("input", u, v))
-
-    def flush(self) -> tuple[int, int, float]:
-        """Fold all pending heavy and light state into the maintainer."""
-        return self.splitter.flush(self._adapter)
-
-    def __getattr__(self, name: str):
-        if name in ("maintainer", "splitter", "_adapter", "transpose"):
-            # __init__ hasn't run (copy/pickle): avoid infinite recursion.
-            raise AttributeError(name)
-        # Reads must never observe pending lag: fold before delegating.
-        self.flush()
-        return getattr(self.maintainer, name)
 
 
 __all__ = [
@@ -509,6 +441,5 @@ __all__ = [
     "DEFAULT_RETUNE_EVERY",
     "HEAVY_BUDGET_GRID",
     "HeavyLightMaintainer",
-    "HeavyLightRefresher",
     "HeavyLightStats",
 ]

@@ -202,7 +202,7 @@ class MaintainerEngine:
 
     ``views`` maps served names to zero-argument accessors returning
     the current value (reads on drivers flush their own
-    :class:`~repro.delta.batch.BatchedRefresher` queues, so accessors
+    :class:`~repro.runtime.batching.DeferredRefresher` queues, so accessors
     are always current).  ``refresh`` optionally accepts raw factored
     updates — drivers whose mutations are richer than ``u v'`` (edge
     edits, column replacements) route them through

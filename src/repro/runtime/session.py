@@ -42,14 +42,17 @@ next update — copy them if you need a snapshot that survives further
 updates.  Arrays passed in as ``inputs`` are copied once and never
 written through.
 
-Sessions also honor the plan's **batch recommendation** (Table 4):
-when ``plan.batch_size > 1``, :func:`open_session` routes
-``apply_update`` through a :class:`~repro.delta.batch.BatchCollector`
-and flushes one QR+SVD-compacted rank-``r`` refresh per batch — on
-width, on read (``session[...]``/``view()``/``output()``/
-``revalidate()``), on target change, before any :meth:`with_plan`
-switch, and within ``max_staleness`` updates (see
-:meth:`Session.set_batching` and :mod:`repro.runtime.batching`).
+Sessions also honor the plan's **deferral recommendation** (Table 4
+batching, heavy-light partitioning): a session has one deferral slot —
+``None`` applies every update at once, a policy object
+(:mod:`repro.runtime.batching`) defers, merges and fires the trigger
+once per flush — on width / rank bound, on read (``session[...]``/
+``view()``/``output()``/``revalidate()``), on target change, before any
+policy or plan switch, and within ``max_staleness`` updates.  What the
+caller asked for is kept as one frozen
+:class:`~repro.runtime.batching.DeferralSpec`; the active policy is
+always what :func:`~repro.runtime.batching.resolve_deferral` makes of
+that spec and the current plan.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from __future__ import annotations
 import dataclasses
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -71,12 +75,16 @@ from ..compiler.trigger import Trigger
 from ..cost import counters
 from ..cost.ops import outer_update_flops
 from ..delta.batch import DEFAULT_RTOL
-from .batching import SessionBatcher
+from .batching import DeferralSpec, resolve_deferral
 from .executor import evaluate
 from .heavylight import HeavyLightMaintainer
 from .updates import FactoredUpdate, InvalidUpdateError
 from .views import ViewStore
 from .workspace import Workspace
+
+
+class UnsupportedCombinationError(ValueError):
+    """Arguments that cannot be honored together (typed, not ignored)."""
 
 
 class Session:
@@ -122,11 +130,9 @@ class Session:
         self.counter = counter
         self.backend = get_backend(backend)
         self.update_count = 0
-        self._batcher: SessionBatcher | None = None
-        self._auto_batch = False
-        self._batch_staleness: int | None = None
-        self._partitioner: HeavyLightMaintainer | None = None
-        self._auto_partition = False
+        #: The one deferral slot: ``None`` (unit) or a policy object.
+        self._deferral = None
+        self._deferral_spec = DeferralSpec()
         self._checkpointer = None
         if isinstance(inputs, ViewStore):
             # Adopt live state: no re-evaluation, and no copy unless
@@ -164,29 +170,25 @@ class Session:
     def apply_update(self, update: FactoredUpdate) -> None:
         """Maintain the views for one factored update.
 
-        With batching enabled (:meth:`set_batching`, or a plan whose
-        ``batch_size > 1`` honored by :func:`open_session`), the update
-        is queued in the session's :class:`BatchCollector` and applied
-        on the next flush — on width, staleness, read, or plan switch.
-        With heavy-light partitioning enabled (:meth:`set_partition`,
-        or a plan whose ``partition == "heavy-light"``), the update is
-        instead split by target row through the session's
-        :class:`~repro.runtime.heavylight.HeavyLightMaintainer` —
-        partitioning takes precedence over uniform batching.
+        With a deferral policy installed (:meth:`set_batching`,
+        :meth:`set_partition`, or a plan recommendation honored by
+        :func:`open_session`) the update is absorbed by the policy —
+        queued for a compacted batch, or split by target row — and
+        applied on a later flush: on width / rank bound, staleness,
+        read, or switch.
 
         Malformed updates — NaN/Inf factor entries, factor shapes the
         target view cannot absorb — are rejected with
         :class:`~repro.runtime.updates.InvalidUpdateError` *before* any
-        view, batcher or accumulator is touched, so a bad update never
+        view, batch or accumulator is touched, so a bad update never
         poisons maintained state.
         """
         self._validate_update(update)
-        if self._partitioner is not None:
-            self._partitioner.absorb(self, update)
-        elif self._batcher is not None:
-            self._batcher.absorb(self, update)
-        else:
+        policy = self._deferral
+        if policy is None:
             self._apply_now(update)
+        else:
+            policy.absorb(self._apply_now, update)
         self.update_count += 1
         if self._checkpointer is not None:
             self._checkpointer.note(update)
@@ -265,7 +267,48 @@ class Session:
             )
         return self._checkpointer.restore()
 
-    # -- batching --------------------------------------------------------
+    # -- deferral --------------------------------------------------------
+    @property
+    def deferral(self):
+        """The active deferral policy (``None`` = unit-at-a-time): a
+        :class:`~repro.runtime.batching.SessionBatcher` or a
+        :class:`~repro.runtime.heavylight.HeavyLightMaintainer`."""
+        return self._deferral
+
+    @property
+    def deferral_spec(self) -> DeferralSpec:
+        """What the caller asked for (``"auto"`` or forced values)."""
+        return self._deferral_spec
+
+    @property
+    def deferral_cell(self) -> SimpleNamespace:
+        """``batch_size`` / ``partition`` / ``heavy_budget`` as they run
+        now: what a spec edit re-resolves its untouched ``"auto"`` axes
+        against, and what a checkpoint stores."""
+        return SimpleNamespace(
+            batch_size=self.batch_size, partition=self.partition,
+            heavy_budget=getattr(self._deferral, "budget", None))
+
+    def install_deferral(self, cell, spec: DeferralSpec | None = None,
+                         sketch=None, observe: bool | None = None) -> None:
+        """(Re-)resolve the deferral spec against ``cell``; flush first.
+
+        The one install path: :func:`open_session`, :meth:`set_batching`
+        / :meth:`set_partition` (``spec`` edits), :meth:`with_plan` and
+        :class:`~repro.runtime.drift.ReplanMonitor` re-tuning (a new
+        ``cell``) and checkpoint restore all land here, so pending
+        updates always flush before the policy changes
+        (flush-before-switch) and the decision is always
+        :func:`~repro.runtime.batching.resolve_deferral`'s (``sketch``
+        / ``observe`` pass through to it).
+        """
+        self.flush()
+        if spec is not None:
+            self._deferral_spec = spec
+        self._deferral = resolve_deferral(
+            self._deferral_spec, cell, prior=self._deferral, sketch=sketch,
+            observe=observe, backend=self.backend)
+
     def set_batching(
         self,
         width: int | None,
@@ -275,31 +318,22 @@ class Session:
     ) -> None:
         """Enable (``width > 1``) or disable (``None``/``<= 1``) batching.
 
-        Pending updates are flushed before the policy changes.
-        ``max_staleness`` caps the pending update count below the batch
-        width (a read-lag bound; reads always flush regardless).
-        ``auto=True`` marks the width as plan-derived so online
-        re-planning (:class:`~repro.runtime.drift.ReplanMonitor`) may
-        re-price it from live stream statistics — a user-forced width is
-        never overridden.
-
-        Achieved-compression statistics survive re-configuration (width
-        re-tunes, :meth:`with_plan` switches): ``batch_stats`` keeps
-        describing the whole stream, not just the tail segment.
+        A spec edit through :meth:`install_deferral` (pending updates
+        flush first).  ``max_staleness`` caps the pending update count
+        below the batch width (a read-lag bound; reads always flush
+        regardless).  ``auto=True`` marks the width as plan-derived so
+        online re-planning may re-price it from live stream statistics
+        — a user-forced width is never overridden.  ``max_staleness``
+        and ``rtol`` are shared with :meth:`set_partition`.
+        ``batch_stats`` survives re-configuration: it keeps describing
+        the whole stream, not just the tail segment.
         """
-        self.flush()
-        prior_stats = self._batcher.stats if self._batcher is not None else None
-        self._auto_batch = auto
-        self._batch_staleness = max_staleness
-        if width is None or width <= 1:
-            self._batcher = None
-            return
-        self._batcher = SessionBatcher(
-            width, max_staleness=max_staleness, rtol=rtol,
-            backend=self.backend,
-        )
-        if prior_stats is not None:
-            self._batcher.stats = prior_stats
+        width = width if width is not None and width > 1 else None
+        cell = self.deferral_cell
+        cell.batch_size = width
+        self.install_deferral(cell, dataclasses.replace(
+            self._deferral_spec, batch="auto" if auto else width,
+            max_staleness=max_staleness, rtol=rtol))
 
     def set_partition(
         self,
@@ -316,92 +350,79 @@ class Session:
         """Enable (``"heavy-light"``) or disable (``"uniform"``/``None``)
         heavy-light partitioned maintenance.
 
-        Pending updates (batched *and* partitioned) are flushed before
-        the policy changes — the flush-before-switch convention.  With
-        ``"heavy-light"``, ``apply_update`` routes through a
-        :class:`~repro.runtime.heavylight.HeavyLightMaintainer`:
-        heavy-hitter rows (at most ``heavy_budget``, chosen adaptively
-        from the stream) merge eagerly into accumulator rows while the
-        light tail defers into a compacted pending block folded at
-        ``rank_bound``.  ``max_staleness`` caps the total pending
-        update count (a read-lag bound; reads always flush regardless).
-        ``auto=True`` marks the mode as plan-derived so online
-        re-planning (:class:`~repro.runtime.drift.ReplanMonitor`) may
+        A spec edit through :meth:`install_deferral` (pending updates
+        flush first).  The options configure the
+        :class:`~repro.runtime.heavylight.HeavyLightMaintainer`
+        (``"uniform"`` edits the mode only); ``max_staleness`` and
+        ``rtol`` are shared with :meth:`set_batching`.  ``auto=True``
+        marks the *mode* as plan-derived so online re-planning may
         re-tune it from live stream statistics — a user-forced mode is
-        never overridden.  ``sketch`` optionally seeds the maintainer
-        with an already-warm
-        :class:`~repro.planner.plan.StreamSketch` (the monitor shares
-        its own, so the heavy set starts from history, not cold);
-        ``observe=False`` marks that sketch as externally fed so the
-        maintainer does not double-count the stream (``None`` inherits
-        the prior partitioner's setting, defaulting to self-observed).
-
-        Achieved split statistics survive re-configuration (budget
-        re-tunes, :meth:`with_plan` switches): ``partition_stats``
-        keeps describing the whole stream, not just the tail segment.
+        never overridden, and neither is any option given here
+        (``heavy_budget=None`` follows the plan).  ``sketch`` seeds the
+        maintainer with an already-warm
+        :class:`~repro.planner.plan.StreamSketch`; ``observe=False``
+        marks it externally fed (``None`` inherits the prior policy's
+        setting, defaulting to self-observed).  ``partition_stats``,
+        the sketch and the heavy set survive re-configuration.
         """
-        self.flush()
-        prior = self._partitioner
-        self._auto_partition = auto
-        if mode is None or mode == "uniform":
-            self._partitioner = None
-            return
-        if mode != "heavy-light":
+        mode = "uniform" if mode is None else mode
+        if mode not in ("uniform", "heavy-light"):
             raise ValueError(f"unknown partition mode {mode!r}")
-        options = {}
-        if heavy_budget is not None:
-            options["budget"] = heavy_budget
-        if rank_bound is not None:
-            options["rank_bound"] = rank_bound
-        if retune_every is not None:
-            options["retune_every"] = retune_every
-        if sketch is None and prior is not None:
-            sketch = prior.sketch
-            if observe is None:
-                observe = prior.observe_stream
-        self._partitioner = HeavyLightMaintainer(
-            max_staleness=max_staleness, rtol=rtol, backend=self.backend,
-            sketch=sketch, observe=observe if observe is not None else True,
-            **options,
-        )
-        if prior is not None:
-            self._partitioner.stats = prior.stats
+        changes = {"partition": "auto" if auto else mode}
+        if mode == "heavy-light":
+            changes.update(heavy_budget=heavy_budget, rank_bound=rank_bound,
+                           retune_every=retune_every,
+                           max_staleness=max_staleness, rtol=rtol)
+        cell = self.deferral_cell
+        cell.partition = mode
+        self.install_deferral(
+            cell, dataclasses.replace(self._deferral_spec, **changes),
+            sketch=sketch, observe=observe)
 
     def flush(self) -> tuple[int, int, float]:
-        """Apply any batched or partitioned pending updates now.
+        """Apply any deferred pending updates now.
 
-        Returns ``(batch_size, compacted_rank, dropped)`` summed over
-        the active pending paths; a session with nothing pending is a
-        no-op returning ``(0, 0, 0.0)``.
+        Returns ``(batch_size, compacted_rank, dropped)`` — ``(0, 0,
+        0.0)`` with nothing pending.
         """
-        size, rank, dropped = 0, 0, 0.0
-        if self._partitioner is not None:
-            size, rank, dropped = self._partitioner.flush(self)
-        if self._batcher is not None:
-            b_size, b_rank, b_dropped = self._batcher.flush(self)
-            size, rank, dropped = size + b_size, rank + b_rank, dropped + b_dropped
-        return size, rank, dropped
+        policy = self._deferral
+        if policy is None:
+            return 0, 0, 0.0
+        return policy.flush(self._apply_now)
+
+    def _uniform(self):
+        """The uniform-batch policy — active, or shadowed by the split."""
+        policy = self._deferral
+        if isinstance(policy, HeavyLightMaintainer):
+            return policy.shadowed
+        return policy
 
     @property
     def batch_size(self) -> int:
-        """The active batching width (1 = per-update application)."""
-        return self._batcher.width if self._batcher is not None else 1
+        """The resolved batching width (1 = per-update application)."""
+        uniform = self._uniform()
+        return uniform.width if uniform is not None else 1
 
     @property
     def batch_stats(self):
         """Achieved :class:`~repro.runtime.batching.BatchStats` (or None)."""
-        return self._batcher.stats if self._batcher is not None else None
+        uniform = self._uniform()
+        return uniform.stats if uniform is not None else None
 
     @property
     def partition(self) -> str:
         """The active partition mode (``"uniform"`` or ``"heavy-light"``)."""
-        return "heavy-light" if self._partitioner is not None else "uniform"
+        if isinstance(self._deferral, HeavyLightMaintainer):
+            return "heavy-light"
+        return "uniform"
 
     @property
     def partition_stats(self):
         """Achieved :class:`~repro.runtime.heavylight.HeavyLightStats`
         of the partitioned path (or ``None`` under uniform maintenance)."""
-        return self._partitioner.stats if self._partitioner is not None else None
+        if isinstance(self._deferral, HeavyLightMaintainer):
+            return self._deferral.stats
+        return None
 
     # -- validation ------------------------------------------------------
     def _materialize_all(self) -> None:
@@ -445,11 +466,13 @@ class Session:
         hands — this session is detached (``views`` becomes ``None``)
         and must not be used again.
 
-        Batched pending updates **flush before the switch** (the
+        Deferred pending updates **flush before the switch** (the
         flush-before-switch convention): deltas must land in the state
-        that crosses the backend boundary.  The batching policy carries
-        over — a plan-derived width is re-read from the new plan, a
-        user-forced width is kept verbatim.
+        that crosses the backend boundary.  The deferral spec and the
+        flushed policy are handed to the new session, which re-resolves
+        them against ``plan`` (:meth:`install_deferral`): ``"auto"``
+        values are re-read from the new plan, forced values are kept
+        verbatim, and stats, sketch and heavy set carry over.
         """
         self.flush()
         if getattr(plan, "nodes", 1) > 1:
@@ -477,42 +500,10 @@ class Session:
             )
         session.update_count = self.update_count
         session.plan = plan
-        if self._auto_batch:
-            width = plan.batch_size
-        elif self._batcher is not None:
-            width = self._batcher.width
-        else:
-            width = None
-        rtol = self._batcher.rtol if self._batcher is not None else DEFAULT_RTOL
-        session.set_batching(width, max_staleness=self._batch_staleness,
-                             rtol=rtol, auto=self._auto_batch)
-        if self._batcher is not None and session._batcher is not None:
-            # Compression accounting spans the whole stream, not just
-            # the segment since the last switch.
-            session._batcher.stats = self._batcher.stats
-        # The partition policy carries over the same way: plan-derived
-        # modes are re-read from the new plan, a user-forced mode is
-        # kept verbatim; the warm sketch and split statistics follow.
-        if self._auto_partition:
-            if getattr(plan, "partition", "uniform") == "heavy-light":
-                session.set_partition(
-                    "heavy-light", heavy_budget=plan.heavy_budget,
-                    max_staleness=self._partition_staleness(),
-                    auto=True, sketch=self._partition_sketch(),
-                    observe=self._partition_observe(),
-                )
-            else:
-                session.set_partition("uniform", auto=True)
-        elif self._partitioner is not None:
-            prior = self._partitioner
-            session.set_partition(
-                "heavy-light", heavy_budget=prior.budget,
-                rank_bound=prior.rank_bound, retune_every=prior.retune_every,
-                max_staleness=prior.max_staleness, rtol=prior.rtol,
-                sketch=prior.sketch, observe=prior.observe_stream,
-            )
-        if self._partitioner is not None and session._partitioner is not None:
-            session._partitioner.stats = self._partitioner.stats
+        # The flushed policy is the prior the re-resolution carries
+        # stats, sketch and heavy set from; it is never shared live.
+        session._deferral = self._deferral
+        session.install_deferral(plan, self._deferral_spec)
         # The checkpoint policy follows the live state: the delta log
         # keeps accumulating across the switch (snapshots capture the
         # new configuration), and the old session stops noting.
@@ -526,19 +517,6 @@ class Session:
         if session.views is self.views:
             self.views = None
         return session
-
-    def _partition_staleness(self) -> int | None:
-        if self._partitioner is not None:
-            return self._partitioner.max_staleness
-        return self._batch_staleness
-
-    def _partition_sketch(self):
-        return self._partitioner.sketch if self._partitioner is not None else None
-
-    def _partition_observe(self):
-        if self._partitioner is not None:
-            return self._partitioner.observe_stream
-        return None
 
     def revalidate(self) -> float:
         """Recompute every view from the current inputs; return max drift.
@@ -1055,37 +1033,35 @@ def open_session(
         state every ``check_every`` updates and the session switches
         strategy/backend mid-stream when it pays.  Subsumes ``drift``
         (options given there are folded in underneath).
-    batch:
-        ``"auto"`` (default) honors the resolved plan's
-        ``batch_size``: when it is greater than 1 the session collects
-        updates in a :class:`~repro.delta.batch.BatchCollector` and
-        flushes one QR+SVD-compacted refresh per batch (reads, drift
-        probes and plan switches flush early; see
-        :meth:`Session.set_batching`).  ``"off"``/``None``/``1``
-        disables batching; an integer forces that width regardless of
-        the plan (re-planning never overrides a forced width).
-    max_staleness:
-        Upper bound on pending batched updates (a read-lag bound below
-        the planned width); ``None`` leaves the width as the only bound.
-        Applies to the heavy-light path too (total pending count).
-    partition:
-        ``"auto"`` (default) honors the resolved plan's ``partition``
-        axis: when the planner recommended ``"heavy-light"`` (it needs
-        a skew-measuring :class:`~repro.planner.plan.StreamSketch` in
-        ``WorkloadStats.distinct_fraction`` to do so), ``apply_update``
-        routes through a
-        :class:`~repro.runtime.heavylight.HeavyLightMaintainer` —
-        heavy-hitter rows merge eagerly into accumulator rows, the
-        light tail defers into a compacted pending block (see
-        :meth:`Session.set_partition`); re-planning may re-tune the
-        mode mid-stream.  ``"uniform"`` forces the split off;
-        ``"heavy-light"`` forces it on regardless of the plan (never
-        overridden by re-planning).  Partitioning takes precedence
-        over uniform batching when both resolve on.
-    heavy_budget:
-        Heavy-set capacity for ``partition="heavy-light"``; ``None``
-        takes the plan's recommendation or the runtime default
-        (:data:`~repro.runtime.heavylight.DEFAULT_HEAVY_BUDGET`).
+    batch, max_staleness, partition, heavy_budget:
+        The session's deferral request, kept as one frozen
+        :class:`~repro.runtime.batching.DeferralSpec` and resolved
+        against the plan by
+        :func:`~repro.runtime.batching.resolve_deferral` — at open, on
+        every :meth:`Session.with_plan` switch and on every
+        ``replan=`` re-tune.  One rule throughout: **a value given here
+        is never re-tuned; only ``"auto"``/``None`` values follow the
+        plan.**
+
+        ``batch``: ``"auto"`` (default) honors the plan's
+        ``batch_size`` — above 1 the session queues updates and flushes
+        one QR+SVD-compacted refresh per batch (reads, drift probes and
+        switches flush early; see :meth:`Session.set_batching`);
+        ``"off"``/``None``/``1`` disables batching; an integer forces
+        that width.  ``max_staleness``: upper bound on pending update
+        events under either policy (a read-lag bound); ``None`` leaves
+        width / rank as the only bound.  ``partition``: ``"auto"``
+        (default) honors the plan's ``partition`` axis — when the
+        planner recommends ``"heavy-light"`` (it needs a skew-measuring
+        :class:`~repro.planner.plan.StreamSketch` in
+        ``WorkloadStats.distinct_fraction`` to do so, so in practice
+        re-planning switches it on), ``apply_update`` routes through a
+        :class:`~repro.runtime.heavylight.HeavyLightMaintainer` (see
+        :meth:`Session.set_partition`); ``"uniform"`` forces the split
+        off, ``"heavy-light"`` forces it on.  The split wins over
+        uniform batching when both resolve on.  ``heavy_budget``:
+        heavy-set capacity; ``None`` takes the plan's recommendation,
+        then :data:`~repro.runtime.heavylight.DEFAULT_HEAVY_BUDGET`.
     serve:
         ``None`` (default) returns the single-threaded session/monitor;
         ``True`` (defaults) or a dict of
@@ -1154,14 +1130,31 @@ def open_session(
         :class:`~repro.catalog.CatalogSession` — or, with ``serve=``,
         a :class:`~repro.runtime.serving.ViewServer` over it whose
         snapshot captures are atomic against other tenants' writers.
-        Incompatible session-shaping arguments (``nodes``, monitors,
-        batching, checkpointing) are ignored on this path.
+        Session-shaping arguments the catalog cannot honor (``nodes``,
+        ``shard``, ``supervise``, ``drift``, ``replan``, ``batch``,
+        ``max_staleness``, ``partition``, ``heavy_budget``,
+        ``checkpoint``) must be left at their defaults; anything else
+        raises :class:`UnsupportedCombinationError`.
 
     Returns the session (or its monitor, or its view server), with the
     resolved :class:`~repro.planner.plan.MaintenancePlan` attached as
     ``.plan``.
     """
     if catalog is not None:
+        given = {
+            "nodes": nodes != 1, "shard": shard != "range",
+            "supervise": supervise, "drift": drift, "replan": replan,
+            "batch": batch != "auto", "max_staleness": max_staleness,
+            "partition": partition != "auto", "heavy_budget": heavy_budget,
+            "checkpoint": checkpoint,
+        }
+        refused = [name for name, is_set in given.items() if is_set]
+        if refused:
+            raise UnsupportedCombinationError(
+                f"open_session(catalog=...) cannot honor "
+                f"{', '.join(refused)}: the catalog maintains every tenant "
+                f"under its own configuration"
+            )
         tenant = catalog.open(program, inputs, dims=dims)
         if serve:
             serve_options = {} if serve is True else dict(serve)
@@ -1173,6 +1166,8 @@ def open_session(
     from .drift import ReplanMonitor, SessionDriftMonitor
     from .serving import ViewServer
 
+    spec = DeferralSpec(batch=batch, partition=partition,
+                        max_staleness=max_staleness, heavy_budget=heavy_budget)
     ckpt_target = None
     ckpt_options: dict = {}
     ckpt_restore = False
@@ -1288,46 +1283,7 @@ def open_session(
             )
         session.plan = resolved
 
-        if batch == "auto" or batch is True:
-            session.set_batching(resolved.batch_size,
-                                 max_staleness=max_staleness, auto=True)
-        elif batch == "off" or batch is None or batch is False:
-            pass
-        elif isinstance(batch, int) and not isinstance(batch, bool):
-            if batch < 1:
-                raise ValueError(f"batch width must be >= 1, got {batch!r}")
-            if batch > 1:
-                session.set_batching(batch, max_staleness=max_staleness)
-        else:
-            raise ValueError(
-                f"batch must be 'auto', 'off', None or a width >= 1, "
-                f"got {batch!r}"
-            )
-
-        if partition == "auto" or partition is True:
-            if resolved.partition == "heavy-light":
-                session.set_partition(
-                    "heavy-light",
-                    heavy_budget=heavy_budget or resolved.heavy_budget,
-                    max_staleness=max_staleness, auto=True,
-                )
-            else:
-                # Uniform for now, but plan-derived: re-planning may
-                # still switch the split on when the stream turns skewed.
-                session.set_partition("uniform", auto=True)
-        elif (partition in ("uniform", "off") or partition is None
-                or partition is False):
-            session.set_partition("uniform")
-        elif partition == "heavy-light":
-            session.set_partition(
-                "heavy-light", heavy_budget=heavy_budget,
-                max_staleness=max_staleness,
-            )
-        else:
-            raise ValueError(
-                f"partition must be 'auto', 'uniform' or 'heavy-light', "
-                f"got {partition!r}"
-            )
+        session.install_deferral(resolved, spec)
 
     if ckpt_target is not None:
         options = dict(ckpt_options)

@@ -45,3 +45,62 @@ def zipf_row_updates(rng: np.random.Generator, n: int, count: int,
         v = scale * rng.standard_normal((n, rank))
         updates.append(FactoredUpdate(target, u, v))
     return updates
+
+
+def sparse_available() -> bool:
+    """Whether the optional sparse backend can be imported here."""
+    try:
+        import scipy  # noqa: F401
+
+        return True
+    except ImportError:
+        return False
+
+
+#: Backends the deferral harnesses sweep.
+BACKENDS = ("dense",) + (("sparse",) if sparse_available() else ())
+
+#: (strategy, mode) cells sessions support; REEVAL has no mode axis.
+SESSION_CONFIGS = (
+    ("INCR", "interpret"),
+    ("INCR", "codegen"),
+    ("REEVAL", "interpret"),
+)
+
+
+def make_session(program, inputs, strategy="INCR", mode="interpret",
+                 backend="dense"):
+    """A bare session over a private copy of ``inputs``.
+
+    ``make_session(program, inputs)`` is the unit-at-a-time interpreter
+    oracle every deferral harness compares against.
+    """
+    from repro.runtime import IVMSession, ReevalSession
+
+    inputs = {name: arr.copy() for name, arr in inputs.items()}
+    if strategy == "REEVAL":
+        return ReevalSession(program, inputs, backend=backend)
+    return IVMSession(program, inputs, mode=mode, backend=backend)
+
+
+def assert_views_close(session, oracle, program, context=""):
+    """Every input and view of ``session`` matches ``oracle`` (reads flush)."""
+    for name in program.input_names + program.view_names:
+        got = session[name]
+        want = oracle[name]
+        scale = max(1.0, float(np.max(np.abs(want))))
+        np.testing.assert_allclose(
+            got, want, rtol=1e-7, atol=1e-8 * scale,
+            err_msg=f"{name} diverged {context}",
+        )
+
+
+def chain_scenario(rng: np.random.Generator):
+    """The fixed ``B := A*A; C := B*B`` scenario (n = 8)."""
+    from repro.frontend import parse_program
+
+    program = parse_program(
+        "input A(n, n); B := A * A; C := B * B; output C;"
+    )
+    n = 8
+    return program, n, {"A": 0.2 * rng.standard_normal((n, n))}

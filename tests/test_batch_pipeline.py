@@ -1,11 +1,9 @@
-"""Randomized stream differential harness for plan-driven batching.
+"""Plan-driven batching: flush policies, validation, the stream sketch.
 
-The ISSUE 5 headline test work: batched sessions must be
-indistinguishable (up to floating-point re-association) from the
-unit-at-a-time interpreter oracle across the whole scenario grid —
-program shape x update stream distribution (incl. Zipf-repeated
-targets) x backend x mode x batch width — including flush-on-read
-mid-stream and replan-flip interleavings.
+The randomized differential harness (batched sessions vs the
+unit-at-a-time oracle, ``with_plan`` flips, monitor-driven re-planning)
+lives in ``tests/test_deferral.py``, shared with the heavy-light
+policy; this file keeps what is specific to uniform batching.
 """
 
 import numpy as np
@@ -13,86 +11,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exprgen import session_scenario, shared_family
-from stream_helpers import zipf_row_updates
-
-from repro.planner import MaintenancePlan, StreamSketch, WorkloadStats, rank_program
-from repro.runtime import IVMSession, ReevalSession, ReplanMonitor, open_session
-
-
-def _sparse_available() -> bool:
-    try:
-        import scipy  # noqa: F401
-
-        return True
-    except ImportError:
-        return False
-
-
-BACKENDS = ("dense",) + (("sparse",) if _sparse_available() else ())
-
-#: (strategy, mode) cells sessions support; REEVAL has no mode axis.
-SESSION_CONFIGS = (
-    ("INCR", "interpret"),
-    ("INCR", "codegen"),
-    ("REEVAL", "interpret"),
+from exprgen import shared_family
+from stream_helpers import (
+    assert_views_close,
+    chain_scenario,
+    make_session,
+    zipf_row_updates,
 )
 
-
-def _session(program, inputs, strategy, mode, backend):
-    inputs = {name: arr.copy() for name, arr in inputs.items()}
-    if strategy == "REEVAL":
-        return ReevalSession(program, inputs, backend=backend)
-    return IVMSession(program, inputs, mode=mode, backend=backend)
+from repro.planner import MaintenancePlan, StreamSketch, WorkloadStats, rank_program
+from repro.runtime import IVMSession, open_session
 
 
-def _assert_views_close(session, oracle, program, context=""):
-    for name in program.input_names + program.view_names:
-        got = session[name]
-        want = oracle[name]
-        scale = max(1.0, float(np.max(np.abs(want))))
-        np.testing.assert_allclose(
-            got, want, rtol=1e-7, atol=1e-8 * scale,
-            err_msg=f"{name} diverged {context}",
-        )
-
-
-class TestDifferentialHarness:
-    """Batched sessions vs the unit-at-a-time interpreter oracle."""
-
-    @settings(max_examples=25, deadline=None)
-    @given(data=st.data())
-    def test_batched_stream_matches_unit_oracle(self, data):
-        program, n, inputs = data.draw(session_scenario())
-        theta = data.draw(st.sampled_from([0.0, 1.5, 3.0]))
-        rank = data.draw(st.sampled_from([1, 1, 2]))
-        width = data.draw(st.sampled_from([2, 3, 5, 8]))
-        backend = data.draw(st.sampled_from(BACKENDS))
-        strategy, mode = data.draw(st.sampled_from(SESSION_CONFIGS))
-        count = data.draw(st.integers(5, 16))
-        read_at = data.draw(st.integers(0, count - 1))
-
-        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
-        updates = zipf_row_updates(rng, n, count, theta,
-                                   target=program.input_names[0], rank=rank)
-
-        oracle = _session(program, inputs, "INCR", "interpret", "dense")
-        batched = _session(program, inputs, strategy, mode, backend)
-        batched.set_batching(width)
-
-        for index, update in enumerate(updates):
-            oracle.apply_update(update)
-            batched.apply_update(update)
-            if index == read_at:
-                # Flush-on-read: a mid-stream read must never lag the
-                # updates already issued, whatever the batch fill.
-                _assert_views_close(batched, oracle, program,
-                                    context=f"at mid-stream read {index}")
-        _assert_views_close(batched, oracle, program, context="at stream end")
-        stats = batched.batch_stats
-        assert stats.updates == count
-        assert stats.stacked_width == count * rank
-
+class TestSharedFamilies:
     @settings(max_examples=10, deadline=None)
     @given(data=st.data())
     def test_shared_family_tenants_match_unit_oracle(self, data):
@@ -106,79 +37,19 @@ class TestDifferentialHarness:
         updates = zipf_row_updates(rng, n, count, 1.5)
 
         for program in programs:
-            oracle = _session(program, inputs, "INCR", "interpret", "dense")
-            batched = _session(program, inputs, "INCR", "interpret", "dense")
+            oracle = make_session(program, inputs)
+            batched = make_session(program, inputs)
             batched.set_batching(width)
             for update in updates:
                 oracle.apply_update(update)
                 batched.apply_update(update)
-            _assert_views_close(batched, oracle, program,
-                                context="shared-family tenant at stream end")
-
-    @settings(max_examples=10, deadline=None)
-    @given(data=st.data())
-    def test_replan_flip_interleaving_flushes_pending(self, data):
-        """A mid-stream ``with_plan`` switch must land pending deltas first."""
-        program, n, inputs = data.draw(session_scenario())
-        width = data.draw(st.sampled_from([3, 6]))
-        count = data.draw(st.integers(6, 12))
-        flip_at = data.draw(st.integers(1, count - 1))
-        to_strategy = data.draw(st.sampled_from(["INCR", "REEVAL"]))
-        to_backend = data.draw(st.sampled_from(BACKENDS))
-
-        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
-        updates = zipf_row_updates(rng, n, count, 2.0,
-                                   target=program.input_names[0])
-
-        oracle = _session(program, inputs, "INCR", "interpret", "dense")
-        session = _session(program, inputs, "INCR", "interpret", "dense")
-        session.set_batching(width)
-
-        for index, update in enumerate(updates):
-            oracle.apply_update(update)
-            session.apply_update(update)
-            if index == flip_at:
-                plan = MaintenancePlan(to_strategy, backend=to_backend,
-                                       batch_size=width)
-                session = session.with_plan(plan)
-                assert session.batch_size == width  # policy carried over
-        _assert_views_close(session, oracle, program, context="after flip")
-
-    def test_monitor_driven_replan_keeps_parity(self, rng):
-        """ReplanMonitor probing/re-planning over a batched session."""
-        program, n, inputs = self._fixed_scenario(rng)
-        updates = zipf_row_updates(rng, n, 30, 2.0, target="A")
-
-        oracle = _session(program, inputs, "INCR", "interpret", "dense")
-        monitored = open_session(
-            program, {k: v.copy() for k, v in inputs.items()},
-            plan="incr", backend="dense", mode="interpret",
-            refresh_count=len(updates), batch=4,
-            replan={"check_every": 7, "probe_every": 5},
-        )
-        assert isinstance(monitored, ReplanMonitor)
-        for update in updates:
-            oracle.apply_update(update)
-            monitored.apply_update(update)
-        _assert_views_close(monitored.session, oracle, program,
-                            context="after monitored stream")
-        # The sketch followed the stream it supervised.
-        assert monitored.stream_sketch.total == len(updates)
-
-    @staticmethod
-    def _fixed_scenario(rng):
-        from repro.frontend import parse_program
-
-        program = parse_program(
-            "input A(n, n); B := A * A; C := B * B; output C;"
-        )
-        n = 8
-        return program, n, {"A": 0.2 * rng.standard_normal((n, n))}
+            assert_views_close(batched, oracle, program,
+                               context="shared-family tenant at stream end")
 
 
 class TestFlushPolicies:
     def _open(self, rng, width, **kwargs):
-        program, n, inputs = TestDifferentialHarness._fixed_scenario(rng)
+        program, n, inputs = chain_scenario(rng)
         session = IVMSession(program, inputs, dims={"n": n})
         session.set_batching(width, **kwargs)
         return session, n
@@ -188,22 +59,22 @@ class TestFlushPolicies:
         for update in zipf_row_updates(rng, n, 7, 1.0):
             session.apply_update(update)
         assert session.batch_stats.flushes == 2       # 2 full batches
-        assert len(session._batcher.collector) == 1   # 1 still pending
+        assert session.deferral.pending == 1          # 1 still pending
 
     def test_max_staleness_bounds_pending(self, rng):
         session, n = self._open(rng, 16, max_staleness=2)
         for update in zipf_row_updates(rng, n, 6, 1.0):
             session.apply_update(update)
         assert session.batch_stats.flushes == 3
-        assert len(session._batcher.collector) == 0
+        assert session.deferral.pending == 0
 
     def test_read_flushes(self, rng):
         session, n = self._open(rng, 16)
         for update in zipf_row_updates(rng, n, 5, 1.0):
             session.apply_update(update)
-        assert len(session._batcher.collector) == 5
+        assert session.deferral.pending == 5
         session.view("C")
-        assert len(session._batcher.collector) == 0
+        assert session.deferral.pending == 0
         assert session.batch_stats.flushes == 1
 
     def test_revalidate_flushes(self, rng):
@@ -211,7 +82,7 @@ class TestFlushPolicies:
         for update in zipf_row_updates(rng, n, 4, 1.0):
             session.apply_update(update)
         assert session.revalidate() < 1e-8  # drift probe saw the updates
-        assert len(session._batcher.collector) == 0
+        assert session.deferral.pending == 0
 
     def test_target_change_flushes(self, rng):
         from repro.compiler import Program, Statement
@@ -233,7 +104,7 @@ class TestFlushPolicies:
                                             rng.standard_normal((n, 1))))
         # The A-batch flushed when the B update arrived.
         assert session.batch_stats.flushes == 1
-        assert session._batcher.target == "B"
+        assert session.deferral.target == "B"
 
     def test_unknown_target_rejected_at_enqueue(self, rng):
         from repro.runtime import FactoredUpdate
@@ -257,24 +128,24 @@ class TestFlushPolicies:
 
 class TestBatchingValidation:
     def test_open_session_rejects_bad_batch(self, rng):
-        program, n, inputs = TestDifferentialHarness._fixed_scenario(rng)
+        program, n, inputs = chain_scenario(rng)
         with pytest.raises(ValueError, match="batch must be"):
             open_session(program, inputs, batch="sometimes")
 
     def test_open_session_rejects_zero_width(self, rng):
-        program, n, inputs = TestDifferentialHarness._fixed_scenario(rng)
+        program, n, inputs = chain_scenario(rng)
         with pytest.raises(ValueError, match="width must be >= 1"):
             open_session(program, inputs, batch=0)
 
     def test_open_session_batch_true_means_auto(self, rng):
-        program, n, inputs = TestDifferentialHarness._fixed_scenario(rng)
+        program, n, inputs = chain_scenario(rng)
         session = open_session(program, inputs, batch=True,
                                refresh_count=500)
         assert session.batch_size == (session.plan.batch_size or 1)
-        assert session._auto_batch
+        assert session.deferral_spec.batch == "auto"
 
     def test_stats_survive_width_retune_and_switch(self, rng):
-        program, n, inputs = TestDifferentialHarness._fixed_scenario(rng)
+        program, n, inputs = chain_scenario(rng)
         session = IVMSession(program, inputs, dims={"n": n})
         session.set_batching(3)
         updates = zipf_row_updates(rng, n, 6, 2.0)
@@ -296,7 +167,7 @@ class TestBatchingValidation:
             SessionBatcher(4, max_staleness=0)
 
     def test_set_batching_width_one_means_off(self, rng):
-        program, n, inputs = TestDifferentialHarness._fixed_scenario(rng)
+        program, n, inputs = chain_scenario(rng)
         session = IVMSession(program, inputs, dims={"n": n})
         session.set_batching(1)
         assert session.batch_size == 1

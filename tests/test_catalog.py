@@ -385,6 +385,25 @@ class TestRegistration:
         assert catalog.stats.updates == 3
         assert np.isfinite(session["C"]).all()
 
+    @pytest.mark.parametrize("option", [
+        {"nodes": 2}, {"shard": "hash"}, {"supervise": True},
+        {"drift": True}, {"replan": True}, {"batch": 4}, {"batch": "off"},
+        {"max_staleness": 8}, {"partition": "heavy-light"},
+        {"heavy_budget": 4}, {"checkpoint": "somewhere"},
+    ])
+    def test_open_session_catalog_path_refuses_what_it_cannot_honor(
+            self, rng, option):
+        from repro.runtime import UnsupportedCombinationError
+
+        n, inputs = _chain_inputs(rng)
+        catalog = ViewCatalog()
+        with pytest.raises(UnsupportedCombinationError,
+                           match=next(iter(option))) as caught:
+            open_session(_chain_program(), inputs, dims={"n": n},
+                         catalog=catalog, **option)
+        assert isinstance(caught.value, ValueError)
+        assert catalog.stats.tenants == 0  # refused before registering
+
     def test_canonical_collision_shares_across_spellings(self, rng):
         """``A + A`` and ``2 * A`` are one node: canonical-form identity,
         not surface syntax, decides sharing."""

@@ -84,13 +84,16 @@ class TestFormat:
         with pytest.raises(CheckpointCorruptError):
             deserialize_state(b"NOPE" + b"\x00" * 64)
 
-    def test_unsupported_version(self):
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_unsupported_version(self, version):
+        """Version 1 is the pre-deferral-slot header: refused, not
+        mis-read (its ``batch`` / ``partition`` entries are gone)."""
         blob = bytearray(serialize_state({}, {}))
         import hashlib
         import struct
-        struct.pack_into("<I", blob, 4, 99)
+        struct.pack_into("<I", blob, 4, version)
         body = bytes(blob[:-32])
-        with pytest.raises(CheckpointError, match="version 99"):
+        with pytest.raises(CheckpointError, match=f"version {version} "):
             deserialize_state(body + hashlib.sha256(body).digest())
 
     def test_write_is_atomic_no_tmp_left(self, tmp_path):

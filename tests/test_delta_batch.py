@@ -332,71 +332,3 @@ class TestRankKAndRankCollapse:
         collector.clear()
         assert len(collector) == 0
         assert collector.flush(object()) == (0, 0, 0.0)
-
-
-class TestBatchedRefresher:
-    def _maintainer(self, n=10, k=4):
-        return IncrementalPowers(np.eye(n) * 0.4, k, Model.linear())
-
-    def test_width_flush_and_parity(self, rng):
-        from repro.delta.batch import BatchedRefresher
-
-        n = 10
-        plain = self._maintainer(n)
-        batched = BatchedRefresher(self._maintainer(n), width=3)
-        for _ in range(7):
-            u, v = rank1(rng, n, row=int(rng.integers(2)))
-            plain.refresh(u, v)
-            batched.refresh(u, v)
-        np.testing.assert_allclose(batched.result(), plain.result(),
-                                   atol=1e-9)
-        # 2 width-triggered flushes + 1 read-triggered.
-        assert len(batched.flushes) == 3
-
-    def test_attribute_read_flushes_first(self, rng):
-        from repro.delta.batch import BatchedRefresher
-
-        n = 8
-        batched = BatchedRefresher(self._maintainer(n), width=100)
-        reference = self._maintainer(n)
-        u, v = rank1(rng, n)
-        batched.refresh(u, v)
-        reference.refresh(u, v)
-        # .result is reached through __getattr__, which flushes.
-        np.testing.assert_allclose(batched.result(), reference.result(),
-                                   atol=1e-12)
-        assert len(batched.collector) == 0
-
-    def test_max_staleness_caps_pending(self, rng):
-        from repro.delta.batch import BatchedRefresher
-
-        batched = BatchedRefresher(self._maintainer(), width=50,
-                                   max_staleness=2)
-        for _ in range(5):
-            batched.refresh(*rank1(rng, 10))
-        assert len(batched.collector) == 1
-        assert len(batched.flushes) == 2
-
-    def test_columnwise_replay_matches_block_flush(self, rng):
-        from repro.delta.batch import BatchedRefresher
-
-        n = 10
-        block = BatchedRefresher(self._maintainer(n), width=4)
-        column = BatchedRefresher(self._maintainer(n), width=4,
-                                  columnwise=True)
-        for _ in range(4):
-            u, v = rank1(rng, n, row=int(rng.integers(3)))
-            block.refresh(u, v)
-            column.refresh(u, v)
-        np.testing.assert_allclose(column.result(), block.result(),
-                                   atol=1e-9)
-        # Columnwise replay still compacted: 4 updates, <= 3 columns.
-        assert column.flushes[0][1] <= 3
-
-    def test_validation(self):
-        from repro.delta.batch import BatchedRefresher
-
-        with pytest.raises(ValueError, match="positive"):
-            BatchedRefresher(self._maintainer(), width=0)
-        with pytest.raises(ValueError, match="max_staleness"):
-            BatchedRefresher(self._maintainer(), width=2, max_staleness=0)

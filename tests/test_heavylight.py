@@ -1,15 +1,15 @@
-"""Differential harness and fold-policy tests for heavy-light maintenance.
+"""Fold-policy tests for heavy-light maintenance.
 
-The ISSUE 8 headline test work: a heavy-light partitioned session —
-heavy hitters merged eagerly into accumulator rows, the light tail
-deferred into a compacted pending block — must be indistinguishable (up
-to floating-point re-association) from the unit-at-a-time interpreter
-oracle across the scenario grid: program shape x Zipf skew x backend x
-mode x (budget, rank_bound) — including flush-on-read mid-stream,
-``with_plan`` switches, and adaptive heavy-set re-tunes.  Plus the
-:class:`~repro.planner.plan.StreamSketch` edge cases that keep the
-planner honest: on a uniform stream the heavy set collapses to empty
-and ``partition="heavy-light"`` stays unchosen.
+The randomized differential harness (partitioned sessions vs the
+unit-at-a-time oracle across program shape x Zipf skew x backend x mode
+x (budget, rank_bound), ``with_plan`` flips, monitor-driven
+re-planning, the ``refresh(u, v)`` front end) lives in
+``tests/test_deferral.py``, shared with uniform batching; this file
+keeps what is specific to the split: the dense-column path, the fold
+policies, adaptive heavy-set re-tunes, the pagerank driver plumbing,
+and the :class:`~repro.planner.plan.StreamSketch` edge cases that keep
+the planner honest — on a uniform stream the heavy set collapses to
+empty and ``partition="heavy-light"`` stays unchosen.
 """
 
 import numpy as np
@@ -18,104 +18,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exprgen import session_scenario
-from stream_helpers import zipf_row_updates
+from stream_helpers import (
+    BACKENDS,
+    SESSION_CONFIGS,
+    assert_views_close,
+    chain_scenario,
+    make_session,
+)
 
 from repro.planner import MaintenancePlan, StreamSketch, WorkloadStats, rank_program
 from repro.runtime import (
     FactoredUpdate,
     HeavyLightMaintainer,
-    HeavyLightRefresher,
     IVMSession,
-    ReevalSession,
-    ReplanMonitor,
     open_session,
 )
 
 
-def _sparse_available() -> bool:
-    try:
-        import scipy  # noqa: F401
-
-        return True
-    except ImportError:
-        return False
-
-
-BACKENDS = ("dense",) + (("sparse",) if _sparse_available() else ())
-
-SESSION_CONFIGS = (
-    ("INCR", "interpret"),
-    ("INCR", "codegen"),
-    ("REEVAL", "interpret"),
-)
-
-
-def _session(program, inputs, strategy, mode, backend):
-    inputs = {name: arr.copy() for name, arr in inputs.items()}
-    if strategy == "REEVAL":
-        return ReevalSession(program, inputs, backend=backend)
-    return IVMSession(program, inputs, mode=mode, backend=backend)
-
-
-def _assert_views_close(session, oracle, program, context=""):
-    for name in program.input_names + program.view_names:
-        got = session[name]
-        want = oracle[name]
-        scale = max(1.0, float(np.max(np.abs(want))))
-        np.testing.assert_allclose(
-            got, want, rtol=1e-7, atol=1e-8 * scale,
-            err_msg=f"{name} diverged {context}",
-        )
-
-
-def _fixed_scenario(rng):
-    from repro.frontend import parse_program
-
-    program = parse_program(
-        "input A(n, n); B := A * A; C := B * B; output C;"
-    )
-    n = 8
-    return program, n, {"A": 0.2 * rng.standard_normal((n, n))}
-
-
-class TestDifferentialHarness:
-    """Partitioned sessions vs the unit-at-a-time interpreter oracle."""
-
-    @settings(max_examples=25, deadline=None)
-    @given(data=st.data())
-    def test_partitioned_stream_matches_unit_oracle(self, data):
-        program, n, inputs = data.draw(session_scenario())
-        theta = data.draw(st.sampled_from([0.0, 1.2, 3.0]))
-        rank = data.draw(st.sampled_from([1, 1, 2]))
-        budget = data.draw(st.sampled_from([1, 2, 4]))
-        rank_bound = data.draw(st.sampled_from([2, 3, 8]))
-        backend = data.draw(st.sampled_from(BACKENDS))
-        strategy, mode = data.draw(st.sampled_from(SESSION_CONFIGS))
-        count = data.draw(st.integers(5, 16))
-        read_at = data.draw(st.integers(0, count - 1))
-
-        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
-        updates = zipf_row_updates(rng, n, count, theta,
-                                   target=program.input_names[0], rank=rank)
-
-        oracle = _session(program, inputs, "INCR", "interpret", "dense")
-        split = _session(program, inputs, strategy, mode, backend)
-        split.set_partition("heavy-light", heavy_budget=budget,
-                            rank_bound=rank_bound, retune_every=3)
-
-        for index, update in enumerate(updates):
-            oracle.apply_update(update)
-            split.apply_update(update)
-            if index == read_at:
-                # Flush-on-read: a mid-stream read must never lag the
-                # updates already issued, whatever is pending where.
-                _assert_views_close(split, oracle, program,
-                                    context=f"at mid-stream read {index}")
-        _assert_views_close(split, oracle, program, context="at stream end")
-        stats = split.partition_stats
-        assert stats.updates == count
-        assert stats.heavy_hits + stats.light_hits == count * rank
-
+class TestDenseColumns:
     @settings(max_examples=10, deadline=None)
     @given(data=st.data())
     def test_dense_factor_columns_take_the_compacted_path(self, data):
@@ -138,69 +58,18 @@ class TestDifferentialHarness:
             updates.append(
                 FactoredUpdate(target, u, 0.05 * rng.standard_normal((n, 1))))
 
-        oracle = _session(program, inputs, "INCR", "interpret", "dense")
-        split = _session(program, inputs, strategy, mode, backend)
+        oracle = make_session(program, inputs)
+        split = make_session(program, inputs, strategy, mode, backend)
         split.set_partition("heavy-light", heavy_budget=2, rank_bound=3)
         for update in updates:
             oracle.apply_update(update)
             split.apply_update(update)
-        _assert_views_close(split, oracle, program, context="mixed columns")
-
-    @settings(max_examples=10, deadline=None)
-    @given(data=st.data())
-    def test_with_plan_switch_flushes_and_carries_policy(self, data):
-        """A mid-stream switch lands pending deltas first and keeps the
-        forced partition mode (flush-before-switch convention)."""
-        program, n, inputs = data.draw(session_scenario())
-        count = data.draw(st.integers(6, 12))
-        flip_at = data.draw(st.integers(1, count - 1))
-        to_strategy = data.draw(st.sampled_from(["INCR", "REEVAL"]))
-        to_backend = data.draw(st.sampled_from(BACKENDS))
-
-        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
-        updates = zipf_row_updates(rng, n, count, 2.0,
-                                   target=program.input_names[0])
-
-        oracle = _session(program, inputs, "INCR", "interpret", "dense")
-        session = _session(program, inputs, "INCR", "interpret", "dense")
-        session.set_partition("heavy-light", heavy_budget=2, rank_bound=4)
-
-        for index, update in enumerate(updates):
-            oracle.apply_update(update)
-            session.apply_update(update)
-            if index == flip_at:
-                plan = MaintenancePlan(to_strategy, backend=to_backend)
-                session = session.with_plan(plan)
-                # User-forced partitioning carries over verbatim.
-                assert session.partition == "heavy-light"
-        _assert_views_close(session, oracle, program, context="after flip")
-        assert session.partition_stats.updates == count
-
-    def test_monitor_driven_stream_keeps_parity_and_sketch(self, rng):
-        """ReplanMonitor supervision: the shared sketch is not
-        double-counted by the partitioner it seeds."""
-        program, n, inputs = _fixed_scenario(rng)
-        updates = zipf_row_updates(rng, n, 40, 2.5, target="A")
-
-        oracle = _session(program, inputs, "INCR", "interpret", "dense")
-        monitored = open_session(
-            program, {k: v.copy() for k, v in inputs.items()},
-            plan="incr", backend="dense", mode="interpret",
-            refresh_count=len(updates), partition="auto",
-            replan={"check_every": 8, "probe_every": 6},
-        )
-        assert isinstance(monitored, ReplanMonitor)
-        for update in updates:
-            oracle.apply_update(update)
-            monitored.apply_update(update)
-        _assert_views_close(monitored.session, oracle, program,
-                            context="after monitored stream")
-        assert monitored.stream_sketch.total == len(updates)
+        assert_views_close(split, oracle, program, context="mixed columns")
 
 
 class TestFoldPolicies:
     def _open(self, rng, **kwargs):
-        program, n, inputs = _fixed_scenario(rng)
+        program, n, inputs = chain_scenario(rng)
         session = IVMSession(program, inputs, dims={"n": n})
         session.set_partition("heavy-light", **kwargs)
         return program, n, session
@@ -215,10 +84,10 @@ class TestFoldPolicies:
         program, n, session = self._open(rng, heavy_budget=2, rank_bound=64)
         for update in self._hits(rng, n, [0, 0, 1, 2]):
             session.apply_update(update)
-        partitioner = session._partitioner
-        assert partitioner.pending_updates == 4
+        partitioner = session.deferral
+        assert partitioner.pending == 4
         session.view("C")  # flush-on-read
-        assert partitioner.pending_updates == 0
+        assert partitioner.pending == 0
         assert partitioner.light_rank == 0
         assert session.partition_stats.folds == 1
 
@@ -231,7 +100,7 @@ class TestFoldPolicies:
         stats = session.partition_stats
         assert stats.folds == 1
         assert stats.light_folded_rank == 3
-        assert session._partitioner.light_rank == 2
+        assert session.deferral.light_rank == 2
 
     def test_repeats_merge_without_rank_growth(self, rng):
         program, n, session = self._open(rng, heavy_budget=1, rank_bound=3,
@@ -240,7 +109,7 @@ class TestFoldPolicies:
         for update in self._hits(rng, n, [4] * 10):
             session.apply_update(update)
         assert session.partition_stats.folds == 0
-        assert session._partitioner.light_rank == 1
+        assert session.deferral.light_rank == 1
 
     def test_target_change_flushes_pending_generation(self, rng):
         from repro.frontend import parse_program
@@ -263,7 +132,7 @@ class TestFoldPolicies:
         # The B update forced the pending A generation to fold first,
         # then A again folded B: cross-input ordering is preserved.
         assert session.partition_stats.folds >= 2
-        _assert_views_close(session, oracle, program, context="cross-target")
+        assert_views_close(session, oracle, program, context="cross-target")
 
     def test_max_staleness_bounds_pending_updates(self, rng):
         program, n, session = self._open(rng, heavy_budget=2, rank_bound=64,
@@ -272,13 +141,13 @@ class TestFoldPolicies:
             session.apply_update(update)
         # Three hits on one heavy-mergeable row is still rank 1 pending,
         # but staleness counts updates, not rank: the bound folds it.
-        assert session._partitioner.pending_updates == 0
+        assert session.deferral.pending == 0
         assert session.partition_stats.folds == 1
 
     def test_retune_transfers_between_tiers_without_folding(self, rng):
         program, n, session = self._open(rng, heavy_budget=1, rank_bound=64,
                                          retune_every=4)
-        partitioner = session._partitioner
+        partitioner = session.deferral
         # Warm-up: row 5 dominates, becomes heavy on the retune cadence.
         for update in self._hits(rng, n, [5, 5, 5, 5]):
             session.apply_update(update)
@@ -304,45 +173,13 @@ class TestFoldPolicies:
         assert stats.folds == 1  # the flush-before-switch fold
 
     def test_open_session_partition_validation(self, rng):
-        program, n, inputs = _fixed_scenario(rng)
+        program, n, inputs = chain_scenario(rng)
         with pytest.raises(ValueError):
             open_session(program, inputs, partition="sometimes")
         with pytest.raises(ValueError):
             HeavyLightMaintainer(budget=0)
         with pytest.raises(ValueError):
             HeavyLightMaintainer(rank_bound=0)
-
-
-class TestHeavyLightRefresher:
-    class _Toy:
-        """Minimal ``refresh(u, v)`` maintainer: M += u v'."""
-
-        def __init__(self, n):
-            self.state = np.zeros((n, n))
-            self.refreshes = 0
-
-        def refresh(self, u, v):
-            self.state = self.state + u @ v.T
-            self.refreshes += 1
-
-        def result(self):
-            return self.state
-
-    def test_reads_fold_first_and_match_direct(self, rng):
-        n = 12
-        direct = self._Toy(n)
-        wrapped = HeavyLightRefresher(self._Toy(n), budget=2, rank_bound=3)
-        for _ in range(20):
-            u = np.zeros((n, 1))
-            u[int(rng.integers(3)), 0] = 1.0  # three hot rows
-            v = 0.1 * rng.standard_normal((n, 1))
-            direct.refresh(u, v)
-            wrapped.refresh(u, v)
-        # Attribute fall-through folds pending state before delegating.
-        np.testing.assert_allclose(wrapped.result(), direct.result(),
-                                   rtol=1e-10, atol=1e-12)
-        assert wrapped.maintainer.refreshes < direct.refreshes
-        assert wrapped.stats.updates == 20
 
 
 class TestPageRankPartition:
@@ -426,7 +263,7 @@ class TestStreamSketchEdgeCases:
             assert sketch.heavy_share(budget) == 0.0
 
     def test_planner_keeps_uniform_on_uniform_stream(self, rng):
-        program, n, inputs = _fixed_scenario(rng)
+        program, n, inputs = chain_scenario(rng)
         sketch = StreamSketch()
         for key in rng.integers(0, n, size=256):
             sketch.observe_key(int(key))

@@ -13,9 +13,9 @@ from stream_helpers import zipf_row_updates
 from repro.cost.advisor import recommend_general, recommend_powers
 from repro.frontend import parse_program
 from repro.iterative.strategies import make_general, make_powers
-from repro.delta.batch import BatchedRefresher
 from repro.planner import MaintenancePlan, WorkloadStats, rank_program
 from repro.runtime import ReevalSession, open_session
+from repro.runtime.batching import deferred
 
 
 def _sparse_available() -> bool:
@@ -132,9 +132,7 @@ class TestIterativeAdvisorGrid:
         for rec in recommend_powers(n, k, **extra):
             for width in (1, 4):
                 runner = make_powers(self._plan_of(rec), a.copy(), k)
-                if width > 1:
-                    runner = BatchedRefresher(runner, width,
-                                              backend=rec.backend)
+                runner = deferred(runner, batch=width, backend=rec.backend)
                 stream = np.random.default_rng(11)
                 for i in range(5):
                     runner.refresh(np.eye(n)[:, [i % 3]],
@@ -156,9 +154,8 @@ class TestIterativeAdvisorGrid:
             for width in (1, 3):
                 maintainer = make_general(self._plan_of(rec), a.copy(),
                                           b.copy(), t0.copy(), k)
-                if width > 1:
-                    maintainer = BatchedRefresher(maintainer, width,
-                                                  backend=rec.backend)
+                maintainer = deferred(maintainer, batch=width,
+                                      backend=rec.backend)
                 stream = np.random.default_rng(13)
                 for i in range(5):
                     u = np.zeros((n, 1))

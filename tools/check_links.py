@@ -8,6 +8,12 @@ which are slugified the way GitHub renders headings.  External links
 (``http(s)://``) are not fetched: CI must not depend on the network,
 and the intra-repo links are the ones refactors silently break.
 
+README.md and docs/ are additionally checked for backticked repo paths
+(``tests/...``, ``src/...``, ``benchmarks/...``, ``tools/...``,
+``examples/...``): an "Enforced by" line must name a file that exists.
+CHANGES.md and ROADMAP.md are history — they legitimately name files
+since deleted — so they are exempt from that check.
+
 Usage::
 
     python tools/check_links.py            # check the default doc set
@@ -29,6 +35,14 @@ DEFAULT_DOCS = ("README.md", "ROADMAP.md", "CHANGES.md")
 #: ``[text](target)`` — target captured up to the closing paren.
 #: Images (``![alt](src)``) match too; they resolve the same way.
 LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+
+#: A backticked path under one of the repo's source roots; a
+#: ``::TestClass`` / ``:line`` suffix is allowed and ignored.
+CODE_PATH = re.compile(
+    r"`((?:tests|src|benchmarks|tools|examples)/[^`\s:]*)[^`\s]*`")
+
+#: Files whose backticked paths describe history, not the tree.
+HISTORY_DOCS = ("ROADMAP.md", "CHANGES.md")
 
 #: Markdown headings, for anchor resolution.
 HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
@@ -83,6 +97,15 @@ def check_file(path: Path) -> list[str]:
             if fragment not in anchors_of(resolved):
                 problems.append(f"{path.relative_to(REPO)}:{line}: "
                                 f"dead anchor {target!r}")
+    if path.name not in HISTORY_DOCS:
+        for match in CODE_PATH.finditer(text):
+            named = match.group(1)
+            if any(ch in named for ch in "*<>{}…"):
+                continue  # a pattern or placeholder, not one file
+            if not (REPO / named).exists():
+                line = text[: match.start()].count("\n") + 1
+                problems.append(f"{path.relative_to(REPO)}:{line}: "
+                                f"names missing path {named!r}")
     return problems
 
 
@@ -99,7 +122,7 @@ def main(argv: list[str]) -> int:
     for message in problems:
         print(message, file=sys.stderr)
     print(f"checked {len(files)} files: "
-          f"{len(problems)} dead link(s)")
+          f"{len(problems)} dead link(s) or path(s)")
     return min(len(problems), 125)
 
 
