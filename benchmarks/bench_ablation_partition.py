@@ -17,26 +17,31 @@ every column-orientation gather at the all-reduce volume.
 
 from conftest import make_matrix, row_update
 from repro.distributed import (
+    GATHER,
     Cluster,
     ClusterConfig,
-    DistributedIncrementalPowers,
-    GATHER,
+    SimulatedBackend,
     hybrid_extra_bytes,
 )
-from repro.iterative import Model
+from repro.iterative import Model, make_powers
 
 N = 240
 K = 16
 GRID = 4
 
 
-def _refresh_ledger():
-    """Comm events for one INCR refresh (initial build excluded)."""
+def _incr_powers():
+    """INCR ``A^16`` on the simulator, initial build excluded."""
     cluster = Cluster(config=ClusterConfig.laptop_scale(GRID))
-    maintainer = DistributedIncrementalPowers(
-        make_matrix(N), K, Model.exponential(), cluster
-    )
+    maintainer = make_powers("INCR", make_matrix(N), K, Model.exponential(),
+                             backend=SimulatedBackend(cluster))
     cluster.reset()
+    return maintainer, cluster
+
+
+def _refresh_ledger():
+    """Comm events for one INCR refresh."""
+    maintainer, cluster = _incr_powers()
     u, v = row_update(N, seed=3)
     maintainer.refresh(u, v)
     return cluster
@@ -57,10 +62,7 @@ def _row_only_bytes(cluster) -> int:
 
 
 def test_partitioning_refresh(benchmark):
-    cluster = Cluster(config=ClusterConfig.laptop_scale(GRID))
-    maintainer = DistributedIncrementalPowers(
-        make_matrix(N), K, Model.exponential(), cluster
-    )
+    maintainer, _ = _incr_powers()
     state = {"seed": 0}
 
     def call():
@@ -114,10 +116,7 @@ def test_report_ablation_partition(benchmark, capsys, bench_record):
     assert kinds["broadcast"] > 0
     assert kinds["gather"] > 0
 
-    sim = Cluster(config=ClusterConfig.laptop_scale(GRID))
-    maintainer = DistributedIncrementalPowers(
-        make_matrix(N), K, Model.exponential(), sim
-    )
+    maintainer, _ = _incr_powers()
     state = {"seed": 100}
 
     def call():

@@ -21,7 +21,7 @@ Run as a script (or ``--smoke`` in CI)::
     PYTHONPATH=src python benchmarks/bench_batch_pipeline.py
     PYTHONPATH=src python benchmarks/bench_batch_pipeline.py --smoke --json out.json
 
-``check_batch_trend.py`` compares the emitted JSON against the committed
+``check_trend.py batch`` compares the emitted JSON against the committed
 baseline and fails CI on a >25% batched-throughput regression.
 """
 

@@ -28,7 +28,7 @@ Run as a script (or ``--smoke`` in CI)::
     PYTHONPATH=src python benchmarks/bench_catalog_sharing.py
     PYTHONPATH=src python benchmarks/bench_catalog_sharing.py --smoke --json out.json
 
-``check_catalog_trend.py`` compares the emitted JSON against the
+``check_trend.py catalog`` compares the emitted JSON against the
 committed baseline and fails CI on regression.
 """
 

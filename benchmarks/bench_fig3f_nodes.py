@@ -6,8 +6,10 @@ susceptible to the number of nodes" (10-26 s across every grid) because
 its time is bounded by broadcasting small factors, not compute.
 
 Reproduced on the BSP cluster simulator at n = 360 with the
-laptop-calibrated rate configuration (see DESIGN.md): the *simulated*
-wall-clock must show REEVAL strong-scaling and INCR staying flat.
+laptop-calibrated rate configuration (docs/architecture.md, "Simulated
+cluster"): the *simulated* wall-clock must show REEVAL strong-scaling
+and INCR staying flat.  The maintainers are the ordinary
+``make_powers`` ones on a :class:`~repro.distributed.SimulatedBackend`.
 pytest-benchmark times the real in-process execution of one refresh.
 """
 
@@ -15,13 +17,8 @@ import numpy as np
 import pytest
 
 from conftest import make_matrix
-from repro.distributed import (
-    Cluster,
-    ClusterConfig,
-    DistributedIncrementalPowers,
-    DistributedReevalPowers,
-)
-from repro.iterative import Model
+from repro.distributed import Cluster, ClusterConfig, SimulatedBackend
+from repro.iterative import Model, make_powers
 
 N = 360
 K = 16
@@ -30,11 +27,12 @@ PAPER = "Spark n=30K: REEVAL needs the cluster, INCR flat at 10-26s"
 
 
 def _maintainer(strategy: str, grid: int):
+    """``(maintainer, cluster)`` with the initial build left untimed."""
     cluster = Cluster(ClusterConfig.laptop_scale(grid))
-    a0 = make_matrix(N)
-    if strategy == "REEVAL":
-        return DistributedReevalPowers(a0, K, Model.exponential(), cluster)
-    return DistributedIncrementalPowers(a0, K, Model.exponential(), cluster)
+    maintainer = make_powers(strategy, make_matrix(N), K, Model.exponential(),
+                             backend=SimulatedBackend(cluster))
+    cluster.reset()
+    return maintainer, cluster
 
 
 def _one_update(seed: int):
@@ -47,7 +45,7 @@ def _one_update(seed: int):
 @pytest.mark.parametrize("grid", GRIDS)
 @pytest.mark.parametrize("strategy", ["REEVAL", "INCR"])
 def test_distributed_refresh(benchmark, strategy, grid):
-    maintainer = _maintainer(strategy, grid)
+    maintainer, _ = _maintainer(strategy, grid)
     state = {"seed": 0}
 
     def call():
@@ -62,13 +60,12 @@ def test_report_fig3f(benchmark, capsys, bench_record):
     simulated = {"REEVAL": [], "INCR": []}
     for grid in GRIDS:
         for strategy in ("REEVAL", "INCR"):
-            maintainer = _maintainer(strategy, grid)
-            maintainer.cluster.reset()
+            maintainer, cluster = _maintainer(strategy, grid)
             u, v = _one_update(42)
             maintainer.refresh(u, v)
-            simulated[strategy].append(maintainer.cluster.elapsed)
+            simulated[strategy].append(cluster.elapsed)
 
-    maintainer = _maintainer("INCR", GRIDS[-1])
+    maintainer, _ = _maintainer("INCR", GRIDS[-1])
 
     def call():
         u, v = _one_update(7)

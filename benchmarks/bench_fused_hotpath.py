@@ -33,7 +33,7 @@ Run as a script (or ``--smoke`` in CI)::
     PYTHONPATH=src python benchmarks/bench_fused_hotpath.py
     PYTHONPATH=src python benchmarks/bench_fused_hotpath.py --smoke --json out.json
 
-``check_fused_trend.py`` compares the emitted JSON against the
+``check_trend.py fused`` compares the emitted JSON against the
 committed baseline and fails CI on a >25% fused-speedup regression.
 """
 

@@ -24,7 +24,7 @@ Run as a script (or ``--smoke`` in CI)::
     PYTHONPATH=src python benchmarks/bench_heavylight.py
     PYTHONPATH=src python benchmarks/bench_heavylight.py --smoke --json out.json
 
-``check_hl_trend.py`` compares the emitted JSON against the committed
+``check_trend.py hl`` compares the emitted JSON against the committed
 baseline and fails CI on a >25% heavy-light-throughput regression or if
 the speedup over the best uniform plan drops below the 2x acceptance bar.
 """

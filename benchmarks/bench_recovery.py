@@ -23,7 +23,7 @@ Run as a script (or ``--smoke`` in CI)::
     PYTHONPATH=src python benchmarks/bench_recovery.py
     PYTHONPATH=src python benchmarks/bench_recovery.py --smoke --json out.json
 
-``check_recovery_trend.py`` compares the emitted JSON against the
+``check_trend.py recovery`` compares the emitted JSON against the
 committed baseline and fails CI on a >25% recovery-speedup regression
 or any exactness violation.
 """

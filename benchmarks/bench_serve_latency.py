@@ -24,7 +24,7 @@ Run as a script (or ``--smoke`` in CI)::
     PYTHONPATH=src python benchmarks/bench_serve_latency.py
     PYTHONPATH=src python benchmarks/bench_serve_latency.py --smoke --json out.json
 
-``check_serve_trend.py`` compares the emitted JSON against the
+``check_trend.py serve`` compares the emitted JSON against the
 committed baseline and fails CI on a >25% p99-speedup regression or a
 staleness-bound violation.
 """

@@ -9,7 +9,7 @@ ReevalExp" (Octave 10K: 6.3 s at factor 5 vs 236.5 s at factor 0,
 against 99.1 s for one re-evaluation).
 
 Reproduced at n = 384 with batches of 96 row updates (the batch/n ratio
-matters, not the absolute count — see EXPERIMENTS.md): refresh time must
+matters, not the absolute count): refresh time must
 rise monotonically-ish as theta drops, beating REEVAL at high skew and
 losing its advantage at theta = 0.
 """

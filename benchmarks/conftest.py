@@ -3,7 +3,8 @@
 Every benchmark follows the paper's protocol: maintainers are built
 once (initial materialization untimed), then a *view refresh* — one
 rank-1 row update propagated through every materialized view — is the
-timed operation.  Sizes are laptop-scale (see DESIGN.md substitutions);
+timed operation.  Sizes are laptop-scale (README.md, "Tests and
+benchmarks"; docs/architecture.md for the simulated cluster's rates);
 each module also contains a ``test_report_*`` that prints the series in
 the figure's layout with paper-reported factors alongside.
 

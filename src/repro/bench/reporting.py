@@ -3,7 +3,7 @@
 Each experiment prints (a) the measured series in the same layout the
 paper's figure/table uses and (b) a paper-vs-measured speedup line, so
 ``pytest benchmarks/ --benchmark-only`` output doubles as the
-EXPERIMENTS.md evidence.
+evidence for the paper-vs-measured comparison.
 """
 
 from __future__ import annotations
@@ -54,5 +54,5 @@ def paper_vs_measured(
     """One-line provenance record tying a measurement to the paper claim."""
     return (
         f"[{experiment}] paper: {paper_note} | measured: {measured:.1f}{unit} "
-        f"(shape comparison at repro scale; see EXPERIMENTS.md)"
+        f"(shape comparison at repro scale)"
     )

@@ -21,9 +21,12 @@ accumulated demand charges exceed its hit-priced admission cost it is
 re-admitted and pinned again.  The exactness contract
 (docs/invariants.md):
 
-* **No eviction**: every tenant read is bitwise identical to the same
-  program maintained by its own independent session — same kernels,
-  same order, per distinct node only once.
+* **No eviction**: a read through the statement whose spelling
+  *created* a node is bitwise identical to the same program maintained
+  by its own independent session — same kernels, same order, per
+  distinct node only once.  Any other statement folded into that node
+  by its canonical key — from a later tenant or the same one — reads
+  the creator's spelling: exact by algebra, allclose numerically.
 * **Evicted**: reads are bitwise equal to re-evaluating the node's
   expression against the maintained admitted state (exact REEVAL);
   re-admission pins that re-evaluated value and resumes incremental
@@ -108,9 +111,10 @@ class CatalogStats:
 class CatalogNode:
     """One distinct subexpression in the lineage DAG.
 
-    ``expr`` is the first-registered form over base inputs and earlier
-    node symbols (the form actually maintained — never rewritten, so
-    the first registrant's bitwise trajectory is preserved);
+    ``expr`` is the form of the statement that created the node, over
+    base inputs and earlier node symbols (the form actually maintained
+    — never rewritten, so that statement's bitwise trajectory is
+    preserved; every other statement hitting ``key`` is allclose);
     ``resolved`` substitutes node references away down to base inputs
     and is what ``key`` digests, so later tenants spelling the same
     value through a different chain of intermediate names still collide

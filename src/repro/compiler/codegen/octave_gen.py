@@ -4,7 +4,7 @@ The paper's single-node backend emits Octave programs; this generator
 produces the same trigger text (Example 4.6's shape) so the compiler
 remains demonstrably multi-backend.  The output is plain ``.m`` source —
 we do not execute Octave in this reproduction (the NumPy backend plays
-that role; see DESIGN.md), but the text is snapshot-tested against the
+that role; see docs/architecture.md), but the text is snapshot-tested against the
 paper's published trigger.
 """
 

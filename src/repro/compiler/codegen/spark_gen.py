@@ -14,7 +14,8 @@ annotations —
 
 Like the Octave backend, the emitted text is snapshot-tested rather
 than executed — the simulated cluster (:mod:`repro.distributed`) plays
-the execution role in this reproduction; see DESIGN.md.
+the execution role in this reproduction; see docs/architecture.md
+("Simulated cluster").
 """
 
 from __future__ import annotations

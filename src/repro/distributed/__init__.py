@@ -3,10 +3,12 @@
 Two layers share the :class:`~repro.distributed.comm.CommLog` traffic
 ledger:
 
-* the **simulator** (:class:`DistributedEngine` over
+* the **simulator** (:class:`SimulatedBackend` over
   :class:`BlockMatrix`) executes block algebra in process while
-  charging a BSP cost model — see DESIGN.md for why this preserves the
-  paper's distributed findings at any node count;
+  charging a BSP cost model — pass it as ``backend=`` to the
+  :mod:`repro.iterative` factories; docs/architecture.md
+  ("Simulated cluster") says why this preserves the paper's
+  distributed findings at any node count;
 * the **real engine** (:class:`ShardedEngine` over
   :class:`ProcessCluster`) spawns persistent workers with views in
   ``multiprocessing.shared_memory`` segments, so the same traffic
@@ -16,15 +18,8 @@ ledger:
 from .blockmatrix import BlockMatrix
 from .cluster import Cluster, ClusterConfig, StepCost
 from .comm import BROADCAST, GATHER, SHUFFLE, CommEvent, CommLog
-from .general import (
-    DistributedHybridGeneral,
-    DistributedIncrementalGeneral,
-    DistributedReevalGeneral,
-    make_distributed_general,
-)
-from .engine import DistributedEngine
+from .engine import SimulatedBackend
 from .partitioner import GridPartitioner, RowShardPartitioner, hybrid_extra_bytes
-from .powers import DistributedIncrementalPowers, DistributedReevalPowers
 from .sharded import (
     LocalShardEngine,
     ShardedChainMaintainer,
@@ -35,7 +30,6 @@ from .sharded import (
     sharded_refresh,
 )
 from .shm import SharedArray, SharedMemoryBudgetError
-from .sums import DistributedIncrementalPowerSums, DistributedReevalPowerSums
 from .workers import ProcessCluster, RecoveryEvent, WorkerFailedError
 
 __all__ = [
@@ -45,14 +39,6 @@ __all__ = [
     "CommLog",
     "Cluster",
     "ClusterConfig",
-    "DistributedEngine",
-    "DistributedHybridGeneral",
-    "DistributedIncrementalGeneral",
-    "DistributedIncrementalPowerSums",
-    "DistributedIncrementalPowers",
-    "DistributedReevalGeneral",
-    "DistributedReevalPowerSums",
-    "DistributedReevalPowers",
     "GATHER",
     "GridPartitioner",
     "LocalShardEngine",
@@ -64,10 +50,10 @@ __all__ = [
     "SharedMemoryBudgetError",
     "ShardedChainMaintainer",
     "ShardedEngine",
+    "SimulatedBackend",
     "StepCost",
     "WorkerFailedError",
     "chain_steps",
-    "make_distributed_general",
     "hybrid_extra_bytes",
     "power_chain",
     "sharded_reeval_refresh",

@@ -14,8 +14,9 @@ class BlockMatrix:
     Purely a data container — all distributed *operations* (and their
     cost accounting) live in :mod:`repro.distributed.engine`.  The
     ``backend`` names the tiles' representation (dense NumPy by
-    default, CSR under ``"sparse"``) and must match the engine
-    operating on them.
+    default, CSR under ``"sparse"``) and must match the tile kernel of
+    the :class:`~repro.distributed.engine.SimulatedBackend` operating
+    on them.
     """
 
     def __init__(self, partitioner: GridPartitioner,
@@ -106,6 +107,11 @@ class BlockMatrix:
         """Grid side length ``g``."""
         return self.partitioner.grid
 
+    @property
+    def T(self) -> "TransposedBlocks":
+        """Lazy transpose: no tile moves until a kernel consumes it."""
+        return TransposedBlocks(self)
+
     def copy(self) -> "BlockMatrix":
         """Deep copy (fresh tile arrays)."""
         return BlockMatrix(
@@ -119,3 +125,16 @@ class BlockMatrix:
 
     def __repr__(self) -> str:
         return f"BlockMatrix({self.shape[0]}x{self.shape[1]}, grid={self.grid})"
+
+
+class TransposedBlocks:
+    """``P'`` of a :class:`BlockMatrix`, unevaluated.
+
+    The factored recurrences only need ``P' V`` for a thin ``V`` — the
+    column-replica product of hybrid partitioning — so the transpose is
+    a view the backend's ``matmul_into`` recognizes, never a reshuffle.
+    """
+
+    def __init__(self, base: BlockMatrix):
+        self.base = base
+        self.shape = base.shape[::-1]

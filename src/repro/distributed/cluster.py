@@ -45,7 +45,8 @@ class ClusterConfig:
         term.  Scaling n down by ~75x scales matmul work by ~4e5 and
         traffic by ~5e3; these rates shrink proportionally so small
         matrices exercise the same operating regime — who-wins and the
-        node-count trends are preserved (see DESIGN.md substitutions).
+        node-count trends are preserved (docs/architecture.md, "Simulated
+        cluster").
         """
         return ClusterConfig(
             grid=grid, flop_rate=5.0e7, bandwidth=2.0e7, latency=2.0e-5

@@ -56,12 +56,16 @@ class ReevalPowerSums:
         self.k = k
         self.schedule = model.schedule(k)
         self.ops = Ops(counter, backend)
-        self.a = self.ops.backend.asarray(a, copy=True)
         self._powers = (
             ReevalPowers(a, _powers_horizon(model, k), model, counter,
                          backend=self.ops.backend)
             if model.kind != Model.LINEAR and k > 1
             else None
+        )
+        # One copy of A: the embedded powers maintainer's, when there is one.
+        self.a = (
+            self._powers.a if self._powers is not None
+            else self.ops.backend.asarray(a, copy=True)
         )
         self.sums: dict[int, np.ndarray] = {}
         self._recompute()
@@ -97,9 +101,11 @@ class ReevalPowerSums:
         """Apply ``A += u v'`` and recompute every scheduled sum."""
         u = u.reshape(len(u), -1)
         v = v.reshape(len(v), -1)
-        self.a = self.ops.add_outer_inplace(self.a, u, v)
         if self._powers is not None:
             self._powers.refresh(u, v)
+            self.a = self._powers.a
+        else:
+            self.a = self.ops.add_outer_inplace(self.a, u, v)
         self._recompute()
 
     def result(self) -> np.ndarray:

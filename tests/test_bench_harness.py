@@ -157,3 +157,107 @@ class TestTimeRefreshTrimmed:
             updates.append((u, 0.01 * gen.standard_normal((16, 1))))
         seconds = time_refresh_trimmed(model, updates)
         assert 0.0 < seconds < 1.0
+
+
+def _load_check_trend():
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "check_trend.py"
+    spec = importlib.util.spec_from_file_location("check_trend", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations there
+    spec.loader.exec_module(module)
+    return module, path.parent / "baselines"
+
+
+check_trend, _BASELINES = _load_check_trend()
+
+_TREND_ROWS = [
+    pytest.param(bench, row, id=f"{bench}-{'.'.join(row.path)}")
+    for bench, (_, rows) in check_trend.TABLE.items()
+    for row in rows
+]
+
+#: Values an invariant might reject; the first one it does is planted.
+_VIOLATIONS = [False, 0, 3, "uniform", "heavy-light",
+               {"staleness_bound": 4, "max_staleness_observed": 5}]
+
+
+def _rejects(row, value) -> bool:
+    try:
+        return not row.holds(value)
+    except (AttributeError, TypeError, ValueError):
+        return False  # not the kind of value this invariant reads
+
+
+def _baseline(bench):
+    stem = check_trend.TABLE[bench][0]
+    return check_trend.load(_BASELINES / f"BENCH_{stem}.json")
+
+
+def _plant(results, path, value):
+    """Set ``value`` at ``path`` (a ``"*"`` element adds a new cell)."""
+    node = results
+    for part in path[:-1]:
+        node = node.setdefault(part, {})
+    node["synthetic" if path[-1] == "*" else path[-1]] = value
+
+
+class TestTrendGate:
+    """benchmarks/check_trend.py: one table, every row enforced."""
+
+    @pytest.mark.parametrize("bench", sorted(check_trend.TABLE))
+    def test_committed_baseline_passes_against_itself(self, bench, capsys):
+        stem = check_trend.TABLE[bench][0]
+        path = str(_BASELINES / f"BENCH_{stem}.json")
+        assert check_trend.main([bench, path, path]) == 0
+        assert "within baseline envelope" in capsys.readouterr().out
+
+    def test_every_baseline_file_has_a_table_entry(self):
+        stems = {stem for stem, _ in check_trend.TABLE.values()}
+        on_disk = {p.stem.removeprefix("BENCH_")
+                   for p in _BASELINES.glob("BENCH_*.json")}
+        assert stems == on_disk
+
+    @pytest.mark.parametrize("bench,row", _TREND_ROWS)
+    def test_one_point_beyond_the_limit_fails_with_the_rows_message(
+            self, bench, row, capsys):
+        import copy
+
+        baseline = _baseline(bench)
+        current = copy.deepcopy(baseline)
+        if isinstance(row, check_trend.Invariant):
+            bad = next(v for v in _VIOLATIONS if _rejects(row, v))
+            _plant(current, row.path, bad)
+        else:
+            edge = check_trend.limit(row, current, baseline)
+            sign = 1.0 if row.better == "higher" else -1.0
+            beyond = edge * (1.0 - sign * 0.01)
+            if row.per is not None:
+                beyond *= check_trend._value(
+                    current, check_trend.Metric(row.per, "divisor"))
+            _plant(current, row.path, beyond)
+        failures = check_trend.check(bench, current, baseline)
+        assert len(failures) == 1 and row.what in failures[0], failures
+
+    def test_conditional_floor_binds_only_where_physical(self):
+        baseline = _baseline("dist")  # recorded on a 1-core box: 0.76x
+        current = dict(baseline, derived={"speedup_w4": 1.99})
+        assert not check_trend.check("dist", dict(current, cpu_count=1, n=2048),
+                                     baseline)
+        assert not check_trend.check("dist", dict(current, cpu_count=4, n=256),
+                                     baseline)
+        [failure] = check_trend.check(
+            "dist", dict(current, cpu_count=4, n=2048), baseline)
+        assert "4-worker speedup" in failure and "floor 2" in failure
+
+    def test_missing_key_and_usage_errors(self, tmp_path, capsys):
+        baseline = _baseline("fused")
+        current = {k: v for k, v in baseline.items() if k != "stream_p16"}
+        [failure] = check_trend.check("fused", current, baseline)
+        assert "stream_p16" in failure and "missing" in failure
+        assert check_trend.main(["fused", "only-one-file.json"]) == 2
+        assert check_trend.main(["no-such-bench", "a.json", "b.json"]) == 2
+        capsys.readouterr()

@@ -113,7 +113,7 @@ def _inversions(expr):
 
 
 class TestMaintenanceEquivalence:
-    """Invariant 3 of DESIGN.md: triggers == re-evaluation, always."""
+    """Triggers == re-evaluation, always (docs/invariants.md, exactness)."""
 
     def _run_stream(self, program, inputs, dims, updates, **session_kw):
         incr = IVMSession(program, inputs, dims=dims, **session_kw)

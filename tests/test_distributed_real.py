@@ -24,7 +24,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.distributed import (
-    DistributedEngine,
     RowShardPartitioner,
     ShardedChainMaintainer,
     WorkerFailedError,
@@ -459,20 +458,24 @@ class TestPlannerNodesGrid:
 
 class TestSimulatedAccounting:
     """Satellite bugfix: broadcast bytes follow the *cluster*, not the
-    tile grid — ``add_lowrank`` ships the factor pair once per node."""
+    tile grid — the low-rank update ships the factor pair once per node."""
 
     def test_broadcast_counts_once_per_node(self):
-        from repro.distributed import BlockMatrix, Cluster, ClusterConfig
+        from repro.distributed import (
+            BlockMatrix,
+            Cluster,
+            ClusterConfig,
+            SimulatedBackend,
+        )
 
         n, tile_grid = 32, 4  # 16 tiles on a 4-worker (2x2) cluster
         cluster = Cluster(config=ClusterConfig(grid=2))
         workers = cluster.config.workers
         assert workers != tile_grid * tile_grid  # the bug's precondition
-        engine = DistributedEngine(cluster)
         a = BlockMatrix.from_dense(np.eye(n), tile_grid)
         u = np.ones((n, 2))
         v = np.ones((n, 2))
-        engine.add_lowrank(a, u, v)
+        SimulatedBackend(cluster).add_outer_inplace(a, u, v)
         expected = (u.nbytes + v.nbytes) * workers
         assert cluster.comm.broadcast_bytes == expected
         [event] = [e for e in cluster.comm.events if e.kind == "broadcast"]

@@ -66,7 +66,7 @@ class TestFullPipeline:
 
 
 class TestCrossStrategyAccord:
-    """DESIGN.md invariant 4: all strategies agree on all programs."""
+    """All strategies agree on all programs (docs/invariants.md, exactness)."""
 
     MODELS = [Model.linear(), Model.exponential(), Model.skip(4)]
 
@@ -113,23 +113,21 @@ class TestCrossStrategyAccord:
 
 class TestDistributedVsLocal:
     def test_distributed_matches_local_incremental(self, rng):
-        from repro.distributed import (
-            Cluster,
-            ClusterConfig,
-            DistributedIncrementalPowers,
-        )
-        from repro.iterative import IncrementalPowers
+        from repro.distributed import Cluster, ClusterConfig, SimulatedBackend
+        from repro.iterative import make_powers
 
         n, k = 20, 8
         a = spectral_normalized(rng, n)
-        local = IncrementalPowers(a, k, Model.exponential())
-        dist = DistributedIncrementalPowers(
-            a, k, Model.exponential(), Cluster(ClusterConfig(grid=2))
-        )
+        simulated = SimulatedBackend(Cluster(ClusterConfig(grid=2)))
+        local = make_powers("INCR", a, k, Model.exponential())
+        dist = make_powers("INCR", a, k, Model.exponential(),
+                           backend=simulated)
         for u, v in row_update_factors(rng, n, n, 3, scale=0.05):
             local.refresh(u, v)
             dist.refresh(u, v)
-        np.testing.assert_allclose(local.result(), dist.result(), atol=1e-9)
+        np.testing.assert_allclose(
+            local.result(), simulated.materialize(dist.result()), atol=1e-9
+        )
 
 
 class TestAnalyticsOnGraphWorkloads:

@@ -118,3 +118,26 @@ class TestCosts:
         reeval = ReevalPowerSums(a, 16, Model.exponential())
         incr = IncrementalPowerSums(a, 16, Model.exponential())
         assert incr.memory_bytes() > reeval.memory_bytes()
+
+    @pytest.mark.parametrize("model", [Model.exponential(), Model.skip(4)],
+                             ids=lambda m: m.name)
+    def test_reeval_keeps_one_copy_of_a(self, model, rng):
+        """EXP / SKIP lean on embedded powers: A is that maintainer's A,
+        so a refresh applies the rank-k update once, not twice."""
+        n = 12
+        a = spectral_normalized(rng, n)
+        counter = Counter()
+        view = ReevalPowerSums(a, 8, model, counter)
+        assert np.shares_memory(view.a, view._powers.a)
+        assert not np.shares_memory(view.a, a)
+        counter.reset()
+        [(u, v)] = row_update_factors(rng, n, n, 1, scale=0.05)
+        view.refresh(u, v)
+        assert view.a is view._powers.a
+        # One outer update of A: 2 n^2 multiply-adds + n^2 adds.
+        products = len(view.schedule) - 1 + len(view._powers.schedule) - 1
+        assert counter.total_flops == (
+            3 * n * n + products * 2 * n ** 3 + (len(view.schedule) - 1) * n * n
+        )
+        np.testing.assert_allclose(view.result(), truth_sum(view.a, 8),
+                                   atol=1e-10)

@@ -14,6 +14,10 @@ README.md and docs/ are additionally checked for backticked repo paths
 CHANGES.md and ROADMAP.md are history — they legitimately name files
 since deleted — so they are exempt from that check.
 
+The default run also reads every docstring under ``src/`` and flags a
+``*.md`` name that is not in the tree: "see DESIGN.md" must point at a
+document a reader can open.
+
 Usage::
 
     python tools/check_links.py            # check the default doc set
@@ -24,6 +28,7 @@ Exit status is the number of dead links (0 = all good).
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -43,6 +48,9 @@ CODE_PATH = re.compile(
 
 #: Files whose backticked paths describe history, not the tree.
 HISTORY_DOCS = ("ROADMAP.md", "CHANGES.md")
+
+#: A markdown file named in prose: ``DESIGN.md``, ``docs/invariants.md``.
+MD_NAME = re.compile(r"(?<![\w./-])([\w./-]*\w\.md)\b")
 
 #: Markdown headings, for anchor resolution.
 HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
@@ -109,14 +117,42 @@ def check_file(path: Path) -> list[str]:
     return problems
 
 
+def known_markdown() -> set[str]:
+    """Repo-relative paths and bare names of the tree's markdown files."""
+    known: set[str] = set()
+    for path in [*REPO.glob("*.md"), *REPO.glob("docs/**/*.md"),
+                 *REPO.glob("benchmarks/**/*.md")]:
+        known.update((path.name, path.relative_to(REPO).as_posix()))
+    return known
+
+
+def check_docstrings(path: Path, known: set[str]) -> list[str]:
+    """Messages for ``*.md`` names in ``path``'s docstrings not in the tree."""
+    problems: list[str] = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)):
+            continue
+        doc = ast.get_docstring(node, clean=False)
+        for named in MD_NAME.findall(doc or ""):
+            if named not in known:
+                line = getattr(node, "lineno", 1)
+                problems.append(f"{path.relative_to(REPO)}:{line}: docstring "
+                                f"names missing document {named!r}")
+    return problems
+
+
 def main(argv: list[str]) -> int:
+    problems: list[str] = []
     if argv:
         files = [Path(a).resolve() for a in argv]
     else:
         files = [REPO / name for name in DEFAULT_DOCS]
         files += sorted((REPO / "docs").glob("**/*.md"))
+        known = known_markdown()
+        for source in sorted((REPO / "src").glob("**/*.py")):
+            problems.extend(check_docstrings(source, known))
     files = [f for f in files if f.exists()]
-    problems: list[str] = []
     for path in files:
         problems.extend(check_file(path))
     for message in problems:
