@@ -11,6 +11,7 @@ from .markov import (
     KStepDistribution,
     KStepTransitionMatrix,
     check_column_stochastic,
+    column_stochastic,
     random_walk_matrix,
     reference_k_step,
 )
@@ -35,6 +36,7 @@ __all__ = [
     "ReachabilityIndex",
     "WeightedPowerSum",
     "check_column_stochastic",
+    "column_stochastic",
     "make_ols",
     "neumann_coefficients",
     "random_walk_matrix",

@@ -49,22 +49,51 @@ def reference_k_step(p: np.ndarray, k: int) -> np.ndarray:
     return np.linalg.matrix_power(np.asarray(p, dtype=np.float64), k)
 
 
+def column_stochastic(adjacency, dangling: str):
+    """``adjacency`` with every column divided by its sum, in one pass.
+
+    ``adjacency[i, j] != 0`` encodes an edge ``j -> i`` (column =
+    source).  A column without out-edges cannot be normalized;
+    ``dangling`` names what it becomes instead: ``"uniform"`` (``1/N``
+    in every row, PageRank's teleporting surfer) or ``"self-loop"`` (a
+    one on the diagonal, the walker stays put).  An ``ndarray`` (or
+    anything array-like) gives a new dense matrix; a ``scipy.sparse``
+    matrix gives a new CSC one in ``O(nnz)`` — note that every
+    ``"uniform"`` dangling column then stores ``N`` entries.
+    """
+    is_sparse = hasattr(adjacency, "tocsc")
+    if not is_sparse:
+        adjacency = np.asarray(adjacency, dtype=np.float64)
+    n = adjacency.shape[0]
+    out_degree = np.asarray(adjacency.sum(axis=0), dtype=np.float64).reshape(-1)
+    empty = np.flatnonzero(out_degree == 0)
+    out_degree[empty] = 1.0
+    if dangling == "uniform":
+        rows, cols, fill = np.tile(np.arange(n), empty.size), np.repeat(empty, n), 1.0 / n
+    elif dangling == "self-loop":
+        rows, cols, fill = empty, empty, 1.0
+    else:
+        raise ValueError(f"unknown dangling rule {dangling!r}")
+    if not is_sparse:
+        p = adjacency / out_degree
+        p[rows, cols] = fill
+        return p
+    from scipy import sparse
+
+    p = sparse.csc_array(adjacency, dtype=np.float64, copy=True)
+    p.data /= np.repeat(out_degree, np.diff(p.indptr))
+    patch = sparse.csc_array(
+        (np.full(rows.size, fill), (rows, cols)), shape=p.shape)
+    return p + patch
+
+
 def random_walk_matrix(adjacency: np.ndarray) -> np.ndarray:
     """Column-stochastic simple-random-walk matrix of a digraph.
 
     ``adjacency[i, j] = 1`` encodes ``j -> i``; states without
     out-edges self-loop (stay put), keeping the matrix stochastic.
     """
-    adjacency = np.asarray(adjacency, dtype=np.float64)
-    n = adjacency.shape[0]
-    p = np.array(adjacency)
-    for j in range(n):
-        total = p[:, j].sum()
-        if total == 0:
-            p[j, j] = 1.0
-        else:
-            p[:, j] /= total
-    return p
+    return column_stochastic(adjacency, "self-loop")
 
 
 class _ColumnPerturbMixin:
@@ -89,7 +118,9 @@ class _ColumnPerturbMixin:
         u = (new_column - self.p[:, j]).reshape(-1, 1)
         v = np.zeros((n, 1))
         v[j, 0] = 1.0
-        self.p = self.p + u @ v.T
+        # The maintainers hold their own copy, so the driver's shadow
+        # changes one column in place (no n x n temporaries).
+        self.p[:, j] += u[:, 0]
         self._refresh(u, v)
 
     def _refresh(self, u: np.ndarray, v: np.ndarray) -> None:
@@ -130,7 +161,8 @@ class KStepTransitionMatrix(_ColumnPerturbMixin):
     ``batch`` queues column perturbations and flushes one QR+SVD-
     compacted refresh per ``batch`` changes (re-estimating the same hot
     states repeatedly compacts far below the batch size); reads flush
-    first.
+    first.  The maintained view is ``n x n`` by definition, so this
+    driver keeps a dense shadow ``p`` of its input under every backend.
     """
 
     def __init__(
@@ -246,6 +278,7 @@ __all__ = [
     "KStepDistribution",
     "KStepTransitionMatrix",
     "check_column_stochastic",
+    "column_stochastic",
     "random_walk_matrix",
     "reference_k_step",
 ]

@@ -14,39 +14,43 @@ source ``s`` replaces column ``s`` of ``M``, which is the rank-1 update
 ``dM = (new_col - old_col) e_s'``.  :meth:`IncrementalPageRank.add_edge`
 and :meth:`IncrementalPageRank.remove_edge` derive the factors and push
 them through the chosen strategy.
+
+The driver holds the graph as one sorted target-index array per source
+node and describes the operator to the backend by its nonzeros
+(:meth:`~repro.backends.base.Backend.from_columns`), so under
+``backend="sparse"`` nothing it allocates is ``n x n``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..backends import get_backend
 from ..cost import counters
 from ..iterative.models import Model
 from ..iterative.strategies import make_general
+from .markov import column_stochastic
 
 
-def transition_matrix(adjacency: np.ndarray) -> np.ndarray:
+def transition_matrix(adjacency):
     """Column-stochastic transition matrix from a 0/1 adjacency matrix.
 
     ``adjacency[i, j] = 1`` encodes an edge ``j -> i`` (column = source).
-    Dangling columns (no out-edges) become uniform ``1/N``.
+    Dangling columns (no out-edges) become uniform ``1/N``.  Dense in,
+    dense out; a ``scipy.sparse`` adjacency gives a sparse matrix in
+    ``O(nnz)`` (see :func:`~repro.analytics.markov.column_stochastic`).
     """
-    adjacency = np.asarray(adjacency, dtype=np.float64)
-    n = adjacency.shape[0]
-    out_degree = adjacency.sum(axis=0)
-    m = np.empty_like(adjacency)
-    for j in range(n):
-        if out_degree[j] == 0:
-            m[:, j] = 1.0 / n
-        else:
-            m[:, j] = adjacency[:, j] / out_degree[j]
-    return m
+    return column_stochastic(adjacency, "uniform")
 
 
 def reference_pagerank(
-    adjacency: np.ndarray, damping: float = 0.85, iterations: int = 64
+    adjacency, damping: float = 0.85, iterations: int = 64
 ) -> np.ndarray:
-    """Plain power-method PageRank for ground-truth comparisons."""
+    """Plain power-method PageRank for ground-truth comparisons.
+
+    Takes what :func:`transition_matrix` takes; on a sparse adjacency
+    every iteration is one ``O(nnz)`` product.
+    """
     n = adjacency.shape[0]
     m = transition_matrix(adjacency)
     r = np.full((n, 1), 1.0 / n)
@@ -59,19 +63,34 @@ def reference_pagerank(
 class IncrementalPageRank:
     """PageRank maintained under edge insertions/deletions.
 
+    ``adjacency`` is a square ``ndarray`` (or array-like) or any
+    ``scipy.sparse`` matrix; a nonzero at ``[i, j]`` is the edge
+    ``j -> i`` (column = source) and weights are not kept.  It is read
+    once: the driver keeps one sorted target-index array per source,
+    ``O(n + nnz)`` memory under every backend, and never the matrix.
+
     ``k`` fixes the number of power iterations (Section 3.1: fixed
     iteration counts make incremental and re-evaluated results
     comparable).  ``strategy`` is ``REEVAL``, ``INCR``, ``HYBRID`` (the
     paper's recommendation for ``p = 1``), ``"auto"`` to let the
-    planner pick strategy, model and backend from the graph's measured
-    density, or a :class:`~repro.planner.plan.MaintenancePlan`.
+    planner pick strategy, model and backend from the graph's density
+    (``nnz / n^2`` of the operator, counted from the edge lists), or a
+    :class:`~repro.planner.plan.MaintenancePlan`.
 
     ``backend`` selects the execution backend: real web graphs are
     sparse, and ``backend="sparse"`` stores the transition matrix as
     CSR so each maintained power iteration costs ``O(nnz)`` instead of
-    ``O(n^2)`` (see :mod:`repro.backends`).  Note the dangling-column
+    ``O(n^2)`` (see :mod:`repro.backends`).  On that path set-up is
+    ``O(nnz)`` time and memory, an edge change costs ``O(n)`` for its
+    two thin factors plus one ``O(nnz)`` CSR merge, and
+    :meth:`revalidate` is ``O(k nnz)`` — no step allocates a dense
+    ``n x n``; hand a large graph over as ``scipy.sparse``, because a
+    dense input is itself the ``n^2`` object.  Note the dangling-column
     fill-in: a node with no out-edges produces a dense uniform column,
-    so graphs with many dangling nodes densify the operator.
+    so graphs with many dangling nodes densify the operator (and the
+    backend switches to dense storage once they fill it in).
+    :attr:`adjacency` materializes a dense ``n x n`` copy on every
+    access: it is there for tests and small graphs.
 
     ``batch`` enables Table 4 update batching: edge changes queue in a
     :class:`~repro.delta.batch.BatchCollector` and every ``batch``
@@ -94,7 +113,7 @@ class IncrementalPageRank:
 
     def __init__(
         self,
-        adjacency: np.ndarray,
+        adjacency,
         k: int = 16,
         damping: float = 0.85,
         model: Model | None = None,
@@ -105,22 +124,40 @@ class IncrementalPageRank:
         partition: str | None = None,
         heavy_budget: int | None = None,
     ):
-        self.adjacency = np.array(adjacency, dtype=np.float64)
-        self.n = self.adjacency.shape[0]
+        if not hasattr(adjacency, "nonzero"):
+            adjacency = np.asarray(adjacency)
+        self.n = n = adjacency.shape[0]
+        if adjacency.shape != (n, n):
+            raise ValueError(f"adjacency must be square, got {adjacency.shape}")
+        # ndarray and scipy.sparse share .nonzero(); sorting by
+        # (source, target) makes the lists independent of the input's
+        # storage order.
+        targets, sources = adjacency.nonzero()
+        order = np.lexsort((targets, sources))
+        bounds = np.cumsum(np.bincount(sources, minlength=n))[:-1]
+        self._targets = np.split(targets[order].astype(np.intp), bounds)
         self.damping = float(damping)
         self.k = k
-        m = transition_matrix(self.adjacency)
-        a = self.damping * m
-        b = np.full((self.n, 1), (1.0 - self.damping) / self.n)
-        r0 = np.full((self.n, 1), 1.0 / self.n)
+        # The operator d*M as compressed columns: 1/out_degree at each
+        # target, a dangling column uniform (every row, 1/n).
+        indptr, indices = self._columns(dangling=np.arange(n))
+        counts = np.diff(indptr)
+        data = np.repeat(self.damping * (1.0 / counts), counts)
+        b = np.full((n, 1), (1.0 - self.damping) / n)
+        r0 = np.full((n, 1), 1.0 / n)
         from ..planner import WorkloadStats, plan_general, resolve_driver_strategy
 
         strategy, model, self.plan = resolve_driver_strategy(
             strategy, model, Model.linear(),
-            lambda: plan_general(WorkloadStats.from_matrix(a, p=1, k=k)),
+            lambda: plan_general(WorkloadStats(
+                n=n, p=1, k=k, density=data.size / (n * n))),
         )
+        if backend is None and self.plan is not None:
+            backend = self.plan.backend
+        self._backend = get_backend(backend)
+        a = self._backend.from_columns((n, n), indptr, indices, data)
         self._general = make_general(strategy, a, b, r0, k, model, counter,
-                                     backend=backend)
+                                     backend=self._backend)
         if partition not in (None, "uniform", "heavy-light"):
             raise ValueError(f"unknown partition {partition!r}")
         batched = batch is not None and batch > 1
@@ -136,9 +173,33 @@ class IncrementalPageRank:
             # is the right factor, so the policy sees the transpose.
             self._general = deferred(
                 self._general, batch=batch, partition=partition,
-                heavy_budget=heavy_budget, backend=backend,
+                heavy_budget=heavy_budget, backend=self._backend,
                 transpose=partition == "heavy-light")
         self.strategy = strategy if isinstance(strategy, str) else strategy.strategy
+
+    def _columns(self, dangling: np.ndarray):
+        """Compressed columns ``(indptr, indices)`` of the edge lists.
+
+        A source without out-edges lists ``dangling`` as its targets.
+        """
+        columns = [t if t.size else dangling for t in self._targets]
+        counts = np.fromiter(map(len, columns), np.intp, self.n)
+        return np.concatenate(([0], np.cumsum(counts))), np.concatenate(columns)
+
+    def _graph(self, backend):
+        """The 0/1 adjacency matrix in ``backend``'s format."""
+        indptr, indices = self._columns(dangling=np.empty(0, np.intp))
+        return backend.from_columns(
+            (self.n, self.n), indptr, indices, np.ones(indices.size))
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        """The current graph as a dense 0/1 matrix (column = source).
+
+        Built from the edge lists on every access, ``O(n^2)``: for
+        tests and small graphs — the driver itself never needs it.
+        """
+        return self._graph(get_backend("dense"))
 
     @property
     def ranks(self) -> np.ndarray:
@@ -178,44 +239,54 @@ class IncrementalPageRank:
         order = np.argsort(-flat)[:count]
         return [(int(i), float(flat[i])) for i in order]
 
-    def _column(self, adjacency_col: np.ndarray) -> np.ndarray:
-        """Transition column for one adjacency column (dangling-aware)."""
-        total = adjacency_col.sum()
-        if total == 0:
-            return np.full((self.n, 1), 1.0 / self.n)
-        return (adjacency_col / total).reshape(-1, 1)
+    def _column(self, targets: np.ndarray):
+        """``(rows, value)`` of one transition column (dangling-aware)."""
+        if targets.size:
+            return targets, 1.0 / targets.size
+        return slice(None), 1.0 / self.n
+
+    def _find(self, source: int, target: int):
+        """``source``'s targets, where ``target`` sorts in, and if it is there."""
+        if not (0 <= source < self.n and 0 <= target < self.n):
+            raise IndexError(
+                f"edge {source} -> {target} is outside a {self.n}-node graph")
+        targets = self._targets[source]
+        at = int(np.searchsorted(targets, target))
+        return targets, at, at < targets.size and targets[at] == target
 
     def _apply_column_change(self, source: int,
-                             new_adj_col: np.ndarray) -> None:
-        old_col = self._column(self.adjacency[:, source])
-        new_col = self._column(new_adj_col)
-        delta = self.damping * (new_col - old_col)
+                             new_targets: np.ndarray) -> None:
+        # damping * (new_col - old_col), touching only the rows the
+        # two target lists name.
+        delta = np.zeros((self.n, 1))
+        rows, value = self._column(new_targets)
+        delta[rows, 0] = value
+        rows, value = self._column(self._targets[source])
+        delta[rows, 0] -= value
+        delta *= self.damping
         e_s = np.zeros((self.n, 1))
         e_s[source, 0] = 1.0
-        self.adjacency[:, source] = new_adj_col
+        self._targets[source] = new_targets
         self._general.refresh(delta, e_s)
 
     def add_edge(self, source: int, target: int) -> None:
         """Insert edge ``source -> target`` (no-op if already present)."""
-        if self.adjacency[target, source] != 0:
-            return
-        new_col = self.adjacency[:, source].copy()
-        new_col[target] = 1.0
-        self._apply_column_change(source, new_col)
+        targets, at, present = self._find(source, target)
+        if not present:
+            self._apply_column_change(source, np.insert(targets, at, target))
 
     def remove_edge(self, source: int, target: int) -> None:
         """Delete edge ``source -> target`` (no-op if absent)."""
-        if self.adjacency[target, source] == 0:
-            return
-        new_col = self.adjacency[:, source].copy()
-        new_col[target] = 0.0
-        self._apply_column_change(source, new_col)
+        targets, at, present = self._find(source, target)
+        if present:
+            self._apply_column_change(source, np.delete(targets, at))
 
     def revalidate(self) -> float:
-        """Max drift vs a from-scratch ``k``-iteration recomputation."""
-        m = transition_matrix(self.adjacency)
-        r = np.full((self.n, 1), 1.0 / self.n)
-        teleport = np.full((self.n, 1), (1.0 - self.damping) / self.n)
-        for _ in range(self.k):
-            r = self.damping * (m @ r) + teleport
-        return float(np.max(np.abs(r - self.ranks)))
+        """Max drift vs a from-scratch ``k``-iteration recomputation.
+
+        The oracle runs on the graph in the backend's own format —
+        ``O(k nnz)`` when that is CSR.
+        """
+        expected = reference_pagerank(
+            self._graph(self._backend), self.damping, self.k)
+        return float(np.max(np.abs(expected - self.ranks)))

@@ -48,6 +48,10 @@ class ReachabilityIndex:
     ``reachable(src, dst)`` answers in O(1) against the maintained
     ``W_k`` view; :meth:`add_edge` / :meth:`remove_edge` repair the view
     in ``O(n^2 k)`` (INCR) instead of re-running the whole power sum.
+    The maintained view is ``n x n`` by definition and fills in, so this
+    driver keeps a dense shadow of its input under every backend — the
+    ``O(nnz)`` graph path is
+    :class:`~repro.analytics.pagerank.IncrementalPageRank`'s.
     """
 
     def __init__(

@@ -9,7 +9,8 @@ for graph-shaped inputs, and (eventually) GPU or out-of-core blocks.
 
 A :class:`Backend` bundles
 
-* **construction** — :meth:`asarray`, :meth:`eye`, :meth:`zeros`;
+* **construction** — :meth:`asarray`, :meth:`from_columns`, :meth:`eye`,
+  :meth:`zeros`;
 * **algebra** — :meth:`matmul`, :meth:`add`, :meth:`sub`,
   :meth:`scale`, :meth:`transpose`, :meth:`hstack`, :meth:`vstack`,
   :meth:`inv`, :meth:`solve`, :meth:`norm`;
@@ -65,6 +66,23 @@ class Backend(ABC):
         1-D input becomes a column; ``copy=True`` guarantees the result
         does not alias caller memory (maintainers that mutate state in
         place rely on this).
+        """
+
+    @abstractmethod
+    def from_columns(
+        self,
+        shape: tuple[int, int],
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        data: np.ndarray,
+    ) -> MatrixLike:
+        """A freshly allocated matrix from compressed columns.
+
+        Column ``j`` holds ``data[indptr[j]:indptr[j + 1]]`` at the rows
+        ``indices[indptr[j]:indptr[j + 1]]`` (unique within a column).
+        This is the one place that decides the stored format of a
+        matrix described by its nonzeros: callers holding a graph as
+        edge lists never build the dense image to hand it over.
         """
 
     @abstractmethod

@@ -37,6 +37,11 @@ class DenseBackend(Backend):
             raise ValueError(f"matrix must be 2-D, got ndim={arr.ndim}")
         return arr
 
+    def from_columns(self, shape, indptr, indices, data) -> np.ndarray:
+        out = np.zeros(shape)
+        out[indices, np.repeat(np.arange(shape[1]), np.diff(indptr))] = data
+        return out
+
     def eye(self, n: int) -> np.ndarray:
         return np.eye(n)
 

@@ -110,13 +110,29 @@ class SparseBackend(DenseBackend):
                 # copy is cheap next to the aliasing bugs it prevents.
                 out = out.copy()
             return self._finalize(out)
-        arr = super().asarray(value, copy=copy)
+        # Measure first: a matrix that becomes CSR is never copied as
+        # dense (the conversion allocates its own buffers), so only
+        # what stays dense pays for ``copy``.
+        arr = super().asarray(value)
         rows, cols = arr.shape
         if self._worth_sparse_shape(rows, cols):
             nnz = int(np.count_nonzero(arr))
             if nnz <= self.sparsify_below * arr.size:
                 return _sp.csr_array(arr)
+        if copy and np.may_share_memory(arr, value):
+            arr = arr.copy()
         return arr
+
+    def from_columns(self, shape, indptr, indices, data) -> MatrixLike:
+        rows, cols = shape
+        if (
+            self._worth_sparse_shape(rows, cols)
+            and len(data) <= self.sparsify_below * rows * cols
+        ):
+            # Same entry rule as asarray; CSC -> CSR is one O(nnz) pass
+            # into fresh buffers with sorted column indices.
+            return _sp.csc_array((data, indices, indptr), shape=shape).tocsr()
+        return super().from_columns(shape, indptr, indices, data)
 
     def eye(self, n: int) -> MatrixLike:
         if n >= self.min_sparse_dim:
@@ -152,23 +168,56 @@ class SparseBackend(DenseBackend):
             return a
         return self._finalize(a + b)
 
-    def add_outer(
+    def _merge_outer(
         self, a: MatrixLike, u: np.ndarray, v: np.ndarray
     ) -> MatrixLike:
-        if not self._is_sparse(a):
-            return super().add_outer(a, u, v)
+        """``a + u v'`` for CSR ``a``: merged CSR, or dense on fill-in.
+
+        The delta is laid out as CSR straight from each factor column's
+        nonzero rows, so building it costs ``O(nnz(u v'))`` — the size
+        of the change, not of ``a`` and not of a generic sparse product.
+        """
         u = np.asarray(u, dtype=np.float64).reshape(len(u), -1)
         v = np.asarray(v, dtype=np.float64).reshape(len(v), -1)
         # Expected nnz of U V' (columnwise outer products); if the delta
-        # would fill the matrix in, stop fighting it and go dense.
+        # would fill the matrix in, stop fighting it and go dense: the
+        # sparse merge (and add_outer_inplace's pattern comparison)
+        # costs ~3x one dense dgemm there.
         u_nnz = np.count_nonzero(u, axis=0)
         v_nnz = np.count_nonzero(v, axis=0)
         est_nnz = int((u_nnz * v_nnz).sum()) + a.nnz
         if est_nnz > self.densify_above * a.shape[0] * a.shape[1]:
             dense = np.asarray(a.todense())
             return super().add_outer(dense, u, v)
-        delta = _sp.csr_array(u) @ _sp.csr_array(v).T
-        return self._finalize(a + delta)
+        if est_nnz == a.nnz:  # rank 0, or all-zero factors
+            return a
+        # a's own index type keeps the merge free of an index upcast.
+        index = a.indices.dtype
+        if est_nnz > np.iinfo(index).max:
+            index = np.int64
+        delta = None
+        for k in range(u.shape[1]):
+            # One factor column's outer product is already canonical
+            # CSR: |rows| runs of the same sorted column indices.
+            hit_rows = np.flatnonzero(u[:, k])
+            hit_cols = np.flatnonzero(v[:, k])
+            indptr = np.zeros(a.shape[0] + 1, dtype=index)
+            indptr[hit_rows + 1] = hit_cols.size
+            np.cumsum(indptr, out=indptr)
+            term = _sp.csr_array(
+                (np.outer(u[hit_rows, k], v[hit_cols, k]).reshape(-1),
+                 np.tile(hit_cols.astype(index), hit_rows.size), indptr),
+                shape=a.shape,
+            )
+            delta = term if delta is None else delta + term
+        return a + delta
+
+    def add_outer(
+        self, a: MatrixLike, u: np.ndarray, v: np.ndarray
+    ) -> MatrixLike:
+        if not self._is_sparse(a):
+            return super().add_outer(a, u, v)
+        return self._finalize(self._merge_outer(a, u, v))
 
     def scale(self, coeff: float, a: MatrixLike) -> MatrixLike:
         if self._is_sparse(a):
@@ -241,25 +290,13 @@ class SparseBackend(DenseBackend):
         """
         if not self._is_sparse(a):
             return super().add_outer(a, u, v)
-        u = np.asarray(u, dtype=np.float64).reshape(len(u), -1)
-        v = np.asarray(v, dtype=np.float64).reshape(len(v), -1)
-        # Same early-densify escape as add_outer: when the delta would
-        # fill the matrix in, the sparse merge (and the pattern
-        # comparison below) costs ~3x one dense dgemm — go dense now.
-        u_nnz = np.count_nonzero(u, axis=0)
-        v_nnz = np.count_nonzero(v, axis=0)
-        est_nnz = int((u_nnz * v_nnz).sum()) + a.nnz
-        if est_nnz > self.densify_above * a.shape[0] * a.shape[1]:
-            dense = np.asarray(a.todense())
-            return super().add_outer(dense, u, v)
-        merged = a + _sp.csr_array(u) @ _sp.csr_array(v).T
-        merged = (
-            merged if isinstance(merged, _sp.csr_array)
-            else _sp.csr_array(merged)
-        )
-        if merged.nnz == a.nnz and np.array_equal(
-            merged.indptr, a.indptr
-        ) and np.array_equal(merged.indices, a.indices):
+        merged = self._merge_outer(a, u, v)
+        if (
+            self._is_sparse(merged)
+            and merged.nnz == a.nnz
+            and np.array_equal(merged.indptr, a.indptr)
+            and np.array_equal(merged.indices, a.indices)
+        ):
             a.data[:] = merged.data
             return a
         return self._finalize(merged)

@@ -17,6 +17,11 @@ from typing import Iterator
 class Counter:
     """Accumulates FLOPs by operation kind plus allocated bytes."""
 
+    #: Whether :meth:`record` keeps what it is given.  Callers whose
+    #: charge is itself costly to compute (:class:`~repro.cost.ops.Ops`
+    #: asks the backend's cost hooks) skip the computation when false.
+    recording = True
+
     def __init__(self) -> None:
         self.flops_by_op: dict[str, int] = defaultdict(int)
         self.calls_by_op: dict[str, int] = defaultdict(int)
@@ -62,6 +67,8 @@ class Counter:
 
 class NullCounter(Counter):
     """A counter that ignores everything (zero-overhead default)."""
+
+    recording = False
 
     def record(self, op: str, flops: int, out_bytes: int = 0) -> None:  # noqa: D102
         pass

@@ -78,6 +78,17 @@ class Ops:
             return nullcontext(self)
         return self.workspace.frame()
 
+    def _charge(self, op: str, hook, *operands, out_bytes: int = 0) -> None:
+        """Record ``hook(*operands)`` FLOPs against ``op``.
+
+        The one place that decides whether a charge is worth computing:
+        under :data:`~repro.cost.counters.NULL_COUNTER` no cost hook
+        runs at all, so an uncounted refresh pays nothing for numbers
+        nobody reads.
+        """
+        if self.counter.recording:
+            self.counter.record(op, hook(*operands), out_bytes)
+
     def _lease(self, rows: int, cols: int, *operands):
         """A scratch result buffer, if the workspace and operands allow."""
         if self.workspace is None:
@@ -93,11 +104,8 @@ class Ops:
         m2, p = self.backend.shape(b)
         if m != m2:
             raise ValueError(f"shape mismatch in product: {(n, m)} @ {(m2, p)}")
-        self.counter.record(
-            "matmul",
-            self.backend.matmul_flops(a, b),
-            n * p * 8,
-        )
+        self._charge("matmul", self.backend.matmul_flops, a, b,
+                     out_bytes=n * p * 8)
         return self.backend.matmul_into(a, b, self._lease(n, p, a, b))
 
     def mm_into(self, a, b, out):
@@ -113,11 +121,8 @@ class Ops:
         m2, p = self.backend.shape(b)
         if m != m2:
             raise ValueError(f"shape mismatch in product: {(n, m)} @ {(m2, p)}")
-        self.counter.record(
-            "matmul",
-            self.backend.matmul_flops(a, b),
-            n * p * 8,
-        )
+        self._charge("matmul", self.backend.matmul_flops, a, b,
+                     out_bytes=n * p * 8)
         if (
             not isinstance(out, np.ndarray)
             or out.shape != (n, p)
@@ -129,13 +134,13 @@ class Ops:
 
     def add(self, a, b):
         """Element-wise sum (charges ``n m``, nnz for sparse)."""
-        self.counter.record("add", self.backend.add_flops(a))
+        self._charge("add", self.backend.add_flops, a)
         rows, cols = self.backend.shape(a)
         return self.backend.add_into(a, b, self._lease(rows, cols, a, b))
 
     def add_into(self, a, b, out):
         """``a + b`` into ``out`` (which may alias ``a``: accumulation)."""
-        self.counter.record("add", self.backend.add_flops(a))
+        self._charge("add", self.backend.add_flops, a)
         if not isinstance(out, np.ndarray) or out.shape != tuple(
             self.backend.shape(a)
         ):
@@ -144,13 +149,13 @@ class Ops:
 
     def sub(self, a, b):
         """Element-wise difference (charges ``n m``, nnz for sparse)."""
-        self.counter.record("add", self.backend.add_flops(a))
+        self._charge("add", self.backend.add_flops, a)
         rows, cols = self.backend.shape(a)
         return self.backend.sub_into(a, b, self._lease(rows, cols, a, b))
 
     def add_inplace(self, a, b):
         """``a += b`` where the representation allows; use the return value."""
-        self.counter.record("add", self.backend.add_flops(a))
+        self._charge("add", self.backend.add_flops, a)
         return self.backend.add_inplace(a, b)
 
     def add_outer_inplace(self, a, u, v):
@@ -163,20 +168,21 @@ class Ops:
         existing pattern and merges otherwise, so callers must rebind
         the result either way.
         """
-        self.counter.record("matmul", outer_update_flops(self.backend, a, u, v))
-        self.counter.record("add", self.backend.add_flops(a))
+        self._charge("matmul", outer_update_flops, self.backend, a, u, v)
+        self._charge("add", self.backend.add_flops, a)
         return self.backend.add_outer_inplace(a, u, v)
 
     def scale(self, coeff: float, a):
         """Scalar multiple (charges ``n m``, nnz for sparse)."""
-        self.counter.record("scalar_mul", self.backend.scale_flops(a))
+        self._charge("scalar_mul", self.backend.scale_flops, a)
         rows, cols = self.backend.shape(a)
         return self.backend.scale_into(coeff, a, self._lease(rows, cols, a))
 
     def inv(self, a):
         """Matrix inverse (charges ``~2 n^3``; result is dense)."""
         n = self.backend.shape(a)[0]
-        self.counter.record("inverse", self.backend.inverse_flops(a), n * n * 8)
+        self._charge("inverse", self.backend.inverse_flops, a,
+                     out_bytes=n * n * 8)
         return self.backend.inv(a)
 
     def hstack(self, blocks):

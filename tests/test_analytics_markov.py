@@ -9,6 +9,7 @@ from repro.analytics import (
     KStepDistribution,
     KStepTransitionMatrix,
     check_column_stochastic,
+    column_stochastic,
     random_walk_matrix,
     reference_k_step,
 )
@@ -58,6 +59,44 @@ class TestRandomWalkMatrix:
         assert p[1, 1] == 1.0
         assert p[1, 0] == 1.0
 
+    @staticmethod
+    def _column_loop(adjacency, rule):
+        """The per-column loop the vectorized helper replaced."""
+        n = adjacency.shape[0]
+        expected = np.array(adjacency)
+        for j in range(n):
+            total = adjacency[:, j].sum()
+            if total:
+                expected[:, j] = adjacency[:, j] / total
+            elif rule == "uniform":
+                expected[:, j] = 1.0 / n
+            else:
+                expected[j, j] = 1.0
+        return expected
+
+    @pytest.mark.parametrize("rule", ["self-loop", "uniform"])
+    def test_column_stochastic_matches_column_loop(self, rule, rng):
+        adjacency = (rng.uniform(size=(9, 9)) < 0.25).astype(float)
+        adjacency[:, [2, 7]] = 0.0  # two dangling states
+        got = column_stochastic(adjacency, rule)
+        np.testing.assert_array_equal(got, self._column_loop(adjacency, rule))
+        assert not np.shares_memory(got, adjacency)
+
+    @pytest.mark.parametrize("rule", ["self-loop", "uniform"])
+    def test_column_stochastic_sparse_in_sparse_out(self, rule, rng):
+        sparse = pytest.importorskip("scipy.sparse")
+        adjacency = (rng.uniform(size=(9, 9)) < 0.25).astype(float)
+        adjacency[:, [2, 7]] = 0.0
+        expected = self._column_loop(adjacency, rule)
+        for fmt in (sparse.csr_array, sparse.csc_array, sparse.coo_array):
+            got = column_stochastic(fmt(adjacency), rule)
+            assert sparse.issparse(got)
+            np.testing.assert_array_equal(got.toarray(), expected)
+
+    def test_column_stochastic_rejects_unknown_rule(self):
+        with pytest.raises(ValueError, match="dangling rule"):
+            column_stochastic(np.eye(2), "absorb")
+
 
 class TestKStepTransitionMatrix:
     def test_initial_result_is_matrix_power(self, rng):
@@ -78,6 +117,25 @@ class TestKStepTransitionMatrix:
         for j in (0, 3, 5):
             new_col = random_distribution(rng, 6)
             view.perturb_column(j, new_col)
+        np.testing.assert_allclose(
+            view.result(), reference_k_step(view.p, 8), atol=1e-8
+        )
+
+    def test_perturb_column_edits_shadow_in_place(self, rng):
+        """The driver's shadow ``p`` changes one column, not its identity."""
+        p = random_stochastic(rng, 6)
+        view = KStepTransitionMatrix(p, k=8)
+        shadow = view.p
+        for j in (4, 1, 4):
+            new_col = random_distribution(rng, 6)
+            u = (new_col - view.p[:, j]).reshape(-1, 1)
+            v = np.zeros((6, 1))
+            v[j, 0] = 1.0
+            expected = view.p + u @ v.T  # the n x n spelling it replaces
+            view.perturb_column(j, new_col)
+            assert view.p is shadow
+            np.testing.assert_array_equal(view.p, expected)
+        assert not np.shares_memory(view.p, p)
         np.testing.assert_allclose(
             view.result(), reference_k_step(view.p, 8), atol=1e-8
         )

@@ -142,3 +142,164 @@ class TestIncrementalMaintenance:
             else:
                 pr.add_edge(src, dst)
         assert pr.revalidate() < 1e-8
+
+
+def _toggle_stream(rng, adjacency, length=200):
+    """``(source, target)`` toggles that empty node 0's out-edges and refill them.
+
+    Node 0 loses its last out-edge early (its column turns dangling,
+    i.e. uniform), gains one back mid-stream and the rest are random
+    toggles, some of which hit node 0 again.
+    """
+    n = adjacency.shape[0]
+    drain = [(0, int(t)) for t in np.flatnonzero(adjacency[:, 0])]
+    pairs = [(int(s), int(t)) for s, t in rng.integers(n, size=(length, 2))
+             if s != t]
+    head = length // 4
+    stream = drain + pairs[:head] + [(0, 3)] + pairs[head:]
+    return stream[:length]
+
+
+class TestGraphContract:
+    """The driver holds edge lists, whatever the input and the backend."""
+
+    @pytest.mark.parametrize("deferral", [
+        {}, {"batch": 8}, {"partition": "heavy-light"},
+    ], ids=["unit", "batch8", "heavy-light"])
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    @pytest.mark.parametrize("strategy", STRATS)
+    def test_differential_grid(self, strategy, backend, deferral, rng):
+        if backend == "sparse" and scipy is None:
+            pytest.skip("sparse backend needs scipy")
+        n = 80  # above SparseBackend.min_sparse_dim: the operator is CSR
+        adjacency = random_adjacency(rng, n, avg_out_degree=4)
+        shadow = adjacency.copy()
+        pr = IncrementalPageRank(adjacency, k=24, strategy=strategy,
+                                 model=Model.linear(), backend=backend,
+                                 **deferral)
+        np.testing.assert_array_equal(adjacency, shadow)  # input untouched
+        was_dangling = False
+        for step, (source, target) in enumerate(
+                _toggle_stream(rng, adjacency), start=1):
+            if shadow[target, source]:
+                pr.remove_edge(source, target)
+                shadow[target, source] = 0.0
+            else:
+                pr.add_edge(source, target)
+                shadow[target, source] = 1.0
+            was_dangling |= not shadow[:, 0].any()
+            if step % 20 == 0:
+                np.testing.assert_allclose(
+                    pr.ranks, reference_pagerank(shadow, iterations=24),
+                    rtol=0, atol=1e-9)
+        assert was_dangling and shadow[:, 0].any()
+        np.testing.assert_array_equal(pr.adjacency, shadow)
+        assert pr.revalidate() < 1e-9
+
+    @pytest.mark.skipif(scipy is None, reason="needs scipy.sparse input")
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_sparse_and_dense_input_are_the_same_graph(self, backend, rng):
+        from scipy import sparse
+
+        n = 80
+        adjacency = random_adjacency(rng, n, avg_out_degree=4)
+        adjacency[:, 5] = 0.0  # one dangling node from the start
+        stream = _toggle_stream(rng, adjacency, length=40)
+        results = []
+        for graph in (adjacency, sparse.csr_array(adjacency),
+                      sparse.csc_array(adjacency), sparse.coo_array(adjacency),
+                      adjacency.tolist()):
+            pr = IncrementalPageRank(graph, k=16, strategy="REEVAL",
+                                     backend=backend)
+            for source, target in stream:
+                if pr.adjacency[target, source]:
+                    pr.remove_edge(source, target)
+                else:
+                    pr.add_edge(source, target)
+            results.append((pr.ranks.copy(), pr.adjacency))
+        for ranks, final in results[1:]:
+            np.testing.assert_array_equal(ranks, results[0][0])
+            np.testing.assert_array_equal(final, results[0][1])
+
+    @pytest.mark.skipif(scipy is None, reason="needs scipy.sparse input")
+    def test_sparse_path_allocates_no_dense_square(self):
+        """20 000 nodes: one dense ``n x n`` would be 3.2 GB."""
+        import tracemalloc
+
+        from scipy import sparse
+
+        n, out_edges = 20_000, 20
+        rng = np.random.default_rng(15)
+        sources = np.repeat(np.arange(n), out_edges)
+        targets = rng.integers(n, size=n * out_edges)
+        graph = sparse.csc_array(
+            (np.ones(n * out_edges), (targets, sources)), shape=(n, n))
+        tracemalloc.start()
+        try:
+            pr = IncrementalPageRank(graph, k=8, strategy="REEVAL",
+                                     backend="sparse")
+            for source, target in rng.integers(n, size=(10, 2)).tolist():
+                pr.add_edge(source, target)
+                pr.remove_edge(source, int(targets[source * out_edges]))
+            drift = pr.revalidate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 150e6, f"peak {peak / 1e6:.0f} MB traced"
+        assert drift < 1e-12
+        assert scipy.sparse.issparse(pr._general.a)
+
+    def test_adjacency_is_a_read_only_snapshot(self, rng):
+        adjacency = random_adjacency(rng, 12)
+        pr = IncrementalPageRank(adjacency, k=8)
+        snapshot = pr.adjacency
+        np.testing.assert_array_equal(snapshot, adjacency)
+        snapshot[:] = 0.0  # a copy: the driver's graph is unaffected
+        np.testing.assert_array_equal(pr.adjacency, adjacency)
+        with pytest.raises(AttributeError):
+            pr.adjacency = adjacency
+
+    def test_rejects_bad_graphs_and_nodes(self, rng):
+        with pytest.raises(ValueError, match="square"):
+            IncrementalPageRank(np.zeros((3, 4)))
+        pr = IncrementalPageRank(random_adjacency(rng, 6), k=4)
+        before = pr.adjacency
+        for source, target in ((6, 0), (0, 6), (-1, 2), (2, -1)):
+            with pytest.raises(IndexError):
+                pr.add_edge(source, target)
+            with pytest.raises(IndexError):
+                pr.remove_edge(source, target)
+        np.testing.assert_array_equal(pr.adjacency, before)
+
+    @pytest.mark.skipif(scipy is None, reason="needs scipy.sparse input")
+    def test_reference_accepts_sparse_adjacency(self, rng):
+        from scipy import sparse
+
+        adjacency = random_adjacency(rng, 30, avg_out_degree=3)
+        adjacency[:, 4] = 0.0
+        m = transition_matrix(sparse.csr_array(adjacency))
+        assert sparse.issparse(m)
+        np.testing.assert_array_equal(m.toarray(), transition_matrix(adjacency))
+        np.testing.assert_allclose(
+            reference_pagerank(sparse.coo_array(adjacency), iterations=32),
+            reference_pagerank(adjacency, iterations=32), rtol=0, atol=1e-15)
+
+    def test_auto_prices_density_from_the_edge_lists(self, rng, monkeypatch):
+        """``"auto"`` hands the planner ``nnz / n^2`` of the operator."""
+        import repro.planner.planner as planner_mod
+
+        seen = {}
+        original = planner_mod.recommend_general
+
+        def spy(n, p, k, **kwargs):
+            seen.update(n=n, p=p, k=k, **kwargs)
+            return original(n, p, k, **kwargs)
+
+        monkeypatch.setattr(planner_mod, "recommend_general", spy)
+        adjacency = random_adjacency(rng, 40, avg_out_degree=4)
+        adjacency[:, 7] = 0.0  # dangling: a full column of the operator
+        pr = IncrementalPageRank(adjacency, k=8, strategy="auto")
+        assert pr.plan is not None
+        operator = 0.85 * transition_matrix(adjacency)
+        assert seen["density"] == np.count_nonzero(operator) / 40 ** 2
+        assert (seen["n"], seen["p"], seen["k"]) == (40, 1, 8)

@@ -146,6 +146,150 @@ class TestSparseBackendPolicy:
             be.materialize(out), be.materialize(a) + u @ v.T, atol=1e-12
         )
 
+    @staticmethod
+    def _sparse_factors(rng, n, rank, support=4):
+        """Thin factors whose columns touch ``support`` rows each."""
+        u, v = np.zeros((n, rank)), np.zeros((n, rank))
+        for k in range(rank):
+            u[rng.choice(n, support, replace=False), k] = rng.normal(size=support)
+            v[rng.choice(n, support, replace=False), k] = rng.normal(size=support)
+        return u, v
+
+    @pytest.mark.parametrize("rank", [1, 3])
+    @pytest.mark.parametrize("kernel", ["add_outer", "add_outer_inplace"])
+    def test_add_outer_on_csr_matches_explicit_form(self, kernel, rank, rng):
+        be = SparseBackend()
+        n = 100
+        dense = sparse_matrix(rng, n, density=0.03)
+        for _ in range(5):
+            a = be.asarray(dense, copy=True)
+            u, v = self._sparse_factors(rng, n, rank)
+            out = getattr(be, kernel)(a, u, v)
+            assert sp.issparse(out)
+            assert out.has_canonical_format
+            np.testing.assert_allclose(
+                be.materialize(out), dense + u @ v.T, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("kernel", ["add_outer", "add_outer_inplace"])
+    def test_add_outer_overlapping_columns_sum(self, kernel, rng):
+        """Rank-3 factors whose columns hit the same cells accumulate."""
+        be = SparseBackend()
+        n = 100
+        dense = sparse_matrix(rng, n, density=0.03)
+        u, v = np.zeros((n, 3)), np.zeros((n, 3))
+        u[[5, 9], :] = rng.normal(size=(2, 3))
+        v[[7, 11], :] = rng.normal(size=(2, 3))
+        out = getattr(be, kernel)(be.asarray(dense, copy=True), u, v)
+        np.testing.assert_allclose(
+            be.materialize(out), dense + u @ v.T, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("kernel", ["add_outer", "add_outer_inplace"])
+    def test_add_outer_cancelling_an_entry_drops_it(self, kernel, rng):
+        be = SparseBackend()
+        n = 100
+        dense = sparse_matrix(rng, n, density=0.03)
+        row, col = (int(i[0]) for i in np.nonzero(dense))
+        a = be.asarray(dense, copy=True)
+        u, v = np.zeros((n, 1)), np.zeros((n, 1))
+        u[row, 0], v[col, 0] = -dense[row, col], 1.0
+        out = getattr(be, kernel)(a, u, v)
+        assert sp.issparse(out)
+        assert out.nnz == np.count_nonzero(dense) - 1
+        expected = dense.copy()
+        expected[row, col] = 0.0
+        np.testing.assert_array_equal(be.materialize(out), expected)
+
+    def test_add_outer_inplace_on_pattern_reuses_buffers(self, rng):
+        """A rank-3 delta wholly on the stored pattern moves only ``data``."""
+        be = SparseBackend()
+        n = 100
+        dense = sparse_matrix(rng, n, density=0.05)
+        a = be.asarray(dense, copy=True)
+        rows = rng.choice(n, 3, replace=False)
+        u, v = np.zeros((n, 3)), np.zeros((n, 3))
+        for k, row in enumerate(rows):
+            u[row, k] = 1.0
+            v[a[[row]].indices, k] = rng.normal(size=a[[row]].nnz)
+        data, indices, indptr = a.data, a.indices, a.indptr
+        out = be.add_outer_inplace(a, u, v)
+        assert out is a
+        assert out.data is data and out.indices is indices
+        assert out.indptr is indptr
+        np.testing.assert_allclose(
+            be.materialize(out), dense + u @ v.T, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("kernel", ["add_outer", "add_outer_inplace"])
+    def test_add_outer_past_densify_threshold_goes_dense(self, kernel, rng):
+        be = SparseBackend()
+        n = 100
+        dense = sparse_matrix(rng, n, density=0.03)
+        u, v = np.zeros((n, 2)), np.zeros((n, 2))
+        u[:70, 0] = rng.normal(size=70)   # 70 x 60 = 42% of the cells
+        v[:60, 0] = rng.normal(size=60)
+        u[3, 1], v[4, 1] = 1.0, 1.0
+        out = getattr(be, kernel)(be.asarray(dense, copy=True), u, v)
+        assert isinstance(out, np.ndarray)
+        np.testing.assert_allclose(out, dense + u @ v.T, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("kernel", ["add_outer", "add_outer_inplace"])
+    def test_add_outer_of_nothing_is_identity(self, kernel, rng):
+        """Width-0 factors (a batch that compacted away) and zero factors."""
+        be = SparseBackend()
+        n = 100
+        dense = sparse_matrix(rng, n, density=0.03)
+        for width in (0, 2):
+            a = be.asarray(dense, copy=True)
+            out = getattr(be, kernel)(a, np.zeros((n, width)),
+                                      np.zeros((n, width)))
+            np.testing.assert_array_equal(be.materialize(out), dense)
+
+    def test_asarray_to_csr_takes_no_dense_copy(self, rng):
+        """``copy=True`` copies what stays dense, not what becomes CSR."""
+        import tracemalloc
+
+        be = SparseBackend()
+        n = 1500
+        dense = sparse_matrix(rng, n, density=0.002)
+        tracemalloc.start()
+        out = be.asarray(dense, copy=True)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert sp.issparse(out)
+        assert peak < dense.nbytes / 4
+        for part in (out.data, out.indices, out.indptr):
+            assert not np.shares_memory(part, dense)
+        before = out.toarray()
+        dense[:] = 7.0
+        np.testing.assert_array_equal(out.toarray(), before)
+
+    def test_asarray_copy_of_dense_result_never_aliases(self, rng):
+        be = SparseBackend()
+        full = rng.normal(size=(100, 100))
+        assert be.asarray(full) is full
+        copied = be.asarray(full, copy=True)
+        assert isinstance(copied, np.ndarray)
+        assert not np.shares_memory(copied, full)
+        column = np.arange(5.0)
+        assert not np.shares_memory(be.asarray(column, copy=True), column)
+
+    def test_from_columns_matches_dense_scatter(self, rng):
+        n = 100
+        dense = (rng.random((n, n)) < 0.04) * rng.normal(size=(n, n))
+        csc = sp.csc_array(dense)
+        args = ((n, n), csc.indptr, csc.indices, csc.data)
+        np.testing.assert_array_equal(DENSE.from_columns(*args), dense)
+        out = SparseBackend().from_columns(*args)
+        assert sp.issparse(out) and out.format == "csr"
+        assert out.has_sorted_indices
+        np.testing.assert_array_equal(out.toarray(), dense)
+        assert not np.shares_memory(out.data, csc.data)
+        # The entry rule is asarray's: too dense or too small stays dense.
+        full = sp.csc_array(rng.normal(size=(n, n)))
+        assert isinstance(SparseBackend().from_columns(
+            (n, n), full.indptr, full.indices, full.data), np.ndarray)
+        assert isinstance(SparseBackend(min_sparse_dim=n + 1).from_columns(
+            *args), np.ndarray)
+
     def test_hysteresis_validation(self):
         with pytest.raises(ValueError, match="hysteresis"):
             SparseBackend(sparsify_below=0.4, densify_above=0.3)

@@ -56,6 +56,49 @@ class TestOps:
         stacked = ops.hstack([np.ones((3, 1)), np.ones((3, 2))])
         assert stacked.shape == (3, 3)
 
+    @pytest.mark.parametrize("strategy", ["REEVAL", "INCR", "HYBRID"])
+    def test_null_counter_runs_no_cost_hook(self, strategy, rng):
+        """Uncounted refreshes compute no charge; counted ones are unchanged."""
+        from repro.backends import DenseBackend
+        from repro.iterative import Model, make_general
+
+        class SpyBackend(DenseBackend):
+            hook_calls = 0
+
+            def density(self, a):  # read by outer_update_flops
+                self.hook_calls += 1
+                return super().density(a)
+
+        def spied(name):
+            def hook(self, *args):
+                self.hook_calls += 1
+                return getattr(DenseBackend, name)(self, *args)
+            return hook
+
+        for name in ("matmul_flops", "add_flops", "scale_flops",
+                     "inverse_flops"):
+            setattr(SpyBackend, name, spied(name))
+
+        n = 12
+        a = rng.normal(size=(n, n)) / n
+        b, t0 = rng.normal(size=(n, 1)), rng.normal(size=(n, 1))
+        u, v = rng.normal(size=(n, 1)), rng.normal(size=(n, 1))
+        quiet, spied_on = SpyBackend(), SpyBackend()
+        counter, plain_counter = Counter(), Counter()
+        model = Model.exponential()
+        silent = make_general(strategy, a, b, t0, 8, model, backend=quiet)
+        loud = make_general(strategy, a, b, t0, 8, model, counter,
+                            backend=spied_on)
+        plain = make_general(strategy, a, b, t0, 8, model, plain_counter)
+        quiet.hook_calls = spied_on.hook_calls = 0
+        for maintainer in (silent, loud, plain):
+            maintainer.refresh(u, v)
+        assert quiet.hook_calls == 0
+        assert spied_on.hook_calls > 0
+        assert counter.snapshot() == plain_counter.snapshot()
+        assert counter.bytes_allocated == plain_counter.bytes_allocated
+        np.testing.assert_array_equal(silent.result(), loud.result())
+
 
 class TestComplexityFormulas:
     def test_powers_reeval_model_ordering(self):
