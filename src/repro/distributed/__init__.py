@@ -13,49 +13,42 @@ ledger:
   :class:`ProcessCluster`) spawns persistent workers with views in
   ``multiprocessing.shared_memory`` segments, so the same traffic
   classes are measured in real bytes and real seconds.
+
+A lazy package (:mod:`repro._lazy`): the simulator and the real engine
+load only when one of their names is asked for, and a shard worker
+imports :mod:`repro.distributed.workers` without either.
 """
 
-from .blockmatrix import BlockMatrix
-from .cluster import Cluster, ClusterConfig, StepCost
-from .comm import BROADCAST, GATHER, SHUFFLE, CommEvent, CommLog
-from .engine import SimulatedBackend
-from .partitioner import GridPartitioner, RowShardPartitioner, hybrid_extra_bytes
-from .sharded import (
-    LocalShardEngine,
-    ShardedChainMaintainer,
-    ShardedEngine,
-    chain_steps,
-    power_chain,
-    sharded_reeval_refresh,
-    sharded_refresh,
-)
-from .shm import SharedArray, SharedMemoryBudgetError
-from .workers import ProcessCluster, RecoveryEvent, WorkerFailedError
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BROADCAST",
-    "BlockMatrix",
-    "CommEvent",
-    "CommLog",
-    "Cluster",
-    "ClusterConfig",
-    "GATHER",
-    "GridPartitioner",
-    "LocalShardEngine",
-    "ProcessCluster",
-    "RecoveryEvent",
-    "RowShardPartitioner",
-    "SHUFFLE",
-    "SharedArray",
-    "SharedMemoryBudgetError",
-    "ShardedChainMaintainer",
-    "ShardedEngine",
-    "SimulatedBackend",
-    "StepCost",
-    "WorkerFailedError",
-    "chain_steps",
-    "hybrid_extra_bytes",
-    "power_chain",
-    "sharded_reeval_refresh",
-    "sharded_refresh",
-]
+#: Public name -> defining submodule, imported on first access.
+_EXPORTS = {
+    "BROADCAST": "comm",
+    "BlockMatrix": "blockmatrix",
+    "CommEvent": "comm",
+    "CommLog": "comm",
+    "Cluster": "cluster",
+    "ClusterConfig": "cluster",
+    "GATHER": "comm",
+    "GridPartitioner": "partitioner",
+    "LocalShardEngine": "sharded",
+    "ProcessCluster": "workers",
+    "RecoveryEvent": "workers",
+    "RowShardPartitioner": "partitioner",
+    "SHUFFLE": "comm",
+    "SharedArray": "shm",
+    "SharedMemoryBudgetError": "shm",
+    "ShardedChainMaintainer": "sharded",
+    "ShardedEngine": "sharded",
+    "SimulatedBackend": "engine",
+    "StepCost": "cluster",
+    "WorkerFailedError": "workers",
+    "chain_steps": "sharded",
+    "hybrid_extra_bytes": "partitioner",
+    "power_chain": "sharded",
+    "sharded_reeval_refresh": "sharded",
+    "sharded_refresh": "sharded",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

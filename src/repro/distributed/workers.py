@@ -260,12 +260,16 @@ def _cleanup(procs, conns, segments, views=None) -> None:
     so the unmap-safety refcount check in :meth:`SharedArray.close`
     sees only references the caller still holds.
     """
+    # A slot is ``None`` until its worker has been spawned.
+    procs = [proc for proc in procs if proc is not None]
     for proc in procs:
         if proc.is_alive():
             proc.terminate()
     for proc in procs:
         proc.join(timeout=1.0)
     for conn in conns:
+        if conn is None:
+            continue
         try:
             conn.close()
         except OSError:
@@ -331,14 +335,22 @@ class ProcessCluster:
         self._views: dict[str, np.ndarray] = {}
         self._procs: list = [None] * self.nodes
         self._conns: list = [None] * self.nodes
+        #: Whether each worker's current incarnation has ever replied.
+        self._replied = [False] * self.nodes
         self._closed = False
         self._ctx = mp.get_context(start_method)
-        for worker in range(self.nodes):
-            self._spawn_worker(worker)
+        # Registered before the first spawn: a failure spawning worker
+        # k must not leak workers 0..k-1 and their pipes.
         self._finalizer = weakref.finalize(
             self, _cleanup, self._procs, self._conns, self._segments,
             self._views,
         )
+        try:
+            for worker in range(self.nodes):
+                self._spawn_worker(worker)
+        except BaseException:
+            self._finalizer()
+            raise
 
     def _spawn_worker(self, worker: int) -> None:
         """(Re)spawn one worker process with BLAS pinned to one thread.
@@ -362,6 +374,7 @@ class ProcessCluster:
             child_conn.close()
             self._procs[worker] = proc
             self._conns[worker] = parent_conn
+            self._replied[worker] = False
         finally:
             for var, value in saved.items():
                 if value is None:
@@ -371,6 +384,19 @@ class ProcessCluster:
 
     # -- failure handling ------------------------------------------------
     def _fail(self, worker: int, reason: str, tb: str | None = None):
+        proc = self._procs[worker]
+        if tb is None and not self._replied[worker]:
+            proc.join(timeout=1.0)
+            if proc.exitcode is not None:
+                # The real cause is only on the child's stderr; the
+                # common one deserves naming here.
+                reason = (
+                    f"worker process exited with code {proc.exitcode} "
+                    f"before its first reply ({reason}). Spawned workers "
+                    f"re-import the launching script: if it opens a "
+                    f"sharded session at module top level, move that "
+                    f"under an `if __name__ == \"__main__\":` guard"
+                )
         error = WorkerFailedError(worker, reason, tb)
         self.failure = error
         self._finalizer()
@@ -393,9 +419,11 @@ class ProcessCluster:
         while True:
             if conn.poll(0.05):
                 try:
-                    return conn.recv_bytes()
+                    raw = conn.recv_bytes()
                 except (EOFError, OSError):
                     raise _WorkerUnavailable(worker, "pipe closed mid-reply")
+                self._replied[worker] = True
+                return raw
             if not proc.is_alive():
                 raise _WorkerUnavailable(
                     worker,

@@ -1,112 +1,65 @@
-"""Single-node NumPy backend: executor, views, update events, IVM sessions."""
+"""Single-node NumPy backend: executor, views, update events, IVM sessions.
 
-from .batching import (
-    BatchStats,
-    DeferralSpec,
-    DeferredRefresher,
-    SessionBatcher,
-    resolve_deferral,
-)
-from .checkpoint import (
-    CheckpointCorruptError,
-    CheckpointError,
-    CheckpointManager,
-    Checkpointer,
-    load_checkpoint,
-    restore_session,
-    write_checkpoint,
-)
-from .drift import (
-    DriftExceededError,
-    DriftMonitor,
-    DriftReport,
-    ReplanEvent,
-    ReplanMonitor,
-    SessionDriftMonitor,
-)
-from .executor import EvaluationError, evaluate, resolve_dim
-from .heavylight import HeavyLightMaintainer, HeavyLightStats
-from .serving import (
-    FlushOnReadServer,
-    IngressOverflowError,
-    IngressTimeoutError,
-    MaintainerEngine,
-    OVERLOAD_POLICIES,
-    ServerClosedError,
-    ServerStats,
-    SessionEngine,
-    Snapshot,
-    ViewServer,
-    WriterFailedError,
-    run_load,
-)
-from .session import (
-    IVMSession,
-    ReevalSession,
-    Session,
-    ShardedChainSession,
-    UnsupportedCombinationError,
-    open_session,
-)
-from .updates import (
-    FactoredUpdate,
-    InvalidUpdateError,
-    batch_row_update,
-    cell_update,
-    column_update,
-    row_update,
-)
-from .views import ViewStore
-from .workspace import Workspace
+A lazy package (:mod:`repro._lazy`): importing it, or one submodule of
+it, imports nothing else, so a shard worker that needs
+:mod:`repro.runtime.workspace` does not load the planner and compiler
+behind :mod:`repro.runtime.session`.
+"""
 
-__all__ = [
-    "BatchStats",
-    "CheckpointCorruptError",
-    "CheckpointError",
-    "CheckpointManager",
-    "Checkpointer",
-    "DeferralSpec",
-    "DeferredRefresher",
-    "DriftExceededError",
-    "DriftMonitor",
-    "DriftReport",
-    "EvaluationError",
-    "FactoredUpdate",
-    "FlushOnReadServer",
-    "HeavyLightMaintainer",
-    "HeavyLightStats",
-    "IVMSession",
-    "IngressOverflowError",
-    "IngressTimeoutError",
-    "InvalidUpdateError",
-    "OVERLOAD_POLICIES",
-    "MaintainerEngine",
-    "ReevalSession",
-    "ReplanEvent",
-    "ReplanMonitor",
-    "ServerClosedError",
-    "ServerStats",
-    "Session",
-    "SessionBatcher",
-    "SessionDriftMonitor",
-    "SessionEngine",
-    "ShardedChainSession",
-    "Snapshot",
-    "UnsupportedCombinationError",
-    "ViewServer",
-    "ViewStore",
-    "Workspace",
-    "WriterFailedError",
-    "run_load",
-    "batch_row_update",
-    "cell_update",
-    "column_update",
-    "evaluate",
-    "load_checkpoint",
-    "open_session",
-    "resolve_deferral",
-    "restore_session",
-    "resolve_dim",
-    "row_update",
-    "write_checkpoint",
-]
+from .._lazy import lazy_exports
+
+#: Public name -> defining submodule, imported on first access.
+_EXPORTS = {
+    "BatchStats": "batching",
+    "CheckpointCorruptError": "checkpoint",
+    "CheckpointError": "checkpoint",
+    "CheckpointManager": "checkpoint",
+    "Checkpointer": "checkpoint",
+    "DeferralSpec": "batching",
+    "DeferredRefresher": "batching",
+    "DriftExceededError": "drift",
+    "DriftMonitor": "drift",
+    "DriftReport": "drift",
+    "EvaluationError": "executor",
+    "FactoredUpdate": "updates",
+    "FlushOnReadServer": "serving",
+    "HeavyLightMaintainer": "heavylight",
+    "HeavyLightStats": "heavylight",
+    "IVMSession": "session",
+    "IngressOverflowError": "serving",
+    "IngressTimeoutError": "serving",
+    "InvalidUpdateError": "updates",
+    "OVERLOAD_POLICIES": "serving",
+    "MaintainerEngine": "serving",
+    "ReevalSession": "session",
+    "ReplanEvent": "drift",
+    "ReplanMonitor": "drift",
+    "ServerClosedError": "serving",
+    "ServerStats": "serving",
+    "Session": "session",
+    "SessionBatcher": "batching",
+    "SessionDriftMonitor": "drift",
+    "SessionEngine": "serving",
+    "ShardedChainSession": "session",
+    "Snapshot": "serving",
+    "UnsupportedCombinationError": "session",
+    "ViewServer": "serving",
+    "ViewStore": "views",
+    "Workspace": "workspace",
+    "WriterFailedError": "serving",
+    "run_load": "serving",
+    "batch_row_update": "updates",
+    "cell_update": "updates",
+    "column_update": "updates",
+    "evaluate": "executor",
+    "load_checkpoint": "checkpoint",
+    "open_session": "session",
+    "resolve_deferral": "batching",
+    "restore_session": "checkpoint",
+    "resolve_dim": "executor",
+    "row_update": "updates",
+    "write_checkpoint": "checkpoint",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -210,6 +210,18 @@ class SessionDriftMonitor:
     def __getitem__(self, name: str):
         return self.session[name]
 
+    def close(self) -> None:
+        """Close the wrapped session (whichever one is current)."""
+        self.session.close()
+
+    # Dunder lookup skips ``__getattr__``: ``with monitor:`` needs these.
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+        return False
+
     def __getattr__(self, name: str):
         if name == "session":
             # __init__ hasn't run (copy/pickle): avoid infinite recursion.

@@ -424,6 +424,23 @@ class Session:
             return self._deferral.stats
         return None
 
+    # -- lifetime --------------------------------------------------------
+    def close(self) -> None:
+        """Release what the session holds outside this process.
+
+        Nothing for a single-process session (it stays usable); a
+        :class:`ShardedChainSession` stops its workers.  ``nodes=N`` is
+        a budget, so one ``open_session`` call may return either — every
+        session closes, and works as a context manager, the same way.
+        """
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+        return False
+
     # -- validation ------------------------------------------------------
     def _materialize_all(self) -> None:
         for stmt in self.program.statements:
@@ -782,14 +799,16 @@ class ShardedChainSession(Session):
                 "every statement a product of two existing views"
             )
         self._input_name, self._steps = parsed
-        super().__init__(program, inputs, dims, counter, resolved_backend)
-        seed = self.views.get_dense(self._input_name)
-        if seed.ndim != 2 or seed.shape[0] != seed.shape[1]:
+        if self._input_name not in inputs:
+            raise ValueError(
+                f"missing initial values for inputs: [{self._input_name!r}]")
+        shape = np.shape(inputs[self._input_name])
+        if len(shape) != 2 or shape[0] != shape[1]:
             raise ValueError(
                 f"sharded maintenance needs a square input, "
-                f"got shape {seed.shape}"
+                f"got shape {shape}"
             )
-        partitioner = RowShardPartitioner(seed.shape[0], nodes,
+        partitioner = RowShardPartitioner(shape[0], nodes,
                                           strategy=shard, tile_rows=tile_rows)
         self.nodes = nodes
         self.shard = shard
@@ -797,13 +816,21 @@ class ShardedChainSession(Session):
         #: One record per REEVAL fallback taken after an unrecoverable
         #: worker failure (see :meth:`_reeval_recover`).
         self.fallback_events: list[dict] = []
+        self._sharded = False
+        # Spawn first: the workers boot (interpreter start, imports)
+        # while this process materializes the views; the first
+        # ``attach`` roundtrip in ``_shard_views`` is the fence.
         self.engine = ShardedEngine(
             partitioner, start_method=start_method,
             timeout=DEFAULT_TIMEOUT if timeout is None else timeout,
             supervise=supervise,
         )
-        self._sharded = False
-        self._shard_views()
+        try:
+            super().__init__(program, inputs, dims, counter, resolved_backend)
+            self._shard_views()
+        except BaseException:
+            self.engine.close()
+            raise
 
     @property
     def recoveries(self) -> list:
@@ -820,9 +847,9 @@ class ShardedChainSession(Session):
         On any failure mid-sharding (a full ``/dev/shm`` raising
         :class:`~repro.distributed.shm.SharedMemoryBudgetError`, a
         worker dying during attach) the already-sharded views are
-        copied back to private arrays and the cluster is shut down
-        before the error propagates — the session's state stays intact
-        for a single-process fallback.
+        copied back to private arrays before the error propagates, so
+        no store entry points into a segment the constructor is about
+        to release.
         """
         done: list[str] = []
         try:
@@ -833,7 +860,6 @@ class ShardedChainSession(Session):
         except Exception:
             for name in done:
                 self.views._arrays[name] = np.array(self.views._arrays[name])
-            self.engine.close()
             raise
         self._sharded = True
 
@@ -965,13 +991,6 @@ class ShardedChainSession(Session):
     def close(self) -> None:
         """Copy view state out of shared memory and stop the workers."""
         self._unshard()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
 
 
 def open_session(
