@@ -15,4 +15,5 @@ supplies the pluggable numeric kernels (dense NumPy and sparse CSR)
 every evaluation path dispatches through.
 """
 
-__version__ = "1.3.0"
+#: The one place the version is written (``pyproject.toml`` reads it).
+__version__ = "1.5.0"

@@ -2,8 +2,19 @@
 
 An eager ``__init__`` makes every importer of *one* submodule pay for
 all of them (a shard worker used to load the planner, the compiler and
-SciPy).  A lazy package keeps one ``name -> submodule`` table; ``from
-pkg import X``, ``pkg.X``, ``import *`` and ``dir(pkg)`` work as before.
+SciPy; a dense session the sparse backend and every analytics driver).
+A lazy package keeps one ``name -> submodule`` table; ``from pkg import
+X``, ``pkg.X``, ``import *`` and ``dir(pkg)`` work as before.
+
+Two table rules:
+
+* a ``None`` entry re-exports the *submodule* of that name
+  (``repro.cost.advisor``);
+* an export may not share its defining submodule's name: importing
+  ``pkg.name`` anywhere binds the module over the lazy attribute, so
+  ``from pkg import name`` would depend on import order.  Such a name
+  (``repro.expr.simplify`` is the one) stays a plain eager import in
+  the ``__init__``.
 """
 
 from __future__ import annotations
@@ -12,7 +23,7 @@ import importlib
 import sys
 
 
-def lazy_exports(package: str, exports: dict[str, str]):
+def lazy_exports(package: str, exports: dict[str, str | None]):
     """``(__getattr__, __dir__)`` for ``package``'s module namespace.
 
     A resolved name is stored in the package's ``__dict__``, so only
@@ -24,8 +35,10 @@ def lazy_exports(package: str, exports: dict[str, str]):
         if name not in exports:
             raise AttributeError(
                 f"module {package!r} has no attribute {name!r}")
-        submodule = importlib.import_module(f"{package}.{exports[name]}")
-        value = namespace[name] = getattr(submodule, name)
+        source = exports[name]
+        submodule = importlib.import_module(f"{package}.{source or name}")
+        value = namespace[name] = (
+            submodule if source is None else getattr(submodule, name))
         return value
 
     def __dir__():

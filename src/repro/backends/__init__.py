@@ -16,17 +16,30 @@ name, a :class:`Backend` instance, or ``None`` for the process default.
 
 from __future__ import annotations
 
+import os
+from copy import copy
+from pathlib import Path
+
+from .._lazy import lazy_exports
 from .base import Backend, MatrixLike
 from .dense import DenseBackend
-from .sparse import SparseBackend
+
+#: ``SparseBackend`` loads on first use (:func:`get_backend` included):
+#: a session that never asks for it never imports it.
+_EXPORTS = {"SparseBackend": "sparse"}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 #: Shared default instance — the seed's exact dense semantics.
 DENSE = DenseBackend()
 
-_FACTORIES = {
-    "dense": lambda: DENSE,
-    "sparse": SparseBackend,
-}
+
+def _sparse() -> Backend:
+    from .sparse import SparseBackend
+
+    return SparseBackend()
+
+
+_FACTORIES = {"dense": lambda: DENSE, "sparse": _sparse}
 
 
 def available_backends() -> list[str]:
@@ -51,6 +64,53 @@ def get_backend(backend: "str | Backend | None") -> Backend:
         raise ValueError(
             f"unknown backend {backend!r}; available: {available_backends()}"
         ) from None
+
+#: Environment variable overriding the calibration cache path (``off``
+#: disables); see :mod:`repro.calibrate`.
+CACHE_ENV = "REPRO_CALIBRATION"
+
+#: Values of :data:`CACHE_ENV` that disable cache loading entirely.
+_DISABLED = {"off", "none", "0", "disabled"}
+
+
+def default_cache_path() -> Path | None:
+    """Where the calibration cache lives (None when disabled via env)."""
+    env = os.environ.get(CACHE_ENV)
+    if env is not None:
+        if env.strip().lower() in _DISABLED:
+            return None
+        return Path(env)
+    return Path.home() / ".cache" / "linview-repro" / "calibration.json"
+
+
+def calibrated(
+    backend: "str | Backend | None",
+    calibration: "Calibration | None | str" = "auto",
+) -> Backend:
+    """Resolve ``backend`` with calibrated cost constants applied.
+
+    ``calibration="auto"`` (the planner default) uses the memoized
+    default-path cache; ``None`` disables calibration; a
+    :class:`~repro.calibrate.Calibration` is used verbatim.  When
+    constants apply, a *shallow copy* of the backend is returned so
+    shared instances (the ``DENSE`` singleton, caller-provided
+    backends) keep their class defaults for everyone else.
+
+    The planners resolve every cell through here, so the fitting code
+    and cache format of :mod:`repro.calibrate` are imported only when
+    there is a cache file to read (or the caller built a calibration).
+    """
+    be = get_backend(backend)
+    if calibration == "auto":
+        path = default_cache_path()
+        if path is None or not path.exists():
+            return be
+        from ..calibrate import autoload
+
+        calibration = autoload()
+    if calibration is None or calibration.get(be.name) is None:
+        return be
+    return calibration.apply(copy(be))
 
 
 __all__ = [

@@ -36,27 +36,27 @@ constants until ``repro calibrate`` is re-run.
 from __future__ import annotations
 
 import json
-import os
 import platform
 import statistics
 import time
-from copy import copy as _shallow_copy
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .backends import Backend, get_backend
+# Where the cache lives and the planners' resolver sit with the backend
+# registry, so that planning without a cache file never loads this module.
+from .backends import (
+    CACHE_ENV,
+    Backend,
+    calibrated,
+    default_cache_path,
+    get_backend,
+)
 
 #: Cache schema version (bump on incompatible layout changes).
 SCHEMA = 1
-
-#: Environment variable overriding the cache path (``off`` disables).
-CACHE_ENV = "REPRO_CALIBRATION"
-
-#: Values of :data:`CACHE_ENV` that disable cache loading entirely.
-_DISABLED = {"off", "none", "0", "disabled"}
 
 #: Clamp range for fitted per-call overhead (dense-FLOP equivalents).
 #: Guards against clock jitter producing absurd constants.
@@ -121,16 +121,6 @@ def cache_key() -> str:
         f"scipy-{scipy_version}",
         f"schema-{SCHEMA}",
     ))
-
-
-def default_cache_path() -> Path | None:
-    """Where the calibration cache lives (None when disabled via env)."""
-    env = os.environ.get(CACHE_ENV)
-    if env is not None:
-        if env.strip().lower() in _DISABLED:
-            return None
-        return Path(env)
-    return Path.home() / ".cache" / "linview-repro" / "calibration.json"
 
 
 @dataclass(frozen=True)
@@ -347,26 +337,6 @@ def autoload(refresh: bool = False) -> Calibration | None:
     if refresh or _AUTOLOADED is False:
         _AUTOLOADED = load_calibration()
     return _AUTOLOADED
-
-
-def calibrated(
-    backend: "str | Backend | None",
-    calibration: "Calibration | None | str" = "auto",
-) -> Backend:
-    """Resolve ``backend`` with calibrated cost constants applied.
-
-    ``calibration="auto"`` (the planner default) uses the memoized
-    default-path cache; ``None`` disables calibration; a
-    :class:`Calibration` is used verbatim.  When constants apply, a
-    *shallow copy* of the backend is returned so shared instances (the
-    ``DENSE`` singleton, caller-provided backends) keep their class
-    defaults for everyone else.
-    """
-    be = get_backend(backend)
-    cal = autoload() if calibration == "auto" else calibration
-    if cal is None or cal.get(be.name) is None:
-        return be
-    return cal.apply(_shallow_copy(be))
 
 
 # -- measurement -----------------------------------------------------------

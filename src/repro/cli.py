@@ -82,17 +82,9 @@ import sys
 import time
 from pathlib import Path
 
-from .compiler import (
-    UnboundDimensionError,
-    compile_program,
-    generate_octave_trigger,
-    generate_python_trigger,
-    generate_spark_trigger,
-    optimize_trigger,
-    optimize_trigger_chains,
-)
-from .compiler.transform import materialize_inversions
-from .frontend import SyntaxErrorWithPosition, parse_program
+# Start-up is paid by every call, ``--help`` included: each command
+# imports what it runs, so nothing here pulls in NumPy or SciPy.
+from .frontend.errors import SyntaxErrorWithPosition
 
 BACKENDS = ("trigger", "python", "octave", "spark")
 
@@ -368,6 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_program(path: str):
+    from .frontend.parser import parse_program
+
     source = Path(path).read_text()
     return parse_program(source)
 
@@ -1138,7 +1132,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "serve":
         return _run_serve(args, program)
 
+    from .compiler.compile import compile_program
+
     if args.materialize_inversions:
+        from .compiler.transform import materialize_inversions
+
         program = materialize_inversions(program)
         print("# after inverse materialization:")
         print("\n".join(f"#   {stmt!r}" for stmt in program.statements))
@@ -1160,6 +1158,20 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    if args.optimize:
+        from .compiler.optimizer import optimize_trigger
+    if dims:
+        from .compiler.chain import UnboundDimensionError, optimize_trigger_chains
+    # Only ``compile`` pays for an emitter, and only for the one it prints.
+    if args.backend == "python":
+        from .compiler.codegen.python_gen import generate_python_trigger as emit
+    elif args.backend == "octave":
+        from .compiler.codegen.octave_gen import generate_octave_trigger as emit
+    elif args.backend == "spark":
+        from .compiler.codegen.spark_gen import generate_spark_trigger as emit
+    else:
+        emit = str
+
     for index, (name, trigger) in enumerate(sorted(triggers.items())):
         if args.optimize:
             trigger = optimize_trigger(trigger)
@@ -1171,14 +1183,7 @@ def main(argv: list[str] | None = None) -> int:
                 return 2
         if index:
             print()
-        if args.backend == "python":
-            print(generate_python_trigger(trigger))
-        elif args.backend == "octave":
-            print(generate_octave_trigger(trigger))
-        elif args.backend == "spark":
-            print(generate_spark_trigger(trigger))
-        else:
-            print(trigger)
+        print(emit(trigger))
     return 0
 
 

@@ -1,49 +1,31 @@
 """The LINVIEW compiler: programs, Algorithm 1, optimizer, code generators."""
 
-from .chain import (
-    UnboundDimensionError,
-    chain_cost,
-    chain_split,
-    left_to_right_cost,
-    optimize_chains,
-    optimize_trigger_chains,
-)
-from .codegen import (
-    compile_trigger_function,
-    generate_octave_trigger,
-    generate_python_trigger,
-    generate_spark_trigger,
-)
-from .compile import compile_program
-from .optimizer import (
-    eliminate_common_subexpressions,
-    eliminate_dead_code,
-    optimize_trigger,
-    propagate_copies,
-)
-from .program import Program, ProgramError, Statement
-from .trigger import Assign, Trigger, Update
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Assign",
-    "UnboundDimensionError",
-    "Program",
-    "ProgramError",
-    "Statement",
-    "Trigger",
-    "Update",
-    "chain_cost",
-    "chain_split",
-    "compile_program",
-    "compile_trigger_function",
-    "eliminate_common_subexpressions",
-    "eliminate_dead_code",
-    "generate_octave_trigger",
-    "left_to_right_cost",
-    "optimize_chains",
-    "optimize_trigger_chains",
-    "generate_python_trigger",
-    "generate_spark_trigger",
-    "optimize_trigger",
-    "propagate_copies",
-]
+#: Public name -> defining submodule, imported on first access.
+_EXPORTS = {
+    "Assign": "trigger",
+    "UnboundDimensionError": "chain",
+    "Program": "program",
+    "ProgramError": "program",
+    "Statement": "program",
+    "Trigger": "trigger",
+    "Update": "trigger",
+    "chain_cost": "chain",
+    "chain_split": "chain",
+    "compile_program": "compile",
+    "compile_trigger_function": "codegen",
+    "eliminate_common_subexpressions": "optimizer",
+    "eliminate_dead_code": "optimizer",
+    "generate_octave_trigger": "codegen",
+    "left_to_right_cost": "chain",
+    "optimize_chains": "chain",
+    "optimize_trigger_chains": "chain",
+    "generate_python_trigger": "codegen",
+    "generate_spark_trigger": "codegen",
+    "optimize_trigger": "optimizer",
+    "propagate_copies": "optimizer",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

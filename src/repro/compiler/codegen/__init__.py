@@ -1,16 +1,17 @@
 """Code generators: Python/NumPy (generic + fused), Octave, and Spark."""
 
-from .fused import FusedUnsupported, compile_fused_trigger, generate_fused_trigger
-from .octave_gen import generate_octave_trigger
-from .python_gen import compile_trigger_function, generate_python_trigger
-from .spark_gen import generate_spark_trigger
+from ..._lazy import lazy_exports
 
-__all__ = [
-    "FusedUnsupported",
-    "compile_fused_trigger",
-    "compile_trigger_function",
-    "generate_fused_trigger",
-    "generate_octave_trigger",
-    "generate_python_trigger",
-    "generate_spark_trigger",
-]
+#: Public name -> defining submodule, imported on first access.
+_EXPORTS = {
+    "FusedUnsupported": "fused",
+    "compile_fused_trigger": "fused",
+    "compile_trigger_function": "python_gen",
+    "generate_fused_trigger": "fused",
+    "generate_octave_trigger": "octave_gen",
+    "generate_python_trigger": "python_gen",
+    "generate_spark_trigger": "spark_gen",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,33 +1,28 @@
 """Cost model: FLOP formulas, runtime counters, Table 2 complexity, memory."""
 
-from . import advisor, complexity, counters, estimate, flops, memory
-from .advisor import (
-    Recommendation,
-    best_general,
-    best_powers,
-    recommend_general,
-    recommend_powers,
-)
-from .counters import NULL_COUNTER, Counter, counting
-from .memory import MemoryComparison, gigabytes
-from .ops import Ops
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "Recommendation",
-    "MemoryComparison",
-    "NULL_COUNTER",
-    "Ops",
-    "advisor",
-    "best_general",
-    "best_powers",
-    "complexity",
-    "counters",
-    "counting",
-    "estimate",
-    "flops",
-    "gigabytes",
-    "memory",
-    "recommend_general",
-    "recommend_powers",
-]
+#: Public name -> defining submodule, imported on first access
+#: (``None``: the name is the submodule itself).
+_EXPORTS = {
+    "Counter": "counters",
+    "Recommendation": "advisor",
+    "MemoryComparison": "memory",
+    "NULL_COUNTER": "counters",
+    "Ops": "ops",
+    "advisor": None,
+    "best_general": "advisor",
+    "best_powers": "advisor",
+    "complexity": None,
+    "counters": None,
+    "counting": "counters",
+    "estimate": None,
+    "flops": None,
+    "gigabytes": "memory",
+    "memory": None,
+    "recommend_general": "advisor",
+    "recommend_powers": "advisor",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -108,8 +108,8 @@ def _backend_grid(backends, calibration="auto") -> list:
     exists for this machine (``calibration="auto"``), so rankings near
     the dense/sparse boundary reflect measured kernel overheads.
     """
-    from ..backends import available_backends
-    from ..calibrate import calibrated  # deferred: backends import this pkg
+    # Deferred: the backends import this package.
+    from ..backends import available_backends, calibrated
 
     if backends is None:
         names = [n for n in ("dense", "sparse") if n in available_backends()]

@@ -11,55 +11,34 @@ This package implements Section 4 of the paper:
 * :mod:`~repro.delta.inverse` — numeric Sherman–Morrison / Woodbury.
 """
 
-from .batch import (
-    BatchCollector,
-    compact_factors,
-    compact_updates,
-    stack_updates,
-)
-from .derivation import UnsupportedDeltaError, compute_delta
-from .factored import FactoredDelta
-from .inverse import (
-    SingularUpdateError,
-    sequential_sherman_morrison,
-    sherman_morrison_apply,
-    sherman_morrison_delta,
-    woodbury_apply,
-    woodbury_delta,
-)
-from .multi import compute_delta_sequential
-from .qr import QRView, qr_rank_one_update
-from .svd import SVDView, svd_rank_one_update
-from .rules import (
-    delta_add,
-    delta_inverse,
-    delta_product,
-    delta_scalar_mul,
-    delta_transpose,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BatchCollector",
-    "FactoredDelta",
-    "QRView",
-    "SVDView",
-    "SingularUpdateError",
-    "UnsupportedDeltaError",
-    "compact_factors",
-    "compact_updates",
-    "compute_delta",
-    "compute_delta_sequential",
-    "delta_add",
-    "delta_inverse",
-    "delta_product",
-    "delta_scalar_mul",
-    "delta_transpose",
-    "qr_rank_one_update",
-    "sequential_sherman_morrison",
-    "sherman_morrison_apply",
-    "sherman_morrison_delta",
-    "stack_updates",
-    "svd_rank_one_update",
-    "woodbury_apply",
-    "woodbury_delta",
-]
+#: Public name -> defining submodule, imported on first access.
+_EXPORTS = {
+    "BatchCollector": "batch",
+    "FactoredDelta": "factored",
+    "QRView": "qr",
+    "SVDView": "svd",
+    "SingularUpdateError": "inverse",
+    "UnsupportedDeltaError": "derivation",
+    "compact_factors": "batch",
+    "compact_updates": "batch",
+    "compute_delta": "derivation",
+    "compute_delta_sequential": "multi",
+    "delta_add": "rules",
+    "delta_inverse": "rules",
+    "delta_product": "rules",
+    "delta_scalar_mul": "rules",
+    "delta_transpose": "rules",
+    "qr_rank_one_update": "qr",
+    "sequential_sherman_morrison": "inverse",
+    "sherman_morrison_apply": "inverse",
+    "sherman_morrison_delta": "inverse",
+    "stack_updates": "batch",
+    "svd_rank_one_update": "svd",
+    "woodbury_apply": "inverse",
+    "woodbury_delta": "inverse",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

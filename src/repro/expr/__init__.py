@@ -5,93 +5,60 @@ from these expression trees.  See :mod:`repro.expr.ast` for the node
 types and MATLAB-style operator sugar.
 """
 
-from .ast import (
-    Add,
-    Expr,
-    HStack,
-    Identity,
-    Inverse,
-    MatMul,
-    MatrixSymbol,
-    ScalarMul,
-    Transpose,
-    VStack,
-    ZeroMatrix,
-    add,
-    hstack,
-    inverse,
-    matmul,
-    neg,
-    scalar_mul,
-    sub,
-    transpose,
-    vstack,
-)
-from .latex import to_latex, trigger_to_latex
-from .printer import to_string, to_tree
-from .shapes import DimSum, NamedDim, Shape, ShapeError, dim_add, dims_equal
-from .simplify import simplify
-from .structural import (
-    canonicalize,
-    structural_equal,
-    structural_fingerprint,
-    structural_key,
-)
-from .visitors import (
-    contains_inverse,
-    count_nodes,
-    depth,
-    matrix_symbols,
-    references,
-    substitute,
-    substitute_symbol,
-    transform,
-    walk,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Add",
-    "DimSum",
-    "Expr",
-    "HStack",
-    "Identity",
-    "Inverse",
-    "MatMul",
-    "MatrixSymbol",
-    "NamedDim",
-    "ScalarMul",
-    "Shape",
-    "ShapeError",
-    "Transpose",
-    "VStack",
-    "ZeroMatrix",
-    "add",
-    "canonicalize",
-    "contains_inverse",
-    "count_nodes",
-    "depth",
-    "dim_add",
-    "dims_equal",
-    "hstack",
-    "inverse",
-    "matmul",
-    "matrix_symbols",
-    "neg",
-    "references",
-    "scalar_mul",
-    "simplify",
-    "structural_equal",
-    "structural_fingerprint",
-    "structural_key",
-    "sub",
-    "substitute",
-    "substitute_symbol",
-    "to_latex",
-    "to_string",
-    "to_tree",
-    "trigger_to_latex",
-    "transform",
-    "transpose",
-    "vstack",
-    "walk",
-]
+#: Public name -> defining submodule, imported on first access.
+_EXPORTS = {
+    "Add": "ast",
+    "DimSum": "shapes",
+    "Expr": "ast",
+    "HStack": "ast",
+    "Identity": "ast",
+    "Inverse": "ast",
+    "MatMul": "ast",
+    "MatrixSymbol": "ast",
+    "NamedDim": "shapes",
+    "ScalarMul": "ast",
+    "Shape": "shapes",
+    "ShapeError": "shapes",
+    "Transpose": "ast",
+    "VStack": "ast",
+    "ZeroMatrix": "ast",
+    "add": "ast",
+    "canonicalize": "structural",
+    "contains_inverse": "visitors",
+    "count_nodes": "visitors",
+    "depth": "visitors",
+    "dim_add": "shapes",
+    "dims_equal": "shapes",
+    "hstack": "ast",
+    "inverse": "ast",
+    "matmul": "ast",
+    "matrix_symbols": "visitors",
+    "neg": "ast",
+    "references": "visitors",
+    "scalar_mul": "ast",
+    "simplify": "simplify",
+    "structural_equal": "structural",
+    "structural_fingerprint": "structural",
+    "structural_key": "structural",
+    "sub": "ast",
+    "substitute": "visitors",
+    "substitute_symbol": "visitors",
+    "to_latex": "latex",
+    "to_string": "printer",
+    "to_tree": "printer",
+    "trigger_to_latex": "latex",
+    "transform": "visitors",
+    "transpose": "ast",
+    "vstack": "ast",
+    "walk": "visitors",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+# The one export named like its submodule: a lazy ``simplify`` would be
+# replaced by the module as soon as anything imports ``.simplify``
+# (see :mod:`repro._lazy`), so it is bound eagerly.
+from .simplify import simplify  # noqa: E402

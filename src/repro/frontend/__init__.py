@@ -1,15 +1,17 @@
 """APL-style frontend (Section 6): matrix-language text -> Program."""
 
-from .errors import LexError, ParseError, SyntaxErrorWithPosition
-from .lexer import Token, tokenize
-from .parser import Parser, parse_program
+from .._lazy import lazy_exports
 
-__all__ = [
-    "LexError",
-    "ParseError",
-    "Parser",
-    "SyntaxErrorWithPosition",
-    "Token",
-    "parse_program",
-    "tokenize",
-]
+#: Public name -> defining submodule, imported on first access.
+_EXPORTS = {
+    "LexError": "errors",
+    "ParseError": "errors",
+    "Parser": "parser",
+    "SyntaxErrorWithPosition": "errors",
+    "Token": "lexer",
+    "parse_program": "parser",
+    "tokenize": "lexer",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

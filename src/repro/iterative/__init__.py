@@ -1,36 +1,27 @@
 """Iterative models (Section 3.2) and evaluation strategies (Section 5)."""
 
-from .general import HybridGeneral, IncrementalGeneral, ReevalGeneral
-from .models import Model, is_power_of_two
-from .powers import IncrementalPowers, ReevalPowers
-from .strategies import (
-    HYBRID,
-    INCR,
-    REEVAL,
-    STRATEGIES,
-    make_general,
-    make_powers,
-    make_sums,
-    parse_model,
-)
-from .sums import IncrementalPowerSums, ReevalPowerSums
+from .._lazy import lazy_exports
 
-__all__ = [
-    "HYBRID",
-    "HybridGeneral",
-    "INCR",
-    "IncrementalGeneral",
-    "IncrementalPowerSums",
-    "IncrementalPowers",
-    "Model",
-    "REEVAL",
-    "ReevalGeneral",
-    "ReevalPowerSums",
-    "ReevalPowers",
-    "STRATEGIES",
-    "is_power_of_two",
-    "make_general",
-    "make_powers",
-    "make_sums",
-    "parse_model",
-]
+#: Public name -> defining submodule, imported on first access.
+_EXPORTS = {
+    "HYBRID": "strategies",
+    "HybridGeneral": "general",
+    "INCR": "strategies",
+    "IncrementalGeneral": "general",
+    "IncrementalPowerSums": "sums",
+    "IncrementalPowers": "powers",
+    "Model": "models",
+    "REEVAL": "strategies",
+    "ReevalGeneral": "general",
+    "ReevalPowerSums": "sums",
+    "ReevalPowers": "powers",
+    "STRATEGIES": "strategies",
+    "is_power_of_two": "models",
+    "make_general": "strategies",
+    "make_powers": "strategies",
+    "make_sums": "strategies",
+    "parse_model": "strategies",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

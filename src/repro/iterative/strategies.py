@@ -21,10 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..cost import counters
-from .general import HybridGeneral, IncrementalGeneral, ReevalGeneral
 from .models import Model
-from .powers import IncrementalPowers, ReevalPowers
-from .sums import IncrementalPowerSums, ReevalPowerSums
 
 REEVAL = "REEVAL"
 INCR = "INCR"
@@ -72,6 +69,8 @@ def make_powers(
     backend=None,
 ):
     """Powers maintainer for a strategy name or plan (``REEVAL``/``INCR``)."""
+    from .powers import IncrementalPowers, ReevalPowers
+
     strategy, model, backend = _resolve(strategy, model, backend)
     if strategy == REEVAL:
         return ReevalPowers(a, k, model, counter, backend=backend)
@@ -89,6 +88,8 @@ def make_sums(
     backend=None,
 ):
     """Sums-of-powers maintainer for a strategy name or plan."""
+    from .sums import IncrementalPowerSums, ReevalPowerSums
+
     strategy, model, backend = _resolve(strategy, model, backend)
     if strategy == REEVAL:
         return ReevalPowerSums(a, k, model, counter, backend=backend)
@@ -108,6 +109,8 @@ def make_general(
     backend=None,
 ):
     """General-form maintainer for a strategy name or plan (all three)."""
+    from .general import HybridGeneral, IncrementalGeneral, ReevalGeneral
+
     strategy, model, backend = _resolve(strategy, model, backend)
     if strategy == REEVAL:
         return ReevalGeneral(a, b, t0, k, model, counter, backend=backend)

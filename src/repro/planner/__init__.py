@@ -13,41 +13,27 @@ factories (:mod:`repro.iterative.strategies`), and the analytics
 drivers — so one planning decision configures the whole stack.
 """
 
-from .plan import (
-    HYBRID,
-    INCR,
-    REEVAL,
-    MaintenancePlan,
-    StreamSketch,
-    WorkloadStats,
-    resolve_distinct_fraction,
-    resolve_driver_strategy,
-)
-from .planner import (
-    CODEGEN_MIN_REFRESHES,
-    plan_general,
-    plan_ols,
-    plan_powers,
-    plan_program,
-    rank_program,
-)
-from .programcost import infer_dims, program_cost
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CODEGEN_MIN_REFRESHES",
-    "HYBRID",
-    "INCR",
-    "MaintenancePlan",
-    "REEVAL",
-    "StreamSketch",
-    "WorkloadStats",
-    "infer_dims",
-    "resolve_distinct_fraction",
-    "plan_general",
-    "plan_ols",
-    "plan_powers",
-    "plan_program",
-    "program_cost",
-    "rank_program",
-    "resolve_driver_strategy",
-]
+#: Public name -> defining submodule, imported on first access.
+_EXPORTS = {
+    "CODEGEN_MIN_REFRESHES": "planner",
+    "HYBRID": "plan",
+    "INCR": "plan",
+    "MaintenancePlan": "plan",
+    "REEVAL": "plan",
+    "StreamSketch": "plan",
+    "WorkloadStats": "plan",
+    "infer_dims": "programcost",
+    "resolve_distinct_fraction": "plan",
+    "plan_general": "planner",
+    "plan_ols": "planner",
+    "plan_powers": "planner",
+    "plan_program": "planner",
+    "program_cost": "programcost",
+    "rank_program": "planner",
+    "resolve_driver_strategy": "plan",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from ..backends import available_backends
-from ..calibrate import calibrated
+from ..backends import available_backends, calibrated
 from ..compiler.program import Program
 from ..cost.advisor import recommend_general, recommend_powers
 from ..cost.estimate import (

@@ -29,6 +29,8 @@ from typing import Callable, Protocol
 
 import numpy as np
 
+from ..backends import calibrated
+
 
 class MaintainerWithDrift(Protocol):
     """What the monitor needs: refresh plus a drift probe."""
@@ -374,8 +376,6 @@ class ReplanMonitor(SessionDriftMonitor):
         the flush-before-switch contract's data movement, priced so the
         IPC-tax fallback only fires when the stream will repay it.
         """
-        from ..calibrate import calibrated
-
         old = calibrated(self.session.backend, self.calibration)
         new = calibrated(to_backend, self.calibration)
         views = self.session.views

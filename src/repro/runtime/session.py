@@ -69,7 +69,6 @@ from ..backends import get_backend
 from ..compiler.codegen.fused import FusedUnsupported, compile_fused_trigger
 from ..compiler.codegen.python_gen import compile_trigger_function, outer_operands
 from ..compiler.compile import compile_program
-from ..compiler.optimizer import optimize_trigger
 from ..compiler.program import Program
 from ..compiler.trigger import Trigger
 from ..cost import counters
@@ -597,6 +596,8 @@ class IVMSession(Session):
 
         self.triggers: dict[str, Trigger] = compile_program(program, rank=rank)
         if optimize:
+            from ..compiler.optimizer import optimize_trigger
+
             self.triggers = {
                 name: optimize_trigger(trigger)
                 for name, trigger in self.triggers.items()
@@ -1029,7 +1030,12 @@ def open_session(
         :class:`~repro.planner.plan.MaintenancePlan` is used verbatim.
     backend, mode:
         Explicit overrides that win over whatever the planner chose
-        (``None`` defers to the plan).
+        (``None`` defers to the plan).  A
+        :class:`~repro.backends.base.Backend` instance is the object
+        the opened session runs on, thresholds included; the plan keeps
+        only its name, so a :meth:`Session.with_plan` switch
+        (``replan=``) and a checkpoint restore resolve a default
+        instance by that name.
     rank:
         Expected width of incoming factored updates (planning statistic
         and trigger compilation width).
@@ -1179,11 +1185,10 @@ def open_session(
             serve_options = {} if serve is True else dict(serve)
             return tenant.serve(**serve_options)
         return tenant
-    from ..distributed.shm import SharedMemoryBudgetError
+    # Optional subsystems are imported on the branch that decides to use
+    # them, so a session's import closure follows its configuration; all
+    # of it is loaded by the time this function returns.
     from ..planner import MaintenancePlan, WorkloadStats, plan_program
-    from .checkpoint import CheckpointError, Checkpointer, restore_session
-    from .drift import ReplanMonitor, SessionDriftMonitor
-    from .serving import ViewServer
 
     spec = DeferralSpec(batch=batch, partition=partition,
                         max_staleness=max_staleness, heavy_budget=heavy_budget)
@@ -1191,6 +1196,8 @@ def open_session(
     ckpt_options: dict = {}
     ckpt_restore = False
     if checkpoint is not None:
+        from .checkpoint import CheckpointError, Checkpointer, restore_session
+
         if isinstance(checkpoint, (Checkpointer, str, Path)):
             ckpt_target = checkpoint
         elif isinstance(checkpoint, Mapping):
@@ -1255,8 +1262,14 @@ def open_session(
                 f"plan must be 'auto', 'incr', 'reeval' or a MaintenancePlan, "
                 f"got {plan!r}"
             )
-        resolved = resolved.with_overrides(
-            backend=backend and get_backend(backend).name, mode=mode)
+        # The caller's backend is the object the session runs on (an
+        # instance keeps its thresholds); the plan records its name.
+        if backend is not None:
+            backend = get_backend(backend)
+            resolved = resolved.with_overrides(backend=backend.name)
+        else:
+            backend = resolved.backend
+        resolved = resolved.with_overrides(mode=mode)
         if resolved.strategy not in ("INCR", "REEVAL"):
             raise ValueError(
                 f"sessions support INCR or REEVAL, not {resolved.strategy!r} "
@@ -1264,12 +1277,14 @@ def open_session(
             )
 
         if resolved.nodes > 1:
+            from ..distributed.shm import SharedMemoryBudgetError
+
             # Sharded execution runs the interpret-style tile kernels.
             resolved = resolved.with_overrides(mode="interpret")
             try:
                 session = ShardedChainSession(
                     program, inputs, dims, counter=counter,
-                    backend=resolved.backend, nodes=resolved.nodes,
+                    backend=backend, nodes=resolved.nodes,
                     shard=shard, supervise=supervise,
                 )
             except SharedMemoryBudgetError as exc:
@@ -1286,19 +1301,19 @@ def open_session(
                 session = IVMSession(
                     program, inputs, dims, rank=rank, optimize=optimize,
                     mode=resolved.mode, counter=counter,
-                    backend=resolved.backend,
+                    backend=backend,
                 )
         elif resolved.strategy == "REEVAL":
             # Re-evaluation has no trigger code, so no execution mode.
             resolved = resolved.with_overrides(mode="interpret")
             session = ReevalSession(
                 program, inputs, dims, counter=counter,
-                backend=resolved.backend,
+                backend=backend,
             )
         else:
             session = IVMSession(
                 program, inputs, dims, rank=rank, optimize=optimize,
-                mode=resolved.mode, counter=counter, backend=resolved.backend,
+                mode=resolved.mode, counter=counter, backend=backend,
             )
         session.plan = resolved
 
@@ -1313,6 +1328,8 @@ def open_session(
 
     result = session
     if replan:
+        from .drift import ReplanMonitor
+
         options = {} if replan is True else dict(replan)
         if drift:
             # Fold a drift= request underneath: its cadence becomes the
@@ -1326,12 +1343,16 @@ def open_session(
         result = ReplanMonitor(session, **options)
         result.plan = resolved
     elif drift:
+        from .drift import SessionDriftMonitor
+
         options = {} if drift is True else dict(drift)
         result = SessionDriftMonitor(session, **options)
         result.plan = resolved
     if serve:
         # The server's writer thread becomes the session's (and any
         # monitor's) sole owner: replans and drift probes run there.
+        from .serving import ViewServer
+
         serve_options = {} if serve is True else dict(serve)
         server = ViewServer(result, **serve_options)
         server.plan = resolved

@@ -1,23 +1,18 @@
 """Test harnesses shipped with the library (fault injection, chaos)."""
 
-from .faults import (
-    FaultInjector,
-    InjectedFaultError,
-    active_injector,
-    fire,
-    inject_faults,
-    kill_worker_at,
-    shm_budget_exhausted,
-    truncate_bytes,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "FaultInjector",
-    "InjectedFaultError",
-    "active_injector",
-    "fire",
-    "inject_faults",
-    "kill_worker_at",
-    "shm_budget_exhausted",
-    "truncate_bytes",
-]
+#: Public name -> defining submodule, imported on first access.
+_EXPORTS = {
+    "FaultInjector": "faults",
+    "InjectedFaultError": "faults",
+    "active_injector": "faults",
+    "fire": "faults",
+    "inject_faults": "faults",
+    "kill_worker_at": "faults",
+    "shm_budget_exhausted": "faults",
+    "truncate_bytes": "faults",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

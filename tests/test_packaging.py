@@ -1,0 +1,34 @@
+"""Package metadata: the version is written once."""
+
+from __future__ import annotations
+
+import importlib.metadata
+import re
+from pathlib import Path
+
+import pytest
+
+import repro
+
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+
+
+def test_version_is_single_sourced():
+    # ``repro.__version__`` said 1.3.0 while pyproject.toml said 1.5.0:
+    # the metadata now reads the attribute, so there is nothing to drift.
+    text = PYPROJECT.read_text()
+    project = text[text.index("[project]"):text.index("\n[", text.index("[project]"))]
+    assert 'dynamic = ["version"]' in project
+    assert not re.search(r"^version\s*=", project, flags=re.MULTILINE)
+    dynamic = text[text.index("[tool.setuptools.dynamic]"):]
+    assert re.search(r'^version = \{ attr = "repro\.__version__" \}', dynamic,
+                     flags=re.MULTILINE)
+    assert re.fullmatch(r"\d+\.\d+\.\d+", repro.__version__)
+
+
+def test_installed_metadata_agrees_with_the_attribute():
+    try:
+        installed = importlib.metadata.version("linview-repro")
+    except importlib.metadata.PackageNotFoundError:
+        pytest.skip("not installed (PYTHONPATH=src): nothing to compare")
+    assert installed == repro.__version__

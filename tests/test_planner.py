@@ -176,6 +176,40 @@ class TestOpenSession:
         assert forced.plan.mode == "codegen"
         assert forced.plan.backend == "sparse"
 
+    def test_backend_instance_is_the_one_the_session_runs_on(self, rng):
+        # A name is resolved through the registry; an instance used to
+        # be too — silently replaced by a default one of the same name.
+        from repro.backends import DenseBackend
+
+        class AuditedDense(DenseBackend):
+            pass
+
+        program = parse_program(A4_SOURCE)
+        inputs = self.make_inputs(rng)
+        mine = AuditedDense()
+        for options in ({"plan": "incr"}, {"plan": "reeval"},
+                        {"plan": "auto", "replan": True}):
+            session = open_session(program, inputs, backend=mine, **options)
+            assert session.backend is mine
+            assert session.views.backend is mine
+            assert session.plan.backend == "dense"
+
+    def test_backend_instance_keeps_its_thresholds(self, rng):
+        pytest.importorskip("scipy")
+        from repro.backends import SparseBackend
+
+        mine = SparseBackend(sparsify_below=0.123)
+        session = open_session(parse_program(A4_SOURCE),
+                               self.make_inputs(rng), plan="incr",
+                               backend=mine)
+        assert session.backend is mine
+        assert session.backend.sparsify_below == 0.123
+        assert session.plan.backend == "sparse"
+        # A plan switch resolves by the plan's name (documented).
+        switched = session.with_plan(session.plan)
+        assert switched.backend is not mine
+        assert switched.backend.name == "sparse"
+
     def test_bad_plan_rejected(self, rng):
         with pytest.raises(ValueError, match="plan must be"):
             open_session(parse_program(A4_SOURCE), self.make_inputs(rng),

@@ -1,21 +1,23 @@
 #!/usr/bin/env python
 """Fail when a module's import closure grows past what it runs.
 
-A shard worker is a fresh interpreter whose boot time is the sharded
-session's set-up time, and every single-process ``open_session`` pays
-the closure of :mod:`repro.runtime.session`.  Both stay small only
-while the ``repro.runtime`` / ``repro.distributed`` package
-``__init__``\\ s import nothing eagerly (docs/invariants.md, "worker
-closure"), and one stray module-level import silently undoes that — so
-this script imports each gated module in a fresh interpreter and checks
-what ``sys.modules`` then holds.
+Set-up time is mostly import time (source compiles at ~7 ms per 1000
+lines): a shard worker is a fresh interpreter whose boot is the sharded
+session's set-up, every ``open_session`` pays the closure of
+:mod:`repro.runtime.session` plus what its configuration adds, and
+every CLI call pays :mod:`repro.cli`.  They stay small only while
+package ``__init__``\\ s are lazy tables and optional subsystems are
+imported where the decision to use them is taken (docs/invariants.md,
+"Import closures"), and one stray module-level import silently undoes
+that — so this script runs each gated probe in a fresh interpreter and
+checks what ``sys.modules`` then holds.
 
 Usage::
 
     python tools/check_import_closure.py
 
-Prints each gated module's sorted closure (``repro*`` and ``scipy*``
-modules) and exits 1 on a forbidden prefix or a count over budget.
+Prints each probe's sorted closure (``repro*`` and ``scipy*`` modules)
+and exits 1 on a forbidden prefix or a count over budget.
 """
 
 from __future__ import annotations
@@ -27,7 +29,17 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 
-#: module -> (forbidden module prefixes, most ``repro*`` modules allowed).
+#: What a dense single-process session must not load, opened or not.
+_NOT_FOR_A_DENSE_SESSION = (
+    "repro.analytics", "repro.runtime.serving", "repro.runtime.drift",
+    "repro.distributed", "repro.calibrate",
+)
+
+#: The reference chain, opened as ``bench_e2e``'s dense workloads do.
+OPENED_SESSION = "opened session"
+
+#: probe -> (forbidden module prefixes, most ``repro*`` modules allowed:
+#: measured + 2).  A probe is a module to import, or a key of PROBES.
 GATED = {
     "repro.distributed.workers": (
         ("scipy", "repro.runtime.session", "repro.planner",
@@ -35,30 +47,61 @@ GATED = {
         12,
     ),
     "repro.runtime.session": (
-        ("repro.distributed.engine", "repro.distributed.blockmatrix",
-         "repro.distributed.sharded"),
-        None,
+        _NOT_FOR_A_DENSE_SESSION + ("repro.backends.sparse",
+                                    "repro.iterative"),
+        37,
+    ),
+    "repro.catalog": (
+        ("repro.analytics", "repro.distributed", "repro.calibrate",
+         "repro.backends.sparse", "repro.runtime.drift"),
+        43,
+    ),
+    "repro.cli": (("scipy", "repro.compiler", "repro.backends"), 7),
+    OPENED_SESSION: (
+        _NOT_FOR_A_DENSE_SESSION + (
+            "repro.runtime.checkpoint", "repro.compiler.optimizer",
+            "repro.compiler.codegen.octave_gen",
+            "repro.compiler.codegen.spark_gen", "repro.expr.latex"),
+        51,
+    ),
+}
+
+#: Probes that are more than ``import <module>``.
+PROBES = {
+    OPENED_SESSION: (
+        "from repro.frontend import parse_program\n"
+        "from repro.runtime.session import open_session\n"
+        "open_session(parse_program('input A(n, n); B := A * A; "
+        "C := B * B; output C;'), {'A': numpy.eye(8)}, dims={'n': 8},\n"
+        "             plan='incr', mode='codegen', batch='off')"
     ),
 }
 
 _PROBE = (
-    "import sys, numpy, {module}\n"
+    "import sys, numpy\n"
+    "{body}\n"
     "print('\\n'.join(sorted(m for m in sys.modules\n"
     "                        if m.split('.')[0] in ('repro', 'scipy'))))"
 )
 
 
-def closure(module: str) -> list[str]:
-    """``repro*`` / ``scipy*`` modules loaded by ``import numpy, module``
-    in a fresh interpreter, sorted."""
-    env = dict(os.environ)
+def fresh_python(*args: str) -> str:
+    """Stdout of a fresh interpreter run with ``args``: this tree's
+    ``src`` importable, and no calibration cache (a developer's must
+    not count)."""
+    env = dict(os.environ, REPRO_CALIBRATION="off")
     env["PYTHONPATH"] = os.pathsep.join(
         [str(REPO / "src")] + env.get("PYTHONPATH", "").split(os.pathsep))
-    out = subprocess.run(
-        [sys.executable, "-c", _PROBE.format(module=module)],
-        env=env, check=True, capture_output=True, text=True,
-    ).stdout
-    return out.split()
+    return subprocess.run([sys.executable, *args], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def closure(probe: str) -> list[str]:
+    """``repro*`` / ``scipy*`` modules a fresh interpreter holds after
+    ``import numpy`` and ``probe`` (a module name or a PROBES key),
+    sorted."""
+    return fresh_python("-c", _PROBE.format(
+        body=PROBES.get(probe, f"import {probe}"))).split()
 
 
 def violations(module: str, loaded: list[str]) -> list[str]:
@@ -70,7 +113,7 @@ def violations(module: str, loaded: list[str]) -> list[str]:
         if name == prefix or name.startswith(prefix + ".")
     ]
     own = [name for name in loaded if name.split(".")[0] == "repro"]
-    if budget is not None and len(own) > budget:
+    if len(own) > budget:
         problems.append(
             f"{module}: imports {len(own)} repro modules, budget {budget}")
     return problems
