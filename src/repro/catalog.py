@@ -60,7 +60,7 @@ from .cost.estimate import (
 from .expr import Expr, MatrixSymbol, matrix_symbols, structural_key, substitute_symbol
 from .runtime.executor import evaluate
 from .runtime.serving import SessionEngine, ViewServer
-from .runtime.session import IVMSession, ReevalSession
+from .runtime.session import build_session
 from .runtime.updates import FactoredUpdate
 from .runtime.views import ViewStore
 
@@ -147,8 +147,10 @@ class ViewCatalog:
         Maintenance configuration of the single inner session every
         admitted node is maintained by (``INCR``/``REEVAL``,
         ``interpret``/``codegen``, execution backend, expected update
-        width, Section 6 trigger optimizer) — fixed at construction so
-        every tenant shares one trajectory.
+        width, Section 6 trigger optimizer) — fixed at construction, as
+        one :class:`~repro.planner.plan.MaintenancePlan` (``.plan``)
+        every rebuild of the inner session goes back to, so every
+        tenant shares one trajectory.
     counter:
         FLOP counter charged with all shared maintenance and on-demand
         re-evaluation work.
@@ -165,6 +167,8 @@ class ViewCatalog:
         optimize: bool = False,
         counter: counters.Counter = counters.NULL_COUNTER,
     ):
+        from .planner.plan import MaintenancePlan
+
         if strategy not in ("INCR", "REEVAL"):
             raise ValueError(f"catalog strategy must be INCR or REEVAL, "
                              f"got {strategy!r}")
@@ -174,8 +178,8 @@ class ViewCatalog:
         self.strategy = strategy
         self.mode = mode
         self.backend = get_backend(backend)
-        self.rank = rank
-        self.optimize = optimize
+        self.plan = MaintenancePlan(strategy, backend=self.backend.name,
+                                    mode=mode, rank=rank, optimize=optimize)
         self.counter = counter
         self.stats = CatalogStats()
         self.nodes: dict[str, CatalogNode] = {}
@@ -412,7 +416,7 @@ class ViewCatalog:
         since = max(self.stats.updates - node.evicted_at, 0)
         per_read = since / node.demand_reads if node.demand_reads else float(since)
         threshold = CATALOG_READMIT_HYSTERESIS * catalog_admission_cost(
-            rows, cols, rows, updates_per_read=per_read, rank=self.rank)
+            rows, cols, rows, updates_per_read=per_read, rank=self.plan.rank)
         if node.demand_flops < threshold:
             return
         self._admit(node)
@@ -500,13 +504,9 @@ class ViewCatalog:
             return
         program = Program(tuple(self._input_syms.values()), tuple(statements),
                           outputs=tuple(admitted))
-        if self.strategy == "REEVAL":
-            self._session = ReevalSession(
-                program, store, counter=self.counter, backend=self.backend)
-        else:
-            self._session = IVMSession(
-                program, store, rank=self.rank, optimize=self.optimize,
-                mode=self.mode, counter=self.counter, backend=self.backend)
+        self._session = build_session(
+            program, store, self.plan, counter=self.counter,
+            backend=self.backend)
 
     # -- introspection ---------------------------------------------------
     def lineage(self) -> list[dict]:
@@ -579,7 +579,7 @@ class CatalogSession:
         self.mapping = dict(mapping)
         self.update_count = 0
         self.views = CatalogViews(self)
-        self.plan = None
+        self.plan = catalog.plan
 
     def __getitem__(self, name: str) -> np.ndarray:
         """Current dense value of a tenant view or input (do not mutate)."""
@@ -627,9 +627,7 @@ class CatalogSession:
         *between* captures, never inside one, so every published
         snapshot is an internally consistent flushed state.
         """
-        server = ViewServer(CatalogEngine(self), **options)
-        server.plan = self.plan
-        return server
+        return ViewServer(CatalogEngine(self), **options)
 
 
 class CatalogEngine(SessionEngine):

@@ -98,6 +98,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # What ``run``, ``catalog`` and ``serve`` share: generated inputs
+    # and the random row-update stream driven through them.
+    stream = argparse.ArgumentParser(add_help=False)
+    stream.add_argument("--dims", action="append", default=[],
+                        metavar="NAME=SIZE",
+                        help="bind a symbolic dimension (repeatable, "
+                             "required for every dimension the inputs use)")
+    stream.add_argument("--density", type=float, default=1.0,
+                        help="nnz density of the generated inputs "
+                             "(default 1.0)")
+    stream.add_argument("--rank", type=int, default=1,
+                        help="width of each factored update (default 1)")
+    stream.add_argument("--scale", type=float, default=0.01,
+                        help="magnitude of the update deltas (default 0.01)")
+    stream.add_argument("--seed", type=int, default=20140622,
+                        help="random seed for inputs and updates")
+    stream.add_argument("--json", action="store_true",
+                        help="emit the report as JSON")
+
+    # ... and what ``run`` and ``serve`` ask ``open_session`` for.
+    planned = argparse.ArgumentParser(add_help=False)
+    planned.add_argument("--plan", choices=("auto", "incr", "reeval"),
+                         default="auto",
+                         help="maintenance strategy: auto (cost-driven "
+                              "planner), incr, or reeval")
+    planned.add_argument("--backend", choices=("auto", "dense", "sparse"),
+                         default="auto",
+                         help="execution backend (auto = planner's choice)")
+    planned.add_argument("--mode", choices=("auto", "interpret", "codegen"),
+                         default="auto",
+                         help="trigger execution mode (auto = planner's "
+                              "choice)")
+    planned.add_argument("--batch", default="auto", metavar="{auto,off,N}",
+                         help="update batching: 'auto' honors the plan's "
+                              "recommended width (QR+SVD-compacted batch "
+                              "refreshes), 'off' applies per update, an "
+                              "integer forces that width (default: auto)")
+
     show = sub.add_parser("show", help="parse a program and print it")
     show.add_argument("file", help="program source file")
 
@@ -171,30 +209,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="emit the fitted constants as JSON")
 
     run = sub.add_parser(
-        "run",
+        "run", parents=[stream, planned],
         help="execute a program against a generated update stream",
     )
     run.add_argument("file", help="program source file")
-    run.add_argument("--dims", action="append", default=[],
-                     metavar="NAME=SIZE",
-                     help="bind a symbolic dimension (repeatable, required "
-                          "for every dimension the inputs use)")
-    run.add_argument("--density", type=float, default=1.0,
-                     help="nnz density of the generated inputs (default 1.0)")
     run.add_argument("--updates", type=int, default=50,
                      help="number of rank-r row updates to stream (default 50)")
-    run.add_argument("--rank", type=int, default=1,
-                     help="width of each factored update (default 1)")
-    run.add_argument("--plan", choices=("auto", "incr", "reeval"),
-                     default="auto",
-                     help="maintenance strategy: auto (cost-driven planner), "
-                          "incr, or reeval")
-    run.add_argument("--backend", choices=("auto", "dense", "sparse"),
-                     default="auto",
-                     help="execution backend (auto = planner's choice)")
-    run.add_argument("--mode", choices=("auto", "interpret", "codegen"),
-                     default="auto",
-                     help="trigger execution mode (auto = planner's choice)")
     run.add_argument("--replan", type=int, default=0, metavar="N",
                      help="re-price the plan grid every N updates and "
                           "switch strategy/backend mid-stream when it "
@@ -214,11 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="Zipf skew of the generated update stream's "
                           "target rows (0 = uniform; ~1.2+ makes "
                           "heavy-light pay)")
-    run.add_argument("--batch", default="auto", metavar="{auto,off,N}",
-                     help="update batching: 'auto' honors the plan's "
-                          "recommended width (QR+SVD-compacted batch "
-                          "refreshes), 'off' applies per update, an "
-                          "integer forces that width (default: auto)")
     run.add_argument("--nodes", type=int, default=1, metavar="N",
                      help="worker-process budget: N > 1 lets the planner "
                           "price sharded execution over N shared-memory "
@@ -253,15 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "independent sessions")
     run.add_argument("--input", dest="target",
                      help="input the update stream hits (default: first)")
-    run.add_argument("--seed", type=int, default=20140622,
-                     help="random seed for inputs and updates")
-    run.add_argument("--scale", type=float, default=0.01,
-                     help="magnitude of the update deltas (default 0.01)")
-    run.add_argument("--json", action="store_true",
-                     help="emit plan/counters/timings as JSON")
 
     cat = sub.add_parser(
-        "catalog",
+        "catalog", parents=[stream],
         help="maintain several tenant programs on one shared view "
              "catalog and report sharing stats and the lineage DAG",
     )
@@ -271,16 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     cat.add_argument("--tenants", type=int, default=1, metavar="N",
                      help="register the file list N times (N tenants "
                           "per file; default 1)")
-    cat.add_argument("--dims", action="append", default=[],
-                     metavar="NAME=SIZE",
-                     help="bind a symbolic dimension (repeatable)")
-    cat.add_argument("--density", type=float, default=1.0,
-                     help="nnz density of the generated inputs (default 1.0)")
     cat.add_argument("--updates", type=int, default=50,
                      help="number of rank-r row updates to stream "
                           "through the shared base table (default 50)")
-    cat.add_argument("--rank", type=int, default=1,
-                     help="width of each factored update (default 1)")
     cat.add_argument("--plan", choices=("incr", "reeval"), default="incr",
                      help="maintenance strategy of the shared inner "
                           "session (default incr)")
@@ -300,24 +302,13 @@ def build_parser() -> argparse.ArgumentParser:
     cat.add_argument("--input", dest="target",
                      help="input the update stream hits (default: first "
                           "input of the first program)")
-    cat.add_argument("--scale", type=float, default=0.01,
-                     help="magnitude of the update deltas (default 0.01)")
-    cat.add_argument("--seed", type=int, default=20140622,
-                     help="random seed for inputs and updates")
-    cat.add_argument("--json", action="store_true",
-                     help="emit stats/lineage/counters as JSON")
 
     serve = sub.add_parser(
-        "serve",
+        "serve", parents=[stream, planned],
         help="serve a program's views concurrently and measure read "
              "latency under write pressure",
     )
     serve.add_argument("file", help="program source file")
-    serve.add_argument("--dims", action="append", default=[],
-                       metavar="NAME=SIZE",
-                       help="bind a symbolic dimension (repeatable)")
-    serve.add_argument("--density", type=float, default=1.0,
-                       help="nnz density of the generated inputs (default 1.0)")
     serve.add_argument("--duration", type=float, default=2.0,
                        help="load window in seconds (default 2.0)")
     serve.add_argument("--readers", type=int, default=4,
@@ -337,25 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--baseline", action="store_true",
                        help="measure the flush-on-read mutex baseline "
                             "instead of snapshot serving")
-    serve.add_argument("--plan", choices=("auto", "incr", "reeval"),
-                       default="auto",
-                       help="maintenance strategy (default: planner)")
-    serve.add_argument("--backend", choices=("auto", "dense", "sparse"),
-                       default="auto",
-                       help="execution backend (default: planner's choice)")
-    serve.add_argument("--mode", choices=("auto", "interpret", "codegen"),
-                       default="auto",
-                       help="trigger execution mode (default: planner's choice)")
-    serve.add_argument("--batch", default="auto", metavar="{auto,off,N}",
-                       help="update batching under the writer (default: auto)")
-    serve.add_argument("--rank", type=int, default=1,
-                       help="width of each factored update (default 1)")
-    serve.add_argument("--scale", type=float, default=0.01,
-                       help="magnitude of the update deltas (default 0.01)")
-    serve.add_argument("--seed", type=int, default=20140622,
-                       help="random seed for inputs and updates")
-    serve.add_argument("--json", action="store_true",
-                       help="emit plan/latency/staleness results as JSON")
     return parser
 
 
@@ -515,40 +487,45 @@ def _generate_inputs(program, dims, density, rng):
             for sym in program.inputs}
 
 
-def _update_stream(rng, n_rows, n_cols, count, rank, scale):
-    """A pre-generated stream of rank-``rank`` row-update factor pairs."""
+def _update_stream(rng, target, shape, count, rank, scale, theta=0.0):
+    """``count`` pre-generated rank-``rank`` row updates of ``target``.
+
+    Rows are uniform without replacement per update, or — ``theta > 0``
+    — Zipf-skewed: one ``sample_rows`` draw covers the whole stream, so
+    a single random rank -> row assignment keeps the hot rows hot
+    across updates (the skew heavy-light maintenance exploits).
+    """
     import numpy as np
 
+    from .runtime.updates import FactoredUpdate
+
+    n_rows, n_cols = shape
+    zipf_rows = None
+    if theta > 0.0:
+        from .workloads.zipf import sample_rows
+
+        zipf_rows = sample_rows(rng, n_rows, count * rank,
+                                theta).reshape(count, rank)
     updates = []
-    for _ in range(count):
+    for index in range(count):
         u = np.zeros((n_rows, rank))
-        rows = rng.choice(n_rows, size=rank, replace=False)
+        if zipf_rows is not None:
+            rows = zipf_rows[index]
+        else:
+            rows = rng.choice(n_rows, size=rank, replace=False)
         u[rows, np.arange(rank)] = 1.0
         v = scale * rng.standard_normal((n_cols, rank))
-        updates.append((u, v))
+        updates.append(FactoredUpdate(target, u, v))
     return updates
 
 
-def _run_run_tenants(args, program) -> int:
+def _run_run_tenants(args, program, dims, rng, inputs, target) -> int:
     """The ``repro run --tenants N [--share]`` multi-tenant branch."""
-    import numpy as np
-
     from .catalog import ViewCatalog
     from .cost.counters import Counter
-    from .runtime.session import IVMSession, ReevalSession
-    from .runtime.updates import FactoredUpdate
+    from .planner.plan import MaintenancePlan
+    from .runtime.session import build_session
 
-    try:
-        dims = _parse_dims(args.dims)
-        rng = np.random.default_rng(args.seed)
-        inputs = _generate_inputs(program, dims, args.density, rng)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    target = args.target or program.input_names[0]
-    if target not in program.input_names:
-        print(f"error: no input named {target!r}", file=sys.stderr)
-        return 2
     if args.updates < 1 or args.tenants < 1:
         print("error: need --updates >= 1 and --tenants >= 1",
               file=sys.stderr)
@@ -556,10 +533,9 @@ def _run_run_tenants(args, program) -> int:
 
     strategy = "REEVAL" if args.plan == "reeval" else "INCR"
     mode = "interpret" if args.mode == "auto" else args.mode
-    backend = None if args.backend == "auto" else args.backend
-    n_rows, n_cols = inputs[target].shape
-    updates = _update_stream(rng, n_rows, n_cols, args.updates, args.rank,
-                             args.scale)
+    backend = "dense" if args.backend == "auto" else args.backend
+    updates = _update_stream(rng, target, inputs[target].shape,
+                             args.updates, args.rank, args.scale)
 
     counter = Counter()
     catalog = None
@@ -571,28 +547,19 @@ def _run_run_tenants(args, program) -> int:
                                 dims=dims)
                    for i in range(args.tenants)]
     else:
-        make = (ReevalSession if strategy == "REEVAL" else
-                lambda *a, **kw: IVMSession(*a, rank=args.rank, mode=mode,
-                                            **kw))
-        tenants = [make(program, inputs, dims=dims, counter=counter,
-                        backend=backend)
+        plan = MaintenancePlan(strategy, backend=backend, mode=mode,
+                               rank=args.rank)
+        tenants = [build_session(program, inputs, plan, dims, counter)
                    for _ in range(args.tenants)]
     setup_seconds = time.perf_counter() - start
     counter.reset()
 
     start = time.perf_counter()
-    if catalog is not None:
-        # One shared base table: the stream lands once, every tenant
-        # observes it.
-        for u, v in updates:
-            catalog.apply_update(FactoredUpdate(target, u, v))
-        catalog.flush()
-    else:
-        for u, v in updates:
-            for tenant in tenants:
-                tenant.apply_update(FactoredUpdate(target, u, v))
-        for tenant in tenants:
-            tenant.flush()
+    # A shared base table takes the stream once and every tenant
+    # observes it; independent sessions each take their own copy.
+    for sink in tenants if catalog is None else [catalog]:
+        sink.apply_updates(updates)
+        sink.flush()
     maintain_seconds = time.perf_counter() - start
 
     label = "shared catalog" if args.share else "independent sessions"
@@ -601,7 +568,7 @@ def _run_run_tenants(args, program) -> int:
         "share": bool(args.share),
         "strategy": strategy,
         "mode": mode,
-        "backend": backend or "dense",
+        "backend": backend,
         "updates": len(updates),
         "setup_seconds": setup_seconds,
         "maintain_seconds": maintain_seconds,
@@ -636,28 +603,22 @@ def _run_run(args, program) -> int:
 
     from .cost.counters import Counter
     from .runtime.session import open_session
-    from .runtime.updates import FactoredUpdate
 
-    if args.share or args.tenants > 1:
-        return _run_run_tenants(args, program)
-
+    tenants = args.share or args.tenants > 1
     try:
         dims = _parse_dims(args.dims)
-        batch = _parse_batch(args.batch)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    rng = np.random.default_rng(args.seed)
-    try:
+        batch = None if tenants else _parse_batch(args.batch)
+        rng = np.random.default_rng(args.seed)
         inputs = _generate_inputs(program, dims, args.density, rng)
+        target = args.target or program.input_names[0]
+        if target not in program.input_names:
+            raise ValueError(f"no input named {target!r}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if tenants:
+        return _run_run_tenants(args, program, dims, rng, inputs, target)
 
-    target = args.target or program.input_names[0]
-    if target not in program.input_names:
-        print(f"error: no input named {target!r}", file=sys.stderr)
-        return 2
     n_rows, n_cols = inputs[target].shape
     if args.updates < 1:
         print("error: need --updates >= 1", file=sys.stderr)
@@ -700,35 +661,16 @@ def _run_run(args, program) -> int:
         supervise=args.supervise,
         checkpoint=checkpoint,
     )
-    restored_updates = getattr(
-        getattr(session, "session", session), "update_count", 0)
+    restored_updates = session.update_count
     setup_seconds = time.perf_counter() - start
     setup_flops = counter.total_flops
     counter.reset()
 
-    from .workloads.zipf import sample_rows
-
-    # One draw for the whole stream: sample_rows fixes a single random
-    # rank -> row assignment, so the hot rows persist across updates
-    # (the skew heavy-light maintenance exploits).
-    zipf_rows = None
-    if args.theta > 0.0:
-        zipf_rows = sample_rows(rng, n_rows, args.updates * args.rank,
-                                args.theta).reshape(args.updates, args.rank)
-    updates = []
-    for index in range(args.updates):
-        u = np.zeros((n_rows, args.rank))
-        if zipf_rows is not None:
-            rows = zipf_rows[index]
-        else:
-            rows = rng.choice(n_rows, size=args.rank, replace=False)
-        u[rows, np.arange(args.rank)] = 1.0
-        v = args.scale * rng.standard_normal((n_cols, args.rank))
-        updates.append((u, v))
+    updates = _update_stream(rng, target, (n_rows, n_cols), args.updates,
+                             args.rank, args.scale, theta=args.theta)
 
     start = time.perf_counter()
-    for u, v in updates:
-        session.apply_update(FactoredUpdate(target, u, v))
+    session.apply_updates(updates)
     session.flush()  # land any batched tail inside the timed window
     maintain_seconds = time.perf_counter() - start
     per_update = maintain_seconds / len(updates)
@@ -742,12 +684,11 @@ def _run_run(args, program) -> int:
     partition_stats = session.partition_stats
     # Sharded sessions carry a real multiprocess engine: harvest the
     # measured comm traffic (schema: benchmarks/conftest.py) and shut
-    # the workers down before reporting.  A replan monitor wraps the
-    # session, so unwrap first.
-    inner = getattr(session, "session", session)
+    # the workers down before reporting (a replan monitor delegates
+    # every attribute to the session it currently wraps).
     # Leave the directory durable: land any logged tail as a final
     # snapshot so a later --restore resumes exactly here.
-    checkpointer = getattr(inner, "checkpointer", None)
+    checkpointer = session.checkpointer
     ckpt = None
     if checkpointer is not None:
         if checkpointer.pending:
@@ -762,9 +703,9 @@ def _run_run(args, program) -> int:
     import dataclasses as _dc
 
     recoveries = [_dc.asdict(event) for event in
-                  getattr(inner, "recoveries", ())]
-    fallbacks = list(getattr(inner, "fallback_events", ()))
-    engine = getattr(inner, "engine", None)
+                  getattr(session, "recoveries", ())]
+    fallbacks = list(getattr(session, "fallback_events", ()))
+    engine = getattr(session, "engine", None)
     comm = None
     if engine is not None and hasattr(engine, "comm"):
         comm = {
@@ -772,7 +713,7 @@ def _run_run(args, program) -> int:
             "worker_seconds": engine.worker_seconds(),
             "partition": engine.part.describe(),
         }
-        inner.close()
+        session.close()
     if args.json:
         print(json.dumps({
             "plan": plan.as_dict(),
@@ -875,7 +816,6 @@ def _run_catalog(args) -> int:
         private_maintenance_cost,
         shared_maintenance_cost,
     )
-    from .runtime.updates import FactoredUpdate
 
     try:
         programs = [_load_program(path) for path in args.files]
@@ -930,9 +870,8 @@ def _run_catalog(args) -> int:
     n_rows, n_cols = value.shape
     counter.reset()
     start = time.perf_counter()
-    for u, v in _update_stream(rng, n_rows, n_cols, args.updates,
-                               args.rank, args.scale):
-        catalog.apply_update(FactoredUpdate(target, u, v))
+    catalog.apply_updates(_update_stream(
+        rng, target, value.shape, args.updates, args.rank, args.scale))
     catalog.flush()
     maintain_seconds = time.perf_counter() - start
 
@@ -994,7 +933,6 @@ def _run_serve(args, program) -> int:
 
     from .runtime.serving import FlushOnReadServer, ViewServer, run_load
     from .runtime.session import open_session
-    from .runtime.updates import FactoredUpdate
 
     try:
         dims = _parse_dims(args.dims)
@@ -1015,7 +953,6 @@ def _run_serve(args, program) -> int:
         return 2
 
     target = program.input_names[0]
-    n_rows, n_cols = inputs[target].shape
     session = open_session(
         program, inputs, dims=dims,
         plan=args.plan,
@@ -1032,14 +969,8 @@ def _run_serve(args, program) -> int:
 
     # A pre-generated update pool keeps the pressure thread's cost in
     # submission, not in RNG work.
-    rng = np.random.default_rng(args.seed + 1)
-    pool = []
-    for _ in range(512):
-        u = np.zeros((n_rows, args.rank))
-        rows = rng.choice(n_rows, size=args.rank, replace=False)
-        u[rows, np.arange(args.rank)] = 1.0
-        v = args.scale * rng.standard_normal((n_cols, args.rank))
-        pool.append(FactoredUpdate(target, u, v))
+    pool = _update_stream(np.random.default_rng(args.seed + 1), target,
+                          inputs[target].shape, 512, args.rank, args.scale)
 
     try:
         results = run_load(

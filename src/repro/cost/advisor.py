@@ -35,8 +35,7 @@ REEVAL = "REEVAL"
 INCR = "INCR"
 HYBRID = "HYBRID"
 
-#: Default expected refresh count when amortizing setup in nnz mode.
-DEFAULT_REFRESHES = 100
+DEFAULT_REFRESHES = est.DEFAULT_REFRESHES
 
 
 @dataclass(frozen=True)

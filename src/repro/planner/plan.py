@@ -8,7 +8,13 @@ space LINVIEW exposes after the backend refactor:
   skip-``s`` (Section 3.2);
 * **backend** — the execution backend (``repro.backends``);
 * **mode** — trigger execution: ``"interpret"`` (AST executor) or
-  ``"codegen"`` (generated Python, sessions only).
+  ``"codegen"`` (generated Python, sessions only);
+* **rank** / **optimize** — what the triggers are compiled for: the
+  update width and the Section 6 optimizer switch.
+
+A plan is the whole recipe of a session: every session carries the one
+it was built from as ``session.plan`` (docs/invariants.md, "One build
+path").
 
 A :class:`WorkloadStats` carries the input statistics the cost model
 ranks on: problem dimensions, input nnz density, update rank, and the
@@ -19,11 +25,11 @@ configurations with expensive setup).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from ..cost.advisor import DEFAULT_REFRESHES
+from ..cost.estimate import DEFAULT_REFRESHES
 from ..iterative.models import Model
 
 #: Strategy names (shared with the advisor and iterative layer).
@@ -71,6 +77,11 @@ class MaintenancePlan:
     #: many targets are maintained eagerly.  ``None`` when partitioning
     #: is uniform (or left to the runtime default).
     heavy_budget: int | None = None
+    #: Trigger compilation width: the expected rank of incoming factored
+    #: updates (``rank_program`` cells carry ``stats.update_rank``).
+    rank: int = 1
+    #: Run the Section 6 optimizer pipeline over each compiled trigger.
+    optimize: bool = False
 
     def __post_init__(self):
         if self.strategy not in (REEVAL, INCR, HYBRID):
@@ -84,6 +95,8 @@ class MaintenancePlan:
         if self.heavy_budget is not None and self.heavy_budget < 1:
             raise ValueError(
                 f"heavy_budget must be >= 1, got {self.heavy_budget}")
+        if self.rank < 1:
+            raise ValueError(f"rank must be >= 1, got {self.rank}")
 
     @property
     def label(self) -> str:
@@ -110,47 +123,19 @@ class MaintenancePlan:
             return Model.skip(self.s)
         raise ValueError(f"unknown model {self.model!r}")
 
-    def with_overrides(
-        self,
-        backend: str | None = None,
-        mode: str | None = None,
-        strategy: str | None = None,
-        nodes: int | None = None,
-        partition: str | None = None,
-        heavy_budget: int | None = None,
-    ) -> "MaintenancePlan":
-        """A copy with user-forced axes replacing the planned ones."""
-        changes = {}
-        if backend is not None:
-            changes["backend"] = backend
-        if mode is not None:
-            changes["mode"] = mode
-        if strategy is not None:
-            changes["strategy"] = strategy
-        if nodes is not None:
-            changes["nodes"] = nodes
-        if partition is not None:
-            changes["partition"] = partition
-        if heavy_budget is not None:
-            changes["heavy_budget"] = heavy_budget
+    def with_overrides(self, **axes) -> "MaintenancePlan":
+        """A copy with user-forced axes replacing the planned ones.
+
+        ``None`` entries defer to the plan, an unknown axis name is a
+        ``TypeError``, and a call that changes nothing returns ``self``.
+        """
+        changes = {k: v for k, v in axes.items()
+                   if v is not None and getattr(self, k, None) != v}
         return replace(self, **changes) if changes else self
 
     def as_dict(self) -> dict:
-        """JSON-friendly form (CLI output)."""
-        return {
-            "label": self.label,
-            "strategy": self.strategy,
-            "model": self.model,
-            "s": self.s,
-            "backend": self.backend,
-            "mode": self.mode,
-            "predicted_time": self.predicted_time,
-            "predicted_space": self.predicted_space,
-            "batch_size": self.batch_size,
-            "nodes": self.nodes,
-            "partition": self.partition,
-            "heavy_budget": self.heavy_budget,
-        }
+        """JSON-friendly form (CLI output): every field, plus ``label``."""
+        return asdict(self) | {"label": self.label}
 
 
 @dataclass(frozen=True)

@@ -238,7 +238,8 @@ def rank_program(
     lose to single-process on the IPC tax while large dense chains win.
     ``inputs``
     (initial values) supply the dimension bindings and measured
-    densities; ``stats`` supplies the update rank and expected refresh
+    densities; ``stats`` supplies the update rank (every cell carries it
+    as ``rank``, the trigger compilation width) and expected refresh
     count.  ``calibration`` feeds machine-measured cost constants into
     the backends' ``est_*`` hooks (``"auto"`` loads the
     :mod:`repro.calibrate` cache, ``None`` keeps the class constants, a
@@ -326,7 +327,7 @@ def rank_program(
             candidates.append(MaintenancePlan(
                 strategy, "linear", None, be.name, mode,
                 predicted, cost.space, batch_size=batch,
-                partition=partition, heavy_budget=heavy_budget,
+                partition=partition, heavy_budget=heavy_budget, rank=rank,
             ))
             for count in node_counts:
                 # Sharded cells: dense INCR over chain programs only
@@ -346,7 +347,7 @@ def rank_program(
                 candidates.append(MaintenancePlan(
                     strategy, "linear", None, be.name, "interpret",
                     predicted_sharded, cost.space, batch_size=batch,
-                    nodes=count,
+                    nodes=count, rank=rank,
                 ))
     if not candidates:
         raise RuntimeError("no execution backend available to plan over")

@@ -9,11 +9,11 @@ of re-evaluating the program.  This module implements that discipline
 for maintenance sessions:
 
 * :func:`write_checkpoint` / :func:`load_checkpoint` — the on-disk
-  format: a ``LVCK`` magic + version header, a JSON manifest (array
-  names/shapes, plan, strategy/mode/backend, and one ``deferral``
-  entry: spec, resolved cell, policy state), the raw float64 view
-  payload, and a SHA-256 trailer
-  over everything before it.  Files land via temp-file +
+  format: a ``LVCK`` magic + version header, a JSON manifest (header
+  v3: array names/shapes, ``plan`` — every build axis, stored once —
+  ``fused``, ``update_count``, ``dims`` and one ``deferral`` entry:
+  spec, resolved cell, policy state), the raw float64 view payload,
+  and a SHA-256 trailer over everything before it.  Files land via temp-file +
   :func:`os.replace`, so a crash mid-write leaves the previous
   checkpoint untouched; a torn file fails its checksum and loads raise
   :class:`CheckpointCorruptError` instead of returning garbage.
@@ -33,10 +33,11 @@ for maintenance sessions:
   boundaries and replay routes through an identically-restored
   deferral policy (same fold boundaries, same summation order).
 
-Checkpoints capture everything value-affecting: view arrays, plan,
-``rank``/``optimize``/``fused`` trigger-compilation knobs (the fused
-``__rank__`` routing changes summation order), and the deferral slot
-through its public surface only — the session's
+Checkpoints capture everything value-affecting: view arrays, the
+session's :class:`~repro.planner.plan.MaintenancePlan` — the whole
+build recipe, ``rank``/``optimize`` included (the fused ``__rank__``
+routing changes summation order) — the ``fused`` switch, and the
+deferral slot through its public surface only — the session's
 :class:`~repro.runtime.batching.DeferralSpec`, the cell it resolved to
 and the policy's own ``capture()`` (for heavy-light: occupancy sketch,
 heavy-set membership, retune phase).  They deliberately do *not*
@@ -68,7 +69,7 @@ from .views import ViewStore
 #: File magic of the checkpoint format ("LinView ChecKpoint").
 MAGIC = b"LVCK"
 #: Current format version (bumped on any incompatible layout change).
-VERSION = 2
+VERSION = 3
 #: Default number of snapshots a :class:`CheckpointManager` retains.
 DEFAULT_KEEP = 3
 #: Default bound on the in-memory delta log: reaching it forces a
@@ -262,27 +263,22 @@ class CheckpointManager:
 
 # -- session state capture / rebuild --------------------------------------
 
-def capture_session(session, rank: int = 1, optimize: bool = False) -> tuple[
-        dict, dict[str, np.ndarray]]:
+def capture_session(session) -> tuple[dict, dict[str, np.ndarray]]:
     """Capture a *flushed* session's value-affecting state.
 
     The caller must flush first (``Checkpointer.checkpoint`` does):
     snapshots are cut at flush boundaries so restore + tail replay
-    reproduces the live session's fold boundaries exactly.
+    reproduces the live session's fold boundaries exactly.  Every build
+    axis is stored once, as ``session.plan``.
     """
     views = session.views
     arrays = {name: views.get_dense(name) for name in views.names()}
     policy = session.deferral
-    fused = True
-    if getattr(session, "mode", "interpret") == "codegen":
-        fused = getattr(session, "workspace", None) is not None
     header: dict = {
-        "strategy": session.strategy,
-        "mode": getattr(session, "mode", "interpret"),
-        "backend": session.backend.name,
-        "rank": int(rank),
-        "optimize": bool(optimize),
-        "fused": bool(fused),
+        "plan": dataclasses.asdict(session.plan),
+        # Codegen sessions built with ``fused=False`` have no workspace.
+        "fused": (session.plan.mode != "codegen"
+                  or getattr(session, "workspace", None) is not None),
         "update_count": int(session.update_count),
         "dims": dict(views.dims),
         "deferral": {
@@ -291,11 +287,6 @@ def capture_session(session, rank: int = 1, optimize: bool = False) -> tuple[
             "policy": policy.capture() if policy is not None else None,
         },
     }
-    plan = getattr(session, "plan", None)
-    if plan is not None:
-        plan_dict = plan.as_dict()
-        plan_dict.pop("label", None)  # derived property, not a ctor field
-        header["plan"] = plan_dict
     return header, arrays
 
 
@@ -303,7 +294,11 @@ def rebuild_session(program, header: dict, arrays: dict[str, np.ndarray],
                     counter: counters.Counter = counters.NULL_COUNTER):
     """Rebuild a session from captured state (the restore path).
 
-    Views are adopted by value — nothing is re-evaluated, and the
+    The stored plan goes back through
+    :func:`~repro.runtime.session.build_session`, so the restored
+    session compiles exactly the triggers the checkpointed one ran
+    (strategy, backend, mode, rank, optimizer).  Views are adopted by
+    value — nothing is re-evaluated, and the
     freshly decoded ``arrays`` are handed over to the session's store
     rather than copied again — and the deferral slot is re-resolved
     from the stored spec and cell, then handed the stored policy state,
@@ -314,29 +309,21 @@ def rebuild_session(program, header: dict, arrays: dict[str, np.ndarray],
     """
     from ..backends import get_backend
     from ..planner.plan import MaintenancePlan
-    from .session import IVMSession, ReevalSession
+    from .session import build_session
 
-    backend = get_backend(header["backend"])
+    stored = header["plan"]
+    # A sharded snapshot lands single-process: the one axis restore edits.
+    plan = dataclasses.replace(
+        MaintenancePlan(**{field.name: stored[field.name] for field
+                           in dataclasses.fields(MaintenancePlan)}),
+        nodes=1)
+    backend = get_backend(plan.backend)
     store = ViewStore(header.get("dims"), backend=backend)
     for name, arr in arrays.items():
         store.adopt(name, arr)
-    if header["strategy"] == "REEVAL":
-        session = ReevalSession(program, store, counter=counter,
-                                backend=backend)
-    elif header["strategy"] == "INCR":
-        session = IVMSession(
-            program, store, rank=int(header.get("rank", 1)),
-            optimize=bool(header.get("optimize", False)),
-            mode=header.get("mode", "interpret"), counter=counter,
-            backend=backend, fused=bool(header.get("fused", True)),
-        )
-    else:
-        raise CheckpointError(
-            f"cannot restore a {header['strategy']!r} session")
+    session = build_session(program, store, plan, counter=counter,
+                            backend=backend, fused=header["fused"])
     session.update_count = int(header.get("update_count", 0))
-    plan_dict = header.get("plan")
-    if plan_dict is not None:
-        session.plan = MaintenancePlan(**plan_dict)
     deferral = header["deferral"]
     session.install_deferral(SimpleNamespace(**deferral["cell"]),
                              DeferralSpec(**deferral["spec"]))
@@ -386,13 +373,10 @@ class Checkpointer:
 
     def __init__(self, session, directory, every: int | str = "auto",
                  keep: int = DEFAULT_KEEP, auto: bool = True,
-                 rank: int = 1, optimize: bool = False,
                  delta_limit: int | None = None):
         self.manager = CheckpointManager(directory, keep=keep)
         self.session = session
         self.auto = bool(auto)
-        self.rank = int(rank)
-        self.optimize = bool(optimize)
         if every == "auto":
             every = self._priced_cadence(session)
         if not isinstance(every, int) or isinstance(every, bool) or every < 1:
@@ -416,7 +400,7 @@ class Checkpointer:
         views_bytes = session.views.total_bytes()
         # Per-update work proxy: a rank-r factored refresh touches every
         # stored entry a constant number of times.
-        refresh_flops = 2.0 * max(self.rank, 1) * max(views_bytes / 8.0, 1.0)
+        refresh_flops = 2.0 * session.plan.rank * max(views_bytes / 8.0, 1.0)
         return recommend_checkpoint_every(views_bytes, refresh_flops)
 
     @property
@@ -449,8 +433,7 @@ class Checkpointer:
     def checkpoint(self) -> Path:
         """Flush the session and write one snapshot now."""
         self.session.flush()
-        header, arrays = capture_session(self.session, rank=self.rank,
-                                         optimize=self.optimize)
+        header, arrays = capture_session(self.session)
         path = self.manager.save(header, arrays)
         self._pending.clear()
         self.saves += 1
@@ -466,13 +449,8 @@ class Checkpointer:
         replays through identically-restored deferral state.  The tail
         stays in the log — it is not on disk yet.
         """
-        found = self.manager.latest()
-        if found is None:
-            raise CheckpointError(
-                f"no valid checkpoint found in {self.manager.directory}")
-        _, header, arrays = found
         old = self.session
-        session = rebuild_session(old.program, header, arrays,
+        session = restore_session(old.program, self.manager.directory,
                                   counter=old.counter)
         for update in self._pending:
             session.apply_update(update)

@@ -62,32 +62,24 @@ class DriftReport:
     rebuilt: bool
 
 
-class DriftMonitor:
-    """Wraps a maintainer with a periodic re-validation policy.
+class _ProbePolicy:
+    """The re-validation policy both monitors share.
 
-    ``rebuild`` is a zero-argument callable returning a *fresh*
-    maintainer built from current ground truth; it is required for the
-    ``"rebuild"`` action.  The monitor delegates attribute access to
-    the wrapped maintainer, so ``monitor.result()`` etc. keep working.
+    A subclass names the attribute holding what it wraps (``_wraps``)
+    and says how a rebuild lands (:meth:`_recover`); attribute access
+    falls through to the wrapped object.
     """
 
-    def __init__(
-        self,
-        maintainer: MaintainerWithDrift,
-        check_every: int = 100,
-        tolerance: float = 1e-6,
-        action: str = "raise",
-        rebuild: Callable[[], MaintainerWithDrift] | None = None,
-    ):
+    _wraps: str
+
+    def __init__(self, wrapped, check_every, tolerance, action, rebuild):
         if check_every < 1:
             raise ValueError("check_every must be positive")
         if tolerance <= 0:
             raise ValueError("tolerance must be positive")
         if action not in ("raise", "rebuild"):
             raise ValueError(f"unknown action {action!r}")
-        if action == "rebuild" and rebuild is None:
-            raise ValueError("action='rebuild' needs a rebuild callable")
-        self.maintainer = maintainer
+        setattr(self, self._wraps, wrapped)
         self.check_every = check_every
         self.tolerance = tolerance
         self.action = action
@@ -95,24 +87,15 @@ class DriftMonitor:
         self.refreshes = 0
         self.reports: list[DriftReport] = []
 
-    def refresh(self, u: np.ndarray, v: np.ndarray) -> None:
-        """Refresh the wrapped maintainer; probe on schedule."""
-        self.maintainer.refresh(u, v)
-        self.refreshes += 1
-        if self.refreshes % self.check_every == 0:
-            self.probe()
-
     def probe(self) -> DriftReport:
         """Re-validate now, applying the policy if drift is excessive."""
-        drift = self.maintainer.revalidate()
-        rebuilt = False
-        if drift > self.tolerance:
-            if self.action == "raise":
-                report = DriftReport(self.refreshes, drift, False)
-                self.reports.append(report)
-                raise DriftExceededError(drift, self.tolerance, self.refreshes)
-            self.maintainer = self._rebuild()
-            rebuilt = True
+        drift = getattr(self, self._wraps).revalidate()
+        rebuilt = drift > self.tolerance
+        if rebuilt and self.action == "raise":
+            self.reports.append(DriftReport(self.refreshes, drift, False))
+            raise DriftExceededError(drift, self.tolerance, self.refreshes)
+        if rebuilt:
+            self._recover()
         report = DriftReport(self.refreshes, drift, rebuilt)
         self.reports.append(report)
         return report
@@ -124,17 +107,51 @@ class DriftMonitor:
 
     @property
     def rebuild_count(self) -> int:
-        """How many times the policy rebuilt the maintainer."""
+        """How many times the policy rebuilt what it wraps."""
         return sum(1 for report in self.reports if report.rebuilt)
 
     def __getattr__(self, name: str):
-        if name == "maintainer":
+        if name == self._wraps:
             # __init__ hasn't run (copy/pickle): avoid infinite recursion.
             raise AttributeError(name)
-        return getattr(self.maintainer, name)
+        return getattr(getattr(self, self._wraps), name)
 
 
-class SessionDriftMonitor:
+class DriftMonitor(_ProbePolicy):
+    """Wraps a maintainer with a periodic re-validation policy.
+
+    ``rebuild`` is a zero-argument callable returning a *fresh*
+    maintainer built from current ground truth; it is required for the
+    ``"rebuild"`` action.  The monitor delegates attribute access to
+    the wrapped maintainer, so ``monitor.result()`` etc. keep working.
+    """
+
+    _wraps = "maintainer"
+
+    def __init__(
+        self,
+        maintainer: MaintainerWithDrift,
+        check_every: int = 100,
+        tolerance: float = 1e-6,
+        action: str = "raise",
+        rebuild: Callable[[], MaintainerWithDrift] | None = None,
+    ):
+        super().__init__(maintainer, check_every, tolerance, action, rebuild)
+        if action == "rebuild" and rebuild is None:
+            raise ValueError("action='rebuild' needs a rebuild callable")
+
+    def refresh(self, u: np.ndarray, v: np.ndarray) -> None:
+        """Refresh the wrapped maintainer; probe on schedule."""
+        self.maintainer.refresh(u, v)
+        self.refreshes += 1
+        if self.refreshes % self.check_every == 0:
+            self.probe()
+
+    def _recover(self) -> None:
+        self.maintainer = self._rebuild()
+
+
+class SessionDriftMonitor(_ProbePolicy):
     """Drift monitoring for sessions (the ``apply_update`` interface).
 
     The session counterpart of :class:`DriftMonitor`: wraps any object
@@ -147,8 +164,11 @@ class SessionDriftMonitor:
     ``rebuild`` callable overrides that.
 
     Attribute access falls through to the wrapped session, so
-    ``monitor.output()``, ``monitor["V"]`` etc. keep working.
+    ``monitor.output()``, ``monitor["V"]``, ``monitor.plan`` etc. keep
+    working — and always describe the *current* session.
     """
+
+    _wraps = "session"
 
     def __init__(
         self,
@@ -158,19 +178,8 @@ class SessionDriftMonitor:
         action: str = "rebuild",
         rebuild: Callable[[], None] | None = None,
     ):
-        if check_every < 1:
-            raise ValueError("check_every must be positive")
-        if tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if action not in ("raise", "rebuild"):
-            raise ValueError(f"unknown action {action!r}")
-        self.session = session
-        self.check_every = check_every
-        self.tolerance = tolerance
-        self.action = action
-        self._rebuild = rebuild if rebuild is not None else session.rebuild
-        self.refreshes = 0
-        self.reports: list[DriftReport] = []
+        super().__init__(session, check_every, tolerance, action,
+                         rebuild if rebuild is not None else session.rebuild)
 
     def apply_update(self, update) -> None:
         """Apply one update through the session; probe on schedule."""
@@ -184,30 +193,8 @@ class SessionDriftMonitor:
         for update in updates:
             self.apply_update(update)
 
-    def probe(self) -> DriftReport:
-        """Re-validate now, applying the policy if drift is excessive."""
-        drift = self.session.revalidate()
-        rebuilt = False
-        if drift > self.tolerance:
-            if self.action == "raise":
-                report = DriftReport(self.refreshes, drift, False)
-                self.reports.append(report)
-                raise DriftExceededError(drift, self.tolerance, self.refreshes)
-            self._rebuild()
-            rebuilt = True
-        report = DriftReport(self.refreshes, drift, rebuilt)
-        self.reports.append(report)
-        return report
-
-    @property
-    def last_drift(self) -> float | None:
-        """Drift at the most recent probe (None before the first)."""
-        return self.reports[-1].drift if self.reports else None
-
-    @property
-    def rebuild_count(self) -> int:
-        """How many times the policy rebuilt the views."""
-        return sum(1 for report in self.reports if report.rebuilt)
+    def _recover(self) -> None:
+        self._rebuild()
 
     def __getitem__(self, name: str):
         return self.session[name]
@@ -223,12 +210,6 @@ class SessionDriftMonitor:
     def __exit__(self, *exc):
         self.close()
         return False
-
-    def __getattr__(self, name: str):
-        if name == "session":
-            # __init__ hasn't run (copy/pickle): avoid infinite recursion.
-            raise AttributeError(name)
-        return getattr(self.session, name)
 
 
 @dataclass
@@ -462,8 +443,11 @@ class ReplanMonitor(SessionDriftMonitor):
                             saving, cost, seconds, switched)
         self.replans.append(event)
         if switched:
-            self.session = session.with_plan(best, rank=self._observed_rank)
-            self.plan = best
+            # The ranked cell is the whole recipe of the new session;
+            # what ranking does not decide carries over from the old.
+            self.session = session.with_plan(dataclasses.replace(
+                best, rank=self._observed_rank,
+                optimize=session.plan.optimize))
             if not self._custom_rebuild:
                 # Rebind the default rebuild hook to the *new* session.
                 self._rebuild = self.session.rebuild

@@ -196,6 +196,11 @@ class SessionEngine:
         """The served session's attached checkpointer (or ``None``)."""
         return getattr(self.target, "checkpointer", None)
 
+    @property
+    def plan(self):
+        """The *current* session's plan (monitors delegate to it)."""
+        return self.target.plan
+
 
 class MaintainerEngine:
     """Adapts an analytics driver (pagerank, markov, ...) for serving.
@@ -254,6 +259,11 @@ class MaintainerEngine:
     def checkpointer(self):
         """Analytics drivers have no session checkpointer."""
         return None
+
+    @property
+    def plan(self):
+        """The driver's plan, when it was built from one."""
+        return getattr(self.owner, "plan", None)
 
 
 def _as_engine(target, views=None):
@@ -522,6 +532,13 @@ class ViewServer:
     def epoch(self) -> int:
         """Publication count of the snapshot reads currently serve."""
         return self._snapshot.epoch
+
+    @property
+    def plan(self):
+        """The :class:`~repro.planner.plan.MaintenancePlan` of what is
+        served — read through the engine, never a copy, so it follows a
+        ``replan=`` switch (racy by one switch off the writer thread)."""
+        return self._engine.plan
 
     def read(self, name: str) -> np.ndarray:
         """``name``'s value at the last published epoch.

@@ -13,9 +13,11 @@ Both take the same constructor surface, so experiments can swap
 strategies without touching driver code.  :func:`open_session` is the
 planner-driven entry point: ``open_session(program, inputs)`` measures
 the inputs, asks :mod:`repro.planner` for the cheapest (strategy,
-backend, mode) configuration, and returns the matching session with the
-chosen :class:`~repro.planner.plan.MaintenancePlan` attached as
-``session.plan``.
+backend, mode) configuration, and returns the matching session.  Every
+session is built by :func:`build_session` from one
+:class:`~repro.planner.plan.MaintenancePlan` — the whole recipe, kept
+as ``session.plan`` (a directly constructed session synthesizes its
+plan from its arguments).
 
 Two execution modes are supported for triggers:
 
@@ -111,7 +113,12 @@ class Session:
         Execution backend for view state and trigger math — a name
         (``"dense"``, ``"sparse"``), a
         :class:`~repro.backends.base.Backend` instance, or ``None`` for
-        the dense default.  See :mod:`repro.backends`.
+        the plan's (dense without one).  See :mod:`repro.backends`.
+    plan:
+        The :class:`~repro.planner.plan.MaintenancePlan` this session is
+        built from (:func:`build_session` passes it); ``None``
+        synthesizes one from the constructor's own arguments.  Kept as
+        ``session.plan``, its ``backend`` naming the one that runs.
     """
 
     #: Strategy name reported by plans/monitors (set by subclasses).
@@ -124,10 +131,20 @@ class Session:
         dims: Mapping[str, int] | None = None,
         counter: counters.Counter = counters.NULL_COUNTER,
         backend=None,
+        plan=None,
+        **axes,
     ):
         self.program = program
         self.counter = counter
-        self.backend = get_backend(backend)
+        self.backend = get_backend(
+            plan.backend if backend is None and plan is not None else backend)
+        if plan is None:
+            # ``axes``: the plan fields a subclass's arguments spell.
+            from ..planner.plan import MaintenancePlan
+
+            plan = MaintenancePlan(self.strategy, **axes)
+        #: The whole recipe; never assigned from outside the session.
+        self.plan = plan.with_overrides(backend=self.backend.name)
         self.update_count = 0
         #: The one deferral slot: ``None`` (unit) or a policy object.
         self._deferral = None
@@ -229,8 +246,7 @@ class Session:
         existing :class:`~repro.runtime.checkpoint.Checkpointer` to
         re-point at this session; ``options`` pass through to the
         ``Checkpointer`` constructor (``every``, ``keep``, ``auto``,
-        ``rank``, ``optimize``, ``delta_limit``).  Returns the attached
-        checkpointer.
+        ``delta_limit``).  Returns the attached checkpointer.
         """
         from .checkpoint import Checkpointer
 
@@ -466,7 +482,7 @@ class Session:
         self.flush()
         self._materialize_all()
 
-    def with_plan(self, plan, rank: int = 1, optimize: bool = False) -> "Session":
+    def with_plan(self, plan) -> "Session":
         """A session in ``plan``'s configuration adopting this one's state.
 
         The online re-planning switch (:class:`ReplanMonitor`): view
@@ -475,8 +491,11 @@ class Session:
         (one pass over stored entries — CSR state densifies, dense state
         re-enters the target representation policy), INCR plans
         (re)compile their triggers, and **no view is re-evaluated**.
-        The update counter carries over and ``plan`` is attached as
-        ``.plan``.  The superseded session is never written through:
+        ``plan`` is the whole recipe (:func:`build_session`): no axis is
+        inherited from this session's plan — a caller keeps one with
+        ``dataclasses.replace(plan, optimize=self.plan.optimize)``.  The
+        update counter carries over.  The superseded session is never
+        written through:
         on a backend change the new session gets an independent copy of
         the state, and on a same-backend switch the store itself changes
         hands — this session is detached (``views`` becomes ``None``)
@@ -491,45 +510,26 @@ class Session:
         verbatim, and stats, sketch and heavy set carry over.
         """
         self.flush()
-        if getattr(plan, "nodes", 1) > 1:
+        if plan.nodes > 1:
             raise ValueError(
                 "cannot switch into a sharded (nodes > 1) plan mid-stream; "
                 "open a new session with open_session(..., nodes=N)"
             )
-        backend = get_backend(plan.backend)
         # A session built around a ViewStore takes it over as-is under
         # the same backend and converts (copies) it under another.
-        if plan.strategy == "REEVAL":
-            session: Session = ReevalSession(
-                self.program, self.views,
-                counter=self.counter, backend=backend,
-            )
-        elif plan.strategy == "INCR":
-            session = IVMSession(
-                self.program, self.views, rank=rank,
-                optimize=optimize, mode=plan.mode, counter=self.counter,
-                backend=backend,
-            )
-        else:
-            raise ValueError(
-                f"sessions support INCR or REEVAL, not {plan.strategy!r}"
-            )
+        session = build_session(self.program, self.views, plan,
+                                counter=self.counter)
         session.update_count = self.update_count
-        session.plan = plan
         # The flushed policy is the prior the re-resolution carries
         # stats, sketch and heavy set from; it is never shared live.
         session._deferral = self._deferral
-        session.install_deferral(plan, self._deferral_spec)
+        session.install_deferral(session.plan, self._deferral_spec)
         # The checkpoint policy follows the live state: the delta log
         # keeps accumulating across the switch (snapshots capture the
         # new configuration), and the old session stops noting.
         if self._checkpointer is not None:
-            checkpointer = self._checkpointer
-            checkpointer.session = session
-            checkpointer.rank = rank
-            checkpointer.optimize = optimize
-            session._checkpointer = checkpointer
-            self._checkpointer = None
+            self._checkpointer.session = session
+            session._checkpointer, self._checkpointer = self._checkpointer, None
         if session.views is self.views:
             self.views = None
         return session
@@ -573,6 +573,9 @@ class IVMSession(Session):
         In ``codegen`` mode, specialize each trigger into the fused
         in-place form (the default fast path; see module docstring).
         ``False`` keeps the generic generated code only.
+
+    A ``plan`` wins over ``rank`` / ``optimize`` / ``mode``: the
+    triggers are compiled from ``session.plan`` and nothing else.
     """
 
     strategy = "INCR"
@@ -588,14 +591,16 @@ class IVMSession(Session):
         counter: counters.Counter = counters.NULL_COUNTER,
         backend=None,
         fused: bool = True,
+        plan=None,
     ):
-        if mode not in ("interpret", "codegen"):
-            raise ValueError(f"unknown mode {mode!r}")
-        self.mode = mode
-        super().__init__(program, inputs, dims, counter, backend)
+        super().__init__(program, inputs, dims, counter, backend, plan,
+                         mode=mode, rank=rank, optimize=optimize)
+        plan = self.plan
+        mode = self.mode = plan.mode
 
-        self.triggers: dict[str, Trigger] = compile_program(program, rank=rank)
-        if optimize:
+        self.triggers: dict[str, Trigger] = compile_program(
+            program, rank=plan.rank)
+        if plan.optimize:
             from ..compiler.optimizer import optimize_trigger
 
             self.triggers = {
@@ -775,6 +780,7 @@ class ShardedChainSession(Session):
         timeout: float | None = None,
         supervise: bool = False,
         recover: str = "reeval",
+        plan=None,
     ):
         from ..distributed.partitioner import RowShardPartitioner
         from ..distributed.sharded import ShardedEngine, chain_steps
@@ -784,6 +790,9 @@ class ShardedChainSession(Session):
             raise ValueError(f"recover must be 'reeval' or 'fail', "
                              f"got {recover!r}")
 
+        if plan is not None:
+            nodes = plan.nodes
+            backend = plan.backend if backend is None else backend
         resolved_backend = get_backend(backend)
         if resolved_backend.name != "dense":
             raise ValueError(
@@ -827,7 +836,8 @@ class ShardedChainSession(Session):
             supervise=supervise,
         )
         try:
-            super().__init__(program, inputs, dims, counter, resolved_backend)
+            super().__init__(program, inputs, dims, counter, resolved_backend,
+                             plan, nodes=nodes)
             self._shard_views()
         except BaseException:
             self.engine.close()
@@ -977,7 +987,7 @@ class ShardedChainSession(Session):
                 shared[...] = fresh
                 self.views._arrays[target] = shared
 
-    def with_plan(self, plan, rank: int = 1, optimize: bool = False) -> "Session":
+    def with_plan(self, plan) -> "Session":
         """Fall back to a single-process configuration.
 
         Flush-before-switch for node-count changes: pending deltas
@@ -987,11 +997,71 @@ class ShardedChainSession(Session):
         """
         self.flush()
         self._unshard()
-        return super().with_plan(plan, rank=rank, optimize=optimize)
+        return super().with_plan(plan)
 
     def close(self) -> None:
         """Copy view state out of shared memory and stop the workers."""
         self._unshard()
+
+
+def build_session(
+    program: Program,
+    inputs,
+    plan,
+    dims: Mapping[str, int] | None = None,
+    counter: counters.Counter = counters.NULL_COUNTER,
+    backend=None,
+    shard: str = "range",
+    supervise: bool = False,
+    fused: bool = True,
+) -> Session:
+    """Build the session ``plan`` describes — the one build path.
+
+    The only function in ``src/`` that calls a session constructor
+    (``tools/check_one_builder.py`` gates it): :func:`open_session`,
+    :meth:`Session.with_plan`, checkpoint restore, the catalog and the
+    CLI all land here.  ``inputs`` are initial values or a live
+    :class:`~repro.runtime.views.ViewStore` to adopt; ``plan.strategy``
+    / ``plan.nodes`` pick the class, ``plan.rank`` / ``plan.optimize`` /
+    ``plan.mode`` compile the triggers, and a ``backend`` *instance*
+    wins over the plan's backend name.  The returned session's ``plan``
+    is what was actually built: REEVAL and sharded plans run
+    ``mode="interpret"``, and a sharded plan the shared-memory budget
+    cannot hold opens single-process with a ``RuntimeWarning``.
+    """
+    if plan.strategy not in ("INCR", "REEVAL"):
+        raise ValueError(
+            f"sessions support INCR or REEVAL, not {plan.strategy!r} "
+            "(HYBRID exists only for the iterative maintainers)"
+        )
+    if plan.strategy == "REEVAL":
+        if plan.nodes > 1:
+            raise UnsupportedCombinationError(
+                "sharded (nodes > 1) maintenance is INCR-only")
+        # Re-evaluation has no trigger code, so no execution mode.
+        return ReevalSession(program, inputs, dims, counter, backend,
+                             plan.with_overrides(mode="interpret"))
+    if plan.nodes > 1:
+        from ..distributed.shm import SharedMemoryBudgetError
+
+        # Sharded execution runs the interpret-style tile kernels.
+        plan = plan.with_overrides(mode="interpret")
+        try:
+            return ShardedChainSession(
+                program, inputs, dims, counter=counter, backend=backend,
+                shard=shard, supervise=supervise, plan=plan)
+        except SharedMemoryBudgetError as exc:
+            # Out of /dev/shm: a sharded plan cannot hold its views.
+            # Degrade to the single-process configuration instead of
+            # failing the open — the planner's grid always prices it.
+            warnings.warn(
+                f"shared-memory budget exhausted; opening the planned "
+                f"{plan.nodes}-node session single-process instead ({exc})",
+                RuntimeWarning, stacklevel=3,
+            )
+            plan = dataclasses.replace(plan, nodes=1)
+    return IVMSession(program, inputs, dims, counter=counter,
+                      backend=backend, fused=fused, plan=plan)
 
 
 def open_session(
@@ -1001,9 +1071,9 @@ def open_session(
     plan="auto",
     backend=None,
     mode: str | None = None,
-    rank: int = 1,
+    rank: int | None = None,
     refresh_count: int | None = None,
-    optimize: bool = False,
+    optimize: bool | None = None,
     counter: counters.Counter = counters.NULL_COUNTER,
     drift=None,
     replan=None,
@@ -1028,17 +1098,20 @@ def open_session(
         measured shapes and densities; ``"incr"`` / ``"reeval"`` force
         the strategy but still plan the other axes; a
         :class:`~repro.planner.plan.MaintenancePlan` is used verbatim.
-    backend, mode:
-        Explicit overrides that win over whatever the planner chose
-        (``None`` defers to the plan).  A
-        :class:`~repro.backends.base.Backend` instance is the object
+    backend, mode, rank, optimize:
+        Explicit overrides that win over whatever the plan says
+        (``None`` defers to it — to the planner's cell, or to a
+        :class:`~repro.planner.plan.MaintenancePlan` given verbatim).
+        A :class:`~repro.backends.base.Backend` instance is the object
         the opened session runs on, thresholds included; the plan keeps
         only its name, so a :meth:`Session.with_plan` switch
         (``replan=``) and a checkpoint restore resolve a default
-        instance by that name.
-    rank:
-        Expected width of incoming factored updates (planning statistic
-        and trigger compilation width).
+        instance by that name.  ``rank`` is the expected width of
+        incoming factored updates — the planning statistic and, as
+        ``plan.rank``, the trigger compilation width; ``optimize`` runs
+        the Section 6 optimizer over each trigger (``plan.optimize``).
+        Both stay on ``session.plan``, so a re-planning switch and a
+        checkpoint restore compile the same triggers.
     refresh_count:
         Expected number of updates this session will absorb; amortizes
         setup cost in planning and gates codegen.  ``None`` uses the
@@ -1161,9 +1234,9 @@ def open_session(
         ``checkpoint``) must be left at their defaults; anything else
         raises :class:`UnsupportedCombinationError`.
 
-    Returns the session (or its monitor, or its view server), with the
-    resolved :class:`~repro.planner.plan.MaintenancePlan` attached as
-    ``.plan``.
+    Returns the session (or its monitor, or its view server); ``.plan``
+    on any of them is the :class:`~repro.planner.plan.MaintenancePlan`
+    the running session was built from (:func:`build_session`).
     """
     if catalog is not None:
         given = {
@@ -1192,15 +1265,11 @@ def open_session(
 
     spec = DeferralSpec(batch=batch, partition=partition,
                         max_staleness=max_staleness, heavy_budget=heavy_budget)
-    ckpt_target = None
-    ckpt_options: dict = {}
-    ckpt_restore = False
+    ckpt_target, ckpt_options, ckpt_restore = checkpoint, {}, False
     if checkpoint is not None:
         from .checkpoint import CheckpointError, Checkpointer, restore_session
 
-        if isinstance(checkpoint, (Checkpointer, str, Path)):
-            ckpt_target = checkpoint
-        elif isinstance(checkpoint, Mapping):
+        if isinstance(checkpoint, Mapping):
             ckpt_options = dict(checkpoint)
             ckpt_target = ckpt_options.pop("directory", None)
             ckpt_restore = ckpt_options.pop("restore", False)
@@ -1211,7 +1280,7 @@ def open_session(
                     f"checkpoint restore must be True, False or 'auto', "
                     f"got {ckpt_restore!r}"
                 )
-        else:
+        elif not isinstance(checkpoint, (Checkpointer, str, Path)):
             raise ValueError(
                 f"checkpoint must be a directory, an options dict or a "
                 f"Checkpointer, got {checkpoint!r}"
@@ -1219,112 +1288,47 @@ def open_session(
 
     session: Session | None = None
     if ckpt_restore and not isinstance(ckpt_target, Checkpointer):
+        # Resume on the checkpointed configuration: the snapshot's plan
+        # wins over this call's plan/batch/partition arguments (they
+        # describe a fresh open, not the state being resumed).
         try:
             session = restore_session(program, ckpt_target, counter=counter)
         except CheckpointError:
             if ckpt_restore is True:
                 raise
             # restore="auto": no valid snapshot yet — plan fresh below.
-            session = None
 
-    if session is not None:
-        # Resume on the checkpointed configuration: the snapshot's plan
-        # wins over this call's plan/batch/partition arguments (they
-        # describe a fresh open, not the state being resumed).
-        resolved = getattr(session, "plan", None)
-        if resolved is None:
-            resolved = plan_program(
-                program, inputs, stats=WorkloadStats(n=1, update_rank=rank),
-                dims=dims)
-            session.plan = resolved
-    else:
-        stats_kwargs = {"update_rank": rank}
-        if refresh_count is not None:
-            stats_kwargs["refresh_count"] = refresh_count
-        stats = WorkloadStats(n=1, **stats_kwargs)
-
-        if isinstance(nodes, (tuple, list)):
-            node_grid = tuple(int(count) for count in nodes) or (1,)
-        else:
-            node_grid = (1, int(nodes)) if int(nodes) > 1 else (1,)
-
-        if isinstance(plan, MaintenancePlan):
-            resolved = plan
-        elif plan in ("auto", None):
-            resolved = plan_program(program, inputs, stats=stats, dims=dims,
-                                    nodes=node_grid)
-        elif isinstance(plan, str) and plan.upper() in ("INCR", "REEVAL"):
-            resolved = plan_program(program, inputs, stats=stats, dims=dims,
-                                    strategies=(plan.upper(),),
-                                    nodes=node_grid)
-        else:
-            raise ValueError(
-                f"plan must be 'auto', 'incr', 'reeval' or a MaintenancePlan, "
-                f"got {plan!r}"
-            )
+    if session is None:
+        if not isinstance(plan, MaintenancePlan):
+            if plan in ("auto", None):
+                strategies = ("REEVAL", "INCR")
+            elif isinstance(plan, str) and plan.upper() in ("INCR", "REEVAL"):
+                strategies = (plan.upper(),)
+            else:
+                raise ValueError(
+                    f"plan must be 'auto', 'incr', 'reeval' or a "
+                    f"MaintenancePlan, got {plan!r}"
+                )
+            stats_kwargs = {"update_rank": rank or 1}
+            if refresh_count is not None:
+                stats_kwargs["refresh_count"] = refresh_count
+            if isinstance(nodes, (tuple, list)):
+                node_grid = tuple(int(count) for count in nodes) or (1,)
+            else:
+                node_grid = (1, int(nodes)) if int(nodes) > 1 else (1,)
+            plan = plan_program(
+                program, inputs, stats=WorkloadStats(n=1, **stats_kwargs),
+                dims=dims, strategies=strategies, nodes=node_grid)
         # The caller's backend is the object the session runs on (an
         # instance keeps its thresholds); the plan records its name.
-        if backend is not None:
-            backend = get_backend(backend)
-            resolved = resolved.with_overrides(backend=backend.name)
-        else:
-            backend = resolved.backend
-        resolved = resolved.with_overrides(mode=mode)
-        if resolved.strategy not in ("INCR", "REEVAL"):
-            raise ValueError(
-                f"sessions support INCR or REEVAL, not {resolved.strategy!r} "
-                "(HYBRID exists only for the iterative maintainers)"
-            )
-
-        if resolved.nodes > 1:
-            from ..distributed.shm import SharedMemoryBudgetError
-
-            # Sharded execution runs the interpret-style tile kernels.
-            resolved = resolved.with_overrides(mode="interpret")
-            try:
-                session = ShardedChainSession(
-                    program, inputs, dims, counter=counter,
-                    backend=backend, nodes=resolved.nodes,
-                    shard=shard, supervise=supervise,
-                )
-            except SharedMemoryBudgetError as exc:
-                # Out of /dev/shm: a sharded plan cannot hold its views.
-                # Degrade to the single-process configuration instead of
-                # failing the open — the planner's grid always prices it.
-                warnings.warn(
-                    f"shared-memory budget exhausted; opening the planned "
-                    f"{resolved.nodes}-node session single-process instead "
-                    f"({exc})",
-                    RuntimeWarning, stacklevel=2,
-                )
-                resolved = dataclasses.replace(resolved, nodes=1)
-                session = IVMSession(
-                    program, inputs, dims, rank=rank, optimize=optimize,
-                    mode=resolved.mode, counter=counter,
-                    backend=backend,
-                )
-        elif resolved.strategy == "REEVAL":
-            # Re-evaluation has no trigger code, so no execution mode.
-            resolved = resolved.with_overrides(mode="interpret")
-            session = ReevalSession(
-                program, inputs, dims, counter=counter,
-                backend=backend,
-            )
-        else:
-            session = IVMSession(
-                program, inputs, dims, rank=rank, optimize=optimize,
-                mode=resolved.mode, counter=counter, backend=backend,
-            )
-        session.plan = resolved
-
-        session.install_deferral(resolved, spec)
+        session = build_session(
+            program, inputs,
+            plan.with_overrides(mode=mode, rank=rank, optimize=optimize),
+            dims, counter, backend, shard, supervise)
+        session.install_deferral(session.plan, spec)
 
     if ckpt_target is not None:
-        options = dict(ckpt_options)
-        if not isinstance(ckpt_target, Checkpointer):
-            options.setdefault("rank", rank)
-            options.setdefault("optimize", optimize)
-        session.attach_checkpointer(ckpt_target, **options)
+        session.attach_checkpointer(ckpt_target, **ckpt_options)
 
     result = session
     if replan:
@@ -1341,20 +1345,16 @@ def open_session(
                 options.setdefault(key, value)
         options.setdefault("expected_refreshes", refresh_count)
         result = ReplanMonitor(session, **options)
-        result.plan = resolved
     elif drift:
         from .drift import SessionDriftMonitor
 
         options = {} if drift is True else dict(drift)
         result = SessionDriftMonitor(session, **options)
-        result.plan = resolved
     if serve:
         # The server's writer thread becomes the session's (and any
         # monitor's) sole owner: replans and drift probes run there.
         from .serving import ViewServer
 
         serve_options = {} if serve is True else dict(serve)
-        server = ViewServer(result, **serve_options)
-        server.plan = resolved
-        return server
+        return ViewServer(result, **serve_options)
     return result

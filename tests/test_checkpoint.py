@@ -23,11 +23,13 @@ from repro.runtime.checkpoint import (
     Checkpointer,
     deserialize_state,
     load_checkpoint,
+    capture_session,
+    rebuild_session,
     restore_session,
     serialize_state,
     write_checkpoint,
 )
-from repro.runtime.session import open_session
+from repro.runtime.session import IVMSession, open_session
 from repro.runtime.updates import FactoredUpdate
 from repro.testing import faults
 
@@ -84,10 +86,11 @@ class TestFormat:
         with pytest.raises(CheckpointCorruptError):
             deserialize_state(b"NOPE" + b"\x00" * 64)
 
-    @pytest.mark.parametrize("version", [1, 99])
+    @pytest.mark.parametrize("version", [1, 2, 99])
     def test_unsupported_version(self, version):
-        """Version 1 is the pre-deferral-slot header: refused, not
-        mis-read (its ``batch`` / ``partition`` entries are gone)."""
+        """Version 1 is the pre-deferral-slot header, version 2 stores
+        the build axes beside the plan instead of in it: refused, not
+        mis-read."""
         blob = bytearray(serialize_state({}, {}))
         import hashlib
         import struct
@@ -180,6 +183,34 @@ class TestRoundTrip:
         session.flush()
         restored.flush()
         for name in live:
+            assert np.array_equal(np.asarray(session[name]),
+                                  np.asarray(restored[name])), name
+
+    @pytest.mark.parametrize("mode,rank,optimize", [
+        ("codegen", 2, True), ("codegen", 2, False), ("interpret", 2, True)])
+    def test_compile_axes_survive_a_direct_capture(self, mode, rank,
+                                                   optimize):
+        """The plan is the whole recipe: a directly built session's
+        compile width and optimizer switch restore from the one-argument
+        ``capture_session`` form, and the restored triggers keep
+        summing in the live session's order."""
+        prog = gram_chain()
+        session = IVMSession(prog, {"A": operator()}, rank=rank,
+                             optimize=optimize, mode=mode)
+        for update in stream(5, rank=rank):
+            session.apply_update(update)
+        restored = rebuild_session(prog, *deserialize_state(
+            serialize_state(*capture_session(session))))
+        assert restored.plan.label == session.plan.label
+        assert restored.plan.rank == rank
+        assert restored.plan.optimize is optimize
+        assert str(restored.triggers["A"]) == str(session.triggers["A"])
+        if mode == "codegen":
+            assert restored._fused["A"].__rank__ == rank
+        for update in stream(50, seed=8, rank=rank):
+            session.apply_update(update)
+            restored.apply_update(update)
+        for name in ("V", "W"):
             assert np.array_equal(np.asarray(session[name]),
                                   np.asarray(restored[name])), name
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.metadata
+import importlib.util
 import re
 from pathlib import Path
 
@@ -32,3 +33,16 @@ def test_installed_metadata_agrees_with_the_attribute():
     except importlib.metadata.PackageNotFoundError:
         pytest.skip("not installed (PYTHONPATH=src): nothing to compare")
     assert installed == repro.__version__
+
+
+def test_sessions_are_built_in_one_place():
+    """docs/invariants.md, "One build path": one function calls the
+    session constructors, and nothing assigns ``.plan`` on an object
+    other than ``self`` (the same walk CI's ``docs`` job runs)."""
+    tool = PYPROJECT.parent / "tools" / "check_one_builder.py"
+    spec = importlib.util.spec_from_file_location("check_one_builder", tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    builders, stores = module.findings()
+    assert builders == {("runtime/session.py", "build_session")}
+    assert stores == []

@@ -52,6 +52,42 @@ class TestMaintenancePlan:
         forced = plan.with_overrides(backend="dense")
         assert (forced.backend, forced.mode) == ("dense", "codegen")
         assert plan.with_overrides() is plan
+        assert plan.with_overrides(backend="sparse", rank=None) is plan
+        assert plan.with_overrides(rank=3, optimize=True).rank == 3
+        with pytest.raises(TypeError):
+            plan.with_overrides(colour="red")
+
+    def test_rank_is_validated(self):
+        with pytest.raises(ValueError, match="rank"):
+            MaintenancePlan("INCR", rank=0)
+
+    @pytest.mark.parametrize("tenant", range(8))
+    def test_as_dict_is_the_constructor_arguments(self, tenant, rng):
+        """``as_dict`` and the checkpoint header derive from the field
+        list, so every field — the next one added included — rebuilds
+        the plan: over the ranked cells of the eight ``bench_e2e``
+        tenant programs (the shared chain plus one private view)."""
+        import json
+
+        from repro.planner import StreamSketch, rank_program
+
+        program = parse_program(
+            f"input A(n, n); B := A * A; C := B * B; "
+            f"P := {float(tenant + 2):g} * C + A; output P;")
+        sketch = StreamSketch()
+        for key in rng.zipf(1.5, size=400) % 64:
+            sketch.observe_key(int(key))
+        cells = rank_program(
+            program, {"A": sparse_matrix(rng, 64, 0.5)},
+            stats=WorkloadStats(n=1, update_rank=1 + tenant % 3,
+                                distinct_fraction=sketch),
+            nodes=(1, 2))
+        assert len(cells) >= 2
+        for cell in cells:
+            stored = json.loads(json.dumps(cell.as_dict()))
+            assert stored.pop("label") == cell.label
+            assert MaintenancePlan(**stored) == cell
+            assert cell.rank == 1 + tenant % 3 and cell.optimize is False
 
     def test_as_dict_round_trips_json(self):
         import json
