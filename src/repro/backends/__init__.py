@@ -41,10 +41,44 @@ def _sparse() -> Backend:
 
 _FACTORIES = {"dense": lambda: DENSE, "sparse": _sparse}
 
+#: The sparse backend's entry rule: a matrix is stored CSR when both
+#: dimensions reach ``SPARSE_MIN_DIM`` and its density is at or under
+#: ``SPARSIFY_BELOW`` (the :class:`SparseBackend` constructor defaults).
+SPARSE_MIN_DIM = 64
+SPARSIFY_BELOW = 0.10
+
+
+def stores_sparse(rows: int, cols: int, density: float,
+                  min_dim: int = SPARSE_MIN_DIM,
+                  below: float = SPARSIFY_BELOW) -> bool:
+    """Whether the sparse backend stores such a matrix as CSR on entry."""
+    return min(rows, cols) >= min_dim and density <= below
+
+
+#: name -> "would a default instance store a ``(rows, cols, density)``
+#: operand in its own format?" — stated here so the planners can ask
+#: without importing the engine.
+_NATIVE_FORMAT = {"dense": lambda rows, cols, density: True,
+                  "sparse": stores_sparse}
+
 
 def available_backends() -> list[str]:
     """Registered backend names."""
     return sorted(_FACTORIES)
+
+
+def admissible_backends(operands) -> list[str]:
+    """The default planning grid over ``operands``; dense first.
+
+    ``operands`` are the ``(rows, cols, density)`` of the matrices a
+    workload starts from.  A backend is admissible when it would store
+    at least one of them in its own format: a backend that stores none
+    runs the dense kernels on dense state, so its cell can never change
+    a decision (docs/cost-model.md, "Admissible cells").
+    """
+    operands = list(operands)
+    return [name for name, native in _NATIVE_FORMAT.items()
+            if any(native(*operand) for operand in operands)]
 
 
 def get_backend(backend: "str | Backend | None") -> Backend:

@@ -36,6 +36,7 @@ except ImportError:  # pragma: no cover - scipy is a soft dependency
     _sp = None
 
 from ..cost import flops
+from . import SPARSE_MIN_DIM, SPARSIFY_BELOW, stores_sparse
 from .base import MatrixLike
 from .dense import DenseBackend
 
@@ -66,8 +67,8 @@ class SparseBackend(DenseBackend):
 
     def __init__(
         self,
-        min_sparse_dim: int = 64,
-        sparsify_below: float = 0.10,
+        min_sparse_dim: int = SPARSE_MIN_DIM,
+        sparsify_below: float = SPARSIFY_BELOW,
         densify_above: float = 0.35,
     ):
         _require_scipy()
@@ -398,7 +399,8 @@ class SparseBackend(DenseBackend):
     est_inplace_discount: float = 0.85
 
     def est_stored_density(self, rows: int, cols: int, density: float) -> float:
-        if self._worth_sparse_shape(rows, cols) and density <= self.sparsify_below:
+        if stores_sparse(rows, cols, density,
+                         self.min_sparse_dim, self.sparsify_below):
             return float(density)
         return 1.0
 

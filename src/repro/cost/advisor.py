@@ -100,18 +100,22 @@ def _model_grid(k: int) -> list[tuple[str, int | None]]:
     return models
 
 
-def _backend_grid(backends, calibration="auto") -> list:
+def _backend_grid(backends, calibration, n: int, density: float) -> list:
     """Backend instances to rank over; dense first (tie-break winner).
 
-    Cost constants come from the :mod:`repro.calibrate` cache when one
+    ``backends=None`` is the admissible grid for an ``n x n`` operator
+    at ``density`` (:func:`repro.backends.admissible_backends`: a
+    backend that would store it dense runs the dense kernels and cannot
+    change the decision); named backends are ranked as given.  Cost
+    constants come from the :mod:`repro.calibrate` cache when one
     exists for this machine (``calibration="auto"``), so rankings near
     the dense/sparse boundary reflect measured kernel overheads.
     """
     # Deferred: the backends import this package.
-    from ..backends import available_backends, calibrated
+    from ..backends import admissible_backends, calibrated
 
     if backends is None:
-        names = [n for n in ("dense", "sparse") if n in available_backends()]
+        names = admissible_backends([(n, n, density)])
     else:
         names = list(backends)
     resolved = []
@@ -139,9 +143,11 @@ def recommend_powers(
     ``memory_budget`` (in matrix *entries*, like the space formulas)
     filters configurations whose view footprint exceeds it.  Raises
     ``ValueError`` if the budget excludes everything.  ``density``
-    switches to the backend-aware grid (see module docstring); in that
-    mode ``gamma`` is ignored — the estimates price the classical
-    (``gamma = 3``) kernels the backends actually run.
+    switches to the backend-aware grid (see module docstring: the
+    backends that would store the operator in their own format, or
+    exactly the ``backends`` named); in that mode ``gamma`` is ignored
+    — the estimates price the classical (``gamma = 3``) kernels the
+    backends actually run.
     """
     candidates = []
     if density is None:
@@ -158,7 +164,7 @@ def recommend_powers(
             ))
         return _rank(candidates, memory_budget)
 
-    for be in _backend_grid(backends, calibration):
+    for be in _backend_grid(backends, calibration, n, density):
         for model, s in _model_grid(k):
             for strategy in (REEVAL, INCR):
                 cost = est.powers_cost(be, strategy, n, k, model, s,
@@ -207,7 +213,7 @@ def recommend_general(
             ))
         return _rank(candidates, memory_budget)
 
-    for be in _backend_grid(backends, calibration):
+    for be in _backend_grid(backends, calibration, n, density):
         for model, s in _model_grid(k):
             for strategy in (REEVAL, INCR, HYBRID):
                 cost = est.general_cost(be, strategy, n, p, k, model, s,

@@ -38,6 +38,7 @@ from .partitioner import RowShardPartitioner
 from .workers import (
     DEFAULT_TIMEOUT,
     ProcessCluster,
+    lease_tile_stage,
     tile_add_lowrank,
     tile_matT_lowrank,
     tile_mat_lowrank,
@@ -62,14 +63,12 @@ class ShardedEngine:
     """
 
     def __init__(self, partitioner: RowShardPartitioner,
-                 start_method: str = "spawn",
                  timeout: float = DEFAULT_TIMEOUT, supervise: bool = False):
         self.part = partitioner
         self.comm = CommLog()
         self.model = CommLog()
-        self.cluster = ProcessCluster(partitioner, start_method,
-                                      comm=self.comm, timeout=timeout,
-                                      supervise=supervise)
+        self.cluster = ProcessCluster(partitioner, comm=self.comm,
+                                      timeout=timeout, supervise=supervise)
 
     @property
     def nodes(self) -> int:
@@ -194,9 +193,11 @@ class LocalShardEngine:
     def add_lowrank(self, name: str, u: np.ndarray, v: np.ndarray) -> None:
         u, v = _factor(u), _factor(v)
         view, vt = self._views[name], v.T
+        bounds = self.part.tile_bounds
         with self.workspace.frame():
-            for r0, r1 in self.part.tile_bounds:
-                tile_add_lowrank(view, r0, r1, u, vt, self.workspace)
+            stage = lease_tile_stage(self.workspace, bounds, vt.shape[1])
+            for r0, r1 in bounds:
+                tile_add_lowrank(view, r0, r1, u, vt, stage)
 
     def mat_lowrank(self, name: str, u: np.ndarray) -> np.ndarray:
         u = _factor(u)
@@ -339,7 +340,7 @@ class ShardedChainMaintainer:
     def __init__(self, a: np.ndarray, steps=None, *, input_name: str = "A",
                  nodes: int = 1, strategy: str = "range",
                  tile_rows: int | None = None, process: bool | None = None,
-                 start_method: str = "spawn", reeval: bool = False,
+                 reeval: bool = False,
                  timeout: float = DEFAULT_TIMEOUT, supervise: bool = False):
         a = np.ascontiguousarray(a, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -351,7 +352,7 @@ class ShardedChainMaintainer:
         if process is None:
             process = nodes > 1
         if process:
-            self.engine = ShardedEngine(part, start_method, timeout=timeout,
+            self.engine = ShardedEngine(part, timeout=timeout,
                                         supervise=supervise)
         else:
             self.engine = LocalShardEngine(part)

@@ -9,11 +9,11 @@ never move, which is exactly LINVIEW's Figure 3(g) argument, now
 measured in real bytes and real seconds through the same
 :class:`~repro.distributed.comm.CommLog` the simulator uses.
 
-Start method: ``spawn`` is the default (and the only safe choice once
-BLAS threads exist in the parent — ``fork`` duplicates OpenBLAS's
-thread pool state and can deadlock).  Workers are spawned with BLAS
-pinned to one thread: the shards already divide the matrix, so nested
-BLAS threading would only oversubscribe cores.
+Start method: always ``spawn`` (:data:`START_METHOD` — the only safe
+choice once BLAS threads exist in the parent: ``fork`` duplicates
+OpenBLAS's thread pool state and can deadlock).  Workers are spawned
+with BLAS pinned to one thread: the shards already divide the matrix,
+so nested BLAS threading would only oversubscribe cores.
 
 Bit-identity: the per-tile kernels below are the *single* source of
 truth — the in-process reference engine and the worker loop call the
@@ -40,6 +40,9 @@ from ..testing import faults
 from .comm import BROADCAST, GATHER, CommLog
 from .partitioner import RowShardPartitioner
 from .shm import SharedArray
+
+#: How worker processes start (see the module docstring: not a knob).
+START_METHOD = "spawn"
 
 #: Seconds the coordinator waits on a worker reply before declaring it
 #: hung (a dead worker is detected much faster via ``is_alive``).
@@ -108,10 +111,17 @@ class RecoveryEvent:
 # -- per-tile kernels (shared by worker processes and the in-process
 # -- reference engine; identical calls => bitwise identical views) ------
 
+def lease_tile_stage(workspace: Workspace, bounds, cols: int) -> np.ndarray:
+    """One staging buffer tall enough for every tile in ``bounds``: an
+    op stages its tiles one after another, so one lease serves them all."""
+    return workspace.lease(max((r1 - r0 for r0, r1 in bounds), default=0), cols)
+
+
 def tile_add_lowrank(view: np.ndarray, r0: int, r1: int, u: np.ndarray,
-                     vt: np.ndarray, workspace: Workspace) -> None:
-    """``view[r0:r1] += u[r0:r1] @ vt`` staged through a leased buffer."""
-    prod = workspace.lease(r1 - r0, vt.shape[1])
+                     vt: np.ndarray, stage: np.ndarray) -> None:
+    """``view[r0:r1] += u[r0:r1] @ vt`` staged through ``stage``'s
+    leading rows (:func:`lease_tile_stage`)."""
+    prod = stage[:r1 - r0]
     np.matmul(u[r0:r1], vt, out=prod)
     view[r0:r1] += prod
 
@@ -159,10 +169,11 @@ def _execute(op: tuple, views: dict, segments: dict,
         _, name, u, v = op
         view = views[name]
         vt = v.T
+        bounds = [tile_bounds[t] for t in owned]
         with ws.frame():
-            for t in owned:
-                r0, r1 = tile_bounds[t]
-                tile_add_lowrank(view, r0, r1, u, vt, ws)
+            stage = lease_tile_stage(ws, bounds, vt.shape[1])
+            for r0, r1 in bounds:
+                tile_add_lowrank(view, r0, r1, u, vt, stage)
         return None
     if kind == "mat_lowrank":
         _, name, u = op
@@ -310,7 +321,7 @@ class ProcessCluster:
     """
 
     def __init__(self, partitioner: RowShardPartitioner,
-                 start_method: str = "spawn", comm: CommLog | None = None,
+                 comm: CommLog | None = None,
                  timeout: float = DEFAULT_TIMEOUT, supervise: bool = False,
                  max_retries: int = DEFAULT_MAX_RETRIES,
                  backoff: float = DEFAULT_BACKOFF,
@@ -338,7 +349,7 @@ class ProcessCluster:
         #: Whether each worker's current incarnation has ever replied.
         self._replied = [False] * self.nodes
         self._closed = False
-        self._ctx = mp.get_context(start_method)
+        self._ctx = mp.get_context(START_METHOD)
         # Registered before the first spawn: a failure spawning worker
         # k must not leak workers 0..k-1 and their pipes.
         self._finalizer = weakref.finalize(
@@ -748,6 +759,7 @@ __all__ = [
     "ProcessCluster",
     "RecoveryEvent",
     "WorkerFailedError",
+    "lease_tile_stage",
     "tile_add_lowrank",
     "tile_matT_lowrank",
     "tile_mat_lowrank",

@@ -17,7 +17,7 @@ from .._lazy import lazy_exports
 
 #: Public name -> defining submodule, imported on first access.
 _EXPORTS = {
-    "CODEGEN_MIN_REFRESHES": "planner",
+    "CODEGEN_MIN_REFRESHES": "plan",
     "HYBRID": "plan",
     "INCR": "plan",
     "MaintenancePlan": "plan",

@@ -44,7 +44,9 @@ class MaintenancePlan:
 
     ``predicted_time`` is the planner's amortized per-refresh operation
     count (ranking unit, not wall-clock); ``predicted_space`` the
-    predicted stored entries.  Both are ``nan`` for hand-built plans.
+    predicted stored entries.  Both are ``nan`` for a plan that was not
+    priced: a hand-built one, or one :func:`determined_plan` wrote down
+    because the caller's arguments left nothing to rank.
     """
 
     strategy: str
@@ -188,6 +190,52 @@ class WorkloadStats:
         return cls(n=int(a.shape[0]), **kwargs)
 
 
+#: Refresh count at or above which sessions compile triggers to Python
+#: source once (``mode="codegen"``) instead of interpreting the AST per
+#: update — the compile cost amortizes quickly, but one-shot sessions
+#: shouldn't pay it.
+CODEGEN_MIN_REFRESHES = 32
+
+
+def session_mode(strategy: str, stats: WorkloadStats) -> str:
+    """The trigger execution mode of a session cell (a rule, not a
+    priced axis): INCR compiles once the stream is long enough."""
+    if strategy == INCR and stats.refresh_count >= CODEGEN_MIN_REFRESHES:
+        return "codegen"
+    return "interpret"
+
+
+def determined_plan(matrices, stats: WorkloadStats, strategies, nodes,
+                    batch_forced: bool) -> MaintenancePlan | None:
+    """The session plan the arguments alone determine, or ``None``.
+
+    :func:`~repro.planner.planner.rank_program` prices the grid
+    strategy x admissible backend x node count and recommends a batch
+    width per cell.  When one strategy is asked for, ``matrices`` (the
+    program's initial inputs) admit one backend
+    (:func:`repro.backends.admissible_backends`), every node count is 1
+    and the caller forces the batch width, that
+    grid has one cell and nothing of its pricing is read (``partition``
+    stays ``"uniform"`` without a stream sketch, which no opening call
+    has) — so the cell is written down unpriced and the pricing stack
+    is never imported.  Anything else returns ``None``: price it.
+    """
+    from ..backends import admissible_backends
+
+    if (len(strategies) != 1 or not batch_forced
+            or any(int(count) > 1 for count in nodes)):
+        return None
+    backends = admissible_backends(
+        (*m.shape, WorkloadStats.measure_density(m))
+        for m in matrices if m is not None)
+    if len(backends) != 1:
+        return None
+    strategy, = strategies
+    return MaintenancePlan(
+        strategy, backend=backends[0], mode=session_mode(strategy, stats),
+        rank=stats.update_rank)
+
+
 class StreamSketch:
     """Online distinct-target sketch of an update stream (Zipf-aware).
 
@@ -311,13 +359,7 @@ class StreamSketch:
         when a few targets dominate — the planner charges eager cost on
         this mass and deferred-fold cost on the remainder.
         """
-        if self.total == 0:
-            return 0.0
-        keys = self.heavy_keys(budget, factor)
-        if not keys:
-            return 0.0
-        mass = sum(self._counts[key] for key in keys)
-        return float(mass) / float(self.total)
+        return self.heavy_split(budget, 1, factor)[0]
 
     def light_fraction(self, budget: int, width: int,
                        factor: float = 4.0) -> float:
@@ -330,21 +372,32 @@ class StreamSketch:
         is the planner's light-rank growth rate.  1.0 when the tail is
         empty or nothing has been observed.
         """
+        return self.heavy_split(budget, width, factor)[1]
+
+    def heavy_split(self, budget: int, width: int,
+                    factor: float = 4.0) -> tuple[float, float]:
+        """``(heavy_share, light_fraction)`` for ``budget`` from one
+        :meth:`heavy_keys` — what the planner prices a split on."""
+        if self.total == 0:
+            return 0.0, 1.0
+        heavy = self.heavy_keys(budget, factor)
+        share = (float(sum(self._counts[key] for key in heavy))
+                 / float(self.total) if heavy else 0.0)
         m = max(int(width), 1)
-        if m <= 1 or self.total == 0:
-            return 1.0
-        heavy = set(self.heavy_keys(budget, factor))
+        if m <= 1:
+            return share, 1.0
+        heavy = set(heavy)
         light_counts = [count for key, count in self._counts.items()
                         if key not in heavy]
         light_total = float(sum(light_counts) + self.overflow)
         if light_total <= 0:
-            return 1.0
+            return share, 1.0
         expected = sum(
             1.0 - (1.0 - count / light_total) ** m for count in light_counts
         )
         # Untracked (overflow) mass: assume every draw is distinct.
         expected += (self.overflow / light_total) * m
-        return float(min(1.0, max(expected / m, 1.0 / m)))
+        return share, float(min(1.0, max(expected / m, 1.0 / m)))
 
     def capture(self) -> dict:
         """The sketch's counters, JSON-ready (what a checkpoint stores)."""
@@ -404,12 +457,15 @@ def resolve_driver_strategy(strategy, model, default_model, auto_plan):
 
 
 __all__ = [
+    "CODEGEN_MIN_REFRESHES",
     "HYBRID",
     "INCR",
     "MaintenancePlan",
     "REEVAL",
     "StreamSketch",
     "WorkloadStats",
+    "determined_plan",
     "resolve_distinct_fraction",
     "resolve_driver_strategy",
+    "session_mode",
 ]

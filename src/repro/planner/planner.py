@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from ..backends import available_backends, calibrated
+from ..backends import admissible_backends, calibrated
 from ..compiler.program import Program
 from ..cost.advisor import recommend_general, recommend_powers
 from ..cost.estimate import (
@@ -30,27 +30,19 @@ from ..cost.estimate import (
 )
 from ..runtime.executor import resolve_dim
 from .plan import (
+    CODEGEN_MIN_REFRESHES,
     INCR,
     REEVAL,
     MaintenancePlan,
     WorkloadStats,
     resolve_distinct_fraction,
+    session_mode,
 )
 from .programcost import infer_dims, program_cost
-
-#: Refresh count at or above which sessions compile triggers to Python
-#: source once (``mode="codegen"``) instead of interpreting the AST per
-#: update — the compile cost amortizes quickly, but one-shot sessions
-#: shouldn't pay it.
-CODEGEN_MIN_REFRESHES = 32
 
 #: Candidate update-batch widths the planner grids over (capped or
 #: extended by ``WorkloadStats.batch_hint``).
 BATCH_GRID = (1, 2, 4, 8, 16, 32)
-
-
-def _mode_for(stats: WorkloadStats) -> str:
-    return "codegen" if stats.refresh_count >= CODEGEN_MIN_REFRESHES else "interpret"
 
 
 def _batch_widths(batch_hint: int | None) -> tuple[int, ...]:
@@ -69,31 +61,29 @@ def _refresh_cost_memo(
     program: Program,
     dims,
     densities,
-    rank: int,
     update_input: str | None,
     inplace: bool,
-    base_refresh: float | None = None,
 ):
-    """A memoized ``update_rank -> per-refresh flops`` closure.
+    """Memoized ``update_rank -> CostEstimate`` and ``-> refresh flops``
+    closures for one cell.
 
     Shared by the batch-width and partition recommenders so each
     (strategy, backend) cell walks the program tree once per distinct
-    rank, not once per candidate.  ``base_refresh`` seeds the memo with
-    the caller's already-computed rank-``rank`` cost.
+    rank, not once per candidate — and, kept in a caller's ``memo``
+    (:func:`rank_program`), once per distinct rank for as long as what
+    they close over holds.
     """
-    memo: dict[int, float] = {}
-    if base_refresh is not None:
-        memo[rank] = float(base_refresh)
+    walked: dict[int, object] = {}
 
-    def refresh_cost(r: int) -> float:
-        if r not in memo:
-            memo[r] = program_cost(
+    def cost_at(r: int):
+        if r not in walked:
+            walked[r] = program_cost(
                 be, strategy, program, dims, densities,
                 rank=r, update_input=update_input, inplace=inplace,
-            ).refresh
-        return memo[r]
+            )
+        return walked[r]
 
-    return refresh_cost
+    return cost_at, lambda r: cost_at(r).refresh
 
 
 def _recommend_batch(
@@ -101,9 +91,8 @@ def _recommend_batch(
     rows: int,
     cols: int,
     rank: int,
-    batch_hint: int | None,
+    fractions: Mapping[int, float],
     refresh_cost,
-    distinct=None,
 ) -> tuple[int, float]:
     """Cheapest per-update batch width for this (strategy, backend) cell.
 
@@ -113,13 +102,13 @@ def _recommend_batch(
     ``m`` rank-``rank`` refreshes — amortizing both per-call overhead
     and, for REEVAL, the whole re-evaluation.
 
-    ``refresh_cost`` is a :func:`_refresh_cost_memo` closure.
-    ``distinct`` is the workload's
-    :attr:`~repro.planner.plan.WorkloadStats.distinct_fraction`: how
-    much of a stacked batch survives compaction — ``None`` keeps the
-    conservative no-compression default, a
-    :class:`~repro.planner.plan.StreamSketch` prices each width from
-    the observed stream's target skew (the Zipf knob of Table 4).
+    ``refresh_cost`` maps an update rank to the cell's per-refresh
+    flops (:func:`_refresh_cost_memo`).  ``fractions`` maps each
+    candidate width to how much of a stacked batch of it survives
+    compaction (:func:`_stream_statistics`): 1.0 is the conservative
+    no-compression default, a
+    :class:`~repro.planner.plan.StreamSketch` gives each width the
+    observed stream's target skew (the Zipf knob of Table 4).
 
     Returns ``(width, per_update_cost)`` — the winning width and its
     predicted per-*update* cost (equal to the plain refresh cost when
@@ -129,10 +118,10 @@ def _recommend_batch(
     def unit_cost(m: int) -> float:
         return batch_unit_cost(
             be, refresh_cost, rows, cols, m, rank=rank,
-            distinct_fraction=resolve_distinct_fraction(distinct, m * rank),
+            distinct_fraction=fractions[m],
         )
 
-    best = min(_batch_widths(batch_hint), key=unit_cost)
+    best = min(fractions, key=unit_cost)
     return int(best), unit_cost(best)
 
 
@@ -142,43 +131,63 @@ def _recommend_partition(
     cols: int,
     rank: int,
     refresh_cost,
-    distinct,
+    splits,
     uniform_unit: float,
 ) -> tuple[str, int | None, float]:
     """Cheapest partition mode for this (strategy, backend) cell.
 
-    Grids the heavy-set budgets of
-    :data:`~repro.runtime.heavylight.HEAVY_BUDGET_GRID` through
+    Prices each ``(budget, heavy_share, light_fraction)`` of ``splits``
+    (:func:`_stream_statistics`: the heavy-set budgets of
+    :data:`~repro.runtime.heavylight.HEAVY_BUDGET_GRID` the sketch sees
+    a heavy set for) through
     :func:`~repro.cost.estimate.heavy_light_unit_cost`, charging eager
-    cost on the sketch's observed heavy mass and deferred-fold cost on
-    the tail, against ``uniform_unit`` — the best uniform-batching
-    per-update cost from :func:`_recommend_batch`.  ``heavy-light`` is
-    recommended only when a budget prices strictly below uniform;
-    without a skew-measuring sketch (a plain float or ``None``
-    ``distinct_fraction``) — or when the sketch sees a uniform stream
-    and its heavy set collapses to empty — the recommendation stays
-    ``uniform``.
+    cost on the observed heavy mass and deferred-fold cost on the tail,
+    against ``uniform_unit`` — the best uniform-batching per-update
+    cost from :func:`_recommend_batch`.  ``heavy-light`` is recommended
+    only when a budget prices strictly below uniform; with no splits —
+    no skew-measuring sketch, or one that sees a uniform stream — the
+    recommendation stays ``uniform``.
 
     Returns ``(partition, heavy_budget, per_update_cost)``.
     """
-    if distinct is None or not hasattr(distinct, "heavy_share"):
-        return "uniform", None, float(uniform_unit)
-    from ..runtime.heavylight import DEFAULT_RANK_BOUND, HEAVY_BUDGET_GRID
-
     best: tuple[str, int | None, float] = ("uniform", None, float(uniform_unit))
-    for budget in HEAVY_BUDGET_GRID:
-        share = float(distinct.heavy_share(budget))
-        if share <= 0.0:
-            continue
+    for budget, share, light_fraction, rank_bound in splits:
         unit = heavy_light_unit_cost(
             be, refresh_cost, rows, cols, budget, rank=rank,
-            heavy_share=share,
-            light_fraction=distinct.light_fraction(budget, DEFAULT_RANK_BOUND),
-            rank_bound=DEFAULT_RANK_BOUND,
+            heavy_share=share, light_fraction=light_fraction,
+            rank_bound=rank_bound,
         )
         if unit < best[2]:
             best = ("heavy-light", int(budget), unit)
     return best
+
+
+def _stream_statistics(distinct, batch_hint: int | None, rank: int):
+    """What the recommenders read off the stream, once per ranking.
+
+    None of it depends on the cell: ``fractions`` (candidate batch
+    width -> distinct fraction of a batch that wide) feeds
+    :func:`_recommend_batch`, ``splits`` (one ``(budget, heavy_share,
+    light_fraction, rank_bound)`` per heavy budget with a non-empty
+    heavy set) feeds :func:`_recommend_partition`.  ``distinct`` is
+    :attr:`WorkloadStats.distinct_fraction`; only a sketch (anything
+    with ``heavy_split``) yields splits.
+    """
+    fractions = {
+        width: resolve_distinct_fraction(distinct, width * rank)
+        for width in _batch_widths(batch_hint)
+    }
+    splits = []
+    if hasattr(distinct, "heavy_split"):
+        from ..runtime.heavylight import DEFAULT_RANK_BOUND, HEAVY_BUDGET_GRID
+
+        for budget in HEAVY_BUDGET_GRID:
+            share, light_fraction = distinct.heavy_split(
+                budget, DEFAULT_RANK_BOUND)
+            if share > 0.0:
+                splits.append(
+                    (budget, share, light_fraction, DEFAULT_RANK_BOUND))
+    return fractions, splits
 
 
 def plan_powers(stats: WorkloadStats) -> MaintenancePlan:
@@ -226,12 +235,20 @@ def rank_program(
     amortize_setup: bool = True,
     price_batching: bool = False,
     nodes=(1,),
+    memo: dict | None = None,
 ) -> list[MaintenancePlan]:
     """Every admissible session plan, cheapest first.
 
     The grid is (strategy in {INCR, REEVAL}) x backend x node-count;
     ``nodes`` lists the worker counts to price (``(1,)`` keeps the
-    single-process grid).  Sharded cells (``N > 1``) exist only for
+    single-process grid).  ``backends=None`` is the admissible grid:
+    the backends that would store at least one program input in their
+    own format (:func:`repro.backends.admissible_backends` — a backend
+    that stores none runs the dense kernels on dense state and cannot
+    change a decision); a caller who names backends gets exactly those
+    cells, which is how :class:`~repro.runtime.drift.ReplanMonitor`
+    keeps the running backend priced whatever its inputs have become.
+    Sharded cells (``N > 1``) exist only for
     dense INCR over chain-shaped programs — the form the shared-memory
     engine executes — and are priced with the Amdahl + IPC comm term
     (:func:`repro.cost.estimate.sharded_refresh_cost`), so tiny views
@@ -259,6 +276,14 @@ def rank_program(
     batched form is the real winner (CSR-merge amortization being the
     canonical case).  The default ``False`` keeps opening-plan
     rankings on the conservative unbatched form.
+
+    ``memo`` is a dict the caller owns and passes to every ranking of
+    one program: the calibrated backends and the per-cell ``rank ->
+    cost`` walks of the program tree are kept in it and reused while
+    dimensions, measured densities, update input and calibration are
+    what they were, and dropped when one moves — so a periodic
+    re-ranking of an unchanged workload walks nothing twice and returns
+    the same floats.
     """
     inputs = dict(inputs or {})
     resolved_dims = dict(dims or {})
@@ -270,17 +295,25 @@ def rank_program(
         for name in program.input_names
         if inputs.get(name) is not None
     }
-    rank = stats.update_rank if stats is not None else 1
-    refreshes = stats.refresh_count if stats is not None else (
-        WorkloadStats(n=1).refresh_count
-    )
-    mode_stats = stats or WorkloadStats(n=1, refresh_count=refreshes)
+    stats = stats or WorkloadStats(n=1)
+    rank = stats.update_rank
+    refreshes = stats.refresh_count
 
     if backends is None:
-        backends = [b for b in ("dense", "sparse") if b in available_backends()]
+        backends = admissible_backends(
+            (resolve_dim(sym.shape.rows, resolved_dims),
+             resolve_dim(sym.shape.cols, resolved_dims),
+             densities.get(sym.name, 1.0))
+            for sym in program.inputs)
 
-    batch_hint = stats.batch_hint if stats is not None else None
-    distinct = stats.distinct_fraction if stats is not None else None
+    memo = {} if memo is None else memo
+    valid_for = (program, resolved_dims, densities, update_input, calibration)
+    if memo.get("valid_for") != valid_for:
+        memo.clear()
+        memo["valid_for"] = valid_for
+
+    fractions, splits = _stream_statistics(
+        stats.distinct_fraction, stats.batch_hint, rank)
 
     node_counts = sorted({max(int(count), 1) for count in nodes}) or [1]
     shardable = None
@@ -294,29 +327,29 @@ def rank_program(
 
     candidates = []
     for backend_name in backends:
-        try:
-            be = calibrated(backend_name, calibration)
-        except (ValueError, RuntimeError):
-            continue
+        be = memo.get(("backend", backend_name))
+        if be is None:
+            try:
+                be = calibrated(backend_name, calibration)
+            except (ValueError, RuntimeError):
+                continue
+            memo["backend", backend_name] = be
         for strategy in strategies:
-            mode = _mode_for(mode_stats) if strategy == INCR else "interpret"
+            mode = session_mode(strategy, stats)
             # Codegen sessions run the fused in-place fast path, so
             # those cells are priced with the allocation discount.
-            inplace = strategy == INCR and mode == "codegen"
-            cost = program_cost(
-                be, strategy, program, resolved_dims, densities,
-                rank=rank, update_input=update_input, inplace=inplace,
-            )
-            refresh_fn = _refresh_cost_memo(
-                be, strategy, program, resolved_dims, densities,
-                rank, update_input, inplace, base_refresh=cost.refresh,
-            )
+            inplace = mode == "codegen"
+            cell = (be.name, strategy, inplace)
+            if cell not in memo:
+                memo[cell] = _refresh_cost_memo(
+                    be, strategy, program, resolved_dims, densities,
+                    update_input, inplace)
+            cost_at, refresh_fn = memo[cell]
+            cost = cost_at(rank)
             batch, batched_unit = _recommend_batch(
-                be, target_n, target_cols, rank, batch_hint, refresh_fn,
-                distinct=distinct,
-            )
+                be, target_n, target_cols, rank, fractions, refresh_fn)
             partition, heavy_budget, hl_unit = _recommend_partition(
-                be, target_n, target_cols, rank, refresh_fn, distinct,
+                be, target_n, target_cols, rank, refresh_fn, splits,
                 batched_unit,
             )
             unit = hl_unit if partition == "heavy-light" else batched_unit

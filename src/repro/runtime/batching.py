@@ -29,7 +29,9 @@ plan cell into the active policy.  ``open_session``,
 ``ReplanMonitor`` re-tuning and checkpoint restore all go through it
 (via :meth:`Session.install_deferral
 <repro.runtime.session.Session.install_deferral>`, which flushes
-first — the flush-before-switch convention).
+first — the flush-before-switch convention — unless a re-resolution of
+the standing spec would rebuild the running policy as it is:
+:func:`still_resolved`).
 
 Both policies keep the semantics exact with the same flushes: on
 *width* / *rank bound* (bounded memory, the planner's amortization
@@ -42,7 +44,7 @@ always address one input, so cross-input ordering is preserved).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..delta.batch import DEFAULT_RTOL, BatchCollector
 from .heavylight import (
@@ -228,6 +230,72 @@ class DeferralSpec:
         object.__setattr__(self, "partition", partition)
 
 
+@dataclass(frozen=True)
+class _Resolved:
+    """What a spec resolves to — the decision, before anything is built
+    (``None`` stands for unit-at-a-time).
+
+    ``width`` is the uniform batch width (under ``split``: that of the
+    shadowed policy, ``None`` for no batching); the heavy-light fields
+    are ``None`` unless ``split``.  Two equal values build interchangeable
+    policies (:func:`still_resolved`).
+    """
+
+    width: int | None
+    max_staleness: int | None
+    rtol: float
+    backend: object
+    split: bool = False
+    budget: int | None = None
+    rank_bound: int | None = None
+    retune_every: int | None = None
+    sketch: object = None
+    observe: bool | None = None
+
+    @classmethod
+    def wanted(cls, spec: DeferralSpec, cell, prior, sketch, observe, backend):
+        """``spec`` resolved against ``cell`` (and ``prior``'s carry-overs)."""
+        width, mode = spec.batch, spec.partition
+        if width == "auto":
+            width = getattr(cell, "batch_size", None)
+        if mode == "auto":
+            mode = getattr(cell, "partition", None)
+        batching = width is not None and width > 1
+        uniform = cls(int(width) if batching else None,
+                      spec.max_staleness, spec.rtol, backend)
+        if mode != "heavy-light":
+            return uniform if batching else None
+        held = prior if isinstance(prior, HeavyLightMaintainer) else None
+        if sketch is None and held is not None:
+            sketch = held.sketch
+            if observe is None:
+                observe = held.observe_stream
+        return replace(
+            uniform, split=True,
+            budget=int(spec.heavy_budget or getattr(cell, "heavy_budget", None)
+                       or (held.budget if held is not None
+                           else DEFAULT_HEAVY_BUDGET)),
+            rank_bound=spec.rank_bound or DEFAULT_RANK_BOUND,
+            retune_every=spec.retune_every or DEFAULT_RETUNE_EVERY,
+            sketch=sketch, observe=True if observe is None else bool(observe))
+
+    @classmethod
+    def running(cls, policy):
+        """What ``policy`` runs at (``None``: unit-at-a-time)."""
+        if policy is None:
+            return None
+        if not isinstance(policy, HeavyLightMaintainer):
+            return cls(policy.width, policy.max_staleness, policy.rtol,
+                       policy.collector.backend)
+        shadowed = policy.shadowed
+        return cls(
+            shadowed.width if shadowed is not None else None,
+            policy.max_staleness, policy.rtol, policy.collector.backend,
+            split=True, budget=policy.budget, rank_bound=policy.rank_bound,
+            retune_every=policy.retune_every, sketch=policy.sketch,
+            observe=policy.observe_stream)
+
+
 def resolve_deferral(spec: DeferralSpec, cell=None, prior=None, sketch=None,
                      observe: bool | None = None, backend=None):
     """The active policy for ``spec`` under plan cell ``cell`` (or ``None``).
@@ -251,31 +319,24 @@ def resolve_deferral(spec: DeferralSpec, cell=None, prior=None, sketch=None,
     policy's); ``observe=False`` marks it externally fed, so the
     maintainer reads occupancy without double-counting the stream.
     """
-    width, mode = spec.batch, spec.partition
-    if width == "auto":
-        width = getattr(cell, "batch_size", None)
-    if mode == "auto":
-        mode = getattr(cell, "partition", None)
+    wanted = _Resolved.wanted(spec, cell, prior, sketch, observe, backend)
+    if wanted is None:
+        return None
     split = prior if isinstance(prior, HeavyLightMaintainer) else None
     uniform = None
-    if width is not None and width > 1:
-        uniform = SessionBatcher(width, spec.max_staleness, spec.rtol, backend)
+    if wanted.width is not None:
+        uniform = SessionBatcher(wanted.width, wanted.max_staleness,
+                                 wanted.rtol, wanted.backend)
         shadowed = split.shadowed if split is not None else prior
         if shadowed is not None:
             uniform.stats = shadowed.stats
-    if mode != "heavy-light":
+    if not wanted.split:
         return uniform
-    if sketch is None and split is not None:
-        sketch = split.sketch
-        if observe is None:
-            observe = split.observe_stream
     policy = HeavyLightMaintainer(
-        budget=(spec.heavy_budget or getattr(cell, "heavy_budget", None)
-                or (split.budget if split is not None else DEFAULT_HEAVY_BUDGET)),
-        rank_bound=spec.rank_bound or DEFAULT_RANK_BOUND,
-        retune_every=spec.retune_every or DEFAULT_RETUNE_EVERY,
-        max_staleness=spec.max_staleness, rtol=spec.rtol, backend=backend,
-        sketch=sketch, observe=True if observe is None else observe,
+        budget=wanted.budget, rank_bound=wanted.rank_bound,
+        retune_every=wanted.retune_every, max_staleness=wanted.max_staleness,
+        rtol=wanted.rtol, backend=wanted.backend, sketch=wanted.sketch,
+        observe=wanted.observe,
     )
     policy.shadowed = uniform
     if split is not None:
@@ -284,6 +345,16 @@ def resolve_deferral(spec: DeferralSpec, cell=None, prior=None, sketch=None,
         if policy.budget != split.budget:
             policy.retune()
     return policy
+
+
+def still_resolved(spec: DeferralSpec, cell, running, sketch=None,
+                   observe: bool | None = None, backend=None) -> bool:
+    """Whether ``running`` already is what :func:`resolve_deferral` would
+    build from the same arguments (same width, mode, budget, bounds,
+    backend and sketch) — so a re-resolution may leave it alone, pending
+    updates and all."""
+    return (_Resolved.wanted(spec, cell, running, sketch, observe, backend)
+            == _Resolved.running(running))
 
 
 class DeferredRefresher:
@@ -369,4 +440,5 @@ __all__ = [
     "SessionBatcher",
     "deferred",
     "resolve_deferral",
+    "still_resolved",
 ]

@@ -23,6 +23,7 @@ for memory.
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import time
 from dataclasses import dataclass
 from typing import Callable, Protocol
@@ -236,7 +237,9 @@ class ReplanMonitor(SessionDriftMonitor):
     loop: every ``check_every`` updates it re-measures the inputs'
     densities and the observed update rank *from the live session
     state*, re-prices the (strategy, backend) grid with setup treated
-    as sunk (``rank_program(amortize_setup=False)``), and switches the
+    as sunk (``rank_program(amortize_setup=False)``; the program-tree
+    walks behind the prices are kept between checks and redone only
+    when a dimension or measured density moves), and switches the
     session via :meth:`Session.with_plan
     <repro.runtime.session.Session.with_plan>` — a state *conversion*,
     never a rebuild — when the cheaper plan's projected savings over the
@@ -276,9 +279,12 @@ class ReplanMonitor(SessionDriftMonitor):
     the observed target skew (Table 4's knob).  Between switches the
     session's deferral spec is re-resolved against the freshly ranked
     cell (:meth:`_retune`): ``"auto"`` values follow it, values the
-    caller forced never move.  Pending deferred updates always flush
-    before a re-planning decision or switch (the flush-before-switch
-    convention).
+    caller forced never move.  Pending deferred updates flush before
+    a switch or a change of policy (the flush-before-switch
+    convention), never for a check that changes nothing: a check that
+    neither switches nor re-tunes leaves the session exactly as it
+    found it, so the deferral policy — not this monitor's cadence —
+    decides when a batch ends.
     """
 
     def __init__(
@@ -312,10 +318,18 @@ class ReplanMonitor(SessionDriftMonitor):
         self._update_target: str | None = None
         from ..planner import StreamSketch
 
+        # The pricing stack loads with the monitor, not at its first
+        # check: an opening call that had nothing to price never
+        # imported it (docs/invariants.md, "Import closures").
+        importlib.import_module("..planner.planner", __package__)
         #: Online distinct-target sketch of the observed update stream —
         #: the Zipf-awareness that re-prices each plan's batch width
         #: from what the stream actually hits (Table 4's knob).
         self.stream_sketch = StreamSketch()
+        #: ``rank_program``'s ``memo``: calibrated backends and
+        #: program-tree walks kept across checks, so a check of an
+        #: unchanged workload re-walks nothing.
+        self._rank_memo: dict = {}
 
     def apply_update(self, update) -> None:
         """Apply one update; probe drift and re-plan on schedule."""
@@ -382,21 +396,60 @@ class ReplanMonitor(SessionDriftMonitor):
     def replan(self) -> ReplanEvent | None:
         """Re-price the plan grid from live state; switch if it pays.
 
+        The check disturbs the session only when its decision changes
+        something.  It ranks on the *stored* inputs, pending deferred
+        updates and all (what is pending is bounded — by
+        ``max_staleness``, the batch width or the light rank bound — so
+        it moves a measured density by at most that many rank-1 terms);
+        only a ranking that says "switch" flushes, and the switch is
+        then decided again on the landed state, the state that will
+        cross.  Re-tuning flushes only when the policy changes
+        (:meth:`_retune`).
+
         Returns the :class:`ReplanEvent` when the best plan differs from
         the running one (whether or not the switch was taken), ``None``
         when the current plan is still the winner.
+        """
+        session = self.session
+        remaining = self._remaining_horizon()
+        seconds = self._window_seconds / max(self._window_updates, 1)
+        self._window_seconds = 0.0
+        self._window_updates = 0
+
+        current, best, event = self._weigh(remaining, seconds)
+        # ``flush()[0]``: how many pending updates just landed.
+        if event is not None and event.switched and session.flush()[0]:
+            current, best, event = self._weigh(remaining, seconds)
+        self._retune(current)
+        if event is None:
+            return None
+        self.replans.append(event)
+        if event.switched:
+            # The ranked cell is the whole recipe of the new session;
+            # what ranking does not decide carries over from the old.
+            self.session = session.with_plan(dataclasses.replace(
+                best, rank=self._observed_rank,
+                optimize=session.plan.optimize))
+            if not self._custom_rebuild:
+                # Rebind the default rebuild hook to the *new* session.
+                self._rebuild = self.session.rebuild
+        return event
+
+    def _weigh(self, remaining: int, seconds: float):
+        """Rank the grid on the session's stored state.
+
+        Returns ``(current, best, event)``: the freshly ranked cell of
+        the running configuration (``None`` when the grid has no such
+        cell), and — when another cell ranks first — that cell and the
+        :class:`ReplanEvent` weighing the move (``switched``: whether
+        it pays); both ``None`` while the running cell still wins.
         """
         from ..planner import WorkloadStats, rank_program
 
         session = self.session
         program = session.program
-        # Pending batched updates must not skew the density measurement
-        # (they have not reached the inputs yet) — and a switch decision
-        # taken here may rebuild triggers, so land them first.
-        session.flush()
         inputs = {name: session.views.get(name)
                   for name in program.input_names}
-        remaining = self._remaining_horizon()
         stats = WorkloadStats(n=1, update_rank=self._observed_rank,
                               refresh_count=remaining,
                               distinct_fraction=self.stream_sketch,
@@ -414,44 +467,33 @@ class ReplanMonitor(SessionDriftMonitor):
         # needs a fresh open_session).
         cur_nodes = getattr(session, "nodes", 1)
         node_grid = (1, cur_nodes) if cur_nodes > 1 else (1,)
+        # The running backend's cell is always priced — a session must
+        # be able to see its own cell lose — so a backend the
+        # admissible grid could drop is named (named cells are ranked
+        # as given); dense is in every grid.
+        running = session.backend.name
         ranked = rank_program(
             program, inputs, stats=stats, dims=session.views.dims,
             update_input=self._update_target, calibration=self.calibration,
-            amortize_setup=False, nodes=node_grid,
+            backends=None if running == "dense" else ("dense", running),
+            amortize_setup=False, nodes=node_grid, memo=self._rank_memo,
         )
-        seconds = self._window_seconds / max(self._window_updates, 1)
-        self._window_seconds = 0.0
-        self._window_updates = 0
-
         current = next(
             (c for c in ranked
              if c.strategy == session.strategy
-             and c.backend == session.backend.name
+             and c.backend == running
              and c.nodes == cur_nodes),
             None,
         )
-        self._retune(current)
         best = ranked[0]
         if current is None or (best.strategy, best.backend, best.nodes) == (
                 current.strategy, current.backend, cur_nodes):
-            return None
-
+            return current, None, None
         saving = (current.predicted_time - best.predicted_time) * remaining
         cost = self._switch_cost(best.backend, to_nodes=best.nodes)
-        switched = saving > self.switch_margin * cost
-        event = ReplanEvent(self.refreshes, current.label, best.label,
-                            saving, cost, seconds, switched)
-        self.replans.append(event)
-        if switched:
-            # The ranked cell is the whole recipe of the new session;
-            # what ranking does not decide carries over from the old.
-            self.session = session.with_plan(dataclasses.replace(
-                best, rank=self._observed_rank,
-                optimize=session.plan.optimize))
-            if not self._custom_rebuild:
-                # Rebind the default rebuild hook to the *new* session.
-                self._rebuild = self.session.rebuild
-        return event
+        return current, best, ReplanEvent(
+            self.refreshes, current.label, best.label, saving, cost, seconds,
+            switched=saving > self.switch_margin * cost)
 
     def _retune(self, cell) -> None:
         """Re-resolve the session's deferral spec from live stream stats.
@@ -460,10 +502,12 @@ class ReplanMonitor(SessionDriftMonitor):
         carries the width, partition mode and heavy budget the
         skew-aware estimators (fed by :attr:`stream_sketch`) now
         recommend.  :meth:`Session.install_deferral
-        <repro.runtime.session.Session.install_deferral>` flushes and
-        resolves: only ``"auto"`` spec values move, and a heavy-light
-        policy reads this monitor's warm sketch (``observe=False``: the
-        monitor feeds it).
+        <repro.runtime.session.Session.install_deferral>` resolves:
+        only ``"auto"`` spec values move, and a heavy-light policy reads
+        this monitor's warm sketch (``observe=False``: the monitor
+        feeds it).  A cell that resolves to what already runs — same
+        width, partition, budget and sketch — keeps the running policy
+        object, pending updates included; anything else flushes first.
 
         One rule stays here because it is hysteresis, not resolution: a
         width re-tune never switches running batching off.  The width-1

@@ -13,7 +13,8 @@ Both take the same constructor surface, so experiments can swap
 strategies without touching driver code.  :func:`open_session` is the
 planner-driven entry point: ``open_session(program, inputs)`` measures
 the inputs, asks :mod:`repro.planner` for the cheapest (strategy,
-backend, mode) configuration, and returns the matching session.  Every
+backend, mode) configuration — unless its arguments already determine
+one — and returns the matching session.  Every
 session is built by :func:`build_session` from one
 :class:`~repro.planner.plan.MaintenancePlan` — the whole recipe, kept
 as ``session.plan`` (a directly constructed session synthesizes its
@@ -76,7 +77,7 @@ from ..compiler.trigger import Trigger
 from ..cost import counters
 from ..cost.ops import outer_update_flops
 from ..delta.batch import DEFAULT_RTOL
-from .batching import DeferralSpec, resolve_deferral
+from .batching import DeferralSpec, resolve_deferral, still_resolved
 from .executor import evaluate
 from .heavylight import HeavyLightMaintainer
 from .updates import FactoredUpdate, InvalidUpdateError
@@ -306,7 +307,7 @@ class Session:
 
     def install_deferral(self, cell, spec: DeferralSpec | None = None,
                          sketch=None, observe: bool | None = None) -> None:
-        """(Re-)resolve the deferral spec against ``cell``; flush first.
+        """(Re-)resolve the deferral spec against ``cell``.
 
         The one install path: :func:`open_session`, :meth:`set_batching`
         / :meth:`set_partition` (``spec`` edits), :meth:`with_plan` and
@@ -315,8 +316,17 @@ class Session:
         updates always flush before the policy changes
         (flush-before-switch) and the decision is always
         :func:`~repro.runtime.batching.resolve_deferral`'s (``sketch``
-        / ``observe`` pass through to it).
+        / ``observe`` pass through to it).  Without a ``spec`` edit —
+        the standing spec re-resolved against a fresh ``cell`` — a
+        decision the running policy already embodies
+        (:func:`~repro.runtime.batching.still_resolved`) keeps that
+        object: nothing changes, so nothing flushes and nothing is
+        built.
         """
+        if spec is None and still_resolved(
+                self._deferral_spec, cell, self._deferral, sketch, observe,
+                self.backend):
+            return
         self.flush()
         if spec is not None:
             self._deferral_spec = spec
@@ -776,7 +786,6 @@ class ShardedChainSession(Session):
         nodes: int = 2,
         shard: str = "range",
         tile_rows: int | None = None,
-        start_method: str = "spawn",
         timeout: float | None = None,
         supervise: bool = False,
         recover: str = "reeval",
@@ -831,7 +840,7 @@ class ShardedChainSession(Session):
         # while this process materializes the views; the first
         # ``attach`` roundtrip in ``_shard_views`` is the fence.
         self.engine = ShardedEngine(
-            partitioner, start_method=start_method,
+            partitioner,
             timeout=DEFAULT_TIMEOUT if timeout is None else timeout,
             supervise=supervise,
         )
@@ -1098,6 +1107,14 @@ def open_session(
         measured shapes and densities; ``"incr"`` / ``"reeval"`` force
         the strategy but still plan the other axes; a
         :class:`~repro.planner.plan.MaintenancePlan` is used verbatim.
+        Only what can change the decision is priced: when the arguments
+        leave a grid of one — a forced strategy, inputs only the dense
+        backend would store in its own format
+        (:func:`repro.backends.admissible_backends`), ``nodes`` of 1 and
+        a forced ``batch`` — that cell is the plan, written down with
+        ``predicted_time`` / ``predicted_space`` = ``nan`` ("not
+        priced"), and the pricing modules are not imported
+        (:func:`repro.planner.plan.determined_plan`).
     backend, mode, rank, optimize:
         Explicit overrides that win over whatever the plan says
         (``None`` defers to it — to the planner's cell, or to a
@@ -1261,7 +1278,7 @@ def open_session(
     # Optional subsystems are imported on the branch that decides to use
     # them, so a session's import closure follows its configuration; all
     # of it is loaded by the time this function returns.
-    from ..planner import MaintenancePlan, WorkloadStats, plan_program
+    from ..planner.plan import MaintenancePlan, WorkloadStats, determined_plan
 
     spec = DeferralSpec(batch=batch, partition=partition,
                         max_staleness=max_staleness, heavy_budget=heavy_budget)
@@ -1316,9 +1333,18 @@ def open_session(
                 node_grid = tuple(int(count) for count in nodes) or (1,)
             else:
                 node_grid = (1, int(nodes)) if int(nodes) > 1 else (1,)
-            plan = plan_program(
-                program, inputs, stats=WorkloadStats(n=1, **stats_kwargs),
-                dims=dims, strategies=strategies, nodes=node_grid)
+            stats = WorkloadStats(n=1, **stats_kwargs)
+            # A grid of one is written down, not priced (nor is the
+            # pricing stack loaded); anything wider is ranked.
+            plan = determined_plan(
+                [inputs.get(name) for name in program.input_names], stats,
+                strategies, node_grid, batch_forced=spec.batch != "auto")
+            if plan is None:
+                from ..planner import plan_program
+
+                plan = plan_program(
+                    program, inputs, stats=stats, dims=dims,
+                    strategies=strategies, nodes=node_grid)
         # The caller's backend is the object the session runs on (an
         # instance keeps its thresholds); the plan records its name.
         session = build_session(

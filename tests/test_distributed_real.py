@@ -45,6 +45,53 @@ def _operator(n: int, seed: int = 9) -> np.ndarray:
     return rng.standard_normal((n, n)) / np.sqrt(n)
 
 
+class TestStagingBuffer:
+    """``add_lowrank`` stages every tile through one leased buffer: a
+    tile is consumed before the next starts, so an op holds one
+    ``tile_rows x n`` block per engine or worker, not one per tile."""
+
+    def _one_tile_bytes(self, part: RowShardPartitioner) -> int:
+        return max(r1 - r0 for r0, r1 in part.tile_bounds) * part.n * 8
+
+    def test_local_engine_holds_one_tile(self):
+        from repro.distributed.sharded import LocalShardEngine
+
+        n = 100
+        part = RowShardPartitioner(n, 2, tile_rows=16)   # 7 tiles, tail of 4
+        engine = LocalShardEngine(part)
+        a = _operator(n)
+        engine.put("A", a)
+        (u, v), = _stream(n, 1, rank=3)
+        engine.add_lowrank("A", u, v)
+        assert engine.workspace.nbytes() == self._one_tile_bytes(part)
+        assert engine.workspace.buffer_count() == 1
+        # Tile by tile through the staging rows: the same arithmetic.
+        expected = a.copy()
+        for r0, r1 in part.tile_bounds:
+            expected[r0:r1] += u[r0:r1] @ v.T
+        assert np.array_equal(engine.get("A"), expected)
+
+    def test_worker_op_holds_one_tile(self):
+        from repro.distributed.workers import _execute
+        from repro.runtime.workspace import Workspace
+
+        n = 64
+        part = RowShardPartitioner(n, 2, tile_rows=8)
+        owned = tuple(part.shards[0])
+        assert len(owned) == 4
+        view = _operator(n)
+        expected = view.copy()
+        (u, v), = _stream(n, 1, rank=2)
+        for t in owned:
+            r0, r1 = part.tile_bounds[t]
+            expected[r0:r1] += u[r0:r1] @ v.T
+        ws = Workspace()
+        _execute(("add_lowrank", "A", u, v), {"A": view}, {},
+                 tuple(part.tile_bounds), owned, ws)
+        assert ws.nbytes() == self._one_tile_bytes(part)
+        assert np.array_equal(view, expected)
+
+
 class TestRowShardPartitioner:
     def test_uneven_tail_tile(self):
         part = RowShardPartitioner(100, 3, tile_rows=16)

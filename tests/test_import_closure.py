@@ -65,6 +65,41 @@ class TestImportClosure:
         assert "numpy" not in _fresh_python(
             "-c", "import sys, repro.cli; print(sorted(sys.modules))")
 
+    def test_a_determined_open_prices_and_loads_nothing(self):
+        """The dense probe's arguments leave a grid of one: the plan is
+        written down, and the pricing stack (planner, program cost
+        walker, advisor, sparse engine) is never imported."""
+        tool = _tool()
+        report = json.loads(_fresh_python("-c", (
+            "import json, math, sys, numpy\n"
+            + tool.PROBES[tool.OPENED_SESSION].replace(
+                "open_session(parse", "session = open_session(parse")
+            + "\nprint(json.dumps({'label': session.plan.label,"
+            " 'unpriced': math.isnan(session.plan.predicted_time)"
+            " and math.isnan(session.plan.predicted_space),"
+            " 'loaded': sorted(m for m in sys.modules"
+            " if m.startswith('repro.'))}))")))
+        assert report["label"] == "INCR-LIN@dense/codegen"
+        assert report["unpriced"]
+        for module in ("repro.planner.planner", "repro.planner.programcost",
+                       "repro.cost.advisor", "repro.cost.complexity",
+                       "repro.backends.sparse"):
+            assert module not in report["loaded"]
+        assert "repro.planner.plan" in report["loaded"]
+
+    def test_a_replanning_open_loads_the_pricing_stack_at_open(self):
+        """Determined or not, what a monitor's checks run is loaded by
+        the time ``open_session`` returns — not at the first check."""
+        tool = _tool()
+        loaded = _fresh_python("-c", (
+            "import sys, numpy\n"
+            + tool.PROBES[tool.OPENED_SESSION].replace(
+                "batch='off'", "batch='off', replan=True")
+            + "\nprint(' '.join(sorted(sys.modules)))")).split()
+        assert "repro.runtime.drift" in loaded
+        assert "repro.planner.planner" in loaded
+        assert "repro.planner.programcost" in loaded
+
     def test_violations_are_reported(self):
         tool = _tool()
         loaded = ["repro", "repro.planner.plan", "scipy.sparse"] + [

@@ -46,7 +46,9 @@ def _drive(session, rng, n: int, count: int = 6):
 class TestSessionGrid:
     """rank_program's full (strategy, backend, mode, batch_size) grid."""
 
-    @pytest.mark.parametrize("density,n", [(1.0, 16), (0.08, 48)])
+    # n = 64 is the smallest the sparse backend stores as CSR: below it
+    # the sparse cells are not admissible and the default grid is dense.
+    @pytest.mark.parametrize("density,n", [(1.0, 16), (0.08, 64)])
     @pytest.mark.parametrize("refresh_count", [4, 400])
     def test_every_ranked_plan_opens_and_survives(self, rng, density, n,
                                                   refresh_count):

@@ -286,6 +286,83 @@ class TestOpenSession:
                                    rtol=1e-7, atol=1e-9)
 
 
+class TestDeterminedOpen:
+    """A plan the caller's arguments determine is not priced; anything
+    that leaves a decision still is."""
+
+    DETERMINED = dict(plan="incr", batch="off")
+
+    @pytest.fixture
+    def rankings(self, monkeypatch):
+        import repro.planner.planner as planner_mod
+
+        calls = []
+        original = planner_mod.rank_program
+
+        def counting(*args, **kwargs):
+            calls.append(original(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(planner_mod, "rank_program", counting)
+        return calls
+
+    @pytest.mark.parametrize("options", [
+        dict(mode="codegen", partition="uniform"),    # as bench_e2e opens
+        dict(partition="auto"),
+        dict(plan="reeval", batch=4),
+        dict(refresh_count=4, rank=2),
+        dict(nodes=1), dict(nodes=(1,)),
+    ])
+    def test_grid_of_one_is_not_priced(self, rng, rankings, options):
+        import math
+
+        program = parse_program(A4_SOURCE)
+        inputs = {"A": rng.normal(size=(96, 96)) / 96}
+        options = {**self.DETERMINED, **options}
+        session = open_session(program, inputs, **options)
+        assert rankings == []
+        plan = session.plan
+        assert math.isnan(plan.predicted_time)
+        assert math.isnan(plan.predicted_space)
+        # The same cell pricing would have named.
+        priced = plan_program(
+            program, inputs, strategies=(options["plan"].upper(),),
+            stats=WorkloadStats(
+                n=1, update_rank=options.get("rank", 1),
+                **({"refresh_count": options["refresh_count"]}
+                   if "refresh_count" in options else {})))
+        assert len(rankings) == 1 and len(rankings[0]) == 1
+        priced = priced.with_overrides(mode=options.get("mode"))
+        if options["plan"] == "reeval":
+            priced = priced.with_overrides(mode="interpret")
+        assert plan.label == priced.label
+        assert (plan.rank, plan.partition, plan.heavy_budget, plan.nodes) == (
+            priced.rank, priced.partition, priced.heavy_budget, priced.nodes)
+
+    @pytest.mark.parametrize("options,cells", [
+        (dict(plan="auto"), 2),
+        (dict(batch="auto"), 1),
+        (dict(nodes=(2,)), 2),
+        (dict(nodes=2), 2),
+    ])
+    def test_anything_wider_is_priced(self, rng, rankings, options, cells):
+        program = parse_program(A4_SOURCE)
+        inputs = {"A": rng.normal(size=(16, 16)) / 16}
+        with open_session(program, inputs,
+                          **{**self.DETERMINED, **options}) as session:
+            assert len(rankings) == 1 and len(rankings[0]) == cells
+            assert session.plan.predicted_time > 0
+
+    def test_a_csr_eligible_input_is_priced_on_both_backends(self, rng,
+                                                             rankings):
+        pytest.importorskip("scipy")
+        program = parse_program(A4_SOURCE)
+        a = sparse_matrix(rng, 128, 0.05)
+        session = open_session(program, {"A": a}, **self.DETERMINED)
+        assert {cell.backend for cell in rankings[0]} == {"dense", "sparse"}
+        assert session.plan.predicted_time > 0
+
+
 class TestSessionDrift:
     def test_factory_drift_kwarg_rebuilds(self, rng):
         program = parse_program(A4_SOURCE)
@@ -511,3 +588,134 @@ class TestPlannerAwareBatching:
         # compaction charged).
         refresh = lambda r: 1000.0 * r  # noqa: E731
         assert batch_unit_cost(be, refresh, 512, 512, 1) == 1000.0
+
+
+def _calibration():
+    """A hand-built calibration in the measured regime: sparse kernel
+    calls cost more than dense ones."""
+    from repro.calibrate import BackendCalibration, Calibration, cache_key
+
+    return Calibration(key=cache_key(), backends={
+        "dense": BackendCalibration(
+            backend="dense", flops_per_second=5e10,
+            call_overhead_flops=50_000.0),
+        "sparse": BackendCalibration(
+            backend="sparse", flops_per_second=5e10,
+            call_overhead_flops=150_000.0, sparse_overhead=16.0,
+            sparse_update_overhead=256.0, sparse_spgemm_overhead=400.0),
+    })
+
+
+#: (source, n, input density, refresh count, strategies, nodes): the
+#: session programs ``bench_e2e`` opens (dense_small, dense_chain =
+#: served, the zipf pair, sharded_chain, a catalog tenant), the grid
+#: this file plans over, and both sides of the sparse entry rule.
+SESSION_CASES = [
+    (A4_SOURCE, 128, 1.0, 1000, ("INCR",), (1,)),
+    (A4_SOURCE, 512, 1.0, 1000, ("INCR",), (1,)),
+    (A4_SOURCE, 512, 1.0, 36000, ("REEVAL", "INCR"), (1,)),
+    (A4_SOURCE, 1024, 1.0, 1000, ("INCR",), (2,)),
+    ("input A(n, n); B := A * A; C := B * B; P := 3 * C + A; output P;",
+     128, 1.0, 1000, ("REEVAL", "INCR"), (1,)),
+    (A4_SOURCE, 16, 1.0, 4, ("REEVAL", "INCR"), (1,)),
+    (A4_SOURCE, 48, 0.05, 1000, ("REEVAL", "INCR"), (1,)),
+    (A4_SOURCE, 600, 0.01, 1000, ("REEVAL", "INCR"), (1,)),
+    (A4_SOURCE, 128, 0.08, 1000, ("REEVAL", "INCR"), (1, 2)),
+    (A4_SOURCE, 128, 0.25, 1000, ("REEVAL", "INCR"), (1,)),
+]
+
+
+class TestAdmissibleGrid:
+    """Pruning never decides: the default grid is the full grid minus
+    the cells of backends that would store every input dense."""
+
+    @pytest.mark.parametrize("calibrated", [False, True])
+    @pytest.mark.parametrize("case", SESSION_CASES)
+    def test_session_ranking_is_the_full_ranking_filtered(
+            self, rng, case, calibrated):
+        from repro.backends import admissible_backends
+        from repro.planner import rank_program
+
+        source, n, density, refreshes, strategies, nodes = case
+        a = rng.standard_normal((n, n)) / n
+        if density < 1.0:
+            a *= rng.random((n, n)) < density
+        options = dict(
+            stats=WorkloadStats(n=1, refresh_count=refreshes),
+            strategies=strategies, nodes=nodes,
+            calibration=_calibration() if calibrated else None)
+        program = parse_program(source)
+        # Naming both backends is the grid before admissibility.
+        full = rank_program(program, {"A": a}, backends=("dense", "sparse"),
+                            **options)
+        ranked = rank_program(program, {"A": a}, **options)
+        admitted = admissible_backends(
+            [(n, n, WorkloadStats.measure_density(a))])
+        assert admitted == (["dense", "sparse"]
+                            if n >= 64 and density <= 0.10 else ["dense"])
+        assert ranked == [cell for cell in full if cell.backend in admitted]
+        assert ranked[0].label == full[0].label
+
+    @pytest.mark.parametrize("calibrated", [False, True])
+    @pytest.mark.parametrize("n,density", [
+        (2048, 0.0098),   # bench_e2e's sparse_pagerank graph
+        (2000, 0.01), (48, 0.05), (600, 0.5), (128, 0.10), (128, 0.11),
+    ])
+    def test_advisor_ranking_is_the_full_ranking_filtered(
+            self, n, density, calibrated):
+        from repro.cost.advisor import recommend_general, recommend_powers
+
+        calibration = _calibration() if calibrated else None
+        for recommend, shape in ((recommend_general, (n, 1, 16)),
+                                 (recommend_powers, (n, 16))):
+            full = recommend(*shape, density=density, calibration=calibration,
+                             backends=("dense", "sparse"))
+            ranked = recommend(*shape, density=density,
+                               calibration=calibration)
+            sparse_admitted = n >= 64 and density <= 0.10
+            assert ranked == [cell for cell in full
+                              if sparse_admitted or cell.backend == "dense"]
+            assert ranked[0].label == full[0].label
+
+    def test_sparse_backend_states_the_registry_rule(self):
+        """One entry rule: the registry's, read by the engine."""
+        pytest.importorskip("scipy")
+        from repro.backends import SparseBackend, stores_sparse
+
+        default = SparseBackend()
+        for rows, cols, density in [(64, 64, 0.10), (63, 64, 0.01),
+                                    (512, 512, 0.1001), (512, 80, 0.02)]:
+            stored = default.est_stored_density(rows, cols, density)
+            assert (stored < 1.0) == stores_sparse(rows, cols, density)
+        custom = SparseBackend(min_sparse_dim=8, sparsify_below=0.3)
+        assert custom.est_stored_density(16, 16, 0.25) == 0.25
+
+    def test_memo_returns_the_same_ranking_and_walks_nothing_twice(
+            self, rng, monkeypatch):
+        import repro.planner.planner as planner_mod
+
+        program = parse_program(A4_SOURCE)
+        inputs = {"A": rng.standard_normal((96, 96)) / 96}
+        stats = WorkloadStats(n=1, refresh_count=5000)
+        walks = []
+        original = planner_mod.program_cost
+
+        def counting(*args, **kwargs):
+            walks.append(kwargs.get("rank"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(planner_mod, "program_cost", counting)
+        memo = {}
+        fresh = planner_mod.rank_program(program, inputs, stats=stats)
+        first_walks = len(walks)
+        first = planner_mod.rank_program(program, inputs, stats=stats,
+                                         memo=memo)
+        assert len(walks) == 2 * first_walks
+        again = planner_mod.rank_program(program, inputs, stats=stats,
+                                         memo=memo)
+        assert len(walks) == 2 * first_walks      # nothing re-walked
+        assert fresh == first == again
+        # A moved density drops the memo: everything is walked again.
+        inputs["A"][0, :] = 0.0
+        planner_mod.rank_program(program, inputs, stats=stats, memo=memo)
+        assert len(walks) == 3 * first_walks

@@ -257,3 +257,116 @@ class TestCalibratedSwitchCost:
         monitor = self._monitor(rng, calibration=None)
         cost = monitor._switch_cost(monitor.session.backend.name)
         assert cost == 8.0 * monitor.session.backend.est_call_overhead_flops
+
+
+class TestCheckDisturbsNothing:
+    """A check that neither switches nor re-tunes leaves the session as
+    it found it; one that switches still lands pending deltas first."""
+
+    def test_quiescent_checks_flush_nothing_and_keep_the_policy(self, rng):
+        from stream_helpers import zipf_row_updates
+
+        from repro.planner import StreamSketch
+
+        n, checks, check_every, read_every = 96, 20, 50, 37
+        program = parse_program(A2_SOURCE)
+        a0 = 0.1 * rng.standard_normal((n, n))
+        updates = zipf_row_updates(rng, n, checks * check_every, 1.5)
+        options = dict(dims={"n": n}, plan="incr", batch="off",
+                       partition="heavy-light", heavy_budget=8,
+                       refresh_count=4 * len(updates))
+        monitor = open_session(program, {"A": a0.copy()},
+                               replan={"check_every": check_every}, **options)
+        plain = open_session(program, {"A": a0.copy()}, **options)
+        # Both policies read a sketch fed from outside, in one order
+        # (the monitor observes each update after applying it).
+        plain_sketch = StreamSketch()
+        for session, sketch in ((monitor.session, monitor.stream_sketch),
+                                (plain, plain_sketch)):
+            session.set_partition("heavy-light", heavy_budget=8,
+                                  sketch=sketch, observe=False)
+        policy, session = monitor.session.deferral, monitor.session
+        for index, update in enumerate(updates, start=1):
+            monitor.apply_update(update)
+            plain.apply_update(update)
+            plain_sketch.observe(update)
+            if index % check_every == 0:
+                assert monitor.session.deferral is policy
+                assert policy.pending > 0
+            # No flush is the check's: fold for fold, the monitored
+            # policy does what the unmonitored one does.
+            assert policy.stats.folds == plain.deferral.stats.folds
+            assert policy.pending == plain.deferral.pending
+            if index % read_every == 0:
+                assert np.array_equal(monitor["B"], plain["B"])
+                assert np.array_equal(monitor["A"], plain["A"])
+        assert len(monitor.replans) == monitor.switch_count == 0
+        assert monitor.session is session
+        assert monitor.refreshes // check_every == checks
+        assert policy.stats.retunes == plain.deferral.stats.retunes > 0
+
+    def test_a_retune_that_changes_the_policy_flushes_first(self, rng):
+        from stream_helpers import zipf_row_updates
+
+        n = 64
+        program = parse_program(A2_SOURCE)
+        monitor = open_session(
+            program, {"A": 0.1 * rng.standard_normal((n, n))}, dims={"n": n},
+            plan="incr", batch=6, partition="auto", refresh_count=4000,
+            replan={"check_every": 10})
+        before = monitor.session.deferral
+        for update in zipf_row_updates(rng, n, 10, 3.0):
+            monitor.apply_update(update)
+        # 10 updates at width 6: four were pending when the check ran;
+        # it switched the split on, so they landed first.
+        assert monitor.session.partition == "heavy-light"
+        assert monitor.session.deferral is not before
+        assert before.pending == 0 and before.stats.flushes == 2
+        np.testing.assert_allclose(
+            monitor.session.views.get_dense("B"),
+            monitor.session.views.get_dense("A")
+            @ monitor.session.views.get_dense("A"), atol=1e-9)
+
+    def test_running_backend_is_priced_after_it_stops_being_admissible(
+            self, rng):
+        """Fill-in drives a sparse session's input past the entry rule:
+        the default grid would drop the sparse cell, the monitor names
+        it, sees it lose and switches — landing the pending batch
+        before the state converts."""
+        pytest.importorskip("scipy")
+        from repro.backends import SPARSIFY_BELOW, admissible_backends
+        from repro.planner import WorkloadStats
+
+        n = 128
+        program = parse_program(A2_SOURCE)
+        # A margin no saving meets holds the session on sparse while
+        # its input fills in past the rule.
+        monitor = open_session(
+            program, {"A": sparse_input(rng, n, 0.01)}, dims={"n": n},
+            refresh_count=80, batch=3,
+            replan={"check_every": 5, "switch_margin": 1e12},
+        )
+        assert monitor.plan.backend == "sparse"
+        oracle = monitor["A"].copy()
+        stream = fill_updates(rng, n, 40)
+        for update in stream[:30]:
+            monitor.apply_update(update)
+            oracle += update.u_block @ update.v_block.T
+        stored = monitor.session.views.get("A")
+        density = WorkloadStats.measure_density(stored)
+        assert density > SPARSIFY_BELOW
+        assert admissible_backends([(n, n, density)]) == ["dense"]
+        # ... and its own cell was still priced at every check.
+        assert monitor.switch_count == 0 and len(monitor.replans) == 6
+        assert all("@sparse" in event.from_label for event in monitor.replans)
+        monitor.switch_margin = 2.0
+        for update in stream[30:]:
+            monitor.apply_update(update)
+            oracle += update.u_block @ update.v_block.T
+        assert monitor.switch_count == 1
+        assert monitor.session.backend.name == "dense"
+        # Two of every five updates were pending at the check that
+        # switched: they landed before the state converted.
+        np.testing.assert_allclose(monitor["A"], oracle, atol=1e-12)
+        np.testing.assert_allclose(monitor.output(), oracle @ oracle,
+                                   atol=1e-9)

@@ -57,12 +57,16 @@ GATED = {
         43,
     ),
     "repro.cli": (("scipy", "repro.compiler", "repro.backends"), 7),
+    # Its arguments determine the plan, so nothing is priced: the
+    # pricing stack and the sparse engine stay unloaded.
     OPENED_SESSION: (
         _NOT_FOR_A_DENSE_SESSION + (
             "repro.runtime.checkpoint", "repro.compiler.optimizer",
             "repro.compiler.codegen.octave_gen",
-            "repro.compiler.codegen.spark_gen", "repro.expr.latex"),
-        51,
+            "repro.compiler.codegen.spark_gen", "repro.expr.latex",
+            "repro.planner.planner", "repro.planner.programcost",
+            "repro.cost.advisor", "repro.backends.sparse"),
+        46,
     ),
 }
 
