@@ -4,17 +4,17 @@ Usage::
 
     python benchmarks/check_trend.py <bench> CURRENT.json BASELINE.json
 
-``<bench>`` is one of the names in :data:`TABLE` (``fused``, ``batch``,
-``hl``, ``serve``, ``dist``, ``recovery``, ``catalog``); both files are
+``<bench>`` is one of the names in :data:`TABLE` (``batch``, ``hl``,
+``serve``, ``dist``, ``recovery``, ``catalog``); both files are
 that benchmark's ``--json`` output, and the baselines live in
 ``benchmarks/baselines/``.  Exit status: 0 = within bounds, 1 =
 regression, 2 = usage error.
 
 Absolute seconds are not comparable across machines (a baseline was
 committed from one box, CI runs on another), so every guarded metric is
-a **ratio measured inside one run** — fused vs interpreter, batched vs
-unit, snapshot vs flush-on-read, 4 workers vs 1, restore vs log replay,
-shared vs independent FLOPs.  One table declares, per benchmark:
+a **ratio measured inside one run** — batched vs unit, snapshot vs
+flush-on-read, 4 workers vs 1, restore vs log replay, shared vs
+independent FLOPs.  One table declares, per benchmark:
 
 * :class:`Metric` rows — a value at a path in the results, which way is
   better, the fractional *budget* it may lose against the baseline's
@@ -24,8 +24,8 @@ shared vs independent FLOPs.  One table declares, per benchmark:
   sensitive without flapping), and an optional machine-independent
   absolute *bound* (floor when higher is better, ceiling when lower);
 * :class:`Invariant` rows — a predicate on a value that must hold on
-  every run regardless of the baseline (bitwise parity, zero
-  allocations, the planner still recommending the guarded path).
+  every run regardless of the baseline (bitwise parity, the planner
+  still recommending the guarded path).
 
 A metric fails when it is worse than the tighter of the two limits
 ``baseline * (1 -/+ budget)`` and ``bound``.
@@ -89,17 +89,6 @@ def _scenario_rows(keys, metric: str, what: str, **kw) -> list[Metric]:
 #: guarded key is carried over verbatim from the seven per-bench
 #: checkers this table replaced.
 TABLE: dict[str, tuple[str, list]] = {
-    # Fused-vs-interpreter speedup per scenario (sparse is excluded: its
-    # win is small enough that CI noise swamps a ratio-of-ratios bound),
-    # and the zero-allocation steady state.
-    "fused": ("fused_hotpath", [
-        *_scenario_rows(("dense_small", "stream_p16"),
-                        "speedup_fused_vs_interpret", "fused speedup"),
-        *[Invariant((key, "steady_state", "workspace_allocations"),
-                    f"{key}: steady-state workspace allocations are 0",
-                    lambda count: count in (0, None), optional=True)
-          for key in ("dense_small", "stream_p16")],
-    ]),
     # Batched-vs-unit speedup on the highest-skew cells (the Table 4
     # headline; flat cells are noisier), the planner's width > 1
     # recommendation and the skewed-stream compression.

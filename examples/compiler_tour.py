@@ -1,8 +1,8 @@
 """A tour of the LINVIEW compiler pipeline (Section 6's system).
 
 Walks one program through every stage: source text -> AST -> Algorithm 1
-triggers -> optimizer passes -> Python and Octave code generation —
-printing the artifacts at each step.
+triggers -> optimizer passes -> the lowered form sessions execute and
+Octave / Spark code generation — printing the artifacts at each step.
 
 Run:  python examples/compiler_tour.py
 """
@@ -56,7 +56,8 @@ def main() -> None:
     print(optimized)
     print(f"\nassign-expression AST nodes: {before} -> {after}")
 
-    print("\n=== 6. Generated Python/NumPy backend ===")
+    print("\n=== 6. The lowered form (what a session loops over, or "
+          "prints like this and exec-utes) ===")
     print(generate_python_trigger(optimized))
 
     print("=== 7. Generated Octave backend ===")

@@ -129,13 +129,21 @@ class IncrementalPageRank:
         self.n = n = adjacency.shape[0]
         if adjacency.shape != (n, n):
             raise ValueError(f"adjacency must be square, got {adjacency.shape}")
-        # ndarray and scipy.sparse share .nonzero() (a dense scan is
-        # ~2x faster over the boolean mask than over the floats: n^2
-        # transient bytes); sorting by (source, target) makes the lists
-        # independent of the input's storage order.
+        # ndarray and scipy.sparse share .nonzero().  A dense scan is
+        # ~2x faster over a boolean mask than over the floats; taken in
+        # row blocks (same indices, same order) the mask is a transient
+        # 256n bytes, not n^2 held until the edge lists are built.
+        # Sorting by (source, target) makes the lists independent of
+        # the input's storage order.
         if isinstance(adjacency, np.ndarray):
-            adjacency = adjacency != 0
-        targets, sources = adjacency.nonzero()
+            starts = range(0, n, 256)
+            blocks = [(adjacency[start:start + 256] != 0).nonzero()
+                      for start in starts]
+            targets = np.concatenate(
+                [rows + start for start, (rows, _) in zip(starts, blocks)])
+            sources = np.concatenate([cols for _, cols in blocks])
+        else:
+            targets, sources = adjacency.nonzero()
         order = np.lexsort((targets, sources))
         bounds = np.cumsum(np.bincount(sources, minlength=n))[:-1]
         self._targets = np.split(targets[order].astype(np.intp), bounds)

@@ -165,7 +165,7 @@ class Backend(ABC):
     ) -> MatrixLike:
         """``a += u @ v.T`` mutating ``a`` where the representation allows.
 
-        The explicit in-place contract of the fused trigger path: unlike
+        The explicit in-place contract of a lowered trigger's applies: unlike
         :meth:`add_outer` (which shares the accumulate-when-possible
         behavior but makes no promise), callers hand over ``a`` knowing
         it may be mutated.  The result is returned either way; sparse
@@ -286,8 +286,9 @@ class Backend(ABC):
         """Per-call overhead in dense-FLOP equivalents.
 
         ``inplace=True`` prices a call through the ``*_into`` /
-        buffer-reusing path (the fused codegen mode), discounting the
-        allocation/temporary share of the overhead.
+        buffer-reusing path (lowered triggers, workspace-backed
+        maintainers), discounting the allocation/temporary share of
+        the overhead.
         """
         if inplace:
             return self.est_call_overhead_flops * self.est_inplace_discount

@@ -395,7 +395,7 @@ class SparseBackend(DenseBackend):
 
     #: In-place execution saves less here than on dense state: CSR
     #: results still allocate structure, so only the dense (thin-factor)
-    #: legs of a fused trigger shed their allocator traffic.
+    #: legs of a lowered trigger shed their allocator traffic.
     est_inplace_discount: float = 0.85
 
     def est_stored_density(self, rows: int, cols: int, density: float) -> float:

@@ -154,7 +154,7 @@ class BackendCalibration:
     sparse_spgemm_overhead: float | None = None
     #: Measured fraction of the call overhead an ``out=`` kernel still
     #: pays (replaces :attr:`Backend.est_inplace_discount`): the
-    #: in-place vs out-of-place gap the fused codegen path banks on.
+    #: in-place vs out-of-place gap lowered triggers bank on.
     inplace_discount: float | None = None
     #: Measured state-conversion passes per stored entry (replaces
     #: :attr:`Backend.est_convert_passes_per_entry`; prices the

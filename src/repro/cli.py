@@ -142,7 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     comp = sub.add_parser("compile", help="compile a program to triggers")
     comp.add_argument("file", help="program source file")
     comp.add_argument("--backend", choices=BACKENDS, default="trigger",
-                      help="output form (default: trigger text)")
+                      help="output form (default: trigger text; python "
+                           "prints the lowered form sessions execute)")
     comp.add_argument("--input", dest="inputs", action="append",
                       help="compile a trigger only for this input "
                            "(repeatable; default: all inputs)")
@@ -1095,7 +1096,7 @@ def main(argv: list[str] | None = None) -> int:
         from .compiler.chain import UnboundDimensionError, optimize_trigger_chains
     # Only ``compile`` pays for an emitter, and only for the one it prints.
     if args.backend == "python":
-        from .compiler.codegen.python_gen import generate_python_trigger as emit
+        from .compiler.codegen.fused import generate_python_trigger as emit
     elif args.backend == "octave":
         from .compiler.codegen.octave_gen import generate_octave_trigger as emit
     elif args.backend == "spark":

@@ -1,16 +1,16 @@
-"""Code generators: Python/NumPy (generic + fused), Octave, and Spark."""
+"""Code generators: the lowered Python form, Octave, and Spark."""
 
 from ..._lazy import lazy_exports
 
 #: Public name -> defining submodule, imported on first access.
 _EXPORTS = {
-    "FusedUnsupported": "fused",
+    "LoweredTrigger": "fused",
     "compile_fused_trigger": "fused",
-    "compile_trigger_function": "python_gen",
-    "generate_fused_trigger": "fused",
+    "compile_trigger_function": "fused",
     "generate_octave_trigger": "octave_gen",
-    "generate_python_trigger": "python_gen",
+    "generate_python_trigger": "fused",
     "generate_spark_trigger": "spark_gen",
+    "lower_trigger": "fused",
 }
 
 __all__ = list(_EXPORTS)

@@ -1,62 +1,74 @@
-"""Fused, buffer-reusing trigger specialization (the zero-alloc path).
+"""The lowered trigger form: one lowering, a loop and a printer over it.
 
-:mod:`.python_gen` lowers a trigger to *generic* Python: every kernel
-allocates its result, every call re-dispatches through the backend, and
-shapes are rediscovered per call.  That is the right artifact for
-humans and for symbolic dimensions — and the wrong one for the steady
-state, where a session fires the same trigger millions of times over
-matrices whose shapes never change.  This module is the second, hotter
-lowering: given a trigger, a **bound** ``dims`` mapping and a backend,
-:func:`generate_fused_trigger` resolves every expression node's shape
-to concrete integers at *compile* time and emits a flat function whose
-temporaries are **preallocated buffers** leased once from a
-:class:`~repro.runtime.workspace.Workspace`:
+A trigger's execution must equal re-evaluation, and every harness in
+the repository states that promise against ``mode="interpret"`` — so
+the two execution modes must be the same computation, not two
+renderings of the same intent.  :func:`lower_trigger` is the **only**
+place a trigger's expression nodes become backend kernels.  It flattens
+the trigger into a :class:`LoweredTrigger`: a shape-symbolic list of
+``(kernel, dst, srcs)`` records in which everything an executor could
+decide differently is already decided —
 
-* every product/sum/scale runs through the backend's ``*_into``
-  kernels (``np.matmul(..., out=)``, ufunc ``out=``) into its
-  preassigned buffer — no result allocation;
-* additions accumulate with ``+=``-style aliasing
-  (``add_into(acc, t, acc)``);
-* transposes of views and params are hoisted to one locals-binding at
-  function top instead of being re-derived inside every expression;
-* identity/zero leaves are materialized once at compile time;
-* update statements apply through :meth:`add_outer_inplace
-  <repro.backends.base.Backend.add_outer_inplace>` — views mutate in
-  place, like every other execution path
-  (:mod:`repro.runtime.views`).  All delta expressions are evaluated
-  before any view is touched: evaluate-all-then-apply-all is what
-  upholds the trigger contract (deltas read only old values).
+* every product/sum/scale/concatenation names the scratch buffer it
+  writes (the kernels are the backend's ``*_into`` forms; the buffer is
+  the last operand), additions accumulate into their first term's
+  storage, and an aliasing first term or assign result is materialized
+  by an explicit ``copy`` into a buffer first — so operand layouts
+  (C-contiguous buffers, transposed views) are fixed by the list;
+* transposes of views and update params are hoisted to one record each
+  at the top of the list;
+* identity/zero leaves are named constants, built once when the list is
+  bound;
+* the evaluate-all-then-apply-all order that upholds the trigger
+  contract (deltas read only old values, views are written in place) is
+  the list's own order: ``ops`` first, ``applies`` last.
 
-After one warm-up firing the function performs **zero heap
-allocation** on the dense backend (``tracemalloc``-verified in
-``benchmarks/bench_fused_hotpath.py``); sparse state falls back to
-allocation exactly where CSR structure forbids in-place writes.
+Shapes stay symbolic until the list is **bound** to a ``dims`` mapping:
+constants are materialized, and each buffer is leased once from a
+:class:`~repro.runtime.workspace.Workspace` at the trigger's compiled
+update width.  Two executors run a bound list, and nothing else runs a
+trigger:
 
-Triggers containing nodes without an in-place lowering (``Inverse``),
-or whose dimensions cannot be resolved from ``dims``, raise
-:class:`FusedUnsupported` — callers (``IVMSession``) fall back to the
-generic :func:`~.python_gen.compile_trigger_function` path.
+* :func:`compile_trigger_function` — ``mode="interpret"``: a loop over
+  the records, charging a FLOP :class:`~repro.cost.counters.Counter`
+  per record exactly as :func:`~repro.runtime.executor.evaluate` would;
+* :func:`compile_fused_trigger` — ``mode="codegen"``:
+  :func:`generate_python_trigger` prints the records as one flat
+  Python function, ``exec``-compiled once.
 
-Generated signature matches the generic path::
+Both call the same kernel callables on the same operands in the same
+order, so they agree bit for bit on the dense backend by construction;
+after one warm-up firing neither allocates (sparse state falls back to
+allocation exactly where CSR structure forbids in-place writes).  An
+update whose width differs from the compiled one runs the same records
+with ``None`` in every buffer operand — the kernels then allocate their
+results — instead of a second lowering, and leases nothing, so a stream
+of many distinct widths does not grow the workspace.  ``Inverse`` has
+no ``out=`` kernel and always allocates.
 
-    def on_update_A(views, u_A, v_A, dims=None): ...
+Function signature, both executors::
 
-with ``fn.__source__`` (the emitted text), ``fn.__rank__`` (the update
-width the buffers were sized for — off-width updates must take the
-generic path) and ``fn.__workspace__`` attached.
+    on_update_A(views, u_A, v_A)
+
+where ``views`` maps names to store-owned arrays (written in place).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+import operator
+from dataclasses import dataclass
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
+from ...cost import counters
+from ...cost.ops import outer_update_flops
 from ...expr.ast import (
     Add,
     Expr,
     HStack,
     Identity,
+    Inverse,
     MatMul,
     MatrixSymbol,
     ScalarMul,
@@ -64,235 +76,392 @@ from ...expr.ast import (
     VStack,
     ZeroMatrix,
 )
+from ...expr.shapes import DimLike, Shape
 from ...expr.visitors import walk
+from ...runtime.executor import resolve_dim
 from ..trigger import Trigger
-from .python_gen import _referenced_views, outer_operands
 
 
-class FusedUnsupported(TypeError):
-    """The trigger cannot be lowered to the fused in-place form."""
+class Op(NamedTuple):
+    """One kernel call: ``dst = kernel(*srcs)``."""
+
+    #: Key of the kernel table (:func:`_kernels`).
+    kernel: str
+    #: Name bound to the result — for an apply, the view written.
+    dst: str
+    #: Operand names in call order (the ``out=`` buffer last); the one
+    #: non-name operand is ``scale``'s leading float coefficient.
+    srcs: tuple
 
 
-def _resolve(dim, dims: Mapping[str, int]) -> int:
-    """Resolve a DimLike to a concrete int or raise FusedUnsupported."""
-    # Local twin of runtime.executor.resolve_dim raising the fallback
-    # signal instead of EvaluationError (and avoiding an import cycle).
-    if isinstance(dim, bool) or dim is None:
-        raise FusedUnsupported(f"cannot resolve dimension {dim!r}")
-    if isinstance(dim, int):
-        return dim
-    name = getattr(dim, "name", None)
-    if name is not None:
-        try:
-            return int(dims[name])
-        except KeyError:
-            raise FusedUnsupported(f"unbound dimension {name!r}") from None
-    atoms = getattr(dim, "atoms", None)
-    if atoms is not None:
-        return sum(_resolve(a, dims) for a in atoms) + int(dim.const)
-    raise FusedUnsupported(f"cannot resolve dimension {dim!r}")
+@dataclass(frozen=True)
+class LoweredTrigger:
+    """A trigger as a flat, shape-symbolic kernel list."""
+
+    input_name: str
+    #: The update's factor names (``u_A``, ``v_A``).
+    params: tuple[str, ...]
+    #: Update width the buffers are shaped for.
+    rank: DimLike
+    #: Store names read at entry, in first-use order.
+    views: tuple[str, ...]
+    #: Name -> ``("eye", n)`` / ``("zeros", rows, cols)``, built at bind.
+    constants: dict[str, tuple]
+    #: Name -> symbolic shape of each scratch buffer, in lease order.
+    buffers: dict[str, Shape]
+    #: Phase 1: every factor block and delta, from old values only.
+    ops: tuple[Op, ...]
+    #: Phase 2: the in-place view writes.
+    applies: tuple[Op, ...]
 
 
-def _copy_into(out: np.ndarray, src) -> np.ndarray:
-    """Materialize ``src`` into the buffer ``out`` (dense fast path)."""
-    if isinstance(src, np.ndarray):
-        np.copyto(out, src)
-        return out
-    return src.copy()  # sparse fallback: buffers cannot hold CSR
+def outer_operands(expr: Expr) -> "tuple[str, str] | None":
+    """Match the canonical factored-delta shape ``U @ V'``.
 
-
-class _Emitter:
-    """Accumulates generated lines, buffer specs and compile-time consts."""
-
-    def __init__(self, dims: Mapping[str, int]):
-        self.dims = dims
-        self.lines: list[str] = []
-        #: name -> (rows, cols) of every workspace buffer, in lease order.
-        self.buffers: list[tuple[str, int, int]] = []
-        #: name -> zero-arg factory run once at compile time.
-        self.constants: dict[str, Callable] = {}
-        self._locals = 0
-
-    def shape(self, expr: Expr) -> tuple[int, int]:
-        return (_resolve(expr.shape.rows, self.dims),
-                _resolve(expr.shape.cols, self.dims))
-
-    def buffer(self, rows: int, cols: int) -> str:
-        name = f"_b{len(self.buffers)}"
-        self.buffers.append((name, int(rows), int(cols)))
-        return name
-
-    def local(self) -> str:
-        self._locals += 1
-        return f"_t{self._locals}"
-
-    def emit(self, line: str) -> None:
-        self.lines.append(f"    {line}")
-
-    def constant(self, factory: Callable) -> str:
-        name = f"_c{len(self.constants)}"
-        self.constants[name] = factory
-        return name
-
-
-def _emit_expr(em: _Emitter, expr: Expr, transposed_views: Mapping[str, str]):
-    """Emit statements computing ``expr``; return (fragment, buffer).
-
-    ``fragment`` is the source naming the result (a function local);
-    ``buffer`` is the name of the workspace buffer backing it, or
-    ``None`` when the fragment merely aliases a view/param/constant.
-    Buffer names are *globals* of the generated function (the leased
-    arrays bind into its namespace), so results always land in fresh
-    locals — assigning to a buffer name would shadow the binding.
+    Returns the ``(U, V)`` symbol names when ``expr`` is exactly a
+    two-factor product of a symbol with a transposed symbol (the form
+    Algorithm 1 emits for every update statement), else ``None``.
+    Callers use the match to apply updates through the backend's
+    ``add_outer`` kernel instead of materializing the delta densely.
     """
-    if isinstance(expr, MatrixSymbol):
-        return expr.name, None
-    if isinstance(expr, Transpose):
-        child = expr.child
-        if isinstance(child, MatrixSymbol) and child.name in transposed_views:
-            return transposed_views[child.name], None
-        frag, _ = _emit_expr(em, child, transposed_views)
-        return f"{frag}.T", None
-    if isinstance(expr, Identity):
-        rows, _ = em.shape(expr)
-        return em.constant(lambda n=rows: ("eye", n)), None
-    if isinstance(expr, ZeroMatrix):
-        rows, cols = em.shape(expr)
-        return em.constant(lambda r=rows, c=cols: ("zeros", r, c)), None
-    if isinstance(expr, MatMul):
-        frag, _ = _emit_expr(em, expr.children[0], transposed_views)
-        rows = em.shape(expr.children[0])[0]
-        for child in expr.children[1:]:
-            rhs, _ = _emit_expr(em, child, transposed_views)
-            cols = em.shape(child)[1]
-            buf = em.buffer(rows, cols)
-            out = em.local()
-            em.emit(f"{out} = _mm({frag}, {rhs}, {buf})")
-            frag = out
-        return frag, buf
-    if isinstance(expr, Add):
-        first = expr.children[0]
-        frag, buf = _emit_expr(em, first, transposed_views)
-        if buf is None:
-            buf = em.buffer(*em.shape(first))
-            out = em.local()
-            em.emit(f"{out} = _copy({buf}, {frag})")
-            frag = out
-        for term in expr.children[1:]:
-            out = em.local()
-            if isinstance(term, ScalarMul) and term.coeff == -1.0:
-                rhs, _ = _emit_expr(em, term.child, transposed_views)
-                em.emit(f"{out} = _sub({frag}, {rhs}, {buf})")
-            else:
-                rhs, _ = _emit_expr(em, term, transposed_views)
-                em.emit(f"{out} = _add({frag}, {rhs}, {buf})")
-            frag = out
-        return frag, buf
-    if isinstance(expr, ScalarMul):
-        frag, _ = _emit_expr(em, expr.child, transposed_views)
-        buf = em.buffer(*em.shape(expr))
-        out = em.local()
-        em.emit(f"{out} = _scale({expr.coeff!r}, {frag}, {buf})")
-        return out, buf
-    if isinstance(expr, (HStack, VStack)):
-        frags = [
-            _emit_expr(em, child, transposed_views)[0]
-            for child in expr.children
-        ]
-        buf = em.buffer(*em.shape(expr))
-        out = em.local()
-        cat = "_hcat" if isinstance(expr, HStack) else "_vcat"
-        em.emit(f"{out} = {cat}([{', '.join(frags)}], {buf})")
-        return out, buf
-    raise FusedUnsupported(
-        f"no in-place lowering for node {type(expr).__name__}"
-    )
+    if (
+        isinstance(expr, MatMul)
+        and len(expr.children) == 2
+        and isinstance(expr.children[0], MatrixSymbol)
+        and isinstance(expr.children[1], Transpose)
+        and isinstance(expr.children[1].child, MatrixSymbol)
+    ):
+        return expr.children[0].name, expr.children[1].child.name
+    return None
 
 
-def _hoistable_transposes(trigger: Trigger) -> list[str]:
-    """Names whose plain transpose the trigger reads (views and params)."""
-    local = set(trigger.temp_names)
+def _referenced_views(trigger: Trigger) -> list[str]:
+    """View names referenced by the trigger, excluding params and temps."""
+    local = {p.name for p in trigger.params} | set(trigger.temp_names)
     names: list[str] = []
+    seen: set[str] = set()
     exprs = [a.expr for a in trigger.assigns] + [u.expr for u in trigger.updates]
+    for view in trigger.updated_views:
+        if view not in seen:
+            seen.add(view)
+            names.append(view)
     for expr in exprs:
         for node in walk(expr):
             if (
-                isinstance(node, Transpose)
-                and isinstance(node.child, MatrixSymbol)
-                and node.child.name not in local
-                and node.child.name not in names
+                isinstance(node, MatrixSymbol)
+                and node.name not in local
+                and node.name not in seen
             ):
-                names.append(node.child.name)
+                seen.add(node.name)
+                names.append(node.name)
     return names
 
 
-def generate_fused_trigger(
-    trigger: Trigger,
-    dims: Mapping[str, int],
-    function_name: str | None = None,
-) -> tuple[str, list[tuple[str, int, int]], dict[str, Callable]]:
-    """Fused source plus its buffer plan and compile-time constants.
+def lower_trigger(trigger: Trigger) -> LoweredTrigger:
+    """Lower ``trigger`` to its kernel list (see the module docstring)."""
+    temps = set(trigger.temp_names)
+    constants: dict[str, tuple] = {}
+    buffers: dict[str, Shape] = {}
+    hoisted: dict[str, Op] = {}
+    ops: list[Op] = []
 
-    Returns ``(source, buffers, constants)``: ``buffers`` lists the
-    ``(name, rows, cols)`` scratch buffers the function expects bound in
-    its globals (lease them from a workspace, in order), ``constants``
-    maps names to ``("eye", n)`` / ``("zeros", r, c)`` factory specs.
-    """
-    name = function_name or f"on_update_{trigger.input_name}"
-    params = ", ".join(p.name for p in trigger.params)
-    em = _Emitter(dims)
-    views = _referenced_views(trigger)
+    def emit(kernel: str, *srcs, into: Shape | None = None) -> str:
+        """Append one record; ``into`` plans its destination buffer."""
+        if into is not None:
+            buffer = f"_b{len(buffers)}"
+            buffers[buffer] = into
+            srcs += (buffer,)
+        dst = f"_t{len(ops) + 1}"
+        ops.append(Op(kernel, dst, srcs))
+        return dst
 
-    # Bind every referenced view to a local before anything runs; hoist
-    # transposes of stable operands (views and update params) so inner
-    # expressions reuse one view object per firing.
-    transposed: dict[str, str] = {}
-    header = [
-        f"def {name}(views, {params}, dims=None):",
-        f'    """Fused in-place maintenance for updates to '
-        f'{trigger.input_name}."""',
-    ]
-    for view in views:
-        header.append(f"    {view} = views[{view!r}]")
-    for sym in _hoistable_transposes(trigger):
-        transposed[sym] = f"_T_{sym}"
-        header.append(f"    _T_{sym} = {sym}.T")
+    def lower(expr: Expr) -> tuple[str, bool]:
+        """Records computing ``expr``; its name, and whether the value
+        is a fresh temporary (which a sum may accumulate into) rather
+        than an alias of a view, param, constant or assigned block."""
+        if isinstance(expr, MatrixSymbol):
+            return expr.name, False
+        if isinstance(expr, Transpose):
+            child = expr.child
+            if isinstance(child, MatrixSymbol) and child.name not in temps:
+                # Views and params do not change while deltas evaluate:
+                # one transposed view per firing, at the top of the list.
+                name = f"_T_{child.name}"
+                hoisted.setdefault(
+                    name, Op("transpose", name, (child.name,)))
+                return name, False
+            return emit("transpose", lower(child)[0]), False
+        if isinstance(expr, (Identity, ZeroMatrix)):
+            name = f"_c{len(constants)}"
+            constants[name] = (("eye", expr.shape.rows)
+                               if isinstance(expr, Identity)
+                               else ("zeros", *expr.shape))
+            return name, False
+        if isinstance(expr, MatMul):
+            name, _ = lower(expr.children[0])
+            rows = expr.children[0].shape.rows
+            for child in expr.children[1:]:
+                rhs, _ = lower(child)
+                name = emit("matmul", name, rhs,
+                            into=Shape(rows, child.shape.cols))
+            return name, True
+        if isinstance(expr, Add):
+            name, fresh = lower(expr.children[0])
+            if not fresh:
+                name = emit("copy", name, into=expr.shape)
+            for term in expr.children[1:]:
+                if isinstance(term, ScalarMul) and term.coeff == -1.0:
+                    name = emit("sub", name, lower(term.child)[0], name)
+                else:
+                    name = emit("add", name, lower(term)[0], name)
+            return name, True
+        if isinstance(expr, ScalarMul):
+            return emit("scale", expr.coeff, lower(expr.child)[0],
+                        into=expr.shape), True
+        if isinstance(expr, (HStack, VStack)):
+            blocks = [lower(child)[0] for child in expr.children]
+            kernel = "hstack" if isinstance(expr, HStack) else "vstack"
+            return emit(kernel, *blocks, into=expr.shape), True
+        if isinstance(expr, Inverse):
+            return emit("inv", lower(expr.child)[0]), True
+        raise TypeError(f"cannot lower node {type(expr).__name__}")
 
-    # Phase 1: assigns (delta factor blocks), old values only.  A bare
-    # alias result (e.g. ``U_B := u_A``) is snapshotted into a buffer:
+    # Phase 1a: assigns (delta factor blocks), old values only.  A bare
+    # alias result (``U_B := u_A``) is snapshotted into a buffer:
     # temporaries must never share storage with something a later
     # in-place application could mutate.
     for assign in trigger.assigns:
-        frag, buf = _emit_expr(em, assign.expr, transposed)
-        if buf is None:
-            buf = em.buffer(*em.shape(assign.expr))
-            out = em.local()
-            em.emit(f"{out} = _copy({buf}, {frag})")
-            frag = out
-        em.emit(f"{assign.target.name} = {frag}")
+        name, fresh = lower(assign.expr)
+        if not fresh:
+            name = emit("copy", name, into=assign.expr.shape)
+        ops[-1] = ops[-1]._replace(dst=assign.target.name)
 
-    # Phase 2: evaluate every non-factored update delta before any view
-    # mutates (views are written in place, so the
-    # evaluate-all-then-apply-all order carries the contract alone).
-    applies: list[str] = []
+    # Phase 1b: every delta that is not already a pair of factor blocks
+    # is evaluated before any view mutates.  Phase 2: apply all.
+    applies: list[Op] = []
     for update in trigger.updates:
         target = update.view.name
-        operands = outer_operands(update.expr)
-        if operands is not None:
-            u_name, v_name = operands
-            applies.append(
-                f"views[{target!r}] = _outer({target}, {u_name}, {v_name})"
-            )
+        factors = outer_operands(update.expr)
+        if factors is not None:
+            applies.append(Op("outer", target, (target, *factors)))
         else:
-            frag, _ = _emit_expr(em, update.expr, transposed)
-            applies.append(f"views[{target!r}] = _applyadd({target}, {frag})")
+            applies.append(
+                Op("applyadd", target, (target, lower(update.expr)[0])))
 
-    # Phase 3: apply all deltas in place.
-    for line in applies:
-        em.emit(line)
+    return LoweredTrigger(
+        input_name=trigger.input_name,
+        params=tuple(p.name for p in trigger.params),
+        rank=trigger.params[0].shape.cols,
+        views=tuple(_referenced_views(trigger)),
+        constants=constants,
+        buffers=buffers,
+        ops=(*hoisted.values(), *ops),
+        applies=tuple(applies),
+    )
 
-    source = "\n".join(header + em.lines) + "\n"
-    return source, em.buffers, em.constants
+
+def _copy_into(src, out):
+    """Materialize ``src`` in the buffer ``out`` (dense fast path)."""
+    if out is not None and isinstance(src, np.ndarray):
+        np.copyto(out, src)
+        return out
+    return src.copy()  # no buffer, or CSR (buffers cannot hold it)
+
+
+def _kernels(be) -> dict[str, Callable]:
+    """Kernel name -> callable over an :class:`Op`'s ``srcs``, in order."""
+    return {
+        "transpose": operator.attrgetter("T"),
+        "copy": _copy_into,
+        "matmul": be.matmul_into,
+        "add": be.add_into,
+        "sub": be.sub_into,
+        "scale": be.scale_into,
+        "hstack": lambda *args: be.hstack_into(args[:-1], args[-1]),
+        "vstack": lambda *args: be.vstack_into(args[:-1], args[-1]),
+        "inv": be.inv,
+        "outer": be.add_outer_inplace,
+        "applyadd": be.add_inplace,
+    }
+
+
+def _charges(be, counter: counters.Counter) -> dict[str, Callable]:
+    """Kernel name -> the charge :func:`~repro.runtime.executor.evaluate`
+    makes for the node it lowers (same operands as the kernel)."""
+    record = counter.record
+
+    def matmul(a, b, out):
+        record("matmul", be.matmul_flops(a, b),
+               be.shape(a)[0] * be.shape(b)[1] * 8)
+
+    def sub(a, b, out):  # evaluated as ``a + (-1.0 * b)``
+        record("scalar_mul", be.scale_flops(b))
+        record("add", be.add_flops(a))
+
+    def inv(a):
+        n = be.shape(a)[0]
+        record("inverse", be.inverse_flops(a), n * n * 8)
+
+    def outer(a, u, v):  # the statement ``a += u * v'``, never evaluated
+        rows, cols = be.shape(a)
+        record("transpose", 0)
+        record("matmul", outer_update_flops(be, a, u, v), rows * cols * 8)
+
+    return {
+        "transpose": lambda a: record("transpose", 0),
+        "matmul": matmul,
+        "add": lambda a, b, out: record("add", be.add_flops(a)),
+        "sub": sub,
+        "scale": lambda coeff, a, out: record(
+            "scalar_mul", be.scale_flops(a)),
+        "inv": inv,
+        "outer": outer,
+    }
+
+
+def _bind(trigger: Trigger, dims: Mapping[str, int], backend, workspace):
+    """Lower ``trigger`` and bind the form: ``(lowered, backend, values)``.
+
+    ``values`` holds what the list leaves free besides kernels:
+    ``"_rank"`` (the compiled update width), every constant (built here)
+    and every buffer (leased here).  Buffers come from a fresh top-level
+    lease scope of ``workspace`` (one is created when ``None``) —
+    triggers bound against one workspace share buffers by shape, which
+    is safe because trigger firings never interleave.  An unbound
+    dimension raises :class:`~repro.runtime.executor.EvaluationError`.
+    """
+    from ...backends import get_backend
+    from ...runtime.workspace import Workspace
+
+    be = get_backend(backend)
+    ws = Workspace() if workspace is None else workspace
+    lowered = lower_trigger(trigger)
+    values: dict[str, object] = {"_rank": resolve_dim(lowered.rank, dims)}
+    for name, (kind, *shape) in lowered.constants.items():
+        sizes = [resolve_dim(dim, dims) for dim in shape]
+        values[name] = be.eye(*sizes) if kind == "eye" else be.zeros(*sizes)
+    ws.begin()
+    for name, shape in lowered.buffers.items():
+        values[name] = ws.lease(resolve_dim(shape.rows, dims),
+                                resolve_dim(shape.cols, dims))
+    return lowered, be, values
+
+
+def _loop(lowered: LoweredTrigger, be, values: Mapping[str, object],
+          counter: counters.Counter) -> Callable:
+    """``fn(views, u, v)`` running the bound form record by record."""
+    kernels = _kernels(be)
+    charges = _charges(be, counter) if counter.recording else {}
+    rank = values["_rank"]
+
+    # Every name is a slot of one flat list; a firing copies the
+    # template (constants and buffers filled in) and runs down the steps.
+    names = [*lowered.params, *lowered.views, *values,
+             *(op.dst for op in lowered.ops)]
+    slot = {name: index for index, name in enumerate(names)}
+    pinned = [values.get(name) for name in names]
+
+    def operand(src) -> int:
+        if isinstance(src, str):
+            return slot[src]
+        pinned.append(src)  # scale's literal coefficient
+        return len(pinned) - 1
+
+    steps = [
+        (kernels[op.kernel], slot[op.dst], [operand(s) for s in op.srcs],
+         charges.get(op.kernel))
+        for op in lowered.ops
+    ]
+    applies = [
+        (kernels[op.kernel], op.dst, [slot[s] for s in op.srcs],
+         charges.get(op.kernel))
+        for op in lowered.applies
+    ]
+    allocating = list(pinned)
+    for name in lowered.buffers:
+        allocating[slot[name]] = None
+    loads = [(slot[name], name) for name in lowered.views]
+
+    def run(views, u, v):
+        slots = list(pinned if u.shape[1] == rank else allocating)
+        slots[0] = u
+        slots[1] = v
+        for index, name in loads:
+            slots[index] = views[name]
+        for kernel, dst, srcs, charge in steps:
+            args = [slots[i] for i in srcs]
+            if charge is not None:
+                charge(*args)
+            slots[dst] = kernel(*args)
+        for kernel, name, srcs, charge in applies:
+            args = [slots[i] for i in srcs]
+            if charge is not None:
+                charge(*args)
+            views[name] = kernel(*args)
+
+    run.__name__ = f"on_update_{lowered.input_name}"
+    return run
+
+
+def compile_trigger_function(
+    trigger: Trigger,
+    dims: Mapping[str, int],
+    backend=None,
+    workspace=None,
+    counter: counters.Counter = counters.NULL_COUNTER,
+) -> Callable:
+    """The loop executor of ``trigger``'s lowered form.
+
+    Binds the form against concrete ``dims`` (:func:`_bind`) and returns
+    ``fn(views, u, v)``.  An update of the compiled width runs on the
+    leased buffers; any other width runs the same records with
+    allocating destinations.  Every record is charged to ``counter``.
+    """
+    lowered, be, values = _bind(trigger, dims, backend, workspace)
+    return _loop(lowered, be, values, counter)
+
+
+def _print(lowered: LoweredTrigger, function_name: str | None) -> str:
+    name = function_name or f"on_update_{lowered.input_name}"
+
+    def call(op: Op) -> str:
+        args = ", ".join(s if isinstance(s, str) else repr(s)
+                         for s in op.srcs)
+        return f"_{op.kernel}({args})"
+
+    lines = [
+        f"# Lowered trigger for updates to {lowered.input_name}; buffers "
+        f"are shaped for update width {lowered.rank}.",
+    ]
+    lines += [f"#   {const} = {kind}({', '.join(map(str, shape))})"
+              for const, (kind, *shape) in lowered.constants.items()]
+    lines += [f"#   {buffer}: {shape}"
+              for buffer, shape in lowered.buffers.items()]
+    lines += [
+        f"def {name}(views, {', '.join(lowered.params)}):",
+        f'    """Maintain views in place for a factored update to '
+        f'{lowered.input_name}."""',
+        f"    if {lowered.params[0]}.shape[1] != _rank:",
+        f"        return _any_width(views, {', '.join(lowered.params)})",
+    ]
+    lines += [f"    {view} = views[{view!r}]" for view in lowered.views]
+    lines += [f"    {op.dst} = {call(op)}" for op in lowered.ops]
+    lines += [f"    views[{op.dst!r}] = {call(op)}" for op in lowered.applies]
+    return "\n".join(lines) + "\n"
+
+
+def generate_python_trigger(
+    trigger: Trigger, function_name: str | None = None
+) -> str:
+    """Print ``trigger``'s lowered form as Python function source.
+
+    Needs no ``dims``: buffers (``_bN``) and constants (``_cN``) are free
+    names listed with their symbolic shapes in the leading comment;
+    ``_<kernel>`` are the backend's ``*_into`` kernels, ``_rank`` the
+    compiled update width and ``_any_width`` the loop executor that
+    takes every other width.  :func:`compile_fused_trigger` binds them.
+    """
+    return _print(lower_trigger(trigger), function_name)
 
 
 def compile_fused_trigger(
@@ -301,57 +470,31 @@ def compile_fused_trigger(
     backend=None,
     workspace=None,
 ) -> Callable:
-    """Compile the fused form of ``trigger`` against concrete ``dims``.
+    """Print, bind and ``exec`` ``trigger``'s lowered form.
 
-    Scratch buffers are leased from ``workspace`` (one is created when
-    ``None``) at *compile* time, in a fresh top-level lease scope —
-    triggers compiled against the same workspace share buffers by
-    shape, which is safe because trigger firings never interleave.
-    Raises :class:`FusedUnsupported` when the trigger contains a node
-    with no in-place lowering or a dimension ``dims`` does not bind.
+    Same binding as :func:`compile_trigger_function`, pinned in the
+    function's globals; ``fn.__source__`` is the printed text.  Nothing
+    is charged to a counter.
     """
-    from ...backends import get_backend
-    from ...runtime.workspace import Workspace
-
-    be = get_backend(backend)
-    source, buffers, constants = generate_fused_trigger(trigger, dims)
-    ws = workspace if workspace is not None else Workspace()
-
-    namespace: dict[str, object] = {
-        "np": np,
-        "_mm": be.matmul_into,
-        "_add": be.add_into,
-        "_sub": be.sub_into,
-        "_scale": be.scale_into,
-        "_hcat": be.hstack_into,
-        "_vcat": be.vstack_into,
-        "_outer": be.add_outer_inplace,
-        "_applyadd": be.add_inplace,
-        "_copy": _copy_into,
-    }
-    ws.begin()
-    for buf_name, rows, cols in buffers:
-        namespace[buf_name] = ws.lease(rows, cols)
-    for const_name, factory in constants.items():
-        spec = factory()
-        if spec[0] == "eye":
-            namespace[const_name] = be.eye(spec[1])
-        else:
-            namespace[const_name] = be.zeros(spec[1], spec[2])
-
-    exec(compile(source, f"<fused-trigger:{trigger.input_name}>", "exec"),
+    lowered, be, values = _bind(trigger, dims, backend, workspace)
+    source = _print(lowered, None)
+    namespace = {f"_{name}": kernel for name, kernel in _kernels(be).items()}
+    namespace.update(values)
+    namespace["_any_width"] = _loop(lowered, be, values,
+                                    counters.NULL_COUNTER)
+    exec(compile(source, f"<trigger:{trigger.input_name}>", "exec"),
          namespace)
     fn = namespace[f"on_update_{trigger.input_name}"]
     fn.__source__ = source  # type: ignore[attr-defined]
-    fn.__rank__ = _resolve(  # type: ignore[attr-defined]
-        trigger.params[0].shape.cols, dims
-    )
-    fn.__workspace__ = ws  # type: ignore[attr-defined]
     return fn
 
 
 __all__ = [
-    "FusedUnsupported",
+    "LoweredTrigger",
+    "Op",
     "compile_fused_trigger",
-    "generate_fused_trigger",
+    "compile_trigger_function",
+    "generate_python_trigger",
+    "lower_trigger",
+    "outer_operands",
 ]

@@ -25,7 +25,7 @@ from ...expr.ast import (
 )
 from ...expr.shapes import DimLike, DimSum, NamedDim
 from ..trigger import Trigger
-from .python_gen import _referenced_views
+from .fused import _referenced_views
 
 _PREC_ADD = 1
 _PREC_MUL = 2

@@ -27,8 +27,8 @@ one-shot workloads fall back to plain re-evaluation.
 
 Two further axes the planner prices through this module:
 
-* **in-place execution** (``inplace=True``): the fused codegen path
-  runs kernels through ``out=`` buffers, shedding the allocation share
+* **in-place execution** (``inplace=True``): lowered triggers and
+  workspace-backed maintainers run kernels through ``out=`` buffers, shedding the allocation share
   of every per-call overhead — refresh costs charge
   ``Backend.est_call_overhead(inplace=True)`` instead of the full
   constant (setup is always priced out-of-place: it runs once, through
@@ -180,7 +180,7 @@ def powers_cost(
     """Predicted costs of maintaining ``A^k`` under ``be``.
 
     ``inplace=True`` prices the refresh through the in-place kernel
-    path (workspace-backed maintainers, fused triggers); setup is
+    path (workspace-backed maintainers, lowered triggers); setup is
     always priced out-of-place — it runs once, allocating its views.
     """
     mdl = _model_of(model, s)

@@ -190,10 +190,11 @@ class WorkloadStats:
         return cls(n=int(a.shape[0]), **kwargs)
 
 
-#: Refresh count at or above which sessions compile triggers to Python
-#: source once (``mode="codegen"``) instead of interpreting the AST per
-#: update — the compile cost amortizes quickly, but one-shot sessions
-#: shouldn't pay it.
+#: Refresh count at or above which sessions print and ``exec`` each
+#: trigger's lowered form once (``mode="codegen"``) instead of looping
+#: over it per update — both run the same kernels on the same buffers,
+#: so the rule only trades a ~1 ms ``exec`` against per-record loop
+#: overhead, which one-shot sessions never earn back.
 CODEGEN_MIN_REFRESHES = 32
 
 

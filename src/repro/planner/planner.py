@@ -62,7 +62,6 @@ def _refresh_cost_memo(
     dims,
     densities,
     update_input: str | None,
-    inplace: bool,
 ):
     """Memoized ``update_rank -> CostEstimate`` and ``-> refresh flops``
     closures for one cell.
@@ -79,7 +78,7 @@ def _refresh_cost_memo(
         if r not in walked:
             walked[r] = program_cost(
                 be, strategy, program, dims, densities,
-                rank=r, update_input=update_input, inplace=inplace,
+                rank=r, update_input=update_input,
             )
         return walked[r]
 
@@ -336,14 +335,11 @@ def rank_program(
             memo["backend", backend_name] = be
         for strategy in strategies:
             mode = session_mode(strategy, stats)
-            # Codegen sessions run the fused in-place fast path, so
-            # those cells are priced with the allocation discount.
-            inplace = mode == "codegen"
-            cell = (be.name, strategy, inplace)
+            cell = (be.name, strategy)
             if cell not in memo:
                 memo[cell] = _refresh_cost_memo(
                     be, strategy, program, resolved_dims, densities,
-                    update_input, inplace)
+                    update_input)
             cost_at, refresh_fn = memo[cell]
             cost = cost_at(rank)
             batch, batched_unit = _recommend_batch(

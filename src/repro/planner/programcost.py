@@ -89,7 +89,6 @@ def program_cost(
     input_density: dict[str, float],
     rank: int = 1,
     update_input: str | None = None,
-    inplace: bool = False,
 ) -> CostEstimate:
     """Predicted per-refresh cost of maintaining ``program`` under ``be``.
 
@@ -97,17 +96,17 @@ def program_cost(
     are assumed dense.  ``update_input`` names the input the update
     stream targets (default: the program's first input).
 
-    ``inplace=True`` prices the factored refresh through the fused
-    in-place path (``mode="codegen"`` sessions): every delta-pass call
-    is charged ``est_call_overhead(inplace=True)`` — its discounted,
-    allocation-free form.  Full evaluation (REEVAL, and INCR setup) is
-    always priced out-of-place: it runs through the allocating
-    evaluator regardless of mode.
+    The factored refresh is priced in place — every delta-pass call is
+    charged ``est_call_overhead(inplace=True)``, its discounted,
+    allocation-free form — because a trigger's lowered form runs on
+    leased buffers in both execution modes.  Full evaluation (REEVAL,
+    and INCR setup) is priced out-of-place: it runs through the
+    allocating evaluator.
     """
     if strategy not in ("REEVAL", "INCR"):
         raise ValueError(f"sessions support REEVAL or INCR, got {strategy!r}")
     update_input = update_input or program.input_names[0]
-    delta_call = be.est_call_overhead(inplace)
+    delta_call = be.est_call_overhead(inplace=True)
 
     ann: dict[str, _Annotation] = {}
     for sym in program.inputs:

@@ -11,8 +11,9 @@ for maintenance sessions:
 * :func:`write_checkpoint` / :func:`load_checkpoint` — the on-disk
   format: a ``LVCK`` magic + version header, a JSON manifest (header
   v3: array names/shapes, ``plan`` — every build axis, stored once —
-  ``fused``, ``update_count``, ``dims`` and one ``deferral`` entry:
-  spec, resolved cell, policy state), the raw float64 view payload,
+  ``update_count``, ``dims`` and one ``deferral`` entry: spec, resolved
+  cell, policy state; a ``fused`` entry written by older v3 files is
+  read and ignored), the raw float64 view payload,
   and a SHA-256 trailer over everything before it.  Files land via temp-file +
   :func:`os.replace`, so a crash mid-write leaves the previous
   checkpoint untouched; a torn file fails its checksum and loads raise
@@ -35,9 +36,9 @@ for maintenance sessions:
 
 Checkpoints capture everything value-affecting: view arrays, the
 session's :class:`~repro.planner.plan.MaintenancePlan` — the whole
-build recipe, ``rank``/``optimize`` included (the fused ``__rank__``
-routing changes summation order) — the ``fused`` switch, and the
-deferral slot through its public surface only — the session's
+build recipe, ``rank``/``optimize`` included (an update of another
+width than ``rank`` runs on other buffers, which changes operand
+layouts) — and the deferral slot through its public surface only — the session's
 :class:`~repro.runtime.batching.DeferralSpec`, the cell it resolved to
 and the policy's own ``capture()`` (for heavy-light: occupancy sketch,
 heavy-set membership, retune phase).  They deliberately do *not*
@@ -276,9 +277,6 @@ def capture_session(session) -> tuple[dict, dict[str, np.ndarray]]:
     policy = session.deferral
     header: dict = {
         "plan": dataclasses.asdict(session.plan),
-        # Codegen sessions built with ``fused=False`` have no workspace.
-        "fused": (session.plan.mode != "codegen"
-                  or getattr(session, "workspace", None) is not None),
         "update_count": int(session.update_count),
         "dims": dict(views.dims),
         "deferral": {
@@ -322,7 +320,7 @@ def rebuild_session(program, header: dict, arrays: dict[str, np.ndarray],
     for name, arr in arrays.items():
         store.adopt(name, arr)
     session = build_session(program, store, plan, counter=counter,
-                            backend=backend, fused=header["fused"])
+                            backend=backend)
     session.update_count = int(header.get("update_count", 0))
     deferral = header["deferral"]
     session.install_deferral(SimpleNamespace(**deferral["cell"]),

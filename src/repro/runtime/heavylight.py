@@ -14,7 +14,7 @@ Partitioning of the Input Relations" — exploits it structurally, per
   heavy row ``i`` with factor column ``u = a e_i`` accumulates ``a v``
   into that row's slot — ``O(cols)``, exact, zero marginal rank.  The
   heavy block stays pending across light folds and is propagated
-  through the session's fused/in-place kernel path only on read,
+  through the session's trigger (in-place kernels) only on read,
   ``max_staleness``, or flush-before-switch — so the bulk of a skewed
   stream's mass costs amortized ``O(budget)`` refresh rank no matter
   how many hits it absorbs.

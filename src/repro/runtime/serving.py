@@ -181,8 +181,8 @@ class SessionEngine:
     def capture(self, names: Iterable[str]) -> dict[str, np.ndarray]:
         """Fresh dense copies of ``names`` (caller flushed already).
 
-        ``get_dense`` may return live storage (the fused in-place path
-        mutates views without replacing them), so every published array
+        ``get_dense`` may return live storage (triggers mutate views in
+        place without replacing them), so every published array
         is copied here — copy-on-publish is what makes snapshots
         immutable.
         """

@@ -20,23 +20,25 @@ session is built by :func:`build_session` from one
 as ``session.plan`` (a directly constructed session synthesizes its
 plan from its arguments).
 
-Two execution modes are supported for triggers:
+Triggers have one lowered form (:mod:`repro.compiler.codegen.fused`): a
+flat kernel list with buffers, hoisted transposes and the
+evaluate-all-then-apply-all order made explicit.  Both execution modes
+run it — through the backend's ``*_into`` kernels, into buffers leased
+once from the session's :class:`~repro.runtime.workspace.Workspace`,
+repairing views **in place** — so they share ops, operand layouts and
+association order by construction (bit-for-bit equal on the dense
+backend) and a warmed-up dense session performs zero heap allocation
+per update in either:
 
-* ``mode="interpret"`` — delta expressions are evaluated by the AST
-  executor (FLOP-counted, the default);
-* ``mode="codegen"`` — triggers are lowered to Python/NumPy source and
-  ``exec``-compiled once (the paper's generated-code path).  By default
-  codegen sessions additionally *specialize* each trigger against the
-  session's concrete dimensions and backend
-  (:mod:`repro.compiler.codegen.fused`): the specialized function runs
-  every kernel through the backend's ``*_into`` forms into buffers
-  preallocated in a session :class:`~repro.runtime.workspace.Workspace`
-  and repairs views **in place**, so a warmed-up dense session performs
-  zero heap allocation per update.  Updates whose rank differs from the
-  compiled width, and triggers containing nodes without an in-place
-  lowering, transparently fall back to the generic generated code;
-  ``fused=False`` (or ``mode="interpret"``) disables specialization
-  outright.
+* ``mode="interpret"`` — a loop over the list, charging the session's
+  FLOP counter per record (the default; bound on a trigger's first
+  firing);
+* ``mode="codegen"`` — the list printed as one flat Python function and
+  ``exec``-compiled once at open (the paper's generated-code path; no
+  FLOP counting).
+
+Updates whose rank differs from ``plan.rank`` run the same list with
+allocating destinations and lease nothing.
 
 View storage is store-owned and updated **in place in every mode**
 (:mod:`repro.runtime.views`): treat matrices returned by
@@ -69,8 +71,10 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ..backends import get_backend
-from ..compiler.codegen.fused import FusedUnsupported, compile_fused_trigger
-from ..compiler.codegen.python_gen import compile_trigger_function, outer_operands
+from ..compiler.codegen.fused import (
+    compile_fused_trigger,
+    compile_trigger_function,
+)
 from ..compiler.compile import compile_program
 from ..compiler.program import Program
 from ..compiler.trigger import Trigger
@@ -571,18 +575,14 @@ class IVMSession(Session):
     Adds to :class:`Session`:
 
     rank:
-        Expected width of incoming factored updates.  Updates of any
-        width are accepted in ``interpret`` mode at their true cost; in
-        ``codegen`` mode the generated function is width-agnostic too
-        (widths only appear as array shapes).
+        Expected width of incoming factored updates: the width the
+        triggers are compiled and their buffers shaped for.  Updates of
+        any other width are accepted in both modes, at their true cost
+        (they allocate their temporaries).
     optimize:
         Run the Section 6 optimizer pipeline over each trigger.
     mode:
         ``"interpret"`` or ``"codegen"`` (see module docstring).
-    fused:
-        In ``codegen`` mode, specialize each trigger into the fused
-        in-place form (the default fast path; see module docstring).
-        ``False`` keeps the generic generated code only.
 
     A ``plan`` wins over ``rank`` / ``optimize`` / ``mode``: the
     triggers are compiled from ``session.plan`` and nothing else.
@@ -600,13 +600,12 @@ class IVMSession(Session):
         mode: str = "interpret",
         counter: counters.Counter = counters.NULL_COUNTER,
         backend=None,
-        fused: bool = True,
         plan=None,
     ):
         super().__init__(program, inputs, dims, counter, backend, plan,
                          mode=mode, rank=rank, optimize=optimize)
         plan = self.plan
-        mode = self.mode = plan.mode
+        self.mode = plan.mode
 
         self.triggers: dict[str, Trigger] = compile_program(
             program, rank=plan.rank)
@@ -617,36 +616,27 @@ class IVMSession(Session):
                 name: optimize_trigger(trigger)
                 for name, trigger in self.triggers.items()
             }
-        self._compiled: dict[str, Callable] = {}
-        self._fused: dict[str, Callable] = {}
-        self.workspace: Workspace | None = None
-        if mode == "codegen":
-            self._compiled = {
-                name: compile_trigger_function(trigger, backend=self.backend)
-                for name, trigger in self.triggers.items()
-            }
-            if fused:
-                self._compile_fused()
-
-    def _compile_fused(self) -> None:
-        """Specialize triggers against concrete dims into the fused form.
-
-        Triggers the specializer cannot lower (symbolic dims it cannot
-        bind, nodes without an in-place kernel) silently keep only their
-        generic compiled form — the interpreter contract is never at
-        risk, only the allocation profile.
-        """
-        dims = self._bound_dims()
+        #: Scratch buffers of every trigger's lowered form.
         self.workspace = Workspace()
-        for name, trigger in self.triggers.items():
-            try:
-                fn = compile_fused_trigger(
-                    trigger, dims, backend=self.backend,
-                    workspace=self.workspace,
-                )
-            except FusedUnsupported:
-                continue
-            self._fused[name] = fn
+        #: Input name -> bound executor of its trigger's lowered form.
+        self._executors: dict[str, Callable] = {}
+        if self.mode == "codegen":
+            for name in self.triggers:
+                self._executor(name)
+
+    def _executor(self, name: str) -> Callable:
+        """Bind ``name``'s trigger against this session's dims, backend
+        and workspace, in the form ``self.mode`` runs."""
+        if self.mode == "codegen":
+            fn = compile_fused_trigger(
+                self.triggers[name], self._bound_dims(), self.backend,
+                self.workspace)
+        else:
+            fn = compile_trigger_function(
+                self.triggers[name], self._bound_dims(), self.backend,
+                self.workspace, self.counter)
+        self._executors[name] = fn
+        return fn
 
     def _bound_dims(self) -> dict[str, int]:
         """User-supplied dims completed from the stored inputs' shapes."""
@@ -667,69 +657,15 @@ class IVMSession(Session):
             raise KeyError(f"no trigger compiled for input {update.target!r}")
 
     def _apply_now(self, update: FactoredUpdate) -> None:
-        """Maintain every view for one factored update (the INCR path)."""
-        trigger = self.triggers.get(update.target)
-        if trigger is None:
-            raise KeyError(f"no trigger compiled for input {update.target!r}")
-        if self.mode == "codegen":
-            fn = self._fused.get(update.target)
-            if fn is None or update.u_block.shape[1] != fn.__rank__:
-                # Off-width updates (and unspecializable triggers) take
-                # the generic generated path — correct at any rank.
-                fn = self._compiled[update.target]
-            fn(self.views._arrays, update.u_block, update.v_block,
-               dims=self.views.dims)
-        else:
-            self._interpret(trigger, update)
+        """Maintain every view for one factored update (the INCR path).
 
-    def _interpret(self, trigger: Trigger, update: FactoredUpdate) -> None:
-        env = self.views.as_env()
-        u_name, v_name = (p.name for p in trigger.params)
-        env[u_name] = update.u_block
-        env[v_name] = update.v_block
-        for assign in trigger.assigns:
-            env[assign.target.name] = evaluate(
-                assign.expr, env, dims=self.views.dims, counter=self.counter,
-                backend=self.backend,
-            )
-        # Updates in the canonical factored shape ``view += U V'`` apply
-        # through the backend's add_outer kernel — no dense delta is
-        # materialized, and sparse view state stays sparse.  Anything
-        # else (e.g. optimizer-rewritten exprs) evaluates generically.
-        # Views are written in place, so every factor and delta is
-        # derived from old values *before* the first application below
-        # (evaluate-all-then-apply-all, as on the fused path).
-        outers: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        deltas: dict[str, np.ndarray] = {}
-        for upd in trigger.updates:
-            operands = outer_operands(upd.expr)
-            if operands is not None and all(n in env for n in operands):
-                factors = (env[operands[0]], env[operands[1]])
-                self._charge_outer(upd.view.name, factors)
-                outers[upd.view.name] = factors
-            else:
-                deltas[upd.view.name] = evaluate(
-                    upd.expr, env, dims=self.views.dims, counter=self.counter,
-                    backend=self.backend,
-                )
-        for name, (u_arr, v_arr) in outers.items():
-            self.views.add_outer(name, u_arr, v_arr)
-        for name, delta in deltas.items():
-            self.views.add_in_place(name, delta)
-
-    def _charge_outer(
-        self, name: str, factors: tuple[np.ndarray, np.ndarray]
-    ) -> None:
-        """Charge a factored application like the evaluated form did."""
-        u_arr, v_arr = factors
-        current = self.views.get(name)
-        rows, cols = self.backend.shape(current)
-        self.counter.record("transpose", 0)
-        self.counter.record(
-            "matmul",
-            outer_update_flops(self.backend, current, u_arr, v_arr),
-            rows * cols * 8,
-        )
+        An interpret-mode trigger is bound on its first firing, so a
+        session that is built and superseded before any update (the
+        catalog's, at every tenant registration) leases nothing.
+        """
+        fn = self._executors.get(update.target) or self._executor(
+            update.target)
+        fn(self.views._arrays, update.u_block, update.v_block)
 
 
 class ReevalSession(Session):
@@ -1022,7 +958,6 @@ def build_session(
     backend=None,
     shard: str = "range",
     supervise: bool = False,
-    fused: bool = True,
 ) -> Session:
     """Build the session ``plan`` describes — the one build path.
 
@@ -1070,7 +1005,7 @@ def build_session(
             )
             plan = dataclasses.replace(plan, nodes=1)
     return IVMSession(program, inputs, dims, counter=counter,
-                      backend=backend, fused=fused, plan=plan)
+                      backend=backend, plan=plan)
 
 
 def open_session(

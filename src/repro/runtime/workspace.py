@@ -8,7 +8,7 @@ removes that churn: it *leases* scratch buffers keyed by
 ``(rows, cols, dtype)`` and hands the same buffers back in the same
 order on every subsequent firing, so a trigger that warmed up once
 performs **zero heap allocation** afterwards (the property
-``benchmarks/bench_fused_hotpath.py`` measures with ``tracemalloc``).
+``tests/test_steady_state.py`` measures with ``tracemalloc``).
 
 Usage contract:
 

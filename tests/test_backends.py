@@ -481,19 +481,21 @@ class TestSessionBackendParity:
         np.testing.assert_allclose(sparse_s.output(), dense.output(),
                                    atol=1e-9)
 
-    def test_codegen_emits_dispatch_calls(self, program):
-        from repro.compiler.compile import compile_program
-        from repro.compiler.codegen.python_gen import generate_python_trigger
+    def test_codegen_runs_the_sessions_backend_kernels(self, program, rng):
+        """The printed form names kernels, not NumPy operators; binding
+        resolves every one of them to the session's backend."""
+        from repro.compiler.codegen.fused import generate_python_trigger
 
-        trigger = compile_program(program)["A"]
-        legacy = generate_python_trigger(trigger)
-        dispatched = generate_python_trigger(trigger, dispatch=True)
-        assert "@" in legacy and "be." not in legacy
-        assert "be.matmul(" in dispatched
+        session = IVMSession(program, {"A": sparse_matrix(rng, 90, 0.03)},
+                             dims={"n": 90}, mode="codegen",
+                             backend="sparse")
+        fn = session._executors["A"]
+        assert fn.__source__ == generate_python_trigger(session.triggers["A"])
+        assert "_matmul(" in fn.__source__ and "@" not in fn.__source__
         # Updates accumulate into store-owned arrays: no copy-on-write.
-        assert "be.add_outer_inplace(" in dispatched
-        assert ".copy()" not in dispatched
-        assert "@" not in dispatched
+        assert "_outer(" in fn.__source__ and ".copy()" not in fn.__source__
+        for kernel in ("_matmul", "_add", "_outer"):
+            assert fn.__globals__[kernel].__self__ is session.backend
 
 
 @needs_scipy

@@ -254,10 +254,11 @@ class TestTrendGate:
         assert "4-worker speedup" in failure and "floor 2" in failure
 
     def test_missing_key_and_usage_errors(self, tmp_path, capsys):
-        baseline = _baseline("fused")
-        current = {k: v for k, v in baseline.items() if k != "stream_p16"}
-        [failure] = check_trend.check("fused", current, baseline)
-        assert "stream_p16" in failure and "missing" in failure
-        assert check_trend.main(["fused", "only-one-file.json"]) == 2
+        baseline = _baseline("batch")
+        current = {k: v for k, v in baseline.items() if k != "reeval_theta2"}
+        failures = check_trend.check("batch", current, baseline)
+        assert failures and all(
+            "reeval_theta2" in f and "missing" in f for f in failures)
+        assert check_trend.main(["batch", "only-one-file.json"]) == 2
         assert check_trend.main(["no-such-bench", "a.json", "b.json"]) == 2
         capsys.readouterr()

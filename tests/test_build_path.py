@@ -79,10 +79,32 @@ def test_catalog_rebuild_keeps_rank_and_optimize(rng):
     inner = catalog._session
     got = {name: str(trigger) for name, trigger in inner.triggers.items()}
     assert got == _optimized_text(inner.program, rank=2)
-    assert all(fn.__rank__ == 2 for fn in inner._fused.values())
+    assert inner.plan.rank == 2 and inner.mode == "codegen"
+    assert inner._executors["A"].__globals__["_rank"] == 2
 
     oracle = IVMSession(CHAIN, {"A": a0}, dims={"n": N}, rank=2)
     for update in _rank2(rng, 6):
         catalog.apply_update(update)
         oracle.apply_update(update)
     np.testing.assert_allclose(tenant["C"], oracle["C"], rtol=1e-7)
+
+
+def test_session_builds_executors_through_its_module_globals(rng, monkeypatch):
+    """``benchmarks/e2e/trace.py`` times trigger compilation by swapping
+    ``runtime.session``'s ``compile_trigger_function`` (the loop
+    builder) and ``compile_fused_trigger`` (the printer + ``exec``
+    builder) for wrappers, so a session must reach both by those names."""
+    import repro.runtime.session as session_mod
+
+    built = []
+    for name in ("compile_trigger_function", "compile_fused_trigger"):
+        real = getattr(session_mod, name)
+        monkeypatch.setattr(
+            session_mod, name,
+            lambda *args, _real=real, _name=name: (
+                built.append(_name), _real(*args))[1])
+    for mode in ("interpret", "codegen"):
+        session = IVMSession(CHAIN, {"A": _operator(rng)}, dims={"n": N},
+                             rank=2, mode=mode)
+        session.apply_update(_rank2(rng, 1)[0])
+    assert built == ["compile_trigger_function", "compile_fused_trigger"]

@@ -199,14 +199,18 @@ class TestRoundTrip:
                              optimize=optimize, mode=mode)
         for update in stream(5, rank=rank):
             session.apply_update(update)
+        header, arrays = capture_session(session)
+        assert "fused" not in header
+        # A v3 file written while sessions had a ``fused`` switch still
+        # carries it (here: its off position); it is read and ignored.
+        header["fused"] = False
         restored = rebuild_session(prog, *deserialize_state(
-            serialize_state(*capture_session(session))))
+            serialize_state(header, arrays)))
         assert restored.plan.label == session.plan.label
         assert restored.plan.rank == rank
         assert restored.plan.optimize is optimize
         assert str(restored.triggers["A"]) == str(session.triggers["A"])
-        if mode == "codegen":
-            assert restored._fused["A"].__rank__ == rank
+        assert restored.triggers["A"].params[0].shape.cols == rank
         for update in stream(50, seed=8, rank=rank):
             session.apply_update(update)
             restored.apply_update(update)

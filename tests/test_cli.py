@@ -53,7 +53,8 @@ class TestCompile:
     def test_python_backend(self, a4_file, capsys):
         assert main(["compile", a4_file, "--backend", "python"]) == 0
         out = capsys.readouterr().out
-        assert "def on_update_A(views, u_A, v_A, dims=None):" in out
+        assert "def on_update_A(views, u_A, v_A):" in out
+        assert "U_B = _hstack(u_A, _t4, _b3)" in out
 
     def test_octave_backend(self, a4_file, capsys):
         assert main(["compile", a4_file, "--backend", "octave"]) == 0

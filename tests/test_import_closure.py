@@ -134,7 +134,7 @@ LAZY_PACKAGES = [
     ("repro.expr", 44, "MatMul"),
     ("repro.delta", 23, "FactoredDelta"),
     ("repro.compiler", 21, "Program"),
-    ("repro.compiler.codegen", 7, "FusedUnsupported"),
+    ("repro.compiler.codegen", 7, "LoweredTrigger"),
     ("repro.cost", 17, "Counter"),
     ("repro.frontend", 7, "Parser"),
     ("repro.iterative", 17, "Model"),

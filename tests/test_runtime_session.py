@@ -145,3 +145,88 @@ class TestCounters:
         assert incr_growth < 6.0**2       # ~16x over two doublings
         assert reeval_growth > 6.0**2     # ~64x over two doublings
         assert results[64][1] > 5 * results[64][0]
+
+
+#: Interpret-mode charges of three updates (n=12, p=3, m=20) as counted
+#: by the AST-walk trigger executor that the lowered form replaced:
+#: name -> (source, updated input, {rank: (flops by op, bytes)}).  The
+#: chain, the Table 2 programs (powers, sums, general form) and two
+#: programs covering the remaining charges (sub/scale, inverse).
+PARENT_CHARGES = {
+    "chain": (
+        "input A(n, n); B := A * A; C := B * B; output C;", "A",
+        {1: ({"add": 108, "matmul": 11952}, 13080),
+         2: ({"add": 216, "matmul": 25344}, 16032)}),
+    "powers": (
+        "input A(n, n); P2 := A * A; P3 := P2 * A; P4 := P3 * A; "
+        "output P4;", "A",
+        {1: ({"add": 108, "matmul": 17280}, 17424),
+         2: ({"add": 216, "matmul": 36288}, 21312)}),
+    "sums": (
+        "input A(n, n); P2 := A * A; P3 := P2 * A; S := A + P2 + P3; "
+        "output S;", "A",
+        {1: ({"add": 72, "matmul": 15120}, 15912),
+         2: ({"add": 144, "matmul": 31104}, 18144)}),
+    "general": (
+        "input A(n, n); input T0(n, p); input B(n, p); "
+        "T1 := A * T0 + B; T2 := A * T1 + B; output T2;", "A",
+        {1: ({"add": 36, "matmul": 2952}, 5928),
+         2: ({"add": 72, "matmul": 6192}, 6720)}),
+    "mixed": (
+        "input A(n, n); R := 2 * A * A - A'; output R;", "A",
+        {1: ({"add": 36, "matmul": 5328, "scalar_mul": 108}, 7800),
+         2: ({"add": 72, "matmul": 10944, "scalar_mul": 216}, 8736)}),
+    "ols": (
+        "input X(m, n); input Y(m, p); Z := X' * X; W := inv(Z); "
+        "C := X' * Y; beta := W * C; output beta;", "X",
+        {1: ({"add": 84, "inverse": 48, "matmul": 16536,
+              "scalar_mul": 72}, 18624),
+         2: ({"add": 192, "inverse": 384, "matmul": 35184,
+              "scalar_mul": 144}, 23376)}),
+}
+
+
+class TestInterpretCharges:
+    """The loop over the lowered form charges each record what the AST
+    walk charged for the node it lowers (hoisted transposes are counted
+    once per firing; they carry no FLOPs)."""
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    @pytest.mark.parametrize("name", sorted(PARENT_CHARGES))
+    def test_totals_equal_the_ast_walks(self, name, rank):
+        from repro.frontend import parse_program
+
+        source, target, expected = PARENT_CHARGES[name]
+        dims = {"n": 12, "p": 3, "m": 20}
+        program = parse_program(source)
+        rng = np.random.default_rng(7)
+        inputs = {}
+        for sym in program.inputs:
+            shape = (dims[sym.shape.rows.name], dims[sym.shape.cols.name])
+            inputs[sym.name] = rng.normal(size=shape)
+            if name == "ols":
+                inputs[sym.name] += 5 * np.eye(*shape)
+        counter = Counter()
+        session = IVMSession(program, inputs, dims=dims, rank=rank,
+                             counter=counter)
+        counter.reset()
+        rows, cols = inputs[target].shape
+        for _ in range(3):
+            session.apply_update(FactoredUpdate(
+                target, 0.01 * rng.normal(size=(rows, rank)),
+                rng.normal(size=(cols, rank))))
+        flops, nbytes = expected[rank]
+        assert counter.snapshot() == {**flops, "transpose": 0}
+        assert counter.bytes_allocated == nbytes
+        assert session.revalidate() < 1e-8
+
+    def test_codegen_charges_nothing(self, rng):
+        counter = Counter()
+        session = IVMSession(a4_program(), {"A": rng.normal(size=(6, 6))},
+                             mode="codegen", counter=counter)
+        counter.reset()
+        for width in (1, 2):  # the printed function, then the loop
+            session.apply_update(FactoredUpdate(
+                "A", rng.normal(size=(6, width)),
+                rng.normal(size=(6, width))))
+        assert counter.total_flops == 0 and not counter.calls_by_op

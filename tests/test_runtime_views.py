@@ -223,13 +223,13 @@ ALIAS_PROGRAMS = (
 SESSION_KINDS = {
     "interpret": {"mode": "interpret"},
     "codegen": {"mode": "codegen"},
-    "generic-codegen": {"mode": "codegen", "fused": False},
 }
 
 
 class TestAliasStatements:
-    """Regression: fused codegen + alias statement + ``rebuild()`` used
-    to accumulate two names into one buffer (every delta applied twice)."""
+    """Regression: in-place triggers + alias statement + ``rebuild()``
+    used to accumulate two names into one buffer (every delta applied
+    twice)."""
 
     @pytest.mark.parametrize("rebuild", [False, True],
                              ids=["stream", "rebuild-mid-stream"])

@@ -1,30 +1,17 @@
-"""Workspace arena, in-place backend kernels, and the zero-alloc contract."""
+"""Workspace arena and in-place backend kernels (the sessions'
+zero-allocation steady state is pinned in ``test_steady_state.py``)."""
 
-import gc
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.backends import get_backend
-from repro.compiler import Program, Statement
-from repro.expr import MatrixSymbol, matmul
 from repro.iterative.general import HybridGeneral, IncrementalGeneral, ReevalGeneral
 from repro.iterative.models import Model
 from repro.iterative.powers import IncrementalPowers, ReevalPowers
 from repro.iterative.sums import IncrementalPowerSums
-from repro.runtime import FactoredUpdate, Workspace
-from repro.runtime.session import IVMSession
-
-
-def _row_updates(rng, n, count, scale=0.01):
-    updates = []
-    for i in range(count):
-        u = np.zeros((n, 1))
-        u[i % n, 0] = 1.0
-        updates.append(FactoredUpdate("A", u, scale * rng.normal(size=(n, 1))))
-    return updates
+from repro.runtime import Workspace
 
 
 class TestWorkspace:
@@ -256,53 +243,3 @@ class TestMaintainerWorkspaces:
             plain.refresh(u, v)
             arena.refresh(u, v)
         assert np.array_equal(plain.result(), arena.result())
-
-
-class TestZeroAllocationSteadyState:
-    """The tentpole property: warmed-up codegen sessions allocate nothing."""
-
-    def _session(self, rng, n=48):
-        a_sym = MatrixSymbol("A", n, n)
-        b_sym = MatrixSymbol("B", n, n)
-        c_sym = MatrixSymbol("C", n, n)
-        program = Program(
-            [a_sym],
-            [Statement(b_sym, matmul(a_sym, a_sym)),
-             Statement(c_sym, matmul(b_sym, b_sym))],
-        )
-        return IVMSession(program, {"A": 0.1 * rng.normal(size=(n, n))},
-                          mode="codegen")
-
-    def test_workspace_stops_allocating_after_warmup(self, rng):
-        session = self._session(rng)
-        updates = _row_updates(rng, 48, 30)
-        session.apply_update(updates[0])  # warm-up firing
-        allocations = session.workspace.allocations
-        assert allocations > 0
-        for update in updates[1:]:
-            session.apply_update(update)
-        assert session.workspace.allocations == allocations
-
-    def test_tracemalloc_measures_zero_steady_state(self, rng):
-        session = self._session(rng)
-        updates = _row_updates(rng, 48, 60)
-        for update in updates:  # warm everything, including caches
-            session.apply_update(update)
-        gc.collect()
-        tracemalloc.start()
-        before = tracemalloc.get_traced_memory()[0]
-        for update in updates:
-            session.apply_update(update)
-        gc.collect()
-        grown = tracemalloc.get_traced_memory()[0] - before
-        tracemalloc.stop()
-        # tracemalloc's own bookkeeping accounts for a few hundred bytes;
-        # a single leaked (48 x 48) array would be ~18 KB.
-        assert grown < 4096, f"steady state allocated {grown} bytes"
-
-    def test_fused_functions_expose_workspace_and_rank(self, rng):
-        session = self._session(rng)
-        fn = session._fused["A"]
-        assert fn.__rank__ == 1
-        assert fn.__workspace__ is session.workspace
-        assert "def on_update_A" in fn.__source__

@@ -49,12 +49,12 @@ GATED = {
     "repro.runtime.session": (
         _NOT_FOR_A_DENSE_SESSION + ("repro.backends.sparse",
                                     "repro.iterative"),
-        37,
+        36,
     ),
     "repro.catalog": (
         ("repro.analytics", "repro.distributed", "repro.calibrate",
          "repro.backends.sparse", "repro.runtime.drift"),
-        43,
+        42,
     ),
     "repro.cli": (("scipy", "repro.compiler", "repro.backends"), 7),
     # Its arguments determine the plan, so nothing is priced: the
@@ -66,7 +66,7 @@ GATED = {
             "repro.compiler.codegen.spark_gen", "repro.expr.latex",
             "repro.planner.planner", "repro.planner.programcost",
             "repro.cost.advisor", "repro.backends.sparse"),
-        46,
+        45,
     ),
 }
 
