@@ -11,9 +11,13 @@ measured in real bytes and real seconds through the same
 
 Start method: always ``spawn`` (:data:`START_METHOD` — the only safe
 choice once BLAS threads exist in the parent: ``fork`` duplicates
-OpenBLAS's thread pool state and can deadlock).  Workers are spawned
-with BLAS pinned to one thread: the shards already divide the matrix,
-so nested BLAS threading would only oversubscribe cores.
+OpenBLAS's thread pool state and can deadlock).  A worker's entry is
+:func:`_worker_main` and nothing else: it is spawned with no main
+module to re-import, so its boot is the interpreter, NumPy and this
+module's closure whatever the launching program loaded, and that
+program's top-level code runs once.  Workers are spawned with BLAS
+pinned to one thread: the shards already divide the matrix, so nested
+BLAS threading would only oversubscribe cores.
 
 Bit-identity: the per-tile kernels below are the *single* source of
 truth — the in-process reference engine and the worker loop call the
@@ -28,8 +32,11 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import pickle
+import sys
+import threading
 import time
 import traceback
+import types
 import weakref
 from dataclasses import dataclass
 
@@ -61,6 +68,10 @@ DEFAULT_OPLOG_LIMIT = 64
 #: Environment knobs pinned to one BLAS thread in spawned workers.
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
               "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+#: Serializes spawns: each one borrows ``os.environ`` and
+#: ``sys.modules["__main__"]``, which every thread shares.
+_SPAWN_LOCK = threading.Lock()
 
 
 class WorkerFailedError(RuntimeError):
@@ -366,32 +377,39 @@ class ProcessCluster:
     def _spawn_worker(self, worker: int) -> None:
         """(Re)spawn one worker process with BLAS pinned to one thread.
 
-        Replaces the slot in place so the GC finalizer always sees the
-        current incarnation.
+        ``spawn`` re-imports whatever ``sys.modules["__main__"]`` names
+        in the child, so for the duration of ``start()`` that is an
+        empty module: the child runs :func:`_worker_main` and never the
+        launching program.  Replaces the slot in place so the GC
+        finalizer always sees the current incarnation.
         """
-        saved = {var: os.environ.get(var) for var in _BLAS_VARS}
-        for var in _BLAS_VARS:
-            os.environ[var] = "1"
-        try:
-            parent_conn, child_conn = self._ctx.Pipe()
-            proc = self._ctx.Process(
-                target=_worker_main,
-                args=(child_conn, worker,
-                      tuple(self.partitioner.tile_bounds),
-                      tuple(self.partitioner.shards[worker])),
-                daemon=True, name=f"repro-shard-{worker}",
-            )
-            proc.start()
-            child_conn.close()
-            self._procs[worker] = proc
-            self._conns[worker] = parent_conn
-            self._replied[worker] = False
-        finally:
-            for var, value in saved.items():
-                if value is None:
-                    os.environ.pop(var, None)
-                else:
-                    os.environ[var] = value
+        with _SPAWN_LOCK:
+            main = sys.modules["__main__"]
+            saved = {var: os.environ.get(var) for var in _BLAS_VARS}
+            sys.modules["__main__"] = types.ModuleType("__main__")
+            for var in _BLAS_VARS:
+                os.environ[var] = "1"
+            try:
+                parent_conn, child_conn = self._ctx.Pipe()
+                proc = self._ctx.Process(
+                    target=_worker_main,
+                    args=(child_conn, worker,
+                          tuple(self.partitioner.tile_bounds),
+                          tuple(self.partitioner.shards[worker])),
+                    daemon=True, name=f"repro-shard-{worker}",
+                )
+                proc.start()
+                child_conn.close()
+                self._procs[worker] = proc
+                self._conns[worker] = parent_conn
+                self._replied[worker] = False
+            finally:
+                sys.modules["__main__"] = main
+                for var, value in saved.items():
+                    if value is None:
+                        os.environ.pop(var, None)
+                    else:
+                        os.environ[var] = value
 
     # -- failure handling ------------------------------------------------
     def _fail(self, worker: int, reason: str, tb: str | None = None):
@@ -399,15 +417,9 @@ class ProcessCluster:
         if tb is None and not self._replied[worker]:
             proc.join(timeout=1.0)
             if proc.exitcode is not None:
-                # The real cause is only on the child's stderr; the
-                # common one deserves naming here.
-                reason = (
-                    f"worker process exited with code {proc.exitcode} "
-                    f"before its first reply ({reason}). Spawned workers "
-                    f"re-import the launching script: if it opens a "
-                    f"sharded session at module top level, move that "
-                    f"under an `if __name__ == \"__main__\":` guard"
-                )
+                # The real cause is only on the child's stderr.
+                reason = (f"worker process exited with code {proc.exitcode} "
+                          f"before its first reply ({reason})")
         error = WorkerFailedError(worker, reason, tb)
         self.failure = error
         self._finalizer()

@@ -6,8 +6,7 @@ workload at smoke size::
 
     python tests/late_import_probe.py zipf_write
 
-A real file with a ``__main__`` guard, because the sharded workload's
-spawned workers re-import ``__main__``.  Prints one JSON object.
+Prints one JSON object.
 """
 
 from __future__ import annotations

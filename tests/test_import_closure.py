@@ -44,6 +44,9 @@ class TestImportClosure:
         assert len([n for n in loaded if n.startswith("repro")]) <= 12
         assert "repro.distributed.workers" in loaded
 
+    def test_a_spawned_worker_does_not_run_its_launcher(self):
+        assert _tool().launcher_runs() == 1
+
     def test_session_does_not_import_the_distributed_engines(self):
         tool = _tool()
         loaded = tool.closure("repro.runtime.session")

@@ -11,17 +11,23 @@ from __future__ import annotations
 
 import errno
 import glob
+import json
 import multiprocessing
 import os
 import subprocess
 import sys
 import textwrap
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
-from repro.distributed import ProcessCluster, RowShardPartitioner
+from repro.distributed import (
+    ProcessCluster,
+    RowShardPartitioner,
+    WorkerFailedError,
+)
 from repro.frontend import parse_program
 from repro.planner import MaintenancePlan
 from repro.runtime import (
@@ -158,37 +164,158 @@ class TestSpawnFailure:
         assert _shard_workers() == []
 
 
+def _run_script(path, *args) -> subprocess.CompletedProcess:
+    """Run ``path`` as a program of its own, this tree's ``src`` importable."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "src"),
+                      env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(path), *map(str, args)],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
 UNGUARDED_SCRIPT = textwrap.dedent("""
+    import sys
+
+    with open(sys.argv[1], "a") as marker:
+        marker.write("top level ran\\n")
+
     import numpy as np
     from repro.frontend import parse_program
     from repro.planner import MaintenancePlan
-    from repro.runtime import open_session
+    from repro.runtime import FactoredUpdate, open_session
 
     program = parse_program("input A(n, n); B := A * A; output B;")
     plan = MaintenancePlan("INCR", backend="dense", mode="interpret", nodes=2)
-    session = open_session(program, {"A": np.eye(16)}, plan=plan, batch="off")
+    a = np.eye(16)
+    u, v = np.zeros((16, 1)), np.ones((16, 1))
+    u[2] = 0.5
+    session = open_session(program, {"A": a.copy()}, plan=plan, batch="off",
+                           supervise=True)
+    session.apply_update(FactoredUpdate("A", u, v))
+    session.engine.cluster.kill_worker(0)
+    session.apply_update(FactoredUpdate("A", u, v))
+    assert len(session.recoveries) == 1, session.recoveries
+    want = a + 2 * (u @ v.T)
+    np.testing.assert_allclose(session["B"], want @ want, rtol=1e-9,
+                               atol=1e-12)
     session.close()
+""")
+
+SCIPY_LAUNCHER = textwrap.dedent("""
+    import json
+    import multiprocessing
+
+    import scipy.linalg
+    import scipy.sparse
+
+    from repro.distributed import ProcessCluster, RowShardPartitioner
+
+
+    def shard_workers():
+        return sorted((child.name, child.pid)
+                      for child in multiprocessing.active_children())
+
+
+    cluster = ProcessCluster(RowShardPartitioner(16, 2, tile_rows=4))
+    cluster.ping()  # every worker has finished booting
+    workers = shard_workers()
+    scipy_objects = []
+    for _, pid in workers:
+        with open(f"/proc/{pid}/maps") as maps:
+            # The package's directories: NumPy's own BLAS is a
+            # ``numpy.libs/libscipy_openblas*`` file.
+            scipy_objects += [line.split()[-1] for line in maps
+                              if "/scipy/" in line or "/scipy.libs/" in line]
+    cluster.close()
+    print(json.dumps({"open": [name for name, _ in workers],
+                      "closed": shard_workers(),
+                      "scipy_objects": sorted(set(scipy_objects))}))
 """)
 
 
 class TestUnguardedScript:
-    def test_error_names_the_main_guard(self, tmp_path):
-        """Spawn re-imports the script; the error must say so."""
+    """A worker's entry is ``_worker_main``, never the launching program."""
+
+    def test_top_level_session_runs_and_the_script_executes_once(
+            self, tmp_path):
         script = tmp_path / "unguarded.py"
         script.write_text(UNGUARDED_SCRIPT)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [os.path.join(os.path.dirname(__file__), os.pardir,
-                                       "src"),
-                          env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, str(script)],
-                              capture_output=True, text=True, env=env,
-                              timeout=120)
-        assert proc.returncode != 0
-        failure = [line for line in proc.stderr.splitlines()
-                   if "WorkerFailedError" in line][-1]
-        assert "exited with code 1 before its first reply" in failure
-        assert '`if __name__ == "__main__":` guard' in failure
+        marker = tmp_path / "marker.txt"
+        proc = _run_script(script, marker)
+        assert proc.returncode == 0, proc.stderr
+        # Two first spawns and one supervised respawn later.
+        assert marker.read_text().splitlines() == ["top level ran"]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads /proc/<pid>/maps")
+    def test_worker_maps_nothing_the_launcher_imported(self, tmp_path):
+        pytest.importorskip("scipy")
+        script = tmp_path / "scipy_launcher.py"
+        script.write_text(SCIPY_LAUNCHER)
+        proc = _run_script(script)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["open"] == ["repro-shard-0", "repro-shard-1"]
+        assert report["closed"] == []
+        assert report["scipy_objects"] == []
+
+    def test_death_before_the_first_reply_names_the_exit_code(self, no_leak):
+        cluster = ProcessCluster(RowShardPartitioner(16, 2, tile_rows=4))
+        cluster.kill_worker(1)
+        with pytest.raises(WorkerFailedError) as failure:
+            cluster.ping()
+        assert failure.value.worker == 1
+        assert "exited with code 17 before its first reply" in str(
+            failure.value)
+        assert "__main__" not in str(failure.value)
+        assert _shard_workers() == []
+
+
+class TestConcurrentSpawn:
+    def test_two_threads_leave_process_globals_as_they_found_them(
+            self, monkeypatch, no_leak):
+        """A spawn borrows ``os.environ`` and ``sys.modules["__main__"]``;
+        unserialized, one thread saves what the other set and restores
+        that for good."""
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        environ, main = dict(os.environ), sys.modules["__main__"]
+        threads = 3  # more than this box has cores
+        barrier = threading.Barrier(threads)
+        clusters, errors = [], []
+
+        def spawn():
+            try:
+                barrier.wait(timeout=30)
+                clusters.append(
+                    ProcessCluster(RowShardPartitioner(8, 2, tile_rows=4)))
+            except Exception as error:  # a thread cannot raise to pytest
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=spawn) for _ in range(threads)]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=60)
+            stuck = [thread for thread in pool if thread.is_alive()]
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            assert not stuck and not errors, errors
+            assert dict(os.environ) == environ
+            assert sys.modules["__main__"] is main
+            assert len(_shard_workers()) == 2 * threads
+            for cluster in clusters:
+                cluster.ping()
+        finally:
+            for cluster in clusters:
+                cluster.close()
 
 
 class TestSessionLifetime:

@@ -17,7 +17,10 @@ Usage::
     python tools/check_import_closure.py
 
 Prints each probe's sorted closure (``repro*`` and ``scipy*`` modules)
-and exits 1 on a forbidden prefix or a count over budget.
+and exits 1 on a forbidden prefix or a count over budget.  A last probe
+spawns real shard workers and exits 1 if they ran their launcher: a
+worker's boot is the closure gated above only while it does not also
+re-import the program that opened the session.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -81,6 +85,20 @@ PROBES = {
     ),
 }
 
+#: A program that counts its own executions in ``sys.argv[1]``, one
+#: line each, and opens a sharded cluster — under the main check, so a
+#: worker that did boot from it would add a line instead of crashing.
+_LAUNCHER = (
+    "import sys\n"
+    "with open(sys.argv[1], 'a') as marker:\n"
+    "    marker.write('top level ran\\n')\n"
+    "if __name__ == '__main__':\n"
+    "    from repro.distributed import ProcessCluster, RowShardPartitioner\n"
+    "    cluster = ProcessCluster(RowShardPartitioner(16, 2, tile_rows=4))\n"
+    "    cluster.ping()\n"
+    "    cluster.close()\n"
+)
+
 _PROBE = (
     "import sys, numpy\n"
     "{body}\n"
@@ -108,6 +126,16 @@ def closure(probe: str) -> list[str]:
         body=PROBES.get(probe, f"import {probe}"))).split()
 
 
+def launcher_runs() -> int:
+    """How often :data:`_LAUNCHER`'s top level executes over one run that
+    spawns two shard workers (once, unless a worker boots from it)."""
+    with tempfile.TemporaryDirectory() as scratch:
+        launcher, marker = Path(scratch, "launcher.py"), Path(scratch, "runs")
+        launcher.write_text(_LAUNCHER)
+        fresh_python(str(launcher), str(marker))
+        return len(marker.read_text().splitlines())
+
+
 def violations(module: str, loaded: list[str]) -> list[str]:
     """What ``loaded`` (a :func:`closure`) breaks of ``module``'s rule."""
     forbidden, budget = GATED[module]
@@ -131,9 +159,16 @@ def main() -> int:
         for name in loaded:
             print(f"  {name}")
         problems.extend(violations(module, loaded))
+    runs = launcher_runs()
+    print(f"spawned shard worker: launcher top level ran {runs} time(s)")
+    if runs != 1:
+        problems.append(
+            f"spawned shard worker: the launching program ran {runs} times "
+            f"(a worker's entry must be _worker_main alone)")
     for message in problems:
         print(message, file=sys.stderr)
-    print(f"checked {len(GATED)} closures: {len(problems)} violation(s)")
+    print(f"checked {len(GATED)} closures and one spawn: "
+          f"{len(problems)} violation(s)")
     return 1 if problems else 0
 
 
