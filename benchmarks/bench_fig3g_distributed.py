@@ -7,8 +7,10 @@ variant lives in ``bench_fig3g_general.py``; this file keeps the
 original *simulated*-cluster reproduction (per-worker compute +
 broadcast/gather traffic + latency rounds) and graduates the scaling
 claim to **wall-clock** on the real engine: ``A^2``/``A^3`` chain
-maintenance on :class:`~repro.distributed.sharded.ShardedChainMaintainer`
-over 1 / 2 / 4 shared-memory worker processes, with measured comm
+maintenance by a :class:`~repro.runtime.session.ShardedSession` (the
+chain's lowered triggers on a
+:class:`~repro.distributed.sharded.ShardBackend`) over 1 / 2 / 4
+shared-memory worker processes, with measured comm
 traffic, bit-identity across engines and shard strategies, and a
 modeled-vs-measured broadcast-bytes check.
 
@@ -132,38 +134,49 @@ def _updates(n: int, count: int, base_seed: int = 1):
     return [row_update(n, base_seed + i) for i in range(count)]
 
 
+CHAIN_SRC = "input A(n, n); P2 := A * A; P3 := A * P2; output P3;"
+
+
 def _measure_cell(a, updates, *, nodes, strategy, tile_rows, process):
     """One scaling cell: timed refresh loop + comm harvest + results."""
-    from repro.distributed import ShardedChainMaintainer, power_chain
+    from repro.distributed import (LocalShardEngine, RowShardPartitioner,
+                                   ShardBackend)
+    from repro.frontend import parse_program
+    from repro.planner import MaintenancePlan
+    from repro.runtime import FactoredUpdate, ShardedSession
 
-    maintainer = ShardedChainMaintainer(
-        a, power_chain(3), nodes=nodes, strategy=strategy,
-        tile_rows=tile_rows, process=process,
-    )
+    # ``process=False`` is the in-process reference engine: same tiles,
+    # same kernels, no workers.
+    engine = ({"shard": strategy, "tile_rows": tile_rows} if process else
+              {"backend": ShardBackend(LocalShardEngine(RowShardPartitioner(
+                  a.shape[0], nodes, strategy, tile_rows)))})
+    session = ShardedSession(
+        parse_program(CHAIN_SRC), {"A": a},
+        plan=MaintenancePlan("INCR", mode="codegen", nodes=nodes), **engine)
     try:
         # Warm-up refresh (same for every cell, so parity holds): for
         # process engines this also absorbs any residual spawn latency.
         warm_u, warm_v = row_update(a.shape[0], 999_983)
-        maintainer.refresh(warm_u, warm_v)
-        maintainer.engine.comm.reset()
-        maintainer.engine.model.reset()
+        session.apply_update(FactoredUpdate("A", warm_u, warm_v))
+        session.engine.comm.reset()
+        session.engine.model.reset()
         start = time.perf_counter()
         for u, v in updates:
-            maintainer.refresh(u, v)
+            session.apply_update(FactoredUpdate("A", u, v))
         seconds = time.perf_counter() - start
         cell = {
-            "nodes": nodes if process else 1,
+            "nodes": session.nodes,
             "strategy": strategy,
             "seconds": seconds,
             "updates_per_second": len(updates) / seconds,
-            "comm": maintainer.engine.comm.as_dict(),
-            "modeled": maintainer.engine.model.as_dict(),
-            "worker_seconds": maintainer.engine.worker_seconds(),
-            "partition": maintainer.engine.part.describe(),
+            "comm": session.engine.comm.as_dict(),
+            "modeled": session.engine.model.as_dict(),
+            "worker_seconds": session.engine.worker_seconds(),
+            "partition": session.engine.part.describe(),
         }
-        results = {name: maintainer.result(name) for name in ("A", "P2", "P3")}
+        results = {name: np.array(session[name]) for name in ("A", "P2", "P3")}
     finally:
-        maintainer.close()
+        session.close()
     return cell, results
 
 

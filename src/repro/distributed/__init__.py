@@ -12,7 +12,9 @@ ledger:
 * the **real engine** (:class:`ShardedEngine` over
   :class:`ProcessCluster`) spawns persistent workers with views in
   ``multiprocessing.shared_memory`` segments, so the same traffic
-  classes are measured in real bytes and real seconds.
+  classes are measured in real bytes and real seconds;
+  :class:`ShardBackend` is the ``backend=`` a sharded session runs its
+  triggers on.
 
 A lazy package (:mod:`repro._lazy`): the simulator and the real engine
 load only when one of their names is asked for, and a shard worker
@@ -36,18 +38,15 @@ _EXPORTS = {
     "RecoveryEvent": "workers",
     "RowShardPartitioner": "partitioner",
     "SHUFFLE": "comm",
+    "ShardBackend": "sharded",
     "SharedArray": "shm",
     "SharedMemoryBudgetError": "shm",
-    "ShardedChainMaintainer": "sharded",
     "ShardedEngine": "sharded",
     "SimulatedBackend": "engine",
     "StepCost": "cluster",
     "WorkerFailedError": "workers",
-    "chain_steps": "sharded",
     "hybrid_extra_bytes": "partitioner",
-    "power_chain": "sharded",
-    "sharded_reeval_refresh": "sharded",
-    "sharded_refresh": "sharded",
+    "unshardable": "sharded",
 }
 
 __all__ = list(_EXPORTS)

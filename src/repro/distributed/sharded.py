@@ -1,6 +1,6 @@
 """Sharded maintenance over the fixed-tile decomposition.
 
-Two engines expose the same four operations (``add_lowrank``,
+Two engines expose the same operations (``add_lowrank``,
 ``mat_lowrank``, ``matT_lowrank``, ``matmul``) over views stored under
 names:
 
@@ -16,22 +16,25 @@ names:
   same tile order, their results are **bitwise equal**, which is what
   the differential suite asserts.
 
-:func:`sharded_refresh` implements the factored chain recurrence
-(paper Appendix A): for a statement ``T := L * R`` with pending factored
-deltas ``(uL, vL)`` and ``(uR, vR)``,
-
-    ``U_T = [uL | L_old @ uR + uL (vL' uR)]``,  ``V_T = [R_old' vL | vR]``
-
-— all products on *old* view values, in statement order, then every
-view (input included) absorbs its rank-widened delta.  Only thin
-``(n x k)`` blocks ever cross a pipe.
+:class:`ShardBackend` puts either engine behind the
+:class:`~repro.backends.base.Backend` kernel API, the way
+:class:`~repro.distributed.engine.SimulatedBackend` does for the BSP
+simulator: a trigger's lowered list
+(:mod:`repro.compiler.codegen.fused`) is spelled once, and a sharded
+session is that list on this backend.  The factored recurrence of the
+paper's Appendix A — ``U_T = [uL | L_old @ uR + uL (vL' uR)]``,
+``V_T = [R_old' vL | vR]``, all products on *old* view values, then
+every view absorbs its rank-widened delta — is simply what the list
+says for a chain; only thin ``(n x k)`` blocks ever cross a pipe.
+:func:`unshardable` is the one check of whether a program's lists stay
+inside the three tile kernels.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..expr.ast import MatMul, MatrixSymbol
+from ..backends import DenseBackend
 from ..runtime.workspace import Workspace
 from .comm import BROADCAST, GATHER, SHUFFLE, CommLog
 from .partitioner import RowShardPartitioner
@@ -236,168 +239,139 @@ class LocalShardEngine:
         self._views.clear()
 
 
-# -- chain programs ------------------------------------------------------
+# -- the engines behind the Backend API -----------------------------------
 
-def chain_steps(program):
-    """``(input_name, [(target, left, right), ...])`` for a chain-shaped
-    program, or ``None`` when the program cannot be sharded.
+class ShardBackend(DenseBackend):
+    """Trigger kernels over a shard engine, behind the ``Backend`` API.
 
-    Shardable means: exactly one input, and every statement is a product
-    of two already-known views (the matrix-power / chain form of the
-    paper's Appendix A, e.g. ``B := A*A; C := A*B``).
-    """
-    if len(program.inputs) != 1:
-        return None
-    input_name = program.inputs[0].name
-    known = {input_name}
-    steps = []
-    for stmt in program.statements:
-        expr = stmt.expr
-        if not isinstance(expr, MatMul) or len(expr.children) != 2:
-            return None
-        left, right = expr.children
-        if not (isinstance(left, MatrixSymbol) and isinstance(right, MatrixSymbol)):
-            return None
-        if left.name not in known or right.name not in known:
-            return None
-        known.add(stmt.target.name)
-        steps.append((stmt.target.name, left.name, right.name))
-    return input_name, steps
+    Operands are **stored views** (the arrays :meth:`put` returns: the
+    engine's own storage, a shared-memory segment on a
+    :class:`ShardedEngine`) or **thin** ``(n x k)`` blocks in this
+    process, and the kernels dispatch on which:
 
+    * stored view x thin — one ``mat_lowrank`` roundtrip;
+    * its transpose (``view.T``, what a lowered list hoists) x thin —
+      one ``matT_lowrank`` roundtrip;
+    * ``add_outer`` / ``add_outer_inplace`` on a stored view — one
+      ``add_lowrank`` roundtrip, noted in the apply log;
+    * everything else — the inherited dense kernel, in this process.
 
-def power_chain(k: int) -> list[tuple[str, str, str]]:
-    """The linear power chain ``P2 := A*A; P3 := A*P2; ...`` up to ``A^k``."""
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
-    steps = [("P2", "A", "A")]
-    for i in range(3, k + 1):
-        steps.append((f"P{i}", "A", f"P{i - 1}"))
-    return steps
+    :func:`unshardable` refuses, before anything is built, a program
+    whose lists would hand a stored view to any other kernel.
 
+    The **apply log** is what a failure handler reads: ``began`` names
+    every stored view whose ``add_lowrank`` was issued since
+    :meth:`clear_log`, ``finished`` those that returned.  A view in
+    ``began`` but not ``finished`` may hold torn rows; views in neither
+    are untouched.
 
-def sharded_refresh(engine, input_name: str, steps, u, v,
-                    progress: list | None = None) -> dict:
-    """Propagate one factored update ``A += u v'`` through the chain.
-
-    All ``mat/matT`` products read *old* view values in statement
-    order; then every view absorbs its factored delta.  Identical
-    arithmetic on every engine, so the results are bitwise equal
-    across :class:`ShardedEngine` / :class:`LocalShardEngine` and any
-    shard strategy.  Returns the per-view ``(U, V)`` factor map.
-
-    ``progress`` (a caller-owned list) receives checkpoints as the
-    refresh advances — ``("factors", factor_map)`` once every product
-    of old values is computed, then ``("adding", name)`` /
-    ``("added", name)`` around each view's absorption.  On a worker
-    failure, the caller can read exactly how far durable state got:
-    views before the last ``"adding"`` entry absorbed their deltas,
-    the named one may be torn, later ones are untouched
-    (:meth:`ShardedChainSession._reeval_recover
-    <repro.runtime.session.ShardedChainSession>` keys its fallback off
-    this).
-    """
-    u, v = _factor(u), _factor(v)
-    factors = {input_name: (u, v)}
-    for target, left, right in steps:
-        ul, vl = factors[left]
-        ur, vr = factors[right]
-        left_ur = engine.mat_lowrank(left, ur)
-        cross = ul @ (vl.T @ ur)
-        rightT_vl = engine.matT_lowrank(right, vl)
-        factors[target] = (
-            np.hstack([ul, left_ur + cross]),
-            np.hstack([rightT_vl, vr]),
-        )
-    if progress is not None:
-        progress.append(("factors", factors))
-    for name, (fu, fv) in factors.items():
-        if progress is not None:
-            progress.append(("adding", name))
-        engine.add_lowrank(name, fu, fv)
-        if progress is not None:
-            progress.append(("added", name))
-    return factors
-
-
-def sharded_reeval_refresh(engine, input_name: str, steps, u, v) -> None:
-    """REEVAL under sharding: apply the delta, re-multiply every product."""
-    engine.add_lowrank(input_name, _factor(u), _factor(v))
-    for target, left, right in steps:
-        engine.matmul(target, left, right)
-
-
-class ShardedChainMaintainer:
-    """A chain of products of one square input, maintained on a shard
-    engine — the bench / differential-harness entry point.
-
-    ``nodes=1`` (or ``process=False``) uses the in-process reference
-    engine; otherwise a :class:`ProcessCluster` is spawned.  Initial
-    views are materialized through the engine's own tiled ``matmul``,
-    so the whole trajectory — setup included — is bitwise comparable
-    across engines and shard strategies.
+    Deliberately not registered under a name in :mod:`repro.backends`
+    (it cannot exist without an engine) and reported as ``"dense"``:
+    that is the representation, and what a plan built on it records.
     """
 
-    def __init__(self, a: np.ndarray, steps=None, *, input_name: str = "A",
-                 nodes: int = 1, strategy: str = "range",
-                 tile_rows: int | None = None, process: bool | None = None,
-                 reeval: bool = False,
-                 timeout: float = DEFAULT_TIMEOUT, supervise: bool = False):
-        a = np.ascontiguousarray(a, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"need a square input, got shape {a.shape}")
-        self.input_name = input_name
-        self.steps = list(steps) if steps is not None else power_chain(3)
-        self.reeval = reeval
-        part = RowShardPartitioner(a.shape[0], nodes, strategy, tile_rows)
-        if process is None:
-            process = nodes > 1
-        if process:
-            self.engine = ShardedEngine(part, timeout=timeout,
-                                        supervise=supervise)
-        else:
-            self.engine = LocalShardEngine(part)
-        self.engine.put(input_name, a)
-        for target, left, right in self.steps:
-            self.engine.alloc(target, (a.shape[0], a.shape[0]))
-            self.engine.matmul(target, left, right)
+    def __init__(self, engine):
+        self.rebind(engine)
 
-    def reset(self, a: np.ndarray) -> None:
-        """Re-seed the input and re-materialize the chain in place."""
-        self.engine.put(self.input_name, a)
-        for target, left, right in self.steps:
-            self.engine.matmul(target, left, right)
+    def rebind(self, engine) -> None:
+        """Run on ``engine`` from now on; nothing is stored on it yet."""
+        self.engine = engine
+        self._names: dict[int, str] = {}
+        self.clear_log()
 
-    def refresh(self, u: np.ndarray, v: np.ndarray) -> None:
-        """Absorb one factored update ``A += u v'``."""
-        if self.reeval:
-            sharded_reeval_refresh(self.engine, self.input_name,
-                                   self.steps, u, v)
-        else:
-            sharded_refresh(self.engine, self.input_name, self.steps, u, v)
+    def clear_log(self) -> None:
+        """Forget the applies noted so far (a new trigger firing)."""
+        self.began: list[str] = []
+        self.finished: list[str] = []
 
-    def result(self, name: str | None = None) -> np.ndarray:
-        """A private copy of one maintained view (default: last target)."""
-        if name is None:
-            name = self.steps[-1][0]
-        return np.array(self.engine.get(name))
+    def put(self, name: str, value: np.ndarray) -> np.ndarray:
+        """Store ``value`` on the engine (overwriting in place when the
+        name exists); the returned array is the stored view."""
+        stored = self.engine.put(name, value)
+        self._names[id(stored)] = name
+        return stored
 
     def close(self) -> None:
+        """Close the engine; every operand is a thin block from now on."""
+        self._names.clear()
         self.engine.close()
 
-    def __enter__(self):
-        return self
+    def _stored(self, a) -> tuple[str, bool] | None:
+        """``(name, transposed)`` when ``a`` is a stored view or its ``.T``."""
+        name = self._names.get(id(a))
+        if name is not None:
+            return name, False
+        base = getattr(a, "base", None)
+        name = self._names.get(id(base))
+        if name is not None and a.strides == base.strides[::-1]:
+            return name, True
+        return None
 
-    def __exit__(self, *exc):
-        self.close()
-        return False
+    def matmul_into(self, a, b, out):
+        """``a @ b``; a stored ``a`` runs on the shards and the gathered
+        result is a new array (use the returned object, not ``out``)."""
+        held = self._stored(a)
+        if held is None:
+            return super().matmul_into(a, b, out)
+        name, transposed = held
+        if transposed:
+            return self.engine.matT_lowrank(name, b)
+        return self.engine.mat_lowrank(name, b)
+
+    def add_outer(self, a, u: np.ndarray, v: np.ndarray):
+        """``a += u @ v.T`` (also the inherited ``add_outer_inplace``):
+        a stored view absorbs it shard by shard, logged."""
+        held = self._stored(a)
+        if held is None:
+            return super().add_outer(a, u, v)
+        name, _ = held
+        self.began.append(name)
+        self.engine.add_lowrank(name, u, v)
+        self.finished.append(name)
+        return a
+
+
+def unshardable(program, triggers) -> str | None:
+    """Why no shard engine can maintain ``program`` — ``None`` if one can.
+
+    The one "can this program shard" question, asked of the lowered
+    lists of ``triggers`` (``program``'s, as the session would compile
+    them): every view shares one tile decomposition, so all are declared
+    with one square shape; and a stored view (or its hoisted transpose)
+    appears only where a tile kernel exists — as the left operand of a
+    ``matmul`` with a thin block, or as the target of a factored
+    ``outer`` apply.  ``inv`` of a view, a thin block left-multiplying
+    one, a view-by-view product and a non-factored ``applyadd`` have no
+    tile kernel.
+    """
+    from ..compiler.codegen.fused import lower_trigger
+
+    symbols = [*program.inputs, *(stmt.target for stmt in program.statements)]
+    if len({dim for sym in symbols for dim in sym.shape}) != 1:
+        declared = ", ".join(f"{sym.name}{sym.shape}" for sym in symbols)
+        return (f"sharded views share one tile decomposition and must be "
+                f"square matrices of one order, got {declared}")
+    for trigger in triggers.values():
+        lowered = lower_trigger(trigger)
+        stored = set(lowered.views)
+        for op in (*lowered.ops, *lowered.applies):
+            held = [at for at, src in enumerate(op.srcs) if src in stored]
+            if not held:
+                continue
+            if op.kernel == "transpose":
+                stored.add(op.dst)
+            elif held != [0] or op.kernel not in ("matmul", "outer"):
+                operands = ", ".join(map(str, op.srcs))
+                return (f"the trigger for {lowered.input_name} runs "
+                        f"{op.kernel}({operands}) on a stored view, and "
+                        f"tiles have kernels for view * thin, view' * thin "
+                        f"and view += U * V' only")
+    return None
 
 
 __all__ = [
     "LocalShardEngine",
-    "ShardedChainMaintainer",
+    "ShardBackend",
     "ShardedEngine",
-    "chain_steps",
-    "power_chain",
-    "sharded_reeval_refresh",
-    "sharded_refresh",
+    "unshardable",
 ]

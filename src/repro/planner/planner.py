@@ -235,6 +235,7 @@ def rank_program(
     price_batching: bool = False,
     nodes=(1,),
     memo: dict | None = None,
+    optimize: bool = False,
 ) -> list[MaintenancePlan]:
     """Every admissible session plan, cheapest first.
 
@@ -248,8 +249,11 @@ def rank_program(
     cells, which is how :class:`~repro.runtime.drift.ReplanMonitor`
     keeps the running backend priced whatever its inputs have become.
     Sharded cells (``N > 1``) exist only for
-    dense INCR over chain-shaped programs — the form the shared-memory
-    engine executes — and are priced with the Amdahl + IPC comm term
+    dense INCR over programs whose lowered trigger lists the tile
+    kernels can run (:func:`repro.distributed.sharded.unshardable`,
+    asked of the triggers a session would compile: at ``stats``'s update
+    rank, through the Section 6 optimizer when ``optimize`` — which
+    every cell carries, like ``rank`` — says so) and are priced with the Amdahl + IPC comm term
     (:func:`repro.cost.estimate.sharded_refresh_cost`), so tiny views
     lose to single-process on the IPC tax while large dense chains win.
     ``inputs``
@@ -277,10 +281,11 @@ def rank_program(
     rankings on the conservative unbatched form.
 
     ``memo`` is a dict the caller owns and passes to every ranking of
-    one program: the calibrated backends and the per-cell ``rank ->
-    cost`` walks of the program tree are kept in it and reused while
-    dimensions, measured densities, update input and calibration are
-    what they were, and dropped when one moves — so a periodic
+    one program: the calibrated backends, the per-cell ``rank ->
+    cost`` walks of the program tree and whether the program shards
+    are kept in it and reused while dimensions, measured densities,
+    update input, calibration and ``optimize`` are what they were, and
+    dropped when one moves — so a periodic
     re-ranking of an unchanged workload walks nothing twice and returns
     the same floats.
     """
@@ -306,7 +311,8 @@ def rank_program(
             for sym in program.inputs)
 
     memo = {} if memo is None else memo
-    valid_for = (program, resolved_dims, densities, update_input, calibration)
+    valid_for = (program, resolved_dims, densities, update_input, calibration,
+                 optimize)
     if memo.get("valid_for") != valid_for:
         memo.clear()
         memo["valid_for"] = valid_for
@@ -315,11 +321,13 @@ def rank_program(
         stats.distinct_fraction, stats.batch_hint, rank)
 
     node_counts = sorted({max(int(count), 1) for count in nodes}) or [1]
-    shardable = None
-    if any(count > 1 for count in node_counts):
-        from ..distributed.sharded import chain_steps
+    if any(count > 1 for count in node_counts) and "shardable" not in memo:
+        from ..compiler.compile import compile_program
+        from ..distributed.sharded import unshardable
 
-        shardable = chain_steps(program)
+        memo["shardable"] = unshardable(program, compile_program(
+            program, rank=rank, optimize=optimize)) is None
+    shardable = memo.get("shardable", False)
     target = update_input or program.input_names[0]
     target_n = resolve_dim(program.input(target).shape.rows, resolved_dims)
     target_cols = resolve_dim(program.input(target).shape.cols, resolved_dims)
@@ -357,13 +365,13 @@ def rank_program(
                 strategy, "linear", None, be.name, mode,
                 predicted, cost.space, batch_size=batch,
                 partition=partition, heavy_budget=heavy_budget, rank=rank,
+                optimize=optimize,
             ))
             for count in node_counts:
-                # Sharded cells: dense INCR over chain programs only
-                # (what the shared-memory engine can execute), priced
-                # on the *unbatched* interpret path the engine runs.
+                # Sharded cells: dense INCR over programs the tile
+                # kernels can run, priced on the *unbatched* refresh.
                 if (count <= 1 or strategy != INCR
-                        or be.name != "dense" or shardable is None):
+                        or be.name != "dense" or not shardable):
                     continue
                 sharded = sharded_refresh_cost(
                     be, cost.refresh, target_n, len(program.statements),
@@ -374,9 +382,9 @@ def rank_program(
                     if amortize_setup else sharded
                 )
                 candidates.append(MaintenancePlan(
-                    strategy, "linear", None, be.name, "interpret",
+                    strategy, "linear", None, be.name, mode,
                     predicted_sharded, cost.space, batch_size=batch,
-                    nodes=count, rank=rank,
+                    nodes=count, rank=rank, optimize=optimize,
                 ))
     if not candidates:
         raise RuntimeError("no execution backend available to plan over")
@@ -395,6 +403,7 @@ def plan_program(
     strategies=(REEVAL, INCR),
     calibration="auto",
     nodes=(1,),
+    optimize: bool = False,
 ) -> MaintenancePlan:
     """Cheapest plan for maintaining a compiled program in a session.
 
@@ -404,13 +413,13 @@ def plan_program(
     dimension bindings and measured densities; ``stats`` supplies the
     update rank and expected refresh count (its other fields are not
     consulted here — densities always come from the inputs).  See
-    :func:`rank_program` for the ``calibration`` axis and the full
-    ranked grid.
+    :func:`rank_program` for the ``calibration`` and ``optimize`` axes
+    and the full ranked grid.
     """
     return rank_program(
         program, inputs, stats=stats, dims=dims, update_input=update_input,
         backends=backends, strategies=strategies, calibration=calibration,
-        nodes=nodes,
+        nodes=nodes, optimize=optimize,
     )[0]
 
 

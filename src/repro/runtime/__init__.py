@@ -40,7 +40,7 @@ _EXPORTS = {
     "SessionBatcher": "batching",
     "SessionDriftMonitor": "drift",
     "SessionEngine": "serving",
-    "ShardedChainSession": "session",
+    "ShardedSession": "session",
     "Snapshot": "serving",
     "UnsupportedCombinationError": "session",
     "ViewServer": "serving",

@@ -425,11 +425,9 @@ class ReplanMonitor(SessionDriftMonitor):
             return None
         self.replans.append(event)
         if event.switched:
-            # The ranked cell is the whole recipe of the new session;
-            # what ranking does not decide carries over from the old.
-            self.session = session.with_plan(dataclasses.replace(
-                best, rank=self._observed_rank,
-                optimize=session.plan.optimize))
+            # The ranked cell is the whole recipe of the new session: it
+            # carries the observed rank and this session's ``optimize``.
+            self.session = session.with_plan(best)
             if not self._custom_rebuild:
                 # Rebind the default rebuild hook to the *new* session.
                 self._rebuild = self.session.rebuild
@@ -477,6 +475,7 @@ class ReplanMonitor(SessionDriftMonitor):
             update_input=self._update_target, calibration=self.calibration,
             backends=None if running == "dense" else ("dense", running),
             amortize_setup=False, nodes=node_grid, memo=self._rank_memo,
+            optimize=session.plan.optimize,
         )
         current = next(
             (c for c in ranked

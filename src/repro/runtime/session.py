@@ -79,7 +79,6 @@ from ..compiler.compile import compile_program
 from ..compiler.program import Program
 from ..compiler.trigger import Trigger
 from ..cost import counters
-from ..cost.ops import outer_update_flops
 from ..delta.batch import DEFAULT_RTOL
 from .batching import DeferralSpec, resolve_deferral, still_resolved
 from .executor import evaluate
@@ -458,7 +457,7 @@ class Session:
         """Release what the session holds outside this process.
 
         Nothing for a single-process session (it stays usable); a
-        :class:`ShardedChainSession` stops its workers.  ``nodes=N`` is
+        :class:`ShardedSession` stops its workers.  ``nodes=N`` is
         a budget, so one ``open_session`` call may return either — every
         session closes, and works as a context manager, the same way.
         """
@@ -608,14 +607,7 @@ class IVMSession(Session):
         self.mode = plan.mode
 
         self.triggers: dict[str, Trigger] = compile_program(
-            program, rank=plan.rank)
-        if plan.optimize:
-            from ..compiler.optimizer import optimize_trigger
-
-            self.triggers = {
-                name: optimize_trigger(trigger)
-                for name, trigger in self.triggers.items()
-            }
+            program, rank=plan.rank, optimize=plan.optimize)
         #: Scratch buffers of every trigger's lowered form.
         self.workspace = Workspace()
         #: Input name -> bound executor of its trigger's lowered form.
@@ -687,30 +679,37 @@ class ReevalSession(Session):
         self._materialize_all()
 
 
-class ShardedChainSession(Session):
+class ShardedSession(IVMSession):
     """INCR maintenance on a multiprocess shared-memory shard engine.
 
-    Views live in ``multiprocessing.shared_memory`` segments shared with
-    ``nodes`` persistent workers
-    (:class:`~repro.distributed.sharded.ShardedEngine`); each factored
-    update runs the chain recurrence with the big per-tile dgemms fanned
-    out across workers and only thin rank-k factors crossing pipes.
-    Requires the dense backend and a chain-shaped program (every
-    statement a product of two existing views of one square input —
-    :func:`~repro.distributed.sharded.chain_steps`).
+    An :class:`IVMSession` on a
+    :class:`~repro.distributed.sharded.ShardBackend`: the triggers, their
+    lowered lists and both execution modes are the single-process ones,
+    and only the kernels that touch a stored view differ — views live in
+    ``multiprocessing.shared_memory`` segments shared with ``nodes``
+    persistent workers
+    (:class:`~repro.distributed.sharded.ShardedEngine`), the big
+    per-tile dgemms fan out across them and only thin rank-k factors
+    cross pipes.  What this class adds is the lifecycle: it spawns the
+    workers *before* the views are evaluated (they boot meanwhile),
+    moves the evaluated views into segments, copies them back out on
+    :meth:`close` / :meth:`with_plan`, and survives a lost cluster
+    (:meth:`_reeval_recover`).
+
+    Any program whose lowered lists stay inside the tile kernels runs
+    (:func:`~repro.distributed.sharded.unshardable` decides, before any
+    process starts; every view must be square, of one order, on the
+    dense backend).  A ``backend=``
+    :class:`~repro.distributed.sharded.ShardBackend` instance is used as
+    given (over a :class:`~repro.distributed.sharded.LocalShardEngine`:
+    the in-process reference of the differential tests): it must tile
+    the inputs' order over ``plan.nodes``, and the arguments that shape
+    a spawned engine (``shard`` ... ``supervise``) are refused beside it.
 
     ``session.views`` aliases the shared segments, so reads are
     zero-copy *live* state — copy what must survive further updates.
     Measured traffic accumulates in ``session.engine.comm``.
-
-    :meth:`with_plan` honors the flush-before-switch contract for node
-    count changes: pending deltas drain, view state is copied out of
-    shared memory, the workers stop, and only then does the ordinary
-    single-process switch run.
     """
-
-    strategy = "INCR"
-    mode = "interpret"
 
     def __init__(
         self,
@@ -727,78 +726,99 @@ class ShardedChainSession(Session):
         recover: str = "reeval",
         plan=None,
     ):
-        from ..distributed.partitioner import RowShardPartitioner
-        from ..distributed.sharded import ShardedEngine, chain_steps
-        from ..distributed.workers import DEFAULT_TIMEOUT
+        from ..distributed.sharded import ShardBackend, unshardable
 
         if recover not in ("reeval", "fail"):
             raise ValueError(f"recover must be 'reeval' or 'fail', "
                              f"got {recover!r}")
+        if plan is None:
+            from ..planner.plan import MaintenancePlan
 
-        if plan is not None:
-            nodes = plan.nodes
-            backend = plan.backend if backend is None else backend
-        resolved_backend = get_backend(backend)
-        if resolved_backend.name != "dense":
-            raise ValueError(
-                f"sharded sessions require the dense backend, "
-                f"got {resolved_backend.name!r}"
-            )
-        if nodes < 2:
-            raise ValueError(f"nodes must be >= 2 for a sharded session, "
-                             f"got {nodes}")
-        parsed = chain_steps(program)
-        if parsed is None:
-            raise ValueError(
-                "nodes > 1 requires a chain-shaped program: one input, "
-                "every statement a product of two existing views"
-            )
-        self._input_name, self._steps = parsed
-        if self._input_name not in inputs:
-            raise ValueError(
-                f"missing initial values for inputs: [{self._input_name!r}]")
-        shape = np.shape(inputs[self._input_name])
-        if len(shape) != 2 or shape[0] != shape[1]:
-            raise ValueError(
-                f"sharded maintenance needs a square input, "
-                f"got shape {shape}"
-            )
-        partitioner = RowShardPartitioner(shape[0], nodes,
-                                          strategy=shard, tile_rows=tile_rows)
-        self.nodes = nodes
-        self.shard = shard
+            plan = MaintenancePlan(self.strategy, nodes=nodes)
+        # Every refusal comes before the first process starts.
+        missing = [name for name in program.input_names if name not in inputs]
+        if missing:
+            raise ValueError(f"missing initial values for inputs: {missing}")
+        refusal = unshardable(program, compile_program(
+            program, rank=plan.rank, optimize=plan.optimize))
+        if refusal is not None:
+            raise UnsupportedCombinationError(
+                f"cannot maintain this program on {plan.nodes} nodes: "
+                f"{refusal}")
+        shapes = sorted({np.shape(inputs.get(name))
+                         for name in program.input_names})
+        if (len(shapes) != 1 or len(shapes[0]) != 2
+                or shapes[0][0] != shapes[0][1]):
+            raise UnsupportedCombinationError(
+                f"sharded maintenance needs square inputs of one order, "
+                f"got shapes {shapes}")
+        order = shapes[0][0]
+        if isinstance(backend, ShardBackend):
+            part = backend.engine.part
+            if ((part.n, part.nodes, shard, tile_rows, timeout, supervise)
+                    != (order, plan.nodes, "range", None, None, False)):
+                raise ValueError(
+                    f"a built ShardBackend is used as given: it must tile "
+                    f"order {order} over {plan.nodes} nodes (this one: "
+                    f"{part.n} over {part.nodes}) and takes no shard / "
+                    f"tile_rows / timeout / supervise")
+        else:
+            given = get_backend(plan.backend if backend is None else backend)
+            if given.name != "dense":
+                raise UnsupportedCombinationError(
+                    f"sharded sessions require the dense backend, "
+                    f"got {given.name!r}")
+            if plan.nodes < 2:
+                raise ValueError(f"nodes must be >= 2 for a sharded "
+                                 f"session, got {plan.nodes}")
+            from ..distributed.partitioner import RowShardPartitioner
+            from ..distributed.sharded import ShardedEngine
+            from ..distributed.workers import DEFAULT_TIMEOUT
+
+            # Spawn first: the workers boot (interpreter start, imports)
+            # while this process materializes the views; the first
+            # ``attach`` roundtrip in ``_shard_views`` is the fence.
+            backend = ShardBackend(ShardedEngine(
+                RowShardPartitioner(order, plan.nodes, strategy=shard,
+                                    tile_rows=tile_rows),
+                timeout=DEFAULT_TIMEOUT if timeout is None else timeout,
+                supervise=supervise,
+            ))
+        # Kept past ``close`` (``self.backend`` is plain dense by then):
+        # traffic and recoveries stay readable.
+        self._shards = backend
         self.recover = recover
         #: One record per REEVAL fallback taken after an unrecoverable
         #: worker failure (see :meth:`_reeval_recover`).
         self.fallback_events: list[dict] = []
         self._sharded = False
-        # Spawn first: the workers boot (interpreter start, imports)
-        # while this process materializes the views; the first
-        # ``attach`` roundtrip in ``_shard_views`` is the fence.
-        self.engine = ShardedEngine(
-            partitioner,
-            timeout=DEFAULT_TIMEOUT if timeout is None else timeout,
-            supervise=supervise,
-        )
         try:
-            super().__init__(program, inputs, dims, counter, resolved_backend,
-                             plan, nodes=nodes)
+            super().__init__(program, inputs, dims, counter=counter,
+                             backend=backend, plan=plan)
             self._shard_views()
         except BaseException:
-            self.engine.close()
+            backend.close()
             raise
 
     @property
-    def recoveries(self) -> list:
-        """Supervised worker recoveries logged by the cluster."""
-        return self.engine.recoveries
+    def engine(self):
+        """The shard engine the views are (were, once closed) stored on."""
+        return self._shards.engine
 
-    def _shard_names(self) -> list[str]:
-        return [self._input_name] + [target for target, _, _ in self._steps]
+    @property
+    def nodes(self) -> int:
+        """Worker processes maintaining the views (1 after a fallback)."""
+        return self.engine.nodes
+
+    @property
+    def recoveries(self) -> list:
+        """Supervised worker recoveries logged by the cluster (none on
+        the in-process engine)."""
+        return getattr(self.engine, "recoveries", [])
 
     def _shard_views(self) -> None:
-        """Copy every maintained view into shared memory and re-point
-        the store at the segment-backed arrays (zero-copy reads).
+        """Move every view onto the engine and re-point the store at the
+        stored arrays (zero-copy reads over the segments).
 
         On any failure mid-sharding (a full ``/dev/shm`` raising
         :class:`~repro.distributed.shm.SharedMemoryBudgetError`, a
@@ -807,130 +827,105 @@ class ShardedChainSession(Session):
         no store entry points into a segment the constructor is about
         to release.
         """
+        arrays = self.views._arrays
         done: list[str] = []
         try:
-            for name in self._shard_names():
-                shared = self.engine.put(name, self.views.get_dense(name))
-                self.views._arrays[name] = shared
+            for name in arrays:
+                arrays[name] = self.backend.put(name, arrays[name])
                 done.append(name)
         except Exception:
             for name in done:
-                self.views._arrays[name] = np.array(self.views._arrays[name])
+                arrays[name] = np.array(arrays[name])
             raise
         self._sharded = True
 
-    def _unshard(self) -> None:
-        """Copy state out of shared memory and stop the workers."""
+    def close(self) -> None:
+        """Copy state out of the engine, stop the workers, and carry on
+        as a plain dense single-process session."""
         if not self._sharded:
             return
-        for name in self._shard_names():
-            self.views._arrays[name] = np.array(self.views._arrays[name])
         self._sharded = False
-        self.engine.close()
+        arrays = self.views._arrays
+        for name in arrays:
+            arrays[name] = np.array(arrays[name])
+        self.backend.close()
+        self.views.backend = self.backend = get_backend(self.plan.backend)
+
+    def _materialize_all(self) -> None:
+        """Evaluate in this process; while sharded, land each result in
+        its stored array so the workers keep seeing maintained state."""
+        super()._materialize_all()
+        if self._sharded:
+            arrays = self.views._arrays
+            for stmt in self.program.statements:
+                name = stmt.target.name
+                arrays[name] = self.backend.put(name, arrays[name])
 
     def _apply_now(self, update: FactoredUpdate) -> None:
-        from ..distributed.sharded import sharded_refresh
+        if not self._sharded:
+            return super()._apply_now(update)
         from ..distributed.workers import WorkerFailedError
 
-        if update.target != self._input_name:
-            raise KeyError(
-                f"sharded sessions maintain updates to "
-                f"{self._input_name!r}, got {update.target!r}"
-            )
-        flops = outer_update_flops(
-            self.backend, self.views.get(self._input_name),
-            update.u_block, update.v_block,
-        )
-        self.counter.record("sharded_refresh",
-                            flops * len(self._shard_names()))
-        progress: list = []
+        self.backend.clear_log()
         try:
-            sharded_refresh(self.engine, self._input_name, self._steps,
-                            update.u_block, update.v_block,
-                            progress=progress)
+            super()._apply_now(update)
         except WorkerFailedError as error:
-            if self.recover != "reeval" or not self._sharded:
+            if self.recover != "reeval":
                 raise
-            self._reeval_recover(progress, update, error)
+            self._reeval_recover(update, error)
 
-    def _reeval_recover(self, progress: list, update: FactoredUpdate,
+    def _reeval_recover(self, update: FactoredUpdate,
                         error: Exception) -> None:
-        """Recover from an unrecoverable cluster failure mid-refresh.
+        """Recover from an unrecoverable cluster failure mid-update.
 
-        The refresh's ``progress`` log pins down exactly how far the
-        shared-memory state got (see
-        :func:`~repro.distributed.sharded.sharded_refresh`): views
-        whose ``"added"`` entry landed absorbed their delta, the one
-        with an unmatched ``"adding"`` may hold torn rows, later ones
-        are untouched.  Recovery migrates onto a single-process
+        The backend's apply log pins down exactly how far the
+        shared-memory state got
+        (:class:`~repro.distributed.sharded.ShardBackend`): views in
+        ``finished`` absorbed their delta, one begun but not finished
+        may hold torn rows, the others are untouched — and a trigger
+        applies its input first (Algorithm 1).  Recovery swaps the
+        backend onto a single-process
         :class:`~repro.distributed.sharded.LocalShardEngine` (same
         tiles, same kernels):
 
         * input not yet absorbed → nothing durable changed; the whole
-          refresh reruns locally (the INCR path, bitwise-identical
+          trigger reruns locally (the INCR path, bitwise-identical
           arithmetic);
         * input absorbed → every derived view is re-evaluated from the
-          consistent input via tiled ``matmul`` (the REEVAL path of
-          Section 2 — more expensive, erases any torn rows).
+          consistent inputs (the REEVAL path of Section 2 — more
+          expensive, erases any torn rows).
 
         A torn *input* has no consistent basis on either path, so that
         case re-raises — restore from a checkpoint instead.  The
         session continues single-process; re-sharding is a fresh
         ``open_session(nodes=N)``.
         """
-        from ..distributed.sharded import LocalShardEngine, sharded_refresh
+        from ..distributed.sharded import LocalShardEngine
 
-        added = {entry[1] for entry in progress if entry[0] == "added"}
-        adding = [entry[1] for entry in progress if entry[0] == "adding"]
-        torn = (adding[-1]
-                if adding and adding[-1] not in added else None)
-        if torn == self._input_name:
+        backend = self.backend
+        began, finished = backend.began, backend.finished
+        torn = began[-1] if len(began) > len(finished) else None
+        if torn == update.target:
             raise RuntimeError(
-                f"input {self._input_name!r} torn mid-absorption; no "
-                f"consistent basis to re-evaluate from — restore from a "
-                f"checkpoint"
+                f"input {torn!r} torn mid-absorption; no consistent basis "
+                f"to re-evaluate from — restore from a checkpoint"
             ) from error
-        local = LocalShardEngine(self.engine.part)
-        for name in self._shard_names():
-            # The shm mappings survive the cluster teardown (the store
-            # still references them); copy out to private arrays.
-            local.put(name, np.array(self.views._arrays[name]))
-        if self._input_name in added:
+        # The shm mappings survive the cluster teardown (the store still
+        # references them): the local engine copies each view out.
+        failed = backend.engine
+        backend.rebind(LocalShardEngine(failed.part))
+        self._shard_views()
+        failed.close()
+        if update.target in finished:
             mode = "reeval"
-            for target, left, right in self._steps:
-                local.matmul(target, left, right)
+            self._materialize_all()
         else:
             mode = "replay"
-            sharded_refresh(local, self._input_name, self._steps,
-                            update.u_block, update.v_block)
-        for name in self._shard_names():
-            self.views._arrays[name] = local.get(name)
-        old, self.engine = self.engine, local
-        old.close()
-        self.nodes = 1
+            super()._apply_now(update)
         self.fallback_events.append({
-            "mode": mode, "torn": torn, "applied": sorted(added),
+            "mode": mode, "torn": torn, "applied": sorted(finished),
             "reason": str(error), "update_count": self.update_count,
         })
-
-    def rebuild(self) -> None:
-        """Re-evaluate from current inputs, then refill the segments.
-
-        ``_materialize_all`` replaces the store's arrays with freshly
-        evaluated private ones; the shared segments must be re-seeded
-        and re-pointed so workers keep seeing the maintained state.
-        """
-        self.flush()
-        if not self._sharded:
-            super().rebuild()
-            return
-        self._materialize_all()
-        for target, _, _ in self._steps:
-            fresh = self.views.get_dense(target)
-            shared = self.engine.get(target)
-            if fresh is not shared:
-                shared[...] = fresh
-                self.views._arrays[target] = shared
 
     def with_plan(self, plan) -> "Session":
         """Fall back to a single-process configuration.
@@ -941,12 +936,8 @@ class ShardedChainSession(Session):
         from the private state.
         """
         self.flush()
-        self._unshard()
+        self.close()
         return super().with_plan(plan)
-
-    def close(self) -> None:
-        """Copy view state out of shared memory and stop the workers."""
-        self._unshard()
 
 
 def build_session(
@@ -969,9 +960,15 @@ def build_session(
     / ``plan.nodes`` pick the class, ``plan.rank`` / ``plan.optimize`` /
     ``plan.mode`` compile the triggers, and a ``backend`` *instance*
     wins over the plan's backend name.  The returned session's ``plan``
-    is what was actually built: REEVAL and sharded plans run
-    ``mode="interpret"``, and a sharded plan the shared-memory budget
-    cannot hold opens single-process with a ``RuntimeWarning``.
+    is what was actually built: a REEVAL plan runs ``mode="interpret"``
+    (it has no trigger code), and a sharded plan the shared-memory
+    budget cannot hold opens single-process with a ``RuntimeWarning``.
+    A sharded plan (``nodes > 1``) takes any program whose lowered
+    trigger lists the tile kernels can run, in either mode; one they
+    cannot — a stored view under ``inv``, a non-factored apply, a
+    non-dense backend, views that are not square matrices of one order
+    — raises :class:`UnsupportedCombinationError` before any worker
+    process starts (:func:`~repro.distributed.sharded.unshardable`).
     """
     if plan.strategy not in ("INCR", "REEVAL"):
         raise ValueError(
@@ -988,10 +985,8 @@ def build_session(
     if plan.nodes > 1:
         from ..distributed.shm import SharedMemoryBudgetError
 
-        # Sharded execution runs the interpret-style tile kernels.
-        plan = plan.with_overrides(mode="interpret")
         try:
-            return ShardedChainSession(
+            return ShardedSession(
                 program, inputs, dims, counter=counter, backend=backend,
                 shard=shard, supervise=supervise, plan=plan)
         except SharedMemoryBudgetError as exc:
@@ -1131,10 +1126,19 @@ def open_session(
         pays, so a tiny view still opens single-process; a tuple/list
         prices exactly those counts (``(4,)`` forces the 4-worker
         cell).  When the resolved plan has ``plan.nodes > 1`` the
-        session is a :class:`ShardedChainSession` over a spawned
+        session is a :class:`ShardedSession`: the same triggers, in the
+        plan's ``mode``, on a
+        :class:`~repro.distributed.sharded.ShardBackend` over a spawned
         :class:`~repro.distributed.workers.ProcessCluster` — call
         ``session.close()`` (or use it as a context manager) to copy
-        state out of shared memory and stop the workers.
+        state out of shared memory and stop the workers.  The planner
+        offers sharded cells for dense INCR over any program whose
+        lowered trigger lists the tile kernels can run
+        (:func:`~repro.distributed.sharded.unshardable`: square views of
+        one order, stored views only as ``view * thin``, ``view' *
+        thin`` and factored applies), any number of inputs; forcing
+        ``nodes`` on a program they cannot run raises
+        :class:`UnsupportedCombinationError` before a process starts.
     shard:
         Shard strategy for sharded sessions: ``"range"`` (contiguous
         tile runs) or ``"hash"`` (round-robin tiles).  Maintenance
@@ -1149,7 +1153,7 @@ def open_session(
         :class:`~repro.distributed.workers.RecoveryEvent` instead of a
         poisoned cluster.  When even supervision cannot save the
         cluster, the session falls back to single-process maintenance
-        (:meth:`ShardedChainSession._reeval_recover`).  If the
+        (:meth:`ShardedSession._reeval_recover`).  If the
         machine's shared-memory budget cannot hold the views at all
         (:class:`~repro.distributed.shm.SharedMemoryBudgetError`), the
         session opens single-process with a ``RuntimeWarning``
@@ -1279,7 +1283,8 @@ def open_session(
 
                 plan = plan_program(
                     program, inputs, stats=stats, dims=dims,
-                    strategies=strategies, nodes=node_grid)
+                    strategies=strategies, nodes=node_grid,
+                    optimize=bool(optimize))
         # The caller's backend is the object the session runs on (an
         # instance keeps its thresholds); the plan records its name.
         session = build_session(

@@ -2,10 +2,48 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.expr import MatrixSymbol, NamedDim
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--no-scipy", action="store_true", default=False,
+        help="run as CI's no-scipy leg does: `import scipy` raises "
+             "ModuleNotFoundError in this process and its shard workers")
+
+
+def pytest_configure(config):
+    """``--no-scipy``: shadow SciPy with ``tests/no_scipy/scipy``, which
+    raises ``ModuleNotFoundError`` on import.  First on ``sys.path``, so
+    it holds for this process and for the shard workers it spawns (a
+    spawned child starts from the parent's ``sys.path``); a script run
+    through ``subprocess`` keeps the environment's SciPy, which
+    ``benchmarks/e2e`` needs.  Nothing of ``repro`` that probes for
+    SciPy is loaded yet."""
+    if not config.getoption("--no-scipy"):
+        return
+    sys.path.insert(0, str(Path(__file__).parent / "no_scipy"))
+    for name in [name for name in sys.modules
+                 if name == "scipy" or name.startswith("scipy.")]:
+        del sys.modules[name]
+
+
+def pytest_collection_modifyitems(config, items):
+    """``--no-scipy``: the end-to-end benchmark's harness imports SciPy
+    at module level (``benchmarks/e2e/bench_e2e.py``), so its own tests
+    cannot run without it."""
+    if not config.getoption("--no-scipy"):
+        return
+    needs_scipy = pytest.mark.skip(reason="benchmarks/e2e imports SciPy")
+    for item in items:
+        if item.nodeid.startswith("benchmarks/e2e/"):
+            item.add_marker(needs_scipy)
 
 
 @pytest.fixture(autouse=True)

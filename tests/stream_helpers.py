@@ -104,3 +104,35 @@ def chain_scenario(rng: np.random.Generator):
     )
     n = 8
     return program, n, {"A": 0.2 * rng.standard_normal((n, n))}
+
+
+#: The power chain the shard-engine suites maintain (``A^2``, ``A^3``).
+POWER_CHAIN = "input A(n, n); P2 := A * A; P3 := A * P2; output P3;"
+
+
+def shard_session(program, inputs, *, nodes=2, strategy="range",
+                  tile_rows=None, process=True, mode="interpret", **engine):
+    """``program`` (or its source) on a shard engine, bypassing the planner.
+
+    ``process=True`` spawns ``nodes`` workers (``engine``: ``timeout``,
+    ``supervise``, ``recover``); ``process=False`` runs the same tile
+    decomposition on the in-process reference engine — the two must
+    agree bitwise.
+    """
+    from repro.distributed import (LocalShardEngine, RowShardPartitioner,
+                                   ShardBackend)
+    from repro.frontend import parse_program
+    from repro.planner import MaintenancePlan
+    from repro.runtime import ShardedSession
+
+    if isinstance(program, str):
+        program = parse_program(program)
+    plan = MaintenancePlan("INCR", mode=mode, nodes=nodes)
+    if not process:
+        n = next(iter(inputs.values())).shape[0]
+        backend = ShardBackend(LocalShardEngine(
+            RowShardPartitioner(n, nodes, strategy, tile_rows)))
+        return ShardedSession(program, inputs, backend=backend, plan=plan,
+                              **engine)
+    return ShardedSession(program, inputs, shard=strategy,
+                          tile_rows=tile_rows, plan=plan, **engine)

@@ -6,13 +6,19 @@ never node count or strategy — and every engine executes the identical
 per-tile kernel calls, so hash- and range-sharded maintenance must be
 **bitwise** equal to single-process, not merely ``allclose``.
 
-Process-spawning tests share module-scoped maintainers (spawn costs
-seconds on small boxes); :meth:`ShardedChainMaintainer.reset` re-seeds
-them between tests.
+A sharded session is an ``IVMSession`` on a ``ShardBackend``: the same
+lowered trigger lists, the stored-view kernels sent to a shard engine —
+so the parity grid also runs engine (workers vs the in-process
+reference) x execution mode, on a chain and on a two-input program no
+chain recogniser would accept.
+
+Process-spawning tests share module-scoped sessions (spawn costs
+seconds on small boxes); :func:`_reset` re-seeds them between tests.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -23,12 +29,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.distributed import (
-    RowShardPartitioner,
-    ShardedChainMaintainer,
-    WorkerFailedError,
-    power_chain,
-)
+from repro.distributed import RowShardPartitioner, WorkerFailedError
+from repro.runtime import FactoredUpdate
+from stream_helpers import POWER_CHAIN, shard_session
+
+CHAIN_VIEWS = ("A", "P2", "P3")
 
 
 def _stream(n: int, count: int, seed: int = 5, rank: int = 1):
@@ -43,6 +48,30 @@ def _stream(n: int, count: int, seed: int = 5, rank: int = 1):
 def _operator(n: int, seed: int = 9) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return rng.standard_normal((n, n)) / np.sqrt(n)
+
+
+def _chain(a: np.ndarray, **options):
+    """The power chain over ``a`` on a shard engine (``shard_session``)."""
+    return shard_session(POWER_CHAIN, {"A": a}, **options)
+
+
+def _refresh(session, u, v, target: str = "A") -> None:
+    session.apply_update(FactoredUpdate(target, u, v))
+
+
+def _results(session, names=CHAIN_VIEWS) -> dict:
+    return {name: np.array(session[name]) for name in names}
+
+
+def _workers() -> set:
+    """Pids of the live child processes (module fixtures keep theirs)."""
+    return {child.pid for child in multiprocessing.active_children()}
+
+
+def _reset(session, a: np.ndarray) -> None:
+    """Re-seed the stored input in place and re-evaluate the chain."""
+    session.backend.put("A", a)
+    session.rebuild()
 
 
 class TestStagingBuffer:
@@ -164,41 +193,31 @@ class TestLocalParity:
         a = _operator(n, seed=seed % 97 + 1)
         stream = _stream(n, updates, seed=seed, rank=rank)
         finals = []
-        for maintainer_nodes, strategy in (
+        for session_nodes, strategy in (
                 (1, "range"), (nodes, "range"), (nodes, "hash")):
-            with ShardedChainMaintainer(
-                    a, power_chain(3), nodes=maintainer_nodes,
-                    strategy=strategy, tile_rows=tile_rows,
-                    process=False) as maintainer:
+            with _chain(a, nodes=session_nodes, strategy=strategy,
+                        tile_rows=tile_rows, process=False) as session:
                 for u, v in stream:
-                    maintainer.refresh(u, v)
-                finals.append({name: maintainer.result(name)
-                               for name in ("A", "P2", "P3")})
+                    _refresh(session, u, v)
+                finals.append(_results(session))
         for other in finals[1:]:
-            for name in ("A", "P2", "P3"):
+            for name in CHAIN_VIEWS:
                 assert np.array_equal(finals[0][name], other[name])
 
     def test_chain_tracks_ground_truth(self):
         a = _operator(32)
-        with ShardedChainMaintainer(a, power_chain(3), nodes=2,
-                                    tile_rows=8, process=False) as m:
+        with _chain(a, tile_rows=8, process=False) as session:
             for u, v in _stream(32, 5):
                 a = a + u @ v.T
-                m.refresh(u, v)
-            np.testing.assert_allclose(m.result("P3"), a @ a @ a,
+                _refresh(session, u, v)
+            np.testing.assert_allclose(session["P3"], a @ a @ a,
                                        rtol=1e-9, atol=1e-12)
 
-    def test_reeval_matches_incr_numerically(self):
-        a = _operator(24)
-        incr = ShardedChainMaintainer(a, power_chain(2), tile_rows=8,
-                                      process=False)
-        reeval = ShardedChainMaintainer(a, power_chain(2), tile_rows=8,
-                                        process=False, reeval=True)
-        for u, v in _stream(24, 3):
-            incr.refresh(u, v)
-            reeval.refresh(u, v)
-        np.testing.assert_allclose(incr.result("P2"), reeval.result("P2"),
-                                   rtol=1e-9, atol=1e-12)
+    def test_views_are_the_engines_own_arrays(self):
+        with _chain(_operator(16), tile_rows=8, process=False) as session:
+            _refresh(session, *_stream(16, 1)[0])
+            for name in CHAIN_VIEWS:
+                assert session[name] is session.engine.get(name)
 
 
 # -- process-backed tests (module-scoped: spawn is expensive) ------------
@@ -209,42 +228,47 @@ TILE_ROWS_PROC = 8
 
 @pytest.fixture(scope="module")
 def proc_range():
-    with ShardedChainMaintainer(_operator(N_PROC), power_chain(3), nodes=2,
-                                strategy="range", tile_rows=TILE_ROWS_PROC,
-                                process=True, timeout=60.0) as m:
-        yield m
+    with _chain(_operator(N_PROC), strategy="range",
+                tile_rows=TILE_ROWS_PROC, timeout=60.0) as session:
+        yield session
 
 
 @pytest.fixture(scope="module")
 def proc_hash():
-    with ShardedChainMaintainer(_operator(N_PROC), power_chain(3), nodes=2,
-                                strategy="hash", tile_rows=TILE_ROWS_PROC,
-                                process=True, timeout=60.0) as m:
-        yield m
+    with _chain(_operator(N_PROC), strategy="hash", mode="codegen",
+                tile_rows=TILE_ROWS_PROC, timeout=60.0) as session:
+        yield session
 
 
 class TestProcessParity:
     def test_process_engines_bitwise_match_local(self, proc_range, proc_hash):
         a = _operator(N_PROC)
-        local = ShardedChainMaintainer(a, power_chain(3), nodes=2,
-                                       tile_rows=TILE_ROWS_PROC,
-                                       process=False)
-        proc_range.reset(a)
-        proc_hash.reset(a)
+        local = _chain(a, tile_rows=TILE_ROWS_PROC, process=False)
+        _reset(proc_range, a)
+        _reset(proc_hash, a)
         for u, v in _stream(N_PROC, 4):
-            local.refresh(u, v)
-            proc_range.refresh(u, v)
-            proc_hash.refresh(u, v)
-        for name in ("A", "P2", "P3"):
-            expected = local.result(name)
-            assert np.array_equal(expected, proc_range.result(name))
-            assert np.array_equal(expected, proc_hash.result(name))
+            _refresh(local, u, v)
+            _refresh(proc_range, u, v)
+            _refresh(proc_hash, u, v)
+        for name in CHAIN_VIEWS:
+            assert np.array_equal(local[name], proc_range[name])
+            assert np.array_equal(local[name], proc_hash[name])
+            # Zero-copy: the session reads the segment itself.
+            assert proc_range[name] is proc_range.engine.get(name)
+
+    def test_one_update_is_seven_roundtrips(self, proc_range):
+        # The lowered chain trigger: A u, A' v, A U_P2, P2' v, then one
+        # add_lowrank per view - each a send and a gather per worker.
+        _reset(proc_range, _operator(N_PROC))
+        proc_range.engine.comm.reset()
+        _refresh(proc_range, *_stream(N_PROC, 1)[0])
+        assert proc_range.engine.comm.total_messages == 7 * 2 * 2
 
     def test_comm_measures_real_bytes(self, proc_range):
-        proc_range.reset(_operator(N_PROC))
+        _reset(proc_range, _operator(N_PROC))
         proc_range.engine.comm.reset()
         u, v = _stream(N_PROC, 1)[0]
-        proc_range.refresh(u, v)
+        _refresh(proc_range, u, v)
         comm = proc_range.engine.comm.as_dict()
         # Fan-out carries the factors; fan-in carries thin partials.
         assert comm["bytes"]["broadcast"] > 0
@@ -260,13 +284,11 @@ class TestCommModelAgreement:
         # Thin-factor payloads at n=1024 keep pickle framing far below
         # the tolerance; smaller n would test the framing, not the model.
         n = 1024
-        with ShardedChainMaintainer(_operator(n), power_chain(3), nodes=2,
-                                    tile_rows=128, process=True,
-                                    timeout=60.0) as m:
+        with _chain(_operator(n), tile_rows=128, timeout=60.0) as m:
             m.engine.comm.reset()
             m.engine.model.reset()
             for u, v in _stream(n, 2):
-                m.refresh(u, v)
+                _refresh(m, u, v)
             measured = m.engine.comm.bytes_by_label()
             modeled = m.engine.model.bytes_by_label()
         for label in ("add_lowrank", "mat_lowrank", "matT_lowrank"):
@@ -277,36 +299,28 @@ class TestCommModelAgreement:
 
 class TestWorkerFailure:
     def test_worker_exception_carries_remote_traceback(self):
-        with ShardedChainMaintainer(_operator(16), power_chain(2), nodes=2,
-                                    tile_rows=8, process=True,
-                                    timeout=60.0) as m:
+        with _chain(_operator(16), tile_rows=8, timeout=60.0,
+                    recover="fail") as m:
             with pytest.raises(WorkerFailedError) as excinfo:
                 m.engine.mat_lowrank("NOSUCHVIEW", np.ones((16, 1)))
             assert "KeyError" in str(excinfo.value)
             assert excinfo.value.traceback is not None
             # The cluster is poisoned: later calls re-raise, never hang.
             with pytest.raises(WorkerFailedError, match="poisoned"):
-                m.refresh(*_stream(16, 1)[0])
+                _refresh(m, *_stream(16, 1)[0])
 
     def test_killed_worker_poisons_instead_of_hanging(self):
-        with ShardedChainMaintainer(_operator(16), power_chain(2), nodes=2,
-                                    tile_rows=8, process=True,
-                                    timeout=60.0) as m:
+        with _chain(_operator(16), tile_rows=8, timeout=60.0,
+                    recover="fail") as m:
             m.engine.cluster.kill_worker(0)
             with pytest.raises(WorkerFailedError) as excinfo:
-                m.refresh(*_stream(16, 1)[0])
+                _refresh(m, *_stream(16, 1)[0])
             assert excinfo.value.worker == 0
             with pytest.raises(WorkerFailedError, match="poisoned"):
-                m.result()
+                m.engine.get("P3")
             # close() after a failure stays idempotent and quiet.
             m.close()
             m.close()
-
-    def test_result_reads_through_engine_get(self, proc_range):
-        proc_range.reset(_operator(N_PROC))
-        out = proc_range.result("A")
-        out[0, 0] = 123.0  # a private copy, not the live segment
-        assert proc_range.result("A")[0, 0] != 123.0
 
 
 LEAK_SCRIPT = textwrap.dedent("""
@@ -357,33 +371,34 @@ class TestShmLifecycle:
 
 
 CHAIN_SRC = "input A(n, n); B := A * A; C := A * B; output C;"
+#: Two inputs, a sum of products: nothing a chain recogniser accepts.
+TWO_INPUT_SRC = ("input A(n, n); input B(n, n); "
+                 "C := A * B + B * A; output C;")
 
 
-def _sharded_plan(nodes: int):
+def _sharded_plan(nodes: int, mode: str = "interpret"):
     from repro.planner import MaintenancePlan
 
-    return MaintenancePlan("INCR", backend="dense", mode="interpret",
-                           nodes=nodes)
+    return MaintenancePlan("INCR", backend="dense", mode=mode, nodes=nodes)
 
 
-class TestShardedChainSession:
+class TestShardedSession:
     def test_forced_plan_runs_sharded_with_parity(self):
         from repro.frontend import parse_program
-        from repro.runtime import (FactoredUpdate, ShardedChainSession,
-                                   open_session)
+        from repro.runtime import ShardedSession, open_session
 
         program = parse_program(CHAIN_SRC)
         a = _operator(96, seed=3)
         sharded = open_session(program, {"A": a.copy()},
-                               plan=_sharded_plan(2), shard="hash")
-        assert isinstance(sharded, ShardedChainSession)
-        assert sharded.plan.label.endswith("/x2")
+                               plan=_sharded_plan(2, "codegen"), shard="hash")
+        assert isinstance(sharded, ShardedSession)
+        assert sharded.plan.label == "INCR-LIN@dense/codegen/x2"
         plain = open_session(program, {"A": a.copy()}, plan="incr",
                              backend="dense", mode="interpret", batch="off")
         try:
             for u, v in _stream(96, 4):
-                sharded.apply_update(FactoredUpdate("A", u, v))
-                plain.apply_update(FactoredUpdate("A", u, v))
+                _refresh(sharded, u, v)
+                _refresh(plain, u, v)
             np.testing.assert_allclose(sharded["C"], plain["C"],
                                        rtol=1e-9, atol=1e-12)
             comm = sharded.engine.comm.as_dict()
@@ -391,11 +406,75 @@ class TestShardedChainSession:
         finally:
             sharded.close()
 
+    def test_closed_session_carries_on_single_process(self):
+        a = _operator(32, seed=2)
+        before = _workers()
+        session = _chain(a, tile_rows=8, timeout=60.0)
+        assert len(_workers() - before) == 2
+        oracle = _chain(a, tile_rows=8, process=False)
+        stream = _stream(32, 4)
+        for u, v in stream[:2]:
+            _refresh(session, u, v)
+            _refresh(oracle, u, v)
+        session.close()
+        assert _workers() == before
+        assert session.backend.name == "dense"
+        for u, v in stream[2:]:
+            _refresh(session, u, v)
+            _refresh(oracle, u, v)
+        np.testing.assert_allclose(session["P3"], oracle["P3"],
+                                   rtol=1e-9, atol=1e-12)
+
+    def test_engine_ledgers_outlive_the_with_block(self):
+        # Traffic and recoveries are read after the run as often as
+        # during it; closing must not take them away.
+        with _chain(_operator(32, seed=2), tile_rows=8) as session:
+            for u, v in _stream(32, 2):
+                _refresh(session, u, v)
+            messages = session.engine.comm.total_messages
+            assert messages > 0
+        assert session.backend.name == "dense"
+        assert session.engine.comm.total_messages == messages
+        assert session.engine.comm.total_bytes > 0
+        assert session.recoveries == []
+        assert session.nodes == 2
+
+    def test_built_backend_must_match_plan_and_takes_no_engine_arguments(
+            self):
+        from repro.distributed import LocalShardEngine, ShardBackend
+        from repro.frontend import parse_program
+        from repro.runtime import ShardedSession
+
+        program, inputs = parse_program(CHAIN_SRC), {"A": _operator(16)}
+
+        def local(n, nodes):
+            return ShardBackend(LocalShardEngine(
+                RowShardPartitioner(n, nodes, tile_rows=8)))
+
+        with pytest.raises(ValueError, match="this one: 16 over 4"):
+            ShardedSession(program, inputs, backend=local(16, 4),
+                           plan=_sharded_plan(2))
+        with pytest.raises(ValueError, match="this one: 32 over 2"):
+            ShardedSession(program, inputs, backend=local(32, 2),
+                           plan=_sharded_plan(2))
+        with pytest.raises(ValueError, match="takes no shard"):
+            ShardedSession(program, inputs, backend=local(16, 2),
+                           plan=_sharded_plan(2), shard="hash")
+
+    def test_spawning_one_node_is_refused(self):
+        from repro.frontend import parse_program
+        from repro.runtime import ShardedSession
+
+        before = _workers()
+        with pytest.raises(ValueError, match="nodes must be >= 2"):
+            ShardedSession(parse_program(CHAIN_SRC), {"A": _operator(16)},
+                           nodes=1)
+        assert _workers() == before
+
     def test_with_plan_falls_back_to_single_process(self):
         from repro.frontend import parse_program
         from repro.planner import MaintenancePlan
-        from repro.runtime import (FactoredUpdate, ShardedChainSession,
-                                   open_session)
+        from repro.runtime import ShardedSession, open_session
 
         program = parse_program(CHAIN_SRC)
         a = _operator(64, seed=4)
@@ -405,15 +484,15 @@ class TestShardedChainSession:
                              backend="dense", mode="interpret", batch="off")
         stream = _stream(64, 4)
         for u, v in stream[:2]:
-            sharded.apply_update(FactoredUpdate("A", u, v))
-            plain.apply_update(FactoredUpdate("A", u, v))
+            _refresh(sharded, u, v)
+            _refresh(plain, u, v)
         # Flush-before-switch: drains, copies out of shm, stops workers.
         fallback = sharded.with_plan(
             MaintenancePlan("INCR", backend="dense", mode="interpret"))
-        assert not isinstance(fallback, ShardedChainSession)
+        assert not isinstance(fallback, ShardedSession)
         for u, v in stream[2:]:
-            fallback.apply_update(FactoredUpdate("A", u, v))
-            plain.apply_update(FactoredUpdate("A", u, v))
+            _refresh(fallback, u, v)
+            _refresh(plain, u, v)
         np.testing.assert_allclose(fallback["C"], plain["C"],
                                    rtol=1e-9, atol=1e-12)
 
@@ -427,30 +506,18 @@ class TestShardedChainSession:
         with pytest.raises(ValueError, match="sharded"):
             plain.with_plan(_sharded_plan(4))
 
-    def test_non_chain_program_rejected(self):
-        from repro.frontend import parse_program
-        from repro.runtime import ShardedChainSession
-
-        program = parse_program(
-            "input A(n, n); input D(n, n); B := A * D; output B;")
-        with pytest.raises(ValueError, match="chain-shaped"):
-            ShardedChainSession(program,
-                               {"A": _operator(16), "D": _operator(16)},
-                               nodes=2)
-
     def test_auto_plan_small_n_stays_single_process(self):
         from repro.frontend import parse_program
-        from repro.runtime import ShardedChainSession, open_session
+        from repro.runtime import ShardedSession, open_session
 
         program = parse_program(CHAIN_SRC)
         session = open_session(program, {"A": _operator(48)}, nodes=4)
         assert session.plan.nodes == 1
-        assert not isinstance(session, ShardedChainSession)
+        assert not isinstance(session, ShardedSession)
 
     def test_replan_monitor_falls_back_when_ipc_tax_dominates(self):
         from repro.frontend import parse_program
-        from repro.runtime import (FactoredUpdate, ShardedChainSession,
-                                   open_session)
+        from repro.runtime import ShardedSession, open_session
 
         program = parse_program(CHAIN_SRC)
         a = _operator(96, seed=6)
@@ -459,17 +526,172 @@ class TestShardedChainSession:
                                replan={"check_every": 2})
         plain = open_session(program, {"A": a.copy()}, plan="incr",
                              backend="dense", mode="interpret", batch="off")
-        assert isinstance(monitor.session, ShardedChainSession)
+        assert isinstance(monitor.session, ShardedSession)
         for u, v in _stream(96, 4, seed=8):
-            monitor.apply_update(FactoredUpdate("A", u, v))
-            plain.apply_update(FactoredUpdate("A", u, v))
+            _refresh(monitor, u, v)
+            _refresh(plain, u, v)
         # At this size the comm-cost term dwarfs the per-shard saving:
         # the monitor must have dropped back to a single process.
         assert monitor.switch_count >= 1
-        assert not isinstance(monitor.session, ShardedChainSession)
+        assert not isinstance(monitor.session, ShardedSession)
         assert monitor.plan.nodes == 1
         np.testing.assert_allclose(monitor["C"], plain["C"],
                                    rtol=1e-9, atol=1e-12)
+
+
+class TestRunsTheLoweredList:
+    """The engine runs whatever the lowered trigger lists say — here a
+    two-input sum of products, updates landing on either input."""
+
+    N = 48
+
+    def _inputs(self):
+        return {"A": _operator(self.N, seed=3), "B": _operator(self.N, seed=4)}
+
+    def _drive(self, session):
+        for index, (u, v) in enumerate(_stream(self.N, 6, seed=11)):
+            _refresh(session, u, v, target="AB"[index % 2])
+        return _results(session, ("A", "B", "C"))
+
+    def test_two_input_program_bitwise_across_engines_and_modes(self):
+        from repro.frontend import parse_program
+        from repro.runtime import open_session
+
+        with shard_session(TWO_INPUT_SRC, self._inputs(), tile_rows=8,
+                           process=False) as local:
+            want = self._drive(local)
+        for strategy in ("range", "hash"):
+            for mode in ("interpret", "codegen"):
+                with shard_session(TWO_INPUT_SRC, self._inputs(),
+                                   strategy=strategy, mode=mode, tile_rows=8,
+                                   timeout=60.0) as session:
+                    assert session.nodes == 2
+                    got = self._drive(session)
+                for name, expected in want.items():
+                    assert np.array_equal(expected, got[name]), (
+                        name, strategy, mode)
+        reeval = open_session(parse_program(TWO_INPUT_SRC), self._inputs(),
+                              plan="reeval", backend="dense", batch="off")
+        truth = self._drive(reeval)
+        np.testing.assert_allclose(want["C"], truth["C"], rtol=0, atol=1e-10)
+
+    def test_planner_offers_the_two_input_program_a_sharded_cell(self):
+        from repro.frontend import parse_program
+        from repro.planner import rank_program
+
+        program = parse_program(TWO_INPUT_SRC)
+        inputs = {"A": np.ones((256, 256)), "B": np.ones((256, 256))}
+        assert any(cell.nodes == 4
+                   for cell in rank_program(program, inputs, nodes=(1, 4)))
+
+
+INVERSE_SRC = "input A(n, n); W := inv(A); output W;"
+RECTANGULAR_SRC = "input A(n, m); B := A * A'; output B;"
+
+
+class TestTypedRefusal:
+    """What no tile kernel can run is refused before a process starts."""
+
+    @pytest.mark.parametrize("src, shape, plan_axes, message", [
+        # The Woodbury trigger left-multiplies W by a thin row.
+        (INVERSE_SRC, (16, 16), {}, "matmul.*on a stored view"),
+        # The optimizer's CSE turns ``A += u v'`` into a dense delta.
+        (CHAIN_SRC, (16, 16), {"optimize": True},
+         "applyadd.*on a stored view"),
+        (RECTANGULAR_SRC, (16, 8), {}, "square matrices of one order"),
+        (CHAIN_SRC, (16, 8), {}, "square inputs of one order"),
+    ])
+    def test_unrunnable_plan_raises_before_any_spawn(
+            self, src, shape, plan_axes, message):
+        import dataclasses
+
+        from repro.frontend import parse_program
+        from repro.runtime.session import (UnsupportedCombinationError,
+                                           build_session)
+
+        plan = dataclasses.replace(_sharded_plan(2), **plan_axes)
+        before = _workers()
+        with pytest.raises(UnsupportedCombinationError, match=message):
+            build_session(parse_program(src), {"A": np.ones(shape)}, plan)
+        assert _workers() == before
+
+    def test_non_dense_backend_refused(self):
+        pytest.importorskip("scipy")
+        import dataclasses
+
+        from repro.frontend import parse_program
+        from repro.runtime.session import build_session
+
+        plan = dataclasses.replace(_sharded_plan(2), backend="sparse")
+        before = _workers()
+        with pytest.raises(ValueError, match="dense backend"):
+            build_session(parse_program(CHAIN_SRC), {"A": _operator(16)},
+                          plan)
+        assert _workers() == before
+
+    def test_unrunnable_program_rejected(self):
+        # Restated from the chain recogniser's days: what is refused is
+        # a program the kernels cannot run, not one that is not a chain.
+        from repro.frontend import parse_program
+        from repro.runtime import ShardedSession
+
+        before = _workers()
+        with pytest.raises(ValueError, match="stored view"):
+            ShardedSession(parse_program(INVERSE_SRC),
+                           {"A": np.eye(16)}, nodes=2)
+        assert _workers() == before
+
+    def test_planner_prices_no_sharded_cell_for_it(self):
+        from repro.frontend import parse_program
+        from repro.planner import rank_program
+
+        cells = rank_program(parse_program(INVERSE_SRC),
+                             {"A": np.eye(256)}, nodes=(1, 4))
+        assert all(cell.nodes == 1 for cell in cells)
+
+    def test_planner_judges_the_triggers_the_session_will_compile(self):
+        # Optimized, the chain's applies are no longer factored: the
+        # planner must see what the builder sees, not offer a cell the
+        # builder then refuses.
+        from repro.frontend import parse_program
+        from repro.planner import rank_program
+
+        program, inputs = parse_program(CHAIN_SRC), {"A": np.ones((256, 256))}
+        memo: dict = {}
+        plain = rank_program(program, inputs, nodes=(1, 4), memo=memo)
+        optimized = rank_program(program, inputs, nodes=(1, 4), memo=memo,
+                                 optimize=True)
+        assert any(cell.nodes == 4 for cell in plain)
+        assert all(cell.nodes == 1 for cell in optimized)
+        assert all(cell.optimize for cell in optimized)
+        assert not any(cell.optimize for cell in plain)
+
+    def test_nodes_budget_with_optimize_opens_single_process(
+            self, monkeypatch):
+        # ``nodes=N`` is a budget.  Where the sharded cell wins (forced
+        # here by pricing it at nothing, to keep n small), asking for
+        # the optimizer too must fall to a single-process cell, not
+        # raise.
+        import repro.planner.planner as planner
+        from repro.frontend import parse_program
+        from repro.runtime import ShardedSession, open_session
+
+        monkeypatch.setattr(planner, "sharded_refresh_cost",
+                            lambda *args, **kwargs: 0.0)
+        program, a = parse_program(CHAIN_SRC), _operator(48)
+        before = _workers()
+        with open_session(program, {"A": a}, nodes=(1, 2)) as sharded:
+            assert isinstance(sharded, ShardedSession)
+        with open_session(program, {"A": a}, nodes=(1, 2),
+                          optimize=True) as session:
+            assert not isinstance(session, ShardedSession)
+            assert session.plan.nodes == 1 and session.plan.optimize
+            assert _workers() == before
+            u, v = _stream(48, 1)[0]
+            _refresh(session, u, v)
+            b = a + u @ v.T
+            np.testing.assert_allclose(session["C"], b @ (b @ b),
+                                       rtol=1e-9, atol=1e-12)
 
 
 class TestPlannerNodesGrid:
@@ -484,8 +706,11 @@ class TestPlannerNodesGrid:
         gridded = rank_program(program, inputs, nodes=(1, 4))
         assert any(c.nodes == 4 for c in gridded)
         sharded_cells = [c for c in gridded if c.nodes == 4]
+        # A sharded cell takes the mode rule like any other INCR cell.
+        incr_modes = {c.mode for c in gridded
+                      if c.strategy == "INCR" and c.nodes == 1}
         assert all(c.strategy == "INCR" and c.backend == "dense"
-                   and c.mode == "interpret" for c in sharded_cells)
+                   and {c.mode} == incr_modes for c in sharded_cells)
         assert all(np.isfinite(c.predicted_time) for c in sharded_cells)
 
     def test_large_n_prefers_sharding_small_n_does_not(self):

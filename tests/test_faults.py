@@ -9,7 +9,7 @@ Fault taxonomy exercised here (docs/fault-model.md):
   ``open_session`` degrades to a single-process plan with a warning;
 * worker kill/hang    → supervised clusters recover **bitwise**
   (respawn + reseed + oplog replay); unsupervised sharded sessions
-  fall back to a single-process engine via the refresh progress log;
+  fall back to a single-process engine via the backend's apply log;
 * torn input          → no consistent basis on any path: a typed
   re-raise pointing at checkpoint restore (tested in
   ``test_checkpoint.py`` that the checkpoint actually has it).
@@ -26,13 +26,13 @@ import numpy as np
 import pytest
 
 from repro.compiler import Program, Statement
-from repro.distributed import ShardedChainMaintainer, power_chain
 from repro.distributed.shm import SharedArray, SharedMemoryBudgetError
 from repro.expr.ast import MatrixSymbol, matmul
 from repro.planner import plan_program
-from repro.runtime.session import ShardedChainSession, open_session
+from repro.runtime.session import ShardedSession, open_session
 from repro.runtime.updates import FactoredUpdate, InvalidUpdateError
 from repro.testing import faults
+from stream_helpers import POWER_CHAIN, shard_session
 
 
 def chain_program(n: int) -> Program:
@@ -60,7 +60,7 @@ def stream(n: int, count: int, seed: int = 5):
 def sharded_plan(program, inputs, nodes: int = 2):
     """A guaranteed-sharded plan (the planner won't pick one at test n)."""
     return dataclasses.replace(
-        plan_program(program, inputs), nodes=nodes, mode="interpret",
+        plan_program(program, inputs), nodes=nodes,
         batch_size=1, partition="uniform")
 
 
@@ -171,7 +171,7 @@ class TestShmBudget:
                 warnings.simplefilter("always")
                 session = open_session(program, {"A": a0}, plan=plan,
                                        batch="off", partition="off")
-        assert not isinstance(session, ShardedChainSession)
+        assert not isinstance(session, ShardedSession)
         assert session.plan.nodes == 1
         assert any("shared-memory budget" in str(w.message) for w in caught)
         # The degraded session maintains exactly like a planned-local one.
@@ -186,28 +186,33 @@ class TestShmBudget:
 
 
 class TestSupervision:
+    def run_chain(self, src, a0, updates, views, before=lambda i, s: None,
+                  **engine):
+        """Final ``views`` of ``src`` over ``a0`` after ``updates``."""
+        with shard_session(src, {"A": a0}, **engine) as session:
+            for index, update in enumerate(updates):
+                before(index, session)
+                session.apply_update(update)
+            return ({name: np.array(session[name]) for name in views},
+                    list(session.recoveries))
+
     def test_kill_and_hang_recover_bitwise(self):
         n = 32
         a0 = operator(n, seed=7)
-        updates = [(u.u_block, u.v_block) for u in stream(n, 12, seed=7)]
-        with ShardedChainMaintainer(a0.copy(), power_chain(3), nodes=2,
-                                    process=False) as oracle:
-            for u, v in updates:
-                oracle.refresh(u, v)
-            want = {name: oracle.result(name)
-                    for name in ("A", "P2", "P3")}
-        with ShardedChainMaintainer(a0.copy(), power_chain(3), nodes=2,
-                                    process=True, supervise=True,
-                                    timeout=3.0) as maintainer:
-            for index, (u, v) in enumerate(updates):
-                if index == 4:
-                    maintainer.engine.cluster.kill_worker(0)
-                if index == 8:
-                    maintainer.engine.cluster.hang_worker(1, seconds=60.0)
-                maintainer.refresh(u, v)
-            got = {name: maintainer.result(name)
-                   for name in ("A", "P2", "P3")}
-            recoveries = list(maintainer.engine.recoveries)
+        updates = stream(n, 12, seed=7)
+        views = ("A", "P2", "P3")
+        want, _ = self.run_chain(POWER_CHAIN, a0, updates, views,
+                                 process=False)
+
+        def sabotage(index, session):
+            if index == 4:
+                session.engine.cluster.kill_worker(0)
+            if index == 8:
+                session.engine.cluster.hang_worker(1, seconds=60.0)
+
+        got, recoveries = self.run_chain(
+            POWER_CHAIN, a0, updates, views, before=sabotage,
+            supervise=True, timeout=3.0)
         for name in want:
             assert np.array_equal(want[name], got[name]), name
         assert len(recoveries) == 2
@@ -219,25 +224,18 @@ class TestSupervision:
     def test_kill_via_injected_fault_seam(self):
         n = 32
         a0 = operator(n, seed=3)
-        updates = [(u.u_block, u.v_block) for u in stream(n, 6, seed=3)]
-        with ShardedChainMaintainer(a0.copy(), power_chain(2), nodes=2,
-                                    process=False) as oracle:
-            for u, v in updates:
-                oracle.refresh(u, v)
-            want = oracle.result("P2")
+        updates = stream(n, 6, seed=3)
+        square = "input A(n, n); P2 := A * A; output P2;"
+        want, _ = self.run_chain(square, a0, updates, ("P2",),
+                                 process=False)
         with faults.inject_faults() as injector:
             injector.inject("cluster.roundtrip",
                             faults.kill_worker_at(1), at=9)
-            with ShardedChainMaintainer(a0.copy(), power_chain(2), nodes=2,
-                                        process=True, supervise=True,
-                                        timeout=3.0) as maintainer:
-                for u, v in updates:
-                    maintainer.refresh(u, v)
-                got = maintainer.result("P2")
-                recoveries = list(maintainer.engine.recoveries)
+            got, recoveries = self.run_chain(
+                square, a0, updates, ("P2",), supervise=True, timeout=3.0)
         assert injector.count("cluster.roundtrip") > 9
         assert len(recoveries) == 1 and recoveries[0].worker == 1
-        assert np.array_equal(want, got)
+        assert np.array_equal(want["P2"], got["P2"])
 
 
 def kill_on_add_lowrank(occurrence: int, worker: int = 0):
@@ -262,7 +260,7 @@ class TestReevalFallback:
         plan = sharded_plan(program, {"A": a0})
         session = open_session(program, {"A": a0}, plan=plan,
                                batch="off", partition="off")
-        assert isinstance(session, ShardedChainSession)
+        assert isinstance(session, ShardedSession)
         with faults.inject_faults() as injector:
             injector.inject("cluster.roundtrip", action, times=10 ** 6)
             for update in stream(n, count):
@@ -340,7 +338,7 @@ class TestReevalFallback:
         plan = sharded_plan(program, {"A": a0})
         session = open_session(program, {"A": a0}, plan=plan,
                                batch="off", partition="off")
-        assert isinstance(session, ShardedChainSession)
+        assert isinstance(session, ShardedSession)
         session.recover = "fail"
         session.engine.cluster.kill_worker(0)
         with pytest.raises(WorkerFailedError):

@@ -54,7 +54,8 @@ class TestImportClosure:
         assert "repro.runtime.session" in loaded
 
     @pytest.mark.parametrize("probe", ["repro.cli", "repro.catalog",
-                                       "opened session"])
+                                       "opened session",
+                                       "opened sharded session"])
     def test_gated_closure_holds(self, probe):
         tool = _tool()
         loaded = tool.closure(probe)
@@ -133,7 +134,7 @@ def test_nothing_loads_after_the_workload_is_open(workload):
 
 LAZY_PACKAGES = [
     ("repro.runtime", 49, "IVMSession"),
-    ("repro.distributed", 25, "CommLog"),
+    ("repro.distributed", 22, "CommLog"),
     ("repro.expr", 44, "MatMul"),
     ("repro.delta", 23, "FactoredDelta"),
     ("repro.compiler", 21, "Program"),

@@ -230,3 +230,38 @@ class TestInterpretCharges:
                 "A", rng.normal(size=(6, width)),
                 rng.normal(size=(6, width))))
         assert counter.total_flops == 0 and not counter.calls_by_op
+
+    @pytest.mark.parametrize("source, targets", [
+        ("input A(n, n); B := A * A; C := A * B; output C;", "A"),
+        ("input A(n, n); input B(n, n); C := A * B + B * A; output C;",
+         "AB"),
+    ])
+    def test_sharded_ledger_equals_the_single_process_one(
+            self, source, targets):
+        """A sharded interpret session is the same list on another
+        backend: every record is charged what the single-process loop
+        charges it (no made-up per-refresh entry), set-up included."""
+        from repro.frontend import parse_program
+        from stream_helpers import shard_session
+
+        n = 24
+        program = parse_program(source)
+        rng = np.random.default_rng(3)
+        inputs = {sym.name: rng.normal(size=(n, n)) / np.sqrt(n)
+                  for sym in program.inputs}
+        updates = [
+            FactoredUpdate(targets[index % len(targets)],
+                           0.01 * rng.normal(size=(n, 1)),
+                           rng.normal(size=(n, 1)))
+            for index in range(4)
+        ]
+        plain, sharded = Counter(), Counter()
+        single = IVMSession(program, inputs, counter=plain)
+        single.apply_updates(updates)
+        with shard_session(program, inputs, counter=sharded,
+                           timeout=60.0) as session:
+            session.apply_updates(updates)
+        assert sharded.snapshot() == plain.snapshot()
+        assert sharded.calls_by_op == plain.calls_by_op
+        assert sharded.bytes_allocated == plain.bytes_allocated
+        assert "sharded_refresh" not in sharded.snapshot()

@@ -1,6 +1,6 @@
 """Sharded set-up: overlapped worker boot, its cleanup, and lifetime.
 
-``ShardedChainSession`` spawns its workers *before* it evaluates the
+``ShardedSession`` spawns its workers *before* it evaluates the
 views, so the evaluation runs while the workers boot; whatever goes
 wrong between the spawn and the first ``attach`` roundtrip must leave
 no worker process and no shared-memory name behind.  Process-spawning
@@ -34,13 +34,13 @@ from repro.runtime import (
     FactoredUpdate,
     IVMSession,
     Session,
-    ShardedChainSession,
+    ShardedSession,
     open_session,
 )
 from repro.testing import faults
 
 CHAIN_SRC = "input A(n, n); B := A * A; C := A * B; output C;"
-SHARDED = MaintenancePlan("INCR", backend="dense", mode="interpret", nodes=2)
+SHARDED = MaintenancePlan("INCR", backend="dense", mode="codegen", nodes=2)
 
 
 def _operator(n: int, seed: int = 9) -> np.ndarray:
@@ -84,7 +84,7 @@ class TestOverlappedBoot:
         a = _operator(32)
         with open_session(program, {"A": a.copy()}, plan=SHARDED,
                           batch="off") as session:
-            assert isinstance(session, ShardedChainSession)
+            assert isinstance(session, ShardedSession)
             assert alive_during_evaluation == [2]
             # The fence held: every worker attached every view.
             update = _update(32)
@@ -104,7 +104,7 @@ class TestOverlappedBoot:
         monkeypatch.setattr(Session, "_materialize_all", boom)
         program = parse_program(CHAIN_SRC)
         with pytest.raises(RuntimeError, match="evaluation failed"):
-            ShardedChainSession(program, {"A": _operator(32)}, nodes=2)
+            ShardedSession(program, {"A": _operator(32)}, nodes=2)
         assert spawned == [2]
         assert _shard_workers() == []
 
@@ -113,19 +113,19 @@ class TestOverlappedBoot:
         # in the store's float64 conversion, after the spawn.
         program = parse_program(CHAIN_SRC)
         with pytest.raises(ValueError):
-            ShardedChainSession(program, {"A": np.full((8, 8), "x")},
+            ShardedSession(program, {"A": np.full((8, 8), "x")},
                                 nodes=2)
         assert _shard_workers() == []
 
     @pytest.mark.parametrize("inputs, message", [
-        ({"A": np.ones((16, 8))}, "square input"),
-        ({"A": np.ones(16)}, "square input"),
+        ({"A": np.ones((16, 8))}, "square inputs"),
+        ({"A": np.ones(16)}, "square inputs"),
         ({}, "missing initial values"),
     ])
     def test_bad_input_leaves_nothing_behind(self, inputs, message, no_leak):
         program = parse_program(CHAIN_SRC)
         with pytest.raises(ValueError, match=message):
-            ShardedChainSession(program, inputs, nodes=2)
+            ShardedSession(program, inputs, nodes=2)
         assert _shard_workers() == []
 
     def test_shm_exhaustion_still_lands_on_the_fallback(self, no_leak):
@@ -325,7 +325,7 @@ class TestSessionLifetime:
         program = parse_program(CHAIN_SRC)
         a = _operator(16)
         with open_session(program, {"A": a.copy()}, nodes=2) as session:
-            assert not isinstance(session, ShardedChainSession)
+            assert not isinstance(session, ShardedSession)
         session.close()
         session.apply_update(_update(16))
         assert session.update_count == 1
@@ -335,7 +335,7 @@ class TestSessionLifetime:
         program = parse_program(CHAIN_SRC)
         with open_session(program, {"A": _operator(32)}, plan=SHARDED,
                           batch="off", **wrap) as monitor:
-            assert isinstance(monitor.session, ShardedChainSession)
+            assert isinstance(monitor.session, ShardedSession)
             assert len(_shard_workers()) == 2
         assert _shard_workers() == []
         monitor.close()

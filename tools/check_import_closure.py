@@ -41,6 +41,8 @@ _NOT_FOR_A_DENSE_SESSION = (
 
 #: The reference chain, opened as ``bench_e2e``'s dense workloads do.
 OPENED_SESSION = "opened session"
+#: The same chain on two workers, as ``bench_e2e``'s ``sharded_chain``.
+OPENED_SHARDED_SESSION = "opened sharded session"
 
 #: probe -> (forbidden module prefixes, most ``repro*`` modules allowed:
 #: measured + 2).  A probe is a module to import, or a key of PROBES.
@@ -72,6 +74,16 @@ GATED = {
             "repro.cost.advisor", "repro.backends.sparse"),
         45,
     ),
+    # Priced (``nodes`` is a planner axis), so the pricing stack loads;
+    # the shard backend and engine are what sharding adds to the driver.
+    OPENED_SHARDED_SESSION: (
+        ("repro.analytics", "repro.runtime.serving",
+         "repro.runtime.drift", "repro.runtime.checkpoint",
+         "repro.calibrate", "repro.backends.sparse",
+         "repro.distributed.engine", "repro.distributed.blockmatrix",
+         "repro.distributed.cluster", "repro.compiler.optimizer"),
+        57,
+    ),
 }
 
 #: Probes that are more than ``import <module>``.
@@ -82,6 +94,14 @@ PROBES = {
         "open_session(parse_program('input A(n, n); B := A * A; "
         "C := B * B; output C;'), {'A': numpy.eye(8)}, dims={'n': 8},\n"
         "             plan='incr', mode='codegen', batch='off')"
+    ),
+    OPENED_SHARDED_SESSION: (
+        "from repro.frontend import parse_program\n"
+        "from repro.runtime.session import open_session\n"
+        "open_session(parse_program('input A(n, n); B := A * A; "
+        "C := B * B; output C;'), {'A': numpy.ones((64, 64))},\n"
+        "             dims={'n': 64}, plan='incr', nodes=(2,), batch='off',\n"
+        "             partition='uniform').close()"
     ),
 }
 

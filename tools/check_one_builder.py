@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
-SESSIONS = {"IVMSession", "ReevalSession", "ShardedChainSession"}
+SESSIONS = {"IVMSession", "ReevalSession", "ShardedSession"}
 #: ``make_ols`` labels the OLS *maintainer* it returns (not a session).
 NOT_A_SESSION = {("analytics/ols.py", "make_ols")}
 
