@@ -11,8 +11,8 @@ maintenance by a :class:`~repro.runtime.session.ShardedSession` (the
 chain's lowered triggers on a
 :class:`~repro.distributed.sharded.ShardBackend`) over 1 / 2 / 4
 shared-memory worker processes, with measured comm
-traffic, bit-identity across engines and shard strategies, and a
-modeled-vs-measured broadcast-bytes check.
+traffic, bit-identity across engines and shard strategies, and
+modeled-vs-measured broadcast- and gather-bytes checks.
 
 Script mode writes the CI artifact gated by ``check_trend.py dist``::
 
@@ -210,13 +210,15 @@ def run_scaling(n: int, updates_count: int, tile_rows: int,
     allclose = bool(np.allclose(results["single"]["P3"],
                                 a_final @ a_final @ a_final,
                                 rtol=1e-8, atol=1e-10))
-    # Modeled-vs-measured broadcast bytes on the widest process cell
-    # (pickle framing is the only divergence; thin factors at this n
-    # keep it well under the 10% gate).
+    # Modeled-vs-measured broadcast and gather bytes on the widest
+    # process cell (pickle framing is the only divergence; thin factors
+    # at this n keep it well under the 10% gate).
     wide = cells[f"w{max(worker_counts)}_range"]
-    measured = wide["comm"]["bytes"]["broadcast"]
-    modeled = wide["modeled"]["bytes"]["broadcast"]
-    comm_model_error = abs(measured - modeled) / modeled if modeled else 1.0
+
+    def model_error(kind: str) -> float:
+        measured = wide["comm"]["bytes"][kind]
+        modeled = wide["modeled"]["bytes"][kind]
+        return abs(measured - modeled) / modeled if modeled else 1.0
 
     payload = {
         "n": n,
@@ -228,8 +230,9 @@ def run_scaling(n: int, updates_count: int, tile_rows: int,
         "parity": {
             "bitwise_all_engines": bool(bitwise),
             "allclose_vs_recompute": allclose,
-            "comm_model_error": comm_model_error,
-            "measured_broadcast_bytes": measured,
+            "comm_model_error": model_error("broadcast"),
+            "gather_model_error": model_error("gather"),
+            "measured_broadcast_bytes": wide["comm"]["bytes"]["broadcast"],
         },
         "derived": {
             f"speedup_w{w}": cells["single"]["seconds"]
@@ -254,7 +257,8 @@ def _print_scaling(payload: dict) -> None:
     parity = payload["parity"]
     print(f"    parity: bitwise={parity['bitwise_all_engines']} "
           f"allclose={parity['allclose_vs_recompute']} "
-          f"comm_model_error={parity['comm_model_error']:.3%}")
+          f"comm_model_error={parity['comm_model_error']:.3%} "
+          f"gather_model_error={parity['gather_model_error']:.3%}")
 
 
 if pytest is not None:
@@ -271,6 +275,7 @@ if pytest is not None:
         assert payload["parity"]["bitwise_all_engines"]
         assert payload["parity"]["allclose_vs_recompute"]
         assert payload["parity"]["comm_model_error"] <= 0.10
+        assert payload["parity"]["gather_model_error"] <= 0.10
         assert payload["parity"]["measured_broadcast_bytes"] > 0
 
 

@@ -149,6 +149,9 @@ TABLE: dict[str, tuple[str, list]] = {
         Metric(("parity", "comm_model_error"),
                "modeled-vs-measured broadcast bytes disagreement",
                better="lower", budget=None, bound=0.10),
+        Metric(("parity", "gather_model_error"),
+               "modeled-vs-measured gather bytes disagreement",
+               better="lower", budget=None, bound=0.10),
         Invariant(("parity", "measured_broadcast_bytes"),
                   "broadcast traffic was measured (comm layer instruments "
                   "real bytes)", lambda nbytes: int(nbytes) > 0),

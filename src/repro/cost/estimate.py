@@ -43,7 +43,7 @@ Two further axes the planner prices through this module:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, log
+from math import ceil, exp, log
 
 from ..iterative.models import Model
 
@@ -472,19 +472,23 @@ def sharded_refresh_cost(
     (``base_refresh``): the big per-tile dgemms divide across nodes,
     the thin coordinator-side algebra does not.  The comm term prices
     what the real engine actually ships per refresh — per statement,
-    two thin-factor broadcasts and two thin gathered partials; per
-    view, one stacked factor-pair broadcast whose width roughly doubles
-    along the chain — through the backend's fitted IPC hooks
+    two thin-factor broadcasts, one gathered ``view @ u`` and one
+    ``(n, k)`` ``view.T @ v`` partial per row tile; per view, one
+    stacked factor-pair broadcast whose width roughly doubles along the
+    chain — through the backend's fitted IPC hooks
     (:meth:`est_broadcast` / :meth:`est_shuffle`).
     """
     if nodes <= 1:
         return float(base_refresh)
+    from ..distributed.partitioner import RowShardPartitioner
+
     compute = base_refresh * (
         SHARDED_SERIAL_FRACTION + (1.0 - SHARDED_SERIAL_FRACTION) / nodes
     )
     factor_bytes = 8.0 * n * max(rank, 1)
+    n_tiles = ceil(n / RowShardPartitioner.DEFAULT_TILE_ROWS)
     broadcast_bytes = (4.0 * n_statements + 2.0) * factor_bytes
-    gather_bytes = 2.0 * n_statements * factor_bytes
+    gather_bytes = (1.0 + n_tiles) * n_statements * factor_bytes
     comm = (be.est_broadcast(broadcast_bytes, nodes)
             + be.est_shuffle(gather_bytes, nodes))
     return float(compute + comm)

@@ -1,8 +1,7 @@
 """Sharded maintenance over the fixed-tile decomposition.
 
 Two engines expose the same operations (``add_lowrank``,
-``mat_lowrank``, ``matT_lowrank``, ``matmul``) over views stored under
-names:
+``mat_lowrank``, ``matT_lowrank``) over views stored under names:
 
 * :class:`ShardedEngine` — real multiprocess execution: views live in
   shared-memory segments, each :class:`~repro.distributed.workers.ProcessCluster`
@@ -12,9 +11,10 @@ names:
   traffic to be, so tests can assert modeled-vs-measured agreement.
 * :class:`LocalShardEngine` — the single-process reference: identical
   per-tile kernels over the identical tile decomposition, in one
-  process.  Because both engines execute the same kernel calls in the
-  same tile order, their results are **bitwise equal**, which is what
-  the differential suite asserts.
+  process.  Because both engines execute the same kernel calls and sum
+  ``matT_lowrank``'s per-tile partials in the same tile-index order,
+  their results are **bitwise equal**, which is what the differential
+  suite asserts.
 
 :class:`ShardBackend` puts either engine behind the
 :class:`~repro.backends.base.Backend` kernel API, the way
@@ -36,7 +36,7 @@ import numpy as np
 
 from ..backends import DenseBackend
 from ..runtime.workspace import Workspace
-from .comm import BROADCAST, GATHER, SHUFFLE, CommLog
+from .comm import BROADCAST, GATHER, CommLog
 from .partitioner import RowShardPartitioner
 from .workers import (
     DEFAULT_TIMEOUT,
@@ -45,7 +45,6 @@ from .workers import (
     tile_add_lowrank,
     tile_matT_lowrank,
     tile_mat_lowrank,
-    tile_matmul,
 )
 
 
@@ -85,9 +84,6 @@ class ShardedEngine:
     def put(self, name: str, value: np.ndarray) -> np.ndarray:
         return self.cluster.put(name, value)
 
-    def alloc(self, name: str, shape: tuple[int, int]) -> np.ndarray:
-        return self.cluster.alloc(name, shape)
-
     def get(self, name: str) -> np.ndarray:
         return self.cluster.get(name)
 
@@ -121,38 +117,27 @@ class ShardedEngine:
         return out
 
     def matT_lowrank(self, name: str, v: np.ndarray) -> np.ndarray:
-        """``view.T @ v`` — per *column* tile, full-height reduction.
+        """``view.T @ v`` — per *row* tile, one ``(n, k)`` partial each.
 
-        Each tile's partial is a complete ``(c1-c0, k)`` slice of the
-        result (no cross-worker summation), which keeps the reduction
-        order fixed and the result bitwise stable.
+        A worker reads only the rows it owns; the gathered partials are
+        summed in tile-index order, which depends on ``(n, tile_rows)``
+        alone, so the result is bitwise the same for every node count
+        and shard strategy.
         """
         v = _factor(v)
         n, k = self.part.n, v.shape[1]
         self.model.record(BROADCAST, "matT_lowrank", v.nbytes * self.nodes,
                           messages=self.nodes)
-        self.model.record(GATHER, "matT_lowrank", n * k * 8,
-                          messages=self.nodes)
+        self.model.record(GATHER, "matT_lowrank",
+                          self.part.n_tiles * n * k * 8, messages=self.nodes)
         replies = self.cluster.roundtrip(("matT_lowrank", name, v),
                                          BROADCAST, "matT_lowrank")
-        out = np.empty((n, k))
-        for partials in replies.values():
-            for t, block in partials.items():
-                c0, c1 = self.part.tile_bounds[t]
-                out[c0:c1] = block
+        partials = {t: block for reply in replies.values()
+                    for t, block in reply.items()}
+        out = np.zeros((n, k))
+        for t in range(self.part.n_tiles):
+            out += partials[t]
         return out
-
-    def matmul(self, out_name: str, a_name: str, b_name: str) -> None:
-        """``out = a @ b`` sharded by output row tiles (REEVAL path).
-
-        The big operands move through shared memory (zero-copy), so the
-        only pipe traffic is the op message itself — the honest measure
-        of what single-machine sharding ships.
-        """
-        if out_name in (a_name, b_name):
-            raise ValueError("matmul output must not alias an operand")
-        self.cluster.roundtrip(("matmul", out_name, a_name, b_name),
-                               SHUFFLE, "matmul")
 
     def worker_seconds(self) -> list[float]:
         """Cumulative in-worker compute wall time, per worker."""
@@ -184,9 +169,6 @@ class LocalShardEngine:
             self._views[name] = arr.copy() if arr is value else arr
         return self._views[name]
 
-    def alloc(self, name: str, shape: tuple[int, int]) -> np.ndarray:
-        return self.put(name, np.zeros(shape))
-
     def get(self, name: str) -> np.ndarray:
         return self._views[name]
 
@@ -216,21 +198,13 @@ class LocalShardEngine:
     def matT_lowrank(self, name: str, v: np.ndarray) -> np.ndarray:
         v = _factor(v)
         view = self._views[name]
-        out = np.empty((self.part.n, v.shape[1]))
+        out = np.zeros((self.part.n, v.shape[1]))
         with self.workspace.frame():
-            for c0, c1 in self.part.tile_bounds:
-                buf = self.workspace.lease(c1 - c0, v.shape[1])
-                tile_matT_lowrank(view, c0, c1, v, buf)
-                out[c0:c1] = buf
+            buf = self.workspace.lease(*out.shape)
+            for r0, r1 in self.part.tile_bounds:
+                tile_matT_lowrank(view, r0, r1, v, buf)
+                out += buf
         return out
-
-    def matmul(self, out_name: str, a_name: str, b_name: str) -> None:
-        if out_name in (a_name, b_name):
-            raise ValueError("matmul output must not alias an operand")
-        out, a, b = (self._views[out_name], self._views[a_name],
-                     self._views[b_name])
-        for r0, r1 in self.part.tile_bounds:
-            tile_matmul(out, a, b, r0, r1)
 
     def worker_seconds(self) -> list[float]:
         return [0.0]

@@ -24,7 +24,10 @@ truth — the in-process reference engine and the worker loop call the
 same functions over the same fixed tile decomposition
 (:class:`~repro.distributed.partitioner.RowShardPartitioner`), so
 sharded results are bitwise equal to single-process results, not just
-``allclose``.
+``allclose``.  Every op reads and writes only the rows of the tiles
+its worker owns — the paper's block-row layout, with no column copy;
+the one arithmetic across tiles is the coordinator's tile-order sum of
+``matT_lowrank`` partials.
 """
 
 from __future__ import annotations
@@ -143,16 +146,13 @@ def tile_mat_lowrank(view: np.ndarray, r0: int, r1: int, u: np.ndarray,
     np.matmul(view[r0:r1], u, out=out)
 
 
-def tile_matT_lowrank(view: np.ndarray, c0: int, c1: int, v: np.ndarray,
+def tile_matT_lowrank(view: np.ndarray, r0: int, r1: int, v: np.ndarray,
                       out: np.ndarray) -> None:
-    """``out[:] = view[:, c0:c1].T @ v`` (thin ``(c1-c0, k)`` partial)."""
-    np.matmul(view[:, c0:c1].T, v, out=out)
-
-
-def tile_matmul(out: np.ndarray, a: np.ndarray, b: np.ndarray,
-                r0: int, r1: int) -> None:
-    """``out[r0:r1] = a[r0:r1] @ b`` — the REEVAL shard product."""
-    np.matmul(a[r0:r1], b, out=out[r0:r1])
+    """``out[:] = view[r0:r1].T @ v[r0:r1]`` — row tile ``[r0, r1)``'s
+    full-size ``(n, k)`` partial of ``view.T @ v``.  The tiles' partials
+    are summed in tile-index order by the caller, so every kernel reads
+    only the rows of the tile it runs on."""
+    np.matmul(view[r0:r1].T, v[r0:r1], out=out)
 
 
 # -- worker process ------------------------------------------------------
@@ -204,22 +204,14 @@ def _execute(op: tuple, views: dict, segments: dict,
     if kind == "matT_lowrank":
         _, name, v = op
         view = views[name]
-        k = v.shape[1]
         partials = {}
         with ws.frame():
             for t in owned:
-                c0, c1 = tile_bounds[t]
-                buf = ws.lease(c1 - c0, k)
-                tile_matT_lowrank(view, c0, c1, v, buf)
+                r0, r1 = tile_bounds[t]
+                buf = ws.lease(view.shape[1], v.shape[1])
+                tile_matT_lowrank(view, r0, r1, v, buf)
                 partials[t] = buf
             return partials
-    if kind == "matmul":
-        _, out_name, a_name, b_name = op
-        out, a, b = views[out_name], views[a_name], views[b_name]
-        for t in owned:
-            r0, r1 = tile_bounds[t]
-            tile_matmul(out, a, b, r0, r1)
-        return None
     raise ValueError(f"unknown worker op {kind!r}")
 
 
@@ -517,11 +509,8 @@ class ProcessCluster:
         for worker, reason in failed.items():
             replies[worker] = self._recover_worker(worker, reason, op,
                                                    payload, label)
-        if self.supervise:
-            if op[0] == "add_lowrank":
-                self._log_refresh(op)
-            elif op[0] == "matmul":
-                self._refresh_basis()
+        if self.supervise and op[0] == "add_lowrank":
+            self._log_refresh(op)
         return replies
 
     # -- supervision -----------------------------------------------------
@@ -693,10 +682,6 @@ class ProcessCluster:
             self._refresh_basis()
         return seg.array
 
-    def alloc(self, name: str, shape: tuple[int, int]) -> np.ndarray:
-        """Allocate a zero-filled shared view (for matmul targets)."""
-        return self.put(name, np.zeros(shape))
-
     def get(self, name: str) -> np.ndarray:
         """The coordinator's zero-copy view of a stored matrix."""
         self._check_open()
@@ -775,5 +760,4 @@ __all__ = [
     "tile_add_lowrank",
     "tile_matT_lowrank",
     "tile_mat_lowrank",
-    "tile_matmul",
 ]

@@ -243,7 +243,7 @@ class TestTrendGate:
         assert len(failures) == 1 and row.what in failures[0], failures
 
     def test_conditional_floor_binds_only_where_physical(self):
-        baseline = _baseline("dist")  # recorded on a 1-core box: 0.76x
+        baseline = _baseline("dist")  # recorded on a 2-core box: 1.16x
         current = dict(baseline, derived={"speedup_w4": 1.99})
         assert not check_trend.check("dist", dict(current, cpu_count=1, n=2048),
                                      baseline)

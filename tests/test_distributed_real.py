@@ -121,6 +121,48 @@ class TestStagingBuffer:
         assert np.array_equal(view, expected)
 
 
+class TestTileOwnership:
+    """A worker op reads and writes only the rows of the tiles its
+    worker owns: with every other row NaN, each reply is finite and the
+    foreign rows keep their exact bytes."""
+
+    N, TILE_ROWS, NODES = 100, 16, 3
+
+    def _run(self, op, strategy, worker):
+        from repro.distributed.workers import _execute
+        from repro.runtime.workspace import Workspace
+
+        part = RowShardPartitioner(self.N, self.NODES, strategy,
+                                   tile_rows=self.TILE_ROWS)
+        owned = part.shards[worker]
+        mine = np.zeros(self.N, dtype=bool)
+        for t in owned:
+            mine[slice(*part.tile_bounds[t])] = True
+        view = _operator(self.N)
+        view[~mine] = np.nan
+        foreign = view[~mine].tobytes()
+        reply = _execute(op, {"A": view}, {}, tuple(part.tile_bounds),
+                         owned, Workspace())
+        assert view[~mine].tobytes() == foreign
+        assert np.isfinite(view[mine]).all()
+        return part, owned, view, reply
+
+    @pytest.mark.parametrize("strategy", RowShardPartitioner.STRATEGIES)
+    @pytest.mark.parametrize("worker", range(NODES))
+    def test_every_op_stays_inside_the_owned_rows(self, strategy, worker):
+        u, v = _stream(self.N, 1, rank=2)[0]
+        for op in (("mat_lowrank", "A", u), ("matT_lowrank", "A", v)):
+            part, owned, view, reply = self._run(op, strategy, worker)
+            assert sorted(reply) == list(owned)
+            for t, block in reply.items():
+                r0, r1 = part.tile_bounds[t]
+                assert np.isfinite(block).all(), (op[0], t)
+                want = (view[r0:r1] @ u if op[0] == "mat_lowrank"
+                        else view[r0:r1].T @ v[r0:r1])
+                assert np.array_equal(block, want), (op[0], t)
+        self._run(("add_lowrank", "A", u, v), strategy, worker)
+
+
 class TestRowShardPartitioner:
     def test_uneven_tail_tile(self):
         part = RowShardPartitioner(100, 3, tile_rows=16)
@@ -279,6 +321,64 @@ class TestProcessParity:
         assert sum(comm["seconds"].values()) > 0.0
 
 
+class TestTileOrderReduction:
+    """``view' * v`` is one ``(n, k)`` partial per row tile, summed in
+    tile-index order — the only arithmetic that crosses tiles, and the
+    same on every engine, node count and strategy."""
+
+    @staticmethod
+    def _tile_order_sum(view, v, part):
+        total = np.zeros((view.shape[1], v.shape[1]))
+        for r0, r1 in part.tile_bounds:
+            total += view[r0:r1].T @ v[r0:r1]
+        return total
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_engines_equal_the_explicit_sum(self, rank, proc_range,
+                                            proc_hash):
+        from repro.distributed import LocalShardEngine
+
+        a = _operator(N_PROC, seed=rank)
+        v = np.random.default_rng(rank).standard_normal((N_PROC, rank))
+        local = LocalShardEngine(RowShardPartitioner(
+            N_PROC, 1, tile_rows=TILE_ROWS_PROC))
+        local.put("A", a)
+        want = self._tile_order_sum(a, v, local.part)
+        assert np.array_equal(local.matT_lowrank("A", v), want)
+        for session in (proc_range, proc_hash):
+            _reset(session, a)
+            got = session.engine.matT_lowrank("A", v)
+            assert np.array_equal(got, want), session.engine.part.strategy
+        np.testing.assert_allclose(want, a.T @ v, rtol=0, atol=1e-12)
+
+
+class TestMappedPages:
+    """What a worker maps is what it owns: after a few updates each
+    worker's shared-memory RSS is its owned rows of every view plus at
+    most one 64 KiB fault-around window per view."""
+
+    @staticmethod
+    def _rss_shmem(pid: int) -> int:
+        with open(f"/proc/{pid}/status") as status:
+            for line in status:
+                if line.startswith("RssShmem:"):
+                    return int(line.split()[1]) * 1024
+        pytest.skip("no RssShmem in /proc/<pid>/status")
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads /proc/<pid>/status")
+    def test_worker_maps_only_its_rows(self):
+        n = 512   # 64-row tiles are 256 KiB: page-aligned in the segment
+        with _chain(_operator(n), tile_rows=64, timeout=60.0) as session:
+            for u, v in _stream(n, 3):
+                _refresh(session, u, v)
+            part, cluster = session.engine.part, session.engine.cluster
+            for worker, proc in enumerate(cluster._procs):
+                owned = part.shard_rows(worker) * n * 8 * len(CHAIN_VIEWS)
+                slack = 64 * 1024 * len(CHAIN_VIEWS)
+                assert self._rss_shmem(proc.pid) <= owned + slack, worker
+
+
 class TestCommModelAgreement:
     def test_modeled_vs_measured_within_10_percent(self):
         # Thin-factor payloads at n=1024 keep pickle framing far below
@@ -332,7 +432,7 @@ LEAK_SCRIPT = textwrap.dedent("""
         part = RowShardPartitioner(32, 2, tile_rows=8)
         cluster = ProcessCluster(part, timeout=60.0)
         cluster.put("A", np.ones((32, 32)))
-        cluster.alloc("B", (32, 32))
+        cluster.put("B", np.zeros((32, 32)))
         cluster.ping()
         segments = [seg.name for seg in cluster._segments.values()]
         assert segments
