@@ -7,8 +7,8 @@ drops by orders of magnitude and adding readers does not collapse
 writer throughput.  Each cell drives :func:`repro.runtime.run_load`
 (write pressure thread + paced reader threads) against one server:
 
-* **baseline_r8** — :class:`FlushOnReadServer`: one mutex, reads flush
-  (what naively sharing a session between threads costs);
+* **baseline_r8** — :class:`_FlushOnReadServer`: one mutex, reads
+  flush (what naively sharing a session between threads costs);
 * **snap_rK_s32** — :class:`ViewServer`, ``K`` readers at staleness
   bound 32 (the reader-scaling sweep);
 * **snap_r8_sS** — 8 readers at staleness bound ``S`` (the
@@ -32,6 +32,7 @@ staleness-bound violation.
 from __future__ import annotations
 
 import argparse
+import threading
 
 import numpy as np
 
@@ -58,15 +59,54 @@ MIN_P99_SPEEDUP = 5.0
 MIN_WRITER_SCALING = 0.25
 
 
+class _FlushOnReadServer:
+    """The strawman snapshot serving replaces: one mutex, reads flush.
+
+    The ``submit`` / ``read`` / ``refresh`` / ``close`` surface
+    :func:`repro.runtime.run_load` drives, with every operation
+    serialized on one lock and every read flushing the session, then
+    copying the view out — what sharing a single-threaded session
+    between threads costs.
+    """
+
+    #: Reads never lag: each one flushes.
+    max_staleness = 0
+
+    def __init__(self, session):
+        from repro.runtime import ServerStats, SessionEngine
+
+        self._engine = SessionEngine(session)
+        self._lock = threading.Lock()
+        self.stats = ServerStats()
+
+    def submit(self, update) -> None:
+        with self._lock:
+            self.stats.submitted += 1
+            self._engine.apply(update)
+            self.stats.applied += 1
+
+    def read(self, name: str) -> np.ndarray:
+        with self._lock:
+            self._engine.flush()
+            return self._engine.capture((name,))[name]
+
+    def refresh(self) -> None:
+        with self._lock:
+            self._engine.flush()
+
+    def close(self) -> None:
+        self.refresh()
+
+
 def _make_server(program, inputs, baseline: bool, **server_options):
-    from repro.runtime import FlushOnReadServer, ViewServer, open_session
+    from repro.runtime import ViewServer, open_session
 
     session = open_session(
         program, {k: v.copy() for k, v in inputs.items()},
         plan="incr", backend="dense", mode="codegen",
     )
     if baseline:
-        return FlushOnReadServer(session, views=("B",))
+        return _FlushOnReadServer(session)
     return ViewServer(session, views=("B",), **server_options)
 
 

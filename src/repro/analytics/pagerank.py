@@ -23,13 +23,15 @@ node and describes the operator to the backend by its nonzeros
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from ..backends import get_backend
 from ..cost import counters
-from ..iterative.models import Model
-from ..iterative.strategies import make_general
-from .markov import column_stochastic
+
+if TYPE_CHECKING:
+    from ..iterative.models import Model
 
 
 def transition_matrix(adjacency):
@@ -40,6 +42,8 @@ def transition_matrix(adjacency):
     dense out; a ``scipy.sparse`` adjacency gives a sparse matrix in
     ``O(nnz)`` (see :func:`~repro.analytics.markov.column_stochastic`).
     """
+    from .markov import column_stochastic
+
     return column_stochastic(adjacency, "uniform")
 
 
@@ -156,6 +160,8 @@ class IncrementalPageRank:
         data = np.repeat(self.damping * (1.0 / counts), counts)
         b = np.full((n, 1), (1.0 - self.damping) / n)
         r0 = np.full((n, 1), 1.0 / n)
+        from ..iterative.models import Model
+        from ..iterative.strategies import make_general
         from ..planner import WorkloadStats, plan_general, resolve_driver_strategy
 
         strategy, model, self.plan = resolve_driver_strategy(

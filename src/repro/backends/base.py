@@ -51,6 +51,12 @@ import numpy as np
 #: A backend value: a 2-D ``ndarray`` or a backend-specific matrix type.
 MatrixLike = Any
 
+#: Relative singular-value threshold of :meth:`Backend.compact`: values
+#: below ``rtol * s_max`` count as rank-deficient.  The default of
+#: :mod:`repro.delta.batch` and of every deferral policy, defined here
+#: so that a session can name it without loading either.
+DEFAULT_RTOL = 1e-12
+
 
 class Backend(ABC):
     """Abstract numeric kernel used by the executor and maintainers."""

@@ -52,11 +52,6 @@ import numpy as np
 from .backends import get_backend
 from .compiler.program import Program, Statement
 from .cost import counters
-from .cost.estimate import (
-    CATALOG_READMIT_HYSTERESIS,
-    catalog_admission_cost,
-    catalog_demand_cost,
-)
 from .expr import Expr, MatrixSymbol, matrix_symbols, structural_key, substitute_symbol
 from .runtime.executor import evaluate
 from .runtime.serving import SessionEngine, ViewServer
@@ -394,6 +389,10 @@ class ViewCatalog:
             return value
 
     def _demand_value(self, node: CatalogNode, cache: dict) -> np.ndarray:
+        # The pricing names load with the first eviction (at registration,
+        # in _retention_score): only a memory_budget makes any reachable.
+        from .cost.estimate import catalog_demand_cost
+
         if node.name in cache:
             return cache[node.name]
         env = self._store.as_env()
@@ -412,6 +411,11 @@ class ViewCatalog:
         return dense
 
     def _maybe_readmit(self, node: CatalogNode, value: np.ndarray) -> None:
+        from .cost.estimate import (
+            CATALOG_READMIT_HYSTERESIS,
+            catalog_admission_cost,
+        )
+
         rows, cols = value.shape
         since = max(self.stats.updates - node.evicted_at, 0)
         per_read = since / node.demand_reads if node.demand_reads else float(since)
@@ -470,6 +474,8 @@ class ViewCatalog:
             self._rebuild()
 
     def _retention_score(self, node: CatalogNode, nbytes: int) -> float:
+        from .cost.estimate import catalog_demand_cost
+
         arr = self._store.get(node.name)
         rows, cols = self.backend.shape(arr)
         saved = catalog_demand_cost(rows, cols, rows)

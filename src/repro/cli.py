@@ -53,12 +53,10 @@ the lineage DAG of shared intermediates::
 (:mod:`repro.runtime.serving`) and drives a load generator against it —
 one writer thread absorbing a random update stream, N reader threads on
 lock-free snapshot reads — reporting read p50/p99 latency, achieved
-staleness and writer throughput (``--baseline`` measures the
-flush-on-read mutex strawman instead)::
+staleness and writer throughput::
 
     python -m repro serve program.lvw --dims n=256 --readers 8
     python -m repro serve program.lvw --dims n=256 --staleness 8 --json
-    python -m repro serve program.lvw --dims n=256 --baseline
 
 ``repro calibrate`` microbenchmarks this machine's kernels and caches
 calibrated planner cost constants (see :mod:`repro.calibrate`)::
@@ -326,9 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "update is this old")
     serve.add_argument("--max-queue", type=int, default=4096,
                        help="ingress queue bound (backpressure; default 4096)")
-    serve.add_argument("--baseline", action="store_true",
-                       help="measure the flush-on-read mutex baseline "
-                            "instead of snapshot serving")
     return parser
 
 
@@ -932,7 +927,7 @@ def _run_catalog(args) -> int:
 def _run_serve(args, program) -> int:
     import numpy as np
 
-    from .runtime.serving import FlushOnReadServer, ViewServer, run_load
+    from .runtime.serving import ViewServer, run_load
     from .runtime.session import open_session
 
     try:
@@ -962,11 +957,8 @@ def _run_serve(args, program) -> int:
         rank=args.rank, batch=batch,
     )
     names = list(program.outputs)
-    if args.baseline:
-        server = FlushOnReadServer(session, views=names)
-    else:
-        server = ViewServer(session, views=names, max_staleness=staleness,
-                            max_age=args.max_age, max_queue=args.max_queue)
+    server = ViewServer(session, views=names, max_staleness=staleness,
+                        max_age=args.max_age, max_queue=args.max_queue)
 
     # A pre-generated update pool keeps the pressure thread's cost in
     # submission, not in RNG work.
@@ -983,18 +975,17 @@ def _run_serve(args, program) -> int:
         server.close()
 
     plan = session.plan
-    mode = "flush-on-read baseline" if args.baseline else "snapshot (ViewServer)"
     if args.json:
         print(json.dumps({
             "plan": plan.as_dict(),
-            "mode": "baseline" if args.baseline else "snapshot",
-            "staleness_bound": staleness if not args.baseline else 0,
+            "mode": "snapshot",
+            "staleness_bound": staleness,
             "results": results,
             "server_stats": server.stats.as_dict(),
         }, indent=2))
         return 0
     print(f"# {args.file}: {args.readers} readers x {args.duration:g}s "
-          f"under write pressure ({mode})")
+          f"under write pressure (ViewServer snapshots)")
     print(f"plan       : {plan.label}")
     print(f"reads      : {results['reads']} "
           f"({results['reads_per_second']:,.0f}/s across "
@@ -1004,10 +995,9 @@ def _run_serve(args, program) -> int:
     print(f"read max   : {results['read_max_ms']:8.3f} ms")
     print(f"writer     : {results['writer_updates']} updates "
           f"({results['writer_updates_per_second']:,.0f}/s)")
-    if not args.baseline:
-        bound = "none" if staleness is None else staleness
-        print(f"staleness  : max {results['max_staleness_observed']} "
-              f"observed (bound {bound}), {results['epochs']} epochs")
+    bound = "none" if staleness is None else staleness
+    print(f"staleness  : max {results['max_staleness_observed']} "
+          f"observed (bound {bound}), {results['epochs']} epochs")
     return 0
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..planner.plan import DEFAULT_REFRESHES
 from . import complexity as cx
 from . import estimate as est
 
@@ -34,8 +35,6 @@ from . import estimate as est
 REEVAL = "REEVAL"
 INCR = "INCR"
 HYBRID = "HYBRID"
-
-DEFAULT_REFRESHES = est.DEFAULT_REFRESHES
 
 
 @dataclass(frozen=True)

@@ -52,12 +52,6 @@ REEVAL = "REEVAL"
 INCR = "INCR"
 HYBRID = "HYBRID"
 
-#: Default expected refresh count when amortizing setup in nnz mode
-#: (here, not in the advisor, so the planner's vocabulary --
-#: ``planner/plan.py``, which every session-building path loads -- does
-#: not import the Table 2 advisor for one constant).
-DEFAULT_REFRESHES = 100
-
 # Per-kernel-call overhead lives on the backend
 # (``Backend.est_call_overhead_flops``): Python dispatch + allocation +
 # BLAS/CSR call setup costs the same whether the operands are thin or

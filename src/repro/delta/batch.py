@@ -30,9 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from ..backends import get_backend
-
-#: Singular values below ``tol * s_max`` are treated as rank-deficient.
-DEFAULT_RTOL = 1e-12
+from ..backends.base import DEFAULT_RTOL
 
 
 def _as_block(factor: np.ndarray) -> np.ndarray:

@@ -26,16 +26,22 @@ configurations with expensive setup).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..cost.estimate import DEFAULT_REFRESHES
-from ..iterative.models import Model
+if TYPE_CHECKING:
+    from ..iterative.models import Model
 
 #: Strategy names (shared with the advisor and iterative layer).
 REEVAL = "REEVAL"
 INCR = "INCR"
 HYBRID = "HYBRID"
+
+#: Expected refresh count one-time view building is amortized over when
+#: the caller gives none (:attr:`WorkloadStats.refresh_count`, and the
+#: advisor's ``refreshes`` default).
+DEFAULT_REFRESHES = 100
 
 
 @dataclass(frozen=True)
@@ -115,6 +121,8 @@ class MaintenancePlan:
 
     def iterative_model(self) -> Model:
         """The plan's model as an :class:`~repro.iterative.models.Model`."""
+        from ..iterative.models import Model
+
         if self.model == "linear":
             return Model.linear()
         if self.model == "exponential":

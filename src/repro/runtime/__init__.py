@@ -22,7 +22,6 @@ _EXPORTS = {
     "DriftReport": "drift",
     "EvaluationError": "executor",
     "FactoredUpdate": "updates",
-    "FlushOnReadServer": "serving",
     "HeavyLightMaintainer": "heavylight",
     "HeavyLightStats": "heavylight",
     "IVMSession": "session",

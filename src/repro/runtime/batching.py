@@ -12,7 +12,12 @@ time) or a policy object with this surface:
 * ``pending`` — update events absorbed but not yet applied;
 * ``stats`` — achieved compression counters;
 * ``capture() -> dict`` / ``restore(dict)`` — the value-affecting state
-  that survives a flush (what a checkpoint stores), JSON-ready.
+  that survives a flush (what a checkpoint stores), JSON-ready;
+* ``partition`` — ``"uniform"`` or ``"heavy-light"``: the row split
+  the policy runs.  Callers ask this, never ``isinstance``, so that
+  nothing but building a split loads :mod:`repro.runtime.heavylight`
+  (under ``"heavy-light"``, ``shadowed`` is the displaced uniform
+  policy or ``None``).
 
 The *sink* is any callable that applies one compacted
 :class:`~repro.runtime.updates.FactoredUpdate` — a session's
@@ -46,14 +51,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from ..delta.batch import DEFAULT_RTOL, BatchCollector
-from .heavylight import (
-    DEFAULT_HEAVY_BUDGET,
-    DEFAULT_RANK_BOUND,
-    DEFAULT_RETUNE_EVERY,
-    HeavyLightMaintainer,
-)
+from ..backends.base import DEFAULT_RTOL
 from .updates import FactoredUpdate
+
+
+def _split(policy) -> bool:
+    """Whether ``policy`` (``None`` included) runs the heavy-light split."""
+    return policy is not None and policy.partition == "heavy-light"
 
 
 @dataclass
@@ -102,6 +106,8 @@ class SessionBatcher:
     object's.
     """
 
+    partition = "uniform"
+
     def __init__(
         self,
         width: int,
@@ -109,6 +115,8 @@ class SessionBatcher:
         rtol: float = DEFAULT_RTOL,
         backend=None,
     ):
+        from ..delta.batch import BatchCollector
+
         if width < 2:
             raise ValueError("a batching width below 2 is per-update application")
         if max_staleness is not None and max_staleness < 1:
@@ -265,7 +273,13 @@ class _Resolved:
                       spec.max_staleness, spec.rtol, backend)
         if mode != "heavy-light":
             return uniform if batching else None
-        held = prior if isinstance(prior, HeavyLightMaintainer) else None
+        from .heavylight import (
+            DEFAULT_HEAVY_BUDGET,
+            DEFAULT_RANK_BOUND,
+            DEFAULT_RETUNE_EVERY,
+        )
+
+        held = prior if _split(prior) else None
         if sketch is None and held is not None:
             sketch = held.sketch
             if observe is None:
@@ -284,7 +298,7 @@ class _Resolved:
         """What ``policy`` runs at (``None``: unit-at-a-time)."""
         if policy is None:
             return None
-        if not isinstance(policy, HeavyLightMaintainer):
+        if not _split(policy):
             return cls(policy.width, policy.max_staleness, policy.rtol,
                        policy.collector.backend)
         shadowed = policy.shadowed
@@ -322,7 +336,7 @@ def resolve_deferral(spec: DeferralSpec, cell=None, prior=None, sketch=None,
     wanted = _Resolved.wanted(spec, cell, prior, sketch, observe, backend)
     if wanted is None:
         return None
-    split = prior if isinstance(prior, HeavyLightMaintainer) else None
+    split = prior if _split(prior) else None
     uniform = None
     if wanted.width is not None:
         uniform = SessionBatcher(wanted.width, wanted.max_staleness,
@@ -332,6 +346,8 @@ def resolve_deferral(spec: DeferralSpec, cell=None, prior=None, sketch=None,
             uniform.stats = shadowed.stats
     if not wanted.split:
         return uniform
+    from .heavylight import HeavyLightMaintainer
+
     policy = HeavyLightMaintainer(
         budget=wanted.budget, rank_bound=wanted.rank_bound,
         retune_every=wanted.retune_every, max_staleness=wanted.max_staleness,

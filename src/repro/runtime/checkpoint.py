@@ -62,7 +62,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from ..cost import counters
-from ..testing import faults
 from .batching import DeferralSpec
 from .updates import FactoredUpdate
 from .views import ViewStore
@@ -176,6 +175,8 @@ def write_checkpoint(path, header: dict, arrays: dict[str, np.ndarray]) -> Path:
     crash the write deterministically.  I/O failures surface as
     :class:`CheckpointError`.
     """
+    from ..testing import faults
+
     path = Path(path)
     blob = serialize_state(header, arrays)
     blob = faults.fire("checkpoint.write", blob, path=str(path))
@@ -372,6 +373,9 @@ class Checkpointer:
     def __init__(self, session, directory, every: int | str = "auto",
                  keep: int = DEFAULT_KEEP, auto: bool = True,
                  delta_limit: int | None = None):
+        # The write path's fault seam loads now, not at the first cut.
+        from ..testing import faults  # noqa: F401
+
         self.manager = CheckpointManager(directory, keep=keep)
         self.session = session
         self.auto = bool(auto)

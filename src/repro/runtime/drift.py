@@ -318,10 +318,12 @@ class ReplanMonitor(SessionDriftMonitor):
         self._update_target: str | None = None
         from ..planner import StreamSketch
 
-        # The pricing stack loads with the monitor, not at its first
-        # check: an opening call that had nothing to price never
-        # imported it (docs/invariants.md, "Import closures").
+        # The pricing stack, and the deferral policies a re-tune may
+        # switch on, load with the monitor, not at its first check: an
+        # opening call that had nothing to price or defer never imported
+        # them (docs/invariants.md, "Import closures").
         importlib.import_module("..planner.planner", __package__)
+        importlib.import_module(".heavylight", __package__)
         #: Online distinct-target sketch of the observed update stream —
         #: the Zipf-awareness that re-prices each plan's batch width
         #: from what the stream actually hits (Table 4's knob).

@@ -125,9 +125,9 @@ class HeavyLightMaintainer:
 
     Implements the policy protocol of :mod:`repro.runtime.batching`
     (``absorb`` / ``flush`` / ``pending`` / ``stats`` / ``capture`` /
-    ``restore``) over any sink, so sessions and ``refresh(u, v)``
-    drivers treat it and :class:`~repro.runtime.batching.SessionBatcher`
-    interchangeably.  ``budget`` caps the heavy set, ``rank_bound`` the
+    ``restore`` / ``partition``) over any sink, so sessions and
+    ``refresh(u, v)`` drivers treat it and
+    :class:`~repro.runtime.batching.SessionBatcher` interchangeably.  ``budget`` caps the heavy set, ``rank_bound`` the
     light tail's pending rank, ``retune_every`` the membership
     re-check cadence, ``max_staleness`` the total pending update count
     (a read-lag bound, like the batcher's).  ``sketch`` lets a caller —
@@ -141,6 +141,8 @@ class HeavyLightMaintainer:
     whatever rows they touch: spreading one across accumulator rows
     would be wrong, and compaction is what exploits their structure.
     """
+
+    partition = "heavy-light"
 
     def __init__(
         self,

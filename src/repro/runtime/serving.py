@@ -34,12 +34,10 @@ publish when the queue idles), ``max_age`` adds a wall-clock bound on
 the oldest unpublished update.  Whenever the ingress queue runs dry the
 writer publishes immediately, so an idle server is always fresh.
 
-:class:`FlushOnReadServer` is the strawman this replaces — a mutex
-around the session where every read flushes — kept as the measured
-baseline for ``benchmarks/bench_serve_latency.py`` and
-``repro serve --baseline``.  :func:`run_load` is the shared load
-generator (writer pressure + paced reader threads, p50/p99 read
-latency, achieved staleness, writer throughput) used by the benchmark
+:func:`run_load` is the shared load generator (writer pressure + paced
+reader threads, p50/p99 read latency, achieved staleness, writer
+throughput) used by ``benchmarks/bench_serve_latency.py`` — which
+measures it against the flush-on-read strawman this layer replaces —
 and the ``repro serve`` CLI.
 """
 
@@ -832,75 +830,6 @@ class ViewServer:
                 item.event.set()
 
 
-class FlushOnReadServer:
-    """The pre-serving strawman: one mutex, reads flush (measured baseline).
-
-    Presents the same ``submit``/``read``/``refresh``/``close`` surface
-    as :class:`ViewServer`, but every operation serializes on one lock
-    and every read goes through ``session.view`` — which flushes
-    batched pending updates first.  This is exactly what sharing a
-    single-threaded session between threads costs; the benchmark's
-    p50/p99 gap against :class:`ViewServer` is the tentpole claim.
-    """
-
-    def __init__(self, target, views: Sequence[str] | None = None):
-        self._engine = _as_engine(target, views)
-        self._lock = threading.Lock()
-        self.stats = ServerStats()
-        names = tuple(views) if views is not None else self._engine.default_names()
-        self._names = names
-        self.max_staleness = 0
-        self.max_age = None
-
-    @property
-    def epoch(self) -> int:
-        """Applied-update count (this server has no real epochs)."""
-        return self.stats.applied
-
-    def submit(self, update: FactoredUpdate) -> None:
-        """Apply one update under the global lock (blocking)."""
-        with self._lock:
-            self.stats.submitted += 1
-            self._engine.apply(update)
-            self.stats.applied += 1
-
-    def call(self, fn: Callable, *args, wait: bool = False, **kwargs):
-        """Run a mutation under the global lock, in caller order."""
-        with self._lock:
-            self.stats.submitted += 1
-            result = fn(*args, **kwargs)
-            self.stats.applied += 1
-        return result if wait else None
-
-    def read(self, name: str) -> np.ndarray:
-        """Flush, then copy ``name`` out — the cost being measured."""
-        with self._lock:
-            self._engine.flush()
-            return self._engine.capture((name,))[name]
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.read(name)
-
-    def refresh(self, timeout: float | None = None):
-        """Flush and capture the full publish set as a Snapshot."""
-        with self._lock:
-            self._engine.flush()
-            views = self._engine.capture(self._names)
-        return Snapshot(epoch=self.stats.applied, seq=self.stats.applied,
-                        views=views, pending=0, published_at=time.monotonic())
-
-    def close(self) -> None:
-        """Flush pending state; nothing to join (no writer thread)."""
-        with self._lock:
-            self._engine.flush()
-
-    def __enter__(self) -> "FlushOnReadServer":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-
 # -- load generation ------------------------------------------------------
 
 def run_load(
@@ -1004,7 +933,6 @@ def run_load(
 
 __all__ = [
     "DEFAULT_MAX_STALENESS",
-    "FlushOnReadServer",
     "IngressOverflowError",
     "IngressTimeoutError",
     "MaintainerEngine",

@@ -71,6 +71,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ..backends import get_backend
+from ..backends.base import DEFAULT_RTOL
 from ..compiler.codegen.fused import (
     compile_fused_trigger,
     compile_trigger_function,
@@ -79,10 +80,8 @@ from ..compiler.compile import compile_program
 from ..compiler.program import Program
 from ..compiler.trigger import Trigger
 from ..cost import counters
-from ..delta.batch import DEFAULT_RTOL
 from .batching import DeferralSpec, resolve_deferral, still_resolved
 from .executor import evaluate
-from .heavylight import HeavyLightMaintainer
 from .updates import FactoredUpdate, InvalidUpdateError
 from .views import ViewStore
 from .workspace import Workspace
@@ -421,7 +420,7 @@ class Session:
     def _uniform(self):
         """The uniform-batch policy — active, or shadowed by the split."""
         policy = self._deferral
-        if isinstance(policy, HeavyLightMaintainer):
+        if self.partition == "heavy-light":
             return policy.shadowed
         return policy
 
@@ -440,15 +439,13 @@ class Session:
     @property
     def partition(self) -> str:
         """The active partition mode (``"uniform"`` or ``"heavy-light"``)."""
-        if isinstance(self._deferral, HeavyLightMaintainer):
-            return "heavy-light"
-        return "uniform"
+        return getattr(self._deferral, "partition", "uniform")
 
     @property
     def partition_stats(self):
         """Achieved :class:`~repro.runtime.heavylight.HeavyLightStats`
         of the partitioned path (or ``None`` under uniform maintenance)."""
-        if isinstance(self._deferral, HeavyLightMaintainer):
+        if self.partition == "heavy-light":
             return self._deferral.stats
         return None
 

@@ -271,6 +271,53 @@ class TestRoundTrip:
         for name in good:
             assert np.array_equal(good[name], np.asarray(cold[name])), name
 
+    def test_write_fault_fires_under_the_lazy_hook_import(self, tmp_path):
+        """The fault hooks load with the checkpointer, not with the
+        module: a fresh process that imported the checkpoint module has
+        not loaded them, an opened checkpointing session has, and its
+        first write still passes the ``checkpoint.write`` seam."""
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from repro.frontend import parse_program
+
+        source = "input A(n, n); B := A * A; output B;"
+        script = (
+            "import json, sys, numpy\n"
+            "import repro.runtime.checkpoint\n"
+            "from repro.frontend import parse_program\n"
+            "from repro.runtime.session import open_session\n"
+            "from repro.runtime.updates import FactoredUpdate\n"
+            "before = 'repro.testing.faults' in sys.modules\n"
+            f"session = open_session(parse_program({source!r}),\n"
+            "    {'A': numpy.eye(8)}, dims={'n': 8}, plan='incr', batch='off',\n"
+            "    checkpoint={'directory': sys.argv[1], 'every': 2})\n"
+            "opened = 'repro.testing.faults' in sys.modules\n"
+            "from repro.testing import faults\n"
+            "with faults.inject_faults() as injector:\n"
+            "    injector.inject('checkpoint.write', faults.truncate_bytes(0.5))\n"
+            "    for _ in range(2):\n"
+            "        session.apply_update(FactoredUpdate(\n"
+            "            'A', numpy.ones((8, 1)), numpy.ones((8, 1))))\n"
+            "print(json.dumps({'before': before, 'opened': opened,\n"
+            "                  'hits': injector.count('checkpoint.write'),\n"
+            "                  'fired': len(injector.fired)}))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        out = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)], check=True,
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src)).stdout
+        report = json.loads(out)
+        assert report == {"before": False, "opened": True, "hits": 1,
+                          "fired": 1}
+        # The one snapshot on disk is the torn one.
+        with pytest.raises(CheckpointError, match="no valid checkpoint"):
+            restore_session(parse_program(source), tmp_path)
+
     def test_with_plan_hands_the_checkpointer_over(self, tmp_path):
         import dataclasses
 

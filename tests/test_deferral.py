@@ -382,6 +382,66 @@ class TestResolver:
             DeferralSpec(partition="sometimes")
 
 
+class TestInstalledOnAUnitSession:
+    """A unit-at-a-time open loads neither policy's module; a policy
+    installed on it later is the policy opening with it builds."""
+
+    @staticmethod
+    def _open(program, inputs, **options):
+        return open_session(program, {k: v.copy() for k, v in inputs.items()},
+                            plan="incr", **options)
+
+    @pytest.mark.parametrize("install, options", [
+        (lambda session: session.set_batching(8), {"batch": 8}),
+        (lambda session: session.set_partition("heavy-light"),
+         {"batch": "off", "partition": "heavy-light"}),
+    ], ids=["set_batching", "set_partition"])
+    def test_bitwise_equal_to_opening_with_the_policy(self, rng, install,
+                                                      options):
+        program, n, inputs = chain_scenario(rng)
+        later = self._open(program, inputs, batch="off", partition="uniform")
+        assert later.deferral is None
+        install(later)
+        opened = self._open(program, inputs, **options)
+        assert later.plan == opened.plan
+        assert type(later.deferral) is type(opened.deferral)
+        for index, update in enumerate(zipf_row_updates(rng, n, 40, 2.0)):
+            later.apply_update(update)
+            opened.apply_update(update)
+            if index % 13 == 12:  # a mid-stream read flushes both alike
+                assert np.array_equal(later["C"], opened["C"])
+        for name in ("A", "B", "C"):
+            assert np.array_equal(later[name], opened[name]), name
+        assert later.deferral.stats.as_dict() == opened.deferral.stats.as_dict()
+
+    def test_policy_queries_answer_for_every_kind(self, rng):
+        from repro.runtime import BatchStats, HeavyLightStats
+
+        program, n, inputs = chain_scenario(rng)
+        session = self._open(program, inputs, batch="off", partition="uniform")
+        updates = iter(zipf_row_updates(rng, n, 12, 2.0))
+
+        def queries():
+            for _ in range(3):
+                session.apply_update(next(updates))
+            return (session.batch_size, type(session.batch_stats),
+                    session.partition, type(session.partition_stats))
+
+        assert queries() == (1, type(None), "uniform", type(None))
+        session.set_batching(8)
+        assert queries() == (8, BatchStats, "uniform", type(None))
+        batch_stats = session.batch_stats
+        # The split shadows the uniform batcher, which keeps answering.
+        session.set_partition("heavy-light")
+        assert queries() == (8, BatchStats, "heavy-light", HeavyLightStats)
+        assert session.batch_stats is batch_stats
+        assert session.batch_stats.updates == 3
+        assert session.partition_stats.updates == 3
+        session.set_batching(None)
+        assert queries() == (1, type(None), "heavy-light", HeavyLightStats)
+        assert session.partition_stats.updates == 6
+
+
 class TestDeferredRefresher:
     """The one flush-on-read front end of the analytics drivers."""
 

@@ -55,12 +55,27 @@ class TestImportClosure:
 
     @pytest.mark.parametrize("probe", ["repro.cli", "repro.catalog",
                                        "opened session",
-                                       "opened sharded session"])
+                                       "opened sharded session",
+                                       "benchmark set-up"])
     def test_gated_closure_holds(self, probe):
         tool = _tool()
         loaded = tool.closure(probe)
         assert tool.violations(probe, loaded) == []
         assert "repro.runtime.session" in loaded or probe == "repro.cli"
+
+    def test_the_benchmark_imports_compile_under_budget(self):
+        """``bench_e2e.import_program`` alone — most of ``dense_small``'s
+        ``setup_s`` — loads no deferral policy, pricing module, iterative
+        stack or fault hook: at most 44 modules, 9,000 source lines."""
+        tool = _tool()
+        loaded = _fresh_python("-c", tool._PROBE.format(body="".join(
+            f"import {module}\n" for module in tool._bench_modules()))).split()
+        own = [name for name in loaded if name.split(".")[0] == "repro"]
+        assert len(own) <= 44
+        assert tool.source_lines(own) <= 9_000
+        assert not [name for name in own
+                    for prefix in tool._NOT_RUN_BY_A_UNIT_SESSION
+                    if name == prefix or name.startswith(prefix + ".")]
 
     def test_cli_start_up_loads_no_numerics(self):
         loaded = _tool().closure("repro.cli")
@@ -113,16 +128,32 @@ class TestImportClosure:
         assert any("scipy" in p for p in problems)
         assert any("budget 12" in p for p in problems)
 
+    def test_line_budgets_are_reported(self, monkeypatch):
+        tool = _tool()
+        loaded = ["repro", "repro.runtime.session"]
+        assert tool.violations(tool.BENCHMARK_SETUP, loaded) == []
+        lines = tool.source_lines(loaded)
+        assert lines > 1000
+        monkeypatch.setitem(tool.LINE_BUDGETS, tool.BENCHMARK_SETUP, lines - 1)
+        assert tool.violations(tool.BENCHMARK_SETUP, loaded) == [
+            f"benchmark set-up: imports {lines} repro source lines, "
+            f"budget {lines - 1}"]
+
 
 @pytest.mark.parametrize("workload", [
     "dense_small", "dense_chain", "sparse_pagerank", "zipf_write",
     "zipf_read_mixed", "served", "catalog_tenants", "sharded_chain",
+    # Configurations whose optional subsystem is imported where it is
+    # chosen (late_import_probe.CONFIGURATIONS).
+    "batch=8", "heavy-light", "checkpoint", "evicting catalog",
+    "batched pagerank",
 ])
 def test_nothing_loads_after_the_workload_is_open(workload):
     """A deferred import must be removed cost, not cost moved into the
     first update (which the benchmark's warm-up would hide): 300
-    updates, reads and a drain on each ``bench_e2e`` configuration
-    import no ``repro`` module the opening call had not."""
+    updates, reads and a drain on each ``bench_e2e`` configuration, and
+    on each configuration an import moved for, import no ``repro``
+    module the opening call had not."""
     pytest.importorskip("scipy")  # the benchmark harness imports it
     report = json.loads(_fresh_python(
         str(ROOT / "tests" / "late_import_probe.py"), workload))
@@ -130,10 +161,12 @@ def test_nothing_loads_after_the_workload_is_open(workload):
     assert report["loaded"] > 10
     # The zipf session's re-planning passes are part of what ran.
     assert report["replans"] == (6 if workload.startswith("zipf") else 0)
+    # And so is the subsystem a configuration is there to exercise.
+    assert report["exercised"] is None or report["exercised"] > 0
 
 
 LAZY_PACKAGES = [
-    ("repro.runtime", 49, "IVMSession"),
+    ("repro.runtime", 48, "IVMSession"),
     ("repro.distributed", 22, "CommLog"),
     ("repro.expr", 44, "MatMul"),
     ("repro.delta", 23, "FactoredDelta"),

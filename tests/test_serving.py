@@ -24,7 +24,6 @@ from stream_helpers import zipf_row_updates
 from repro.frontend import parse_program
 from repro.runtime import (
     FactoredUpdate,
-    FlushOnReadServer,
     IVMSession,
     MaintainerEngine,
     ReplanMonitor,
@@ -301,24 +300,6 @@ class TestViewServerContract:
             with ViewServer(IVMSession(program, inputs)) as server:
                 server.call(_raise_boom)  # poisons the writer...
                 raise RuntimeError("body wins")  # ...but the body's error
-        with FlushOnReadServer(IVMSession(program, inputs)) as baseline:
-            assert baseline.epoch == 0
-
-    def test_flush_on_read_baseline_matches(self, rng):
-        program, n, inputs = _fixed_scenario(rng)
-        updates = zipf_row_updates(rng, n, 9, 1.0)
-        names = tuple(program.view_names)
-        states = _oracle_states(program, inputs, names, updates)
-        baseline = FlushOnReadServer(
-            IVMSession(program, {k: v.copy() for k, v in inputs.items()}),
-            views=names,
-        )
-        for update in updates:
-            baseline.submit(update)
-        _assert_state({n_: baseline.read(n_) for n_ in names}, states[-1],
-                      "on the flush-on-read baseline")
-        assert baseline.max_staleness == 0
-        baseline.close()
 
     def test_run_load_reports_the_contract_numbers(self, rng):
         program, n, inputs = _fixed_scenario(rng)
@@ -418,18 +399,6 @@ class TestServeCLI:
         stats = payload["server_stats"]
         assert stats["applied"] == stats["submitted"]  # close() drained
         assert stats["epochs"] >= 1
-
-    def test_serve_baseline_flag(self, program_file, capsys):
-        from repro.cli import main
-
-        code = main([
-            "serve", program_file, "--dims", "n=8", "--duration", "0.15",
-            "--readers", "1", "--baseline", "--json",
-        ])
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["mode"] == "baseline"
-        assert payload["results"]["reads"] > 0
 
 
 class TestIngressRobustness:

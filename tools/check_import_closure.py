@@ -17,7 +17,10 @@ Usage::
     python tools/check_import_closure.py
 
 Prints each probe's sorted closure (``repro*`` and ``scipy*`` modules)
-and exits 1 on a forbidden prefix or a count over budget.  A last probe
+and exits 1 on a forbidden prefix, a module count over budget or — for
+the probes in :data:`LINE_BUDGETS` — more ``repro`` source lines than
+budgeted (with no ``.pyc``, what set-up pays is the lines it compiles,
+not the modules it counts).  A last probe
 spawns real shard workers and exits 1 if they ran their launcher: a
 worker's boot is the closure gated above only while it does not also
 re-import the program that opened the session.
@@ -25,6 +28,7 @@ re-import the program that opened the session.
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -43,6 +47,17 @@ _NOT_FOR_A_DENSE_SESSION = (
 OPENED_SESSION = "opened session"
 #: The same chain on two workers, as ``bench_e2e``'s ``sharded_chain``.
 OPENED_SHARDED_SESSION = "opened sharded session"
+#: ``bench_e2e``'s ``import_program`` followed by its ``dense_small``
+#: open: the whole of that workload's ``setup_s``.
+BENCHMARK_SETUP = "benchmark set-up"
+
+#: Optional subsystems a unit-at-a-time dense session never runs: the
+#: deferral policies, the pricing module, pagerank's iterative stack and
+#: the fault-injection hooks load where their use is decided.
+_NOT_RUN_BY_A_UNIT_SESSION = (
+    "repro.runtime.heavylight", "repro.delta.batch", "repro.cost.estimate",
+    "repro.analytics.markov", "repro.iterative", "repro.testing",
+)
 
 #: probe -> (forbidden module prefixes, most ``repro*`` modules allowed:
 #: measured + 2).  A probe is a module to import, or a key of PROBES.
@@ -53,26 +68,27 @@ GATED = {
         12,
     ),
     "repro.runtime.session": (
-        _NOT_FOR_A_DENSE_SESSION + ("repro.backends.sparse",
-                                    "repro.iterative"),
-        36,
+        _NOT_FOR_A_DENSE_SESSION + _NOT_RUN_BY_A_UNIT_SESSION
+        + ("repro.backends.sparse",),
+        34,
     ),
     "repro.catalog": (
         ("repro.analytics", "repro.distributed", "repro.calibrate",
-         "repro.backends.sparse", "repro.runtime.drift"),
-        42,
+         "repro.backends.sparse", "repro.runtime.drift")
+        + _NOT_RUN_BY_A_UNIT_SESSION,
+        37,
     ),
     "repro.cli": (("scipy", "repro.compiler", "repro.backends"), 7),
     # Its arguments determine the plan, so nothing is priced: the
     # pricing stack and the sparse engine stay unloaded.
     OPENED_SESSION: (
-        _NOT_FOR_A_DENSE_SESSION + (
+        _NOT_FOR_A_DENSE_SESSION + _NOT_RUN_BY_A_UNIT_SESSION + (
             "repro.runtime.checkpoint", "repro.compiler.optimizer",
             "repro.compiler.codegen.octave_gen",
             "repro.compiler.codegen.spark_gen", "repro.expr.latex",
             "repro.planner.planner", "repro.planner.programcost",
             "repro.cost.advisor", "repro.backends.sparse"),
-        45,
+        40,
     ),
     # Priced (``nodes`` is a planner axis), so the pricing stack loads;
     # the shard backend and engine are what sharding adds to the driver.
@@ -82,9 +98,31 @@ GATED = {
          "repro.calibrate", "repro.backends.sparse",
          "repro.distributed.engine", "repro.distributed.blockmatrix",
          "repro.distributed.cluster", "repro.compiler.optimizer"),
-        57,
+        55,
+    ),
+    BENCHMARK_SETUP: (
+        ("repro.runtime.drift", "repro.distributed", "repro.calibrate",
+         "repro.backends.sparse", "repro.planner.planner")
+        + _NOT_RUN_BY_A_UNIT_SESSION,
+        50,
     ),
 }
+
+#: probe -> most ``repro`` source lines its closure may hold (measured
+#: + 2%): ``setup_s`` follows lines compiled, not modules counted.
+LINE_BUDGETS = {BENCHMARK_SETUP: 10_100}
+
+
+def _bench_modules() -> tuple[str, ...]:
+    """The modules ``bench_e2e.import_program`` imports (read from its
+    source, which this tool must not import: it loads SciPy)."""
+    tree = ast.parse((REPO / "benchmarks" / "e2e" / "bench_e2e.py").read_text())
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == "_REPRO_MODULES"):
+            return ast.literal_eval(node.value)
+    raise LookupError("bench_e2e.py no longer names _REPRO_MODULES")
+
 
 #: Probes that are more than ``import <module>``.
 PROBES = {
@@ -102,6 +140,15 @@ PROBES = {
         "C := B * B; output C;'), {'A': numpy.ones((64, 64))},\n"
         "             dims={'n': 64}, plan='incr', nodes=(2,), batch='off',\n"
         "             partition='uniform').close()"
+    ),
+    BENCHMARK_SETUP: (
+        "".join(f"import {module}\n" for module in _bench_modules())
+        + "from repro.frontend import parse_program\n"
+        "from repro.runtime.session import open_session\n"
+        "open_session(parse_program('input A(n, n); B := A * A; "
+        "C := B * B; output C;'), {'A': numpy.ones((128, 128))},\n"
+        "             dims={'n': 128}, plan='incr', mode='codegen',\n"
+        "             batch='off', partition='uniform')"
     ),
 }
 
@@ -156,6 +203,19 @@ def launcher_runs() -> int:
         return len(marker.read_text().splitlines())
 
 
+def source_lines(loaded: list[str]) -> int:
+    """Lines of this tree's source behind the ``repro`` modules of
+    ``loaded`` (what an interpreter without ``.pyc`` compiles)."""
+    total = 0
+    for name in loaded:
+        if name.split(".")[0] != "repro":
+            continue
+        path = REPO / "src" / Path(*name.split("."))
+        path = path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
+        total += len(path.read_text().splitlines())
+    return total
+
+
 def violations(module: str, loaded: list[str]) -> list[str]:
     """What ``loaded`` (a :func:`closure`) breaks of ``module``'s rule."""
     forbidden, budget = GATED[module]
@@ -168,6 +228,11 @@ def violations(module: str, loaded: list[str]) -> list[str]:
     if len(own) > budget:
         problems.append(
             f"{module}: imports {len(own)} repro modules, budget {budget}")
+    lines = LINE_BUDGETS.get(module)
+    if lines is not None and source_lines(own) > lines:
+        problems.append(
+            f"{module}: imports {source_lines(own)} repro source lines, "
+            f"budget {lines}")
     return problems
 
 
@@ -175,7 +240,8 @@ def main() -> int:
     problems: list[str] = []
     for module in GATED:
         loaded = closure(module)
-        print(f"{module}: {len(loaded)} modules")
+        print(f"{module}: {len(loaded)} modules, "
+              f"{source_lines(loaded)} repro source lines")
         for name in loaded:
             print(f"  {name}")
         problems.extend(violations(module, loaded))
