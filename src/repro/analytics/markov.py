@@ -182,7 +182,8 @@ class KStepTransitionMatrix(_ColumnPerturbMixin):
 
         strategy, model, self.plan = resolve_driver_strategy(
             strategy, model, Model.exponential(),
-            lambda: plan_powers(WorkloadStats.from_matrix(self.p, k=k)),
+            lambda: plan_powers(WorkloadStats.from_matrix(self.p, k=k),
+                                backend),
         )
         self._maintainer = make_powers(strategy, self.p, k, model, counter,
                                        backend=backend)
@@ -244,7 +245,8 @@ class KStepDistribution(_ColumnPerturbMixin):
         strategy, model, self.plan = resolve_driver_strategy(
             strategy, model, Model.linear(),
             lambda: plan_general(
-                WorkloadStats.from_matrix(self.p, p=1, k=k, has_b=False)
+                WorkloadStats.from_matrix(self.p, p=1, k=k, has_b=False),
+                backend,
             ),
         )
         self._maintainer = make_general(

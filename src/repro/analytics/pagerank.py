@@ -167,7 +167,7 @@ class IncrementalPageRank:
         strategy, model, self.plan = resolve_driver_strategy(
             strategy, model, Model.linear(),
             lambda: plan_general(WorkloadStats(
-                n=n, p=1, k=k, density=data.size / (n * n))),
+                n=n, p=1, k=k, density=data.size / (n * n)), backend),
         )
         if backend is None and self.plan is not None:
             backend = self.plan.backend

@@ -75,7 +75,7 @@ class IncrementalPowerIteration:
         strategy, model, self.plan = resolve_driver_strategy(
             strategy, model, Model.linear(),
             lambda: plan_general(
-                WorkloadStats.from_matrix(a, p=1, k=k, has_b=False)
+                WorkloadStats.from_matrix(a, p=1, k=k, has_b=False), backend
             ),
         )
         self._maintainer = make_general(

@@ -62,7 +62,8 @@ class GradientDescentLR:
 
         strategy, model, self.plan = resolve_driver_strategy(
             strategy, model, Model.linear(),
-            lambda: plan_general(WorkloadStats.from_matrix(a, p=p, k=k)),
+            lambda: plan_general(WorkloadStats.from_matrix(a, p=p, k=k),
+                                 backend),
         )
         self._general = make_general(strategy, a, b, theta0, k, model, counter,
                                      backend=backend)

@@ -138,11 +138,11 @@ class ViewCatalog:
         Byte budget for admitted node state (``None``: everything stays
         admitted).  Over budget, frontier nodes demote to
         REEVAL-on-demand, cheapest-retention first; flush-first.
-    strategy, mode, backend, rank, optimize:
+    strategy, mode, backend, rank:
         Maintenance configuration of the single inner session every
         admitted node is maintained by (``INCR``/``REEVAL``,
         ``interpret``/``codegen``, execution backend, expected update
-        width, Section 6 trigger optimizer) — fixed at construction, as
+        width) — fixed at construction, as
         one :class:`~repro.planner.plan.MaintenancePlan` (``.plan``)
         every rebuild of the inner session goes back to, so every
         tenant shares one trajectory.
@@ -159,7 +159,6 @@ class ViewCatalog:
         mode: str = "interpret",
         backend=None,
         rank: int = 1,
-        optimize: bool = False,
         counter: counters.Counter = counters.NULL_COUNTER,
     ):
         from .planner.plan import MaintenancePlan
@@ -174,7 +173,7 @@ class ViewCatalog:
         self.mode = mode
         self.backend = get_backend(backend)
         self.plan = MaintenancePlan(strategy, backend=self.backend.name,
-                                    mode=mode, rank=rank, optimize=optimize)
+                                    mode=mode, rank=rank)
         self.counter = counter
         self.stats = CatalogStats()
         self.nodes: dict[str, CatalogNode] = {}

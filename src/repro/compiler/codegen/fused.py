@@ -21,7 +21,9 @@ decide differently is already decided —
   bound;
 * the evaluate-all-then-apply-all order that upholds the trigger
   contract (deltas read only old values, views are written in place) is
-  the list's own order: ``ops`` first, ``applies`` last.
+  the list's own order: ``ops`` first, ``applies`` last;
+* a record identical to an earlier one (same pure kernel, same
+  operands) is merged into it: :func:`merge_duplicates`.
 
 Shapes stay symbolic until the list is **bound** to a ``dims`` mapping:
 constants are materialized, and each buffer is leased once from a
@@ -55,8 +57,9 @@ where ``views`` maps names to store-owned arrays (written in place).
 
 from __future__ import annotations
 
+import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
@@ -248,7 +251,7 @@ def lower_trigger(trigger: Trigger) -> LoweredTrigger:
             applies.append(
                 Op("applyadd", target, (target, lower(update.expr)[0])))
 
-    return LoweredTrigger(
+    return merge_duplicates(LoweredTrigger(
         input_name=trigger.input_name,
         params=tuple(p.name for p in trigger.params),
         rank=trigger.params[0].shape.cols,
@@ -257,7 +260,78 @@ def lower_trigger(trigger: Trigger) -> LoweredTrigger:
         buffers=buffers,
         ops=(*hoisted.values(), *ops),
         applies=tuple(applies),
-    )
+    ))
+
+
+#: Kernels whose result depends on their operands alone (``add`` and
+#: ``sub`` accumulate into one), so a record may stand in for its twin.
+_PURE = {"transpose", "copy", "matmul", "scale", "hstack", "vstack", "inv"}
+
+
+def merge_duplicates(lowered: LoweredTrigger) -> LoweredTrigger:
+    """Merge each record into an earlier one running the same pure
+    kernel on the same operands (the Section 6 CSE, on kernels), and
+    point later reads at the survivor; its buffer is released.
+
+    Applies are never merged.  A sum that would overwrite a survivor
+    before its last read writes into its other operand when nothing
+    reads that later, else into a fresh buffer (``None``, an allocation,
+    over an ``inv`` result, which has none).  No algebraic identity is
+    used, and a list without duplicates comes back as is.
+    """
+    buffers = dict(lowered.buffers)
+    merged: dict[str, str] = {}
+    first: dict[tuple, str] = {}
+
+    def renamed(op: Op) -> Op:
+        return op._replace(srcs=tuple(merged.get(s, s) for s in op.srcs))
+
+    ops: list[Op] = []
+    for op in map(renamed, lowered.ops):
+        owned = op.srcs[-1] in buffers
+        key = (op.kernel, op.srcs[:-1] if owned else op.srcs)
+        if op.kernel in _PURE and key in first:
+            merged[op.dst] = first[key]
+            buffers.pop(op.srcs[-1], None)
+            continue
+        first.setdefault(key, op.dst)
+        ops.append(op)
+    if not merged:
+        return lowered
+    applies = tuple(map(renamed, lowered.applies))
+
+    # A sum may overwrite ``out`` if nothing reads it (or a transposed
+    # alias of it) later: older values in that storage were each
+    # overwritten by an earlier sum that passed the same test.
+    last = {src: index for index, op in enumerate((*ops, *applies))
+            for src in op.srcs}
+    for op in reversed(ops):
+        if op.kernel == "transpose":
+            last[op.srcs[0]] = max(last[op.srcs[0]], last.get(op.dst, -1))
+    kind = {op.dst: op.kernel for op in ops}
+    # Record or buffer name -> shape of the buffer holding its value.
+    shapes = {op.dst: buffers[op.srcs[-1]] for op in ops
+              if op.srcs[-1] in buffers}
+    spare = (f"_b{i}" for i in itertools.count() if f"_b{i}" not in buffers)
+    for index, op in enumerate(ops):
+        if op.kernel not in ("add", "sub"):
+            continue
+        a, b, out = op.srcs
+        if last[out] > index:
+            other = b if out == a else a
+            if (kind.get(other) not in (None, "transpose")
+                    and last[other] <= index):
+                out = other  # a record's own storage, not an alias
+            elif out in shapes:
+                fresh = next(spare)
+                buffers[fresh] = shapes[fresh] = shapes[out]
+                out = fresh
+            else:
+                out = None
+            ops[index] = op._replace(srcs=(a, b, out))
+        if out in shapes:
+            shapes[op.dst] = shapes[out]
+    return replace(lowered, buffers=buffers, ops=tuple(ops), applies=applies)
 
 
 def _copy_into(src, out):
@@ -496,5 +570,6 @@ __all__ = [
     "compile_trigger_function",
     "generate_python_trigger",
     "lower_trigger",
+    "merge_duplicates",
     "outer_operands",
 ]

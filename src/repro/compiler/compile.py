@@ -29,16 +29,13 @@ def compile_program(
     program: Program,
     dynamic_inputs: Sequence[str] | None = None,
     rank: DimLike = 1,
-    optimize: bool = False,
 ) -> dict[str, Trigger]:
     """Compile ``program`` into triggers, one per dynamic input.
 
     ``dynamic_inputs`` restricts which inputs may change (defaults to
     all of them); ``rank`` is the width of the incoming update factors
     (1 for the paper's rank-1 row/column updates; a symbolic dimension
-    or a larger int for batched rank-k updates); ``optimize`` runs the
-    Section 6 pipeline (:func:`~repro.compiler.optimizer.optimize_trigger`)
-    over each trigger.
+    or a larger int for batched rank-k updates).
 
     Returns a mapping ``input name -> Trigger``.
     """
@@ -47,14 +44,7 @@ def compile_program(
     )
     for name in names:
         program.input(name)  # raises KeyError for unknown inputs
-    triggers = {name: _compile_for_input(program, name, rank)
-                for name in names}
-    if optimize:
-        from .optimizer import optimize_trigger
-
-        triggers = {name: optimize_trigger(trigger)
-                    for name, trigger in triggers.items()}
-    return triggers
+    return {name: _compile_for_input(program, name, rank) for name in names}
 
 
 def _compile_for_input(program: Program, input_name: str, rank: DimLike) -> Trigger:

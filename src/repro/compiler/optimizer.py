@@ -12,9 +12,11 @@ programs:
 * :func:`eliminate_dead_code` — drops temporaries no update needs;
 * :func:`optimize_trigger` — the standard pipeline (CSE, copies, DCE).
 
-All passes preserve trigger semantics; ``tests/test_optimizer.py``
-checks value-equivalence on random inputs and that CSE strictly reduces
-operation counts on the OLS trigger.
+Only the text emitters run them (``repro compile --optimize``); sessions
+merge identical records of the lowered list instead
+(:func:`~repro.compiler.codegen.fused.merge_duplicates`).  All passes
+preserve trigger semantics; ``tests/test_optimizer.py`` checks
+value-equivalence on random inputs.
 """
 
 from __future__ import annotations

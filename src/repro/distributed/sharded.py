@@ -305,13 +305,13 @@ class ShardBackend(DenseBackend):
         return a
 
 
-def unshardable(program, triggers) -> str | None:
+def unshardable(program, rank: int = 1) -> str | None:
     """Why no shard engine can maintain ``program`` — ``None`` if one can.
 
     The one "can this program shard" question, asked of the lowered
-    lists of ``triggers`` (``program``'s, as the session would compile
-    them): every view shares one tile decomposition, so all are declared
-    with one square shape; and a stored view (or its hoisted transpose)
+    lists a session compiles for updates of width ``rank``: every view
+    shares one tile decomposition, so all are declared with one square
+    shape; and a stored view (or its hoisted transpose)
     appears only where a tile kernel exists — as the left operand of a
     ``matmul`` with a thin block, or as the target of a factored
     ``outer`` apply.  ``inv`` of a view, a thin block left-multiplying
@@ -319,13 +319,14 @@ def unshardable(program, triggers) -> str | None:
     tile kernel.
     """
     from ..compiler.codegen.fused import lower_trigger
+    from ..compiler.compile import compile_program
 
     symbols = [*program.inputs, *(stmt.target for stmt in program.statements)]
     if len({dim for sym in symbols for dim in sym.shape}) != 1:
         declared = ", ".join(f"{sym.name}{sym.shape}" for sym in symbols)
         return (f"sharded views share one tile decomposition and must be "
                 f"square matrices of one order, got {declared}")
-    for trigger in triggers.values():
+    for trigger in compile_program(program, rank=rank).values():
         lowered = lower_trigger(trigger)
         stored = set(lowered.views)
         for op in (*lowered.ops, *lowered.applies):

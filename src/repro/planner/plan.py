@@ -9,8 +9,7 @@ space LINVIEW exposes after the backend refactor:
 * **backend** — the execution backend (``repro.backends``);
 * **mode** — trigger execution: ``"interpret"`` (AST executor) or
   ``"codegen"`` (generated Python, sessions only);
-* **rank** / **optimize** — what the triggers are compiled for: the
-  update width and the Section 6 optimizer switch.
+* **rank** — the update width the triggers are compiled for.
 
 A plan is the whole recipe of a session: every session carries the one
 it was built from as ``session.plan`` (docs/invariants.md, "One build
@@ -88,8 +87,6 @@ class MaintenancePlan:
     #: Trigger compilation width: the expected rank of incoming factored
     #: updates (``rank_program`` cells carry ``stats.update_rank``).
     rank: int = 1
-    #: Run the Section 6 optimizer pipeline over each compiled trigger.
-    optimize: bool = False
 
     def __post_init__(self):
         if self.strategy not in (REEVAL, INCR, HYBRID):

@@ -189,8 +189,9 @@ def _stream_statistics(distinct, batch_hint: int | None, rank: int):
     return fractions, splits
 
 
-def plan_powers(stats: WorkloadStats) -> MaintenancePlan:
-    """Cheapest plan for maintaining ``A^k`` (Section 5.2 workloads)."""
+def plan_powers(stats: WorkloadStats, backend=None) -> MaintenancePlan:
+    """Cheapest plan for maintaining ``A^k`` (Section 5.2 workloads);
+    a ``backend`` the driver runs on is the only one priced."""
     best = recommend_powers(
         stats.n, stats.k,
         gamma=stats.gamma,
@@ -198,6 +199,7 @@ def plan_powers(stats: WorkloadStats) -> MaintenancePlan:
         density=stats.density,
         rank=stats.update_rank,
         refreshes=stats.refresh_count,
+        backends=None if backend is None else (backend,),
     )[0]
     return MaintenancePlan(
         best.strategy, best.model, best.s, best.backend, "interpret",
@@ -205,8 +207,9 @@ def plan_powers(stats: WorkloadStats) -> MaintenancePlan:
     )
 
 
-def plan_general(stats: WorkloadStats) -> MaintenancePlan:
-    """Cheapest plan for ``T_{i+1} = A T_i + B`` (Section 5.3 workloads)."""
+def plan_general(stats: WorkloadStats, backend=None) -> MaintenancePlan:
+    """Cheapest plan for ``T_{i+1} = A T_i + B`` (Section 5.3 workloads);
+    a ``backend`` the driver runs on is the only one priced."""
     best = recommend_general(
         stats.n, stats.p, stats.k,
         gamma=stats.gamma,
@@ -215,6 +218,7 @@ def plan_general(stats: WorkloadStats) -> MaintenancePlan:
         rank=stats.update_rank,
         refreshes=stats.refresh_count,
         has_b=stats.has_b,
+        backends=None if backend is None else (backend,),
     )[0]
     return MaintenancePlan(
         best.strategy, best.model, best.s, best.backend, "interpret",
@@ -235,7 +239,6 @@ def rank_program(
     price_batching: bool = False,
     nodes=(1,),
     memo: dict | None = None,
-    optimize: bool = False,
 ) -> list[MaintenancePlan]:
     """Every admissible session plan, cheapest first.
 
@@ -251,9 +254,8 @@ def rank_program(
     Sharded cells (``N > 1``) exist only for
     dense INCR over programs whose lowered trigger lists the tile
     kernels can run (:func:`repro.distributed.sharded.unshardable`,
-    asked of the triggers a session would compile: at ``stats``'s update
-    rank, through the Section 6 optimizer when ``optimize`` — which
-    every cell carries, like ``rank`` — says so) and are priced with the Amdahl + IPC comm term
+    asked of the triggers a session would compile at ``stats``'s update
+    rank) and are priced with the Amdahl + IPC comm term
     (:func:`repro.cost.estimate.sharded_refresh_cost`), so tiny views
     lose to single-process on the IPC tax while large dense chains win.
     ``inputs``
@@ -284,7 +286,7 @@ def rank_program(
     one program: the calibrated backends, the per-cell ``rank ->
     cost`` walks of the program tree and whether the program shards
     are kept in it and reused while dimensions, measured densities,
-    update input, calibration and ``optimize`` are what they were, and
+    update input and calibration are what they were, and
     dropped when one moves — so a periodic
     re-ranking of an unchanged workload walks nothing twice and returns
     the same floats.
@@ -311,8 +313,7 @@ def rank_program(
             for sym in program.inputs)
 
     memo = {} if memo is None else memo
-    valid_for = (program, resolved_dims, densities, update_input, calibration,
-                 optimize)
+    valid_for = (program, resolved_dims, densities, update_input, calibration)
     if memo.get("valid_for") != valid_for:
         memo.clear()
         memo["valid_for"] = valid_for
@@ -322,11 +323,9 @@ def rank_program(
 
     node_counts = sorted({max(int(count), 1) for count in nodes}) or [1]
     if any(count > 1 for count in node_counts) and "shardable" not in memo:
-        from ..compiler.compile import compile_program
         from ..distributed.sharded import unshardable
 
-        memo["shardable"] = unshardable(program, compile_program(
-            program, rank=rank, optimize=optimize)) is None
+        memo["shardable"] = unshardable(program, rank) is None
     shardable = memo.get("shardable", False)
     target = update_input or program.input_names[0]
     target_n = resolve_dim(program.input(target).shape.rows, resolved_dims)
@@ -365,7 +364,6 @@ def rank_program(
                 strategy, "linear", None, be.name, mode,
                 predicted, cost.space, batch_size=batch,
                 partition=partition, heavy_budget=heavy_budget, rank=rank,
-                optimize=optimize,
             ))
             for count in node_counts:
                 # Sharded cells: dense INCR over programs the tile
@@ -384,7 +382,7 @@ def rank_program(
                 candidates.append(MaintenancePlan(
                     strategy, "linear", None, be.name, mode,
                     predicted_sharded, cost.space, batch_size=batch,
-                    nodes=count, rank=rank, optimize=optimize,
+                    nodes=count, rank=rank,
                 ))
     if not candidates:
         raise RuntimeError("no execution backend available to plan over")
@@ -403,7 +401,6 @@ def plan_program(
     strategies=(REEVAL, INCR),
     calibration="auto",
     nodes=(1,),
-    optimize: bool = False,
 ) -> MaintenancePlan:
     """Cheapest plan for maintaining a compiled program in a session.
 
@@ -413,13 +410,13 @@ def plan_program(
     dimension bindings and measured densities; ``stats`` supplies the
     update rank and expected refresh count (its other fields are not
     consulted here — densities always come from the inputs).  See
-    :func:`rank_program` for the ``calibration`` and ``optimize`` axes
-    and the full ranked grid.
+    :func:`rank_program` for the ``calibration`` axis and the full
+    ranked grid.
     """
     return rank_program(
         program, inputs, stats=stats, dims=dims, update_input=update_input,
         backends=backends, strategies=strategies, calibration=calibration,
-        nodes=nodes, optimize=optimize,
+        nodes=nodes,
     )[0]
 
 

@@ -12,10 +12,10 @@ for maintenance sessions:
   format: a ``LVCK`` magic + version header, a JSON manifest (header
   v3: array names/shapes, ``plan`` — every build axis, stored once —
   ``update_count``, ``dims`` and one ``deferral`` entry: spec, resolved
-  cell, policy state; a ``fused`` entry written by older v3 files is
-  read and ignored), the raw float64 view payload,
-  and a SHA-256 trailer over everything before it.  Files land via temp-file +
-  :func:`os.replace`, so a crash mid-write leaves the previous
+  cell, policy state; a ``fused`` entry and a ``plan.optimize`` field
+  written by older v3 files are read and ignored), the raw float64 view
+  payload and a SHA-256 trailer over everything before it.  Files land
+  via temp-file + :func:`os.replace`, so a crash mid-write leaves the previous
   checkpoint untouched; a torn file fails its checksum and loads raise
   :class:`CheckpointCorruptError` instead of returning garbage.
 * :class:`CheckpointManager` — a ``keep``-bounded directory of
@@ -36,9 +36,9 @@ for maintenance sessions:
 
 Checkpoints capture everything value-affecting: view arrays, the
 session's :class:`~repro.planner.plan.MaintenancePlan` — the whole
-build recipe, ``rank``/``optimize`` included (an update of another
-width than ``rank`` runs on other buffers, which changes operand
-layouts) — and the deferral slot through its public surface only — the session's
+build recipe, ``rank`` included (an update of another width than
+``rank`` runs on other buffers, which changes operand layouts) — and
+the deferral slot through its public surface only — the session's
 :class:`~repro.runtime.batching.DeferralSpec`, the cell it resolved to
 and the policy's own ``capture()`` (for heavy-light: occupancy sketch,
 heavy-set membership, retune phase).  They deliberately do *not*
@@ -296,7 +296,8 @@ def rebuild_session(program, header: dict, arrays: dict[str, np.ndarray],
     The stored plan goes back through
     :func:`~repro.runtime.session.build_session`, so the restored
     session compiles exactly the triggers the checkpointed one ran
-    (strategy, backend, mode, rank, optimizer).  Views are adopted by
+    (strategy, backend, mode, rank); a stored field the plan no longer
+    has (an older file's ``optimize``) is dropped.  Views are adopted by
     value — nothing is re-evaluated, and the
     freshly decoded ``arrays`` are handed over to the session's store
     rather than copied again — and the deferral slot is re-resolved

@@ -428,7 +428,7 @@ class ReplanMonitor(SessionDriftMonitor):
         self.replans.append(event)
         if event.switched:
             # The ranked cell is the whole recipe of the new session: it
-            # carries the observed rank and this session's ``optimize``.
+            # carries the observed rank.
             self.session = session.with_plan(best)
             if not self._custom_rebuild:
                 # Rebind the default rebuild hook to the *new* session.
@@ -477,7 +477,6 @@ class ReplanMonitor(SessionDriftMonitor):
             update_input=self._update_target, calibration=self.calibration,
             backends=None if running == "dense" else ("dense", running),
             amortize_setup=False, nodes=node_grid, memo=self._rank_memo,
-            optimize=session.plan.optimize,
         )
         current = next(
             (c for c in ranked

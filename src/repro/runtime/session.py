@@ -21,10 +21,11 @@ as ``session.plan`` (a directly constructed session synthesizes its
 plan from its arguments).
 
 Triggers have one lowered form (:mod:`repro.compiler.codegen.fused`): a
-flat kernel list with buffers, hoisted transposes and the
-evaluate-all-then-apply-all order made explicit.  Both execution modes
-run it — through the backend's ``*_into`` kernels, into buffers leased
-once from the session's :class:`~repro.runtime.workspace.Workspace`,
+flat kernel list with buffers, hoisted transposes, identical records
+merged and the evaluate-all-then-apply-all order made explicit.  Both
+execution modes run it — through the backend's ``*_into`` kernels, into
+buffers leased once from the session's
+:class:`~repro.runtime.workspace.Workspace`,
 repairing views **in place** — so they share ops, operand layouts and
 association order by construction (bit-for-bit equal on the dense
 backend) and a warmed-up dense session performs zero heap allocation
@@ -503,8 +504,8 @@ class Session:
         (re)compile their triggers, and **no view is re-evaluated**.
         ``plan`` is the whole recipe (:func:`build_session`): no axis is
         inherited from this session's plan — a caller keeps one with
-        ``dataclasses.replace(plan, optimize=self.plan.optimize)``.  The
-        update counter carries over.  The superseded session is never
+        ``dataclasses.replace(plan, rank=self.plan.rank)``.  The update
+        counter carries over.  The superseded session is never
         written through:
         on a backend change the new session gets an independent copy of
         the state, and on a same-backend switch the store itself changes
@@ -575,13 +576,11 @@ class IVMSession(Session):
         triggers are compiled and their buffers shaped for.  Updates of
         any other width are accepted in both modes, at their true cost
         (they allocate their temporaries).
-    optimize:
-        Run the Section 6 optimizer pipeline over each trigger.
     mode:
         ``"interpret"`` or ``"codegen"`` (see module docstring).
 
-    A ``plan`` wins over ``rank`` / ``optimize`` / ``mode``: the
-    triggers are compiled from ``session.plan`` and nothing else.
+    A ``plan`` wins over ``rank`` / ``mode``: the triggers are compiled
+    from ``session.plan`` and nothing else.
     """
 
     strategy = "INCR"
@@ -592,19 +591,18 @@ class IVMSession(Session):
         inputs: Mapping[str, np.ndarray],
         dims: Mapping[str, int] | None = None,
         rank: int = 1,
-        optimize: bool = False,
         mode: str = "interpret",
         counter: counters.Counter = counters.NULL_COUNTER,
         backend=None,
         plan=None,
     ):
         super().__init__(program, inputs, dims, counter, backend, plan,
-                         mode=mode, rank=rank, optimize=optimize)
+                         mode=mode, rank=rank)
         plan = self.plan
         self.mode = plan.mode
 
         self.triggers: dict[str, Trigger] = compile_program(
-            program, rank=plan.rank, optimize=plan.optimize)
+            program, rank=plan.rank)
         #: Scratch buffers of every trigger's lowered form.
         self.workspace = Workspace()
         #: Input name -> bound executor of its trigger's lowered form.
@@ -736,8 +734,7 @@ class ShardedSession(IVMSession):
         missing = [name for name in program.input_names if name not in inputs]
         if missing:
             raise ValueError(f"missing initial values for inputs: {missing}")
-        refusal = unshardable(program, compile_program(
-            program, rank=plan.rank, optimize=plan.optimize))
+        refusal = unshardable(program, plan.rank)
         if refusal is not None:
             raise UnsupportedCombinationError(
                 f"cannot maintain this program on {plan.nodes} nodes: "
@@ -954,18 +951,18 @@ def build_session(
     :meth:`Session.with_plan`, checkpoint restore, the catalog and the
     CLI all land here.  ``inputs`` are initial values or a live
     :class:`~repro.runtime.views.ViewStore` to adopt; ``plan.strategy``
-    / ``plan.nodes`` pick the class, ``plan.rank`` / ``plan.optimize`` /
-    ``plan.mode`` compile the triggers, and a ``backend`` *instance*
+    / ``plan.nodes`` pick the class, ``plan.rank`` / ``plan.mode``
+    compile the triggers, and a ``backend`` *instance*
     wins over the plan's backend name.  The returned session's ``plan``
     is what was actually built: a REEVAL plan runs ``mode="interpret"``
     (it has no trigger code), and a sharded plan the shared-memory
     budget cannot hold opens single-process with a ``RuntimeWarning``.
     A sharded plan (``nodes > 1``) takes any program whose lowered
     trigger lists the tile kernels can run, in either mode; one they
-    cannot — a stored view under ``inv``, a non-factored apply, a
-    non-dense backend, views that are not square matrices of one order
-    — raises :class:`UnsupportedCombinationError` before any worker
-    process starts (:func:`~repro.distributed.sharded.unshardable`).
+    cannot — a stored view under ``inv``, a non-dense backend, views
+    that are not square matrices of one order — raises
+    :class:`UnsupportedCombinationError` before any worker process
+    starts (:func:`~repro.distributed.sharded.unshardable`).
     """
     if plan.strategy not in ("INCR", "REEVAL"):
         raise ValueError(
@@ -1009,7 +1006,6 @@ def open_session(
     mode: str | None = None,
     rank: int | None = None,
     refresh_count: int | None = None,
-    optimize: bool | None = None,
     counter: counters.Counter = counters.NULL_COUNTER,
     drift=None,
     replan=None,
@@ -1042,7 +1038,7 @@ def open_session(
         ``predicted_time`` / ``predicted_space`` = ``nan`` ("not
         priced"), and the pricing modules are not imported
         (:func:`repro.planner.plan.determined_plan`).
-    backend, mode, rank, optimize:
+    backend, mode, rank:
         Explicit overrides that win over whatever the plan says
         (``None`` defers to it — to the planner's cell, or to a
         :class:`~repro.planner.plan.MaintenancePlan` given verbatim).
@@ -1052,10 +1048,9 @@ def open_session(
         (``replan=``) and a checkpoint restore resolve a default
         instance by that name.  ``rank`` is the expected width of
         incoming factored updates — the planning statistic and, as
-        ``plan.rank``, the trigger compilation width; ``optimize`` runs
-        the Section 6 optimizer over each trigger (``plan.optimize``).
-        Both stay on ``session.plan``, so a re-planning switch and a
-        checkpoint restore compile the same triggers.
+        ``plan.rank``, the trigger compilation width.  It stays on
+        ``session.plan``, so a re-planning switch and a checkpoint
+        restore compile the same triggers.
     refresh_count:
         Expected number of updates this session will absorb; amortizes
         setup cost in planning and gates codegen.  ``None`` uses the
@@ -1280,13 +1275,11 @@ def open_session(
 
                 plan = plan_program(
                     program, inputs, stats=stats, dims=dims,
-                    strategies=strategies, nodes=node_grid,
-                    optimize=bool(optimize))
+                    strategies=strategies, nodes=node_grid)
         # The caller's backend is the object the session runs on (an
         # instance keeps its thresholds); the plan records its name.
         session = build_session(
-            program, inputs,
-            plan.with_overrides(mode=mode, rank=rank, optimize=optimize),
+            program, inputs, plan.with_overrides(mode=mode, rank=rank),
             dims, counter, backend, shard, supervise)
         session.install_deferral(session.plan, spec)
 

@@ -1,9 +1,9 @@
 """One build path: the plan is the recipe, and it survives every rebuild.
 
-``rank`` and ``optimize`` decide which triggers a session compiles, so
-they are plan axes like strategy or backend: a re-planning switch, a
-checkpoint written after it and a catalog rebuild must all go back to
-the same recipe (docs/invariants.md, "One build path").
+``rank`` decides which triggers a session compiles, so it is a plan
+axis like strategy or backend: a re-planning switch, a checkpoint
+written after it and a catalog rebuild must all go back to the same
+recipe (docs/invariants.md, "One build path").
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.catalog import ViewCatalog
-from repro.compiler.compile import compile_program
-from repro.compiler.optimizer import optimize_trigger
 from repro.frontend import parse_program
 from repro.runtime import FactoredUpdate, IVMSession, open_session
 from repro.runtime.checkpoint import load_checkpoint
@@ -31,20 +29,15 @@ def _rank2(rng, count):
             for _ in range(count)]
 
 
-def _optimized_text(program, rank):
-    return {name: str(optimize_trigger(trigger))
-            for name, trigger in compile_program(program, rank=rank).items()}
-
-
-def test_replan_switch_keeps_optimize_and_observed_rank(rng, tmp_path):
+def test_replan_switch_keeps_observed_rank(rng, tmp_path):
     # Opened on a REEVAL plan the grid prices far above INCR, with next
     # to no hysteresis: the first check must switch strategy.
     monitor = open_session(
         CHAIN, {"A": _operator(rng)}, dims={"n": N}, plan="reeval",
-        optimize=True, refresh_count=200, batch="off",
+        refresh_count=200, batch="off",
         replan={"check_every": 8, "switch_margin": 1e-9},
         checkpoint={"directory": tmp_path, "every": 1000})
-    assert monitor.plan.optimize is True
+    assert monitor.plan.rank == 1
     checkpointer = monitor.session.checkpointer
     for update in _rank2(rng, 24):
         monitor.apply_update(update)
@@ -53,32 +46,29 @@ def test_replan_switch_keeps_optimize_and_observed_rank(rng, tmp_path):
     session = monitor.session
     assert isinstance(session, IVMSession)
     assert monitor.plan is session.plan
-    assert session.plan.optimize is True and session.plan.rank == 2
-    got = {name: str(trigger) for name, trigger in session.triggers.items()}
-    assert got == _optimized_text(CHAIN, rank=2)
-    assert got != {name: str(trigger) for name, trigger
-                   in compile_program(CHAIN, rank=2).items()}
+    assert session.plan.rank == 2
+    assert [trigger.params[0].shape.cols
+            for trigger in session.triggers.values()] == [2]
 
     # The checkpointer followed the switch and records the new recipe.
     assert checkpointer is session.checkpointer
     header, _ = load_checkpoint(checkpointer.checkpoint())
-    assert header["plan"]["optimize"] is True
+    assert "optimize" not in header["plan"]
     assert header["plan"]["rank"] == 2
     assert header["plan"]["strategy"] == "INCR"
     restored = session.restore()
     assert restored.plan == session.plan
 
 
-def test_catalog_rebuild_keeps_rank_and_optimize(rng):
+def test_catalog_rebuild_keeps_rank(rng):
     a0 = _operator(rng)
-    catalog = ViewCatalog(rank=2, optimize=True, mode="codegen",
+    catalog = ViewCatalog(rank=2, mode="codegen",
                           memory_budget=N * N * 8)  # one admitted node
     tenant = catalog.open(CHAIN, {"A": a0}, dims={"n": N})
     assert catalog.stats.evictions >= 1  # the eviction rebuilt the session
 
     inner = catalog._session
-    got = {name: str(trigger) for name, trigger in inner.triggers.items()}
-    assert got == _optimized_text(inner.program, rank=2)
+    assert inner.triggers["A"].params[0].shape.cols == 2
     assert inner.plan.rank == 2 and inner.mode == "codegen"
     assert inner._executors["A"].__globals__["_rank"] == 2
 

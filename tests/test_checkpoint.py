@@ -193,24 +193,24 @@ class TestRoundTrip:
     def test_compile_axes_survive_a_direct_capture(self, mode, rank,
                                                    optimize):
         """The plan is the whole recipe: a directly built session's
-        compile width and optimizer switch restore from the one-argument
-        ``capture_session`` form, and the restored triggers keep
-        summing in the live session's order."""
+        compile width restores from the one-argument ``capture_session``
+        form, and the restored triggers keep summing in the live
+        session's order.  A v3 header written while sessions had
+        ``fused`` and ``optimize`` switches carries them, at either
+        position; both are read and dropped."""
         prog = gram_chain()
-        session = IVMSession(prog, {"A": operator()}, rank=rank,
-                             optimize=optimize, mode=mode)
+        session = IVMSession(prog, {"A": operator()}, rank=rank, mode=mode)
         for update in stream(5, rank=rank):
             session.apply_update(update)
         header, arrays = capture_session(session)
-        assert "fused" not in header
-        # A v3 file written while sessions had a ``fused`` switch still
-        # carries it (here: its off position); it is read and ignored.
+        assert "fused" not in header and "optimize" not in header["plan"]
         header["fused"] = False
+        header["plan"]["optimize"] = optimize
         restored = rebuild_session(prog, *deserialize_state(
             serialize_state(header, arrays)))
         assert restored.plan.label == session.plan.label
         assert restored.plan.rank == rank
-        assert restored.plan.optimize is optimize
+        assert not hasattr(restored.plan, "optimize")
         assert str(restored.triggers["A"]) == str(session.triggers["A"])
         assert restored.triggers["A"].params[0].shape.cols == rank
         for update in stream(50, seed=8, rank=rank):
@@ -219,6 +219,33 @@ class TestRoundTrip:
         for name in ("V", "W"):
             assert np.array_equal(np.asarray(session[name]),
                                   np.asarray(restored[name])), name
+
+    def test_optimize_true_snapshot_restores_onto_the_merged_trigger(self):
+        """An ``optimize: true`` session ran the Section 6 AST optimizer
+        over its triggers.  Its snapshot restores onto today's trigger
+        (identical lowered records merged), so the continued trajectory
+        is allclose to the one the AST-optimized trigger would have run,
+        not bitwise: CSE regroups sums."""
+        from repro.compiler import compile_program, optimize_trigger
+        from repro.compiler.codegen.fused import compile_trigger_function
+
+        prog = gram_chain()
+        session = IVMSession(prog, {"A": operator()})
+        for update in stream(5):
+            session.apply_update(update)
+        header, arrays = capture_session(session)
+        header["plan"]["optimize"] = True
+        old = {name: array.copy() for name, array in arrays.items()}
+        restored = rebuild_session(prog, *deserialize_state(
+            serialize_state(header, arrays)))
+        optimized = compile_trigger_function(
+            optimize_trigger(compile_program(prog)["A"]), {})
+        for update in stream(20, seed=8):
+            restored.apply_update(update)
+            optimized(old, update.u_block, update.v_block)
+        for name in ("V", "W"):
+            np.testing.assert_allclose(restored[name], old[name],
+                                       rtol=1e-10, atol=1e-14)
 
     def test_cold_restore_resumes_update_count(self, tmp_path):
         prog = gram_chain()

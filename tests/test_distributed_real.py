@@ -692,27 +692,22 @@ RECTANGULAR_SRC = "input A(n, m); B := A * A'; output B;"
 class TestTypedRefusal:
     """What no tile kernel can run is refused before a process starts."""
 
-    @pytest.mark.parametrize("src, shape, plan_axes, message", [
+    @pytest.mark.parametrize("src, shape, message", [
         # The Woodbury trigger left-multiplies W by a thin row.
-        (INVERSE_SRC, (16, 16), {}, "matmul.*on a stored view"),
-        # The optimizer's CSE turns ``A += u v'`` into a dense delta.
-        (CHAIN_SRC, (16, 16), {"optimize": True},
-         "applyadd.*on a stored view"),
-        (RECTANGULAR_SRC, (16, 8), {}, "square matrices of one order"),
-        (CHAIN_SRC, (16, 8), {}, "square inputs of one order"),
+        (INVERSE_SRC, (16, 16), "matmul.*on a stored view"),
+        (RECTANGULAR_SRC, (16, 8), "square matrices of one order"),
+        (CHAIN_SRC, (16, 8), "square inputs of one order"),
     ])
-    def test_unrunnable_plan_raises_before_any_spawn(
-            self, src, shape, plan_axes, message):
-        import dataclasses
-
+    def test_unrunnable_plan_raises_before_any_spawn(self, src, shape,
+                                                      message):
         from repro.frontend import parse_program
         from repro.runtime.session import (UnsupportedCombinationError,
                                            build_session)
 
-        plan = dataclasses.replace(_sharded_plan(2), **plan_axes)
         before = _workers()
         with pytest.raises(UnsupportedCombinationError, match=message):
-            build_session(parse_program(src), {"A": np.ones(shape)}, plan)
+            build_session(parse_program(src), {"A": np.ones(shape)},
+                          _sharded_plan(2))
         assert _workers() == before
 
     def test_non_dense_backend_refused(self):
@@ -750,48 +745,17 @@ class TestTypedRefusal:
         assert all(cell.nodes == 1 for cell in cells)
 
     def test_planner_judges_the_triggers_the_session_will_compile(self):
-        # Optimized, the chain's applies are no longer factored: the
-        # planner must see what the builder sees, not offer a cell the
-        # builder then refuses.
+        # The planner offers a sharded cell exactly where the builder,
+        # asking the same question of the same lowered lists, accepts.
+        from repro.distributed.sharded import unshardable
         from repro.frontend import parse_program
         from repro.planner import rank_program
 
-        program, inputs = parse_program(CHAIN_SRC), {"A": np.ones((256, 256))}
-        memo: dict = {}
-        plain = rank_program(program, inputs, nodes=(1, 4), memo=memo)
-        optimized = rank_program(program, inputs, nodes=(1, 4), memo=memo,
-                                 optimize=True)
-        assert any(cell.nodes == 4 for cell in plain)
-        assert all(cell.nodes == 1 for cell in optimized)
-        assert all(cell.optimize for cell in optimized)
-        assert not any(cell.optimize for cell in plain)
-
-    def test_nodes_budget_with_optimize_opens_single_process(
-            self, monkeypatch):
-        # ``nodes=N`` is a budget.  Where the sharded cell wins (forced
-        # here by pricing it at nothing, to keep n small), asking for
-        # the optimizer too must fall to a single-process cell, not
-        # raise.
-        import repro.planner.planner as planner
-        from repro.frontend import parse_program
-        from repro.runtime import ShardedSession, open_session
-
-        monkeypatch.setattr(planner, "sharded_refresh_cost",
-                            lambda *args, **kwargs: 0.0)
-        program, a = parse_program(CHAIN_SRC), _operator(48)
-        before = _workers()
-        with open_session(program, {"A": a}, nodes=(1, 2)) as sharded:
-            assert isinstance(sharded, ShardedSession)
-        with open_session(program, {"A": a}, nodes=(1, 2),
-                          optimize=True) as session:
-            assert not isinstance(session, ShardedSession)
-            assert session.plan.nodes == 1 and session.plan.optimize
-            assert _workers() == before
-            u, v = _stream(48, 1)[0]
-            _refresh(session, u, v)
-            b = a + u @ v.T
-            np.testing.assert_allclose(session["C"], b @ (b @ b),
-                                       rtol=1e-9, atol=1e-12)
+        for src, shards in ((CHAIN_SRC, True), (INVERSE_SRC, False)):
+            program, inputs = parse_program(src), {"A": np.eye(256)}
+            cells = rank_program(program, inputs, nodes=(1, 4))
+            assert any(cell.nodes == 4 for cell in cells) is shards
+            assert (unshardable(program) is None) is shards
 
 
 class TestPlannerNodesGrid:

@@ -18,12 +18,15 @@ from hypothesis import strategies as st
 
 from exprgen import ExprPool, shaped_expr
 from repro.compiler import Program, Statement, compile_program
+from repro.compiler.codegen import fused
 from repro.compiler.codegen.fused import (
     compile_fused_trigger,
     compile_trigger_function,
     generate_python_trigger,
     lower_trigger,
+    merge_duplicates,
 )
+from repro.compiler.trigger import Assign, Trigger, Update
 from repro.expr import (
     MatrixSymbol,
     NamedDim,
@@ -33,6 +36,7 @@ from repro.expr import (
     to_string,
     transpose,
 )
+from repro.frontend import parse_program
 from repro.runtime import EvaluationError, FactoredUpdate, evaluate
 from repro.runtime.session import IVMSession
 from repro.runtime.workspace import Workspace
@@ -64,6 +68,19 @@ def _reevaluated(program, inputs, updates):
     for stmt in program.statements:
         env[stmt.target.name] = np.array(evaluate(stmt.expr, env))
     return env
+
+
+def _unmerged(trigger):
+    """``trigger``'s list as the lowering emits it, before the merge."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fused, "merge_duplicates", lambda lowered: lowered)
+        return lower_trigger(trigger)
+
+
+def _merged_records(program) -> int:
+    """Records the merge pass removes from ``program``'s triggers."""
+    return sum(len(_unmerged(trigger).ops) - len(lower_trigger(trigger).ops)
+               for trigger in compile_program(program).values())
 
 
 def _rank_one_updates(rng, sym, n, count):
@@ -144,19 +161,20 @@ class TestBoundedExhaustiveEnumeration:
         # Both inputs' triggers fire, twice each, on one session pair.
         updates = [update for _ in range(2) for sym in leaves
                    for update in _rank_one_updates(rng, sym, n, 1)]
-        trees = grow(leaves)
-        differing = [
-            to_string(expr) for expr in trees
-            if _mismatches(Program(
-                leaves, [Statement(MatrixSymbol("V", n, n), expr)]),
-                inputs, updates)
-        ]
-        return len(trees), differing
+        programs = {
+            to_string(expr): Program(
+                leaves, [Statement(MatrixSymbol("V", n, n), expr)])
+            for expr in grow(leaves)}
+        differing = [text for text, program in programs.items()
+                     if _mismatches(program, inputs, updates)]
+        # The sessions run merged lists; the tier must give the pass work.
+        merging = sum(map(_merged_records, programs.values()))
+        return len(programs), differing, merging
 
     @pytest.mark.parametrize("n", [2, 4, 64])
     def test_every_tree_to_depth_two(self, n):
-        count, differing = self._differing(n, _trees_to_depth_two)
-        assert count > 200
+        count, differing, merging = self._differing(n, _trees_to_depth_two)
+        assert count > 200 and merging > 0
         assert not differing, (
             f"modes differ on {len(differing)} cases: {differing[:10]}")
 
@@ -168,10 +186,10 @@ class TestBoundedExhaustiveEnumeration:
         once a computed temporary (a sum of two transposed views, say)
         is an operand of a product, and no tree of depth 2 is big
         enough for that — the counter-example has depth 3."""
-        count, differing = self._differing(
+        count, differing, merging = self._differing(
             n, lambda leaves: _as_factors(_trees_to_depth_two(leaves),
                                           leaves))
-        assert count > 800
+        assert count > 800 and merging > 0
         assert not differing, (
             f"modes differ on {len(differing)} cases: {differing[:10]}")
 
@@ -289,8 +307,6 @@ class TestOneListEveryFiring:
         assert _mismatches(program, inputs, updates) == []
 
     def test_inverse_lowers_without_a_buffer(self):
-        from repro.compiler.trigger import Assign, Trigger, Update
-
         n = 4
         a_sym = MatrixSymbol("A", n, n)
         u_sym = MatrixSymbol("u_A", n, 1)
@@ -372,3 +388,137 @@ class TestPrintedForm:
             "re-binding the same trigger should reuse the arena's buffers"
         )
         assert fn2.__name__ == fn.__name__ == "on_update_A"
+
+
+def _ols(m=20, n=8):
+    x, z, w = (MatrixSymbol("X", m, n), MatrixSymbol("Z", n, n),
+               MatrixSymbol("W", n, n))
+    return Program([x], [Statement(z, matmul(transpose(x), x)),
+                         Statement(w, inverse(z))])
+
+
+def _tenants(count=8):
+    """``catalog_tenants``' shared chain with ``count`` private views,
+    each stacking the same ``[V_C, v_A]``."""
+    return parse_program("input A(n, n); B := A * A; C := B * B; " + "".join(
+        f"P{i} := {i + 2} * C + A; " for i in range(count)))
+
+
+def _final_views(program, inputs, updates, mode, merge=True):
+    """Every stored array after ``updates``, on merged or raw lists."""
+    with pytest.MonkeyPatch.context() as patch:
+        if not merge:
+            patch.setattr(fused, "merge_duplicates", lambda lowered: lowered)
+        session = IVMSession(
+            program, {k: np.array(v) for k, v in inputs.items()},
+            dims={"n": 8}, mode=mode)
+        for update in updates:
+            session.apply_update(update)
+        return {name: np.array(session[name])
+                for name in (*program.input_names, *program.view_names)}
+
+
+class TestMergedRecords:
+    """Identical pure records merge on the lowered list, which both
+    modes run: interpret == codegen stays bitwise, and so does the list
+    the lowering emitted before the merge."""
+
+    @pytest.mark.parametrize("program, inputs, input_name, merged", [
+        (_ols(), {"X": np.eye(20, 8) + 0.1}, "X", 1),
+        (_tenants(), {"A": 0.2 * np.eye(8) + 0.01}, "A", 7),
+    ], ids=["ols", "tenants"])
+    def test_merged_list_runs_bitwise_like_the_emitted_one(
+            self, rng, program, inputs, input_name, merged):
+        trigger = compile_program(program)[input_name]
+        raw, lowered = _unmerged(trigger), lower_trigger(trigger)
+        assert len(raw.ops) - len(lowered.ops) == merged
+        assert len(raw.buffers) - len(lowered.buffers) == merged
+        assert merge_duplicates(lowered) is lowered  # idempotent
+        # Applies are never merged; only the names they read move.
+        assert ([(op.kernel, op.dst) for op in lowered.applies]
+                == [(op.kernel, op.dst) for op in raw.applies])
+
+        rows, cols = inputs[input_name].shape
+        updates = [FactoredUpdate(input_name,
+                                  0.05 * rng.normal(size=(rows, 1)),
+                                  0.05 * rng.normal(size=(cols, 1)))
+                   for _ in range(4)]
+        want = _final_views(program, inputs, updates, "interpret",
+                            merge=False)
+        expected = _reevaluated(program, inputs, updates)
+        for mode in ("interpret", "codegen"):
+            got = _final_views(program, inputs, updates, mode)
+            for name, value in want.items():
+                assert np.array_equal(got[name], value), (mode, name)
+                np.testing.assert_allclose(value, expected[name],
+                                           rtol=1e-8, atol=1e-10)
+
+    def test_tenants_stack_their_shared_factor_once(self):
+        """Eight private views stack the same ``[V_C, v_A]``: one record
+        does, and every private view's apply reads it."""
+        lowered = lower_trigger(compile_program(_tenants())["A"])
+        stacks = [op.srcs[:-1] for op in lowered.ops if op.kernel == "hstack"]
+        assert len(stacks) == len(set(stacks))
+        private = [op for op in lowered.applies if op.dst.startswith("P")]
+        assert len(private) == 8 and len({op.srcs[2] for op in private}) == 1
+
+    def test_a_sum_spares_a_survivor_read_later(self):
+        """OLS: ``_t1 = X' u_X`` is summed in place into ``U_Z``'s
+        block, and ``V_Z`` reads the same product again.  Merged, the
+        sum writes into its other operand instead of over ``_t1``."""
+        lowered = lower_trigger(compile_program(_ols())["X"])
+        [product] = [op for op in lowered.ops
+                     if op.kernel == "matmul" and op.srcs[:2] == ("_T_X", "u_X")]
+        [total] = [op for op in lowered.ops
+                   if op.kernel == "add" and op.srcs[0] == product.dst]
+        assert total.srcs[2] == total.srcs[1] != product.dst
+        assert any(op.kernel == "hstack" and product.dst in op.srcs
+                   for op in lowered.ops if op.dst == "V_Z")
+
+    def _trigger(self, assigns):
+        n = 4
+        a, b = MatrixSymbol("A", n, n), MatrixSymbol("B", n, n)
+        u, v = MatrixSymbol("u_A", n, 1), MatrixSymbol("v_A", n, 1)
+        targets = [MatrixSymbol(f"T{i}", n, 1) for i in range(2)]
+        return Trigger("A", (u, v), [
+            Assign(target, build(a, b, u))
+            for target, build in zip(targets, assigns)
+        ], [Update(view, matmul(target, transpose(v)))
+            for view, target in zip((a, b), targets)])
+
+    @pytest.mark.parametrize("assigns, out", [
+        # Both operands of the first sum are read again: a fresh buffer.
+        ((lambda a, b, u: add(matmul(a, u), matmul(b, u)),) * 2, "_b"),
+        # The sum overwrites an ``inv`` result (no buffer), and its other
+        # operand is a view: a new allocation.
+        ((lambda a, b, u: matmul(add(inverse(a), b), u),
+          lambda a, b, u: matmul(inverse(a), u)), None),
+    ], ids=["fresh-buffer", "allocation"])
+    def test_a_sum_with_no_dead_operand(self, rng, assigns, out):
+        trigger = self._trigger(assigns)
+        lowered = lower_trigger(trigger)
+        assert len(lowered.ops) < len(_unmerged(trigger).ops)
+        first = next(op for op in lowered.ops if op.kernel == "add")
+        assert (first.srcs[2] is None if out is None
+                else first.srcs[2] in lowered.buffers)
+        assert merge_duplicates(lowered) is lowered
+
+        views = {"A": rng.normal(size=(4, 4)) + 4.0 * np.eye(4),
+                 "B": rng.normal(size=(4, 4))}
+        u, v = rng.normal(size=(4, 1)), rng.normal(size=(4, 1))
+        results = []
+        for build, merge in ((compile_trigger_function, True),
+                             (compile_fused_trigger, True),
+                             (compile_trigger_function, False)):
+            state = {name: value.copy() for name, value in views.items()}
+            with pytest.MonkeyPatch.context() as patch:
+                if not merge:
+                    patch.setattr(fused, "merge_duplicates",
+                                  lambda lowered: lowered)
+                fn = build(trigger, {})
+                for _ in range(2):  # the second firing reuses buffers
+                    fn(state, u, v)
+            results.append(state)
+        for state in results[1:]:
+            for name in views:
+                assert np.array_equal(state[name], results[0][name]), name

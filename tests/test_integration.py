@@ -29,7 +29,8 @@ output beta;
 
 class TestFullPipeline:
     def test_parse_optimize_codegen_run(self, rng):
-        """source -> AST -> triggers -> optimizer -> codegen -> stream."""
+        """source -> AST -> triggers -> optimizer -> Octave text, and the
+        session's own (merged, lowered) triggers -> stream."""
         program = parse_program(OLS_SOURCE)
         triggers = compile_program(program, dynamic_inputs=["X"])
         optimized = optimize_trigger(triggers["X"])
@@ -41,8 +42,7 @@ class TestFullPipeline:
         design[:6] += np.eye(6)
         inputs = {"X": design, "Y": rng.normal(size=(18, 2))}
         for mode in ("interpret", "codegen"):
-            incr = IVMSession(program, inputs, dims=sizes, mode=mode,
-                              optimize=True)
+            incr = IVMSession(program, inputs, dims=sizes, mode=mode)
             reeval = ReevalSession(program, inputs, dims=sizes)
             for event in update_stream(rng, "X", 18, 6, 5, scale=0.05):
                 incr.apply_update(event)

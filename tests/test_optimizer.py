@@ -120,32 +120,33 @@ class TestPipeline:
         )
 
     def test_cse_reduces_flops_on_ols_trigger(self, rng):
-        """X'u appears twice in dZ; CSE must make the trigger cheaper."""
+        """X'u appears twice in dZ.  A default session merges the two
+        identical lowered records, so an update costs fewer FLOPs than
+        the 2468 it cost with every record run."""
         program = self._ols_program()
         sizes = {"m": 20, "n": 8}
         design = rng.normal(size=(20, 8))
         design[:8] += np.eye(8)
 
-        plain_counter, opt_counter = Counter(), Counter()
-        plain = IVMSession(program, {"X": design}, dims=sizes,
-                           counter=plain_counter)
-        opt = IVMSession(program, {"X": design}, dims=sizes,
-                         counter=opt_counter, optimize=True)
-        plain_counter.reset()
-        opt_counter.reset()
-        update = FactoredUpdate("X", 0.1 * rng.normal(size=(20, 1)),
-                                0.1 * rng.normal(size=(8, 1)))
-        plain.apply_update(update)
-        opt.apply_update(update)
-        np.testing.assert_allclose(plain["W"], opt["W"], rtol=1e-8)
-        assert opt_counter.total_flops < plain_counter.total_flops
+        counter = Counter()
+        session = IVMSession(program, {"X": design}, dims=sizes,
+                             counter=counter)
+        counter.reset()
+        session.apply_update(FactoredUpdate(
+            "X", 0.1 * rng.normal(size=(20, 1)),
+            0.1 * rng.normal(size=(8, 1))))
+        assert counter.total_flops < 2468
 
     def test_optimized_trigger_streams_match_reeval(self, rng):
         program = self._ols_program()
         sizes = {"m": 16, "n": 6}
         design = rng.normal(size=(16, 6))
         design[:6] += np.eye(6)
-        opt = IVMSession(program, {"X": design}, dims=sizes, optimize=True)
+        opt = IVMSession(program, {"X": design}, dims=sizes)
+        # What ``repro compile --optimize`` emits, run before the first
+        # firing binds the session's own triggers.
+        opt.triggers = {name: optimize_trigger(trigger)
+                        for name, trigger in opt.triggers.items()}
         reeval = ReevalSession(program, {"X": design}, dims=sizes)
         for _ in range(5):
             update = FactoredUpdate("X", 0.05 * rng.normal(size=(16, 1)),

@@ -53,9 +53,11 @@ class TestMaintenancePlan:
         assert (forced.backend, forced.mode) == ("dense", "codegen")
         assert plan.with_overrides() is plan
         assert plan.with_overrides(backend="sparse", rank=None) is plan
-        assert plan.with_overrides(rank=3, optimize=True).rank == 3
+        assert plan.with_overrides(rank=3).rank == 3
         with pytest.raises(TypeError):
             plan.with_overrides(colour="red")
+        with pytest.raises(TypeError):
+            plan.with_overrides(optimize=True)
 
     def test_rank_is_validated(self):
         with pytest.raises(ValueError, match="rank"):
@@ -87,7 +89,7 @@ class TestMaintenancePlan:
             stored = json.loads(json.dumps(cell.as_dict()))
             assert stored.pop("label") == cell.label
             assert MaintenancePlan(**stored) == cell
-            assert cell.rank == 1 + tenant % 3 and cell.optimize is False
+            assert cell.rank == 1 + tenant % 3
 
     def test_as_dict_round_trips_json(self):
         import json
@@ -437,6 +439,48 @@ class TestDriverRouting:
         assert index.plan is not None
         index.add_edge(1, 2)
         assert index.revalidate() < 1e-8
+
+    @pytest.mark.parametrize("backend", [None, "dense", "sparse"])
+    def test_pagerank_plan_names_the_backend_that_runs(self, rng, backend):
+        """At 400 nodes the unnamed grid picks sparse: a named backend
+        must be the only one priced, not overridden after the fact."""
+        if backend == "sparse":
+            pytest.importorskip("scipy")
+        from repro.analytics import IncrementalPageRank
+        from repro.workloads import random_adjacency
+
+        index = IncrementalPageRank(random_adjacency(rng, 400, 4), k=8,
+                                    strategy="auto", backend=backend)
+        assert index.plan.backend == index._backend.name
+        assert backend in (None, index.plan.backend)
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_every_iterative_driver_prices_its_named_backend(self, rng,
+                                                             backend):
+        if backend == "sparse":
+            pytest.importorskip("scipy")
+        from repro.analytics import (
+            GradientDescentLR,
+            IncrementalPowerIteration,
+            KStepDistribution,
+            KStepTransitionMatrix,
+        )
+        from repro.analytics.markov import random_walk_matrix
+
+        adjacency = (rng.random((40, 40)) < 0.1).astype(float)
+        np.fill_diagonal(adjacency, 0.0)
+        p = random_walk_matrix(adjacency)
+        x = rng.normal(size=(60, 40)) * (rng.random((60, 40)) < 0.05)
+        drivers = [
+            KStepTransitionMatrix(p, k=4, strategy="auto", backend=backend),
+            KStepDistribution(p, np.full(40, 1 / 40), k=4, strategy="auto",
+                              backend=backend),
+            IncrementalPowerIteration(p, k=8, strategy="auto",
+                                      backend=backend),
+            GradientDescentLR(x, rng.normal(size=(60, 1)), k=4,
+                              strategy="auto", backend=backend),
+        ]
+        assert [driver.plan.backend for driver in drivers] == [backend] * 4
 
     def test_power_iteration_auto(self, rng):
         from repro.analytics import IncrementalPowerIteration

@@ -185,11 +185,16 @@ PARENT_CHARGES = {
               "scalar_mul": 144}, 23376)}),
 }
 
+#: Charges the merged list no longer makes over the three updates:
+#: ``X' * u_X`` appears twice in ``dZ`` and runs once (2 m n r FLOPs
+#: and n r doubles an update).
+MERGED = {("ols", 1): (1440, 288), ("ols", 2): (2880, 576)}
+
 
 class TestInterpretCharges:
     """The loop over the lowered form charges each record what the AST
     walk charged for the node it lowers (hoisted transposes are counted
-    once per firing; they carry no FLOPs)."""
+    once per firing; they carry no FLOPs), and a merged record nothing."""
 
     @pytest.mark.parametrize("rank", [1, 2])
     @pytest.mark.parametrize("name", sorted(PARENT_CHARGES))
@@ -216,8 +221,10 @@ class TestInterpretCharges:
                 target, 0.01 * rng.normal(size=(rows, rank)),
                 rng.normal(size=(cols, rank))))
         flops, nbytes = expected[rank]
+        saved_flops, saved_bytes = MERGED.get((name, rank), (0, 0))
+        flops = {**flops, "matmul": flops["matmul"] - saved_flops}
         assert counter.snapshot() == {**flops, "transpose": 0}
-        assert counter.bytes_allocated == nbytes
+        assert counter.bytes_allocated == nbytes - saved_bytes
         assert session.revalidate() < 1e-8
 
     def test_codegen_charges_nothing(self, rng):
