@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np

@@ -57,7 +57,6 @@ where ``views`` maps names to store-owned arrays (written in place).
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, NamedTuple
@@ -263,21 +262,17 @@ def lower_trigger(trigger: Trigger) -> LoweredTrigger:
     ))
 
 
-#: Kernels whose result depends on their operands alone (``add`` and
-#: ``sub`` accumulate into one), so a record may stand in for its twin.
-_PURE = {"transpose", "copy", "matmul", "scale", "hstack", "vstack", "inv"}
-
-
 def merge_duplicates(lowered: LoweredTrigger) -> LoweredTrigger:
     """Merge each record into an earlier one running the same pure
     kernel on the same operands (the Section 6 CSE, on kernels), and
     point later reads at the survivor; its buffer is released.
 
-    Applies are never merged.  A sum that would overwrite a survivor
-    before its last read writes into its other operand when nothing
-    reads that later, else into a fresh buffer (``None``, an allocation,
-    over an ``inv`` result, which has none).  No algebraic identity is
-    used, and a list without duplicates comes back as is.
+    A record is pure when it writes a buffer of its own or is a
+    transpose (an alias): sums accumulate into an operand and ``inv``
+    allocates, so neither merges, and applies never do.  A sum that
+    would overwrite a survivor before its last read writes into a fresh
+    buffer instead.  No algebraic identity is used, and a list without
+    duplicates comes back as is.
     """
     buffers = dict(lowered.buffers)
     merged: dict[str, str] = {}
@@ -290,7 +285,7 @@ def merge_duplicates(lowered: LoweredTrigger) -> LoweredTrigger:
     for op in map(renamed, lowered.ops):
         owned = op.srcs[-1] in buffers
         key = (op.kernel, op.srcs[:-1] if owned else op.srcs)
-        if op.kernel in _PURE and key in first:
+        if (owned or op.kernel == "transpose") and key in first:
             merged[op.dst] = first[key]
             buffers.pop(op.srcs[-1], None)
             continue
@@ -300,37 +295,19 @@ def merge_duplicates(lowered: LoweredTrigger) -> LoweredTrigger:
         return lowered
     applies = tuple(map(renamed, lowered.applies))
 
-    # A sum may overwrite ``out`` if nothing reads it (or a transposed
-    # alias of it) later: older values in that storage were each
-    # overwritten by an earlier sum that passed the same test.
+    # A sum's ``out`` is read (directly or through a transposed alias)
+    # after it only when it is a survivor, whose buffer is its last src.
     last = {src: index for index, op in enumerate((*ops, *applies))
             for src in op.srcs}
     for op in reversed(ops):
         if op.kernel == "transpose":
             last[op.srcs[0]] = max(last[op.srcs[0]], last.get(op.dst, -1))
-    kind = {op.dst: op.kernel for op in ops}
-    # Record or buffer name -> shape of the buffer holding its value.
-    shapes = {op.dst: buffers[op.srcs[-1]] for op in ops
-              if op.srcs[-1] in buffers}
-    spare = (f"_b{i}" for i in itertools.count() if f"_b{i}" not in buffers)
+    storage = {op.dst: op.srcs[-1] for op in ops}
     for index, op in enumerate(ops):
-        if op.kernel not in ("add", "sub"):
-            continue
-        a, b, out = op.srcs
-        if last[out] > index:
-            other = b if out == a else a
-            if (kind.get(other) not in (None, "transpose")
-                    and last[other] <= index):
-                out = other  # a record's own storage, not an alias
-            elif out in shapes:
-                fresh = next(spare)
-                buffers[fresh] = shapes[fresh] = shapes[out]
-                out = fresh
-            else:
-                out = None
-            ops[index] = op._replace(srcs=(a, b, out))
-        if out in shapes:
-            shapes[op.dst] = shapes[out]
+        if op.kernel in ("add", "sub") and last[op.srcs[2]] > index:
+            fresh = f"_b{len(lowered.buffers) + index}"
+            buffers[fresh] = buffers[storage[op.srcs[2]]]
+            ops[index] = op._replace(srcs=(*op.srcs[:2], fresh))
     return replace(lowered, buffers=buffers, ops=tuple(ops), applies=applies)
 
 

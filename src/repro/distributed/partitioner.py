@@ -74,12 +74,6 @@ class GridPartitioner:
                 out[r0:r1, c0:c1] = tiles[(bi, bj)]
         return out
 
-    def max_tile_elements(self) -> int:
-        """Element count of the largest tile (critical-path sizing)."""
-        r = self.row_bounds[0][1] - self.row_bounds[0][0]
-        c = self.col_bounds[0][1] - self.col_bounds[0][0]
-        return r * c
-
 
 class RowShardPartitioner:
     """Fixed row-tile decomposition sharded over ``nodes`` workers.
@@ -149,10 +143,6 @@ class RowShardPartitioner:
         """Row count owned by ``worker`` (0 for an empty shard)."""
         return sum(r1 - r0 for r0, r1 in
                    (self.tile_bounds[t] for t in self.shards[worker]))
-
-    def max_tile_rows(self) -> int:
-        """Height of the tallest tile (per-tile scratch sizing)."""
-        return max(r1 - r0 for r0, r1 in self.tile_bounds)
 
     def describe(self) -> dict:
         """Shard layout summary for bench/CLI artifacts."""

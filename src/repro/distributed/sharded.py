@@ -305,7 +305,7 @@ class ShardBackend(DenseBackend):
         return a
 
 
-def unshardable(program, rank: int = 1) -> str | None:
+def unshardable(program, rank: int) -> str | None:
     """Why no shard engine can maintain ``program`` — ``None`` if one can.
 
     The one "can this program shard" question, asked of the lowered

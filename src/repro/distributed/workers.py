@@ -448,12 +448,6 @@ class ProcessCluster:
                 raise _WorkerUnavailable(
                     worker, f"no reply within {self.timeout}s (hung?)")
 
-    def _recv(self, worker: int) -> bytes:
-        try:
-            return self._try_recv(worker)
-        except _WorkerUnavailable as exc:
-            self._fail(exc.worker, exc.reason)
-
     def roundtrip(self, op: tuple, kind: str, label: str) -> dict:
         """Broadcast one op to every worker and gather the replies.
 

@@ -56,10 +56,6 @@ def _symbol(name: str) -> str:
     return name
 
 
-def _needs_group(text: str) -> bool:
-    return len(text) > 1 and not (text.startswith("(") and text.endswith(")"))
-
-
 def to_latex(expr: Expr) -> str:
     """LaTeX source for an expression (display-math body, no ``$``)."""
     text, _ = _emit(expr)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from ..backends import admissible_backends, calibrated
+from ..backends import admissible_backends, calibrated, get_backend
 from ..compiler.program import Program
 from ..cost.advisor import recommend_general, recommend_powers
 from ..cost.estimate import (
@@ -189,41 +189,30 @@ def _stream_statistics(distinct, batch_hint: int | None, rank: int):
     return fractions, splits
 
 
-def plan_powers(stats: WorkloadStats, backend=None) -> MaintenancePlan:
-    """Cheapest plan for maintaining ``A^k`` (Section 5.2 workloads);
-    a ``backend`` the driver runs on is the only one priced."""
-    best = recommend_powers(
-        stats.n, stats.k,
-        gamma=stats.gamma,
-        memory_budget=stats.memory_budget,
-        density=stats.density,
-        rank=stats.update_rank,
+def _driver_plan(recommend, stats: WorkloadStats, backend, *shape,
+                 **extra) -> MaintenancePlan:
+    """The cheapest of ``recommend``'s cells for ``stats``; a ``backend``
+    the driver runs on is the only one priced (resolved here, so one
+    that cannot load raises its own error)."""
+    best = recommend(
+        *shape, gamma=stats.gamma, memory_budget=stats.memory_budget,
+        density=stats.density, rank=stats.update_rank,
         refreshes=stats.refresh_count,
-        backends=None if backend is None else (backend,),
-    )[0]
-    return MaintenancePlan(
-        best.strategy, best.model, best.s, best.backend, "interpret",
-        best.time, best.space,
-    )
+        backends=None if backend is None else (get_backend(backend),),
+        **extra)[0]
+    return MaintenancePlan(best.strategy, best.model, best.s, best.backend,
+                           "interpret", best.time, best.space)
+
+
+def plan_powers(stats: WorkloadStats, backend=None) -> MaintenancePlan:
+    """Cheapest plan for maintaining ``A^k`` (Section 5.2 workloads)."""
+    return _driver_plan(recommend_powers, stats, backend, stats.n, stats.k)
 
 
 def plan_general(stats: WorkloadStats, backend=None) -> MaintenancePlan:
-    """Cheapest plan for ``T_{i+1} = A T_i + B`` (Section 5.3 workloads);
-    a ``backend`` the driver runs on is the only one priced."""
-    best = recommend_general(
-        stats.n, stats.p, stats.k,
-        gamma=stats.gamma,
-        memory_budget=stats.memory_budget,
-        density=stats.density,
-        rank=stats.update_rank,
-        refreshes=stats.refresh_count,
-        has_b=stats.has_b,
-        backends=None if backend is None else (backend,),
-    )[0]
-    return MaintenancePlan(
-        best.strategy, best.model, best.s, best.backend, "interpret",
-        best.time, best.space,
-    )
+    """Cheapest plan for ``T_{i+1} = A T_i + B`` (Section 5.3 workloads)."""
+    return _driver_plan(recommend_general, stats, backend,
+                        stats.n, stats.p, stats.k, has_b=stats.has_b)
 
 
 def rank_program(

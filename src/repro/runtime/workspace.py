@@ -120,11 +120,6 @@ class Workspace:
             arena.allocations += 1
         return pool[cursor]
 
-    def lease_like(self, template: np.ndarray) -> np.ndarray:
-        """A buffer shaped and typed like ``template``."""
-        rows, cols = template.shape
-        return self.lease(rows, cols, template.dtype)
-
     # -- frames ----------------------------------------------------------
     @contextmanager
     def frame(self):

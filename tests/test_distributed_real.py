@@ -755,7 +755,35 @@ class TestTypedRefusal:
             program, inputs = parse_program(src), {"A": np.eye(256)}
             cells = rank_program(program, inputs, nodes=(1, 4))
             assert any(cell.nodes == 4 for cell in cells) is shards
-            assert (unshardable(program) is None) is shards
+            assert (unshardable(program, rank=1) is None) is shards
+
+    def test_nodes_budget_on_unshardable_program_opens_single_process(
+            self, monkeypatch):
+        # ``nodes=N`` is a budget.  Where a sharded cell would win
+        # (forced here by pricing it at nothing, to keep n small), a
+        # program the tile kernels cannot run falls to a single-process
+        # cell, not a refusal.
+        import repro.planner.planner as planner
+        from repro.frontend import parse_program
+        from repro.runtime import ShardedSession, open_session
+
+        monkeypatch.setattr(planner, "sharded_refresh_cost",
+                            lambda *args, **kwargs: 0.0)
+        a = _operator(48) + 4.0 * np.eye(48)
+        with open_session(parse_program(CHAIN_SRC), {"A": a},
+                          nodes=(1, 2)) as sharded:
+            assert isinstance(sharded, ShardedSession)
+        before = _workers()
+        with open_session(parse_program(INVERSE_SRC), {"A": a},
+                          nodes=(1, 2)) as session:
+            assert not isinstance(session, ShardedSession)
+            assert session.plan.nodes == 1
+            assert _workers() == before
+            u, v = _stream(48, 1)[0]
+            _refresh(session, u, v)
+            np.testing.assert_allclose(session["W"],
+                                       np.linalg.inv(a + u @ v.T),
+                                       rtol=1e-9, atol=1e-12)
 
 
 class TestPlannerNodesGrid:

@@ -423,16 +423,18 @@ class TestMergedRecords:
     modes run: interpret == codegen stays bitwise, and so does the list
     the lowering emitted before the merge."""
 
-    @pytest.mark.parametrize("program, inputs, input_name, merged", [
-        (_ols(), {"X": np.eye(20, 8) + 0.1}, "X", 1),
-        (_tenants(), {"A": 0.2 * np.eye(8) + 0.01}, "A", 7),
+    # OLS frees one buffer and leases one: its merged product is
+    # summed in place before its last read.
+    @pytest.mark.parametrize("program, inputs, input_name, merged, freed", [
+        (_ols(), {"X": np.eye(20, 8) + 0.1}, "X", 1, 0),
+        (_tenants(), {"A": 0.2 * np.eye(8) + 0.01}, "A", 7, 7),
     ], ids=["ols", "tenants"])
     def test_merged_list_runs_bitwise_like_the_emitted_one(
-            self, rng, program, inputs, input_name, merged):
+            self, rng, program, inputs, input_name, merged, freed):
         trigger = compile_program(program)[input_name]
         raw, lowered = _unmerged(trigger), lower_trigger(trigger)
         assert len(raw.ops) - len(lowered.ops) == merged
-        assert len(raw.buffers) - len(lowered.buffers) == merged
+        assert len(raw.buffers) - len(lowered.buffers) == freed
         assert merge_duplicates(lowered) is lowered  # idempotent
         # Applies are never merged; only the names they read move.
         assert ([(op.kernel, op.dst) for op in lowered.applies]
@@ -465,51 +467,38 @@ class TestMergedRecords:
     def test_a_sum_spares_a_survivor_read_later(self):
         """OLS: ``_t1 = X' u_X`` is summed in place into ``U_Z``'s
         block, and ``V_Z`` reads the same product again.  Merged, the
-        sum writes into its other operand instead of over ``_t1``."""
+        sum writes into a fresh buffer instead of over ``_t1``."""
         lowered = lower_trigger(compile_program(_ols())["X"])
         [product] = [op for op in lowered.ops
                      if op.kernel == "matmul" and op.srcs[:2] == ("_T_X", "u_X")]
         [total] = [op for op in lowered.ops
                    if op.kernel == "add" and op.srcs[0] == product.dst]
-        assert total.srcs[2] == total.srcs[1] != product.dst
+        assert total.srcs[2] in lowered.buffers
+        assert total.srcs[2] != product.srcs[2]
         assert any(op.kernel == "hstack" and product.dst in op.srcs
                    for op in lowered.ops if op.dst == "V_Z")
 
-    def _trigger(self, assigns):
+    def _trigger(self, *builds):
+        """One assign per ``build(A, B, u)``, each applied to its own view
+        (``A``, ``B``, ``C`` in turn)."""
         n = 4
-        a, b = MatrixSymbol("A", n, n), MatrixSymbol("B", n, n)
+        views = [MatrixSymbol(name, n, n) for name in "ABC"]
         u, v = MatrixSymbol("u_A", n, 1), MatrixSymbol("v_A", n, 1)
-        targets = [MatrixSymbol(f"T{i}", n, 1) for i in range(2)]
+        targets = [MatrixSymbol(f"T{i}", n, 1) for i in range(len(builds))]
         return Trigger("A", (u, v), [
-            Assign(target, build(a, b, u))
-            for target, build in zip(targets, assigns)
+            Assign(target, build(*views[:2], u))
+            for target, build in zip(targets, builds)
         ], [Update(view, matmul(target, transpose(v)))
-            for view, target in zip((a, b), targets)])
+            for view, target in zip(views, targets)])
 
-    @pytest.mark.parametrize("assigns, out", [
-        # Both operands of the first sum are read again: a fresh buffer.
-        ((lambda a, b, u: add(matmul(a, u), matmul(b, u)),) * 2, "_b"),
-        # The sum overwrites an ``inv`` result (no buffer), and its other
-        # operand is a view: a new allocation.
-        ((lambda a, b, u: matmul(add(inverse(a), b), u),
-          lambda a, b, u: matmul(inverse(a), u)), None),
-    ], ids=["fresh-buffer", "allocation"])
-    def test_a_sum_with_no_dead_operand(self, rng, assigns, out):
-        trigger = self._trigger(assigns)
-        lowered = lower_trigger(trigger)
-        assert len(lowered.ops) < len(_unmerged(trigger).ops)
-        first = next(op for op in lowered.ops if op.kernel == "add")
-        assert (first.srcs[2] is None if out is None
-                else first.srcs[2] in lowered.buffers)
-        assert merge_duplicates(lowered) is lowered
-
-        views = {"A": rng.normal(size=(4, 4)) + 4.0 * np.eye(4),
-                 "B": rng.normal(size=(4, 4))}
+    def _assert_fires_like_the_emitted_list(self, trigger, rng):
+        """Merged interpret and codegen == the unmerged list, bitwise."""
+        views = {name: rng.normal(size=(4, 4)) for name in "ABC"}
         u, v = rng.normal(size=(4, 1)), rng.normal(size=(4, 1))
         results = []
-        for build, merge in ((compile_trigger_function, True),
-                             (compile_fused_trigger, True),
-                             (compile_trigger_function, False)):
+        for build, merge in ((compile_trigger_function, False),
+                             (compile_trigger_function, True),
+                             (compile_fused_trigger, True)):
             state = {name: value.copy() for name, value in views.items()}
             with pytest.MonkeyPatch.context() as patch:
                 if not merge:
@@ -522,3 +511,34 @@ class TestMergedRecords:
         for state in results[1:]:
             for name in views:
                 assert np.array_equal(state[name], results[0][name]), name
+
+    def test_a_sum_whose_operands_are_both_read_again(self, rng):
+        build = lambda a, b, u: add(matmul(a, u), matmul(b, u))  # noqa: E731
+        trigger = self._trigger(build, build)
+        lowered = lower_trigger(trigger)
+        assert len(lowered.ops) == len(_unmerged(trigger).ops) - 2
+        first = next(op for op in lowered.ops if op.kernel == "add")
+        assert first.srcs[2] in lowered.buffers
+        assert merge_duplicates(lowered) is lowered
+        self._assert_fires_like_the_emitted_list(trigger, rng)
+
+    def test_a_sum_spares_a_survivor_read_through_a_transpose(self, rng):
+        """``(A u)'`` is taken before the sum over ``A u`` and, merged,
+        read again after it: the transposed alias keeps ``A u`` live."""
+        trigger = self._trigger(
+            lambda a, b, u: transpose(matmul(transpose(matmul(a, u)), b)),
+            lambda a, b, u: add(matmul(a, u), matmul(b, u)),
+            lambda a, b, u: transpose(matmul(transpose(matmul(a, u)), a)))
+        lowered = lower_trigger(trigger)
+        [total] = [op for op in lowered.ops if op.kernel == "add"]
+        assert total.srcs[2] in lowered.buffers
+        self._assert_fires_like_the_emitted_list(trigger, rng)
+
+    def test_inverses_are_not_merged(self):
+        """``inv`` allocates its result, so a sum may accumulate into
+        it: two identical inverses stay two records."""
+        build = lambda a, b, u: matmul(add(inverse(a), b), u)  # noqa: E731
+        trigger = self._trigger(build, build)
+        lowered = lower_trigger(trigger)
+        assert lowered == _unmerged(trigger)
+        assert sum(op.kernel == "inv" for op in lowered.ops) == 2

@@ -14,6 +14,7 @@ from repro.compiler import (
     optimize_trigger,
     propagate_copies,
 )
+from repro.compiler.codegen.fused import compile_trigger_function
 from repro.cost import Counter
 from repro.expr import MatrixSymbol, NamedDim, add, inverse, matmul, transpose
 from repro.runtime import FactoredUpdate, IVMSession, ReevalSession
@@ -138,22 +139,23 @@ class TestPipeline:
         assert counter.total_flops < 2468
 
     def test_optimized_trigger_streams_match_reeval(self, rng):
+        """What ``repro compile --optimize`` emits, bound and fired on
+        its own views, tracks re-evaluation."""
         program = self._ols_program()
         sizes = {"m": 16, "n": 6}
         design = rng.normal(size=(16, 6))
         design[:6] += np.eye(6)
-        opt = IVMSession(program, {"X": design}, dims=sizes)
-        # What ``repro compile --optimize`` emits, run before the first
-        # firing binds the session's own triggers.
-        opt.triggers = {name: optimize_trigger(trigger)
-                        for name, trigger in opt.triggers.items()}
         reeval = ReevalSession(program, {"X": design}, dims=sizes)
+        views = {name: np.array(reeval[name]) for name in ("X", "Z", "W")}
+        fire = compile_trigger_function(
+            optimize_trigger(compile_program(program)["X"]), sizes)
         for _ in range(5):
-            update = FactoredUpdate("X", 0.05 * rng.normal(size=(16, 1)),
-                                    0.05 * rng.normal(size=(6, 1)))
-            opt.apply_update(update)
-            reeval.apply_update(update)
-        np.testing.assert_allclose(opt["W"], reeval["W"], rtol=1e-6, atol=1e-8)
+            u_x = 0.05 * rng.normal(size=(16, 1))
+            v_x = 0.05 * rng.normal(size=(6, 1))
+            fire(views, u_x, v_x)
+            reeval.apply_update(FactoredUpdate("X", u_x, v_x))
+        np.testing.assert_allclose(views["W"], reeval["W"], rtol=1e-6,
+                                   atol=1e-8)
 
     def test_pipeline_idempotent(self):
         program = self._ols_program()

@@ -440,6 +440,32 @@ class TestDriverRouting:
         index.add_edge(1, 2)
         assert index.revalidate() < 1e-8
 
+    def test_named_backend_that_cannot_load_raises_its_own_error(
+            self, rng, monkeypatch):
+        """``"sparse"`` without SciPy (real under ``pytest --no-scipy``,
+        simulated otherwise): the backend's error, not an empty grid."""
+        import repro.backends as backends
+        from repro.analytics import IncrementalPageRank, KStepTransitionMatrix
+        from repro.analytics.markov import random_walk_matrix
+        from repro.workloads import random_adjacency
+
+        try:
+            import scipy.sparse  # noqa: F401
+        except ImportError:
+            pass
+        else:
+            def missing():
+                raise RuntimeError("SparseBackend requires scipy")
+
+            monkeypatch.setitem(backends._FACTORIES, "sparse", missing)
+        adjacency = random_adjacency(rng, 400, 4)
+        with pytest.raises(RuntimeError, match="requires scipy"):
+            IncrementalPageRank(adjacency, k=8, strategy="auto",
+                                backend="sparse")
+        with pytest.raises(RuntimeError, match="requires scipy"):
+            KStepTransitionMatrix(random_walk_matrix(adjacency),
+                                  k=4, strategy="auto", backend="sparse")
+
     @pytest.mark.parametrize("backend", [None, "dense", "sparse"])
     def test_pagerank_plan_names_the_backend_that_runs(self, rng, backend):
         """At 400 nodes the unnamed grid picks sparse: a named backend
