@@ -1,16 +1,15 @@
-"""Fig. 3g distributed — simulated p-sweep plus *real* multiprocess scaling.
+"""Fig. 3g distributed — *real* multiprocess scaling.
 
 The paper's Fig. 3g *is* a Spark experiment (n = 30K, k = 16): at p = 1
 HYBRID-LIN beats REEVAL-LIN by 16% and INCR-LIN by 53%; REEVAL/HYBRID
-grow linearly in p while INCR takes over at large p.  The single-node
-variant lives in ``bench_fig3g_general.py``; this file keeps the
-original *simulated*-cluster reproduction (per-worker compute +
-broadcast/gather traffic + latency rounds) and graduates the scaling
-claim to **wall-clock** on the real engine: ``A^2``/``A^3`` chain
-maintenance by a :class:`~repro.runtime.session.ShardedSession` (the
-chain's lowered triggers on a
-:class:`~repro.distributed.sharded.ShardBackend`) over 1 / 2 / 4
-shared-memory worker processes, with measured comm
+grow linearly in p while INCR takes over at large p.  That crossover is
+measured in wall-clock time by ``bench_fig3g_general.py`` (and checked
+with FLOP counts by ``tests/test_iterative_general.py``); this file
+measures the scaling claim in **wall-clock** on the real engine:
+``A^2``/``A^3`` chain maintenance by a
+:class:`~repro.runtime.session.ShardedSession` (the chain's lowered
+triggers on a :class:`~repro.distributed.sharded.ShardBackend`) over
+1 / 2 / 4 shared-memory worker processes, with measured comm
 traffic, bit-identity across engines and shard strategies, and
 modeled-vs-measured broadcast- and gather-bytes checks.
 
@@ -35,86 +34,6 @@ except ImportError:  # script mode does not need pytest
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from conftest import add_json_flag, make_matrix, row_update, write_bench_json
-from repro.distributed import Cluster, ClusterConfig, SimulatedBackend
-from repro.iterative import Model, make_general
-
-N = 256
-K = 16
-GRID = 4
-P_VALUES = [1, 16, 128]
-STRATEGIES = ["REEVAL", "INCR", "HYBRID"]
-
-
-def _simulated_general(strategy: str, p: int):
-    """``T = A T`` (LIN, the paper's choice at p << n) on the simulator."""
-    cluster = Cluster(config=ClusterConfig.laptop_scale(GRID))
-    t0 = np.random.default_rng(31).standard_normal((N, p))
-    maintainer = make_general(strategy, make_matrix(N), None, t0, K,
-                              Model.linear(), backend=SimulatedBackend(cluster))
-    cluster.reset()  # initial materialization is preloaded, untimed
-    return maintainer, cluster
-
-
-def _simulated_refresh_time(strategy: str, p: int, refreshes: int = 3) -> float:
-    maintainer, cluster = _simulated_general(strategy, p)
-    for seed in range(refreshes):
-        u, v = row_update(N, seed)
-        maintainer.refresh(u, v)
-    return cluster.elapsed / refreshes
-
-
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_distributed_general_refresh(benchmark, strategy):
-    maintainer, _ = _simulated_general(strategy, 1)
-    state = {"seed": 0}
-
-    def call():
-        state["seed"] += 1
-        u, v = row_update(N, state["seed"])
-        maintainer.refresh(u, v)
-
-    benchmark.pedantic(call, rounds=3, iterations=1, warmup_rounds=1)
-
-
-def test_report_fig3g_distributed(benchmark, capsys, bench_record):
-    times = {
-        (strategy, p): _simulated_refresh_time(strategy, p)
-        for strategy in STRATEGIES
-        for p in P_VALUES
-    }
-
-    maintainer, _ = _simulated_general("HYBRID", 1)
-    state = {"seed": 100}
-
-    def call():
-        state["seed"] += 1
-        u, v = row_update(N, state["seed"])
-        maintainer.refresh(u, v)
-
-    benchmark.pedantic(call, rounds=3, iterations=1, warmup_rounds=1)
-
-    with capsys.disabled():
-        print(f"\n== Fig 3g (distributed): T=A*T on the simulated cluster, "
-              f"n={N}, grid {GRID}x{GRID} (paper: Spark n=30K, p=1: "
-              f"HYBRID > REEVAL by 16%, > INCR by 53%) ==")
-        print(f"{'p':>6} " + "".join(f"{s:>12}" for s in STRATEGIES))
-        for p in P_VALUES:
-            row = "".join(f"{times[(s, p)] * 1e3:>10.2f}ms" for s in STRATEGIES)
-            print(f"{p:>6} {row}")
-    bench_record({f"{s}@p={p}": seconds
-                  for (s, p), seconds in times.items()}, n=N, grid=GRID)
-
-    # The paper's p = 1 ordering on simulated wall-clock: HYBRID matches
-    # REEVAL (it saves one broadcast-multiply round and pays ~4k thin
-    # master products, each charged its true flops — a 6% net loss at
-    # this n, where the paper's n = 30K makes it a 16% win) and beats
-    # INCR, which pays for factor growth it cannot amortize on a vector.
-    assert times[("HYBRID", 1)] <= 1.10 * times[("REEVAL", 1)]
-    assert times[("HYBRID", 1)] < times[("INCR", 1)]
-    # And the large-p crossover: INCR takes over.
-    assert times[("INCR", 128)] < times[("REEVAL", 128)]
-    assert times[("INCR", 128)] < times[("HYBRID", 128)]
-
 
 # -- real multiprocess scaling (wall clock, measured comm) ---------------
 #

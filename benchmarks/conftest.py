@@ -4,7 +4,7 @@ Every benchmark follows the paper's protocol: maintainers are built
 once (initial materialization untimed), then a *view refresh* — one
 rank-1 row update propagated through every materialized view — is the
 timed operation.  Sizes are laptop-scale (README.md, "Tests and
-benchmarks"; docs/architecture.md for the simulated cluster's rates);
+benchmarks"; docs/architecture.md for the node-count reports' rates);
 each module also contains a ``test_report_*`` that prints the series in
 the figure's layout with paper-reported factors alongside.
 
@@ -60,6 +60,7 @@ Sharded runs — ``repro run --nodes N --json`` and the cells of
 from __future__ import annotations
 
 import json
+import math
 import os
 import platform
 from pathlib import Path
@@ -83,6 +84,7 @@ except ImportError:
     # only; the fixture/hook surface below needs pytest, scripts don't.
     pytest = None
 
+from repro.cost.counters import NULL_COUNTER
 from repro.workloads import spectral_normalized
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
@@ -173,6 +175,38 @@ def row_update(n: int, seed: int, scale: float = 0.01):
     u[int(rng.integers(0, n)), 0] = 1.0
     v = scale * rng.standard_normal((n, 1))
     return u, v
+
+
+#: ``A^16`` by repeated squaring — the EXP-model powers of Fig. 3f.
+POWERS_16 = ("input A(n, n); P2 := A * A; P4 := P2 * P2; "
+             "P8 := P4 * P4; P16 := P8 * P8; output P16;")
+
+
+def local_shard_session(source: str, a: np.ndarray, nodes: int,
+                        counter=NULL_COUNTER):
+    """INCR maintenance of ``source`` on the in-process row-shard engine.
+
+    ``a``'s rows are split into one tile per each of ``nodes`` virtual
+    workers, so ``session.engine.model`` records what a cluster of that
+    size would ship per update — a cluster no box has to spawn.  The
+    initial build is left out of the ledger and of ``counter``.
+    """
+    from repro.distributed import (LocalShardEngine, RowShardPartitioner,
+                                   ShardBackend)
+    from repro.frontend import parse_program
+    from repro.planner import MaintenancePlan
+    from repro.runtime import ShardedSession
+
+    n = a.shape[0]
+    part = RowShardPartitioner(n, nodes, tile_rows=math.ceil(n / nodes))
+    session = ShardedSession(
+        parse_program(source), {"A": a},
+        counter=counter,
+        backend=ShardBackend(LocalShardEngine(part)),
+        plan=MaintenancePlan("INCR", nodes=nodes))
+    session.engine.model.reset()
+    counter.reset()
+    return session
 
 
 def refresh_timer(maintainer, n: int, scale: float = 0.01):

@@ -1,58 +1,66 @@
-"""Matrix powers on the simulated cluster (Section 6 / Fig. 3f).
+"""Matrix powers across cluster sizes, on the row-shard layout (Fig. 3f).
 
-Maintains A^16 on simulated clusters of increasing size and prints the
-per-refresh simulated wall-clock for re-evaluation (SUMMA products,
-O(n^2/g) bytes reshuffled per worker) versus incremental maintenance
-(O(nk) factor broadcasts) — the paper's finding that INCR is largely
-insensitive to cluster size while REEVAL needs the whole cluster.
-The maintainers are the ordinary ``make_powers`` ones; only the
-``backend=`` under them is the simulated cluster.
+Maintains A^16 (four squarings) as a sharded session on the in-process
+row-shard engine, with the rows of every view split over N virtual
+workers, and prints what one refresh ships: INCR's modeled factor
+broadcasts and thin gathers, against the all-gather of the right
+operand that each of re-evaluation's four n x n products needs.  INCR
+ships O(nk) per worker at every N; REEVAL ships O(n^2) per worker —
+the paper's finding that INCR is largely insensitive to the cluster
+size.  The engine runs every tile's kernel in this process, so any N
+fits on one machine; the byte counts are the ones a cluster of N
+workers would move.
 
 Run:  python examples/distributed_cluster.py
 """
 
+import math
+
 import numpy as np
 
-from repro.distributed import Cluster, ClusterConfig, SimulatedBackend
-from repro.iterative import Model, make_powers
+from repro.distributed import LocalShardEngine, RowShardPartitioner, ShardBackend
+from repro.frontend import parse_program
+from repro.planner import MaintenancePlan
+from repro.runtime import FactoredUpdate, ReevalSession, ShardedSession
 from repro.workloads import spectral_normalized
+
+POWERS_16 = ("input A(n, n); P2 := A * A; P4 := P2 * P2; "
+             "P8 := P4 * P4; P16 := P8 * P8; output P16;")
 
 
 def main() -> None:
-    n, k = 360, 16
+    n = 360
+    program = parse_program(POWERS_16)
     a0 = spectral_normalized(np.random.default_rng(5), n, radius=0.9)
-    print(f"A^{k} with A = ({n} x {n}) on simulated g x g clusters")
-    print(f"{'workers':>8} {'REEVAL-EXP':>12} {'INCR-EXP':>12} {'speedup':>9} "
-          f"{'REEVAL bytes':>13} {'INCR bytes':>12}")
+    print(f"A^16 with A = ({n} x {n}), one rank-1 refresh on N row-shard "
+          f"workers (bytes summed over the workers)")
+    print(f"{'workers':>8} {'rows/worker':>12} {'INCR bcast':>12} "
+          f"{'INCR gather':>12} {'REEVAL all-gather':>18}")
 
-    for grid in (3, 5, 7, 10):
-        reeval_cluster = Cluster(ClusterConfig.laptop_scale(grid))
-        incr_cluster = Cluster(ClusterConfig.laptop_scale(grid))
-        reeval = make_powers("REEVAL", a0, k, Model.exponential(),
-                             backend=SimulatedBackend(reeval_cluster))
-        incr = make_powers("INCR", a0, k, Model.exponential(),
-                           backend=SimulatedBackend(incr_cluster))
-        reeval_cluster.reset()  # the initial build is preloaded, untimed
-        incr_cluster.reset()
+    for nodes in (9, 25, 49, 100):
+        part = RowShardPartitioner(n, nodes, tile_rows=math.ceil(n / nodes))
+        incr = ShardedSession(program, {"A": a0},
+                              backend=ShardBackend(LocalShardEngine(part)),
+                              plan=MaintenancePlan("INCR", nodes=nodes))
+        reeval = ReevalSession(program, {"A": a0})
+        model = incr.engine.model
+        model.reset()  # the initial build is preloaded, not shipped
 
         u = np.zeros((n, 1))
         u[7, 0] = 1.0
-        v = 0.01 * np.random.default_rng(grid).normal(size=(n, 1))
-        reeval.refresh(u, v)
-        incr.refresh(u, v)
+        v = 0.01 * np.random.default_rng(nodes).normal(size=(n, 1))
+        for session in (incr, reeval):
+            session.apply_update(FactoredUpdate("A", u, v))
 
-        agreement = np.abs(
-            reeval.result().to_dense() - incr.result().to_dense()
-        ).max()
-        assert agreement < 1e-9
-        print(
-            f"{grid * grid:>8} "
-            f"{reeval_cluster.elapsed:>11.3f}s {incr_cluster.elapsed:>11.3f}s "
-            f"{reeval_cluster.elapsed / incr_cluster.elapsed:>8.1f}x "
-            f"{reeval_cluster.total_bytes:>13,} {incr_cluster.total_bytes:>12,}"
-        )
+        np.testing.assert_allclose(incr["P16"], reeval["P16"],
+                                   rtol=1e-9, atol=1e-12)
+        all_gather = len(program.statements) * n * n * 8 * (nodes - 1)
+        print(f"{nodes:>8} {part.shard_rows(0):>12} "
+              f"{model.broadcast_bytes:>12,} {model.gathered_bytes:>12,} "
+              f"{all_gather:>18,}")
+        incr.close()
 
-    print("\nREEVAL scales with workers; INCR stays flat (broadcast-bound) —")
+    print("\nINCR ships thin factors; REEVAL moves every n x n operand —")
     print("the Fig. 3f shape. Results verified equal between strategies.")
 
 

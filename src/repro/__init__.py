@@ -6,8 +6,8 @@ paper: :mod:`repro.expr` is the matrix-expression language,
 :mod:`repro.delta` the delta calculus of Section 4, :mod:`repro.compiler`
 Algorithm 1 plus the Section 6 optimizer and code generators,
 :mod:`repro.runtime` the single-node evaluator,
-:mod:`repro.distributed` the BSP cluster simulator and the real
-multiprocess shard engine,
+:mod:`repro.distributed` the row-shard engine (worker processes over
+shared memory, or its in-process reference),
 :mod:`repro.iterative` the Section 3.2/5 iterative models and
 evaluation strategies, and :mod:`repro.analytics` the end-user
 applications (OLS, linear regression, PageRank).  :mod:`repro.backends`

@@ -3,8 +3,8 @@
 The paper's distributed backend generates "parallel Spark programs
 running over a large cluster" (Sections 6 and 7).  This generator emits
 the Scala source a Spark deployment would compile: each trigger becomes
-a method over ``BlockMatrix`` views with the Section 6 execution
-annotations —
+a method over Spark MLlib ``BlockMatrix`` views with the Section 6
+execution annotations —
 
 * low-rank factors (the trigger parameters and the ``U``/``V`` blocks)
   are **broadcast** to all workers, never shuffled;
@@ -13,9 +13,9 @@ annotations —
 * view updates (``+=``) are in-place block updates.
 
 Like the Octave backend, the emitted text is snapshot-tested rather
-than executed — the simulated cluster (:mod:`repro.distributed`) plays
-the execution role in this reproduction; see docs/architecture.md
-("Simulated cluster").
+than executed — the row-shard engine (:mod:`repro.distributed`) runs
+the same triggers' lowered lists in this reproduction; see
+docs/architecture.md ("Distributed execution").
 """
 
 from __future__ import annotations

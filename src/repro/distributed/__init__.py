@@ -1,24 +1,23 @@
-"""Distributed backends: the BSP cost simulator and the real engine.
+"""Distributed execution on one layout: row tiles sharded over workers.
 
-Two layers share the :class:`~repro.distributed.comm.CommLog` traffic
-ledger:
+:class:`RowShardPartitioner` fixes the tiles; two engines run the same
+per-tile kernels over them:
 
-* the **simulator** (:class:`SimulatedBackend` over
-  :class:`BlockMatrix`) executes block algebra in process while
-  charging a BSP cost model — pass it as ``backend=`` to the
-  :mod:`repro.iterative` factories; docs/architecture.md
-  ("Simulated cluster") says why this preserves the paper's
-  distributed findings at any node count;
-* the **real engine** (:class:`ShardedEngine` over
-  :class:`ProcessCluster`) spawns persistent workers with views in
-  ``multiprocessing.shared_memory`` segments, so the same traffic
-  classes are measured in real bytes and real seconds;
-  :class:`ShardBackend` is the ``backend=`` a sharded session runs its
-  triggers on.
+* :class:`ShardedEngine` over :class:`ProcessCluster` spawns persistent
+  workers with views in ``multiprocessing.shared_memory`` segments and
+  measures its traffic in real bytes and seconds;
+* :class:`LocalShardEngine` runs every tile in this process, bitwise
+  equal to the workers.
 
-A lazy package (:mod:`repro._lazy`): the simulator and the real engine
-load only when one of their names is asked for, and a shard worker
-imports :mod:`repro.distributed.workers` without either.
+Both record in a :class:`~repro.distributed.comm.CommLog` what the
+comm model predicts each op ships for the partitioner's node count, so
+the node-count reports (docs/architecture.md) price clusters of any
+size on the in-process engine.  :class:`ShardBackend` is the
+``backend=`` a sharded session runs its triggers on.
+
+A lazy package (:mod:`repro._lazy`): an engine loads only when one of
+its names is asked for, and a shard worker imports
+:mod:`repro.distributed.workers` without either.
 """
 
 from .._lazy import lazy_exports
@@ -26,13 +25,9 @@ from .._lazy import lazy_exports
 #: Public name -> defining submodule, imported on first access.
 _EXPORTS = {
     "BROADCAST": "comm",
-    "BlockMatrix": "blockmatrix",
     "CommEvent": "comm",
     "CommLog": "comm",
-    "Cluster": "cluster",
-    "ClusterConfig": "cluster",
     "GATHER": "comm",
-    "GridPartitioner": "partitioner",
     "LocalShardEngine": "sharded",
     "ProcessCluster": "workers",
     "RecoveryEvent": "workers",
@@ -42,10 +37,7 @@ _EXPORTS = {
     "SharedArray": "shm",
     "SharedMemoryBudgetError": "shm",
     "ShardedEngine": "sharded",
-    "SimulatedBackend": "engine",
-    "StepCost": "cluster",
     "WorkerFailedError": "workers",
-    "hybrid_extra_bytes": "partitioner",
     "unshardable": "sharded",
 }
 

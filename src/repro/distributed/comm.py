@@ -1,14 +1,14 @@
-"""Communication ledger for the cluster simulator (Section 6 analysis).
+"""Communication ledger of the shard engines (Section 6 analysis).
 
 The paper's distributed argument is about *traffic class*, not just
 volume: re-evaluation reshuffles ``O(n^2)`` tiles per product, while
 incremental maintenance "minimize[s] the communication cost as less
 data has to be shipped over the network" — only ``O(nk)`` broadcast
 factors and gathered thin results.  :class:`CommLog` keeps that
-classification explicit so tests and the partitioning ablation can
-assert it (bytes shuffled vs broadcast vs gathered, per operation
-label), independently of the BSP clock in
-:mod:`repro.distributed.cluster`.
+classification explicit so tests, the node-count reports and the
+partitioning ablation can assert it (bytes shuffled vs broadcast vs
+gathered, per operation label).  An engine keeps two: ``comm``,
+measured on the pipes, and ``model``, what the comm model predicts.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ class CommEvent:
     """One communication action: ``bytes`` moved in ``messages`` sends.
 
     ``seconds`` is the measured wall time of the transfer — 0.0 for
-    simulated traffic, real pipe latency for the multiprocess engine.
+    modeled traffic, real pipe latency for the multiprocess engine.
     """
 
     kind: str
@@ -40,7 +40,7 @@ class CommEvent:
 
 @dataclass
 class CommLog:
-    """Classified traffic tallies for one simulated or real execution."""
+    """Classified traffic tallies for one modeled or measured execution."""
 
     events: list[CommEvent] = field(default_factory=list)
 

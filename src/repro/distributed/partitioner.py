@@ -1,78 +1,13 @@
-"""Matrix partitioning schemes (Section 6, "Data Partitioning").
+"""The row-shard layout (Section 6, "Data Partitioning").
 
-:class:`GridPartitioner` tiles an ``(n x m)`` matrix over a ``g x g``
-worker grid — worker ``(bi, bj)`` owns tile ``(bi, bj)`` — the layout
-the paper uses for its Spark matrix multiplication.
-
-The paper's *hybrid* scheme additionally gives every node one block of
-rows and one block of columns of each large matrix ("doubles the memory
-consumption" but keeps products with small delta matrices strictly
-local).  The simulator models that as zero-shuffle row/column access in
-:mod:`repro.distributed.engine`; :func:`hybrid_extra_bytes` reports the
-memory price.
+Every view is split into fixed row tiles, and the tiles are sharded
+over the workers.  The paper's *hybrid* scheme would also give every
+node a block of columns ("doubles the memory consumption"); its
+traffic and memory price are modeled, not run, by
+``benchmarks/bench_ablation_partition.py``.
 """
 
 from __future__ import annotations
-
-import numpy as np
-
-
-class GridPartitioner:
-    """Balanced ``g x g`` tiling of matrix indices.
-
-    Tile boundaries put ``ceil`` remainders on the leading tiles so any
-    ``n >= g`` splits without padding.
-    """
-
-    def __init__(self, n_rows: int, n_cols: int, grid: int):
-        if grid < 1:
-            raise ValueError(f"grid must be >= 1, got {grid}")
-        if n_rows < grid or n_cols < grid:
-            raise ValueError(
-                f"matrix ({n_rows} x {n_cols}) too small for a {grid}x{grid} grid"
-            )
-        self.n_rows = n_rows
-        self.n_cols = n_cols
-        self.grid = grid
-        self.row_bounds = self._bounds(n_rows, grid)
-        self.col_bounds = self._bounds(n_cols, grid)
-
-    @staticmethod
-    def _bounds(total: int, parts: int) -> list[tuple[int, int]]:
-        base, extra = divmod(total, parts)
-        bounds = []
-        start = 0
-        for i in range(parts):
-            size = base + (1 if i < extra else 0)
-            bounds.append((start, start + size))
-            start += size
-        return bounds
-
-    def tile_shape(self, bi: int, bj: int) -> tuple[int, int]:
-        """Shape of tile ``(bi, bj)``."""
-        r0, r1 = self.row_bounds[bi]
-        c0, c1 = self.col_bounds[bj]
-        return r1 - r0, c1 - c0
-
-    def split(self, dense: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
-        """Tile a dense matrix into the grid layout (copies)."""
-        if dense.shape != (self.n_rows, self.n_cols):
-            raise ValueError(
-                f"expected ({self.n_rows} x {self.n_cols}), got {dense.shape}"
-            )
-        tiles = {}
-        for bi, (r0, r1) in enumerate(self.row_bounds):
-            for bj, (c0, c1) in enumerate(self.col_bounds):
-                tiles[(bi, bj)] = dense[r0:r1, c0:c1].copy()
-        return tiles
-
-    def assemble(self, tiles: dict[tuple[int, int], np.ndarray]) -> np.ndarray:
-        """Reassemble a dense matrix from grid tiles."""
-        out = np.empty((self.n_rows, self.n_cols))
-        for bi, (r0, r1) in enumerate(self.row_bounds):
-            for bj, (c0, c1) in enumerate(self.col_bounds):
-                out[r0:r1, c0:c1] = tiles[(bi, bj)]
-        return out
 
 
 class RowShardPartitioner:
@@ -86,7 +21,7 @@ class RowShardPartitioner:
     each tile, which is why sharded maintenance can promise bit-equality
     with the single-process reference instead of mere ``allclose``.
 
-    Strategies (Section 6 "Data Partitioning", extended per the ISSUE):
+    Strategies (Section 6 "Data Partitioning", plus round-robin):
 
     * ``range`` — contiguous balanced runs of tiles per worker (the
       paper's block-row layout);
@@ -129,11 +64,11 @@ class RowShardPartitioner:
         if strategy == "hash":
             self.owners = [t % nodes for t in range(self.n_tiles)]
         else:
-            runs = GridPartitioner._bounds(self.n_tiles, nodes)
-            self.owners = [0] * self.n_tiles
-            for worker, (t0, t1) in enumerate(runs):
-                for t in range(t0, t1):
-                    self.owners[t] = worker
+            # Balanced runs: the first ``n_tiles % nodes`` workers take
+            # one tile more.
+            base, extra = divmod(self.n_tiles, nodes)
+            self.owners = [worker for worker in range(nodes)
+                           for _ in range(base + (worker < extra))]
         self.shards: list[tuple[int, ...]] = [
             tuple(t for t in range(self.n_tiles) if self.owners[t] == w)
             for w in range(nodes)
@@ -154,13 +89,3 @@ class RowShardPartitioner:
             "n_tiles": self.n_tiles,
             "shard_rows": [self.shard_rows(w) for w in range(self.nodes)],
         }
-
-
-def hybrid_extra_bytes(n_rows: int, n_cols: int, itemsize: int = 8) -> int:
-    """Extra memory of the hybrid row+column replication (one full copy).
-
-    Each node holding one block-row *and* one block-column of a matrix
-    doubles the aggregate footprint: ``g`` nodes x (n/g) rows is one full
-    copy, likewise for columns.
-    """
-    return n_rows * n_cols * itemsize

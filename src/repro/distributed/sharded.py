@@ -6,9 +6,7 @@ Two engines expose the same operations (``add_lowrank``,
 * :class:`ShardedEngine` — real multiprocess execution: views live in
   shared-memory segments, each :class:`~repro.distributed.workers.ProcessCluster`
   worker runs the per-tile kernels on its shard, factors move over
-  pipes and are measured in ``engine.comm``; a parallel ``engine.model``
-  ledger records what the planner's cost model *predicts* the same
-  traffic to be, so tests can assert modeled-vs-measured agreement.
+  pipes and are measured in ``engine.comm``.
 * :class:`LocalShardEngine` — the single-process reference: identical
   per-tile kernels over the identical tile decomposition, in one
   process.  Because both engines execute the same kernel calls and sum
@@ -16,10 +14,14 @@ Two engines expose the same operations (``add_lowrank``,
   their results are **bitwise equal**, which is what the differential
   suite asserts.
 
+Both keep an ``engine.model`` ledger of what the planner's comm model
+*predicts* each op ships over the partitioner's ``nodes`` — the same
+events on either engine — so tests assert modeled-vs-measured
+agreement on the workers, and the node-count reports price clusters no
+box can spawn on the in-process engine.
+
 :class:`ShardBackend` puts either engine behind the
-:class:`~repro.backends.base.Backend` kernel API, the way
-:class:`~repro.distributed.engine.SimulatedBackend` does for the BSP
-simulator: a trigger's lowered list
+:class:`~repro.backends.base.Backend` kernel API: a trigger's lowered list
 (:mod:`repro.compiler.codegen.fused`) is spelled once, and a sharded
 session is that list on this backend.  The factored recurrence of the
 paper's Appendix A — ``U_T = [uL | L_old @ uR + uL (vL' uR)]``,
@@ -56,19 +58,45 @@ def _factor(x: np.ndarray) -> np.ndarray:
     return arr
 
 
-class ShardedEngine:
+class _ShardEngine:
+    """What both engines share: the tile layout and its traffic ledgers.
+
+    ``model`` records what the planner's comm model predicts each op
+    ships over ``part`` — its node count, its tiles — so the in-process
+    engine records the same events as the process engine over the same
+    partitioner; ``comm`` holds measured traffic (none in process).
+    """
+
+    def __init__(self, partitioner: RowShardPartitioner):
+        self.part = partitioner
+        self.comm = CommLog()
+        self.model = CommLog()
+
+    def _model(self, op: str, *factors: np.ndarray) -> None:
+        """Record ``op``'s modeled traffic: its factors broadcast to every
+        node, then — for a product — the thin result gathered, one
+        ``(n, k)`` partial per row tile under ``matT_lowrank``."""
+        nodes = self.part.nodes
+        self.model.record(BROADCAST, op, sum(f.nbytes for f in factors) * nodes,
+                          messages=nodes)
+        if op != "add_lowrank":
+            tiles = self.part.n_tiles if op == "matT_lowrank" else 1
+            self.model.record(GATHER, op,
+                              tiles * self.part.n * factors[0].shape[1] * 8,
+                              messages=nodes)
+
+
+class ShardedEngine(_ShardEngine):
     """Multiprocess coordinator: named views in shm, ops fanned out.
 
     ``comm`` holds measured traffic (real pickled bytes, real seconds);
     ``model`` holds what the planner's comm model predicts for the same
-    operations (satellite: modeled-vs-measured agreement).
+    operations, so tests can assert modeled-vs-measured agreement.
     """
 
     def __init__(self, partitioner: RowShardPartitioner,
                  timeout: float = DEFAULT_TIMEOUT, supervise: bool = False):
-        self.part = partitioner
-        self.comm = CommLog()
-        self.model = CommLog()
+        super().__init__(partitioner)
         self.cluster = ProcessCluster(partitioner, comm=self.comm,
                                       timeout=timeout, supervise=supervise)
 
@@ -93,23 +121,17 @@ class ShardedEngine:
     def add_lowrank(self, name: str, u: np.ndarray, v: np.ndarray) -> None:
         """``view += u @ v.T`` on every shard (factor pair broadcast)."""
         u, v = _factor(u), _factor(v)
-        self.model.record(BROADCAST, "add_lowrank",
-                          (u.nbytes + v.nbytes) * self.nodes,
-                          messages=self.nodes)
+        self._model("add_lowrank", u, v)
         self.cluster.roundtrip(("add_lowrank", name, u, v),
                                BROADCAST, "add_lowrank")
 
     def mat_lowrank(self, name: str, u: np.ndarray) -> np.ndarray:
         """``view @ u`` — broadcast ``u``, gather per-tile partial rows."""
         u = _factor(u)
-        n, k = self.part.n, u.shape[1]
-        self.model.record(BROADCAST, "mat_lowrank", u.nbytes * self.nodes,
-                          messages=self.nodes)
-        self.model.record(GATHER, "mat_lowrank", n * k * 8,
-                          messages=self.nodes)
+        self._model("mat_lowrank", u)
         replies = self.cluster.roundtrip(("mat_lowrank", name, u),
                                          BROADCAST, "mat_lowrank")
-        out = np.empty((n, k))
+        out = np.empty((self.part.n, u.shape[1]))
         for partials in replies.values():
             for t, block in partials.items():
                 r0, r1 = self.part.tile_bounds[t]
@@ -125,16 +147,12 @@ class ShardedEngine:
         and shard strategy.
         """
         v = _factor(v)
-        n, k = self.part.n, v.shape[1]
-        self.model.record(BROADCAST, "matT_lowrank", v.nbytes * self.nodes,
-                          messages=self.nodes)
-        self.model.record(GATHER, "matT_lowrank",
-                          self.part.n_tiles * n * k * 8, messages=self.nodes)
+        self._model("matT_lowrank", v)
         replies = self.cluster.roundtrip(("matT_lowrank", name, v),
                                          BROADCAST, "matT_lowrank")
         partials = {t: block for reply in replies.values()
                     for t, block in reply.items()}
-        out = np.zeros((n, k))
+        out = np.zeros((self.part.n, v.shape[1]))
         for t in range(self.part.n_tiles):
             out += partials[t]
         return out
@@ -147,13 +165,15 @@ class ShardedEngine:
         self.cluster.close()
 
 
-class LocalShardEngine:
-    """Single-process reference: same tiles, same kernels, no workers."""
+class LocalShardEngine(_ShardEngine):
+    """Single-process reference: same tiles, same kernels, no workers.
+
+    ``model`` is priced for ``part.nodes``, not for this one process:
+    the node-count reports read it for clusters no box can spawn.
+    """
 
     def __init__(self, partitioner: RowShardPartitioner):
-        self.part = partitioner
-        self.comm = CommLog()
-        self.model = CommLog()
+        super().__init__(partitioner)
         self.workspace = Workspace()
         self._views: dict[str, np.ndarray] = {}
 
@@ -177,6 +197,7 @@ class LocalShardEngine:
 
     def add_lowrank(self, name: str, u: np.ndarray, v: np.ndarray) -> None:
         u, v = _factor(u), _factor(v)
+        self._model("add_lowrank", u, v)
         view, vt = self._views[name], v.T
         bounds = self.part.tile_bounds
         with self.workspace.frame():
@@ -186,6 +207,7 @@ class LocalShardEngine:
 
     def mat_lowrank(self, name: str, u: np.ndarray) -> np.ndarray:
         u = _factor(u)
+        self._model("mat_lowrank", u)
         view = self._views[name]
         out = np.empty((self.part.n, u.shape[1]))
         with self.workspace.frame():
@@ -197,6 +219,7 @@ class LocalShardEngine:
 
     def matT_lowrank(self, name: str, v: np.ndarray) -> np.ndarray:
         v = _factor(v)
+        self._model("matT_lowrank", v)
         view = self._views[name]
         out = np.zeros((self.part.n, v.shape[1]))
         with self.workspace.frame():

@@ -1,13 +1,13 @@
 """Persistent multiprocessing workers over shared-memory shards.
 
-The real (non-simulated) distributed engine: a coordinator spawns one
+The multiprocess distributed engine: a coordinator spawns one
 persistent process per node, ships each maintained view into a
 shared-memory segment (:mod:`repro.distributed.shm`), and drives the
 workers over per-worker duplex pipes.  Only thin rank-k factors and
 thin gathered partials cross the pipes — the ``O(n^2)`` view blocks
 never move, which is exactly LINVIEW's Figure 3(g) argument, now
-measured in real bytes and real seconds through the same
-:class:`~repro.distributed.comm.CommLog` the simulator uses.
+measured in real bytes and real seconds in a
+:class:`~repro.distributed.comm.CommLog`.
 
 Start method: always ``spawn`` (:data:`START_METHOD` — the only safe
 choice once BLAS threads exist in the parent: ``fork`` duplicates

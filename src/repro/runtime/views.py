@@ -167,10 +167,9 @@ class ViewStore:
         The cross-backend hand-off online re-planning relies on: every
         stored matrix is carried over *by value* — CSR state densifies
         through :meth:`~repro.backends.base.Backend.materialize`, dense
-        state re-enters the target backend's representation policy (the
-        session analog of ``BlockMatrix.from_sparse`` / densify in the
-        distributed layer) — so no view is re-evaluated.  Cost is one
-        pass over stored entries, not a rebuild.  The result is an
+        state re-enters the target backend's representation policy — so
+        no view is re-evaluated.  Cost is one pass over stored entries,
+        not a rebuild.  The result is an
         independent store: writes to either never reach the other.
         """
         be = get_backend(backend)

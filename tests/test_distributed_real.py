@@ -396,6 +396,27 @@ class TestCommModelAgreement:
             error = abs(measured[label] - modeled[label]) / modeled[label]
             assert error <= 0.10, (label, measured[label], modeled[label])
 
+    def test_local_engine_models_the_same_traffic(self):
+        """One ledger for both engines: the in-process engine records
+        what worker processes over the same partitioner would ship."""
+        n, nodes = 256, 2
+        a = _operator(n)
+        ledgers = []
+        for process in (True, False):
+            with _chain(a, nodes=nodes, tile_rows=32,
+                        process=process) as session:
+                session.engine.model.reset()
+                for u, v in _stream(n, 2):
+                    _refresh(session, u, v)
+                ledgers.append(session.engine.model)
+        assert ledgers[0].as_dict() == ledgers[1].as_dict()
+        # A factored apply broadcasts its factor pair once per node.
+        (u, v), = _stream(n, 1)
+        applies = [e for e in ledgers[1].events if e.label == "add_lowrank"]
+        assert applies[0].kind == "broadcast"
+        assert applies[0].nbytes == (u.nbytes + v.nbytes) * nodes
+        assert all(e.messages == nodes for e in applies)
+
 
 class TestWorkerFailure:
     def test_worker_exception_carries_remote_traceback(self):
@@ -818,29 +839,3 @@ class TestPlannerNodesGrid:
         small = rank_program(program, {"A": np.ones((32, 32))},
                              nodes=(1, 4))
         assert small[0].nodes == 1
-
-
-class TestSimulatedAccounting:
-    """Satellite bugfix: broadcast bytes follow the *cluster*, not the
-    tile grid — the low-rank update ships the factor pair once per node."""
-
-    def test_broadcast_counts_once_per_node(self):
-        from repro.distributed import (
-            BlockMatrix,
-            Cluster,
-            ClusterConfig,
-            SimulatedBackend,
-        )
-
-        n, tile_grid = 32, 4  # 16 tiles on a 4-worker (2x2) cluster
-        cluster = Cluster(config=ClusterConfig(grid=2))
-        workers = cluster.config.workers
-        assert workers != tile_grid * tile_grid  # the bug's precondition
-        a = BlockMatrix.from_dense(np.eye(n), tile_grid)
-        u = np.ones((n, 2))
-        v = np.ones((n, 2))
-        SimulatedBackend(cluster).add_outer_inplace(a, u, v)
-        expected = (u.nbytes + v.nbytes) * workers
-        assert cluster.comm.broadcast_bytes == expected
-        [event] = [e for e in cluster.comm.events if e.kind == "broadcast"]
-        assert event.messages == workers

@@ -167,7 +167,7 @@ def test_nothing_loads_after_the_workload_is_open(workload):
 
 LAZY_PACKAGES = [
     ("repro.runtime", 48, "IVMSession"),
-    ("repro.distributed", 22, "CommLog"),
+    ("repro.distributed", 15, "CommLog"),
     ("repro.expr", 44, "MatMul"),
     ("repro.delta", 23, "FactoredDelta"),
     ("repro.compiler", 21, "Program"),

@@ -113,21 +113,26 @@ class TestCrossStrategyAccord:
 
 class TestDistributedVsLocal:
     def test_distributed_matches_local_incremental(self, rng):
-        from repro.distributed import Cluster, ClusterConfig, SimulatedBackend
-        from repro.iterative import make_powers
+        from repro.distributed import (LocalShardEngine, RowShardPartitioner,
+                                       ShardBackend)
+        from repro.planner import MaintenancePlan
+        from repro.runtime import FactoredUpdate, ShardedSession
 
-        n, k = 20, 8
+        n = 20
+        program = parse_program(
+            "input A(n, n); P2 := A * A; P4 := P2 * P2; P8 := P4 * P4; "
+            "output P8;")
         a = spectral_normalized(rng, n)
-        simulated = SimulatedBackend(Cluster(ClusterConfig(grid=2)))
-        local = make_powers("INCR", a, k, Model.exponential())
-        dist = make_powers("INCR", a, k, Model.exponential(),
-                           backend=simulated)
+        local = IVMSession(program, {"A": a})
+        dist = ShardedSession(
+            program, {"A": a},
+            backend=ShardBackend(LocalShardEngine(
+                RowShardPartitioner(n, 4, tile_rows=5))),
+            plan=MaintenancePlan("INCR", nodes=4))
         for u, v in row_update_factors(rng, n, n, 3, scale=0.05):
-            local.refresh(u, v)
-            dist.refresh(u, v)
-        np.testing.assert_allclose(
-            local.result(), simulated.materialize(dist.result()), atol=1e-9
-        )
+            local.apply_update(FactoredUpdate("A", u, v))
+            dist.apply_update(FactoredUpdate("A", u, v))
+        np.testing.assert_allclose(local["P8"], dist["P8"], atol=1e-9)
 
 
 class TestAnalyticsOnGraphWorkloads:

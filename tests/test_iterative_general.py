@@ -8,6 +8,7 @@ from repro.iterative import (
     Model,
     ReevalGeneral,
     make_general,
+    make_powers,
 )
 from repro.workloads import row_update_factors, spectral_normalized
 
@@ -143,6 +144,18 @@ class TestValidation:
         a, b, t0 = _data(rng)
         with pytest.raises(ValueError, match="unknown strategy"):
             make_general("MAGIC", a, b, t0, 16, Model.linear())
+
+    def test_strategy_and_shape_errors_name_the_cause(self):
+        with pytest.raises(ValueError, match="no 'HYBRID' strategy"):
+            make_powers("HYBRID", np.eye(4), 2, Model.linear())
+        with pytest.raises(ValueError, match="shape mismatch"):
+            make_general("REEVAL", np.eye(4), None, np.ones((5, 1)), 2,
+                         Model.linear())
+
+    def test_vector_t0_normalized_under_hybrid(self, rng):
+        maintainer = make_general("HYBRID", 0.1 * rng.normal(size=(8, 8)),
+                                  None, np.ones(8), 4, Model.linear())
+        assert maintainer.result().shape == (8, 1)
 
 
 class TestCostCrossover:

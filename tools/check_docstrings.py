@@ -44,7 +44,6 @@ GATED = (
     "src/repro/runtime/workspace.py",
     "src/repro/planner/plan.py",
     "src/repro/distributed/workers.py",
-    "src/repro/distributed/engine.py",
     "src/repro/analytics/pagerank.py",
     "src/repro/analytics/markov.py",
     "src/repro/analytics/ols.py",

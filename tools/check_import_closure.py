@@ -97,8 +97,7 @@ GATED = {
         ("repro.analytics", "repro.runtime.serving",
          "repro.runtime.drift", "repro.runtime.checkpoint",
          "repro.calibrate", "repro.backends.sparse",
-         "repro.distributed.engine", "repro.distributed.blockmatrix",
-         "repro.distributed.cluster", "repro.compiler.optimizer"),
+         "repro.compiler.optimizer"),
         55,
     ),
     BENCHMARK_SETUP: (
