@@ -5,6 +5,7 @@ from .._lazy import lazy_exports
 #: Public name -> defining submodule, imported on first access.
 _EXPORTS = {
     "Assign": "trigger",
+    "CompiledProgram": "compile",
     "UnboundDimensionError": "chain",
     "Program": "program",
     "ProgramError": "program",
@@ -14,6 +15,7 @@ _EXPORTS = {
     "chain_cost": "chain",
     "chain_split": "chain",
     "compile_program": "compile",
+    "compiled_program": "compile",
     "compile_trigger_function": "codegen",
     "eliminate_common_subexpressions": "optimizer",
     "eliminate_dead_code": "optimizer",

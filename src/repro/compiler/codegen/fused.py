@@ -25,11 +25,13 @@ decide differently is already decided —
 * a record identical to an earlier one (same pure kernel, same
   operands) is merged into it: :func:`merge_duplicates`.
 
-Shapes stay symbolic until the list is **bound** to a ``dims`` mapping:
-constants are materialized, and each buffer is leased once from a
-:class:`~repro.runtime.workspace.Workspace` at the trigger's compiled
-update width.  Two executors run a bound list, and nothing else runs a
-trigger:
+A program's lists are lowered once, into its
+:class:`~repro.compiler.compile.CompiledProgram`, and every session
+binds those.  Shapes stay symbolic until the list is **bound** to a
+``dims`` mapping: constants are materialized, and each buffer is leased
+once from a :class:`~repro.runtime.workspace.Workspace` at the
+trigger's compiled update width.  Two executors run a bound list, and
+nothing else runs a trigger:
 
 * :func:`compile_trigger_function` — ``mode="interpret"``: a loop over
   the records, charging a FLOP :class:`~repro.cost.counters.Counter`
@@ -370,8 +372,9 @@ def _charges(be, counter: counters.Counter) -> dict[str, Callable]:
     }
 
 
-def _bind(trigger: Trigger, dims: Mapping[str, int], backend, workspace):
-    """Lower ``trigger`` and bind the form: ``(lowered, backend, values)``.
+def _bind(lowered: LoweredTrigger, dims: Mapping[str, int], backend,
+          workspace):
+    """Bind a lowered form: ``(backend, values)``.
 
     ``values`` holds what the list leaves free besides kernels:
     ``"_rank"`` (the compiled update width), every constant (built here)
@@ -386,7 +389,6 @@ def _bind(trigger: Trigger, dims: Mapping[str, int], backend, workspace):
 
     be = get_backend(backend)
     ws = Workspace() if workspace is None else workspace
-    lowered = lower_trigger(trigger)
     values: dict[str, object] = {"_rank": resolve_dim(lowered.rank, dims)}
     for name, (kind, *shape) in lowered.constants.items():
         sizes = [resolve_dim(dim, dims) for dim in shape]
@@ -395,7 +397,7 @@ def _bind(trigger: Trigger, dims: Mapping[str, int], backend, workspace):
     for name, shape in lowered.buffers.items():
         values[name] = ws.lease(resolve_dim(shape.rows, dims),
                                 resolve_dim(shape.cols, dims))
-    return lowered, be, values
+    return be, values
 
 
 def _loop(lowered: LoweredTrigger, be, values: Mapping[str, object],
@@ -455,20 +457,20 @@ def _loop(lowered: LoweredTrigger, be, values: Mapping[str, object],
 
 
 def compile_trigger_function(
-    trigger: Trigger,
+    lowered: LoweredTrigger,
     dims: Mapping[str, int],
     backend=None,
     workspace=None,
     counter: counters.Counter = counters.NULL_COUNTER,
 ) -> Callable:
-    """The loop executor of ``trigger``'s lowered form.
+    """The loop executor of a trigger's lowered form.
 
-    Binds the form against concrete ``dims`` (:func:`_bind`) and returns
-    ``fn(views, u, v)``.  An update of the compiled width runs on the
-    leased buffers; any other width runs the same records with
+    Binds ``lowered`` against concrete ``dims`` (:func:`_bind`) and
+    returns ``fn(views, u, v)``.  An update of the compiled width runs
+    on the leased buffers; any other width runs the same records with
     allocating destinations.  Every record is charged to ``counter``.
     """
-    lowered, be, values = _bind(trigger, dims, backend, workspace)
+    be, values = _bind(lowered, dims, backend, workspace)
     return _loop(lowered, be, values, counter)
 
 
@@ -516,26 +518,26 @@ def generate_python_trigger(
 
 
 def compile_fused_trigger(
-    trigger: Trigger,
+    lowered: LoweredTrigger,
     dims: Mapping[str, int],
     backend=None,
     workspace=None,
 ) -> Callable:
-    """Print, bind and ``exec`` ``trigger``'s lowered form.
+    """Print, bind and ``exec`` a trigger's lowered form.
 
     Same binding as :func:`compile_trigger_function`, pinned in the
     function's globals; ``fn.__source__`` is the printed text.  Nothing
     is charged to a counter.
     """
-    lowered, be, values = _bind(trigger, dims, backend, workspace)
+    be, values = _bind(lowered, dims, backend, workspace)
     source = _print(lowered, None)
     namespace = {f"_{name}": kernel for name, kernel in _kernels(be).items()}
     namespace.update(values)
     namespace["_any_width"] = _loop(lowered, be, values,
                                     counters.NULL_COUNTER)
-    exec(compile(source, f"<trigger:{trigger.input_name}>", "exec"),
+    exec(compile(source, f"<trigger:{lowered.input_name}>", "exec"),
          namespace)
-    fn = namespace[f"on_update_{trigger.input_name}"]
+    fn = namespace[f"on_update_{lowered.input_name}"]
     fn.__source__ = source  # type: ignore[attr-defined]
     return fn
 

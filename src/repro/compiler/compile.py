@@ -11,11 +11,18 @@ the ``A_i += U_Ai @ V_Ai'`` update.
 
 Statements whose delta is zero produce no trigger statements at all —
 views unaffected by ``X`` are never touched.
+
+:func:`compiled_program` is what the rest of the system consumes: one
+:class:`CompiledProgram` per ``(program, rank)`` — the triggers and
+their lowered kernel lists — built on first use and shared by the
+shardability check and every session on that program object.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..delta.derivation import compute_delta
 from ..delta.factored import FactoredDelta
@@ -23,6 +30,9 @@ from ..expr.ast import Expr, Inverse, MatrixSymbol, matmul, transpose
 from ..expr.shapes import DimLike
 from .program import Program
 from .trigger import Assign, Trigger, Update
+
+if TYPE_CHECKING:
+    from .codegen.fused import LoweredTrigger
 
 
 def compile_program(
@@ -81,3 +91,37 @@ def _inverse_refs(expr: Expr, target: MatrixSymbol) -> Mapping[Expr, Expr]:
     if isinstance(expr, Inverse):
         return {expr: target}
     return {}
+
+
+@dataclass(frozen=True)
+class CompiledProgram:
+    """A program's triggers and lowered lists for one update width."""
+
+    #: Input name -> its trigger (Algorithm 1).
+    triggers: Mapping[str, Trigger]
+    _lowered: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def lowered(self, name: str) -> LoweredTrigger:
+        """``name``'s merged kernel list, which both execution modes run,
+        lowered on first use (a session superseded before its first
+        update lowers nothing)."""
+        if name not in self._lowered:
+            from .codegen.fused import lower_trigger
+
+            self._lowered[name] = lower_trigger(self.triggers[name])
+        return self._lowered[name]
+
+
+def compiled_program(program: Program, rank: DimLike = 1) -> CompiledProgram:
+    """``program``'s :class:`CompiledProgram` for updates of width ``rank``.
+
+    Algorithm 1 runs, and each trigger is lowered, once per ``(program,
+    rank)``: the shardability check the planner and a sharded session
+    ask (:func:`~repro.distributed.sharded.unshardable`), every
+    session's executors and every re-planning or restore rebuild on the
+    same program read the same artifact, kept on the program.
+    """
+    if rank not in program._compiled:
+        program._compiled[rank] = CompiledProgram(
+            MappingProxyType(compile_program(program, rank=rank)))
+    return program._compiled[rank]

@@ -94,6 +94,9 @@ class Program:
                 raise ProgramError(f"unknown output {name!r}")
             if name in input_names:
                 raise ProgramError(f"output {name!r} is an input, not a view")
+        #: Update width -> :class:`~repro.compiler.compile.CompiledProgram`,
+        #: filled by :func:`~repro.compiler.compile.compiled_program`.
+        self._compiled: dict = {}
 
     @property
     def input_names(self) -> tuple[str, ...]:

@@ -332,7 +332,9 @@ def unshardable(program, rank: int) -> str | None:
     """Why no shard engine can maintain ``program`` — ``None`` if one can.
 
     The one "can this program shard" question, asked of the lowered
-    lists a session compiles for updates of width ``rank``: every view
+    lists a session runs for updates of width ``rank`` — the program's
+    :func:`~repro.compiler.compile.compiled_program`, so asking compiles
+    nothing a session will not reuse: every view
     shares one tile decomposition, so all are declared with one square
     shape; and a stored view (or its hoisted transpose)
     appears only where a tile kernel exists — as the left operand of a
@@ -341,16 +343,15 @@ def unshardable(program, rank: int) -> str | None:
     one, a view-by-view product and a non-factored ``applyadd`` have no
     tile kernel.
     """
-    from ..compiler.codegen.fused import lower_trigger
-    from ..compiler.compile import compile_program
+    from ..compiler.compile import compiled_program
 
     symbols = [*program.inputs, *(stmt.target for stmt in program.statements)]
     if len({dim for sym in symbols for dim in sym.shape}) != 1:
         declared = ", ".join(f"{sym.name}{sym.shape}" for sym in symbols)
         return (f"sharded views share one tile decomposition and must be "
                 f"square matrices of one order, got {declared}")
-    for trigger in compile_program(program, rank=rank).values():
-        lowered = lower_trigger(trigger)
+    compiled = compiled_program(program, rank)
+    for lowered in map(compiled.lowered, compiled.triggers):
         stored = set(lowered.views)
         for op in (*lowered.ops, *lowered.applies):
             held = [at for at, src in enumerate(op.srcs) if src in stored]

@@ -243,8 +243,8 @@ def rank_program(
     Sharded cells (``N > 1``) exist only for
     dense INCR over programs whose lowered trigger lists the tile
     kernels can run (:func:`repro.distributed.sharded.unshardable`,
-    asked of the triggers a session would compile at ``stats``'s update
-    rank) and are priced with the Amdahl + IPC comm term
+    asked of the lists a session at ``stats``'s update rank runs) and
+    are priced with the Amdahl + IPC comm term
     (:func:`repro.cost.estimate.sharded_refresh_cost`), so tiny views
     lose to single-process on the IPC tax while large dense chains win.
     ``inputs``
@@ -272,11 +272,10 @@ def rank_program(
     rankings on the conservative unbatched form.
 
     ``memo`` is a dict the caller owns and passes to every ranking of
-    one program: the calibrated backends, the per-cell ``rank ->
-    cost`` walks of the program tree and whether the program shards
-    are kept in it and reused while dimensions, measured densities,
-    update input and calibration are what they were, and
-    dropped when one moves — so a periodic
+    one program: the calibrated backends and the per-cell ``rank ->
+    cost`` walks of the program tree are kept in it and reused while
+    dimensions, measured densities, update input and calibration are
+    what they were, and dropped when one moves — so a periodic
     re-ranking of an unchanged workload walks nothing twice and returns
     the same floats.
     """
@@ -311,11 +310,11 @@ def rank_program(
         stats.distinct_fraction, stats.batch_hint, rank)
 
     node_counts = sorted({max(int(count), 1) for count in nodes}) or [1]
-    if any(count > 1 for count in node_counts) and "shardable" not in memo:
+    shardable = False
+    if any(count > 1 for count in node_counts):
         from ..distributed.sharded import unshardable
 
-        memo["shardable"] = unshardable(program, rank) is None
-    shardable = memo.get("shardable", False)
+        shardable = unshardable(program, rank) is None
     target = update_input or program.input_names[0]
     target_n = resolve_dim(program.input(target).shape.rows, resolved_dims)
     target_cols = resolve_dim(program.input(target).shape.cols, resolved_dims)

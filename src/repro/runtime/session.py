@@ -22,11 +22,13 @@ plan from its arguments).
 
 Triggers have one lowered form (:mod:`repro.compiler.codegen.fused`): a
 flat kernel list with buffers, hoisted transposes, identical records
-merged and the evaluate-all-then-apply-all order made explicit.  Both
-execution modes run it — through the backend's ``*_into`` kernels, into
-buffers leased once from the session's
-:class:`~repro.runtime.workspace.Workspace`,
-repairing views **in place** — so they share ops, operand layouts and
+merged and the evaluate-all-then-apply-all order made explicit.  It is
+compiled once per ``(program, rank)``
+(:func:`~repro.compiler.compile.compiled_program`) and shared by every
+session on that program.  Both execution modes run it — through the
+backend's ``*_into`` kernels, into buffers leased once from the
+session's :class:`~repro.runtime.workspace.Workspace`, repairing views
+**in place** — so they share ops, operand layouts and
 association order by construction (bit-for-bit equal on the dense
 backend) and a warmed-up dense session performs zero heap allocation
 per update in either:
@@ -77,9 +79,9 @@ from ..compiler.codegen.fused import (
     compile_fused_trigger,
     compile_trigger_function,
 )
-from ..compiler.compile import compile_program
+# benchmarks/e2e/trace.py patches ``compile_program`` on this module.
+from ..compiler.compile import compile_program, compiled_program  # noqa: F401
 from ..compiler.program import Program
-from ..compiler.trigger import Trigger
 from ..cost import counters
 from .batching import DeferralSpec, resolve_deferral, still_resolved
 from .executor import evaluate
@@ -598,29 +600,27 @@ class IVMSession(Session):
     ):
         super().__init__(program, inputs, dims, counter, backend, plan,
                          mode=mode, rank=rank)
-        plan = self.plan
-        self.mode = plan.mode
-
-        self.triggers: dict[str, Trigger] = compile_program(
-            program, rank=plan.rank)
+        self.mode = self.plan.mode
+        #: Triggers and lowered lists, shared per (program, rank).
+        self.compiled = compiled_program(program, self.plan.rank)
         #: Scratch buffers of every trigger's lowered form.
         self.workspace = Workspace()
         #: Input name -> bound executor of its trigger's lowered form.
         self._executors: dict[str, Callable] = {}
         if self.mode == "codegen":
-            for name in self.triggers:
+            for name in self.compiled.triggers:
                 self._executor(name)
 
     def _executor(self, name: str) -> Callable:
-        """Bind ``name``'s trigger against this session's dims, backend
-        and workspace, in the form ``self.mode`` runs."""
+        """Bind ``name``'s lowered trigger against this session's dims,
+        backend and workspace, in the form ``self.mode`` runs."""
         if self.mode == "codegen":
             fn = compile_fused_trigger(
-                self.triggers[name], self._bound_dims(), self.backend,
+                self.compiled.lowered(name), self._bound_dims(), self.backend,
                 self.workspace)
         else:
             fn = compile_trigger_function(
-                self.triggers[name], self._bound_dims(), self.backend,
+                self.compiled.lowered(name), self._bound_dims(), self.backend,
                 self.workspace, self.counter)
         self._executors[name] = fn
         return fn
@@ -640,7 +640,7 @@ class IVMSession(Session):
 
     # -- maintenance -----------------------------------------------------
     def _check_update_target(self, update: FactoredUpdate) -> None:
-        if update.target not in self.triggers:
+        if update.target not in self.compiled.triggers:
             raise KeyError(f"no trigger compiled for input {update.target!r}")
 
     def _apply_now(self, update: FactoredUpdate) -> None:

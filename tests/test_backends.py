@@ -490,7 +490,8 @@ class TestSessionBackendParity:
                              dims={"n": 90}, mode="codegen",
                              backend="sparse")
         fn = session._executors["A"]
-        assert fn.__source__ == generate_python_trigger(session.triggers["A"])
+        assert fn.__source__ == generate_python_trigger(
+            session.compiled.triggers["A"])
         assert "_matmul(" in fn.__source__ and "@" not in fn.__source__
         # Updates accumulate into store-owned arrays: no copy-on-write.
         assert "_outer(" in fn.__source__ and ".copy()" not in fn.__source__

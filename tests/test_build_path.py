@@ -48,7 +48,7 @@ def test_replan_switch_keeps_observed_rank(rng, tmp_path):
     assert monitor.plan is session.plan
     assert session.plan.rank == 2
     assert [trigger.params[0].shape.cols
-            for trigger in session.triggers.values()] == [2]
+            for trigger in session.compiled.triggers.values()] == [2]
 
     # The checkpointer followed the switch and records the new recipe.
     assert checkpointer is session.checkpointer
@@ -68,7 +68,7 @@ def test_catalog_rebuild_keeps_rank(rng):
     assert catalog.stats.evictions >= 1  # the eviction rebuilt the session
 
     inner = catalog._session
-    assert inner.triggers["A"].params[0].shape.cols == 2
+    assert inner.compiled.triggers["A"].params[0].shape.cols == 2
     assert inner.plan.rank == 2 and inner.mode == "codegen"
     assert inner._executors["A"].__globals__["_rank"] == 2
 

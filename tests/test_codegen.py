@@ -8,6 +8,7 @@ from repro.compiler import (
     Statement,
     compile_program,
     compile_trigger_function,
+    compiled_program,
     generate_octave_trigger,
     generate_python_trigger,
 )
@@ -59,8 +60,8 @@ class TestPythonTrigger:
         "build", [compile_trigger_function, compile_fused_trigger])
     def test_compiled_function_matches_reevaluation(self, rng, build):
         size = 8
-        trigger = compile_program(a4_program())["A"]
-        fn = build(trigger, {"n": size})
+        lowered = compiled_program(a4_program()).lowered("A")
+        fn = build(lowered, {"n": size})
         a0 = rng.normal(size=(size, size))
         views = {"A": a0.copy(), "B": a0 @ a0, "C": (a0 @ a0) @ (a0 @ a0)}
         uu = rng.normal(size=(size, 1))
@@ -74,9 +75,10 @@ class TestPythonTrigger:
         )
 
     def test_source_attached_to_function(self):
-        trigger = compile_program(a4_program())["A"]
-        fn = compile_fused_trigger(trigger, {"n": 4})
-        assert fn.__source__ == generate_python_trigger(trigger)
+        compiled = compiled_program(a4_program())
+        fn = compile_fused_trigger(compiled.lowered("A"), {"n": 4})
+        assert fn.__source__ == generate_python_trigger(
+            compiled.triggers["A"])
 
     def test_custom_function_name(self):
         trigger = compile_program(a4_program())["A"]

@@ -233,15 +233,18 @@ class TestMaintenanceEquivalence:
         """The Section 6 AST optimizer, which only the text emitters
         run, preserves what a trigger computes."""
         from repro.compiler import optimize_trigger
-        from repro.compiler.codegen.fused import compile_trigger_function
+        from repro.compiler.codegen.fused import (
+            compile_trigger_function,
+            lower_trigger,
+        )
 
         size = 8
         program, dims = a4_program(), {"n": size}
         reeval = ReevalSession(program, {"A": rng.normal(size=(size, size))},
                                dims=dims)
         views = {name: np.array(reeval[name]) for name in ("A", "B", "C")}
-        fire = compile_trigger_function(
-            optimize_trigger(compile_program(program)["A"]), dims)
+        fire = compile_trigger_function(lower_trigger(
+            optimize_trigger(compile_program(program)["A"])), dims)
         for _ in range(4):
             u, v = rng.normal(size=(size, 1)), rng.normal(size=(size, 1))
             fire(views, u, v)

@@ -333,7 +333,7 @@ class TestOneListEveryFiring:
         trigger = compile_program(program)["A"]
         assert "_b0: (n x 1)" in generate_python_trigger(trigger)
         with pytest.raises(EvaluationError, match="unbound dimension"):
-            build(trigger, {})  # no binding for n
+            build(lower_trigger(trigger), {})  # no binding for n
 
     def test_inverse_program_bitwise_and_correct(self, rng):
         n = 6
@@ -379,11 +379,11 @@ class TestPrintedForm:
                    if line)
 
     def test_buffers_shared_across_triggers_by_shape(self):
-        trigger = compile_program(_a4(8))["A"]
+        lowered = lower_trigger(compile_program(_a4(8))["A"])
         ws = Workspace()
-        fn = compile_fused_trigger(trigger, {}, workspace=ws)
+        fn = compile_fused_trigger(lowered, {}, workspace=ws)
         buffers_after_first = ws.buffer_count()
-        fn2 = compile_trigger_function(trigger, {}, workspace=ws)
+        fn2 = compile_trigger_function(lowered, {}, workspace=ws)
         assert ws.buffer_count() == buffers_after_first, (
             "re-binding the same trigger should reuse the arena's buffers"
         )
@@ -405,12 +405,16 @@ def _tenants(count=8):
 
 
 def _final_views(program, inputs, updates, mode, merge=True):
-    """Every stored array after ``updates``, on merged or raw lists."""
+    """Every stored array after ``updates``, on merged or raw lists.
+
+    The session runs a fresh copy of ``program``, so it lowers its own
+    lists rather than reusing another session's compiled ones."""
     with pytest.MonkeyPatch.context() as patch:
         if not merge:
             patch.setattr(fused, "merge_duplicates", lambda lowered: lowered)
         session = IVMSession(
-            program, {k: np.array(v) for k, v in inputs.items()},
+            Program(program.inputs, program.statements),
+            {k: np.array(v) for k, v in inputs.items()},
             dims={"n": 8}, mode=mode)
         for update in updates:
             session.apply_update(update)
@@ -504,7 +508,7 @@ class TestMergedRecords:
                 if not merge:
                     patch.setattr(fused, "merge_duplicates",
                                   lambda lowered: lowered)
-                fn = build(trigger, {})
+                fn = build(lower_trigger(trigger), {})
                 for _ in range(2):  # the second firing reuses buffers
                     fn(state, u, v)
             results.append(state)

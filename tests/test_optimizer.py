@@ -14,7 +14,10 @@ from repro.compiler import (
     optimize_trigger,
     propagate_copies,
 )
-from repro.compiler.codegen.fused import compile_trigger_function
+from repro.compiler.codegen.fused import (
+    compile_trigger_function,
+    lower_trigger,
+)
 from repro.cost import Counter
 from repro.expr import MatrixSymbol, NamedDim, add, inverse, matmul, transpose
 from repro.runtime import FactoredUpdate, IVMSession, ReevalSession
@@ -147,8 +150,8 @@ class TestPipeline:
         design[:6] += np.eye(6)
         reeval = ReevalSession(program, {"X": design}, dims=sizes)
         views = {name: np.array(reeval[name]) for name in ("X", "Z", "W")}
-        fire = compile_trigger_function(
-            optimize_trigger(compile_program(program)["X"]), sizes)
+        fire = compile_trigger_function(lower_trigger(
+            optimize_trigger(compile_program(program)["X"])), sizes)
         for _ in range(5):
             u_x = 0.05 * rng.normal(size=(16, 1))
             v_x = 0.05 * rng.normal(size=(6, 1))

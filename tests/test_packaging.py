@@ -46,3 +46,14 @@ def test_sessions_are_built_in_one_place():
     builders, stores = module.findings()
     assert builders == {("runtime/session.py", "build_session")}
     assert stores == []
+
+
+def test_programs_are_compiled_in_one_place():
+    """docs/invariants.md, "One lowering": sessions, the planner and the
+    shardability check read ``compiled_program``'s artifact, and only
+    ``repro compile``'s printers compile or lower on their own."""
+    tool = PYPROJECT.parent / "tools" / "check_one_builder.py"
+    spec = importlib.util.spec_from_file_location("check_one_builder", tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.compilers() == module.COMPILERS

@@ -1,17 +1,24 @@
 #!/usr/bin/env python
-"""Fail when a session is built, or re-labelled, outside the one build path.
+"""Fail when a session is built, re-labelled or compiled outside the one
+build path.
 
 docs/invariants.md, "One build path": ``runtime.session.build_session``
 is the only function in ``src/repro`` that calls a session constructor,
 and ``session.plan`` is set by the session itself, never assigned from
-outside.  AST-based — nothing is imported.
+outside.  "One lowering": Algorithm 1 (``compile_program``) and the
+lowering (``lower_trigger``) run inside ``compiled_program`` and its
+artifact's ``lowered`` — which every session, the planner and the
+shardability check share — and in the text emitters of ``repro
+compile`` only.  AST-based —
+nothing is imported.
 
 Usage::
 
     python tools/check_one_builder.py
 
-Exits 1 when constructor calls sit in more than one function or any
-``<not self>.plan = ...`` statement exists.
+Exits 1 when constructor calls sit in more than one function, any
+``<not self>.plan = ...`` statement exists, or a function outside
+:data:`COMPILERS` compiles or lowers a program.
 """
 
 from __future__ import annotations
@@ -24,21 +31,44 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 SESSIONS = {"IVMSession", "ReevalSession", "ShardedSession"}
 #: ``make_ols`` labels the OLS *maintainer* it returns (not a session).
 NOT_A_SESSION = {("analytics/ols.py", "make_ols")}
+#: The functions that may run Algorithm 1 or the lowering themselves:
+#: the memoized artifact, and what ``repro compile`` prints (triggers
+#: the AST rewrites may have changed, so printed from scratch).
+COMPILERS = {
+    ("compiler/compile.py", "compiled_program"),
+    ("compiler/compile.py", "lowered"),
+    ("compiler/codegen/fused.py", "generate_python_trigger"),
+    ("cli.py", "main"),
+}
 
 
 def findings(root: Path = SRC) -> tuple[set, list]:
-    """``(functions calling a session constructor, outside .plan stores)``,
-    each entry a ``(file, function, line)`` triple."""
-    builders, stores = set(), []
+    """``(functions calling a session constructor, outside .plan stores)``:
+    ``(file, function)`` pairs and ``(file, function, line)`` triples."""
+    builders, stores, _ = _walk(root)
+    return builders, stores
+
+
+def compilers(root: Path = SRC) -> set:
+    """``(file, function)`` of every call to ``compile_program`` or
+    ``lower_trigger``."""
+    return _walk(root)[2]
+
+
+def _walk(root: Path) -> tuple[set, list, set]:
+    builders, stores, compiling = set(), [], set()
     for path in sorted(root.rglob("*.py")):
         rel = path.relative_to(root).as_posix()
 
         def visit(node, scope):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 scope = node.name
-            if isinstance(node, ast.Call) and getattr(
-                    node.func, "id", getattr(node.func, "attr", None)) in SESSIONS:
+            called = isinstance(node, ast.Call) and getattr(
+                node.func, "id", getattr(node.func, "attr", None))
+            if called in SESSIONS:
                 builders.add((rel, scope))
+            if called in ("compile_program", "lower_trigger"):
+                compiling.add((rel, scope))
             if (isinstance(node, ast.Attribute) and node.attr == "plan"
                     and isinstance(node.ctx, ast.Store)
                     and getattr(node.value, "id", None) != "self"
@@ -48,18 +78,22 @@ def findings(root: Path = SRC) -> tuple[set, list]:
                 visit(child, scope)
 
         visit(ast.parse(path.read_text()), "<module>")
-    return builders, stores
+    return builders, stores, compiling
 
 
 def main() -> int:
-    builders, stores = findings()
+    builders, stores, compiling = _walk(SRC)
     for rel, scope in sorted(builders):
         print(f"session constructor called in {rel}:{scope}")
     for rel, scope, line in stores:
         print(f"outside .plan assignment at {rel}:{line} ({scope})")
-    ok = len(builders) == 1 and not stores
+    stray = sorted(compiling - COMPILERS)
+    for rel, scope in stray:
+        print(f"compiles or lowers a program itself: {rel}:{scope}")
+    ok = len(builders) == 1 and not stores and not stray
     print(f"{len(builders)} building function(s), {len(stores)} outside "
-          f".plan assignment(s): {'ok' if ok else 'FAIL'}")
+          f".plan assignment(s), {len(stray)} stray compiler(s): "
+          f"{'ok' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 
