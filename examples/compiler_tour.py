@@ -1,22 +1,20 @@
 """A tour of the LINVIEW compiler pipeline (Section 6's system).
 
 Walks one program through every stage: source text -> AST -> Algorithm 1
-triggers -> optimizer passes -> the lowered form sessions execute and
-Octave / Spark code generation — printing the artifacts at each step.
+triggers -> the lowered form sessions execute (identical kernel records
+merged) and Octave / Spark code generation — printing the artifacts at
+each step.
 
 Run:  python examples/compiler_tour.py
 """
 
-from repro.expr import trigger_to_latex
 from repro.compiler import (
-    compile_program,
+    compiled_program,
     generate_octave_trigger,
+    generate_python_trigger,
     generate_spark_trigger,
     optimize_trigger_chains,
-    generate_python_trigger,
-    optimize_trigger,
 )
-from repro.expr import count_nodes
 from repro.frontend import parse_program, tokenize
 
 SOURCE = """
@@ -44,36 +42,30 @@ def main() -> None:
     print(program)
 
     print("\n=== 4. Algorithm 1: trigger for updates to X ===")
-    trigger = compile_program(program, dynamic_inputs=["X"])["X"]
+    compiled = compiled_program(program)
+    trigger = compiled.triggers["X"]
     print(trigger)
     print("\nNote: dW references the materialized view W (Sherman-Morrison/")
     print("Woodbury, Example 4.3) — no n x n matrix is ever re-inverted.")
 
-    print("\n=== 5. Optimizer (CSE + copy propagation + DCE) ===")
-    optimized = optimize_trigger(trigger)
-    before = sum(count_nodes(a.expr) for a in trigger.assigns)
-    after = sum(count_nodes(a.expr) for a in optimized.assigns)
-    print(optimized)
-    print(f"\nassign-expression AST nodes: {before} -> {after}")
-
-    print("\n=== 6. The lowered form (what a session loops over, or "
+    print("\n=== 5. The lowered form (what a session loops over, or "
           "prints like this and exec-utes) ===")
-    print(generate_python_trigger(optimized))
+    lowered = compiled.lowered("X")
+    print(generate_python_trigger(lowered))
+    print(f"{len(lowered.ops)} records, {len(lowered.applies)} applies "
+          "(identical pure records merged)\n")
 
-    print("=== 7. Generated Octave backend ===")
-    print(generate_octave_trigger(optimized))
+    print("=== 6. Generated Octave backend ===")
+    print(generate_octave_trigger(trigger))
 
-    print("=== 8. Generated Spark (Scala) backend ===")
-    print(generate_spark_trigger(optimized))
+    print("=== 7. Generated Spark (Scala) backend ===")
+    print(generate_spark_trigger(trigger))
 
-    print("=== 9. Chain-ordered for concrete sizes (Section 5.1) ===")
-    sized = optimize_trigger_chains(optimized, {"m": 4096, "n": 512, "p": 1})
+    print("=== 8. Chain-ordered for concrete sizes (Section 5.1) ===")
+    sized = optimize_trigger_chains(trigger, {"m": 4096, "n": 512, "p": 1})
     print(sized)
     print("\n(products re-associated by the matrix-chain DP for"
           " m=4096, n=512, p=1)")
-
-    print("\n=== 10. The trigger as LaTeX (the paper's Example layout) ===")
-    print(trigger_to_latex(optimized))
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ LINVIEW is a compilation framework for incremental view maintenance of
 (iterative) linear algebra programs.  The package layout mirrors the
 paper: :mod:`repro.expr` is the matrix-expression language,
 :mod:`repro.delta` the delta calculus of Section 4, :mod:`repro.compiler`
-Algorithm 1 plus the Section 6 optimizer and code generators,
+Algorithm 1, the lowered kernel lists sessions run and the code generators,
 :mod:`repro.runtime` the single-node evaluator,
 :mod:`repro.distributed` the row-shard engine (worker processes over
 shared memory, or its in-process reference),

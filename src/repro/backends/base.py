@@ -377,6 +377,20 @@ class Backend(ABC):
     def matmul_flops(self, a: MatrixLike, b: MatrixLike) -> int:
         """FLOPs the backend performs for ``a @ b``."""
 
+    def add_outer_flops(self, a: MatrixLike, u, v) -> int:
+        """FLOPs of applying ``a += u @ v.T`` under this backend.
+
+        Dense state pays the full rank-k GEMM; sparse state accumulates a
+        sparse outer product whose work scales with the factors' nonzeros.
+        """
+        rows, cols = self.shape(a)
+        k = u.shape[1]
+        if self.density(a) < 1.0:
+            u_nnz = int(np.count_nonzero(u))
+            v_nnz = int(np.count_nonzero(v))
+            return 2 * max(u_nnz, 1) * max(v_nnz, 1) // max(k, 1)
+        return 2 * rows * k * cols
+
     @abstractmethod
     def add_flops(self, a: MatrixLike) -> int:
         """FLOPs of an element-wise add shaped like ``a``."""

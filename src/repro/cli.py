@@ -4,7 +4,7 @@ Mirrors the paper's compiler workflow (Figure 2) from the shell::
 
     python -m repro compile program.lvw                 # trigger text
     python -m repro compile program.lvw --backend python
-    python -m repro compile program.lvw --backend octave --optimize
+    python -m repro compile program.lvw --backend octave
     python -m repro compile program.lvw --backend spark
     python -m repro compile program.lvw --input A --rank 2
     python -m repro compile program.lvw --dims n=4096   # chain-order products
@@ -147,8 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "(repeatable; default: all inputs)")
     comp.add_argument("--rank", type=int, default=1,
                       help="width of the incoming update factors (default 1)")
-    comp.add_argument("--optimize", action="store_true",
-                      help="run the Section 6 optimizer (CSE, copies, DCE)")
     comp.add_argument("--materialize-inversions", action="store_true",
                       help="hoist nested inv(...) into their own views "
                            "(the Example 4.2 restructuring)")
@@ -156,7 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar="NAME=SIZE",
                       help="bind a symbolic dimension and re-associate "
                            "every product chain optimally for those sizes "
-                           "(repeatable, e.g. --dims n=4096)")
+                           "(repeatable, e.g. --dims n=4096; not with "
+                           "--backend python)")
 
     advise = sub.add_parser(
         "advise",
@@ -1054,7 +1053,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "serve":
         return _run_serve(args, program)
 
-    from .compiler.compile import compile_program
+    from .compiler.compile import compiled_program
 
     if args.materialize_inversions:
         from .compiler.transform import materialize_inversions
@@ -1065,12 +1064,11 @@ def main(argv: list[str] | None = None) -> int:
         print()
 
     try:
-        triggers = compile_program(
-            program,
-            dynamic_inputs=args.inputs,
-            rank=args.rank,
-        )
-    except KeyError as exc:
+        compiled = compiled_program(program, args.rank)
+        names = sorted(set(args.inputs or compiled.triggers))
+        for name in names:
+            program.input(name)  # raises KeyError for unknown inputs
+    except (KeyError, ValueError) as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
 
@@ -1079,11 +1077,12 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if dims and args.backend == "python":
+        print("error: --dims applies to the trigger, octave and spark "
+              "backends; python prints the lowered list sessions run, "
+              "whose products are never re-associated", file=sys.stderr)
+        return 2
 
-    if args.optimize:
-        from .compiler.optimizer import optimize_trigger
-    if dims:
-        from .compiler.chain import UnboundDimensionError, optimize_trigger_chains
     # Only ``compile`` pays for an emitter, and only for the one it prints.
     if args.backend == "python":
         from .compiler.codegen.fused import generate_python_trigger as emit
@@ -1093,19 +1092,23 @@ def main(argv: list[str] | None = None) -> int:
         from .compiler.codegen.spark_gen import generate_spark_trigger as emit
     else:
         emit = str
+    if dims:
+        from .compiler.chain import UnboundDimensionError, optimize_trigger_chains
 
-    for index, (name, trigger) in enumerate(sorted(triggers.items())):
-        if args.optimize:
-            trigger = optimize_trigger(trigger)
+    for index, name in enumerate(names):
+        # python prints the merged list sessions run; the AST printers
+        # print Algorithm 1's trigger, chain-ordered under --dims.
+        form = (compiled.lowered(name) if args.backend == "python"
+                else compiled.triggers[name])
         if dims:
             try:
-                trigger = optimize_trigger_chains(trigger, dims)
+                form = optimize_trigger_chains(form, dims)
             except UnboundDimensionError as exc:
                 print(f"error: {exc} (bind it with --dims)", file=sys.stderr)
                 return 2
         if index:
             print()
-        print(emit(trigger))
+        print(emit(form))
     return 0
 
 

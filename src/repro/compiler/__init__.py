@@ -1,4 +1,4 @@
-"""The LINVIEW compiler: programs, Algorithm 1, optimizer, code generators."""
+"""The LINVIEW compiler: programs, Algorithm 1, chain ordering, code generators."""
 
 from .._lazy import lazy_exports
 
@@ -17,16 +17,12 @@ _EXPORTS = {
     "compile_program": "compile",
     "compiled_program": "compile",
     "compile_trigger_function": "codegen",
-    "eliminate_common_subexpressions": "optimizer",
-    "eliminate_dead_code": "optimizer",
     "generate_octave_trigger": "codegen",
     "left_to_right_cost": "chain",
     "optimize_chains": "chain",
     "optimize_trigger_chains": "chain",
     "generate_python_trigger": "codegen",
     "generate_spark_trigger": "codegen",
-    "optimize_trigger": "optimizer",
-    "propagate_copies": "optimizer",
 }
 
 __all__ = list(_EXPORTS)

@@ -66,7 +66,6 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from ...cost import counters
-from ...cost.ops import outer_update_flops
 from ...expr.ast import (
     Add,
     Expr,
@@ -358,7 +357,7 @@ def _charges(be, counter: counters.Counter) -> dict[str, Callable]:
     def outer(a, u, v):  # the statement ``a += u * v'``, never evaluated
         rows, cols = be.shape(a)
         record("transpose", 0)
-        record("matmul", outer_update_flops(be, a, u, v), rows * cols * 8)
+        record("matmul", be.add_outer_flops(a, u, v), rows * cols * 8)
 
     return {
         "transpose": lambda a: record("transpose", 0),
@@ -474,7 +473,17 @@ def compile_trigger_function(
     return _loop(lowered, be, values, counter)
 
 
-def _print(lowered: LoweredTrigger, function_name: str | None) -> str:
+def generate_python_trigger(
+    lowered: LoweredTrigger, function_name: str | None = None
+) -> str:
+    """Print a lowered trigger as Python function source.
+
+    Needs no ``dims``: buffers (``_bN``) and constants (``_cN``) are free
+    names listed with their symbolic shapes in the leading comment;
+    ``_<kernel>`` are the backend's ``*_into`` kernels, ``_rank`` the
+    compiled update width and ``_any_width`` the loop executor that
+    takes every other width.  :func:`compile_fused_trigger` binds them.
+    """
     name = function_name or f"on_update_{lowered.input_name}"
 
     def call(op: Op) -> str:
@@ -503,20 +512,6 @@ def _print(lowered: LoweredTrigger, function_name: str | None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def generate_python_trigger(
-    trigger: Trigger, function_name: str | None = None
-) -> str:
-    """Print ``trigger``'s lowered form as Python function source.
-
-    Needs no ``dims``: buffers (``_bN``) and constants (``_cN``) are free
-    names listed with their symbolic shapes in the leading comment;
-    ``_<kernel>`` are the backend's ``*_into`` kernels, ``_rank`` the
-    compiled update width and ``_any_width`` the loop executor that
-    takes every other width.  :func:`compile_fused_trigger` binds them.
-    """
-    return _print(lower_trigger(trigger), function_name)
-
-
 def compile_fused_trigger(
     lowered: LoweredTrigger,
     dims: Mapping[str, int],
@@ -530,7 +525,7 @@ def compile_fused_trigger(
     is charged to a counter.
     """
     be, values = _bind(lowered, dims, backend, workspace)
-    source = _print(lowered, None)
+    source = generate_python_trigger(lowered)
     namespace = {f"_{name}": kernel for name, kernel in _kernels(be).items()}
     namespace.update(values)
     namespace["_any_width"] = _loop(lowered, be, values,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping
 
 from ..delta.derivation import compute_delta
 from ..delta.factored import FactoredDelta
@@ -35,26 +35,18 @@ if TYPE_CHECKING:
     from .codegen.fused import LoweredTrigger
 
 
-def compile_program(
-    program: Program,
-    dynamic_inputs: Sequence[str] | None = None,
-    rank: DimLike = 1,
-) -> dict[str, Trigger]:
-    """Compile ``program`` into triggers, one per dynamic input.
+def compile_program(program: Program, rank: DimLike = 1) -> dict[str, Trigger]:
+    """Compile ``program`` into triggers, one per input.
 
-    ``dynamic_inputs`` restricts which inputs may change (defaults to
-    all of them); ``rank`` is the width of the incoming update factors
-    (1 for the paper's rank-1 row/column updates; a symbolic dimension
-    or a larger int for batched rank-k updates).
+    ``rank`` is the width of the incoming update factors (1 for the
+    paper's rank-1 row/column updates; a symbolic dimension or a larger
+    int for batched rank-k updates).  Each input's trigger is compiled
+    on its own, so a caller that wants one indexes the mapping.
 
     Returns a mapping ``input name -> Trigger``.
     """
-    names = list(dynamic_inputs) if dynamic_inputs is not None else list(
-        program.input_names
-    )
-    for name in names:
-        program.input(name)  # raises KeyError for unknown inputs
-    return {name: _compile_for_input(program, name, rank) for name in names}
+    return {name: _compile_for_input(program, name, rank)
+            for name in program.input_names}
 
 
 def _compile_for_input(program: Program, input_name: str, rank: DimLike) -> Trigger:
@@ -119,8 +111,11 @@ def compiled_program(program: Program, rank: DimLike = 1) -> CompiledProgram:
     rank)``: the shardability check the planner and a sharded session
     ask (:func:`~repro.distributed.sharded.unshardable`), every
     session's executors and every re-planning or restore rebuild on the
-    same program read the same artifact, kept on the program.
+    same program read the same artifact, kept on the program.  An
+    integer ``rank`` below 1 raises :class:`ValueError`.
     """
+    if isinstance(rank, int) and rank < 1:
+        raise ValueError(f"update rank must be at least 1, got {rank}")
     if rank not in program._compiled:
         program._compiled[rank] = CompiledProgram(
             MappingProxyType(compile_program(program, rank=rank)))

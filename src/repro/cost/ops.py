@@ -31,21 +31,6 @@ import numpy as np
 from . import counters
 
 
-def outer_update_flops(backend, a, u, v) -> int:
-    """FLOPs of applying ``a += u @ v.T`` under ``backend``.
-
-    Dense state pays the full rank-k GEMM; sparse state accumulates a
-    sparse outer product whose work scales with the factors' nonzeros.
-    """
-    rows, cols = backend.shape(a)
-    k = u.shape[1]
-    if backend.density(a) < 1.0:
-        u_nnz = int(np.count_nonzero(u))
-        v_nnz = int(np.count_nonzero(v))
-        return 2 * max(u_nnz, 1) * max(v_nnz, 1) // max(k, 1)
-    return 2 * rows * k * cols
-
-
 class Ops:
     """Counted wrappers around one backend's kernels."""
 
@@ -168,7 +153,7 @@ class Ops:
         existing pattern and merges otherwise, so callers must rebind
         the result either way.
         """
-        self._charge("matmul", outer_update_flops, self.backend, a, u, v)
+        self._charge("matmul", self.backend.add_outer_flops, a, u, v)
         self._charge("add", self.backend.add_flops, a)
         return self.backend.add_outer_inplace(a, u, v)
 

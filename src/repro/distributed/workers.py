@@ -325,20 +325,12 @@ class ProcessCluster:
 
     def __init__(self, partitioner: RowShardPartitioner,
                  comm: CommLog | None = None,
-                 timeout: float = DEFAULT_TIMEOUT, supervise: bool = False,
-                 max_retries: int = DEFAULT_MAX_RETRIES,
-                 backoff: float = DEFAULT_BACKOFF,
-                 backoff_cap: float = DEFAULT_BACKOFF_CAP,
-                 oplog_limit: int = DEFAULT_OPLOG_LIMIT):
+                 timeout: float = DEFAULT_TIMEOUT, supervise: bool = False):
         self.partitioner = partitioner
         self.nodes = partitioner.nodes
         self.comm = comm if comm is not None else CommLog()
         self.timeout = timeout
         self.supervise = bool(supervise)
-        self.max_retries = int(max_retries)
-        self.backoff = float(backoff)
-        self.backoff_cap = float(backoff_cap)
-        self.oplog_limit = int(oplog_limit)
         self.failure: WorkerFailedError | None = None
         self.worker_seconds = [0.0] * self.nodes
         #: Logged :class:`RecoveryEvent`\s (supervised clusters only).
@@ -520,7 +512,7 @@ class ProcessCluster:
         """Append one completed factored refresh to the recovery oplog."""
         _, name, u, v = op
         self._oplog.append((name, np.array(u), np.array(v)))
-        if len(self._oplog) > self.oplog_limit:
+        if len(self._oplog) > DEFAULT_OPLOG_LIMIT:
             self._refresh_basis()
 
     def _retire_worker(self, worker: int) -> None:
@@ -554,10 +546,10 @@ class ProcessCluster:
         if not self.supervise:
             self._fail(worker, reason)
         last_reason = reason
-        for attempt in range(self.max_retries + 1):
+        for attempt in range(DEFAULT_MAX_RETRIES + 1):
             if attempt:
-                time.sleep(min(self.backoff * (2 ** (attempt - 1)),
-                               self.backoff_cap))
+                time.sleep(min(DEFAULT_BACKOFF * (2 ** (attempt - 1)),
+                               DEFAULT_BACKOFF_CAP))
             self._spawn_worker(worker)
             try:
                 data = self._rebuild_worker(worker, op, payload, label)
@@ -574,7 +566,7 @@ class ProcessCluster:
             return data
         self._fail(
             worker,
-            f"unrecoverable after {self.max_retries + 1} respawn attempts "
+            f"unrecoverable after {DEFAULT_MAX_RETRIES + 1} respawn attempts "
             f"({last_reason}); first failure: {reason}",
         )
 

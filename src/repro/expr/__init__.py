@@ -45,10 +45,8 @@ _EXPORTS = {
     "sub": "ast",
     "substitute": "visitors",
     "substitute_symbol": "visitors",
-    "to_latex": "latex",
     "to_string": "printer",
     "to_tree": "printer",
-    "trigger_to_latex": "latex",
     "transform": "visitors",
     "transpose": "ast",
     "vstack": "ast",

@@ -5,9 +5,8 @@ tenants' subprograms compute *the same thing* even when they spell it
 differently — ``A + A`` versus ``2 * A``, ``(B')'`` versus ``B`` — so
 each shared intermediate is materialized and maintained exactly once.
 Identity here is *canonical-form equality*: run the expression through
-the full :func:`repro.expr.simplify.simplify` rule set (the same pass
-the optimizer trusts to be value-preserving) and compare the results
-structurally.
+the full :func:`repro.expr.simplify.simplify` rule set (a
+value-preserving rewrite) and compare the results structurally.
 
 :func:`structural_key` turns that identity into a stable digest string.
 It leans on two properties the property-test suite already pins down:

@@ -491,7 +491,7 @@ class TestSessionBackendParity:
                              backend="sparse")
         fn = session._executors["A"]
         assert fn.__source__ == generate_python_trigger(
-            session.compiled.triggers["A"])
+            session.compiled.lowered("A"))
         assert "_matmul(" in fn.__source__ and "@" not in fn.__source__
         # Updates accumulate into store-owned arrays: no copy-on-write.
         assert "_outer(" in fn.__source__ and ".copy()" not in fn.__source__

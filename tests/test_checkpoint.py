@@ -221,34 +221,24 @@ class TestRoundTrip:
                                   np.asarray(restored[name])), name
 
     def test_optimize_true_snapshot_restores_onto_the_merged_trigger(self):
-        """An ``optimize: true`` session ran the Section 6 AST optimizer
-        over its triggers.  Its snapshot restores onto today's trigger
-        (identical lowered records merged), so the continued trajectory
-        is allclose to the one the AST-optimized trigger would have run,
-        not bitwise: CSE regroups sums."""
-        from repro.compiler import compile_program, optimize_trigger
-        from repro.compiler.codegen.fused import (
-            compile_trigger_function,
-            lower_trigger,
-        )
-
+        """A snapshot whose plan still carries the deleted ``optimize:
+        true`` field restores onto today's trigger (identical lowered
+        records merged), and so continues bitwise with the session it
+        was captured from."""
         prog = gram_chain()
         session = IVMSession(prog, {"A": operator()})
         for update in stream(5):
             session.apply_update(update)
         header, arrays = capture_session(session)
         header["plan"]["optimize"] = True
-        old = {name: array.copy() for name, array in arrays.items()}
         restored = rebuild_session(prog, *deserialize_state(
             serialize_state(header, arrays)))
-        optimized = compile_trigger_function(lower_trigger(
-            optimize_trigger(compile_program(prog)["A"])), {})
         for update in stream(20, seed=8):
             restored.apply_update(update)
-            optimized(old, update.u_block, update.v_block)
+            session.apply_update(update)
         for name in ("V", "W"):
-            np.testing.assert_allclose(restored[name], old[name],
-                                       rtol=1e-10, atol=1e-14)
+            assert np.array_equal(np.asarray(restored[name]),
+                                  np.asarray(session[name])), name
 
     def test_cold_restore_resumes_update_count(self, tmp_path):
         prog = gram_chain()

@@ -2,7 +2,16 @@
 
 import pytest
 
+import repro.compiler.compile as compile_mod
 from repro.cli import main
+from repro.compiler import compiled_program
+from repro.compiler.codegen import (
+    fused,
+    generate_octave_trigger,
+    generate_python_trigger,
+    generate_spark_trigger,
+)
+from repro.frontend import parse_program
 
 A4_SOURCE = """
 input A(n, n);
@@ -16,6 +25,33 @@ input X(m, n);
 beta := inv(X' * X) * (X' * eye(m)) ;
 output beta;
 """
+
+
+TWO_INPUT_SOURCE = """
+input A(n, n);
+input D(n, n);
+B := A * D;
+C := B * A;
+output C;
+"""
+
+OLS_XY_SOURCE = """
+input X(m, n);
+input Y(m, p);
+beta := inv(X' * X) * (X' * Y);
+output beta;
+"""
+
+PROGRAMS = {"chain": A4_SOURCE, "two_inputs": TWO_INPUT_SOURCE,
+            "ols": OLS_XY_SOURCE}
+
+#: ``repro compile --backend`` -> the printer it applies to one input's form.
+PRINTERS = {
+    "trigger": str,
+    "octave": generate_octave_trigger,
+    "spark": generate_spark_trigger,
+    "python": generate_python_trigger,
+}
 
 
 @pytest.fixture
@@ -78,9 +114,66 @@ class TestCompile:
         assert "eye(3)" not in out  # no inversion here, just sanity
         assert "ON UPDATE A" in out
 
-    def test_optimize_flag(self, a4_file, capsys):
-        assert main(["compile", a4_file, "--optimize"]) == 0
-        assert "ON UPDATE A" in capsys.readouterr().out
+    @pytest.mark.parametrize("rank", ["0", "-1"])
+    def test_rank_below_one_rejected(self, a4_file, capsys, rank):
+        assert main(["compile", a4_file, "--rank", rank]) == 2
+        captured = capsys.readouterr()
+        assert "update rank must be at least 1" in captured.err
+        assert "ON UPDATE" not in captured.out
+
+    def test_optimize_flag_removed(self, a4_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["compile", a4_file, "--optimize"])
+        assert exc.value.code == 2
+        assert "--optimize" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("backend", sorted(PRINTERS))
+    @pytest.mark.parametrize("program", sorted(PROGRAMS))
+    def test_prints_the_memoized_artifact(self, tmp_path, capsys, program,
+                                          backend):
+        """Every printer reads ``compiled_program(program, rank)``: the AST
+        printers its Algorithm 1 triggers, python the lowered list
+        sessions run, one input after another in name order."""
+        path = tmp_path / f"{program}.lvw"
+        path.write_text(PROGRAMS[program])
+        assert main(["compile", str(path), "--backend", backend,
+                     "--rank", "2"]) == 0
+        compiled = compiled_program(parse_program(PROGRAMS[program]), 2)
+        forms = [compiled.lowered(name) if backend == "python"
+                 else compiled.triggers[name]
+                 for name in sorted(compiled.triggers)]
+        expected = "\n\n".join(PRINTERS[backend](form) for form in forms)
+        assert capsys.readouterr().out == expected + "\n"
+
+    @pytest.mark.parametrize("backend", sorted(PRINTERS))
+    def test_one_algorithm_1_run(self, tmp_path, capsys, monkeypatch,
+                                 backend):
+        """One compile runs Algorithm 1 once for all inputs and lowers
+        only the triggers the python printer prints."""
+        counts = {"compile": 0, "lower": 0}
+        real_compile, real_lower = (compile_mod.compile_program,
+                                    fused.lower_trigger)
+
+        def compile_(*args, **kwargs):
+            counts["compile"] += 1
+            return real_compile(*args, **kwargs)
+
+        def lower(trigger):
+            counts["lower"] += 1
+            return real_lower(trigger)
+
+        monkeypatch.setattr(compile_mod, "compile_program", compile_)
+        monkeypatch.setattr(fused, "lower_trigger", lower)
+        path = tmp_path / "two.lvw"
+        path.write_text(TWO_INPUT_SOURCE)
+        assert main(["compile", str(path), "--backend", backend,
+                     "--input", "D"]) == 0
+        assert counts == {"compile": 1,
+                          "lower": 1 if backend == "python" else 0}
+        compiled = compiled_program(parse_program(TWO_INPUT_SOURCE))
+        form = (compiled.lowered("D") if backend == "python"
+                else compiled.triggers["D"])
+        assert capsys.readouterr().out == PRINTERS[backend](form) + "\n"
 
     def test_materialize_inversions_flag(self, tmp_path, capsys):
         path = tmp_path / "ols.lvw"

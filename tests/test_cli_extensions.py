@@ -41,10 +41,11 @@ class TestSparkBackend:
         assert "sc.broadcast(u_A)" in out
         assert "blockwiseAdd" in out
 
-    def test_spark_with_optimizer(self, a4_file, capsys):
-        assert main(["compile", a4_file, "--backend", "spark",
-                     "--optimize"]) == 0
-        assert "def onUpdateA(" in capsys.readouterr().out
+    def test_spark_filters_inputs(self, chain_file, capsys):
+        assert main(["compile", chain_file, "--backend", "spark",
+                     "--input", "v"]) == 0
+        out = capsys.readouterr().out
+        assert "def onUpdatev(" in out and "def onUpdateA(" not in out
 
 
 class TestDimsChainOrdering:
@@ -59,6 +60,15 @@ class TestDimsChainOrdering:
     def test_unbound_dim_reported(self, chain_file, capsys):
         assert main(["compile", chain_file, "--dims", "m=4"]) == 2
         assert "unbound dimension" in capsys.readouterr().err
+
+    def test_python_backend_rejects_dims(self, chain_file, capsys):
+        """Sessions never re-associate products, so the lowered list the
+        python backend prints has no chain order to choose."""
+        assert main(["compile", chain_file, "--backend", "python",
+                     "--dims", "n=512"]) == 2
+        captured = capsys.readouterr()
+        assert "--dims" in captured.err and "python" in captured.err
+        assert captured.out == ""
 
     def test_dims_reassociates_vector_chain(self, chain_file, capsys):
         # The w view's reconstruction references A * A * v; with dims

@@ -42,8 +42,8 @@ class TestPythonTrigger:
     session executes), not a dialect of its own."""
 
     def test_source_shape(self):
-        trigger = compile_program(a4_program())["A"]
-        source = generate_python_trigger(trigger)
+        source = generate_python_trigger(
+            compiled_program(a4_program()).lowered("A"))
         assert "\ndef on_update_A(views, u_A, v_A):\n" in source
         assert "views['A'] = _outer(A, u_A, v_A)" in source
         # U_B = [u_A, A*u_A + u_A*(v_A'*u_A)], one kernel per line, the
@@ -77,12 +77,11 @@ class TestPythonTrigger:
     def test_source_attached_to_function(self):
         compiled = compiled_program(a4_program())
         fn = compile_fused_trigger(compiled.lowered("A"), {"n": 4})
-        assert fn.__source__ == generate_python_trigger(
-            compiled.triggers["A"])
+        assert fn.__source__ == generate_python_trigger(compiled.lowered("A"))
 
     def test_custom_function_name(self):
-        trigger = compile_program(a4_program())["A"]
-        source = generate_python_trigger(trigger, function_name="maintain")
+        lowered = compiled_program(a4_program()).lowered("A")
+        source = generate_python_trigger(lowered, function_name="maintain")
         assert "\ndef maintain(" in source
 
 

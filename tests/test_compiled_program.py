@@ -94,6 +94,19 @@ class TestArtifact:
             assert str(artifact.triggers[name]) == str(trigger)
             assert artifact.lowered(name) == fused.lower_trigger(trigger)
 
+    @pytest.mark.parametrize("rank", [0, -1])
+    def test_rank_below_one_rejected_and_not_memoized(self, rank):
+        program = parse_program(CHAIN_SRC)
+        with pytest.raises(ValueError, match="at least 1"):
+            compiled_program(program, rank)
+        assert not program._compiled
+
+    def test_symbolic_rank_accepted(self):
+        from repro.expr import NamedDim
+
+        artifact = compiled_program(parse_program(CHAIN_SRC), NamedDim("k"))
+        assert str(artifact.lowered("A").rank) == "k"
+
     def test_read_only(self):
         artifact = compiled_program(parse_program(CHAIN_SRC))
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -71,15 +71,9 @@ class TestTriggerStructure:
         triggers = compile_program(program)
         assert set(triggers) == {"A", "X"}
 
-    def test_dynamic_inputs_subset(self):
-        x = MatrixSymbol("X", n, n)
-        program = Program([A, x], [Statement(B, matmul(A, x))])
-        triggers = compile_program(program, dynamic_inputs=["X"])
-        assert set(triggers) == {"X"}
-
-    def test_unknown_dynamic_input_rejected(self):
+    def test_unknown_input_rejected(self):
         with pytest.raises(KeyError):
-            compile_program(a4_program(), dynamic_inputs=["Q"])
+            compile_program(a4_program())["Q"]
 
     def test_rank_k_parameters(self):
         trigger = compile_program(a4_program(), rank=4)["A"]
@@ -228,30 +222,6 @@ class TestMaintenanceEquivalence:
             a4_program(), {"A": rng.normal(size=(size, size))}, {"n": size}, updates
         )
         self._assert_views_match(incr, reeval)
-
-    def test_optimized_triggers_equivalent(self, rng):
-        """The Section 6 AST optimizer, which only the text emitters
-        run, preserves what a trigger computes."""
-        from repro.compiler import optimize_trigger
-        from repro.compiler.codegen.fused import (
-            compile_trigger_function,
-            lower_trigger,
-        )
-
-        size = 8
-        program, dims = a4_program(), {"n": size}
-        reeval = ReevalSession(program, {"A": rng.normal(size=(size, size))},
-                               dims=dims)
-        views = {name: np.array(reeval[name]) for name in ("A", "B", "C")}
-        fire = compile_trigger_function(lower_trigger(
-            optimize_trigger(compile_program(program)["A"])), dims)
-        for _ in range(4):
-            u, v = rng.normal(size=(size, 1)), rng.normal(size=(size, 1))
-            fire(views, u, v)
-            reeval.apply_update(FactoredUpdate("A", u, v))
-        for name in program.view_names:
-            np.testing.assert_allclose(views[name], reeval[name], rtol=1e-6,
-                                       atol=1e-8, err_msg=name)
 
 
 def sub_expr():

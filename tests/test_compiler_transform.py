@@ -94,7 +94,7 @@ class TestMaterializeInversions:
 
     def test_rewritten_triggers_avoid_large_inversions(self, rng):
         rewritten = materialize_inversions(one_shot_ols())
-        trigger = compile_program(rewritten, dynamic_inputs=["X"])["X"]
+        trigger = compile_program(rewritten)["X"]
         for assign in trigger.assigns:
             for node in walk(assign.expr):
                 if isinstance(node, Inverse):

@@ -65,7 +65,7 @@ class TestOps:
         class SpyBackend(DenseBackend):
             hook_calls = 0
 
-            def density(self, a):  # read by outer_update_flops
+            def density(self, a):  # read by Backend.add_outer_flops
                 self.hook_calls += 1
                 return super().density(a)
 

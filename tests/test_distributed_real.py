@@ -29,7 +29,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.distributed import RowShardPartitioner, WorkerFailedError
+import repro.distributed.workers as workers
+from repro.distributed import (
+    ProcessCluster,
+    RowShardPartitioner,
+    WorkerFailedError,
+)
 from repro.runtime import FactoredUpdate
 from stream_helpers import POWER_CHAIN, shard_session
 
@@ -442,6 +447,21 @@ class TestWorkerFailure:
             # close() after a failure stays idempotent and quiet.
             m.close()
             m.close()
+
+    @pytest.mark.parametrize("knob, constant", [
+        ("max_retries", "DEFAULT_MAX_RETRIES"),
+        ("backoff", "DEFAULT_BACKOFF"),
+        ("backoff_cap", "DEFAULT_BACKOFF_CAP"),
+        ("oplog_limit", "DEFAULT_OPLOG_LIMIT"),
+    ])
+    def test_recovery_knobs_are_module_constants(self, knob, constant):
+        """Supervised recovery reads the module's constants; the cluster
+        takes no option for them."""
+        assert getattr(workers, constant) > 0
+        with pytest.raises(TypeError, match=knob):
+            ProcessCluster(RowShardPartitioner(16, 2, tile_rows=8),
+                           supervise=True,
+                           **{knob: getattr(workers, constant)})
 
 
 LEAK_SCRIPT = textwrap.dedent("""

@@ -330,10 +330,10 @@ class TestOneListEveryFiring:
         program = Program(
             [a_sym], [Statement(MatrixSymbol("B", n, n),
                                 matmul(a_sym, a_sym))])
-        trigger = compile_program(program)["A"]
-        assert "_b0: (n x 1)" in generate_python_trigger(trigger)
+        lowered = lower_trigger(compile_program(program)["A"])
+        assert "_b0: (n x 1)" in generate_python_trigger(lowered)
         with pytest.raises(EvaluationError, match="unbound dimension"):
-            build(lower_trigger(trigger), {})  # no binding for n
+            build(lowered, {})  # no binding for n
 
     def test_inverse_program_bitwise_and_correct(self, rng):
         n = 6
@@ -355,9 +355,8 @@ class TestOneListEveryFiring:
 
 class TestPrintedForm:
     def test_source_is_the_lowered_list(self):
-        trigger = compile_program(_a4(8))["A"]
-        lowered = lower_trigger(trigger)
-        source = generate_python_trigger(trigger)
+        lowered = lower_trigger(compile_program(_a4(8))["A"])
+        source = generate_python_trigger(lowered)
         assert "def on_update_A(views, u_A, v_A):" in source
         # One printed line per record, in the list's order:
         body = [line.strip() for line in source.splitlines()]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.compiler import compile_program, generate_octave_trigger, optimize_trigger
+from repro.compiler import compiled_program, generate_octave_trigger
 from repro.frontend import parse_program
 from repro.iterative import Model, make_general, make_powers, make_sums
 from repro.runtime import IVMSession, ReevalSession
@@ -28,13 +28,12 @@ output beta;
 
 
 class TestFullPipeline:
-    def test_parse_optimize_codegen_run(self, rng):
-        """source -> AST -> triggers -> optimizer -> Octave text, and the
-        session's own (merged, lowered) triggers -> stream."""
+    def test_parse_compile_codegen_run(self, rng):
+        """source -> AST -> triggers -> Octave text, and the session's own
+        (merged, lowered) triggers -> stream."""
         program = parse_program(OLS_SOURCE)
-        triggers = compile_program(program, dynamic_inputs=["X"])
-        optimized = optimize_trigger(triggers["X"])
-        octave = generate_octave_trigger(optimized)
+        octave = generate_octave_trigger(
+            compiled_program(program).triggers["X"])
         assert "function on_update_X" in octave
 
         sizes = {"m": 18, "n": 6, "p": 2}

@@ -6,11 +6,10 @@ docs/invariants.md, "One build path": ``runtime.session.build_session``
 is the only function in ``src/repro`` that calls a session constructor,
 and ``session.plan`` is set by the session itself, never assigned from
 outside.  "One lowering": Algorithm 1 (``compile_program``) and the
-lowering (``lower_trigger``) run inside ``compiled_program`` and its
-artifact's ``lowered`` — which every session, the planner and the
-shardability check share — and in the text emitters of ``repro
-compile`` only.  AST-based —
-nothing is imported.
+lowering (``lower_trigger``) run only inside ``compiled_program`` and
+its artifact's ``lowered``, which every session, the planner, the
+shardability check and every ``repro compile`` printer read.
+AST-based — nothing is imported.
 
 Usage::
 
@@ -32,13 +31,10 @@ SESSIONS = {"IVMSession", "ReevalSession", "ShardedSession"}
 #: ``make_ols`` labels the OLS *maintainer* it returns (not a session).
 NOT_A_SESSION = {("analytics/ols.py", "make_ols")}
 #: The functions that may run Algorithm 1 or the lowering themselves:
-#: the memoized artifact, and what ``repro compile`` prints (triggers
-#: the AST rewrites may have changed, so printed from scratch).
+#: the memoized artifact and its lazy lowering.
 COMPILERS = {
     ("compiler/compile.py", "compiled_program"),
     ("compiler/compile.py", "lowered"),
-    ("compiler/codegen/fused.py", "generate_python_trigger"),
-    ("cli.py", "main"),
 }
 
 
