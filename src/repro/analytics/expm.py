@@ -138,7 +138,7 @@ class WeightedPowerSum:
         for i, (left, right) in factors.items():
             c = self.coeffs[i]
             if c != 0.0:
-                self._view = self.backend.add_outer(self._view, c * left, right)
+                self._view = self.backend.add_outer_inplace(self._view, c * left, right)
         self._powers.apply_factors(factors)
 
     def result(self) -> np.ndarray:

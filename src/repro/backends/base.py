@@ -11,21 +11,16 @@ A :class:`Backend` bundles
 
 * **construction** — :meth:`asarray`, :meth:`from_columns`, :meth:`eye`,
   :meth:`zeros`;
-* **algebra** — :meth:`matmul`, :meth:`add`, :meth:`sub`,
-  :meth:`scale`, :meth:`transpose`, :meth:`hstack`, :meth:`vstack`,
-  :meth:`inv`, :meth:`solve`, :meth:`norm`;
-* **update kernels** — :meth:`add_outer` (the trigger statement
-  ``A += U V'``) and :meth:`compact` (rank compaction of factored
-  deltas, the Table 4 batching step);
-* **in-place / out-param kernels** — :meth:`matmul_into`,
-  :meth:`add_into`, :meth:`sub_into`, :meth:`scale_into`,
-  :meth:`hstack_into`, :meth:`vstack_into`, :meth:`add_outer_inplace`:
-  the allocation-free hot path.  Each takes an ``out`` buffer (usually
-  leased from a :class:`~repro.runtime.workspace.Workspace`), writes
-  the result into it *when the representation allows*, and returns the
-  result either way — callers must always use the returned object, so
-  a backend that cannot write in place (CSR structure changes) may
-  fall back to allocation without breaking the caller;
+* **algebra** — :meth:`matmul_into`, :meth:`add_into`,
+  :meth:`sub_into`, :meth:`scale_into`, :meth:`hstack_into`,
+  :meth:`vstack_into`, :meth:`transpose`, :meth:`inv`, :meth:`max_abs`.
+  One method per operation, each with an optional ``out`` buffer:
+  ``out=None`` allocates the result, a buffer (usually leased from a
+  :class:`~repro.runtime.workspace.Workspace`) receives it *when the
+  representation allows* — the allocation-free hot path;
+* **update kernels** — :meth:`add_outer_inplace` (the trigger statement
+  ``A += U V'``), :meth:`add_inplace` and :meth:`compact` (rank
+  compaction of factored deltas, the Table 4 batching step);
 * **cost hooks** — ``*_flops`` formulas so the FLOP counters charge
   what the representation actually performs (a sparse matvec is *not*
   ``2 n^2`` work, and reporting it as such would fake the paper's
@@ -33,9 +28,9 @@ A :class:`Backend` bundles
 * **inspection** — :meth:`materialize`, :meth:`shape`, :meth:`nbytes`,
   :meth:`density`.
 
-Mutating kernels (:meth:`add_inplace`, :meth:`add_outer`) return the
-result and update in place only *when the representation allows it*;
-callers must always use the returned object.  Factored-delta blocks
+Every kernel returns its result, and callers must always use the
+returned object: a backend that cannot honor ``out`` or mutate in
+place (CSR structure changes) allocates instead.  Factored-delta blocks
 (thin ``(n x k)`` matrices) stay dense ``ndarray``\\ s under every
 backend — their products are already cheap, and keeping them dense is
 what makes factored updates fast on sparse state too.
@@ -100,108 +95,70 @@ class Backend(ABC):
         """An all-zero ``(rows x cols)`` matrix."""
 
     # -- algebra ---------------------------------------------------------
+    # One method per operation; ``out=None`` allocates, a buffer is
+    # written where the representation allows (see the module docs).
+    # ``out`` never aliases an operand of a product or a concatenation.
+
     @abstractmethod
-    def matmul(self, a: MatrixLike, b: MatrixLike) -> MatrixLike:
+    def matmul_into(self, a: MatrixLike, b: MatrixLike,
+                    out=None) -> MatrixLike:
         """Matrix product ``a @ b`` (in the expression's association order)."""
 
     @abstractmethod
-    def add(self, a: MatrixLike, b: MatrixLike) -> MatrixLike:
-        """Element-wise sum."""
-
-    @abstractmethod
-    def sub(self, a: MatrixLike, b: MatrixLike) -> MatrixLike:
-        """Element-wise difference."""
-
-    @abstractmethod
-    def add_inplace(self, a: MatrixLike, b: MatrixLike) -> MatrixLike:
-        """``a += b`` where possible; returns the result (may be new)."""
-
-    @abstractmethod
-    def add_outer(
-        self, a: MatrixLike, u: np.ndarray, v: np.ndarray
-    ) -> MatrixLike:
-        """The trigger update ``a + u @ v.T`` for thin factor blocks.
-
-        Accumulates in place when the representation supports it;
-        returns the result either way.
-        """
-
-    @abstractmethod
-    def scale(self, coeff: float, a: MatrixLike) -> MatrixLike:
-        """Scalar multiple ``coeff * a``."""
-
-    # -- in-place / out-param kernels ------------------------------------
-    # The zero-allocation hot path.  Base-class defaults simply ignore
-    # ``out`` and allocate — a correct (if slow) behavior for any
-    # backend — so concrete backends override only the kernels their
-    # representation can actually run in place.  ``out`` may be ``None``
-    # (no buffer available), and must never alias an operand.
-
-    def matmul_into(self, a: MatrixLike, b: MatrixLike, out) -> MatrixLike:
-        """``a @ b`` written into ``out`` where possible; use the result."""
-        return self.matmul(a, b)
-
-    def add_into(self, a: MatrixLike, b: MatrixLike, out) -> MatrixLike:
-        """``a + b`` written into ``out`` where possible; use the result.
+    def add_into(self, a: MatrixLike, b: MatrixLike, out=None) -> MatrixLike:
+        """Element-wise sum ``a + b``.
 
         ``out`` *may* alias ``a`` or ``b`` (element-wise kernels accept
         overlapping input/output), which is how ``+=`` accumulation is
         expressed: ``add_into(acc, term, acc)``.
         """
-        return self.add(a, b)
 
-    def sub_into(self, a: MatrixLike, b: MatrixLike, out) -> MatrixLike:
-        """``a - b`` written into ``out`` where possible; use the result."""
-        return self.sub(a, b)
+    @abstractmethod
+    def sub_into(self, a: MatrixLike, b: MatrixLike, out=None) -> MatrixLike:
+        """Element-wise difference ``a - b``."""
 
-    def scale_into(self, coeff: float, a: MatrixLike, out) -> MatrixLike:
-        """``coeff * a`` written into ``out`` where possible."""
-        return self.scale(coeff, a)
+    @abstractmethod
+    def scale_into(self, coeff: float, a: MatrixLike,
+                   out=None) -> MatrixLike:
+        """Scalar multiple ``coeff * a``."""
 
-    def hstack_into(self, blocks: Sequence[MatrixLike], out) -> MatrixLike:
-        """Horizontal concatenation into ``out`` where possible."""
-        return self.hstack(blocks)
+    @abstractmethod
+    def hstack_into(self, blocks: Sequence[MatrixLike],
+                    out=None) -> MatrixLike:
+        """Horizontal concatenation."""
 
-    def vstack_into(self, blocks: Sequence[MatrixLike], out) -> MatrixLike:
-        """Vertical concatenation into ``out`` where possible."""
-        return self.vstack(blocks)
+    @abstractmethod
+    def vstack_into(self, blocks: Sequence[MatrixLike],
+                    out=None) -> MatrixLike:
+        """Vertical concatenation."""
 
+    @abstractmethod
+    def add_inplace(self, a: MatrixLike, b: MatrixLike) -> MatrixLike:
+        """``a += b`` where possible; returns the result (may be new).
+
+        Unlike ``add_into(a, b, a)``, which writes only when both
+        operands are dense, this accumulates a sparse ``b`` into a
+        dense ``a`` in place too.
+        """
+
+    @abstractmethod
     def add_outer_inplace(
         self, a: MatrixLike, u: np.ndarray, v: np.ndarray
     ) -> MatrixLike:
-        """``a += u @ v.T`` mutating ``a`` where the representation allows.
+        """The trigger update ``a += u @ v.T`` for thin factor blocks.
 
-        The explicit in-place contract of a lowered trigger's applies: unlike
-        :meth:`add_outer` (which shares the accumulate-when-possible
-        behavior but makes no promise), callers hand over ``a`` knowing
-        it may be mutated.  The result is returned either way; sparse
-        backends may return a new (possibly densified) matrix.
+        Callers hand over ``a`` knowing it may be mutated; the result
+        is returned either way, and sparse backends may return a new
+        (possibly densified) matrix.
         """
-        return self.add_outer(a, u, v)
 
     @abstractmethod
     def transpose(self, a: MatrixLike) -> MatrixLike:
         """Transpose (no arithmetic)."""
 
     @abstractmethod
-    def hstack(self, blocks: Sequence[MatrixLike]) -> MatrixLike:
-        """Horizontal concatenation."""
-
-    @abstractmethod
-    def vstack(self, blocks: Sequence[MatrixLike]) -> MatrixLike:
-        """Vertical concatenation."""
-
-    @abstractmethod
     def inv(self, a: MatrixLike) -> MatrixLike:
         """Matrix inverse (dense result; inverses are generically dense)."""
-
-    @abstractmethod
-    def solve(self, a: MatrixLike, b: MatrixLike) -> MatrixLike:
-        """Solve ``a @ x = b`` for ``x``."""
-
-    @abstractmethod
-    def norm(self, a: MatrixLike) -> float:
-        """Frobenius norm."""
 
     @abstractmethod
     def max_abs(self, a: MatrixLike) -> float:
@@ -291,10 +248,9 @@ class Backend(ABC):
     def est_call_overhead(self, inplace: bool = False) -> float:
         """Per-call overhead in dense-FLOP equivalents.
 
-        ``inplace=True`` prices a call through the ``*_into`` /
-        buffer-reusing path (lowered triggers, workspace-backed
-        maintainers), discounting the allocation/temporary share of
-        the overhead.
+        ``inplace=True`` prices a call handed an ``out`` buffer
+        (lowered triggers, workspace-backed maintainers), discounting
+        the allocation/temporary share of the overhead.
         """
         if inplace:
             return self.est_call_overhead_flops * self.est_inplace_discount

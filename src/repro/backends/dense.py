@@ -49,20 +49,38 @@ class DenseBackend(Backend):
         return np.zeros((rows, cols))
 
     # -- algebra ---------------------------------------------------------
-    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return a @ b
+    # Every kernel is one BLAS/ufunc call with NumPy's own ``out=``:
+    # ``None`` allocates, a buffer takes the result with zero allocation.
 
-    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return a + b
+    def matmul_into(self, a: np.ndarray, b: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
+        return np.matmul(a, b, out=out)
 
-    def sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return a - b
+    def add_into(self, a: np.ndarray, b: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+        return np.add(a, b, out=out)
+
+    def sub_into(self, a: np.ndarray, b: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+        return np.subtract(a, b, out=out)
+
+    def scale_into(self, coeff: float, a: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+        return np.multiply(coeff, a, out=out)
+
+    def hstack_into(self, blocks: Sequence[np.ndarray],
+                    out: np.ndarray | None = None) -> np.ndarray:
+        return np.concatenate(list(blocks), axis=1, out=out)
+
+    def vstack_into(self, blocks: Sequence[np.ndarray],
+                    out: np.ndarray | None = None) -> np.ndarray:
+        return np.concatenate(list(blocks), axis=0, out=out)
 
     def add_inplace(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a += b
         return a
 
-    def add_outer(
+    def add_outer_inplace(
         self, a: np.ndarray, u: np.ndarray, v: np.ndarray
     ) -> np.ndarray:
         """``a += u @ v.T`` in one memory pass.
@@ -88,73 +106,11 @@ class DenseBackend(Backend):
         a += u @ v.T
         return a
 
-    def scale(self, coeff: float, a: np.ndarray) -> np.ndarray:
-        return coeff * a
-
-    # -- in-place / out-param kernels ------------------------------------
-    # All dense kernels have true ``out=`` forms: one BLAS/ufunc pass
-    # into a caller-owned buffer, zero result allocation.  ``out=None``
-    # falls back to the allocating form so callers can share code paths.
-
-    def matmul_into(
-        self, a: np.ndarray, b: np.ndarray, out: np.ndarray | None
-    ) -> np.ndarray:
-        if out is None:
-            return a @ b
-        return np.matmul(a, b, out=out)
-
-    def add_into(
-        self, a: np.ndarray, b: np.ndarray, out: np.ndarray | None
-    ) -> np.ndarray:
-        if out is None:
-            return a + b
-        return np.add(a, b, out=out)
-
-    def sub_into(
-        self, a: np.ndarray, b: np.ndarray, out: np.ndarray | None
-    ) -> np.ndarray:
-        if out is None:
-            return a - b
-        return np.subtract(a, b, out=out)
-
-    def scale_into(
-        self, coeff: float, a: np.ndarray, out: np.ndarray | None
-    ) -> np.ndarray:
-        if out is None:
-            return coeff * a
-        return np.multiply(coeff, a, out=out)
-
-    def hstack_into(
-        self, blocks: Sequence[np.ndarray], out: np.ndarray | None
-    ) -> np.ndarray:
-        if out is None:
-            return np.hstack(list(blocks))
-        return np.concatenate(list(blocks), axis=1, out=out)
-
-    def vstack_into(
-        self, blocks: Sequence[np.ndarray], out: np.ndarray | None
-    ) -> np.ndarray:
-        if out is None:
-            return np.vstack(list(blocks))
-        return np.concatenate(list(blocks), axis=0, out=out)
-
     def transpose(self, a: np.ndarray) -> np.ndarray:
         return a.T
 
-    def hstack(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
-        return np.hstack(list(blocks))
-
-    def vstack(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
-        return np.vstack(list(blocks))
-
     def inv(self, a: np.ndarray) -> np.ndarray:
         return np.linalg.inv(a)
-
-    def solve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(a, b)
-
-    def norm(self, a: np.ndarray) -> float:
-        return float(np.linalg.norm(a))
 
     def max_abs(self, a: np.ndarray) -> float:
         return float(np.max(np.abs(a))) if a.size else 0.0

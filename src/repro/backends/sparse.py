@@ -146,19 +146,52 @@ class SparseBackend(DenseBackend):
         return np.zeros((rows, cols))
 
     # -- algebra ---------------------------------------------------------
-    def matmul(self, a: MatrixLike, b: MatrixLike) -> MatrixLike:
+    # CSR results cannot be written into caller buffers (the output's
+    # nnz structure is data-dependent), so each kernel honors ``out``
+    # only on its all-dense leg and allocates on the CSR one — thin
+    # dense factor blocks, which dominate factored propagation, still
+    # run allocation-free.
+
+    def matmul_into(self, a: MatrixLike, b: MatrixLike,
+                    out=None) -> MatrixLike:
+        if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+            return np.matmul(a, b, out=out)
         return self._finalize(a @ b)
 
-    def add(self, a: MatrixLike, b: MatrixLike) -> MatrixLike:
+    def add_into(self, a: MatrixLike, b: MatrixLike, out=None) -> MatrixLike:
+        if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+            return np.add(a, b, out=out)
         if self._is_sparse(a) and not self._is_sparse(b):
             # csr + dense yields dense; keep operand order np-friendly.
             return np.asarray(a.todense() + b)
         return self._finalize(a + b)
 
-    def sub(self, a: MatrixLike, b: MatrixLike) -> MatrixLike:
+    def sub_into(self, a: MatrixLike, b: MatrixLike, out=None) -> MatrixLike:
+        if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+            return np.subtract(a, b, out=out)
         if self._is_sparse(a) and not self._is_sparse(b):
             return np.asarray(a.todense() - b)
         return self._finalize(a - b)
+
+    def scale_into(self, coeff: float, a: MatrixLike,
+                   out=None) -> MatrixLike:
+        if isinstance(a, np.ndarray):
+            return np.multiply(coeff, a, out=out)
+        return self._finalize(a * coeff)
+
+    def hstack_into(self, blocks: Sequence[MatrixLike],
+                    out=None) -> MatrixLike:
+        blocks = list(blocks)
+        if any(self._is_sparse(b) for b in blocks):
+            return self._finalize(_sp.hstack(blocks, format="csr"))
+        return np.concatenate(blocks, axis=1, out=out)
+
+    def vstack_into(self, blocks: Sequence[MatrixLike],
+                    out=None) -> MatrixLike:
+        blocks = list(blocks)
+        if any(self._is_sparse(b) for b in blocks):
+            return self._finalize(_sp.vstack(blocks, format="csr"))
+        return np.concatenate(blocks, axis=0, out=out)
 
     def add_inplace(self, a: MatrixLike, b: MatrixLike) -> MatrixLike:
         if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
@@ -182,14 +215,14 @@ class SparseBackend(DenseBackend):
         v = np.asarray(v, dtype=np.float64).reshape(len(v), -1)
         # Expected nnz of U V' (columnwise outer products); if the delta
         # would fill the matrix in, stop fighting it and go dense: the
-        # sparse merge (and add_outer_inplace's pattern comparison)
-        # costs ~3x one dense dgemm there.
+        # sparse merge (and the pattern comparison after it) costs ~3x
+        # one dense dgemm there.
         u_nnz = np.count_nonzero(u, axis=0)
         v_nnz = np.count_nonzero(v, axis=0)
         est_nnz = int((u_nnz * v_nnz).sum()) + a.nnz
         if est_nnz > self.densify_above * a.shape[0] * a.shape[1]:
             dense = np.asarray(a.todense())
-            return super().add_outer(dense, u, v)
+            return super().add_outer_inplace(dense, u, v)
         if est_nnz == a.nnz:  # rank 0, or all-zero factors
             return a
         # a's own index type keeps the merge free of an index upcast.
@@ -213,69 +246,6 @@ class SparseBackend(DenseBackend):
             delta = term if delta is None else delta + term
         return a + delta
 
-    def add_outer(
-        self, a: MatrixLike, u: np.ndarray, v: np.ndarray
-    ) -> MatrixLike:
-        if not self._is_sparse(a):
-            return super().add_outer(a, u, v)
-        return self._finalize(self._merge_outer(a, u, v))
-
-    def scale(self, coeff: float, a: MatrixLike) -> MatrixLike:
-        if self._is_sparse(a):
-            return self._finalize(a * coeff)
-        return coeff * a
-
-    # -- in-place / out-param kernels ------------------------------------
-    # CSR results generally cannot be written into caller buffers (the
-    # output's nnz structure is data-dependent), so the sparse kernels
-    # use ``out`` only on their all-dense legs and otherwise fall back
-    # to allocation — thin dense factor blocks, which dominate factored
-    # propagation, still run allocation-free.
-
-    def matmul_into(self, a: MatrixLike, b: MatrixLike, out) -> MatrixLike:
-        if (
-            out is not None
-            and isinstance(a, np.ndarray)
-            and isinstance(b, np.ndarray)
-        ):
-            return np.matmul(a, b, out=out)
-        return self.matmul(a, b)
-
-    def add_into(self, a: MatrixLike, b: MatrixLike, out) -> MatrixLike:
-        if (
-            out is not None
-            and isinstance(a, np.ndarray)
-            and isinstance(b, np.ndarray)
-        ):
-            return np.add(a, b, out=out)
-        return self.add(a, b)
-
-    def sub_into(self, a: MatrixLike, b: MatrixLike, out) -> MatrixLike:
-        if (
-            out is not None
-            and isinstance(a, np.ndarray)
-            and isinstance(b, np.ndarray)
-        ):
-            return np.subtract(a, b, out=out)
-        return self.sub(a, b)
-
-    def scale_into(self, coeff: float, a: MatrixLike, out) -> MatrixLike:
-        if out is not None and isinstance(a, np.ndarray):
-            return np.multiply(coeff, a, out=out)
-        return self.scale(coeff, a)
-
-    def hstack_into(self, blocks: Sequence[MatrixLike], out) -> MatrixLike:
-        blocks = list(blocks)
-        if out is not None and all(isinstance(b, np.ndarray) for b in blocks):
-            return np.concatenate(blocks, axis=1, out=out)
-        return self.hstack(blocks)
-
-    def vstack_into(self, blocks: Sequence[MatrixLike], out) -> MatrixLike:
-        blocks = list(blocks)
-        if out is not None and all(isinstance(b, np.ndarray) for b in blocks):
-            return np.concatenate(blocks, axis=0, out=out)
-        return self.vstack(blocks)
-
     def add_outer_inplace(
         self, a: MatrixLike, u: np.ndarray, v: np.ndarray
     ) -> MatrixLike:
@@ -285,12 +255,12 @@ class SparseBackend(DenseBackend):
         sparsity pattern (row rewrites over already-connected vertices,
         cell bumps on existing edges) leaves the structure unchanged —
         only ``a.data`` moves.  In that case the stored matrix keeps its
-        identity and its ``indptr``/``indices`` buffers; otherwise this
-        falls back to :meth:`add_outer`'s merge (allocation is
-        unavoidable when the structure itself grows).
+        identity and its ``indptr``/``indices`` buffers; otherwise the
+        merged matrix is returned (allocation is unavoidable when the
+        structure itself grows).
         """
         if not self._is_sparse(a):
-            return super().add_outer(a, u, v)
+            return super().add_outer_inplace(a, u, v)
         merged = self._merge_outer(a, u, v)
         if (
             self._is_sparse(merged)
@@ -307,34 +277,9 @@ class SparseBackend(DenseBackend):
             return _sp.csr_array(a.T)
         return a.T
 
-    def hstack(self, blocks: Sequence[MatrixLike]) -> MatrixLike:
-        blocks = list(blocks)
-        if any(self._is_sparse(b) for b in blocks):
-            return self._finalize(_sp.hstack(blocks, format="csr"))
-        return np.hstack(blocks)
-
-    def vstack(self, blocks: Sequence[MatrixLike]) -> MatrixLike:
-        blocks = list(blocks)
-        if any(self._is_sparse(b) for b in blocks):
-            return self._finalize(_sp.vstack(blocks, format="csr"))
-        return np.vstack(blocks)
-
     def inv(self, a: MatrixLike) -> np.ndarray:
         # Inverses of sparse matrices are generically dense; solve dense.
         return np.linalg.inv(self.materialize(a))
-
-    def solve(self, a: MatrixLike, b: MatrixLike) -> np.ndarray:
-        if self._is_sparse(a):
-            from scipy.sparse.linalg import spsolve
-
-            x = spsolve(_sp.csc_array(a), self.materialize(b))
-            return np.asarray(x, dtype=np.float64).reshape(a.shape[1], -1)
-        return np.linalg.solve(a, self.materialize(b))
-
-    def norm(self, a: MatrixLike) -> float:
-        if self._is_sparse(a):
-            return float(np.sqrt((a.data * a.data).sum()))
-        return super().norm(a)
 
     def max_abs(self, a: MatrixLike) -> float:
         if self._is_sparse(a):
@@ -374,7 +319,7 @@ class SparseBackend(DenseBackend):
     #: planner uses it so near-threshold densities don't flap to sparse.
     est_overhead: float = 4.0
 
-    #: Penalty of one *structure-mutating* FLOP (``add_outer``'s CSR
+    #: Penalty of one *structure-mutating* FLOP (``add_outer_inplace``'s CSR
     #: merge/rebuild) — index arrays are reallocated and re-sorted, which
     #: costs far more per touched entry than a streaming matvec pass.
     #: Shipped equal to :attr:`est_overhead`; machine calibration

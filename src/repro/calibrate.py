@@ -12,10 +12,11 @@ MKL put the boundary at different densities, so hard-coded constants
 mis-plan exactly the workloads near the boundary.
 
 This module closes the loop the way adaptive query processors do: it
-**times the backends' core kernels** (``matmul``, ``add_outer``, sparse
-matvec and CSR row slicing) at a few sizes and densities on the current
-machine, **fits** per-backend throughput, call overhead, and the sparse
-per-FLOP penalty from those samples, and **caches** the fit as JSON
+**times the backends' core kernels** (``matmul_into``,
+``add_outer_inplace``, sparse matvec and CSR row slicing) at a few
+sizes and densities on the current machine, **fits** per-backend
+throughput, call overhead, and the sparse per-FLOP penalty from those
+samples, and **caches** the fit as JSON
 keyed by the platform + library versions so later sessions load it for
 free.  The planner (:func:`repro.planner.plan_program`, the advisor's
 backend grid) auto-loads the cache; ``repro calibrate`` runs the pass
@@ -65,7 +66,7 @@ OVERHEAD_FLOPS_RANGE = (100.0, 1e7)
 #: Clamp range for the fitted sparse streaming-kernel per-FLOP penalty.
 SPARSE_OVERHEAD_RANGE = (1.0, 64.0)
 
-#: Clamp range for the structure-mutating (``add_outer``) penalty; CSR
+#: Clamp range for the structure-mutating (``add_outer_inplace``) penalty; CSR
 #: merges genuinely cost hundreds of dense FLOPs per touched entry.
 SPARSE_UPDATE_OVERHEAD_RANGE = (1.0, 512.0)
 
@@ -372,8 +373,8 @@ def _fit_inplace_discount(be: Backend, rng, gap_n: int, repeats: int,
     cells.  Since views became store-owned (every mode accumulates in
     place, :mod:`repro.runtime.views`) no execution path performs the
     copying variant any more: the discount now stands in for the
-    per-call overhead gap between allocating and ``*_into`` kernels
-    only, and this protocol over-states it.  Constants and fit are
+    per-call overhead gap between ``out=None`` and buffer-backed
+    kernel calls only, and this protocol over-states it.  Constants and fit are
     deliberately unchanged here (plan decisions must not move with the
     storage change); re-fitting on the per-call gap is a ROADMAP
     follow-up.  Shared by the dense and sparse fits: the sparse
@@ -385,7 +386,7 @@ def _fit_inplace_discount(be: Backend, rng, gap_n: int, repeats: int,
     gap_v = 0.01 * rng.standard_normal((gap_n, 1))
     apply_flops = float(2 * gap_n * gap_n)
     t_cow = _best_seconds(
-        lambda: be.add_outer(gap_state.copy(), gap_u, gap_v), repeats,
+        lambda: be.add_outer_inplace(gap_state.copy(), gap_u, gap_v), repeats,
         inner=16)
     t_inplace = _best_seconds(
         lambda: be.add_outer_inplace(gap_state, gap_u, gap_v), repeats,
@@ -429,7 +430,7 @@ def _fit_dense(be: Backend, repeats: int, big_n: int,
 
     samples = []
     big_flops = float(2 * big_n ** 3)
-    t_big = _best_seconds(lambda: be.matmul(big_a, big_b), repeats)
+    t_big = _best_seconds(lambda: be.matmul_into(big_a, big_b), repeats)
     samples.append(KernelSample(f"matmul[{big_n}x{big_n}]", t_big, big_flops))
     fps = big_flops / max(t_big, 1e-9)
 
@@ -439,7 +440,7 @@ def _fit_dense(be: Backend, repeats: int, big_n: int,
     # constant, so only genuinely tiny operands qualify here.)
     overhead_estimates = []
     tiny_flops = float(2 * tiny_n ** 3)
-    t_tiny = _best_seconds(lambda: be.matmul(tiny_a, tiny_b), repeats,
+    t_tiny = _best_seconds(lambda: be.matmul_into(tiny_a, tiny_b), repeats,
                            inner=32)
     samples.append(KernelSample(f"matmul[{tiny_n}x{tiny_n}]", t_tiny,
                                 tiny_flops))
@@ -469,7 +470,7 @@ def _fit_dense(be: Backend, repeats: int, big_n: int,
     # In-place accumulation: repeated calls reuse the same state buffer,
     # so the sample times the kernel, not an untimed-copy workaround.
     t_outer = _best_seconds(
-        lambda: be.add_outer(state, outer_u, outer_v), repeats, inner=16)
+        lambda: be.add_outer_inplace(state, outer_u, outer_v), repeats, inner=16)
     samples.append(KernelSample(f"add_outer[{outer_n},r=1]", t_outer,
                                 outer_flops))
     overhead_estimates.append(max(t_outer - outer_flops / fps, 0.0))
@@ -505,7 +506,7 @@ def _fit_sparse(be: Backend, dense_fps: float, repeats: int, n: int,
                            format="csr")
     tiny_x = rng.standard_normal((64, 1))
     tiny_flops = float(2 * tiny.nnz)
-    t_tiny = _best_seconds(lambda: be.matmul(tiny, tiny_x), repeats, inner=32)
+    t_tiny = _best_seconds(lambda: be.matmul_into(tiny, tiny_x), repeats, inner=32)
     samples.append(KernelSample("sparse matmul[64,d=0.05]", t_tiny,
                                 tiny_flops))
     overhead_seconds = max(t_tiny - tiny_flops / dense_fps, 1e-7)
@@ -519,14 +520,14 @@ def _fit_sparse(be: Backend, dense_fps: float, repeats: int, n: int,
                             format="csr")
         x = rng.standard_normal((n, 4))
         flops = float(2 * a.nnz * 4)
-        t = _best_seconds(lambda a=a, x=x: be.matmul(a, x), repeats)
+        t = _best_seconds(lambda a=a, x=x: be.matmul_into(a, x), repeats)
         samples.append(KernelSample(f"sparse matmul[{n},d={density:g}]", t,
                                     flops))
         stream_penalties.append(penalty(t, flops))
 
         # spgemm: expected multiply-adds of a random-pattern product.
         gemm_flops = max(2.0 * a.nnz * a.nnz / n, 2.0 * a.nnz)
-        t_gemm = _best_seconds(lambda a=a: be.matmul(a, a), repeats)
+        t_gemm = _best_seconds(lambda a=a: be.matmul_into(a, a), repeats)
         samples.append(KernelSample(f"spgemm[{n},d={density:g}]", t_gemm,
                                     gemm_flops))
         spgemm_penalties.append(penalty(t_gemm, gemm_flops))
@@ -545,7 +546,7 @@ def _fit_sparse(be: Backend, dense_fps: float, repeats: int, n: int,
         u[int(rng.integers(n)), 0] = 1.0
         v = 0.01 * rng.standard_normal((n, 1))
         upd_flops = float(2 * n + a.nnz)
-        t_upd = _best_seconds(lambda a=a, u=u, v=v: be.add_outer(a, u, v),
+        t_upd = _best_seconds(lambda a=a, u=u, v=v: be.add_outer_inplace(a, u, v),
                               repeats)
         samples.append(KernelSample(f"sparse add_outer[{n},d={density:g}]",
                                     t_upd, upd_flops))

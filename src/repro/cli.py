@@ -832,16 +832,16 @@ def _run_catalog(args) -> int:
 
     rng = np.random.default_rng(args.seed)
     counter = Counter()
-    catalog = ViewCatalog(
-        memory_budget=args.memory_budget,
-        strategy="REEVAL" if args.plan == "reeval" else "INCR",
-        mode=args.mode, backend=args.backend, rank=args.rank,
-        counter=counter)
     tenant_programs = [p for _ in range(args.tenants) for p in programs]
 
     start = time.perf_counter()
     known: dict[str, bool] = {}
     try:
+        catalog = ViewCatalog(
+            memory_budget=args.memory_budget,
+            strategy="REEVAL" if args.plan == "reeval" else "INCR",
+            mode=args.mode, backend=args.backend, rank=args.rank,
+            counter=counter)
         for program in tenant_programs:
             fresh = {}
             for sym in program.inputs:
@@ -945,6 +945,12 @@ def _run_serve(args, program) -> int:
     else:
         print(f"error: --staleness must be a count >= 1 or 'none', "
               f"got {args.staleness!r}", file=sys.stderr)
+        return 2
+
+    if (args.duration < 0 or args.readers < 1 or args.max_queue < 0
+            or args.max_age is not None and args.max_age <= 0):
+        print("error: need --duration >= 0, --readers >= 1, "
+              "--max-queue >= 0 and --max-age > 0", file=sys.stderr)
         return 2
 
     target = program.input_names[0]

@@ -125,7 +125,7 @@ def outer_operands(expr: Expr) -> "tuple[str, str] | None":
     two-factor product of a symbol with a transposed symbol (the form
     Algorithm 1 emits for every update statement), else ``None``.
     Callers use the match to apply updates through the backend's
-    ``add_outer`` kernel instead of materializing the delta densely.
+    ``add_outer_inplace`` kernel instead of materializing the delta densely.
     """
     if (
         isinstance(expr, MatMul)

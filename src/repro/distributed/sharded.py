@@ -246,11 +246,12 @@ class ShardBackend(DenseBackend):
     :class:`ShardedEngine`) or **thin** ``(n x k)`` blocks in this
     process, and the kernels dispatch on which:
 
-    * stored view x thin — one ``mat_lowrank`` roundtrip;
+    * stored view x thin (fewer columns than rows) — one
+      ``mat_lowrank`` roundtrip;
     * its transpose (``view.T``, what a lowered list hoists) x thin —
       one ``matT_lowrank`` roundtrip;
-    * ``add_outer`` / ``add_outer_inplace`` on a stored view — one
-      ``add_lowrank`` roundtrip, noted in the apply log;
+    * ``add_outer_inplace`` on a stored view — one ``add_lowrank``
+      roundtrip, noted in the apply log;
     * everything else — the inherited dense kernel, in this process.
 
     :func:`unshardable` refuses, before anything is built, a program
@@ -304,23 +305,28 @@ class ShardBackend(DenseBackend):
             return name, True
         return None
 
-    def matmul_into(self, a, b, out):
-        """``a @ b``; a stored ``a`` runs on the shards and the gathered
-        result is a new array (use the returned object, not ``out``)."""
+    def matmul_into(self, a, b, out=None):
+        """``a @ b``; a stored ``a`` times a thin ``b`` runs on the shards
+        and the gathered result is a new array (use it, not ``out``).
+
+        A stored view times a square operand — what
+        :func:`~repro.runtime.executor.evaluate` forms when a session
+        rebuilds or revalidates — has no tile kernel and stays in this
+        process.
+        """
         held = self._stored(a)
-        if held is None:
+        if held is None or b.shape[1] >= b.shape[0]:
             return super().matmul_into(a, b, out)
         name, transposed = held
         if transposed:
             return self.engine.matT_lowrank(name, b)
         return self.engine.mat_lowrank(name, b)
 
-    def add_outer(self, a, u: np.ndarray, v: np.ndarray):
-        """``a += u @ v.T`` (also the inherited ``add_outer_inplace``):
-        a stored view absorbs it shard by shard, logged."""
+    def add_outer_inplace(self, a, u: np.ndarray, v: np.ndarray):
+        """``a += u @ v.T``: a stored view absorbs it shard by shard, logged."""
         held = self._stored(a)
         if held is None:
-            return super().add_outer(a, u, v)
+            return super().add_outer_inplace(a, u, v)
         name, _ = held
         self.began.append(name)
         self.engine.add_lowrank(name, u, v)

@@ -120,7 +120,7 @@ def _eval_add(node, env, dims, counter, be):
     for child in children[1:]:
         value = _eval(child, env, dims, counter, be)
         counter.record("add", be.add_flops(total))
-        total = be.add(total, value)
+        total = be.add_into(total, value)
     return total
 
 
@@ -136,14 +136,14 @@ def _eval_matmul(node, env, dims, counter, be):
                 f"runtime shape mismatch in product: {(n, m)} @ {(m2, p)}"
             )
         counter.record("matmul", be.matmul_flops(result, value), n * p * 8)
-        result = be.matmul(result, value)
+        result = be.matmul_into(result, value)
     return result
 
 
 def _eval_scalar_mul(node, env, dims, counter, be):
     value = _eval(node.child, env, dims, counter, be)
     counter.record("scalar_mul", be.scale_flops(value))
-    return be.scale(node.coeff, value)
+    return be.scale_into(node.coeff, value)
 
 
 def _eval_transpose(node, env, dims, counter, be):
@@ -163,12 +163,12 @@ def _eval_inverse(node, env, dims, counter, be):
 
 
 def _eval_hstack(node, env, dims, counter, be):
-    return be.hstack(
+    return be.hstack_into(
         [_eval(block, env, dims, counter, be) for block in node.children])
 
 
 def _eval_vstack(node, env, dims, counter, be):
-    return be.vstack(
+    return be.vstack_into(
         [_eval(block, env, dims, counter, be) for block in node.children])
 
 

@@ -561,7 +561,7 @@ class Session:
             value = evaluate(stmt.expr, env, dims=self.views.dims,
                              backend=self.backend)
             drift = self.backend.max_abs(
-                self.backend.sub(value, self.views.get(stmt.target.name))
+                self.backend.sub_into(value, self.views.get(stmt.target.name))
             )
             worst = max(worst, drift)
             env[stmt.target.name] = value

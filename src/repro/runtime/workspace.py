@@ -25,17 +25,17 @@ Usage contract:
   frames neither reset nor recycle until the outermost one exits.
 
 Buffers are plain C-contiguous float64 ``ndarray``\\ s — exactly what
-the dense backend's ``*_into`` kernels (``np.matmul(..., out=)``, ufunc
-``out=``) accept.  Sparse state falls back to allocation where CSR
+the dense backend's kernels take as ``out`` (``np.matmul(..., out=)``,
+ufunc ``out=``).  Sparse state falls back to allocation where CSR
 structure forbids writing in place (see
 :meth:`repro.backends.sparse.SparseBackend.matmul_into`); the thin
 dense factor blocks that dominate factored-delta propagation reuse
 workspace buffers under every backend.
 
 The same convention is the contract for future backends: a GPU backend
-implements ``*_into`` against device buffers and a device-side
-workspace gives the identical zero-allocation steady state (see
-ROADMAP).
+implements the same ``out=`` kernels against device buffers and a
+device-side workspace gives the identical zero-allocation steady state
+(see ROADMAP).
 """
 
 from __future__ import annotations

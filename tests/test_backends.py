@@ -28,6 +28,7 @@ from repro.backends import (
     get_backend,
 )
 from repro.compiler.program import Program, Statement
+from repro.distributed.sharded import ShardBackend
 from repro.expr import MatrixSymbol, NamedDim, matmul
 from repro.iterative.models import Model
 from repro.iterative.strategies import make_general, make_sums
@@ -36,6 +37,11 @@ from repro.runtime.session import IVMSession, ReevalSession
 from repro.runtime.updates import cell_update
 
 SETTINGS = dict(max_examples=20, deadline=None)
+
+#: Names no backend defines: the allocating twins of the out-param
+#: kernels (``out=None`` allocates) and two kernels nothing called.
+DELETED_KERNELS = ("matmul", "add", "sub", "scale", "hstack", "vstack",
+                   "add_outer", "solve", "norm")
 
 
 def sparse_matrix(rng, n, density=0.03, scale=0.3):
@@ -75,6 +81,11 @@ class TestRegistry:
         with pytest.raises(TypeError):
             Backend()
 
+    @pytest.mark.parametrize("name", DELETED_KERNELS)
+    def test_one_form_per_kernel(self, name):
+        for cls in (Backend, DenseBackend, SparseBackend, ShardBackend):
+            assert not hasattr(cls, name), f"{cls.__name__}.{name}"
+
 
 class TestDenseBackend:
     def test_asarray_normalizes_columns(self):
@@ -92,7 +103,7 @@ class TestDenseBackend:
         u = rng.normal(size=(6, 2))
         v = rng.normal(size=(6, 2))
         expected = a + u @ v.T
-        out = DENSE.add_outer(a.copy(), u, v)
+        out = DENSE.add_outer_inplace(a.copy(), u, v)
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_density_and_nbytes(self):
@@ -130,7 +141,7 @@ class TestSparseBackendPolicy:
         a = be.asarray(sparse_matrix(rng, 100, density=0.02))
         dense_u = rng.normal(size=(100, 1))
         dense_v = rng.normal(size=(100, 1))
-        out = be.add_outer(a, dense_u, dense_v)  # rank-1 but fully dense
+        out = be.add_outer_inplace(a, dense_u, dense_v)  # rank-1, fully dense
         assert isinstance(out, np.ndarray)
 
     def test_sparse_add_outer_stays_sparse_for_sparse_factors(self, rng):
@@ -140,11 +151,10 @@ class TestSparseBackendPolicy:
         u[3, 0] = 1.0
         v = np.zeros((100, 1))
         v[9, 0] = 2.0
-        out = be.add_outer(a, u, v)
+        expected = be.materialize(a) + u @ v.T
+        out = be.add_outer_inplace(a, u, v)
         assert sp.issparse(out)
-        np.testing.assert_allclose(
-            be.materialize(out), be.materialize(a) + u @ v.T, atol=1e-12
-        )
+        np.testing.assert_allclose(be.materialize(out), expected, atol=1e-12)
 
     @staticmethod
     def _sparse_factors(rng, n, rank, support=4):
@@ -156,22 +166,20 @@ class TestSparseBackendPolicy:
         return u, v
 
     @pytest.mark.parametrize("rank", [1, 3])
-    @pytest.mark.parametrize("kernel", ["add_outer", "add_outer_inplace"])
-    def test_add_outer_on_csr_matches_explicit_form(self, kernel, rank, rng):
+    def test_add_outer_on_csr_matches_explicit_form(self, rank, rng):
         be = SparseBackend()
         n = 100
         dense = sparse_matrix(rng, n, density=0.03)
         for _ in range(5):
             a = be.asarray(dense, copy=True)
             u, v = self._sparse_factors(rng, n, rank)
-            out = getattr(be, kernel)(a, u, v)
+            out = be.add_outer_inplace(a, u, v)
             assert sp.issparse(out)
             assert out.has_canonical_format
             np.testing.assert_allclose(
                 be.materialize(out), dense + u @ v.T, rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("kernel", ["add_outer", "add_outer_inplace"])
-    def test_add_outer_overlapping_columns_sum(self, kernel, rng):
+    def test_add_outer_overlapping_columns_sum(self, rng):
         """Rank-3 factors whose columns hit the same cells accumulate."""
         be = SparseBackend()
         n = 100
@@ -179,12 +187,11 @@ class TestSparseBackendPolicy:
         u, v = np.zeros((n, 3)), np.zeros((n, 3))
         u[[5, 9], :] = rng.normal(size=(2, 3))
         v[[7, 11], :] = rng.normal(size=(2, 3))
-        out = getattr(be, kernel)(be.asarray(dense, copy=True), u, v)
+        out = be.add_outer_inplace(be.asarray(dense, copy=True), u, v)
         np.testing.assert_allclose(
             be.materialize(out), dense + u @ v.T, rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("kernel", ["add_outer", "add_outer_inplace"])
-    def test_add_outer_cancelling_an_entry_drops_it(self, kernel, rng):
+    def test_add_outer_cancelling_an_entry_drops_it(self, rng):
         be = SparseBackend()
         n = 100
         dense = sparse_matrix(rng, n, density=0.03)
@@ -192,7 +199,7 @@ class TestSparseBackendPolicy:
         a = be.asarray(dense, copy=True)
         u, v = np.zeros((n, 1)), np.zeros((n, 1))
         u[row, 0], v[col, 0] = -dense[row, col], 1.0
-        out = getattr(be, kernel)(a, u, v)
+        out = be.add_outer_inplace(a, u, v)
         assert sp.issparse(out)
         assert out.nnz == np.count_nonzero(dense) - 1
         expected = dense.copy()
@@ -218,8 +225,7 @@ class TestSparseBackendPolicy:
         np.testing.assert_allclose(
             be.materialize(out), dense + u @ v.T, rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("kernel", ["add_outer", "add_outer_inplace"])
-    def test_add_outer_past_densify_threshold_goes_dense(self, kernel, rng):
+    def test_add_outer_past_densify_threshold_goes_dense(self, rng):
         be = SparseBackend()
         n = 100
         dense = sparse_matrix(rng, n, density=0.03)
@@ -227,20 +233,19 @@ class TestSparseBackendPolicy:
         u[:70, 0] = rng.normal(size=70)   # 70 x 60 = 42% of the cells
         v[:60, 0] = rng.normal(size=60)
         u[3, 1], v[4, 1] = 1.0, 1.0
-        out = getattr(be, kernel)(be.asarray(dense, copy=True), u, v)
+        out = be.add_outer_inplace(be.asarray(dense, copy=True), u, v)
         assert isinstance(out, np.ndarray)
         np.testing.assert_allclose(out, dense + u @ v.T, rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("kernel", ["add_outer", "add_outer_inplace"])
-    def test_add_outer_of_nothing_is_identity(self, kernel, rng):
+    def test_add_outer_of_nothing_is_identity(self, rng):
         """Width-0 factors (a batch that compacted away) and zero factors."""
         be = SparseBackend()
         n = 100
         dense = sparse_matrix(rng, n, density=0.03)
         for width in (0, 2):
             a = be.asarray(dense, copy=True)
-            out = getattr(be, kernel)(a, np.zeros((n, width)),
-                                      np.zeros((n, width)))
+            out = be.add_outer_inplace(a, np.zeros((n, width)),
+                                       np.zeros((n, width)))
             np.testing.assert_array_equal(be.materialize(out), dense)
 
     def test_asarray_to_csr_takes_no_dense_copy(self, rng):
@@ -300,12 +305,11 @@ class TestSparseBackendPolicy:
         assert isinstance(be.eye(8), np.ndarray)
         assert sp.issparse(be.zeros(32, 32))
 
-    def test_norm_and_max_abs_match_dense(self, rng):
+    def test_max_abs_matches_dense(self, rng):
         be = SparseBackend()
         dense = sparse_matrix(rng, 80, density=0.05)
         a = be.asarray(dense)
         assert sp.issparse(a)
-        assert be.norm(a) == pytest.approx(np.linalg.norm(dense))
         assert be.max_abs(a) == pytest.approx(np.max(np.abs(dense)))
         assert be.max_abs(be.zeros(80, 80)) == 0.0
 
@@ -319,15 +323,6 @@ class TestSparseBackendPolicy:
         a = be.asarray(sparse_matrix(rng, 100, density=0.01))
         x = rng.normal(size=(100, 1))
         assert be.matmul_flops(a, x) < DENSE.matmul_flops(np.zeros((100, 100)), x)
-
-    def test_solve_matches_dense(self, rng):
-        be = SparseBackend()
-        dense = np.eye(100) + sparse_matrix(rng, 100, density=0.02)
-        rhs = rng.normal(size=(100, 1))
-        a = be.asarray(dense)
-        np.testing.assert_allclose(
-            be.solve(a, rhs), np.linalg.solve(dense, rhs), atol=1e-9
-        )
 
     def test_compact_accepts_sparse_factors(self, rng):
         be = SparseBackend()

@@ -1,4 +1,5 @@
-"""The ``repro run`` subcommand and the density-aware advise options."""
+"""The ``repro run`` subcommand, the density-aware advise options, and
+the bad ``serve`` / ``catalog`` flag values."""
 
 import json
 
@@ -110,6 +111,23 @@ class TestRun:
         assert main(["run", a4_file, "--dims", "n=16", "--batch", "maybe"]) == 2
         assert "--batch" in capsys.readouterr().err
         assert main(["run", a4_file, "--dims", "n=16", "--batch", "0"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("serve", "--max-queue", "-1"),
+    ("serve", "--duration", "-1"),
+    ("serve", "--readers", "0"),
+    ("serve", "--max-age", "0"),
+    ("catalog", "--memory-budget", "-5"),
+], ids=" ".join)
+def test_bad_serve_and_catalog_flags_exit_2(a4_file, capsys, argv):
+    """A flag value the serving layer or the catalog rejects is a usage
+    error, reported like every other one: no traceback."""
+    command, *flags = argv
+    assert main([command, a4_file, "--dims", "n=8", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 class TestAdviseDensity:

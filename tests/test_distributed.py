@@ -20,7 +20,7 @@ from repro.distributed import (CommLog, LocalShardEngine,
 from repro.frontend import parse_program
 from repro.runtime import FactoredUpdate, ReevalSession
 from repro.workloads import spectral_normalized
-from stream_helpers import assert_views_close, shard_session
+from stream_helpers import POWER_CHAIN, assert_views_close, shard_session
 
 POWERS_8 = ("input A(n, n); P2 := A * A; P4 := P2 * P2; P8 := P4 * P4; "
             "output P8;")
@@ -177,7 +177,7 @@ class TestShardBackendKernels:
         a = rng.normal(size=(12, 12))
         original = a.copy()
         view = backend.put("A", a)
-        backend.add_outer(view, np.ones((12, 1)), np.ones((12, 1)))
+        backend.add_outer_inplace(view, np.ones((12, 1)), np.ones((12, 1)))
         np.testing.assert_array_equal(a, original)
         np.testing.assert_allclose(view, original + 1.0)
         # Storing under a known name overwrites in place.
@@ -215,7 +215,7 @@ class TestShardBackendKernels:
         np.testing.assert_allclose(backend.matmul_into(x, y, None), x @ y)
         t = rng.normal(size=(12, 2))
         expect = t + x @ x[:2].T
-        backend.add_outer(t, x, x[:2])
+        backend.add_outer_inplace(t, x, x[:2])
         np.testing.assert_allclose(t, expect)
         assert backend.engine.model.events == []
         assert backend.began == []
@@ -227,6 +227,32 @@ class TestShardBackendKernels:
         u = rng.normal(size=(12, 1))
         np.testing.assert_allclose(backend.matmul_into(copy, u, None), a @ u)
         assert backend.engine.model.events == []
+
+    def test_view_times_square_stays_in_process(self, rng):
+        """Only a thin right operand has a tile kernel: what a rebuild's
+        re-evaluation multiplies a stored view by is square."""
+        backend = _backend()
+        a, b = rng.normal(size=(12, 12)), rng.normal(size=(12, 12))
+        view = backend.put("A", a)
+        np.testing.assert_array_equal(backend.matmul_into(view, b), a @ b)
+        np.testing.assert_array_equal(backend.matmul_into(view.T, b), a.T @ b)
+        assert backend.engine.model.events == []
+
+    @pytest.mark.parametrize("mode", ["interpret", "codegen"])
+    def test_rebuild_and_revalidate_ship_nothing(self, mode, rng):
+        """Re-evaluating the views from the inputs runs in the
+        coordinator; only factored updates reach the shards."""
+        n = 16
+        session = shard_session(POWER_CHAIN, {"A": 0.1 * rng.normal(size=(n, n))},
+                                process=False, mode=mode)
+        u, v = rng.normal(size=(n, 1)), rng.normal(size=(n, 1))
+        session.apply_update(FactoredUpdate("A", u, v))
+        model = session.backend.engine.model
+        assert model.events
+        model.reset()
+        session.rebuild()
+        assert session.revalidate() < 1e-12
+        assert model.events == []
 
 
 class TestModeledLedger:

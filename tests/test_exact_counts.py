@@ -43,9 +43,9 @@ TABLE = {
 
 #: The backend kernels counted (those the tracer wraps).
 KERNELS = (
-    "matmul", "matmul_into", "add", "sub", "add_inplace", "add_into",
-    "sub_into", "scale", "scale_into", "add_outer", "add_outer_inplace",
-    "compact", "hstack_into", "vstack_into", "materialize",
+    "matmul_into", "add_inplace", "add_into", "sub_into", "scale_into",
+    "add_outer_inplace", "compact", "hstack_into", "vstack_into",
+    "materialize",
 )
 UPDATES = 4
 

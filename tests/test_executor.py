@@ -227,13 +227,13 @@ class TestNativeLeafPassThrough:
 
         arr = rng.normal(size=(6, 6))
         seen = []
-        original = DenseBackend.matmul
+        original = DenseBackend.matmul_into
 
-        def recording_matmul(self, a, b):
+        def recording_matmul(self, a, b, out=None):
             seen.extend([a, b])
-            return original(self, a, b)
+            return original(self, a, b, out)
 
-        monkeypatch.setattr(DenseBackend, "matmul", recording_matmul)
+        monkeypatch.setattr(DenseBackend, "matmul_into", recording_matmul)
         evaluate(add(matmul(A, A), scalar_mul(2.0, A)), {"A": arr})
         assert seen[0] is arr and seen[1] is arr
 

@@ -24,7 +24,7 @@ VIEW_BYTES = N * N * 8
 #: Peak growth allowed while updates run.  With SciPy ``view += U V'``
 #: is one ``dgemm`` pass into the view and nothing view-sized is ever
 #: alive; without it the apply is NumPy's two-pass form
-#: (``DenseBackend.add_outer``) and holds exactly one product at a time.
+#: (``DenseBackend.add_outer_inplace``) and holds exactly one product at a time.
 PEAK_BYTES = VIEW_BYTES if sparse_available() else 2 * VIEW_BYTES
 TENANTS = 8
 

@@ -101,9 +101,21 @@ class TestWorkspace:
         assert ws.nbytes() == a.nbytes + b.nbytes + c.nbytes
 
 
+#: The dense backend, and the sparse backend's dense leg (the kernels
+#: are handed ``ndarray`` operands only).
+BACKENDS = ["dense", "sparse"]
+
+
+def _backend(name: str):
+    if name == "sparse":
+        pytest.importorskip("scipy")
+    return get_backend(name)
+
+
 class TestInPlaceKernels:
-    def test_dense_into_kernels_write_out(self, rng):
-        be = get_backend("dense")
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_dense_into_kernels_write_out(self, backend, rng):
+        be = _backend(backend)
         a = rng.normal(size=(5, 5))
         b = rng.normal(size=(5, 5))
         out = np.empty((5, 5))
@@ -122,12 +134,28 @@ class TestInPlaceKernels:
         assert be.vstack_into([a, b], tall) is tall
         np.testing.assert_array_equal(tall, np.vstack([a, b]))
 
-    def test_dense_into_kernels_fall_back_without_out(self, rng):
-        be = get_backend("dense")
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_dense_into_kernels_fall_back_without_out(self, backend, rng):
+        """``out`` omitted or ``None`` allocates a fresh result, bitwise
+        equal to what the same kernel writes into a buffer."""
+        be = _backend(backend)
         a = rng.normal(size=(4, 4))
         b = rng.normal(size=(4, 4))
-        np.testing.assert_array_equal(be.matmul_into(a, b, None), a @ b)
-        np.testing.assert_array_equal(be.add_into(a, b, None), a + b)
+        for name, args, shape in [
+            ("matmul_into", (a, b), (4, 4)),
+            ("add_into", (a, b), (4, 4)),
+            ("sub_into", (a, b), (4, 4)),
+            ("scale_into", (2.5, a), (4, 4)),
+            ("hstack_into", ([a, b],), (4, 8)),
+            ("vstack_into", ([a, b],), (8, 4)),
+        ]:
+            kernel = getattr(be, name)
+            buffered = kernel(*args, np.empty(shape))
+            for fresh in (kernel(*args), kernel(*args, None)):
+                assert isinstance(fresh, np.ndarray), name
+                assert not np.shares_memory(fresh, a), name
+                assert fresh.shape == shape, name
+                assert fresh.tobytes() == buffered.tobytes(), name
 
     def test_add_into_accumulates_with_aliasing(self, rng):
         be = get_backend("dense")
