@@ -64,7 +64,7 @@ def priced_refresh(strategy: str, nodes: int, seed: int = 42):
         seconds = priced_seconds(flops, ledger.total_bytes / nodes,
                                  ledger.total_messages / nodes)
     else:
-        products = counter.calls_by_op["matmul"]
+        products = counter.calls_by_op["matmul_into"]
         gathered = products * N * N * 8 * (nodes - 1) / nodes
         seconds = priced_seconds(flops, gathered, products)
     session.close()

@@ -106,7 +106,9 @@ class IncrementalOLS:
         # dZ = p1 q1' + p2 q2'   (Example 4.2, factored form of Sec. 5.1)
         xtu = ops.mm(self.x.T, u)                       # X'u       O(mn)
         utu = float((u.T @ u)[0, 0])
-        self.ops.counter.record("matmul", 2 * u.shape[0])
+        # The raw-NumPy steps here (u'u, Sherman-Morrison / Woodbury) run
+        # on no backend: each charges the kernel it stands in for.
+        self.ops.counter.record("matmul_into", 2 * u.shape[0])
         p1, q1 = v, xtu
         p2 = ops.add(xtu, ops.scale(utu, v))            # X'u + v(u'u)
         q2 = v
@@ -116,7 +118,7 @@ class IncrementalOLS:
             r1, s1 = sherman_morrison_delta(self.w, p1, q1)
             self._charge_sm()
             w_mid = self.w + r1 @ s1.T
-            self.ops.counter.record("add", self.w.size)
+            self.ops.counter.record("add_into", self.w.size)
             r2, s2 = sherman_morrison_delta(w_mid, p2, q2)
             self._charge_sm()
             r_block = ops.hstack([r1, r2])
@@ -128,7 +130,8 @@ class IncrementalOLS:
             q_block = ops.hstack([q1, q2])
             r_block, s_block = woodbury_delta(self.w, p_block, q_block)
             n = self.w.shape[0]
-            self.ops.counter.record("matmul", 2 * (2 * n * n * 2 + 2 * n * 2 * 2))
+            self.ops.counter.record("matmul_into",
+                                    2 * (2 * n * n * 2 + 2 * n * 2 * 2))
 
         # dC = v (u'Y)'  — rank 1.
         uty = ops.mm(u.T, self.y)                       # (1 x p)
@@ -149,7 +152,7 @@ class IncrementalOLS:
     def _charge_sm(self) -> None:
         """FLOPs of one Sherman–Morrison step: two n^2 products."""
         n = self.w.shape[0]
-        self.ops.counter.record("matmul", 4 * n * n)
+        self.ops.counter.record("matmul_into", 4 * n * n)
 
     def revalidate(self) -> float:
         """Max drift of any maintained view vs from-scratch recomputation."""

@@ -148,7 +148,8 @@ class ViewCatalog:
         tenant shares one trajectory.
     counter:
         FLOP counter charged with all shared maintenance and on-demand
-        re-evaluation work.
+        re-evaluation work, by the backend's kernels
+        (:func:`~repro.cost.counters.counted`).
     """
 
     def __init__(
@@ -171,7 +172,7 @@ class ViewCatalog:
         self.memory_budget = memory_budget
         self.strategy = strategy
         self.mode = mode
-        self.backend = get_backend(backend)
+        self.backend = counters.counted(get_backend(backend), counter)
         self.plan = MaintenancePlan(strategy, backend=self.backend.name,
                                     mode=mode, rank=rank)
         self.counter = counter
@@ -400,7 +401,7 @@ class ViewCatalog:
             if dep not in env:
                 env[dep] = self._demand_value(dep_node, cache)
         value = evaluate(node.expr, env, dims=self._store.dims,
-                         counter=self.counter, backend=self.backend)
+                         backend=self.backend)
         dense = np.asarray(self.backend.materialize(value), dtype=np.float64)
         rows, cols = dense.shape
         node.demand_reads += 1
@@ -502,7 +503,7 @@ class ViewCatalog:
             if name not in store:
                 store.adopt(name, evaluate(
                     node.expr, store.as_env(), dims=store.dims,
-                    counter=self.counter, backend=self.backend))
+                    backend=self.backend))
         self._touched_cache = {}
         if not admitted:
             self._session = None

@@ -34,16 +34,17 @@ trigger's compiled update width.  Two executors run a bound list, and
 nothing else runs a trigger:
 
 * :func:`compile_trigger_function` — ``mode="interpret"``: a loop over
-  the records, charging a FLOP :class:`~repro.cost.counters.Counter`
-  per record exactly as :func:`~repro.runtime.executor.evaluate` would;
+  the records;
 * :func:`compile_fused_trigger` — ``mode="codegen"``:
   :func:`generate_python_trigger` prints the records as one flat
   Python function, ``exec``-compiled once.
 
 Both call the same kernel callables on the same operands in the same
-order, so they agree bit for bit on the dense backend by construction;
-after one warm-up firing neither allocates (sparse state falls back to
-allocation exactly where CSR structure forbids in-place writes).  An
+order, so they agree bit for bit on the dense backend by construction
+and charge a :func:`~repro.cost.counters.counted` backend's ledger
+alike; after one warm-up firing neither allocates (sparse state falls
+back to allocation exactly where CSR structure forbids in-place
+writes).  An
 update whose width differs from the compiled one runs the same records
 with ``None`` in every buffer operand — the kernels then allocate their
 results — instead of a second lowering, and leases nothing, so a stream
@@ -65,7 +66,6 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from ...cost import counters
 from ...expr.ast import (
     Add,
     Expr,
@@ -337,40 +337,6 @@ def _kernels(be) -> dict[str, Callable]:
     }
 
 
-def _charges(be, counter: counters.Counter) -> dict[str, Callable]:
-    """Kernel name -> the charge :func:`~repro.runtime.executor.evaluate`
-    makes for the node it lowers (same operands as the kernel)."""
-    record = counter.record
-
-    def matmul(a, b, out):
-        record("matmul", be.matmul_flops(a, b),
-               be.shape(a)[0] * be.shape(b)[1] * 8)
-
-    def sub(a, b, out):  # evaluated as ``a + (-1.0 * b)``
-        record("scalar_mul", be.scale_flops(b))
-        record("add", be.add_flops(a))
-
-    def inv(a):
-        n = be.shape(a)[0]
-        record("inverse", be.inverse_flops(a), n * n * 8)
-
-    def outer(a, u, v):  # the statement ``a += u * v'``, never evaluated
-        rows, cols = be.shape(a)
-        record("transpose", 0)
-        record("matmul", be.add_outer_flops(a, u, v), rows * cols * 8)
-
-    return {
-        "transpose": lambda a: record("transpose", 0),
-        "matmul": matmul,
-        "add": lambda a, b, out: record("add", be.add_flops(a)),
-        "sub": sub,
-        "scale": lambda coeff, a, out: record(
-            "scalar_mul", be.scale_flops(a)),
-        "inv": inv,
-        "outer": outer,
-    }
-
-
 def _bind(lowered: LoweredTrigger, dims: Mapping[str, int], backend,
           workspace):
     """Bind a lowered form: ``(backend, values)``.
@@ -399,11 +365,10 @@ def _bind(lowered: LoweredTrigger, dims: Mapping[str, int], backend,
     return be, values
 
 
-def _loop(lowered: LoweredTrigger, be, values: Mapping[str, object],
-          counter: counters.Counter) -> Callable:
+def _loop(lowered: LoweredTrigger, be,
+          values: Mapping[str, object]) -> Callable:
     """``fn(views, u, v)`` running the bound form record by record."""
     kernels = _kernels(be)
-    charges = _charges(be, counter) if counter.recording else {}
     rank = values["_rank"]
 
     # Every name is a slot of one flat list; a firing copies the
@@ -419,16 +384,10 @@ def _loop(lowered: LoweredTrigger, be, values: Mapping[str, object],
         pinned.append(src)  # scale's literal coefficient
         return len(pinned) - 1
 
-    steps = [
-        (kernels[op.kernel], slot[op.dst], [operand(s) for s in op.srcs],
-         charges.get(op.kernel))
-        for op in lowered.ops
-    ]
-    applies = [
-        (kernels[op.kernel], op.dst, [slot[s] for s in op.srcs],
-         charges.get(op.kernel))
-        for op in lowered.applies
-    ]
+    steps = [(kernels[op.kernel], slot[op.dst], [operand(s) for s in op.srcs])
+             for op in lowered.ops]
+    applies = [(kernels[op.kernel], op.dst, [slot[s] for s in op.srcs])
+               for op in lowered.applies]
     allocating = list(pinned)
     for name in lowered.buffers:
         allocating[slot[name]] = None
@@ -440,16 +399,10 @@ def _loop(lowered: LoweredTrigger, be, values: Mapping[str, object],
         slots[1] = v
         for index, name in loads:
             slots[index] = views[name]
-        for kernel, dst, srcs, charge in steps:
-            args = [slots[i] for i in srcs]
-            if charge is not None:
-                charge(*args)
-            slots[dst] = kernel(*args)
-        for kernel, name, srcs, charge in applies:
-            args = [slots[i] for i in srcs]
-            if charge is not None:
-                charge(*args)
-            views[name] = kernel(*args)
+        for kernel, dst, srcs in steps:
+            slots[dst] = kernel(*[slots[i] for i in srcs])
+        for kernel, name, srcs in applies:
+            views[name] = kernel(*[slots[i] for i in srcs])
 
     run.__name__ = f"on_update_{lowered.input_name}"
     return run
@@ -460,17 +413,16 @@ def compile_trigger_function(
     dims: Mapping[str, int],
     backend=None,
     workspace=None,
-    counter: counters.Counter = counters.NULL_COUNTER,
 ) -> Callable:
     """The loop executor of a trigger's lowered form.
 
     Binds ``lowered`` against concrete ``dims`` (:func:`_bind`) and
     returns ``fn(views, u, v)``.  An update of the compiled width runs
     on the leased buffers; any other width runs the same records with
-    allocating destinations.  Every record is charged to ``counter``.
+    allocating destinations.
     """
     be, values = _bind(lowered, dims, backend, workspace)
-    return _loop(lowered, be, values, counter)
+    return _loop(lowered, be, values)
 
 
 def generate_python_trigger(
@@ -521,15 +473,13 @@ def compile_fused_trigger(
     """Print, bind and ``exec`` a trigger's lowered form.
 
     Same binding as :func:`compile_trigger_function`, pinned in the
-    function's globals; ``fn.__source__`` is the printed text.  Nothing
-    is charged to a counter.
+    function's globals; ``fn.__source__`` is the printed text.
     """
     be, values = _bind(lowered, dims, backend, workspace)
     source = generate_python_trigger(lowered)
     namespace = {f"_{name}": kernel for name, kernel in _kernels(be).items()}
     namespace.update(values)
-    namespace["_any_width"] = _loop(lowered, be, values,
-                                    counters.NULL_COUNTER)
+    namespace["_any_width"] = _loop(lowered, be, values)
     exec(compile(source, f"<trigger:{lowered.input_name}>", "exec"),
          namespace)
     fn = namespace[f"on_update_{lowered.input_name}"]

@@ -1,11 +1,11 @@
-"""FLOP-counted, backend-dispatched matrix operations.
+"""Backend-dispatched matrix operations for hand-written trigger bodies.
 
 The iterative-model maintainers and the analytics layer execute
 hand-specialized trigger bodies directly over arrays (the moral
-equivalent of the paper's generated Octave code).  Routing their array
-math through :class:`Ops` keeps FLOP accounting consistent with the
-expression executor, so REEVAL/INCR/HYBRID comparisons report both
-seconds *and* operations from one bookkeeping scheme.
+equivalent of the paper's generated Octave code).  :class:`Ops` runs
+them on one backend wrapped by :func:`~repro.cost.counters.counted`, so
+a maintainer and a session report one ledger (same kernels, same keys)
+of seconds *and* operations.
 
 The actual kernels live in a :class:`~repro.backends.base.Backend`
 (dense NumPy by default, SciPy CSR via ``backend="sparse"``); charged
@@ -32,7 +32,7 @@ from . import counters
 
 
 class Ops:
-    """Counted wrappers around one backend's kernels."""
+    """One backend's kernels, charging ``counter``."""
 
     def __init__(
         self,
@@ -47,7 +47,7 @@ class Ops:
         from ..runtime.workspace import as_workspace
 
         self.counter = counter
-        self.backend = get_backend(backend)
+        self.backend = counters.counted(get_backend(backend), counter)
         self.workspace = as_workspace(workspace)
 
     def frame(self):
@@ -62,17 +62,6 @@ class Ops:
         if self.workspace is None:
             return nullcontext(self)
         return self.workspace.frame()
-
-    def _charge(self, op: str, hook, *operands, out_bytes: int = 0) -> None:
-        """Record ``hook(*operands)`` FLOPs against ``op``.
-
-        The one place that decides whether a charge is worth computing:
-        under :data:`~repro.cost.counters.NULL_COUNTER` no cost hook
-        runs at all, so an uncounted refresh pays nothing for numbers
-        nobody reads.
-        """
-        if self.counter.recording:
-            self.counter.record(op, hook(*operands), out_bytes)
 
     def _lease(self, rows: int, cols: int, *operands):
         """A scratch result buffer, if the workspace and operands allow."""
@@ -89,8 +78,6 @@ class Ops:
         m2, p = self.backend.shape(b)
         if m != m2:
             raise ValueError(f"shape mismatch in product: {(n, m)} @ {(m2, p)}")
-        self._charge("matmul", self.backend.matmul_flops, a, b,
-                     out_bytes=n * p * 8)
         return self.backend.matmul_into(a, b, self._lease(n, p, a, b))
 
     def mm_into(self, a, b, out):
@@ -106,8 +93,6 @@ class Ops:
         m2, p = self.backend.shape(b)
         if m != m2:
             raise ValueError(f"shape mismatch in product: {(n, m)} @ {(m2, p)}")
-        self._charge("matmul", self.backend.matmul_flops, a, b,
-                     out_bytes=n * p * 8)
         if (
             not isinstance(out, np.ndarray)
             or out.shape != (n, p)
@@ -119,13 +104,11 @@ class Ops:
 
     def add(self, a, b):
         """Element-wise sum (charges ``n m``, nnz for sparse)."""
-        self._charge("add", self.backend.add_flops, a)
         rows, cols = self.backend.shape(a)
         return self.backend.add_into(a, b, self._lease(rows, cols, a, b))
 
     def add_into(self, a, b, out):
         """``a + b`` into ``out`` (which may alias ``a``: accumulation)."""
-        self._charge("add", self.backend.add_flops, a)
         if not isinstance(out, np.ndarray) or out.shape != tuple(
             self.backend.shape(a)
         ):
@@ -134,13 +117,11 @@ class Ops:
 
     def sub(self, a, b):
         """Element-wise difference (charges ``n m``, nnz for sparse)."""
-        self._charge("add", self.backend.add_flops, a)
         rows, cols = self.backend.shape(a)
         return self.backend.sub_into(a, b, self._lease(rows, cols, a, b))
 
     def add_inplace(self, a, b):
         """``a += b`` where the representation allows; use the return value."""
-        self._charge("add", self.backend.add_flops, a)
         return self.backend.add_inplace(a, b)
 
     def add_outer_inplace(self, a, u, v):
@@ -153,25 +134,19 @@ class Ops:
         existing pattern and merges otherwise, so callers must rebind
         the result either way.
         """
-        self._charge("matmul", self.backend.add_outer_flops, a, u, v)
-        self._charge("add", self.backend.add_flops, a)
         return self.backend.add_outer_inplace(a, u, v)
 
     def scale(self, coeff: float, a):
         """Scalar multiple (charges ``n m``, nnz for sparse)."""
-        self._charge("scalar_mul", self.backend.scale_flops, a)
         rows, cols = self.backend.shape(a)
         return self.backend.scale_into(coeff, a, self._lease(rows, cols, a))
 
     def inv(self, a):
         """Matrix inverse (charges ``~2 n^3``; result is dense)."""
-        n = self.backend.shape(a)[0]
-        self._charge("inverse", self.backend.inverse_flops, a,
-                     out_bytes=n * n * 8)
         return self.backend.inv(a)
 
     def hstack(self, blocks):
-        """Horizontal concatenation (no arithmetic charged)."""
+        """Horizontal concatenation (charged as a call, no FLOPs)."""
         blocks = list(blocks)
         rows = self.backend.shape(blocks[0])[0]
         cols = sum(self.backend.shape(b)[1] for b in blocks)
@@ -180,7 +155,7 @@ class Ops:
         )
 
     def vstack(self, blocks):
-        """Vertical concatenation (no arithmetic charged)."""
+        """Vertical concatenation (charged as a call, no FLOPs)."""
         blocks = list(blocks)
         rows = sum(self.backend.shape(b)[0] for b in blocks)
         cols = self.backend.shape(blocks[0])[1]

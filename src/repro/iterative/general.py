@@ -248,7 +248,7 @@ class IncrementalGeneral(_GeneralBase):
     def _materialize(self) -> None:
         # Initial evaluation is not charged to refreshes, and must not
         # land in workspace buffers (iterates outlive every frame).
-        ops = Ops(backend=self.backend)
+        ops = Ops(backend=counters.uncounted(self.backend))
         self.iterates = {}
         prev = self.t0
         for i in self.schedule:
@@ -420,7 +420,7 @@ class HybridGeneral(_GeneralBase):
 
     def _materialize(self) -> None:
         # State arrays must not come from the arena (they outlive frames).
-        ops = Ops(backend=self.backend)
+        ops = Ops(backend=counters.uncounted(self.backend))
         self.iterates = {}
         prev = self.t0
         for i in self.schedule:

@@ -124,7 +124,7 @@ class IncrementalPowers:
         self.powers: dict[int, np.ndarray] = {}
         # Initial materialization is not charged to refreshes, and must
         # not land in workspace buffers (state outlives every frame).
-        ops = Ops(backend=self.ops.backend)
+        ops = Ops(backend=counters.uncounted(self.ops.backend))
         self.powers[1] = self.ops.backend.asarray(a, copy=True)
         for i in self.schedule[1:]:
             j = self.model.predecessor(i)

@@ -167,7 +167,7 @@ class IncrementalPowerSums:
         self.a = self.ops.backend.asarray(a, copy=True)
         self.sums: dict[int, np.ndarray] = {}
         # Initial materialization is not charged to refreshes.
-        ops = Ops(backend=self.ops.backend)
+        ops = Ops(backend=counters.uncounted(self.ops.backend))
         n = self.a.shape[0]
         eye = self.ops.backend.eye(n)
         self.sums[1] = eye

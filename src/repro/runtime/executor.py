@@ -3,12 +3,11 @@
 This is the single-node evaluator of the reproduction (the paper's
 Octave role).  :func:`evaluate` walks an expression bottom-up, binding
 :class:`~repro.expr.ast.MatrixSymbol` leaves from an environment of
-``name -> matrix`` and charging FLOPs to a
-:class:`~repro.cost.counters.Counter`.  All kernels dispatch through a
+``name -> matrix``.  All kernels dispatch through a
 :class:`~repro.backends.base.Backend` (dense NumPy by default; pass
 ``backend="sparse"`` to execute large low-density operands as SciPy
-CSR), and the counter is charged what the chosen representation
-actually performs.
+CSR); a backend wrapped by :func:`~repro.cost.counters.counted` charges
+its counter what the chosen representation actually performs.
 
 Matrix products are evaluated **in the expression's association order**:
 the factored-delta machinery encodes the cheap evaluation order
@@ -24,7 +23,6 @@ from typing import Mapping
 import numpy as np
 
 from ..backends import get_backend
-from ..cost import counters
 from ..expr.ast import (
     Add,
     Expr,
@@ -61,13 +59,13 @@ def resolve_dim(dim: DimLike, dims: Mapping[str, int]) -> int:
     raise EvaluationError(f"cannot resolve dimension {dim!r}")
 
 
-def _eval(node: Expr, env, dims, counter, be):
+def _eval(node: Expr, env, dims, be):
     """Evaluate one node through the type-keyed handler table."""
     try:
         handler = _HANDLERS[type(node)]
     except KeyError:
         handler = _inherited_handler(type(node))
-    return handler(node, env, dims, counter, be)
+    return handler(node, env, dims, be)
 
 
 def _inherited_handler(cls):
@@ -80,7 +78,7 @@ def _inherited_handler(cls):
     raise EvaluationError(f"cannot evaluate node type {cls.__name__}")
 
 
-def _eval_symbol(node, env, dims, counter, be):
+def _eval_symbol(node, env, dims, be):
     try:
         value = env[node.name]
     except KeyError:
@@ -104,72 +102,66 @@ def _eval_symbol(node, env, dims, counter, be):
     return be.asarray(arr)
 
 
-def _eval_identity(node, env, dims, counter, be):
+def _eval_identity(node, env, dims, be):
     return be.eye(resolve_dim(node.shape.rows, dims))
 
 
-def _eval_zero(node, env, dims, counter, be):
+def _eval_zero(node, env, dims, be):
     rows = resolve_dim(node.shape.rows, dims)
     cols = resolve_dim(node.shape.cols, dims)
     return be.zeros(rows, cols)
 
 
-def _eval_add(node, env, dims, counter, be):
+def _eval_add(node, env, dims, be):
     children = node.children
-    total = _eval(children[0], env, dims, counter, be)
+    total = _eval(children[0], env, dims, be)
     for child in children[1:]:
-        value = _eval(child, env, dims, counter, be)
-        counter.record("add", be.add_flops(total))
+        value = _eval(child, env, dims, be)
         total = be.add_into(total, value)
     return total
 
 
-def _eval_matmul(node, env, dims, counter, be):
+def _eval_matmul(node, env, dims, be):
     children = node.children
-    result = _eval(children[0], env, dims, counter, be)
+    result = _eval(children[0], env, dims, be)
     for child in children[1:]:
-        value = _eval(child, env, dims, counter, be)
+        value = _eval(child, env, dims, be)
         n, m = be.shape(result)
         m2, p = be.shape(value)
         if m != m2:
             raise EvaluationError(
                 f"runtime shape mismatch in product: {(n, m)} @ {(m2, p)}"
             )
-        counter.record("matmul", be.matmul_flops(result, value), n * p * 8)
         result = be.matmul_into(result, value)
     return result
 
 
-def _eval_scalar_mul(node, env, dims, counter, be):
-    value = _eval(node.child, env, dims, counter, be)
-    counter.record("scalar_mul", be.scale_flops(value))
+def _eval_scalar_mul(node, env, dims, be):
+    value = _eval(node.child, env, dims, be)
     return be.scale_into(node.coeff, value)
 
 
-def _eval_transpose(node, env, dims, counter, be):
-    value = _eval(node.child, env, dims, counter, be)
-    counter.record("transpose", 0)
+def _eval_transpose(node, env, dims, be):
+    value = _eval(node.child, env, dims, be)
     return be.transpose(value)
 
 
-def _eval_inverse(node, env, dims, counter, be):
-    value = _eval(node.child, env, dims, counter, be)
-    n = be.shape(value)[0]
-    counter.record("inverse", be.inverse_flops(value), n * n * 8)
+def _eval_inverse(node, env, dims, be):
+    value = _eval(node.child, env, dims, be)
     try:
         return be.inv(value)
     except np.linalg.LinAlgError as exc:
         raise EvaluationError(f"singular matrix in inverse: {exc}") from exc
 
 
-def _eval_hstack(node, env, dims, counter, be):
+def _eval_hstack(node, env, dims, be):
     return be.hstack_into(
-        [_eval(block, env, dims, counter, be) for block in node.children])
+        [_eval(block, env, dims, be) for block in node.children])
 
 
-def _eval_vstack(node, env, dims, counter, be):
+def _eval_vstack(node, env, dims, be):
     return be.vstack_into(
-        [_eval(block, env, dims, counter, be) for block in node.children])
+        [_eval(block, env, dims, be) for block in node.children])
 
 
 #: Node type -> handler.  Module-level functions, not a closure built
@@ -193,10 +185,9 @@ def evaluate(
     expr: Expr,
     env: Mapping[str, np.ndarray],
     dims: Mapping[str, int] | None = None,
-    counter: counters.Counter = counters.NULL_COUNTER,
     backend=None,
 ) -> np.ndarray:
-    """Evaluate ``expr`` over ``env``, charging work to ``counter``.
+    """Evaluate ``expr`` over ``env``.
 
     ``dims`` binds symbolic dimension names (needed only when the
     expression contains ``eye``/``zeros`` leaves with symbolic sizes).
@@ -206,4 +197,4 @@ def evaluate(
     used as-is (never mutated), and a bare or transposed reference
     returns the environment's own array (or a view of it).
     """
-    return _eval(expr, env, dims or {}, counter, get_backend(backend))
+    return _eval(expr, env, dims or {}, get_backend(backend))

@@ -33,15 +33,19 @@ association order by construction (bit-for-bit equal on the dense
 backend) and a warmed-up dense session performs zero heap allocation
 per update in either:
 
-* ``mode="interpret"`` — a loop over the list, charging the session's
-  FLOP counter per record (the default; bound on a trigger's first
-  firing);
+* ``mode="interpret"`` — a loop over the list (the default; bound on a
+  trigger's first firing);
 * ``mode="codegen"`` — the list printed as one flat Python function and
-  ``exec``-compiled once at open (the paper's generated-code path; no
-  FLOP counting).
+  ``exec``-compiled once at open (the paper's generated-code path).
 
 Updates whose rank differs from ``plan.rank`` run the same list with
 allocating destinations and lease nothing.
+
+A session given a ``counter`` runs on
+:func:`~repro.cost.counters.counted`'s copy of its backend, wrapped
+once at construction: every kernel call charges the counter, so both
+modes — and REEVAL's re-evaluation — report one ledger.  Without one
+the session runs on the backend it was handed.
 
 View storage is store-owned and updated **in place in every mode**
 (:mod:`repro.runtime.views`): treat matrices returned by
@@ -114,7 +118,8 @@ class Session:
     dims:
         Bindings for symbolic dimension names used in the program.
     counter:
-        FLOP/byte counter charged with all maintenance work.
+        FLOP/byte counter charged with all maintenance work, by the
+        backend's kernels (:func:`~repro.cost.counters.counted`).
     backend:
         Execution backend for view state and trigger math — a name
         (``"dense"``, ``"sparse"``), a
@@ -142,8 +147,9 @@ class Session:
     ):
         self.program = program
         self.counter = counter
-        self.backend = get_backend(
-            plan.backend if backend is None and plan is not None else backend)
+        self.backend = counters.counted(get_backend(
+            plan.backend if backend is None and plan is not None else backend
+        ), counter)
         if plan is None:
             # ``axes``: the plan fields a subclass's arguments spell.
             from ..planner.plan import MaintenancePlan
@@ -159,8 +165,9 @@ class Session:
         if isinstance(inputs, ViewStore):
             # Adopt live state: no re-evaluation, and no copy unless
             # the representation has to change.
-            self.views = (inputs if inputs.backend is self.backend
-                          else inputs.converted(self.backend))
+            same = counters.counted(inputs.backend, counter) is self.backend
+            self.views = inputs if same else inputs.converted(self.backend)
+            self.views.backend = self.backend
             return
         self.views = ViewStore(dims, backend=self.backend)
         missing = set(program.input_names) - set(inputs)
@@ -476,7 +483,6 @@ class Session:
                 stmt.expr,
                 self.views.as_env(),
                 dims=self.views.dims,
-                counter=self.counter,
                 backend=self.backend,
             )
             # ``value`` is fresh unless the statement is a bare or
@@ -555,14 +561,13 @@ class Session:
         as a read: batched pending updates flush first.
         """
         self.flush()
+        be = counters.uncounted(self.backend)  # a check: not charged
         env = {name: self.views.get(name) for name in self.program.input_names}
         worst = 0.0
         for stmt in self.program.statements:
-            value = evaluate(stmt.expr, env, dims=self.views.dims,
-                             backend=self.backend)
-            drift = self.backend.max_abs(
-                self.backend.sub_into(value, self.views.get(stmt.target.name))
-            )
+            value = evaluate(stmt.expr, env, dims=self.views.dims, backend=be)
+            drift = be.max_abs(
+                be.sub_into(value, self.views.get(stmt.target.name)))
             worst = max(worst, drift)
             env[stmt.target.name] = value
         return worst
@@ -621,7 +626,7 @@ class IVMSession(Session):
         else:
             fn = compile_trigger_function(
                 self.compiled.lowered(name), self._bound_dims(), self.backend,
-                self.workspace, self.counter)
+                self.workspace)
         self._executors[name] = fn
         return fn
 
@@ -778,8 +783,9 @@ class ShardedSession(IVMSession):
                 timeout=DEFAULT_TIMEOUT if timeout is None else timeout,
                 supervise=supervise,
             ))
-        # Kept past ``close`` (``self.backend`` is plain dense by then):
-        # traffic and recoveries stay readable.
+        # Where the shard state lives (``self.backend`` is its counted
+        # copy under a counter), kept past ``close`` (``self.backend`` is
+        # plain dense by then): traffic and recoveries stay readable.
         self._shards = backend
         self.recover = recover
         #: One record per REEVAL fallback taken after an unrecoverable
@@ -825,7 +831,7 @@ class ShardedSession(IVMSession):
         done: list[str] = []
         try:
             for name in arrays:
-                arrays[name] = self.backend.put(name, arrays[name])
+                arrays[name] = self._shards.put(name, arrays[name])
                 done.append(name)
         except Exception:
             for name in done:
@@ -842,8 +848,9 @@ class ShardedSession(IVMSession):
         arrays = self.views._arrays
         for name in arrays:
             arrays[name] = np.array(arrays[name])
-        self.backend.close()
-        self.views.backend = self.backend = get_backend(self.plan.backend)
+        self._shards.close()
+        self.views.backend = self.backend = counters.counted(
+            get_backend(self.plan.backend), self.counter)
 
     def _materialize_all(self) -> None:
         """Evaluate in this process; while sharded, land each result in
@@ -853,14 +860,14 @@ class ShardedSession(IVMSession):
             arrays = self.views._arrays
             for stmt in self.program.statements:
                 name = stmt.target.name
-                arrays[name] = self.backend.put(name, arrays[name])
+                arrays[name] = self._shards.put(name, arrays[name])
 
     def _apply_now(self, update: FactoredUpdate) -> None:
         if not self._sharded:
             return super()._apply_now(update)
         from ..distributed.workers import WorkerFailedError
 
-        self.backend.clear_log()
+        self._shards.clear_log()
         try:
             super()._apply_now(update)
         except WorkerFailedError as error:
@@ -896,7 +903,7 @@ class ShardedSession(IVMSession):
         """
         from ..distributed.sharded import LocalShardEngine
 
-        backend = self.backend
+        backend = self._shards
         began, finished = backend.began, backend.finished
         torn = began[-1] if len(began) > len(finished) else None
         if torn == update.target:

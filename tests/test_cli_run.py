@@ -69,7 +69,27 @@ class TestRun:
         assert data["plan"]["strategy"] in ("INCR", "REEVAL")
         assert data["updates"] == 4
         assert data["total_flops"] > 0
-        assert "matmul" in data["flops_by_op"]
+        assert "matmul_into" in data["flops_by_op"]
+
+    def test_codegen_reports_the_interpret_ledger(self, a4_file, capsys):
+        """Both modes run the same kernels, and the kernels charge."""
+        ledgers = []
+        for mode in ("interpret", "codegen"):
+            assert main(["run", a4_file, "--dims", "n=24", "--updates", "6",
+                         "--plan", "incr", "--mode", mode, "--json"]) == 0
+            data = json.loads(capsys.readouterr().out)
+            assert data["plan"]["mode"] == mode
+            ledgers.append({key: data[key] for key in
+                            ("flops_by_op", "total_flops", "setup_flops")})
+        assert ledgers[0] == ledgers[1]
+        assert ledgers[0]["total_flops"] > 0
+
+    def test_auto_plan_reports_flops(self, a4_file, capsys):
+        assert main(["run", a4_file, "--dims", "n=48", "--updates", "300",
+                     "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["total_flops"] > 0
+        assert data["total_flops"] == sum(data["flops_by_op"].values())
 
     def test_unbound_dimension_reported(self, a4_file, capsys):
         assert main(["run", a4_file]) == 2

@@ -34,7 +34,7 @@ class TestOps:
         a = rng.normal(size=(4, 5))
         b = rng.normal(size=(5, 6))
         ops.mm(a, b)
-        assert counter.flops("matmul") == 2 * 4 * 5 * 6
+        assert counter.flops("matmul_into") == 2 * 4 * 5 * 6
 
     def test_ops_shape_check(self, rng):
         ops = Ops()
@@ -52,9 +52,10 @@ class TestOps:
         ops = Ops(counter)
         well = rng.normal(size=(5, 5)) + 5 * np.eye(5)
         ops.inv(well)
-        assert counter.flops("inverse") == 2 * 125
+        assert counter.flops("inv") == 2 * 125
         stacked = ops.hstack([np.ones((3, 1)), np.ones((3, 2))])
         assert stacked.shape == (3, 3)
+        assert counter.calls_by_op["hstack_into"] == 1
 
     @pytest.mark.parametrize("strategy", ["REEVAL", "INCR", "HYBRID"])
     def test_null_counter_runs_no_cost_hook(self, strategy, rng):

@@ -100,7 +100,7 @@ class TestNodeCountModel:
         n, nodes = 200, 16
         model, counters = _one_refresh(POWERS_8, spectral_normalized(rng, n),
                                        nodes)
-        products = counters["REEVAL"].calls_by_op["matmul"]
+        products = counters["REEVAL"].calls_by_op["matmul_into"]
         assert products == 3
         assert model.shuffled_bytes == 0 and model.broadcast_bytes > 0
         assert model.total_bytes < products * n * n * 8 * (nodes - 1)
@@ -115,7 +115,7 @@ class TestNodeCountModel:
             incr_times.append(self._seconds(
                 counters["INCR"].total_flops / nodes,
                 model.total_bytes / nodes, model.total_messages / nodes))
-            products = counters["REEVAL"].calls_by_op["matmul"]
+            products = counters["REEVAL"].calls_by_op["matmul_into"]
             reeval_times.append(self._seconds(
                 counters["REEVAL"].total_flops / nodes,
                 products * n * n * 8 * (nodes - 1) / nodes, products))
@@ -129,7 +129,7 @@ class TestNodeCountModel:
         n, nodes = 120, 4
         model, counters = _one_refresh(ITERATIVE["sums-EXP"],
                                        spectral_normalized(rng, n), nodes)
-        products = counters["REEVAL"].calls_by_op["matmul"]
+        products = counters["REEVAL"].calls_by_op["matmul_into"]
         incr = self._seconds(counters["INCR"].total_flops / nodes,
                              model.total_bytes / nodes,
                              model.total_messages / nodes)

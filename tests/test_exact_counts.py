@@ -11,7 +11,13 @@ one call, as in the end-to-end tracer's ``backend.kernel_calls_per_update``.
 * the ``catalog_tenants`` family on one :class:`~repro.catalog.ViewCatalog`:
   kernel calls and DAG-node refreshes per update;
 * the chain on two row-shard workers (``sharded_chain``): messages and
-  bytes per update in the engine's modeled ledger (``engine.model``).
+  bytes per update in the engine's modeled ledger (``engine.model``);
+* ``sparse_pagerank``'s driver: the cells its planner prices and the
+  plan it resolves;
+* the FLOP ledger (:func:`~repro.cost.counters.counted`, keyed by
+  kernel) of the chain in both modes, of REEVAL on it, and of the
+  iterative powers maintainer running the same algebra — with the
+  chain's per-update FLOPs as exact polynomials in ``n``.
 """
 
 from __future__ import annotations
@@ -23,6 +29,8 @@ import pytest
 
 from repro.backends.dense import DenseBackend
 from repro.catalog import ViewCatalog
+from repro.cost.counters import NULL_COUNTER, counted, uncounted
+from repro.cost.counters import Counter as Ledger
 from repro.distributed import LocalShardEngine, RowShardPartitioner, ShardBackend
 from repro.frontend import parse_program
 from repro.planner import MaintenancePlan
@@ -39,7 +47,15 @@ TABLE = {
                                          "add_outer_inplace": 3}},
     "catalog_tenants": {"calls": 42, "node_refreshes": 10},
     "sharded_chain": {"messages": 22, "bytes": 745_472},
+    "sparse_pagerank": {"cells": 15, "plan": "REEVAL-LIN@sparse/interpret"},
+    "chain_reeval": {"by_kernel": {"add_outer_inplace": 1, "matmul_into": 2}},
 }
+
+#: The chain's FLOPs per rank-1 update, as integer coefficients of a
+#: polynomial in ``n`` (highest degree first).  INCR: three rank-1, -2
+#: and -4 applies (14 n^2), eight thin products (12 n^2 + 20 n) and two
+#: sums (3 n); REEVAL: the input's apply (2 n^2) and two n x n products.
+FLOPS_IN_N = {"incr": (26, 23, 0), "reeval": (4, 2, 0, 0)}
 
 #: The backend kernels counted (those the tracer wraps).
 KERNELS = (
@@ -161,3 +177,140 @@ class TestShardedChain:
                     == TABLE["sharded_chain"]["messages"])
             assert engine.model.total_bytes == TABLE["sharded_chain"]["bytes"]
         session.close()
+
+
+def _chain(plan: str, n: int, counter, mode: str = "interpret",
+           backend=None):
+    session = open_session(
+        parse_program(CHAIN_SRC), {"A": _input(n)}, dims={"n": n},
+        plan=plan, mode=mode, batch="off", backend=backend, counter=counter)
+    counter.reset()
+    return session
+
+
+def _ledgers(counter, apply, updates) -> list[tuple]:
+    """Each update's ``(calls, flops, bytes)`` charged to ``counter``."""
+    ledgers = []
+    for update in updates:
+        counter.reset()
+        apply(update)
+        ledgers.append((dict(counter.calls_by_op), counter.snapshot(),
+                        counter.bytes_allocated))
+    return ledgers
+
+
+class TestChainLedger:
+    N = 32
+
+    @pytest.mark.parametrize("mode", ["interpret", "codegen"])
+    def test_calls_by_op_are_the_traced_calls(self, mode):
+        backend, ledger = CountingBackend(), Ledger()
+        session = _chain("incr", self.N, ledger, mode, backend)
+        for update in _updates(self.N):
+            backend.calls.clear()
+            ledger.reset()
+            session.apply_update(update)
+            assert ledger.calls_by_op == TABLE["chain"]["by_kernel"]
+            assert ledger.calls_by_op == Counter(backend.calls)
+            assert ledger.bytes_allocated == 0  # every result in a buffer
+
+    def test_off_runs_on_the_backend_handed_over(self):
+        backend, ledger = CountingBackend(), Ledger()
+        assert _chain("incr", self.N, NULL_COUNTER,
+                      backend=backend).backend is backend
+        wrapped = _chain("incr", self.N, ledger, backend=backend).backend
+        assert wrapped is counted(backend, ledger) is not backend
+        assert uncounted(wrapped) is backend
+
+    def test_both_modes_charge_one_ledger(self):
+        ledgers = [
+            _ledgers(ledger, _chain("incr", self.N, ledger, mode)
+                     .apply_update, _updates(self.N))
+            for mode, ledger in (("interpret", Ledger()),
+                                 ("codegen", Ledger()))]
+        assert ledgers[0] == ledgers[1]
+        assert all(entry == ledgers[0][0] for entry in ledgers[0])
+
+    def test_reeval_charges_the_input_apply_and_two_products(self):
+        ledger = Ledger()
+        session = _chain("reeval", self.N, ledger)
+        for calls, _, _ in _ledgers(ledger, session.apply_update,
+                                    _updates(self.N)):
+            assert calls == TABLE["chain_reeval"]["by_kernel"]
+
+    @pytest.mark.parametrize("mode", ["interpret", "codegen"])
+    @pytest.mark.parametrize("plan", sorted(FLOPS_IN_N))
+    def test_flops_are_a_polynomial_in_n(self, plan, mode):
+        """Exact counts give exact exponents: INCR is degree 2 in ``n``
+        and REEVAL degree 3, with no tolerance."""
+        for n in (32, 64, 128):
+            ledger = Ledger()
+            session = _chain(plan, n, ledger, mode)
+            session.apply_update(_updates(n, 1)[0])
+            assert ledger.total_flops == np.polyval(FLOPS_IN_N[plan], n)
+
+    def test_a_switch_and_a_restore_charge_each_kernel_once(self, tmp_path):
+        ledger = Ledger()
+        session = _chain("incr", self.N, ledger)
+        switched = session.with_plan(MaintenancePlan("INCR", mode="codegen"))
+        assert switched.backend is session.backend
+        switched.attach_checkpointer(tmp_path, every=1)
+        switched.apply_update(_updates(self.N, 1)[0])
+        restored = switched.restore()
+        assert restored.backend is switched.backend
+        for live in (switched, restored):
+            for calls, _, _ in _ledgers(ledger, live.apply_update,
+                                        _updates(self.N, 2)):
+                assert calls == TABLE["chain"]["by_kernel"]
+
+
+class TestMaintainerLedger:
+    N = 32
+
+    def test_powers_maintainer_charges_what_the_session_charges(self):
+        """``IncrementalPowers`` is the session's algebra written by
+        hand: the same kernel calls, and the same FLOPs, per refresh."""
+        from repro.iterative import IncrementalPowers, Model
+
+        updates = _updates(self.N)
+        maintained, opened = Ledger(), Ledger()
+        maintainer = IncrementalPowers(_input(self.N), 4, Model.exponential(),
+                                       maintained)
+        session = open_session(
+            parse_program("input A(n, n); P2 := A * A; P4 := P2 * P2; "
+                          "output P4;"),
+            {"A": _input(self.N)}, dims={"n": self.N}, plan="incr",
+            batch="off", counter=opened)
+        by_maintainer = _ledgers(
+            maintained,
+            lambda update: maintainer.refresh(update.u_block,
+                                              update.v_block), updates)
+        by_session = _ledgers(opened, session.apply_update, updates)
+        assert ([entry[:2] for entry in by_maintainer]
+                == [entry[:2] for entry in by_session])
+
+
+class TestSparsePageRank:
+    N = 64
+
+    def test_cells_priced_and_plan_resolved(self, monkeypatch):
+        pytest.importorskip("scipy")
+        import repro.planner.planner as planner
+        from repro.analytics.pagerank import IncrementalPageRank
+        from repro.workloads.generators import random_adjacency
+
+        priced = []
+        recommend = planner.recommend_general
+
+        def counting(*args, **kwargs):
+            ranked = recommend(*args, **kwargs)
+            priced.append(len(ranked))
+            return ranked
+
+        monkeypatch.setattr(planner, "recommend_general", counting)
+        adjacency = random_adjacency(np.random.default_rng([1, self.N, 2]),
+                                     self.N, 20.0)
+        driver = IncrementalPageRank(adjacency, k=16, strategy="auto",
+                                     backend="sparse")
+        assert priced == [TABLE["sparse_pagerank"]["cells"]]
+        assert driver.plan.label == TABLE["sparse_pagerank"]["plan"]

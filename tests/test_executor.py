@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.backends import DENSE
 from repro.cost import Counter
+from repro.cost.counters import counted
 from repro.expr import (
     Identity,
     MatrixSymbol,
@@ -155,13 +157,13 @@ class TestErrors:
 class TestCounting:
     def test_matmul_flops_exact(self, env):
         counter = Counter()
-        evaluate(matmul(A, B), env, counter=counter)
-        assert counter.flops("matmul") == 2 * 6 * 6 * 6
+        evaluate(matmul(A, B), env, backend=counted(DENSE, counter))
+        assert counter.flops("matmul_into") == 2 * 6 * 6 * 6
 
     def test_matvec_cheaper_than_matmat(self, env):
         matmat, matvec = Counter(), Counter()
-        evaluate(matmul(A, B), env, counter=matmat)
-        evaluate(matmul(A, u), env, counter=matvec)
+        evaluate(matmul(A, B), env, backend=counted(DENSE, matmat))
+        evaluate(matmul(A, u), env, backend=counted(DENSE, matvec))
         assert matvec.total_flops * 5 < matmat.total_flops
 
     def test_association_order_changes_cost(self, env):
@@ -171,23 +173,24 @@ class TestCounting:
         cheap = matmul(transpose(v), matmul(A, u))
         costly = MatMul([MatMul([transpose(v), A]), u])
         c1, c2 = Counter(), Counter()
-        evaluate(cheap, env, counter=c1)
-        evaluate(costly, env, counter=c2)
+        evaluate(cheap, env, backend=counted(DENSE, c1))
+        evaluate(costly, env, backend=counted(DENSE, c2))
         np.testing.assert_allclose(
             evaluate(cheap, env), evaluate(costly, env), atol=1e-10
         )
-        assert c1.flops("matmul") == c2.flops("matmul")  # both are n^2-ish here
+        # both are n^2-ish here
+        assert c1.flops("matmul_into") == c2.flops("matmul_into")
 
     def test_add_counts_elements(self, env):
         counter = Counter()
-        evaluate(add(A, B), env, counter=counter)
-        assert counter.flops("add") == 36
+        evaluate(add(A, B), env, backend=counted(DENSE, counter))
+        assert counter.flops("add_into") == 36
 
     def test_inverse_counts_cubic(self, env):
         counter = Counter()
         well = env["A"] @ env["A"].T + 10 * np.eye(6)
-        evaluate(inverse(A), {"A": well}, counter=counter)
-        assert counter.flops("inverse") == 2 * 6**3
+        evaluate(inverse(A), {"A": well}, backend=counted(DENSE, counter))
+        assert counter.flops("inv") == 2 * 6**3
 
     def test_counter_merge_and_reset(self):
         a, b = Counter(), Counter()

@@ -134,10 +134,11 @@ class TestCosts:
         [(u, v)] = row_update_factors(rng, n, n, 1, scale=0.05)
         view.refresh(u, v)
         assert view.a is view._powers.a
-        # One outer update of A: 2 n^2 multiply-adds + n^2 adds.
+        # One outer update of A: 2 n^2 multiply-adds.
         products = len(view.schedule) - 1 + len(view._powers.schedule) - 1
         assert counter.total_flops == (
-            3 * n * n + products * 2 * n ** 3 + (len(view.schedule) - 1) * n * n
+            2 * n * n + products * 2 * n ** 3 + (len(view.schedule) - 1) * n * n
         )
+        assert counter.calls_by_op["add_outer_inplace"] == 1
         np.testing.assert_allclose(view.result(), truth_sum(view.a, 8),
                                    atol=1e-10)

@@ -57,3 +57,13 @@ def test_programs_are_compiled_in_one_place():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert module.compilers() == module.COMPILERS
+
+
+def test_counters_are_charged_by_the_kernels_only():
+    """docs/invariants.md, "One FLOP ledger": no ``counter.record`` call
+    sits outside ``cost/counters.py`` and OLS's raw-NumPy steps."""
+    tool = PYPROJECT.parent / "tools" / "check_one_builder.py"
+    spec = importlib.util.spec_from_file_location("check_one_builder", tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.charges() == []

@@ -147,11 +147,12 @@ class TestCounters:
         assert results[64][1] > 5 * results[64][0]
 
 
-#: Interpret-mode charges of three updates (n=12, p=3, m=20) as counted
-#: by the AST-walk trigger executor that the lowered form replaced:
+#: FLOPs of three updates (n=12, p=3, m=20) as charged by the AST-walk
+#: trigger executor that the lowered form replaced, and the bytes it
+#: charged (``rows x cols`` doubles per product, buffer or not):
 #: name -> (source, updated input, {rank: (flops by op, bytes)}).  The
 #: chain, the Table 2 programs (powers, sums, general form) and two
-#: programs covering the remaining charges (sub/scale, inverse).
+#: programs covering the remaining charges (scale, inverse).
 PARENT_CHARGES = {
     "chain": (
         "input A(n, n); B := A * A; C := B * B; output C;", "A",
@@ -185,16 +186,29 @@ PARENT_CHARGES = {
               "scalar_mul": 144}, 23376)}),
 }
 
-#: Charges the merged list no longer makes over the three updates:
-#: ``X' * u_X`` appears twice in ``dZ`` and runs once (2 m n r FLOPs
-#: and n r doubles an update).
-MERGED = {("ols", 1): (1440, 288), ("ols", 2): (2880, 576)}
+#: FLOPs the merged list no longer spends over the three updates:
+#: ``X' * u_X`` appears twice in ``dZ`` and runs once (2 m n r an update).
+MERGED = {("ols", 1): 1440, ("ols", 2): 2880}
+
+#: The AST walk's operation kind of each kernel the ledger names.  The
+#: update statement ``V += U W'`` was charged as a product; stacks carry
+#: no FLOPs.
+KIND = {"matmul_into": "matmul", "add_outer_inplace": "matmul",
+        "add_into": "add", "sub_into": "add", "add_inplace": "add",
+        "scale_into": "scalar_mul", "inv": "inverse",
+        "hstack_into": None, "vstack_into": None}
+
+#: Bytes the kernels allocated over the three updates: every product,
+#: sum and stack writes a leased buffer, and only ``inv`` (which has no
+#: ``out``) allocates — its ``2r x 2r`` result, once an update.
+ALLOCATED = {("ols", 1): 3 * 2 * 2 * 8, ("ols", 2): 3 * 4 * 4 * 8}
 
 
 class TestInterpretCharges:
-    """The loop over the lowered form charges each record what the AST
-    walk charged for the node it lowers (hoisted transposes are counted
-    once per firing; they carry no FLOPs), and a merged record nothing."""
+    """The backend's kernels charge the ledger (:func:`counted`): each
+    kernel under its own name, so the FLOPs fold onto the AST walk's
+    operation kinds exactly (less a merged record's), and only results
+    the kernels allocate count as bytes."""
 
     @pytest.mark.parametrize("rank", [1, 2])
     @pytest.mark.parametrize("name", sorted(PARENT_CHARGES))
@@ -220,23 +234,32 @@ class TestInterpretCharges:
             session.apply_update(FactoredUpdate(
                 target, 0.01 * rng.normal(size=(rows, rank)),
                 rng.normal(size=(cols, rank))))
-        flops, nbytes = expected[rank]
-        saved_flops, saved_bytes = MERGED.get((name, rank), (0, 0))
-        flops = {**flops, "matmul": flops["matmul"] - saved_flops}
-        assert counter.snapshot() == {**flops, "transpose": 0}
-        assert counter.bytes_allocated == nbytes - saved_bytes
+        flops, _ = expected[rank]
+        flops = {**flops,
+                 "matmul": flops["matmul"] - MERGED.get((name, rank), 0)}
+        folded = {}
+        for kernel, charged in counter.snapshot().items():
+            if KIND[kernel] is not None:
+                folded[KIND[kernel]] = folded.get(KIND[kernel], 0) + charged
+        assert folded == flops
+        assert counter.bytes_allocated == ALLOCATED.get((name, rank), 0)
         assert session.revalidate() < 1e-8
 
-    def test_codegen_charges_nothing(self, rng):
-        counter = Counter()
-        session = IVMSession(a4_program(), {"A": rng.normal(size=(6, 6))},
-                             mode="codegen", counter=counter)
-        counter.reset()
-        for width in (1, 2):  # the printed function, then the loop
-            session.apply_update(FactoredUpdate(
-                "A", rng.normal(size=(6, width)),
-                rng.normal(size=(6, width))))
-        assert counter.total_flops == 0 and not counter.calls_by_op
+    def test_codegen_charges_what_interpret_charges(self, rng):
+        a0 = rng.normal(size=(6, 6))
+        updates = [FactoredUpdate("A", rng.normal(size=(6, width)),
+                                  rng.normal(size=(6, width)))
+                   for width in (1, 2)]  # the printed function, the loop
+        ledgers = []
+        for mode in ("interpret", "codegen"):
+            counter = Counter()
+            session = IVMSession(a4_program(), {"A": a0}, mode=mode,
+                                 counter=counter)
+            session.apply_updates(updates)
+            ledgers.append((counter.snapshot(), dict(counter.calls_by_op),
+                            counter.bytes_allocated))
+        assert ledgers[0] == ledgers[1]
+        assert ledgers[0][1]["add_outer_inplace"] == 2 * 3
 
     @pytest.mark.parametrize("source, targets", [
         ("input A(n, n); B := A * A; C := A * B; output C;", "A"),
@@ -246,8 +269,9 @@ class TestInterpretCharges:
     def test_sharded_ledger_equals_the_single_process_one(
             self, source, targets):
         """A sharded interpret session is the same list on another
-        backend: every record is charged what the single-process loop
-        charges it (no made-up per-refresh entry), set-up included."""
+        backend: every kernel call is charged what the single-process
+        one is (no made-up per-refresh entry), set-up included, and the
+        bytes differ by exactly the gathered products."""
         from repro.frontend import parse_program
         from stream_helpers import shard_session
 
@@ -270,5 +294,8 @@ class TestInterpretCharges:
             session.apply_updates(updates)
         assert sharded.snapshot() == plain.snapshot()
         assert sharded.calls_by_op == plain.calls_by_op
-        assert sharded.bytes_allocated == plain.bytes_allocated
+        # A product on the shards returns its gathered rows as a new
+        # array where the dense kernel writes the leased buffer.
+        assert (sharded.bytes_allocated
+                == plain.bytes_allocated + session.engine.model.gathered_bytes)
         assert "sharded_refresh" not in sharded.snapshot()

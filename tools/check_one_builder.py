@@ -1,6 +1,6 @@
 #!/usr/bin/env python
 """Fail when a session is built, re-labelled or compiled outside the one
-build path.
+build path, or a FLOP counter is charged by hand.
 
 docs/invariants.md, "One build path": ``runtime.session.build_session``
 is the only function in ``src/repro`` that calls a session constructor,
@@ -8,16 +8,21 @@ and ``session.plan`` is set by the session itself, never assigned from
 outside.  "One lowering": Algorithm 1 (``compile_program``) and the
 lowering (``lower_trigger``) run only inside ``compiled_program`` and
 its artifact's ``lowered``, which every session, the planner, the
-shardability check and every ``repro compile`` printer read.
-AST-based — nothing is imported.
+shardability check and every ``repro compile`` printer read.  "One
+FLOP ledger": the backend kernels charge a counter, through
+``cost.counters.counted``; a ``counter.record(...)`` anywhere else is a
+second charge table that the kernels' ledger would drift from.  Only
+:data:`CHARGERS` record by hand (OLS's raw-NumPy Sherman-Morrison and
+Woodbury steps run on no backend).  AST-based — nothing is imported.
 
 Usage::
 
     python tools/check_one_builder.py
 
 Exits 1 when constructor calls sit in more than one function, any
-``<not self>.plan = ...`` statement exists, or a function outside
-:data:`COMPILERS` compiles or lowers a program.
+``<not self>.plan = ...`` statement exists, a function outside
+:data:`COMPILERS` compiles or lowers a program, or a file outside
+:data:`CHARGERS` calls ``counter.record``.
 """
 
 from __future__ import annotations
@@ -36,12 +41,14 @@ COMPILERS = {
     ("compiler/compile.py", "compiled_program"),
     ("compiler/compile.py", "lowered"),
 }
+#: The files that may call ``counter.record`` themselves.
+CHARGERS = {"cost/counters.py", "analytics/ols.py"}
 
 
 def findings(root: Path = SRC) -> tuple[set, list]:
     """``(functions calling a session constructor, outside .plan stores)``:
     ``(file, function)`` pairs and ``(file, function, line)`` triples."""
-    builders, stores, _ = _walk(root)
+    builders, stores, *_ = _walk(root)
     return builders, stores
 
 
@@ -51,8 +58,14 @@ def compilers(root: Path = SRC) -> set:
     return _walk(root)[2]
 
 
-def _walk(root: Path) -> tuple[set, list, set]:
-    builders, stores, compiling = set(), [], set()
+def charges(root: Path = SRC) -> list:
+    """``(file, line)`` of every ``counter.record(...)`` call outside
+    :data:`CHARGERS`."""
+    return [found for found in _walk(root)[3] if found[0] not in CHARGERS]
+
+
+def _walk(root: Path) -> tuple[set, list, set, list]:
+    builders, stores, compiling, recording = set(), [], set(), []
     for path in sorted(root.rglob("*.py")):
         rel = path.relative_to(root).as_posix()
 
@@ -65,6 +78,12 @@ def _walk(root: Path) -> tuple[set, list, set]:
                 builders.add((rel, scope))
             if called in ("compile_program", "lower_trigger"):
                 compiling.add((rel, scope))
+            receiver = getattr(node, "func", None)
+            receiver = getattr(receiver, "value", None)
+            if called == "record" and "counter" in (
+                    getattr(receiver, "id", None),
+                    getattr(receiver, "attr", None)):
+                recording.append((rel, node.lineno))
             if (isinstance(node, ast.Attribute) and node.attr == "plan"
                     and isinstance(node.ctx, ast.Store)
                     and getattr(node.value, "id", None) != "self"
@@ -74,11 +93,11 @@ def _walk(root: Path) -> tuple[set, list, set]:
                 visit(child, scope)
 
         visit(ast.parse(path.read_text()), "<module>")
-    return builders, stores, compiling
+    return builders, stores, compiling, recording
 
 
 def main() -> int:
-    builders, stores, compiling = _walk(SRC)
+    builders, stores, compiling, _ = _walk(SRC)
     for rel, scope in sorted(builders):
         print(f"session constructor called in {rel}:{scope}")
     for rel, scope, line in stores:
@@ -86,10 +105,13 @@ def main() -> int:
     stray = sorted(compiling - COMPILERS)
     for rel, scope in stray:
         print(f"compiles or lowers a program itself: {rel}:{scope}")
-    ok = len(builders) == 1 and not stores and not stray
+    by_hand = charges(SRC)
+    for rel, line in by_hand:
+        print(f"charges a counter by hand: {rel}:{line}")
+    ok = len(builders) == 1 and not stores and not stray and not by_hand
     print(f"{len(builders)} building function(s), {len(stores)} outside "
-          f".plan assignment(s), {len(stray)} stray compiler(s): "
-          f"{'ok' if ok else 'FAIL'}")
+          f".plan assignment(s), {len(stray)} stray compiler(s), "
+          f"{len(by_hand)} hand charge(s): {'ok' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 
