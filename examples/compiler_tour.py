@@ -9,6 +9,7 @@ Run:  python examples/compiler_tour.py
 """
 
 from repro.compiler import (
+    UPDATE_WIDTH,
     compiled_program,
     generate_octave_trigger,
     generate_python_trigger,
@@ -42,11 +43,14 @@ def main() -> None:
     print(program)
 
     print("\n=== 4. Algorithm 1: trigger for updates to X ===")
-    compiled = compiled_program(program)
+    # Printed at a concrete width, as ``repro compile --rank 1`` prints.
+    compiled = compiled_program(program, 1)
     trigger = compiled.triggers["X"]
     print(trigger)
     print("\nNote: dW references the materialized view W (Sherman-Morrison/")
     print("Woodbury, Example 4.3) — no n x n matrix is ever re-inverted.")
+    print("Sessions and the planner share one compile at the symbolic")
+    print(f"width {UPDATE_WIDTH}, which each session binds to its rank.")
 
     print("\n=== 5. The lowered form (what a session loops over, or "
           "prints like this and exec-utes) ===")

@@ -149,7 +149,7 @@ class DenseBackend(Backend):
 
     # -- inspection ------------------------------------------------------
     def materialize(self, a: MatrixLike) -> np.ndarray:
-        return np.asarray(a, dtype=np.float64)
+        return np.asarray(a.toarray() if hasattr(a, "toarray") else a, dtype=np.float64)
 
     def is_native(self, value: MatrixLike) -> bool:
         return isinstance(value, np.ndarray) and value.ndim == 2

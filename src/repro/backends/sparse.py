@@ -294,11 +294,6 @@ class SparseBackend(DenseBackend):
         return super().compact(self.materialize(u), self.materialize(v), rtol)
 
     # -- inspection ------------------------------------------------------
-    def materialize(self, a: MatrixLike) -> np.ndarray:
-        if self._is_sparse(a):
-            return np.asarray(a.todense(), dtype=np.float64)
-        return super().materialize(a)
-
     def is_native(self, value: MatrixLike) -> bool:
         return self._is_sparse(value) or super().is_native(value)
 

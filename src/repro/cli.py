@@ -1059,6 +1059,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "serve":
         return _run_serve(args, program)
 
+    return _run_compile(args, program)
+
+
+def _run_compile(args, program) -> int:
+    """``repro compile``: the one caller compiling at a concrete width."""
     from .compiler.compile import compiled_program
 
     if args.materialize_inversions:

@@ -6,6 +6,7 @@ from .._lazy import lazy_exports
 _EXPORTS = {
     "Assign": "trigger",
     "CompiledProgram": "compile",
+    "UPDATE_WIDTH": "compile",
     "UnboundDimensionError": "chain",
     "Program": "program",
     "ProgramError": "program",

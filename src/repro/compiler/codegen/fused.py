@@ -30,7 +30,7 @@ A program's lists are lowered once, into its
 binds those.  Shapes stay symbolic until the list is **bound** to a
 ``dims`` mapping: constants are materialized, and each buffer is leased
 once from a :class:`~repro.runtime.workspace.Workspace` at the
-trigger's compiled update width.  Two executors run a bound list, and
+trigger's bound update width.  Two executors run a bound list, and
 nothing else runs a trigger:
 
 * :func:`compile_trigger_function` — ``mode="interpret"``: a loop over
@@ -45,10 +45,11 @@ and charge a :func:`~repro.cost.counters.counted` backend's ledger
 alike; after one warm-up firing neither allocates (sparse state falls
 back to allocation exactly where CSR structure forbids in-place
 writes).  An
-update whose width differs from the compiled one runs the same records
+update whose width differs from the bound one runs the same records
 with ``None`` in every buffer operand — the kernels then allocate their
-results — instead of a second lowering, and leases nothing, so a stream
-of many distinct widths does not grow the workspace.  ``Inverse`` has
+results, and constants shaped by the width are rebuilt at it — instead
+of a second lowering, and leases nothing, so a stream of many distinct
+widths does not grow the workspace.  ``Inverse`` has
 no ``out=`` kernel and always allocates.
 
 Function signature, both executors::
@@ -320,21 +321,24 @@ def _copy_into(src, out):
     return src.copy()  # no buffer, or CSR (buffers cannot hold it)
 
 
+#: Kernel name -> the backend kernel a record calls, which a counted
+#: backend's ledger charges under its own name; ``transpose`` (an alias)
+#: and ``copy`` call none.
+BACKEND_KERNELS = {
+    "matmul": "matmul_into", "add": "add_into", "sub": "sub_into",
+    "scale": "scale_into", "hstack": "hstack_into", "vstack": "vstack_into",
+    "inv": "inv", "outer": "add_outer_inplace", "applyadd": "add_inplace",
+}
+
+
 def _kernels(be) -> dict[str, Callable]:
     """Kernel name -> callable over an :class:`Op`'s ``srcs``, in order."""
-    return {
-        "transpose": operator.attrgetter("T"),
-        "copy": _copy_into,
-        "matmul": be.matmul_into,
-        "add": be.add_into,
-        "sub": be.sub_into,
-        "scale": be.scale_into,
-        "hstack": lambda *args: be.hstack_into(args[:-1], args[-1]),
-        "vstack": lambda *args: be.vstack_into(args[:-1], args[-1]),
-        "inv": be.inv,
-        "outer": be.add_outer_inplace,
-        "applyadd": be.add_inplace,
-    }
+    kernels = {name: getattr(be, kernel)
+               for name, kernel in BACKEND_KERNELS.items()}
+    return {**kernels, "transpose": operator.attrgetter("T"),
+            "copy": _copy_into,
+            "hstack": lambda *args: be.hstack_into(args[:-1], args[-1]),
+            "vstack": lambda *args: be.vstack_into(args[:-1], args[-1])}
 
 
 def _bind(lowered: LoweredTrigger, dims: Mapping[str, int], backend,
@@ -342,7 +346,7 @@ def _bind(lowered: LoweredTrigger, dims: Mapping[str, int], backend,
     """Bind a lowered form: ``(backend, values)``.
 
     ``values`` holds what the list leaves free besides kernels:
-    ``"_rank"`` (the compiled update width), every constant (built here)
+    ``"_rank"`` (the bound update width), every constant (built here)
     and every buffer (leased here).  Buffers come from a fresh top-level
     lease scope of ``workspace`` (one is created when ``None``) —
     triggers bound against one workspace share buffers by shape, which
@@ -355,9 +359,8 @@ def _bind(lowered: LoweredTrigger, dims: Mapping[str, int], backend,
     be = get_backend(backend)
     ws = Workspace() if workspace is None else workspace
     values: dict[str, object] = {"_rank": resolve_dim(lowered.rank, dims)}
-    for name, (kind, *shape) in lowered.constants.items():
-        sizes = [resolve_dim(dim, dims) for dim in shape]
-        values[name] = be.eye(*sizes) if kind == "eye" else be.zeros(*sizes)
+    for name, constant in lowered.constants.items():
+        values[name] = _constant(be, constant, dims)
     ws.begin()
     for name, shape in lowered.buffers.items():
         values[name] = ws.lease(resolve_dim(shape.rows, dims),
@@ -365,11 +368,19 @@ def _bind(lowered: LoweredTrigger, dims: Mapping[str, int], backend,
     return be, values
 
 
-def _loop(lowered: LoweredTrigger, be,
-          values: Mapping[str, object]) -> Callable:
+def _constant(be, constant: tuple, dims: Mapping[str, int]):
+    """A ``("eye", n)`` / ``("zeros", rows, cols)`` constant, built."""
+    kind, *shape = constant
+    sizes = [resolve_dim(dim, dims) for dim in shape]
+    return be.eye(*sizes) if kind == "eye" else be.zeros(*sizes)
+
+
+def _loop(lowered: LoweredTrigger, be, values: Mapping[str, object],
+          dims: Mapping[str, int]) -> Callable:
     """``fn(views, u, v)`` running the bound form record by record."""
     kernels = _kernels(be)
     rank = values["_rank"]
+    width = getattr(lowered.rank, "name", None)  # symbolic: bound per call
 
     # Every name is a slot of one flat list; a firing copies the
     # template (constants and buffers filled in) and runs down the steps.
@@ -395,6 +406,10 @@ def _loop(lowered: LoweredTrigger, be,
 
     def run(views, u, v):
         slots = list(pinned if u.shape[1] == rank else allocating)
+        if width and u.shape[1] != rank:  # constants at the update's width
+            bound = {**dims, width: u.shape[1]}
+            for name, constant in lowered.constants.items():
+                slots[slot[name]] = _constant(be, constant, bound)
         slots[0] = u
         slots[1] = v
         for index, name in loads:
@@ -417,12 +432,12 @@ def compile_trigger_function(
     """The loop executor of a trigger's lowered form.
 
     Binds ``lowered`` against concrete ``dims`` (:func:`_bind`) and
-    returns ``fn(views, u, v)``.  An update of the compiled width runs
+    returns ``fn(views, u, v)``.  An update of the bound width runs
     on the leased buffers; any other width runs the same records with
     allocating destinations.
     """
     be, values = _bind(lowered, dims, backend, workspace)
-    return _loop(lowered, be, values)
+    return _loop(lowered, be, values, dims)
 
 
 def generate_python_trigger(
@@ -433,7 +448,7 @@ def generate_python_trigger(
     Needs no ``dims``: buffers (``_bN``) and constants (``_cN``) are free
     names listed with their symbolic shapes in the leading comment;
     ``_<kernel>`` are the backend's ``*_into`` kernels, ``_rank`` the
-    compiled update width and ``_any_width`` the loop executor that
+    bound update width and ``_any_width`` the loop executor that
     takes every other width.  :func:`compile_fused_trigger` binds them.
     """
     name = function_name or f"on_update_{lowered.input_name}"
@@ -479,7 +494,7 @@ def compile_fused_trigger(
     source = generate_python_trigger(lowered)
     namespace = {f"_{name}": kernel for name, kernel in _kernels(be).items()}
     namespace.update(values)
-    namespace["_any_width"] = _loop(lowered, be, values)
+    namespace["_any_width"] = _loop(lowered, be, values, dims)
     exec(compile(source, f"<trigger:{lowered.input_name}>", "exec"),
          namespace)
     fn = namespace[f"on_update_{lowered.input_name}"]
@@ -488,6 +503,7 @@ def compile_fused_trigger(
 
 
 __all__ = [
+    "BACKEND_KERNELS",
     "LoweredTrigger",
     "Op",
     "compile_fused_trigger",

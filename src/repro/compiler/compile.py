@@ -13,9 +13,10 @@ Statements whose delta is zero produce no trigger statements at all —
 views unaffected by ``X`` are never touched.
 
 :func:`compiled_program` is what the rest of the system consumes: one
-:class:`CompiledProgram` per ``(program, rank)`` — the triggers and
-their lowered kernel lists — built on first use and shared by the
-shardability check and every session on that program object.
+:class:`CompiledProgram` per program — the triggers and their lowered
+kernel lists at the symbolic update width :data:`UPDATE_WIDTH` — built
+on first use and shared by the planner, the shardability check and
+every session on that program object, each binding the width.
 """
 
 from __future__ import annotations
@@ -27,12 +28,16 @@ from typing import TYPE_CHECKING, Mapping
 from ..delta.derivation import compute_delta
 from ..delta.factored import FactoredDelta
 from ..expr.ast import Expr, Inverse, MatrixSymbol, matmul, transpose
-from ..expr.shapes import DimLike
+from ..expr.shapes import DimLike, NamedDim
 from .program import Program
 from .trigger import Assign, Trigger, Update
 
 if TYPE_CHECKING:
     from .codegen.fused import LoweredTrigger
+
+#: The update width programs compile at, bound like any other dimension
+#: (``dims[UPDATE_WIDTH.name] = rank``); no identifier can spell its name.
+UPDATE_WIDTH = NamedDim("<width>")
 
 
 def compile_program(program: Program, rank: DimLike = 1) -> dict[str, Trigger]:
@@ -87,16 +92,16 @@ def _inverse_refs(expr: Expr, target: MatrixSymbol) -> Mapping[Expr, Expr]:
 
 @dataclass(frozen=True)
 class CompiledProgram:
-    """A program's triggers and lowered lists for one update width."""
+    """A program's triggers and lowered lists, for every update width."""
 
     #: Input name -> its trigger (Algorithm 1).
     triggers: Mapping[str, Trigger]
     _lowered: dict = field(default_factory=dict, repr=False, compare=False)
 
     def lowered(self, name: str) -> LoweredTrigger:
-        """``name``'s merged kernel list, which both execution modes run,
-        lowered on first use (a session superseded before its first
-        update lowers nothing)."""
+        """``name``'s merged kernel list, which both execution modes run
+        and the planner prices, lowered on first use (a session
+        superseded before its first update lowers nothing)."""
         if name not in self._lowered:
             from .codegen.fused import lower_trigger
 
@@ -104,15 +109,16 @@ class CompiledProgram:
         return self._lowered[name]
 
 
-def compiled_program(program: Program, rank: DimLike = 1) -> CompiledProgram:
-    """``program``'s :class:`CompiledProgram` for updates of width ``rank``.
+def compiled_program(program: Program, rank: DimLike = UPDATE_WIDTH) -> CompiledProgram:
+    """``program``'s :class:`CompiledProgram`.
 
-    Algorithm 1 runs, and each trigger is lowered, once per ``(program,
-    rank)``: the shardability check the planner and a sharded session
-    ask (:func:`~repro.distributed.sharded.unshardable`), every
-    session's executors and every re-planning or restore rebuild on the
-    same program read the same artifact, kept on the program.  An
-    integer ``rank`` below 1 raises :class:`ValueError`.
+    Algorithm 1 runs, and each trigger is lowered, once per program, at
+    the symbolic width :data:`UPDATE_WIDTH`: the planner's INCR pricing,
+    the shardability check (:func:`~repro.distributed.sharded.unshardable`),
+    every session's executors and every rebuild on the same program read
+    the artifact kept on the program, and bind the width.  A concrete
+    ``rank`` prints shapes (``repro compile --rank``) and is memoized
+    beside it; an integer below 1 raises :class:`ValueError`.
     """
     if isinstance(rank, int) and rank < 1:
         raise ValueError(f"update rank must be at least 1, got {rank}")

@@ -512,18 +512,6 @@ def checkpoint_write_cost(views_bytes: float) -> float:
     return CHECKPOINT_BASE_FLOPS + CHECKPOINT_BYTE_FLOPS * max(views_bytes, 0.0)
 
 
-def restore_cost(views_bytes: float, tail_updates: float,
-                 refresh_flops: float) -> float:
-    """Predicted cost of recovery: read the snapshot, replay the tail.
-
-    The quantity the log+checkpoint discipline minimizes — compare
-    against REEVAL's setup cost to see why restoring beats recomputing
-    (``benchmarks/bench_recovery.py`` measures the same ratio).
-    """
-    read = CHECKPOINT_BYTE_FLOPS * max(views_bytes, 0.0)
-    return read + max(tail_updates, 0.0) * max(refresh_flops, 0.0)
-
-
 def recommend_checkpoint_every(
     views_bytes: float,
     refresh_flops: float,
@@ -635,7 +623,6 @@ __all__ = [
     "HL_MAX_FOLD_PERIOD",
     "checkpoint_write_cost",
     "recommend_checkpoint_every",
-    "restore_cost",
     "SHARDED_SERIAL_FRACTION",
     "batch_unit_cost",
     "catalog_admission_cost",

@@ -334,13 +334,13 @@ class ShardBackend(DenseBackend):
         return a
 
 
-def unshardable(program, rank: int) -> str | None:
+def unshardable(program) -> str | None:
     """Why no shard engine can maintain ``program`` — ``None`` if one can.
 
     The one "can this program shard" question, asked of the lowered
-    lists a session runs for updates of width ``rank`` — the program's
-    :func:`~repro.compiler.compile.compiled_program`, so asking compiles
-    nothing a session will not reuse: every view
+    lists every session runs (:func:`~repro.compiler.compile.compiled_program`,
+    so asking compiles nothing a session will not reuse) and the same at
+    every update width: every view
     shares one tile decomposition, so all are declared with one square
     shape; and a stored view (or its hoisted transpose)
     appears only where a tile kernel exists — as the left operand of a
@@ -356,7 +356,7 @@ def unshardable(program, rank: int) -> str | None:
         declared = ", ".join(f"{sym.name}{sym.shape}" for sym in symbols)
         return (f"sharded views share one tile decomposition and must be "
                 f"square matrices of one order, got {declared}")
-    compiled = compiled_program(program, rank)
+    compiled = compiled_program(program)
     for lowered in map(compiled.lowered, compiled.triggers):
         stored = set(lowered.views)
         for op in (*lowered.ops, *lowered.applies):

@@ -24,7 +24,7 @@ _EXPORTS = {
     "REEVAL": "plan",
     "StreamSketch": "plan",
     "WorkloadStats": "plan",
-    "infer_dims": "programcost",
+    "infer_dims": "planner",
     "resolve_distinct_fraction": "plan",
     "plan_general": "planner",
     "plan_ols": "planner",

@@ -212,28 +212,28 @@ def session_mode(strategy: str, stats: WorkloadStats) -> str:
 
 
 def determined_plan(matrices, stats: WorkloadStats, strategies, nodes,
-                    batch_forced: bool) -> MaintenancePlan | None:
+                    batch_forced: bool, backend=None) -> MaintenancePlan | None:
     """The session plan the arguments alone determine, or ``None``.
 
     :func:`~repro.planner.planner.rank_program` prices the grid
     strategy x admissible backend x node count and recommends a batch
-    width per cell.  When one strategy is asked for, ``matrices`` (the
-    program's initial inputs) admit one backend
-    (:func:`repro.backends.admissible_backends`), every node count is 1
-    and the caller forces the batch width, that
+    width per cell.  When one strategy is asked for, the caller names
+    the ``backend`` or ``matrices`` (the program's initial inputs) admit
+    one (:func:`repro.backends.admissible_backends`), every node count
+    is 1 and the caller forces the batch width, that
     grid has one cell and nothing of its pricing is read (``partition``
     stays ``"uniform"`` without a stream sketch, which no opening call
     has) — so the cell is written down unpriced and the pricing stack
     is never imported.  Anything else returns ``None``: price it.
     """
-    from ..backends import admissible_backends
+    from ..backends import admissible_backends, get_backend
 
     if (len(strategies) != 1 or not batch_forced
             or any(int(count) > 1 for count in nodes)):
         return None
-    backends = admissible_backends(
-        (*m.shape, WorkloadStats.measure_density(m))
-        for m in matrices if m is not None)
+    backends = [get_backend(backend).name] if backend is not None else (
+        admissible_backends((*m.shape, WorkloadStats.measure_density(m))
+                            for m in matrices if m is not None))
     if len(backends) != 1:
         return None
     strategy, = strategies

@@ -18,6 +18,7 @@ accept expensive view building for cheap refreshes.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Mapping
 
 from ..backends import admissible_backends, calibrated, get_backend
@@ -28,7 +29,7 @@ from ..cost.estimate import (
     heavy_light_unit_cost,
     sharded_refresh_cost,
 )
-from ..runtime.executor import resolve_dim
+from ..runtime.executor import infer_dims, resolve_dim
 from .plan import (
     CODEGEN_MIN_REFRESHES,
     INCR,
@@ -38,7 +39,7 @@ from .plan import (
     resolve_distinct_fraction,
     session_mode,
 )
-from .programcost import infer_dims, program_cost
+from .programcost import program_cost
 
 #: Candidate update-batch widths the planner grids over (capped or
 #: extended by ``WorkloadStats.batch_hint``).
@@ -55,32 +56,22 @@ def _batch_widths(batch_hint: int | None) -> tuple[int, ...]:
     return tuple(widths)
 
 
-def _refresh_cost_memo(
-    be,
-    strategy: str,
-    program: Program,
-    dims,
-    densities,
-    update_input: str | None,
-):
+def _refresh_cost_memo(be, strategy: str, program: Program, dims, densities,
+                       update_input: str | None):
     """Memoized ``update_rank -> CostEstimate`` and ``-> refresh flops``
     closures for one cell.
 
     Shared by the batch-width and partition recommenders so each
-    (strategy, backend) cell walks the program tree once per distinct
-    rank, not once per candidate — and, kept in a caller's ``memo``
+    (strategy, backend) cell is priced once per distinct rank, not once
+    per candidate — and, kept in a caller's ``memo``
     (:func:`rank_program`), once per distinct rank for as long as what
     they close over holds.
     """
-    walked: dict[int, object] = {}
 
+    @cache
     def cost_at(r: int):
-        if r not in walked:
-            walked[r] = program_cost(
-                be, strategy, program, dims, densities,
-                rank=r, update_input=update_input,
-            )
-        return walked[r]
+        return program_cost(be, strategy, program, dims, densities,
+                            rank=r, update_input=update_input)
 
     return cost_at, lambda r: cost_at(r).refresh
 
@@ -243,7 +234,7 @@ def rank_program(
     Sharded cells (``N > 1``) exist only for
     dense INCR over programs whose lowered trigger lists the tile
     kernels can run (:func:`repro.distributed.sharded.unshardable`,
-    asked of the lists a session at ``stats``'s update rank runs) and
+    asked of the lists every session on the program runs) and
     are priced with the Amdahl + IPC comm term
     (:func:`repro.cost.estimate.sharded_refresh_cost`), so tiny views
     lose to single-process on the IPC tax while large dense chains win.
@@ -273,10 +264,10 @@ def rank_program(
 
     ``memo`` is a dict the caller owns and passes to every ranking of
     one program: the calibrated backends and the per-cell ``rank ->
-    cost`` walks of the program tree are kept in it and reused while
+    cost`` prices of the program are kept in it and reused while
     dimensions, measured densities, update input and calibration are
     what they were, and dropped when one moves — so a periodic
-    re-ranking of an unchanged workload walks nothing twice and returns
+    re-ranking of an unchanged workload prices nothing twice and returns
     the same floats.
     """
     inputs = dict(inputs or {})
@@ -314,7 +305,7 @@ def rank_program(
     if any(count > 1 for count in node_counts):
         from ..distributed.sharded import unshardable
 
-        shardable = unshardable(program, rank) is None
+        shardable = unshardable(program) is None
     target = update_input or program.input_names[0]
     target_n = resolve_dim(program.input(target).shape.rows, resolved_dims)
     target_cols = resolve_dim(program.input(target).shape.cols, resolved_dims)

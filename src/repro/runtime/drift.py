@@ -237,8 +237,8 @@ class ReplanMonitor(SessionDriftMonitor):
     loop: every ``check_every`` updates it re-measures the inputs'
     densities and the observed update rank *from the live session
     state*, re-prices the (strategy, backend) grid with setup treated
-    as sunk (``rank_program(amortize_setup=False)``; the program-tree
-    walks behind the prices are kept between checks and redone only
+    as sunk (``rank_program(amortize_setup=False)``; the per-rank
+    prices of each cell are kept between checks and redone only
     when a dimension or measured density moves), and switches the
     session via :meth:`Session.with_plan
     <repro.runtime.session.Session.with_plan>` — a state *conversion*,
@@ -329,8 +329,8 @@ class ReplanMonitor(SessionDriftMonitor):
         #: from what the stream actually hits (Table 4's knob).
         self.stream_sketch = StreamSketch()
         #: ``rank_program``'s ``memo``: calibrated backends and
-        #: program-tree walks kept across checks, so a check of an
-        #: unchanged workload re-walks nothing.
+        #: per-rank cell prices kept across checks, so a check of an
+        #: unchanged workload re-prices nothing.
         self._rank_memo: dict = {}
 
     def apply_update(self, update) -> None:

@@ -59,6 +59,24 @@ def resolve_dim(dim: DimLike, dims: Mapping[str, int]) -> int:
     raise EvaluationError(f"cannot resolve dimension {dim!r}")
 
 
+def infer_dims(program, inputs) -> dict[str, int]:
+    """Bind the program's symbolic dimensions from concrete input arrays."""
+    dims: dict[str, int] = {}
+    for sym in program.inputs:
+        value = inputs.get(sym.name)
+        if value is None:
+            continue
+        for dim, size in zip((sym.shape.rows, sym.shape.cols), value.shape):
+            name = getattr(dim, "name", None)
+            if name is None:
+                continue
+            if dims.setdefault(name, int(size)) != int(size):
+                raise ValueError(
+                    f"dimension {name!r} bound to both {dims[name]} and {size}"
+                )
+    return dims
+
+
 def _eval(node: Expr, env, dims, be):
     """Evaluate one node through the type-keyed handler table."""
     try:

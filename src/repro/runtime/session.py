@@ -23,12 +23,12 @@ plan from its arguments).
 Triggers have one lowered form (:mod:`repro.compiler.codegen.fused`): a
 flat kernel list with buffers, hoisted transposes, identical records
 merged and the evaluate-all-then-apply-all order made explicit.  It is
-compiled once per ``(program, rank)``
-(:func:`~repro.compiler.compile.compiled_program`) and shared by every
-session on that program.  Both execution modes run it — through the
-backend's ``*_into`` kernels, into buffers leased once from the
-session's :class:`~repro.runtime.workspace.Workspace`, repairing views
-**in place** — so they share ops, operand layouts and
+compiled once per program at a symbolic update width, which each
+session binds to ``plan.rank``
+(:func:`~repro.compiler.compile.compiled_program`).  Both execution
+modes run it — through the backend's ``*_into`` kernels, into buffers
+leased once from the session's :class:`~repro.runtime.workspace.Workspace`,
+repairing views **in place** — so they share ops, operand layouts and
 association order by construction (bit-for-bit equal on the dense
 backend) and a warmed-up dense session performs zero heap allocation
 per update in either:
@@ -84,11 +84,11 @@ from ..compiler.codegen.fused import (
     compile_trigger_function,
 )
 # benchmarks/e2e/trace.py patches ``compile_program`` on this module.
-from ..compiler.compile import compile_program, compiled_program  # noqa: F401
+from ..compiler.compile import UPDATE_WIDTH, compile_program, compiled_program  # noqa: F401
 from ..compiler.program import Program
 from ..cost import counters
 from .batching import DeferralSpec, resolve_deferral, still_resolved
-from .executor import evaluate
+from .executor import evaluate, infer_dims
 from .updates import FactoredUpdate, InvalidUpdateError
 from .views import ViewStore
 from .workspace import Workspace
@@ -509,7 +509,7 @@ class Session:
         :meth:`ViewStore.converted <repro.runtime.views.ViewStore.converted>`
         (one pass over stored entries — CSR state densifies, dense state
         re-enters the target representation policy), INCR plans
-        (re)compile their triggers, and **no view is re-evaluated**.
+        (re)bind their triggers, and **no view is re-evaluated**.
         ``plan`` is the whole recipe (:func:`build_session`): no axis is
         inherited from this session's plan — a caller keeps one with
         ``dataclasses.replace(plan, rank=self.plan.rank)``.  The update
@@ -580,13 +580,13 @@ class IVMSession(Session):
 
     rank:
         Expected width of incoming factored updates: the width the
-        triggers are compiled and their buffers shaped for.  Updates of
-        any other width are accepted in both modes, at their true cost
-        (they allocate their temporaries).
+        triggers' buffers are shaped for.  Updates of any other width
+        are accepted in both modes, at their true cost (they allocate
+        their temporaries).
     mode:
         ``"interpret"`` or ``"codegen"`` (see module docstring).
 
-    A ``plan`` wins over ``rank`` / ``mode``: the triggers are compiled
+    A ``plan`` wins over ``rank`` / ``mode``: the triggers are bound
     from ``session.plan`` and nothing else.
     """
 
@@ -606,8 +606,8 @@ class IVMSession(Session):
         super().__init__(program, inputs, dims, counter, backend, plan,
                          mode=mode, rank=rank)
         self.mode = self.plan.mode
-        #: Triggers and lowered lists, shared per (program, rank).
-        self.compiled = compiled_program(program, self.plan.rank)
+        #: Triggers and lowered lists, shared per program.
+        self.compiled = compiled_program(program)
         #: Scratch buffers of every trigger's lowered form.
         self.workspace = Workspace()
         #: Input name -> bound executor of its trigger's lowered form.
@@ -631,17 +631,11 @@ class IVMSession(Session):
         return fn
 
     def _bound_dims(self) -> dict[str, int]:
-        """User-supplied dims completed from the stored inputs' shapes."""
-        dims = dict(self.views.dims)
-        for sym in self.program.inputs:
-            if sym.name not in self.views:
-                continue
-            shape = self.backend.shape(self.views.get(sym.name))
-            for dim, size in zip((sym.shape.rows, sym.shape.cols), shape):
-                name = getattr(dim, "name", None)
-                if name is not None:
-                    dims.setdefault(name, int(size))
-        return dims
+        """User dims, completed from the stored inputs, and the width."""
+        inputs = {name: self.views.get(name)
+                  for name in self.program.input_names if name in self.views}
+        return {**infer_dims(self.program, inputs), **self.views.dims,
+                UPDATE_WIDTH.name: self.plan.rank}
 
     # -- maintenance -----------------------------------------------------
     def _check_update_target(self, update: FactoredUpdate) -> None:
@@ -739,7 +733,7 @@ class ShardedSession(IVMSession):
         missing = [name for name in program.input_names if name not in inputs]
         if missing:
             raise ValueError(f"missing initial values for inputs: {missing}")
-        refusal = unshardable(program, plan.rank)
+        refusal = unshardable(program)
         if refusal is not None:
             raise UnsupportedCombinationError(
                 f"cannot maintain this program on {plan.nodes} nodes: "
@@ -959,7 +953,7 @@ def build_session(
     CLI all land here.  ``inputs`` are initial values or a live
     :class:`~repro.runtime.views.ViewStore` to adopt; ``plan.strategy``
     / ``plan.nodes`` pick the class, ``plan.rank`` / ``plan.mode``
-    compile the triggers, and a ``backend`` *instance*
+    bind the program's triggers, and a ``backend`` *instance*
     wins over the plan's backend name.  The returned session's ``plan``
     is what was actually built: a REEVAL plan runs ``mode="interpret"``
     (it has no trigger code), and a sharded plan the shared-memory
@@ -1038,8 +1032,8 @@ def open_session(
         the strategy but still plan the other axes; a
         :class:`~repro.planner.plan.MaintenancePlan` is used verbatim.
         Only what can change the decision is priced: when the arguments
-        leave a grid of one — a forced strategy, inputs only the dense
-        backend would store in its own format
+        leave a grid of one — a forced strategy, a given ``backend`` or
+        inputs only the dense backend would store in its own format
         (:func:`repro.backends.admissible_backends`), ``nodes`` of 1 and
         a forced ``batch`` — that cell is the plan, written down with
         ``predicted_time`` / ``predicted_space`` = ``nan`` ("not
@@ -1049,15 +1043,16 @@ def open_session(
         Explicit overrides that win over whatever the plan says
         (``None`` defers to it — to the planner's cell, or to a
         :class:`~repro.planner.plan.MaintenancePlan` given verbatim).
+        A given ``backend`` is the only backend the planner prices.
         A :class:`~repro.backends.base.Backend` instance is the object
         the opened session runs on, thresholds included; the plan keeps
         only its name, so a :meth:`Session.with_plan` switch
         (``replan=``) and a checkpoint restore resolve a default
         instance by that name.  ``rank`` is the expected width of
         incoming factored updates — the planning statistic and, as
-        ``plan.rank``, the trigger compilation width.  It stays on
-        ``session.plan``, so a re-planning switch and a checkpoint
-        restore compile the same triggers.
+        ``plan.rank``, the width the triggers' buffers are bound at.
+        It stays on ``session.plan``, so a re-planning switch and a
+        checkpoint restore bind the same buffers.
     refresh_count:
         Expected number of updates this session will absorb; amortizes
         setup cost in planning and gates codegen.  ``None`` uses the
@@ -1273,15 +1268,19 @@ def open_session(
                 node_grid = (1, int(nodes)) if int(nodes) > 1 else (1,)
             stats = WorkloadStats(n=1, **stats_kwargs)
             # A grid of one is written down, not priced (nor is the
-            # pricing stack loaded); anything wider is ranked.
+            # pricing stack loaded); anything wider is ranked.  A given
+            # backend is the only one priced (resolved here, so one that
+            # cannot load raises its own error).
             plan = determined_plan(
                 [inputs.get(name) for name in program.input_names], stats,
-                strategies, node_grid, batch_forced=spec.batch != "auto")
+                strategies, node_grid, batch_forced=spec.batch != "auto",
+                backend=backend)
             if plan is None:
                 from ..planner import plan_program
 
                 plan = plan_program(
                     program, inputs, stats=stats, dims=dims,
+                    backends=None if backend is None else (get_backend(backend),),
                     strategies=strategies, nodes=node_grid)
         # The caller's backend is the object the session runs on (an
         # instance keeps its thresholds); the plan records its name.

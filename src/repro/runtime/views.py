@@ -90,7 +90,7 @@ class ViewStore:
         if self.backend.is_native(value) and not isinstance(value, np.ndarray):
             self._arrays[name] = _private_copy(value)
             return
-        arr = np.array(value, dtype=np.float64, order="C")
+        arr = np.array(self.backend.materialize(value), dtype=np.float64, order="C")
         if arr.ndim == 1:
             arr = arr.reshape(-1, 1)
         if arr.ndim != 2:

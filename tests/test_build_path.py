@@ -1,7 +1,7 @@
 """One build path: the plan is the recipe, and it survives every rebuild.
 
-``rank`` decides which triggers a session compiles, so it is a plan
-axis like strategy or backend: a re-planning switch, a checkpoint
+``rank`` is the width a session binds its program's triggers at, so it
+is a plan axis like strategy or backend: a re-planning switch, a checkpoint
 written after it and a catalog rebuild must all go back to the same
 recipe (docs/invariants.md, "One build path").
 """
@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.catalog import ViewCatalog
+from repro.compiler import UPDATE_WIDTH
 from repro.frontend import parse_program
 from repro.runtime import FactoredUpdate, IVMSession, open_session
 from repro.runtime.checkpoint import load_checkpoint
@@ -47,8 +48,7 @@ def test_replan_switch_keeps_observed_rank(rng, tmp_path):
     assert isinstance(session, IVMSession)
     assert monitor.plan is session.plan
     assert session.plan.rank == 2
-    assert [trigger.params[0].shape.cols
-            for trigger in session.compiled.triggers.values()] == [2]
+    assert session._bound_dims()[UPDATE_WIDTH.name] == 2
 
     # The checkpointer followed the switch and records the new recipe.
     assert checkpointer is session.checkpointer
@@ -68,7 +68,7 @@ def test_catalog_rebuild_keeps_rank(rng):
     assert catalog.stats.evictions >= 1  # the eviction rebuilt the session
 
     inner = catalog._session
-    assert inner.compiled.triggers["A"].params[0].shape.cols == 2
+    assert inner._bound_dims()[UPDATE_WIDTH.name] == 2
     assert inner.plan.rank == 2 and inner.mode == "codegen"
     assert inner._executors["A"].__globals__["_rank"] == 2
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.compiler import Program, Statement
+from repro.compiler import UPDATE_WIDTH, Program, Statement
 from repro.expr.ast import MatrixSymbol, matmul, transpose
 from repro.runtime.checkpoint import (
     CheckpointCorruptError,
@@ -212,7 +212,7 @@ class TestRoundTrip:
         assert restored.plan.rank == rank
         assert not hasattr(restored.plan, "optimize")
         assert restored.compiled is session.compiled
-        assert restored.compiled.triggers["A"].params[0].shape.cols == rank
+        assert restored._bound_dims()[UPDATE_WIDTH.name] == rank
         for update in stream(50, seed=8, rank=rank):
             session.apply_update(update)
             restored.apply_update(update)

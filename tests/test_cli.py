@@ -170,7 +170,8 @@ class TestCompile:
                      "--input", "D"]) == 0
         assert counts == {"compile": 1,
                           "lower": 1 if backend == "python" else 0}
-        compiled = compiled_program(parse_program(TWO_INPUT_SOURCE))
+        # ``--rank`` defaults to 1, the width the printers show.
+        compiled = compiled_program(parse_program(TWO_INPUT_SOURCE), 1)
         form = (compiled.lowered("D") if backend == "python"
                 else compiled.triggers["D"])
         assert capsys.readouterr().out == PRINTERS[backend](form) + "\n"

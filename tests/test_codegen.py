@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.compiler import (
+    UPDATE_WIDTH,
     Program,
     Statement,
     compile_program,
@@ -43,7 +44,7 @@ class TestPythonTrigger:
 
     def test_source_shape(self):
         source = generate_python_trigger(
-            compiled_program(a4_program()).lowered("A"))
+            compiled_program(a4_program(), 1).lowered("A"))
         assert "\ndef on_update_A(views, u_A, v_A):\n" in source
         assert "views['A'] = _outer(A, u_A, v_A)" in source
         # U_B = [u_A, A*u_A + u_A*(v_A'*u_A)], one kernel per line, the
@@ -53,15 +54,20 @@ class TestPythonTrigger:
         assert "_t3 = _matmul(u_A, _t2, _b2)" in source
         assert "_t4 = _add(_t1, _t3, _t1)" in source
         assert "U_B = _hstack(u_A, _t4, _b3)" in source
-        # Shapes stay symbolic until the form is bound:
+        # Program dimensions stay symbolic until the form is bound:
         assert "#   _b3: (n x 2)" in source
+
+    def test_width_is_a_dimension(self):
+        source = generate_python_trigger(
+            compiled_program(a4_program()).lowered("A"))
+        assert f"#   _b3: (n x {UPDATE_WIDTH}+{UPDATE_WIDTH})" in source
 
     @pytest.mark.parametrize(
         "build", [compile_trigger_function, compile_fused_trigger])
     def test_compiled_function_matches_reevaluation(self, rng, build):
         size = 8
         lowered = compiled_program(a4_program()).lowered("A")
-        fn = build(lowered, {"n": size})
+        fn = build(lowered, {"n": size, UPDATE_WIDTH.name: 1})
         a0 = rng.normal(size=(size, size))
         views = {"A": a0.copy(), "B": a0 @ a0, "C": (a0 @ a0) @ (a0 @ a0)}
         uu = rng.normal(size=(size, 1))
@@ -76,7 +82,8 @@ class TestPythonTrigger:
 
     def test_source_attached_to_function(self):
         compiled = compiled_program(a4_program())
-        fn = compile_fused_trigger(compiled.lowered("A"), {"n": 4})
+        fn = compile_fused_trigger(compiled.lowered("A"),
+                                   {"n": 4, UPDATE_WIDTH.name: 1})
         assert fn.__source__ == generate_python_trigger(compiled.lowered("A"))
 
     def test_custom_function_name(self):

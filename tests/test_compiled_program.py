@@ -1,9 +1,10 @@
-"""One compiled artifact per (program, rank).
+"""One compiled artifact per program.
 
-Algorithm 1 and the lowering run once per program and update width:
-the planner's shardability question, a sharded session's refusal
-check, both execution modes and every rebuild of a session read the
-same :class:`~repro.compiler.compile.CompiledProgram`.
+Algorithm 1 and the lowering run once per program, at the symbolic
+update width :data:`~repro.compiler.compile.UPDATE_WIDTH`: the
+planner's pricing and shardability question, a sharded session's
+refusal check, both execution modes and every rebuild of a session, at
+any rank, read the same :class:`~repro.compiler.compile.CompiledProgram`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,12 @@ import pytest
 
 import repro.compiler.compile as compile_mod
 import repro.runtime.session as session_mod
-from repro.compiler import CompiledProgram, compile_program, compiled_program
+from repro.compiler import (
+    UPDATE_WIDTH,
+    CompiledProgram,
+    compile_program,
+    compiled_program,
+)
 from repro.compiler.codegen import fused
 from repro.distributed import (
     LocalShardEngine,
@@ -26,7 +32,7 @@ from repro.distributed import (
     unshardable,
 )
 from repro.frontend import parse_program
-from repro.planner import MaintenancePlan, rank_program
+from repro.planner import MaintenancePlan, WorkloadStats, rank_program
 from repro.runtime import (
     FactoredUpdate,
     IVMSession,
@@ -73,17 +79,26 @@ def _updates(rng, count, target="A", width=1):
 
 
 class TestArtifact:
-    def test_memoized_per_program_and_rank(self):
+    def test_memoized_per_program_at_the_symbolic_width(self):
         program = parse_program(CHAIN_SRC)
         one = compiled_program(program)
         assert isinstance(one, CompiledProgram)
-        assert compiled_program(program, 1) is one
+        assert compiled_program(program) is one
+        assert one.triggers["A"].params[0].shape.cols == UPDATE_WIDTH
+        assert one.lowered("A").rank == UPDATE_WIDTH
+        assert list(program._compiled) == [UPDATE_WIDTH]
+        # A concrete width (``repro compile --rank``) is its own entry.
         two = compiled_program(program, 2)
-        assert two is not one
-        assert two.triggers["A"].params[0].shape.cols == 2
-        assert two.lowered("A").rank == 2
+        assert two is not one and two.lowered("A").rank == 2
         # Memoized on the program object, not on its text.
         assert compiled_program(parse_program(CHAIN_SRC)) is not one
+
+    def test_no_declared_dimension_is_the_width(self):
+        # Identifiers may start with ``_``; the width's name cannot lex.
+        from repro.frontend.errors import LexError
+
+        with pytest.raises(LexError):
+            parse_program(f"input A({UPDATE_WIDTH.name}, n); B := A * A;")
 
     def test_equals_a_fresh_compile_and_lowering(self):
         program = parse_program(TWO_INPUTS_SRC)
@@ -177,19 +192,18 @@ class TestCompiledOnce:
         for name in ("A", "D", "B", "C"):
             assert np.array_equal(interp[name], codegen[name]), name
 
-        # A strategy switch out and back, at the same rank: nothing new.
+        # A strategy switch out and back: nothing new.
         reeval = interp.with_plan(MaintenancePlan("REEVAL"))
         assert isinstance(reeval, ReevalSession)
         back = reeval.with_plan(MaintenancePlan("INCR", mode="codegen"))
         assert back.compiled is codegen.compiled
         assert counted == {"compile": 1, "lower": 2}
 
-        # A new update width is a new artifact, compiled once; in
-        # interpret mode only the trigger that fired is lowered.
+        # A new update width binds the same lists at another width.
         wide = back.with_plan(MaintenancePlan("INCR", rank=2))
         wide.apply_update(_updates(rng, 1, width=2)[0])
-        assert wide.compiled is compiled_program(program, 2)
-        assert counted == {"compile": 2, "lower": 3}
+        assert wide.compiled is compiled_program(program)
+        assert counted == {"compile": 1, "lower": 2}
 
     def test_an_interpret_session_lowers_on_its_first_update(self, counted,
                                                              rng):
@@ -204,6 +218,72 @@ class TestCompiledOnce:
     def test_unshardable_asks_the_artifact(self, counted):
         chain, inverse = parse_program(CHAIN_SRC), parse_program(INVERSE_SRC)
         for _ in range(2):
-            assert unshardable(chain, 1) is None
-            assert "on a stored view" in unshardable(inverse, 1)
+            assert unshardable(chain) is None
+            assert "on a stored view" in unshardable(inverse)
         assert counted == {"compile": 2, "lower": 2}
+
+
+class TestOneArtifact:
+    """Whatever asks for a program's lists, at whatever update width,
+    the program holds one artifact and Algorithm 1 ran once."""
+
+    @staticmethod
+    def _one(program, counted):
+        assert len(program._compiled) == 1
+        assert counted["compile"] == 1
+
+    def test_sessions_at_rank_1_and_3(self, counted, rng):
+        program = parse_program(CHAIN_SRC)
+        inputs = _inputs(program, rng)
+        narrow = IVMSession(program, inputs, rank=1)
+        wide = IVMSession(program, inputs, rank=3, mode="codegen")
+        for session, width in ((narrow, 1), (wide, 3)):
+            for update in _updates(rng, 2, width=width):
+                session.apply_update(update)
+        assert narrow.compiled is wide.compiled
+        self._one(program, counted)
+
+    def test_pricing_the_batch_width_grid(self, counted, rng):
+        program = parse_program(CHAIN_SRC)
+        cells = rank_program(program, _inputs(program, rng),
+                             stats=WorkloadStats(n=N, update_rank=2))
+        assert {cell.strategy for cell in cells} == {"INCR", "REEVAL"}
+        self._one(program, counted)
+
+    def test_unshardable(self, counted):
+        program = parse_program(CHAIN_SRC)
+        assert unshardable(program) is None
+        self._one(program, counted)
+
+    def test_with_plan_to_another_rank(self, counted, rng):
+        program = parse_program(CHAIN_SRC)
+        session = IVMSession(program, _inputs(program, rng))
+        session.apply_update(_updates(rng, 1)[0])
+        wide = session.with_plan(MaintenancePlan("INCR", rank=3))
+        wide.apply_update(_updates(rng, 1, width=3)[0])
+        self._one(program, counted)
+
+    @pytest.mark.parametrize("mode", ["interpret", "codegen"])
+    def test_width_shaped_constants_follow_the_update(self, rng, mode):
+        # The Woodbury core ``inv(eye(width) + ...)`` of ``inv(A)``'s
+        # trigger holds a width-shaped constant: an update of another
+        # width than the bound one rebuilds it at that width.
+        program = parse_program(INVERSE_SRC)
+        a0 = np.eye(N) + _inputs(program, rng)["A"]
+        session = IVMSession(program, {"A": a0}, rank=2, mode=mode)
+        for width in (2, 1, 3, 2):
+            session.apply_update(_updates(rng, 1, width=width)[0])
+        np.testing.assert_allclose(session["W"], np.linalg.inv(session["A"]),
+                                   atol=1e-10)
+
+    def test_checkpoint_restore(self, counted, rng, tmp_path):
+        program = parse_program(CHAIN_SRC)
+        session = open_session(program, _inputs(program, rng), plan="incr",
+                               rank=2, batch="off",
+                               checkpoint={"directory": tmp_path,
+                                           "every": 1})
+        session.apply_update(_updates(rng, 1, width=2)[0])
+        restored = session.restore()
+        restored.apply_update(_updates(rng, 1, width=2)[0])
+        assert restored.compiled is session.compiled
+        self._one(program, counted)

@@ -20,7 +20,8 @@ from repro.distributed import (CommLog, LocalShardEngine,
 from repro.frontend import parse_program
 from repro.runtime import FactoredUpdate, ReevalSession
 from repro.workloads import spectral_normalized
-from stream_helpers import POWER_CHAIN, assert_views_close, shard_session
+from stream_helpers import (ITERATIVE, POWER_CHAIN, assert_views_close,
+                            shard_session)
 
 POWERS_8 = ("input A(n, n); P2 := A * A; P4 := P2 * P2; P8 := P4 * P4; "
             "output P8;")
@@ -322,43 +323,6 @@ class TestModeledLedger:
 
 
 # -- the iterative models on the shipping layout ----------------------------
-
-#: ``repro.iterative``'s program families, spelled as programs: matrix
-#: powers, power sums, and the general recurrence ``T_{i+1} = A T_i + B``,
-#: each under the linear, exponential and skip-4 evaluation models.
-ITERATIVE = {
-    "powers-LIN": "input A(n, n); T := A; "
-                  "for i in 1..7 { T := A * T; } output T;",
-    "powers-EXP": POWERS_8,
-    "powers-SKIP-4": "input A(n, n); P2 := A * A; P4 := P2 * P2; T := P4; "
-                     "for i in 1..2 { T := P4 * T; } output T;",
-    "sums-LIN": "input A(n, n); P := A; S := A; "
-                "for i in 1..7 { P := A * P; S := S + P; } output S;",
-    "sums-EXP": "input A(n, n); P2 := A * A; S2 := A + P2; "
-                "P4 := P2 * P2; S4 := S2 + P2 * S2; "
-                "S8 := S4 + P4 * S4; output S8;",
-    "sums-SKIP-4": "input A(n, n); P2 := A * A; S2 := A + P2; "
-                   "P4 := P2 * P2; S4 := S2 + P2 * S2; "
-                   "S8 := S4 + P4 * S4; P8 := P4 * P4; "
-                   "S12 := S8 + P8 * S4; output S12;",
-    "general-LIN-noB": "input A(n, n); input T(n, n); X := T; "
-                       "for i in 1..4 { X := A * X; } output X;",
-    "general-LIN-B": "input A(n, n); input T(n, n); input B(n, n); X := T; "
-                     "for i in 1..4 { X := A * X + B; } output X;",
-    "general-EXP-noB": "input A(n, n); input T(n, n); P2 := A * A; "
-                       "P4 := P2 * P2; T4 := P4 * T; output T4;",
-    "general-EXP-B": "input A(n, n); input T(n, n); input B(n, n); "
-                     "P2 := A * A; P4 := P2 * P2; C2 := A * B + B; "
-                     "C4 := P2 * C2 + C2; T4 := P4 * T + C4; output T4;",
-    "general-SKIP-4-noB": "input A(n, n); input T(n, n); P2 := A * A; "
-                          "P4 := P2 * P2; T4 := P4 * T; T8 := P4 * T4; "
-                          "output T8;",
-    "general-SKIP-4-B": "input A(n, n); input T(n, n); input B(n, n); "
-                        "P2 := A * A; P4 := P2 * P2; C2 := A * B + B; "
-                        "C4 := P2 * C2 + C2; T4 := P4 * T + C4; "
-                        "T8 := P4 * T4 + C4; output T8;",
-}
-
 
 @pytest.mark.parametrize("layout", [(1, 24), (3, 5)],
                          ids=["1-node", "3-nodes"])

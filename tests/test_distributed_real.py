@@ -796,7 +796,7 @@ class TestTypedRefusal:
             program, inputs = parse_program(src), {"A": np.eye(256)}
             cells = rank_program(program, inputs, nodes=(1, 4))
             assert any(cell.nodes == 4 for cell in cells) is shards
-            assert (unshardable(program, rank=1) is None) is shards
+            assert (unshardable(program) is None) is shards
 
     def test_nodes_budget_on_unshardable_program_opens_single_process(
             self, monkeypatch):

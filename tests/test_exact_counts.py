@@ -17,7 +17,10 @@ one call, as in the end-to-end tracer's ``backend.kernel_calls_per_update``.
 * the FLOP ledger (:func:`~repro.cost.counters.counted`, keyed by
   kernel) of the chain in both modes, of REEVAL on it, and of the
   iterative powers maintainer running the same algebra — with the
-  chain's per-update FLOPs as exact polynomials in ``n``.
+  chain's per-update FLOPs as exact polynomials in ``n``;
+* the planner's INCR price read off the same lists
+  (:func:`~repro.planner.programcost.refresh_ledger`): on the dense
+  backend its predicted calls and FLOPs per update are the ledger's.
 """
 
 from __future__ import annotations
@@ -34,11 +37,19 @@ from repro.cost.counters import Counter as Ledger
 from repro.distributed import LocalShardEngine, RowShardPartitioner, ShardBackend
 from repro.frontend import parse_program
 from repro.planner import MaintenancePlan
+from repro.planner.programcost import program_cost, refresh_ledger
 from repro.runtime import FactoredUpdate, ShardedSession
 from repro.runtime.session import build_session, open_session
+from stream_helpers import ITERATIVE
 
 CHAIN_SRC = "input A(n, n); B := A * A; C := B * B; output C;"
 TENANTS = 8
+
+
+def tenant_source(index: int) -> str:
+    """The ``catalog_tenants`` family's ``index``-th program."""
+    return (f"input A(n, n); B := A * A; C := B * B; "
+            f"P := {float(index + 2):g} * C + A; output P;")
 
 #: The committed table.
 TABLE = {
@@ -146,9 +157,7 @@ class TestCatalogTenants:
         backend = CountingBackend()
         catalog = ViewCatalog(backend=backend)
         for index in range(TENANTS):
-            source = (f"input A(n, n); B := A * A; C := B * B; "
-                      f"P := {float(index + 2):g} * C + A; output P;")
-            open_session(parse_program(source),
+            open_session(parse_program(tenant_source(index)),
                          {"A": _input(self.N)} if index == 0 else None,
                          dims={"n": self.N}, catalog=catalog)
         for update in _updates(self.N):
@@ -314,3 +323,53 @@ class TestSparsePageRank:
                                      backend="sparse")
         assert priced == [TABLE["sparse_pagerank"]["cells"]]
         assert driver.plan.label == TABLE["sparse_pagerank"]["plan"]
+
+
+class TestPricedLedger:
+    """The planner prices the list that runs: its predicted kernel calls
+    and FLOPs per update equal a counted session's, with no tolerance."""
+
+    @staticmethod
+    def _assert_priced_as_charged(source: str, n: int, width: int,
+                                  mode: str) -> None:
+        program = parse_program(source)
+        rng = np.random.default_rng([9, n, width])
+        inputs = {name: 0.2 * rng.standard_normal((n, n)) / np.sqrt(n)
+                  for name in program.input_names}
+        ledger = Ledger()
+        session = open_session(program, inputs, dims={"n": n}, plan="incr",
+                               mode=mode, rank=width, batch="off",
+                               counter=ledger)
+        update = FactoredUpdate("A", 0.01 * rng.standard_normal((n, width)),
+                                rng.standard_normal((n, width)))
+        ledger.reset()
+        session.apply_update(update)
+        be = DenseBackend()
+        calls, flops = refresh_ledger(be, program, {"n": n}, {}, rank=width)
+        assert calls == ledger.calls_by_op
+        assert flops == ledger.flops_by_op
+        # The INCR cell's refresh is that ledger plus one call overhead
+        # per kernel call.
+        assert program_cost(be, "INCR", program, {"n": n}, {},
+                            rank=width).refresh == (
+            sum(flops.values())
+            + sum(calls.values()) * be.est_call_overhead(inplace=True))
+
+    @pytest.mark.parametrize("mode", ["interpret", "codegen"])
+    @pytest.mark.parametrize("width", [1, 3])
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_chain(self, n, width, mode):
+        self._assert_priced_as_charged(CHAIN_SRC, n, width, mode)
+
+    @pytest.mark.parametrize("mode", ["interpret", "codegen"])
+    @pytest.mark.parametrize("family", [*ITERATIVE, "catalog_tenants"])
+    def test_program_at_n_32(self, family, mode):
+        source = ITERATIVE.get(family) or tenant_source(0)
+        self._assert_priced_as_charged(source, 32, 1, mode)
+
+    def test_chain_polynomial(self):
+        calls, flops = refresh_ledger(DenseBackend(),
+                                      parse_program(CHAIN_SRC), {"n": 128},
+                                      {})
+        assert sum(calls.values()) == TABLE["chain"]["calls"]
+        assert sum(flops.values()) == np.polyval(FLOPS_IN_N["incr"], 128)

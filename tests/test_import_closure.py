@@ -170,7 +170,7 @@ LAZY_PACKAGES = [
     ("repro.distributed", 15, "CommLog"),
     ("repro.expr", 42, "MatMul"),
     ("repro.delta", 23, "FactoredDelta"),
-    ("repro.compiler", 19, "Program"),
+    ("repro.compiler", 20, "Program"),
     ("repro.compiler.codegen", 7, "LoweredTrigger"),
     ("repro.cost", 17, "Counter"),
     ("repro.frontend", 7, "Parser"),

@@ -59,6 +59,17 @@ def test_programs_are_compiled_in_one_place():
     assert module.compilers() == module.COMPILERS
 
 
+def test_programs_are_compiled_at_one_width():
+    """docs/invariants.md, "One artifact per program": only ``repro
+    compile`` hands ``compiled_program`` a width (it prints shapes);
+    every other reader binds the symbolic one."""
+    tool = PYPROJECT.parent / "tools" / "check_one_builder.py"
+    spec = importlib.util.spec_from_file_location("check_one_builder", tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.widths() == module.WIDTH_GIVERS
+
+
 def test_counters_are_charged_by_the_kernels_only():
     """docs/invariants.md, "One FLOP ledger": no ``counter.record`` call
     sits outside ``cost/counters.py`` and OLS's raw-NumPy steps."""

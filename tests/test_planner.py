@@ -14,6 +14,7 @@ from repro.planner import (
     plan_general,
     plan_powers,
     plan_program,
+    rank_program,
 )
 from repro.runtime import (
     FactoredUpdate,
@@ -248,6 +249,38 @@ class TestOpenSession:
         assert switched.backend is not mine
         assert switched.backend.name == "sparse"
 
+    def test_a_given_backend_is_the_only_one_priced(self):
+        # The grid's cheapest cell runs on sparse; forced onto dense, the
+        # session must run dense's cheapest cell, not sparse's strategy.
+        sp = pytest.importorskip("scipy.sparse")
+        program = parse_program(A4_SOURCE)
+        a = sp.random(300, 300, density=0.002, random_state=1).toarray()
+        session = open_session(program, {"A": a}, refresh_count=200,
+                               backend="dense")
+        dense = rank_program(program, {"A": a},
+                             stats=WorkloadStats(n=1, refresh_count=200),
+                             backends=("dense",))[0]
+        assert (session.plan.strategy, session.plan.mode) == (
+            dense.strategy, dense.mode)
+        assert session.plan.predicted_time == dense.predicted_time
+
+    @pytest.mark.parametrize("plan", ["incr", "reeval"])
+    def test_a_scipy_input_on_the_dense_backend(self, rng, plan):
+        sp = pytest.importorskip("scipy.sparse")
+        program = parse_program(A4_SOURCE)
+        csr = sp.random(40, 40, density=0.1, random_state=2, format="csr")
+        sessions = [open_session(program, {"A": value}, plan=plan,
+                                 backend="dense", batch="off")
+                    for value in (csr, csr.toarray())]
+        for _ in range(3):
+            update = FactoredUpdate("A", rng.normal(size=(40, 1)),
+                                    0.05 * rng.normal(size=(40, 1)))
+            for session in sessions:
+                session.apply_update(update)
+        for name in ("A", "B", "C"):
+            assert isinstance(sessions[0][name], np.ndarray)
+            assert np.array_equal(sessions[0][name], sessions[1][name])
+
     def test_bad_plan_rejected(self, rng):
         with pytest.raises(ValueError, match="plan must be"):
             open_session(parse_program(A4_SOURCE), self.make_inputs(rng),
@@ -354,6 +387,14 @@ class TestDeterminedOpen:
                           **{**self.DETERMINED, **options}) as session:
             assert len(rankings) == 1 and len(rankings[0]) == cells
             assert session.plan.predicted_time > 0
+
+    def test_a_given_backend_determines_the_backend(self, rng, rankings):
+        program = parse_program(A4_SOURCE)
+        a = sparse_matrix(rng, 128, 0.05)
+        session = open_session(program, {"A": a}, backend="dense",
+                               **self.DETERMINED)
+        assert rankings == []
+        assert session.plan.backend == "dense"
 
     def test_a_csr_eligible_input_is_priced_on_both_backends(self, rng,
                                                              rankings):
@@ -465,6 +506,9 @@ class TestDriverRouting:
         with pytest.raises(RuntimeError, match="requires scipy"):
             KStepTransitionMatrix(random_walk_matrix(adjacency),
                                   k=4, strategy="auto", backend="sparse")
+        with pytest.raises(RuntimeError, match="requires scipy"):
+            open_session(parse_program(A4_SOURCE), {"A": np.eye(8)},
+                         backend="sparse")
 
     @pytest.mark.parametrize("backend", [None, "dense", "sparse"])
     def test_pagerank_plan_names_the_backend_that_runs(self, rng, backend):

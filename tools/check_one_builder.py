@@ -1,6 +1,7 @@
 #!/usr/bin/env python
 """Fail when a session is built, re-labelled or compiled outside the one
-build path, or a FLOP counter is charged by hand.
+build path, a program is compiled at a concrete width, or a FLOP counter
+is charged by hand.
 
 docs/invariants.md, "One build path": ``runtime.session.build_session``
 is the only function in ``src/repro`` that calls a session constructor,
@@ -9,7 +10,11 @@ outside.  "One lowering": Algorithm 1 (``compile_program``) and the
 lowering (``lower_trigger``) run only inside ``compiled_program`` and
 its artifact's ``lowered``, which every session, the planner, the
 shardability check and every ``repro compile`` printer read.  "One
-FLOP ledger": the backend kernels charge a counter, through
+artifact per program": ``compiled_program`` compiles at a symbolic
+update width that sessions and the planner bind like any dimension, so
+a caller handing it a width builds a second artifact of the same
+program; only :data:`WIDTH_GIVERS` (``repro compile``, which prints
+shapes at ``--rank``) may.  "One FLOP ledger": the backend kernels charge a counter, through
 ``cost.counters.counted``; a ``counter.record(...)`` anywhere else is a
 second charge table that the kernels' ledger would drift from.  Only
 :data:`CHARGERS` record by hand (OLS's raw-NumPy Sherman-Morrison and
@@ -21,8 +26,9 @@ Usage::
 
 Exits 1 when constructor calls sit in more than one function, any
 ``<not self>.plan = ...`` statement exists, a function outside
-:data:`COMPILERS` compiles or lowers a program, or a file outside
-:data:`CHARGERS` calls ``counter.record``.
+:data:`COMPILERS` compiles or lowers a program, a function outside
+:data:`WIDTH_GIVERS` passes ``compiled_program`` a width, or a file
+outside :data:`CHARGERS` calls ``counter.record``.
 """
 
 from __future__ import annotations
@@ -41,6 +47,8 @@ COMPILERS = {
     ("compiler/compile.py", "compiled_program"),
     ("compiler/compile.py", "lowered"),
 }
+#: The functions that may ask ``compiled_program`` for a concrete width.
+WIDTH_GIVERS = {("cli.py", "_run_compile")}
 #: The files that may call ``counter.record`` themselves.
 CHARGERS = {"cost/counters.py", "analytics/ols.py"}
 
@@ -58,14 +66,21 @@ def compilers(root: Path = SRC) -> set:
     return _walk(root)[2]
 
 
+def widths(root: Path = SRC) -> set:
+    """``(file, function)`` of every ``compiled_program`` call given a
+    width argument."""
+    return _walk(root)[4]
+
+
 def charges(root: Path = SRC) -> list:
     """``(file, line)`` of every ``counter.record(...)`` call outside
     :data:`CHARGERS`."""
     return [found for found in _walk(root)[3] if found[0] not in CHARGERS]
 
 
-def _walk(root: Path) -> tuple[set, list, set, list]:
-    builders, stores, compiling, recording = set(), [], set(), []
+def _walk(root: Path) -> tuple[set, list, set, list, set]:
+    builders, stores, compiling, recording, widening = (
+        set(), [], set(), [], set())
     for path in sorted(root.rglob("*.py")):
         rel = path.relative_to(root).as_posix()
 
@@ -78,6 +93,9 @@ def _walk(root: Path) -> tuple[set, list, set, list]:
                 builders.add((rel, scope))
             if called in ("compile_program", "lower_trigger"):
                 compiling.add((rel, scope))
+            if called == "compiled_program" and (
+                    len(node.args) > 1 or node.keywords):
+                widening.add((rel, scope))
             receiver = getattr(node, "func", None)
             receiver = getattr(receiver, "value", None)
             if called == "record" and "counter" in (
@@ -93,11 +111,11 @@ def _walk(root: Path) -> tuple[set, list, set, list]:
                 visit(child, scope)
 
         visit(ast.parse(path.read_text()), "<module>")
-    return builders, stores, compiling, recording
+    return builders, stores, compiling, recording, widening
 
 
 def main() -> int:
-    builders, stores, compiling, _ = _walk(SRC)
+    builders, stores, compiling, _, widening = _walk(SRC)
     for rel, scope in sorted(builders):
         print(f"session constructor called in {rel}:{scope}")
     for rel, scope, line in stores:
@@ -105,12 +123,17 @@ def main() -> int:
     stray = sorted(compiling - COMPILERS)
     for rel, scope in stray:
         print(f"compiles or lowers a program itself: {rel}:{scope}")
+    wide = sorted(widening - WIDTH_GIVERS)
+    for rel, scope in wide:
+        print(f"compiles a program at a concrete width: {rel}:{scope}")
     by_hand = charges(SRC)
     for rel, line in by_hand:
         print(f"charges a counter by hand: {rel}:{line}")
-    ok = len(builders) == 1 and not stores and not stray and not by_hand
+    ok = (len(builders) == 1 and not stores and not stray and not wide
+          and not by_hand)
     print(f"{len(builders)} building function(s), {len(stores)} outside "
           f".plan assignment(s), {len(stray)} stray compiler(s), "
+          f"{len(wide)} width-giving compile(s), "
           f"{len(by_hand)} hand charge(s): {'ok' if ok else 'FAIL'}")
     return 0 if ok else 1
 
