@@ -2,15 +2,18 @@
 
 Paper (Octave, X = (n x n), Y = (n x 1)): INCR beats REEVAL by 3.6x at
 n = 4K growing to 11.5x at n = 20K — re-evaluation is dominated by the
-O(n^gamma) re-inversion while the Sherman–Morrison path stays O(n^2).
-Reproduced with square X at n in {128, 256, 512}.
+O(n^gamma) re-inversion while the Woodbury-maintained inverse stays
+O(n^2).  Reproduced with square X at n in {128, 256, 512}: one OLS
+session per strategy (``make_ols(..., plan=...)``), unbatched, timed
+per ``apply_update``.
 """
 
 import pytest
 
 from conftest import row_update
-from repro.analytics import IncrementalOLS, ReevalOLS
+from repro.analytics import make_ols
 from repro.bench import time_refresh_trimmed
+from repro.runtime import FactoredUpdate
 from repro.workloads import well_conditioned_design
 
 import numpy as np
@@ -19,13 +22,21 @@ SIZES = [128, 256, 512]
 PAPER = {4000: 3.6, 8000: 5.2, 10000: 6.3, 16000: 10.6, 20000: 11.5}
 
 
-def _model(strategy: str, n: int):
+class _Refresher:
+    """``refresh(u, v)`` as an update to the session's design ``X``."""
+
+    def __init__(self, session):
+        self.session = session
+
+    def refresh(self, u, v):
+        self.session.apply_update(FactoredUpdate("X", u, v))
+
+
+def _model(strategy: str, n: int) -> _Refresher:
     rng = np.random.default_rng(17)
     x = well_conditioned_design(rng, n, n, ridge=2.0)
     y = rng.standard_normal((n, 1))
-    if strategy == "REEVAL":
-        return ReevalOLS(x, y)
-    return IncrementalOLS(x, y)
+    return _Refresher(make_ols(x, y, plan=strategy.lower(), batch="off"))
 
 
 def _updates(n, count, scale=0.01):

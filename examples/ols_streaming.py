@@ -1,8 +1,9 @@
 """Streaming ordinary least squares (Section 5.1 / Fig. 3e).
 
 A regression model whose design matrix receives continuous row updates
-(e.g. measurements being corrected).  The incremental estimator
-maintains ``inv(X'X)`` with Sherman–Morrison steps instead of
+(e.g. measurements being corrected).  ``make_ols`` opens a session on
+the program ``Z := X'X; W := inv(Z); C := X'Y; beta := W C``; the
+incremental plan maintains ``inv(X'X)`` by a Woodbury step instead of
 re-inverting, keeping every refresh O(n^2 + mn).
 
 Run:  python examples/ols_streaming.py
@@ -12,8 +13,8 @@ import time
 
 import numpy as np
 
-from repro.analytics import ReevalOLS, make_ols
-from repro.workloads import regression_data, row_update_factors
+from repro.analytics import make_ols
+from repro.workloads import regression_data, update_stream
 
 
 def main() -> None:
@@ -21,31 +22,27 @@ def main() -> None:
     m, n = 600, 300
     x, y, beta_true = regression_data(rng, m, n, p=1, noise=0.05)
 
-    # make_ols routes through the planner: the Section 5.1 cost
-    # comparison picks incremental maintenance for this regime.
-    incr = make_ols(x, y)               # Example 4.3's maintenance plan
+    # make_ols asks the planner, which prices both strategies from the
+    # compiled program and picks incremental maintenance here.
+    incr = make_ols(x, y, batch="off")  # Example 4.3's maintenance plan
     print(f"planned OLS configuration: {incr.plan.label}")
-    reeval = ReevalOLS(x, y)            # rebuild-from-scratch baseline
+    reeval = make_ols(x, y, plan="reeval", batch="off")  # rebuild baseline
 
-    updates = list(row_update_factors(rng, m, n, count=20, scale=0.05))
+    updates = list(update_stream(rng, "X", m, n, count=20, scale=0.05))
 
-    start = time.perf_counter()
-    for u, v in updates:
-        incr.refresh(u, v)
-    incr_seconds = (time.perf_counter() - start) / len(updates)
-
-    start = time.perf_counter()
-    for u, v in updates:
-        reeval.refresh(u, v)
-    reeval_seconds = (time.perf_counter() - start) / len(updates)
+    seconds = {}
+    for name, session in (("incr", incr), ("reeval", reeval)):
+        start = time.perf_counter()
+        session.apply_updates(updates)
+        seconds[name] = (time.perf_counter() - start) / len(updates)
 
     print(f"OLS with X = ({m} x {n}), Y = ({m} x 1), {len(updates)} row updates")
-    print(f"  incremental refresh : {incr_seconds * 1e3:8.2f} ms/update")
-    print(f"  re-evaluation       : {reeval_seconds * 1e3:8.2f} ms/update")
-    print(f"  speedup             : {reeval_seconds / incr_seconds:8.1f}x")
+    print(f"  incremental refresh : {seconds['incr'] * 1e3:8.2f} ms/update")
+    print(f"  re-evaluation       : {seconds['reeval'] * 1e3:8.2f} ms/update")
+    print(f"  speedup             : {seconds['reeval'] / seconds['incr']:8.1f}x")
 
-    agreement = np.abs(incr.beta - reeval.beta).max()
-    fit = np.abs(incr.beta - beta_true).max()
+    agreement = np.abs(incr["beta"] - reeval["beta"]).max()
+    fit = np.abs(incr["beta"] - beta_true).max()
     print(f"  INCR vs REEVAL beta : {agreement:.2e}")
     print(f"  distance to truth   : {fit:.3f} (noise-limited)")
     print(f"  accumulated drift   : {incr.revalidate():.2e}")

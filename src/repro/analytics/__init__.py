@@ -6,10 +6,8 @@ from .._lazy import lazy_exports
 _EXPORTS = {
     "GradientDescentLR": "regression",
     "IncrementalExpm": "expm",
-    "IncrementalOLS": "ols",
     "IncrementalPageRank": "pagerank",
     "IncrementalPowerIteration": "power_iteration",
-    "QRIncrementalOLS": "ols",
     "KStepDistribution": "markov",
     "KStepTransitionMatrix": "markov",
     "ReachabilityIndex": "reachability",
@@ -19,7 +17,6 @@ _EXPORTS = {
     "make_ols": "ols",
     "neumann_coefficients": "expm",
     "random_walk_matrix": "markov",
-    "ReevalOLS": "ols",
     "reference_dominant_eigenpair": "power_iteration",
     "reference_gradient_descent": "regression",
     "reference_k_step": "markov",

@@ -26,12 +26,9 @@ class ProgramError(ValueError):
 
 
 class Statement:
-    """One assignment ``target := expr`` materializing a view.
+    """One assignment ``target := expr`` materializing a view."""
 
-    ``sources`` is the set of matrix names the expression reads.
-    """
-
-    __slots__ = ("target", "expr", "sources")
+    __slots__ = ("target", "expr")
 
     def __init__(self, target: MatrixSymbol, expr: Expr):
         if target.shape != expr.shape:
@@ -41,7 +38,6 @@ class Statement:
             )
         self.target = target
         self.expr = expr
-        self.sources = frozenset(s.name for s in matrix_symbols(expr))
 
     def __repr__(self) -> str:
         return f"{self.target.name} := {to_string(self.expr)};"

@@ -149,20 +149,6 @@ def general_hybrid_space(n: int, p: int, k: int, model: str,
     return general_incr_space(n, p, k, model, s)
 
 
-# --------------------------------------------------------------------------
-# OLS (Section 5.1)
-# --------------------------------------------------------------------------
-
-def ols_reeval_time(m: int, n: int, p: int = 1, gamma: float = 3.0) -> float:
-    """REEVAL OLS: re-inversion plus the dense products."""
-    return n**gamma + m * n * n + m * n * p + n * n * min(m, p)
-
-
-def ols_incr_time(m: int, n: int, p: int = 1) -> float:
-    """INCR OLS: ``O(n^2 + mn + np + mp)`` (Section 5.1)."""
-    return float(n * n + m * n + n * p + m * p)
-
-
 def fitted_exponent(xs: list[float], ys: list[float]) -> float:
     """Least-squares slope of ``log y`` against ``log x``.
 

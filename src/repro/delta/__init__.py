@@ -1,14 +1,19 @@
-"""Delta calculus: derivation, factored representation, incremental inverses.
+"""Delta calculus: derivation, factored representation, batching.
 
 This package implements Section 4 of the paper:
 
 * :mod:`~repro.delta.rules` — per-operator delta rules (4.1) with
-  common-factor extraction (4.3);
+  common-factor extraction (4.3), the Woodbury rule for ``inv``
+  among them;
 * :mod:`~repro.delta.factored` — the ``U @ V'`` factored form (4.2);
 * :mod:`~repro.delta.derivation` — ``ComputeDelta`` over whole
   expressions, the workhorse of Algorithm 1;
 * :mod:`~repro.delta.multi` — the sequential multi-update rule (4.4);
-* :mod:`~repro.delta.inverse` — numeric Sherman–Morrison / Woodbury.
+* :mod:`~repro.delta.batch` — QR+SVD compaction of stacked updates
+  (Table 4 batching).
+
+Numeric deltas are not computed here: a session runs the compiled
+triggers these rules derive (:mod:`repro.compiler`).
 """
 
 from .._lazy import lazy_exports
@@ -17,9 +22,6 @@ from .._lazy import lazy_exports
 _EXPORTS = {
     "BatchCollector": "batch",
     "FactoredDelta": "factored",
-    "QRView": "qr",
-    "SVDView": "svd",
-    "SingularUpdateError": "inverse",
     "UnsupportedDeltaError": "derivation",
     "compact_factors": "batch",
     "compact_updates": "batch",
@@ -30,14 +32,7 @@ _EXPORTS = {
     "delta_product": "rules",
     "delta_scalar_mul": "rules",
     "delta_transpose": "rules",
-    "qr_rank_one_update": "qr",
-    "sequential_sherman_morrison": "inverse",
-    "sherman_morrison_apply": "inverse",
-    "sherman_morrison_delta": "inverse",
     "stack_updates": "batch",
-    "svd_rank_one_update": "svd",
-    "woodbury_apply": "inverse",
-    "woodbury_delta": "inverse",
 }
 
 __all__ = list(_EXPORTS)

@@ -27,7 +27,6 @@ _EXPORTS = {
     "infer_dims": "planner",
     "resolve_distinct_fraction": "plan",
     "plan_general": "planner",
-    "plan_ols": "planner",
     "plan_powers": "planner",
     "plan_program": "planner",
     "program_cost": "programcost",

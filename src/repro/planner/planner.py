@@ -399,28 +399,9 @@ def plan_program(
     )[0]
 
 
-def plan_ols(m: int, n: int, p: int = 1, gamma: float = 3.0) -> MaintenancePlan:
-    """Cheapest plan for streaming OLS (Section 5.1).
-
-    OLS state (``X'X``, its inverse, ``beta``) is generically dense, so
-    the decision is the Section 5.1 INCR-vs-REEVAL comparison on the
-    dense closed forms; the backend axis stays dense.
-    """
-    from ..cost import complexity as cx
-
-    incr = cx.ols_incr_time(m, n, p)
-    reeval = cx.ols_reeval_time(m, n, p, gamma)
-    if incr <= reeval:
-        return MaintenancePlan(INCR, "linear", None, "dense", "interpret",
-                               incr, float(n * n * 2 + n * p + m * (n + p)))
-    return MaintenancePlan(REEVAL, "linear", None, "dense", "interpret",
-                           reeval, float(n * n * 2 + n * p + m * (n + p)))
-
-
 __all__ = [
     "CODEGEN_MIN_REFRESHES",
     "plan_general",
-    "plan_ols",
     "plan_powers",
     "plan_program",
     "rank_program",

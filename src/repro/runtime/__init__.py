@@ -40,6 +40,7 @@ _EXPORTS = {
     "SessionDriftMonitor": "drift",
     "SessionEngine": "serving",
     "ShardedSession": "session",
+    "SingularUpdateError": "updates",
     "Snapshot": "serving",
     "UnsupportedCombinationError": "session",
     "ViewServer": "serving",

@@ -376,7 +376,7 @@ def still_resolved(spec: DeferralSpec, cell, running, sketch=None,
 class DeferredRefresher:
     """Flush-on-read front end: a policy over a ``refresh(u, v)`` maintainer.
 
-    Analytics maintainers (pagerank, markov, OLS, expm, ...) expose
+    Analytics maintainers (pagerank, markov, expm, ...) expose
     ``refresh(u, v)``; this wrapper routes those updates through any
     deferral ``policy`` — the same objects sessions use.  Reads stay
     fresh: any attribute access that falls through to the wrapped
@@ -385,10 +385,9 @@ class DeferredRefresher:
     already issued.
 
     ``apply`` replaces ``maintainer.refresh`` as what a compacted
-    update is finally handed to (a maintainer's raw apply step, or a
-    rank-1 replay).  ``transpose=True`` keys the policy on the **right**
-    factor: drivers like
-    :class:`~repro.analytics.pagerank.IncrementalPageRank` issue
+    update is finally handed to (a maintainer's raw apply step).
+    ``transpose=True`` keys the policy on the **right** factor: drivers
+    like :class:`~repro.analytics.pagerank.IncrementalPageRank` issue
     ``refresh(delta, e_s)`` — a dense left factor times a source
     *column* indicator — so the repeated hot targets live in ``v``.
     The pending state then accumulates transposed and the factors swap

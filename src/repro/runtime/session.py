@@ -88,8 +88,8 @@ from ..compiler.compile import UPDATE_WIDTH, compile_program, compiled_program  
 from ..compiler.program import Program
 from ..cost import counters
 from .batching import DeferralSpec, resolve_deferral, still_resolved
-from .executor import evaluate, infer_dims
-from .updates import FactoredUpdate, InvalidUpdateError
+from .executor import EvaluationError, evaluate, infer_dims
+from .updates import FactoredUpdate, InvalidUpdateError, SingularUpdateError
 from .views import ViewStore
 from .workspace import Workspace
 
@@ -210,7 +210,10 @@ class Session:
         target view cannot absorb — are rejected with
         :class:`~repro.runtime.updates.InvalidUpdateError` *before* any
         view, batch or accumulator is touched, so a bad update never
-        poisons maintained state.
+        poisons maintained state.  One that would leave an ``inv`` view
+        singular raises
+        :class:`~repro.runtime.updates.SingularUpdateError` under either
+        strategy, with every input and view as it was.
         """
         self._validate_update(update)
         policy = self._deferral
@@ -477,17 +480,24 @@ class Session:
         return False
 
     # -- validation ------------------------------------------------------
-    def _materialize_all(self) -> None:
+    def _materialize_all(self, inputs: Mapping | None = None) -> None:
+        """Evaluate every statement, then store the results.
+
+        ``inputs`` maps input names to new values to evaluate against;
+        they are stored with the views.  Nothing is stored until every
+        statement has evaluated, so one that raises leaves the store as
+        it was.
+        """
+        env = {**self.views.as_env(), **(inputs or {})}
+        names = list(inputs or ())
         for stmt in self.program.statements:
-            value = evaluate(
-                stmt.expr,
-                self.views.as_env(),
-                dims=self.views.dims,
-                backend=self.backend,
-            )
-            # ``value`` is fresh unless the statement is a bare or
+            env[stmt.target.name] = evaluate(
+                stmt.expr, env, dims=self.views.dims, backend=self.backend)
+            names.append(stmt.target.name)
+        for name in names:
+            # A result is fresh unless its statement is a bare or
             # transposed reference; adopt() copies exactly those.
-            self.views.adopt(stmt.target.name, value, stmt.sources)
+            self.views.adopt(name, env[name])
 
     def rebuild(self) -> None:
         """Recompute every view from the current inputs, in place.
@@ -651,7 +661,14 @@ class IVMSession(Session):
         """
         fn = self._executors.get(update.target) or self._executor(
             update.target)
-        fn(self.views._arrays, update.u_block, update.v_block)
+        try:
+            fn(self.views._arrays, update.u_block, update.v_block)
+        except np.linalg.LinAlgError as exc:
+            # Only a Woodbury core's ``inv`` raises it, and the list
+            # evaluates every delta before it applies one.
+            raise SingularUpdateError(
+                f"update to {update.target!r} makes an inverse singular; "
+                f"no view changed ({exc})") from exc
 
 
 class ReevalSession(Session):
@@ -667,10 +684,22 @@ class ReevalSession(Session):
         """Apply the update to its input and re-evaluate every statement.
 
         This is where batching pays most: a width-``m`` batch costs one
-        compaction plus *one* re-evaluation instead of ``m``.
+        compaction plus *one* re-evaluation instead of ``m``.  The
+        update lands in a copy of the input, stored with the views once
+        they have all evaluated.
         """
-        self.views.add_outer(update.target, update.u_block, update.v_block)
-        self._materialize_all()
+        be = self.backend
+        updated = be.add_outer_inplace(
+            be.asarray(self.views.get(update.target), copy=True),
+            update.u_block, update.v_block)
+        try:
+            self._materialize_all({update.target: updated})
+        except EvaluationError as exc:
+            if not isinstance(exc.__cause__, np.linalg.LinAlgError):
+                raise
+            raise SingularUpdateError(
+                f"update to {update.target!r} makes an inverse singular; "
+                f"no input or view changed ({exc})") from exc
 
 
 class ShardedSession(IVMSession):

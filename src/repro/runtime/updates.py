@@ -16,7 +16,9 @@ Malformed updates are rejected with a typed :class:`InvalidUpdateError`
 boundary (:meth:`Session.apply_update
 <repro.runtime.session.Session.apply_update>`) for NaN/Inf entries and
 shapes the target view cannot absorb — before any view or accumulator
-is touched.
+is touched.  An update that leaves a maintained ``inv`` with no inverse
+raises :class:`SingularUpdateError`, again with every input and view as
+it was.
 """
 
 from __future__ import annotations
@@ -32,6 +34,17 @@ class InvalidUpdateError(ValueError):
     ``add_outer``) and for factor shapes no view could absorb, and at
     construction for factor widths that disagree.  Subclasses
     ``ValueError`` so pre-existing callers catching that still work.
+    """
+
+
+class SingularUpdateError(ValueError):
+    """A well-formed update that would make an ``inv`` view singular.
+
+    Raised by :meth:`Session.apply_update
+    <repro.runtime.session.Session.apply_update>` under either strategy
+    — INCR's Woodbury core or REEVAL's re-evaluated inverse has no
+    inverse — with every input and view left as it was, so the session
+    stays consistent and usable.
     """
 
 

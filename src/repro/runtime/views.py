@@ -97,7 +97,7 @@ class ViewStore:
             raise ValueError(f"view {name!r} must be 2-D, got ndim={arr.ndim}")
         self._arrays[name] = self.backend.asarray(arr)
 
-    def adopt(self, name: str, value: np.ndarray, sources=None) -> None:
+    def adopt(self, name: str, value: np.ndarray) -> None:
         """Store (or replace) a matrix the caller hands over for good.
 
         For freshly computed results (a statement just evaluated):
@@ -105,9 +105,9 @@ class ViewStore:
         Evaluating ``F := B`` or ``F := A'`` returns ``B``'s own array
         or a NumPy view of ``A``'s; those — and anything not in the
         canonical dense layout — are copied here, once, so no two names
-        ever accumulate into one buffer.  ``sources`` names the stored
-        matrices ``value`` was computed from, the only ones it can
-        alias; without it every stored name is checked.
+        ever accumulate into one buffer.  Every other stored name is
+        checked: a reference to a reference aliases what the first one
+        named.
         """
         if isinstance(value, np.ndarray):
             value = self.backend.asarray(value)
@@ -118,9 +118,7 @@ class ViewStore:
         )
         stored = self._arrays
         if not canonical or any(
-            _may_share(value, stored[key])
-            for key in (stored if sources is None else sources)
-            if key != name and key in stored
+            _may_share(value, stored[key]) for key in stored if key != name
         ):
             value = _private_copy(value)
         stored[name] = value

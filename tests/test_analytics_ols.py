@@ -1,80 +1,175 @@
-"""OLS analytics: incremental estimator vs re-evaluation and lstsq."""
+"""OLS analytics: the Section 5.1 program on a session, against
+re-evaluation and lstsq."""
 
 import numpy as np
 import pytest
 
-from repro.analytics import IncrementalOLS, ReevalOLS
+from repro.analytics import make_ols
 from repro.cost import Counter
-from repro.delta import SingularUpdateError
-from repro.workloads import regression_data, row_update_factors
+from repro.runtime import (FactoredUpdate, InvalidUpdateError,
+                           SingularUpdateError)
+from repro.workloads import regression_data, update_stream
+
+VIEWS = ("X", "Z", "W", "C", "beta")
+STRATEGIES = [("incr", "interpret"), ("incr", "codegen"),
+              ("reeval", "interpret")]
 
 
 def _updates(rng, m, n, count, scale=0.1):
-    return list(row_update_factors(rng, m, n, count, scale))
+    return list(update_stream(rng, "X", m, n, count, scale))
 
 
 class TestCorrectness:
     def test_initial_estimate_matches_lstsq(self, rng):
         x, y, _ = regression_data(rng, 30, 8, 2)
-        model = IncrementalOLS(x, y)
+        session = make_ols(x, y)
         expected = np.linalg.lstsq(x, y, rcond=None)[0]
-        np.testing.assert_allclose(model.beta, expected, atol=1e-8)
+        np.testing.assert_allclose(session["beta"], expected, atol=1e-8)
 
-    @pytest.mark.parametrize("method", ["sherman-morrison", "woodbury"])
-    def test_stream_matches_reeval(self, method, rng):
+    @pytest.mark.parametrize("mode", ["interpret", "codegen"])
+    def test_stream_matches_reeval(self, mode, rng):
         x, y, _ = regression_data(rng, 25, 7, 2)
-        incr = IncrementalOLS(x, y, method=method)
-        reeval = ReevalOLS(x, y)
-        for u, v in _updates(rng, 25, 7, 10):
-            incr.refresh(u, v)
-            reeval.refresh(u, v)
-        for attr in ("z", "w", "c", "beta"):
-            np.testing.assert_allclose(
-                getattr(incr, attr), getattr(reeval, attr),
-                rtol=1e-6, atol=1e-8, err_msg=attr,
-            )
+        incr = make_ols(x, y, plan="incr", mode=mode)
+        reeval = make_ols(x, y, plan="reeval")
+        updates = _updates(rng, 25, 7, 10)
+        incr.apply_updates(updates)
+        reeval.apply_updates(updates)
+        for name in ("Z", "W", "C", "beta"):
+            np.testing.assert_allclose(incr[name], reeval[name], rtol=1e-6,
+                                       atol=1e-8, err_msg=name)
 
     def test_recovers_true_parameters(self, rng):
         x, y, beta_true = regression_data(rng, 200, 5, 1, noise=0.001)
-        model = IncrementalOLS(x, y)
-        np.testing.assert_allclose(model.beta, beta_true, atol=0.01)
+        np.testing.assert_allclose(make_ols(x, y)["beta"], beta_true,
+                                   atol=0.01)
 
     def test_long_stream_drift_bounded(self, rng):
         x, y, _ = regression_data(rng, 30, 6, 1)
-        model = IncrementalOLS(x, y)
-        for u, v in _updates(rng, 30, 6, 100, scale=0.05):
-            model.refresh(u, v)
-        assert model.revalidate() < 1e-6
-
-    def test_methods_agree(self, rng):
-        x, y, _ = regression_data(rng, 20, 6, 1)
-        sm = IncrementalOLS(x, y, method="sherman-morrison")
-        wb = IncrementalOLS(x, y, method="woodbury")
-        for u, v in _updates(rng, 20, 6, 5):
-            sm.refresh(u, v)
-            wb.refresh(u, v)
-        np.testing.assert_allclose(sm.beta, wb.beta, rtol=1e-8)
-
-    def test_unknown_method_rejected(self, rng):
-        x, y, _ = regression_data(rng, 10, 4, 1)
-        with pytest.raises(ValueError, match="unknown method"):
-            IncrementalOLS(x, y, method="magic")
+        session = make_ols(x, y, plan="incr")
+        session.apply_updates(_updates(rng, 30, 6, 100, scale=0.05))
+        assert session.revalidate() < 1e-6
 
     def test_vector_y_normalized(self, rng):
         x, y, _ = regression_data(rng, 15, 5, 1)
-        model = IncrementalOLS(x, y.reshape(-1))
-        assert model.beta.shape == (5, 1)
+        assert make_ols(x, y.reshape(-1))["beta"].shape == (5, 1)
+
+    def test_sessions_share_one_compiled_program(self, rng):
+        x, y, _ = regression_data(rng, 12, 4, 1)
+        first = make_ols(x, y, plan="incr")
+        assert make_ols(x, y, plan="incr").compiled is first.compiled
+
+    @pytest.mark.parametrize("plan, mode", STRATEGIES)
+    def test_stream_tracks_lstsq(self, plan, mode, rng):
+        """After every update ``beta`` solves the current least squares
+        problem, several right-hand sides at once."""
+        x, y, _ = regression_data(rng, 20, 5, 3)
+        session = make_ols(x, y, plan=plan, mode=mode, batch="off")
+        for update in _updates(rng, 20, 5, 6):
+            session.apply_update(update)
+            x = x + update.dense()
+            np.testing.assert_allclose(
+                session["beta"], np.linalg.lstsq(x, y, rcond=None)[0],
+                rtol=1e-7, atol=1e-9)
+
+    def test_tall_design(self, rng):
+        x, y, _ = regression_data(rng, 300, 4, 1)
+        session = make_ols(x, y, plan="incr")
+        updates = _updates(rng, 300, 4, 5)
+        session.apply_updates(updates)
+        x = x + sum(update.dense() for update in updates)
+        np.testing.assert_allclose(session["beta"],
+                                   np.linalg.lstsq(x, y, rcond=None)[0],
+                                   rtol=1e-7, atol=1e-9)
+
+    @pytest.mark.parametrize("mode", ["interpret", "codegen"])
+    def test_response_update_tracks_lstsq(self, mode, rng):
+        """An update to ``Y`` moves ``C`` and ``beta`` but not ``W``."""
+        x, y, _ = regression_data(rng, 18, 4, 2)
+        session = make_ols(x, y, plan="incr", mode=mode, batch="off")
+        w = session["W"].copy()
+        update = FactoredUpdate("Y", rng.normal(size=(18, 1)),
+                                rng.normal(size=(2, 1)))
+        session.apply_update(update)
+        np.testing.assert_array_equal(session["W"], w)
+        np.testing.assert_allclose(
+            session["beta"],
+            np.linalg.lstsq(x, y + update.dense(), rcond=None)[0],
+            rtol=1e-7, atol=1e-9)
+
+    @pytest.mark.parametrize("mode", ["interpret", "codegen"])
+    def test_zero_update_leaves_estimate(self, mode, rng):
+        x, y, _ = regression_data(rng, 16, 4, 1)
+        session = make_ols(x, y, plan="incr", mode=mode, batch="off")
+        before = session["beta"].copy()
+        session.apply_update(FactoredUpdate("X", np.zeros((16, 1)),
+                                            rng.normal(size=(4, 1))))
+        np.testing.assert_array_equal(session["beta"], before)
+
+    def test_caller_arrays_not_mutated(self, rng):
+        x, y, _ = regression_data(rng, 16, 4, 1)
+        update = _updates(rng, 16, 4, 1)[0]
+        given = (x, y, update.u_block, update.v_block)
+        copies = [a.copy() for a in given]
+        make_ols(x, y, plan="incr", batch="off").apply_update(update)
+        for array, copy in zip(given, copies):
+            np.testing.assert_array_equal(array, copy)
+
+    @pytest.mark.parametrize("option", ["method", "strategy"])
+    def test_hand_maintainer_options_are_gone(self, option, rng):
+        x, y, _ = regression_data(rng, 12, 4, 1)
+        with pytest.raises(TypeError):
+            make_ols(x, y, **{option: "incr"})
 
 
 class TestSingularity:
-    def test_singular_update_raises(self):
+    @pytest.mark.parametrize("plan, mode", [
+        ("incr", "interpret"), ("incr", "codegen"), ("reeval", "interpret"),
+    ])
+    def test_singular_update_raises_and_changes_nothing(self, plan, mode):
         # X = I, update u = -e0, v = e0 zeroes the first row: X'X singular.
-        x = np.eye(4)
-        y = np.ones((4, 1))
-        model = IncrementalOLS(x, y)
-        e0 = np.zeros((4, 1)); e0[0, 0] = 1.0
+        session = make_ols(np.eye(4), np.ones((4, 1)), plan=plan, mode=mode,
+                           batch="off")
+        before = {name: session[name].copy() for name in VIEWS}
+        e0 = np.zeros((4, 1))
+        e0[0, 0] = 1.0
         with pytest.raises(SingularUpdateError):
-            model.refresh(-e0, e0)
+            session.apply_update(FactoredUpdate("X", -e0, e0))
+        for name in VIEWS:
+            np.testing.assert_array_equal(session[name], before[name],
+                                          err_msg=name)
+        assert session.update_count == 0
+        # The session stays usable.
+        session.apply_update(FactoredUpdate("X", e0, e0))
+        assert session.revalidate() < 1e-12
+
+    @pytest.mark.parametrize("plan, mode", STRATEGIES)
+    def test_singular_rank_two_update_changes_nothing(self, plan, mode):
+        # Zeroing two rows of X = I at once leaves X'X of rank 2.
+        session = make_ols(np.eye(4), np.ones((4, 1)), plan=plan, mode=mode,
+                           batch="off")
+        before = {name: session[name].copy() for name in VIEWS}
+        rows = np.eye(4)[:, :2]
+        with pytest.raises(SingularUpdateError):
+            session.apply_update(FactoredUpdate("X", -rows, rows))
+        for name in VIEWS:
+            np.testing.assert_array_equal(session[name], before[name],
+                                          err_msg=name)
+
+
+class TestRejection:
+    @pytest.mark.parametrize("u_rows, v_rows", [(5, 4), (6, 3)])
+    def test_misshapen_update_changes_nothing(self, u_rows, v_rows, rng):
+        x, y, _ = regression_data(rng, 6, 4, 1)
+        session = make_ols(x, y, plan="incr", batch="off")
+        before = {name: session[name].copy() for name in VIEWS}
+        with pytest.raises(InvalidUpdateError):
+            session.apply_update(FactoredUpdate(
+                "X", rng.normal(size=(u_rows, 1)),
+                rng.normal(size=(v_rows, 1))))
+        for name in VIEWS:
+            np.testing.assert_array_equal(session[name], before[name],
+                                          err_msg=name)
+        assert session.update_count == 0
 
 
 class TestCosts:
@@ -84,88 +179,19 @@ class TestCosts:
         for n in (16, 32, 64):
             rng = np.random.default_rng(0)
             x, y, _ = regression_data(rng, 2 * n, n, 1)
-            incr_counter, reeval_counter = Counter(), Counter()
-            incr = IncrementalOLS(x, y, counter=incr_counter)
-            reeval = ReevalOLS(x, y, counter=reeval_counter)
-            incr_counter.reset(); reeval_counter.reset()
-            u = 0.1 * rng.normal(size=(2 * n, 1))
-            v = 0.1 * rng.normal(size=(n, 1))
-            incr.refresh(u, v)
-            reeval.refresh(u, v)
-            flops[n] = (incr_counter.total_flops, reeval_counter.total_flops)
+            update = FactoredUpdate("X", 0.1 * rng.normal(size=(2 * n, 1)),
+                                    0.1 * rng.normal(size=(n, 1)))
+            totals = []
+            for plan in ("incr", "reeval"):
+                counter = Counter()
+                session = make_ols(x, y, plan=plan, batch="off",
+                                   counter=counter)
+                counter.reset()
+                session.apply_update(update)
+                totals.append(counter.total_flops)
+            flops[n] = totals
         incr_growth = flops[64][0] / flops[16][0]
         reeval_growth = flops[64][1] / flops[16][1]
         assert incr_growth < 25        # ~quadratic
         assert reeval_growth > 40      # ~cubic
         assert flops[64][1] > 10 * flops[64][0]
-
-    def test_memory_footprints_comparable(self, rng):
-        x, y, _ = regression_data(rng, 20, 8, 1)
-        incr = IncrementalOLS(x, y)
-        reeval = ReevalOLS(x, y)
-        assert incr.memory_bytes() == reeval.memory_bytes()
-
-
-class TestQRIncrementalOLS:
-    """The Section 4.2 QR hook applied to the Section 5.1 workload."""
-
-    def test_beta_matches_lstsq(self, rng):
-        from repro.analytics import QRIncrementalOLS
-
-        x = rng.normal(size=(20, 6))
-        y = rng.normal(size=20)
-        model = QRIncrementalOLS(x, y)
-        expected, *_ = np.linalg.lstsq(x, y.reshape(-1, 1), rcond=None)
-        np.testing.assert_allclose(model.beta, expected, atol=1e-9)
-
-    def test_tracks_update_stream(self, rng):
-        from repro.analytics import QRIncrementalOLS
-
-        x = rng.normal(size=(16, 5))
-        y = rng.normal(size=(16, 1))
-        model = QRIncrementalOLS(x, y)
-        for _ in range(20):
-            u = 0.1 * rng.normal(size=(16, 1))
-            v = 0.1 * rng.normal(size=(5, 1))
-            model.refresh(u, v)
-        assert model.revalidate() < 1e-8
-
-    def test_agrees_with_sherman_morrison_route(self, rng):
-        from repro.analytics import IncrementalOLS, QRIncrementalOLS
-        from repro.workloads import well_conditioned_design
-
-        n = 24
-        x = well_conditioned_design(rng, n, n, ridge=2.0)
-        y = rng.normal(size=(n, 1))
-        qr_model = QRIncrementalOLS(x, y)
-        sm_model = IncrementalOLS(x, y)
-        for seed in range(5):
-            gen = np.random.default_rng(seed)
-            u = np.zeros((n, 1))
-            u[gen.integers(n), 0] = 1.0
-            v = 0.01 * gen.standard_normal((n, 1))
-            qr_model.refresh(u, v)
-            sm_model.refresh(u, v)
-        np.testing.assert_allclose(qr_model.beta, sm_model.beta, atol=1e-6)
-
-    def test_survives_near_collinear_design(self, rng):
-        # Nearly collinear columns: X'X has condition ~1e16 and the
-        # normal-equation route loses all digits; unpivoted QR works on
-        # the original X (condition ~1e8) and keeps the residual optimal.
-        from repro.analytics import QRIncrementalOLS
-
-        base = rng.normal(size=12)
-        x = np.column_stack([base, base + 1e-8 * rng.normal(size=12),
-                             rng.normal(size=12)])
-        y = rng.normal(size=(12, 1))
-        model = QRIncrementalOLS(x, y)
-        residual = np.linalg.norm(x @ model.beta - y)
-        expected, *_ = np.linalg.lstsq(x, y, rcond=None)
-        assert residual <= np.linalg.norm(x @ expected - y) * (1 + 1e-6)
-
-    def test_memory_accounts_square_q(self, rng):
-        from repro.analytics import QRIncrementalOLS
-
-        model = QRIncrementalOLS(rng.normal(size=(10, 4)), rng.normal(size=10))
-        # Full Q (m x m) + R (m x n) + y.
-        assert model.memory_bytes() == (10 * 10 + 10 * 4 + 10) * 8

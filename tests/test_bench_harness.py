@@ -142,13 +142,12 @@ class TestTimeRefreshTrimmed:
     def test_result_positive_and_finite(self):
         import numpy as np
 
-        from repro.analytics import IncrementalOLS
         from repro.bench import time_refresh_trimmed
-        from repro.workloads import well_conditioned_design
+        from repro.iterative import IncrementalPowers, Model
 
         rng = np.random.default_rng(1)
-        x = well_conditioned_design(rng, 16, 16, ridge=2.0)
-        model = IncrementalOLS(x, rng.normal(size=(16, 1)))
+        a = 0.2 * rng.normal(size=(16, 16)) / 4.0
+        model = IncrementalPowers(a, 4, Model.linear())
         updates = []
         for seed in range(12):
             gen = np.random.default_rng(seed)

@@ -150,8 +150,23 @@ class TestComplexityFormulas:
         assert complexity.powers_incr_space(n, k, "linear") == n * n * k
         assert complexity.powers_incr_space(n, k, "exponential") == n * n * 4
 
-    def test_ols_formulas(self):
-        assert complexity.ols_incr_time(100, 50) < complexity.ols_reeval_time(100, 50)
+    def test_ols_program_incr_priced_below_reeval(self):
+        """Section 5.1 priced from the compiled OLS program: INCR's
+        refresh is ``O(n^2 + mn)`` against REEVAL's ``O(n^3 + mn^2)``."""
+        from repro.analytics.ols import OLS_PROGRAM
+        from repro.backends.dense import DenseBackend
+        from repro.planner.programcost import program_cost
+
+        be = DenseBackend()
+        ratios = []
+        for n in (50, 100, 200):
+            dims = {"m": 2 * n, "n": n, "p": 1}
+            incr, reeval = (program_cost(be, strategy, OLS_PROGRAM, dims,
+                                         {}).refresh
+                            for strategy in ("INCR", "REEVAL"))
+            assert incr < reeval
+            ratios.append(reeval / incr)
+        assert ratios == sorted(ratios)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -18,6 +18,9 @@ one call, as in the end-to-end tracer's ``backend.kernel_calls_per_update``.
   kernel) of the chain in both modes, of REEVAL on it, and of the
   iterative powers maintainer running the same algebra — with the
   chain's per-update FLOPs as exact polynomials in ``n``;
+* the Section 5.1 OLS program (:func:`~repro.analytics.make_ols`):
+  its FLOP ledger per row update under INCR in both modes and under
+  REEVAL;
 * the planner's INCR price read off the same lists
   (:func:`~repro.planner.programcost.refresh_ledger`): on the dense
   backend its predicted calls and FLOPs per update are the ledger's.
@@ -30,6 +33,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.analytics import make_ols
+from repro.analytics.ols import OLS_SOURCE
 from repro.backends.dense import DenseBackend
 from repro.catalog import ViewCatalog
 from repro.cost.counters import NULL_COUNTER, counted, uncounted
@@ -38,7 +43,7 @@ from repro.distributed import LocalShardEngine, RowShardPartitioner, ShardBacken
 from repro.frontend import parse_program
 from repro.planner import MaintenancePlan
 from repro.planner.programcost import program_cost, refresh_ledger
-from repro.runtime import FactoredUpdate, ShardedSession
+from repro.runtime import FactoredUpdate, ShardedSession, resolve_dim
 from repro.runtime.session import build_session, open_session
 from stream_helpers import ITERATIVE
 
@@ -60,7 +65,20 @@ TABLE = {
     "sharded_chain": {"messages": 22, "bytes": 745_472},
     "sparse_pagerank": {"cells": 15, "plan": "REEVAL-LIN@sparse/interpret"},
     "chain_reeval": {"by_kernel": {"add_outer_inplace": 1, "matmul_into": 2}},
+    # OLS at OLS_DIMS: dZ's two outer products, one rank-2 Woodbury step
+    # on W (its 2 x 2 core is the one ``inv``), dC and dbeta, then five
+    # applies; REEVAL applies to X and runs three products and ``inv``.
+    "ols": {"calls": 27, "flops": 102_500,
+            "by_kernel": {"matmul_into": 13, "add_into": 3, "hstack_into": 4,
+                          "inv": 1, "scale_into": 1,
+                          "add_outer_inplace": 5}},
+    "ols_reeval": {"flops": 1_475_200,
+                   "by_kernel": {"add_outer_inplace": 1, "matmul_into": 3,
+                                 "inv": 1}},
 }
+
+#: The OLS design ``X (m x n)`` and response ``Y (m x p)``.
+OLS_DIMS = {"m": 400, "n": 40, "p": 1}
 
 #: The chain's FLOPs per rank-1 update, as integer coefficients of a
 #: polynomial in ``n`` (highest degree first).  INCR: three rank-1, -2
@@ -299,6 +317,35 @@ class TestMaintainerLedger:
                 == [entry[:2] for entry in by_session])
 
 
+class TestOLSLedger:
+    """``make_ols`` charges the ledger of the program it opens."""
+
+    @staticmethod
+    def _ledgers(plan: str, mode: str = "interpret") -> list[tuple]:
+        rng = np.random.default_rng([10, *OLS_DIMS.values()])
+        m, n, p = OLS_DIMS.values()
+        ledger = Ledger()
+        session = make_ols(rng.standard_normal((m, n)),
+                           rng.standard_normal((m, p)), plan=plan, mode=mode,
+                           batch="off", counter=ledger)
+        updates = [FactoredUpdate("X", rng.standard_normal((m, 1)),
+                                  0.01 * rng.standard_normal((n, 1)))
+                   for _ in range(UPDATES)]
+        return _ledgers(ledger, session.apply_update, updates)
+
+    @pytest.mark.parametrize("mode", ["interpret", "codegen"])
+    def test_incr_calls_and_flops_per_update(self, mode):
+        for calls, flops, _ in self._ledgers("incr", mode):
+            assert calls == TABLE["ols"]["by_kernel"]
+            assert sum(calls.values()) == TABLE["ols"]["calls"]
+            assert sum(flops.values()) == TABLE["ols"]["flops"]
+
+    def test_reeval_calls_and_flops_per_update(self):
+        for calls, flops, _ in self._ledgers("reeval"):
+            assert calls == TABLE["ols_reeval"]["by_kernel"]
+            assert sum(flops.values()) == TABLE["ols_reeval"]["flops"]
+
+
 class TestSparsePageRank:
     N = 64
 
@@ -330,27 +377,34 @@ class TestPricedLedger:
     and FLOPs per update equal a counted session's, with no tolerance."""
 
     @staticmethod
-    def _assert_priced_as_charged(source: str, n: int, width: int,
-                                  mode: str) -> None:
+    def _assert_priced_as_charged(source: str, dims: dict, width: int,
+                                  mode: str, target: str = "A") -> None:
+        """``target`` takes one width-``width`` update; every input is
+        shaped by its declaration under ``dims``."""
         program = parse_program(source)
-        rng = np.random.default_rng([9, n, width])
-        inputs = {name: 0.2 * rng.standard_normal((n, n)) / np.sqrt(n)
-                  for name in program.input_names}
+        rng = np.random.default_rng([9, *dims.values(), width])
+        shapes = {sym.name: (resolve_dim(sym.shape.rows, dims),
+                             resolve_dim(sym.shape.cols, dims))
+                  for sym in program.inputs}
+        inputs = {name: 0.2 * rng.standard_normal(shape) / np.sqrt(shape[1])
+                  for name, shape in shapes.items()}
         ledger = Ledger()
-        session = open_session(program, inputs, dims={"n": n}, plan="incr",
+        session = open_session(program, inputs, dims=dims, plan="incr",
                                mode=mode, rank=width, batch="off",
                                counter=ledger)
-        update = FactoredUpdate("A", 0.01 * rng.standard_normal((n, width)),
-                                rng.standard_normal((n, width)))
+        rows, cols = shapes[target]
+        update = FactoredUpdate(target,
+                                0.01 * rng.standard_normal((rows, width)),
+                                rng.standard_normal((cols, width)))
         ledger.reset()
         session.apply_update(update)
         be = DenseBackend()
-        calls, flops = refresh_ledger(be, program, {"n": n}, {}, rank=width)
+        calls, flops = refresh_ledger(be, program, dims, {}, rank=width)
         assert calls == ledger.calls_by_op
         assert flops == ledger.flops_by_op
         # The INCR cell's refresh is that ledger plus one call overhead
         # per kernel call.
-        assert program_cost(be, "INCR", program, {"n": n}, {},
+        assert program_cost(be, "INCR", program, dims, {},
                             rank=width).refresh == (
             sum(flops.values())
             + sum(calls.values()) * be.est_call_overhead(inplace=True))
@@ -359,13 +413,18 @@ class TestPricedLedger:
     @pytest.mark.parametrize("width", [1, 3])
     @pytest.mark.parametrize("n", [32, 64, 128])
     def test_chain(self, n, width, mode):
-        self._assert_priced_as_charged(CHAIN_SRC, n, width, mode)
+        self._assert_priced_as_charged(CHAIN_SRC, {"n": n}, width, mode)
 
     @pytest.mark.parametrize("mode", ["interpret", "codegen"])
     @pytest.mark.parametrize("family", [*ITERATIVE, "catalog_tenants"])
     def test_program_at_n_32(self, family, mode):
         source = ITERATIVE.get(family) or tenant_source(0)
-        self._assert_priced_as_charged(source, 32, 1, mode)
+        self._assert_priced_as_charged(source, {"n": 32}, 1, mode)
+
+    @pytest.mark.parametrize("mode", ["interpret", "codegen"])
+    def test_ols(self, mode):
+        self._assert_priced_as_charged(OLS_SOURCE, OLS_DIMS, 1, mode,
+                                       target="X")
 
     def test_chain_polynomial(self):
         calls, flops = refresh_ledger(DenseBackend(),

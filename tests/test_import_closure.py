@@ -166,17 +166,17 @@ def test_nothing_loads_after_the_workload_is_open(workload):
 
 
 LAZY_PACKAGES = [
-    ("repro.runtime", 48, "IVMSession"),
+    ("repro.runtime", 49, "IVMSession"),
     ("repro.distributed", 15, "CommLog"),
     ("repro.expr", 42, "MatMul"),
-    ("repro.delta", 23, "FactoredDelta"),
+    ("repro.delta", 13, "FactoredDelta"),
     ("repro.compiler", 20, "Program"),
     ("repro.compiler.codegen", 7, "LoweredTrigger"),
     ("repro.cost", 17, "Counter"),
     ("repro.frontend", 7, "Parser"),
     ("repro.iterative", 17, "Model"),
-    ("repro.analytics", 24, "IncrementalOLS"),
-    ("repro.planner", 16, "MaintenancePlan"),
+    ("repro.analytics", 21, "make_ols"),
+    ("repro.planner", 15, "MaintenancePlan"),
     ("repro.backends", 7, "DenseBackend"),
     ("repro.testing", 8, "FaultInjector"),
     ("repro.bench", 8, "Series"),

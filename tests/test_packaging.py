@@ -72,7 +72,7 @@ def test_programs_are_compiled_at_one_width():
 
 def test_counters_are_charged_by_the_kernels_only():
     """docs/invariants.md, "One FLOP ledger": no ``counter.record`` call
-    sits outside ``cost/counters.py`` and OLS's raw-NumPy steps."""
+    sits outside ``cost/counters.py``."""
     tool = PYPROJECT.parent / "tools" / "check_one_builder.py"
     spec = importlib.util.spec_from_file_location("check_one_builder", tool)
     module = importlib.util.module_from_spec(spec)

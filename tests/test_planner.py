@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analytics import IncrementalOLS, make_ols
+from repro.analytics import make_ols
 from repro.frontend import parse_program
 from repro.iterative import make_general, make_powers
 from repro.planner import (
@@ -461,15 +461,26 @@ class TestSessionDrift:
 
 
 class TestDriverRouting:
-    def test_make_ols_auto_routes_incremental(self, rng):
-        x = rng.normal(size=(60, 20))
-        x[:20] += 0.5 * np.eye(20)
-        y = rng.normal(size=(60, 1))
-        model = make_ols(x, y)
-        assert isinstance(model, IncrementalOLS)
-        assert model.plan is not None and model.plan.strategy == "INCR"
-        model.refresh(rng.normal(size=(60, 1)), 0.01 * rng.normal(size=(20, 1)))
-        assert model.revalidate() < 1e-6
+    @pytest.mark.parametrize("m, n, label", [
+        (600, 300, "INCR-LIN@dense/codegen"),
+        (60, 20, "REEVAL-LIN@dense/interpret"),
+    ])
+    def test_make_ols_opens_the_planners_first_cell(self, rng, m, n, label):
+        """``make_ols`` plans the OLS program like any other: INCR at the
+        example's 600 x 300; REEVAL at 60 x 20, where five kernel calls
+        an update are priced (and measure) below INCR's 27."""
+        from repro.analytics.ols import OLS_PROGRAM
+
+        x = rng.normal(size=(m, n))
+        x[:n] += 0.5 * np.eye(n)
+        y = rng.normal(size=(m, 1))
+        session = make_ols(x, y)
+        assert session.plan == plan_program(
+            OLS_PROGRAM, {"X": x, "Y": y}, stats=WorkloadStats(n=1))
+        assert session.plan.label == label
+        session.apply_update(FactoredUpdate(
+            "X", rng.normal(size=(m, 1)), 0.01 * rng.normal(size=(n, 1))))
+        assert session.revalidate() < 1e-6
 
     def test_pagerank_auto(self, rng):
         from repro.analytics import IncrementalPageRank

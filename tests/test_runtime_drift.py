@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.analytics import IncrementalOLS
+from repro.analytics import make_ols
 from repro.iterative import Model, make_sums
+from repro.runtime import FactoredUpdate
 from repro.runtime.drift import DriftExceededError, DriftMonitor, DriftReport
 from repro.workloads import well_conditioned_design
 
@@ -202,39 +203,36 @@ class TestGenuineDrift:
 
 
 class TestWithRealMaintainer:
+    """The Section 5.1 OLS program, monitored through ``make_ols``."""
+
+    @staticmethod
+    def _stream(n, count, seed):
+        return [FactoredUpdate("X", u, v)
+                for u, v in updates(n, count, seed=seed)]
+
     def test_ols_stays_within_tolerance(self, rng):
         n = 48
         x = well_conditioned_design(rng, n, n, ridge=2.0)
         y = rng.standard_normal((n, 1))
-        monitor = DriftMonitor(IncrementalOLS(x, y), check_every=25,
-                               tolerance=1e-6)
-        for u, v in updates(n, 100, seed=3):
-            monitor.refresh(u, v)
+        monitor = make_ols(x, y, plan="incr", batch="off",
+                           drift={"check_every": 25, "tolerance": 1e-6})
+        monitor.apply_updates(self._stream(n, 100, seed=3))
         assert len(monitor.reports) == 4
         assert all(r.drift < 1e-6 for r in monitor.reports)
 
     def test_ols_rebuild_policy_end_to_end(self, rng):
         # A tolerance so tight that any float noise trips it: the
-        # monitor must rebuild (fresh model from the *maintained* X/Y)
-        # and keep serving.
+        # monitor must rebuild (every view re-evaluated from the
+        # maintained X/Y) and keep serving.
         n = 32
         x = well_conditioned_design(rng, n, n, ridge=2.0)
         y = rng.standard_normal((n, 1))
-        holder = {}
-        holder["model"] = IncrementalOLS(x, y)
-
-        def rebuild():
-            current = holder["model"]
-            holder["model"] = IncrementalOLS(current.x, current.y)
-            return holder["model"]
-
-        monitor = DriftMonitor(holder["model"], check_every=10,
-                               tolerance=1e-16, action="rebuild",
-                               rebuild=rebuild)
-        for u, v in updates(n, 40, seed=5):
-            monitor.refresh(u, v)
+        monitor = make_ols(x, y, plan="incr", batch="off",
+                           drift={"check_every": 10, "tolerance": 1e-16,
+                                  "action": "rebuild"})
+        monitor.apply_updates(self._stream(n, 40, seed=5))
         assert monitor.rebuild_count >= 1
         # After rebuilding, the served beta matches ground truth.
-        model = monitor.maintainer
-        expected = np.linalg.solve(model.x.T @ model.x, model.x.T @ model.y)
-        np.testing.assert_allclose(model.beta, expected, atol=1e-6)
+        x, y = monitor["X"], monitor["Y"]
+        expected = np.linalg.solve(x.T @ x, x.T @ y)
+        np.testing.assert_allclose(monitor["beta"], expected, atol=1e-6)

@@ -175,15 +175,31 @@ class TestOwnership:
         store.add_outer("A", np.ones((4, 1)), np.ones((4, 1)))
         np.testing.assert_array_equal(store.get("F"), want)
 
-    def test_adopt_checks_only_the_named_sources(self, rng):
+    def test_adopt_checks_every_stored_name(self, rng):
         store = ViewStore()
         store.set("A", rng.normal(size=(4, 4)))
         store.set("B", rng.normal(size=(4, 4)))
-        store.adopt("F", store.get("A"), sources={"A", "missing"})
+        store.adopt("F", store.get("B").T)
         assert_exclusive(store)
         fresh = store.get("A") @ store.get("B")
-        store.adopt("G", fresh, sources={"A", "B"})
+        store.adopt("G", fresh)
         assert store.get("G") is fresh
+
+    @pytest.mark.parametrize("session_cls", [IVMSession, ReevalSession])
+    def test_reference_chain_views_stay_private(self, rng, session_cls):
+        """``B := A; C := B'`` evaluate to arrays of ``A``'s; each view
+        gets its own buffer and follows ``A`` through an update."""
+        program = parse_program("input A(n,n); B := A; C := B'; output C;")
+        a = rng.normal(size=(4, 4))
+        session = session_cls(program, {"A": a})
+        assert_exclusive(session.views, foreign=[("a", a)])
+        update = FactoredUpdate("A", rng.normal(size=(4, 1)),
+                                rng.normal(size=(4, 1)))
+        session.apply_update(update)
+        assert_exclusive(session.views, foreign=[("a", a)])
+        want = a + update.dense()
+        np.testing.assert_allclose(session["B"], want)
+        np.testing.assert_allclose(session["C"], want.T)
 
     def test_same_backend_with_plan_hands_the_store_over(self, rng):
         program = parse_program("input A(n,n); B := A * A; output B;")

@@ -14,11 +14,11 @@ artifact per program": ``compiled_program`` compiles at a symbolic
 update width that sessions and the planner bind like any dimension, so
 a caller handing it a width builds a second artifact of the same
 program; only :data:`WIDTH_GIVERS` (``repro compile``, which prints
-shapes at ``--rank``) may.  "One FLOP ledger": the backend kernels charge a counter, through
-``cost.counters.counted``; a ``counter.record(...)`` anywhere else is a
-second charge table that the kernels' ledger would drift from.  Only
-:data:`CHARGERS` record by hand (OLS's raw-NumPy Sherman-Morrison and
-Woodbury steps run on no backend).  AST-based — nothing is imported.
+shapes at ``--rank``) may.  "One FLOP ledger": the backend kernels
+charge a counter, through ``cost.counters.counted``; a
+``counter.record(...)`` anywhere else is a second charge table that
+the kernels' ledger would drift from, so only :data:`CHARGERS` — the
+counter module itself — records.  AST-based — nothing is imported.
 
 Usage::
 
@@ -39,8 +39,6 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 SESSIONS = {"IVMSession", "ReevalSession", "ShardedSession"}
-#: ``make_ols`` labels the OLS *maintainer* it returns (not a session).
-NOT_A_SESSION = {("analytics/ols.py", "make_ols")}
 #: The functions that may run Algorithm 1 or the lowering themselves:
 #: the memoized artifact and its lazy lowering.
 COMPILERS = {
@@ -50,7 +48,7 @@ COMPILERS = {
 #: The functions that may ask ``compiled_program`` for a concrete width.
 WIDTH_GIVERS = {("cli.py", "_run_compile")}
 #: The files that may call ``counter.record`` themselves.
-CHARGERS = {"cost/counters.py", "analytics/ols.py"}
+CHARGERS = {"cost/counters.py"}
 
 
 def findings(root: Path = SRC) -> tuple[set, list]:
@@ -104,8 +102,7 @@ def _walk(root: Path) -> tuple[set, list, set, list, set]:
                 recording.append((rel, node.lineno))
             if (isinstance(node, ast.Attribute) and node.attr == "plan"
                     and isinstance(node.ctx, ast.Store)
-                    and getattr(node.value, "id", None) != "self"
-                    and (rel, scope) not in NOT_A_SESSION):
+                    and getattr(node.value, "id", None) != "self"):
                 stores.append((rel, scope, node.lineno))
             for child in ast.iter_child_nodes(node):
                 visit(child, scope)
