@@ -256,26 +256,25 @@ class Backend(ABC):
             return self.est_call_overhead_flops * self.est_inplace_discount
         return self.est_call_overhead_flops
 
-    def est_broadcast(self, nbytes: float, nodes: int) -> float:
+    def est_broadcast(self, nbytes: float, remote: int) -> float:
         """Predicted cost (dense-FLOP equivalents) of broadcasting
-        ``nbytes`` from the coordinator to each of ``nodes`` workers.
+        ``nbytes`` from the coordinator to each of ``remote`` workers.
 
         Over pipes every worker receives its own copy, so both the
-        per-message overhead and the bytes scale with the node count.
-        Zero at ``nodes <= 1``: single-process execution ships nothing.
+        per-message overhead and the bytes scale with the worker count.
+        Zero at ``remote < 1``: a node in this process ships nothing.
         """
-        if nodes <= 1:
+        if remote < 1:
             return 0.0
-        return nodes * (self.est_ipc_call_flops
-                        + nbytes * self.est_ipc_flops_per_byte)
+        return remote * (self.est_ipc_call_flops
+                         + nbytes * self.est_ipc_flops_per_byte)
 
-    def est_shuffle(self, nbytes: float, nodes: int) -> float:
-        """Predicted cost of redistributing/gathering ``nbytes`` total
-        across ``nodes`` workers (each byte crosses a pipe once; one
-        message per worker)."""
-        if nodes <= 1:
+    def est_shuffle(self, nbytes: float, remote: int) -> float:
+        """Predicted cost of gathering ``nbytes`` total from ``remote``
+        workers (each byte crosses a pipe once; one message per worker)."""
+        if remote < 1:
             return 0.0
-        return (nodes * self.est_ipc_call_flops
+        return (remote * self.est_ipc_call_flops
                 + nbytes * self.est_ipc_flops_per_byte)
 
     def est_stored_density(self, rows: int, cols: int, density: float) -> float:

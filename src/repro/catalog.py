@@ -56,7 +56,7 @@ from .expr import Expr, MatrixSymbol, matrix_symbols, structural_key, substitute
 from .runtime.executor import evaluate
 from .runtime.serving import SessionEngine, ViewServer
 from .runtime.session import build_session
-from .runtime.updates import FactoredUpdate
+from .runtime.updates import FactoredUpdate, validate_finite_inputs
 from .runtime.views import ViewStore
 
 #: Name prefix of internal DAG node symbols.  Tenant programs parsed by
@@ -282,6 +282,7 @@ class ViewCatalog:
             if sym.name not in inputs:
                 raise CatalogError(
                     f"missing initial value for new input {sym.name!r}")
+            validate_finite_inputs(inputs, [sym.name])
             self._store.set(sym.name, inputs[sym.name])
             self._input_syms[sym.name] = sym
             dirty = True

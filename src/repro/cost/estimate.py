@@ -460,17 +460,19 @@ def sharded_refresh_cost(
     nodes: int,
 ) -> float:
     """Per-refresh cost (dense-FLOP equivalents) of the factored chain
-    refresh executed on ``nodes`` shared-memory workers.
+    refresh executed on ``nodes`` shard nodes: the coordinator (node 0)
+    and ``nodes - 1`` shared-memory workers.
 
     The compute term is an Amdahl split of the single-process refresh
     (``base_refresh``): the big per-tile dgemms divide across nodes,
     the thin coordinator-side algebra does not.  The comm term prices
-    what the real engine actually ships per refresh — per statement,
-    two thin-factor broadcasts, one gathered ``view @ u`` and one
-    ``(n, k)`` ``view.T @ v`` partial per row tile; per view, one
-    stacked factor-pair broadcast whose width roughly doubles along the
-    chain — through the backend's fitted IPC hooks
-    (:meth:`est_broadcast` / :meth:`est_shuffle`).
+    what the real engine ships to and from the remote nodes per refresh
+    — per statement, two products, each broadcasting a thin factor and
+    gathering the remote rows of ``view @ u`` or one ``(n, k)``
+    ``view.T @ v`` partial per remote row tile; per view, one apply of a
+    stacked factor pair whose width roughly doubles along the chain —
+    through the backend's IPC hooks, one message per remote node per
+    roundtrip (:meth:`est_broadcast` / :meth:`est_shuffle`).
     """
     if nodes <= 1:
         return float(base_refresh)
@@ -481,10 +483,13 @@ def sharded_refresh_cost(
     )
     factor_bytes = 8.0 * n * max(rank, 1)
     n_tiles = ceil(n / RowShardPartitioner.DEFAULT_TILE_ROWS)
+    remote = nodes - 1
+    products, roundtrips = 2 * n_statements, 3 * n_statements + 1
     broadcast_bytes = (4.0 * n_statements + 2.0) * factor_bytes
-    gather_bytes = (1.0 + n_tiles) * n_statements * factor_bytes
-    comm = (be.est_broadcast(broadcast_bytes, nodes)
-            + be.est_shuffle(gather_bytes, nodes))
+    gather_bytes = ((1.0 + n_tiles) * n_statements * factor_bytes
+                    * remote / nodes)
+    comm = (roundtrips * be.est_broadcast(broadcast_bytes / roundtrips, remote)
+            + products * be.est_shuffle(gather_bytes / products, remote))
     return float(compute + comm)
 
 

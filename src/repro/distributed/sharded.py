@@ -4,9 +4,10 @@ Two engines expose the same operations (``add_lowrank``,
 ``mat_lowrank``, ``matT_lowrank``) over views stored under names:
 
 * :class:`ShardedEngine` — real multiprocess execution: views live in
-  shared-memory segments, each :class:`~repro.distributed.workers.ProcessCluster`
-  worker runs the per-tile kernels on its shard, factors move over
-  pipes and are measured in ``engine.comm``.
+  shared-memory segments, every node of a
+  :class:`~repro.distributed.workers.ProcessCluster` (node 0 is the
+  coordinator) runs the per-tile kernels on its shard, factors move
+  over pipes to the other nodes and are measured in ``engine.comm``.
 * :class:`LocalShardEngine` — the single-process reference: identical
   per-tile kernels over the identical tile decomposition, in one
   process.  Because both engines execute the same kernel calls and sum
@@ -15,10 +16,10 @@ Two engines expose the same operations (``add_lowrank``,
   suite asserts.
 
 Both keep an ``engine.model`` ledger of what the planner's comm model
-*predicts* each op ships over the partitioner's ``nodes`` — the same
-events on either engine — so tests assert modeled-vs-measured
-agreement on the workers, and the node-count reports price clusters no
-box can spawn on the in-process engine.
+*predicts* each op ships to the partitioner's ``nodes - 1`` remote
+nodes — the same events on either engine — so tests assert
+modeled-vs-measured agreement on the workers, and the node-count
+reports price clusters no box can spawn on the in-process engine.
 
 :class:`ShardBackend` puts either engine behind the
 :class:`~repro.backends.base.Backend` kernel API: a trigger's lowered list
@@ -40,14 +41,7 @@ from ..backends import DenseBackend
 from ..runtime.workspace import Workspace
 from .comm import BROADCAST, GATHER, CommLog
 from .partitioner import RowShardPartitioner
-from .workers import (
-    DEFAULT_TIMEOUT,
-    ProcessCluster,
-    lease_tile_stage,
-    tile_add_lowrank,
-    tile_matT_lowrank,
-    tile_mat_lowrank,
-)
+from .workers import DEFAULT_TIMEOUT, ProcessCluster, _execute
 
 
 def _factor(x: np.ndarray) -> np.ndarray:
@@ -59,7 +53,8 @@ def _factor(x: np.ndarray) -> np.ndarray:
 
 
 class _ShardEngine:
-    """What both engines share: the tile layout and its traffic ledgers.
+    """What both engines share: the tile layout, its traffic ledgers and
+    the three ops, each one :meth:`_run` of a tile op over every node.
 
     ``model`` records what the planner's comm model predicts each op
     ships over ``part`` — its node count, its tiles — so the in-process
@@ -73,26 +68,56 @@ class _ShardEngine:
         self.model = CommLog()
 
     def _model(self, op: str, *factors: np.ndarray) -> None:
-        """Record ``op``'s modeled traffic: its factors broadcast to every
-        node, then — for a product — the thin result gathered, one
-        ``(n, k)`` partial per row tile under ``matT_lowrank``."""
-        nodes = self.part.nodes
-        self.model.record(BROADCAST, op, sum(f.nbytes for f in factors) * nodes,
-                          messages=nodes)
+        """Record ``op``'s modeled traffic: its factors broadcast to the
+        remote nodes (node 0 is the coordinator), then — for a product —
+        their share of the thin result gathered: their rows of ``view @
+        u``, one ``(n, k)`` partial per tile they own under ``matT``."""
+        part, remote = self.part, self.part.nodes - 1
+        self.model.record(BROADCAST, op, sum(f.nbytes for f in factors) * remote,
+                          messages=remote)
         if op != "add_lowrank":
-            tiles = self.part.n_tiles if op == "matT_lowrank" else 1
-            self.model.record(GATHER, op,
-                              tiles * self.part.n * factors[0].shape[1] * 8,
-                              messages=nodes)
+            rows = (part.n * (part.n_tiles - len(part.shards[0]))
+                    if op == "matT_lowrank" else part.n - part.shard_rows(0))
+            self.model.record(GATHER, op, rows * factors[0].shape[1] * 8,
+                              messages=remote)
+
+    def _op(self, kind: str, name: str, *factors) -> dict:
+        """Model and run one tile op; its per-tile partials, by tile."""
+        factors = tuple(map(_factor, factors))
+        self._model(kind, *factors)
+        return self._run((kind, name, *factors))
+
+    def add_lowrank(self, name: str, u: np.ndarray, v: np.ndarray) -> None:
+        """``view += u @ v.T`` on every shard (factor pair broadcast)."""
+        self._op("add_lowrank", name, u, v)
+
+    def mat_lowrank(self, name: str, u: np.ndarray) -> np.ndarray:
+        """``view @ u`` — broadcast ``u``, gather per-tile partial rows."""
+        partials = self._op("mat_lowrank", name, u)
+        out = np.empty((self.part.n, partials[0].shape[1]))
+        for t, block in partials.items():
+            r0, r1 = self.part.tile_bounds[t]
+            out[r0:r1] = block
+        return out
+
+    def matT_lowrank(self, name: str, v: np.ndarray) -> np.ndarray:
+        """``view.T @ v`` — per *row* tile, one ``(n, k)`` partial each.
+
+        A node reads only the rows it owns; the gathered partials are
+        summed in tile-index order, which depends on ``(n, tile_rows)``
+        alone, so the result is bitwise the same for every node count
+        and shard strategy.
+        """
+        partials = self._op("matT_lowrank", name, v)
+        out = np.zeros(partials[0].shape)
+        for t in range(self.part.n_tiles):
+            out += partials[t]
+        return out
 
 
 class ShardedEngine(_ShardEngine):
-    """Multiprocess coordinator: named views in shm, ops fanned out.
-
-    ``comm`` holds measured traffic (real pickled bytes, real seconds);
-    ``model`` holds what the planner's comm model predicts for the same
-    operations, so tests can assert modeled-vs-measured agreement.
-    """
+    """Multiprocess coordinator and node 0: named views in shm, ops
+    fanned out; ``comm`` is real pickled bytes and real seconds."""
 
     def __init__(self, partitioner: RowShardPartitioner,
                  timeout: float = DEFAULT_TIMEOUT, supervise: bool = False):
@@ -118,47 +143,13 @@ class ShardedEngine(_ShardEngine):
     def free(self, name: str) -> None:
         self.cluster.free(name)
 
-    def add_lowrank(self, name: str, u: np.ndarray, v: np.ndarray) -> None:
-        """``view += u @ v.T`` on every shard (factor pair broadcast)."""
-        u, v = _factor(u), _factor(v)
-        self._model("add_lowrank", u, v)
-        self.cluster.roundtrip(("add_lowrank", name, u, v),
-                               BROADCAST, "add_lowrank")
-
-    def mat_lowrank(self, name: str, u: np.ndarray) -> np.ndarray:
-        """``view @ u`` — broadcast ``u``, gather per-tile partial rows."""
-        u = _factor(u)
-        self._model("mat_lowrank", u)
-        replies = self.cluster.roundtrip(("mat_lowrank", name, u),
-                                         BROADCAST, "mat_lowrank")
-        out = np.empty((self.part.n, u.shape[1]))
-        for partials in replies.values():
-            for t, block in partials.items():
-                r0, r1 = self.part.tile_bounds[t]
-                out[r0:r1] = block
-        return out
-
-    def matT_lowrank(self, name: str, v: np.ndarray) -> np.ndarray:
-        """``view.T @ v`` — per *row* tile, one ``(n, k)`` partial each.
-
-        A worker reads only the rows it owns; the gathered partials are
-        summed in tile-index order, which depends on ``(n, tile_rows)``
-        alone, so the result is bitwise the same for every node count
-        and shard strategy.
-        """
-        v = _factor(v)
-        self._model("matT_lowrank", v)
-        replies = self.cluster.roundtrip(("matT_lowrank", name, v),
-                                         BROADCAST, "matT_lowrank")
-        partials = {t: block for reply in replies.values()
-                    for t, block in reply.items()}
-        out = np.zeros((self.part.n, v.shape[1]))
-        for t in range(self.part.n_tiles):
-            out += partials[t]
-        return out
+    def _run(self, op: tuple) -> dict:
+        replies = self.cluster.roundtrip(op, BROADCAST, op[0])
+        return {t: block for reply in replies.values() if reply
+                for t, block in reply.items()}
 
     def worker_seconds(self) -> list[float]:
-        """Cumulative in-worker compute wall time, per worker."""
+        """Cumulative compute wall time, per node (node 0's in process)."""
         return list(self.cluster.worker_seconds)
 
     def close(self) -> None:
@@ -166,7 +157,8 @@ class ShardedEngine(_ShardEngine):
 
 
 class LocalShardEngine(_ShardEngine):
-    """Single-process reference: same tiles, same kernels, no workers.
+    """Single-process reference: same tiles, same kernels, no workers —
+    this process runs every tile, as node 0 runs its own.
 
     ``model`` is priced for ``part.nodes``, not for this one process:
     the node-count reports read it for clusters no box can spawn.
@@ -176,6 +168,7 @@ class LocalShardEngine(_ShardEngine):
         super().__init__(partitioner)
         self.workspace = Workspace()
         self._views: dict[str, np.ndarray] = {}
+        self._tiles = tuple(range(partitioner.n_tiles))
 
     @property
     def nodes(self) -> int:
@@ -195,39 +188,10 @@ class LocalShardEngine(_ShardEngine):
     def free(self, name: str) -> None:
         self._views.pop(name, None)
 
-    def add_lowrank(self, name: str, u: np.ndarray, v: np.ndarray) -> None:
-        u, v = _factor(u), _factor(v)
-        self._model("add_lowrank", u, v)
-        view, vt = self._views[name], v.T
-        bounds = self.part.tile_bounds
-        with self.workspace.frame():
-            stage = lease_tile_stage(self.workspace, bounds, vt.shape[1])
-            for r0, r1 in bounds:
-                tile_add_lowrank(view, r0, r1, u, vt, stage)
-
-    def mat_lowrank(self, name: str, u: np.ndarray) -> np.ndarray:
-        u = _factor(u)
-        self._model("mat_lowrank", u)
-        view = self._views[name]
-        out = np.empty((self.part.n, u.shape[1]))
-        with self.workspace.frame():
-            for r0, r1 in self.part.tile_bounds:
-                buf = self.workspace.lease(r1 - r0, u.shape[1])
-                tile_mat_lowrank(view, r0, r1, u, buf)
-                out[r0:r1] = buf
-        return out
-
-    def matT_lowrank(self, name: str, v: np.ndarray) -> np.ndarray:
-        v = _factor(v)
-        self._model("matT_lowrank", v)
-        view = self._views[name]
-        out = np.zeros((self.part.n, v.shape[1]))
-        with self.workspace.frame():
-            buf = self.workspace.lease(*out.shape)
-            for r0, r1 in self.part.tile_bounds:
-                tile_matT_lowrank(view, r0, r1, v, buf)
-                out += buf
-        return out
+    def _run(self, op: tuple) -> dict:
+        # The partials are workspace buffers, read before the next op.
+        return _execute(op, self._views, {}, self.part.tile_bounds,
+                        self._tiles, self.workspace)
 
     def worker_seconds(self) -> list[float]:
         return [0.0]

@@ -1,12 +1,13 @@
 """Persistent multiprocessing workers over shared-memory shards.
 
-The multiprocess distributed engine: a coordinator spawns one
-persistent process per node, ships each maintained view into a
-shared-memory segment (:mod:`repro.distributed.shm`), and drives the
-workers over per-worker duplex pipes.  Only thin rank-k factors and
-thin gathered partials cross the pipes — the ``O(n^2)`` view blocks
-never move, which is exactly LINVIEW's Figure 3(g) argument, now
-measured in real bytes and real seconds in a
+The multiprocess distributed engine: the coordinator is node 0 and
+spawns one persistent process for each other node, ships each
+maintained view into a shared-memory segment
+(:mod:`repro.distributed.shm`), sends every op to the workers over
+per-worker duplex pipes, runs node 0's tiles itself, then gathers.
+Only thin rank-k factors and thin gathered partials cross the pipes —
+the ``O(n^2)`` view blocks never move, which is exactly LINVIEW's
+Figure 3(g) argument, measured in a
 :class:`~repro.distributed.comm.CommLog`.
 
 Start method: always ``spawn`` (:data:`START_METHOD` — the only safe
@@ -15,23 +16,26 @@ OpenBLAS's thread pool state and can deadlock).  A worker's entry is
 :func:`_worker_main` and nothing else: it is spawned with no main
 module to re-import, so its boot is the interpreter, NumPy and this
 module's closure whatever the launching program loaded, and that
-program's top-level code runs once.  Workers are spawned with BLAS
-pinned to one thread: the shards already divide the matrix, so nested
-BLAS threading would only oversubscribe cores.
+program's top-level code runs once.  Every node runs its tiles on one
+BLAS thread (workers are spawned so; node 0 pins the coordinator's
+OpenBLAS pool around its tiles): the shards already divide the matrix,
+so nested BLAS threading would only oversubscribe cores.
 
 Bit-identity: the per-tile kernels below are the *single* source of
-truth — the in-process reference engine and the worker loop call the
-same functions over the same fixed tile decomposition
+truth — the in-process reference engine, node 0 and the worker loop
+call the same functions over the same fixed tile decomposition
 (:class:`~repro.distributed.partitioner.RowShardPartitioner`), so
 sharded results are bitwise equal to single-process results, not just
 ``allclose``.  Every op reads and writes only the rows of the tiles
-its worker owns — the paper's block-row layout, with no column copy;
+its node owns — the paper's block-row layout, with no column copy;
 the one arithmetic across tiles is the coordinator's tile-order sum of
 ``matT_lowrank`` partials.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import multiprocessing as mp
 import os
 import pickle
@@ -75,6 +79,34 @@ _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 #: Serializes spawns: each one borrows ``os.environ`` and
 #: ``sys.modules["__main__"]``, which every thread shares.
 _SPAWN_LOCK = threading.Lock()
+#: Serializes node 0's pinned ops: the BLAS thread count is per process,
+#: so two clusters' pin / restore pairs must not interleave.
+_PIN_LOCK = threading.Lock()
+
+
+@functools.cache
+def _openblas():
+    """``(get, set)`` thread-count calls of the OpenBLAS NumPy loaded
+    (``None``: none to pin), found as threadpoolctl finds them — by the
+    mapped library's path, NumPy's own first, and exported names."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line}
+    except OSError:
+        return None
+    ours = os.path.dirname(np.__file__)
+    for path in sorted(paths, key=lambda path: not path.startswith(ours)):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("openblas_{}_num_threads", "scipy_openblas_{}_num_threads64_"):
+            if hasattr(lib, name.format("get")):
+                get, put = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
 
 
 class WorkerFailedError(RuntimeError):
@@ -122,7 +154,7 @@ class RecoveryEvent:
     seconds: float         #: wall time from detection to recovery
 
 
-# -- per-tile kernels (shared by worker processes and the in-process
+# -- per-tile kernels (shared by every node and the in-process
 # -- reference engine; identical calls => bitwise identical views) ------
 
 def lease_tile_stage(workspace: Workspace, bounds, cols: int) -> np.ndarray:
@@ -159,7 +191,7 @@ def tile_matT_lowrank(view: np.ndarray, r0: int, r1: int, v: np.ndarray,
 
 def _execute(op: tuple, views: dict, segments: dict,
              tile_bounds: tuple, owned: tuple, ws: Workspace):
-    """Run one coordinator op against this worker's shard."""
+    """Run one coordinator op against this node's shard."""
     kind = op[0]
     if kind == "ping":
         return None
@@ -297,11 +329,12 @@ def _cleanup(procs, conns, segments, views=None) -> None:
 
 
 class ProcessCluster:
-    """Coordinator over ``nodes`` persistent spawned workers.
+    """Coordinator and node 0 of ``nodes``; nodes 1.. are spawned workers.
 
     Owns the shared-memory segments (creator side of the shm protocol)
-    and the per-worker pipes.  All traffic is recorded into ``comm``
-    with real byte counts (pickled payload sizes) and real wall time.
+    and the per-worker pipes, and runs node 0's tiles between fan-out
+    and gather.  All pipe traffic is recorded into ``comm`` with real
+    byte counts (pickled payload sizes) and real wall time.
 
     A worker failure — crash, raised exception, hang past ``timeout``
     or a dropped pipe — raises :class:`WorkerFailedError`, terminates
@@ -320,7 +353,9 @@ class ProcessCluster:
     *raising* (a deterministic application error, which a respawn would
     just repeat) — poison the cluster.  Supervision costs one
     coordinator-side copy of every view plus a bounded oplog; leave it
-    off (the default) when a failure should simply fail.
+    off (the default) when a failure should simply fail.  Node 0 raising
+    poisons the cluster like a worker raising; it dies only with this
+    process.
     """
 
     def __init__(self, partitioner: RowShardPartitioner,
@@ -339,6 +374,7 @@ class ProcessCluster:
         self._oplog: list[tuple[str, np.ndarray, np.ndarray]] = []
         self._segments: dict[str, SharedArray] = {}
         self._views: dict[str, np.ndarray] = {}
+        self._workspace = Workspace()
         self._procs: list = [None] * self.nodes
         self._conns: list = [None] * self.nodes
         #: Whether each worker's current incarnation has ever replied.
@@ -346,13 +382,14 @@ class ProcessCluster:
         self._closed = False
         self._ctx = mp.get_context(START_METHOD)
         # Registered before the first spawn: a failure spawning worker
-        # k must not leak workers 0..k-1 and their pipes.
+        # k must not leak workers 1..k-1 and their pipes (slot 0 stays
+        # ``None``: node 0 is this process).
         self._finalizer = weakref.finalize(
             self, _cleanup, self._procs, self._conns, self._segments,
             self._views,
         )
         try:
-            for worker in range(self.nodes):
+            for worker in range(1, self.nodes):
                 self._spawn_worker(worker)
         except BaseException:
             self._finalizer()
@@ -440,12 +477,31 @@ class ProcessCluster:
                 raise _WorkerUnavailable(
                     worker, f"no reply within {self.timeout}s (hung?)")
 
+    def _run_node0(self, op: tuple, label: str):
+        """Node 0's share of ``op``, on one BLAS thread like a worker's.
+        Its partials are workspace buffers, valid until the next op."""
+        if op[0] not in ("add_lowrank", "mat_lowrank", "matT_lowrank"):
+            return None  # attach / detach / ping: the segments are ours
+        get, set_threads = _openblas() or (lambda: 1, lambda count: None)
+        with _PIN_LOCK:
+            threads, started = get(), time.perf_counter()
+            try:
+                set_threads(1)
+                return _execute(op, self._views, {}, self.partitioner.tile_bounds,
+                                self.partitioner.shards[0], self._workspace)
+            except Exception:
+                self._fail(0, f"raised during {label!r}", traceback.format_exc())
+            finally:
+                set_threads(threads)
+                self.worker_seconds[0] += time.perf_counter() - started
+
     def roundtrip(self, op: tuple, kind: str, label: str) -> dict:
-        """Broadcast one op to every worker and gather the replies.
+        """Send one op to every worker, run node 0's share, gather.
 
         Records two comm events: the fan-out (``kind``) with the real
         pickled payload bytes per worker, and the fan-in (``gather``)
-        with the real reply bytes — both with measured wall time.
+        with the real reply bytes — both with measured wall time, and
+        neither counting node 0, which ships nothing.
 
         Unsupervised, a worker failure poisons the cluster.  Supervised,
         the failed workers are recovered (respawn + reseed + replay +
@@ -456,9 +512,10 @@ class ProcessCluster:
         self._check_open()
         faults.fire("cluster.roundtrip", cluster=self, label=label)
         payload = pickle.dumps(op, protocol=pickle.HIGHEST_PROTOCOL)
+        remote = range(1, self.nodes)
         started = time.perf_counter()
         failed: dict[int, str] = {}
-        for worker in range(self.nodes):
+        for worker in remote:
             try:
                 self._conns[worker].send_bytes(payload)
             except (BrokenPipeError, OSError):
@@ -467,12 +524,12 @@ class ProcessCluster:
                     self._fail(worker, reason)
                 failed[worker] = reason
         send_seconds = time.perf_counter() - started
-        self.comm.record(kind, label, len(payload) * self.nodes,
-                         messages=self.nodes, seconds=send_seconds)
-        replies = {}
+        self.comm.record(kind, label, len(payload) * len(remote),
+                         messages=len(remote), seconds=send_seconds)
+        replies = {0: self._run_node0(op, label)}
         reply_bytes = 0
         started = time.perf_counter()
-        for worker in range(self.nodes):
+        for worker in remote:
             if worker in failed:
                 continue
             try:
@@ -491,7 +548,7 @@ class ProcessCluster:
             replies[worker] = data
         gather_seconds = time.perf_counter() - started
         self.comm.record(GATHER, label, reply_bytes,
-                         messages=self.nodes, seconds=gather_seconds)
+                         messages=len(remote), seconds=gather_seconds)
         for worker, reason in failed.items():
             replies[worker] = self._recover_worker(worker, reason, op,
                                                    payload, label)
@@ -641,7 +698,7 @@ class ProcessCluster:
 
     # -- shared-memory views ---------------------------------------------
     def put(self, name: str, value: np.ndarray) -> np.ndarray:
-        """Store ``value`` under ``name`` in shared memory; all workers
+        """Store ``value`` under ``name`` in shared memory; the workers
         attach.  Overwrites in place if the name already exists."""
         self._check_open()
         arr = np.ascontiguousarray(value, dtype=np.float64)
@@ -695,12 +752,18 @@ class ProcessCluster:
         """Round-trip a no-op to every worker (liveness check)."""
         self.roundtrip(("ping",), BROADCAST, "ping")
 
-    def kill_worker(self, worker: int) -> None:
-        """Test hook: make ``worker`` die abruptly (``os._exit``)."""
+    def _send_hook(self, worker: int, message: tuple) -> None:
+        if worker == 0:
+            raise ValueError("node 0 is the coordinator: it fails only "
+                             "with this process")
         try:
-            self._conns[worker].send_bytes(pickle.dumps(("die",)))
+            self._conns[worker].send_bytes(pickle.dumps(message))
         except (BrokenPipeError, OSError):
             pass
+
+    def kill_worker(self, worker: int) -> None:
+        """Test hook: make ``worker`` die abruptly (``os._exit``)."""
+        self._send_hook(worker, ("die",))
         self._procs[worker].join(timeout=5.0)
 
     def hang_worker(self, worker: int, seconds: float = 3600.0) -> None:
@@ -710,11 +773,7 @@ class ProcessCluster:
         notice; supervised clusters then terminate and recover the
         hung incarnation.
         """
-        try:
-            self._conns[worker].send_bytes(
-                pickle.dumps(("hang", float(seconds))))
-        except (BrokenPipeError, OSError):
-            pass
+        self._send_hook(worker, ("hang", float(seconds)))
 
     def close(self) -> None:
         """Stop the workers and release every shared segment (idempotent)."""
@@ -723,12 +782,12 @@ class ProcessCluster:
         self._closed = True
         if self.failure is None:
             payload = pickle.dumps(("exit",))
-            for worker in range(self.nodes):
+            for worker in range(1, self.nodes):
                 try:
                     self._conns[worker].send_bytes(payload)
                 except (BrokenPipeError, OSError):
                     pass
-            for proc in self._procs:
+            for proc in self._procs[1:]:
                 proc.join(timeout=2.0)
         self._finalizer()
 

@@ -581,9 +581,12 @@ class ViewServer:
         ``overload`` policy decides (block / reject / shed-oldest).
         ``timeout`` bounds a blocking wait — expiry raises
         :class:`IngressTimeoutError` and the update is *not* enqueued,
-        so the producer can apply its own shed/retry policy.
+        so the producer can apply its own shed/retry policy.  A NaN/Inf
+        factor raises :class:`~repro.runtime.updates.InvalidUpdateError`
+        here, on the caller's thread, and is not enqueued.
         """
         self._check_open()
+        update.validate_finite()
         try:
             self._queue.put_update(update, timeout=timeout)
         except ServerClosedError:

@@ -89,7 +89,8 @@ from ..compiler.program import Program
 from ..cost import counters
 from .batching import DeferralSpec, resolve_deferral, still_resolved
 from .executor import EvaluationError, evaluate, infer_dims
-from .updates import FactoredUpdate, InvalidUpdateError, SingularUpdateError
+from .updates import (FactoredUpdate, InvalidUpdateError, SingularUpdateError,
+                      validate_finite_inputs)
 from .views import ViewStore
 from .workspace import Workspace
 
@@ -173,6 +174,7 @@ class Session:
         missing = set(program.input_names) - set(inputs)
         if missing:
             raise ValueError(f"missing initial values for inputs: {sorted(missing)}")
+        validate_finite_inputs(inputs, program.input_names)
         for name in program.input_names:
             self.views.set(name, inputs[name])
         self._materialize_all()
@@ -709,10 +711,10 @@ class ShardedSession(IVMSession):
     :class:`~repro.distributed.sharded.ShardBackend`: the triggers, their
     lowered lists and both execution modes are the single-process ones,
     and only the kernels that touch a stored view differ — views live in
-    ``multiprocessing.shared_memory`` segments shared with ``nodes``
-    persistent workers
+    ``multiprocessing.shared_memory`` segments shared by this process,
+    node 0, with ``nodes - 1`` persistent workers
     (:class:`~repro.distributed.sharded.ShardedEngine`), the big
-    per-tile dgemms fan out across them and only thin rank-k factors
+    per-tile dgemms fan out across the nodes and only thin rank-k factors
     cross pipes.  What this class adds is the lifecycle: it spawns the
     workers *before* the views are evaluated (they boot meanwhile),
     moves the evaluated views into segments, copies them back out on
@@ -762,6 +764,7 @@ class ShardedSession(IVMSession):
         missing = [name for name in program.input_names if name not in inputs]
         if missing:
             raise ValueError(f"missing initial values for inputs: {missing}")
+        validate_finite_inputs(inputs, program.input_names)
         refusal = unshardable(program)
         if refusal is not None:
             raise UnsupportedCombinationError(

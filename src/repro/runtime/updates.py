@@ -37,6 +37,18 @@ class InvalidUpdateError(ValueError):
     """
 
 
+def validate_finite_inputs(inputs, names) -> None:
+    """Raise :class:`InvalidUpdateError` naming the first of ``names``
+    whose initial value holds a NaN/Inf (sparse: in its ``.data``)."""
+    for name in names:
+        value = inputs[name]
+        entries = np.asarray(value if isinstance(value, np.ndarray)
+                             else getattr(value, "data", value))
+        if entries.dtype.kind in "fc" and not np.isfinite(entries).all():
+            raise InvalidUpdateError(
+                f"non-finite entries in the initial value of {name!r}")
+
+
 class SingularUpdateError(ValueError):
     """A well-formed update that would make an ``inv`` view singular.
 

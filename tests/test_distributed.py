@@ -257,7 +257,8 @@ class TestShardBackendKernels:
 
 
 class TestModeledLedger:
-    """``engine.model``: what each op ships over ``part.nodes`` nodes."""
+    """``engine.model``: what each op ships between the coordinator,
+    node 0, and the ``part.nodes - 1`` remote nodes."""
 
     N, NODES, TILE_ROWS, K = 20, 4, 6, 2   # 4 tiles, the last of 2 rows
 
@@ -275,24 +276,36 @@ class TestModeledLedger:
         engine.add_lowrank("A", self._thin(), self._thin())
         [event] = engine.model.events
         assert (event.kind, event.label) == ("broadcast", "add_lowrank")
-        assert event.nbytes == 2 * self.N * self.K * 8 * self.NODES
-        assert event.messages == self.NODES
+        assert event.nbytes == 2 * self.N * self.K * 8 * (self.NODES - 1)
+        assert event.messages == self.NODES - 1
 
     def test_mat_lowrank_gathers_one_thin_block(self):
         engine = self._engine()
         engine.mat_lowrank("A", self._thin())
+        # Node 0 owns the first 6-row tile; nodes 1..3 own the other 14.
         assert engine.model.bytes_by_kind() == {
             "shuffle": 0,
-            "broadcast": self.N * self.K * 8 * self.NODES,
-            "gather": self.N * self.K * 8,
+            "broadcast": self.N * self.K * 8 * (self.NODES - 1),
+            "gather": (self.N - 6) * self.K * 8,
         }
 
     def test_matT_lowrank_gathers_one_partial_per_row_tile(self):
         engine = self._engine()
         assert engine.part.n_tiles == 4
         engine.matT_lowrank("A", self._thin())
-        assert engine.model.gathered_bytes == 4 * self.N * self.K * 8
-        assert engine.model.messages_by_kind()["gather"] == self.NODES
+        assert engine.model.gathered_bytes == 3 * self.N * self.K * 8
+        assert engine.model.messages_by_kind()["gather"] == self.NODES - 1
+
+    def test_one_node_ships_nothing(self):
+        engine = LocalShardEngine(RowShardPartitioner(
+            self.N, 1, tile_rows=self.TILE_ROWS))
+        engine.put("A", np.eye(self.N))
+        thin = self._thin()
+        engine.add_lowrank("A", thin, thin)
+        engine.mat_lowrank("A", thin)
+        engine.matT_lowrank("A", thin)
+        assert engine.model.total_bytes == 0
+        assert engine.model.total_messages == 0
 
     def test_no_tile_kernel_shuffles(self):
         engine = self._engine()
@@ -331,7 +344,8 @@ class TestModeledLedger:
 def test_shard_matches_reeval(family, mode, layout, rng):
     """Every family equals re-evaluation on the row-shard engine, and the
     modeled ledger shows the paper's claim: under incremental
-    maintenance only thin factors move — no tile is ever shuffled."""
+    maintenance only thin factors move — no tile is ever shuffled, and
+    a one-node layout (the coordinator alone) ships nothing."""
     nodes, tile_rows = layout
     n = 24
     program = parse_program(ITERATIVE[family])
@@ -341,7 +355,8 @@ def test_shard_matches_reeval(family, mode, layout, rng):
                          nodes=nodes, tile_rows=tile_rows, process=False,
                          mode=mode)
     oracle = ReevalSession(program, {k: v.copy() for k, v in inputs.items()})
-    n_tiles = incr.engine.part.n_tiles
+    part = incr.engine.part
+    remote_tiles = part.n_tiles - len(part.shards[0])
     for step in range(3):
         incr.engine.model.reset()
         u = np.zeros((n, 1))
@@ -351,9 +366,11 @@ def test_shard_matches_reeval(family, mode, layout, rng):
         oracle.apply_update(update)
         assert_views_close(incr, oracle, program, f"after update {step}")
         model = incr.engine.model
-        assert model.shuffled_bytes == 0 and model.broadcast_bytes > 0
+        assert model.shuffled_bytes == 0
+        assert (model.broadcast_bytes > 0) is (nodes > 1)
         assert "add_lowrank" in model.bytes_by_label()
-        assert all(e.messages == nodes for e in model.events)
-        assert all(e.nbytes % (n_tiles * n * 8) == 0 for e in model.events
+        assert all(e.messages == nodes - 1 for e in model.events)
+        assert all(e.nbytes % (remote_tiles * n * 8) == 0 if remote_tiles
+                   else e.nbytes == 0 for e in model.events
                    if e.kind == "gather" and e.label == "matT_lowrank")
     incr.close()

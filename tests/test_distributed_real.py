@@ -303,13 +303,34 @@ class TestProcessParity:
             # Zero-copy: the session reads the segment itself.
             assert proc_range[name] is proc_range.engine.get(name)
 
+    @pytest.mark.parametrize("strategy", RowShardPartitioner.STRATEGIES)
+    @pytest.mark.parametrize("nodes", [2, 3])
+    def test_node_grid_bitwise_matches_local(self, nodes, strategy):
+        """``nodes - 1`` workers plus node 0's tiles in this process, at
+        whatever BLAS thread count the caller runs, equal the in-process
+        reference bitwise."""
+        n = 256   # tiles large enough for a threaded BLAS to split them
+        a = _operator(n, seed=nodes)
+        before = _workers()
+        with _chain(a.copy(), tile_rows=32, process=False) as local, \
+                _chain(a.copy(), nodes=nodes, strategy=strategy, tile_rows=32,
+                       timeout=60.0) as session:
+            assert len(_workers() - before) == nodes - 1
+            for u, v in _stream(n, 3, rank=3):
+                _refresh(local, u, v)
+                _refresh(session, u, v)
+            for name in CHAIN_VIEWS:
+                assert np.array_equal(local[name], session[name]), name
+            assert session.engine.worker_seconds()[0] > 0.0
+
     def test_one_update_is_seven_roundtrips(self, proc_range):
         # The lowered chain trigger: A u, A' v, A U_P2, P2' v, then one
-        # add_lowrank per view - each a send and a gather per worker.
+        # add_lowrank per view - each a send and a gather per worker;
+        # node 0, the coordinator, sends itself nothing.
         _reset(proc_range, _operator(N_PROC))
         proc_range.engine.comm.reset()
         _refresh(proc_range, *_stream(N_PROC, 1)[0])
-        assert proc_range.engine.comm.total_messages == 7 * 2 * 2
+        assert proc_range.engine.comm.total_messages == 7 * 2 * 1
 
     def test_comm_measures_real_bytes(self, proc_range):
         _reset(proc_range, _operator(N_PROC))
@@ -378,7 +399,8 @@ class TestMappedPages:
             for u, v in _stream(n, 3):
                 _refresh(session, u, v)
             part, cluster = session.engine.part, session.engine.cluster
-            for worker, proc in enumerate(cluster._procs):
+            assert cluster._procs[0] is None   # node 0 is this process
+            for worker, proc in enumerate(cluster._procs[1:], start=1):
                 owned = part.shard_rows(worker) * n * 8 * len(CHAIN_VIEWS)
                 slack = 64 * 1024 * len(CHAIN_VIEWS)
                 assert self._rss_shmem(proc.pid) <= owned + slack, worker
@@ -415,12 +437,13 @@ class TestCommModelAgreement:
                     _refresh(session, u, v)
                 ledgers.append(session.engine.model)
         assert ledgers[0].as_dict() == ledgers[1].as_dict()
-        # A factored apply broadcasts its factor pair once per node.
+        # A factored apply broadcasts its factor pair once per remote
+        # node; node 0 reads it in place.
         (u, v), = _stream(n, 1)
         applies = [e for e in ledgers[1].events if e.label == "add_lowrank"]
         assert applies[0].kind == "broadcast"
-        assert applies[0].nbytes == (u.nbytes + v.nbytes) * nodes
-        assert all(e.messages == nodes for e in applies)
+        assert applies[0].nbytes == (u.nbytes + v.nbytes) * (nodes - 1)
+        assert all(e.messages == nodes - 1 for e in applies)
 
 
 class TestWorkerFailure:
@@ -438,15 +461,30 @@ class TestWorkerFailure:
     def test_killed_worker_poisons_instead_of_hanging(self):
         with _chain(_operator(16), tile_rows=8, timeout=60.0,
                     recover="fail") as m:
-            m.engine.cluster.kill_worker(0)
+            m.engine.cluster.kill_worker(1)
             with pytest.raises(WorkerFailedError) as excinfo:
                 _refresh(m, *_stream(16, 1)[0])
-            assert excinfo.value.worker == 0
+            assert excinfo.value.worker == 1
             with pytest.raises(WorkerFailedError, match="poisoned"):
                 m.engine.get("P3")
             # close() after a failure stays idempotent and quiet.
             m.close()
             m.close()
+
+    def test_node_zero_is_the_coordinator(self):
+        before = _workers()
+        cluster = ProcessCluster(RowShardPartitioner(16, 2, tile_rows=8),
+                                 timeout=60.0)
+        try:
+            assert len(_workers() - before) == 1
+            for hook in (cluster.kill_worker, cluster.hang_worker):
+                with pytest.raises(ValueError,
+                                   match="node 0 is the coordinator"):
+                    hook(0)
+            cluster.ping()   # refusing the hook disturbed nothing
+        finally:
+            cluster.close()
+        assert _workers() == before
 
     @pytest.mark.parametrize("knob, constant", [
         ("max_retries", "DEFAULT_MAX_RETRIES"),
@@ -462,6 +500,101 @@ class TestWorkerFailure:
             ProcessCluster(RowShardPartitioner(16, 2, tile_rows=8),
                            supervise=True,
                            **{knob: getattr(workers, constant)})
+
+
+class TestCoordinatorBlas:
+    """Node 0's tiles run on one BLAS thread, like a worker's, and the
+    caller's thread count is back once the op ends — also after a
+    failed op and a poisoned cluster."""
+
+    def test_node_zero_pins_and_restores_the_callers_count(self,
+                                                           monkeypatch):
+        from repro.distributed.comm import BROADCAST
+
+        blas = workers._openblas()
+        if blas is None:
+            pytest.skip("no OpenBLAS loaded in this process")
+        get, set_threads = blas
+        saved = get()
+        seen = []
+
+        def spy(*args):
+            seen.append(get())
+            return execute(*args)
+
+        execute = workers._execute
+        monkeypatch.setattr(workers, "_execute", spy)
+        set_threads(3)   # a count no node runs at
+        try:
+            cluster = ProcessCluster(RowShardPartitioner(32, 2, tile_rows=8),
+                                     timeout=60.0)
+            cluster.put("A", _operator(32))
+            cluster.roundtrip(("mat_lowrank", "A", np.ones((32, 1))),
+                              BROADCAST, "mat_lowrank")
+            assert seen == [1] and get() == 3
+            cluster.close()
+            assert get() == 3
+
+            cluster = ProcessCluster(RowShardPartitioner(32, 2, tile_rows=8),
+                                     timeout=60.0)
+            with pytest.raises(WorkerFailedError, match="KeyError") as info:
+                cluster.roundtrip(("mat_lowrank", "NOSUCHVIEW",
+                                   np.ones((32, 1))), BROADCAST, "mat_lowrank")
+            assert info.value.worker == 0
+            assert seen == [1, 1] and get() == 3
+            with pytest.raises(WorkerFailedError, match="poisoned"):
+                cluster.ping()
+            cluster.close()
+            assert get() == 3
+        finally:
+            set_threads(saved)
+
+    def test_concurrent_clusters_restore_the_callers_count(self):
+        """Three clusters' node-0 ops race from three threads (more than
+        this box has cores): pin / restore pairs must not interleave, or
+        one restores the other's pinned count for good."""
+        import threading
+
+        from repro.distributed.comm import BROADCAST
+
+        blas = workers._openblas()
+        if blas is None:
+            pytest.skip("no OpenBLAS loaded in this process")
+        get, set_threads = blas
+        saved = get()
+        threads = 3
+        clusters = [ProcessCluster(RowShardPartitioner(64, 2, tile_rows=16),
+                                   timeout=60.0) for _ in range(threads)]
+        errors = []
+
+        def drive(cluster):
+            try:
+                for _ in range(50):
+                    cluster.roundtrip(("mat_lowrank", "A", np.ones((64, 2))),
+                                      BROADCAST, "mat_lowrank")
+            except Exception as error:  # a thread cannot raise to pytest
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        set_threads(3)
+        sys.setswitchinterval(1e-6)
+        try:
+            for cluster in clusters:
+                cluster.put("A", _operator(64))
+            pool = [threading.Thread(target=drive, args=(cluster,))
+                    for cluster in clusters]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in pool)
+            assert not errors, errors
+            assert get() == 3
+        finally:
+            sys.setswitchinterval(interval)
+            set_threads(saved)
+            for cluster in clusters:
+                cluster.close()
 
 
 LEAK_SCRIPT = textwrap.dedent("""
@@ -551,7 +684,7 @@ class TestShardedSession:
         a = _operator(32, seed=2)
         before = _workers()
         session = _chain(a, tile_rows=8, timeout=60.0)
-        assert len(_workers() - before) == 2
+        assert len(_workers() - before) == 1
         oracle = _chain(a, tile_rows=8, process=False)
         stream = _stream(32, 4)
         for u, v in stream[:2]:

@@ -10,8 +10,10 @@ one call, as in the end-to-end tracer's ``backend.kernel_calls_per_update``.
   backend kernel calls per update, in both execution modes;
 * the ``catalog_tenants`` family on one :class:`~repro.catalog.ViewCatalog`:
   kernel calls and DAG-node refreshes per update;
-* the chain on two row-shard workers (``sharded_chain``): messages and
-  bytes per update in the engine's modeled ledger (``engine.model``);
+* the chain on two row-shard nodes (``sharded_chain``: the coordinator
+  as node 0 and one worker): messages and bytes per update in the
+  engine's modeled ledger (``engine.model``), which prices only what
+  crosses to and from the remote node;
 * ``sparse_pagerank``'s driver: the cells its planner prices and the
   plan it resolves;
 * the FLOP ledger (:func:`~repro.cost.counters.counted`, keyed by
@@ -62,7 +64,7 @@ TABLE = {
                                          "add_into": 2,
                                          "add_outer_inplace": 3}},
     "catalog_tenants": {"calls": 42, "node_refreshes": 10},
-    "sharded_chain": {"messages": 22, "bytes": 745_472},
+    "sharded_chain": {"messages": 11, "bytes": 372_736},
     "sparse_pagerank": {"cells": 15, "plan": "REEVAL-LIN@sparse/interpret"},
     "chain_reeval": {"by_kernel": {"add_outer_inplace": 1, "matmul_into": 2}},
     # OLS at OLS_DIMS: dZ's two outer products, one rank-2 Woodbury step

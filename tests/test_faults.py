@@ -149,6 +149,25 @@ class TestUpdateValidation:
         with pytest.raises(InvalidUpdateError):
             FactoredUpdate("A", np.ones((8, 2)), np.ones((8, 3)))
 
+    @pytest.mark.parametrize("plan", ["incr", "reeval", "catalog"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_initial_input_rejected_at_open(self, plan, bad):
+        from repro.catalog import ViewCatalog
+
+        a = operator(16)
+        a[0, 0] = bad
+        where = ({"catalog": ViewCatalog()} if plan == "catalog"
+                 else {"plan": plan})
+        with pytest.raises(InvalidUpdateError, match="initial value of 'A'"):
+            open_session(chain_program(16), {"A": a}, **where)
+
+    def test_non_finite_sparse_input_rejected_at_open(self):
+        sparse = pytest.importorskip("scipy.sparse")
+        a = sparse.csr_matrix(operator(16))
+        a.data[3] = np.nan
+        with pytest.raises(InvalidUpdateError, match="initial value of 'A'"):
+            open_session(chain_program(16), {"A": a}, backend="sparse")
+
 
 class TestShmBudget:
     def test_create_raises_typed_error(self):
@@ -206,17 +225,18 @@ class TestSupervision:
 
         def sabotage(index, session):
             if index == 4:
-                session.engine.cluster.kill_worker(0)
+                session.engine.cluster.kill_worker(1)
             if index == 8:
-                session.engine.cluster.hang_worker(1, seconds=60.0)
+                session.engine.cluster.hang_worker(2, seconds=60.0)
 
+        # Three nodes: node 0 is the coordinator, workers 1 and 2 fail.
         got, recoveries = self.run_chain(
-            POWER_CHAIN, a0, updates, views, before=sabotage,
+            POWER_CHAIN, a0, updates, views, before=sabotage, nodes=3,
             supervise=True, timeout=3.0)
         for name in want:
             assert np.array_equal(want[name], got[name]), name
         assert len(recoveries) == 2
-        assert {event.worker for event in recoveries} == {0, 1}
+        assert {event.worker for event in recoveries} == {1, 2}
         assert all(event.replayed >= 1 for event in recoveries)
         assert all(event.attempts >= 1 for event in recoveries)
         assert all(event.reason for event in recoveries)
@@ -238,7 +258,7 @@ class TestSupervision:
         assert np.array_equal(want["P2"], got["P2"])
 
 
-def kill_on_add_lowrank(occurrence: int, worker: int = 0):
+def kill_on_add_lowrank(occurrence: int, worker: int = 1):
     """Action killing ``worker`` right before the Nth add_lowrank op."""
     seen = {"count": 0}
 
@@ -284,7 +304,7 @@ class TestReevalFallback:
         def kill_before_refresh(value, cluster=None, label=None, **context):
             if label == "mat_lowrank" and not kills["done"]:
                 kills["done"] = True
-                cluster.kill_worker(0)
+                cluster.kill_worker(1)
 
         session = self.run_faulted(kill_before_refresh)
         assert len(session.fallback_events) == 1
@@ -340,6 +360,6 @@ class TestReevalFallback:
                                batch="off", partition="off")
         assert isinstance(session, ShardedSession)
         session.recover = "fail"
-        session.engine.cluster.kill_worker(0)
+        session.engine.cluster.kill_worker(1)
         with pytest.raises(WorkerFailedError):
             session.apply_update(stream(32, 1)[0])

@@ -271,7 +271,7 @@ class TestInterpretCharges:
         """A sharded interpret session is the same list on another
         backend: every kernel call is charged what the single-process
         one is (no made-up per-refresh entry), set-up included, and the
-        bytes differ by exactly the gathered products."""
+        bytes differ by exactly the products' results."""
         from repro.frontend import parse_program
         from stream_helpers import shard_session
 
@@ -294,8 +294,13 @@ class TestInterpretCharges:
             session.apply_updates(updates)
         assert sharded.snapshot() == plain.snapshot()
         assert sharded.calls_by_op == plain.calls_by_op
-        # A product on the shards returns its gathered rows as a new
-        # array where the dense kernel writes the leased buffer.
-        assert (sharded.bytes_allocated
-                == plain.bytes_allocated + session.engine.model.gathered_bytes)
+        # A product on the shards returns its (n, k) result as a new
+        # array where the dense kernel writes the leased buffer: as many
+        # bytes as its thin operand, which the model broadcasts once to
+        # the one remote node.
+        results = sum(event.nbytes for event in session.engine.model.events
+                      if event.kind == "broadcast"
+                      and event.label != "add_lowrank")
+        assert results > 0
+        assert sharded.bytes_allocated == plain.bytes_allocated + results
         assert "sharded_refresh" not in sharded.snapshot()

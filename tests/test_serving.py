@@ -531,6 +531,28 @@ class TestIngressRobustness:
         assert not thread.is_alive()
         assert len(sums) == 100  # reads never raised nor blocked
 
+    def test_non_finite_submit_raises_and_the_server_keeps_serving(self, rng):
+        from repro.runtime import InvalidUpdateError
+
+        program, n, inputs = _fixed_scenario(rng)
+        oracle = IVMSession(program, {"A": inputs["A"].copy()})
+        server = ViewServer(IVMSession(program, inputs), max_staleness=None)
+        good = zipf_row_updates(rng, n, 1, 0.0)[0]
+        bad = FactoredUpdate("A", np.full((n, 1), np.nan), np.ones((n, 1)))
+        try:
+            with pytest.raises(InvalidUpdateError, match="non-finite"):
+                server.submit(bad)
+            server.submit(good)
+            server.refresh()
+            oracle.apply_update(good)
+            np.testing.assert_allclose(server.read("C"), oracle["C"],
+                                       rtol=1e-12)
+            stats = server.stats
+            assert (stats.submitted, stats.applied) == (1, 1)
+            assert stats.rejected == stats.shed == stats.discarded == 0
+        finally:
+            server.close()   # the writer survived: close does not raise
+
     def test_constructor_rejects_unknown_policy(self, rng):
         program, n, inputs = _fixed_scenario(rng)
         with pytest.raises(ValueError, match="overload"):

@@ -85,7 +85,8 @@ class TestOverlappedBoot:
         with open_session(program, {"A": a.copy()}, plan=SHARDED,
                           batch="off") as session:
             assert isinstance(session, ShardedSession)
-            assert alive_during_evaluation == [2]
+            # Two nodes: the coordinator and one spawned worker.
+            assert alive_during_evaluation == [1]
             # The fence held: every worker attached every view.
             update = _update(32)
             session.apply_update(update)
@@ -105,7 +106,7 @@ class TestOverlappedBoot:
         program = parse_program(CHAIN_SRC)
         with pytest.raises(RuntimeError, match="evaluation failed"):
             ShardedSession(program, {"A": _operator(32)}, nodes=2)
-        assert spawned == [2]
+        assert spawned == [1]
         assert _shard_workers() == []
 
     def test_unconvertible_input_stops_the_workers(self, no_leak):
@@ -126,6 +127,21 @@ class TestOverlappedBoot:
         program = parse_program(CHAIN_SRC)
         with pytest.raises(ValueError, match=message):
             ShardedSession(program, inputs, nodes=2)
+        assert _shard_workers() == []
+
+    def test_non_finite_input_raises_before_any_spawn(self, monkeypatch,
+                                                      no_leak):
+        from repro.runtime import InvalidUpdateError
+
+        spawned = []
+        monkeypatch.setattr(ProcessCluster, "_spawn_worker",
+                            lambda self, worker: spawned.append(worker))
+        a = _operator(32)
+        a[3, 5] = np.inf
+        with pytest.raises(InvalidUpdateError, match="initial value of 'A'"):
+            open_session(parse_program(CHAIN_SRC), {"A": a}, plan=SHARDED,
+                         batch="off")
+        assert spawned == []
         assert _shard_workers() == []
 
     def test_shm_exhaustion_still_lands_on_the_fallback(self, no_leak):
@@ -160,7 +176,7 @@ class TestSpawnFailure:
         monkeypatch.setattr(ProcessCluster, "_spawn_worker", flaky)
         with pytest.raises(OSError, match="temporarily unavailable"):
             ProcessCluster(RowShardPartitioner(16, 3, tile_rows=4))
-        assert calls == [0, 1]
+        assert calls == [1, 2]   # node 0 is the coordinator, never spawned
         assert _shard_workers() == []
 
 
@@ -195,7 +211,7 @@ UNGUARDED_SCRIPT = textwrap.dedent("""
     session = open_session(program, {"A": a.copy()}, plan=plan, batch="off",
                            supervise=True)
     session.apply_update(FactoredUpdate("A", u, v))
-    session.engine.cluster.kill_worker(0)
+    session.engine.cluster.kill_worker(1)
     session.apply_update(FactoredUpdate("A", u, v))
     assert len(session.recoveries) == 1, session.recoveries
     want = a + 2 * (u @ v.T)
@@ -246,7 +262,7 @@ class TestUnguardedScript:
         marker = tmp_path / "marker.txt"
         proc = _run_script(script, marker)
         assert proc.returncode == 0, proc.stderr
-        # Two first spawns and one supervised respawn later.
+        # One first spawn and one supervised respawn later.
         assert marker.read_text().splitlines() == ["top level ran"]
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -258,7 +274,7 @@ class TestUnguardedScript:
         proc = _run_script(script)
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout)
-        assert report["open"] == ["repro-shard-0", "repro-shard-1"]
+        assert report["open"] == ["repro-shard-1"]
         assert report["closed"] == []
         assert report["scipy_objects"] == []
 
@@ -310,7 +326,7 @@ class TestConcurrentSpawn:
             assert not stuck and not errors, errors
             assert dict(os.environ) == environ
             assert sys.modules["__main__"] is main
-            assert len(_shard_workers()) == 2 * threads
+            assert len(_shard_workers()) == threads   # one worker each
             for cluster in clusters:
                 cluster.ping()
         finally:
@@ -336,6 +352,6 @@ class TestSessionLifetime:
         with open_session(program, {"A": _operator(32)}, plan=SHARDED,
                           batch="off", **wrap) as monitor:
             assert isinstance(monitor.session, ShardedSession)
-            assert len(_shard_workers()) == 2
+            assert len(_shard_workers()) == 1
         assert _shard_workers() == []
         monitor.close()

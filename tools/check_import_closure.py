@@ -194,7 +194,8 @@ def closure(probe: str) -> list[str]:
 
 def launcher_runs() -> int:
     """How often :data:`_LAUNCHER`'s top level executes over one run that
-    spawns two shard workers (once, unless a worker boots from it)."""
+    opens a two-node cluster (once, unless its spawned worker boots from
+    it)."""
     with tempfile.TemporaryDirectory() as scratch:
         launcher, marker = Path(scratch, "launcher.py"), Path(scratch, "runs")
         launcher.write_text(_LAUNCHER)
