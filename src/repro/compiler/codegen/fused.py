@@ -1,13 +1,20 @@
-"""The lowered trigger form: one lowering, a loop and a printer over it.
+"""The lowered list form: one lowering, a loop and a printer over it.
 
 A trigger's execution must equal re-evaluation, and every harness in
 the repository states that promise against ``mode="interpret"`` — so
 the two execution modes must be the same computation, not two
-renderings of the same intent.  :func:`lower_trigger` is the **only**
-place a trigger's expression nodes become backend kernels.  It flattens
-the trigger into a :class:`LoweredTrigger`: a shape-symbolic list of
+renderings of the same intent.  ``_Lowering.lower`` is the **only**
+place an expression node becomes backend kernels.  Three lists are
+built with it, each a :class:`LoweredTrigger`: a shape-symbolic list of
 ``(kernel, dst, srcs)`` records in which everything an executor could
 decide differently is already decided —
+
+* :func:`lower_trigger` — an input's INCR trigger;
+* :func:`lower_evaluation` — every statement from the stored inputs
+  (initial builds, rebuilds, revalidation, :func:`~repro.runtime.
+  executor.evaluate`), or REEVAL's list for updates to one input.
+
+In each list:
 
 * every product/sum/scale/concatenation names the scratch buffer it
   writes (the kernels are the backend's ``*_into`` forms; the buffer is
@@ -30,8 +37,9 @@ A program's lists are lowered once, into its
 binds those.  Shapes stay symbolic until the list is **bound** to a
 ``dims`` mapping: constants are materialized, and each buffer is leased
 once from a :class:`~repro.runtime.workspace.Workspace` at the
-trigger's bound update width.  Two executors run a bound list, and
-nothing else runs a trigger:
+list's bound update width — or, bound with ``lease=False``, left
+``None`` so every kernel allocates its result.  Two executors run a
+bound list, and nothing else runs one:
 
 * :func:`compile_trigger_function` — ``mode="interpret"``: a loop over
   the records;
@@ -56,7 +64,9 @@ Function signature, both executors::
 
     on_update_A(views, u_A, v_A)
 
-where ``views`` maps names to store-owned arrays (written in place).
+where ``views`` maps names to store-owned arrays (written in place); the
+evaluation list takes no factors (``fn(views)``) and hands each value
+over by a ``store`` apply instead.
 """
 
 from __future__ import annotations
@@ -82,7 +92,7 @@ from ...expr.ast import (
 )
 from ...expr.shapes import DimLike, Shape
 from ...expr.visitors import walk
-from ...runtime.executor import resolve_dim
+from ...runtime.executor import EvaluationError, resolve_dim
 from ..trigger import Trigger
 
 
@@ -102,11 +112,13 @@ class Op(NamedTuple):
 class LoweredTrigger:
     """A trigger as a flat, shape-symbolic kernel list."""
 
-    input_name: str
-    #: The update's factor names (``u_A``, ``v_A``).
+    #: The updated input (``None`` for the evaluation list).
+    input_name: str | None
+    #: The update's factor names (``u_A``, ``v_A``; none to evaluate).
     params: tuple[str, ...]
-    #: Update width the buffers are shaped for.
-    rank: DimLike
+    #: Update width the buffers are shaped for (``None``: no buffer
+    #: depends on it).
+    rank: DimLike | None
     #: Store names read at entry, in first-use order.
     views: tuple[str, ...]
     #: Name -> ``("eye", n)`` / ``("zeros", rows, cols)``, built at bind.
@@ -115,7 +127,7 @@ class LoweredTrigger:
     buffers: dict[str, Shape]
     #: Phase 1: every factor block and delta, from old values only.
     ops: tuple[Op, ...]
-    #: Phase 2: the in-place view writes.
+    #: Phase 2: the view writes (in place, or a value handed over).
     applies: tuple[Op, ...]
 
 
@@ -140,7 +152,8 @@ def outer_operands(expr: Expr) -> "tuple[str, str] | None":
 
 
 def _referenced_views(trigger: Trigger) -> list[str]:
-    """View names referenced by the trigger, excluding params and temps."""
+    """View names referenced by the trigger, excluding params and temps
+    (the order the Octave and Spark printers load them in)."""
     local = {p.name for p in trigger.params} | set(trigger.temp_names)
     names: list[str] = []
     seen: set[str] = set()
@@ -161,45 +174,53 @@ def _referenced_views(trigger: Trigger) -> list[str]:
     return names
 
 
-def lower_trigger(trigger: Trigger) -> LoweredTrigger:
-    """Lower ``trigger`` to its kernel list (see the module docstring)."""
-    temps = set(trigger.temp_names)
-    constants: dict[str, tuple] = {}
-    buffers: dict[str, Shape] = {}
-    hoisted: dict[str, Op] = {}
-    ops: list[Op] = []
+class _Lowering:
+    """One kernel list under construction; :meth:`lower` is the only
+    place an expression node becomes kernel records."""
 
-    def emit(kernel: str, *srcs, into: Shape | None = None) -> str:
+    def __init__(self, computed=()):
+        #: Symbols a record computes: transposed where read, not hoisted.
+        self.computed = set(computed)
+        #: Symbol -> the record holding its value, where the names differ.
+        self.values: dict[str, str] = {}
+        self.constants: dict[str, tuple] = {}
+        self.buffers: dict[str, Shape] = {}
+        self.hoisted: dict[str, Op] = {}
+        self.ops: list[Op] = []
+
+    def emit(self, kernel: str, *srcs, into: Shape | None = None) -> str:
         """Append one record; ``into`` plans its destination buffer."""
         if into is not None:
-            buffer = f"_b{len(buffers)}"
-            buffers[buffer] = into
+            buffer = f"_b{len(self.buffers)}"
+            self.buffers[buffer] = into
             srcs += (buffer,)
-        dst = f"_t{len(ops) + 1}"
-        ops.append(Op(kernel, dst, srcs))
+        dst = f"_t{len(self.ops) + 1}"
+        self.ops.append(Op(kernel, dst, srcs))
         return dst
 
-    def lower(expr: Expr) -> tuple[str, bool]:
+    def lower(self, expr: Expr) -> tuple[str, bool]:
         """Records computing ``expr``; its name, and whether the value
         is a fresh temporary (which a sum may accumulate into) rather
         than an alias of a view, param, constant or assigned block."""
+        emit, lower = self.emit, self.lower
         if isinstance(expr, MatrixSymbol):
-            return expr.name, False
+            return self.values.get(expr.name, expr.name), False
         if isinstance(expr, Transpose):
             child = expr.child
-            if isinstance(child, MatrixSymbol) and child.name not in temps:
+            if (isinstance(child, MatrixSymbol)
+                    and child.name not in self.computed):
                 # Views and params do not change while deltas evaluate:
                 # one transposed view per firing, at the top of the list.
                 name = f"_T_{child.name}"
-                hoisted.setdefault(
+                self.hoisted.setdefault(
                     name, Op("transpose", name, (child.name,)))
                 return name, False
             return emit("transpose", lower(child)[0]), False
         if isinstance(expr, (Identity, ZeroMatrix)):
-            name = f"_c{len(constants)}"
-            constants[name] = (("eye", expr.shape.rows)
-                               if isinstance(expr, Identity)
-                               else ("zeros", *expr.shape))
+            name = f"_c{len(self.constants)}"
+            self.constants[name] = (("eye", expr.shape.rows)
+                                    if isinstance(expr, Identity)
+                                    else ("zeros", *expr.shape))
             return name, False
         if isinstance(expr, MatMul):
             name, _ = lower(expr.children[0])
@@ -228,16 +249,37 @@ def lower_trigger(trigger: Trigger) -> LoweredTrigger:
             return emit(kernel, *blocks, into=expr.shape), True
         if isinstance(expr, Inverse):
             return emit("inv", lower(expr.child)[0]), True
-        raise TypeError(f"cannot lower node {type(expr).__name__}")
+        raise EvaluationError(
+            f"cannot evaluate node type {type(expr).__name__}")
+
+    def finish(self, input_name, params, rank, applies) -> LoweredTrigger:
+        """The list built so far, its duplicate records merged; it loads
+        every name it reads and no record writes, in first-use order."""
+        ops = (*self.hoisted.values(), *self.ops)
+        written = {*params, *self.constants, *self.buffers,
+                   *(op.dst for op in ops)}
+        views = dict.fromkeys(src for op in (*ops, *applies)
+                              for src in op.srcs
+                              if isinstance(src, str) and src not in written)
+        return merge_duplicates(LoweredTrigger(
+            input_name=input_name, params=params, rank=rank,
+            views=tuple(views), constants=self.constants,
+            buffers=self.buffers, ops=ops, applies=tuple(applies)))
+
+
+def lower_trigger(trigger: Trigger) -> LoweredTrigger:
+    """Lower ``trigger`` to its kernel list (see the module docstring)."""
+    lowering = _Lowering(trigger.temp_names)
 
     # Phase 1a: assigns (delta factor blocks), old values only.  A bare
     # alias result (``U_B := u_A``) is snapshotted into a buffer:
     # temporaries must never share storage with something a later
     # in-place application could mutate.
     for assign in trigger.assigns:
-        name, fresh = lower(assign.expr)
+        name, fresh = lowering.lower(assign.expr)
         if not fresh:
-            name = emit("copy", name, into=assign.expr.shape)
+            lowering.emit("copy", name, into=assign.expr.shape)
+        ops = lowering.ops
         ops[-1] = ops[-1]._replace(dst=assign.target.name)
 
     # Phase 1b: every delta that is not already a pair of factor blocks
@@ -249,19 +291,46 @@ def lower_trigger(trigger: Trigger) -> LoweredTrigger:
         if factors is not None:
             applies.append(Op("outer", target, (target, *factors)))
         else:
-            applies.append(
-                Op("applyadd", target, (target, lower(update.expr)[0])))
+            applies.append(Op("applyadd", target,
+                              (target, lowering.lower(update.expr)[0])))
 
-    return merge_duplicates(LoweredTrigger(
-        input_name=trigger.input_name,
-        params=tuple(p.name for p in trigger.params),
-        rank=trigger.params[0].shape.cols,
-        views=tuple(_referenced_views(trigger)),
-        constants=constants,
-        buffers=buffers,
-        ops=(*hoisted.values(), *ops),
-        applies=tuple(applies),
-    ))
+    return lowering.finish(
+        trigger.input_name, tuple(p.name for p in trigger.params),
+        trigger.params[0].shape.cols, applies)
+
+
+def lower_evaluation(statements, update: Trigger | None = None
+                     ) -> LoweredTrigger:
+    """Every ``(target name, expr)`` of ``statements``, in order.
+
+    Without ``update``: the **evaluation list**, from the stored inputs,
+    each value handed over by a ``store`` apply (a bare or transposed
+    reference is the stored array or a view of it).  With ``update``,
+    input ``X``'s INCR trigger: **REEVAL's list** — the update applied
+    to a buffered copy of ``X``, every statement into scratch buffers,
+    then ``copy`` applies into ``X``'s and each view's stored array, so
+    nothing is stored before everything has evaluated.  No buffer
+    depends on the width: ``rank`` is ``None``.
+    """
+    targets = [target for target, _ in statements]
+    lowering = _Lowering(targets)
+    params: tuple[str, ...] = ()
+    if update is not None:
+        x, (u, v) = update.input_name, update.params
+        params = (u.name, v.name)
+        lowering.computed.add(x)
+        copied = lowering.emit("copy", x,
+                               into=Shape(u.shape.rows, v.shape.rows))
+        lowering.values[x] = lowering.emit("outer", copied, *params)
+        targets = [x, *targets]
+    for target, expr in statements:
+        lowering.values[target] = lowering.lower(expr)[0]
+    values = lowering.values
+    applies = [Op("store", target, (values[target],)) if update is None
+               else Op("copy", target, (values[target], target))
+               for target in targets]
+    return lowering.finish(update and update.input_name, params, None,
+                           applies)
 
 
 def merge_duplicates(lowered: LoweredTrigger) -> LoweredTrigger:
@@ -315,15 +384,15 @@ def merge_duplicates(lowered: LoweredTrigger) -> LoweredTrigger:
 
 def _copy_into(src, out):
     """Materialize ``src`` in the buffer ``out`` (dense fast path)."""
-    if out is not None and isinstance(src, np.ndarray):
+    if isinstance(out, np.ndarray) and isinstance(src, np.ndarray):
         np.copyto(out, src)
         return out
-    return src.copy()  # no buffer, or CSR (buffers cannot hold it)
+    return src.copy()  # no buffer, or CSR (which no buffer holds)
 
 
 #: Kernel name -> the backend kernel a record calls, which a counted
-#: backend's ledger charges under its own name; ``transpose`` (an alias)
-#: and ``copy`` call none.
+#: backend's ledger charges under its own name; ``transpose`` (an alias),
+#: ``copy`` and ``store`` (a value handed over) call none.
 BACKEND_KERNELS = {
     "matmul": "matmul_into", "add": "add_into", "sub": "sub_into",
     "scale": "scale_into", "hstack": "hstack_into", "vstack": "vstack_into",
@@ -336,31 +405,37 @@ def _kernels(be) -> dict[str, Callable]:
     kernels = {name: getattr(be, kernel)
                for name, kernel in BACKEND_KERNELS.items()}
     return {**kernels, "transpose": operator.attrgetter("T"),
-            "copy": _copy_into,
+            "copy": _copy_into, "store": lambda value: value,
             "hstack": lambda *args: be.hstack_into(args[:-1], args[-1]),
             "vstack": lambda *args: be.vstack_into(args[:-1], args[-1])}
 
 
 def _bind(lowered: LoweredTrigger, dims: Mapping[str, int], backend,
-          workspace):
+          workspace, lease: bool = True):
     """Bind a lowered form: ``(backend, values)``.
 
     ``values`` holds what the list leaves free besides kernels:
     ``"_rank"`` (the bound update width), every constant (built here)
     and every buffer (leased here).  Buffers come from a fresh top-level
     lease scope of ``workspace`` (one is created when ``None``) —
-    triggers bound against one workspace share buffers by shape, which
-    is safe because trigger firings never interleave.  An unbound
-    dimension raises :class:`~repro.runtime.executor.EvaluationError`.
+    lists bound against one workspace share buffers by shape, which
+    is safe because firings never interleave.  ``lease=False`` binds
+    ``None`` in every buffer instead: allocating destinations.  An
+    unbound dimension raises
+    :class:`~repro.runtime.executor.EvaluationError`.
     """
     from ...backends import get_backend
     from ...runtime.workspace import Workspace
 
     be = get_backend(backend)
-    ws = Workspace() if workspace is None else workspace
-    values: dict[str, object] = {"_rank": resolve_dim(lowered.rank, dims)}
+    values: dict[str, object] = {"_rank": None if lowered.rank is None
+                                 else resolve_dim(lowered.rank, dims)}
     for name, constant in lowered.constants.items():
         values[name] = _constant(be, constant, dims)
+    if not lease:
+        values.update(dict.fromkeys(lowered.buffers))
+        return be, values
+    ws = Workspace() if workspace is None else workspace
     ws.begin()
     for name, shape in lowered.buffers.items():
         values[name] = ws.lease(resolve_dim(shape.rows, dims),
@@ -376,9 +451,11 @@ def _constant(be, constant: tuple, dims: Mapping[str, int]):
 
 
 def _loop(lowered: LoweredTrigger, be, values: Mapping[str, object],
-          dims: Mapping[str, int]) -> Callable:
-    """``fn(views, u, v)`` running the bound form record by record."""
-    kernels = _kernels(be)
+          dims: Mapping[str, int], kernels: Mapping | None = None
+          ) -> Callable:
+    """``fn(views, *params)`` running the bound form record by record;
+    ``kernels`` replaces entries of the kernel table."""
+    kernels = {**_kernels(be), **(kernels or {})}
     rank = values["_rank"]
     width = getattr(lowered.rank, "name", None)  # symbolic: bound per call
 
@@ -403,15 +480,18 @@ def _loop(lowered: LoweredTrigger, be, values: Mapping[str, object],
     for name in lowered.buffers:
         allocating[slot[name]] = None
     loads = [(slot[name], name) for name in lowered.views]
+    count = len(lowered.params)
 
-    def run(views, u, v):
-        slots = list(pinned if u.shape[1] == rank else allocating)
-        if width and u.shape[1] != rank:  # constants at the update's width
-            bound = {**dims, width: u.shape[1]}
-            for name, constant in lowered.constants.items():
-                slots[slot[name]] = _constant(be, constant, bound)
-        slots[0] = u
-        slots[1] = v
+    def run(views, *params):
+        if rank is None or params[0].shape[1] == rank:
+            slots = list(pinned)
+        else:
+            slots = list(allocating)
+            if width:  # constants at the update's width
+                bound = {**dims, width: params[0].shape[1]}
+                for name, constant in lowered.constants.items():
+                    slots[slot[name]] = _constant(be, constant, bound)
+        slots[:count] = params
         for index, name in loads:
             slots[index] = views[name]
         for kernel, dst, srcs in steps:
@@ -428,15 +508,16 @@ def compile_trigger_function(
     dims: Mapping[str, int],
     backend=None,
     workspace=None,
+    lease: bool = True,
 ) -> Callable:
-    """The loop executor of a trigger's lowered form.
+    """The loop executor of a lowered form.
 
     Binds ``lowered`` against concrete ``dims`` (:func:`_bind`) and
-    returns ``fn(views, u, v)``.  An update of the bound width runs
+    returns ``fn(views, *params)``.  An update of the bound width runs
     on the leased buffers; any other width runs the same records with
     allocating destinations.
     """
-    be, values = _bind(lowered, dims, backend, workspace)
+    be, values = _bind(lowered, dims, backend, workspace, lease)
     return _loop(lowered, be, values, dims)
 
 
@@ -460,7 +541,8 @@ def generate_python_trigger(
 
     lines = [
         f"# Lowered trigger for updates to {lowered.input_name}; buffers "
-        f"are shaped for update width {lowered.rank}.",
+        + (f"are shaped for update width {lowered.rank}."
+           if lowered.rank is not None else "fit every update width."),
     ]
     lines += [f"#   {const} = {kind}({', '.join(map(str, shape))})"
               for const, (kind, *shape) in lowered.constants.items()]
@@ -470,9 +552,12 @@ def generate_python_trigger(
         f"def {name}(views, {', '.join(lowered.params)}):",
         f'    """Maintain views in place for a factored update to '
         f'{lowered.input_name}."""',
-        f"    if {lowered.params[0]}.shape[1] != _rank:",
-        f"        return _any_width(views, {', '.join(lowered.params)})",
     ]
+    if lowered.rank is not None:
+        lines += [
+            f"    if {lowered.params[0]}.shape[1] != _rank:",
+            f"        return _any_width(views, {', '.join(lowered.params)})",
+        ]
     lines += [f"    {view} = views[{view!r}]" for view in lowered.views]
     lines += [f"    {op.dst} = {call(op)}" for op in lowered.ops]
     lines += [f"    views[{op.dst!r}] = {call(op)}" for op in lowered.applies]
@@ -484,13 +569,14 @@ def compile_fused_trigger(
     dims: Mapping[str, int],
     backend=None,
     workspace=None,
+    lease: bool = True,
 ) -> Callable:
-    """Print, bind and ``exec`` a trigger's lowered form.
+    """Print, bind and ``exec`` a lowered form.
 
     Same binding as :func:`compile_trigger_function`, pinned in the
     function's globals; ``fn.__source__`` is the printed text.
     """
-    be, values = _bind(lowered, dims, backend, workspace)
+    be, values = _bind(lowered, dims, backend, workspace, lease)
     source = generate_python_trigger(lowered)
     namespace = {f"_{name}": kernel for name, kernel in _kernels(be).items()}
     namespace.update(values)
@@ -509,6 +595,7 @@ __all__ = [
     "compile_fused_trigger",
     "compile_trigger_function",
     "generate_python_trigger",
+    "lower_evaluation",
     "lower_trigger",
     "merge_duplicates",
     "outer_operands",

@@ -92,21 +92,41 @@ def _inverse_refs(expr: Expr, target: MatrixSymbol) -> Mapping[Expr, Expr]:
 
 @dataclass(frozen=True)
 class CompiledProgram:
-    """A program's triggers and lowered lists, for every update width."""
+    """A program's triggers and lowered lists, for every update width.
+
+    Each list is lowered on first use (a session superseded before its
+    first update lowers nothing) and kept; sessions run them and the
+    planner prices them.
+    """
 
     #: Input name -> its trigger (Algorithm 1).
     triggers: Mapping[str, Trigger]
+    #: The program's ``(target name, expr)`` statements, in order.
+    statements: tuple
     _lowered: dict = field(default_factory=dict, repr=False, compare=False)
 
     def lowered(self, name: str) -> LoweredTrigger:
-        """``name``'s merged kernel list, which both execution modes run
-        and the planner prices, lowered on first use (a session
-        superseded before its first update lowers nothing)."""
-        if name not in self._lowered:
-            from .codegen.fused import lower_trigger
+        """Input ``name``'s merged INCR trigger list."""
+        return self._memo("INCR", name)
 
-            self._lowered[name] = lower_trigger(self.triggers[name])
-        return self._lowered[name]
+    def reevaluated(self, name: str) -> LoweredTrigger:
+        """REEVAL's list for updates to input ``name``
+        (:func:`~repro.compiler.codegen.fused.lower_evaluation`)."""
+        return self._memo("REEVAL", name)
+
+    def evaluation(self) -> LoweredTrigger:
+        """Every statement from the stored inputs: what an initial
+        build, a rebuild and a revalidation run."""
+        return self._memo("EVAL", None)
+
+    def _memo(self, kind: str, name: str | None) -> LoweredTrigger:
+        if (kind, name) not in self._lowered:
+            from .codegen.fused import lower_evaluation, lower_trigger
+
+            self._lowered[kind, name] = (
+                lower_trigger(self.triggers[name]) if kind == "INCR" else
+                lower_evaluation(self.statements, name and self.triggers[name]))
+        return self._lowered[kind, name]
 
 
 def compiled_program(program: Program, rank: DimLike = UPDATE_WIDTH) -> CompiledProgram:
@@ -124,5 +144,7 @@ def compiled_program(program: Program, rank: DimLike = UPDATE_WIDTH) -> Compiled
         raise ValueError(f"update rank must be at least 1, got {rank}")
     if rank not in program._compiled:
         program._compiled[rank] = CompiledProgram(
-            MappingProxyType(compile_program(program, rank=rank)))
+            MappingProxyType(compile_program(program, rank=rank)),
+            tuple((stmt.target.name, stmt.expr)
+                  for stmt in program.statements))
     return program._compiled[rank]

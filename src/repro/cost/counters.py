@@ -146,7 +146,10 @@ def uncounted(backend):
 def counting() -> Iterator[Counter]:
     """Context manager yielding a fresh counter.
 
-    Purely a readability helper::
+    Purely a readability helper.  Every execution path runs a lowered
+    list through the same kernels, so a one-off
+    :func:`~repro.runtime.executor.evaluate` charges exactly what a
+    session running the same records would::
 
         with counting() as ops:
             evaluate(product, env, backend=counted(DENSE, ops))

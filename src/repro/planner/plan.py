@@ -7,8 +7,8 @@ space LINVIEW exposes after the backend refactor:
 * **model** / **s** — the iterative model: linear, exponential or
   skip-``s`` (Section 3.2);
 * **backend** — the execution backend (``repro.backends``);
-* **mode** — trigger execution: ``"interpret"`` (AST executor) or
-  ``"codegen"`` (generated Python, sessions only);
+* **mode** — lowered-list execution: ``"interpret"`` (a loop over the
+  records) or ``"codegen"`` (generated Python, sessions only);
 * **rank** — the update width the triggers are compiled for.
 
 A plan is the whole recipe of a session: every session carries the one

@@ -1,7 +1,11 @@
-"""Numeric evaluation of expression trees over execution backends.
+"""Evaluation of expressions over execution backends: one executor.
 
-This is the single-node evaluator of the reproduction (the paper's
-Octave role).  :func:`evaluate` walks an expression bottom-up, binding
+Every kind of work — an INCR trigger, a REEVAL update, an initial
+build, a rebuild, a revalidation, a catalog read, one expression — runs
+a lowered kernel list (:mod:`repro.compiler.codegen.fused`) through the
+same loop or its printed form; there is no second walk of the
+expression tree.  :func:`evaluate` lowers one expression into the
+evaluation-list form and runs it with allocating destinations, binding
 :class:`~repro.expr.ast.MatrixSymbol` leaves from an environment of
 ``name -> matrix``.  All kernels dispatch through a
 :class:`~repro.backends.base.Backend` (dense NumPy by default; pass
@@ -12,8 +16,8 @@ its counter what the chosen representation actually performs.
 Matrix products are evaluated **in the expression's association order**:
 the factored-delta machinery encodes the cheap evaluation order
 structurally (e.g. ``A * (u * (v' * u))`` groups to matrix-vector work),
-and the executor must respect it for the paper's cost claims to show up
-in the counters.  N-ary products fold left-to-right.
+and the lowering keeps it, so the paper's cost claims show up in the
+counters.  N-ary products fold left-to-right.
 """
 
 from __future__ import annotations
@@ -23,19 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from ..backends import get_backend
-from ..expr.ast import (
-    Add,
-    Expr,
-    HStack,
-    Identity,
-    Inverse,
-    MatMul,
-    MatrixSymbol,
-    ScalarMul,
-    Transpose,
-    VStack,
-    ZeroMatrix,
-)
+from ..expr.ast import Expr
 from ..expr.shapes import DimLike, DimSum, NamedDim
 
 
@@ -77,126 +69,35 @@ def infer_dims(program, inputs) -> dict[str, int]:
     return dims
 
 
-def _eval(node: Expr, env, dims, be):
-    """Evaluate one node through the type-keyed handler table."""
-    try:
-        handler = _HANDLERS[type(node)]
-    except KeyError:
-        handler = _inherited_handler(type(node))
-    return handler(node, env, dims, be)
+def run_list(lowered, scope: dict, dims: Mapping[str, int], backend,
+             kernels: Mapping | None = None) -> dict:
+    """Run a lowered list once over ``scope`` with allocating
+    destinations: its loads are read from ``scope`` and its applies
+    write there; ``kernels`` replaces entries of the kernel table.
+    Returns ``scope``."""
+    from ..compiler.codegen.fused import _bind, _loop
+
+    be, values = _bind(lowered, dims, backend, None, lease=False)
+    _loop(lowered, be, values, dims, kernels)(scope)
+    return scope
 
 
-def _inherited_handler(cls):
-    """Handler of the nearest known base of ``cls`` (found once, cached):
-    a subclass of a node type evaluates like the type it extends."""
-    for base in cls.__mro__[1:]:
-        if base in _HANDLERS:
-            handler = _HANDLERS[cls] = _HANDLERS[base]
-            return handler
-    raise EvaluationError(f"cannot evaluate node type {cls.__name__}")
+def _native(be, name: str, value):
+    """``value`` in a form ``be`` executes; a native float64 leaf as is.
 
-
-def _eval_symbol(node, env, dims, be):
-    try:
-        value = env[node.name]
-    except KeyError:
-        raise EvaluationError(f"unbound matrix {node.name!r}") from None
-    if be.is_native(value):
-        # Already in a form the backend executes — return it as-is
-        # regardless of concrete type.  Re-normalizing a native float64
-        # ndarray through ``asarray`` would scan (and, under the sparse
-        # backend's representation policy, copy/convert) the full
-        # matrix on *every leaf evaluation*; other dtypes still
-        # normalize below.
-        if not isinstance(value, np.ndarray):
-            return value
-        if value.dtype == np.float64:
-            return value
+    Re-normalizing a native float64 ndarray through ``asarray`` would
+    scan (and, under the sparse backend's representation policy,
+    copy/convert) the full matrix on every evaluation; other dtypes
+    still normalize.
+    """
+    if be.is_native(value) and (not isinstance(value, np.ndarray)
+                                or value.dtype == np.float64):
+        return value
     arr = np.asarray(value, dtype=np.float64)
     if arr.ndim != 2:
         raise EvaluationError(
-            f"matrix {node.name!r} must be 2-D, got ndim={arr.ndim}"
-        )
+            f"matrix {name!r} must be 2-D, got ndim={arr.ndim}")
     return be.asarray(arr)
-
-
-def _eval_identity(node, env, dims, be):
-    return be.eye(resolve_dim(node.shape.rows, dims))
-
-
-def _eval_zero(node, env, dims, be):
-    rows = resolve_dim(node.shape.rows, dims)
-    cols = resolve_dim(node.shape.cols, dims)
-    return be.zeros(rows, cols)
-
-
-def _eval_add(node, env, dims, be):
-    children = node.children
-    total = _eval(children[0], env, dims, be)
-    for child in children[1:]:
-        value = _eval(child, env, dims, be)
-        total = be.add_into(total, value)
-    return total
-
-
-def _eval_matmul(node, env, dims, be):
-    children = node.children
-    result = _eval(children[0], env, dims, be)
-    for child in children[1:]:
-        value = _eval(child, env, dims, be)
-        n, m = be.shape(result)
-        m2, p = be.shape(value)
-        if m != m2:
-            raise EvaluationError(
-                f"runtime shape mismatch in product: {(n, m)} @ {(m2, p)}"
-            )
-        result = be.matmul_into(result, value)
-    return result
-
-
-def _eval_scalar_mul(node, env, dims, be):
-    value = _eval(node.child, env, dims, be)
-    return be.scale_into(node.coeff, value)
-
-
-def _eval_transpose(node, env, dims, be):
-    value = _eval(node.child, env, dims, be)
-    return be.transpose(value)
-
-
-def _eval_inverse(node, env, dims, be):
-    value = _eval(node.child, env, dims, be)
-    try:
-        return be.inv(value)
-    except np.linalg.LinAlgError as exc:
-        raise EvaluationError(f"singular matrix in inverse: {exc}") from exc
-
-
-def _eval_hstack(node, env, dims, be):
-    return be.hstack_into(
-        [_eval(block, env, dims, be) for block in node.children])
-
-
-def _eval_vstack(node, env, dims, be):
-    return be.vstack_into(
-        [_eval(block, env, dims, be) for block in node.children])
-
-
-#: Node type -> handler.  Module-level functions, not a closure built
-#: per call: a self-recursive closure is a reference cycle that keeps
-#: its ``env`` (every view array) alive until the cyclic collector runs.
-_HANDLERS = {
-    MatrixSymbol: _eval_symbol,
-    Identity: _eval_identity,
-    ZeroMatrix: _eval_zero,
-    Add: _eval_add,
-    MatMul: _eval_matmul,
-    ScalarMul: _eval_scalar_mul,
-    Transpose: _eval_transpose,
-    Inverse: _eval_inverse,
-    HStack: _eval_hstack,
-    VStack: _eval_vstack,
-}
 
 
 def evaluate(
@@ -213,6 +114,30 @@ def evaluate(
     for dense).  Returns a 2-D matrix in the backend's representation
     (a float64 ``ndarray`` under the default dense backend); inputs are
     used as-is (never mutated), and a bare or transposed reference
-    returns the environment's own array (or a view of it).
+    returns the environment's own array (or a view of it).  An unbound
+    matrix or dimension, a leaf that is not 2-D, a product of
+    mismatched operands and a singular inverse raise
+    :class:`EvaluationError`.
     """
-    return _eval(expr, env, dims or {}, get_backend(backend))
+    from ..compiler.codegen.fused import lower_evaluation
+
+    be = get_backend(backend)
+    lowered = lower_evaluation([("_value", expr)])
+    scope = {}
+    for name in lowered.views:
+        if name not in env:
+            raise EvaluationError(f"unbound matrix {name!r}")
+        scope[name] = _native(be, name, env[name])
+
+    def matmul(a, b, out=None):
+        if be.shape(a)[1] != be.shape(b)[0]:
+            raise EvaluationError(
+                f"runtime shape mismatch in product: "
+                f"{be.shape(a)} @ {be.shape(b)}")
+        return be.matmul_into(a, b, out)
+
+    try:
+        run_list(lowered, scope, dims or {}, be, {"matmul": matmul})
+    except np.linalg.LinAlgError as exc:
+        raise EvaluationError(f"singular matrix in inverse: {exc}") from exc
+    return scope["_value"]

@@ -20,13 +20,15 @@ session is built by :func:`build_session` from one
 as ``session.plan`` (a directly constructed session synthesizes its
 plan from its arguments).
 
-Triggers have one lowered form (:mod:`repro.compiler.codegen.fused`): a
-flat kernel list with buffers, hoisted transposes, identical records
-merged and the evaluate-all-then-apply-all order made explicit.  It is
+Every update runs one lowered form (:mod:`repro.compiler.codegen.fused`):
+a flat kernel list with buffers, hoisted transposes, identical records
+merged and the evaluate-all-then-apply-all order made explicit — the
+input's trigger under INCR, its REEVAL list under REEVAL, and the
+evaluation list for builds, rebuilds and revalidation.  The lists are
 compiled once per program at a symbolic update width, which each
 session binds to ``plan.rank``
 (:func:`~repro.compiler.compile.compiled_program`).  Both execution
-modes run it — through the backend's ``*_into`` kernels, into buffers
+modes run them — through the backend's ``*_into`` kernels, into buffers
 leased once from the session's :class:`~repro.runtime.workspace.Workspace`,
 repairing views **in place** — so they share ops, operand layouts and
 association order by construction (bit-for-bit equal on the dense
@@ -88,7 +90,7 @@ from ..compiler.compile import UPDATE_WIDTH, compile_program, compiled_program  
 from ..compiler.program import Program
 from ..cost import counters
 from .batching import DeferralSpec, resolve_deferral, still_resolved
-from .executor import EvaluationError, evaluate, infer_dims
+from .executor import infer_dims, run_list
 from .updates import (FactoredUpdate, InvalidUpdateError, SingularUpdateError,
                       validate_finite_inputs)
 from .views import ViewStore
@@ -163,21 +165,38 @@ class Session:
         self._deferral = None
         self._deferral_spec = DeferralSpec()
         self._checkpointer = None
-        if isinstance(inputs, ViewStore):
+        self.mode = self.plan.mode
+        #: Triggers and lowered lists, shared per program.
+        self.compiled = compiled_program(program)
+        #: Scratch buffers of every bound list.
+        self.workspace = Workspace()
+        #: Input name -> bound executor of its update list.
+        self._executors: dict[str, Callable] = {}
+        adopted = isinstance(inputs, ViewStore)
+        if adopted:
             # Adopt live state: no re-evaluation, and no copy unless
             # the representation has to change.
             same = counters.counted(inputs.backend, counter) is self.backend
             self.views = inputs if same else inputs.converted(self.backend)
             self.views.backend = self.backend
-            return
-        self.views = ViewStore(dims, backend=self.backend)
-        missing = set(program.input_names) - set(inputs)
-        if missing:
-            raise ValueError(f"missing initial values for inputs: {sorted(missing)}")
-        validate_finite_inputs(inputs, program.input_names)
-        for name in program.input_names:
-            self.views.set(name, inputs[name])
-        self._materialize_all()
+        else:
+            self.views = ViewStore(dims, backend=self.backend)
+            missing = set(program.input_names) - set(inputs)
+            if missing:
+                raise ValueError(
+                    f"missing initial values for inputs: {sorted(missing)}")
+            validate_finite_inputs(inputs, program.input_names)
+            for name in program.input_names:
+                self.views.set(name, inputs[name])
+        # Dimensions the stored inputs bind, once; given ones win.
+        self.views.dims = {**infer_dims(self.program, {
+            name: self.views.get(name) for name in program.input_names
+            if name in self.views}), **self.views.dims}
+        if not adopted:
+            self._materialize_all()
+        if self.mode == "codegen":
+            for name in self.compiled.triggers:
+                self._executor(name)
 
     # -- queries ---------------------------------------------------------
     def __getitem__(self, name: str) -> np.ndarray:
@@ -232,14 +251,51 @@ class Session:
         for update in updates:
             self.apply_update(update)
 
+    #: The :class:`~repro.compiler.compile.CompiledProgram` method
+    #: giving an input's update list (set by subclasses).
+    _update_list = "lowered"
+
+    def _executor(self, name: str) -> Callable:
+        """Bind ``name``'s update list against this session's dims,
+        backend and workspace, in the form ``self.mode`` runs."""
+        build = (compile_fused_trigger if self.mode == "codegen"
+                 else compile_trigger_function)
+        fn = self._executors[name] = build(
+            getattr(self.compiled, self._update_list)(name),
+            self._bound_dims(), self.backend, self.workspace, self._leases)
+        return fn
+
+    #: Whether the update lists lease their buffers (else allocate).
+    _leases = True
+
+    def _bound_dims(self) -> dict[str, int]:
+        """The store's dims and the width."""
+        return {**self.views.dims, UPDATE_WIDTH.name: self.plan.rank}
+
     def _apply_now(self, update: FactoredUpdate) -> None:
-        """Apply one (possibly batch-compacted) update immediately."""
-        raise NotImplementedError
+        """Apply one (possibly batch-compacted) update immediately.
+
+        The input's update list runs in ``self.mode``; one bound in
+        interpret mode is bound on its first firing, so a session that
+        is built and superseded before any update (the catalog's, at
+        every tenant registration) leases nothing.
+        """
+        fn = self._executors.get(update.target) or self._executor(
+            update.target)
+        try:
+            fn(self.views._arrays, update.u_block, update.v_block)
+        except np.linalg.LinAlgError as exc:
+            # Only an ``inv`` raises it, and every list evaluates
+            # everything before it writes a view.
+            raise SingularUpdateError(
+                f"update to {update.target!r} makes an inverse singular; "
+                f"no input or view changed ({exc})") from exc
 
     def _check_update_target(self, update: FactoredUpdate) -> None:
-        """Raise early for updates no flush could ever apply."""
-        if update.target not in self.views:
-            raise KeyError(f"no view or input named {update.target!r}")
+        """Raise early for updates no flush could ever apply: only an
+        input has an update list."""
+        if update.target not in self.compiled.triggers:
+            raise KeyError(f"no trigger compiled for input {update.target!r}")
 
     def _validate_update(self, update: FactoredUpdate) -> None:
         """Reject malformed updates before they can touch any state."""
@@ -482,21 +538,15 @@ class Session:
         return False
 
     # -- validation ------------------------------------------------------
-    def _materialize_all(self, inputs: Mapping | None = None) -> None:
+    def _materialize_all(self) -> None:
         """Evaluate every statement, then store the results.
 
-        ``inputs`` maps input names to new values to evaluate against;
-        they are stored with the views.  Nothing is stored until every
-        statement has evaluated, so one that raises leaves the store as
-        it was.
+        Nothing is stored until every statement has evaluated, so one
+        that raises leaves the store as it was.
         """
-        env = {**self.views.as_env(), **(inputs or {})}
-        names = list(inputs or ())
-        for stmt in self.program.statements:
-            env[stmt.target.name] = evaluate(
-                stmt.expr, env, dims=self.views.dims, backend=self.backend)
-            names.append(stmt.target.name)
-        for name in names:
+        env = run_list(self.compiled.evaluation(), self.views.as_env(),
+                       self.views.dims, self.backend)
+        for name in self.program.view_names:
             # A result is fresh unless its statement is a bare or
             # transposed reference; adopt() copies exactly those.
             self.views.adopt(name, env[name])
@@ -574,15 +624,11 @@ class Session:
         """
         self.flush()
         be = counters.uncounted(self.backend)  # a check: not charged
-        env = {name: self.views.get(name) for name in self.program.input_names}
-        worst = 0.0
-        for stmt in self.program.statements:
-            value = evaluate(stmt.expr, env, dims=self.views.dims, backend=be)
-            drift = be.max_abs(
-                be.sub_into(value, self.views.get(stmt.target.name)))
-            worst = max(worst, drift)
-            env[stmt.target.name] = value
-        return worst
+        env = run_list(self.compiled.evaluation(), {
+            name: self.views.get(name) for name in self.program.input_names
+        }, self.views.dims, be)
+        return max((be.max_abs(be.sub_into(env[name], self.views.get(name)))
+                    for name in self.program.view_names), default=0.0)
 
 
 class IVMSession(Session):
@@ -617,91 +663,29 @@ class IVMSession(Session):
     ):
         super().__init__(program, inputs, dims, counter, backend, plan,
                          mode=mode, rank=rank)
-        self.mode = self.plan.mode
-        #: Triggers and lowered lists, shared per program.
-        self.compiled = compiled_program(program)
-        #: Scratch buffers of every trigger's lowered form.
-        self.workspace = Workspace()
-        #: Input name -> bound executor of its trigger's lowered form.
-        self._executors: dict[str, Callable] = {}
-        if self.mode == "codegen":
-            for name in self.compiled.triggers:
-                self._executor(name)
-
-    def _executor(self, name: str) -> Callable:
-        """Bind ``name``'s lowered trigger against this session's dims,
-        backend and workspace, in the form ``self.mode`` runs."""
-        if self.mode == "codegen":
-            fn = compile_fused_trigger(
-                self.compiled.lowered(name), self._bound_dims(), self.backend,
-                self.workspace)
-        else:
-            fn = compile_trigger_function(
-                self.compiled.lowered(name), self._bound_dims(), self.backend,
-                self.workspace)
-        self._executors[name] = fn
-        return fn
-
-    def _bound_dims(self) -> dict[str, int]:
-        """User dims, completed from the stored inputs, and the width."""
-        inputs = {name: self.views.get(name)
-                  for name in self.program.input_names if name in self.views}
-        return {**infer_dims(self.program, inputs), **self.views.dims,
-                UPDATE_WIDTH.name: self.plan.rank}
-
-    # -- maintenance -----------------------------------------------------
-    def _check_update_target(self, update: FactoredUpdate) -> None:
-        if update.target not in self.compiled.triggers:
-            raise KeyError(f"no trigger compiled for input {update.target!r}")
-
-    def _apply_now(self, update: FactoredUpdate) -> None:
-        """Maintain every view for one factored update (the INCR path).
-
-        An interpret-mode trigger is bound on its first firing, so a
-        session that is built and superseded before any update (the
-        catalog's, at every tenant registration) leases nothing.
-        """
-        fn = self._executors.get(update.target) or self._executor(
-            update.target)
-        try:
-            fn(self.views._arrays, update.u_block, update.v_block)
-        except np.linalg.LinAlgError as exc:
-            # Only a Woodbury core's ``inv`` raises it, and the list
-            # evaluates every delta before it applies one.
-            raise SingularUpdateError(
-                f"update to {update.target!r} makes an inverse singular; "
-                f"no view changed ({exc})") from exc
 
 
 class ReevalSession(Session):
     """The re-evaluation baseline (REEVAL): apply the update, recompute.
 
-    Mirrors :class:`IVMSession`'s interface so experiments can swap the
-    two strategies without touching driver code.
+    Mirrors :class:`IVMSession`'s interface (``mode=`` included) so
+    experiments can swap the two strategies without touching driver
+    code.  Each input's REEVAL list
+    (:meth:`~repro.compiler.compile.CompiledProgram.reevaluated`) runs
+    like a trigger: the update lands in a copy of the input, every
+    statement evaluates into scratch buffers, and only then are the
+    input and the views written, in place.  Batching pays most here: a
+    width-``m`` batch is one compaction plus *one* re-evaluation.  The
+    buffers are leased on the dense backend only, so sparse state
+    never gets a dense square scratch buffer.
     """
 
     strategy = "REEVAL"
+    _update_list = "reevaluated"
 
-    def _apply_now(self, update: FactoredUpdate) -> None:
-        """Apply the update to its input and re-evaluate every statement.
-
-        This is where batching pays most: a width-``m`` batch costs one
-        compaction plus *one* re-evaluation instead of ``m``.  The
-        update lands in a copy of the input, stored with the views once
-        they have all evaluated.
-        """
-        be = self.backend
-        updated = be.add_outer_inplace(
-            be.asarray(self.views.get(update.target), copy=True),
-            update.u_block, update.v_block)
-        try:
-            self._materialize_all({update.target: updated})
-        except EvaluationError as exc:
-            if not isinstance(exc.__cause__, np.linalg.LinAlgError):
-                raise
-            raise SingularUpdateError(
-                f"update to {update.target!r} makes an inverse singular; "
-                f"no input or view changed ({exc})") from exc
+    @property
+    def _leases(self) -> bool:
+        return self.backend.name == "dense"
 
 
 class ShardedSession(IVMSession):
@@ -987,8 +971,7 @@ def build_session(
     / ``plan.nodes`` pick the class, ``plan.rank`` / ``plan.mode``
     bind the program's triggers, and a ``backend`` *instance*
     wins over the plan's backend name.  The returned session's ``plan``
-    is what was actually built: a REEVAL plan runs ``mode="interpret"``
-    (it has no trigger code), and a sharded plan the shared-memory
+    is what was actually built: a sharded plan the shared-memory
     budget cannot hold opens single-process with a ``RuntimeWarning``.
     A sharded plan (``nodes > 1``) takes any program whose lowered
     trigger lists the tile kernels can run, in either mode; one they
@@ -1006,9 +989,7 @@ def build_session(
         if plan.nodes > 1:
             raise UnsupportedCombinationError(
                 "sharded (nodes > 1) maintenance is INCR-only")
-        # Re-evaluation has no trigger code, so no execution mode.
-        return ReevalSession(program, inputs, dims, counter, backend,
-                             plan.with_overrides(mode="interpret"))
+        return ReevalSession(program, inputs, dims, counter, backend, plan)
     if plan.nodes > 1:
         from ..distributed.shm import SharedMemoryBudgetError
 

@@ -7,6 +7,8 @@ mixed ``pytest tests/... benchmarks/...`` invocations unambiguous.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 #: ``repro.iterative``'s program families, spelled as programs: matrix
@@ -98,11 +100,12 @@ def sparse_available() -> bool:
 #: Backends the deferral harnesses sweep.
 BACKENDS = ("dense",) + (("sparse",) if sparse_available() else ())
 
-#: (strategy, mode) cells sessions support; REEVAL has no mode axis.
+#: (strategy, mode) cells sessions support.
 SESSION_CONFIGS = (
     ("INCR", "interpret"),
     ("INCR", "codegen"),
     ("REEVAL", "interpret"),
+    ("REEVAL", "codegen"),
 )
 
 
@@ -117,7 +120,7 @@ def make_session(program, inputs, strategy="INCR", mode="interpret",
 
     inputs = {name: arr.copy() for name, arr in inputs.items()}
     if strategy == "REEVAL":
-        return ReevalSession(program, inputs, backend=backend)
+        return ReevalSession(program, inputs, mode=mode, backend=backend)
     return IVMSession(program, inputs, mode=mode, backend=backend)
 
 
@@ -131,6 +134,65 @@ def assert_views_close(session, oracle, program, context=""):
             got, want, rtol=1e-7, atol=1e-8 * scale,
             err_msg=f"{name} diverged {context}",
         )
+
+
+def numpy_evaluate(expr, env, dims=None) -> np.ndarray:
+    """``expr`` over ``env`` by a tree walk in plain NumPy: the
+    differential oracle.
+
+    It shares no code with the lowering, the executor or the backends
+    (no kernel table, no counter, no buffers): every node is a NumPy
+    call on dense float64 arrays, products folded left to right in the
+    expression's association order.  ``dims`` sizes ``eye``/``zeros``.
+    """
+    from repro.expr.ast import (Add, HStack, Identity, Inverse, MatMul,
+                                MatrixSymbol, ScalarMul, Transpose, VStack,
+                                ZeroMatrix)
+
+    def size(dim) -> int:
+        if isinstance(dim, int):
+            return dim
+        if hasattr(dim, "name"):
+            return dims[dim.name]
+        return sum(map(size, dim.atoms)) + dim.const
+
+    def walk(node) -> np.ndarray:
+        if isinstance(node, MatrixSymbol):
+            value = env[node.name]
+            return np.asarray(value.toarray() if hasattr(value, "toarray")
+                              else value, dtype=np.float64)
+        if isinstance(node, Identity):
+            return np.eye(size(node.shape.rows))
+        if isinstance(node, ZeroMatrix):
+            return np.zeros((size(node.shape.rows), size(node.shape.cols)))
+        if isinstance(node, (Transpose, Inverse, ScalarMul)):
+            child = walk(node.child)
+            return (child.T if isinstance(node, Transpose)
+                    else np.linalg.inv(child) if isinstance(node, Inverse)
+                    else node.coeff * child)
+        children = [walk(child) for child in node.children]
+        if isinstance(node, (Add, MatMul)):
+            fold = np.add if isinstance(node, Add) else np.matmul
+            return functools.reduce(fold, children)
+        if isinstance(node, (HStack, VStack)):
+            return np.concatenate(children, axis=int(isinstance(node, HStack)))
+        raise TypeError(f"no NumPy form for {type(node).__name__}")
+
+    dims = dims or {}
+    return walk(expr)
+
+
+def numpy_views(program, inputs, updates=(), dims=None) -> dict:
+    """Every input with ``updates`` applied, and every view of
+    ``program`` re-evaluated from them by :func:`numpy_evaluate`."""
+    env = {name: np.array(value, dtype=np.float64)
+           for name, value in inputs.items()}
+    for update in updates:
+        env[update.target] = (env[update.target]
+                              + update.u_block @ update.v_block.T)
+    for stmt in program.statements:
+        env[stmt.target.name] = numpy_evaluate(stmt.expr, env, dims)
+    return env
 
 
 def chain_scenario(rng: np.random.Generator):

@@ -46,8 +46,7 @@ class TestRun:
         assert "backend  : sparse" in out
 
     def test_codegen_mode_and_rank(self, a4_file, capsys):
-        # Force INCR: at n=24 the overhead-aware planner prefers REEVAL,
-        # which has no trigger code and would normalize the mode away.
+        # Force INCR: at n=24 the overhead-aware planner prefers REEVAL.
         assert main(["run", a4_file, "--dims", "n=24", "--updates", "6",
                      "--rank", "2", "--plan", "incr",
                      "--mode", "codegen", "--json"]) == 0

@@ -23,7 +23,10 @@ one call, as in the end-to-end tracer's ``backend.kernel_calls_per_update``.
 * the Section 5.1 OLS program (:func:`~repro.analytics.make_ols`):
   its FLOP ledger per row update under INCR in both modes and under
   REEVAL;
-* the planner's INCR price read off the same lists
+* the bytes REEVAL allocates per update, in both modes: its list runs
+  on leased buffers, so only what no buffer holds (``inv``'s result)
+  is allocated;
+* the planner's INCR and REEVAL prices read off the same lists
   (:func:`~repro.planner.programcost.refresh_ledger`): on the dense
   backend its predicted calls and FLOPs per update are the ledger's.
 """
@@ -66,15 +69,17 @@ TABLE = {
     "catalog_tenants": {"calls": 42, "node_refreshes": 10},
     "sharded_chain": {"messages": 11, "bytes": 372_736},
     "sparse_pagerank": {"cells": 15, "plan": "REEVAL-LIN@sparse/interpret"},
-    "chain_reeval": {"by_kernel": {"add_outer_inplace": 1, "matmul_into": 2}},
+    "chain_reeval": {"by_kernel": {"add_outer_inplace": 1, "matmul_into": 2},
+                     "bytes": 0},
     # OLS at OLS_DIMS: dZ's two outer products, one rank-2 Woodbury step
     # on W (its 2 x 2 core is the one ``inv``), dC and dbeta, then five
-    # applies; REEVAL applies to X and runs three products and ``inv``.
+    # applies; REEVAL applies to X and runs three products and ``inv``,
+    # whose n x n result is the one allocation.
     "ols": {"calls": 27, "flops": 102_500,
             "by_kernel": {"matmul_into": 13, "add_into": 3, "hstack_into": 4,
                           "inv": 1, "scale_into": 1,
                           "add_outer_inplace": 5}},
-    "ols_reeval": {"flops": 1_475_200,
+    "ols_reeval": {"flops": 1_475_200, "bytes": 12_800,
                    "by_kernel": {"add_outer_inplace": 1, "matmul_into": 3,
                                  "inv": 1}},
 }
@@ -268,6 +273,18 @@ class TestChainLedger:
             assert calls == TABLE["chain_reeval"]["by_kernel"]
 
     @pytest.mark.parametrize("mode", ["interpret", "codegen"])
+    def test_reeval_allocates_nothing(self, mode):
+        """REEVAL's list updates a copy of the input in a buffer and
+        evaluates into buffers: a rank-1 update allocates no bytes."""
+        ledger = Ledger()
+        session = _chain("reeval", self.N, ledger, mode)
+        assert session.plan.mode == mode
+        for calls, _, nbytes in _ledgers(ledger, session.apply_update,
+                                         _updates(self.N)):
+            assert calls == TABLE["chain_reeval"]["by_kernel"]
+            assert nbytes == TABLE["chain_reeval"]["bytes"]
+
+    @pytest.mark.parametrize("mode", ["interpret", "codegen"])
     @pytest.mark.parametrize("plan", sorted(FLOPS_IN_N))
     def test_flops_are_a_polynomial_in_n(self, plan, mode):
         """Exact counts give exact exponents: INCR is degree 2 in ``n``
@@ -347,6 +364,15 @@ class TestOLSLedger:
             assert calls == TABLE["ols_reeval"]["by_kernel"]
             assert sum(flops.values()) == TABLE["ols_reeval"]["flops"]
 
+    @pytest.mark.parametrize("mode", ["interpret", "codegen"])
+    def test_reeval_allocates_only_the_inverse(self, mode):
+        m, n, _ = OLS_DIMS.values()
+        assert TABLE["ols_reeval"]["bytes"] == n * n * 8
+        for calls, flops, nbytes in self._ledgers("reeval", mode):
+            assert calls == TABLE["ols_reeval"]["by_kernel"]
+            assert sum(flops.values()) == TABLE["ols_reeval"]["flops"]
+            assert nbytes == TABLE["ols_reeval"]["bytes"]
+
 
 class TestSparsePageRank:
     N = 64
@@ -380,7 +406,8 @@ class TestPricedLedger:
 
     @staticmethod
     def _assert_priced_as_charged(source: str, dims: dict, width: int,
-                                  mode: str, target: str = "A") -> None:
+                                  mode: str, target: str = "A",
+                                  strategy: str = "INCR") -> None:
         """``target`` takes one width-``width`` update; every input is
         shaped by its declaration under ``dims``."""
         program = parse_program(source)
@@ -391,9 +418,9 @@ class TestPricedLedger:
         inputs = {name: 0.2 * rng.standard_normal(shape) / np.sqrt(shape[1])
                   for name, shape in shapes.items()}
         ledger = Ledger()
-        session = open_session(program, inputs, dims=dims, plan="incr",
-                               mode=mode, rank=width, batch="off",
-                               counter=ledger)
+        session = open_session(program, inputs, dims=dims,
+                               plan=strategy.lower(), mode=mode, rank=width,
+                               batch="off", counter=ledger)
         rows, cols = shapes[target]
         update = FactoredUpdate(target,
                                 0.01 * rng.standard_normal((rows, width)),
@@ -401,15 +428,16 @@ class TestPricedLedger:
         ledger.reset()
         session.apply_update(update)
         be = DenseBackend()
-        calls, flops = refresh_ledger(be, program, dims, {}, rank=width)
+        calls, flops = refresh_ledger(be, program, dims, {}, rank=width,
+                                      update_input=target, strategy=strategy)
         assert calls == ledger.calls_by_op
         assert flops == ledger.flops_by_op
-        # The INCR cell's refresh is that ledger plus one call overhead
-        # per kernel call.
-        assert program_cost(be, "INCR", program, dims, {},
-                            rank=width).refresh == (
-            sum(flops.values())
-            + sum(calls.values()) * be.est_call_overhead(inplace=True))
+        # The cell's refresh is that ledger plus one call overhead per
+        # kernel call: in place for INCR, out of place for REEVAL.
+        assert program_cost(be, strategy, program, dims, {}, rank=width,
+                            update_input=target).refresh == (
+            sum(flops.values()) + sum(calls.values())
+            * be.est_call_overhead(inplace=strategy == "INCR"))
 
     @pytest.mark.parametrize("mode", ["interpret", "codegen"])
     @pytest.mark.parametrize("width", [1, 3])
@@ -434,3 +462,35 @@ class TestPricedLedger:
                                       {})
         assert sum(calls.values()) == TABLE["chain"]["calls"]
         assert sum(flops.values()) == np.polyval(FLOPS_IN_N["incr"], 128)
+
+
+class TestPricedReevalLedger:
+    """REEVAL is priced from its own list, which both modes run: the
+    predicted kernel calls and FLOPs per update are a counted REEVAL
+    session's, with no tolerance."""
+
+    check = staticmethod(TestPricedLedger._assert_priced_as_charged)
+
+    @pytest.mark.parametrize("mode", ["interpret", "codegen"])
+    @pytest.mark.parametrize("width", [1, 3])
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_chain(self, n, width, mode):
+        self.check(CHAIN_SRC, {"n": n}, width, mode, strategy="REEVAL")
+
+    @pytest.mark.parametrize("mode", ["interpret", "codegen"])
+    @pytest.mark.parametrize("family", [*ITERATIVE, "catalog_tenants"])
+    def test_program_at_n_32(self, family, mode):
+        source = ITERATIVE.get(family) or tenant_source(0)
+        self.check(source, {"n": 32}, 1, mode, strategy="REEVAL")
+
+    @pytest.mark.parametrize("mode", ["interpret", "codegen"])
+    def test_ols(self, mode):
+        self.check(OLS_SOURCE, OLS_DIMS, 1, mode, target="X",
+                   strategy="REEVAL")
+
+    def test_chain_polynomial(self):
+        calls, flops = refresh_ledger(DenseBackend(),
+                                      parse_program(CHAIN_SRC), {"n": 128},
+                                      {}, strategy="REEVAL")
+        assert calls == TABLE["chain_reeval"]["by_kernel"]
+        assert sum(flops.values()) == np.polyval(FLOPS_IN_N["reeval"], 128)

@@ -1,12 +1,13 @@
-"""The two executors of the lowered trigger form against each other.
+"""The two executors of the lowered lists against each other.
 
-``mode="interpret"`` loops over a trigger's lowered form
+``mode="interpret"`` loops over a lowered list
 (:mod:`repro.compiler.codegen.fused`) and ``mode="codegen"`` prints and
 ``exec``-utes the same list, so they must agree **bit for bit** — on the
 dense backend and, since both call the same kernel callables on the
-same operands, on the sparse one.  The independent oracle is
-re-evaluation through :func:`repro.runtime.executor.evaluate` (an AST
-walk that shares no code with the lowering), met to tolerance.
+same operands, on the sparse one — for INCR's trigger lists and
+REEVAL's lists alike.  The independent oracle is re-evaluation by
+``stream_helpers.numpy_views`` (a NumPy tree walk that shares no code
+with the lowering or the backends), met to tolerance.
 """
 
 import itertools
@@ -37,37 +38,35 @@ from repro.expr import (
     transpose,
 )
 from repro.frontend import parse_program
-from repro.runtime import EvaluationError, FactoredUpdate, evaluate
-from repro.runtime.session import IVMSession
+from repro.runtime import EvaluationError, FactoredUpdate
+from repro.runtime.session import IVMSession, ReevalSession
 from repro.runtime.workspace import Workspace
+from stream_helpers import numpy_views
 
 SETTINGS = dict(max_examples=40, deadline=None)
 
+#: The strategies whose lists both modes run.
+STRATEGIES = ("INCR", "REEVAL")
 
-def _sessions(program, inputs, dims=None, backend=None, rank=1):
+
+def _sessions(program, inputs, dims=None, backend=None, rank=1,
+              strategy="INCR"):
     """(interpret, codegen) session pair over copied inputs."""
-    make = lambda **kw: IVMSession(  # noqa: E731
-        program, {k: np.array(v) for k, v in inputs.items()},
-        dims=dims, backend=backend, rank=rank, **kw,
-    )
-    return make(mode="interpret"), make(mode="codegen")
+    def make(mode):
+        copied = {k: np.array(v) for k, v in inputs.items()}
+        if strategy == "REEVAL":
+            return ReevalSession(program, copied, dims=dims,
+                                 backend=backend, mode=mode)
+        return IVMSession(program, copied, dims=dims, backend=backend,
+                          rank=rank, mode=mode)
+
+    return make("interpret"), make("codegen")
 
 
 def _drive_both(interp, fused, updates):
     for update in updates:
         interp.apply_update(update)
         fused.apply_update(update)
-
-
-def _reevaluated(program, inputs, updates):
-    """Every view recomputed from the updated inputs by the AST walk."""
-    env = {name: np.array(value) for name, value in inputs.items()}
-    for update in updates:
-        env[update.target] = (
-            env[update.target] + update.u_block @ update.v_block.T)
-    for stmt in program.statements:
-        env[stmt.target.name] = np.array(evaluate(stmt.expr, env))
-    return env
 
 
 def _unmerged(trigger):
@@ -89,12 +88,12 @@ def _rank_one_updates(rng, sym, n, count):
             for _ in range(count)]
 
 
-def _mismatches(program, inputs, updates):
+def _mismatches(program, inputs, updates, strategy="INCR"):
     """Names on which the modes differ in any bit, after checking both
     against re-evaluation to tolerance."""
-    interp, fused = _sessions(program, inputs)
+    interp, fused = _sessions(program, inputs, strategy=strategy)
     _drive_both(interp, fused, updates)
-    expected = _reevaluated(program, inputs, updates)
+    expected = numpy_views(program, inputs, updates)
     bad = []
     for name, want in expected.items():
         np.testing.assert_allclose(interp[name], want, rtol=1e-9, atol=1e-9)
@@ -110,8 +109,9 @@ class TestCounterExample:
     n=64) — the sum of two transposed views kept its F layout in one
     and was copied into a C buffer in the other."""
 
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("n", [2, 4, 8, 64])
-    def test_bitwise_after_one_update(self, n):
+    def test_bitwise_after_one_update(self, n, strategy):
         a_sym, b_sym = MatrixSymbol("A", n, n), MatrixSymbol("B", n, n)
         program = Program([a_sym, b_sym], [Statement(
             MatrixSymbol("V", n, n),
@@ -122,7 +122,7 @@ class TestCounterExample:
             inputs = {"A": rng.normal(size=(n, n)),
                       "B": rng.normal(size=(n, n))}
             if _mismatches(program, inputs,
-                           _rank_one_updates(rng, a_sym, n, 1)):
+                           _rank_one_updates(rng, a_sym, n, 1), strategy):
                 differing.append(seed)
         assert not differing, f"modes differ on seeds {differing}"
 
@@ -153,7 +153,7 @@ class TestBoundedExhaustiveEnumeration:
     """No tree small enough to enumerate may split the modes, whichever
     input the update lands on."""
 
-    def _differing(self, n, grow):
+    def _differing(self, n, grow, strategy="INCR"):
         leaves = [MatrixSymbol("A", n, n), MatrixSymbol("B", n, n)]
         rng = np.random.default_rng(n)
         inputs = {sym.name: rng.normal(size=(n, n)) / np.sqrt(n)
@@ -166,14 +166,16 @@ class TestBoundedExhaustiveEnumeration:
                 leaves, [Statement(MatrixSymbol("V", n, n), expr)])
             for expr in grow(leaves)}
         differing = [text for text, program in programs.items()
-                     if _mismatches(program, inputs, updates)]
+                     if _mismatches(program, inputs, updates, strategy)]
         # The sessions run merged lists; the tier must give the pass work.
         merging = sum(map(_merged_records, programs.values()))
         return len(programs), differing, merging
 
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("n", [2, 4, 64])
-    def test_every_tree_to_depth_two(self, n):
-        count, differing, merging = self._differing(n, _trees_to_depth_two)
+    def test_every_tree_to_depth_two(self, n, strategy):
+        count, differing, merging = self._differing(
+            n, _trees_to_depth_two, strategy)
         assert count > 200 and merging > 0
         assert not differing, (
             f"modes differ on {len(differing)} cases: {differing[:10]}")
@@ -207,9 +209,10 @@ def _sampled_program(data, depth):
 
 
 class TestGeneratedProgramParity:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     @settings(**SETTINGS)
     @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
-    def test_dense_bit_for_bit(self, data, seed):
+    def test_dense_bit_for_bit(self, data, seed, strategy):
         sampled = _sampled_program(data, data.draw(st.integers(3, 4)))
         if sampled is None:
             return
@@ -224,14 +227,15 @@ class TestGeneratedProgramParity:
             )
             for _ in range(4)
         ]
-        interp, fused = _sessions(program, env)
+        interp, fused = _sessions(program, env, strategy=strategy)
         _drive_both(interp, fused, updates)
         for name in list(env) + ["V_out"]:
             assert np.array_equal(interp[name], fused[name]), name
 
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     @settings(**SETTINGS)
     @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
-    def test_sparse_backend_bit_for_bit(self, data, seed):
+    def test_sparse_backend_bit_for_bit(self, data, seed, strategy):
         pytest.importorskip("scipy")
         sampled = _sampled_program(data, data.draw(st.integers(1, 2)))
         if sampled is None:
@@ -247,9 +251,10 @@ class TestGeneratedProgramParity:
             )
             for _ in range(3)
         ]
-        interp, fused = _sessions(program, env, backend="sparse")
+        interp, fused = _sessions(program, env, backend="sparse",
+                                  strategy=strategy)
         _drive_both(interp, fused, updates)
-        expected = _reevaluated(program, env, updates)
+        expected = numpy_views(program, env, updates)
         for name in list(env) + ["V_out"]:
             assert np.array_equal(interp[name], fused[name]), name
             np.testing.assert_allclose(
@@ -259,7 +264,8 @@ class TestGeneratedProgramParity:
 class TestChainParitySparseState:
     """Large CSR-backed chain: the sparse fallback legs stay correct."""
 
-    def test_sparse_chain(self, rng):
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_sparse_chain(self, rng, strategy):
         pytest.importorskip("scipy")
         n = 100
         a_sym = MatrixSymbol("A", n, n)
@@ -272,10 +278,11 @@ class TestChainParitySparseState:
             u[i % n, 0] = 1.0
             v = 0.02 * rng.normal(size=(n, 1)) * (rng.random((n, 1)) < 0.05)
             updates.append(FactoredUpdate("A", u, v))
-        interp, fused = _sessions(program, {"A": a0}, backend="sparse")
+        interp, fused = _sessions(program, {"A": a0}, backend="sparse",
+                                  strategy=strategy)
         _drive_both(interp, fused, updates)
         assert np.array_equal(interp["B"], fused["B"])
-        expected = _reevaluated(program, {"A": a0}, updates)
+        expected = numpy_views(program, {"A": a0}, updates)
         np.testing.assert_allclose(fused["B"], expected["B"], rtol=1e-9,
                                    atol=1e-12)
 
@@ -295,7 +302,8 @@ class TestOneListEveryFiring:
     """Off-width updates and ``Inverse`` run the same list with
     allocating destinations — there is no second lowering to fall to."""
 
-    def test_off_rank_updates_stay_bitwise_and_correct(self, rng):
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_off_rank_updates_stay_bitwise_and_correct(self, rng, strategy):
         n = 8
         program = _a4(n)
         inputs = {"A": rng.normal(size=(n, n))}
@@ -304,7 +312,7 @@ class TestOneListEveryFiring:
                            rng.normal(size=(n, width)))
             for width in (2, 1, 3)
         ]
-        assert _mismatches(program, inputs, updates) == []
+        assert _mismatches(program, inputs, updates, strategy) == []
 
     def test_inverse_lowers_without_a_buffer(self):
         n = 4
@@ -335,7 +343,8 @@ class TestOneListEveryFiring:
         with pytest.raises(EvaluationError, match="unbound dimension"):
             build(lowered, {})  # no binding for n
 
-    def test_inverse_program_bitwise_and_correct(self, rng):
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_inverse_program_bitwise_and_correct(self, rng, strategy):
         n = 6
         a_sym = MatrixSymbol("A", n, n)
         program = Program(
@@ -346,10 +355,10 @@ class TestOneListEveryFiring:
                            rng.normal(size=(n, 1)))
             for _ in range(3)
         ]
-        interp, fused = _sessions(program, inputs)
+        interp, fused = _sessions(program, inputs, strategy=strategy)
         _drive_both(interp, fused, updates)
         assert np.array_equal(interp["W"], fused["W"])
-        expected = _reevaluated(program, inputs, updates)
+        expected = numpy_views(program, inputs, updates)
         np.testing.assert_allclose(fused["W"], expected["W"], rtol=1e-8)
 
 
@@ -450,7 +459,7 @@ class TestMergedRecords:
                    for _ in range(4)]
         want = _final_views(program, inputs, updates, "interpret",
                             merge=False)
-        expected = _reevaluated(program, inputs, updates)
+        expected = numpy_views(program, inputs, updates)
         for mode in ("interpret", "codegen"):
             got = _final_views(program, inputs, updates, mode)
             for name, value in want.items():

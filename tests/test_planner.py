@@ -293,13 +293,17 @@ class TestOpenSession:
             open_session(parse_program(A4_SOURCE), self.make_inputs(rng),
                          plan=MaintenancePlan("HYBRID"))
 
-    def test_reeval_plan_normalizes_mode(self, rng):
-        # REEVAL has no trigger code, so a codegen override must not be
-        # reported as if it executed.
+    def test_reeval_plan_runs_the_mode_given(self, rng):
+        # REEVAL runs a lowered list like INCR, so a codegen override
+        # executes, and the plan reports what executed.
         session = open_session(parse_program(A4_SOURCE),
                                self.make_inputs(rng),
                                plan="reeval", mode="codegen")
-        assert session.plan.mode == "interpret"
+        assert session.plan.mode == "codegen"
+        assert session.plan.label.endswith("/codegen")
+        assert all(hasattr(fn, "__source__")
+                   for fn in session._executors.values())
+        assert set(session._executors) == {"A"}
 
     def test_dims_inferred_from_inputs(self, rng):
         session = open_session(parse_program(A4_SOURCE),

@@ -45,6 +45,26 @@ class TestInitialization:
         with pytest.raises(ValueError, match="missing initial values"):
             IVMSession(a4_program(), {}, dims={"n": 4})
 
+    @pytest.mark.parametrize("plan", ["reeval", "incr", "auto"])
+    def test_dims_of_eye_inferred_from_the_inputs(self, rng, plan):
+        """A program with ``eye(n)`` opens without ``dims=``: the session
+        infers ``n`` from its inputs once, for the build and for every
+        update, bitwise as when ``n`` is given."""
+        from repro.frontend import parse_program
+        from repro.runtime import open_session
+
+        program = parse_program(
+            "input A(n, n); B := A + eye(n); C := inv(B) * A';")
+        a0 = rng.normal(size=(6, 6)) / 6
+        updates = make_updates(rng, 6, 3, scale=0.1)
+        sessions = [open_session(program, {"A": a0}, dims=dims, plan=plan)
+                    for dims in (None, {"n": 6})]
+        for session in sessions:
+            session.apply_updates(updates)
+        assert sessions[0].plan == sessions[1].plan
+        for name in ("A", "B", "C"):
+            assert np.array_equal(sessions[0][name], sessions[1][name])
+
     def test_unknown_mode_rejected(self, rng):
         with pytest.raises(ValueError, match="unknown mode"):
             IVMSession(a4_program(), {"A": rng.normal(size=(4, 4))},

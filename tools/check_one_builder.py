@@ -7,9 +7,11 @@ docs/invariants.md, "One build path": ``runtime.session.build_session``
 is the only function in ``src/repro`` that calls a session constructor,
 and ``session.plan`` is set by the session itself, never assigned from
 outside.  "One lowering": Algorithm 1 (``compile_program``) and the
-lowering (``lower_trigger``) run only inside ``compiled_program`` and
-its artifact's ``lowered``, which every session, the planner, the
-shardability check and every ``repro compile`` printer read.  "One
+expression lowering (``lower_trigger``, ``lower_evaluation``) run only
+inside ``compiled_program``, its artifact's lazy lists — which every
+session, the planner, the shardability check and every ``repro
+compile`` printer read — and ``runtime.executor.evaluate``, which
+lowers the one expression it is handed.  "One
 artifact per program": ``compiled_program`` compiles at a symbolic
 update width that sessions and the planner bind like any dimension, so
 a caller handing it a width builds a second artifact of the same
@@ -34,17 +36,19 @@ outside :data:`CHARGERS` calls ``counter.record``.
 from __future__ import annotations
 
 import ast
-import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 SESSIONS = {"IVMSession", "ReevalSession", "ShardedSession"}
 #: The functions that may run Algorithm 1 or the lowering themselves:
-#: the memoized artifact and its lazy lowering.
+#: the memoized artifact, its lazy lists and the one-expression executor.
 COMPILERS = {
     ("compiler/compile.py", "compiled_program"),
-    ("compiler/compile.py", "lowered"),
+    ("compiler/compile.py", "_memo"),
+    ("runtime/executor.py", "evaluate"),
 }
+#: The calls that compile or lower a program.
+LOWERINGS = ("compile_program", "lower_trigger", "lower_evaluation")
 #: The functions that may ask ``compiled_program`` for a concrete width.
 WIDTH_GIVERS = {("cli.py", "_run_compile")}
 #: The files that may call ``counter.record`` themselves.
@@ -59,8 +63,7 @@ def findings(root: Path = SRC) -> tuple[set, list]:
 
 
 def compilers(root: Path = SRC) -> set:
-    """``(file, function)`` of every call to ``compile_program`` or
-    ``lower_trigger``."""
+    """``(file, function)`` of every call in :data:`LOWERINGS`."""
     return _walk(root)[2]
 
 
@@ -89,7 +92,7 @@ def _walk(root: Path) -> tuple[set, list, set, list, set]:
                 node.func, "id", getattr(node.func, "attr", None))
             if called in SESSIONS:
                 builders.add((rel, scope))
-            if called in ("compile_program", "lower_trigger"):
+            if called in LOWERINGS:
                 compiling.add((rel, scope))
             if called == "compiled_program" and (
                     len(node.args) > 1 or node.keywords):
