@@ -43,7 +43,7 @@ Two further axes the planner prices through this module:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, exp, log
+from math import exp, log
 
 from ..iterative.models import Model
 
@@ -445,54 +445,6 @@ def heavy_light_unit_cost(
     return per_update
 
 
-#: Fraction of a sharded refresh that stays serial on the coordinator
-#: (factor assembly, the k x k cross terms, hstacks, result scatter).
-#: The Amdahl term that keeps predicted speedup sublinear in nodes.
-SHARDED_SERIAL_FRACTION = 0.1
-
-
-def sharded_refresh_cost(
-    be,
-    base_refresh: float,
-    n: int,
-    n_statements: int,
-    rank: int,
-    nodes: int,
-) -> float:
-    """Per-refresh cost (dense-FLOP equivalents) of the factored chain
-    refresh executed on ``nodes`` shard nodes: the coordinator (node 0)
-    and ``nodes - 1`` shared-memory workers.
-
-    The compute term is an Amdahl split of the single-process refresh
-    (``base_refresh``): the big per-tile dgemms divide across nodes,
-    the thin coordinator-side algebra does not.  The comm term prices
-    what the real engine ships to and from the remote nodes per refresh
-    — per statement, two products, each broadcasting a thin factor and
-    gathering the remote rows of ``view @ u`` or one ``(n, k)``
-    ``view.T @ v`` partial per remote row tile; per view, one apply of a
-    stacked factor pair whose width roughly doubles along the chain —
-    through the backend's IPC hooks, one message per remote node per
-    roundtrip (:meth:`est_broadcast` / :meth:`est_shuffle`).
-    """
-    if nodes <= 1:
-        return float(base_refresh)
-    from ..distributed.partitioner import RowShardPartitioner
-
-    compute = base_refresh * (
-        SHARDED_SERIAL_FRACTION + (1.0 - SHARDED_SERIAL_FRACTION) / nodes
-    )
-    factor_bytes = 8.0 * n * max(rank, 1)
-    n_tiles = ceil(n / RowShardPartitioner.DEFAULT_TILE_ROWS)
-    remote = nodes - 1
-    products, roundtrips = 2 * n_statements, 3 * n_statements + 1
-    broadcast_bytes = (4.0 * n_statements + 2.0) * factor_bytes
-    gather_bytes = ((1.0 + n_tiles) * n_statements * factor_bytes
-                    * remote / nodes)
-    comm = (roundtrips * be.est_broadcast(broadcast_bytes / roundtrips, remote)
-            + products * be.est_shuffle(gather_bytes / products, remote))
-    return float(compute + comm)
-
-
 # -- fault tolerance ------------------------------------------------------
 #
 # Checkpointing is priced in the same flop-equivalent ranking units as
@@ -628,7 +580,6 @@ __all__ = [
     "HL_MAX_FOLD_PERIOD",
     "checkpoint_write_cost",
     "recommend_checkpoint_every",
-    "SHARDED_SERIAL_FRACTION",
     "batch_unit_cost",
     "catalog_admission_cost",
     "catalog_demand_cost",
@@ -639,7 +590,6 @@ __all__ = [
     "power_density",
     "powers_cost",
     "private_maintenance_cost",
-    "sharded_refresh_cost",
     "shared_maintenance_cost",
     "sums_density",
 ]

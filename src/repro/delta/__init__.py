@@ -8,7 +8,6 @@ This package implements Section 4 of the paper:
 * :mod:`~repro.delta.factored` — the ``U @ V'`` factored form (4.2);
 * :mod:`~repro.delta.derivation` — ``ComputeDelta`` over whole
   expressions, the workhorse of Algorithm 1;
-* :mod:`~repro.delta.multi` — the sequential multi-update rule (4.4);
 * :mod:`~repro.delta.batch` — QR+SVD compaction of stacked updates
   (Table 4 batching).
 
@@ -26,7 +25,6 @@ _EXPORTS = {
     "compact_factors": "batch",
     "compact_updates": "batch",
     "compute_delta": "derivation",
-    "compute_delta_sequential": "multi",
     "delta_add": "rules",
     "delta_inverse": "rules",
     "delta_product": "rules",

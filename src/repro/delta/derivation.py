@@ -6,7 +6,8 @@ expression, given factored deltas for any subset of the matrices it
 references.  The rules are total-delta rules, so simultaneous updates to
 several matrices (the situation Algorithm 1 creates as deltas cascade
 through statements) need no special casing; the paper's sequential
-formulation lives in :mod:`repro.delta.multi` and is tested equivalent.
+formulation (Section 4.4) is a test oracle, checked equivalent in
+``tests/test_delta_multi.py``.
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ factors and gathered thin results.  :class:`CommLog` keeps that
 classification explicit so tests, the node-count reports and the
 partitioning ablation can assert it (bytes shuffled vs broadcast vs
 gathered, per operation label).  An engine keeps two: ``comm``,
-measured on the pipes, and ``model``, what the comm model predicts.
+measured on the pipes, and ``model``, what :func:`tile_traffic`
+predicts — the events the planner prices, too.
 """
 
 from __future__ import annotations
@@ -125,4 +126,24 @@ class CommLog:
         self.events.clear()
 
 
-__all__ = ["BROADCAST", "CommEvent", "CommLog", "GATHER", "SHUFFLE"]
+def tile_traffic(part, op: str, *factors) -> tuple[CommEvent, ...]:
+    """The modeled traffic of tile op ``op`` over the partitioner
+    ``part``, handed float64 factors of shapes ``factors``: they are
+    broadcast to the ``part.nodes - 1`` remote nodes (node 0 is the
+    coordinator), then a product gathers their share of its thin result
+    — their rows of ``view @ u``, or one ``(n, k)`` partial per row tile
+    they own under ``view.T @ v``.  One message per remote node each way.
+    """
+    remote = part.nodes - 1
+    events = [CommEvent(BROADCAST, op,
+                        sum(rows * cols for rows, cols in factors) * 8 * remote,
+                        remote)]
+    if op != "add_lowrank":
+        rows = (part.n * (part.n_tiles - len(part.shards[0]))
+                if op == "matT_lowrank" else part.n - part.shard_rows(0))
+        events.append(CommEvent(GATHER, op, rows * factors[0][1] * 8, remote))
+    return tuple(events)
+
+
+__all__ = ["BROADCAST", "CommEvent", "CommLog", "GATHER", "SHUFFLE",
+           "tile_traffic"]

@@ -39,7 +39,7 @@ import numpy as np
 
 from ..backends import DenseBackend
 from ..runtime.workspace import Workspace
-from .comm import BROADCAST, GATHER, CommLog
+from .comm import BROADCAST, CommLog, tile_traffic
 from .partitioner import RowShardPartitioner
 from .workers import DEFAULT_TIMEOUT, ProcessCluster, _execute
 
@@ -56,10 +56,11 @@ class _ShardEngine:
     """What both engines share: the tile layout, its traffic ledgers and
     the three ops, each one :meth:`_run` of a tile op over every node.
 
-    ``model`` records what the planner's comm model predicts each op
-    ships over ``part`` — its node count, its tiles — so the in-process
-    engine records the same events as the process engine over the same
-    partitioner; ``comm`` holds measured traffic (none in process).
+    ``model`` records what each op ships over ``part`` — its node count,
+    its tiles — by :func:`~repro.distributed.comm.tile_traffic`, the
+    comm model the planner prices, so the in-process engine records the
+    same events as the process engine over the same partitioner;
+    ``comm`` holds measured traffic (none in process).
     """
 
     def __init__(self, partitioner: RowShardPartitioner):
@@ -67,24 +68,11 @@ class _ShardEngine:
         self.comm = CommLog()
         self.model = CommLog()
 
-    def _model(self, op: str, *factors: np.ndarray) -> None:
-        """Record ``op``'s modeled traffic: its factors broadcast to the
-        remote nodes (node 0 is the coordinator), then — for a product —
-        their share of the thin result gathered: their rows of ``view @
-        u``, one ``(n, k)`` partial per tile they own under ``matT``."""
-        part, remote = self.part, self.part.nodes - 1
-        self.model.record(BROADCAST, op, sum(f.nbytes for f in factors) * remote,
-                          messages=remote)
-        if op != "add_lowrank":
-            rows = (part.n * (part.n_tiles - len(part.shards[0]))
-                    if op == "matT_lowrank" else part.n - part.shard_rows(0))
-            self.model.record(GATHER, op, rows * factors[0].shape[1] * 8,
-                              messages=remote)
-
     def _op(self, kind: str, name: str, *factors) -> dict:
         """Model and run one tile op; its per-tile partials, by tile."""
         factors = tuple(map(_factor, factors))
-        self._model(kind, *factors)
+        self.model.events.extend(
+            tile_traffic(self.part, kind, *(f.shape for f in factors)))
         return self._run((kind, name, *factors))
 
     def add_lowrank(self, name: str, u: np.ndarray, v: np.ndarray) -> None:
@@ -298,6 +286,28 @@ class ShardBackend(DenseBackend):
         return a
 
 
+def tile_ops(lowered) -> dict:
+    """Each record of ``lowered`` on a stored view (or its hoisted
+    transpose) -> the tile op a :class:`ShardBackend` runs it as, or
+    ``None`` where none exists.  (A product whose right operand is not
+    thin at the bound width still runs in process.)"""
+    stored, flipped, found = set(lowered.views), set(), {}
+    for op in (*lowered.ops, *lowered.applies):
+        held = [at for at, src in enumerate(op.srcs)
+                if src in stored or src in flipped]
+        if not held:
+            continue
+        if op.kernel == "transpose":
+            flipped.add(op.dst)
+        elif held != [0] or op.kernel not in ("matmul", "outer"):
+            found[op] = None
+        else:
+            found[op] = ("add_lowrank" if op.kernel == "outer"
+                         else "matT_lowrank" if op.srcs[0] in flipped
+                         else "mat_lowrank")
+    return found
+
+
 def unshardable(program) -> str | None:
     """Why no shard engine can maintain ``program`` — ``None`` if one can.
 
@@ -307,11 +317,11 @@ def unshardable(program) -> str | None:
     every update width: every view
     shares one tile decomposition, so all are declared with one square
     shape; and a stored view (or its hoisted transpose)
-    appears only where a tile kernel exists — as the left operand of a
-    ``matmul`` with a thin block, or as the target of a factored
-    ``outer`` apply.  ``inv`` of a view, a thin block left-multiplying
-    one, a view-by-view product and a non-factored ``applyadd`` have no
-    tile kernel.
+    appears only where a tile kernel exists (:func:`tile_ops`) — as the
+    left operand of a ``matmul`` with a thin block, or as the target of
+    a factored ``outer`` apply.  ``inv`` of a view, a thin block
+    left-multiplying one, a view-by-view product and a non-factored
+    ``applyadd`` have no tile kernel.
     """
     from ..compiler.compile import compiled_program
 
@@ -322,14 +332,8 @@ def unshardable(program) -> str | None:
                 f"square matrices of one order, got {declared}")
     compiled = compiled_program(program)
     for lowered in map(compiled.lowered, compiled.triggers):
-        stored = set(lowered.views)
-        for op in (*lowered.ops, *lowered.applies):
-            held = [at for at, src in enumerate(op.srcs) if src in stored]
-            if not held:
-                continue
-            if op.kernel == "transpose":
-                stored.add(op.dst)
-            elif held != [0] or op.kernel not in ("matmul", "outer"):
+        for op, tile in tile_ops(lowered).items():
+            if tile is None:
                 operands = ", ".join(map(str, op.srcs))
                 return (f"the trigger for {lowered.input_name} runs "
                         f"{op.kernel}({operands}) on a stored view, and "
@@ -342,5 +346,6 @@ __all__ = [
     "LocalShardEngine",
     "ShardBackend",
     "ShardedEngine",
+    "tile_ops",
     "unshardable",
 ]

@@ -66,10 +66,12 @@ class MaintenancePlan:
     #: compacted refresh.  ``None`` when batching was not planned (or
     #: does not pay); 1 means "apply per update".
     batch_size: int | None = None
-    #: Worker-process count: 1 runs single-process; N > 1 shards block
-    #: rows over N shared-memory workers
-    #: (:class:`~repro.distributed.sharded.ShardedEngine`), priced with
-    #: the comm-cost term (:func:`repro.cost.estimate.sharded_refresh_cost`).
+    #: Node count: 1 runs single-process; N > 1 shards row tiles over
+    #: the coordinator (node 0) and N - 1 shared-memory workers
+    #: (:class:`~repro.distributed.sharded.ShardedEngine`), priced from
+    #: the trigger list it runs: tile ops at the largest shard's share,
+    #: plus the traffic the engine models for them
+    #: (:func:`repro.planner.programcost.program_cost`).
     nodes: int = 1
     #: Update-target partitioning: ``"uniform"`` treats every target the
     #: same (per-update or width-batched maintenance), ``"heavy-light"``
@@ -219,17 +221,25 @@ def determined_plan(matrices, stats: WorkloadStats, strategies, nodes,
     strategy x admissible backend x node count and recommends a batch
     width per cell.  When one strategy is asked for, the caller names
     the ``backend`` or ``matrices`` (the program's initial inputs) admit
-    one (:func:`repro.backends.admissible_backends`), every node count
-    is 1 and the caller forces the batch width, that
-    grid has one cell and nothing of its pricing is read (``partition``
-    stays ``"uniform"`` without a stream sketch, which no opening call
-    has) — so the cell is written down unpriced and the pricing stack
-    is never imported.  Anything else returns ``None``: price it.
+    one (:func:`repro.backends.admissible_backends`), one node count is
+    given and the caller forces the batch width, that grid has one cell
+    and nothing of its pricing is read (``partition`` stays
+    ``"uniform"`` without a stream sketch, which no opening call has) —
+    so the cell is written down unpriced and the pricing stack is never
+    imported.  A sharded cell (one count ``N > 1``) is dense INCR; a
+    REEVAL-only request keeps its strategy, for the build to refuse.
+    Anything else returns ``None``: price it.
     """
     from ..backends import admissible_backends, get_backend
 
-    if (len(strategies) != 1 or not batch_forced
-            or any(int(count) > 1 for count in nodes)):
+    counts = {max(int(count), 1) for count in nodes}
+    if not batch_forced or len(counts) != 1:
+        return None
+    count, = counts
+    if count > 1:
+        strategies = (INCR,) if INCR in strategies else strategies[:1]
+        backend = backend or "dense"
+    if len(strategies) != 1:
         return None
     backends = [get_backend(backend).name] if backend is not None else (
         admissible_backends((*m.shape, WorkloadStats.measure_density(m))
@@ -239,7 +249,7 @@ def determined_plan(matrices, stats: WorkloadStats, strategies, nodes,
     strategy, = strategies
     return MaintenancePlan(
         strategy, backend=backends[0], mode=session_mode(strategy, stats),
-        rank=stats.update_rank)
+        rank=stats.update_rank, nodes=count)
 
 
 class StreamSketch:

@@ -24,11 +24,7 @@ from typing import Mapping
 from ..backends import admissible_backends, calibrated, get_backend
 from ..compiler.program import Program
 from ..cost.advisor import recommend_general, recommend_powers
-from ..cost.estimate import (
-    batch_unit_cost,
-    heavy_light_unit_cost,
-    sharded_refresh_cost,
-)
+from ..cost.estimate import batch_unit_cost, heavy_light_unit_cost
 from ..runtime.executor import infer_dims, resolve_dim
 from .plan import (
     CODEGEN_MIN_REFRESHES,
@@ -57,9 +53,9 @@ def _batch_widths(batch_hint: int | None) -> tuple[int, ...]:
 
 
 def _refresh_cost_memo(be, strategy: str, program: Program, dims, densities,
-                       update_input: str | None):
+                       update_input: str | None, nodes: int = 1):
     """Memoized ``update_rank -> CostEstimate`` and ``-> refresh flops``
-    closures for one cell.
+    closures for one cell (on ``nodes`` row-shard nodes).
 
     Shared by the batch-width and partition recommenders so each
     (strategy, backend) cell is priced once per distinct rank, not once
@@ -71,7 +67,7 @@ def _refresh_cost_memo(be, strategy: str, program: Program, dims, densities,
     @cache
     def cost_at(r: int):
         return program_cost(be, strategy, program, dims, densities,
-                            rank=r, update_input=update_input)
+                            rank=r, update_input=update_input, nodes=nodes)
 
     return cost_at, lambda r: cost_at(r).refresh
 
@@ -223,9 +219,12 @@ def rank_program(
     """Every admissible session plan, cheapest first.
 
     The grid is (strategy in {INCR, REEVAL}) x backend x node-count;
-    ``nodes`` lists the worker counts to price (``(1,)`` keeps the
-    single-process grid).  ``backends=None`` is the admissible grid:
-    the backends that would store at least one program input in their
+    ``nodes`` lists the node counts to price: ``(1,)`` keeps the
+    single-process grid, and counts all ``> 1`` price only sharded
+    cells (what ``open_session(nodes=(N,))`` forces), raising
+    :class:`~repro.runtime.session.UnsupportedCombinationError` when
+    there are none.  ``backends=None`` is the admissible grid: the
+    backends that would store at least one program input in their
     own format (:func:`repro.backends.admissible_backends` — a backend
     that stores none runs the dense kernels on dense state and cannot
     change a decision); a caller who names backends gets exactly those
@@ -234,10 +233,13 @@ def rank_program(
     Sharded cells (``N > 1``) exist only for
     dense INCR over programs whose lowered trigger lists the tile
     kernels can run (:func:`repro.distributed.sharded.unshardable`,
-    asked of the lists every session on the program runs) and
-    are priced with the Amdahl + IPC comm term
-    (:func:`repro.cost.estimate.sharded_refresh_cost`), so tiny views
-    lose to single-process on the IPC tax while large dense chains win.
+    asked of the lists every session on the program runs), priced
+    from the trigger list they run
+    (:func:`~repro.planner.programcost.program_cost` with ``nodes``):
+    tile ops at the largest shard's share of their FLOPs plus the
+    traffic the engine models for them.  Tiny views, one tile held by
+    node 0, lose to single-process on the IPC tax while large dense
+    chains win.
     ``inputs``
     (initial values) supply the dimension bindings and measured
     densities; ``stats`` supplies the update rank (every cell carries it
@@ -302,13 +304,21 @@ def rank_program(
 
     node_counts = sorted({max(int(count), 1) for count in nodes}) or [1]
     shardable = False
-    if any(count > 1 for count in node_counts):
+    if node_counts[-1] > 1:
         from ..distributed.sharded import unshardable
 
         shardable = unshardable(program) is None
     target = update_input or program.input_names[0]
     target_n = resolve_dim(program.input(target).shape.rows, resolved_dims)
     target_cols = resolve_dim(program.input(target).shape.cols, resolved_dims)
+
+    def priced(be, strategy: str, count: int):
+        cell = (be.name, strategy, count)
+        if cell not in memo:
+            memo[cell] = _refresh_cost_memo(
+                be, strategy, program, resolved_dims, densities,
+                update_input, count)
+        return memo[cell]
 
     candidates = []
     for backend_name in backends:
@@ -320,14 +330,14 @@ def rank_program(
                 continue
             memo["backend", backend_name] = be
         for strategy in strategies:
+            # Sharded cells: dense INCR over programs the tile kernels
+            # can run.
+            counts = [count for count in node_counts if count == 1 or (
+                strategy == INCR and be.name == "dense" and shardable)]
+            if not counts:
+                continue
             mode = session_mode(strategy, stats)
-            cell = (be.name, strategy)
-            if cell not in memo:
-                memo[cell] = _refresh_cost_memo(
-                    be, strategy, program, resolved_dims, densities,
-                    update_input)
-            cost_at, refresh_fn = memo[cell]
-            cost = cost_at(rank)
+            cost_at, refresh_fn = priced(be, strategy, 1)
             batch, batched_unit = _recommend_batch(
                 be, target_n, target_cols, rank, fractions, refresh_fn)
             partition, heavy_budget, hl_unit = _recommend_partition(
@@ -335,34 +345,28 @@ def rank_program(
                 batched_unit,
             )
             unit = hl_unit if partition == "heavy-light" else batched_unit
-            refresh = unit if price_batching else cost.refresh
-            predicted = ((cost.setup + refreshes * refresh)
-                         / max(refreshes, 1)
-                         if amortize_setup else refresh)
-            candidates.append(MaintenancePlan(
-                strategy, "linear", None, be.name, mode,
-                predicted, cost.space, batch_size=batch,
-                partition=partition, heavy_budget=heavy_budget, rank=rank,
-            ))
-            for count in node_counts:
-                # Sharded cells: dense INCR over programs the tile
-                # kernels can run, priced on the *unbatched* refresh.
-                if (count <= 1 or strategy != INCR
-                        or be.name != "dense" or not shardable):
-                    continue
-                sharded = sharded_refresh_cost(
-                    be, cost.refresh, target_n, len(program.statements),
-                    rank, count,
-                )
-                predicted_sharded = (
-                    (cost.setup + refreshes * sharded) / max(refreshes, 1)
-                    if amortize_setup else sharded
-                )
+            for count in counts:
+                cost = priced(be, strategy, count)[0](rank)
+                if count == 1:
+                    refresh = unit if price_batching else cost.refresh
+                    split = dict(partition=partition,
+                                 heavy_budget=heavy_budget)
+                else:  # priced unbatched, partitioned uniformly
+                    refresh, split = cost.refresh, {}
+                predicted = ((cost.setup + refreshes * refresh)
+                             / max(refreshes, 1)
+                             if amortize_setup else refresh)
                 candidates.append(MaintenancePlan(
                     strategy, "linear", None, be.name, mode,
-                    predicted_sharded, cost.space, batch_size=batch,
-                    nodes=count, rank=rank,
+                    predicted, cost.space, batch_size=batch, nodes=count,
+                    rank=rank, **split,
                 ))
+    if not candidates and node_counts[0] > 1:
+        from ..runtime.session import UnsupportedCombinationError
+
+        raise UnsupportedCombinationError(
+            f"no sharded cell for nodes={tuple(node_counts)}: "
+            f"{unshardable(program) or 'sharded cells are dense INCR'}")
     if not candidates:
         raise RuntimeError("no execution backend available to plan over")
     return sorted(candidates,

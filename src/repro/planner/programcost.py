@@ -9,11 +9,13 @@ charging each record through the backend's ``est_*`` cost hooks:
 * **REEVAL** walks the updated input's REEVAL list: the update applied
   to a copy of the input, then every statement;
 * **INCR** walks the updated input's trigger list, bound at the update
-  width.
+  width, on ``nodes`` row-shard nodes as a sharded session runs it.
 
-No delta rule or evaluation order is restated here, so on the dense
-backend the predicted calls and FLOPs per update (:func:`refresh_ledger`)
-are a counted session's ledger, under either strategy.
+No delta rule, evaluation order or traffic formula is restated here,
+so on the dense backend the predicted calls and FLOPs per update
+(:func:`refresh_ledger`) are a counted session's ledger, under either
+strategy, and the predicted shard traffic (:func:`refresh_traffic`) is
+the engine's ``model``.
 
 Densities of computed values follow the expected-overlap heuristic
 ``density(AB) ~ min(1, d_a d_b m)`` for inner dimension ``m`` — the
@@ -58,16 +60,30 @@ def _product_density(da: float, db: float, inner: int) -> float:
 
 
 def _walk(be, lowered, env: dict, dims, thin_dense: bool = False,
-          u_nnz: float = 1.0) -> tuple[Counter, Counter]:
-    """``(calls, flops)`` of one run of ``lowered``, keyed by backend
-    kernel; every record's result is annotated into ``env``, which
-    holds the inputs' and views' annotations on entry.  ``thin_dense``
-    annotates every computed value dense (a trigger's factor blocks)."""
+          u_nnz: float = 1.0, part=None) -> tuple[Counter, Counter, list]:
+    """``(calls, flops, roundtrips)`` of one run of ``lowered``, keyed by
+    backend kernel; every record's result is annotated into ``env``,
+    which holds the inputs' and views' annotations on entry.
+    ``thin_dense`` annotates every computed value dense (a trigger's
+    factor blocks).
+
+    Under a row-shard partitioner ``part``, the records a
+    :class:`~repro.distributed.sharded.ShardBackend` runs as tile ops
+    (:func:`~repro.distributed.sharded.tile_ops`) are charged at the
+    largest shard's share of the rows, and each adds to ``roundtrips``
+    the events the engine's ``model`` logs for it.
+    """
     for name, (kind, *shape) in lowered.constants.items():
         sizes = [resolve_dim(dim, dims) for dim in shape]
         env[name] = (_Annotation(sizes[0], sizes[0], 1.0 / max(sizes[0], 1))
                      if kind == "eye" else _Annotation(*sizes, 0.0))
-    calls, flops = Counter(), Counter()
+    calls, flops, roundtrips, tiles = Counter(), Counter(), [], {}
+    if part is not None:
+        from ..distributed.comm import tile_traffic
+        from ..distributed.sharded import tile_ops
+
+        tiles = tile_ops(lowered)
+        share = max(map(part.shard_rows, range(part.nodes))) / part.n
     for op in (*lowered.ops, *lowered.applies):
         # Operands in call order; ``scale``'s coefficient and ``out``
         # buffers are not annotated.
@@ -101,12 +117,18 @@ def _walk(be, lowered, env: dict, dims, thin_dense: bool = False,
             cost = be.est_add_flops((rows, cols), density)
         else:  # scale, applyadd; a trigger's sums
             cost = be.est_add_flops((rows, cols), a.density)
+        # A product on a stored view runs in process unless ``b`` is thin.
+        if tiles.get(op) and (op.kernel == "outer"
+                              or rest[0].cols < rest[0].rows):
+            cost *= share
+            roundtrips.append(tile_traffic(
+                part, tiles[op], *(factor[:2] for factor in rest)))
         calls[BACKEND_KERNELS[op.kernel]] += 1
         flops[BACKEND_KERNELS[op.kernel]] += cost
         # An apply's view keeps its annotation.
         env.setdefault(op.dst, _Annotation(
             rows, cols, 1.0 if thin_dense else density))
-    return calls, flops
+    return calls, flops, roundtrips
 
 
 def _setup(be, program: Program, dims, input_density):
@@ -116,26 +138,33 @@ def _setup(be, program: Program, dims, input_density):
                                  resolve_dim(sym.shape.cols, dims),
                                  float(input_density.get(sym.name, 1.0)))
            for sym in program.inputs}
-    calls, flops = _walk(be, compiled_program(program).evaluation(), env,
-                         dims)
+    calls, flops, _ = _walk(be, compiled_program(program).evaluation(), env,
+                            dims)
     stored = (*program.input_names, *program.view_names)
     return {name: env[name] for name in stored}, calls, flops
 
 
 def _refresh(be, strategy: str, program: Program, ann: dict, dims,
-             rank: int, update_input: str) -> tuple[Counter, Counter]:
-    """``(calls, flops)`` of one width-``rank`` update to
-    ``update_input``, from the stored annotations ``ann``."""
+             rank: int, update_input: str,
+             nodes: int = 1) -> tuple[Counter, Counter, list]:
+    """``(calls, flops, roundtrips)`` of one width-``rank`` update to
+    ``update_input``, from the stored annotations ``ann``, on ``nodes``
+    row-shard nodes (:func:`_walk`)."""
     compiled = compiled_program(program)
     lowered = (compiled.lowered(update_input) if strategy == "INCR"
                else compiled.reevaluated(update_input))
     upd = ann[update_input]
+    part = None
+    if nodes > 1:
+        from ..distributed.partitioner import RowShardPartitioner
+
+        part = RowShardPartitioner(upd.rows, nodes)
     u, v = lowered.params
     env = {**ann, u: _Annotation(upd.rows, rank),
            v: _Annotation(upd.cols, rank)}
     return _walk(be, lowered, env, {**dims, UPDATE_WIDTH.name: rank},
                  thin_dense=strategy == "INCR",
-                 u_nnz=max(1.0, upd.rows * upd.density))
+                 u_nnz=max(1.0, upd.rows * upd.density), part=part)
 
 
 def refresh_ledger(be, program: Program, dims: dict[str, int],
@@ -148,7 +177,21 @@ def refresh_ledger(be, program: Program, dims: dict[str, int],
     ``calls_by_op`` / ``flops_by_op``; call overhead excluded."""
     ann, _, _ = _setup(be, program, dims, input_density)
     return _refresh(be, strategy, program, ann, dims, rank,
-                    update_input or program.input_names[0])
+                    update_input or program.input_names[0])[:2]
+
+
+def refresh_traffic(be, program: Program, dims: dict[str, int], nodes: int,
+                    rank: int = 1,
+                    update_input: str | None = None) -> tuple[int, int, int]:
+    """Predicted ``(roundtrips, messages, bytes)`` of one width-``rank``
+    INCR refresh to ``update_input`` on ``nodes`` row-shard nodes: the
+    engine's op count and its ``model``'s totals."""
+    ann, _, _ = _setup(be, program, dims, {})
+    roundtrips = _refresh(be, "INCR", program, ann, dims, rank,
+                          update_input or program.input_names[0], nodes)[2]
+    events = [event for logged in roundtrips for event in logged]
+    return (len(roundtrips), sum(e.messages for e in events),
+            sum(e.nbytes for e in events))
 
 
 def program_cost(
@@ -159,6 +202,7 @@ def program_cost(
     input_density: dict[str, float],
     rank: int = 1,
     update_input: str | None = None,
+    nodes: int = 1,
 ) -> CostEstimate:
     """Predicted per-refresh cost of maintaining ``program`` under ``be``.
 
@@ -173,6 +217,11 @@ def program_cost(
     execution modes.  Setup runs the evaluation list with allocating
     destinations and is priced out-of-place, and REEVAL keeps that
     out-of-place call price.
+
+    ``nodes > 1`` prices the INCR refresh on that many row-shard nodes
+    (:func:`_walk`), each tile op's traffic through the IPC hooks:
+    :meth:`est_broadcast` for its factors, :meth:`est_shuffle` for its
+    gather.  Setup and space are the single-process build's.
     """
     if strategy not in ("REEVAL", "INCR"):
         raise ValueError(f"sessions support REEVAL or INCR, got {strategy!r}")
@@ -180,11 +229,16 @@ def program_cost(
     setup = (sum(flops.values())
              + sum(calls.values()) * be.est_call_overhead())
     space = sum(be.est_entries(a[:2], a.density) for a in ann.values())
-    calls, flops = _refresh(be, strategy, program, ann, dims, rank,
-                            update_input or program.input_names[0])
+    calls, flops, roundtrips = _refresh(
+        be, strategy, program, ann, dims, rank,
+        update_input or program.input_names[0], nodes)
     refresh = (sum(flops.values()) + sum(calls.values())
                * be.est_call_overhead(inplace=strategy == "INCR"))
+    for broadcast, *gather in roundtrips:
+        refresh += be.est_broadcast(broadcast.nbytes / broadcast.messages,
+                                    broadcast.messages)
+        refresh += sum(be.est_shuffle(e.nbytes, e.messages) for e in gather)
     return CostEstimate(setup, refresh, space)
 
 
-__all__ = ["program_cost", "refresh_ledger"]
+__all__ = ["program_cost", "refresh_ledger", "refresh_traffic"]

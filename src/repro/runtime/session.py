@@ -1048,7 +1048,8 @@ def open_session(
         leave a grid of one — a forced strategy, a given ``backend`` or
         inputs only the dense backend would store in its own format
         (:func:`repro.backends.admissible_backends`), ``nodes`` of 1 and
-        a forced ``batch`` — that cell is the plan, written down with
+        a forced ``batch`` (or one forced node count ``(N,)``) — that
+        cell is the plan, written down with
         ``predicted_time`` / ``predicted_space`` = ``nan`` ("not
         priced"), and the pricing modules are not imported
         (:func:`repro.planner.plan.determined_plan`).
@@ -1127,12 +1128,12 @@ def open_session(
         dict) is the *publication* bound, distinct from this
         function's batching ``max_staleness`` parameter.
     nodes:
-        Worker-process budget for the planner's node-count axis.  An
-        int ``N > 1`` prices the grid over ``(1, N)`` — the planner
-        picks sharded execution only when the comm-cost model says it
-        pays, so a tiny view still opens single-process; a tuple/list
-        prices exactly those counts (``(4,)`` forces the 4-worker
-        cell).  When the resolved plan has ``plan.nodes > 1`` the
+        Node counts for the planner.  An int ``N > 1`` is a budget: it
+        prices ``(1, N)``, and sharding wins only where its price (the
+        trigger list's tile ops plus the traffic the engine logs) beats
+        single-process, so a tiny view opens single-process.  A
+        tuple/list prices exactly those counts: ``(4,)`` forces the
+        4-node cell.  When the resolved plan has ``plan.nodes > 1`` the
         session is a :class:`ShardedSession`: the same triggers, in the
         plan's ``mode``, on a
         :class:`~repro.distributed.sharded.ShardBackend` over a spawned
@@ -1144,8 +1145,9 @@ def open_session(
         (:func:`~repro.distributed.sharded.unshardable`: square views of
         one order, stored views only as ``view * thin``, ``view' *
         thin`` and factored applies), any number of inputs; forcing
-        ``nodes`` on a program they cannot run raises
-        :class:`UnsupportedCombinationError` before a process starts.
+        ``nodes`` on a program they cannot run (or with ``plan="reeval"``)
+        raises :class:`UnsupportedCombinationError` before a process
+        starts.
     shard:
         Shard strategy for sharded sessions: ``"range"`` (contiguous
         tile runs) or ``"hash"`` (round-robin tiles).  Maintenance

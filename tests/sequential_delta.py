@@ -1,13 +1,14 @@
-"""The paper's sequential multi-update rule (Section 4.4).
+"""The paper's sequential multi-update rule (Section 4.4), as a test oracle.
 
     delta_D(E) := delta_A(E) + delta_{D \\ {A}}(E + delta_A(E))
 
 — one affected matrix is absorbed at a time, the expression is rewritten
 with the applied update, and the remaining updates are processed against
 the rewritten expression.  The paper notes the order is irrelevant;
-``tests/test_delta_multi.py`` verifies both that claim and equivalence
-with the simultaneous rule used by :func:`repro.delta.derivation.compute_delta`
-(Example 4.5 is the canonical instance).
+``test_delta_multi.py`` verifies both that claim and equivalence with
+the simultaneous rule used by :func:`repro.delta.derivation.compute_delta`
+(Example 4.5 is the canonical instance), and ``test_sympy_crosscheck.py``
+checks both symbolically.
 
 This formulation assumes delta factors are *constant* (independent of
 the matrices being updated), exactly as Section 4.1 assumes of ``dA``.
@@ -17,10 +18,10 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from ..expr.ast import Expr, MatrixSymbol, add
-from ..expr.visitors import substitute_symbol
-from .derivation import compute_delta
-from .factored import FactoredDelta
+from repro.delta.derivation import compute_delta
+from repro.delta.factored import FactoredDelta
+from repro.expr.ast import Expr, MatrixSymbol, add
+from repro.expr.visitors import substitute_symbol, walk
 
 
 def compute_delta_sequential(
@@ -57,8 +58,6 @@ def compute_delta_sequential(
 
 def _find_symbol(expr: Expr, name: str) -> MatrixSymbol | None:
     """Locate the (unique-by-name) matrix symbol in an expression."""
-    from ..expr.visitors import walk
-
     for node in walk(expr):
         if isinstance(node, MatrixSymbol) and node.name == name:
             return node

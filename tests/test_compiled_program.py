@@ -163,14 +163,9 @@ class TestCompiledOnce:
         assert counted == {"compile": 1, "lower": 1}
         assert sharded.compiled is compiled_program(program)
 
-    def test_the_process_engine_compiles_once(self, counted, rng,
-                                              monkeypatch):
-        # The planner picks the 2-worker cell (priced at nothing, to
-        # keep n small) after asking whether the program shards.
-        import repro.planner.planner as planner
-
-        monkeypatch.setattr(planner, "sharded_refresh_cost",
-                            lambda *args, **kwargs: 0.0)
+    def test_the_process_engine_compiles_once(self, counted, rng):
+        # ``nodes=(2,)`` forces the 2-node cell after asking whether the
+        # program shards.
         program = parse_program(CHAIN_SRC)
         with open_session(program, _inputs(program, rng), plan="incr",
                           nodes=(2,), batch="off") as session:

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.delta import FactoredDelta, compute_delta, compute_delta_sequential
+from repro.delta import FactoredDelta, compute_delta
 from repro.expr import MatrixSymbol, NamedDim, add, matmul, transpose
 from repro.runtime import evaluate
+from sequential_delta import compute_delta_sequential
 
 n = NamedDim("n")
 A = MatrixSymbol("A", n, n)

@@ -932,20 +932,16 @@ class TestTypedRefusal:
             assert (unshardable(program) is None) is shards
 
     def test_nodes_budget_on_unshardable_program_opens_single_process(
-            self, monkeypatch):
-        # ``nodes=N`` is a budget.  Where a sharded cell would win
-        # (forced here by pricing it at nothing, to keep n small), a
-        # program the tile kernels cannot run falls to a single-process
-        # cell, not a refusal.
-        import repro.planner.planner as planner
+            self):
+        # A tuple holding 1 is a budget: a program the tile kernels
+        # cannot run falls to a single-process cell, not a refusal.  The
+        # chain opens sharded where the count is forced.
         from repro.frontend import parse_program
         from repro.runtime import ShardedSession, open_session
 
-        monkeypatch.setattr(planner, "sharded_refresh_cost",
-                            lambda *args, **kwargs: 0.0)
         a = _operator(48) + 4.0 * np.eye(48)
         with open_session(parse_program(CHAIN_SRC), {"A": a},
-                          nodes=(1, 2)) as sharded:
+                          nodes=(2,)) as sharded:
             assert isinstance(sharded, ShardedSession)
         before = _workers()
         with open_session(parse_program(INVERSE_SRC), {"A": a},
@@ -958,6 +954,31 @@ class TestTypedRefusal:
             np.testing.assert_allclose(session["W"],
                                        np.linalg.inv(a + u @ v.T),
                                        rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_a_forced_node_count_opens_sharded(self, n):
+        # Forced at any n, however the single-process cell would price.
+        from repro.frontend import parse_program
+        from repro.runtime import ShardedSession, open_session
+
+        with open_session(parse_program(CHAIN_SRC), {"A": _operator(n)},
+                          plan="incr", nodes=(2,), batch="off") as session:
+            assert isinstance(session, ShardedSession)
+            assert session.plan.nodes == 2
+
+    @pytest.mark.parametrize("options", [
+        dict(plan="incr", batch="off"), dict(), dict(plan="reeval")])
+    def test_a_forced_node_count_refuses_before_any_spawn(self, options):
+        from repro.frontend import parse_program
+        from repro.runtime import UnsupportedCombinationError, open_session
+
+        # The chain shards, but not under REEVAL.
+        program = parse_program(
+            CHAIN_SRC if options.get("plan") == "reeval" else INVERSE_SRC)
+        before = _workers()
+        with pytest.raises(UnsupportedCombinationError):
+            open_session(program, {"A": np.eye(64)}, nodes=(2,), **options)
+        assert _workers() == before
 
 
 class TestPlannerNodesGrid:

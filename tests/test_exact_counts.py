@@ -28,7 +28,11 @@ one call, as in the end-to-end tracer's ``backend.kernel_calls_per_update``.
   is allocated;
 * the planner's INCR and REEVAL prices read off the same lists
   (:func:`~repro.planner.programcost.refresh_ledger`): on the dense
-  backend its predicted calls and FLOPs per update are the ledger's.
+  backend its predicted calls and FLOPs per update are the ledger's;
+* the sharded cell's price read off the same trigger list
+  (:func:`~repro.planner.programcost.refresh_traffic`): its predicted
+  roundtrips, messages and bytes per update are the engine's op count
+  and modeled ledger.
 """
 
 from __future__ import annotations
@@ -45,9 +49,14 @@ from repro.catalog import ViewCatalog
 from repro.cost.counters import NULL_COUNTER, counted, uncounted
 from repro.cost.counters import Counter as Ledger
 from repro.distributed import LocalShardEngine, RowShardPartitioner, ShardBackend
+from repro.distributed.sharded import unshardable
 from repro.frontend import parse_program
 from repro.planner import MaintenancePlan
-from repro.planner.programcost import program_cost, refresh_ledger
+from repro.planner.programcost import (
+    program_cost,
+    refresh_ledger,
+    refresh_traffic,
+)
 from repro.runtime import FactoredUpdate, ShardedSession, resolve_dim
 from repro.runtime.session import build_session, open_session
 from stream_helpers import ITERATIVE
@@ -67,7 +76,7 @@ TABLE = {
                                          "add_into": 2,
                                          "add_outer_inplace": 3}},
     "catalog_tenants": {"calls": 42, "node_refreshes": 10},
-    "sharded_chain": {"messages": 11, "bytes": 372_736},
+    "sharded_chain": {"messages": 11, "bytes": 372_736, "roundtrips": 7},
     "sparse_pagerank": {"cells": 15, "plan": "REEVAL-LIN@sparse/interpret"},
     "chain_reeval": {"by_kernel": {"add_outer_inplace": 1, "matmul_into": 2},
                      "bytes": 0},
@@ -211,6 +220,66 @@ class TestShardedChain:
                     == TABLE["sharded_chain"]["messages"])
             assert engine.model.total_bytes == TABLE["sharded_chain"]["bytes"]
         session.close()
+
+
+#: The families a shard engine can maintain.
+SHARDABLE = {name: source for name, source in ITERATIVE.items()
+             if unshardable(parse_program(source)) is None}
+
+
+class TestPricedTraffic:
+    """The planner prices the sharded cell from the list it runs: its
+    predicted roundtrips, messages and bytes per update are the engine's
+    op count and ``engine.model`` totals, with no tolerance."""
+
+    @staticmethod
+    def _assert_priced_as_logged(source: str, n: int, nodes: int,
+                                 width: int, target: str = "A") -> tuple:
+        program = parse_program(source)
+        rng = np.random.default_rng([10, n, nodes, width])
+        inputs = {name: 0.2 * rng.standard_normal((n, n)) / np.sqrt(n)
+                  for name in program.input_names}
+        engine = LocalShardEngine(RowShardPartitioner(n, nodes))
+        ops, run = [], engine._run
+
+        def counted_run(op):
+            ops.append(op[0])
+            return run(op)
+
+        engine._run = counted_run
+        session = build_session(
+            program, inputs, MaintenancePlan("INCR", nodes=nodes, rank=width),
+            dims={"n": n}, backend=ShardBackend(engine))
+        engine.model.reset()
+        ops.clear()
+        session.apply_update(FactoredUpdate(
+            target, 0.01 * rng.standard_normal((n, width)),
+            rng.standard_normal((n, width))))
+        session.close()
+        priced = refresh_traffic(DenseBackend(), program, {"n": n}, nodes,
+                                 rank=width, update_input=target)
+        assert priced == (len(ops), engine.model.total_messages,
+                          engine.model.total_bytes)
+        return priced
+
+    def test_sharded_chain_row(self):
+        row = TABLE["sharded_chain"]
+        assert self._assert_priced_as_logged(CHAIN_SRC, 1024, 2, 1) == (
+            row["roundtrips"], row["messages"], row["bytes"])
+
+    @pytest.mark.parametrize("width", [1, 3])
+    @pytest.mark.parametrize("nodes", [2, 4])
+    def test_chain(self, nodes, width):
+        self._assert_priced_as_logged(CHAIN_SRC, 200, nodes, width)
+
+    @pytest.mark.parametrize("width", [1, 3])
+    @pytest.mark.parametrize("nodes", [2, 4])
+    @pytest.mark.parametrize("family", SHARDABLE)
+    def test_program(self, family, nodes, width):
+        program = parse_program(SHARDABLE[family])
+        for target in program.input_names:
+            self._assert_priced_as_logged(SHARDABLE[family], 200, nodes,
+                                          width, target)
 
 
 def _chain(plan: str, n: int, counter, mode: str = "interpret",

@@ -169,7 +169,7 @@ LAZY_PACKAGES = [
     ("repro.runtime", 49, "IVMSession"),
     ("repro.distributed", 15, "CommLog"),
     ("repro.expr", 42, "MatMul"),
-    ("repro.delta", 13, "FactoredDelta"),
+    ("repro.delta", 12, "FactoredDelta"),
     ("repro.compiler", 20, "Program"),
     ("repro.compiler.codegen", 7, "LoweredTrigger"),
     ("repro.cost", 17, "Counter"),

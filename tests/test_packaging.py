@@ -78,3 +78,14 @@ def test_counters_are_charged_by_the_kernels_only():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert module.charges() == []
+
+
+def test_shard_traffic_is_modeled_in_one_place():
+    """docs/invariants.md, "One traffic model": both shard engines log
+    and the planner prices ``distributed.comm.tile_traffic``'s events;
+    nothing else builds one or calls an IPC price hook."""
+    tool = PYPROJECT.parent / "tools" / "check_one_builder.py"
+    spec = importlib.util.spec_from_file_location("check_one_builder", tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.traffic() == []

@@ -21,6 +21,7 @@ from repro.runtime import (
     IVMSession,
     ReevalSession,
     SessionDriftMonitor,
+    ShardedSession,
     open_session,
 )
 
@@ -378,10 +379,22 @@ class TestDeterminedOpen:
         assert (plan.rank, plan.partition, plan.heavy_budget, plan.nodes) == (
             priced.rank, priced.partition, priced.heavy_budget, priced.nodes)
 
+    def test_one_forced_node_count_is_not_priced(self, rng, rankings):
+        import math
+
+        program = parse_program(A4_SOURCE)
+        inputs = {"A": rng.normal(size=(16, 16)) / 16}
+        with open_session(program, inputs, nodes=(2,),
+                          **self.DETERMINED) as session:
+            assert rankings == []
+            assert isinstance(session, ShardedSession)
+            assert session.plan.label == "INCR-LIN@dense/codegen/x2"
+            assert math.isnan(session.plan.predicted_time)
+
     @pytest.mark.parametrize("options,cells", [
         (dict(plan="auto"), 2),
         (dict(batch="auto"), 1),
-        (dict(nodes=(2,)), 2),
+        (dict(nodes=(2,), batch="auto"), 1),
         (dict(nodes=2), 2),
     ])
     def test_anything_wider_is_priced(self, rng, rankings, options, cells):

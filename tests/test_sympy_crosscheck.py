@@ -15,7 +15,7 @@ import pytest
 import sympy as sp
 
 from repro.compiler import Program, Statement, compile_program
-from repro.delta import FactoredDelta, compute_delta, compute_delta_sequential
+from repro.delta import FactoredDelta, compute_delta
 from repro.expr import (
     Add,
     Expr,
@@ -31,6 +31,7 @@ from repro.expr import (
     matmul,
     transpose,
 )
+from sequential_delta import compute_delta_sequential
 
 pytestmark = pytest.mark.slow
 

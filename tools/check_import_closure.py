@@ -91,13 +91,16 @@ GATED = {
             "repro.cost.advisor", "repro.backends.sparse"),
         40,
     ),
-    # Priced (``nodes`` is a planner axis), so the pricing stack loads;
-    # the shard backend and engine are what sharding adds to the driver.
+    # One forced node count and a forced batch width determine the plan
+    # too: nothing is priced, and the shard backend and engine are what
+    # sharding adds to the driver.
     OPENED_SHARDED_SESSION: (
         ("repro.analytics", "repro.runtime.serving",
          "repro.runtime.drift", "repro.runtime.checkpoint",
-         "repro.calibrate", "repro.backends.sparse"),
-        55,
+         "repro.calibrate", "repro.backends.sparse",
+         "repro.planner.planner", "repro.planner.programcost",
+         "repro.cost.estimate", "repro.cost.advisor"),
+        47,
     ),
     BENCHMARK_SETUP: (
         ("repro.runtime.drift", "repro.distributed", "repro.calibrate",
@@ -135,10 +138,14 @@ PROBES = {
     OPENED_SHARDED_SESSION: (
         "from repro.frontend import parse_program\n"
         "from repro.runtime.session import open_session\n"
-        "open_session(parse_program('input A(n, n); B := A * A; "
-        "C := B * B; output C;'), {'A': numpy.ones((64, 64))},\n"
-        "             dims={'n': 64}, plan='incr', nodes=(2,), batch='off',\n"
-        "             partition='uniform').close()"
+        "session = open_session(parse_program('input A(n, n); "
+        "B := A * A; C := B * B; output C;'), {'A': numpy.ones((64, 64))},\n"
+        "                       dims={'n': 64}, plan='incr', nodes=(2,),\n"
+        "                       batch='off', partition='uniform')\n"
+        "session.close()\n"
+        "if type(session).__name__ != 'ShardedSession':\n"
+        "    sys.exit(f'opened {type(session).__name__}, not a "
+        "ShardedSession')"
     ),
     BENCHMARK_SETUP: (
         "".join(f"import {module}\n" for module in _bench_modules())
@@ -239,7 +246,12 @@ def violations(module: str, loaded: list[str]) -> list[str]:
 def main() -> int:
     problems: list[str] = []
     for module in GATED:
-        loaded = closure(module)
+        try:
+            loaded = closure(module)
+        except subprocess.CalledProcessError as failed:
+            problems.append(f"{module}: probe failed: "
+                            f"{failed.stderr.strip().splitlines()[-1]}")
+            continue
         print(f"{module}: {len(loaded)} modules, "
               f"{source_lines(loaded)} repro source lines")
         for name in loaded:

@@ -20,7 +20,14 @@ shapes at ``--rank``) may.  "One FLOP ledger": the backend kernels
 charge a counter, through ``cost.counters.counted``; a
 ``counter.record(...)`` anywhere else is a second charge table that
 the kernels' ledger would drift from, so only :data:`CHARGERS` — the
-counter module itself — records.  AST-based — nothing is imported.
+counter module itself — records.  "One traffic model": the shard
+traffic an op is modeled to ship is computed once, by
+``distributed.comm.tile_traffic``, whose events both engines log and
+the planner's list walk prices; so only :data:`TRAFFIC_MODELS` build a
+``CommEvent`` or call the backends' IPC price hooks (``est_broadcast``,
+``est_shuffle``), and only :data:`TRAFFIC_METERS` — the pipes, which
+measure what they send — ``record`` a traffic class themselves.
+AST-based — nothing is imported.
 
 Usage::
 
@@ -30,7 +37,8 @@ Exits 1 when constructor calls sit in more than one function, any
 ``<not self>.plan = ...`` statement exists, a function outside
 :data:`COMPILERS` compiles or lowers a program, a function outside
 :data:`WIDTH_GIVERS` passes ``compiled_program`` a width, or a file
-outside :data:`CHARGERS` calls ``counter.record``.
+outside :data:`CHARGERS` calls ``counter.record``, or shard traffic is
+modeled or priced outside :data:`TRAFFIC_MODELS`.
 """
 
 from __future__ import annotations
@@ -53,6 +61,21 @@ LOWERINGS = ("compile_program", "lower_trigger", "lower_evaluation")
 WIDTH_GIVERS = {("cli.py", "_run_compile")}
 #: The files that may call ``counter.record`` themselves.
 CHARGERS = {"cost/counters.py"}
+#: The functions that may model shard traffic (build a ``CommEvent``)
+#: or price it (call an IPC hook): the traffic function, the ledger's
+#: own ``record`` and ``program_cost``, which prices the events the
+#: planner's list walk collects.
+TRAFFIC_MODELS = {
+    ("distributed/comm.py", "tile_traffic"),
+    ("distributed/comm.py", "record"),
+    ("planner/programcost.py", "program_cost"),
+}
+#: The calls that model or price shard traffic.
+TRAFFIC_CALLS = ("CommEvent", "est_broadcast", "est_shuffle")
+#: The traffic classes; ``record(<class>, ...)`` logs traffic directly.
+TRAFFIC_CLASSES = ("BROADCAST", "GATHER", "SHUFFLE")
+#: The files that record measured traffic (the pipes).
+TRAFFIC_METERS = {"distributed/workers.py"}
 
 
 def findings(root: Path = SRC) -> tuple[set, list]:
@@ -79,9 +102,16 @@ def charges(root: Path = SRC) -> list:
     return [found for found in _walk(root)[3] if found[0] not in CHARGERS]
 
 
-def _walk(root: Path) -> tuple[set, list, set, list, set]:
-    builders, stores, compiling, recording, widening = (
-        set(), [], set(), [], set())
+def traffic(root: Path = SRC) -> list:
+    """``(file, function, line)`` of every shard-traffic model or price
+    outside :data:`TRAFFIC_MODELS`, and of every ``record(<traffic
+    class>, ...)`` outside :data:`TRAFFIC_METERS`."""
+    return _walk(root)[5]
+
+
+def _walk(root: Path) -> tuple[set, list, set, list, set, list]:
+    builders, stores, compiling, recording, widening, modeling = (
+        set(), [], set(), [], set(), [])
     for path in sorted(root.rglob("*.py")):
         rel = path.relative_to(root).as_posix()
 
@@ -103,6 +133,12 @@ def _walk(root: Path) -> tuple[set, list, set, list, set]:
                     getattr(receiver, "id", None),
                     getattr(receiver, "attr", None)):
                 recording.append((rel, node.lineno))
+            if called in TRAFFIC_CALLS and (rel, scope) not in TRAFFIC_MODELS:
+                modeling.append((rel, scope, node.lineno))
+            if (called == "record" and rel not in TRAFFIC_METERS
+                    and node.args and getattr(node.args[0], "id", None)
+                    in TRAFFIC_CLASSES):
+                modeling.append((rel, scope, node.lineno))
             if (isinstance(node, ast.Attribute) and node.attr == "plan"
                     and isinstance(node.ctx, ast.Store)
                     and getattr(node.value, "id", None) != "self"):
@@ -111,11 +147,11 @@ def _walk(root: Path) -> tuple[set, list, set, list, set]:
                 visit(child, scope)
 
         visit(ast.parse(path.read_text()), "<module>")
-    return builders, stores, compiling, recording, widening
+    return builders, stores, compiling, recording, widening, modeling
 
 
 def main() -> int:
-    builders, stores, compiling, _, widening = _walk(SRC)
+    builders, stores, compiling, _, widening, modeling = _walk(SRC)
     for rel, scope in sorted(builders):
         print(f"session constructor called in {rel}:{scope}")
     for rel, scope, line in stores:
@@ -129,12 +165,15 @@ def main() -> int:
     by_hand = charges(SRC)
     for rel, line in by_hand:
         print(f"charges a counter by hand: {rel}:{line}")
+    for rel, scope, line in modeling:
+        print(f"models shard traffic by hand: {rel}:{line} ({scope})")
     ok = (len(builders) == 1 and not stores and not stray and not wide
-          and not by_hand)
+          and not by_hand and not modeling)
     print(f"{len(builders)} building function(s), {len(stores)} outside "
           f".plan assignment(s), {len(stray)} stray compiler(s), "
           f"{len(wide)} width-giving compile(s), "
-          f"{len(by_hand)} hand charge(s): {'ok' if ok else 'FAIL'}")
+          f"{len(by_hand)} hand charge(s), "
+          f"{len(modeling)} hand traffic model(s): {'ok' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 
