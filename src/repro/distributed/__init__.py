@@ -17,7 +17,8 @@ size on the in-process engine.  :class:`ShardBackend` is the
 
 A lazy package (:mod:`repro._lazy`): an engine loads only when one of
 its names is asked for, and a shard worker imports
-:mod:`repro.distributed.workers` without either.
+:mod:`repro.distributed.node` (tile kernels and the worker loop)
+without either.
 """
 
 from .._lazy import lazy_exports

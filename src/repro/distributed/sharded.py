@@ -38,10 +38,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..backends import DenseBackend
+from ..runtime.views import ViewStore
 from ..runtime.workspace import Workspace
 from .comm import BROADCAST, CommLog, tile_traffic
+from .node import _execute
 from .partitioner import RowShardPartitioner
-from .workers import DEFAULT_TIMEOUT, ProcessCluster, _execute
+from .workers import DEFAULT_TIMEOUT, ProcessCluster
 
 
 def _factor(x: np.ndarray) -> np.ndarray:
@@ -122,6 +124,12 @@ class ShardedEngine(_ShardEngine):
         """Logged worker recoveries (supervised clusters only)."""
         return self.cluster.recoveries
 
+    def create(self, name: str, shape: tuple[int, int]) -> np.ndarray:
+        return self.cluster.create(name, shape)
+
+    def attach(self) -> None:
+        self.cluster.attach()
+
     def put(self, name: str, value: np.ndarray) -> np.ndarray:
         return self.cluster.put(name, value)
 
@@ -161,6 +169,13 @@ class LocalShardEngine(_ShardEngine):
     @property
     def nodes(self) -> int:
         return 1
+
+    def create(self, name: str, shape: tuple[int, int]) -> np.ndarray:
+        self._views[name] = np.zeros(shape)
+        return self._views[name]
+
+    def attach(self) -> None:
+        """Nothing to map: this process runs every tile."""
 
     def put(self, name: str, value: np.ndarray) -> np.ndarray:
         arr = np.ascontiguousarray(value, dtype=np.float64)
@@ -241,6 +256,41 @@ class ShardBackend(DenseBackend):
         self._names[id(stored)] = name
         return stored
 
+    def open_store(self, program, inputs, dims) -> tuple[ViewStore, dict]:
+        """A store over new engine storage for ``program``, and the
+        evaluation list's buffers bound to the views' arrays.
+
+        Every array is made first (a full ``/dev/shm`` raises before any
+        data moves), then each input is copied from ``inputs`` straight
+        into its own, which the store adopts as is: no private copy, no
+        second scan.  The evaluation computes each view in its array
+        (:func:`landing`).  The workers map none of it before
+        :meth:`attach`.
+        """
+        from ..compiler.compile import compiled_program
+
+        order = self.engine.part.n
+        arrays = {name: self.engine.create(name, (order, order))
+                  for name in (*program.input_names, *program.view_names)}
+        self._names.update((id(array), name) for name, array in arrays.items())
+        store = ViewStore(dims, backend=self)
+        for name in program.input_names:
+            np.copyto(arrays[name], self.materialize(inputs[name]))
+            store.adopt(name, arrays[name])
+        return store, landing(compiled_program(program).evaluation(), arrays)
+
+    def attach(self, views: ViewStore) -> None:
+        """Map every stored view on every node, in one roundtrip; a view
+        the evaluation did not compute in its array (an alias) is
+        copied there first."""
+        arrays = views._arrays
+        for name, array in arrays.items():
+            stored = self.engine.get(name)
+            if array is not stored:
+                np.copyto(stored, array)
+                arrays[name] = stored
+        self.engine.attach()
+
     def close(self) -> None:
         """Close the engine; every operand is a thin block from now on."""
         self._names.clear()
@@ -284,6 +334,23 @@ class ShardBackend(DenseBackend):
         self.engine.add_lowrank(name, u, v)
         self.finished.append(name)
         return a
+
+
+def landing(lowered, arrays: dict) -> dict:
+    """Buffer of the evaluation list ``lowered`` -> the array of
+    ``arrays`` its ``store`` apply hands over: the buffer that value's
+    record writes, through the sums accumulating into it, so the view
+    is computed in place.  One name per buffer; an alias has none."""
+    writes = {op.dst: op.srcs[-1] for op in lowered.ops
+              if op.kernel not in ("transpose", "inv")}
+    bound: dict = {}
+    for op in lowered.applies:
+        src = op.srcs[0]
+        while src in writes:
+            src = writes[src]
+        if src in lowered.buffers and src not in bound:
+            bound[src] = arrays[op.dst]
+    return bound
 
 
 def tile_ops(lowered) -> dict:
@@ -346,6 +413,7 @@ __all__ = [
     "LocalShardEngine",
     "ShardBackend",
     "ShardedEngine",
+    "landing",
     "tile_ops",
     "unshardable",
 ]

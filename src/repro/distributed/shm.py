@@ -24,8 +24,6 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from ..testing import faults
-
 
 class SharedMemoryBudgetError(OSError):
     """Shared-memory allocation failed for lack of space.
@@ -77,6 +75,10 @@ class SharedArray:
         of shared-memory space (``ENOSPC``/``ENOMEM``); other errors
         propagate untouched.
         """
+        # Imported here: an attaching worker never creates, so its
+        # boot does not load the fault seam.
+        from ..testing import faults
+
         rows, cols = shape
         size = max(8 * rows * cols, 1)
         try:

@@ -1,8 +1,8 @@
 """Persistent multiprocessing workers over shared-memory shards.
 
 The multiprocess distributed engine: the coordinator is node 0 and
-spawns one persistent process for each other node, ships each
-maintained view into a shared-memory segment
+spawns one persistent process for each other node, keeps each
+maintained view in a shared-memory segment it creates
 (:mod:`repro.distributed.shm`), sends every op to the workers over
 per-worker duplex pipes, runs node 0's tiles itself, then gathers.
 Only thin rank-k factors and thin gathered partials cross the pipes —
@@ -13,23 +13,15 @@ Figure 3(g) argument, measured in a
 Start method: always ``spawn`` (:data:`START_METHOD` — the only safe
 choice once BLAS threads exist in the parent: ``fork`` duplicates
 OpenBLAS's thread pool state and can deadlock).  A worker's entry is
-:func:`_worker_main` and nothing else: it is spawned with no main
-module to re-import, so its boot is the interpreter, NumPy and this
-module's closure whatever the launching program loaded, and that
-program's top-level code runs once.  Every node runs its tiles on one
-BLAS thread (workers are spawned so; node 0 pins the coordinator's
-OpenBLAS pool around its tiles): the shards already divide the matrix,
-so nested BLAS threading would only oversubscribe cores.
-
-Bit-identity: the per-tile kernels below are the *single* source of
-truth — the in-process reference engine, node 0 and the worker loop
-call the same functions over the same fixed tile decomposition
-(:class:`~repro.distributed.partitioner.RowShardPartitioner`), so
-sharded results are bitwise equal to single-process results, not just
-``allclose``.  Every op reads and writes only the rows of the tiles
-its node owns — the paper's block-row layout, with no column copy;
-the one arithmetic across tiles is the coordinator's tile-order sum of
-``matT_lowrank`` partials.
+:func:`~repro.distributed.node._worker_main` and nothing else: it is
+spawned with no main module to re-import, so its boot is the
+interpreter, NumPy and :mod:`repro.distributed.node`'s closure
+whatever the launching program loaded, and that program's top-level
+code runs once.  Every node runs its tiles on one BLAS thread (workers
+are spawned so; node 0 pins the coordinator's OpenBLAS pool around its
+tiles): the shards already divide the matrix, so nested BLAS threading
+would only oversubscribe cores.  What each node computes, and why it
+is bitwise the single-process result, is :mod:`repro.distributed.node`.
 """
 
 from __future__ import annotations
@@ -52,6 +44,7 @@ import numpy as np
 from ..runtime.workspace import Workspace
 from ..testing import faults
 from .comm import BROADCAST, GATHER, CommLog
+from .node import _execute, _worker_main
 from .partitioner import RowShardPartitioner
 from .shm import SharedArray
 
@@ -152,149 +145,6 @@ class RecoveryEvent:
     replayed: int          #: oplog refreshes replayed into the new shard
     restored_views: int    #: views whose shard rows were reseeded
     seconds: float         #: wall time from detection to recovery
-
-
-# -- per-tile kernels (shared by every node and the in-process
-# -- reference engine; identical calls => bitwise identical views) ------
-
-def lease_tile_stage(workspace: Workspace, bounds, cols: int) -> np.ndarray:
-    """One staging buffer tall enough for every tile in ``bounds``: an
-    op stages its tiles one after another, so one lease serves them all."""
-    return workspace.lease(max((r1 - r0 for r0, r1 in bounds), default=0), cols)
-
-
-def tile_add_lowrank(view: np.ndarray, r0: int, r1: int, u: np.ndarray,
-                     vt: np.ndarray, stage: np.ndarray) -> None:
-    """``view[r0:r1] += u[r0:r1] @ vt`` staged through ``stage``'s
-    leading rows (:func:`lease_tile_stage`)."""
-    prod = stage[:r1 - r0]
-    np.matmul(u[r0:r1], vt, out=prod)
-    view[r0:r1] += prod
-
-
-def tile_mat_lowrank(view: np.ndarray, r0: int, r1: int, u: np.ndarray,
-                     out: np.ndarray) -> None:
-    """``out[:] = view[r0:r1] @ u`` (thin ``(r1-r0, k)`` partial)."""
-    np.matmul(view[r0:r1], u, out=out)
-
-
-def tile_matT_lowrank(view: np.ndarray, r0: int, r1: int, v: np.ndarray,
-                      out: np.ndarray) -> None:
-    """``out[:] = view[r0:r1].T @ v[r0:r1]`` — row tile ``[r0, r1)``'s
-    full-size ``(n, k)`` partial of ``view.T @ v``.  The tiles' partials
-    are summed in tile-index order by the caller, so every kernel reads
-    only the rows of the tile it runs on."""
-    np.matmul(view[r0:r1].T, v[r0:r1], out=out)
-
-
-# -- worker process ------------------------------------------------------
-
-def _execute(op: tuple, views: dict, segments: dict,
-             tile_bounds: tuple, owned: tuple, ws: Workspace):
-    """Run one coordinator op against this node's shard."""
-    kind = op[0]
-    if kind == "ping":
-        return None
-    if kind == "attach":
-        _, name, shm_name, shape = op
-        seg = SharedArray.attach(shm_name, shape)
-        segments[name] = seg
-        views[name] = seg.array
-        return None
-    if kind == "detach":
-        _, name = op
-        views.pop(name, None)
-        seg = segments.pop(name, None)
-        if seg is not None:
-            seg.close()
-        return None
-    if kind == "add_lowrank":
-        _, name, u, v = op
-        view = views[name]
-        vt = v.T
-        bounds = [tile_bounds[t] for t in owned]
-        with ws.frame():
-            stage = lease_tile_stage(ws, bounds, vt.shape[1])
-            for r0, r1 in bounds:
-                tile_add_lowrank(view, r0, r1, u, vt, stage)
-        return None
-    if kind == "mat_lowrank":
-        _, name, u = op
-        view = views[name]
-        k = u.shape[1]
-        partials = {}
-        with ws.frame():
-            for t in owned:
-                r0, r1 = tile_bounds[t]
-                buf = ws.lease(r1 - r0, k)
-                tile_mat_lowrank(view, r0, r1, u, buf)
-                partials[t] = buf
-            # Pickled into the reply before the next op reuses the
-            # leased buffers, so returning them out of the frame is
-            # safe.
-            return partials
-    if kind == "matT_lowrank":
-        _, name, v = op
-        view = views[name]
-        partials = {}
-        with ws.frame():
-            for t in owned:
-                r0, r1 = tile_bounds[t]
-                buf = ws.lease(view.shape[1], v.shape[1])
-                tile_matT_lowrank(view, r0, r1, v, buf)
-                partials[t] = buf
-            return partials
-    raise ValueError(f"unknown worker op {kind!r}")
-
-
-def _worker_main(conn, worker_id: int, tile_bounds: tuple,
-                 owned: tuple) -> None:
-    """Worker loop: recv op, execute on the shard, reply (ok|err)."""
-    ws = Workspace()
-    segments: dict[str, SharedArray] = {}
-    views: dict[str, np.ndarray] = {}
-    try:
-        while True:
-            try:
-                payload = conn.recv_bytes()
-            except (EOFError, OSError):
-                break
-            op = pickle.loads(payload)
-            kind = op[0]
-            if kind == "exit":
-                try:
-                    conn.send_bytes(pickle.dumps(("ok", 0.0, None)))
-                except (BrokenPipeError, OSError):
-                    pass
-                break
-            if kind == "die":
-                # Test hook: crash without cleanup, as a real fault would.
-                os._exit(17)
-            if kind == "hang":
-                # Test hook: go quiet without replying, as a livelock
-                # would — the supervisor's deadline must catch this.
-                time.sleep(op[1])
-                continue
-            try:
-                started = time.perf_counter()
-                data = _execute(op, views, segments, tile_bounds, owned, ws)
-                reply = ("ok", time.perf_counter() - started, data)
-            except Exception:
-                reply = ("err", traceback.format_exc())
-            try:
-                conn.send_bytes(
-                    pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL)
-                )
-            except (BrokenPipeError, OSError):
-                break
-    finally:
-        # Attach side of the shm protocol: close mappings, never unlink.
-        for seg in segments.values():
-            seg.close()
-        try:
-            conn.close()
-        except OSError:
-            pass
 
 
 # -- coordinator ---------------------------------------------------------
@@ -632,12 +482,13 @@ class ProcessCluster:
         """Bring a freshly spawned worker to the pre-op state, retry.
 
         Three phases, each bitwise-safe: (1) re-attach every live
-        segment; (2) reseed the worker's own tile rows from the basis —
-        pure copies, coordinator-side, erasing any torn partial write
-        the dead incarnation left; (3) replay the oplog's completed
-        refreshes *in the worker* (pinned single-thread BLAS, same
-        kernels, same tile order as the lost incarnation ran them).
-        Then the in-flight op is re-sent.  Surviving workers already
+        segment, in one message; (2) reseed the worker's own tile rows
+        from the basis — pure copies, coordinator-side, erasing any torn
+        partial write the dead incarnation left; (3) replay the oplog's
+        completed refreshes *in the worker* (pinned single-thread BLAS,
+        same kernels, same tile order as the lost incarnation ran them).
+        Then the in-flight op is re-sent (an ``attach`` in flight finds
+        every name mapped already).  Surviving workers already
         applied it to their disjoint rows, so after the retry every row
         of every view is exactly where a fault-free run would be.
         """
@@ -662,12 +513,7 @@ class ProcessCluster:
                 self._fail(worker, "raised during recovery replay", reply[1])
             return reply[2]
 
-        # An in-flight attach re-attaches via the retried op itself.
-        skip_attach = op[1] if op[0] == "attach" else None
-        for name, seg in self._segments.items():
-            if name == skip_attach:
-                continue
-            call(("attach", name, seg.name, seg.shape))
+        call(self._attach_op())
         owned = self.partitioner.shards[worker]
         bounds = self.partitioner.tile_bounds
         for name, block in self._basis.items():
@@ -697,6 +543,27 @@ class ProcessCluster:
         return data
 
     # -- shared-memory views ---------------------------------------------
+    def create(self, name: str, shape: tuple[int, int]) -> np.ndarray:
+        """A new zero-filled segment stored under ``name``; the workers
+        see it from the next :meth:`attach` on."""
+        self._check_open()
+        if name in self._segments:
+            raise ValueError(f"view {name!r} exists")
+        seg = self._segments[name] = SharedArray.create(shape)
+        self._views[name] = seg.array
+        return seg.array
+
+    def _attach_op(self) -> tuple:
+        return ("attach", tuple((name, seg.name, seg.shape)
+                                for name, seg in self._segments.items()))
+
+    def attach(self) -> None:
+        """One roundtrip mapping every segment on every worker (names a
+        worker holds already are kept): when it returns, each worker
+        sees every stored view."""
+        self.roundtrip(self._attach_op(), BROADCAST, "attach")
+        self._refresh_basis()
+
     def put(self, name: str, value: np.ndarray) -> np.ndarray:
         """Store ``value`` under ``name`` in shared memory; the workers
         attach.  Overwrites in place if the name already exists."""
@@ -712,18 +579,11 @@ class ProcessCluster:
                     f"cannot overwrite with {arr.shape}"
                 )
             existing[...] = arr
-            if self.supervise:
-                self._refresh_basis()
-            return existing
-        seg = SharedArray.create(arr.shape)
-        seg.array[...] = arr
-        self._segments[name] = seg
-        self._views[name] = seg.array
-        self.roundtrip(("attach", name, seg.name, arr.shape),
-                       BROADCAST, "attach")
-        if self.supervise:
             self._refresh_basis()
-        return seg.array
+            return existing
+        self.create(name, arr.shape)[...] = arr
+        self.attach()
+        return self._views[name]
 
     def get(self, name: str) -> np.ndarray:
         """The coordinator's zero-copy view of a stored matrix."""
@@ -801,8 +661,4 @@ __all__ = [
     "ProcessCluster",
     "RecoveryEvent",
     "WorkerFailedError",
-    "lease_tile_stage",
-    "tile_add_lowrank",
-    "tile_matT_lowrank",
-    "tile_mat_lowrank",
 ]

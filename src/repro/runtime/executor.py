@@ -70,15 +70,15 @@ def infer_dims(program, inputs) -> dict[str, int]:
 
 
 def run_list(lowered, scope: dict, dims: Mapping[str, int], backend,
-             kernels: Mapping | None = None) -> dict:
+             kernels: Mapping | None = None, buffers: Mapping = {}) -> dict:
     """Run a lowered list once over ``scope`` with allocating
     destinations: its loads are read from ``scope`` and its applies
-    write there; ``kernels`` replaces entries of the kernel table.
-    Returns ``scope``."""
+    write there; ``kernels`` replaces entries of the kernel table and
+    ``buffers`` binds buffers to given arrays.  Returns ``scope``."""
     from ..compiler.codegen.fused import _bind, _loop
 
     be, values = _bind(lowered, dims, backend, None, lease=False)
-    _loop(lowered, be, values, dims, kernels)(scope)
+    _loop(lowered, be, {**values, **buffers}, dims, kernels)(scope)
     return scope
 
 

@@ -538,6 +538,10 @@ class Session:
         return False
 
     # -- validation ------------------------------------------------------
+    #: Buffer -> the array the evaluation list computes in (a sharded
+    #: open's segments); empty: each result is a new array.
+    _landing: Mapping[str, np.ndarray] = {}
+
     def _materialize_all(self) -> None:
         """Evaluate every statement, then store the results.
 
@@ -545,7 +549,7 @@ class Session:
         that raises leaves the store as it was.
         """
         env = run_list(self.compiled.evaluation(), self.views.as_env(),
-                       self.views.dims, self.backend)
+                       self.views.dims, self.backend, buffers=self._landing)
         for name in self.program.view_names:
             # A result is fresh unless its statement is a bare or
             # transposed reference; adopt() copies exactly those.
@@ -700,10 +704,10 @@ class ShardedSession(IVMSession):
     (:class:`~repro.distributed.sharded.ShardedEngine`), the big
     per-tile dgemms fan out across the nodes and only thin rank-k factors
     cross pipes.  What this class adds is the lifecycle: it spawns the
-    workers *before* the views are evaluated (they boot meanwhile),
-    moves the evaluated views into segments, copies them back out on
-    :meth:`close` / :meth:`with_plan`, and survives a lost cluster
-    (:meth:`_reeval_recover`).
+    workers first and, while they boot, copies each input into its
+    segment and evaluates each view into its own; it copies them back
+    out on :meth:`close` / :meth:`with_plan`, and survives a lost
+    cluster (:meth:`_reeval_recover`).
 
     Any program whose lowered lists stay inside the tile kernels runs
     (:func:`~repro.distributed.sharded.unshardable` decides, before any
@@ -785,8 +789,7 @@ class ShardedSession(IVMSession):
             from ..distributed.workers import DEFAULT_TIMEOUT
 
             # Spawn first: the workers boot (interpreter start, imports)
-            # while this process materializes the views; the first
-            # ``attach`` roundtrip in ``_shard_views`` is the fence.
+            # while this process fills the segments below.
             backend = ShardBackend(ShardedEngine(
                 RowShardPartitioner(order, plan.nodes, strategy=shard,
                                     tile_rows=tile_rows),
@@ -803,12 +806,19 @@ class ShardedSession(IVMSession):
         self.fallback_events: list[dict] = []
         self._sharded = False
         try:
-            super().__init__(program, inputs, dims, counter=counter,
+            # While the workers boot: the inputs land in their segments,
+            # the views are evaluated into theirs, and one ``attach``
+            # roundtrip is the fence.
+            store, self._landing = backend.open_store(program, inputs, dims)
+            super().__init__(program, store, counter=counter,
                              backend=backend, plan=plan)
-            self._shard_views()
+            self._materialize_all()
+            backend.attach(self.views)
         except BaseException:
             backend.close()
             raise
+        del self._landing  # rebuilds evaluate, then store
+        self._sharded = True
 
     @property
     def engine(self):
@@ -825,29 +835,6 @@ class ShardedSession(IVMSession):
         """Supervised worker recoveries logged by the cluster (none on
         the in-process engine)."""
         return getattr(self.engine, "recoveries", [])
-
-    def _shard_views(self) -> None:
-        """Move every view onto the engine and re-point the store at the
-        stored arrays (zero-copy reads over the segments).
-
-        On any failure mid-sharding (a full ``/dev/shm`` raising
-        :class:`~repro.distributed.shm.SharedMemoryBudgetError`, a
-        worker dying during attach) the already-sharded views are
-        copied back to private arrays before the error propagates, so
-        no store entry points into a segment the constructor is about
-        to release.
-        """
-        arrays = self.views._arrays
-        done: list[str] = []
-        try:
-            for name in arrays:
-                arrays[name] = self._shards.put(name, arrays[name])
-                done.append(name)
-        except Exception:
-            for name in done:
-                arrays[name] = np.array(arrays[name])
-            raise
-        self._sharded = True
 
     def close(self) -> None:
         """Copy state out of the engine, stop the workers, and carry on
@@ -925,7 +912,9 @@ class ShardedSession(IVMSession):
         # references them): the local engine copies each view out.
         failed = backend.engine
         backend.rebind(LocalShardEngine(failed.part))
-        self._shard_views()
+        arrays = self.views._arrays
+        for name in arrays:
+            arrays[name] = backend.put(name, arrays[name])
         failed.close()
         if update.target in finished:
             mode = "reeval"

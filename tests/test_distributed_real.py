@@ -106,7 +106,7 @@ class TestStagingBuffer:
         assert np.array_equal(engine.get("A"), expected)
 
     def test_worker_op_holds_one_tile(self):
-        from repro.distributed.workers import _execute
+        from repro.distributed.node import _execute
         from repro.runtime.workspace import Workspace
 
         n = 64
@@ -134,7 +134,7 @@ class TestTileOwnership:
     N, TILE_ROWS, NODES = 100, 16, 3
 
     def _run(self, op, strategy, worker):
-        from repro.distributed.workers import _execute
+        from repro.distributed.node import _execute
         from repro.runtime.workspace import Workspace
 
         part = RowShardPartitioner(self.N, self.NODES, strategy,

@@ -7,13 +7,20 @@ that delegates to another (``add_outer_inplace`` to ``add_outer``) is
 one call, as in the end-to-end tracer's ``backend.kernel_calls_per_update``.
 
 * the chain ``B := A*A; C := B*B`` (``dense_small`` / ``dense_chain``):
-  backend kernel calls per update, in both execution modes;
+  backend kernel calls per update, in both execution modes, and at
+  ``dense_chain``'s own configuration (n = 512, codegen) its calls and
+  FLOPs per update;
+* ``served``'s session behind its ``ViewServer``: the same calls and
+  FLOPs per submitted update, and one capture per published epoch;
 * the ``catalog_tenants`` family on one :class:`~repro.catalog.ViewCatalog`:
   kernel calls and DAG-node refreshes per update;
 * the chain on two row-shard nodes (``sharded_chain``: the coordinator
   as node 0 and one worker): messages and bytes per update in the
   engine's modeled ledger (``engine.model``), which prices only what
-  crosses to and from the remote node;
+  crosses to and from the remote node; the real open's measured traffic
+  (``engine.comm``: one ``attach`` roundtrip carrying every segment);
+  and a supervised recovery's, which re-attaches every view in one
+  message;
 * ``sparse_pagerank``'s driver: the cells its planner prices and the
   plan it resolves;
 * the FLOP ledger (:func:`~repro.cost.counters.counted`, keyed by
@@ -48,7 +55,12 @@ from repro.backends.dense import DenseBackend
 from repro.catalog import ViewCatalog
 from repro.cost.counters import NULL_COUNTER, counted, uncounted
 from repro.cost.counters import Counter as Ledger
-from repro.distributed import LocalShardEngine, RowShardPartitioner, ShardBackend
+from repro.distributed import (
+    BROADCAST,
+    LocalShardEngine,
+    RowShardPartitioner,
+    ShardBackend,
+)
 from repro.distributed.sharded import unshardable
 from repro.frontend import parse_program
 from repro.planner import MaintenancePlan
@@ -76,7 +88,17 @@ TABLE = {
                                          "add_into": 2,
                                          "add_outer_inplace": 3}},
     "catalog_tenants": {"calls": 42, "node_refreshes": 10},
-    "sharded_chain": {"messages": 11, "bytes": 372_736, "roundtrips": 7},
+    "sharded_chain": {"messages": 11, "bytes": 372_736, "roundtrips": 7,
+                      # ``open_session`` on two real nodes: one attach
+                      # out (the three segments' names and shapes), one
+                      # reply back, measured in ``engine.comm``.
+                      "open": {"roundtrips": 1, "messages": 2,
+                               "bytes": 141}},
+    # n = 512: 26 n^2 + 23 n FLOPs (FLOPS_IN_N) in the chain's 17 calls.
+    "dense_chain": {"n": 512, "calls": 17, "flops": 6_827_520},
+    # The same session behind a ViewServer: every publish captures the
+    # one served view, C.
+    "served": {"calls": 17, "flops": 6_827_520, "captures_per_epoch": 1},
     "sparse_pagerank": {"cells": 15, "plan": "REEVAL-LIN@sparse/interpret"},
     "chain_reeval": {"by_kernel": {"add_outer_inplace": 1, "matmul_into": 2},
                      "bytes": 0},
@@ -184,6 +206,57 @@ class TestChain:
         assert all(calls == interpret[0] for calls in interpret)
 
 
+class TestDenseChain:
+    """``dense_chain``'s and ``served``'s configuration at their n."""
+
+    N = TABLE["dense_chain"]["n"]
+    OPTIONS = {"plan": "incr", "mode": "codegen", "batch": "off",
+               "partition": "uniform"}
+
+    def _open(self, **options):
+        backend, ledger = CountingBackend(), Ledger()
+        session = open_session(parse_program(CHAIN_SRC),
+                               {"A": _input(self.N)}, dims={"n": self.N},
+                               backend=backend, counter=ledger,
+                               **self.OPTIONS, **options)
+        backend.calls.clear()
+        ledger.reset()
+        return session, backend, ledger
+
+    def test_calls_and_flops_per_update(self):
+        session, backend, ledger = self._open()
+        row = TABLE["dense_chain"]
+        for calls, flops, nbytes in _ledgers(ledger, session.apply_update,
+                                             _updates(self.N)):
+            assert calls == TABLE["chain"]["by_kernel"]
+            assert sum(calls.values()) == row["calls"]
+            assert sum(flops.values()) == row["flops"]
+            assert nbytes == 0
+        assert row["flops"] == np.polyval(FLOPS_IN_N["incr"], self.N)
+
+    def test_served_session(self):
+        server, backend, ledger = self._open(
+            serve={"views": ("C",), "max_staleness": 8, "max_queue": 64,
+                   "overload": "block"})
+        row = TABLE["served"]
+        epochs = server.stats.epochs
+        updates = _updates(self.N, 16)
+        try:
+            for update in updates:
+                server.submit(update)
+            server.refresh()
+        finally:
+            server.close()
+        captures = backend.calls.count("materialize")
+        assert Counter(backend.calls) - Counter(materialize=captures) == {
+            kernel: count * len(updates)
+            for kernel, count in TABLE["chain"]["by_kernel"].items()}
+        assert sum(ledger.calls_by_op.values()) == row["calls"] * len(updates)
+        assert ledger.total_flops == row["flops"] * len(updates)
+        assert captures == (row["captures_per_epoch"]
+                            * (server.stats.epochs - epochs))
+
+
 class TestCatalogTenants:
     N = 32
 
@@ -220,6 +293,50 @@ class TestShardedChain:
                     == TABLE["sharded_chain"]["messages"])
             assert engine.model.total_bytes == TABLE["sharded_chain"]["bytes"]
         session.close()
+
+    def test_the_open_is_one_attach_roundtrip(self):
+        """Every view sits in its segment before the fence, and one
+        message maps them all on the worker."""
+        session = open_session(
+            parse_program(CHAIN_SRC), {"A": _input(self.N)},
+            dims={"n": self.N}, plan="incr", nodes=(2,), batch="off",
+            partition="uniform")
+        try:
+            assert isinstance(session, ShardedSession)
+            comm = session.engine.comm
+            assert {event.label for event in comm.events} == {"attach"}
+            assert {
+                "roundtrips": comm.messages_by_kind()[BROADCAST],
+                "messages": comm.total_messages,
+                "bytes": comm.total_bytes,
+            } == TABLE["sharded_chain"]["open"]
+        finally:
+            session.close()
+
+    def test_a_recovery_reattaches_every_view_in_one_message(self):
+        """A respawned worker gets one ``attach`` for all three views,
+        then the oplog's refreshes and the retried op: nothing else
+        crosses, and the views end bitwise where an unfailed run's do."""
+        n, updates = 64, _updates(64, 4)
+        program = parse_program(CHAIN_SRC)
+        plan = MaintenancePlan("INCR", nodes=2)
+        with build_session(program, {"A": _input(n)}, plan,
+                           backend=ShardBackend(LocalShardEngine(
+                               RowShardPartitioner(n, 2)))) as unfailed, \
+                build_session(program, {"A": _input(n)}, plan,
+                              supervise=True) as session:
+            for index, update in enumerate(updates):
+                if index == 2:
+                    session.engine.cluster.kill_worker(1)
+                session.apply_update(update)
+                unfailed.apply_update(update)
+            event, = session.recoveries
+            recover, = [entry for entry in session.engine.comm.events
+                        if entry.label == "recover"]
+            assert event.restored_views == 3
+            assert recover.messages == 1 + event.replayed + 1
+            for name in ("A", "B", "C"):
+                assert np.array_equal(session[name], unfailed[name]), name
 
 
 #: The families a shard engine can maintain.

@@ -37,15 +37,29 @@ def _fresh_python(*args: str) -> str:
 
 class TestImportClosure:
     def test_worker_imports_only_what_it_runs(self):
+        """A worker boots its spawn target's closure: seven modules and
+        about 700 lines, none of the coordinator's."""
+        tool = _tool()
+        loaded = tool.closure(tool.WORKER_ENTRY)
+        assert tool.violations(tool.WORKER_ENTRY, loaded) == []
+        own = [name for name in loaded if name.startswith("repro")]
+        assert own == ["repro", "repro._lazy", "repro.distributed",
+                       "repro.distributed.node", "repro.distributed.shm",
+                       "repro.runtime", "repro.runtime.workspace"]
+        assert tool.source_lines(own) <= tool.LINE_BUDGETS[tool.WORKER_ENTRY]
+        assert not [name for name in loaded if name.startswith("scipy")]
+
+    def test_the_coordinator_imports_only_what_it_runs(self):
         tool = _tool()
         loaded = tool.closure("repro.distributed.workers")
         assert tool.violations("repro.distributed.workers", loaded) == []
-        assert not [name for name in loaded if name.startswith("scipy")]
         assert len([n for n in loaded if n.startswith("repro")]) <= 12
         assert "repro.distributed.workers" in loaded
 
     def test_a_spawned_worker_does_not_run_its_launcher(self):
-        assert _tool().launcher_runs() == 1
+        tool = _tool()
+        assert tool.spawned_worker() == (
+            1, f"{tool.WORKER_ENTRY}._worker_main")
 
     def test_session_does_not_import_the_distributed_engines(self):
         tool = _tool()

@@ -1,10 +1,11 @@
 """Sharded set-up: overlapped worker boot, its cleanup, and lifetime.
 
-``ShardedSession`` spawns its workers *before* it evaluates the
-views, so the evaluation runs while the workers boot; whatever goes
-wrong between the spawn and the first ``attach`` roundtrip must leave
-no worker process and no shared-memory name behind.  Process-spawning
-tests keep ``n`` small; spawn dominates their cost.
+``ShardedSession`` spawns its workers *before* it fills the segments —
+each input copied in, each view evaluated into its own — so that work
+runs while the workers boot; whatever goes wrong between the spawn and
+the one ``attach`` roundtrip must leave no worker process and no
+shared-memory name behind.  Process-spawning tests keep ``n`` small;
+spawn dominates their cost.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -159,6 +161,55 @@ class TestOverlappedBoot:
                    and "shared-memory budget" in str(w.message)
                    for w in caught)
         assert _shard_workers() == []
+
+
+class TestLeanOpen:
+    """The open does each job once: one scan of the inputs, one copy of
+    each into its segment, each view computed in its own."""
+
+    def test_inputs_are_scanned_once_before_the_spawn(self, monkeypatch,
+                                                      no_leak):
+        import repro.runtime.session as session_module
+
+        scans = []
+        scan = session_module.validate_finite_inputs
+
+        def counted(inputs, names):
+            scans.append(len(_shard_workers()))
+            scan(inputs, names)
+
+        monkeypatch.setattr(session_module, "validate_finite_inputs", counted)
+        a = _operator(32)
+        with open_session(parse_program(CHAIN_SRC), {"A": a}, plan=SHARDED,
+                          batch="off") as session:
+            assert isinstance(session, ShardedSession)
+            assert np.array_equal(session["A"], a)
+        assert scans == [0]
+
+    def test_open_allocates_no_private_view(self, no_leak):
+        """At n = 256 one view is 524,288 bytes: the inputs land in their
+        segments and the views are computed in theirs, so nothing
+        traced comes near one (the untraced segments hold them all)."""
+        program = parse_program("input A(n, n); B := A * A; C := B * B; "
+                                "output C;")
+        options = {"plan": "incr", "nodes": (2,), "batch": "off",
+                   "partition": "uniform"}
+        # Imports and compiled lists first: what is measured is the open.
+        open_session(program, {"A": _operator(64)}, **options).close()
+        n = 256
+        a = _operator(n)
+        tracemalloc.start()
+        try:
+            session = open_session(program, {"A": a}, **options)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        with session:
+            assert isinstance(session, ShardedSession)
+            assert peak < n * n * 8
+            for name in ("A", "B", "C"):
+                assert session[name] is session.engine.get(name)
+            assert np.array_equal(session["C"], (a @ a) @ (a @ a))
 
 
 class TestSpawnFailure:

@@ -2,8 +2,9 @@
 """Fail when a module's import closure grows past what it runs.
 
 Set-up time is mostly import time (source compiles at ~7 ms per 1000
-lines): a shard worker is a fresh interpreter whose boot is the sharded
-session's set-up, every ``open_session`` pays the closure of
+lines): a shard worker is a fresh interpreter whose boot — the closure
+of its spawn target, :data:`WORKER_ENTRY` — is the sharded session's
+set-up, every ``open_session`` pays the closure of
 :mod:`repro.runtime.session` plus what its configuration adds, and
 every CLI call pays :mod:`repro.cli`.  They stay small only while
 package ``__init__``\\ s are lazy tables and optional subsystems are
@@ -21,9 +22,11 @@ and exits 1 on a forbidden prefix, a module count over budget or — for
 the probes in :data:`LINE_BUDGETS` — more ``repro`` source lines than
 budgeted (with no ``.pyc``, what set-up pays is the lines it compiles,
 not the modules it counts).  A last probe
-spawns real shard workers and exits 1 if they ran their launcher: a
-worker's boot is the closure gated above only while it does not also
-re-import the program that opened the session.
+spawns a real shard worker and exits 1 if its target is not
+:data:`WORKER_ENTRY`'s ``_worker_main`` or it ran its launcher: a
+worker's boot is the closure gated above only while it is spawned
+through that entry and does not also re-import the program that opened
+the session.
 """
 
 from __future__ import annotations
@@ -36,6 +39,9 @@ import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+
+#: The module a shard worker is spawned into: its closure is the boot.
+WORKER_ENTRY = "repro.distributed.node"
 
 #: What a dense single-process session must not load, opened or not.
 _NOT_FOR_A_DENSE_SESSION = (
@@ -64,6 +70,15 @@ _NOT_RUN_BY_A_UNIT_SESSION = (
 #: probe -> (forbidden module prefixes, most ``repro*`` modules allowed:
 #: measured + 2).  A probe is a module to import, or a key of PROBES.
 GATED = {
+    # The worker's boot: the tile kernels, its loop and the segments it
+    # maps, and none of the coordinator (pipes, traffic, tiling, faults).
+    WORKER_ENTRY: (
+        ("scipy", "repro.testing", "repro.distributed.workers",
+         "repro.distributed.comm", "repro.distributed.partitioner",
+         "repro.runtime.session", "repro.compiler", "repro.backends"),
+        9,
+    ),
+    # The coordinator's side: the pipes, the supervisor, node 0.
     "repro.distributed.workers": (
         ("scipy", "repro.runtime.session", "repro.planner",
          "repro.compiler", "repro.backends"),
@@ -111,8 +126,9 @@ GATED = {
 }
 
 #: probe -> most ``repro`` source lines its closure may hold (measured
-#: + 2%): ``setup_s`` follows lines compiled, not modules counted.
-LINE_BUDGETS = {BENCHMARK_SETUP: 9_875}
+#: + 2%): ``setup_s`` follows lines compiled, not modules counted — and
+#: a worker compiles its closure at every boot.
+LINE_BUDGETS = {BENCHMARK_SETUP: 9_875, WORKER_ENTRY: 719}
 
 
 def _bench_modules() -> tuple[str, ...]:
@@ -160,13 +176,23 @@ PROBES = {
 
 #: A program that counts its own executions in ``sys.argv[1]``, one
 #: line each, and opens a sharded cluster — under the main check, so a
-#: worker that did boot from it would add a line instead of crashing.
+#: worker that did boot from it would add a line instead of crashing —
+#: noting there the target of each process it starts.
 _LAUNCHER = (
     "import sys\n"
     "with open(sys.argv[1], 'a') as marker:\n"
     "    marker.write('top level ran\\n')\n"
     "if __name__ == '__main__':\n"
+    "    from multiprocessing.process import BaseProcess\n"
     "    from repro.distributed import ProcessCluster, RowShardPartitioner\n"
+    "    start = BaseProcess.start\n"
+    "    def noted(process):\n"
+    "        target = process._target\n"
+    "        with open(sys.argv[1], 'a') as marker:\n"
+    "            marker.write(f'target {target.__module__}.'\n"
+    "                         f'{target.__qualname__}\\n')\n"
+    "        start(process)\n"
+    "    BaseProcess.start = noted\n"
     "    cluster = ProcessCluster(RowShardPartitioner(16, 2, tile_rows=4))\n"
     "    cluster.ping()\n"
     "    cluster.close()\n"
@@ -199,15 +225,17 @@ def closure(probe: str) -> list[str]:
         body=PROBES.get(probe, f"import {probe}"))).split()
 
 
-def launcher_runs() -> int:
+def spawned_worker() -> tuple[int, str]:
     """How often :data:`_LAUNCHER`'s top level executes over one run that
     opens a two-node cluster (once, unless its spawned worker boots from
-    it)."""
+    it), and the worker's spawn target."""
     with tempfile.TemporaryDirectory() as scratch:
         launcher, marker = Path(scratch, "launcher.py"), Path(scratch, "runs")
         launcher.write_text(_LAUNCHER)
         fresh_python(str(launcher), str(marker))
-        return len(marker.read_text().splitlines())
+        lines = marker.read_text().splitlines()
+    targets = [line.split()[1] for line in lines if line.startswith("target ")]
+    return lines.count("top level ran"), " ".join(targets)
 
 
 def source_lines(loaded: list[str]) -> int:
@@ -257,8 +285,13 @@ def main() -> int:
         for name in loaded:
             print(f"  {name}")
         problems.extend(violations(module, loaded))
-    runs = launcher_runs()
-    print(f"spawned shard worker: launcher top level ran {runs} time(s)")
+    runs, target = spawned_worker()
+    print(f"spawned shard worker: target {target}, launcher top level ran "
+          f"{runs} time(s)")
+    if target != f"{WORKER_ENTRY}._worker_main":
+        problems.append(
+            f"spawned shard worker: spawned into {target or 'nothing'}, not "
+            f"{WORKER_ENTRY}._worker_main (whose closure is gated)")
     if runs != 1:
         problems.append(
             f"spawned shard worker: the launching program ran {runs} times "
