@@ -11,6 +11,10 @@ simplifier, so ``A + A`` and ``2*A`` collide — see
 distinct subexpression, and maintains each node exactly once per
 update through a single merged inner session.  Tenants hold
 :class:`CatalogSession` handles whose view names alias DAG nodes.
+Registration settles the store — new nodes are evaluated into it at
+once — and leaves the inner session stale: the merged program is
+compiled and the session built when an update next needs the trigger,
+so a burst of T registrations builds once, not T times.
 
 Memory is cache-aside under ``memory_budget``: when the admitted
 footprint exceeds the budget, frontier nodes (no admitted dependents)
@@ -186,7 +190,11 @@ class ViewCatalog:
         #: life: every inner session is built around this one store, so
         #: re-planning the session never copies or moves a view.
         self._store = ViewStore(backend=self.backend)
+        #: The inner session over the admitted set, or ``None``: nothing
+        #: is admitted, or the set changed since the last build
+        #: (``_stale``) and no update has needed the trigger since.
         self._session = None
+        self._stale = False
         self._next_id = 0
         self._touched_cache: dict[str, int] = {}
         self._lock = threading.RLock()
@@ -236,7 +244,7 @@ class ViewCatalog:
                     dirty = True
                 mapping[stmt.target.name] = node.name
             if dirty or created:
-                self._rebuild()
+                self._settle()
             self._enforce_budget()
             session = CatalogSession(self, program, mapping)
             self.sessions.append(session)
@@ -332,12 +340,13 @@ class ViewCatalog:
         with self._lock:
             if update.target not in self._input_syms:
                 raise KeyError(f"no catalog input named {update.target!r}")
-            if self._session is None:
+            session = self._inner()
+            if session is None:
                 update.validate_finite()
                 self._store.add_outer(
                     update.target, update.u_block, update.v_block)
             else:
-                self._session.apply_update(update)
+                session.apply_update(update)
             self.stats.updates += 1
             self.stats.node_refreshes += self._touched_count(update.target)
 
@@ -426,7 +435,7 @@ class ViewCatalog:
             return
         self._admit(node)
         self.stats.readmissions += 1
-        self._rebuild()
+        self._settle()
         # Pin the on-demand value: re-admission resumes incremental
         # maintenance from exactly the REEVAL state the caller just saw.
         self._store.set(node.name, value)
@@ -440,11 +449,13 @@ class ViewCatalog:
             return int(self._store.total_bytes(admitted))
 
     def _enforce_budget(self, protect: frozenset = frozenset()) -> None:
-        if self.memory_budget is None or self._session is None:
+        if self.memory_budget is None:
             return
         # Eviction is flush-first: deferred deltas land while the node
-        # is still maintained, never against a demoted one.
-        self._session.flush()
+        # is still maintained, never against a demoted one.  The pass
+        # reads only footprints, so it builds no session.
+        if self._session is not None:
+            self._session.flush()
         admitted = [self.nodes[n] for n in self._order if self.nodes[n].admitted]
         footprint = {
             node.name: int(self._store.total_bytes([node.name]))
@@ -472,7 +483,7 @@ class ViewCatalog:
             total -= footprint[victim.name]
             evicted = True
         if evicted:
-            self._rebuild()
+            self._settle()
 
     def _retention_score(self, node: CatalogNode, nbytes: int) -> float:
         from .cost.estimate import catalog_demand_cost
@@ -483,37 +494,51 @@ class ViewCatalog:
         return (node.tenants + node.demand_reads) * saved / max(nbytes, 1)
 
     # -- the merged inner session ----------------------------------------
-    def _rebuild(self) -> None:
-        """Build the inner session for the current admitted set.
+    def _settle(self) -> None:
+        """Settle the store on the current admitted set; mark the inner
+        session stale.
 
         The store stays: maintained nodes keep their arrays (and with
         them their bitwise trajectory), demoted nodes are dropped, and
-        only genuinely new nodes materialize fresh.
+        only genuinely new nodes materialize fresh — against the state
+        the last update left, since a session with deferred work lands
+        it first.  Nothing is compiled here (:meth:`_inner` builds).
         """
         if self._session is not None:
             self._session.flush()
+            self._session = None
         store = self._store
-        admitted = [name for name in self._order if self.nodes[name].admitted]
         for name in store.names():
             if name in self.nodes and not self.nodes[name].admitted:
                 store.drop(name)
-        statements = []
-        for name in admitted:
+        for name in self._order:
             node = self.nodes[name]
-            statements.append(Statement(node.symbol, node.expr))
-            if name not in store:
+            if node.admitted and name not in store:
                 store.adopt(name, evaluate(
                     node.expr, store.as_env(), dims=store.dims,
                     backend=self.backend))
         self._touched_cache = {}
-        if not admitted:
-            self._session = None
-            return
-        program = Program(tuple(self._input_syms.values()), tuple(statements),
-                          outputs=tuple(admitted))
-        self._session = build_session(
-            program, store, self.plan, counter=self.counter,
-            backend=self.backend)
+        self._stale = True
+
+    def _inner(self):
+        """The inner session over the admitted set (``None`` when nothing
+        is admitted), building it if the set changed since the last
+        build: one merged program compiled per change, however many
+        registrations made it."""
+        if self._stale:
+            admitted = [self.nodes[name] for name in self._order
+                        if self.nodes[name].admitted]
+            if admitted:
+                program = Program(
+                    tuple(self._input_syms.values()),
+                    tuple(Statement(node.symbol, node.expr)
+                          for node in admitted),
+                    outputs=tuple(node.name for node in admitted))
+                self._session = build_session(
+                    program, self._store, self.plan, counter=self.counter,
+                    backend=self.backend)
+            self._stale = False
+        return self._session
 
     # -- introspection ---------------------------------------------------
     def lineage(self) -> list[dict]:

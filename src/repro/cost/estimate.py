@@ -44,8 +44,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import exp, log
+from typing import TYPE_CHECKING
 
-from ..iterative.models import Model
+if TYPE_CHECKING:
+    from ..iterative.models import Model
 
 #: Strategy names (shared with the advisor).
 REEVAL = "REEVAL"
@@ -108,6 +110,10 @@ def sums_density(n: int, density: float, i: int) -> float:
 
 
 def _model_of(model: str, s: int | None) -> Model:
+    # Only the iterative-family pricers reach a model: a program open
+    # does not load the iterative stack.
+    from ..iterative.models import Model
+
     if model == "linear":
         return Model.linear()
     if model == "exponential":
@@ -199,6 +205,8 @@ def powers_cost(
 
 def _horizon(mdl: Model, k: int) -> int:
     """Highest P/S index the general recurrence reads (0 = none)."""
+    from ..iterative.models import Model
+
     if mdl.kind == Model.LINEAR or k <= 1:
         return 0
     if mdl.kind == Model.EXPONENTIAL:

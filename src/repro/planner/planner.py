@@ -23,7 +23,6 @@ from typing import Mapping
 
 from ..backends import admissible_backends, calibrated, get_backend
 from ..compiler.program import Program
-from ..cost.advisor import recommend_general, recommend_powers
 from ..cost.estimate import batch_unit_cost, heavy_light_unit_cost
 from ..runtime.executor import infer_dims, resolve_dim
 from .plan import (
@@ -189,6 +188,23 @@ def _driver_plan(recommend, stats: WorkloadStats, backend, *shape,
         **extra)[0]
     return MaintenancePlan(best.strategy, best.model, best.s, best.backend,
                            "interpret", best.time, best.space)
+
+
+def recommend_powers(*args, **kwargs):
+    """:func:`repro.cost.advisor.recommend_powers`, imported on first
+    call: only driver plans rank the iterative-family grid, so a program
+    open never compiles the advisor."""
+    from ..cost.advisor import recommend_powers as ranked
+
+    return ranked(*args, **kwargs)
+
+
+def recommend_general(*args, **kwargs):
+    """:func:`repro.cost.advisor.recommend_general`, imported on first
+    call (see :func:`recommend_powers`)."""
+    from ..cost.advisor import recommend_general as ranked
+
+    return ranked(*args, **kwargs)
 
 
 def plan_powers(stats: WorkloadStats, backend=None) -> MaintenancePlan:

@@ -276,9 +276,8 @@ class Session:
         """Apply one (possibly batch-compacted) update immediately.
 
         The input's update list runs in ``self.mode``; one bound in
-        interpret mode is bound on its first firing, so a session that
-        is built and superseded before any update (the catalog's, at
-        every tenant registration) leases nothing.
+        interpret mode is bound on its first firing, so an input that
+        is never updated leases nothing.
         """
         fn = self._executors.get(update.target) or self._executor(
             update.target)

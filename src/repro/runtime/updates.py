@@ -37,6 +37,26 @@ class InvalidUpdateError(ValueError):
     """
 
 
+#: Entries per row block of :func:`validate_finite_inputs`' scan: its
+#: one boolean temporary is this many bytes, whatever the input's size.
+FINITE_SCAN_BLOCK = 1 << 16
+
+
+def _all_finite(entries: np.ndarray) -> bool:
+    """Whether ``entries`` holds no NaN/Inf, scanned in row blocks of at
+    most :data:`FINITE_SCAN_BLOCK` entries through one reused mask, up
+    to the first block that holds one."""
+    entries = np.atleast_1d(entries)
+    rows = entries.shape[0]
+    step = max(1, FINITE_SCAN_BLOCK // max(1, entries[:1].size))
+    mask = np.empty((min(step, rows), *entries.shape[1:]), dtype=bool)
+    for start in range(0, rows, step):
+        block = entries[start:start + step]
+        if not np.isfinite(block, out=mask[:len(block)]).all():
+            return False
+    return True
+
+
 def validate_finite_inputs(inputs, names) -> None:
     """Raise :class:`InvalidUpdateError` naming the first of ``names``
     whose initial value holds a NaN/Inf (sparse: in its ``.data``)."""
@@ -44,7 +64,7 @@ def validate_finite_inputs(inputs, names) -> None:
         value = inputs[name]
         entries = np.asarray(value if isinstance(value, np.ndarray)
                              else getattr(value, "data", value))
-        if entries.dtype.kind in "fc" and not np.isfinite(entries).all():
+        if entries.dtype.kind in "fc" and not _all_finite(entries):
             raise InvalidUpdateError(
                 f"non-finite entries in the initial value of {name!r}")
 

@@ -380,6 +380,67 @@ class TestRegistration:
         np.testing.assert_allclose(t2["H"], (a @ a) @ a,
                                    rtol=1e-7, atol=1e-8 * scale)
 
+    def test_registrations_interleaved_with_updates_keep_the_contract(
+            self, rng):
+        """Registrations settle the store and leave the build to the next
+        update, between bursts of updates and under a budget added
+        late: statements whose spelling created a node before the stream
+        stay bitwise equal to their solo sessions, every other read
+        allclose."""
+        n, inputs = _chain_inputs(rng)
+        programs = [parse_program(
+            f"input A(n, n); B := A * A; C := B * B; "
+            f"P := {index + 2} * C + A; output P;") for index in range(6)]
+        stream = zipf_row_updates(rng, n, 15, 0.0)
+        catalog = ViewCatalog()
+        tenants, solos = [], []
+
+        def register(indices):
+            for index in indices:
+                first = not tenants
+                start = inputs if first else {"A": np.array(catalog.read("A"))}
+                tenants.append(catalog.open(
+                    programs[index], start if first else None, dims={"n": n}))
+                solos.append(_independent(programs[index], start, "INCR",
+                                          "interpret", None))
+
+        def apply(updates):
+            for update in updates:
+                catalog.apply_update(_clone(update))
+                for solo in solos:
+                    solo.apply_update(_clone(update))
+
+        def check():
+            # Tenant 0 created B, C and its P; tenants 1 and 2 their P,
+            # all before the first update.
+            creators = {0: ("B", "C", "P"), 1: ("P",), 2: ("P",)}
+            for index, (tenant, solo) in enumerate(zip(tenants, solos)):
+                for name in ("A", "B", "C", "P"):
+                    got, want = np.asarray(tenant[name]), solo[name]
+                    node = catalog.nodes.get(tenant.mapping.get(name))
+                    if (name in creators.get(index, ())
+                            and node.evicted_at == 0):
+                        np.testing.assert_array_equal(
+                            got, want, err_msg=f"tenant {index} {name}")
+                    scale = max(1.0, float(np.max(np.abs(want))))
+                    np.testing.assert_allclose(
+                        got, want, rtol=1e-7, atol=1e-8 * scale,
+                        err_msg=f"tenant {index} {name}")
+
+        register(range(3))
+        apply(stream[:5])
+        register(range(3, 5))
+        assert catalog._stale  # registered, not yet built
+        check()
+        apply(stream[5:10])
+        check()
+        catalog.memory_budget = 4 * n * n * 8
+        register([5])
+        assert catalog.stats.evictions >= 1
+        check()
+        apply(stream[10:])
+        check()
+
     def test_conflicting_input_value_rejected(self, rng):
         n, inputs = _chain_inputs(rng)
         catalog = ViewCatalog()

@@ -13,7 +13,10 @@ one call, as in the end-to-end tracer's ``backend.kernel_calls_per_update``.
 * ``served``'s session behind its ``ViewServer``: the same calls and
   FLOPs per submitted update, and one capture per published epoch;
 * the ``catalog_tenants`` family on one :class:`~repro.catalog.ViewCatalog`:
-  kernel calls and DAG-node refreshes per update;
+  kernel calls and DAG-node refreshes per update, and its set-up —
+  registration stores the input and evaluates each new node and
+  compiles nothing, and the first update compiles the merged program
+  once, however many tenants registered;
 * the chain on two row-shard nodes (``sharded_chain``: the coordinator
   as node 0 and one worker): messages and bytes per update in the
   engine's modeled ledger (``engine.model``), which prices only what
@@ -88,6 +91,13 @@ TABLE = {
                                          "add_into": 2,
                                          "add_outer_inplace": 3}},
     "catalog_tenants": {"calls": 42, "node_refreshes": 10},
+    # Registering the eight tenants: the input's one stored copy, then
+    # the ten new nodes' evaluation (A*A, B*B, and c*C + A per tenant);
+    # the merged program compiles at the first update, once.
+    "catalog_setup": {"calls": 19,
+                      "by_kernel": {"materialize": 1, "matmul_into": 2,
+                                    "scale_into": 8, "add_into": 8},
+                      "compiles": 0, "first_update_compiles": 1},
     "sharded_chain": {"messages": 11, "bytes": 372_736, "roundtrips": 7,
                       # ``open_session`` on two real nodes: one attach
                       # out (the three segments' names and shapes), one
@@ -274,6 +284,58 @@ class TestCatalogTenants:
             assert len(backend.calls) == TABLE["catalog_tenants"]["calls"]
             assert (catalog.stats.node_refreshes - refreshes
                     == TABLE["catalog_tenants"]["node_refreshes"])
+
+    @staticmethod
+    def _count_compiles(monkeypatch) -> list:
+        import repro.compiler.compile as compile_mod
+
+        compiles, real = [], compile_mod.compile_program
+        monkeypatch.setattr(
+            compile_mod, "compile_program",
+            lambda *args, **kwargs: (compiles.append(args[0]),
+                                     real(*args, **kwargs))[1])
+        return compiles
+
+    def _register(self, catalog, tenants):
+        for index in range(tenants):
+            open_session(parse_program(tenant_source(index)),
+                         {"A": _input(self.N)} if index == 0 else None,
+                         dims={"n": self.N}, catalog=catalog)
+
+    def test_registration_evaluates_and_the_first_update_compiles(
+            self, monkeypatch):
+        """Registration settles the store — the input's copy and each new
+        node's evaluation, nothing else — and builds no session."""
+        from repro.runtime.executor import evaluate
+
+        row = TABLE["catalog_setup"]
+        compiles = self._count_compiles(monkeypatch)
+        backend = CountingBackend()
+        catalog = ViewCatalog(backend=backend)
+        self._register(catalog, TENANTS)
+        assert len(compiles) == row["compiles"]
+        assert len(backend.calls) == row["calls"]
+        assert Counter(backend.calls) == row["by_kernel"]
+        alone, env = CountingBackend(), {"A": _input(self.N)}
+        for name in catalog._order:
+            env[name] = evaluate(catalog.nodes[name].expr, env,
+                                 dims={"n": self.N}, backend=alone)
+        assert backend.calls == ["materialize", *alone.calls]
+
+        backend.calls.clear()
+        catalog.apply_update(_updates(self.N, 1)[0])
+        assert len(compiles) == row["first_update_compiles"]
+        assert len(backend.calls) == TABLE["catalog_tenants"]["calls"]
+
+    def test_registration_is_linear_in_tenants(self, monkeypatch):
+        """Thirty-two registrations and one update compile one merged
+        program, not one per registration."""
+        compiles = self._count_compiles(monkeypatch)
+        catalog = ViewCatalog()
+        self._register(catalog, 32)
+        catalog.apply_update(_updates(self.N, 1)[0])
+        assert len(compiles) == 1
+        assert len(compiles[0].statements) == 2 + 32
 
 
 class TestShardedChain:

@@ -168,6 +168,41 @@ class TestUpdateValidation:
         with pytest.raises(InvalidUpdateError, match="initial value of 'A'"):
             open_session(chain_program(16), {"A": a}, backend="sparse")
 
+    def test_finite_scan_holds_one_block_mask(self):
+        """The scan's one temporary is a row block's mask, not an
+        ``n x n`` one: at n = 1024 the call peaks under a block's mask
+        plus bookkeeping, a sixteenth of the full mask."""
+        import tracemalloc
+
+        from repro.runtime.updates import (FINITE_SCAN_BLOCK,
+                                           validate_finite_inputs)
+
+        a = operator(1024)
+        tracemalloc.start()
+        try:
+            validate_finite_inputs({"A": a}, ["A"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < FINITE_SCAN_BLOCK + 4096 <= a.size // 16 + 4096
+
+    @pytest.mark.parametrize("row", [0, 63, 64, 1023])
+    def test_finite_scan_names_the_first_bad_input(self, row):
+        """Any block can hold the bad entry; the first input named that
+        holds one is the one reported."""
+        from repro.runtime.updates import validate_finite_inputs
+
+        bad, worse = operator(1024), operator(1024)
+        bad[row, 5] = np.nan
+        worse[0, 0] = np.inf
+        validate_finite_inputs({"A": operator(1024), "B": bad}, ["A"])
+        for order, name in ((["A", "B"], "B"), (["B", "A"], "B"),
+                            (["C", "A"], "C")):
+            with pytest.raises(InvalidUpdateError,
+                               match=f"initial value of '{name}'"):
+                validate_finite_inputs(
+                    {"A": operator(1024), "B": bad, "C": worse}, order)
+
 
 class TestShmBudget:
     def test_create_raises_typed_error(self):

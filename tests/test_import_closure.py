@@ -70,6 +70,7 @@ class TestImportClosure:
     @pytest.mark.parametrize("probe", ["repro.cli", "repro.catalog",
                                        "opened session",
                                        "opened sharded session",
+                                       "opened priced session",
                                        "benchmark set-up"])
     def test_gated_closure_holds(self, probe):
         tool = _tool()

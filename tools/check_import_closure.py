@@ -53,6 +53,8 @@ _NOT_FOR_A_DENSE_SESSION = (
 OPENED_SESSION = "opened session"
 #: The same chain on two workers, as ``bench_e2e``'s ``sharded_chain``.
 OPENED_SHARDED_SESSION = "opened sharded session"
+#: The same chain priced and monitored, as ``bench_e2e``'s ``zipf_*``.
+OPENED_PRICED_SESSION = "opened priced session"
 #: ``bench_e2e``'s ``import_program`` followed by its ``dense_small``
 #: open: the whole of that workload's ``setup_s``.
 BENCHMARK_SETUP = "benchmark set-up"
@@ -117,6 +119,14 @@ GATED = {
          "repro.cost.estimate", "repro.cost.advisor"),
         47,
     ),
+    # Priced: the planner and the program pricer load, but the
+    # iterative-family advisor only driver plans rank does not.
+    OPENED_PRICED_SESSION: (
+        ("repro.cost.advisor", "repro.cost.complexity", "repro.iterative",
+         "repro.analytics", "repro.distributed", "repro.calibrate",
+         "repro.backends.sparse"),
+        45,
+    ),
     BENCHMARK_SETUP: (
         ("repro.runtime.drift", "repro.distributed", "repro.calibrate",
          "repro.backends.sparse", "repro.planner.planner")
@@ -128,7 +138,8 @@ GATED = {
 #: probe -> most ``repro`` source lines its closure may hold (measured
 #: + 2%): ``setup_s`` follows lines compiled, not modules counted — and
 #: a worker compiles its closure at every boot.
-LINE_BUDGETS = {BENCHMARK_SETUP: 9_875, WORKER_ENTRY: 719}
+LINE_BUDGETS = {BENCHMARK_SETUP: 9_875, WORKER_ENTRY: 719,
+                OPENED_PRICED_SESSION: 9_660}
 
 
 def _bench_modules() -> tuple[str, ...]:
@@ -162,6 +173,14 @@ PROBES = {
         "if type(session).__name__ != 'ShardedSession':\n"
         "    sys.exit(f'opened {type(session).__name__}, not a "
         "ShardedSession')"
+    ),
+    OPENED_PRICED_SESSION: (
+        "from repro.frontend import parse_program\n"
+        "from repro.runtime.session import open_session\n"
+        "open_session(parse_program('input A(n, n); B := A * A; "
+        "C := B * B; output C;'), {'A': numpy.ones((512, 512))},\n"
+        "             dims={'n': 512}, plan='auto', replan=True,\n"
+        "             refresh_count=36000)"
     ),
     BENCHMARK_SETUP: (
         "".join(f"import {module}\n" for module in _bench_modules())
