@@ -19,10 +19,10 @@ so a burst of T registrations builds once, not T times.
 Memory is cache-aside under ``memory_budget``: when the admitted
 footprint exceeds the budget, frontier nodes (no admitted dependents)
 are flushed first and then demoted to REEVAL-on-demand — reads
-recompute them from the maintained state and are charged
-:func:`repro.cost.estimate.catalog_demand_cost`; once a node's
-accumulated demand charges exceed its hit-priced admission cost it is
-re-admitted and pinned again.  The exactness contract
+recompute them from the maintained state and charge their evaluation
+list's ledger FLOPs; once those out-price holding the node (a read plus
+its share of the refreshes between reads, both read off the lists by
+:mod:`repro.planner.programcost`) it is re-admitted.  The exactness contract
 (docs/invariants.md):
 
 * **No eviction**: a read through the statement whose spelling
@@ -67,6 +67,10 @@ from .runtime.views import ViewStore
 #: the frontend cannot produce identifiers starting with ``_``, so node
 #: names never collide with tenant view or input names.
 NODE_PREFIX = "_S"
+
+#: Re-admission waits for demand charges of this multiple of the price
+#: of holding a node: >1 keeps a node read once from thrashing back.
+CATALOG_READMIT_HYSTERESIS = 2.0
 
 
 class CatalogError(ValueError):
@@ -131,6 +135,8 @@ class CatalogNode:
     demand_reads: int = 0
     demand_flops: float = 0.0
     evicted_at: int = 0
+    demand_price: float | None = None  # one demand read, in ledger FLOPs
+    refresh_price: float | None = None  # its share of one refresh, likewise
 
 
 class ViewCatalog:
@@ -196,6 +202,7 @@ class ViewCatalog:
         self._session = None
         self._stale = False
         self._next_id = 0
+        self._last_target: str | None = None
         self._touched_cache: dict[str, int] = {}
         self._lock = threading.RLock()
 
@@ -215,7 +222,6 @@ class ViewCatalog:
         with self._lock:
             dirty = self._absorb_inputs(program, inputs or {}, dims)
             mapping: dict[str, str] = {}
-            created = 0
             for stmt in program.statements:
                 expr = stmt.expr
                 for view_name in list(mapping):
@@ -240,10 +246,9 @@ class ViewCatalog:
                         dirty = True
                 else:
                     node = self._create_node(expr, resolved, key)
-                    created += 1
                     dirty = True
                 mapping[stmt.target.name] = node.name
-            if dirty or created:
+            if dirty:
                 self._settle()
             self._enforce_budget()
             session = CatalogSession(self, program, mapping)
@@ -347,6 +352,7 @@ class ViewCatalog:
                     update.target, update.u_block, update.v_block)
             else:
                 session.apply_update(update)
+            self._last_target = update.target
             self.stats.updates += 1
             self.stats.node_refreshes += self._touched_count(update.target)
 
@@ -394,15 +400,11 @@ class ViewCatalog:
                 raise KeyError(f"no catalog view named {name!r}")
             if node.admitted:
                 return self._store.get_dense(name)
-            value = self._demand_value(node, {})
-            self._maybe_readmit(node, value)
+            value = self._demand_value(node, cache := {})
+            self._maybe_readmit(node, cache)
             return value
 
     def _demand_value(self, node: CatalogNode, cache: dict) -> np.ndarray:
-        # The pricing names load with the first eviction (at registration,
-        # in _retention_score): only a memory_budget makes any reachable.
-        from .cost.estimate import catalog_demand_cost
-
         if node.name in cache:
             return cache[node.name]
         env = self._store.as_env()
@@ -413,33 +415,60 @@ class ViewCatalog:
         value = evaluate(node.expr, env, dims=self._store.dims,
                          backend=self.backend)
         dense = np.asarray(self.backend.materialize(value), dtype=np.float64)
-        rows, cols = dense.shape
         node.demand_reads += 1
-        node.demand_flops += catalog_demand_cost(rows, cols, rows)
+        node.demand_flops += self._demand_price(node)
         self.stats.demand_reads += 1
         cache[node.name] = dense
         return dense
 
-    def _maybe_readmit(self, node: CatalogNode, value: np.ndarray) -> None:
-        from .cost.estimate import (
-            CATALOG_READMIT_HYSTERESIS,
-            catalog_admission_cost,
-        )
-
-        rows, cols = value.shape
+    def _maybe_readmit(self, node: CatalogNode, cache: dict) -> None:
         since = max(self.stats.updates - node.evicted_at, 0)
-        per_read = since / node.demand_reads if node.demand_reads else float(since)
-        threshold = CATALOG_READMIT_HYSTERESIS * catalog_admission_cost(
-            rows, cols, rows, updates_per_read=per_read, rank=self.plan.rank)
-        if node.demand_flops < threshold:
+        holding = self._demand_price(node)
+        if since:  # an update has set the target a refresh is priced at
+            holding += since / node.demand_reads * self._refresh_price(node)
+        if node.demand_flops < CATALOG_READMIT_HYSTERESIS * holding:
             return
         self._admit(node)
         self.stats.readmissions += 1
+        # Pin the on-demand values (``set`` copies) so settling evaluates
+        # none again: maintenance resumes from the state the caller saw.
+        for name, value in cache.items():
+            if self.nodes[name].admitted:
+                self._store.set(name, value)
         self._settle()
-        # Pin the on-demand value: re-admission resumes incremental
-        # maintenance from exactly the REEVAL state the caller just saw.
-        self._store.set(node.name, value)
         self._enforce_budget(protect=frozenset({node.name}))
+
+    def _demand_price(self, node: CatalogNode) -> float:
+        """Ledger FLOPs of one demand read of ``node`` alone: its
+        evaluation list (an evicted dependency charges its own read)."""
+        if node.demand_price is None:
+            # The pricer loads here, at the first eviction: budgets only.
+            from .planner.programcost import evaluation_ledger
+
+            node.demand_price = float(sum(evaluation_ledger(
+                self.backend, Program(tuple(matrix_symbols(node.expr)),
+                                      (Statement(node.symbol, node.expr),)),
+                self._store.dims, self._densities())[1].values()))
+        return node.demand_price
+
+    def _refresh_price(self, node: CatalogNode) -> float:
+        """``node``'s share of the refresh of its ancestry (where it is the
+        last statement) by an update to the last update's target."""
+        if node.refresh_price is None:
+            from .planner.programcost import marginal_refresh
+
+            ancestry = {node.name}
+            for name in reversed(self._order):  # dependents follow deps
+                if name in ancestry:
+                    ancestry.update(self.nodes[name].deps)
+            node.refresh_price = marginal_refresh(
+                self.backend, self.program(ancestry), self._store.dims,
+                self._densities(), self.plan.rank, self._last_target,
+                self.plan.strategy)
+        return node.refresh_price
+
+    def _densities(self) -> dict[str, float]:
+        return {n: self.backend.density(a) for n, a in self._store.as_env().items()}
 
     # -- admission / eviction --------------------------------------------
     def memory_bytes(self) -> int:
@@ -486,12 +515,8 @@ class ViewCatalog:
             self._settle()
 
     def _retention_score(self, node: CatalogNode, nbytes: int) -> float:
-        from .cost.estimate import catalog_demand_cost
-
-        arr = self._store.get(node.name)
-        rows, cols = self.backend.shape(arr)
-        saved = catalog_demand_cost(rows, cols, rows)
-        return (node.tenants + node.demand_reads) * saved / max(nbytes, 1)
+        return ((node.tenants + node.demand_reads) * self._demand_price(node)
+                / max(nbytes, 1))
 
     # -- the merged inner session ----------------------------------------
     def _settle(self) -> None:
@@ -526,19 +551,24 @@ class ViewCatalog:
         build: one merged program compiled per change, however many
         registrations made it."""
         if self._stale:
-            admitted = [self.nodes[name] for name in self._order
-                        if self.nodes[name].admitted]
-            if admitted:
-                program = Program(
-                    tuple(self._input_syms.values()),
-                    tuple(Statement(node.symbol, node.expr)
-                          for node in admitted),
-                    outputs=tuple(node.name for node in admitted))
+            program = self.program()
+            if program is not None:
                 self._session = build_session(
                     program, self._store, self.plan, counter=self.counter,
                     backend=self.backend)
             self._stale = False
         return self._session
+
+    def program(self, names: Iterable[str] | None = None) -> Program | None:
+        """The program maintaining the nodes ``names`` (default: the admitted
+        set the inner session runs), or ``None`` when there is none."""
+        with self._lock:
+            nodes = [self.nodes[name] for name in self._order
+                     if (name in names if names else self.nodes[name].admitted)]
+            return Program(
+                tuple(self._input_syms.values()),
+                tuple(Statement(node.symbol, node.expr) for node in nodes),
+                outputs=tuple(node.name for node in nodes)) if nodes else None
 
     # -- introspection ---------------------------------------------------
     def lineage(self) -> list[dict]:

@@ -806,11 +806,7 @@ def _run_catalog(args) -> int:
 
     from .catalog import CatalogError, ViewCatalog
     from .cost.counters import Counter
-    from .cost.estimate import (
-        catalog_refresh_cost,
-        private_maintenance_cost,
-        shared_maintenance_cost,
-    )
+    from .planner.programcost import refresh_ledger
 
     try:
         programs = [_load_program(path) for path in args.files]
@@ -862,7 +858,6 @@ def _run_catalog(args) -> int:
     except KeyError:
         print(f"error: no catalog input named {target!r}", file=sys.stderr)
         return 2
-    n_rows, n_cols = value.shape
     counter.reset()
     start = time.perf_counter()
     catalog.apply_updates(_update_stream(
@@ -872,10 +867,20 @@ def _run_catalog(args) -> int:
 
     stats = catalog.stats
     tenant_views = stats.registered_views
-    refresh = catalog_refresh_cost(n_rows, n_cols, args.rank)
-    est_shared = shared_maintenance_cost(
-        catalog.distinct_nodes, tenant_views, refresh)
-    est_private = private_maintenance_cost(tenant_views, refresh)
+    density = dict.fromkeys(known, args.density)
+
+    def priced(program) -> float:
+        """Ledger FLOPs of one update to ``target`` maintaining ``program``."""
+        return float(sum(refresh_ledger(
+            catalog.backend, program, dims, density, rank=args.rank,
+            update_input=target, strategy=catalog.strategy)[1].values()))
+
+    # Shared: the merged program the catalog runs; private: each tenant's
+    # own session over the same stream.
+    admitted = catalog.program()
+    est_shared = priced(admitted) if admitted is not None else 0.0
+    est_private = sum(priced(program) for program in tenant_programs
+                      if target in program.input_names)
     if args.json:
         print(json.dumps({
             "files": list(args.files),

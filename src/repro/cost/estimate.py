@@ -498,87 +498,7 @@ def recommend_checkpoint_every(
     return int(min(max(every, 1.0), CHECKPOINT_MAX_EVERY))
 
 
-# -- multi-view catalog pricing (shared vs private maintenance) ----------
-
-#: Flop-equivalents charged per tenant view for fan-out bookkeeping on
-#: every update absorbed by a shared catalog (alias resolution, epoch
-#: accounting) — the per-tenant term that stays after maintenance work
-#: has collapsed onto the distinct nodes.
-CATALOG_FANOUT_FLOPS = 64.0
-#: Hysteresis on hit-priced re-admission: an evicted intermediate must
-#: burn this multiple of its one-shot admission cost in on-demand
-#: re-evaluations before the catalog pins it back in.  >1 keeps a node
-#: read exactly once after eviction from thrashing straight back.
-CATALOG_READMIT_HYSTERESIS = 2.0
-
-
-def catalog_refresh_cost(rows: int, cols: int, rank: int = 1) -> float:
-    """Per-update FLOPs of keeping one admitted intermediate fresh.
-
-    The factored-propagation shape: two rank-``rank`` gemm touches per
-    maintained view (delta derivation plus the outer-product apply),
-    which is what the INCR triggers cost per statement per update.
-    """
-    return 4.0 * max(rank, 1) * rows * cols
-
-
-def catalog_demand_cost(rows: int, cols: int, inner: int) -> float:
-    """FLOPs to re-evaluate one *evicted* intermediate on demand.
-
-    An evicted node demotes to REEVAL: one full product of its shape
-    against an ``inner``-wide dependency chain instead of a factored
-    touch — the Table 3 memory/compute tradeoff, paid per read.
-    """
-    return 2.0 * rows * max(inner, 1) * cols
-
-
-def catalog_admission_cost(
-    rows: int,
-    cols: int,
-    inner: int,
-    updates_per_read: float = 1.0,
-    rank: int = 1,
-) -> float:
-    """Cost of holding an intermediate: materialize once, then maintain.
-
-    One on-demand evaluation's worth of setup plus the factored refresh
-    the node will absorb for every update that lands between reads.
-    The catalog re-admits an evicted node once its accumulated
-    :func:`catalog_demand_cost` charges exceed this (scaled by
-    :data:`CATALOG_READMIT_HYSTERESIS`) — cache-aside admission priced
-    in the same FLOP currency as eviction.
-    """
-    refresh = catalog_refresh_cost(rows, cols, rank)
-    return (catalog_demand_cost(rows, cols, inner)
-            + max(updates_per_read, 0.0) * refresh)
-
-
-def shared_maintenance_cost(
-    distinct_nodes: int,
-    tenant_views: int,
-    refresh_flops: float,
-) -> float:
-    """Per-update cost of catalog-shared maintenance.
-
-    Each *distinct* subexpression refreshes once (that is the whole
-    point of the lineage DAG), plus :data:`CATALOG_FANOUT_FLOPS` of
-    fan-out bookkeeping per tenant view.  Compare against
-    :func:`private_maintenance_cost` to price a session into or out of
-    a catalog: sharing wins once tenants overlap enough that
-    ``distinct_nodes`` grows slower than ``tenant_views``.
-    """
-    return (distinct_nodes * max(refresh_flops, 0.0)
-            + tenant_views * CATALOG_FANOUT_FLOPS)
-
-
-def private_maintenance_cost(tenant_views: int, refresh_flops: float) -> float:
-    """Per-update cost of N independent sessions: every view pays full."""
-    return tenant_views * max(refresh_flops, 0.0)
-
-
 __all__ = [
-    "CATALOG_FANOUT_FLOPS",
-    "CATALOG_READMIT_HYSTERESIS",
     "CHECKPOINT_BASE_FLOPS",
     "CHECKPOINT_BYTE_FLOPS",
     "CHECKPOINT_MAX_EVERY",
@@ -589,15 +509,10 @@ __all__ = [
     "checkpoint_write_cost",
     "recommend_checkpoint_every",
     "batch_unit_cost",
-    "catalog_admission_cost",
-    "catalog_demand_cost",
-    "catalog_refresh_cost",
     "compaction_cost",
     "general_cost",
     "heavy_light_unit_cost",
     "power_density",
     "powers_cost",
-    "private_maintenance_cost",
-    "shared_maintenance_cost",
     "sums_density",
 ]

@@ -4,8 +4,9 @@ The planner prices a session cell by walking the lowered kernel lists
 the session runs (:class:`~repro.compiler.compile.CompiledProgram`),
 charging each record through the backend's ``est_*`` cost hooks:
 
-* **setup** (the initial build) and **space** walk the evaluation list,
-  every statement from the inputs;
+* **setup** (the initial build), **space** and a catalog's demand read
+  (:func:`evaluation_ledger`) walk the evaluation list, every statement
+  from the inputs;
 * **REEVAL** walks the updated input's REEVAL list: the update applied
   to a copy of the input, then every statement;
 * **INCR** walks the updated input's trigger list, bound at the update
@@ -42,8 +43,9 @@ from typing import NamedTuple
 
 from ..compiler.codegen.fused import BACKEND_KERNELS
 from ..compiler.compile import UPDATE_WIDTH, compiled_program
-from ..compiler.program import Program
+from ..compiler.program import Program, Statement
 from ..cost.estimate import CostEstimate
+from ..expr import MatrixSymbol
 from ..runtime.executor import resolve_dim
 
 
@@ -167,6 +169,15 @@ def _refresh(be, strategy: str, program: Program, ann: dict, dims,
                  u_nnz=max(1.0, upd.rows * upd.density), part=part)
 
 
+def evaluation_ledger(be, program: Program, dims: dict[str, int],
+                      input_density: dict[str, float]) -> tuple[Counter, Counter]:
+    """Predicted ``(calls, flops)`` of one run of the evaluation list —
+    an initial build, or a catalog's demand read of an evicted node —
+    keyed by backend kernel like :func:`refresh_ledger`; call overhead
+    excluded."""
+    return _setup(be, program, dims, input_density)[1:]
+
+
 def refresh_ledger(be, program: Program, dims: dict[str, int],
                    input_density: dict[str, float], rank: int = 1,
                    update_input: str | None = None,
@@ -178,6 +189,27 @@ def refresh_ledger(be, program: Program, dims: dict[str, int],
     ann, _, _ = _setup(be, program, dims, input_density)
     return _refresh(be, strategy, program, ann, dims, rank,
                     update_input or program.input_names[0])[:2]
+
+
+def marginal_refresh(be, program: Program, dims: dict[str, int],
+                     input_density: dict[str, float], rank: int = 1,
+                     update_input: str | None = None,
+                     strategy: str = "INCR") -> float:
+    """Ledger FLOPs one width-``rank`` ``strategy`` refresh spends on
+    ``program``'s last statement, which no other statement reads: the
+    refresh of ``program`` less that of ``program`` without it.  Both
+    gain a first statement copying the updated input, so the one without
+    is never empty; its records are in both and cancel."""
+    update_input = update_input or program.input_names[0]
+    x = program.input(update_input)
+    copy = Statement(MatrixSymbol("_input", x.shape.rows, x.shape.cols), x)
+
+    def flops(statements) -> float:
+        return float(sum(refresh_ledger(
+            be, Program(program.inputs, (copy, *statements)), dims,
+            input_density, rank, update_input, strategy)[1].values()))
+
+    return flops(program.statements) - flops(program.statements[:-1])
 
 
 def refresh_traffic(be, program: Program, dims: dict[str, int], nodes: int,
@@ -241,4 +273,5 @@ def program_cost(
     return CostEstimate(setup, refresh, space)
 
 
-__all__ = ["program_cost", "refresh_ledger", "refresh_traffic"]
+__all__ = ["evaluation_ledger", "marginal_refresh", "program_cost",
+           "refresh_ledger", "refresh_traffic"]

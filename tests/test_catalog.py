@@ -559,6 +559,30 @@ class TestCatalogCLI:
         assert all(rec["name"].startswith(NODE_PREFIX)
                    for rec in payload["lineage"])
 
+    @pytest.mark.parametrize("mode", ["interpret", "codegen"])
+    def test_catalog_command_prices_what_it_runs(self, program_file, capsys,
+                                                  mode):
+        """The shared estimate is the ledger of the merged program the
+        catalog maintains; the private one, each tenant's own session."""
+        from repro.cli import main
+
+        updates = 5
+        code = main(["catalog", program_file, "--tenants", "3",
+                     "--dims", "n=12", "--updates", str(updates),
+                     "--mode", mode, "--json"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        estimate = payload["estimated_flops_per_update"]
+        assert estimate["shared"] * updates == payload["total_flops"]
+        # Three tenants of one program: three times its refresh.
+        assert estimate["private"] == 3 * estimate["shared"]
+        assert main(["catalog", program_file, "--tenants", "3",
+                     "--dims", "n=12", "--updates", str(updates),
+                     "--mode", mode]) == 0
+        assert (f"est. FLOPs : {estimate['shared']:,.0f}/update shared vs "
+                f"{estimate['private']:,.0f}/update private (3.0x)"
+                in capsys.readouterr().out)
+
     def test_catalog_command_human_output(self, program_file, capsys):
         from repro.cli import main
 

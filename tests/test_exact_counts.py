@@ -17,6 +17,13 @@ one call, as in the end-to-end tracer's ``backend.kernel_calls_per_update``.
   registration stores the input and evaluates each new node and
   compiles nothing, and the first update compiles the merged program
   once, however many tenants registered;
+* a catalog's demand read of an evicted node: its kernel calls and the
+  FLOPs it is charged (``CatalogNode.demand_flops``), which are its
+  ledger's, with no tolerance — for the chain top and for a non-square
+  Gram product — and a read that re-admits the node evaluates it once;
+  its refresh price is its marginal share of the chain's refresh
+  (:func:`~repro.planner.programcost.marginal_refresh`), and the shares
+  plus the input's own apply are the whole refresh;
 * the chain on two row-shard nodes (``sharded_chain``: the coordinator
   as node 0 and one worker): messages and bytes per update in the
   engine's modeled ledger (``engine.model``), which prices only what
@@ -68,6 +75,7 @@ from repro.distributed.sharded import unshardable
 from repro.frontend import parse_program
 from repro.planner import MaintenancePlan
 from repro.planner.programcost import (
+    marginal_refresh,
     program_cost,
     refresh_ledger,
     refresh_traffic,
@@ -98,6 +106,14 @@ TABLE = {
                       "by_kernel": {"materialize": 1, "matmul_into": 2,
                                     "scale_into": 8, "add_into": 8},
                       "compiles": 0, "first_update_compiles": 1},
+    # An evicted read of the chain top at n = 64 under a one-node budget:
+    # one B*B product (2 n^3), and the Gram product X'X of a 400 x 40 X
+    # (2 * 40 * 400 * 40), each charged what its kernels count.  Keeping
+    # the chain top maintained costs its share of the chain's INCR
+    # refresh: 26 n^2 + 23 n less B's share and A's own apply (2 n^2).
+    "catalog_demand": {"n": 64, "by_kernel": {"matmul_into": 1},
+                       "flops": 524_288, "gram_flops": 1_280_000,
+                       "refresh": 66_688},
     "sharded_chain": {"messages": 11, "bytes": 372_736, "roundtrips": 7,
                       # ``open_session`` on two real nodes: one attach
                       # out (the three segments' names and shapes), one
@@ -336,6 +352,71 @@ class TestCatalogTenants:
         catalog.apply_update(_updates(self.N, 1)[0])
         assert len(compiles) == 1
         assert len(compiles[0].statements) == 2 + 32
+
+
+class TestCatalogDemand:
+    """An evicted read is charged its own ledger."""
+
+    N = TABLE["catalog_demand"]["n"]
+
+    def _chain(self):
+        ledger = Ledger()
+        catalog = ViewCatalog(memory_budget=self.N * self.N * 8,
+                              counter=ledger)
+        catalog.open(parse_program(CHAIN_SRC), {"A": _input(self.N)},
+                     dims={"n": self.N})
+        top = catalog.nodes[catalog._order[-1]]
+        assert not top.admitted  # room for B only
+        return catalog, top, ledger
+
+    def test_an_evicted_read_of_the_chain_top(self):
+        row = TABLE["catalog_demand"]
+        catalog, top, ledger = self._chain()
+        ledger.reset()
+        catalog.read(top.name)
+        assert ledger.calls_by_op == row["by_kernel"]
+        assert ledger.flops_by_op == {"matmul_into": row["flops"]}
+        assert top.demand_flops == ledger.total_flops == row["flops"]
+
+    def test_an_evicted_gram_product(self):
+        ledger = Ledger()
+        catalog = ViewCatalog(memory_budget=0, counter=ledger)
+        catalog.open(parse_program("input X(m, k); Z := X' * X; output Z;"),
+                     {"X": np.random.default_rng(3).standard_normal((400, 40))},
+                     dims={"m": 400, "k": 40})
+        (node,) = catalog.nodes.values()
+        assert not node.admitted
+        ledger.reset()
+        catalog.read(node.name)
+        assert node.demand_flops == ledger.total_flops
+        assert ledger.total_flops == TABLE["catalog_demand"]["gram_flops"]
+
+    def test_a_readmitting_read_evaluates_once(self, monkeypatch):
+        """The read that prices the chain top back in pins its on-demand
+        value, so settling the store does not evaluate the node again."""
+        import repro.catalog as catalog_mod
+
+        evaluations, real = [], catalog_mod.evaluate
+        monkeypatch.setattr(
+            catalog_mod, "evaluate",
+            lambda *args, **kwargs: (evaluations.append(args[0]),
+                                     real(*args, **kwargs))[1])
+        catalog, top, ledger = self._chain()
+        for update in _updates(self.N, 8):
+            catalog.apply_update(update)
+            evaluations.clear()
+            ledger.reset()
+            value = catalog.read(top.name)
+            if top.admitted:
+                break
+        assert catalog.stats.readmissions == 1
+        assert (top.demand_price, top.refresh_price) == (
+            TABLE["catalog_demand"]["flops"], TABLE["catalog_demand"]["refresh"])
+        assert len(evaluations) == 1
+        assert ledger.total_flops == TABLE["catalog_demand"]["flops"]
+        pinned = catalog._store.get(top.name)
+        assert pinned is not value
+        np.testing.assert_array_equal(pinned, value)
 
 
 class TestShardedChain:
@@ -710,6 +791,21 @@ class TestPricedLedger:
                                       {})
         assert sum(calls.values()) == TABLE["chain"]["calls"]
         assert sum(flops.values()) == np.polyval(FLOPS_IN_N["incr"], 128)
+
+    @pytest.mark.parametrize("strategy", ["INCR", "REEVAL"])
+    def test_statement_shares_add_up_to_the_refresh(self, strategy):
+        """Each statement's marginal share, priced as the last statement
+        of its ancestry, plus the input's own apply is the refresh."""
+        n = TABLE["catalog_demand"]["n"]
+        be, dims = DenseBackend(), {"n": n}
+        chain = parse_program(CHAIN_SRC)
+        first = parse_program("input A(n, n); B := A * A; output B;")
+        shares = [marginal_refresh(be, program, dims, {}, strategy=strategy)
+                  for program in (first, chain)]
+        _, flops = refresh_ledger(be, chain, dims, {}, strategy=strategy)
+        assert sum(shares) + 2 * n * n == sum(flops.values())
+        if strategy == "INCR":
+            assert shares[1] == TABLE["catalog_demand"]["refresh"]
 
 
 class TestPricedReevalLedger:

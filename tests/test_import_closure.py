@@ -71,6 +71,7 @@ class TestImportClosure:
                                        "opened session",
                                        "opened sharded session",
                                        "opened priced session",
+                                       "opened catalog",
                                        "benchmark set-up"])
     def test_gated_closure_holds(self, probe):
         tool = _tool()

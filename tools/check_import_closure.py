@@ -55,6 +55,9 @@ OPENED_SESSION = "opened session"
 OPENED_SHARDED_SESSION = "opened sharded session"
 #: The same chain priced and monitored, as ``bench_e2e``'s ``zipf_*``.
 OPENED_PRICED_SESSION = "opened priced session"
+#: Eight tenants on one unbudgeted catalog, as ``bench_e2e``'s
+#: ``catalog_tenants``: registered, one update, one read.
+OPENED_CATALOG = "opened catalog"
 #: ``bench_e2e``'s ``import_program`` followed by its ``dense_small``
 #: open: the whole of that workload's ``setup_s``.
 BENCHMARK_SETUP = "benchmark set-up"
@@ -127,6 +130,13 @@ GATED = {
          "repro.backends.sparse"),
         45,
     ),
+    # No budget, so nothing is evicted and nothing priced: the pricer
+    # loads where the first eviction is decided.
+    OPENED_CATALOG: (
+        ("repro.planner.programcost", "repro.planner.planner",
+         "repro.cost.estimate"),
+        42,
+    ),
     BENCHMARK_SETUP: (
         ("repro.runtime.drift", "repro.distributed", "repro.calibrate",
          "repro.backends.sparse", "repro.planner.planner")
@@ -181,6 +191,21 @@ PROBES = {
         "C := B * B; output C;'), {'A': numpy.ones((512, 512))},\n"
         "             dims={'n': 512}, plan='auto', replan=True,\n"
         "             refresh_count=36000)"
+    ),
+    OPENED_CATALOG: (
+        "from repro.catalog import ViewCatalog\n"
+        "from repro.frontend import parse_program\n"
+        "from repro.runtime.session import open_session\n"
+        "from repro.runtime.updates import FactoredUpdate\n"
+        "catalog = ViewCatalog()\n"
+        "tenants = [open_session(parse_program(\n"
+        "    f'input A(n, n); B := A * A; C := B * B; P := {i + 2} * C + A; "
+        "output P;'),\n"
+        "    {'A': numpy.eye(16)} if i == 0 else None, dims={'n': 16},\n"
+        "    catalog=catalog) for i in range(8)]\n"
+        "catalog.apply_update(FactoredUpdate('A', numpy.ones((16, 1)), "
+        "numpy.ones((16, 1))))\n"
+        "tenants[0]['P']"
     ),
     BENCHMARK_SETUP: (
         "".join(f"import {module}\n" for module in _bench_modules())
