@@ -20,7 +20,7 @@ import pytest
 
 from conftest import make_matrix, refresh_timer, row_update
 from repro.bench import time_refresh_trimmed
-from repro.iterative import IncrementalPowers, Model, ReevalPowers
+from repro.iterative import IncrementalPowers, Model, make_powers
 
 N = 384
 K = 16
@@ -63,7 +63,7 @@ def _maintainer(arm: str):
         return IncrementalPowers(a, K, Model.exponential())
     if arm == "DENSE-INCR":
         return DenseDeltaPowers(a, K)
-    return ReevalPowers(a, K, Model.exponential())
+    return make_powers("REEVAL", a, K, Model.exponential())
 
 
 @pytest.mark.parametrize("arm", ["FACTORED", "DENSE-INCR", "REEVAL"])

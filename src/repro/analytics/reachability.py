@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..backends import get_backend
 from ..cost import counters
 from ..iterative.models import Model, is_power_of_two
 from ..iterative.strategies import make_sums
@@ -75,8 +76,10 @@ class ReachabilityIndex:
             model = (Model.exponential() if is_power_of_two(k)
                      else Model.linear())
         self.model = model
+        self._backend = get_backend(backend)
         self._maintainer = make_sums(
-            strategy, self.adjacency, k, self.model, counter, backend=backend
+            strategy, self.adjacency, k, self.model, counter,
+            backend=self._backend
         )
 
     def _edge_factors(self, src: int, dst: int, sign: float):
@@ -111,7 +114,7 @@ class ReachabilityIndex:
         accessor materializes the full matrix — point queries below
         index the native representation instead.
         """
-        return self._maintainer.ops.backend.materialize(self._maintainer.result())
+        return self._backend.materialize(self._maintainer.result())
 
     def reachable(self, src: int, dst: int) -> bool:
         """Whether ``dst`` is reachable from ``src`` in ``< k`` hops.

@@ -41,6 +41,11 @@ from .base import MatrixLike
 from .dense import DenseBackend
 
 
+def _dense(out):
+    """``out`` when it is a dense buffer, else ``None`` (allocate)."""
+    return out if isinstance(out, np.ndarray) else None
+
+
 def _require_scipy() -> None:
     if _sp is None:  # pragma: no cover - exercised only without scipy
         raise RuntimeError(
@@ -150,17 +155,19 @@ class SparseBackend(DenseBackend):
     # nnz structure is data-dependent), so each kernel honors ``out``
     # only on its all-dense leg and allocates on the CSR one — thin
     # dense factor blocks, which dominate factored propagation, still
-    # run allocation-free.
+    # run allocation-free.  An ``out`` that is itself CSR (a REEVAL list
+    # computing into a view stored as CSR) is not a buffer: the dense
+    # leg allocates then too.
 
     def matmul_into(self, a: MatrixLike, b: MatrixLike,
                     out=None) -> MatrixLike:
         if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
-            return np.matmul(a, b, out=out)
+            return np.matmul(a, b, out=_dense(out))
         return self._finalize(a @ b)
 
     def add_into(self, a: MatrixLike, b: MatrixLike, out=None) -> MatrixLike:
         if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
-            return np.add(a, b, out=out)
+            return np.add(a, b, out=_dense(out))
         if self._is_sparse(a) and not self._is_sparse(b):
             # csr + dense yields dense; keep operand order np-friendly.
             return np.asarray(a.todense() + b)
@@ -168,7 +175,7 @@ class SparseBackend(DenseBackend):
 
     def sub_into(self, a: MatrixLike, b: MatrixLike, out=None) -> MatrixLike:
         if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
-            return np.subtract(a, b, out=out)
+            return np.subtract(a, b, out=_dense(out))
         if self._is_sparse(a) and not self._is_sparse(b):
             return np.asarray(a.todense() - b)
         return self._finalize(a - b)
@@ -176,7 +183,7 @@ class SparseBackend(DenseBackend):
     def scale_into(self, coeff: float, a: MatrixLike,
                    out=None) -> MatrixLike:
         if isinstance(a, np.ndarray):
-            return np.multiply(coeff, a, out=out)
+            return np.multiply(coeff, a, out=_dense(out))
         return self._finalize(a * coeff)
 
     def hstack_into(self, blocks: Sequence[MatrixLike],
@@ -184,14 +191,14 @@ class SparseBackend(DenseBackend):
         blocks = list(blocks)
         if any(self._is_sparse(b) for b in blocks):
             return self._finalize(_sp.hstack(blocks, format="csr"))
-        return np.concatenate(blocks, axis=1, out=out)
+        return np.concatenate(blocks, axis=1, out=_dense(out))
 
     def vstack_into(self, blocks: Sequence[MatrixLike],
                     out=None) -> MatrixLike:
         blocks = list(blocks)
         if any(self._is_sparse(b) for b in blocks):
             return self._finalize(_sp.vstack(blocks, format="csr"))
-        return np.concatenate(blocks, axis=0, out=out)
+        return np.concatenate(blocks, axis=0, out=_dense(out))
 
     def add_inplace(self, a: MatrixLike, b: MatrixLike) -> MatrixLike:
         if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):

@@ -4,17 +4,13 @@ A trigger's execution must equal re-evaluation, and every harness in
 the repository states that promise against ``mode="interpret"`` — so
 the two execution modes must be the same computation, not two
 renderings of the same intent.  ``_Lowering.lower`` is the **only**
-place an expression node becomes backend kernels.  Three lists are
-built with it, each a :class:`LoweredTrigger`: a shape-symbolic list of
-``(kernel, dst, srcs)`` records in which everything an executor could
-decide differently is already decided —
-
-* :func:`lower_trigger` — an input's INCR trigger;
-* :func:`lower_evaluation` — every statement from the stored inputs
-  (initial builds, rebuilds, revalidation, :func:`~repro.runtime.
-  executor.evaluate`), or REEVAL's list for updates to one input.
-
-In each list:
+place an expression node becomes backend kernels, in a
+:class:`LoweredTrigger`: a shape-symbolic list of ``(kernel, dst,
+srcs)`` records in which everything an executor could decide
+differently is already decided.  :func:`lower_trigger` lowers an
+input's INCR trigger, :func:`lower_evaluation` every statement from the
+stored inputs (builds, rebuilds, revalidation, :func:`~repro.runtime.
+executor.evaluate`) or REEVAL's list for updates to one input.  In each:
 
 * every product/sum/scale/concatenation names the scratch buffer it
   writes (the kernels are the backend's ``*_into`` forms; the buffer is
@@ -52,13 +48,11 @@ order, so they agree bit for bit on the dense backend by construction
 and charge a :func:`~repro.cost.counters.counted` backend's ledger
 alike; after one warm-up firing neither allocates (sparse state falls
 back to allocation exactly where CSR structure forbids in-place
-writes).  An
-update whose width differs from the bound one runs the same records
-with ``None`` in every buffer operand — the kernels then allocate their
-results, and constants shaped by the width are rebuilt at it — instead
-of a second lowering, and leases nothing, so a stream of many distinct
-widths does not grow the workspace.  ``Inverse`` has
-no ``out=`` kernel and always allocates.
+writes).  An update of another width runs the same records with
+``None`` in every buffer operand (the kernels allocate, and constants
+shaped by the width are rebuilt at it) and leases nothing, so many
+distinct widths do not grow the workspace.  ``Inverse`` has no
+``out=`` kernel and always allocates.
 
 Function signature, both executors::
 
@@ -71,7 +65,7 @@ over by a ``store`` apply instead.
 
 from __future__ import annotations
 
-import operator
+from operator import attrgetter, itemgetter
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, NamedTuple
 
@@ -103,8 +97,8 @@ class Op(NamedTuple):
     kernel: str
     #: Name bound to the result — for an apply, the view written.
     dst: str
-    #: Operand names in call order (the ``out=`` buffer last); the one
-    #: non-name operand is ``scale``'s leading float coefficient.
+    #: Operand names in call order (the ``out=`` buffer, or a REEVAL view,
+    #: last); the one non-name operand is ``scale``'s float coefficient.
     srcs: tuple
 
 
@@ -116,8 +110,7 @@ class LoweredTrigger:
     input_name: str | None
     #: The update's factor names (``u_A``, ``v_A``; none to evaluate).
     params: tuple[str, ...]
-    #: Update width the buffers are shaped for (``None``: no buffer
-    #: depends on it).
+    #: Update width the buffers are shaped for (``None``: none depends on it).
     rank: DimLike | None
     #: Store names read at entry, in first-use order.
     views: tuple[str, ...]
@@ -132,46 +125,15 @@ class LoweredTrigger:
 
 
 def outer_operands(expr: Expr) -> "tuple[str, str] | None":
-    """Match the canonical factored-delta shape ``U @ V'``.
-
-    Returns the ``(U, V)`` symbol names when ``expr`` is exactly a
-    two-factor product of a symbol with a transposed symbol (the form
-    Algorithm 1 emits for every update statement), else ``None``.
-    Callers use the match to apply updates through the backend's
-    ``add_outer_inplace`` kernel instead of materializing the delta densely.
-    """
-    if (
-        isinstance(expr, MatMul)
-        and len(expr.children) == 2
-        and isinstance(expr.children[0], MatrixSymbol)
-        and isinstance(expr.children[1], Transpose)
-        and isinstance(expr.children[1].child, MatrixSymbol)
-    ):
+    """The ``(U, V)`` symbol names when ``expr`` is exactly ``U @ V'``
+    (the form Algorithm 1 emits for every update statement, applied by
+    ``add_outer_inplace`` without materializing the delta), else ``None``."""
+    if (isinstance(expr, MatMul) and len(expr.children) == 2
+            and isinstance(expr.children[0], MatrixSymbol)
+            and isinstance(expr.children[1], Transpose)
+            and isinstance(expr.children[1].child, MatrixSymbol)):
         return expr.children[0].name, expr.children[1].child.name
     return None
-
-
-def _referenced_views(trigger: Trigger) -> list[str]:
-    """View names referenced by the trigger, excluding params and temps
-    (the order the Octave and Spark printers load them in)."""
-    local = {p.name for p in trigger.params} | set(trigger.temp_names)
-    names: list[str] = []
-    seen: set[str] = set()
-    exprs = [a.expr for a in trigger.assigns] + [u.expr for u in trigger.updates]
-    for view in trigger.updated_views:
-        if view not in seen:
-            seen.add(view)
-            names.append(view)
-    for expr in exprs:
-        for node in walk(expr):
-            if (
-                isinstance(node, MatrixSymbol)
-                and node.name not in local
-                and node.name not in seen
-            ):
-                seen.add(node.name)
-                names.append(node.name)
-    return names
 
 
 class _Lowering:
@@ -185,13 +147,14 @@ class _Lowering:
         self.values: dict[str, str] = {}
         self.constants: dict[str, tuple] = {}
         self.buffers: dict[str, Shape] = {}
+        self.named = 0  # buffers named so far; a landed one leaves
         self.hoisted: dict[str, Op] = {}
         self.ops: list[Op] = []
 
     def emit(self, kernel: str, *srcs, into: Shape | None = None) -> str:
         """Append one record; ``into`` plans its destination buffer."""
         if into is not None:
-            buffer = f"_b{len(self.buffers)}"
+            buffer, self.named = f"_b{self.named}", self.named + 1
             self.buffers[buffer] = into
             srcs += (buffer,)
         dst = f"_t{len(self.ops) + 1}"
@@ -252,6 +215,21 @@ class _Lowering:
         raise EvaluationError(
             f"cannot evaluate node type {type(expr).__name__}")
 
+    def land(self, value: str, view: str) -> bool:
+        """Compute the fresh ``value`` into ``view``'s storage: the buffer
+        it lands in becomes the view.  False when no buffer holds it."""
+        records = {op.dst: op for op in self.ops}
+        op = records[value]
+        while op.kernel in ("add", "sub"):
+            op = records[op.srcs[2]]
+        buffer = op.srcs[-1]
+        if buffer not in self.buffers:
+            return False
+        del self.buffers[buffer]
+        self.ops = [o._replace(srcs=tuple(view if s == buffer else s
+                                          for s in o.srcs)) for o in self.ops]
+        return True
+
     def finish(self, input_name, params, rank, applies) -> LoweredTrigger:
         """The list built so far, its duplicate records merged; it loads
         every name it reads and no record writes, in first-use order."""
@@ -299,38 +277,43 @@ def lower_trigger(trigger: Trigger) -> LoweredTrigger:
         trigger.params[0].shape.cols, applies)
 
 
-def lower_evaluation(statements, update: Trigger | None = None
+def lower_evaluation(statements, update: MatrixSymbol | None = None
                      ) -> LoweredTrigger:
     """Every ``(target name, expr)`` of ``statements``, in order.
 
     Without ``update``: the **evaluation list**, from the stored inputs,
     each value handed over by a ``store`` apply (a bare or transposed
     reference is the stored array or a view of it).  With ``update``,
-    input ``X``'s INCR trigger: **REEVAL's list** — the update applied
-    to a buffered copy of ``X``, every statement into scratch buffers,
-    then ``copy`` applies into ``X``'s and each view's stored array, so
-    nothing is stored before everything has evaluated.  No buffer
-    depends on the width: ``rank`` is ``None``.
+    an input ``X``: **REEVAL's list** for ``X += u_X v_X'``.  With no
+    ``inv``, it runs in place, as a maintainer does: the update lands in
+    ``X`` and each fresh value in its view's storage (a reference is
+    copied there).  With one, it is staged, so a singular ``inv`` writes
+    nothing: the update lands in a buffered copy of ``X``, every
+    statement in scratch buffers, then ``copy`` applies store them.  No
+    buffer depends on the width: ``rank`` is ``None``.
     """
     targets = [target for target, _ in statements]
     lowering = _Lowering(targets)
     params: tuple[str, ...] = ()
+    in_place = update is not None and not any(
+        isinstance(node, Inverse) for _, expr in statements for node in walk(expr))
     if update is not None:
-        x, (u, v) = update.input_name, update.params
-        params = (u.name, v.name)
+        x = update.name
+        params = (f"u_{x}", f"v_{x}")
         lowering.computed.add(x)
-        copied = lowering.emit("copy", x,
-                               into=Shape(u.shape.rows, v.shape.rows))
+        copied = x if in_place else lowering.emit("copy", x, into=update.shape)
         lowering.values[x] = lowering.emit("outer", copied, *params)
         targets = [x, *targets]
+    # Targets whose value is their storage, or is handed over as it is.
+    stored = set(targets) if update is None else {x} if in_place else set()
     for target, expr in statements:
-        lowering.values[target] = lowering.lower(expr)[0]
-    values = lowering.values
-    applies = [Op("store", target, (values[target],)) if update is None
-               else Op("copy", target, (values[target], target))
-               for target in targets]
-    return lowering.finish(update and update.input_name, params, None,
-                           applies)
+        lowering.values[target], fresh = lowering.lower(expr)
+        if in_place and fresh and lowering.land(lowering.values[target],
+                                                target):
+            stored.add(target)
+    applies = [Op("store", t, (lowering.values[t],)) if t in stored
+               else Op("copy", t, (lowering.values[t], t)) for t in targets]
+    return lowering.finish(update and update.name, params, None, applies)
 
 
 def merge_duplicates(lowered: LoweredTrigger) -> LoweredTrigger:
@@ -374,9 +357,10 @@ def merge_duplicates(lowered: LoweredTrigger) -> LoweredTrigger:
         if op.kernel == "transpose":
             last[op.srcs[0]] = max(last[op.srcs[0]], last.get(op.dst, -1))
     storage = {op.dst: op.srcs[-1] for op in ops}
+    top = 1 + max((int(name[2:]) for name in lowered.buffers), default=-1)
     for index, op in enumerate(ops):
         if op.kernel in ("add", "sub") and last[op.srcs[2]] > index:
-            fresh = f"_b{len(lowered.buffers) + index}"
+            fresh = f"_b{top + index}"
             buffers[fresh] = buffers[storage[op.srcs[2]]]
             ops[index] = op._replace(srcs=(*op.srcs[:2], fresh))
     return replace(lowered, buffers=buffers, ops=tuple(ops), applies=applies)
@@ -404,7 +388,7 @@ def _kernels(be) -> dict[str, Callable]:
     """Kernel name -> callable over an :class:`Op`'s ``srcs``, in order."""
     kernels = {name: getattr(be, kernel)
                for name, kernel in BACKEND_KERNELS.items()}
-    return {**kernels, "transpose": operator.attrgetter("T"),
+    return {**kernels, "transpose": attrgetter("T"),
             "copy": _copy_into, "store": lambda value: value,
             "hstack": lambda *args: be.hstack_into(args[:-1], args[-1]),
             "vstack": lambda *args: be.vstack_into(args[:-1], args[-1])}
@@ -420,9 +404,8 @@ def _bind(lowered: LoweredTrigger, dims: Mapping[str, int], backend,
     lease scope of ``workspace`` (one is created when ``None``) —
     lists bound against one workspace share buffers by shape, which
     is safe because firings never interleave.  ``lease=False`` binds
-    ``None`` in every buffer instead: allocating destinations.  An
-    unbound dimension raises
-    :class:`~repro.runtime.executor.EvaluationError`.
+    ``None`` in every buffer instead: allocating destinations.  An unbound
+    dimension raises :class:`~repro.runtime.executor.EvaluationError`.
     """
     from ...backends import get_backend
     from ...runtime.workspace import Workspace
@@ -472,9 +455,12 @@ def _loop(lowered: LoweredTrigger, be, values: Mapping[str, object],
         pinned.append(src)  # scale's literal coefficient
         return len(pinned) - 1
 
-    steps = [(kernels[op.kernel], slot[op.dst], [operand(s) for s in op.srcs])
-             for op in lowered.ops]
-    applies = [(kernels[op.kernel], op.dst, [slot[s] for s in op.srcs])
+    def fetch(at: list[int]) -> Callable:  # slots -> operands, one C call
+        return itemgetter(*at) if len(at) > 1 else itemgetter(slice(at[0], at[0] + 1))
+
+    steps = [(kernels[op.kernel], slot[op.dst],
+              fetch([operand(s) for s in op.srcs])) for op in lowered.ops]
+    applies = [(kernels[op.kernel], op.dst, fetch([slot[s] for s in op.srcs]))
                for op in lowered.applies]
     allocating = list(pinned)
     for name in lowered.buffers:
@@ -494,10 +480,10 @@ def _loop(lowered: LoweredTrigger, be, values: Mapping[str, object],
         slots[:count] = params
         for index, name in loads:
             slots[index] = views[name]
-        for kernel, dst, srcs in steps:
-            slots[dst] = kernel(*[slots[i] for i in srcs])
-        for kernel, name, srcs in applies:
-            views[name] = kernel(*[slots[i] for i in srcs])
+        for kernel, dst, fetch in steps:
+            slots[dst] = kernel(*fetch(slots))
+        for kernel, name, fetch in applies:
+            views[name] = kernel(*fetch(slots))
 
     run.__name__ = f"on_update_{lowered.input_name}"
     return run

@@ -24,13 +24,36 @@ from ...expr.ast import (
     ZeroMatrix,
 )
 from ...expr.shapes import DimLike, DimSum, NamedDim
+from ...expr.visitors import walk
 from ..trigger import Trigger
-from .fused import _referenced_views
 
 _PREC_ADD = 1
 _PREC_MUL = 2
 _PREC_POSTFIX = 3
 _PREC_ATOM = 4
+
+
+def _referenced_views(trigger: Trigger) -> list[str]:
+    """View names referenced by the trigger, excluding params and temps
+    (the order the Octave and Spark printers load them in)."""
+    local = {p.name for p in trigger.params} | set(trigger.temp_names)
+    names: list[str] = []
+    seen: set[str] = set()
+    exprs = [a.expr for a in trigger.assigns] + [u.expr for u in trigger.updates]
+    for view in trigger.updated_views:
+        if view not in seen:
+            seen.add(view)
+            names.append(view)
+    for expr in exprs:
+        for node in walk(expr):
+            if (
+                isinstance(node, MatrixSymbol)
+                and node.name not in local
+                and node.name not in seen
+            ):
+                seen.add(node.name)
+                names.append(node.name)
+    return names
 
 
 def _emit_dim(dim: DimLike) -> str:

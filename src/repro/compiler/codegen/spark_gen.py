@@ -35,7 +35,7 @@ from ...expr.ast import (
 )
 from ...expr.shapes import DimLike, DimSum, NamedDim
 from ..trigger import Trigger
-from .fused import _referenced_views
+from .octave_gen import _referenced_views
 
 
 def _emit_dim(dim: DimLike) -> str:

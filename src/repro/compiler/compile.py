@@ -22,8 +22,7 @@ every session on that program object, each binding the width.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Iterator, Mapping
 
 from ..delta.derivation import compute_delta
 from ..delta.factored import FactoredDelta
@@ -90,19 +89,43 @@ def _inverse_refs(expr: Expr, target: MatrixSymbol) -> Mapping[Expr, Expr]:
     return {}
 
 
+class _Triggers(Mapping):
+    """Input name -> trigger, Algorithm 1 run on an input's first lookup."""
+
+    def __init__(self, program: Program, rank: DimLike):
+        self._program, self._rank, self._compiled = program, rank, {}
+
+    def __getitem__(self, name: str) -> Trigger:
+        if name not in self._compiled:
+            self._compiled[name] = _compile_for_input(
+                self._program, name, self._rank)
+        return self._compiled[name]
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._program.input_names
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._program.input_names)
+
+    def __len__(self) -> int:
+        return len(self._program.inputs)
+
+
 @dataclass(frozen=True)
 class CompiledProgram:
     """A program's triggers and lowered lists, for every update width.
 
-    Each list is lowered on first use (a session superseded before its
-    first update lowers nothing) and kept; sessions run them and the
-    planner prices them.
+    Each trigger is compiled, and each list lowered, on first use (a
+    REEVAL session runs no Algorithm 1) and kept; sessions run them and
+    the planner prices them.
     """
 
     #: Input name -> its trigger (Algorithm 1).
     triggers: Mapping[str, Trigger]
     #: The program's ``(target name, expr)`` statements, in order.
     statements: tuple
+    #: Input name -> its declared symbol.
+    inputs: Mapping[str, MatrixSymbol]
     _lowered: dict = field(default_factory=dict, repr=False, compare=False)
 
     def lowered(self, name: str) -> LoweredTrigger:
@@ -125,16 +148,16 @@ class CompiledProgram:
 
             self._lowered[kind, name] = (
                 lower_trigger(self.triggers[name]) if kind == "INCR" else
-                lower_evaluation(self.statements, name and self.triggers[name]))
+                lower_evaluation(self.statements, name and self.inputs[name]))
         return self._lowered[kind, name]
 
 
 def compiled_program(program: Program, rank: DimLike = UPDATE_WIDTH) -> CompiledProgram:
     """``program``'s :class:`CompiledProgram`.
 
-    Algorithm 1 runs, and each trigger is lowered, once per program, at
-    the symbolic width :data:`UPDATE_WIDTH`: the planner's INCR pricing,
-    the shardability check (:func:`~repro.distributed.sharded.unshardable`),
+    Algorithm 1 runs for an input, and each list is lowered, at most
+    once per program, at the symbolic width :data:`UPDATE_WIDTH`: the
+    planner's INCR pricing, the shardability check (:func:`~repro.distributed.sharded.unshardable`),
     every session's executors and every rebuild on the same program read
     the artifact kept on the program, and bind the width.  A concrete
     ``rank`` prints shapes (``repro compile --rank``) and is memoized
@@ -144,7 +167,8 @@ def compiled_program(program: Program, rank: DimLike = UPDATE_WIDTH) -> Compiled
         raise ValueError(f"update rank must be at least 1, got {rank}")
     if rank not in program._compiled:
         program._compiled[rank] = CompiledProgram(
-            MappingProxyType(compile_program(program, rank=rank)),
+            _Triggers(program, rank),
             tuple((stmt.target.name, stmt.expr)
-                  for stmt in program.statements))
+                  for stmt in program.statements),
+            {sym.name: sym for sym in program.inputs})
     return program._compiled[rank]

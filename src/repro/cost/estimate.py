@@ -277,7 +277,7 @@ def general_cost(
     apply_a = be.est_add_outer_flops((n, n), d_a, rank, u_nnz)
 
     if strategy == REEVAL:
-        # P/S rebuilt per refresh (ReevalPowers recomputes), T re-run.
+        # P/S rebuilt per refresh (the program re-runs), T re-run.
         ps_rebuild = (
             _powers_recompute(be, n, mdl, horizon, d_a, inplace) * 2.0
             if horizon > 1 and has_b

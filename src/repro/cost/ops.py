@@ -80,28 +80,6 @@ class Ops:
             raise ValueError(f"shape mismatch in product: {(n, m)} @ {(m2, p)}")
         return self.backend.matmul_into(a, b, self._lease(n, p, a, b))
 
-    def mm_into(self, a, b, out):
-        """``a @ b`` written into ``out`` when the backend allows.
-
-        The re-evaluation maintainers recompute state *into its own
-        storage* with this (``out`` is the previous refresh's view, a
-        legal destination because every recurrence reads strictly
-        earlier entries).  ``out=None``, shape mismatches, and sparse
-        operands all fall back to allocation; use the returned object.
-        """
-        n, m = self.backend.shape(a)
-        m2, p = self.backend.shape(b)
-        if m != m2:
-            raise ValueError(f"shape mismatch in product: {(n, m)} @ {(m2, p)}")
-        if (
-            not isinstance(out, np.ndarray)
-            or out.shape != (n, p)
-            or not isinstance(a, np.ndarray)
-            or not isinstance(b, np.ndarray)
-        ):
-            out = None
-        return self.backend.matmul_into(a, b, out)
-
     def add(self, a, b):
         """Element-wise sum (charges ``n m``, nnz for sparse)."""
         rows, cols = self.backend.shape(a)

@@ -4,6 +4,7 @@ from .._lazy import lazy_exports
 
 #: Public name -> defining submodule, imported on first access.
 _EXPORTS = {
+    "FAMILIES": "recurrences",
     "HYBRID": "strategies",
     "HybridGeneral": "general",
     "INCR": "strategies",
@@ -12,15 +13,14 @@ _EXPORTS = {
     "IncrementalPowers": "powers",
     "Model": "models",
     "REEVAL": "strategies",
-    "ReevalGeneral": "general",
-    "ReevalPowerSums": "sums",
-    "ReevalPowers": "powers",
     "STRATEGIES": "strategies",
+    "SessionMaintainer": "strategies",
     "is_power_of_two": "models",
     "make_general": "strategies",
     "make_powers": "strategies",
     "make_sums": "strategies",
     "parse_model": "strategies",
+    "program": "recurrences",
 }
 
 __all__ = list(_EXPORTS)

@@ -10,10 +10,11 @@ so the exponential and skip models lean on the matrix-powers views
 * exponential:  ``T_i = P_{i/2} T_{i/2} + S_{i/2} B``
 * skip-s:       exponential to ``s``, then ``T_i = P_s T_{i-s} + S_s B``
 
-Three strategies are implemented for rank-r updates to ``A`` (updates
-to ``B`` are supported as an extension; see ``refresh_b``):
+Three strategies serve rank-r updates to ``A`` (updates to ``B`` are
+supported as an extension; see ``refresh_b``):
 
-* :class:`ReevalGeneral` — update ``A``, recompute (P/S via REEVAL too);
+* REEVAL — the REEVAL session on the family's program
+  (:func:`~repro.iterative.strategies.make_general`);
 * :class:`IncrementalGeneral` — factored deltas everywhere (App. B);
 * :class:`HybridGeneral` — P/S maintained incrementally in factored
   form, but ``dT_i`` kept as a *dense* ``(n x p)`` matrix.  This wins
@@ -31,7 +32,7 @@ import numpy as np
 from ..cost import counters
 from ..cost.ops import Ops
 from .models import Model
-from .powers import FactorDict, IncrementalPowers, ReevalPowers
+from .powers import FactorDict, IncrementalPowers
 from .sums import IncrementalPowerSums, OptionalFactorDict
 
 
@@ -46,7 +47,7 @@ def _horizon(model: Model, k: int) -> int:
 
 
 class _GeneralBase:
-    """Shared schedule/state plumbing for the three strategies."""
+    """Shared schedule/state plumbing for the INCR and HYBRID strategies."""
 
     def __init__(
         self,
@@ -81,22 +82,16 @@ class _GeneralBase:
     def result(self) -> np.ndarray:
         """The maintained ``T_k``.
 
-        Live storage, not a copy: the in-place refresh path (PR 4)
+        Live storage, not a copy: the in-place refresh path
         repairs this array between calls — copy it to keep a snapshot
         that survives further updates.
         """
         return self.iterates[self.k]
 
     def _step(self, ops: Ops, t_prev: np.ndarray, power: np.ndarray,
-              s_matrix: np.ndarray | None,
-              out: np.ndarray | None = None) -> np.ndarray:
-        """One recurrence application ``P T + S B`` (``S = I`` when None).
-
-        With ``out`` (the previous refresh's iterate) the product lands
-        in existing storage and the B terms accumulate in place — the
-        re-evaluation strategies' allocation-free refresh.
-        """
-        res = ops.mm_into(power, t_prev, out)
+              s_matrix: np.ndarray | None) -> np.ndarray:
+        """One recurrence application ``P T + S B`` (``S = I`` when None)."""
+        res = ops.mm(power, t_prev)
         if self.b is not None:
             if s_matrix is None:
                 res = ops.add_into(res, self.b, res)
@@ -111,105 +106,6 @@ class _GeneralBase:
         powers = getattr(self, "powers", None)
         assert powers is not None, f"P_{h} requested but no powers maintained"
         return powers.powers[h]
-
-
-class ReevalGeneral(_GeneralBase):
-    """Re-evaluation baseline for ``T_k`` (strategy REEVAL)."""
-
-    def __init__(
-        self,
-        a: np.ndarray,
-        b: np.ndarray | None,
-        t0: np.ndarray,
-        k: int,
-        model: Model,
-        counter: counters.Counter = counters.NULL_COUNTER,
-        backend=None,
-        workspace=None,
-    ):
-        super().__init__(a, b, t0, k, model, counter, backend=backend,
-                         workspace=workspace)
-        self.powers = (
-            ReevalPowers(self.a, self.horizon, model, counter,
-                         backend=self.backend)
-            if self.horizon > 1
-            else None
-        )
-        self._recompute()
-
-    def _recompute(self) -> None:
-        ops = self.ops
-        previous = self.iterates
-        with ops.frame():
-            sums = (
-                self._recompute_sums()
-                if self.b is not None and self.horizon > 1
-                else {}
-            )
-            self.iterates = {}
-            prev = self.t0
-            for i in self.schedule:
-                # Each iterate is recomputed into its previous storage
-                # (operands read strictly earlier entries or old P/S).
-                out = previous.get(i)
-                if i == 1 or self.model.kind == Model.LINEAR:
-                    nxt = self._step(ops, prev, self.a, None, out=out)
-                else:
-                    j = self.model.predecessor(i)
-                    h = i - j
-                    s_mat = sums.get(h) if h > 1 else None  # S_1 = I
-                    nxt = self._step(ops, self.iterates[j],
-                                     self._power_matrix(h), s_mat, out=out)
-                self.iterates[i] = nxt
-                prev = nxt
-
-    def _recompute_sums(self) -> dict[int, np.ndarray]:
-        """Sums of powers up to the horizon, via the model recurrence.
-
-        Transient per refresh: with a workspace attached the blocks come
-        from the arena (valid for this refresh only), so REEVAL's sums
-        scratch stops churning the allocator.
-        """
-        ops = self.ops
-        n = self.a.shape[0]
-        eye = getattr(self, "_eye", None)
-        if eye is None:
-            eye = self._eye = self.backend.eye(n)
-        sums: dict[int, np.ndarray] = {1: eye}
-        for i in self.model.schedule(self.horizon)[1:]:
-            j = self.model.predecessor(i)
-            h = i - j
-            sums[i] = ops.add(ops.mm(self._power_matrix(h), sums[j]), sums[h])
-        return sums
-
-    def refresh(self, u: np.ndarray, v: np.ndarray) -> None:
-        """Apply ``A += u v'`` and recompute everything."""
-        u = u.reshape(len(u), -1)
-        v = v.reshape(len(v), -1)
-        self.a = self.ops.add_outer_inplace(self.a, u, v)
-        if self.powers is not None:
-            self.powers.refresh(u, v)
-        self._recompute()
-
-    def refresh_b(self, u: np.ndarray, v: np.ndarray) -> None:
-        """Apply ``B += u v'`` and recompute the iterates (extension)."""
-        if self.b is None:
-            raise ValueError("this computation has no B input")
-        u = u.reshape(len(u), -1)
-        v = v.reshape(len(v), -1)
-        with self.ops.frame():
-            self.b = self.ops.add_inplace(self.b, self.ops.mm(u, v.T))
-            self._recompute()
-
-    def memory_bytes(self) -> int:
-        """REEVAL stores A, B, the current iterate (+ P/S at the horizon)."""
-        total = self.backend.nbytes(self.a) + self.t0.nbytes
-        if self.b is not None:
-            total += self.b.nbytes
-        if self.powers is not None:
-            # Current P_h and S_h live while recomputing.
-            total += 2 * self.backend.nbytes(self.a)
-        return total
 
 
 class IncrementalGeneral(_GeneralBase):

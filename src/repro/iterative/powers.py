@@ -1,15 +1,12 @@
 """Matrix powers ``P_i = A^i`` under the three iterative models (§5.2).
 
-Two maintainers share one interface:
-
-* :class:`ReevalPowers` — the REEVAL strategy: apply the update to
-  ``A``, then recompute every scheduled power with dense products
-  (``O(n^gamma)`` each; Table 2 left column).
-* :class:`IncrementalPowers` — the INCR strategy: every scheduled power
-  is materialized, and each update propagates *factored* deltas
-  ``dP_i = U_i @ V_i'`` along the model's recurrence (Appendix A).  No
-  ``n x n`` by ``n x n`` product ever runs; all work is matrix–vector
-  shaped, ``O(n^2 k)`` total for the exponential model.
+:class:`IncrementalPowers` is the INCR strategy: every scheduled power
+is materialized, and each update propagates *factored* deltas
+``dP_i = U_i @ V_i'`` along the model's recurrence (Appendix A).  No
+``n x n`` by ``n x n`` product ever runs; all work is matrix–vector
+shaped, ``O(n^2 k)`` total for the exponential model.  REEVAL is the
+REEVAL session on the family's program
+(:func:`~repro.iterative.strategies.make_powers`).
 
 The incremental maintainer exposes a two-phase API —
 :meth:`IncrementalPowers.compute_factors` (pure, reads old state) and
@@ -22,16 +19,13 @@ Factor widths grow exactly as Appendix A derives: for a rank-1 update
 the width of ``dP_i`` is ``i`` in every model (``+1`` per linear step,
 doubling per exponential step, ``+s`` per skip step).
 
-Both maintainers refresh through the backends' in-place kernels: the
-REEVAL recompute writes each power into its *existing* storage
-(``matmul_into`` — legal because every recurrence reads strictly
-earlier schedule entries), and the INCR factor algebra can lease its
-scratch blocks from a :class:`~repro.runtime.workspace.Workspace`
-(``workspace=True`` or a shared arena), making the steady-state refresh
-allocation-free on dense state.  With a workspace attached, factor
-dicts returned by ``compute_factors``/``refresh`` are backed by arena
-buffers and stay valid only until the next refresh — copy them to keep
-them longer.
+The factor algebra refreshes through the backends' in-place kernels and
+can lease its scratch blocks from a
+:class:`~repro.runtime.workspace.Workspace` (``workspace=True`` or a
+shared arena), making the steady-state refresh allocation-free on dense
+state.  With a workspace attached, factor dicts returned by
+``compute_factors``/``refresh`` are backed by arena buffers and stay
+valid only until the next refresh — copy them to keep them longer.
 """
 
 from __future__ import annotations
@@ -44,59 +38,6 @@ from .models import Model
 
 #: A factored delta per scheduled iteration: ``i -> (U_i, V_i)``.
 FactorDict = dict[int, tuple[np.ndarray, np.ndarray]]
-
-
-class ReevalPowers:
-    """Re-evaluation baseline for ``A^k`` (strategy REEVAL)."""
-
-    def __init__(
-        self,
-        a: np.ndarray,
-        k: int,
-        model: Model,
-        counter: counters.Counter = counters.NULL_COUNTER,
-        backend=None,
-    ):
-        self.model = model
-        self.k = k
-        self.schedule = model.schedule(k)
-        self.ops = Ops(counter, backend)
-        self.a = self.ops.backend.asarray(a, copy=True)
-        self.powers: dict[int, np.ndarray] = {}
-        self._recompute()
-
-    def _recompute(self) -> None:
-        previous = self.powers
-        self.powers = {1: self.a}
-        for i in self.schedule[1:]:
-            j = self.model.predecessor(i)
-            # P_i = P_{i-j} @ P_j covers all three recurrences:
-            # linear (A @ P_{i-1}), exponential (P_h @ P_h), skip
-            # (P_s @ P_{i-s}).  Each product lands in the previous
-            # refresh's P_i storage — operands have strictly lower
-            # indices, so the destination never aliases an input.
-            self.powers[i] = self.ops.mm_into(
-                self.powers[i - j], self.powers[j], previous.get(i)
-            )
-
-    def refresh(self, u: np.ndarray, v: np.ndarray) -> None:
-        """Apply ``A += u v'`` and recompute every scheduled power."""
-        self.a = self.ops.add_outer_inplace(
-            self.a, u.reshape(len(u), -1), v.reshape(len(v), -1)
-        )
-        self._recompute()
-
-    def result(self) -> np.ndarray:
-        """The maintained ``A^k``."""
-        return self.powers[self.k]
-
-    def memory_bytes(self) -> int:
-        """Footprint of the state REEVAL keeps between updates.
-
-        Re-evaluation needs ``A`` plus at most two live powers while
-        recomputing (Table 2: ``O(n^2)``, independent of ``k``).
-        """
-        return 3 * self.ops.backend.nbytes(self.a)
 
 
 class IncrementalPowers:

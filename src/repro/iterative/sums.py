@@ -7,10 +7,11 @@ Recurrences (Table 1, middle column):
 * skip-s:       exponential to ``s``, then ``S_i = P_s S_{i-s} + S_s``
 
 The exponential and skip models piggyback on the matrix-powers views
-``P_i``, so both maintainers own an embedded powers maintainer of the
-same strategy; reported FLOPs include that upkeep, matching the paper's
-accounting ("the complexity of each iteration step has remained
-unchanged").
+``P_i``, so the incremental maintainer owns (or shares) an embedded
+powers maintainer; reported FLOPs include that upkeep, matching the
+paper's accounting ("the complexity of each iteration step has remained
+unchanged").  REEVAL is the REEVAL session on the family's program
+(:func:`~repro.iterative.strategies.make_sums`).
 
 Like :class:`~repro.iterative.powers.IncrementalPowers`, the incremental
 maintainer separates :meth:`IncrementalPowerSums.compute_factors`
@@ -25,7 +26,7 @@ import numpy as np
 from ..cost import counters
 from ..cost.ops import Ops
 from .models import Model
-from .powers import FactorDict, IncrementalPowers, ReevalPowers
+from .powers import FactorDict, IncrementalPowers
 
 #: Sum deltas may be zero (``S_1 = I`` never changes): ``i -> (Z, W) | None``.
 OptionalFactorDict = dict[int, "tuple[np.ndarray, np.ndarray] | None"]
@@ -39,84 +40,6 @@ def _powers_horizon(model: Model, k: int) -> int:
         return max(k // 2, 1)
     assert model.s is not None
     return min(model.s, max(k // 2, 1))
-
-
-class ReevalPowerSums:
-    """Re-evaluation baseline for ``S_k`` (strategy REEVAL)."""
-
-    def __init__(
-        self,
-        a: np.ndarray,
-        k: int,
-        model: Model,
-        counter: counters.Counter = counters.NULL_COUNTER,
-        backend=None,
-    ):
-        self.model = model
-        self.k = k
-        self.schedule = model.schedule(k)
-        self.ops = Ops(counter, backend)
-        self._powers = (
-            ReevalPowers(a, _powers_horizon(model, k), model, counter,
-                         backend=self.ops.backend)
-            if model.kind != Model.LINEAR and k > 1
-            else None
-        )
-        # One copy of A: the embedded powers maintainer's, when there is one.
-        self.a = (
-            self._powers.a if self._powers is not None
-            else self.ops.backend.asarray(a, copy=True)
-        )
-        self.sums: dict[int, np.ndarray] = {}
-        self._recompute()
-
-    def _power(self, i: int) -> np.ndarray:
-        assert self._powers is not None
-        return self._powers.powers[i]
-
-    def _recompute(self) -> None:
-        previous = self.sums
-        n = self.a.shape[0]
-        eye = getattr(self, "_eye", None)
-        if eye is None:  # built once; S_1 = I is never mutated
-            eye = self._eye = self.ops.backend.eye(n)
-        self.sums = {1: eye}
-        for i in self.schedule[1:]:
-            j = self.model.predecessor(i)
-            h = i - j
-            # Each product lands in the previous refresh's S_i storage
-            # and the trailing term accumulates with an aliasing add —
-            # operands read strictly earlier schedule entries, so the
-            # destination never aliases an input.
-            out = previous.get(i)
-            if self.model.kind == Model.LINEAR:
-                step = self.ops.mm_into(self.a, self.sums[i - 1], out)
-                self.sums[i] = self.ops.add_into(step, eye, step)
-            else:
-                # S_i = P_h S_j + S_h (h = j exponential, h = s skip phase)
-                step = self.ops.mm_into(self._power(h), self.sums[j], out)
-                self.sums[i] = self.ops.add_into(step, self.sums[h], step)
-
-    def refresh(self, u: np.ndarray, v: np.ndarray) -> None:
-        """Apply ``A += u v'`` and recompute every scheduled sum."""
-        u = u.reshape(len(u), -1)
-        v = v.reshape(len(v), -1)
-        if self._powers is not None:
-            self._powers.refresh(u, v)
-            self.a = self._powers.a
-        else:
-            self.a = self.ops.add_outer_inplace(self.a, u, v)
-        self._recompute()
-
-    def result(self) -> np.ndarray:
-        """The maintained ``S_k``."""
-        return self.sums[self.k]
-
-    def memory_bytes(self) -> int:
-        """REEVAL keeps only current-iteration state (Table 2: ``O(n^2)``)."""
-        return (4 if self._powers is not None else 3) * self.ops.backend.nbytes(
-            self.a
-        )
 
 
 class IncrementalPowerSums:

@@ -8,7 +8,7 @@ charging each record through the backend's ``est_*`` cost hooks:
   (:func:`evaluation_ledger`) walk the evaluation list, every statement
   from the inputs;
 * **REEVAL** walks the updated input's REEVAL list: the update applied
-  to a copy of the input, then every statement;
+  to the input, then every statement;
 * **INCR** walks the updated input's trigger list, bound at the update
   width, on ``nodes`` row-shard nodes as a sharded session runs it.
 
@@ -57,6 +57,11 @@ class _Annotation(NamedTuple):
     density: float = 1.0
 
 
+#: Kernels whose last operand is the ``out`` they write.
+_WRITES_OUT = frozenset(
+    {"matmul", "add", "sub", "scale", "hstack", "vstack", "copy"})
+
+
 def _product_density(da: float, db: float, inner: int) -> float:
     return float(min(1.0, da * db * max(inner, 1)))
 
@@ -87,9 +92,11 @@ def _walk(be, lowered, env: dict, dims, thin_dense: bool = False,
         tiles = tile_ops(lowered)
         share = max(map(part.shard_rows, range(part.nodes))) / part.n
     for op in (*lowered.ops, *lowered.applies):
-        # Operands in call order; ``scale``'s coefficient and ``out``
-        # buffers are not annotated.
-        a, *rest = (env[src] for src in op.srcs if src in env)
+        # Operands in call order; ``scale``'s coefficient and the ``out``
+        # a record writes (a buffer, or the view a REEVAL list computes
+        # into) are not annotated.
+        srcs = op.srcs[:-1] if op.kernel in _WRITES_OUT else op.srcs
+        a, *rest = (env[src] for src in srcs if src in env)
         rows, cols, density, cost = *a, 0.0
         if op.kernel in ("transpose", "copy", "store"):
             env.setdefault(op.dst, a._replace(rows=cols, cols=rows)

@@ -20,28 +20,19 @@ session is built by :func:`build_session` from one
 as ``session.plan`` (a directly constructed session synthesizes its
 plan from its arguments).
 
-Every update runs one lowered form (:mod:`repro.compiler.codegen.fused`):
-a flat kernel list with buffers, hoisted transposes, identical records
-merged and the evaluate-all-then-apply-all order made explicit — the
-input's trigger under INCR, its REEVAL list under REEVAL, and the
-evaluation list for builds, rebuilds and revalidation.  The lists are
-compiled once per program at a symbolic update width, which each
-session binds to ``plan.rank``
-(:func:`~repro.compiler.compile.compiled_program`).  Both execution
-modes run them — through the backend's ``*_into`` kernels, into buffers
-leased once from the session's :class:`~repro.runtime.workspace.Workspace`,
-repairing views **in place** — so they share ops, operand layouts and
-association order by construction (bit-for-bit equal on the dense
-backend) and a warmed-up dense session performs zero heap allocation
-per update in either:
-
-* ``mode="interpret"`` — a loop over the list (the default; bound on a
-  trigger's first firing);
-* ``mode="codegen"`` — the list printed as one flat Python function and
-  ``exec``-compiled once at open (the paper's generated-code path).
-
-Updates whose rank differs from ``plan.rank`` run the same list with
-allocating destinations and lease nothing.
+Every update runs one lowered list (:mod:`repro.compiler.codegen.fused`)
+— the input's trigger under INCR, its REEVAL list under REEVAL, and the
+evaluation list for builds, rebuilds and revalidation — compiled once
+per program at a symbolic update width, which each session binds to
+``plan.rank`` (:func:`~repro.compiler.compile.compiled_program`).  Both
+execution modes run it through the backend's ``*_into`` kernels, into
+buffers leased once from the session's
+:class:`~repro.runtime.workspace.Workspace`, repairing views **in
+place** (bit-for-bit equal on the dense backend; zero heap allocation
+per warmed-up dense update): ``mode="interpret"`` loops over the list
+(the default; bound on a trigger's first firing), ``mode="codegen"``
+prints it as one Python function ``exec``-compiled at open (the
+paper's generated-code path).  An update of another width allocates.
 
 A session given a ``counter`` runs on
 :func:`~repro.cost.counters.counted`'s copy of its backend, wrapped
@@ -195,7 +186,7 @@ class Session:
         if not adopted:
             self._materialize_all()
         if self.mode == "codegen":
-            for name in self.compiled.triggers:
+            for name in program.input_names:
                 self._executor(name)
 
     # -- queries ---------------------------------------------------------
@@ -293,7 +284,7 @@ class Session:
     def _check_update_target(self, update: FactoredUpdate) -> None:
         """Raise early for updates no flush could ever apply: only an
         input has an update list."""
-        if update.target not in self.compiled.triggers:
+        if update.target not in self.compiled.inputs:
             raise KeyError(f"no trigger compiled for input {update.target!r}")
 
     def _validate_update(self, update: FactoredUpdate) -> None:
@@ -675,12 +666,13 @@ class ReevalSession(Session):
     experiments can swap the two strategies without touching driver
     code.  Each input's REEVAL list
     (:meth:`~repro.compiler.compile.CompiledProgram.reevaluated`) runs
-    like a trigger: the update lands in a copy of the input, every
-    statement evaluates into scratch buffers, and only then are the
-    input and the views written, in place.  Batching pays most here: a
-    width-``m`` batch is one compaction plus *one* re-evaluation.  The
-    buffers are leased on the dense backend only, so sparse state
-    never gets a dense square scratch buffer.
+    like a trigger and runs no Algorithm 1: the update lands in the
+    input and every statement evaluates into its view's storage, in
+    place — or, in a program with an ``inv``, into a copy and scratch
+    buffers first, so a singular update writes nothing.  Batching pays
+    most here: a width-``m`` batch is one compaction plus *one*
+    re-evaluation.  The buffers are leased on the dense backend only,
+    so sparse state never gets a dense square scratch buffer.
     """
 
     strategy = "REEVAL"

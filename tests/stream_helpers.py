@@ -11,43 +11,30 @@ import functools
 
 import numpy as np
 
-#: ``repro.iterative``'s program families, spelled as programs: matrix
-#: powers, power sums, and the general recurrence ``T_{i+1} = A T_i + B``,
+from repro.iterative import Model, program
+
+
+def _iterative() -> dict[str, str]:
+    table = {}
+    for label, model, k, k_general in (("LIN", Model.linear(), 8, 4),
+                                       ("EXP", Model.exponential(), 8, 4),
+                                       ("SKIP-4", Model.skip(4), 12, 8)):
+        table[f"powers-{label}"] = program("powers", model, k)
+        table[f"sums-{label}"] = program("sums", model, k)
+        for with_b, suffix in ((False, "noB"), (True, "B")):
+            # Square iterates: every view shares the shard grid's tiles.
+            table[f"general-{label}-{suffix}"] = program(
+                "general", model, k_general, with_b).replace("(n, p)", "(n, n)")
+    return table
+
+
+#: ``repro.iterative``'s program families, written by
+#: ``repro.iterative.program`` (Table 1's recurrences): matrix powers,
+#: power sums, and the general recurrence ``T_{i+1} = A T_i + B`` (with
+#: and without ``B``; square iterates, so every input is ``n x n``),
 #: each under the linear, exponential and skip-4 evaluation models.
 #: Shared by the row-shard differential grid and the exact pricing rows.
-ITERATIVE = {
-    "powers-LIN": "input A(n, n); T := A; "
-                  "for i in 1..7 { T := A * T; } output T;",
-    "powers-EXP": "input A(n, n); P2 := A * A; P4 := P2 * P2; "
-                  "P8 := P4 * P4; output P8;",
-    "powers-SKIP-4": "input A(n, n); P2 := A * A; P4 := P2 * P2; T := P4; "
-                     "for i in 1..2 { T := P4 * T; } output T;",
-    "sums-LIN": "input A(n, n); P := A; S := A; "
-                "for i in 1..7 { P := A * P; S := S + P; } output S;",
-    "sums-EXP": "input A(n, n); P2 := A * A; S2 := A + P2; "
-                "P4 := P2 * P2; S4 := S2 + P2 * S2; "
-                "S8 := S4 + P4 * S4; output S8;",
-    "sums-SKIP-4": "input A(n, n); P2 := A * A; S2 := A + P2; "
-                   "P4 := P2 * P2; S4 := S2 + P2 * S2; "
-                   "S8 := S4 + P4 * S4; P8 := P4 * P4; "
-                   "S12 := S8 + P8 * S4; output S12;",
-    "general-LIN-noB": "input A(n, n); input T(n, n); X := T; "
-                       "for i in 1..4 { X := A * X; } output X;",
-    "general-LIN-B": "input A(n, n); input T(n, n); input B(n, n); X := T; "
-                     "for i in 1..4 { X := A * X + B; } output X;",
-    "general-EXP-noB": "input A(n, n); input T(n, n); P2 := A * A; "
-                       "P4 := P2 * P2; T4 := P4 * T; output T4;",
-    "general-EXP-B": "input A(n, n); input T(n, n); input B(n, n); "
-                     "P2 := A * A; P4 := P2 * P2; C2 := A * B + B; "
-                     "C4 := P2 * C2 + C2; T4 := P4 * T + C4; output T4;",
-    "general-SKIP-4-noB": "input A(n, n); input T(n, n); P2 := A * A; "
-                          "P4 := P2 * P2; T4 := P4 * T; T8 := P4 * T4; "
-                          "output T8;",
-    "general-SKIP-4-B": "input A(n, n); input T(n, n); input B(n, n); "
-                        "P2 := A * A; P4 := P2 * P2; C2 := A * B + B; "
-                        "C4 := P2 * C2 + C2; T4 := P4 * T + C4; "
-                        "T8 := P4 * T4 + C4; output T8;",
-}
+ITERATIVE = _iterative()
 
 
 def fillin_factors(rng: np.random.Generator, n: int, count: int,

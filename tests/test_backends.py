@@ -398,7 +398,7 @@ class TestDenseSparseParity:
                                 backend="sparse")
         _apply_stream(dense, events, n)
         _apply_stream(sparse_m, events, n)
-        be = sparse_m.ops.backend
+        be = get_backend("sparse")
         np.testing.assert_allclose(
             be.materialize(sparse_m.result()), dense.result(), atol=1e-9
         )
@@ -429,7 +429,7 @@ class TestDenseSparseParity:
                              backend="sparse")
         _apply_stream(dense, events, n)
         _apply_stream(sparse_m, events, n)
-        be = sparse_m.ops.backend
+        be = get_backend("sparse")
         np.testing.assert_allclose(
             be.materialize(sparse_m.result()), dense.result(), atol=1e-9
         )

@@ -148,10 +148,10 @@ class TestCompile:
     @pytest.mark.parametrize("backend", sorted(PRINTERS))
     def test_one_algorithm_1_run(self, tmp_path, capsys, monkeypatch,
                                  backend):
-        """One compile runs Algorithm 1 once for all inputs and lowers
-        only the triggers the python printer prints."""
+        """One compile runs Algorithm 1 once, for the input it prints,
+        and lowers only the triggers the python printer prints."""
         counts = {"compile": 0, "lower": 0}
-        real_compile, real_lower = (compile_mod.compile_program,
+        real_compile, real_lower = (compile_mod._compile_for_input,
                                     fused.lower_trigger)
 
         def compile_(*args, **kwargs):
@@ -162,7 +162,7 @@ class TestCompile:
             counts["lower"] += 1
             return real_lower(trigger)
 
-        monkeypatch.setattr(compile_mod, "compile_program", compile_)
+        monkeypatch.setattr(compile_mod, "_compile_for_input", compile_)
         monkeypatch.setattr(fused, "lower_trigger", lower)
         path = tmp_path / "two.lvw"
         path.write_text(TWO_INPUT_SOURCE)

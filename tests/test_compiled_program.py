@@ -18,6 +18,7 @@ import pytest
 
 import repro.compiler.compile as compile_mod
 import repro.runtime.session as session_mod
+from repro.catalog import ViewCatalog
 from repro.compiler import (
     UPDATE_WIDTH,
     CompiledProgram,
@@ -50,9 +51,10 @@ N = 24
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Algorithm 1 runs and trigger lowerings, counted from now on."""
+    """Algorithm 1 runs (one per input compiled) and trigger lowerings,
+    counted from now on."""
     counts = {"compile": 0, "lower": 0}
-    real_compile, real_lower = compile_mod.compile_program, fused.lower_trigger
+    real_compile, real_lower = compile_mod._compile_for_input, fused.lower_trigger
 
     def compile_(*args, **kwargs):
         counts["compile"] += 1
@@ -62,7 +64,7 @@ def counted(monkeypatch):
         counts["lower"] += 1
         return real_lower(trigger)
 
-    monkeypatch.setattr(compile_mod, "compile_program", compile_)
+    monkeypatch.setattr(compile_mod, "_compile_for_input", compile_)
     monkeypatch.setattr(fused, "lower_trigger", lower)
     return counts
 
@@ -192,23 +194,45 @@ class TestCompiledOnce:
         assert isinstance(reeval, ReevalSession)
         back = reeval.with_plan(MaintenancePlan("INCR", mode="codegen"))
         assert back.compiled is codegen.compiled
-        assert counted == {"compile": 1, "lower": 2}
+        # Algorithm 1 once per input (A and D), each list lowered once.
+        assert counted == {"compile": 2, "lower": 2}
 
         # A new update width binds the same lists at another width.
         wide = back.with_plan(MaintenancePlan("INCR", rank=2))
         wide.apply_update(_updates(rng, 1, width=2)[0])
         assert wide.compiled is compiled_program(program)
-        assert counted == {"compile": 1, "lower": 2}
+        assert counted == {"compile": 2, "lower": 2}
 
     def test_an_interpret_session_lowers_on_its_first_update(self, counted,
                                                              rng):
         # A session superseded before any update (the catalog's, at each
-        # tenant registration) compiles its program but lowers nothing.
+        # tenant registration) compiles and lowers nothing; an update
+        # runs Algorithm 1 for its own input only.
         program = parse_program(TWO_INPUTS_SRC)
         session = IVMSession(program, _inputs(program, rng))
-        assert counted == {"compile": 1, "lower": 0}
+        assert counted == {"compile": 0, "lower": 0}
         session.apply_update(_updates(rng, 1, target="D")[0])
         assert counted == {"compile": 1, "lower": 1}
+        assert list(session.compiled.triggers._compiled) == ["D"]
+
+    @pytest.mark.parametrize("mode", ["interpret", "codegen"])
+    def test_reeval_and_demand_pricing_run_no_algorithm_1(self, counted,
+                                                          mode, rng):
+        """REEVAL's list and the evaluation list read no trigger: a
+        REEVAL open and its updates and a catalog's demand price compile
+        nothing."""
+        program = parse_program(TWO_INPUTS_SRC)
+        session = build_session(program, _inputs(program, rng),
+                                MaintenancePlan("REEVAL", mode=mode))
+        for update in (*_updates(rng, 2), *_updates(rng, 1, target="D")):
+            session.apply_update(update)
+        chain = parse_program(CHAIN_SRC)
+        catalog = ViewCatalog(memory_budget=0)
+        catalog.open(chain, _inputs(chain, rng), dims={"n": N})
+        top = catalog.nodes[catalog._order[-1]]
+        assert not top.admitted
+        assert catalog._demand_price(top) == 2 * N ** 3
+        assert counted == {"compile": 0, "lower": 0}
 
     def test_unshardable_asks_the_artifact(self, counted):
         chain, inverse = parse_program(CHAIN_SRC), parse_program(INVERSE_SRC)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.cost import Counter, Ops, complexity, flops
 from repro.cost.memory import MemoryComparison, gigabytes
-from repro.iterative import IncrementalPowers, Model, ReevalPowers
+from repro.iterative import IncrementalPowers, Model, make_powers
 from repro.workloads import spectral_normalized
 
 
@@ -194,7 +194,7 @@ class TestFittedExponent:
         for n in sizes:
             a = spectral_normalized(np.random.default_rng(1), n)
             reeval_counter, incr_counter = Counter(), Counter()
-            reeval = ReevalPowers(a, 16, Model.exponential(), reeval_counter)
+            reeval = make_powers("REEVAL", a, 16, Model.exponential(), reeval_counter)
             incr = IncrementalPowers(a, 16, Model.exponential(), incr_counter)
             reeval_counter.reset(); incr_counter.reset()
             u = np.zeros((n, 1)); u[0, 0] = 1.0

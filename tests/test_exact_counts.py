@@ -37,6 +37,11 @@ one call, as in the end-to-end tracer's ``backend.kernel_calls_per_update``.
   kernel) of the chain in both modes, of REEVAL on it, and of the
   iterative powers maintainer running the same algebra — with the
   chain's per-update FLOPs as exact polynomials in ``n``;
+* the iterative families' REEVAL (``make_powers`` / ``make_sums`` /
+  ``make_general``, the REEVAL session on each family's Table 1
+  program): calls and FLOPs per refresh for every family and model at
+  n = 64, never above the deleted hand-written maintainers' (also
+  committed), and values bitwise equal to a plain NumPy recurrence;
 * the Section 5.1 OLS program (:func:`~repro.analytics.make_ols`):
   its FLOP ledger per row update under INCR in both modes and under
   REEVAL;
@@ -139,6 +144,30 @@ TABLE = {
     "ols_reeval": {"flops": 1_475_200, "bytes": 12_800,
                    "by_kernel": {"add_outer_inplace": 1, "matmul_into": 3,
                                  "inv": 1}},
+}
+
+#: ``make_*("REEVAL")`` per rank-1 refresh at n = 64, k = 16, p = 1 (the
+#: iterates' width): ``family-model -> (calls, FLOPs)`` of the REEVAL
+#: session on the family's Table 1 program, then of the hand-written
+#: REEVAL maintainers it replaced, recorded before their deletion.
+#: Powers and linear general cells are equal.  The session is cheaper by
+#: one ``A * I`` product wherever a sum starts (``S_2 = A + I``: sums,
+#: and general with B under EXP / SKIP), by one apply to a second copy
+#: of ``A`` in general under EXP / SKIP, and under SKIP-4 with B by the
+#: two ``S_4 * B`` products that repeat T_8's (merged).
+REEVAL_FAMILIES = {
+    "powers-LIN": ((16, 7_872_512), (16, 7_872_512)),
+    "powers-EXP": ((5, 2_105_344), (5, 2_105_344)),
+    "powers-SKIP-4": ((6, 2_629_632), (6, 2_629_632)),
+    "sums-LIN": ((30, 7_409_664), (31, 7_933_952)),
+    "sums-EXP": ((11, 3_170_304), (12, 3_694_592)),
+    "sums-SKIP-4": ((12, 3_174_400), (13, 3_698_688)),
+    "general-B-LIN": ((33, 140_288), (33, 140_288)),
+    "general-B-EXP": ((22, 2_707_776), (24, 3_240_256)),
+    "general-B-SKIP-4": ((20, 1_655_168), (24, 2_204_032)),
+    "general-noB-LIN": ((17, 139_264), (17, 139_264)),
+    "general-noB-EXP": ((9, 1_622_016), (10, 1_630_208)),
+    "general-noB-SKIP-4": ((9, 1_105_920), (10, 1_114_112)),
 }
 
 #: The OLS design ``X (m x n)`` and response ``Y (m x p)``.
@@ -305,9 +334,9 @@ class TestCatalogTenants:
     def _count_compiles(monkeypatch) -> list:
         import repro.compiler.compile as compile_mod
 
-        compiles, real = [], compile_mod.compile_program
+        compiles, real = [], compile_mod._compile_for_input
         monkeypatch.setattr(
-            compile_mod, "compile_program",
+            compile_mod, "_compile_for_input",
             lambda *args, **kwargs: (compiles.append(args[0]),
                                      real(*args, **kwargs))[1])
         return compiles
@@ -663,6 +692,102 @@ class TestMaintainerLedger:
         by_session = _ledgers(opened, session.apply_update, updates)
         assert ([entry[:2] for entry in by_maintainer]
                 == [entry[:2] for entry in by_session])
+
+
+def _reeval_family(cell: str, a, rng, mode: str = "interpret",
+                   counter=NULL_COUNTER, backend=None):
+    """``make_*("REEVAL")`` for a :data:`REEVAL_FAMILIES` cell at k = 16,
+    its ``B`` and ``T0`` (p = 1) drawn from ``rng``."""
+    from repro.iterative import make_general, make_powers, make_sums
+    from repro.iterative.strategies import parse_model
+
+    family, _, label = cell.partition("-")
+    if family == "general":
+        with_b, _, label = label.partition("-")
+    model = parse_model(label)
+    plan = MaintenancePlan("REEVAL", mode=mode, model=model.kind, s=model.s)
+    b, t0 = rng.standard_normal((2, a.shape[0], 1))
+    if family == "general":
+        return make_general(plan, a, b if with_b == "B" else None, t0, 16,
+                            counter=counter, backend=backend), b, t0
+    make = make_powers if family == "powers" else make_sums
+    return make(plan, a, 16, counter=counter, backend=backend), b, t0
+
+
+def _recurrence(cell: str, a, b, t0, k: int = 16):
+    """The cell's ``P_k`` / ``S_k`` / ``T_k`` by plain NumPy, straight
+    from the model's schedule (Table 1; ``P_1 = A``, ``S_1 = I``)."""
+    from repro.iterative.strategies import parse_model
+
+    family, _, label = cell.partition("-")
+    if family == "general":
+        with_b, _, label = label.partition("-")
+    model = parse_model(label)
+    eye = np.eye(len(a))
+    powers, sums = {1: a}, {1: eye, 2: a + eye}
+    for i in model.schedule(k)[1:]:
+        j = model.predecessor(i)
+        powers[i] = powers[i - j] @ powers[j]
+        if i > 2:
+            sums[i] = (a @ sums[i - 1] + eye if model.kind == "linear"
+                       else powers[i - j] @ sums[j] + sums[i - j])
+    if family != "general":
+        return (powers if family == "powers" else sums)[k]
+    iterates = {0: t0}
+    for i in model.schedule(k):
+        j = i - 1 if i == 1 or model.kind == "linear" else model.predecessor(i)
+        step = powers[i - j] @ iterates[j]
+        if with_b == "B":
+            step = step + (b if i - j == 1 else sums[i - j] @ b)
+        iterates[i] = step
+    return iterates[k]
+
+
+class TestReevalFamilies:
+    """The iterative families' REEVAL is the REEVAL session on their
+    Table 1 programs: its calls and FLOPs per refresh are committed
+    rows, never above the hand-written maintainers' it replaced, and
+    its values are a plain NumPy recurrence's."""
+
+    N = 64
+
+    @pytest.mark.parametrize("mode", ["interpret", "codegen"])
+    @pytest.mark.parametrize("cell", list(REEVAL_FAMILIES))
+    def test_calls_and_flops_per_refresh(self, cell, mode):
+        rng = np.random.default_rng(7)
+        ledger = Ledger()
+        maintainer, _, _ = _reeval_family(cell, 0.2 * _input(self.N), rng,
+                                          mode, ledger)
+        (calls, flops), (old_calls, old_flops) = REEVAL_FAMILIES[cell]
+        for update in _updates(self.N, 2):
+            ledger.reset()
+            maintainer.refresh(update.u_block, update.v_block)
+            assert sum(ledger.calls_by_op.values()) == calls
+            assert ledger.total_flops == flops
+        assert calls <= old_calls and flops <= old_flops
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    @pytest.mark.parametrize("cell", list(REEVAL_FAMILIES))
+    def test_values_are_the_numpy_recurrence(self, cell, backend):
+        """Bitwise on dense (the same products in the same order);
+        allclose on sparse, whose CSR products sum in another order."""
+        if backend == "sparse":
+            pytest.importorskip("scipy")
+        rng = np.random.default_rng(11)
+        n = self.N
+        a = (rng.random((n, n)) < 0.05) * rng.standard_normal((n, n))
+        maintainer, b, t0 = _reeval_family(cell, a, rng, backend=backend)
+        for update in _updates(n, 3):
+            maintainer.refresh(update.u_block, update.v_block)
+            a = a + update.u_block @ update.v_block.T
+            got = maintainer.result()
+            got = got.toarray() if hasattr(got, "toarray") else got
+            want = _recurrence(cell, a, b, t0)
+            if backend == "dense":
+                assert np.array_equal(got, want), cell
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-10,
+                                           atol=1e-12 * np.abs(want).max())
 
 
 class TestOLSLedger:

@@ -72,7 +72,8 @@ class TestImportClosure:
                                        "opened sharded session",
                                        "opened priced session",
                                        "opened catalog",
-                                       "benchmark set-up"])
+                                       "benchmark set-up",
+                                       "opened pagerank (REEVAL)"])
     def test_gated_closure_holds(self, probe):
         tool = _tool()
         loaded = tool.closure(probe)

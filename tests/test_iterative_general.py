@@ -6,7 +6,6 @@ import pytest
 from repro.cost import Counter
 from repro.iterative import (
     Model,
-    ReevalGeneral,
     make_general,
     make_powers,
 )
@@ -97,7 +96,7 @@ class TestBUpdates:
 
     def test_refresh_b_without_b_rejected(self, model, rng):
         a, _, t0 = _data(rng)
-        maintainer = ReevalGeneral(a, None, t0, 16, model)
+        maintainer = make_general("REEVAL", a, None, t0, 16, model)
         with pytest.raises(ValueError, match="no B input"):
             maintainer.refresh_b(np.ones((9, 1)), np.ones((3, 1)))
 
@@ -133,11 +132,11 @@ class TestValidation:
     def test_b_shape_must_match_t0(self, rng):
         a = spectral_normalized(rng, 6)
         with pytest.raises(ValueError, match="must match"):
-            ReevalGeneral(a, np.ones((6, 2)), np.ones((6, 3)), 4, Model.linear())
+            make_general("REEVAL", a, np.ones((6, 2)), np.ones((6, 3)), 4, Model.linear())
 
     def test_vector_t0_normalized(self, rng):
         a = spectral_normalized(rng, 6)
-        maintainer = ReevalGeneral(a, None, np.ones(6), 4, Model.linear())
+        maintainer = make_general("REEVAL", a, None, np.ones(6), 4, Model.linear())
         assert maintainer.result().shape == (6, 1)
 
     def test_unknown_strategy_rejected(self, rng):
@@ -148,7 +147,7 @@ class TestValidation:
     def test_strategy_and_shape_errors_name_the_cause(self):
         with pytest.raises(ValueError, match="no 'HYBRID' strategy"):
             make_powers("HYBRID", np.eye(4), 2, Model.linear())
-        with pytest.raises(ValueError, match="shape mismatch"):
+        with pytest.raises(ValueError, match="'n' bound to both 4 and 5"):
             make_general("REEVAL", np.eye(4), None, np.ones((5, 1)), 2,
                          Model.linear())
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cost import Counter
-from repro.iterative import IncrementalPowers, Model, ReevalPowers
+from repro.iterative import IncrementalPowers, Model, make_powers
 from repro.workloads import row_update_factors, spectral_normalized
 
 MODELS = [Model.linear(), Model.exponential(), Model.skip(2),
@@ -19,7 +19,7 @@ def truth_power(a, k):
 class TestCorrectness:
     def test_initial_value(self, model, rng):
         a = spectral_normalized(rng, 10)
-        for maintainer in (ReevalPowers(a, 16, model),
+        for maintainer in (make_powers("REEVAL", a, 16, model),
                            IncrementalPowers(a, 16, model)):
             np.testing.assert_allclose(
                 maintainer.result(), truth_power(a, 16), atol=1e-10
@@ -28,7 +28,7 @@ class TestCorrectness:
     def test_stream_of_rank1_updates(self, model, rng):
         n, k = 10, 16
         a = spectral_normalized(rng, n)
-        reeval = ReevalPowers(a, k, model)
+        reeval = make_powers("REEVAL", a, k, model)
         incr = IncrementalPowers(a, k, model)
         current = a.copy()
         for u, v in row_update_factors(rng, n, n, 5, scale=0.05):
@@ -72,7 +72,7 @@ class TestCosts:
         for n in (16, 32, 64):
             a = spectral_normalized(np.random.default_rng(0), n)
             reeval_counter, incr_counter = Counter(), Counter()
-            reeval = ReevalPowers(a, 16, Model.exponential(), reeval_counter)
+            reeval = make_powers("REEVAL", a, 16, Model.exponential(), reeval_counter)
             incr = IncrementalPowers(a, 16, Model.exponential(), incr_counter)
             u = np.zeros((n, 1)); u[0, 0] = 1.0
             v = 0.01 * np.ones((n, 1))
@@ -112,11 +112,14 @@ class TestCosts:
 
 
 class TestMemory:
-    def test_reeval_constant_in_k(self, rng):
+    def test_reeval_reports_its_store(self, rng):
+        """REEVAL's program stores ``A`` and every scheduled power, and
+        ``memory_bytes`` counts what is stored."""
         a = spectral_normalized(rng, 12)
-        small = ReevalPowers(a, 4, Model.exponential())
-        large = ReevalPowers(a, 64, Model.exponential())
-        assert small.memory_bytes() == large.memory_bytes()
+        for k in (4, 64):
+            reeval = make_powers("REEVAL", a, k, Model.exponential())
+            schedule = Model.exponential().schedule(k)
+            assert reeval.memory_bytes() == len(schedule) * 12 * 12 * 8
 
     def test_incr_grows_with_schedule(self, rng):
         a = spectral_normalized(rng, 12)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cost import Counter
-from repro.iterative import IncrementalPowerSums, Model, ReevalPowerSums
+from repro.iterative import IncrementalPowerSums, Model, make_sums
 from repro.workloads import row_update_factors, spectral_normalized
 
 MODELS = [Model.linear(), Model.exponential(), Model.skip(2),
@@ -25,7 +25,7 @@ def truth_sum(a, k):
 class TestCorrectness:
     def test_initial_value(self, model, rng):
         a = spectral_normalized(rng, 9)
-        for maintainer in (ReevalPowerSums(a, 16, model),
+        for maintainer in (make_sums("REEVAL", a, 16, model),
                            IncrementalPowerSums(a, 16, model)):
             np.testing.assert_allclose(
                 maintainer.result(), truth_sum(a, 16), atol=1e-9
@@ -34,7 +34,7 @@ class TestCorrectness:
     def test_stream_of_updates(self, model, rng):
         n, k = 9, 16
         a = spectral_normalized(rng, n)
-        reeval = ReevalPowerSums(a, k, model)
+        reeval = make_sums("REEVAL", a, k, model)
         incr = IncrementalPowerSums(a, k, model)
         current = a.copy()
         for u, v in row_update_factors(rng, n, n, 5, scale=0.05):
@@ -104,7 +104,7 @@ class TestCosts:
         n, k = 40, 16
         a = spectral_normalized(rng, n)
         reeval_counter, incr_counter = Counter(), Counter()
-        reeval = ReevalPowerSums(a, k, Model.exponential(), reeval_counter)
+        reeval = make_sums("REEVAL", a, k, Model.exponential(), reeval_counter)
         incr = IncrementalPowerSums(a, k, Model.exponential(), incr_counter)
         reeval_counter.reset(); incr_counter.reset()
         u = np.zeros((n, 1)); u[0, 0] = 1.0
@@ -115,29 +115,30 @@ class TestCosts:
 
     def test_memory_reeval_vs_incr(self, rng):
         a = spectral_normalized(rng, 10)
-        reeval = ReevalPowerSums(a, 16, Model.exponential())
+        reeval = make_sums("REEVAL", a, 16, Model.exponential())
         incr = IncrementalPowerSums(a, 16, Model.exponential())
         assert incr.memory_bytes() > reeval.memory_bytes()
 
     @pytest.mark.parametrize("model", [Model.exponential(), Model.skip(4)],
                              ids=lambda m: m.name)
     def test_reeval_keeps_one_copy_of_a(self, model, rng):
-        """EXP / SKIP lean on embedded powers: A is that maintainer's A,
-        so a refresh applies the rank-k update once, not twice."""
+        """EXP / SKIP lean on the powers views: the program's one A,
+        updated in place, so a refresh applies the rank-k update once."""
         n = 12
         a = spectral_normalized(rng, n)
         counter = Counter()
-        view = ReevalPowerSums(a, 8, model, counter)
-        assert np.shares_memory(view.a, view._powers.a)
-        assert not np.shares_memory(view.a, a)
+        view = make_sums("REEVAL", a, 8, model, counter)
+        stored = view.a
+        assert not np.shares_memory(stored, a)
         counter.reset()
         [(u, v)] = row_update_factors(rng, n, n, 1, scale=0.05)
         view.refresh(u, v)
-        assert view.a is view._powers.a
-        # One outer update of A: 2 n^2 multiply-adds.
-        products = len(view.schedule) - 1 + len(view._powers.schedule) - 1
+        assert view.a is stored
+        # One outer update of A (2 n^2); P_2 .. P_4 and S_4 .. S_8 are
+        # products, S_2 = A + I is not; every S_i adds.
+        steps = len(model.schedule(8)) - 1
         assert counter.total_flops == (
-            2 * n * n + products * 2 * n ** 3 + (len(view.schedule) - 1) * n * n
+            2 * n * n + 2 * (steps - 1) * 2 * n ** 3 + steps * n * n
         )
         assert counter.calls_by_op["add_outer_inplace"] == 1
         np.testing.assert_allclose(view.result(), truth_sum(view.a, 8),

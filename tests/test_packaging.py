@@ -59,6 +59,18 @@ def test_programs_are_compiled_in_one_place():
     assert module.compilers() == module.COMPILERS
 
 
+def test_reevaluation_is_the_reeval_session():
+    """docs/invariants.md, "One lowering and one executor": REEVAL is
+    the session's lowered list, so no ``Reeval*`` class exists outside
+    ``runtime/session.py`` (the iterative families re-evaluate through
+    it)."""
+    tool = PYPROJECT.parent / "tools" / "check_one_builder.py"
+    spec = importlib.util.spec_from_file_location("check_one_builder", tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.reevals() == []
+
+
 def test_programs_are_compiled_at_one_width():
     """docs/invariants.md, "One artifact per program": only ``repro
     compile`` hands ``compiled_program`` a width (it prints shapes);

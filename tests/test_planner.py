@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analytics import make_ols
+from repro.backends import get_backend
 from repro.frontend import parse_program
 from repro.iterative import make_general, make_powers
 from repro.planner import (
@@ -148,11 +149,10 @@ class TestIterativePlanning:
         u = np.zeros((n, 1))
         u[1, 0] = 1.0
         maintainer.refresh(u, 0.01 * rng.normal(size=(n, 1)))
-        exact = np.linalg.matrix_power(maintainer.ops.backend.materialize(
-            maintainer.powers[1] if hasattr(maintainer, "powers") else maintainer.a
-        ), k)
+        be = get_backend(plan.backend)
+        exact = np.linalg.matrix_power(be.materialize(maintainer.a), k)
         np.testing.assert_allclose(
-            maintainer.ops.backend.materialize(maintainer.result()), exact,
+            be.materialize(maintainer.result()), exact,
             rtol=1e-8, atol=1e-10,
         )
 
@@ -650,7 +650,7 @@ def test_property_planned_general_matches_dense_reeval(
         v = 0.05 * rng.normal(size=(n, 1))
         planned.refresh(u, v)
         reference.refresh(u, v)
-    planned_result = planned.ops.backend.materialize(planned.result())
+    planned_result = get_backend(plan.backend).materialize(planned.result())
     np.testing.assert_allclose(planned_result, reference.result(),
                                rtol=1e-6, atol=1e-8)
 

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from repro.backends import get_backend
-from repro.iterative.general import HybridGeneral, IncrementalGeneral, ReevalGeneral
+from repro.iterative.general import HybridGeneral, IncrementalGeneral
 from repro.iterative.models import Model
-from repro.iterative.powers import IncrementalPowers, ReevalPowers
+from repro.iterative import make_general, make_powers
+from repro.iterative.powers import IncrementalPowers
 from repro.iterative.sums import IncrementalPowerSums
 from repro.runtime import Workspace
 
@@ -231,14 +232,36 @@ class TestMaintainerWorkspaces:
 
     def test_reeval_powers_recomputes_into_existing_storage(self, rng):
         n, k = 24, 4
-        m = ReevalPowers(0.05 * rng.normal(size=(n, n)), k, Model.linear())
-        storage = {i: arr for i, arr in m.powers.items() if i > 1}
+        m = make_powers("REEVAL", 0.05 * rng.normal(size=(n, n)), k,
+                        Model.linear())
+        views = m.session.views
+        storage = {name: views.get(name) for name in views.names()}
         m.refresh(np.eye(n)[:, [0]], 0.01 * rng.normal(size=(n, 1)))
-        for i, arr in storage.items():
-            assert m.powers[i] is arr, f"P_{i} was reallocated"
+        for name, arr in storage.items():
+            assert views.get(name) is arr, f"{name} was reallocated"
 
-    @pytest.mark.parametrize("cls", [IncrementalGeneral, HybridGeneral,
-                                     ReevalGeneral])
+    @pytest.mark.parametrize("model", [Model.linear(), Model.exponential(),
+                                       Model.skip(4)], ids=lambda m: m.name)
+    def test_reeval_general_recomputes_into_existing_storage(self, rng,
+                                                              model):
+        """No ``inv``: the REEVAL list writes A and every view in place,
+        B updates included, and allocates nothing once warm."""
+        n, k, p = 24, 8, 3
+        m = make_general("REEVAL", 0.05 * rng.normal(size=(n, n)),
+                         rng.normal(size=(n, p)), rng.normal(size=(n, p)),
+                         k, model)
+        views = m.session.views
+        storage = {name: views.get(name) for name in views.names()}
+        for i in range(3):
+            m.refresh(np.eye(n)[:, [i]], 0.01 * rng.normal(size=(n, 1)))
+            m.refresh_b(np.eye(n)[:, [i]], 0.01 * rng.normal(size=(p, 1)))
+        for name, arr in storage.items():
+            assert views.get(name) is arr, f"{name} was reallocated"
+        allocations = m.session.workspace.allocations
+        m.refresh(np.eye(n)[:, [4]], 0.01 * rng.normal(size=(n, 1)))
+        assert m.session.workspace.allocations == allocations
+
+    @pytest.mark.parametrize("cls", [IncrementalGeneral, HybridGeneral])
     def test_general_workspace_parity(self, rng, cls):
         n, k, p = 24, 8, 3
         a0 = 0.05 * rng.normal(size=(n, n))

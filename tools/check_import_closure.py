@@ -61,6 +61,9 @@ OPENED_CATALOG = "opened catalog"
 #: ``bench_e2e``'s ``import_program`` followed by its ``dense_small``
 #: open: the whole of that workload's ``setup_s``.
 BENCHMARK_SETUP = "benchmark set-up"
+#: ``bench_e2e``'s ``sparse_pagerank`` driver forced to REEVAL, opened
+#: and edited once: the family's program on a REEVAL session.
+OPENED_PAGERANK = "opened pagerank (REEVAL)"
 
 #: What a unit-at-a-time dense session never runs: the deferral
 #: policies, the pricing module, pagerank's iterative stack and its
@@ -143,6 +146,13 @@ GATED = {
         + _NOT_RUN_BY_A_UNIT_SESSION,
         50,
     ),
+    # REEVAL re-runs the program: none of the hand-written iterative
+    # maintainers, nor the kernels only they charge through, loads.
+    OPENED_PAGERANK: (
+        ("repro.cost.ops", "repro.iterative.general",
+         "repro.iterative.powers", "repro.iterative.sums"),
+        49,
+    ),
 }
 
 #: probe -> most ``repro`` source lines its closure may hold (measured
@@ -206,6 +216,15 @@ PROBES = {
         "catalog.apply_update(FactoredUpdate('A', numpy.ones((16, 1)), "
         "numpy.ones((16, 1))))\n"
         "tenants[0]['P']"
+    ),
+    OPENED_PAGERANK: (
+        "import scipy.sparse\n"
+        "from repro.analytics.pagerank import IncrementalPageRank\n"
+        "driver = IncrementalPageRank(scipy.sparse.random(\n"
+        "    256, 256, density=0.02, format='csr', random_state=0), k=16,\n"
+        "    strategy='REEVAL', backend='sparse')\n"
+        "driver.add_edge(0, 1)\n"
+        "driver.ranks"
     ),
     BENCHMARK_SETUP: (
         "".join(f"import {module}\n" for module in _bench_modules())

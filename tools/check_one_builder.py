@@ -6,12 +6,16 @@ is charged by hand.
 docs/invariants.md, "One build path": ``runtime.session.build_session``
 is the only function in ``src/repro`` that calls a session constructor,
 and ``session.plan`` is set by the session itself, never assigned from
-outside.  "One lowering": Algorithm 1 (``compile_program``) and the
+outside.  "One lowering": Algorithm 1 (``compile_program``, and
+``_compile_for_input`` for one input) and the
 expression lowering (``lower_trigger``, ``lower_evaluation``) run only
-inside ``compiled_program``, its artifact's lazy lists — which every
-session, the planner, the shardability check and every ``repro
-compile`` printer read — and ``runtime.executor.evaluate``, which
-lowers the one expression it is handed.  "One
+inside the ``compiled_program`` artifact's lazy triggers and lists —
+which every session, the planner, the shardability check and every
+``repro compile`` printer read — and ``runtime.executor.evaluate``,
+which lowers the one expression it is handed.  "One REEVAL": the
+re-evaluation baseline is ``runtime.session.ReevalSession`` running a
+program's REEVAL list, so no other ``Reeval*`` class exists under
+``src/repro`` (the iterative families re-evaluate through it).  "One
 artifact per program": ``compiled_program`` compiles at a symbolic
 update width that sessions and the planner bind like any dimension, so
 a caller handing it a width builds a second artifact of the same
@@ -37,8 +41,9 @@ Exits 1 when constructor calls sit in more than one function, any
 ``<not self>.plan = ...`` statement exists, a function outside
 :data:`COMPILERS` compiles or lowers a program, a function outside
 :data:`WIDTH_GIVERS` passes ``compiled_program`` a width, or a file
-outside :data:`CHARGERS` calls ``counter.record``, or shard traffic is
-modeled or priced outside :data:`TRAFFIC_MODELS`.
+outside :data:`CHARGERS` calls ``counter.record``, shard traffic is
+modeled or priced outside :data:`TRAFFIC_MODELS`, or a ``Reeval*``
+class is defined outside :data:`REEVALS`.
 """
 
 from __future__ import annotations
@@ -49,14 +54,17 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 SESSIONS = {"IVMSession", "ReevalSession", "ShardedSession"}
 #: The functions that may run Algorithm 1 or the lowering themselves:
-#: the memoized artifact, its lazy lists and the one-expression executor.
+#: the memoized artifact's lazy triggers and lists and the
+#: one-expression executor.
 COMPILERS = {
-    ("compiler/compile.py", "compiled_program"),
+    ("compiler/compile.py", "compile_program"),
+    ("compiler/compile.py", "__getitem__"),
     ("compiler/compile.py", "_memo"),
     ("runtime/executor.py", "evaluate"),
 }
 #: The calls that compile or lower a program.
-LOWERINGS = ("compile_program", "lower_trigger", "lower_evaluation")
+LOWERINGS = ("compile_program", "_compile_for_input", "lower_trigger",
+             "lower_evaluation")
 #: The functions that may ask ``compiled_program`` for a concrete width.
 WIDTH_GIVERS = {("cli.py", "_run_compile")}
 #: The files that may call ``counter.record`` themselves.
@@ -76,6 +84,8 @@ TRAFFIC_CALLS = ("CommEvent", "est_broadcast", "est_shuffle")
 TRAFFIC_CLASSES = ("BROADCAST", "GATHER", "SHUFFLE")
 #: The files that record measured traffic (the pipes).
 TRAFFIC_METERS = {"distributed/workers.py"}
+#: The file that may define a ``Reeval*`` class: the one REEVAL session.
+REEVALS = {"runtime/session.py"}
 
 
 def findings(root: Path = SRC) -> tuple[set, list]:
@@ -109,15 +119,25 @@ def traffic(root: Path = SRC) -> list:
     return _walk(root)[5]
 
 
-def _walk(root: Path) -> tuple[set, list, set, list, set, list]:
-    builders, stores, compiling, recording, widening, modeling = (
-        set(), [], set(), [], set(), [])
+def reevals(root: Path = SRC) -> list:
+    """``(file, class, line)`` of every ``Reeval*`` class outside
+    :data:`REEVALS`."""
+    return _walk(root)[6]
+
+
+def _walk(root: Path) -> tuple[set, list, set, list, set, list, list]:
+    builders, stores, compiling, recording, widening, modeling, classes = (
+        set(), [], set(), [], set(), [], [])
     for path in sorted(root.rglob("*.py")):
         rel = path.relative_to(root).as_posix()
 
         def visit(node, scope):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 scope = node.name
+            if (isinstance(node, ast.ClassDef)
+                    and node.name.startswith("Reeval")
+                    and rel not in REEVALS):
+                classes.append((rel, node.name, node.lineno))
             called = isinstance(node, ast.Call) and getattr(
                 node.func, "id", getattr(node.func, "attr", None))
             if called in SESSIONS:
@@ -147,11 +167,12 @@ def _walk(root: Path) -> tuple[set, list, set, list, set, list]:
                 visit(child, scope)
 
         visit(ast.parse(path.read_text()), "<module>")
-    return builders, stores, compiling, recording, widening, modeling
+    return (builders, stores, compiling, recording, widening, modeling,
+            classes)
 
 
 def main() -> int:
-    builders, stores, compiling, _, widening, modeling = _walk(SRC)
+    builders, stores, compiling, _, widening, modeling, classes = _walk(SRC)
     for rel, scope in sorted(builders):
         print(f"session constructor called in {rel}:{scope}")
     for rel, scope, line in stores:
@@ -167,13 +188,16 @@ def main() -> int:
         print(f"charges a counter by hand: {rel}:{line}")
     for rel, scope, line in modeling:
         print(f"models shard traffic by hand: {rel}:{line} ({scope})")
+    for rel, name, line in classes:
+        print(f"a second REEVAL: class {name} at {rel}:{line}")
     ok = (len(builders) == 1 and not stores and not stray and not wide
-          and not by_hand and not modeling)
+          and not by_hand and not modeling and not classes)
     print(f"{len(builders)} building function(s), {len(stores)} outside "
           f".plan assignment(s), {len(stray)} stray compiler(s), "
           f"{len(wide)} width-giving compile(s), "
           f"{len(by_hand)} hand charge(s), "
-          f"{len(modeling)} hand traffic model(s): {'ok' if ok else 'FAIL'}")
+          f"{len(modeling)} hand traffic model(s), "
+          f"{len(classes)} second REEVAL(s): {'ok' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 
