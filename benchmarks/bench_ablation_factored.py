@@ -20,7 +20,7 @@ import pytest
 
 from conftest import make_matrix, refresh_timer, row_update
 from repro.bench import time_refresh_trimmed
-from repro.iterative import IncrementalPowers, Model, make_powers
+from repro.iterative import Model, make_powers
 
 N = 384
 K = 16
@@ -60,7 +60,7 @@ class DenseDeltaPowers:
 def _maintainer(arm: str):
     a = make_matrix(N)
     if arm == "FACTORED":
-        return IncrementalPowers(a, K, Model.exponential())
+        return make_powers("INCR", a, K, Model.exponential())
     if arm == "DENSE-INCR":
         return DenseDeltaPowers(a, K)
     return make_powers("REEVAL", a, K, Model.exponential())

@@ -6,10 +6,10 @@ truncated Taylor series
 
     expm_k(A) = sum_{i=0}^{k} A^i / i!
 
-is a *weighted* sum of the power views ``P_i = A^i`` the linear-model
-incremental maintainer already materializes (Appendix A), so the
-exponential view is repaired per update by combining the factored power
-deltas with the Taylor coefficients:
+is a *weighted* sum of the linear-model power views ``P_i = A^i``
+(Appendix A): an INCR session on that program
+(:func:`weighted_program`) repairs the exponential view per update
+with the factored power deltas scaled by the Taylor coefficients,
 
     d expm_k = sum_{i=1}^{k} (1/i!) U_i V_i'
 
@@ -30,8 +30,6 @@ from typing import Sequence
 import numpy as np
 
 from ..cost import counters
-from ..iterative.models import Model
-from ..iterative.powers import IncrementalPowers
 
 
 def taylor_coefficients(k: int, t: float = 1.0) -> list[float]:
@@ -56,14 +54,29 @@ def reference_weighted_powers(a: np.ndarray, coeffs: Sequence[float]) -> np.ndar
     return acc
 
 
+def weighted_program(coeffs: Sequence[float]) -> str:
+    """Program text of ``W = sum_i coeffs[i] A^i``: the linear-model
+    powers ``P_i := A * P_{i-1}`` and ``W``, each coefficient printed as
+    its shortest round-tripping decimal, so the program holds the very
+    floats it was given."""
+    powers = ["eye(n)", "A", *(f"P{i}" for i in range(2, len(coeffs)))]
+    terms = " + ".join(
+        f"{np.format_float_positional(c, unique=True, trim='-')} * {power}"
+        for c, power in zip(coeffs, powers))
+    return "\n".join(["input A(n, n);",
+                      *(f"P{i} := A * {powers[i - 1]};"
+                        for i in range(2, len(coeffs))),
+                      f"W := {terms};", "output W;", ""])
+
+
 class WeightedPowerSum:
     """Maintained ``W = sum_{i=0}^{k} c_i A^i`` under rank-1 updates to A.
 
-    Builds on the linear-model :class:`IncrementalPowers` (which
-    materializes every ``P_1..P_k`` and yields factored deltas per
-    update) and folds the weights into the view repair.  Cost per
-    update is ``O(n^2 k^2)`` — Table 2's linear-model INCR column —
-    versus ``O(n^gamma k)`` re-evaluation.
+    An INCR session on :func:`weighted_program`: every ``P_1..P_k`` is
+    materialized and repaired with factored deltas, and ``W`` by the
+    weighted sum of them.  Cost per update is ``O(n^2 k^2)`` — Table
+    2's linear-model INCR column — versus ``O(n^gamma k)``
+    re-evaluation; a ``counter`` is charged all of it.
 
     ``batch`` queues incoming updates and flushes one QR+SVD-compacted
     rank-``r`` refresh per ``batch`` updates (Table 4: repeated hits on
@@ -82,16 +95,16 @@ class WeightedPowerSum:
         if len(coeffs) < 2:
             raise ValueError("need coefficients for at least I and A")
         from ..backends import get_backend
+        from ..iterative.strategies import SessionMaintainer
+        from ..planner.plan import MaintenancePlan
 
         self.coeffs = [float(c) for c in coeffs]
         self.k = len(coeffs) - 1
         self.backend = get_backend(backend)
-        a = np.asarray(a, dtype=np.float64)
-        self._powers = IncrementalPowers(a, self.k, Model.linear(), counter,
-                                         backend=self.backend)
-        self._view = self.backend.asarray(
-            reference_weighted_powers(a, self.coeffs)
-        )
+        self._maintainer = SessionMaintainer(
+            weighted_program(self.coeffs),
+            {"A": np.asarray(a, dtype=np.float64)}, MaintenancePlan("INCR"),
+            counter, self.backend)
         self.batch = batch if batch is not None and batch > 1 else None
         # The shared deferral front end over this object's own apply
         # step — same policy/width/flush machinery as the other
@@ -102,13 +115,13 @@ class WeightedPowerSum:
 
             self._refresher = deferred(self, batch=self.batch,
                                        backend=self.backend,
-                                       apply=self._refresh_now)
+                                       apply=self._maintainer.refresh)
 
     @property
     def a(self) -> np.ndarray:
         """The current (updated) input matrix, densely."""
         self.flush()
-        return self.backend.materialize(self._powers.a)
+        return self.backend.materialize(self._maintainer.a)
 
     def refresh(self, u: np.ndarray, v: np.ndarray) -> None:
         """Absorb ``A += u v'`` into the weighted-sum view.
@@ -120,31 +133,17 @@ class WeightedPowerSum:
         if self._refresher is not None:
             self._refresher.refresh(u, v)
             return
-        self._refresh_now(u, v)
+        self._maintainer.refresh(u, v)
 
     def flush(self) -> None:
         """Apply all queued updates as one compacted refresh now."""
         if self._refresher is not None:
             self._refresher.flush()
 
-    def _refresh_now(self, u: np.ndarray, v: np.ndarray) -> None:
-        u = np.asarray(u, dtype=np.float64)
-        v = np.asarray(v, dtype=np.float64)
-        if u.ndim == 1:
-            u = u.reshape(-1, 1)
-        if v.ndim == 1:
-            v = v.reshape(-1, 1)
-        factors = self._powers.compute_factors(u, v)
-        for i, (left, right) in factors.items():
-            c = self.coeffs[i]
-            if c != 0.0:
-                self._view = self.backend.add_outer_inplace(self._view, c * left, right)
-        self._powers.apply_factors(factors)
-
     def result(self) -> np.ndarray:
         """The current weighted power sum, densely."""
         self.flush()
-        return self.backend.materialize(self._view)
+        return self.backend.materialize(self._maintainer.result())
 
     def revalidate(self) -> float:
         """Max drift of the maintained view vs dense recomputation."""
@@ -152,8 +151,8 @@ class WeightedPowerSum:
         return float(np.max(np.abs(self.result() - exact)))
 
     def memory_bytes(self) -> int:
-        """Footprint: the power views plus the combined view."""
-        return self._powers.memory_bytes() + self.backend.nbytes(self._view)
+        """Footprint: the session's store (``A``, every power, ``W``)."""
+        return self._maintainer.memory_bytes()
 
 
 class IncrementalExpm(WeightedPowerSum):
@@ -192,4 +191,5 @@ __all__ = [
     "neumann_coefficients",
     "reference_weighted_powers",
     "taylor_coefficients",
+    "weighted_program",
 ]

@@ -7,10 +7,9 @@ derives the factored delta ``dA_i = P_i @ Q_i'`` of ``E_i`` under *all*
 updates accumulated so far, materializes ``P_i``/``Q_i`` as named
 temporaries (``U_Ai`` / ``V_Ai``), registers ``dA_i`` in ``D`` expressed
 over those temporaries (so downstream deltas stay compact), and emits
-the ``A_i += U_Ai @ V_Ai'`` update.
-
-Statements whose delta is zero produce no trigger statements at all —
-views unaffected by ``X`` are never touched.
+the ``A_i += U_Ai @ V_Ai'`` update — or, in HYBRID's triggers, carries a
+non-square view's delta dense (``D_Ai := sum L R'``, added).  Views
+unaffected by ``X`` (a zero delta) are never touched.
 
 :func:`compiled_program` is what the rest of the system consumes: one
 :class:`CompiledProgram` per program — the triggers and their lowered
@@ -26,7 +25,7 @@ from typing import TYPE_CHECKING, Iterator, Mapping
 
 from ..delta.derivation import compute_delta
 from ..delta.factored import FactoredDelta
-from ..expr.ast import Expr, Inverse, MatrixSymbol, matmul, transpose
+from ..expr.ast import Expr, Identity, Inverse, MatrixSymbol, add, matmul, transpose
 from ..expr.shapes import DimLike, NamedDim
 from .program import Program
 from .trigger import Assign, Trigger, Update
@@ -53,7 +52,11 @@ def compile_program(program: Program, rank: DimLike = 1) -> dict[str, Trigger]:
             for name in program.input_names}
 
 
-def _compile_for_input(program: Program, input_name: str, rank: DimLike) -> Trigger:
+def _compile_for_input(program: Program, input_name: str, rank: DimLike,
+                       hybrid: bool = False) -> Trigger:
+    """One input's trigger; ``hybrid`` carries each non-square view's
+    delta dense (Section 5.3.2): ``D_X := sum L R'``, applied by a sum
+    and read downstream as the pair ``(D_X, I)``."""
     x = program.input(input_name)
     u = MatrixSymbol(f"u_{input_name}", x.shape.rows, rank)
     v = MatrixSymbol(f"v_{input_name}", x.shape.cols, rank)
@@ -67,8 +70,16 @@ def _compile_for_input(program: Program, input_name: str, rank: DimLike) -> Trig
         delta = compute_delta(stmt.expr, deltas, inverse_refs=refs)
         if delta.is_zero:
             continue
-        u_sym = MatrixSymbol(f"U_{stmt.target.name}", stmt.target.shape.rows, delta.width)
-        v_sym = MatrixSymbol(f"V_{stmt.target.name}", stmt.target.shape.cols, delta.width)
+        rows, cols = stmt.target.shape
+        if hybrid and not stmt.target.shape.is_square:
+            d_sym = MatrixSymbol(f"D_{stmt.target.name}", rows, cols)
+            assigns.append(Assign(d_sym, add(*(
+                matmul(left, transpose(right)) for left, right in delta.terms))))
+            deltas[stmt.target.name] = FactoredDelta.rank_one(d_sym, Identity(cols))
+            updates.append(Update(stmt.target, d_sym))
+            continue
+        u_sym = MatrixSymbol(f"U_{stmt.target.name}", rows, delta.width)
+        v_sym = MatrixSymbol(f"V_{stmt.target.name}", cols, delta.width)
         assigns.append(Assign(u_sym, delta.u_expr))
         assigns.append(Assign(v_sym, delta.v_expr))
         deltas[stmt.target.name] = FactoredDelta.rank_one(u_sym, v_sym)
@@ -90,15 +101,17 @@ def _inverse_refs(expr: Expr, target: MatrixSymbol) -> Mapping[Expr, Expr]:
 
 
 class _Triggers(Mapping):
-    """Input name -> trigger, Algorithm 1 run on an input's first lookup."""
+    """Input name -> trigger, Algorithm 1 run on an input's first lookup
+    (``hybrid``: HYBRID's, :func:`_compile_for_input`)."""
 
-    def __init__(self, program: Program, rank: DimLike):
-        self._program, self._rank, self._compiled = program, rank, {}
+    def __init__(self, program: Program, rank: DimLike, hybrid: bool = False):
+        self._program, self._rank, self._hybrid = program, rank, hybrid
+        self._compiled = {}
 
     def __getitem__(self, name: str) -> Trigger:
         if name not in self._compiled:
             self._compiled[name] = _compile_for_input(
-                self._program, name, self._rank)
+                self._program, name, self._rank, self._hybrid)
         return self._compiled[name]
 
     def __contains__(self, name: object) -> bool:
@@ -122,6 +135,8 @@ class CompiledProgram:
 
     #: Input name -> its trigger (Algorithm 1).
     triggers: Mapping[str, Trigger]
+    #: Input name -> its HYBRID trigger: non-square views' deltas dense.
+    hybrid_triggers: Mapping[str, Trigger]
     #: The program's ``(target name, expr)`` statements, in order.
     statements: tuple
     #: Input name -> its declared symbol.
@@ -131,6 +146,10 @@ class CompiledProgram:
     def lowered(self, name: str) -> LoweredTrigger:
         """Input ``name``'s merged INCR trigger list."""
         return self._memo("INCR", name)
+
+    def hybrid(self, name: str) -> LoweredTrigger:
+        """Input ``name``'s merged HYBRID trigger list."""
+        return self._memo("HYBRID", name)
 
     def reevaluated(self, name: str) -> LoweredTrigger:
         """REEVAL's list for updates to input ``name``
@@ -148,7 +167,8 @@ class CompiledProgram:
 
             self._lowered[kind, name] = (
                 lower_trigger(self.triggers[name]) if kind == "INCR" else
-                lower_evaluation(self.statements, name and self.inputs[name]))
+                lower_trigger(self.hybrid_triggers[name]) if kind == "HYBRID"
+                else lower_evaluation(self.statements, name and self.inputs[name]))
         return self._lowered[kind, name]
 
 
@@ -167,7 +187,7 @@ def compiled_program(program: Program, rank: DimLike = UPDATE_WIDTH) -> Compiled
         raise ValueError(f"update rank must be at least 1, got {rank}")
     if rank not in program._compiled:
         program._compiled[rank] = CompiledProgram(
-            _Triggers(program, rank),
+            _Triggers(program, rank), _Triggers(program, rank, hybrid=True),
             tuple((stmt.target.name, stmt.expr)
                   for stmt in program.statements),
             {sym.name: sym for sym in program.inputs})

@@ -9,7 +9,6 @@ _EXPORTS = {
     "Recommendation": "advisor",
     "MemoryComparison": "memory",
     "NULL_COUNTER": "counters",
-    "Ops": "ops",
     "advisor": None,
     "best_general": "advisor",
     "best_powers": "advisor",

@@ -2,11 +2,11 @@
 
 A :class:`Counter` is one ledger: FLOPs and calls per backend kernel,
 plus the bytes of the results kernels allocate.  :func:`counted` makes
-a backend's kernels charge it, and sessions, the catalog and
-:class:`~repro.cost.ops.Ops` run on such a backend — so interpret and
-codegen triggers, re-evaluation and the iterative maintainers report one
-ledger, which lets the Table 2 benchmarks verify that incremental
-triggers avoid ``n x n`` products in favour of thin ones.
+a backend's kernels charge it, and sessions and the catalog run on such
+a backend — so interpret and codegen triggers and re-evaluation, the
+iterative families' included, report one ledger, which lets the Table 2
+benchmarks verify that incremental triggers avoid ``n x n`` products in
+favour of thin ones.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from ..expr.ast import Expr, ZeroMatrix, hstack, matmul, scalar_mul, transpose
+from ..expr.ast import Expr, ZeroMatrix, add, hstack, matmul, scalar_mul, transpose
 from ..expr.shapes import DimLike, Shape, dim_add, dims_equal
 
 
@@ -110,10 +110,19 @@ class FactoredDelta:
         return FactoredDelta(shape, [(left, right)])
 
     def plus(self, other: "FactoredDelta") -> "FactoredDelta":
-        """Sum of two deltas: concatenation of monomials (widths add)."""
+        """Sum of two deltas: monomials concatenate (widths add), except
+        that one whose right factor equals an earlier one's folds into
+        it, ``L1 R' + L2 R' = (L1 + L2) R'`` (Section 4.3)."""
         if self.shape != other.shape:
             raise ValueError(f"cannot add deltas of shapes {self.shape}, {other.shape}")
-        return FactoredDelta(self.shape, self.terms + other.terms)
+        terms = list(self.terms)
+        for left, right in other.terms:
+            at = next((i for i, term in enumerate(terms) if term[1] == right), None)
+            if at is None:
+                terms.append((left, right))
+            else:
+                terms[at] = (add(terms[at][0], left), right)
+        return FactoredDelta(self.shape, terms)
 
     def scale(self, coeff: float) -> "FactoredDelta":
         """Delta scaled by a constant (absorbed into the left factors)."""
@@ -156,38 +165,10 @@ class FactoredDelta:
         dims: Mapping[str, int] | None = None,
         backend=None,
     ) -> np.ndarray:
-        """Materialize the delta numerically (for tests and hybrid plans)."""
+        """Materialize the delta numerically (for tests)."""
         from ..runtime.executor import evaluate
 
         return evaluate(self.to_expr(), env, dims=dims, backend=backend)
-
-    def apply_to(
-        self,
-        target: np.ndarray,
-        env: Mapping[str, np.ndarray],
-        dims: Mapping[str, int] | None = None,
-        backend=None,
-    ):
-        """Refresh ``target += U V'`` through the in-place update kernel.
-
-        The view-maintenance form of :meth:`to_dense`: the stacked
-        factors are evaluated numerically and applied via the backend's
-        :meth:`~repro.backends.base.Backend.add_outer_inplace` — no
-        dense ``rows x cols`` delta is ever materialized, dense targets
-        accumulate in one BLAS pass, and sparse targets keep their index
-        arrays when the update lands on the existing pattern.  A zero
-        delta returns ``target`` untouched.  As with every in-place
-        kernel, callers must use the returned object.
-        """
-        from ..backends import get_backend
-        from ..runtime.executor import evaluate
-
-        if self.is_zero:
-            return target
-        be = get_backend(backend)
-        u = be.materialize(evaluate(self.u_expr, env, dims=dims, backend=be))
-        v = be.materialize(evaluate(self.v_expr, env, dims=dims, backend=be))
-        return be.add_outer_inplace(target, u, v)
 
     def __repr__(self) -> str:
         if self.is_zero:

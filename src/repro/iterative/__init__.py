@@ -1,4 +1,5 @@
-"""Iterative models (Section 3.2) and evaluation strategies (Section 5)."""
+"""Iterative models (Section 3.2) and evaluation strategies (Section 5):
+each family is a Table 1 program (:func:`program`) on a session."""
 
 from .._lazy import lazy_exports
 
@@ -6,11 +7,7 @@ from .._lazy import lazy_exports
 _EXPORTS = {
     "FAMILIES": "recurrences",
     "HYBRID": "strategies",
-    "HybridGeneral": "general",
     "INCR": "strategies",
-    "IncrementalGeneral": "general",
-    "IncrementalPowerSums": "sums",
-    "IncrementalPowers": "powers",
     "Model": "models",
     "REEVAL": "strategies",
     "STRATEGIES": "strategies",

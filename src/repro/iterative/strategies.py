@@ -4,9 +4,11 @@ The evaluation section refers to strategy-model combinations by names
 like ``REEVAL-EXP`` and ``INCR-SKIP-4``; :func:`make_powers`,
 :func:`make_sums` and :func:`make_general` construct the corresponding
 maintainers from those labels so the benchmark harness and examples can
-be written table-driven, exactly like the paper's figures.  REEVAL is
-re-running the program (:class:`SessionMaintainer`); INCR and HYBRID
-are the hand-written Appendix A/B maintainers.
+be written table-driven, exactly like the paper's figures.  Every
+strategy is a session on the family's Table 1 program
+(:class:`SessionMaintainer`): REEVAL re-runs it, INCR runs its
+triggers, and HYBRID runs them with the non-square iterates' deltas
+carried dense.
 
 Every factory also accepts a
 :class:`~repro.planner.plan.MaintenancePlan` in place of the strategy
@@ -45,29 +47,8 @@ def parse_model(label: str) -> Model:
     raise ValueError(f"unknown model label {label!r}")
 
 
-def _resolve(strategy, model, backend):
-    """Unpack a MaintenancePlan passed in the strategy slot.
-
-    Explicit ``model``/``backend`` arguments win over the plan's axes,
-    so callers can override one dimension of a planned configuration.
-    Returns ``(strategy name, model, backend, plan or None)``.
-    """
-    if isinstance(strategy, str):
-        if model is None:
-            raise TypeError("model is required when strategy is a name")
-        return strategy, model, backend, None
-    plan = strategy
-    if model is None:
-        model = plan.iterative_model()
-    if backend is None:
-        backend = plan.backend
-    return plan.strategy, model, backend, plan
-
-
 class SessionMaintainer:
-    """An iterative family maintained by a REEVAL session on its Table 1
-    program (:func:`~repro.iterative.recurrences.program`; with ``B``
-    when ``inputs`` holds one).
+    """A program maintained by a session built from ``plan``.
 
     What the drivers, benchmarks, :func:`~repro.runtime.batching.deferred`
     and :class:`~repro.runtime.serving.MaintainerEngine` call on a
@@ -77,35 +58,30 @@ class SessionMaintainer:
     arrays, valid until the next refresh.
     """
 
-    def __init__(self, family: str, model: Model, k: int, inputs: dict,
-                 plan=None, counter: counters.Counter = counters.NULL_COUNTER,
-                 backend=None):
+    def __init__(self, source: str, inputs: dict, plan,
+                 counter: counters.Counter = counters.NULL_COUNTER,
+                 backend=None, model: Model | None = None):
         from ..frontend import parse_program
-        from ..planner.plan import MaintenancePlan
         from ..runtime.session import build_session
-        from .recurrences import program
 
         self.model = model
-        source = program(family, model, k, with_b="B" in inputs)
-        self.session = build_session(
-            parse_program(source), inputs,
-            plan or MaintenancePlan(REEVAL, model=model.kind, s=model.s),
-            counter=counter, backend=backend)
+        self.session = build_session(parse_program(source), inputs, plan,
+                                     counter=counter, backend=backend)
         self._views = self.session.views
         self._output = self.session.program.outputs[0]
 
     def refresh(self, u: np.ndarray, v: np.ndarray) -> None:
-        """Apply ``A += u v'`` and re-evaluate."""
+        """Apply ``A += u v'`` and maintain every view."""
         self.session.apply_update(FactoredUpdate("A", u, v))
 
     def refresh_b(self, u: np.ndarray, v: np.ndarray) -> None:
-        """Apply ``B += u v'`` and re-evaluate."""
+        """Apply ``B += u v'`` and maintain every view."""
         if self.b is None:
             raise ValueError("this computation has no B input")
         self.session.apply_update(FactoredUpdate("B", u, v))
 
     def result(self):
-        """The maintained ``P_k`` / ``S_k`` / ``T_k`` (live storage)."""
+        """The maintained output (live storage)."""
         return self._views.get(self._output)
 
     @property
@@ -123,6 +99,28 @@ class SessionMaintainer:
         return self._views.total_bytes()
 
 
+def _open(family: str, strategy, model, k: int, inputs: dict, counter,
+          backend, strategies=STRATEGIES) -> SessionMaintainer:
+    """``family``'s Table 1 program (:func:`~repro.iterative.recurrences.program`)
+    on a session.  ``strategy`` is a name or a
+    :class:`~repro.planner.plan.MaintenancePlan`; explicit ``model`` /
+    ``backend`` arguments win over the plan's axes."""
+    from ..planner.plan import MaintenancePlan
+    from .recurrences import program
+
+    if isinstance(strategy, str):
+        if model is None:
+            raise TypeError("model is required when strategy is a name")
+        plan = MaintenancePlan(strategy, model=model.kind, s=model.s)
+    else:
+        plan, model = strategy, model or strategy.iterative_model()
+        backend = backend or plan.backend
+    if plan.strategy not in strategies:
+        raise ValueError(f"{family} has no {plan.strategy!r} strategy")
+    source = program(family, model, k, with_b="B" in inputs)
+    return SessionMaintainer(source, inputs, plan, counter, backend, model)
+
+
 def make_powers(
     strategy,
     a: np.ndarray,
@@ -132,15 +130,8 @@ def make_powers(
     backend=None,
 ):
     """Powers maintainer for a strategy name or plan (``REEVAL``/``INCR``)."""
-    strategy, model, backend, plan = _resolve(strategy, model, backend)
-    if strategy == REEVAL:
-        return SessionMaintainer("powers", model, k, {"A": a}, plan, counter,
-                                 backend)
-    if strategy == INCR:
-        from .powers import IncrementalPowers
-
-        return IncrementalPowers(a, k, model, counter, backend=backend)
-    raise ValueError(f"matrix powers has no {strategy!r} strategy")
+    return _open("powers", strategy, model, k, {"A": a}, counter, backend,
+                 (REEVAL, INCR))
 
 
 def make_sums(
@@ -152,15 +143,8 @@ def make_sums(
     backend=None,
 ):
     """Sums-of-powers maintainer for a strategy name or plan."""
-    strategy, model, backend, plan = _resolve(strategy, model, backend)
-    if strategy == REEVAL:
-        return SessionMaintainer("sums", model, k, {"A": a}, plan, counter,
-                                 backend)
-    if strategy == INCR:
-        from .sums import IncrementalPowerSums
-
-        return IncrementalPowerSums(a, k, model, counter, backend=backend)
-    raise ValueError(f"sums of powers has no {strategy!r} strategy")
+    return _open("sums", strategy, model, k, {"A": a}, counter, backend,
+                 (REEVAL, INCR))
 
 
 def make_general(
@@ -174,20 +158,10 @@ def make_general(
     backend=None,
 ):
     """General-form maintainer for a strategy name or plan (all three)."""
-    strategy, model, backend, plan = _resolve(strategy, model, backend)
-    if strategy == REEVAL:
-        inputs = {"A": a, "T0": np.reshape(t0, (len(t0), -1))}
-        if b is not None:
-            inputs["B"] = np.reshape(b, (len(b), -1))
-            if inputs["B"].shape != inputs["T0"].shape:
-                raise ValueError(f"B shape {inputs['B'].shape} must match "
-                                 f"T0 shape {inputs['T0'].shape}")
-        return SessionMaintainer("general", model, k, inputs, plan, counter,
-                                 backend)
-    from .general import HybridGeneral, IncrementalGeneral
-
-    if strategy == INCR:
-        return IncrementalGeneral(a, b, t0, k, model, counter, backend=backend)
-    if strategy == HYBRID:
-        return HybridGeneral(a, b, t0, k, model, counter, backend=backend)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    inputs = {"A": a, "T0": np.reshape(t0, (len(t0), -1))}
+    if b is not None:
+        inputs["B"] = np.reshape(b, (len(b), -1))
+        if inputs["B"].shape != inputs["T0"].shape:
+            raise ValueError(f"B shape {inputs['B'].shape} must match "
+                             f"T0 shape {inputs['T0'].shape}")
+    return _open("general", strategy, model, k, inputs, counter, backend)

@@ -10,11 +10,13 @@ charging each record through the backend's ``est_*`` cost hooks:
 * **REEVAL** walks the updated input's REEVAL list: the update applied
   to the input, then every statement;
 * **INCR** walks the updated input's trigger list, bound at the update
-  width, on ``nodes`` row-shard nodes as a sharded session runs it.
+  width, on ``nodes`` row-shard nodes as a sharded session runs it;
+  **HYBRID** walks its own trigger list (non-square views' deltas
+  dense), single-process.
 
 No delta rule, evaluation order or traffic formula is restated here,
 so on the dense backend the predicted calls and FLOPs per update
-(:func:`refresh_ledger`) are a counted session's ledger, under either
+(:func:`refresh_ledger`) are a counted session's ledger, under any
 strategy, and the predicted shard traffic (:func:`refresh_traffic`) is
 the engine's ``model``.
 
@@ -160,8 +162,8 @@ def _refresh(be, strategy: str, program: Program, ann: dict, dims,
     ``update_input``, from the stored annotations ``ann``, on ``nodes``
     row-shard nodes (:func:`_walk`)."""
     compiled = compiled_program(program)
-    lowered = (compiled.lowered(update_input) if strategy == "INCR"
-               else compiled.reevaluated(update_input))
+    lowered = getattr(compiled, {"INCR": "lowered", "HYBRID": "hybrid",
+                                 "REEVAL": "reevaluated"}[strategy])(update_input)
     upd = ann[update_input]
     part = None
     if nodes > 1:
@@ -172,7 +174,7 @@ def _refresh(be, strategy: str, program: Program, ann: dict, dims,
     env = {**ann, u: _Annotation(upd.rows, rank),
            v: _Annotation(upd.cols, rank)}
     return _walk(be, lowered, env, {**dims, UPDATE_WIDTH.name: rank},
-                 thin_dense=strategy == "INCR",
+                 thin_dense=strategy != "REEVAL",
                  u_nnz=max(1.0, upd.rows * upd.density), part=part)
 
 
@@ -262,8 +264,8 @@ def program_cost(
     :meth:`est_broadcast` for its factors, :meth:`est_shuffle` for its
     gather.  Setup and space are the single-process build's.
     """
-    if strategy not in ("REEVAL", "INCR"):
-        raise ValueError(f"sessions support REEVAL or INCR, got {strategy!r}")
+    if strategy not in ("REEVAL", "INCR", "HYBRID"):
+        raise ValueError(f"sessions support REEVAL, INCR or HYBRID, got {strategy!r}")
     ann, calls, flops = _setup(be, program, dims, input_density)
     setup = (sum(flops.values())
              + sum(calls.values()) * be.est_call_overhead())
@@ -272,7 +274,7 @@ def program_cost(
         be, strategy, program, ann, dims, rank,
         update_input or program.input_names[0], nodes)
     refresh = (sum(flops.values()) + sum(calls.values())
-               * be.est_call_overhead(inplace=strategy == "INCR"))
+               * be.est_call_overhead(inplace=strategy != "REEVAL"))
     for broadcast, *gather in roundtrips:
         refresh += be.est_broadcast(broadcast.nbytes / broadcast.messages,
                                     broadcast.messages)

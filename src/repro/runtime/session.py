@@ -1,11 +1,12 @@
 """IVM sessions: compile once, maintain forever.
 
 :class:`Session` is the shared spine — program validation, view
-storage, backend resolution, output accessors, revalidation — with two
-strategies on top:
+storage, backend resolution, output accessors, revalidation — with
+three strategies on top:
 
 * :class:`IVMSession` — incremental maintenance (INCR): compile the
   triggers (Algorithm 1) and repair every view per factored update;
+  :class:`HybridSession` (HYBRID) carries non-square views' deltas dense;
 * :class:`ReevalSession` — the re-evaluation baseline (REEVAL): apply
   the update, recompute every statement.
 
@@ -659,6 +660,15 @@ class IVMSession(Session):
                          mode=mode, rank=rank)
 
 
+class HybridSession(IVMSession):
+    """INCR carrying each non-square view's delta dense (HYBRID,
+    Section 5.3.2): each input's
+    :meth:`~repro.compiler.compile.CompiledProgram.hybrid` list."""
+
+    strategy = "HYBRID"
+    _update_list = "hybrid"
+
+
 class ReevalSession(Session):
     """The re-evaluation baseline (REEVAL): apply the update, recompute.
 
@@ -960,16 +970,14 @@ def build_session(
     :class:`UnsupportedCombinationError` before any worker process
     starts (:func:`~repro.distributed.sharded.unshardable`).
     """
-    if plan.strategy not in ("INCR", "REEVAL"):
-        raise ValueError(
-            f"sessions support INCR or REEVAL, not {plan.strategy!r} "
-            "(HYBRID exists only for the iterative maintainers)"
-        )
+    if plan.strategy != "INCR" and plan.nodes > 1:
+        raise UnsupportedCombinationError(
+            "sharded (nodes > 1) maintenance is INCR-only")
     if plan.strategy == "REEVAL":
-        if plan.nodes > 1:
-            raise UnsupportedCombinationError(
-                "sharded (nodes > 1) maintenance is INCR-only")
         return ReevalSession(program, inputs, dims, counter, backend, plan)
+    if plan.strategy == "HYBRID":
+        return HybridSession(program, inputs, dims, counter=counter,
+                             backend=backend, plan=plan)
     if plan.nodes > 1:
         from ..distributed.shm import SharedMemoryBudgetError
 

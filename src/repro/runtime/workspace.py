@@ -12,17 +12,16 @@ performs **zero heap allocation** afterwards (the property
 
 Usage contract:
 
-* a *firing* (one trigger execution, one ``compute_factors`` +
-  ``apply_factors`` round, ...) opens a :meth:`frame`; every
-  :meth:`lease` inside the frame returns a distinct buffer;
+* a *firing* (one trigger execution, one shard tile op) opens a
+  :meth:`frame` or calls :meth:`begin`; every :meth:`lease` inside it
+  returns a distinct buffer;
 * when the outermost frame closes, all leases are released — the *next*
   frame re-issues the same buffers in lease order.  Results computed in
   workspace buffers are therefore valid **until the next firing**, not
   forever; callers that must keep them (snapshots, cross-refresh
   factor caches) copy them out.
-* frames nest: a maintainer that drives sub-maintainers sharing the
-  workspace (sums own powers) opens its frame first, and the inner
-  frames neither reset nor recycle until the outermost one exits.
+* frames nest: the inner frames neither reset nor recycle until the
+  outermost one exits.
 
 Buffers are plain C-contiguous float64 ``ndarray``\\ s — exactly what
 the dense backend's kernels take as ``out`` (``np.matmul(..., out=)``,
@@ -192,13 +191,4 @@ class Workspace:
         )
 
 
-def as_workspace(workspace: "Workspace | bool | None") -> Workspace | None:
-    """Normalize a ``workspace=`` argument: ``True`` builds a fresh arena."""
-    if workspace is True:
-        return Workspace()
-    if workspace is False:
-        return None
-    return workspace
-
-
-__all__ = ["Workspace", "as_workspace"]
+__all__ = ["Workspace"]

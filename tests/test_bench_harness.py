@@ -143,11 +143,11 @@ class TestTimeRefreshTrimmed:
         import numpy as np
 
         from repro.bench import time_refresh_trimmed
-        from repro.iterative import IncrementalPowers, Model
+        from repro.iterative import Model, make_powers
 
         rng = np.random.default_rng(1)
         a = 0.2 * rng.normal(size=(16, 16)) / 4.0
-        model = IncrementalPowers(a, 4, Model.linear())
+        model = make_powers("INCR", a, 4, Model.linear())
         updates = []
         for seed in range(12):
             gen = np.random.default_rng(seed)

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.cost import Counter, Ops, complexity, flops
+from repro.cost import Counter, complexity, flops
 from repro.cost.memory import MemoryComparison, gigabytes
-from repro.iterative import IncrementalPowers, Model, make_powers
+from repro.iterative import Model, make_powers
 from repro.workloads import spectral_normalized
 
 
@@ -27,36 +27,7 @@ class TestFlopFormulas:
         assert flops.matrix_bytes(10, 20) == 1600
 
 
-class TestOps:
-    def test_ops_charges_counter(self, rng):
-        counter = Counter()
-        ops = Ops(counter)
-        a = rng.normal(size=(4, 5))
-        b = rng.normal(size=(5, 6))
-        ops.mm(a, b)
-        assert counter.flops("matmul_into") == 2 * 4 * 5 * 6
-
-    def test_ops_shape_check(self, rng):
-        ops = Ops()
-        with pytest.raises(ValueError):
-            ops.mm(rng.normal(size=(3, 3)), rng.normal(size=(4, 4)))
-
-    def test_add_inplace_mutates(self):
-        ops = Ops()
-        a = np.ones((2, 2))
-        ops.add_inplace(a, np.ones((2, 2)))
-        np.testing.assert_array_equal(a, 2 * np.ones((2, 2)))
-
-    def test_inv_and_stack(self, rng):
-        counter = Counter()
-        ops = Ops(counter)
-        well = rng.normal(size=(5, 5)) + 5 * np.eye(5)
-        ops.inv(well)
-        assert counter.flops("inv") == 2 * 125
-        stacked = ops.hstack([np.ones((3, 1)), np.ones((3, 2))])
-        assert stacked.shape == (3, 3)
-        assert counter.calls_by_op["hstack_into"] == 1
-
+class TestCountedRefresh:
     @pytest.mark.parametrize("strategy", ["REEVAL", "INCR", "HYBRID"])
     def test_null_counter_runs_no_cost_hook(self, strategy, rng):
         """Uncounted refreshes compute no charge; counted ones are unchanged."""
@@ -195,7 +166,7 @@ class TestFittedExponent:
             a = spectral_normalized(np.random.default_rng(1), n)
             reeval_counter, incr_counter = Counter(), Counter()
             reeval = make_powers("REEVAL", a, 16, Model.exponential(), reeval_counter)
-            incr = IncrementalPowers(a, 16, Model.exponential(), incr_counter)
+            incr = make_powers("INCR", a, 16, Model.exponential(), incr_counter)
             reeval_counter.reset(); incr_counter.reset()
             u = np.zeros((n, 1)); u[0, 0] = 1.0
             v = 0.01 * np.ones((n, 1))

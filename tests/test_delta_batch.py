@@ -11,7 +11,7 @@ from repro.delta.batch import (
     compact_updates,
     stack_updates,
 )
-from repro.iterative import IncrementalPowers, Model
+from repro.iterative import Model, make_powers
 
 
 def rank1(rng, n, row=None):
@@ -101,8 +101,8 @@ class TestBatchCollector:
     def test_flush_into_powers_maintainer(self, rng):
         n, k = 16, 8
         a = 0.3 * rng.normal(size=(n, n))
-        batched = IncrementalPowers(a, k, Model.exponential())
-        unbatched = IncrementalPowers(a, k, Model.exponential())
+        batched = make_powers("INCR", a, k, Model.exponential())
+        unbatched = make_powers("INCR", a, k, Model.exponential())
 
         collector = BatchCollector()
         for _ in range(6):
@@ -119,7 +119,7 @@ class TestBatchCollector:
         collector = BatchCollector()
         collector.add(*rank1(rng, 4))
         assert len(collector) == 1
-        collector.flush(IncrementalPowers(np.eye(4) * 0.5, 2, Model.linear()))
+        collector.flush(make_powers("INCR", np.eye(4) * 0.5, 2, Model.linear()))
         assert len(collector) == 0
 
     def test_empty_flush_is_noop(self):
@@ -187,7 +187,7 @@ class TestCollectorEdgeCases:
             u[3, 0] = 1.0
             collector.add(u, (t + 1.0) * base_v)  # same row, colinear deltas
         size, rank, dropped = collector.flush(
-            IncrementalPowers(np.eye(n), 2, Model.linear())
+            make_powers("INCR", np.eye(n), 2, Model.linear())
         )
         assert size == repeats
         assert rank == 1  # one distinct (row, direction) pair

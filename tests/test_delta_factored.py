@@ -77,9 +77,29 @@ class TestExpressions:
 
 class TestAlgebra:
     def test_plus_concatenates(self):
-        d = FactoredDelta.rank_one(u, v).plus(FactoredDelta.rank_one(u, v))
+        """Distinct right factors concatenate; one equal to an earlier
+        term's folds into it, ``L1 R' + L2 R' = (L1 + L2) R'``."""
+        w = MatrixSymbol("w", n, 1)
+        d = FactoredDelta.rank_one(u, v).plus(FactoredDelta.rank_one(u, w))
         assert d.width == 2
         assert len(d.terms) == 2
+        folded = d.plus(FactoredDelta.rank_one(w, v))
+        assert folded.width == 2
+        assert folded.terms == ((u + w, v), (u, w))
+        same = FactoredDelta.rank_one(u, v).plus(FactoredDelta.rank_one(u, v))
+        assert same.terms == ((u + u, v),)
+
+    def test_folded_plus_is_the_sum(self, rng):
+        w = MatrixSymbol("w", n, 1)
+        d1 = FactoredDelta(Shape(n, n), [(u, v), (U2, V2)])
+        d2 = FactoredDelta(Shape(n, n), [(w, v), (U2, V2)])
+        env = {name: rng.normal(size=(5, cols)) for name, cols in
+               (("u", 1), ("v", 1), ("w", 1), ("U2", 2), ("V2", 2))}
+        total = d1.plus(d2)
+        assert total.width == 3
+        np.testing.assert_allclose(
+            total.to_dense(env, dims={"n": 5}),
+            d1.to_dense(env, dims={"n": 5}) + d2.to_dense(env, dims={"n": 5}))
 
     def test_plus_zero_is_noop(self):
         d = FactoredDelta.rank_one(u, v)
@@ -147,47 +167,3 @@ class TestAlgebra:
         }
         expected = env["u"] @ env["v"].T + env["U2"] @ env["V2"].T
         np.testing.assert_allclose(d.to_dense(env, dims={"n": 4}), expected)
-
-
-class TestApplyTo:
-    """PR 4: deltas refresh views through the in-place update kernel."""
-
-    def test_dense_target_mutates_in_place(self, rng):
-        d = FactoredDelta(Shape(n, n), [(u, v), (U2, V2)])
-        env = {
-            "u": rng.normal(size=(4, 1)),
-            "v": rng.normal(size=(4, 1)),
-            "U2": rng.normal(size=(4, 2)),
-            "V2": rng.normal(size=(4, 2)),
-        }
-        target = rng.normal(size=(4, 4))
-        expected = target + d.to_dense(env, dims={"n": 4})
-        result = d.apply_to(target, env, dims={"n": 4})
-        assert result is target, "dense apply must accumulate in place"
-        np.testing.assert_allclose(result, expected, atol=1e-12)
-
-    def test_zero_delta_returns_target_untouched(self, rng):
-        d = FactoredDelta.zero(Shape(n, n))
-        target = rng.normal(size=(4, 4))
-        before = target.copy()
-        assert d.apply_to(target, {}, dims={"n": 4}) is target
-        np.testing.assert_array_equal(target, before)
-
-    def test_sparse_backend_apply(self, rng):
-        pytest.importorskip("scipy")
-        from repro.backends import get_backend
-
-        be = get_backend("sparse")
-        d = FactoredDelta(Shape(n, n), [(u, v)])
-        env = {
-            "u": rng.normal(size=(80, 1)),
-            "v": rng.normal(size=(80, 1)),
-        }
-        target = be.asarray((rng.random((80, 80)) < 0.02) * 1.0)
-        dense_before = be.materialize(target)
-        result = d.apply_to(target, env, dims={"n": 80}, backend=be)
-        np.testing.assert_allclose(
-            be.materialize(result),
-            dense_before + env["u"] @ env["v"].T,
-            atol=1e-12,
-        )

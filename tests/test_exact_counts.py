@@ -34,21 +34,23 @@ one call, as in the end-to-end tracer's ``backend.kernel_calls_per_update``.
 * ``sparse_pagerank``'s driver: the cells its planner prices and the
   plan it resolves;
 * the FLOP ledger (:func:`~repro.cost.counters.counted`, keyed by
-  kernel) of the chain in both modes, of REEVAL on it, and of the
-  iterative powers maintainer running the same algebra — with the
-  chain's per-update FLOPs as exact polynomials in ``n``;
-* the iterative families' REEVAL (``make_powers`` / ``make_sums`` /
-  ``make_general``, the REEVAL session on each family's Table 1
-  program): calls and FLOPs per refresh for every family and model at
-  n = 64, never above the deleted hand-written maintainers' (also
-  committed), and values bitwise equal to a plain NumPy recurrence;
+  kernel) of the chain in both modes, of REEVAL on it, of
+  ``make_powers("INCR")`` running the same algebra and of
+  ``IncrementalExpm`` — with the chain's per-update FLOPs as exact
+  polynomials in ``n``;
+* the iterative families (``make_powers`` / ``make_sums`` /
+  ``make_general``, a session on each family's Table 1 program) under
+  REEVAL, INCR and HYBRID: calls and FLOPs per refresh for every family
+  and model at n = 64, never above the deleted hand-written
+  maintainers' (also committed), and values equal to a plain NumPy
+  recurrence (bitwise for REEVAL on dense);
 * the Section 5.1 OLS program (:func:`~repro.analytics.make_ols`):
   its FLOP ledger per row update under INCR in both modes and under
   REEVAL;
 * the bytes REEVAL allocates per update, in both modes: its list runs
   on leased buffers, so only what no buffer holds (``inv``'s result)
   is allocated;
-* the planner's INCR and REEVAL prices read off the same lists
+* the planner's INCR, HYBRID and REEVAL prices read off the same lists
   (:func:`~repro.planner.programcost.refresh_ledger`): on the dense
   backend its predicted calls and FLOPs per update are the ledger's;
 * the sharded cell's price read off the same trigger list
@@ -169,6 +171,50 @@ REEVAL_FAMILIES = {
     "general-noB-EXP": ((9, 1_622_016), (10, 1_630_208)),
     "general-noB-SKIP-4": ((9, 1_105_920), (10, 1_114_112)),
 }
+
+#: The iterative families' INCR at n = 64, k = 16, rank 1 (p = 1):
+#: ``family-model -> (calls, FLOPs)`` of the INCR session on the
+#: family's Table 1 program, then of the hand-written maintainer it
+#: replaced (``IncrementalPowers`` / ``IncrementalPowerSums`` /
+#: ``IncrementalGeneral``), recorded before its deletion.  Powers, and
+#: general without a sum view, are equal.  Where a sum view is read the
+#: session is cheaper: ``S_2 = A + I`` has no ``A * S_1`` product, and
+#: a shared right factor folds (``FactoredDelta.plus``) where the
+#: maintainer stacked one block per summand.
+INCR_FAMILIES = {
+    "powers-LIN": ((121, 2_258_432), (121, 2_258_432)),
+    "powers-EXP": ((33, 522_432), (33, 522_432)),
+    "powers-SKIP-4": ((41, 723_904), (41, 723_904)),
+    "sums-LIN": ((114, 1_999_680), (115, 2_007_872)),
+    "sums-EXP": ((53, 680_512), (56, 688_704)),
+    "sums-SKIP-4": ((52, 831_232), (55, 839_424)),
+    "general-B-LIN": ((123, 1_049_088), (123, 1_049_088)),
+    "general-B-EXP": ((81, 625_088), (84, 633_280)),
+    "general-B-SKIP-4": ((71, 536_960), (76, 545_920)),
+    "general-noB-LIN": ((123, 1_049_088), (123, 1_049_088)),
+    "general-noB-EXP": ((59, 395_008), (59, 395_008)),
+    "general-noB-SKIP-4": ((59, 364_288), (59, 364_288)),
+}
+
+#: HYBRID, the general form's cells at n = 64, k = 16, p = 1: the
+#: HYBRID session (the INCR list with each ``T_i``'s delta dense) and
+#: the deleted ``HybridGeneral``.  With ``B`` under EXP / SKIP-4 the
+#: session is cheaper by the same ``S_h`` deltas as INCR.
+HYBRID_FAMILIES = {
+    "general-B-LIN": ((124, 141_952), (124, 141_952)),
+    "general-B-EXP": ((88, 464_064), (91, 472_256)),
+    "general-B-SKIP-4": ((78, 217_152), (85, 226_880)),
+    "general-noB-LIN": ((124, 141_952), (124, 141_952)),
+    "general-noB-EXP": ((60, 284_928), (60, 284_928)),
+    "general-noB-SKIP-4": ((60, 157_888), (60, 157_888)),
+}
+
+#: ``IncrementalExpm`` at order 6, n = 64, per rank-1 refresh: the INCR
+#: session on its weighted-sum program — the six power repairs
+#: (340,672), ``W``'s apply (172,032) and the five non-unit coefficient
+#: scales (1,280) — then the deleted class's charge, which left the
+#: ``W`` repair uncounted.
+EXPM_ROW = ((49, 513_984), (41, 340_672))
 
 #: The OLS design ``X (m x n)`` and response ``Y (m x p)``.
 OLS_DIMS = {"m": 400, "n": 40, "p": 1}
@@ -672,14 +718,15 @@ class TestMaintainerLedger:
     N = 32
 
     def test_powers_maintainer_charges_what_the_session_charges(self):
-        """``IncrementalPowers`` is the session's algebra written by
-        hand: the same kernel calls, and the same FLOPs, per refresh."""
-        from repro.iterative import IncrementalPowers, Model
+        """``make_powers("INCR")`` is a session on the family's program:
+        the same kernel calls, and the same FLOPs, per refresh as one
+        opened on the program written by hand."""
+        from repro.iterative import Model, make_powers
 
         updates = _updates(self.N)
         maintained, opened = Ledger(), Ledger()
-        maintainer = IncrementalPowers(_input(self.N), 4, Model.exponential(),
-                                       maintained)
+        maintainer = make_powers("INCR", _input(self.N), 4, Model.exponential(),
+                                 maintained)
         session = open_session(
             parse_program("input A(n, n); P2 := A * A; P4 := P2 * P2; "
                           "output P4;"),
@@ -693,10 +740,32 @@ class TestMaintainerLedger:
         assert ([entry[:2] for entry in by_maintainer]
                 == [entry[:2] for entry in by_session])
 
+    def test_expm_charges_every_kernel_it_runs(self):
+        """``IncrementalExpm`` charges its whole refresh: every kernel
+        call the backend runs is on the ledger, whose FLOPs are the
+        priced list's."""
+        from repro.analytics.expm import IncrementalExpm, weighted_program
 
-def _reeval_family(cell: str, a, rng, mode: str = "interpret",
-                   counter=NULL_COUNTER, backend=None):
-    """``make_*("REEVAL")`` for a :data:`REEVAL_FAMILIES` cell at k = 16,
+        n, ledger, backend = 64, Ledger(), CountingBackend()
+        driver = IncrementalExpm(_input(n), order=6, counter=ledger,
+                                 backend=backend)
+        (calls, flops), (old_calls, old_flops) = EXPM_ROW
+        for update in _updates(n, 2):
+            ledger.reset()
+            backend.calls.clear()
+            driver.refresh(update.u_block, update.v_block)
+            assert sum(ledger.calls_by_op.values()) == len(backend.calls) == calls
+            assert ledger.total_flops == flops
+        _, priced = refresh_ledger(DenseBackend(),
+                                   parse_program(weighted_program(driver.coeffs)),
+                                   {"n": n}, {})
+        assert sum(priced.values()) == flops
+        assert calls > old_calls and flops > old_flops
+
+
+def _family(cell: str, a, rng, mode: str = "interpret",
+            counter=NULL_COUNTER, backend=None, strategy: str = "REEVAL"):
+    """``make_*(strategy)`` for a :data:`REEVAL_FAMILIES` cell at k = 16,
     its ``B`` and ``T0`` (p = 1) drawn from ``rng``."""
     from repro.iterative import make_general, make_powers, make_sums
     from repro.iterative.strategies import parse_model
@@ -705,7 +774,7 @@ def _reeval_family(cell: str, a, rng, mode: str = "interpret",
     if family == "general":
         with_b, _, label = label.partition("-")
     model = parse_model(label)
-    plan = MaintenancePlan("REEVAL", mode=mode, model=model.kind, s=model.s)
+    plan = MaintenancePlan(strategy, mode=mode, model=model.kind, s=model.s)
     b, t0 = rng.standard_normal((2, a.shape[0], 1))
     if family == "general":
         return make_general(plan, a, b if with_b == "B" else None, t0, 16,
@@ -756,7 +825,7 @@ class TestReevalFamilies:
     def test_calls_and_flops_per_refresh(self, cell, mode):
         rng = np.random.default_rng(7)
         ledger = Ledger()
-        maintainer, _, _ = _reeval_family(cell, 0.2 * _input(self.N), rng,
+        maintainer, _, _ = _family(cell, 0.2 * _input(self.N), rng,
                                           mode, ledger)
         (calls, flops), (old_calls, old_flops) = REEVAL_FAMILIES[cell]
         for update in _updates(self.N, 2):
@@ -776,7 +845,7 @@ class TestReevalFamilies:
         rng = np.random.default_rng(11)
         n = self.N
         a = (rng.random((n, n)) < 0.05) * rng.standard_normal((n, n))
-        maintainer, b, t0 = _reeval_family(cell, a, rng, backend=backend)
+        maintainer, b, t0 = _family(cell, a, rng, backend=backend)
         for update in _updates(n, 3):
             maintainer.refresh(update.u_block, update.v_block)
             a = a + update.u_block @ update.v_block.T
@@ -788,6 +857,52 @@ class TestReevalFamilies:
             else:
                 np.testing.assert_allclose(got, want, rtol=1e-10,
                                            atol=1e-12 * np.abs(want).max())
+
+
+class TestSessionFamilies:
+    """The iterative families' INCR and HYBRID are sessions on their
+    Table 1 programs: calls and FLOPs per refresh are committed rows,
+    never above the hand-written maintainers' they replaced, and the
+    values are a plain NumPy recurrence's."""
+
+    N = 64
+    CELLS = [("INCR", cell) for cell in INCR_FAMILIES] + [
+        ("HYBRID", cell) for cell in HYBRID_FAMILIES]
+
+    @pytest.mark.parametrize("mode", ["interpret", "codegen"])
+    @pytest.mark.parametrize("strategy,cell", CELLS)
+    def test_calls_and_flops_per_refresh(self, strategy, cell, mode):
+        rng = np.random.default_rng(7)
+        ledger = Ledger()
+        maintainer, _, _ = _family(cell, 0.2 * _input(self.N), rng, mode,
+                                   ledger, strategy=strategy)
+        rows = INCR_FAMILIES if strategy == "INCR" else HYBRID_FAMILIES
+        (calls, flops), (old_calls, old_flops) = rows[cell]
+        for update in _updates(self.N, 2):
+            ledger.reset()
+            maintainer.refresh(update.u_block, update.v_block)
+            assert sum(ledger.calls_by_op.values()) == calls
+            assert ledger.total_flops == flops
+        assert calls <= old_calls and flops <= old_flops
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    @pytest.mark.parametrize("strategy,cell", CELLS)
+    def test_values_are_the_numpy_recurrence(self, strategy, cell, backend):
+        if backend == "sparse":
+            pytest.importorskip("scipy")
+        rng = np.random.default_rng(11)
+        n = self.N
+        a = (rng.random((n, n)) < 0.05) * rng.standard_normal((n, n))
+        maintainer, b, t0 = _family(cell, a, rng, backend=backend,
+                                    strategy=strategy)
+        for update in _updates(n, 3):
+            maintainer.refresh(update.u_block, update.v_block)
+            a = a + update.u_block @ update.v_block.T
+        got = maintainer.result()
+        got = got.toarray() if hasattr(got, "toarray") else got
+        want = _recurrence(cell, a, b, t0)
+        np.testing.assert_allclose(got, want, rtol=1e-10,
+                                   atol=1e-12 * np.abs(want).max())
 
 
 class TestOLSLedger:
@@ -873,7 +988,8 @@ class TestPricedLedger:
                   for name, shape in shapes.items()}
         ledger = Ledger()
         session = open_session(program, inputs, dims=dims,
-                               plan=strategy.lower(), mode=mode, rank=width,
+                               plan=MaintenancePlan(strategy, mode=mode,
+                                                    rank=width),
                                batch="off", counter=ledger)
         rows, cols = shapes[target]
         update = FactoredUpdate(target,
@@ -887,11 +1003,12 @@ class TestPricedLedger:
         assert calls == ledger.calls_by_op
         assert flops == ledger.flops_by_op
         # The cell's refresh is that ledger plus one call overhead per
-        # kernel call: in place for INCR, out of place for REEVAL.
+        # kernel call: in place for INCR and HYBRID, out of place for
+        # REEVAL.
         assert program_cost(be, strategy, program, dims, {}, rank=width,
                             update_input=target).refresh == (
             sum(flops.values()) + sum(calls.values())
-            * be.est_call_overhead(inplace=strategy == "INCR"))
+            * be.est_call_overhead(inplace=strategy != "REEVAL"))
 
     @pytest.mark.parametrize("mode", ["interpret", "codegen"])
     @pytest.mark.parametrize("width", [1, 3])
@@ -909,6 +1026,21 @@ class TestPricedLedger:
     def test_ols(self, mode):
         self._assert_priced_as_charged(OLS_SOURCE, OLS_DIMS, 1, mode,
                                        target="X")
+
+    @pytest.mark.parametrize("mode", ["interpret", "codegen"])
+    @pytest.mark.parametrize("p", [1, 8])
+    @pytest.mark.parametrize("cell", list(HYBRID_FAMILIES))
+    def test_hybrid_general(self, cell, p, mode):
+        """HYBRID is priced from its own list: each ``T_i``'s dense
+        delta, applied by a sum.  With ``B``, an update to ``B`` too."""
+        from repro.iterative import program
+        from repro.iterative.strategies import parse_model
+
+        _, with_b, label = cell.split("-", 2)
+        source = program("general", parse_model(label), 16, with_b == "B")
+        for target in ("A", "B")[:1 + (with_b == "B")]:
+            self._assert_priced_as_charged(source, {"n": 32, "p": p}, 1, mode,
+                                           target=target, strategy="HYBRID")
 
     def test_chain_polynomial(self):
         calls, flops = refresh_ledger(DenseBackend(),

@@ -1,10 +1,12 @@
-"""Matrix powers maintainers: correctness, widths, costs, memory."""
+"""Matrix powers sessions: correctness, widths, costs, memory."""
 
 import numpy as np
 import pytest
 
 from repro.cost import Counter
-from repro.iterative import IncrementalPowers, Model, make_powers
+from repro.compiler import compiled_program
+from repro.frontend import parse_program
+from repro.iterative import Model, make_powers, program
 from repro.workloads import row_update_factors, spectral_normalized
 
 MODELS = [Model.linear(), Model.exponential(), Model.skip(2),
@@ -20,7 +22,7 @@ class TestCorrectness:
     def test_initial_value(self, model, rng):
         a = spectral_normalized(rng, 10)
         for maintainer in (make_powers("REEVAL", a, 16, model),
-                           IncrementalPowers(a, 16, model)):
+                           make_powers("INCR", a, 16, model)):
             np.testing.assert_allclose(
                 maintainer.result(), truth_power(a, 16), atol=1e-10
             )
@@ -29,7 +31,7 @@ class TestCorrectness:
         n, k = 10, 16
         a = spectral_normalized(rng, n)
         reeval = make_powers("REEVAL", a, k, model)
-        incr = IncrementalPowers(a, k, model)
+        incr = make_powers("INCR", a, k, model)
         current = a.copy()
         for u, v in row_update_factors(rng, n, n, 5, scale=0.05):
             current = current + u @ v.T
@@ -42,21 +44,22 @@ class TestCorrectness:
     def test_all_scheduled_powers_maintained(self, model, rng):
         n, k = 8, 16
         a = spectral_normalized(rng, n)
-        incr = IncrementalPowers(a, k, model)
+        incr = make_powers("INCR", a, k, model)
         u = np.zeros((n, 1)); u[2, 0] = 1.0
         v = 0.1 * rng.normal(size=(n, 1))
         incr.refresh(u, v)
         new_a = a + u @ v.T
-        for i in incr.schedule:
+        for i in model.schedule(k):
             np.testing.assert_allclose(
-                incr.powers[i], truth_power(new_a, i), atol=1e-9,
+                incr.session["A" if i == 1 else f"P{i}"],
+                truth_power(new_a, i), atol=1e-9,
                 err_msg=f"P_{i} wrong under {model.name}",
             )
 
     def test_rank2_updates(self, model, rng):
         n, k = 9, 16
         a = spectral_normalized(rng, n)
-        incr = IncrementalPowers(a, k, model)
+        incr = make_powers("INCR", a, k, model)
         u = 0.1 * rng.normal(size=(n, 2))
         v = 0.1 * rng.normal(size=(n, 2))
         incr.refresh(u, v)
@@ -73,7 +76,8 @@ class TestCosts:
             a = spectral_normalized(np.random.default_rng(0), n)
             reeval_counter, incr_counter = Counter(), Counter()
             reeval = make_powers("REEVAL", a, 16, Model.exponential(), reeval_counter)
-            incr = IncrementalPowers(a, 16, Model.exponential(), incr_counter)
+            incr = make_powers("INCR", a, 16, Model.exponential(),
+                               incr_counter)
             u = np.zeros((n, 1)); u[0, 0] = 1.0
             v = 0.01 * np.ones((n, 1))
             reeval_counter.reset(); incr_counter.reset()
@@ -92,7 +96,8 @@ class TestCosts:
         costs = {}
         for model in (Model.linear(), Model.skip(4), Model.exponential()):
             counter = Counter()
-            maintainer = IncrementalPowers(a, k, model, counter)
+            maintainer = make_powers("INCR", a, k, model, counter)
+            counter.reset()  # the session charges its build too
             u = np.zeros((n, 1)); u[1, 0] = 1.0
             maintainer.refresh(u, 0.01 * np.ones((n, 1)))
             costs[model.name] = counter.total_flops
@@ -104,7 +109,8 @@ class TestCosts:
         n, k = 48, 16
         a = spectral_normalized(rng, n)
         counter = Counter()
-        incr = IncrementalPowers(a, k, Model.exponential(), counter)
+        incr = make_powers("INCR", a, k, Model.exponential(), counter)
+        counter.reset()
         u = np.zeros((n, 1)); u[0, 0] = 1.0
         incr.refresh(u, 0.01 * np.ones((n, 1)))
         dense_product = 2 * n**3
@@ -123,14 +129,19 @@ class TestMemory:
 
     def test_incr_grows_with_schedule(self, rng):
         a = spectral_normalized(rng, 12)
-        exp = IncrementalPowers(a, 16, Model.exponential())
-        lin = IncrementalPowers(a, 16, Model.linear())
-        assert exp.memory_bytes() == len(exp.schedule) * 12 * 12 * 8
+        exp = make_powers("INCR", a, 16, Model.exponential())
+        lin = make_powers("INCR", a, 16, Model.linear())
+        schedule = Model.exponential().schedule(16)
+        assert exp.memory_bytes() == len(schedule) * 12 * 12 * 8
         assert lin.memory_bytes() > exp.memory_bytes()
 
-    def test_delta_width_formula(self, rng):
-        a = spectral_normalized(rng, 8)
-        incr = IncrementalPowers(a, 16, Model.exponential())
-        assert incr.delta_width() == 16
-        assert incr.delta_width(8) == 8
-        assert incr.delta_width(8, rank=2) == 16
+    def test_delta_width_formula(self):
+        """Appendix A: ``dP_i`` has width ``rank * i`` in every model."""
+        for model in MODELS:
+            source = parse_program(program("powers", model, 16))
+            for rank in (1, 2):
+                trigger = compiled_program(source, rank).triggers["A"]
+                widths = {assign.target.name: assign.target.shape.cols
+                          for assign in trigger.assigns}
+                for i in model.schedule(16)[1:]:
+                    assert widths[f"U_P{i}"] == rank * i, (model, i)

@@ -1,10 +1,10 @@
-"""Sums-of-powers maintainers (Section 5.2.3)."""
+"""Sums-of-powers sessions (Section 5.2.3)."""
 
 import numpy as np
 import pytest
 
 from repro.cost import Counter
-from repro.iterative import IncrementalPowerSums, Model, make_sums
+from repro.iterative import Model, make_sums
 from repro.workloads import row_update_factors, spectral_normalized
 
 MODELS = [Model.linear(), Model.exponential(), Model.skip(2),
@@ -26,7 +26,7 @@ class TestCorrectness:
     def test_initial_value(self, model, rng):
         a = spectral_normalized(rng, 9)
         for maintainer in (make_sums("REEVAL", a, 16, model),
-                           IncrementalPowerSums(a, 16, model)):
+                           make_sums("INCR", a, 16, model)):
             np.testing.assert_allclose(
                 maintainer.result(), truth_sum(a, 16), atol=1e-9
             )
@@ -35,7 +35,7 @@ class TestCorrectness:
         n, k = 9, 16
         a = spectral_normalized(rng, n)
         reeval = make_sums("REEVAL", a, k, model)
-        incr = IncrementalPowerSums(a, k, model)
+        incr = make_sums("INCR", a, k, model)
         current = a.copy()
         for u, v in row_update_factors(rng, n, n, 5, scale=0.05):
             current = current + u @ v.T
@@ -48,55 +48,37 @@ class TestCorrectness:
     def test_all_scheduled_sums_maintained(self, model, rng):
         n, k = 8, 16
         a = spectral_normalized(rng, n)
-        incr = IncrementalPowerSums(a, k, model)
+        incr = make_sums("INCR", a, k, model)
         u = np.zeros((n, 1)); u[1, 0] = 1.0
         v = 0.1 * rng.normal(size=(n, 1))
         incr.refresh(u, v)
         new_a = a + u @ v.T
-        for i in incr.schedule:
+        for i in model.schedule(k)[1:]:  # S_1 = I is no view
             np.testing.assert_allclose(
-                incr.sums[i], truth_sum(new_a, i), atol=1e-9,
+                incr.session[f"S{i}"], truth_sum(new_a, i), atol=1e-9,
                 err_msg=f"S_{i} wrong under {model.name}",
             )
 
 
 class TestSharedPowers:
     def test_shared_powers_not_double_applied(self, rng):
-        from repro.iterative import IncrementalPowers
-
+        """The sums program reads its powers views: one update applies
+        to every stored view (``A``, ``P_h``, ``S_i``) exactly once."""
         n, k = 8, 16
         a = spectral_normalized(rng, n)
-        powers = IncrementalPowers(a, 8, Model.exponential())
-        sums = IncrementalPowerSums(a, k, Model.exponential(), powers=powers)
-        assert not sums.owns_powers
+        counter = Counter()
+        sums = make_sums("INCR", a, k, Model.exponential(), counter)
+        counter.reset()
         u = np.zeros((n, 1)); u[0, 0] = 1.0
         v = 0.1 * rng.normal(size=(n, 1))
-        pf = powers.compute_factors(u, v)
-        sf = sums.compute_factors(u, v, pf)
-        sums.apply_factors(sf, pf)
-        powers.apply_factors(pf)
+        sums.refresh(u, v)
         new_a = a + u @ v.T
+        views = sums.session.program.view_names
+        assert counter.calls_by_op["add_outer_inplace"] == 1 + len(views)
         np.testing.assert_allclose(sums.result(), truth_sum(new_a, k), atol=1e-9)
         np.testing.assert_allclose(
-            powers.result(), np.linalg.matrix_power(new_a, 8), atol=1e-9
+            sums.session["P8"], np.linalg.matrix_power(new_a, 8), atol=1e-9
         )
-
-    def test_refresh_forbidden_with_shared_powers(self, rng):
-        from repro.iterative import IncrementalPowers
-
-        a = spectral_normalized(rng, 8)
-        powers = IncrementalPowers(a, 8, Model.exponential())
-        sums = IncrementalPowerSums(a, 16, Model.exponential(), powers=powers)
-        with pytest.raises(RuntimeError, match="shared powers"):
-            sums.refresh(np.ones((8, 1)), np.ones((8, 1)))
-
-    def test_insufficient_shared_powers_rejected(self, rng):
-        from repro.iterative import IncrementalPowers
-
-        a = spectral_normalized(rng, 8)
-        shallow = IncrementalPowers(a, 2, Model.exponential())
-        with pytest.raises(ValueError, match="lacks"):
-            IncrementalPowerSums(a, 16, Model.exponential(), powers=shallow)
 
 
 class TestCosts:
@@ -105,7 +87,7 @@ class TestCosts:
         a = spectral_normalized(rng, n)
         reeval_counter, incr_counter = Counter(), Counter()
         reeval = make_sums("REEVAL", a, k, Model.exponential(), reeval_counter)
-        incr = IncrementalPowerSums(a, k, Model.exponential(), incr_counter)
+        incr = make_sums("INCR", a, k, Model.exponential(), incr_counter)
         reeval_counter.reset(); incr_counter.reset()
         u = np.zeros((n, 1)); u[0, 0] = 1.0
         v = 0.01 * np.ones((n, 1))
@@ -114,10 +96,13 @@ class TestCosts:
         assert incr_counter.total_flops < reeval_counter.total_flops / 2
 
     def test_memory_reeval_vs_incr(self, rng):
+        """Both sessions store the program's inputs and views, as
+        ``bench_table3_memory.py`` reports: ``A``, ``P_2 .. P_8`` and
+        ``S_2 .. S_16`` (``S_1 = I`` is no view)."""
         a = spectral_normalized(rng, 10)
         reeval = make_sums("REEVAL", a, 16, Model.exponential())
-        incr = IncrementalPowerSums(a, 16, Model.exponential())
-        assert incr.memory_bytes() > reeval.memory_bytes()
+        incr = make_sums("INCR", a, 16, Model.exponential())
+        assert incr.memory_bytes() == reeval.memory_bytes() == 8 * 10 * 10 * 8
 
     @pytest.mark.parametrize("model", [Model.exponential(), Model.skip(4)],
                              ids=lambda m: m.name)

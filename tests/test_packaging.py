@@ -71,6 +71,18 @@ def test_reevaluation_is_the_reeval_session():
     assert module.reevals() == []
 
 
+def test_iterative_families_are_sessions():
+    """docs/invariants.md, "One lowering and one executor": the
+    iterative families' INCR and HYBRID are sessions on their Table 1
+    programs, so no hand-written maintainer class exists and nothing
+    imports the kernel wrapper they ran on."""
+    tool = PYPROJECT.parent / "tools" / "check_one_builder.py"
+    spec = importlib.util.spec_from_file_location("check_one_builder", tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.hand_maintainers() == []
+
+
 def test_programs_are_compiled_at_one_width():
     """docs/invariants.md, "One artifact per program": only ``repro
     compile`` hands ``compiled_program`` a width (it prints shapes);

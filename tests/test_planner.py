@@ -287,12 +287,34 @@ class TestOpenSession:
             open_session(parse_program(A4_SOURCE), self.make_inputs(rng),
                          plan="lazy")
 
-    def test_hybrid_plan_rejected(self, rng):
-        # Sessions have no HYBRID execution path; running it as INCR
-        # while reporting HYBRID would misattribute results.
-        with pytest.raises(ValueError, match="HYBRID"):
+    def test_hybrid_plan_opens_a_hybrid_session(self, rng):
+        # HYBRID runs its own lowered list (non-square views' deltas
+        # dense; the chain has none, so it is INCR's), and the plan
+        # reports what executed.
+        from repro.runtime.session import HybridSession
+
+        inputs = self.make_inputs(rng)
+        session = open_session(parse_program(A4_SOURCE), inputs,
+                               plan=MaintenancePlan("HYBRID"))
+        assert isinstance(session, HybridSession)
+        assert session.plan.strategy == "HYBRID"
+        session.apply_update(FactoredUpdate("A", np.eye(len(inputs["A"]))[:, :1],
+                                            0.01 * np.ones((len(inputs["A"]), 1))))
+        np.testing.assert_allclose(
+            session["C"], np.linalg.matrix_power(session["A"], 4), atol=1e-9)
+
+    def test_sharded_hybrid_plan_is_a_typed_error(self, rng, monkeypatch):
+        """HYBRID on ``nodes > 1`` is refused before any worker spawns."""
+        from repro.runtime import UnsupportedCombinationError
+        from repro.runtime import session as session_module
+
+        def spawned(*args, **kwargs):
+            raise AssertionError("a sharded session was started")
+
+        monkeypatch.setattr(session_module, "ShardedSession", spawned)
+        with pytest.raises(UnsupportedCombinationError, match="INCR-only"):
             open_session(parse_program(A4_SOURCE), self.make_inputs(rng),
-                         plan=MaintenancePlan("HYBRID"))
+                         plan=MaintenancePlan("HYBRID", nodes=2))
 
     def test_reeval_plan_runs_the_mode_given(self, rng):
         # REEVAL runs a lowered list like INCR, so a codegen override

@@ -97,10 +97,17 @@ class TestWithPlan:
         expected = switched["A"] @ switched["A"]
         np.testing.assert_allclose(switched.output(), expected, atol=1e-9)
 
-    def test_hybrid_rejected(self, rng):
+    def test_strategy_switch_to_hybrid(self, rng):
+        from repro.runtime.session import HybridSession
+
         session, _ = self.make_session(rng)
-        with pytest.raises(ValueError, match="HYBRID"):
-            session.with_plan(MaintenancePlan("HYBRID"))
+        switched = session.with_plan(MaintenancePlan("HYBRID"))
+        assert isinstance(switched, HybridSession)
+        assert switched.plan.strategy == "HYBRID"
+        update = fill_updates(rng, 64, 1)[0]
+        switched.apply_update(update)
+        expected = switched["A"] @ switched["A"]
+        np.testing.assert_allclose(switched.output(), expected, atol=1e-9)
 
 
 class TestReplanMonitor:

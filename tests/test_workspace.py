@@ -7,12 +7,16 @@ import numpy as np
 import pytest
 
 from repro.backends import get_backend
-from repro.iterative.general import HybridGeneral, IncrementalGeneral
 from repro.iterative.models import Model
-from repro.iterative import make_general, make_powers
-from repro.iterative.powers import IncrementalPowers
-from repro.iterative.sums import IncrementalPowerSums
+from repro.iterative import make_general, make_powers, make_sums
+from repro.planner import MaintenancePlan
 from repro.runtime import Workspace
+
+
+def _in_both_modes(strategy: str, model: Model) -> list[MaintenancePlan]:
+    """``strategy``'s plans in interpret and in codegen mode."""
+    return [MaintenancePlan(strategy, mode=mode, model=model.kind, s=model.s)
+            for mode in ("interpret", "codegen")]
 
 
 class TestWorkspace:
@@ -212,23 +216,27 @@ class TestInPlaceKernels:
 
 
 class TestMaintainerWorkspaces:
+    """The iterative families' sessions on their workspaces."""
+
     @pytest.mark.parametrize("model", [Model.linear(), Model.exponential(),
                                        Model.skip(4)])
     def test_incremental_powers_parity_and_steady_state(self, rng, model):
+        """The INCR session's two modes agree bitwise, and once warm a
+        refresh leases no new buffer."""
         n, k = 32, 8
         a0 = 0.05 * rng.normal(size=(n, n))
-        plain = IncrementalPowers(a0, k, model)
-        arena = IncrementalPowers(a0, k, model, workspace=True)
+        plain, arena = (make_powers(plan, a0, k)
+                        for plan in _in_both_modes("INCR", model))
         ups = [(np.eye(n)[:, [i % n]], 0.01 * rng.normal(size=(n, 1)))
                for i in range(12)]
         for u, v in ups:
             plain.refresh(u, v)
             arena.refresh(u, v)
         assert np.array_equal(plain.result(), arena.result())
-        allocations = arena.ops.workspace.allocations
+        allocations = arena.session.workspace.allocations
         for u, v in ups[:4]:
             arena.refresh(u, v)
-        assert arena.ops.workspace.allocations == allocations
+        assert arena.session.workspace.allocations == allocations
 
     def test_reeval_powers_recomputes_into_existing_storage(self, rng):
         n, k = 24, 4
@@ -261,14 +269,14 @@ class TestMaintainerWorkspaces:
         m.refresh(np.eye(n)[:, [4]], 0.01 * rng.normal(size=(n, 1)))
         assert m.session.workspace.allocations == allocations
 
-    @pytest.mark.parametrize("cls", [IncrementalGeneral, HybridGeneral])
-    def test_general_workspace_parity(self, rng, cls):
+    @pytest.mark.parametrize("strategy", ["INCR", "HYBRID"])
+    def test_general_workspace_parity(self, rng, strategy):
         n, k, p = 24, 8, 3
         a0 = 0.05 * rng.normal(size=(n, n))
         b0 = rng.normal(size=(n, p))
         t0 = rng.normal(size=(n, p))
-        plain = cls(a0, b0, t0, k, Model.exponential())
-        arena = cls(a0, b0, t0, k, Model.exponential(), workspace=True)
+        plain, arena = (make_general(plan, a0, b0, t0, k) for plan in
+                        _in_both_modes(strategy, Model.exponential()))
         for i in range(8):
             u = np.eye(n)[:, [i % n]]
             v = 0.01 * rng.normal(size=(n, 1))
@@ -281,16 +289,19 @@ class TestMaintainerWorkspaces:
         assert np.array_equal(plain.result(), arena.result())
 
     def test_sums_share_arena_with_owned_powers(self, rng):
+        """The sums program's powers and sums views are repaired by one
+        list, on one session workspace that stops growing once warm."""
         n, k = 24, 8
         a0 = 0.05 * rng.normal(size=(n, n))
-        arena = IncrementalPowerSums(a0, k, Model.exponential(),
-                                     workspace=True)
-        assert arena.powers is not None
-        assert arena.powers.ops.workspace is arena.ops.workspace
-        plain = IncrementalPowerSums(a0, k, Model.exponential())
+        plain, arena = (make_sums(plan, a0, k) for plan in
+                        _in_both_modes("INCR", Model.exponential()))
+        assert "P4" in arena.session.views
         for i in range(6):
             u = np.eye(n)[:, [i % n]]
             v = 0.01 * rng.normal(size=(n, 1))
             plain.refresh(u, v)
             arena.refresh(u, v)
+            if i == 3:
+                allocations = arena.session.workspace.allocations
         assert np.array_equal(plain.result(), arena.result())
+        assert arena.session.workspace.allocations == allocations

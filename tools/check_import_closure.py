@@ -64,15 +64,24 @@ BENCHMARK_SETUP = "benchmark set-up"
 #: ``bench_e2e``'s ``sparse_pagerank`` driver forced to REEVAL, opened
 #: and edited once: the family's program on a REEVAL session.
 OPENED_PAGERANK = "opened pagerank (REEVAL)"
+#: The same driver under its default strategy: the program on a
+#: HYBRID session.
+OPENED_HYBRID_PAGERANK = "opened pagerank (HYBRID)"
 
 #: What a unit-at-a-time dense session never runs: the deferral
-#: policies, the pricing module, pagerank's iterative stack and its
-#: charge path (``cost.ops``) and the fault-injection hooks load where
-#: their use is decided.
+#: policies, the pricing module, pagerank's iterative stack and the
+#: fault-injection hooks load where their use is decided.
 _NOT_RUN_BY_A_UNIT_SESSION = (
     "repro.runtime.heavylight", "repro.delta.batch", "repro.cost.estimate",
     "repro.analytics.markov", "repro.iterative", "repro.testing",
-    "repro.cost.ops",
+)
+
+#: What a driver given its strategy neither ranks nor runs: the
+#: iterative-family advisor and Table 2's closed forms (only ``"auto"``
+#: ranks), and the serving, drift and distributed layers.
+_NOT_FOR_A_FORCED_DRIVER = (
+    "repro.cost.advisor", "repro.cost.complexity", "repro.runtime.serving",
+    "repro.runtime.drift", "repro.distributed", "repro.calibrate",
 )
 
 #: probe -> (forbidden module prefixes, most ``repro*`` modules allowed:
@@ -146,13 +155,10 @@ GATED = {
         + _NOT_RUN_BY_A_UNIT_SESSION,
         50,
     ),
-    # REEVAL re-runs the program: none of the hand-written iterative
-    # maintainers, nor the kernels only they charge through, loads.
-    OPENED_PAGERANK: (
-        ("repro.cost.ops", "repro.iterative.general",
-         "repro.iterative.powers", "repro.iterative.sums"),
-        49,
-    ),
+    # REEVAL re-runs the family's program, HYBRID runs its triggers:
+    # each is a session, and nothing ranks a strategy.
+    OPENED_PAGERANK: (_NOT_FOR_A_FORCED_DRIVER, 49),
+    OPENED_HYBRID_PAGERANK: (_NOT_FOR_A_FORCED_DRIVER, 49),
 }
 
 #: probe -> most ``repro`` source lines its closure may hold (measured
@@ -171,6 +177,20 @@ def _bench_modules() -> tuple[str, ...]:
                 and getattr(node.targets[0], "id", None) == "_REPRO_MODULES"):
             return ast.literal_eval(node.value)
     raise LookupError("bench_e2e.py no longer names _REPRO_MODULES")
+
+
+def _pagerank(strategy: str) -> str:
+    """``sparse_pagerank``'s driver on a small graph, opened with
+    ``strategy`` (keyword text, or none for the default) and edited."""
+    return (
+        "import scipy.sparse\n"
+        "from repro.analytics.pagerank import IncrementalPageRank\n"
+        "driver = IncrementalPageRank(scipy.sparse.random(\n"
+        "    256, 256, density=0.02, format='csr', random_state=0), k=16,\n"
+        f"    {strategy}backend='sparse')\n"
+        "driver.add_edge(0, 1)\n"
+        "driver.ranks"
+    )
 
 
 #: Probes that are more than ``import <module>``.
@@ -217,15 +237,8 @@ PROBES = {
         "numpy.ones((16, 1))))\n"
         "tenants[0]['P']"
     ),
-    OPENED_PAGERANK: (
-        "import scipy.sparse\n"
-        "from repro.analytics.pagerank import IncrementalPageRank\n"
-        "driver = IncrementalPageRank(scipy.sparse.random(\n"
-        "    256, 256, density=0.02, format='csr', random_state=0), k=16,\n"
-        "    strategy='REEVAL', backend='sparse')\n"
-        "driver.add_edge(0, 1)\n"
-        "driver.ranks"
-    ),
+    OPENED_PAGERANK: _pagerank("strategy='REEVAL', "),
+    OPENED_HYBRID_PAGERANK: _pagerank(""),
     BENCHMARK_SETUP: (
         "".join(f"import {module}\n" for module in _bench_modules())
         + "from repro.frontend import parse_program\n"

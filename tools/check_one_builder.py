@@ -16,6 +16,10 @@ which lowers the one expression it is handed.  "One REEVAL": the
 re-evaluation baseline is ``runtime.session.ReevalSession`` running a
 program's REEVAL list, so no other ``Reeval*`` class exists under
 ``src/repro`` (the iterative families re-evaluate through it).  "One
+INCR": the iterative families' INCR and HYBRID are sessions on their
+Table 1 programs, so none of the hand-written maintainers
+(:data:`HAND_MAINTAINERS`) is defined again and nothing imports the
+kernel wrapper they ran on (:data:`HAND_KERNELS`).  "One
 artifact per program": ``compiled_program`` compiles at a symbolic
 update width that sessions and the planner bind like any dimension, so
 a caller handing it a width builds a second artifact of the same
@@ -42,8 +46,9 @@ Exits 1 when constructor calls sit in more than one function, any
 :data:`COMPILERS` compiles or lowers a program, a function outside
 :data:`WIDTH_GIVERS` passes ``compiled_program`` a width, or a file
 outside :data:`CHARGERS` calls ``counter.record``, shard traffic is
-modeled or priced outside :data:`TRAFFIC_MODELS`, or a ``Reeval*``
-class is defined outside :data:`REEVALS`.
+modeled or priced outside :data:`TRAFFIC_MODELS`, a ``Reeval*``
+class is defined outside :data:`REEVALS`, or a hand maintainer is
+defined or its kernel wrapper imported.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
-SESSIONS = {"IVMSession", "ReevalSession", "ShardedSession"}
+SESSIONS = {"IVMSession", "HybridSession", "ReevalSession", "ShardedSession"}
 #: The functions that may run Algorithm 1 or the lowering themselves:
 #: the memoized artifact's lazy triggers and lists and the
 #: one-expression executor.
@@ -86,6 +91,11 @@ TRAFFIC_CLASSES = ("BROADCAST", "GATHER", "SHUFFLE")
 TRAFFIC_METERS = {"distributed/workers.py"}
 #: The file that may define a ``Reeval*`` class: the one REEVAL session.
 REEVALS = {"runtime/session.py"}
+#: The hand-written INCR / HYBRID maintainers the sessions replaced.
+HAND_MAINTAINERS = {"IncrementalPowers", "IncrementalPowerSums",
+                    "IncrementalGeneral", "HybridGeneral"}
+#: The module they charged through, which no code may import.
+HAND_KERNELS = "repro.cost.ops"
 
 
 def findings(root: Path = SRC) -> tuple[set, list]:
@@ -125,9 +135,28 @@ def reevals(root: Path = SRC) -> list:
     return _walk(root)[6]
 
 
-def _walk(root: Path) -> tuple[set, list, set, list, set, list, list]:
+def hand_maintainers(root: Path = SRC) -> list:
+    """``(file, name, line)`` of every hand maintainer class
+    (:data:`HAND_MAINTAINERS`) and every import of :data:`HAND_KERNELS`."""
+    return _walk(root)[7]
+
+
+def _imports(node, rel: str) -> list[str]:
+    """The absolute modules an import statement in ``rel`` names."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    package = ["repro", *rel.split("/")[:-1]]
+    base = package[:len(package) + 1 - node.level] if node.level else []
+    module = ".".join([*base, *filter(None, [node.module])])
+    return [module, *(f"{module}.{alias.name}" for alias in node.names)]
+
+
+def _walk(root: Path) -> tuple[set, list, set, list, set, list, list, list]:
     builders, stores, compiling, recording, widening, modeling, classes = (
         set(), [], set(), [], set(), [], [])
+    hand = []
     for path in sorted(root.rglob("*.py")):
         rel = path.relative_to(root).as_posix()
 
@@ -138,6 +167,10 @@ def _walk(root: Path) -> tuple[set, list, set, list, set, list, list]:
                     and node.name.startswith("Reeval")
                     and rel not in REEVALS):
                 classes.append((rel, node.name, node.lineno))
+            if isinstance(node, ast.ClassDef) and node.name in HAND_MAINTAINERS:
+                hand.append((rel, node.name, node.lineno))
+            if HAND_KERNELS in _imports(node, rel):
+                hand.append((rel, f"import of {HAND_KERNELS}", node.lineno))
             called = isinstance(node, ast.Call) and getattr(
                 node.func, "id", getattr(node.func, "attr", None))
             if called in SESSIONS:
@@ -168,11 +201,12 @@ def _walk(root: Path) -> tuple[set, list, set, list, set, list, list]:
 
         visit(ast.parse(path.read_text()), "<module>")
     return (builders, stores, compiling, recording, widening, modeling,
-            classes)
+            classes, hand)
 
 
 def main() -> int:
-    builders, stores, compiling, _, widening, modeling, classes = _walk(SRC)
+    (builders, stores, compiling, _, widening, modeling, classes,
+     hand) = _walk(SRC)
     for rel, scope in sorted(builders):
         print(f"session constructor called in {rel}:{scope}")
     for rel, scope, line in stores:
@@ -190,14 +224,17 @@ def main() -> int:
         print(f"models shard traffic by hand: {rel}:{line} ({scope})")
     for rel, name, line in classes:
         print(f"a second REEVAL: class {name} at {rel}:{line}")
+    for rel, name, line in hand:
+        print(f"a second INCR: {name} at {rel}:{line}")
     ok = (len(builders) == 1 and not stores and not stray and not wide
-          and not by_hand and not modeling and not classes)
+          and not by_hand and not modeling and not classes and not hand)
     print(f"{len(builders)} building function(s), {len(stores)} outside "
           f".plan assignment(s), {len(stray)} stray compiler(s), "
           f"{len(wide)} width-giving compile(s), "
           f"{len(by_hand)} hand charge(s), "
           f"{len(modeling)} hand traffic model(s), "
-          f"{len(classes)} second REEVAL(s): {'ok' if ok else 'FAIL'}")
+          f"{len(classes)} second REEVAL(s), "
+          f"{len(hand)} second INCR(s): {'ok' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 
