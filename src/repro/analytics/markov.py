@@ -178,12 +178,12 @@ class KStepTransitionMatrix(_ColumnPerturbMixin):
         check_column_stochastic(p)
         self.p = np.array(p, dtype=np.float64)
         self.k = k
-        from ..planner import WorkloadStats, plan_powers, resolve_driver_strategy
+        from ..planner import WorkloadStats, resolve_driver_strategy
 
         strategy, model, self.plan = resolve_driver_strategy(
             strategy, model, Model.exponential(),
-            lambda: plan_powers(WorkloadStats.from_matrix(self.p, k=k),
-                                backend),
+            lambda planner: planner.plan_powers(
+                WorkloadStats.from_matrix(self.p, k=k), backend),
         )
         self._maintainer = make_powers(strategy, self.p, k, model, counter,
                                        backend=backend)
@@ -240,11 +240,11 @@ class KStepDistribution(_ColumnPerturbMixin):
         if abs(float(pi0.sum()) - 1.0) > STOCHASTIC_ATOL:
             raise ValueError("start distribution must sum to 1")
         self.k = k
-        from ..planner import WorkloadStats, plan_general, resolve_driver_strategy
+        from ..planner import WorkloadStats, resolve_driver_strategy
 
         strategy, model, self.plan = resolve_driver_strategy(
             strategy, model, Model.linear(),
-            lambda: plan_general(
+            lambda planner: planner.plan_general(
                 WorkloadStats.from_matrix(self.p, p=1, k=k, has_b=False),
                 backend,
             ),

@@ -15,10 +15,10 @@ source ``s`` replaces column ``s`` of ``M``, which is the rank-1 update
 and :meth:`IncrementalPageRank.remove_edge` derive the factors and push
 them through the chosen strategy.
 
-The driver holds the graph as one sorted target-index array per source
-node and describes the operator to the backend by its nonzeros
-(:meth:`~repro.backends.base.Backend.from_columns`), so under
-``backend="sparse"`` nothing it allocates is ``n x n``.
+The driver reads the graph once (:func:`sorted_columns`), holds one
+sorted target-index slice per source and describes the operator to the
+backend by its nonzeros (:meth:`~repro.backends.base.Backend.from_columns`),
+so under ``backend="sparse"`` nothing it allocates is ``n x n``.
 """
 
 from __future__ import annotations
@@ -32,6 +32,29 @@ from ..cost import counters
 
 if TYPE_CHECKING:
     from ..iterative.models import Model
+
+
+def sorted_columns(adjacency) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted compressed columns ``(indptr, indices)``, both ``intp``,
+    of a square ``ndarray`` or ``scipy.sparse`` matrix's nonzeros.
+
+    Dense: row blocks of 256 through one reused boolean buffer give flat
+    indices target-major, then one stable sort by source.  Sparse: a CSC
+    copy, duplicates summed (which sorts it) and explicit zeros removed.
+    """
+    n = adjacency.shape[0]
+    if not isinstance(adjacency, np.ndarray):
+        csc = adjacency.tocsc(copy=True)
+        csc.sum_duplicates()
+        csc.eliminate_zeros()
+        return csc.indptr.astype(np.intp), csc.indices.astype(np.intp)
+    mask = np.empty((min(n, 256), n), bool)
+    targets, sources = np.divmod(np.concatenate([np.flatnonzero(np.not_equal(
+        adjacency[start:start + 256], 0, out=mask[:min(256, n - start)]))
+        + start * n for start in range(0, n, 256)]), n)
+    indices = targets[np.argsort(sources, kind="stable")]
+    counts = np.bincount(sources, minlength=n)
+    return np.concatenate(([0], np.cumsum(counts))), indices
 
 
 def transition_matrix(adjacency):
@@ -68,10 +91,10 @@ class IncrementalPageRank:
     """PageRank maintained under edge insertions/deletions.
 
     ``adjacency`` is a square ``ndarray`` (or array-like) or any
-    ``scipy.sparse`` matrix; a nonzero at ``[i, j]`` is the edge
-    ``j -> i`` (column = source) and weights are not kept.  It is read
-    once: the driver keeps one sorted target-index array per source,
-    ``O(n + nnz)`` memory under every backend, and never the matrix.
+    ``scipy.sparse`` matrix; a nonzero of its value at ``[i, j]`` is the
+    edge ``j -> i`` (column = source) and weights are not kept.  It is
+    read once (:func:`sorted_columns`): the driver keeps one sorted
+    target-index slice per source, ``O(n + nnz)`` memory, not the matrix.
 
     ``k`` fixes the number of power iterations (Section 3.1: fixed
     iteration counts make incremental and re-evaluated results
@@ -81,20 +104,16 @@ class IncrementalPageRank:
     (``nnz / n^2`` of the operator, counted from the edge lists), or a
     :class:`~repro.planner.plan.MaintenancePlan`.
 
-    ``backend`` selects the execution backend: real web graphs are
-    sparse, and ``backend="sparse"`` stores the transition matrix as
-    CSR so each maintained power iteration costs ``O(nnz)`` instead of
-    ``O(n^2)`` (see :mod:`repro.backends`).  On that path set-up is
-    ``O(nnz)`` time and memory, an edge change costs ``O(n)`` for its
-    two thin factors plus one ``O(nnz)`` CSR merge, and
-    :meth:`revalidate` is ``O(k nnz)`` — no step allocates a dense
-    ``n x n``; hand a large graph over as ``scipy.sparse``, because a
-    dense input is itself the ``n^2`` object.  Note the dangling-column
-    fill-in: a node with no out-edges produces a dense uniform column,
-    so graphs with many dangling nodes densify the operator (and the
-    backend switches to dense storage once they fill it in).
-    :attr:`adjacency` materializes a dense ``n x n`` copy on every
-    access: it is there for tests and small graphs.
+    ``backend="sparse"`` stores the transition matrix as CSR, so each
+    maintained power iteration costs ``O(nnz)`` instead of ``O(n^2)``.
+    Set-up is then ``O(nnz)`` time and memory after one read of the
+    input (a dense input is itself the ``n^2`` object: hand a large
+    graph over as ``scipy.sparse``), an edge change costs ``O(n)`` for
+    its two thin factors plus one ``O(nnz)`` CSR merge, and
+    :meth:`revalidate` is ``O(k nnz)``.  A dangling node's column is
+    dense and uniform, so many of them densify the operator (stored
+    dense once they fill it in).  :attr:`adjacency` builds a dense copy
+    on every access: it is there for tests and small graphs.
 
     ``batch`` enables Table 4 update batching: edge changes queue in a
     :class:`~repro.delta.batch.BatchCollector` and every ``batch``
@@ -103,16 +122,13 @@ class IncrementalPageRank:
     the batch size).  Reads (:attr:`ranks`, :meth:`top`,
     :meth:`revalidate`) flush first, so results never lag the edits.
 
-    ``partition="heavy-light"`` routes edge changes through a
-    :class:`~repro.runtime.heavylight.HeavyLightMaintainer` instead
-    (mutually exclusive with ``batch``): changes to the same hot source
-    node merge eagerly into one accumulated transition-delta column —
-    zero marginal refresh rank, however bursty the crawl — while
-    changes to cold sources defer into a bounded pending block.  The
-    split is keyed on the *source column* (pagerank's update is
-    ``delta e_s'``: the indicator is the right factor), with at most
-    ``heavy_budget`` sources maintained eagerly.  The same
-    read-freshness contract holds: any read folds pending state first.
+    ``partition="heavy-light"`` (exclusive with ``batch``) routes edge
+    changes through a :class:`~repro.runtime.heavylight.HeavyLightMaintainer`:
+    changes to one hot source merge eagerly into one accumulated
+    transition-delta column (zero marginal refresh rank), changes to
+    cold sources defer into a bounded pending block.  The split is keyed
+    on the *source column* (the indicator ``e_s`` is the right factor),
+    at most ``heavy_budget`` sources eager; any read folds pending first.
     """
 
     def __init__(
@@ -128,45 +144,35 @@ class IncrementalPageRank:
         partition: str | None = None,
         heavy_budget: int | None = None,
     ):
-        if not hasattr(adjacency, "nonzero"):
+        if not hasattr(adjacency, "tocsc"):
             adjacency = np.asarray(adjacency)
         self.n = n = adjacency.shape[0]
         if adjacency.shape != (n, n):
             raise ValueError(f"adjacency must be square, got {adjacency.shape}")
-        # ndarray and scipy.sparse share .nonzero().  A dense scan is
-        # ~2x faster over a boolean mask than over the floats; taken in
-        # row blocks (same indices, same order) the mask is a transient
-        # 256n bytes, not n^2 held until the edge lists are built.
-        # Sorting by (source, target) makes the lists independent of
-        # the input's storage order.
-        if isinstance(adjacency, np.ndarray):
-            starts = range(0, n, 256)
-            blocks = [(adjacency[start:start + 256] != 0).nonzero()
-                      for start in starts]
-            targets = np.concatenate(
-                [rows + start for start, (rows, _) in zip(starts, blocks)])
-            sources = np.concatenate([cols for _, cols in blocks])
-        else:
-            targets, sources = adjacency.nonzero()
-        order = np.lexsort((targets, sources))
-        bounds = np.cumsum(np.bincount(sources, minlength=n))[:-1]
-        self._targets = np.split(targets[order].astype(np.intp), bounds)
+        indptr, indices = sorted_columns(adjacency)
+        bounds = indptr.tolist()
+        self._targets = [indices[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
         self.damping = float(damping)
         self.k = k
         # The operator d*M as compressed columns: 1/out_degree at each
-        # target, a dangling column uniform (every row, 1/n).
-        indptr, indices = self._columns(dangling=np.arange(n))
+        # target, a dangling column uniform (every row, 1/n) spliced in.
         counts = np.diff(indptr)
+        dangling = np.flatnonzero(counts == 0)
+        if dangling.size:
+            indices = np.insert(indices, np.repeat(indptr[dangling], n),
+                                np.tile(np.arange(n), dangling.size))
+            counts[dangling] = n
+            indptr = np.concatenate(([0], np.cumsum(counts)))
         data = np.repeat(self.damping * (1.0 / counts), counts)
         b = np.full((n, 1), (1.0 - self.damping) / n)
         r0 = np.full((n, 1), 1.0 / n)
         from ..iterative.models import Model
         from ..iterative.strategies import make_general
-        from ..planner import WorkloadStats, plan_general, resolve_driver_strategy
+        from ..planner import WorkloadStats, resolve_driver_strategy
 
         strategy, model, self.plan = resolve_driver_strategy(
             strategy, model, Model.linear(),
-            lambda: plan_general(WorkloadStats(
+            lambda planner: planner.plan_general(WorkloadStats(
                 n=n, p=1, k=k, density=data.size / (n * n)), backend),
         )
         if backend is None and self.plan is not None:
@@ -179,10 +185,9 @@ class IncrementalPageRank:
             raise ValueError(f"unknown partition {partition!r}")
         batched = batch is not None and batch > 1
         if partition == "heavy-light" and batched:
-            raise ValueError(
-                "batch and partition='heavy-light' are mutually "
-                "exclusive: the heavy-light policy already defers "
-                "and compacts the light tail")
+            raise ValueError("batch and partition='heavy-light' are mutually "
+                             "exclusive: the heavy-light policy already "
+                             "defers and compacts the light tail")
         if partition == "heavy-light" or batched:
             from ..runtime.batching import deferred
 
@@ -194,18 +199,11 @@ class IncrementalPageRank:
                 transpose=partition == "heavy-light")
         self.strategy = strategy if isinstance(strategy, str) else strategy.strategy
 
-    def _columns(self, dangling: np.ndarray):
-        """Compressed columns ``(indptr, indices)`` of the edge lists.
-
-        A source without out-edges lists ``dangling`` as its targets.
-        """
-        columns = [t if t.size else dangling for t in self._targets]
-        counts = np.fromiter(map(len, columns), np.intp, self.n)
-        return np.concatenate(([0], np.cumsum(counts))), np.concatenate(columns)
-
     def _graph(self, backend):
         """The 0/1 adjacency matrix in ``backend``'s format."""
-        indptr, indices = self._columns(dangling=np.empty(0, np.intp))
+        counts = np.fromiter(map(len, self._targets), np.intp, self.n)
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        indices = np.concatenate(self._targets)
         return backend.from_columns(
             (self.n, self.n), indptr, indices, np.ones(indices.size))
 

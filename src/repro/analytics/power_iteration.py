@@ -70,11 +70,11 @@ class IncrementalPowerIteration:
         x0 = np.asarray(x0, dtype=np.float64).reshape(-1, 1)
         self.a = a
         self.k = k
-        from ..planner import WorkloadStats, plan_general, resolve_driver_strategy
+        from ..planner import WorkloadStats, resolve_driver_strategy
 
         strategy, model, self.plan = resolve_driver_strategy(
             strategy, model, Model.linear(),
-            lambda: plan_general(
+            lambda planner: planner.plan_general(
                 WorkloadStats.from_matrix(a, p=1, k=k, has_b=False), backend
             ),
         )

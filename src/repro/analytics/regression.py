@@ -58,12 +58,12 @@ class GradientDescentLR:
             theta0 = np.zeros((n, p))
         a = np.eye(n) - self.eta * (self.x.T @ self.x)
         b = self.eta * (self.x.T @ self.y)
-        from ..planner import WorkloadStats, plan_general, resolve_driver_strategy
+        from ..planner import WorkloadStats, resolve_driver_strategy
 
         strategy, model, self.plan = resolve_driver_strategy(
             strategy, model, Model.linear(),
-            lambda: plan_general(WorkloadStats.from_matrix(a, p=p, k=k),
-                                 backend),
+            lambda planner: planner.plan_general(
+                WorkloadStats.from_matrix(a, p=p, k=k), backend),
         )
         self._general = make_general(strategy, a, b, theta0, k, model, counter,
                                      backend=backend)

@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..planner.plan import DEFAULT_REFRESHES
-from . import complexity as cx
 from . import estimate as est
 
 #: Strategy names.
@@ -150,6 +149,10 @@ def recommend_powers(
     """
     candidates = []
     if density is None:
+        # Table 2's closed forms load only here: a density-aware ranking
+        # (every driver plan) never compiles them.
+        from . import complexity as cx
+
         for model, s in _model_grid(k):
             candidates.append(Recommendation(
                 REEVAL, model, s,
@@ -194,6 +197,8 @@ def recommend_general(
         raise ValueError(f"need p >= 1, got {p}")
     candidates = []
     if density is None:
+        from . import complexity as cx
+
         for model, s in _model_grid(k):
             candidates.append(Recommendation(
                 REEVAL, model, s,

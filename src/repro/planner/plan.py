@@ -459,14 +459,16 @@ def resolve_distinct_fraction(distinct, width: int) -> float:
 def resolve_driver_strategy(strategy, model, default_model, auto_plan):
     """Shared resolution of the analytics drivers' ``strategy`` argument.
 
-    ``strategy`` may be a strategy name, ``"auto"`` (call ``auto_plan``
-    to get a :class:`MaintenancePlan`), or a plan.  Returns
-    ``(strategy_or_plan, model, plan_or_none)`` ready for the iterative
-    factories: names get ``default_model`` when no model was given,
-    plans keep ``model=None`` so the factory takes theirs.
+    ``strategy`` may be a strategy name, ``"auto"`` (``auto_plan`` is
+    called with :mod:`repro.planner.planner`, imported only then) or a
+    plan.  Returns ``(strategy_or_plan, model, plan_or_none)`` for the
+    iterative factories: names get ``default_model`` when no model was
+    given, plans keep ``model=None`` so the factory takes theirs.
     """
     if strategy == "auto":
-        strategy = auto_plan()
+        from . import planner
+
+        strategy = auto_plan(planner)
     if isinstance(strategy, str):
         return strategy, model or default_model, None
     return strategy, model, strategy

@@ -34,7 +34,6 @@ from .plan import (
     resolve_distinct_fraction,
     session_mode,
 )
-from .programcost import program_cost
 
 #: Candidate update-batch widths the planner grids over (capped or
 #: extended by ``WorkloadStats.batch_hint``).
@@ -49,6 +48,15 @@ def _batch_widths(batch_hint: int | None) -> tuple[int, ...]:
     if cap not in widths:
         widths.append(cap)
     return tuple(widths)
+
+
+def program_cost(*args, **kwargs):
+    """:func:`repro.planner.programcost.program_cost`, imported on first
+    call: only program plans price a trigger list, so a driver plan
+    never compiles the list pricer (see :func:`recommend_powers`)."""
+    from .programcost import program_cost as priced
+
+    return priced(*args, **kwargs)
 
 
 def _refresh_cost_memo(be, strategy: str, program: Program, dims, densities,

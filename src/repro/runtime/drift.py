@@ -323,6 +323,7 @@ class ReplanMonitor(SessionDriftMonitor):
         # opening call that had nothing to price or defer never imported
         # them (docs/invariants.md, "Import closures").
         importlib.import_module("..planner.planner", __package__)
+        importlib.import_module("..planner.programcost", __package__)
         importlib.import_module(".heavylight", __package__)
         #: Online distinct-target sketch of the observed update stream —
         #: the Zipf-awareness that re-prices each plan's batch width

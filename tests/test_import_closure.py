@@ -74,7 +74,8 @@ class TestImportClosure:
                                        "opened catalog",
                                        "benchmark set-up",
                                        "opened pagerank (REEVAL)",
-                                       "opened pagerank (HYBRID)"])
+                                       "opened pagerank (HYBRID)",
+                                       "opened pagerank (auto)"])
     def test_gated_closure_holds(self, probe):
         tool = _tool()
         loaded = tool.closure(probe)

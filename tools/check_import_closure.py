@@ -67,6 +67,9 @@ OPENED_PAGERANK = "opened pagerank (REEVAL)"
 #: The same driver under its default strategy: the program on a
 #: HYBRID session.
 OPENED_HYBRID_PAGERANK = "opened pagerank (HYBRID)"
+#: ``bench_e2e``'s ``sparse_pagerank`` open itself: a dense 2048-node
+#: graph, ``strategy="auto"``, planned onto a REEVAL session.
+OPENED_AUTO_PAGERANK = "opened pagerank (auto)"
 
 #: What a unit-at-a-time dense session never runs: the deferral
 #: policies, the pricing module, pagerank's iterative stack and the
@@ -77,11 +80,14 @@ _NOT_RUN_BY_A_UNIT_SESSION = (
 )
 
 #: What a driver given its strategy neither ranks nor runs: the
-#: iterative-family advisor and Table 2's closed forms (only ``"auto"``
-#: ranks), and the serving, drift and distributed layers.
+#: planner, its list pricer, the iterative-family advisor and the
+#: estimates and closed forms behind it (only ``"auto"`` ranks), and
+#: the serving, drift and distributed layers.
 _NOT_FOR_A_FORCED_DRIVER = (
-    "repro.cost.advisor", "repro.cost.complexity", "repro.runtime.serving",
-    "repro.runtime.drift", "repro.distributed", "repro.calibrate",
+    "repro.planner.planner", "repro.planner.programcost",
+    "repro.cost.advisor", "repro.cost.estimate", "repro.cost.complexity",
+    "repro.runtime.serving", "repro.runtime.drift", "repro.distributed",
+    "repro.calibrate",
 )
 
 #: probe -> (forbidden module prefixes, most ``repro*`` modules allowed:
@@ -157,15 +163,23 @@ GATED = {
     ),
     # REEVAL re-runs the family's program, HYBRID runs its triggers:
     # each is a session, and nothing ranks a strategy.
-    OPENED_PAGERANK: (_NOT_FOR_A_FORCED_DRIVER, 49),
-    OPENED_HYBRID_PAGERANK: (_NOT_FOR_A_FORCED_DRIVER, 49),
+    OPENED_PAGERANK: (_NOT_FOR_A_FORCED_DRIVER, 46),
+    OPENED_HYBRID_PAGERANK: (_NOT_FOR_A_FORCED_DRIVER, 46),
+    # "auto" ranks the iterative grid density-aware: the advisor and the
+    # estimates load, Table 2's closed forms and the list pricer do not.
+    OPENED_AUTO_PAGERANK: (
+        ("repro.cost.complexity", "repro.planner.programcost",
+         "repro.runtime.serving", "repro.runtime.drift", "repro.distributed",
+         "repro.calibrate"),
+        53,
+    ),
 }
 
 #: probe -> most ``repro`` source lines its closure may hold (measured
 #: + 2%): ``setup_s`` follows lines compiled, not modules counted — and
 #: a worker compiles its closure at every boot.
 LINE_BUDGETS = {BENCHMARK_SETUP: 9_875, WORKER_ENTRY: 719,
-                OPENED_PRICED_SESSION: 9_660}
+                OPENED_PRICED_SESSION: 9_660, OPENED_AUTO_PAGERANK: 9_887}
 
 
 def _bench_modules() -> tuple[str, ...]:
@@ -239,6 +253,18 @@ PROBES = {
     ),
     OPENED_PAGERANK: _pagerank("strategy='REEVAL', "),
     OPENED_HYBRID_PAGERANK: _pagerank(""),
+    OPENED_AUTO_PAGERANK: (
+        "import scipy.sparse\n"
+        "from repro.analytics.pagerank import IncrementalPageRank\n"
+        "from repro.workloads.generators import random_adjacency\n"
+        "driver = IncrementalPageRank(random_adjacency(\n"
+        "    numpy.random.default_rng(0), 2048, 20.0), k=16, strategy='auto',\n"
+        "    backend='sparse')\n"
+        "driver.add_edge(0, 1)\n"
+        "driver.ranks\n"
+        "if driver.plan.label != 'REEVAL-LIN@sparse/interpret':\n"
+        "    sys.exit(f'planned {driver.plan.label}')"
+    ),
     BENCHMARK_SETUP: (
         "".join(f"import {module}\n" for module in _bench_modules())
         + "from repro.frontend import parse_program\n"
