@@ -7,8 +7,8 @@ measured in wall-clock time by ``bench_fig3g_general.py`` (and checked
 with FLOP counts by ``tests/test_iterative_general.py``); this file
 measures the scaling claim in **wall-clock** on the real engine:
 ``A^2``/``A^3`` chain maintenance by a
-:class:`~repro.runtime.session.ShardedSession` (the chain's lowered
-triggers on a :class:`~repro.distributed.sharded.ShardBackend`) over
+:class:`~repro.runtime.sharded_session.ShardedSession` (the chain's
+lowered triggers on a :class:`~repro.distributed.sharded.ShardBackend`) over
 1 / 2 / 4 shared-memory worker processes, with measured comm
 traffic, bit-identity across engines and shard strategies, and
 modeled-vs-measured broadcast- and gather-bytes checks.

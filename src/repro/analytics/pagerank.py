@@ -58,16 +58,26 @@ def sorted_columns(adjacency) -> tuple[np.ndarray, np.ndarray]:
 
 
 def transition_matrix(adjacency):
-    """Column-stochastic transition matrix from a 0/1 adjacency matrix.
+    """Column-stochastic transition matrix of an adjacency's edge set.
 
-    ``adjacency[i, j] = 1`` encodes an edge ``j -> i`` (column = source).
-    Dangling columns (no out-edges) become uniform ``1/N``.  Dense in,
-    dense out; a ``scipy.sparse`` adjacency gives a sparse matrix in
-    ``O(nnz)`` (see :func:`~repro.analytics.markov.column_stochastic`).
+    A nonzero of the adjacency's value at ``[i, j]`` is the edge ``j ->
+    i`` (column = source), read as :class:`IncrementalPageRank` reads
+    it: weights are not kept, and a ``scipy.sparse`` input's duplicates
+    are summed first (:func:`sorted_columns`).  Dangling columns (no
+    out-edges) become uniform ``1/N``.  Dense in, dense out; a
+    ``scipy.sparse`` adjacency gives a sparse matrix in ``O(nnz)`` (see
+    :func:`~repro.analytics.markov.column_stochastic`).
     """
     from .markov import column_stochastic
 
-    return column_stochastic(adjacency, "uniform")
+    if not hasattr(adjacency, "tocsc"):
+        return column_stochastic(np.not_equal(adjacency, 0), "uniform")
+    from scipy import sparse
+
+    indptr, indices = sorted_columns(adjacency)
+    return column_stochastic(sparse.csc_array(
+        (np.ones(indices.size), indices, indptr), shape=adjacency.shape),
+        "uniform")
 
 
 def reference_pagerank(

@@ -931,7 +931,8 @@ def _run_catalog(args) -> int:
 def _run_serve(args, program) -> int:
     import numpy as np
 
-    from .runtime.serving import ViewServer, run_load
+    from .runtime.loadgen import run_load
+    from .runtime.serving import ViewServer
     from .runtime.session import open_session
 
     try:

@@ -66,7 +66,6 @@ over by a ``store`` apply instead.
 from __future__ import annotations
 
 from operator import attrgetter, itemgetter
-from dataclasses import dataclass, replace
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
@@ -102,8 +101,7 @@ class Op(NamedTuple):
     srcs: tuple
 
 
-@dataclass(frozen=True)
-class LoweredTrigger:
+class LoweredTrigger(NamedTuple):
     """A trigger as a flat, shape-symbolic kernel list."""
 
     #: The updated input (``None`` for the evaluation list).
@@ -363,7 +361,7 @@ def merge_duplicates(lowered: LoweredTrigger) -> LoweredTrigger:
             fresh = f"_b{top + index}"
             buffers[fresh] = buffers[storage[op.srcs[2]]]
             ops[index] = op._replace(srcs=(*op.srcs[:2], fresh))
-    return replace(lowered, buffers=buffers, ops=tuple(ops), applies=applies)
+    return lowered._replace(buffers=buffers, ops=tuple(ops), applies=applies)
 
 
 def _copy_into(src, out):

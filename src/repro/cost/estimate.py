@@ -423,7 +423,7 @@ def heavy_light_unit_cost(
     its distinct merged rank reaches ``rank_bound``.  ``refresh_cost``
     is the same ``rank -> flops`` closure :func:`batch_unit_cost`
     takes; ``light_fraction`` is the sketch's distinct share of tail
-    draws (:meth:`~repro.planner.plan.StreamSketch.light_fraction`),
+    draws (:meth:`~repro.planner.sketch.StreamSketch.light_fraction`),
     the light-rank growth rate that sets the fold period
 
         T  =  rank_bound / (light_mass * rank * light_fraction).

@@ -17,7 +17,7 @@ braces and commas, keywords ``input``/``output``/``inv``/``eye``/``zeros``
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import LexError
 
@@ -55,8 +55,7 @@ _SINGLE = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token with its source position."""
 
     kind: str

@@ -22,7 +22,7 @@ _EXPORTS = {
     "INCR": "plan",
     "MaintenancePlan": "plan",
     "REEVAL": "plan",
-    "StreamSketch": "plan",
+    "StreamSketch": "sketch",
     "WorkloadStats": "plan",
     "infer_dims": "planner",
     "resolve_distinct_fraction": "plan",

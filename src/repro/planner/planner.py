@@ -100,7 +100,7 @@ def _recommend_batch(
     candidate width to how much of a stacked batch of it survives
     compaction (:func:`_stream_statistics`): 1.0 is the conservative
     no-compression default, a
-    :class:`~repro.planner.plan.StreamSketch` gives each width the
+    :class:`~repro.planner.sketch.StreamSketch` gives each width the
     observed stream's target skew (the Zipf knob of Table 4).
 
     Returns ``(width, per_update_cost)`` — the winning width and its

@@ -39,7 +39,7 @@ _EXPORTS = {
     "SessionBatcher": "batching",
     "SessionDriftMonitor": "drift",
     "SessionEngine": "serving",
-    "ShardedSession": "session",
+    "ShardedSession": "sharded_session",
     "SingularUpdateError": "updates",
     "Snapshot": "serving",
     "UnsupportedCombinationError": "session",
@@ -47,7 +47,7 @@ _EXPORTS = {
     "ViewStore": "views",
     "Workspace": "workspace",
     "WriterFailedError": "serving",
-    "run_load": "serving",
+    "run_load": "loadgen",
     "batch_row_update": "updates",
     "cell_update": "updates",
     "column_update": "updates",

@@ -49,7 +49,8 @@ always address one input, so cross-input ordering is preserved).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..backends.base import DEFAULT_RTOL
 from .updates import FactoredUpdate
@@ -238,8 +239,7 @@ class DeferralSpec:
         object.__setattr__(self, "partition", partition)
 
 
-@dataclass(frozen=True)
-class _Resolved:
+class _Resolved(NamedTuple):
     """What a spec resolves to — the decision, before anything is built
     (``None`` stands for unit-at-a-time).
 
@@ -284,8 +284,8 @@ class _Resolved:
             sketch = held.sketch
             if observe is None:
                 observe = held.observe_stream
-        return replace(
-            uniform, split=True,
+        return uniform._replace(
+            split=True,
             budget=int(spec.heavy_budget or getattr(cell, "heavy_budget", None)
                        or (held.budget if held is not None
                            else DEFAULT_HEAVY_BUDGET)),
@@ -329,7 +329,7 @@ def resolve_deferral(spec: DeferralSpec, cell=None, prior=None, sketch=None,
       a moved budget re-derives membership at once.
 
     ``sketch`` hands in an already-warm
-    :class:`~repro.planner.plan.StreamSketch` (it wins over the prior
+    :class:`~repro.planner.sketch.StreamSketch` (it wins over the prior
     policy's); ``observe=False`` marks it externally fed, so the
     maintainer reads occupancy without double-counting the stream.
     """

@@ -272,7 +272,7 @@ class ReplanMonitor(SessionDriftMonitor):
     visible alongside the model's predictions.
 
     Deferral interaction: the monitor keeps a
-    :class:`~repro.planner.plan.StreamSketch` of the stream it
+    :class:`~repro.planner.sketch.StreamSketch` of the stream it
     supervises and hands it to the planner as
     ``WorkloadStats.distinct_fraction``, so every re-planning pass
     re-prices each candidate batch width and the heavy-light split from
@@ -316,7 +316,7 @@ class ReplanMonitor(SessionDriftMonitor):
         self._window_updates = 0
         self._observed_rank = 1
         self._update_target: str | None = None
-        from ..planner import StreamSketch
+        from ..planner.sketch import StreamSketch
 
         # The pricing stack, and the deferral policies a re-tune may
         # switch on, load with the monitor, not at its first check: an

@@ -9,7 +9,7 @@ Partitioning of the Input Relations" — exploits it structurally, per
 *target row*:
 
 * **Heavy hitters** (a small set chosen adaptively from
-  :class:`~repro.planner.plan.StreamSketch` occupancy estimates) merge
+  :class:`~repro.planner.sketch.StreamSketch` occupancy estimates) merge
   eagerly, in place, into preallocated dense accumulator rows: a hit on
   heavy row ``i`` with factor column ``u = a e_i`` accumulates ``a v``
   into that row's slot — ``O(cols)``, exact, zero marginal rank.  The
@@ -155,7 +155,7 @@ class HeavyLightMaintainer:
         sketch=None,
         observe: bool = True,
     ):
-        from ..planner.plan import StreamSketch
+        from ..planner.sketch import StreamSketch
 
         if budget < 1:
             raise ValueError("heavy budget must be >= 1")

@@ -306,6 +306,48 @@ class TestGraphContract:
 
 
 
+class TestOracleReadsTheEdgeSet:
+    """``reference_pagerank`` / ``transition_matrix`` read the graph as
+    the driver does: the nonzeros of the summed value, weights dropped."""
+
+    def test_a_weighted_edge_is_one_edge(self):
+        adjacency = np.array([[0.0, 0.0, 0.0, 1.0],
+                              [1.0, 0.0, 0.0, 0.0],
+                              [0.0, 0.0, 0.0, 2.0],
+                              [0.0, 1.0, 1.0, 0.0]])
+        pr = IncrementalPageRank(adjacency, k=32)
+        expected = reference_pagerank(adjacency, iterations=32)
+        assert np.max(np.abs(pr.ranks - expected)) <= 1e-12
+        np.testing.assert_array_equal(transition_matrix(adjacency),
+                                      transition_matrix(adjacency != 0))
+        np.testing.assert_allclose(transition_matrix(adjacency)[:, 3],
+                                   [0.5, 0.0, 0.5, 0.0])
+
+    @pytest.mark.skipif(scipy is None, reason="needs scipy.sparse input")
+    def test_coo_duplicates_sum_before_the_edge_test(self):
+        """A split duplicate (1.5 + 1.5) is one edge and a ``+1, -1``
+        pair in a dangling column is none: the oracle on the COO input
+        is the oracle on its ``toarray() != 0`` graph, in ``O(nnz)``."""
+        from scipy import sparse
+
+        rows = [1, 2, 0, 3, 3, 2, 1, 1]
+        cols = [0, 0, 1, 1, 1, 2, 3, 3]
+        data = [1.0, 1.0, 1.0, 1.5, 1.5, 1.0, 1.0, -1.0]
+        coo = sparse.coo_array((data, (rows, cols)), shape=(4, 4))
+        graph = coo.toarray() != 0
+        assert not graph[:, 3].any() and graph[3, 1]
+        m = transition_matrix(coo)
+        assert sparse.issparse(m)
+        np.testing.assert_array_equal(m.toarray(), transition_matrix(graph))
+        np.testing.assert_allclose(
+            reference_pagerank(coo, iterations=32),
+            reference_pagerank(graph, iterations=32), rtol=0, atol=1e-15)
+        pr = IncrementalPageRank(coo, k=32, strategy="REEVAL",
+                                 backend="sparse")
+        assert np.max(np.abs(
+            pr.ranks - reference_pagerank(coo, iterations=32))) <= 1e-12
+
+
 def _weighted_graph(n: int):
     """A weighted adjacency with dangling columns, self-loops and
     non-unit (some negative) weights, and COO triplets that sum to it:

@@ -29,7 +29,8 @@ from repro.compiler import Program, Statement
 from repro.distributed.shm import SharedArray, SharedMemoryBudgetError
 from repro.expr.ast import MatrixSymbol, matmul
 from repro.planner import plan_program
-from repro.runtime.session import ShardedSession, open_session
+from repro.runtime.session import open_session
+from repro.runtime.sharded_session import ShardedSession
 from repro.runtime.updates import FactoredUpdate, InvalidUpdateError
 from repro.testing import faults
 from stream_helpers import POWER_CHAIN, shard_session

@@ -7,7 +7,7 @@ re-planning, the ``refresh(u, v)`` front end) lives in
 ``tests/test_deferral.py``, shared with uniform batching; this file
 keeps what is specific to the split: the dense-column path, the fold
 policies, adaptive heavy-set re-tunes, the pagerank driver plumbing,
-and the :class:`~repro.planner.plan.StreamSketch` edge cases that keep
+and the :class:`~repro.planner.sketch.StreamSketch` edge cases that keep
 the planner honest — on a uniform stream the heavy set collapses to
 empty and ``partition="heavy-light"`` stays unchosen.
 """

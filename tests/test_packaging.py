@@ -48,6 +48,18 @@ def test_sessions_are_built_in_one_place():
     assert stores == []
 
 
+def test_each_session_class_lives_in_its_home():
+    """``ShardedSession`` is defined in ``runtime/sharded_session.py``
+    (only a sharded build imports it), the others in
+    ``runtime/session.py`` — once each."""
+    tool = PYPROJECT.parent / "tools" / "check_one_builder.py"
+    spec = importlib.util.spec_from_file_location("check_one_builder", tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.homes() == []
+    assert module.SESSIONS["ShardedSession"] == "runtime/sharded_session.py"
+
+
 def test_programs_are_compiled_in_one_place():
     """docs/invariants.md, "One lowering": sessions, the planner and the
     shardability check read ``compiled_program``'s artifact, and only

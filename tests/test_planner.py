@@ -306,12 +306,12 @@ class TestOpenSession:
     def test_sharded_hybrid_plan_is_a_typed_error(self, rng, monkeypatch):
         """HYBRID on ``nodes > 1`` is refused before any worker spawns."""
         from repro.runtime import UnsupportedCombinationError
-        from repro.runtime import session as session_module
+        from repro.runtime import sharded_session
 
         def spawned(*args, **kwargs):
             raise AssertionError("a sharded session was started")
 
-        monkeypatch.setattr(session_module, "ShardedSession", spawned)
+        monkeypatch.setattr(sharded_session, "ShardedSession", spawned)
         with pytest.raises(UnsupportedCombinationError, match="INCR-only"):
             open_session(parse_program(A4_SOURCE), self.make_inputs(rng),
                          plan=MaintenancePlan("HYBRID", nodes=2))

@@ -170,6 +170,7 @@ class TestLeanOpen:
     def test_inputs_are_scanned_once_before_the_spawn(self, monkeypatch,
                                                       no_leak):
         import repro.runtime.session as session_module
+        import repro.runtime.sharded_session as sharded_module
 
         scans = []
         scan = session_module.validate_finite_inputs
@@ -178,7 +179,9 @@ class TestLeanOpen:
             scans.append(len(_shard_workers()))
             scan(inputs, names)
 
-        monkeypatch.setattr(session_module, "validate_finite_inputs", counted)
+        # The sharded constructor scans; the session it builds on must not.
+        for module in (session_module, sharded_module):
+            monkeypatch.setattr(module, "validate_finite_inputs", counted)
         a = _operator(32)
         with open_session(parse_program(CHAIN_SRC), {"A": a}, plan=SHARDED,
                           batch="off") as session:

@@ -36,13 +36,16 @@ REPO = Path(__file__).resolve().parent.parent
 GATED = (
     "src/repro/__init__.py",
     "src/repro/runtime/session.py",
+    "src/repro/runtime/sharded_session.py",
     "src/repro/runtime/batching.py",
     "src/repro/runtime/heavylight.py",
     "src/repro/runtime/serving.py",
+    "src/repro/runtime/loadgen.py",
     "src/repro/runtime/checkpoint.py",
     "src/repro/testing/faults.py",
     "src/repro/runtime/workspace.py",
     "src/repro/planner/plan.py",
+    "src/repro/planner/sketch.py",
     "src/repro/distributed/workers.py",
     "src/repro/analytics/pagerank.py",
     "src/repro/analytics/markov.py",

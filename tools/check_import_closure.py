@@ -18,10 +18,14 @@ Usage::
     python tools/check_import_closure.py
 
 Prints each probe's sorted closure (``repro*`` and ``scipy*`` modules)
-and exits 1 on a forbidden prefix, a module count over budget or — for
-the probes in :data:`LINE_BUDGETS` — more ``repro`` source lines than
-budgeted (with no ``.pyc``, what set-up pays is the lines it compiles,
-not the modules it counts).  A last probe
+and the ``repro`` dataclasses it built, and exits 1 on a forbidden
+prefix, a module count over budget or — for the probes in
+:data:`LINE_BUDGETS` — more ``repro`` source lines than budgeted (with
+no ``.pyc``, what set-up pays is the lines it compiles, not the modules
+it counts), or — for the probes in :data:`DATACLASS_BUDGETS` — more
+dataclasses than budgeted (building one costs about a millisecond, a
+``typing.NamedTuple`` a tenth of that, and no line count sees it).  A
+last probe
 spawns a real shard worker and exits 1 if its target is not
 :data:`WORKER_ENTRY`'s ``_worker_main`` or it ran its launcher: a
 worker's boot is the closure gated above only while it is spawned
@@ -178,8 +182,14 @@ GATED = {
 #: probe -> most ``repro`` source lines its closure may hold (measured
 #: + 2%): ``setup_s`` follows lines compiled, not modules counted — and
 #: a worker compiles its closure at every boot.
-LINE_BUDGETS = {BENCHMARK_SETUP: 9_875, WORKER_ENTRY: 719,
-                OPENED_PRICED_SESSION: 9_660, OPENED_AUTO_PAGERANK: 9_887}
+LINE_BUDGETS = {BENCHMARK_SETUP: 9_534, WORKER_ENTRY: 719,
+                OPENED_SESSION: 6_745, OPENED_PRICED_SESSION: 9_412,
+                OPENED_AUTO_PAGERANK: 9_454}
+
+#: probe -> most ``repro`` dataclasses its closure may build (measured,
+#: no slack): a frozen record nothing validates, caches or ``asdict``\ s
+#: is a ``typing.NamedTuple``.
+DATACLASS_BUDGETS = {BENCHMARK_SETUP: 7, OPENED_SESSION: 4}
 
 
 def _bench_modules() -> tuple[str, ...]:
@@ -307,6 +317,21 @@ _PROBE = (
     "                        if m.split('.')[0] in ('repro', 'scipy'))))"
 )
 
+#: Appended to a :data:`_PROBE`: after a marker line, every dataclass
+#: defined at the top level of a loaded ``repro`` module.
+_BUILT = "-- dataclasses"
+_DATACLASSES = (
+    "import dataclasses\n"
+    f"print({_BUILT!r})\n"
+    "print('\\n'.join(sorted(\n"
+    "    f'{name}.{value.__qualname__}'\n"
+    "    for name, module in list(sys.modules.items())\n"
+    "    if name.split('.')[0] == 'repro' and module is not None\n"
+    "    for value in vars(module).values()\n"
+    "    if isinstance(value, type) and value.__module__ == name\n"
+    "    and dataclasses.is_dataclass(value))))"
+)
+
 
 def fresh_python(*args: str) -> str:
     """Stdout of a fresh interpreter run with ``args``: this tree's
@@ -319,12 +344,22 @@ def fresh_python(*args: str) -> str:
                           capture_output=True, text=True).stdout
 
 
+def probe_run(probe: str) -> tuple[list[str], list[str]]:
+    """``(modules, dataclasses)`` of a fresh interpreter after ``import
+    numpy`` and ``probe`` (a module name or a PROBES key): its
+    ``repro*`` / ``scipy*`` modules and the dataclasses defined in its
+    ``repro`` modules, each sorted."""
+    out = fresh_python("-c", _PROBE.format(
+        body=PROBES.get(probe, f"import {probe}")) + "\n" + _DATACLASSES)
+    loaded, built = out.split(_BUILT)
+    return loaded.split(), built.split()
+
+
 def closure(probe: str) -> list[str]:
     """``repro*`` / ``scipy*`` modules a fresh interpreter holds after
     ``import numpy`` and ``probe`` (a module name or a PROBES key),
     sorted."""
-    return fresh_python("-c", _PROBE.format(
-        body=PROBES.get(probe, f"import {probe}"))).split()
+    return probe_run(probe)[0]
 
 
 def spawned_worker() -> tuple[int, str]:
@@ -353,8 +388,10 @@ def source_lines(loaded: list[str]) -> int:
     return total
 
 
-def violations(module: str, loaded: list[str]) -> list[str]:
-    """What ``loaded`` (a :func:`closure`) breaks of ``module``'s rule."""
+def violations(module: str, loaded: list[str],
+               built: list[str] = ()) -> list[str]:
+    """What ``loaded`` (a :func:`closure`) and ``built`` (its
+    dataclasses) break of ``module``'s rule."""
     forbidden, budget = GATED[module]
     problems = [
         f"{module}: imports {name} (forbidden prefix {prefix})"
@@ -370,6 +407,11 @@ def violations(module: str, loaded: list[str]) -> list[str]:
         problems.append(
             f"{module}: imports {source_lines(own)} repro source lines, "
             f"budget {lines}")
+    classes = DATACLASS_BUDGETS.get(module)
+    if classes is not None and len(built) > classes:
+        problems.append(
+            f"{module}: builds {len(built)} repro dataclasses, "
+            f"budget {classes}")
     return problems
 
 
@@ -377,16 +419,19 @@ def main() -> int:
     problems: list[str] = []
     for module in GATED:
         try:
-            loaded = closure(module)
+            loaded, built = probe_run(module)
         except subprocess.CalledProcessError as failed:
             problems.append(f"{module}: probe failed: "
                             f"{failed.stderr.strip().splitlines()[-1]}")
             continue
         print(f"{module}: {len(loaded)} modules, "
-              f"{source_lines(loaded)} repro source lines")
+              f"{source_lines(loaded)} repro source lines, "
+              f"{len(built)} dataclasses")
         for name in loaded:
             print(f"  {name}")
-        problems.extend(violations(module, loaded))
+        for name in built:
+            print(f"  dataclass {name}")
+        problems.extend(violations(module, loaded, built))
     runs, target = spawned_worker()
     print(f"spawned shard worker: target {target}, launcher top level ran "
           f"{runs} time(s)")

@@ -5,8 +5,10 @@ is charged by hand.
 
 docs/invariants.md, "One build path": ``runtime.session.build_session``
 is the only function in ``src/repro`` that calls a session constructor,
-and ``session.plan`` is set by the session itself, never assigned from
-outside.  "One lowering": Algorithm 1 (``compile_program``, and
+each session class is defined once, in its home module
+(:data:`SESSIONS`: ``ShardedSession`` in ``runtime/sharded_session.py``,
+which only a sharded build imports), and ``session.plan`` is set by the
+session itself, never assigned from outside.  "One lowering": Algorithm 1 (``compile_program``, and
 ``_compile_for_input`` for one input) and the
 expression lowering (``lower_trigger``, ``lower_evaluation``) run only
 inside the ``compiled_program`` artifact's lazy triggers and lists —
@@ -41,7 +43,8 @@ Usage::
 
     python tools/check_one_builder.py
 
-Exits 1 when constructor calls sit in more than one function, any
+Exits 1 when constructor calls sit in more than one function, a
+session class is defined outside its home (or not in it), any
 ``<not self>.plan = ...`` statement exists, a function outside
 :data:`COMPILERS` compiles or lowers a program, a function outside
 :data:`WIDTH_GIVERS` passes ``compiled_program`` a width, or a file
@@ -57,7 +60,13 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
-SESSIONS = {"IVMSession", "HybridSession", "ReevalSession", "ShardedSession"}
+#: Session class -> the one file that defines it.
+SESSIONS = {
+    "IVMSession": "runtime/session.py",
+    "HybridSession": "runtime/session.py",
+    "ReevalSession": "runtime/session.py",
+    "ShardedSession": "runtime/sharded_session.py",
+}
 #: The functions that may run Algorithm 1 or the lowering themselves:
 #: the memoized artifact's lazy triggers and lists and the
 #: one-expression executor.
@@ -141,6 +150,17 @@ def hand_maintainers(root: Path = SRC) -> list:
     return _walk(root)[7]
 
 
+def homes(root: Path = SRC) -> list:
+    """``(file, class, line)`` of every session class defined outside
+    its :data:`SESSIONS` home, and ``(home, class, None)`` for every one
+    its home does not define."""
+    defined = _walk(root)[8]
+    stray = [found for found in defined if SESSIONS[found[1]] != found[0]]
+    missing = [(home, name, None) for name, home in sorted(SESSIONS.items())
+               if (home, name) not in {found[:2] for found in defined}]
+    return stray + missing
+
+
 def _imports(node, rel: str) -> list[str]:
     """The absolute modules an import statement in ``rel`` names."""
     if isinstance(node, ast.Import):
@@ -153,10 +173,11 @@ def _imports(node, rel: str) -> list[str]:
     return [module, *(f"{module}.{alias.name}" for alias in node.names)]
 
 
-def _walk(root: Path) -> tuple[set, list, set, list, set, list, list, list]:
+def _walk(root: Path) -> tuple[set, list, set, list, set, list, list, list,
+                               list]:
     builders, stores, compiling, recording, widening, modeling, classes = (
         set(), [], set(), [], set(), [], [])
-    hand = []
+    hand, sessions = [], []
     for path in sorted(root.rglob("*.py")):
         rel = path.relative_to(root).as_posix()
 
@@ -167,6 +188,8 @@ def _walk(root: Path) -> tuple[set, list, set, list, set, list, list, list]:
                     and node.name.startswith("Reeval")
                     and rel not in REEVALS):
                 classes.append((rel, node.name, node.lineno))
+            if isinstance(node, ast.ClassDef) and node.name in SESSIONS:
+                sessions.append((rel, node.name, node.lineno))
             if isinstance(node, ast.ClassDef) and node.name in HAND_MAINTAINERS:
                 hand.append((rel, node.name, node.lineno))
             if HAND_KERNELS in _imports(node, rel):
@@ -201,14 +224,18 @@ def _walk(root: Path) -> tuple[set, list, set, list, set, list, list, list]:
 
         visit(ast.parse(path.read_text()), "<module>")
     return (builders, stores, compiling, recording, widening, modeling,
-            classes, hand)
+            classes, hand, sessions)
 
 
 def main() -> int:
     (builders, stores, compiling, _, widening, modeling, classes,
-     hand) = _walk(SRC)
+     hand, _) = _walk(SRC)
     for rel, scope in sorted(builders):
         print(f"session constructor called in {rel}:{scope}")
+    misplaced = homes(SRC)
+    for rel, name, line in misplaced:
+        where = f"defined at {rel}:{line}" if line else f"missing from {rel}"
+        print(f"session class {name} {where} (its home is {SESSIONS[name]})")
     for rel, scope, line in stores:
         print(f"outside .plan assignment at {rel}:{line} ({scope})")
     stray = sorted(compiling - COMPILERS)
@@ -226,9 +253,12 @@ def main() -> int:
         print(f"a second REEVAL: class {name} at {rel}:{line}")
     for rel, name, line in hand:
         print(f"a second INCR: {name} at {rel}:{line}")
-    ok = (len(builders) == 1 and not stores and not stray and not wide
-          and not by_hand and not modeling and not classes and not hand)
-    print(f"{len(builders)} building function(s), {len(stores)} outside "
+    ok = (len(builders) == 1 and not misplaced and not stores and not stray
+          and not wide and not by_hand and not modeling and not classes
+          and not hand)
+    print(f"{len(builders)} building function(s), "
+          f"{len(misplaced)} misplaced session class(es), "
+          f"{len(stores)} outside "
           f".plan assignment(s), {len(stray)} stray compiler(s), "
           f"{len(wide)} width-giving compile(s), "
           f"{len(by_hand)} hand charge(s), "
