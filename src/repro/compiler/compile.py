@@ -78,6 +78,15 @@ def _compile_for_input(program: Program, input_name: str, rank: DimLike,
             deltas[stmt.target.name] = FactoredDelta.rank_one(d_sym, Identity(cols))
             updates.append(Update(stmt.target, d_sym))
             continue
+        if len(delta.terms) == 1 and all(
+                isinstance(factor, MatrixSymbol) for factor in delta.terms[0]):
+            # An alias (``P := V``, ``P := V'``) keeps its source's factors:
+            # renaming them would hide from a later sum (``V + P``) that
+            # the two deltas share a right factor, and widen it.
+            deltas[stmt.target.name] = delta
+            left, right = delta.terms[0]
+            updates.append(Update(stmt.target, matmul(left, transpose(right))))
+            continue
         u_sym = MatrixSymbol(f"U_{stmt.target.name}", rows, delta.width)
         v_sym = MatrixSymbol(f"V_{stmt.target.name}", cols, delta.width)
         assigns.append(Assign(u_sym, delta.u_expr))

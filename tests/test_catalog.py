@@ -167,6 +167,25 @@ class TestSharedVsIndependentDifferential:
         assert catalog.nodes[tenant.mapping["V1"]].tenants == 2
         assert _node_creating_names(tenant) == ["V0", "V1"]
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sum_over_an_alias_is_bitwise(self, seed):
+        """``P0 := V0`` folds into ``V0``'s node, so the catalog spells
+        ``P1 := V0 + P0`` as ``_S0 + _S0``.  A solo session keeps an
+        alias's factors too, so both sum the two equal-right-factor
+        deltas into one ``U + U`` block and ``P1`` stays bitwise."""
+        programs = [
+            parse_program("input A(3,3); V0 := A*A; P0 := V0; "
+                          "P1 := V0 + P0; output P1;"),
+            parse_program("input A(3,3); V0 := A*A; output V0;"),
+        ]
+        rng = np.random.default_rng(seed)
+        inputs = {"A": 0.2 * rng.standard_normal((3, 3))}
+        updates = zipf_row_updates(rng, 3, 8, 0.0)
+        catalog, [tenant, _] = _assert_family_parity(
+            programs, inputs, updates, "dense", "INCR", "interpret")
+        assert tenant.mapping["P0"] == tenant.mapping["V0"]
+        assert _node_creating_names(tenant) == ["V0", "P1"]
+
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_identically_spelled_prefix_is_bitwise_for_all(self, data):
