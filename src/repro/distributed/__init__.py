@@ -3,9 +3,10 @@
 :class:`RowShardPartitioner` fixes the tiles; two engines run the same
 per-tile kernels over them:
 
-* :class:`ShardedEngine` over :class:`ProcessCluster` spawns persistent
-  workers with views in ``multiprocessing.shared_memory`` segments and
-  measures its traffic in real bytes and seconds;
+* :class:`ShardedEngine` over :class:`ProcessCluster` starts persistent
+  worker processes with views in nameless ``/dev/shm`` segments
+  (:mod:`repro.distributed.shm`, no resource tracker) and measures its
+  traffic in real bytes and seconds;
 * :class:`LocalShardEngine` runs every tile in this process, bitwise
   equal to the workers.
 

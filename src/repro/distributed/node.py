@@ -14,10 +14,10 @@ its node owns — the paper's block-row layout, with no column copy;
 the one arithmetic across tiles is the coordinator's tile-order sum of
 ``matT_lowrank`` partials.
 
-:func:`_worker_main` is the spawn target, so this module's closure is
-a worker's whole boot besides the interpreter and NumPy: it imports
-the standard library, :mod:`repro.runtime.workspace` and
-:mod:`repro.distributed.shm`, and nothing else of the program
+:func:`_worker_main` is what a worker's fresh interpreter runs
+(:mod:`repro.distributed.workers`), so this module's closure is a
+worker's whole boot besides the interpreter and NumPy: the standard
+library, :mod:`repro.runtime.workspace` and :mod:`repro.distributed.shm`
 (``tools/check_import_closure.py`` gates it).
 """
 
@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import os
 import pickle
+import socket
+import struct
 import time
 
 import numpy as np
@@ -63,26 +65,11 @@ def tile_matT_lowrank(view: np.ndarray, r0: int, r1: int, v: np.ndarray,
     np.matmul(view[r0:r1].T, v[r0:r1], out=out)
 
 
-def _execute(op: tuple, views: dict, segments: dict,
-             tile_bounds: tuple, owned: tuple, ws: Workspace):
+def _execute(op: tuple, views: dict, tile_bounds: tuple, owned: tuple,
+             ws: Workspace):
     """Run one coordinator op against this node's shard."""
     kind = op[0]
     if kind == "ping":
-        return None
-    if kind == "attach":
-        # Every segment the coordinator holds, in one message; a name
-        # already mapped is kept (a recovery re-attaches all of them).
-        for name, shm_name, shape in op[1]:
-            if name not in segments:
-                segments[name] = SharedArray.attach(shm_name, shape)
-                views[name] = segments[name].array
-        return None
-    if kind == "detach":
-        _, name = op
-        views.pop(name, None)
-        seg = segments.pop(name, None)
-        if seg is not None:
-            seg.close()
         return None
     if kind == "add_lowrank":
         _, name, u, v = op
@@ -123,56 +110,99 @@ def _execute(op: tuple, views: dict, segments: dict,
     raise ValueError(f"unknown worker op {kind!r}")
 
 
-def _worker_main(conn, worker_id: int, tile_bounds: tuple,
-                 owned: tuple) -> None:
-    """Worker loop: recv op, execute on the shard, reply (ok|err)."""
+class _Socket:
+    """A worker's end of its socket, framed as the coordinator's
+    :class:`multiprocessing.connection.Connection` frames (``!i`` length,
+    or ``-1`` then ``!Q``), with no :mod:`multiprocessing` import."""
+
+    def __init__(self, fd: int):
+        self.sock = socket.socket(fileno=fd)
+
+    def _read(self, size: int) -> bytearray:
+        buf = bytearray(size)
+        view, got = memoryview(buf), 0
+        while got < size:
+            count = self.sock.recv_into(view[got:])
+            if not count:
+                raise EOFError("the coordinator closed the socket")
+            got += count
+        return buf
+
+    def recv_bytes(self) -> bytearray:
+        size, = struct.unpack("!i", self._read(4))
+        if size == -1:
+            size, = struct.unpack("!Q", self._read(8))
+        return self._read(size)
+
+    def send_bytes(self, data: bytes) -> None:
+        self.sock.sendall(struct.pack("!i", len(data)) + data)
+
+
+def _map_segments(op: tuple, conn: _Socket, segments: dict,
+                  views: dict) -> None:
+    """``attach`` / ``detach``: map or drop shared segments."""
+    if op[0] == "detach":
+        views.pop(op[1], None)
+        seg = segments.pop(op[1], None)
+        if seg is not None:
+            seg.close()
+        return
+    # Every segment the coordinator holds, in one message; a name
+    # already mapped is kept (a recovery re-attaches all of them).  The
+    # others' descriptors follow on one-byte carriers, in that order.
+    new = [(name, shape) for name, shape in op[1] if name not in segments]
+    fds: list[int] = []
+    while len(fds) < len(new):
+        data, got, _, _ = socket.recv_fds(conn.sock, 1, len(new) - len(fds))
+        if not data:
+            raise EOFError("the coordinator closed the socket mid-attach")
+        fds += got
+    for (name, shape), fd in zip(new, fds):
+        segments[name] = SharedArray.attach(fd, shape)
+        views[name] = segments[name].array
+
+
+def _worker_main(fd: int) -> None:
+    """Worker loop over the socket ``fd``: read the tile bounds and the
+    tiles this node owns, then recv op, execute on the shard, reply
+    (ok|err) until ``exit`` or the coordinator is gone.  The process
+    ends right after, and its mappings and descriptors with it."""
+    conn = _Socket(fd)
     ws = Workspace()
     segments: dict[str, SharedArray] = {}
     views: dict[str, np.ndarray] = {}
-    try:
-        while True:
-            try:
-                payload = conn.recv_bytes()
-            except (EOFError, OSError):
-                break
-            op = pickle.loads(payload)
-            kind = op[0]
-            if kind == "exit":
-                try:
-                    conn.send_bytes(pickle.dumps(("ok", 0.0, None)))
-                except (BrokenPipeError, OSError):
-                    pass
-                break
-            if kind == "die":
-                # Test hook: crash without cleanup, as a real fault would.
-                os._exit(17)
-            if kind == "hang":
-                # Test hook: go quiet without replying, as a livelock
-                # would — the supervisor's deadline must catch this.
-                time.sleep(op[1])
-                continue
-            try:
-                started = time.perf_counter()
-                data = _execute(op, views, segments, tile_bounds, owned, ws)
-                reply = ("ok", time.perf_counter() - started, data)
-            except Exception:
-                import traceback  # only a failing op pays for it
-
-                reply = ("err", traceback.format_exc())
-            try:
-                conn.send_bytes(
-                    pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL)
-                )
-            except (BrokenPipeError, OSError):
-                break
-    finally:
-        # Attach side of the shm protocol: close mappings, never unlink.
-        for seg in segments.values():
-            seg.close()
+    tile_bounds, owned = pickle.loads(conn.recv_bytes())
+    while True:
         try:
-            conn.close()
+            op = pickle.loads(conn.recv_bytes())
+        except (EOFError, OSError):
+            return
+        kind = op[0]
+        if kind == "exit":
+            return
+        if kind == "die":
+            # Test hook: crash without cleanup, as a real fault would.
+            os._exit(17)
+        if kind == "hang":
+            # Test hook: go quiet without replying, as a livelock
+            # would — the supervisor's deadline must catch this.
+            time.sleep(op[1])
+            continue
+        try:
+            started = time.perf_counter()
+            if kind in ("attach", "detach"):
+                data = _map_segments(op, conn, segments, views)
+            else:
+                data = _execute(op, views, tile_bounds, owned, ws)
+            reply = ("ok", time.perf_counter() - started, data)
+        except Exception:
+            import traceback  # only a failing op pays for it
+
+            reply = ("err", traceback.format_exc())
+        try:
+            conn.send_bytes(pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL))
         except OSError:
-            pass
+            return
 
 
 __all__ = [

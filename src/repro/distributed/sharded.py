@@ -193,7 +193,7 @@ class LocalShardEngine(_ShardEngine):
 
     def _run(self, op: tuple) -> dict:
         # The partials are workspace buffers, read before the next op.
-        return _execute(op, self._views, {}, self.part.tile_bounds,
+        return _execute(op, self._views, self.part.tile_bounds,
                         self._tiles, self.workspace)
 
     def worker_seconds(self) -> list[float]:

@@ -1,28 +1,30 @@
 """Shared-memory block storage for the multiprocess engine.
 
-Each maintained view lives in one POSIX shared-memory segment
-(`multiprocessing.shared_memory.SharedMemory`); coordinator and workers
-map NumPy views over the same buffer, so a worker's dgemm on its shard
-reads and writes the view in place — zero bytes cross a pipe for the
-big blocks, only thin rank-k factors do.
-
-Lifecycle protocol (validated against CPython's ``resource_tracker``
-semantics — getting this wrong either leaks ``/dev/shm`` blocks or
-corrupts the tracker's registry):
-
-* the **creating** process owns the segment: it alone calls
-  :meth:`SharedArray.unlink` (after :meth:`close`);
-* **attaching** processes (spawned workers) only :meth:`close` their
-  mapping — they must never unlink or unregister.
+Each maintained view lives in one nameless segment: a file opened with
+``O_TMPFILE`` in the ``/dev/shm`` tmpfs, which never has a name.  The
+coordinator keeps each segment's descriptor for the cluster's life and
+passes it to a worker with the ``attach`` that maps it
+(:mod:`repro.distributed.workers`); every node maps NumPy views over the
+same pages, so a worker's dgemm on its shard reads and writes the view
+in place and only thin rank-k factors cross a pipe.  Nothing is ever
+unlinked or tracked: the pages are freed when their last descriptor and
+mapping close, which a dying process (SIGKILL too) does for its own.
+A segment reserves its pages at create (``posix_fallocate``), so a
+``/dev/shm`` too small for it fails there, not with a SIGBUS at a later
+write (``os.memfd_create``'s mount has no size limit to fail on).
 """
 
 from __future__ import annotations
 
 import errno
+import mmap
+import os
 import sys
-from multiprocessing import shared_memory
 
 import numpy as np
+
+#: The tmpfs the segments are made in.
+SHM_DIR = "/dev/shm"
 
 
 class SharedMemoryBudgetError(OSError):
@@ -45,31 +47,31 @@ class SharedMemoryBudgetError(OSError):
         self.nbytes = nbytes
 
 
-#: Mappings kept alive past their :class:`SharedArray`'s lifetime
-#: because an outside ndarray still points into them (see
-#: :meth:`SharedArray.close`).  ``SharedMemory.__del__`` unmaps, so
-#: dropping the object here would leave those arrays dangling; pinned
-#: mappings persist until process exit (their *names* are unlinked, so
-#: nothing outlives the process).
-_pinned_mappings: list = []
+def _nbytes(shape: tuple[int, int]) -> int:
+    rows, cols = shape
+    return max(8 * rows * cols, 1)
 
 
 class SharedArray:
-    """A C-contiguous float64 matrix backed by a shared-memory segment."""
+    """A C-contiguous float64 matrix backed by a shared-memory segment.
 
-    def __init__(self, shm: shared_memory.SharedMemory,
-                 shape: tuple[int, int], owner: bool):
-        self._shm = shm
+    ``fd`` is the segment's descriptor in the process that created it
+    (what an ``attach`` passes on) and ``None`` in one that mapped a
+    received descriptor, which it closes once mapped.
+    """
+
+    def __init__(self, buf: mmap.mmap, shape: tuple[int, int],
+                 fd: int | None = None):
+        self._mmap = buf
         self.shape = tuple(shape)
-        self.owner = owner
-        self._pinned = False
+        self.fd = fd
         self.array: np.ndarray | None = np.ndarray(
-            self.shape, dtype=np.float64, buffer=shm.buf
+            self.shape, dtype=np.float64, buffer=buf
         )
 
     @classmethod
     def create(cls, shape: tuple[int, int]) -> "SharedArray":
-        """Allocate a new (zero-filled) segment sized for ``shape``.
+        """Allocate and reserve a new (zero-filled) segment for ``shape``.
 
         Raises :class:`SharedMemoryBudgetError` when the system is out
         of shared-memory space (``ENOSPC``/``ENOMEM``); other errors
@@ -79,65 +81,49 @@ class SharedArray:
         # boot does not load the fault seam.
         from ..testing import faults
 
-        rows, cols = shape
-        size = max(8 * rows * cols, 1)
+        size = _nbytes(shape)
+        fd = None
         try:
             faults.fire("shm.create", nbytes=size, shape=shape)
-            shm = shared_memory.SharedMemory(create=True, size=size)
+            fd = os.open(SHM_DIR, os.O_TMPFILE | os.O_RDWR, 0o600)
+            os.posix_fallocate(fd, 0, size)  # sizes the file, every page held
+            buf = mmap.mmap(fd, size)
         except OSError as exc:
+            if fd is not None:
+                os.close(fd)
             if exc.errno in (errno.ENOSPC, errno.ENOMEM):
                 raise SharedMemoryBudgetError(size, exc) from exc
             raise
-        return cls(shm, shape, owner=True)
+        return cls(buf, shape, fd)
 
     @classmethod
-    def attach(cls, name: str, shape: tuple[int, int]) -> "SharedArray":
-        """Map an existing segment by name (worker side)."""
-        return cls(shared_memory.SharedMemory(name=name), shape, owner=False)
-
-    @property
-    def name(self) -> str:
-        """The segment's system-wide name (what workers attach by)."""
-        return self._shm.name
+    def attach(cls, fd: int, shape: tuple[int, int]) -> "SharedArray":
+        """Map a segment by a received descriptor (worker side); the
+        descriptor is closed once mapped."""
+        try:
+            return cls(mmap.mmap(fd, _nbytes(shape)), shape)
+        finally:
+            os.close(fd)
 
     def close(self) -> None:
-        """Drop this process's mapping (idempotent).
+        """Drop this process's descriptor and mapping (idempotent).
 
         Only unmaps when no other object references the array: NumPy
-        keeps a plain object reference to the buffer, **not** a live
-        buffer export, so ``mmap.close()`` would succeed and leave any
-        surviving ``ndarray`` a dangling pointer (a segfault on next
-        read).  When outside references exist the mapping stays alive
-        until process exit, which is safe — ``unlink`` removes the
-        name, so nothing leaks past the process either way.
+        keeps a plain reference to the buffer, not a buffer export, so
+        ``mmap.close()`` would succeed and leave a surviving ``ndarray``
+        dangling (a segfault on next read).  Referenced (a session view,
+        a caller, a derived slice), the mapping closes with the last
+        array over it instead.
         """
+        fd, self.fd = self.fd, None
+        if fd is not None:
+            os.close(fd)
         array, self.array = self.array, None
-        if array is not None and sys.getrefcount(array) > 2:
-            # Held by a session view, a caller, or a derived slice:
-            # keep the mapping; the name is (or will be) unlinked.  Pin
-            # the SharedMemory object too — its __del__ unmaps, which
-            # would dangle the surviving array once this SharedArray is
-            # garbage-collected (e.g. cluster teardown on a worker
-            # failure, with the session about to copy its views out).
-            _pinned_mappings.append(self._shm)
-            self._pinned = True
+        buf, self._mmap = self._mmap, None
+        if buf is None or sys.getrefcount(array) > 2:
             return
         del array
-        if self._pinned:
-            return
-        try:
-            self._shm.close()
-        except BufferError:
-            pass
-
-    def unlink(self) -> None:
-        """Remove the segment system-wide (owner only; idempotent)."""
-        if not self.owner:
-            return
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:
-            pass
+        buf.close()
 
 
 __all__ = ["SharedArray", "SharedMemoryBudgetError"]

@@ -1,24 +1,30 @@
 """Persistent multiprocessing workers over shared-memory shards.
 
 The multiprocess distributed engine: the coordinator is node 0 and
-spawns one persistent process for each other node, keeps each
+starts one persistent process for each other node, keeps each
 maintained view in a shared-memory segment it creates
 (:mod:`repro.distributed.shm`), sends every op to the workers over
-per-worker duplex pipes, runs node 0's tiles itself, then gathers.
+per-worker Unix sockets, runs node 0's tiles itself, then gathers.
 Only thin rank-k factors and thin gathered partials cross the pipes —
 the ``O(n^2)`` view blocks never move, which is exactly LINVIEW's
 Figure 3(g) argument, measured in a
 :class:`~repro.distributed.comm.CommLog`.
 
-Start method: always ``spawn`` (:data:`START_METHOD` — the only safe
-choice once BLAS threads exist in the parent: ``fork`` duplicates
-OpenBLAS's thread pool state and can deadlock).  A worker's entry is
-:func:`~repro.distributed.node._worker_main` and nothing else: it is
-spawned with no main module to re-import, so its boot is the
-interpreter, NumPy and :mod:`repro.distributed.node`'s closure
-whatever the launching program loaded, and that program's top-level
-code runs once.  Every node runs its tiles on one BLAS thread (workers
-are spawned so; node 0 pins the coordinator's OpenBLAS pool around its
+Launch: a worker is a fresh interpreter, forked and exec'd at once
+(a bare ``fork`` would duplicate OpenBLAS's thread-pool state and can
+deadlock), that runs :data:`_BOOT` and nothing else: the launching
+process's ``sys.path`` first, BLAS pinned to one thread before NumPy
+loads, then :func:`~repro.distributed.node._worker_main` over the
+socket it inherited.  That is the fork + exec the ``spawn`` start
+method does, without its preparation data — so the launching program's
+modules and top-level code never run in a worker, whatever it loaded —
+and without its resource tracker, which nameless segments do not need
+(:mod:`repro.distributed.shm`): a ``nodes=N`` cluster starts exactly
+``N - 1`` processes.  Workers are still ``multiprocessing`` children
+(:class:`_LeafProcess`): ``active_children()`` lists them, and
+``is_alive`` / ``exitcode`` / ``terminate`` / ``join`` serve the
+supervisor.  Every node runs its tiles on one BLAS thread (workers
+boot so; node 0 pins the coordinator's OpenBLAS pool around its
 tiles): the shards already divide the matrix, so nested BLAS threading
 would only oversubscribe cores.  What each node computes, and why it
 is bitwise the single-process result, is :mod:`repro.distributed.node`.
@@ -28,16 +34,17 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import multiprocessing as mp
 import os
 import pickle
+import socket
 import sys
 import threading
 import time
 import traceback
-import types
 import weakref
 from dataclasses import dataclass
+from multiprocessing import popen_fork, process, util
+from multiprocessing.connection import Connection
 
 import numpy as np
 
@@ -46,10 +53,7 @@ from ..testing import faults
 from .comm import BROADCAST, GATHER, CommLog
 from .node import _execute, _worker_main
 from .partitioner import RowShardPartitioner
-from .shm import SharedArray
-
-#: How worker processes start (see the module docstring: not a knob).
-START_METHOD = "spawn"
+from .shm import SHM_DIR, SharedArray
 
 #: Seconds the coordinator waits on a worker reply before declaring it
 #: hung (a dead worker is detected much faster via ``is_alive``).
@@ -65,16 +69,40 @@ DEFAULT_BACKOFF_CAP = 1.0
 #: cost of a recovery and the log's memory).
 DEFAULT_OPLOG_LIMIT = 64
 
-#: Environment knobs pinned to one BLAS thread in spawned workers.
+#: Environment knobs a worker pins to one BLAS thread.
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
               "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
-#: Serializes spawns: each one borrows ``os.environ`` and
-#: ``sys.modules["__main__"]``, which every thread shares.
-_SPAWN_LOCK = threading.Lock()
+#: What a worker process runs (``python -c``), with ``argv`` its socket's
+#: descriptor, which the entry is called with, and then the launching
+#: process's ``sys.path``.
+_BOOT = (
+    "import os, sys\n"
+    "os.environ.update(dict.fromkeys({blas!r}, '1'))\n"
+    "sys.path[:0] = sys.argv[2:]\n"
+    "from {module} import {function} as entry\n"
+    "entry(int(sys.argv[1]))\n"
+)
+
+#: Most descriptors one ``SCM_RIGHTS`` message may carry (Linux).
+_SCM_MAX_FD = 253
+
 #: Serializes node 0's pinned ops: the BLAS thread count is per process,
 #: so two clusters' pin / restore pairs must not interleave.
 _PIN_LOCK = threading.Lock()
+
+
+@functools.cache
+def cluster_unsupported() -> str | None:
+    """Why this system cannot run a :class:`ProcessCluster` — its views
+    live in nameless ``/dev/shm`` segments — or ``None`` if it can."""
+    if not hasattr(os, "O_TMPFILE"):
+        return "no O_TMPFILE on this platform"
+    try:
+        os.close(os.open(SHM_DIR, os.O_TMPFILE | os.O_RDWR, 0o600))
+    except OSError as exc:
+        return f"cannot make a nameless file in {SHM_DIR}: {exc.strerror or exc}"
+    return None
 
 
 @functools.cache
@@ -147,6 +175,59 @@ class RecoveryEvent:
     seconds: float         #: wall time from detection to recovery
 
 
+# -- launch --------------------------------------------------------------
+
+class _LeafPopen(popen_fork.Popen):
+    """Fork + exec a fresh interpreter on :data:`_BOOT`, passing it only
+    the worker's socket and the write end of its sentinel pipe (which
+    the parent sees close when the child exits)."""
+
+    def _launch(self, process_obj) -> None:
+        module, _, function = process_obj.entry.rpartition(".")
+        boot = _BOOT.format(blas=_BLAS_VARS, module=module, function=function)
+        sentinel, child_end = os.pipe()
+        try:
+            self.pid = util.spawnv_passfds(
+                os.fsencode(sys.executable),
+                [sys.executable, *util._args_from_interpreter_flags(),
+                 "-c", boot, str(process_obj.fd), *sys.path],
+                (process_obj.fd, child_end))
+        except BaseException:
+            os.close(sentinel)
+            raise
+        finally:
+            os.close(child_end)
+        self.sentinel = sentinel
+        self.finalizer = util.Finalize(self, util.close_fds, (sentinel,))
+
+
+class _LeafProcess(process.BaseProcess):
+    """A ``multiprocessing`` child that runs ``entry`` (a function's
+    dotted name) in a fresh interpreter over the socket ``fd``."""
+
+    _Popen = staticmethod(_LeafPopen)
+
+    def __init__(self, entry: str, fd: int, name: str):
+        super().__init__(name=name, daemon=True)
+        self.entry = entry
+        self.fd = fd
+
+
+def _send_fds(conn: Connection, fds: list[int]) -> int:
+    """Pass ``fds`` over ``conn``'s socket behind the message just sent,
+    on one-byte carriers; the bytes sent."""
+    sent = 0
+    sock = socket.socket(fileno=conn.fileno())
+    try:
+        sock.setblocking(True)  # undo a default timeout's O_NONBLOCK
+        for start in range(0, len(fds), _SCM_MAX_FD):
+            sent += socket.send_fds(sock, [b"\0"],
+                                    fds[start:start + _SCM_MAX_FD])
+    finally:
+        sock.detach()
+    return sent
+
+
 # -- coordinator ---------------------------------------------------------
 
 def _cleanup(procs, conns, segments, views=None) -> None:
@@ -174,17 +255,17 @@ def _cleanup(procs, conns, segments, views=None) -> None:
         views.clear()
     for seg in list(segments.values()):
         seg.close()
-        seg.unlink()
     segments.clear()
 
 
 class ProcessCluster:
     """Coordinator and node 0 of ``nodes``; nodes 1.. are spawned workers.
 
-    Owns the shared-memory segments (creator side of the shm protocol)
-    and the per-worker pipes, and runs node 0's tiles between fan-out
-    and gather.  All pipe traffic is recorded into ``comm`` with real
-    byte counts (pickled payload sizes) and real wall time.
+    Owns the shared-memory segments (their descriptors) and the
+    per-worker sockets, and runs node 0's tiles between fan-out and
+    gather.  All socket traffic is recorded into ``comm`` with real
+    byte counts (pickled payload sizes, plus the one-byte carriers of
+    an ``attach``'s descriptors) and real wall time.
 
     A worker failure — crash, raised exception, hang past ``timeout``
     or a dropped pipe — raises :class:`WorkerFailedError`, terminates
@@ -227,10 +308,11 @@ class ProcessCluster:
         self._workspace = Workspace()
         self._procs: list = [None] * self.nodes
         self._conns: list = [None] * self.nodes
+        #: The segments each worker's current incarnation has mapped.
+        self._held: list[set[str]] = [set() for _ in range(self.nodes)]
         #: Whether each worker's current incarnation has ever replied.
         self._replied = [False] * self.nodes
         self._closed = False
-        self._ctx = mp.get_context(START_METHOD)
         # Registered before the first spawn: a failure spawning worker
         # k must not leak workers 1..k-1 and their pipes (slot 0 stays
         # ``None``: node 0 is this process).
@@ -246,41 +328,49 @@ class ProcessCluster:
             raise
 
     def _spawn_worker(self, worker: int) -> None:
-        """(Re)spawn one worker process with BLAS pinned to one thread.
+        """(Re)start one worker process (:class:`_LeafProcess`) on
+        :func:`_worker_main`, and write the tile bounds and the tiles it
+        owns to its socket.
 
-        ``spawn`` re-imports whatever ``sys.modules["__main__"]`` names
-        in the child, so for the duration of ``start()`` that is an
-        empty module: the child runs :func:`_worker_main` and never the
-        launching program.  Replaces the slot in place so the GC
-        finalizer always sees the current incarnation.
+        Replaces the slot in place so the GC finalizer always sees the
+        current incarnation.
         """
-        with _SPAWN_LOCK:
-            main = sys.modules["__main__"]
-            saved = {var: os.environ.get(var) for var in _BLAS_VARS}
-            sys.modules["__main__"] = types.ModuleType("__main__")
-            for var in _BLAS_VARS:
-                os.environ[var] = "1"
-            try:
-                parent_conn, child_conn = self._ctx.Pipe()
-                proc = self._ctx.Process(
-                    target=_worker_main,
-                    args=(child_conn, worker,
-                          tuple(self.partitioner.tile_bounds),
-                          tuple(self.partitioner.shards[worker])),
-                    daemon=True, name=f"repro-shard-{worker}",
-                )
-                proc.start()
-                child_conn.close()
-                self._procs[worker] = proc
-                self._conns[worker] = parent_conn
-                self._replied[worker] = False
-            finally:
-                sys.modules["__main__"] = main
-                for var, value in saved.items():
-                    if value is None:
-                        os.environ.pop(var, None)
-                    else:
-                        os.environ[var] = value
+        ours, theirs = socket.socketpair()
+        try:
+            proc = _LeafProcess(
+                f"{_worker_main.__module__}.{_worker_main.__qualname__}",
+                theirs.fileno(), f"repro-shard-{worker}")
+            proc.start()
+        except BaseException:
+            ours.close()
+            raise
+        finally:
+            theirs.close()
+        conn = Connection(ours.detach())
+        self._procs[worker] = proc
+        self._conns[worker] = conn
+        self._held[worker] = set()
+        self._replied[worker] = False
+        try:
+            conn.send_bytes(pickle.dumps(
+                (tuple(self.partitioner.tile_bounds),
+                 tuple(self.partitioner.shards[worker])),
+                protocol=pickle.HIGHEST_PROTOCOL))
+        except OSError:
+            pass  # dead already: the first call reports its exit code
+
+    def _send(self, worker: int, payload: bytes, op: tuple) -> int:
+        """Send one pickled op to ``worker``; an ``attach`` carries the
+        descriptors of the segments that incarnation has not mapped.
+        Returns the carrier bytes sent beside ``payload``."""
+        conn = self._conns[worker]
+        conn.send_bytes(payload)
+        if op[0] != "attach":
+            return 0
+        held = self._held[worker]
+        new = [name for name, _ in op[1] if name not in held]
+        held.update(new)
+        return _send_fds(conn, [self._segments[name].fd for name in new])
 
     # -- failure handling ------------------------------------------------
     def _fail(self, worker: int, reason: str, tb: str | None = None):
@@ -337,7 +427,7 @@ class ProcessCluster:
             threads, started = get(), time.perf_counter()
             try:
                 set_threads(1)
-                return _execute(op, self._views, {}, self.partitioner.tile_bounds,
+                return _execute(op, self._views, self.partitioner.tile_bounds,
                                 self.partitioner.shards[0], self._workspace)
             except Exception:
                 self._fail(0, f"raised during {label!r}", traceback.format_exc())
@@ -349,7 +439,8 @@ class ProcessCluster:
         """Send one op to every worker, run node 0's share, gather.
 
         Records two comm events: the fan-out (``kind``) with the real
-        pickled payload bytes per worker, and the fan-in (``gather``)
+        pickled payload bytes per worker (and an ``attach``'s descriptor
+        carriers), and the fan-in (``gather``)
         with the real reply bytes — both with measured wall time, and
         neither counting node 0, which ships nothing.
 
@@ -365,16 +456,17 @@ class ProcessCluster:
         remote = range(1, self.nodes)
         started = time.perf_counter()
         failed: dict[int, str] = {}
+        sent_bytes = len(payload) * len(remote)
         for worker in remote:
             try:
-                self._conns[worker].send_bytes(payload)
+                sent_bytes += self._send(worker, payload, op)
             except (BrokenPipeError, OSError):
                 reason = "pipe closed while sending (worker dead?)"
                 if not self.supervise:
                     self._fail(worker, reason)
                 failed[worker] = reason
         send_seconds = time.perf_counter() - started
-        self.comm.record(kind, label, len(payload) * len(remote),
+        self.comm.record(kind, label, sent_bytes,
                          messages=len(remote), seconds=send_seconds)
         replies = {0: self._run_node0(op, label)}
         reply_bytes = 0
@@ -492,21 +584,21 @@ class ProcessCluster:
         applied it to their disjoint rows, so after the retry every row
         of every view is exactly where a fault-free run would be.
         """
-        conn = self._conns[worker]
         sent_bytes = 0
         messages = 0
         recover_started = time.perf_counter()
 
-        def call(message: tuple):
+        def send(message: tuple, blob: bytes, reason: str) -> None:
             nonlocal sent_bytes, messages
-            blob = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
             try:
-                conn.send_bytes(blob)
+                sent_bytes += len(blob) + self._send(worker, blob, message)
             except (BrokenPipeError, OSError):
-                raise _WorkerUnavailable(
-                    worker, "pipe closed during recovery")
-            sent_bytes += len(blob)
+                raise _WorkerUnavailable(worker, reason)
             messages += 1
+
+        def call(message: tuple):
+            blob = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+            send(message, blob, "pipe closed during recovery")
             raw = self._try_recv(worker)
             reply = pickle.loads(raw)
             if reply[0] == "err":
@@ -525,12 +617,7 @@ class ProcessCluster:
                 view[r0:r1] = block[r0:r1]
         for name, u, v in self._oplog:
             call(("add_lowrank", name, u, v))
-        try:
-            conn.send_bytes(payload)
-        except (BrokenPipeError, OSError):
-            raise _WorkerUnavailable(worker, "pipe closed during retry")
-        sent_bytes += len(payload)
-        messages += 1
+        send(op, payload, "pipe closed during retry")
         raw = self._try_recv(worker)
         reply = pickle.loads(raw)
         if reply[0] == "err":
@@ -554,13 +641,14 @@ class ProcessCluster:
         return seg.array
 
     def _attach_op(self) -> tuple:
-        return ("attach", tuple((name, seg.name, seg.shape)
+        return ("attach", tuple((name, seg.shape)
                                 for name, seg in self._segments.items()))
 
     def attach(self) -> None:
         """One roundtrip mapping every segment on every worker (names a
-        worker holds already are kept): when it returns, each worker
-        sees every stored view."""
+        worker holds already are kept; the others' descriptors travel
+        with the message): when it returns, each worker sees every
+        stored view."""
         self.roundtrip(self._attach_op(), BROADCAST, "attach")
         self._refresh_basis()
 
@@ -595,17 +683,18 @@ class ProcessCluster:
         return tuple(self._views)
 
     def free(self, name: str) -> None:
-        """Release one view: workers detach, the segment is unlinked."""
+        """Release one view: workers detach, the segment is closed."""
         seg = self._segments.pop(name, None)
         if seg is None:
             return
+        for held in self._held:
+            held.discard(name)
         self._views.pop(name, None)
         self._basis.pop(name, None)
         self._oplog = [entry for entry in self._oplog if entry[0] != name]
         if self.failure is None and not self._closed:
             self.roundtrip(("detach", name), BROADCAST, "detach")
         seg.close()
-        seg.unlink()
 
     # -- lifecycle -------------------------------------------------------
     def ping(self) -> None:

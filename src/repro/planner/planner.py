@@ -257,7 +257,9 @@ def rank_program(
     Sharded cells (``N > 1``) exist only for
     dense INCR over programs whose lowered trigger lists the tile
     kernels can run (:func:`repro.distributed.sharded.unshardable`,
-    asked of the lists every session on the program runs), priced
+    asked of the lists every session on the program runs) on a system
+    that can share segments with workers
+    (:func:`repro.distributed.workers.cluster_unsupported`), priced
     from the trigger list they run
     (:func:`~repro.planner.programcost.program_cost` with ``nodes``):
     tile ops at the largest shard's share of their FLOPs plus the
@@ -327,11 +329,12 @@ def rank_program(
         stats.distinct_fraction, stats.batch_hint, rank)
 
     node_counts = sorted({max(int(count), 1) for count in nodes}) or [1]
-    shardable = False
+    refusal = None  # why no sharded cell can run, when nodes > 1 are asked
     if node_counts[-1] > 1:
         from ..distributed.sharded import unshardable
+        from ..distributed.workers import cluster_unsupported
 
-        shardable = unshardable(program) is None
+        refusal = unshardable(program) or cluster_unsupported()
     target = update_input or program.input_names[0]
     target_n = resolve_dim(program.input(target).shape.rows, resolved_dims)
     target_cols = resolve_dim(program.input(target).shape.cols, resolved_dims)
@@ -357,7 +360,7 @@ def rank_program(
             # Sharded cells: dense INCR over programs the tile kernels
             # can run.
             counts = [count for count in node_counts if count == 1 or (
-                strategy == INCR and be.name == "dense" and shardable)]
+                strategy == INCR and be.name == "dense" and refusal is None)]
             if not counts:
                 continue
             mode = session_mode(strategy, stats)
@@ -390,7 +393,7 @@ def rank_program(
 
         raise UnsupportedCombinationError(
             f"no sharded cell for nodes={tuple(node_counts)}: "
-            f"{unshardable(program) or 'sharded cells are dense INCR'}")
+            f"{refusal or 'sharded cells are dense INCR'}")
     if not candidates:
         raise RuntimeError("no execution backend available to plan over")
     return sorted(candidates,

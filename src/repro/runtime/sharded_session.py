@@ -25,8 +25,8 @@ class ShardedSession(IVMSession):
     :class:`~repro.distributed.sharded.ShardBackend`: the triggers, their
     lowered lists and both execution modes are the single-process ones,
     and only the kernels that touch a stored view differ — views live in
-    ``multiprocessing.shared_memory`` segments shared by this process,
-    node 0, with ``nodes - 1`` persistent workers
+    nameless ``/dev/shm`` segments (:mod:`repro.distributed.shm`) shared
+    by this process, node 0, with ``nodes - 1`` persistent workers
     (:class:`~repro.distributed.sharded.ShardedEngine`), the big
     per-tile dgemms fan out across the nodes and only thin rank-k factors
     cross pipes.  What this class adds is the lifecycle: it spawns the
@@ -112,7 +112,13 @@ class ShardedSession(IVMSession):
                                  f"session, got {plan.nodes}")
             from ..distributed.partitioner import RowShardPartitioner
             from ..distributed.sharded import ShardedEngine
-            from ..distributed.workers import DEFAULT_TIMEOUT
+            from ..distributed.workers import (DEFAULT_TIMEOUT,
+                                               cluster_unsupported)
+
+            reason = cluster_unsupported()
+            if reason is not None:
+                raise UnsupportedCombinationError(
+                    f"cannot start shard workers here: {reason}")
 
             # Spawn first: the workers boot (interpreter start, imports)
             # while this process fills the segments below.

@@ -123,10 +123,12 @@ TABLE = {
                        "refresh": 66_688},
     "sharded_chain": {"messages": 11, "bytes": 372_736, "roundtrips": 7,
                       # ``open_session`` on two real nodes: one attach
-                      # out (the three segments' names and shapes), one
-                      # reply back, measured in ``engine.comm``.
+                      # out (67 pickled bytes: the three views' names
+                      # and shapes, plus the one-byte carrier of their
+                      # segments' descriptors), one 29-byte reply back,
+                      # measured in ``engine.comm``.
                       "open": {"roundtrips": 1, "messages": 2,
-                               "bytes": 141}},
+                               "bytes": 97}},
     # n = 512: 26 n^2 + 23 n FLOPs (FLOPS_IN_N) in the chain's 17 calls.
     "dense_chain": {"n": 512, "calls": 17, "flops": 6_827_520},
     # The same session behind a ViewServer: every publish captures the

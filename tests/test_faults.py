@@ -20,6 +20,8 @@ Process-spawning tests keep ``n`` small; spawn dominates their cost.
 from __future__ import annotations
 
 import dataclasses
+import errno
+import os
 import warnings
 
 import numpy as np
@@ -238,6 +240,55 @@ class TestShmBudget:
         for name in ("A", "P2", "P3"):
             assert np.array_equal(np.asarray(session[name]),
                                   np.asarray(oracle[name])), name
+
+
+def _shm_fds() -> list[str]:
+    """What this process's open descriptors in ``/dev/shm`` point at."""
+    found = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:
+            continue
+        if target.startswith("/dev/shm/"):
+            found.append(target)
+    return found
+
+
+class TestShmReservation:
+    """A segment holds its pages from the start: a ``/dev/shm`` that
+    cannot hold it fails the create, never a later write (a SIGBUS)."""
+
+    def test_create_reserves_every_page(self):
+        n = 64
+        seg = SharedArray.create((n, n))
+        try:
+            assert os.fstat(seg.fd).st_blocks * 512 >= 8 * n * n
+        finally:
+            seg.close()
+
+    def test_no_room_to_reserve_lands_on_the_fallback(self, monkeypatch):
+        def full(fd, offset, length):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "posix_fallocate", full)
+        held = _shm_fds()
+        with pytest.raises(SharedMemoryBudgetError) as info:
+            SharedArray.create((64, 64))
+        assert info.value.nbytes == 64 * 64 * 8
+        assert _shm_fds() == held
+        n = 32
+        program = chain_program(n)
+        a0 = operator(n)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            session = open_session(program, {"A": a0},
+                                   plan=sharded_plan(program, {"A": a0}),
+                                   batch="off", partition="off")
+        assert not isinstance(session, ShardedSession)
+        assert session.plan.nodes == 1
+        assert any("shared-memory budget" in str(w.message) for w in caught)
+        assert _shm_fds() == held
 
 
 class TestSupervision:

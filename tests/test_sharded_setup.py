@@ -4,14 +4,13 @@
 each input copied in, each view evaluated into its own — so that work
 runs while the workers boot; whatever goes wrong between the spawn and
 the one ``attach`` roundtrip must leave no worker process and no
-shared-memory name behind.  Process-spawning tests keep ``n`` small;
+``/dev/shm`` entry behind.  Process-spawning tests keep ``n`` small;
 spawn dominates their cost.
 """
 
 from __future__ import annotations
 
 import errno
-import glob
 import json
 import multiprocessing
 import os
@@ -19,6 +18,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -63,12 +63,13 @@ def _shard_workers() -> list:
 
 @pytest.fixture
 def no_leak():
-    """Fail the test if it leaves a shard worker or a shm name behind."""
+    """Fail the test if it leaves a shard worker or a ``/dev/shm``
+    entry behind."""
     workers = {child.pid for child in _shard_workers()}
-    segments = set(glob.glob("/dev/shm/psm_*"))
+    entries = set(os.listdir("/dev/shm"))
     yield
     assert {child.pid for child in _shard_workers()} <= workers
-    assert set(glob.glob("/dev/shm/psm_*")) <= segments
+    assert set(os.listdir("/dev/shm")) <= entries
 
 
 class TestOverlappedBoot:
@@ -145,6 +146,29 @@ class TestOverlappedBoot:
                          batch="off")
         assert spawned == []
         assert _shard_workers() == []
+
+    def test_no_nameless_segments_refuses_before_any_spawn(
+            self, monkeypatch, no_leak):
+        from repro.distributed import workers
+        from repro.runtime import UnsupportedCombinationError
+
+        monkeypatch.setattr(workers, "cluster_unsupported",
+                            lambda: "no O_TMPFILE on this platform")
+        spawned = []
+        monkeypatch.setattr(ProcessCluster, "_spawn_worker",
+                            lambda self, worker: spawned.append(worker))
+        program = parse_program(CHAIN_SRC)
+        with pytest.raises(UnsupportedCombinationError, match="O_TMPFILE"):
+            open_session(program, {"A": _operator(32)}, plan=SHARDED,
+                         batch="off")
+        with pytest.raises(UnsupportedCombinationError, match="O_TMPFILE"):
+            open_session(program, {"A": _operator(32)}, plan="incr",
+                         nodes=(2,), batch="off")
+        # A budget is not a command: it opens single-process.
+        with open_session(program, {"A": _operator(32)}, plan="incr",
+                          nodes=2, batch="off") as session:
+            assert not isinstance(session, ShardedSession)
+        assert spawned == []
 
     def test_shm_exhaustion_still_lands_on_the_fallback(self, no_leak):
         program = parse_program(CHAIN_SRC)
@@ -234,15 +258,20 @@ class TestSpawnFailure:
         assert _shard_workers() == []
 
 
-def _run_script(path, *args) -> subprocess.CompletedProcess:
-    """Run ``path`` as a program of its own, this tree's ``src`` importable."""
+def _script_env() -> dict:
+    """This environment with this tree's ``src`` importable."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [os.path.join(os.path.dirname(__file__), os.pardir,
                                    "src"),
                       env.get("PYTHONPATH")]))
+    return env
+
+
+def _run_script(path, *args) -> subprocess.CompletedProcess:
+    """Run ``path`` as a program of its own, this tree's ``src`` importable."""
     return subprocess.run([sys.executable, str(path), *map(str, args)],
-                          capture_output=True, text=True, env=env,
+                          capture_output=True, text=True, env=_script_env(),
                           timeout=120)
 
 
@@ -342,6 +371,147 @@ class TestUnguardedScript:
             failure.value)
         assert "__main__" not in str(failure.value)
         assert _shard_workers() == []
+
+
+LEAN_LAUNCH_SCRIPT = textwrap.dedent("""
+    import json
+    import multiprocessing
+    import os
+    import sys
+
+    import numpy as np
+    from repro.frontend import parse_program
+    from repro.runtime import FactoredUpdate, open_session
+
+
+    def children():
+        pids = set()
+        for task in os.listdir("/proc/self/task"):
+            with open(f"/proc/self/task/{task}/children") as listing:
+                pids.update(map(int, listing.read().split()))
+        return sorted(pids)
+
+
+    def shm_fds():
+        found = []
+        for fd in os.listdir("/proc/self/fd"):
+            try:
+                target = os.readlink(f"/proc/self/fd/{fd}")
+            except OSError:
+                continue
+            if target.startswith("/dev/shm/"):
+                found.append(target)
+        return found
+
+
+    n = 32
+    rng = np.random.default_rng(3)
+    before = sorted(os.listdir("/dev/shm"))
+    session = open_session(
+        parse_program("input A(n, n); B := A * A; C := A * B; output C;"),
+        {"A": 0.4 * rng.standard_normal((n, n)) / np.sqrt(n)},
+        plan="incr", nodes=(2,), batch="off", partition="uniform")
+    started = children()
+    listed = sorted(child.pid for child in multiprocessing.active_children())
+    during = sorted(os.listdir("/dev/shm"))
+    for _ in range(4):
+        session.apply_update(FactoredUpdate(
+            "A", 0.01 * rng.standard_normal((n, 1)),
+            rng.standard_normal((n, 1))))
+    total = float(session["C"].sum())
+    during_updates = sorted(os.listdir("/dev/shm"))
+    fds_open = shm_fds()
+    session.close()
+    tracker = sys.modules.get("multiprocessing.resource_tracker")
+    print(json.dumps({
+        "session": type(session).__name__,
+        "finite": bool(np.isfinite(total)),
+        "started": started,
+        "listed": listed,
+        "tracker_imported": tracker is not None,
+        "listings": [before, during, during_updates,
+                     sorted(os.listdir("/dev/shm"))],
+        "shm_fds": [fds_open, shm_fds()],
+        "left": multiprocessing.active_children(),
+    }, default=str))
+""")
+
+ORPHAN_SCRIPT = textwrap.dedent("""
+    import time
+
+    import numpy as np
+    from repro.distributed import ProcessCluster, RowShardPartitioner
+
+    cluster = ProcessCluster(RowShardPartitioner(16, 2, tile_rows=4))
+    cluster.put("A", np.eye(16))
+    print(cluster._procs[1].pid, flush=True)
+    time.sleep(120)
+""")
+
+
+def _exited(pid: int) -> bool:
+    """Whether ``pid`` is gone or a zombie nobody has reaped yet."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads /proc and /dev/shm")
+class TestLeanLaunch:
+    """A sharded open starts its workers and nothing else: no resource
+    tracker, no ``/dev/shm`` name, no descriptor left after ``close``.
+    One fresh interpreter opens ``nodes=(2,)``, applies 4 updates,
+    reads and closes; each test checks one part of its report."""
+
+    @pytest.fixture(scope="class")
+    def report(self, tmp_path_factory):
+        script = tmp_path_factory.mktemp("lean") / "lean_launch.py"
+        script.write_text(LEAN_LAUNCH_SCRIPT)
+        proc = _run_script(script)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["session"] == "ShardedSession"
+        assert report["finite"]
+        assert report["left"] == []
+        return report
+
+    def test_exactly_one_child_and_it_is_listed(self, report):
+        assert len(report["started"]) == 1
+        assert report["listed"] == report["started"]
+
+    def test_no_resource_tracker(self, report):
+        assert not report["tracker_imported"]
+
+    def test_dev_shm_listing_never_changes(self, report):
+        before, *later = report["listings"]
+        assert all(listing == before for listing in later), later
+
+    def test_segments_are_nameless_and_closed_with_the_session(self,
+                                                               report):
+        open_fds, closed_fds = report["shm_fds"]
+        assert open_fds
+        assert all(target.endswith(" (deleted)") for target in open_fds)
+        assert closed_fds == []
+
+    def test_a_killed_coordinator_leaves_no_worker(self, tmp_path):
+        script = tmp_path / "orphan.py"
+        script.write_text(ORPHAN_SCRIPT)
+        proc = subprocess.Popen([sys.executable, str(script)],
+                                stdout=subprocess.PIPE, text=True,
+                                env=_script_env())
+        try:
+            worker = int(proc.stdout.readline())
+        finally:
+            proc.kill()
+            proc.wait(timeout=30)
+            proc.stdout.close()
+        deadline = time.monotonic() + 5.0
+        while not _exited(worker) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _exited(worker)
 
 
 class TestConcurrentSpawn:

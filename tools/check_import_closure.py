@@ -17,8 +17,9 @@ Usage::
 
     python tools/check_import_closure.py
 
-Prints each probe's sorted closure (``repro*`` and ``scipy*`` modules)
-and the ``repro`` dataclasses it built, and exits 1 on a forbidden
+Prints each probe's sorted closure (``repro*``, ``scipy*`` and
+``multiprocessing*`` modules) and the ``repro`` dataclasses it built,
+and exits 1 on a forbidden
 prefix, a module count over budget or — for the probes in
 :data:`LINE_BUDGETS` — more ``repro`` source lines than budgeted (with
 no ``.pyc``, what set-up pays is the lines it compiles, not the modules
@@ -26,10 +27,10 @@ it counts), or — for the probes in :data:`DATACLASS_BUDGETS` — more
 dataclasses than budgeted (building one costs about a millisecond, a
 ``typing.NamedTuple`` a tenth of that, and no line count sees it).  A
 last probe
-spawns a real shard worker and exits 1 if its target is not
-:data:`WORKER_ENTRY`'s ``_worker_main`` or it ran its launcher: a
-worker's boot is the closure gated above only while it is spawned
-through that entry and does not also re-import the program that opened
+starts a real shard worker and exits 1 if the entry its launch boots
+is not :data:`WORKER_ENTRY`'s ``_worker_main`` or it ran its launcher:
+a worker's boot is the closure gated above only while it is started
+on that entry and does not also re-import the program that opened
 the session.
 """
 
@@ -44,8 +45,16 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 
-#: The module a shard worker is spawned into: its closure is the boot.
+#: The module a shard worker boots into: its closure is the boot.
 WORKER_ENTRY = "repro.distributed.node"
+
+#: What a sharded open must not load: named segments, the tracker that
+#: unlinks them after a crash, and the spawn launch that starts that
+#: tracker.
+_NOT_FOR_NAMELESS_SEGMENTS = (
+    "multiprocessing.shared_memory", "multiprocessing.resource_tracker",
+    "multiprocessing.popen_spawn_posix",
+)
 
 #: What a dense single-process session must not load, opened or not.
 _NOT_FOR_A_DENSE_SESSION = (
@@ -98,11 +107,14 @@ _NOT_FOR_A_FORCED_DRIVER = (
 #: measured + 2).  A probe is a module to import, or a key of PROBES.
 GATED = {
     # The worker's boot: the tile kernels, its loop and the segments it
-    # maps, and none of the coordinator (pipes, traffic, tiling, faults).
+    # maps, and none of the coordinator (pipes, traffic, tiling, faults)
+    # — nor any of ``multiprocessing``, whose import was a tenth of a
+    # boot (``node._Socket`` frames the socket itself).
     WORKER_ENTRY: (
         ("scipy", "repro.testing", "repro.distributed.workers",
          "repro.distributed.comm", "repro.distributed.partitioner",
-         "repro.runtime.session", "repro.compiler", "repro.backends"),
+         "repro.runtime.session", "repro.compiler", "repro.backends",
+         "multiprocessing"),
         9,
     ),
     # The coordinator's side: the pipes, the supervisor, node 0.
@@ -141,7 +153,8 @@ GATED = {
          "repro.runtime.drift", "repro.runtime.checkpoint",
          "repro.calibrate", "repro.backends.sparse",
          "repro.planner.planner", "repro.planner.programcost",
-         "repro.cost.estimate", "repro.cost.advisor"),
+         "repro.cost.estimate", "repro.cost.advisor")
+        + _NOT_FOR_NAMELESS_SEGMENTS,
         47,
     ),
     # Priced: the planner and the program pricer load, but the
@@ -289,7 +302,7 @@ PROBES = {
 #: A program that counts its own executions in ``sys.argv[1]``, one
 #: line each, and opens a sharded cluster — under the main check, so a
 #: worker that did boot from it would add a line instead of crashing —
-#: noting there the target of each process it starts.
+#: noting there the entry each process it starts boots into.
 _LAUNCHER = (
     "import sys\n"
     "with open(sys.argv[1], 'a') as marker:\n"
@@ -299,10 +312,8 @@ _LAUNCHER = (
     "    from repro.distributed import ProcessCluster, RowShardPartitioner\n"
     "    start = BaseProcess.start\n"
     "    def noted(process):\n"
-    "        target = process._target\n"
     "        with open(sys.argv[1], 'a') as marker:\n"
-    "            marker.write(f'target {target.__module__}.'\n"
-    "                         f'{target.__qualname__}\\n')\n"
+    "            marker.write(f'target {process.entry}\\n')\n"
     "        start(process)\n"
     "    BaseProcess.start = noted\n"
     "    cluster = ProcessCluster(RowShardPartitioner(16, 2, tile_rows=4))\n"
@@ -313,8 +324,8 @@ _LAUNCHER = (
 _PROBE = (
     "import sys, numpy\n"
     "{body}\n"
-    "print('\\n'.join(sorted(m for m in sys.modules\n"
-    "                        if m.split('.')[0] in ('repro', 'scipy'))))"
+    "print('\\n'.join(sorted(m for m in sys.modules if m.split('.')[0]\n"
+    "                        in ('repro', 'scipy', 'multiprocessing'))))"
 )
 
 #: Appended to a :data:`_PROBE`: after a marker line, every dataclass
@@ -347,8 +358,8 @@ def fresh_python(*args: str) -> str:
 def probe_run(probe: str) -> tuple[list[str], list[str]]:
     """``(modules, dataclasses)`` of a fresh interpreter after ``import
     numpy`` and ``probe`` (a module name or a PROBES key): its
-    ``repro*`` / ``scipy*`` modules and the dataclasses defined in its
-    ``repro`` modules, each sorted."""
+    ``repro*`` / ``scipy*`` / ``multiprocessing*`` modules and the
+    dataclasses defined in its ``repro`` modules, each sorted."""
     out = fresh_python("-c", _PROBE.format(
         body=PROBES.get(probe, f"import {probe}")) + "\n" + _DATACLASSES)
     loaded, built = out.split(_BUILT)
@@ -356,16 +367,16 @@ def probe_run(probe: str) -> tuple[list[str], list[str]]:
 
 
 def closure(probe: str) -> list[str]:
-    """``repro*`` / ``scipy*`` modules a fresh interpreter holds after
-    ``import numpy`` and ``probe`` (a module name or a PROBES key),
-    sorted."""
+    """``repro*`` / ``scipy*`` / ``multiprocessing*`` modules a fresh
+    interpreter holds after ``import numpy`` and ``probe`` (a module
+    name or a PROBES key), sorted."""
     return probe_run(probe)[0]
 
 
 def spawned_worker() -> tuple[int, str]:
     """How often :data:`_LAUNCHER`'s top level executes over one run that
-    opens a two-node cluster (once, unless its spawned worker boots from
-    it), and the worker's spawn target."""
+    opens a two-node cluster (once, unless its worker boots from it),
+    and the entry the worker's launch boots into."""
     with tempfile.TemporaryDirectory() as scratch:
         launcher, marker = Path(scratch, "launcher.py"), Path(scratch, "runs")
         launcher.write_text(_LAUNCHER)
@@ -433,11 +444,11 @@ def main() -> int:
             print(f"  dataclass {name}")
         problems.extend(violations(module, loaded, built))
     runs, target = spawned_worker()
-    print(f"spawned shard worker: target {target}, launcher top level ran "
+    print(f"spawned shard worker: entry {target}, launcher top level ran "
           f"{runs} time(s)")
     if target != f"{WORKER_ENTRY}._worker_main":
         problems.append(
-            f"spawned shard worker: spawned into {target or 'nothing'}, not "
+            f"spawned shard worker: boots into {target or 'nothing'}, not "
             f"{WORKER_ENTRY}._worker_main (whose closure is gated)")
     if runs != 1:
         problems.append(
