@@ -64,8 +64,21 @@ def _compile_for_input(program: Program, input_name: str, rank: DimLike,
     deltas: dict[str, FactoredDelta] = {input_name: FactoredDelta.rank_one(u, v)}
     assigns: list[Assign] = []
     updates: list[Update] = [Update(x, matmul(u, transpose(v)))]
+    #: Expression -> the name of the first statement spelling it.
+    spelled: dict[Expr, str] = {}
 
     for stmt in program.statements:
+        twin = spelled.setdefault(stmt.expr, stmt.target.name)
+        if twin != stmt.target.name:
+            # A repeated spelling (``P := A*A`` after ``V := A*A``) keeps
+            # its twin's factors, as an alias does: a later ``V + P`` then
+            # sums one shared right factor, as a catalog folding ``P``
+            # into ``V``'s node does.
+            if twin in deltas:
+                deltas[stmt.target.name] = deltas[twin]
+                updates.append(Update(stmt.target, next(
+                    up.expr for up in updates if up.view.name == twin)))
+            continue
         refs = _inverse_refs(stmt.expr, stmt.target)
         delta = compute_delta(stmt.expr, deltas, inverse_refs=refs)
         if delta.is_zero:

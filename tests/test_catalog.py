@@ -186,6 +186,26 @@ class TestSharedVsIndependentDifferential:
         assert tenant.mapping["P0"] == tenant.mapping["V0"]
         assert _node_creating_names(tenant) == ["V0", "P1"]
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sum_over_a_repeated_spelling_is_bitwise(self, seed):
+        """``P0 := A*A`` spells ``V0`` again: the catalog folds it into
+        ``V0``'s node and sums ``P1 := V0 + P0`` as ``_S0 + _S0``; a solo
+        session gives ``P0`` ``V0``'s factors, so it sums one ``U + U``
+        block too and ``P1`` stays bitwise."""
+        programs = [
+            parse_program("input A(3,3); V0 := A*A; V1 := V0*V0; "
+                          "P0 := A*A; P1 := V0 + P0; output P1;"),
+            parse_program("input A(3,3); V0 := A*A; V1 := V0*V0; "
+                          "output V1;"),
+        ]
+        rng = np.random.default_rng(seed)
+        inputs = {"A": 0.2 * rng.standard_normal((3, 3))}
+        updates = zipf_row_updates(rng, 3, 8, 0.0)
+        catalog, [tenant, _] = _assert_family_parity(
+            programs, inputs, updates, "dense", "INCR", "interpret")
+        assert tenant.mapping["P0"] == tenant.mapping["V0"]
+        assert _node_creating_names(tenant) == ["V0", "V1", "P1"]
+
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_identically_spelled_prefix_is_bitwise_for_all(self, data):
